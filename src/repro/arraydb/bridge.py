@@ -71,15 +71,10 @@ from repro.arraydb.operators import (
     subarray_by_index,
 )
 from repro.plan import logical
+from repro.plan.execute import Backend, execute
 from repro.plan.expressions import Expression, split_conjuncts
 from repro.plan.observe import PlanObservation
-from repro.plan.optimizer import (
-    ColumnStats,
-    OptimizerCapabilities,
-    PlanCatalog,
-    optimize,
-)
-from repro.plan.verify import maybe_verify_rewrite
+from repro.plan.optimizer import ColumnStats, OptimizerCapabilities, PlanCatalog
 
 #: The optimizer profile the array executor can honour: pushdown moves the
 #: dimension predicates onto the metadata frames (required by the
@@ -163,6 +158,10 @@ class ArrayQueryResult:
     def label(self, dimension: str) -> np.ndarray:
         """Original coordinates along one dimension, sorted ascending."""
         return self.labels[dimension]
+
+    def __len__(self) -> int:
+        """The result's cardinality: its non-empty cells."""
+        return self.array.cell_count
 
 
 class ArrayPlanCatalog(PlanCatalog):
@@ -290,10 +289,61 @@ class _MatrixSelection:
     cell_predicates: list[Expression] = field(default_factory=list)
 
 
-def optimize_shared_plan(plan: logical.PlanNode,
-                         frames: Mapping[str, ArrayFrame | MatrixFrame]) -> logical.PlanNode:
-    """Run the shared optimizer with the frames' schemas and synopses."""
-    return optimize(plan, ArrayPlanCatalog(frames), ARRAY_CAPABILITIES)
+class ArrayBackend(Backend):
+    """The array frames behind the shared driver, for one plan execution.
+
+    ``stats`` (optional :class:`~repro.arraydb.operators.FilterStats`)
+    accumulates chunk-skip counters across every filter pass of the run.
+    """
+
+    engine = "scidb"
+    capabilities = ARRAY_CAPABILITIES
+
+    def __init__(self, frames: Mapping[str, ArrayFrame | MatrixFrame],
+                 stats: FilterStats | None):
+        self.frames = frames
+        self.stats = stats
+        self.catalog = ArrayPlanCatalog(frames)
+
+    def lower(self, node: logical.PlanNode):
+        return _lower(node, self.frames, self.stats)
+
+    def relation(self, selection):
+        """Metadata subtree → sorted coordinates; fact subtree → subarray."""
+        if isinstance(selection, _MetaSelection):
+            coordinates = _resolve_meta(selection, self.stats)
+            if coordinates is None:
+                start, end = _frame_bounds(selection.frame)
+                coordinates = np.arange(start, end + 1, dtype=np.int64)
+            return coordinates
+        return _materialise(selection, self.stats)
+
+    def _fact(self, selection, terminal: str) -> ArrayQueryResult:
+        if not isinstance(selection, _MatrixSelection):
+            raise TypeError(f"{terminal} expects a fact-array subtree")
+        return _materialise(selection, self.stats)
+
+    def aggregate(self, selection, plan: logical.Aggregate):
+        result = self._fact(selection, "Aggregate")
+        if plan.value != selection.frame.value_column:
+            raise KeyError(f"no value column {plan.value!r} in frame {selection.name!r}")
+        function = _AGGREGATE_NAMES.get(plan.function, plan.function)
+        values = aggregate(result.array, plan.value, function, along=plan.group_by)
+        return result.label(plan.group_by), np.asarray(values, dtype=np.float64)
+
+    def pivot(self, selection, plan: logical.Pivot):
+        result = self._fact(selection, "Pivot")
+        dims = list(result.array.schema.dimension_names)
+        if dims == [plan.row_key, plan.column_key]:
+            dense = result.array.to_dense(attribute=plan.value)
+        elif dims == [plan.column_key, plan.row_key]:
+            dense = result.array.to_dense(attribute=plan.value).T
+        else:
+            raise KeyError(
+                f"pivot keys ({plan.row_key!r}, {plan.column_key!r}) do not "
+                f"match array dimensions {dims}"
+            )
+        return dense, result.label(plan.row_key), result.label(plan.column_key)
 
 
 def run_shared_plan(plan: logical.PlanNode,
@@ -303,12 +353,14 @@ def run_shared_plan(plan: logical.PlanNode,
                     observation: PlanObservation | None = None):
     """Execute a shared logical plan against the array frames.
 
-    Relational-algebra subtrees over the fact array return an
-    :class:`ArrayQueryResult` (the compacted subarray plus its coordinate
-    labels); a metadata-only subtree returns the selected coordinates as
-    a sorted int64 array; :class:`~repro.plan.logical.Aggregate` returns
-    ``(group_keys, aggregates)`` and :class:`~repro.plan.logical.Pivot`
-    returns ``(matrix, row_labels, column_labels)`` — the shared executor
+    A one-line call into the shared driver
+    (:func:`repro.plan.execute.execute`).  Relational-algebra subtrees
+    over the fact array return an :class:`ArrayQueryResult` (the compacted
+    subarray plus its coordinate labels); a metadata-only subtree returns
+    the selected coordinates as a sorted int64 array;
+    :class:`~repro.plan.logical.Aggregate` returns ``(group_keys,
+    aggregates)`` and :class:`~repro.plan.logical.Pivot` returns
+    ``(matrix, row_labels, column_labels)`` — the shared executor
     contract.
 
     Args:
@@ -322,61 +374,8 @@ def run_shared_plan(plan: logical.PlanNode,
             accumulating chunk-skip counters across every filter pass.
         observation: optional :class:`~repro.plan.observe.PlanObservation`
             filled with the observed output cardinality.
-
-    With the ``REPRO_VERIFY_PLANS`` debug flag set, the optimizer rewrite
-    is checked by the static verifier (:mod:`repro.plan.verify`).
     """
-    if optimized:
-        written = plan
-        plan = optimize_shared_plan(plan, frames)
-        maybe_verify_rewrite(written, plan, ArrayPlanCatalog(frames))
-    if observation is not None:
-        observation.engine = "scidb"
-    if isinstance(plan, logical.Aggregate):
-        selection = _lower(plan.child, frames, stats)
-        if not isinstance(selection, _MatrixSelection):
-            raise TypeError("Aggregate expects a fact-array subtree")
-        result = _materialise(selection, stats)
-        if plan.value != selection.frame.value_column:
-            raise KeyError(f"no value column {plan.value!r} in frame {selection.name!r}")
-        function = _AGGREGATE_NAMES.get(plan.function, plan.function)
-        values = aggregate(result.array, plan.value, function, along=plan.group_by)
-        labels = result.label(plan.group_by)
-        if observation is not None:
-            observation.output_rows = int(len(labels))
-        return labels, np.asarray(values, dtype=np.float64)
-    if isinstance(plan, logical.Pivot):
-        selection = _lower(plan.child, frames, stats)
-        if not isinstance(selection, _MatrixSelection):
-            raise TypeError("Pivot expects a fact-array subtree")
-        result = _materialise(selection, stats)
-        dims = list(result.array.schema.dimension_names)
-        if dims == [plan.row_key, plan.column_key]:
-            dense = result.array.to_dense(attribute=plan.value)
-        elif dims == [plan.column_key, plan.row_key]:
-            dense = result.array.to_dense(attribute=plan.value).T
-        else:
-            raise KeyError(
-                f"pivot keys ({plan.row_key!r}, {plan.column_key!r}) do not "
-                f"match array dimensions {dims}"
-            )
-        if observation is not None:
-            observation.output_rows = int(dense.shape[0])
-            observation.output_cells = int(dense.size)
-        return dense, result.label(plan.row_key), result.label(plan.column_key)
-    selection = _lower(plan, frames, stats)
-    if isinstance(selection, _MetaSelection):
-        coordinates = _resolve_meta(selection, stats)
-        if coordinates is None:
-            start, end = _frame_bounds(selection.frame)
-            coordinates = np.arange(start, end + 1, dtype=np.int64)
-        if observation is not None:
-            observation.output_rows = int(len(coordinates))
-        return coordinates
-    result = _materialise(selection, stats)
-    if observation is not None:
-        observation.output_rows = int(result.array.cell_count)
-    return result
+    return execute(plan, ArrayBackend(frames, stats), optimized, observation)
 
 
 def _lower(node: logical.PlanNode,

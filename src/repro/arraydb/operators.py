@@ -10,8 +10,7 @@ Implemented operators (names follow SciDB's AFL where one exists):
 * :func:`filter_attribute` — keep cells satisfying a predicate on the
   attributes; the predicate is an :class:`~repro.plan.expressions.Expression`
   from the shared AST (range/equality/membership conjuncts skip whole
-  chunks via the chunks' min/max synopses), or — deprecated — a raw
-  vectorised callable over one attribute,
+  chunks via the chunks' min/max synopses),
 * :func:`between` — subarray by dimension coordinate ranges,
 * :func:`subarray_by_index` — keep a given list of coordinates along one
   dimension and compact them (what a dimension-join against a filtered
@@ -30,7 +29,6 @@ onto these operators by :mod:`repro.arraydb.bridge`.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -170,7 +168,7 @@ def _chunk_keep_mask(chunk: Chunk, conjuncts: Sequence[Expression],
 def filter_attribute(
     array: ChunkedArray,
     attribute: str | None,
-    predicate: Expression | Callable[[np.ndarray], np.ndarray],
+    predicate: Expression,
     result_name: str | None = None,
     stats: FilterStats | None = None,
 ) -> ChunkedArray:
@@ -189,59 +187,29 @@ def filter_attribute(
     touching any cell.  ``stats`` (a :class:`FilterStats`) records how
     many chunks were skipped vs scanned.
 
-    When predicate is an expression, ``attribute`` is only validated (it
-    may be None); the expression names the attributes it reads.
-
-    A raw vectorised callable over the single named ``attribute`` is still
-    accepted but **deprecated** (it blocks chunk skipping and every
-    optimizer rewrite); it emits a :class:`DeprecationWarning`.
+    ``attribute`` is only validated (it may be None); the expression names
+    the attributes it reads.
     """
     schema = array.schema.renamed(result_name or f"filter({array.schema.name})")
     result = ChunkedArray(schema)
-    if isinstance(predicate, Expression):
-        names = set(array.schema.attribute_names)
-        referenced = predicate.columns_referenced()
-        missing = referenced - names
-        if missing:
-            raise KeyError(
-                f"expression references {sorted(missing)} but array "
-                f"{array.schema.name!r} has attributes {sorted(names)}"
-            )
-        if attribute is not None and attribute not in names:
-            raise KeyError(f"array {array.schema.name!r} has no attribute {attribute!r}")
-        conjuncts = split_conjuncts(predicate)
-        batch_columns = sorted(referenced)
-        for chunk in array.chunks():
-            keep = _chunk_keep_mask(chunk, conjuncts, batch_columns)
-            if keep is None:
-                if stats is not None:
-                    stats.chunks_skipped += 1
-                continue
-            if stats is not None:
-                stats.chunks_scanned += 1
-            if not keep.any():
-                continue
-            if stats is not None:
-                stats.cells_kept += int(keep.sum())
-            new_chunk = chunk.copy()
-            new_chunk.mask = keep
-            result.put_chunk(new_chunk)
-        return result
-
-    warnings.warn(
-        "filter_attribute(..., predicate=<callable>) is deprecated; pass an "
-        "expression built with repro.plan.col instead (callables block chunk "
-        "skipping and every shared-optimizer rewrite)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    if attribute is None:
-        raise TypeError("the deprecated callable form requires an attribute name")
+    names = set(array.schema.attribute_names)
+    referenced = predicate.columns_referenced()
+    missing = referenced - names
+    if missing:
+        raise KeyError(
+            f"expression references {sorted(missing)} but array "
+            f"{array.schema.name!r} has attributes {sorted(names)}"
+        )
+    if attribute is not None and attribute not in names:
+        raise KeyError(f"array {array.schema.name!r} has no attribute {attribute!r}")
+    conjuncts = split_conjuncts(predicate)
+    batch_columns = sorted(referenced)
     for chunk in array.chunks():
-        values = chunk.attribute(attribute)
-        keep = np.asarray(predicate(values), dtype=bool)
-        if chunk.mask is not None:
-            keep &= chunk.mask
+        keep = _chunk_keep_mask(chunk, conjuncts, batch_columns)
+        if keep is None:
+            if stats is not None:
+                stats.chunks_skipped += 1
+            continue
         if stats is not None:
             stats.chunks_scanned += 1
         if not keep.any():

@@ -33,7 +33,7 @@ import numpy as np
 from repro.colstore.catalog import ColumnStore
 from repro.colstore.query import ColumnQuery, materialise_join
 from repro.plan import logical
-from repro.plan.expressions import Expression
+from repro.plan.execute import Backend, execute
 from repro.plan.logical import explain
 from repro.plan.observe import PlanObservation
 from repro.plan.optimizer import (
@@ -42,7 +42,6 @@ from repro.plan.optimizer import (
     cost_annotator,
     optimize,
 )
-from repro.plan.verify import maybe_verify_rewrite
 
 
 class ColumnStoreCatalog(PlanCatalog):
@@ -121,18 +120,180 @@ def explain_plan(plan: logical.PlanNode, store: ColumnStore | None = None,
     return explain(plan, cost_annotator(plan, catalog))
 
 
+class ColumnStoreBackend(Backend):
+    """The column store behind the shared driver, for one plan execution.
+
+    Scans over *written* tables resolve through snapshots
+    (:meth:`~repro.colstore.catalog.ColumnStore.query`), and the backend
+    keeps a per-execution scan cache so every ``Scan`` of the same table —
+    a self-join, a rewritten subtree — reads the **same** frozen version
+    even while writers race the execution.
+    """
+
+    engine = "colstore"
+
+    def __init__(self, store: ColumnStore | None,
+                 bindings: Mapping[str, ColumnQuery] | None):
+        self.store = store
+        self.catalog = ColumnStoreCatalog(store, bindings)
+        self.bindings = self.catalog.bindings
+        self._scans: dict[str, ColumnQuery] = {}
+
+    def aggregate(self, query: ColumnQuery, plan: logical.Aggregate):
+        return query.group_aggregate(plan.group_by, plan.value, plan.function)
+
+    def pivot(self, query: ColumnQuery, plan: logical.Pivot):
+        return query.pivot(plan.row_key, plan.column_key, plan.value)
+
+    def _scan(self, table_name: str) -> ColumnQuery:
+        """One frozen base query per table per plan execution.
+
+        The first scan of a table snapshots it; later scans in the same run
+        rewrap that snapshot's table and base selection, so the whole plan
+        answers from a single version.
+        """
+        base = self.bindings.get(table_name)
+        if base is None:
+            if self.store is None:
+                raise KeyError(
+                    f"no binding named {table_name!r} and no store to scan it from"
+                )
+            base = self._scans.get(table_name)
+            if base is None:
+                base = self._scans[table_name] = self.store.query(table_name)
+        return ColumnQuery(base.table, base._base)
+
+    def lower(self, node: logical.PlanNode) -> ColumnQuery:
+        """Lower a relational-algebra subtree onto a lazy ColumnQuery."""
+        if isinstance(node, logical.Scan):
+            return self._scan(node.table)
+        if isinstance(node, logical.Filter):
+            return self.lower(node.child).where(node.predicate)
+        if isinstance(node, logical.Project):
+            return self.lower(node.child).select(*node.columns)
+        if isinstance(node, logical.Sample):
+            return self.lower(node.child).sample(node.fraction, node.seed)
+        if isinstance(node, logical.Join):
+            table = materialise_join(
+                self.lower(node.left), self.lower(node.right),
+                node.left_key, node.right_key,
+                result_name=node.result_name, build=node.build_side, compress=False,
+            )
+            return ColumnQuery(table)
+        raise TypeError(f"cannot execute plan node {type(node).__name__} on the column store")
+
+    def _sampled_base(self, node: logical.PlanNode, fraction: float,
+                      seed: int) -> tuple[ColumnQuery, int]:
+        """Lower ``Sample(node)`` and return ``(sampled query, pre-sample rows)``.
+
+        A ``Project*(Scan)`` sample is served from the store's synopsis
+        catalog — projections never change the row set, so the cached
+        selection applies verbatim (the projection-pruning rule routinely
+        narrows the scan below the sample).  Repeated approximate queries
+        over the same ``(table, fraction, seed)`` then reuse one cached
+        selection; the catalog builds through ``ColumnQuery.sample`` so the
+        rows are bit-identical either way.
+        """
+        store = self.store
+        inner, projection = node, None
+        while isinstance(inner, logical.Project):
+            if projection is None:  # the outermost projection wins
+                projection = inner.columns
+            inner = inner.child
+        if (isinstance(inner, logical.Scan) and store is not None
+                and inner.table in store and inner.table not in self.bindings):
+            table = store.effective_table(inner.table)
+            selection = store.synopses.uniform(inner.table, fraction, seed)
+            sampled = ColumnQuery(table, selection)
+            if projection is not None:
+                sampled = sampled.select(*projection)
+            return sampled, store.live_row_count(inner.table)
+        base = self.lower(node)
+        return base.sample(fraction, seed), len(base)
+
+    def approx_aggregate(self, plan: logical.ApproxAggregate):
+        """Execute an ``ApproxAggregate`` terminal → :class:`ApproxResult`.
+
+        Sketch kinds stream the child selection through the encoding-level
+        ``sketch_pairs`` builders (whole RLE runs folded, dictionary keys
+        hashed once).  Sampled kinds locate the ``Sample`` stage:
+        sample-last plans use population-known CLT bounds (with
+        finite-population correction against the pre-sample count);
+        filters *above* the sample fall back to Horvitz–Thompson bounds
+        with the realised inclusion fraction; a plan with no sample at all
+        returns the exact answer with a zero-width interval.
+        """
+        from repro.colstore import sketches
+
+        # Surface invalid-confidence / non-mergeable-aggregate before touching
+        # data; column existence and dtype are checked by the store itself.
+        plan.output_schema({plan.value: np.dtype(np.float64)})
+        if plan.kind in logical.SKETCH_APPROX_KINDS:
+            query = self.lower(plan.child)
+            selection = None if query._full_selection else query.selection
+            column = query.table.column(plan.value)
+            if plan.kind == "approx_distinct":
+                return column.hll_sketch(selection).result(plan.confidence)
+            return column.tdigest_sketch(selection).result(plan.quantile, plan.confidence)
+
+        fraction, seed = plan.fraction, plan.seed
+        sample_child: logical.PlanNode | None = None
+        above: list[logical.PlanNode] = []  # Filter/Project stages above the sample
+        if fraction is not None:
+            sample_child = plan.child  # inline opt-in ≡ Sample as immediate child
+        else:
+            cursor = plan.child
+            while isinstance(cursor, (logical.Filter, logical.Project)):
+                above.append(cursor)
+                cursor = cursor.child
+            if isinstance(cursor, logical.Sample):
+                fraction, seed = cursor.fraction, cursor.seed
+                sample_child = cursor.child
+
+        if sample_child is None:  # no sampling anywhere: exact, zero-width interval
+            query = self.lower(plan.child)
+            if plan.kind == "approx_count":
+                exact = float(len(query))
+            else:
+                values = query.column(plan.value).astype(np.float64)
+                exact = float(values.sum()) if plan.kind == "approx_sum" else (
+                    float(values.mean()) if len(values) else float("nan"))
+            return sketches.ApproxResult(exact, exact, exact, plan.confidence)
+
+        sampled, population = self._sampled_base(sample_child, fraction, seed)
+        realised = len(sampled) / population if population else 0.0
+        query, filtered = sampled, False
+        for step in reversed(above):
+            if isinstance(step, logical.Filter):
+                query = query.where(step.predicate)
+                filtered = True
+            else:
+                query = query.select(*step.columns)
+        known = None if filtered else population
+        if plan.kind == "approx_count":
+            return sketches.sampled_count(len(query), realised, plan.confidence,
+                                          population=known)
+        values = query.column(plan.value)
+        if plan.kind == "approx_sum":
+            return sketches.sampled_sum(values, realised, plan.confidence,
+                                        population=known)
+        return sketches.sampled_mean(values, realised, plan.confidence)
+
+
 def run_plan(plan: logical.PlanNode, store: ColumnStore | None = None,
              optimized: bool = True,
              bindings: Mapping[str, ColumnQuery] | None = None,
              observation: PlanObservation | None = None):
     """Execute a logical plan against the store and/or scan bindings.
 
-    The single entry point behind every fused pipeline: relational-algebra
-    plans return a lazy :class:`ColumnQuery`; an ``Aggregate`` terminal
-    returns ``(group_keys, aggregates)`` and a ``Pivot`` terminal returns
-    ``(matrix, row_labels, column_labels)``.  A terminal directly above a
-    ``Join`` consumes the pruned, uncompressed join output — the fused
-    join → aggregate/pivot path.
+    The single entry point behind every fused pipeline, and a one-line
+    call into the shared driver (:func:`repro.plan.execute.execute`):
+    relational-algebra plans return a lazy :class:`ColumnQuery`; an
+    ``Aggregate`` terminal returns ``(group_keys, aggregates)``, a
+    ``Pivot`` terminal ``(matrix, row_labels, column_labels)`` and an
+    ``ApproxAggregate`` an :class:`~repro.colstore.sketches.ApproxResult`.
+    A terminal directly above a ``Join`` consumes the pruned, uncompressed
+    join output — the fused join → aggregate/pivot path.
 
     Args:
         plan: the logical plan tree.
@@ -145,199 +306,5 @@ def run_plan(plan: logical.PlanNode, store: ColumnStore | None = None,
         observation: optional :class:`~repro.plan.observe.PlanObservation`
             filled with the observed output cardinality (the calibration
             counterpart of the optimizer's row estimates).
-
-    With the ``REPRO_VERIFY_PLANS`` debug flag set, every optimizer
-    application is checked by the static rewrite-soundness verifier
-    (:func:`repro.plan.verify.verify_rewrite`) before execution.
-
-    Scans over *written* tables resolve through snapshots
-    (:meth:`~repro.colstore.catalog.ColumnStore.query`), and one run keeps
-    a per-execution scan cache so every ``Scan`` of the same table — a
-    self-join, a rewritten subtree — reads the **same** frozen version
-    even while writers race the execution.
     """
-    if optimized:
-        written = plan
-        plan = optimize_plan(plan, store, bindings)
-        maybe_verify_rewrite(written, plan, ColumnStoreCatalog(store, bindings))
-    if observation is not None:
-        observation.engine = "colstore"
-    scans: dict[str, ColumnQuery] = {}
-    if isinstance(plan, logical.Aggregate):
-        query = _query_for(plan.child, store, bindings, scans)
-        keys, aggregates = query.group_aggregate(plan.group_by, plan.value, plan.function)
-        if observation is not None:
-            observation.output_rows = int(len(keys))
-        return keys, aggregates
-    if isinstance(plan, logical.Pivot):
-        query = _query_for(plan.child, store, bindings, scans)
-        matrix, row_labels, column_labels = query.pivot(
-            plan.row_key, plan.column_key, plan.value
-        )
-        if observation is not None:
-            observation.output_rows = int(len(row_labels))
-            observation.output_cells = int(matrix.size)
-        return matrix, row_labels, column_labels
-    if isinstance(plan, logical.ApproxAggregate):
-        result = _run_approx(plan, store, bindings, scans)
-        if observation is not None:
-            observation.output_rows = 1
-        return result
-    query = _query_for(plan, store, bindings, scans)
-    if observation is not None:
-        observation.output_rows = int(len(query))
-    return query
-
-
-def _scan_query(table_name: str, store: ColumnStore,
-                scans: dict[str, ColumnQuery] | None) -> ColumnQuery:
-    """One frozen base query per table per plan execution.
-
-    The first scan of a table snapshots it; later scans in the same run
-    rewrap that snapshot's table and base selection, so the whole plan
-    answers from a single version.
-    """
-    if scans is None:
-        return store.query(table_name)
-    base = scans.get(table_name)
-    if base is None:
-        base = store.query(table_name)
-        scans[table_name] = base
-    return ColumnQuery(base.table, base._base)
-
-
-def _query_for(node: logical.PlanNode, store: ColumnStore | None,
-               bindings: Mapping[str, ColumnQuery] | None,
-               scans: dict[str, ColumnQuery] | None = None) -> ColumnQuery:
-    """Lower a relational-algebra subtree onto a lazy ColumnQuery."""
-    if isinstance(node, logical.Scan):
-        if bindings and node.table in bindings:
-            binding = bindings[node.table]
-            return ColumnQuery(binding.table, binding._base)
-        if store is None:
-            raise KeyError(
-                f"no binding named {node.table!r} and no store to scan it from"
-            )
-        return _scan_query(node.table, store, scans)
-    if isinstance(node, logical.Filter):
-        predicate: Expression = node.predicate
-        return _query_for(node.child, store, bindings, scans).where(predicate)
-    if isinstance(node, logical.Project):
-        return _query_for(node.child, store, bindings, scans).select(*node.columns)
-    if isinstance(node, logical.Sample):
-        return _query_for(node.child, store, bindings, scans).sample(
-            node.fraction, node.seed
-        )
-    if isinstance(node, logical.Join):
-        left = _query_for(node.left, store, bindings, scans)
-        right = _query_for(node.right, store, bindings, scans)
-        table = materialise_join(
-            left, right, node.left_key, node.right_key,
-            result_name=node.result_name, build=node.build_side, compress=False,
-        )
-        return ColumnQuery(table)
-    raise TypeError(f"cannot execute plan node {type(node).__name__} on the column store")
-
-
-def _sampled_base(node: logical.PlanNode, store: ColumnStore | None,
-                  bindings: Mapping[str, ColumnQuery] | None,
-                  fraction: float, seed: int,
-                  scans: dict[str, ColumnQuery] | None = None) -> tuple[ColumnQuery, int]:
-    """Lower ``Sample(node)`` and return ``(sampled query, pre-sample rows)``.
-
-    A ``Project*(Scan)`` sample is served from the store's synopsis
-    catalog — projections never change the row set, so the cached
-    selection applies verbatim (the projection-pruning rule routinely
-    narrows the scan below the sample).  Repeated approximate queries
-    over the same ``(table, fraction, seed)`` then reuse one cached
-    selection; the catalog builds through ``ColumnQuery.sample`` so the
-    rows are bit-identical either way.
-    """
-    inner, projection = node, None
-    while isinstance(inner, logical.Project):
-        if projection is None:  # the outermost projection wins
-            projection = inner.columns
-        inner = inner.child
-    if (isinstance(inner, logical.Scan) and store is not None
-            and inner.table in store
-            and not (bindings and inner.table in bindings)):
-        table = store.effective_table(inner.table)
-        selection = store.synopses.uniform(inner.table, fraction, seed)
-        sampled = ColumnQuery(table, selection)
-        if projection is not None:
-            sampled = sampled.select(*projection)
-        return sampled, store.live_row_count(inner.table)
-    base = _query_for(node, store, bindings, scans)
-    return base.sample(fraction, seed), len(base)
-
-
-def _run_approx(plan: logical.ApproxAggregate, store: ColumnStore | None,
-                bindings: Mapping[str, ColumnQuery] | None,
-                scans: dict[str, ColumnQuery] | None = None):
-    """Execute an ``ApproxAggregate`` terminal → :class:`ApproxResult`.
-
-    Sketch kinds stream the child selection through the encoding-level
-    ``sketch_pairs`` builders (whole RLE runs folded, dictionary keys
-    hashed once).  Sampled kinds locate the ``Sample`` stage: sample-last
-    plans use population-known CLT bounds (with finite-population
-    correction against the pre-sample count); filters *above* the sample
-    fall back to Horvitz–Thompson bounds with the realised inclusion
-    fraction; a plan with no sample at all returns the exact answer with
-    a zero-width interval.
-    """
-    from repro.colstore import sketches
-
-    # Surface invalid-confidence / non-mergeable-aggregate before touching
-    # data; column existence and dtype are checked by the store itself.
-    plan.output_schema({plan.value: np.dtype(np.float64)})
-    if plan.kind in logical.SKETCH_APPROX_KINDS:
-        query = _query_for(plan.child, store, bindings, scans)
-        selection = None if query._full_selection else query.selection
-        column = query.table.column(plan.value)
-        if plan.kind == "approx_distinct":
-            return column.hll_sketch(selection).result(plan.confidence)
-        return column.tdigest_sketch(selection).result(plan.quantile, plan.confidence)
-
-    fraction, seed = plan.fraction, plan.seed
-    sample_child: logical.PlanNode | None = None
-    above: list[logical.PlanNode] = []  # Filter/Project stages above the sample
-    if fraction is not None:
-        sample_child = plan.child  # inline opt-in ≡ Sample as immediate child
-    else:
-        cursor = plan.child
-        while isinstance(cursor, (logical.Filter, logical.Project)):
-            above.append(cursor)
-            cursor = cursor.child
-        if isinstance(cursor, logical.Sample):
-            fraction, seed = cursor.fraction, cursor.seed
-            sample_child = cursor.child
-
-    if sample_child is None:  # no sampling anywhere: exact, zero-width interval
-        query = _query_for(plan.child, store, bindings, scans)
-        if plan.kind == "approx_count":
-            exact = float(len(query))
-        else:
-            values = query.column(plan.value).astype(np.float64)
-            exact = float(values.sum()) if plan.kind == "approx_sum" else (
-                float(values.mean()) if len(values) else float("nan"))
-        return sketches.ApproxResult(exact, exact, exact, plan.confidence)
-
-    sampled, population = _sampled_base(sample_child, store, bindings,
-                                        fraction, seed, scans)
-    realised = len(sampled) / population if population else 0.0
-    query, filtered = sampled, False
-    for step in reversed(above):
-        if isinstance(step, logical.Filter):
-            query = query.where(step.predicate)
-            filtered = True
-        else:
-            query = query.select(*step.columns)
-    known = None if filtered else population
-    if plan.kind == "approx_count":
-        return sketches.sampled_count(len(query), realised, plan.confidence,
-                                      population=known)
-    values = query.column(plan.value)
-    if plan.kind == "approx_sum":
-        return sketches.sampled_sum(values, realised, plan.confidence,
-                                    population=known)
-    return sketches.sampled_mean(values, realised, plan.confidence)
+    return execute(plan, ColumnStoreBackend(store, bindings), optimized, observation)

@@ -14,11 +14,6 @@ execution style of real column stores; ``columns()`` / ``to_matrix()``
 gather only what the caller asks for, and ``select()``/``collect()`` prune
 the materialised columns to the projected set.
 
-The legacy ``where(column_name, callable)`` form is deprecated: it wraps
-the callable into an opaque-predicate node the optimizer cannot inspect
-(default selectivity, no encoding-specific mapping beyond the distinct-
-value pushdown).  Migrate to expressions — see ``src/repro/plan/README.md``.
-
 Joins are lazy too: :meth:`ColumnQuery.join` returns a :class:`JoinedQuery`
 builder whose terminals (``collect`` / ``group_aggregate`` / ``pivot``)
 assemble one whole logical plan — ``Scan → Filter* → Join → Aggregate/
@@ -57,14 +52,13 @@ in the last ulps.
 
 from __future__ import annotations
 
-import warnings
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from repro.colstore.compression import predicate_mask
 from repro.colstore.table import ColumnTable
-from repro.plan.expressions import ColumnRef, Expression, InList, Opaque
+from repro.plan.expressions import ColumnRef, Expression, InList
 from repro.plan.logical import Aggregate, Filter, Join, Pivot, PlanNode, Project, Scan
 from repro.plan.optimizer import ordered_conjuncts
 
@@ -326,42 +320,20 @@ class ColumnQuery:
 
     # -- filtering -----------------------------------------------------------------
 
-    def where(self, column, predicate: Callable[[np.ndarray], np.ndarray] | None = None) -> "ColumnQuery":
-        """Keep rows satisfying a predicate (lazily).
-
-        The declarative form takes one expression argument::
+    def where(self, expression: Expression) -> "ColumnQuery":
+        """Keep rows satisfying a predicate expression (lazily)::
 
             query.where(col("function") < 250)
             query.where((col("gender") == 1) & (col("age") < 40))
 
         Conjunctions are split and reordered by estimated selectivity before
         execution; range/equality/``isin`` shapes map straight onto the
-        encodings' fast paths.
-
-        The legacy form ``where(column_name, callable)`` is **deprecated**:
-        the callable must be vectorised, element-wise and stateless (on
-        dictionary/RLE columns it is evaluated on the *distinct* values
-        only) and is wrapped into an opaque node the optimizer cannot
-        inspect or estimate.
+        encodings' fast paths.  A predicate the AST cannot express goes
+        through :func:`repro.plan.opaque` — an ordering barrier the
+        optimizer neither inspects nor estimates.
         """
-        if isinstance(column, Expression):
-            if predicate is not None:
-                raise TypeError(
-                    "where(expression) takes no second argument; "
-                    "where(column_name, callable) is the deprecated form"
-                )
-            self._validate_columns(column.columns_referenced())
-            return self._derive(column)
-        warnings.warn(
-            "ColumnQuery.where(column_name, callable) is deprecated; build a "
-            "declarative expression with repro.plan.col instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if not callable(predicate):
-            raise TypeError("the deprecated where(column_name, ...) form needs a callable")
-        self.table.column(column)  # raises KeyError naming column and table
-        return self._derive(Opaque(column, predicate))
+        self._validate_columns(expression.columns_referenced())
+        return self._derive(expression)
 
     def where_in(self, column: str, values: Sequence) -> "ColumnQuery":
         """Keep rows whose column value is in ``values`` (lazily).

@@ -25,12 +25,17 @@ from repro.core.engines.base import Engine, EngineCapabilities
 from repro.core.queries import (
     QueryOutput,
     bicluster_patient_predicate,
+    biclustering_output,
+    covariance_output,
     covariance_patient_predicate,
     expression_pivot_plan,
     gene_expression_plan,
     patient_expression_plan,
+    regression_output,
     sampled_expression_filter_plan,
+    statistics_output,
     statistics_patient_ids,
+    svd_output,
 )
 from repro.core.spec import QueryParameters
 from repro.core.timing import PhaseTimer
@@ -172,13 +177,8 @@ class _ColumnStoreQueryMixin(_ColumnStoreDataManagement):
         with timer.data_management():
             matrix, patient_labels, gene_labels, response = self._pivot_regression(parameters)
         fit = self._analytics_regression(matrix, response, timer)
-        return QueryOutput(
-            query="regression",
-            summary={
-                "n_selected_genes": int(len(gene_labels)),
-                "n_patients": int(matrix.shape[0]),
-                "r_squared": float(fit.r_squared),
-            },
+        return regression_output(
+            len(gene_labels), matrix.shape[0], fit.r_squared,
             payload=fit,
         )
 
@@ -200,13 +200,8 @@ class _ColumnStoreQueryMixin(_ColumnStoreDataManagement):
             gene_labels = np.asarray(gene_labels, dtype=np.int64)
             joined_rows = int(len(gene_a)) if len(gene_a) else 0
             _pair_functions = functions[gene_labels[gene_a]] if joined_rows else np.empty(0)
-        return QueryOutput(
-            query="covariance",
-            summary={
-                "n_selected_patients": int(matrix.shape[0]),
-                "n_pairs_kept": int(len(gene_a)),
-                "max_covariance": float(values[0]) if len(values) else 0.0,
-            },
+        return covariance_output(
+            matrix.shape[0], len(gene_a), values,
             payload={"covariance": cov},
         )
 
@@ -219,16 +214,7 @@ class _ColumnStoreQueryMixin(_ColumnStoreDataManagement):
                 patient_expression_plan(bicluster_patient_predicate(parameters))
             )
         result = self._analytics_biclustering(matrix, parameters, timer)
-        shapes = [bicluster.shape for bicluster in result]
-        return QueryOutput(
-            query="biclustering",
-            summary={
-                "n_selected_patients": int(matrix.shape[0]),
-                "n_biclusters": int(len(result)),
-                "largest_bicluster_cells": int(max((rows * cols for rows, cols in shapes), default=0)),
-            },
-            payload=result,
-        )
+        return biclustering_output(matrix.shape[0], result, payload=result)
 
     def _run_svd(self, parameters: QueryParameters, timer: PhaseTimer) -> QueryOutput:
         threshold = parameters.function_threshold(self.dataset.spec)
@@ -241,15 +227,7 @@ class _ColumnStoreQueryMixin(_ColumnStoreDataManagement):
         singular_values = np.asarray(
             result.singular_values if hasattr(result, "singular_values") else result
         )
-        return QueryOutput(
-            query="svd",
-            summary={
-                "n_selected_genes": int(len(gene_labels)),
-                "k": int(len(singular_values)),
-                "top_singular_value": float(singular_values[0]) if len(singular_values) else 0.0,
-            },
-            payload=result,
-        )
+        return svd_output(len(gene_labels), singular_values, payload=result)
 
     def _run_statistics(self, parameters: QueryParameters, timer: PhaseTimer) -> QueryOutput:
         sampled = statistics_patient_ids(self.dataset, parameters)
@@ -270,13 +248,8 @@ class _ColumnStoreQueryMixin(_ColumnStoreDataManagement):
             patient_labels = sampled_rows.distinct("patient_id")
             membership = self._membership_matrix(np.asarray(gene_labels, dtype=np.int64))
         result = self._analytics_statistics(gene_scores, membership, parameters, timer)
-        return QueryOutput(
-            query="statistics",
-            summary={
-                "n_sampled_patients": int(len(patient_labels)),
-                "n_terms": int(len(result.go_ids)),
-                "n_significant": int(result.significant.sum()),
-            },
+        return statistics_output(
+            len(patient_labels), len(result.go_ids), result.significant,
             payload=result,
         )
 

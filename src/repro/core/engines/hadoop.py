@@ -25,10 +25,14 @@ import numpy as np
 from repro.core.engines.base import Engine, EngineCapabilities
 from repro.core.queries import (
     QueryOutput,
+    covariance_output,
     expression_pivot_plan,
     gene_expression_plan,
     patient_expression_plan,
+    regression_output,
+    statistics_output,
     statistics_patient_ids,
+    svd_output,
 )
 from repro.core.spec import QueryParameters
 from repro.core.timing import PhaseTimer
@@ -123,13 +127,8 @@ class HadoopEngine(Engine):
             residual_ss = float(np.sum((response - predictions) ** 2))
             total_ss = float(np.sum((response - response.mean()) ** 2))
             r_squared = 1.0 - residual_ss / total_ss if total_ss > 0 else 1.0
-        return QueryOutput(
-            query="regression",
-            summary={
-                "n_selected_genes": int(len(gene_labels)),
-                "n_patients": int(matrix.shape[0]),
-                "r_squared": float(r_squared),
-            },
+        return regression_output(
+            len(gene_labels), matrix.shape[0], r_squared,
             payload=beta,
         )
 
@@ -153,13 +152,8 @@ class HadoopEngine(Engine):
                 [(int(gene_labels[a]), float(v)) for a, v in zip(gene_a, values, strict=True)],
             )
             joined_meta = self.hive.join(pairs_table, self.genes, "gene_id", "gene_id") if len(pairs_table) else pairs_table
-        return QueryOutput(
-            query="covariance",
-            summary={
-                "n_selected_patients": int(matrix.shape[0]),
-                "n_pairs_kept": int(len(gene_a)),
-                "max_covariance": float(values[0]) if len(values) else 0.0,
-            },
+        return covariance_output(
+            matrix.shape[0], len(gene_a), values,
             payload={"covariance": cov, "joined_rows": len(joined_meta)},
         )
 
@@ -179,15 +173,7 @@ class HadoopEngine(Engine):
         k = max(1, min(parameters.svd_k(self.dataset.spec), matrix.shape[1]))
         with timer.analytics():
             singular_values = self.mahout.truncated_svd(matrix, k=k, seed=parameters.seed)
-        return QueryOutput(
-            query="svd",
-            summary={
-                "n_selected_genes": int(len(gene_labels)),
-                "k": int(len(singular_values)),
-                "top_singular_value": float(singular_values[0]) if len(singular_values) else 0.0,
-            },
-            payload=singular_values,
-        )
+        return svd_output(len(gene_labels), singular_values, payload=singular_values)
 
     # -- Q5 ------------------------------------------------------------------------------------
 
@@ -202,12 +188,7 @@ class HadoopEngine(Engine):
         with timer.analytics():
             p_values = self.mahout.wilcoxon_enrichment(gene_scores, membership)
         significant = p_values < parameters.statistics_alpha
-        return QueryOutput(
-            query="statistics",
-            summary={
-                "n_sampled_patients": int(matrix.shape[0]),
-                "n_terms": int(len(p_values)),
-                "n_significant": int(significant.sum()),
-            },
+        return statistics_output(
+            matrix.shape[0], len(p_values), significant,
             payload=p_values,
         )

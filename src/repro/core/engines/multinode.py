@@ -54,11 +54,16 @@ from repro.core.engines.base import Engine, EngineCapabilities
 from repro.core.queries import (
     QueryOutput,
     bicluster_patient_predicate,
+    biclustering_output,
+    covariance_output,
     covariance_patient_predicate,
     gene_expression_plan,
     patient_expression_plan,
+    regression_output,
+    statistics_output,
     statistics_patient_ids,
     statistics_patient_predicate,
+    svd_output,
 )
 from repro.core.spec import QueryParameters
 from repro.core.timing import PhaseTimer
@@ -226,13 +231,8 @@ class _DistributedAnalyticsMixin(_MultiNodeEngine):
             return [scalapack.linear_regression(features, target)]
 
         fit = self._timed_cluster_phase(timer.add_analytics, analytics)[0]
-        return QueryOutput(
-            query="regression",
-            summary={
-                "n_selected_genes": int(len(genes)),
-                "n_patients": int(sum(len(p.patient_ids) for p in self.partitions)),
-                "r_squared": float(fit.r_squared),
-            },
+        return regression_output(
+            len(genes), sum(len(p.patient_ids) for p in self.partitions), fit.r_squared,
             payload=fit,
         )
 
@@ -254,13 +254,8 @@ class _DistributedAnalyticsMixin(_MultiNodeEngine):
 
         gene_a, gene_b, values, cov = self._timed_cluster_phase(timer.add_analytics, analytics)[0]
         n_selected = int(sum(len(p.patient_ids) for p in filtered))
-        return QueryOutput(
-            query="covariance",
-            summary={
-                "n_selected_patients": n_selected,
-                "n_pairs_kept": int(len(gene_a)),
-                "max_covariance": float(values[0]) if len(values) else 0.0,
-            },
+        return covariance_output(
+            n_selected, len(gene_a), values,
             payload={"covariance": cov},
         )
 
@@ -277,16 +272,7 @@ class _DistributedAnalyticsMixin(_MultiNodeEngine):
             result = cheng_church(
                 dense, n_biclusters=parameters.n_biclusters, seed=parameters.seed
             )
-        shapes = [bicluster.shape for bicluster in result]
-        return QueryOutput(
-            query="biclustering",
-            summary={
-                "n_selected_patients": int(dense.shape[0]),
-                "n_biclusters": int(len(result)),
-                "largest_bicluster_cells": int(max((rows * cols for rows, cols in shapes), default=0)),
-            },
-            payload=result,
-        )
+        return biclustering_output(dense.shape[0], result, payload=result)
 
     def _run_svd(self, parameters: QueryParameters, timer: PhaseTimer) -> QueryOutput:
         genes = self._selected_gene_ids(parameters)
@@ -304,15 +290,7 @@ class _DistributedAnalyticsMixin(_MultiNodeEngine):
             return [scalapack.lanczos_svd(matrix, k=k, seed=parameters.seed)]
 
         result = self._timed_cluster_phase(timer.add_analytics, analytics)[0]
-        return QueryOutput(
-            query="svd",
-            summary={
-                "n_selected_genes": int(len(genes)),
-                "k": int(len(result.singular_values)),
-                "top_singular_value": float(result.singular_values[0]) if len(result.singular_values) else 0.0,
-            },
-            payload=result,
-        )
+        return svd_output(len(genes), result.singular_values, payload=result)
 
     def _run_statistics(self, parameters: QueryParameters, timer: PhaseTimer) -> QueryOutput:
         # Built once on the driver: the isin predicate caches its sorted key
@@ -343,13 +321,8 @@ class _DistributedAnalyticsMixin(_MultiNodeEngine):
             result = enrichment_analysis(
                 gene_scores, self.go_membership, alpha=parameters.statistics_alpha
             )
-        return QueryOutput(
-            query="statistics",
-            summary={
-                "n_sampled_patients": int(count),
-                "n_terms": int(len(result.go_ids)),
-                "n_significant": int(result.significant.sum()),
-            },
+        return statistics_output(
+            count, len(result.go_ids), result.significant,
             payload=result,
         )
 
@@ -523,13 +496,8 @@ class HadoopClusterEngine(_MultiNodeEngine):
             predictions = matrix @ beta[1:] + beta[0]
             total_ss = float(np.sum((response - response.mean()) ** 2))
             r_squared = 1.0 - float(np.sum((response - predictions) ** 2)) / total_ss if total_ss else 1.0
-        return QueryOutput(
-            query="regression",
-            summary={
-                "n_selected_genes": int(len(gene_labels)),
-                "n_patients": int(matrix.shape[0]),
-                "r_squared": float(r_squared),
-            },
+        return regression_output(
+            len(gene_labels), matrix.shape[0], r_squared,
             payload=beta,
         )
 
@@ -548,13 +516,8 @@ class HadoopClusterEngine(_MultiNodeEngine):
             gene_a, _gene_b, values = top_covariant_pairs(
                 cov, fraction=parameters.covariance_top_fraction
             )
-        return QueryOutput(
-            query="covariance",
-            summary={
-                "n_selected_patients": int(matrix.shape[0]),
-                "n_pairs_kept": int(len(gene_a)),
-                "max_covariance": float(values[0]) if len(values) else 0.0,
-            },
+        return covariance_output(
+            matrix.shape[0], len(gene_a), values,
             payload={"covariance": cov},
         )
 
@@ -570,15 +533,7 @@ class HadoopClusterEngine(_MultiNodeEngine):
         k = max(1, min(parameters.svd_k(self.dataset.spec), matrix.shape[1])) if matrix.size else 1
         with timer.analytics():
             singular_values = self.mahout.truncated_svd(matrix, k=k, seed=parameters.seed)
-        return QueryOutput(
-            query="svd",
-            summary={
-                "n_selected_genes": int(len(gene_labels)),
-                "k": int(len(singular_values)),
-                "top_singular_value": float(singular_values[0]) if len(singular_values) else 0.0,
-            },
-            payload=singular_values,
-        )
+        return svd_output(len(gene_labels), singular_values, payload=singular_values)
 
     def _run_statistics(self, parameters: QueryParameters, timer: PhaseTimer) -> QueryOutput:
         tables = self._timed_cluster_phase(
@@ -600,12 +555,7 @@ class HadoopClusterEngine(_MultiNodeEngine):
         with timer.analytics():
             p_values = self.mahout.wilcoxon_enrichment(gene_scores, membership)
         significant = p_values < parameters.statistics_alpha
-        return QueryOutput(
-            query="statistics",
-            summary={
-                "n_sampled_patients": int(matrix.shape[0]),
-                "n_terms": int(len(p_values)),
-                "n_significant": int(significant.sum()),
-            },
+        return statistics_output(
+            matrix.shape[0], len(p_values), significant,
             payload=p_values,
         )

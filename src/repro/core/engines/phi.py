@@ -32,10 +32,14 @@ from repro.core.engines.multinode import SciDBClusterEngine
 from repro.core.engines.scidb import SciDBEngine
 from repro.core.queries import (
     QueryOutput,
+    biclustering_output,
+    covariance_output,
     gene_expression_plan,
     patient_expression_plan,
     sampled_expression_mean_plan,
+    statistics_output,
     statistics_patient_ids,
+    svd_output,
 )
 from repro.core.spec import QueryParameters
 from repro.core.timing import PhaseTimer
@@ -79,13 +83,8 @@ class SciDBPhiEngine(SciDBEngine):
         gene_a, gene_b, values = top_covariant_pairs(
             cov, fraction=parameters.covariance_top_fraction
         )
-        return QueryOutput(
-            query="covariance",
-            summary={
-                "n_selected_patients": int(len(patients)),
-                "n_pairs_kept": int(len(gene_a)),
-                "max_covariance": float(values[0]) if len(values) else 0.0,
-            },
+        return covariance_output(
+            len(patients), len(gene_a), values,
             payload={"covariance": cov, "offload": offloaded},
         )
 
@@ -107,14 +106,8 @@ class SciDBPhiEngine(SciDBEngine):
         )
         timer.add_analytics(offloaded.device_total_seconds)
         result = offloaded.value
-        shapes = [bicluster.shape for bicluster in result]
-        return QueryOutput(
-            query="biclustering",
-            summary={
-                "n_selected_patients": int(len(patients)),
-                "n_biclusters": int(len(result)),
-                "largest_bicluster_cells": int(max((rows * cols for rows, cols in shapes), default=0)),
-            },
+        return biclustering_output(
+            len(patients), result,
             payload={"result": result, "offload": offloaded},
         )
 
@@ -130,13 +123,8 @@ class SciDBPhiEngine(SciDBEngine):
         offloaded = self.runtime.run("svd", lanczos_svd, dense, k=k, seed=parameters.seed)
         timer.add_analytics(offloaded.device_total_seconds)
         result = offloaded.value
-        return QueryOutput(
-            query="svd",
-            summary={
-                "n_selected_genes": int(len(genes)),
-                "k": int(len(result.singular_values)),
-                "top_singular_value": float(result.singular_values[0]) if len(result.singular_values) else 0.0,
-            },
+        return svd_output(
+            len(genes), result.singular_values,
             payload={"result": result, "offload": offloaded},
         )
 
@@ -156,13 +144,8 @@ class SciDBPhiEngine(SciDBEngine):
         )
         timer.add_analytics(offloaded.device_total_seconds)
         result = offloaded.value
-        return QueryOutput(
-            query="statistics",
-            summary={
-                "n_sampled_patients": int(len(sampled)),
-                "n_terms": int(len(result.go_ids)),
-                "n_significant": int(result.significant.sum()),
-            },
+        return statistics_output(
+            len(sampled), len(result.go_ids), result.significant,
             payload={"result": result, "offload": offloaded},
         )
 

@@ -24,9 +24,14 @@ import numpy as np
 from repro.core.engines.base import Engine, EngineCapabilities, UnsupportedQueryError
 from repro.core.queries import (
     QueryOutput,
+    biclustering_output,
+    covariance_output,
     gene_expression_plan,
     patient_expression_plan,
+    regression_output,
+    statistics_output,
     statistics_patient_ids,
+    svd_output,
 )
 from repro.core.spec import QueryParameters
 from repro.core.timing import PhaseTimer
@@ -143,13 +148,8 @@ class PostgresMadlibEngine(_RowStoreDataManagement):
             response = self._drug_response_for(np.asarray(patient_labels))
         with timer.analytics():
             fit = self.registry.call("linear_regression", matrix, response)
-        return QueryOutput(
-            query="regression",
-            summary={
-                "n_selected_genes": int(len(gene_labels)),
-                "n_patients": int(matrix.shape[0]),
-                "r_squared": float(fit.r_squared),
-            },
+        return regression_output(
+            len(gene_labels), matrix.shape[0], fit.r_squared,
             payload=fit,
         )
 
@@ -173,13 +173,8 @@ class PostgresMadlibEngine(_RowStoreDataManagement):
             joined_rows = sum(
                 1 for a in gene_labels[gene_a] if int(a) in function_lookup
             ) if len(gene_a) else 0
-        return QueryOutput(
-            query="covariance",
-            summary={
-                "n_selected_patients": int(matrix.shape[0]),
-                "n_pairs_kept": int(len(gene_a)),
-                "max_covariance": float(values[0]) if len(values) else 0.0,
-            },
+        return covariance_output(
+            matrix.shape[0], len(gene_a), values,
             payload={"covariance": cov, "joined_rows": joined_rows},
         )
 
@@ -196,15 +191,7 @@ class PostgresMadlibEngine(_RowStoreDataManagement):
         k = max(1, min(parameters.svd_k(self.dataset.spec), matrix.shape[1]))
         with timer.analytics():
             singular_values = self.registry.call("svd", matrix, k)
-        return QueryOutput(
-            query="svd",
-            summary={
-                "n_selected_genes": int(len(gene_labels)),
-                "k": int(len(singular_values)),
-                "top_singular_value": float(singular_values[0]) if len(singular_values) else 0.0,
-            },
-            payload=singular_values,
-        )
+        return svd_output(len(gene_labels), singular_values, payload=singular_values)
 
     def _run_statistics(self, parameters: QueryParameters, timer: PhaseTimer) -> QueryOutput:
         sampled = statistics_patient_ids(self.dataset, parameters)
@@ -218,13 +205,8 @@ class PostgresMadlibEngine(_RowStoreDataManagement):
         with timer.analytics():
             p_values = self.registry.call("enrichment", gene_scores, membership)
         significant = np.asarray(p_values) < parameters.statistics_alpha
-        return QueryOutput(
-            query="statistics",
-            summary={
-                "n_sampled_patients": int(matrix.shape[0]),
-                "n_terms": int(len(p_values)),
-                "n_significant": int(significant.sum()),
-            },
+        return statistics_output(
+            matrix.shape[0], len(p_values), significant,
             payload=p_values,
         )
 
@@ -267,13 +249,8 @@ class PostgresREngine(_RowStoreDataManagement):
             response = self._drug_response_for(np.asarray(patient_labels))
         with timer.analytics():
             fit = r.lm(matrix, response)
-        return QueryOutput(
-            query="regression",
-            summary={
-                "n_selected_genes": int(len(gene_labels)),
-                "n_patients": int(matrix.shape[0]),
-                "r_squared": float(fit.r_squared),
-            },
+        return regression_output(
+            len(gene_labels), matrix.shape[0], fit.r_squared,
             payload=fit,
         )
 
@@ -290,13 +267,8 @@ class PostgresREngine(_RowStoreDataManagement):
             gene_a, gene_b, values = top_covariant_pairs(
                 cov, fraction=parameters.covariance_top_fraction
             )
-        return QueryOutput(
-            query="covariance",
-            summary={
-                "n_selected_patients": int(matrix.shape[0]),
-                "n_pairs_kept": int(len(gene_a)),
-                "max_covariance": float(values[0]) if len(values) else 0.0,
-            },
+        return covariance_output(
+            matrix.shape[0], len(gene_a), values,
             payload={"covariance": cov},
         )
 
@@ -312,16 +284,7 @@ class PostgresREngine(_RowStoreDataManagement):
             )
         with timer.analytics():
             result = r.biclust(matrix, n_biclusters=parameters.n_biclusters, seed=parameters.seed)
-        shapes = [bicluster.shape for bicluster in result]
-        return QueryOutput(
-            query="biclustering",
-            summary={
-                "n_selected_patients": int(matrix.shape[0]),
-                "n_biclusters": int(len(result)),
-                "largest_bicluster_cells": int(max((rows * cols for rows, cols in shapes), default=0)),
-            },
-            payload=result,
-        )
+        return biclustering_output(matrix.shape[0], result, payload=result)
 
     def _run_svd(self, parameters: QueryParameters, timer: PhaseTimer) -> QueryOutput:
         threshold = parameters.function_threshold(self.dataset.spec)
@@ -334,15 +297,7 @@ class PostgresREngine(_RowStoreDataManagement):
         k = max(1, min(parameters.svd_k(self.dataset.spec), matrix.shape[1]))
         with timer.analytics():
             result = r.svd(matrix, k=k, seed=parameters.seed)
-        return QueryOutput(
-            query="svd",
-            summary={
-                "n_selected_genes": int(len(gene_labels)),
-                "k": int(len(result.singular_values)),
-                "top_singular_value": float(result.singular_values[0]) if len(result.singular_values) else 0.0,
-            },
-            payload=result,
-        )
+        return svd_output(len(gene_labels), result.singular_values, payload=result)
 
     def _run_statistics(self, parameters: QueryParameters, timer: PhaseTimer) -> QueryOutput:
         sampled = statistics_patient_ids(self.dataset, parameters)
@@ -356,12 +311,7 @@ class PostgresREngine(_RowStoreDataManagement):
             membership = self._membership_matrix(np.asarray(gene_labels))
         with timer.analytics():
             result = r.enrichment(gene_scores, membership, alpha=parameters.statistics_alpha)
-        return QueryOutput(
-            query="statistics",
-            summary={
-                "n_sampled_patients": int(matrix.shape[0]),
-                "n_terms": int(len(result.go_ids)),
-                "n_significant": int(result.significant.sum()),
-            },
+        return statistics_output(
+            matrix.shape[0], len(result.go_ids), result.significant,
             payload=result,
         )

@@ -27,10 +27,15 @@ import numpy as np
 from repro.core.engines.base import Engine, EngineCapabilities
 from repro.core.queries import (
     QueryOutput,
+    biclustering_output,
+    covariance_output,
     expression_pivot_plan,
     gene_expression_plan,
     patient_expression_plan,
+    regression_output,
+    statistics_output,
     statistics_patient_ids,
+    svd_output,
 )
 from repro.core.spec import QueryParameters
 from repro.core.timing import PhaseTimer
@@ -125,13 +130,8 @@ class VanillaREngine(Engine):
             response = self.patients_df["drug_response"][patient_labels.astype(np.int64)]
         with timer.analytics():
             fit = r.lm(matrix, response)
-        return QueryOutput(
-            query="regression",
-            summary={
-                "n_selected_genes": int(len(gene_labels)),
-                "n_patients": int(matrix.shape[0]),
-                "r_squared": float(fit.r_squared),
-            },
+        return regression_output(
+            len(gene_labels), matrix.shape[0], fit.r_squared,
             payload=fit,
         )
 
@@ -156,13 +156,8 @@ class VanillaREngine(Engine):
                 environment=self.environment,
             )
             enriched_pairs = pair_df.merge(self.genes_df.select(["gene_id", "function"]), by="gene_id")
-        return QueryOutput(
-            query="covariance",
-            summary={
-                "n_selected_patients": int(matrix.shape[0]),
-                "n_pairs_kept": int(len(gene_a)),
-                "max_covariance": float(values[0]) if len(values) else 0.0,
-            },
+        return covariance_output(
+            matrix.shape[0], len(gene_a), values,
             payload={"covariance": cov, "pairs": (gene_ids_a, gene_ids_b, values),
                      "joined_rows": len(enriched_pairs)},
         )
@@ -179,16 +174,7 @@ class VanillaREngine(Engine):
             )
         with timer.analytics():
             result = r.biclust(matrix, n_biclusters=parameters.n_biclusters, seed=parameters.seed)
-        shapes = [bicluster.shape for bicluster in result]
-        return QueryOutput(
-            query="biclustering",
-            summary={
-                "n_selected_patients": int(matrix.shape[0]),
-                "n_biclusters": int(len(result)),
-                "largest_bicluster_cells": int(max((rows * cols for rows, cols in shapes), default=0)),
-            },
-            payload=result,
-        )
+        return biclustering_output(matrix.shape[0], result, payload=result)
 
     # -- Q4 -----------------------------------------------------------------------------
 
@@ -201,15 +187,7 @@ class VanillaREngine(Engine):
         k = min(parameters.svd_k(self.dataset.spec), matrix.shape[1]) if matrix.shape[1] else 1
         with timer.analytics():
             result = r.svd(matrix, k=max(1, k), seed=parameters.seed)
-        return QueryOutput(
-            query="svd",
-            summary={
-                "n_selected_genes": int(len(gene_labels)),
-                "k": int(len(result.singular_values)),
-                "top_singular_value": float(result.singular_values[0]) if len(result.singular_values) else 0.0,
-            },
-            payload=result,
-        )
+        return svd_output(len(gene_labels), result.singular_values, payload=result)
 
     # -- Q5 -----------------------------------------------------------------------------
 
@@ -233,12 +211,7 @@ class VanillaREngine(Engine):
                     membership[position, int(go_id)] = 1
         with timer.analytics():
             result = r.enrichment(gene_scores, membership, alpha=parameters.statistics_alpha)
-        return QueryOutput(
-            query="statistics",
-            summary={
-                "n_sampled_patients": int(matrix.shape[0]),
-                "n_terms": int(len(result.go_ids)),
-                "n_significant": int(result.significant.sum()),
-            },
+        return statistics_output(
+            matrix.shape[0], len(result.go_ids), result.significant,
             payload=result,
         )

@@ -31,10 +31,15 @@ from repro.arraydb.operators import FilterStats
 from repro.core.engines.base import Engine, EngineCapabilities
 from repro.core.queries import (
     QueryOutput,
+    biclustering_output,
+    covariance_output,
     gene_expression_plan,
     patient_expression_plan,
+    regression_output,
     sampled_expression_mean_plan,
+    statistics_output,
     statistics_patient_ids,
+    svd_output,
 )
 from repro.core.spec import QueryParameters
 from repro.core.timing import PhaseTimer
@@ -147,15 +152,7 @@ class SciDBEngine(Engine):
             # from chunked to dense layout, then the LAPACK QR solver.
             dense = array_linalg.to_scalapack(result.array)
             fit = linear_regression(dense, response, method="lapack")
-        return QueryOutput(
-            query="regression",
-            summary={
-                "n_selected_genes": int(len(genes)),
-                "n_patients": int(dense.shape[0]),
-                "r_squared": float(fit.r_squared),
-            },
-            payload=fit,
-        )
+        return regression_output(len(genes), dense.shape[0], fit.r_squared, payload=fit)
 
     # -- Q2 ---------------------------------------------------------------------------------
 
@@ -175,13 +172,8 @@ class SciDBEngine(Engine):
             _pair_functions = (
                 self.gene_functions_dense[gene_a] if len(gene_a) else np.empty(0)
             )
-        return QueryOutput(
-            query="covariance",
-            summary={
-                "n_selected_patients": int(len(patients)),
-                "n_pairs_kept": int(len(gene_a)),
-                "max_covariance": float(values[0]) if len(values) else 0.0,
-            },
+        return covariance_output(
+            len(patients), len(gene_a), values,
             payload={"covariance": cov},
         )
 
@@ -204,14 +196,8 @@ class SciDBEngine(Engine):
             result_biclusters = cheng_church(
                 dense, n_biclusters=parameters.n_biclusters, seed=parameters.seed
             )
-        shapes = [bicluster.shape for bicluster in result_biclusters]
-        return QueryOutput(
-            query="biclustering",
-            summary={
-                "n_selected_patients": int(len(patients)),
-                "n_biclusters": int(len(result_biclusters)),
-                "largest_bicluster_cells": int(max((rows * cols for rows, cols in shapes), default=0)),
-            },
+        return biclustering_output(
+            len(patients), result_biclusters,
             payload=result_biclusters,
         )
 
@@ -225,15 +211,7 @@ class SciDBEngine(Engine):
         k = max(1, min(parameters.svd_k(self.dataset.spec), len(genes))) if len(genes) else 1
         with timer.analytics():
             svd_result = array_linalg.lanczos_svd_chunked(result.array, k=k, seed=parameters.seed)
-        return QueryOutput(
-            query="svd",
-            summary={
-                "n_selected_genes": int(len(genes)),
-                "k": int(len(svd_result.singular_values)),
-                "top_singular_value": float(svd_result.singular_values[0]) if len(svd_result.singular_values) else 0.0,
-            },
-            payload=svd_result,
-        )
+        return svd_output(len(genes), svd_result.singular_values, payload=svd_result)
 
     # -- Q5 ---------------------------------------------------------------------------------
 
@@ -252,12 +230,7 @@ class SciDBEngine(Engine):
             result = enrichment_analysis(
                 np.nan_to_num(gene_scores), membership, alpha=parameters.statistics_alpha
             )
-        return QueryOutput(
-            query="statistics",
-            summary={
-                "n_sampled_patients": int(len(sampled)),
-                "n_terms": int(len(result.go_ids)),
-                "n_significant": int(result.significant.sum()),
-            },
+        return statistics_output(
+            len(sampled), len(result.go_ids), result.significant,
             payload=result,
         )

@@ -41,6 +41,56 @@ class QueryOutput:
         return self.summary[key]
 
 
+# The five summaries, spelled once.  Summaries are compared byte-for-byte
+# across engines, so keys, key order and the int()/float() coercions live
+# here and nowhere else; ``payload`` stays whatever the engine wants to keep.
+
+def regression_output(n_selected_genes, n_patients, r_squared, payload) -> QueryOutput:
+    """Q1 summary: selected genes, patients in the fit, R²."""
+    return QueryOutput("regression", {
+        "n_selected_genes": int(n_selected_genes),
+        "n_patients": int(n_patients),
+        "r_squared": float(r_squared),
+    }, payload)
+
+
+def covariance_output(n_selected_patients, n_pairs_kept, pair_values, payload) -> QueryOutput:
+    """Q2 summary; ``pair_values`` are the kept covariances, largest first."""
+    return QueryOutput("covariance", {
+        "n_selected_patients": int(n_selected_patients),
+        "n_pairs_kept": int(n_pairs_kept),
+        "max_covariance": float(pair_values[0]) if len(pair_values) else 0.0,
+    }, payload)
+
+
+def biclustering_output(n_selected_patients, biclusters, payload) -> QueryOutput:
+    """Q3 summary; ``biclusters`` is the sized sequence of found biclusters."""
+    shapes = [bicluster.shape for bicluster in biclusters]
+    return QueryOutput("biclustering", {
+        "n_selected_patients": int(n_selected_patients),
+        "n_biclusters": int(len(biclusters)),
+        "largest_bicluster_cells": int(max((rows * cols for rows, cols in shapes), default=0)),
+    }, payload)
+
+
+def svd_output(n_selected_genes, singular_values, payload) -> QueryOutput:
+    """Q4 summary; ``singular_values`` are sorted largest first."""
+    return QueryOutput("svd", {
+        "n_selected_genes": int(n_selected_genes),
+        "k": int(len(singular_values)),
+        "top_singular_value": float(singular_values[0]) if len(singular_values) else 0.0,
+    }, payload)
+
+
+def statistics_output(n_sampled_patients, n_terms, significant, payload) -> QueryOutput:
+    """Q5 summary; ``significant`` is the per-term boolean verdict array."""
+    return QueryOutput("statistics", {
+        "n_sampled_patients": int(n_sampled_patients),
+        "n_terms": int(n_terms),
+        "n_significant": int(significant.sum()),
+    }, payload)
+
+
 # --------------------------------------------------------------------------- #
 # Shared selection helpers (used by the reference and by several engines)
 # --------------------------------------------------------------------------- #
@@ -229,13 +279,8 @@ class ReferenceImplementation:
         features = self.dataset.expression_matrix[:, genes]
         target = self.dataset.patients.drug_response
         result = linear_regression(features, target, method="lapack")
-        return QueryOutput(
-            query="regression",
-            summary={
-                "n_selected_genes": int(len(genes)),
-                "n_patients": int(features.shape[0]),
-                "r_squared": float(result.r_squared),
-            },
+        return regression_output(
+            len(genes), features.shape[0], result.r_squared,
             payload=result,
         )
 
@@ -251,13 +296,8 @@ class ReferenceImplementation:
         # Join the surviving pairs back to the gene metadata (function codes).
         functions = self.dataset.genes.function
         pair_functions = np.column_stack([functions[gene_a], functions[gene_b]]) if len(gene_a) else np.empty((0, 2))
-        return QueryOutput(
-            query="covariance",
-            summary={
-                "n_selected_patients": int(len(patients)),
-                "n_pairs_kept": int(len(gene_a)),
-                "max_covariance": float(values[0]) if len(values) else 0.0,
-            },
+        return covariance_output(
+            len(patients), len(gene_a), values,
             payload={
                 "covariance": cov,
                 "pairs": (gene_a, gene_b, values),
@@ -275,16 +315,7 @@ class ReferenceImplementation:
             n_biclusters=self.parameters.n_biclusters,
             seed=self.parameters.seed,
         )
-        shapes = [bicluster.shape for bicluster in result]
-        return QueryOutput(
-            query="biclustering",
-            summary={
-                "n_selected_patients": int(len(patients)),
-                "n_biclusters": int(len(result)),
-                "largest_bicluster_cells": int(max((r * c for r, c in shapes), default=0)),
-            },
-            payload=result,
-        )
+        return biclustering_output(len(patients), result, payload=result)
 
     # -- Q4: SVD --------------------------------------------------------------------------------
 
@@ -293,15 +324,7 @@ class ReferenceImplementation:
         matrix = self.dataset.expression_matrix[:, genes]
         k = min(self.parameters.svd_k(self.dataset.spec), len(genes)) if len(genes) else 1
         result = lanczos_svd(matrix, k=max(1, k), seed=self.parameters.seed)
-        return QueryOutput(
-            query="svd",
-            summary={
-                "n_selected_genes": int(len(genes)),
-                "k": int(len(result.singular_values)),
-                "top_singular_value": float(result.singular_values[0]) if len(result.singular_values) else 0.0,
-            },
-            payload=result,
-        )
+        return svd_output(len(genes), result.singular_values, payload=result)
 
     # -- Q5: statistics (enrichment) ---------------------------------------------------------------
 
@@ -314,12 +337,7 @@ class ReferenceImplementation:
             self.dataset.ontology.membership,
             alpha=self.parameters.statistics_alpha,
         )
-        return QueryOutput(
-            query="statistics",
-            summary={
-                "n_sampled_patients": int(len(patients)),
-                "n_terms": int(len(result.go_ids)),
-                "n_significant": int(result.significant.sum()),
-            },
+        return statistics_output(
+            len(patients), len(result.go_ids), result.significant,
             payload=result,
         )

@@ -49,6 +49,13 @@ class RegressionResult:
         return features @ self.coefficients + self.intercept
 
 
+#: Column norms inside this range keep every sum of squares the reflector
+#: needs within the float64 normal range; outside it squares go subnormal
+#: (or overflow) and lose their leading digits.
+_NORM_SAFE_MIN = np.sqrt(np.finfo(np.float64).tiny) / np.finfo(np.float64).eps
+_NORM_SAFE_MAX = np.sqrt(np.finfo(np.float64).max) * np.finfo(np.float64).eps
+
+
 def householder_qr(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Compute the thin QR decomposition using Householder reflections.
 
@@ -76,8 +83,18 @@ def householder_qr(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for k in range(n):
         column = a[k:, k]
         norm = np.linalg.norm(column)
-        if norm == 0.0:
-            continue
+        if not _NORM_SAFE_MIN <= norm <= _NORM_SAFE_MAX:
+            # Entries like 4e-162 square into subnormals, so the norm — and
+            # the "reflector" built from it — would be wrong in its leading
+            # digits.  The reflector's direction is scale-invariant: build
+            # it from the column rescaled by its max-abs (as LAPACK's
+            # dnrm2/dlarfg do).  In-range columns skip this and keep their
+            # bits.
+            scale = np.abs(column).max()
+            if scale == 0.0 or not np.isfinite(scale):
+                continue
+            column = column / scale
+            norm = np.linalg.norm(column)
         # Choose the sign that avoids cancellation.
         alpha = -np.sign(column[0]) * norm if column[0] != 0 else -norm
         v = column.copy()
@@ -96,10 +113,23 @@ def householder_qr(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return q, r
 
 
+#: Pivots at or below this are numerically zero whatever the matrix's own
+#: scale: dividing an O(1) right-hand side by one overflows float64, so a
+#: design whose columns are that small has no representable coefficients.
+_PIVOT_FLOOR = np.finfo(np.float64).tiny / np.finfo(np.float64).eps
+
+
+def _pivot_tolerance(diagonal: np.ndarray, dimension: int) -> float:
+    """Magnitude at or below which a pivot of ``|diagonal|`` is numerically zero."""
+    largest = diagonal.max() if diagonal.size else 0.0
+    return max(_PIVOT_FLOOR, dimension * np.finfo(np.float64).eps * largest)
+
+
 def _back_substitute(r: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve the upper-triangular system ``r @ x = rhs``.
 
-    Numerically zero diagonal entries produce zero coefficients so the solve
+    Numerically zero diagonal entries (relative to the largest pivot, or
+    below :data:`_PIVOT_FLOOR`) produce zero coefficients so the solve
     never divides by ~0.  This keeps rank-deficient systems finite, but the
     result is only the true least-squares minimiser for full-column-rank
     designs (GenBase's expression matrices always are); a column-pivoted QR
@@ -107,7 +137,7 @@ def _back_substitute(r: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """
     n = r.shape[0]
     x = np.zeros(n, dtype=np.float64)
-    tolerance = max(r.shape) * np.finfo(np.float64).eps * (np.abs(np.diag(r)).max() or 1.0)
+    tolerance = _pivot_tolerance(np.abs(np.diag(r)), max(r.shape))
     for i in range(n - 1, -1, -1):
         pivot = r[i, i]
         if abs(pivot) <= tolerance:
@@ -121,8 +151,7 @@ def _forward_substitute(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve the lower-triangular system ``lower @ x = rhs``."""
     n = lower.shape[0]
     x = np.zeros(n, dtype=np.float64)
-    diag = np.abs(np.diag(lower))
-    tolerance = max(lower.shape) * np.finfo(np.float64).eps * (diag.max() if diag.size else 1.0)
+    tolerance = _pivot_tolerance(np.abs(np.diag(lower)), max(lower.shape))
     for i in range(n):
         pivot = lower[i, i]
         if abs(pivot) <= tolerance:
@@ -174,16 +203,14 @@ def lstsq_qr(
     if m >= n:
         q, r = factorize(design)
         diag = np.abs(np.diag(r))
-        tolerance = max(design.shape) * np.finfo(np.float64).eps * (diag.max() if diag.size else 0.0)
-        rank = int(np.sum(diag > tolerance))
+        rank = int(np.sum(diag > _pivot_tolerance(diag, max(design.shape))))
         beta = _back_substitute(r, q.T @ target)
         return beta, rank
 
     # Underdetermined: minimum-norm solution via QR of the transpose.
     q, r = factorize(design.T)
     diag = np.abs(np.diag(r))
-    tolerance = max(design.shape) * np.finfo(np.float64).eps * (diag.max() if diag.size else 0.0)
-    rank = int(np.sum(diag > tolerance))
+    rank = int(np.sum(diag > _pivot_tolerance(diag, max(design.shape))))
     z = _forward_substitute(r.T, target)
     beta = q @ z
     return beta, rank

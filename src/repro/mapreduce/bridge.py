@@ -53,15 +53,14 @@ from repro.mapreduce.engine import MapReduceJob
 from repro.mapreduce.hive import HiveSession, HiveTable
 from repro.plan import logical
 from repro.plan.expressions import BoundExpression, literal_dtype
+from repro.plan.execute import Backend, execute
 from repro.plan.observe import PlanObservation
 from repro.plan.optimizer import (
-    ColumnStats,
     OptimizerCapabilities,
-    PlanCatalog,
+    SchemaCatalog,
     estimate_output_rows,
     optimize,
 )
-from repro.plan.verify import maybe_verify_rewrite
 
 #: The optimizer profile the MapReduce executor honours: pushdown and
 #: pruning feed the map-side fusion; reordering and build-side costing are
@@ -74,30 +73,19 @@ HIVE_CAPABILITIES = OptimizerCapabilities(
 _AGGREGATE_NAMES = {"mean": "avg"}
 
 
-class HivePlanCatalog(PlanCatalog):
-    """Expose the Hive tables' schemas (and row counts) to the optimizer."""
+def _catalog(tables: dict[str, HiveTable]) -> SchemaCatalog:
+    """Snapshot the Hive tables' schemas and row counts for the optimizer.
 
-    def __init__(self, tables: dict[str, HiveTable]):
-        self.tables = dict(tables)
-
-    def columns_of(self, table: str) -> list[str] | None:
-        found = self.tables.get(table)
-        return None if found is None else list(found.columns)
-
-    def stats_of(self, table: str, column: str) -> ColumnStats | None:
-        found = self.tables.get(table)
-        if found is None or column not in found.columns:
-            return None
-        return ColumnStats(row_count=len(found))
-
-    def dtype_of(self, table: str, column: str) -> np.dtype | None:
-        # Hive tables carry untyped row tuples; sample the first row's
-        # value.  Int/float drift across rows is harmless — the verifier
-        # only distinguishes dtype *families* (numeric vs string).
-        found = self.tables.get(table)
-        if found is None or column not in found.columns or not found.rows:
-            return None
-        return literal_dtype(found.rows[0][found.index_of(column)])
+    Hive tables carry untyped row tuples, so dtypes are sampled from the
+    first row.  Int/float drift across rows is harmless — the verifier
+    only distinguishes dtype *families* (numeric vs string).
+    """
+    return SchemaCatalog(
+        {name: {column: literal_dtype(table.rows[0][index]) if table.rows else None
+                for index, column in enumerate(table.columns)}
+         for name, table in tables.items()},
+        {name: len(table) for name, table in tables.items()},
+    )
 
 
 @dataclass
@@ -144,18 +132,14 @@ def _stage(node: logical.PlanNode, tables: dict[str, HiveTable]) -> _ScanStage |
             return None
 
 
-def optimize_shared_plan(plan: logical.PlanNode,
-                         tables: dict[str, HiveTable]) -> logical.PlanNode:
-    """Run the shared optimizer with the Hive tables' schemas."""
-    return optimize(plan, HivePlanCatalog(tables), HIVE_CAPABILITIES)
-
-
 def run_shared_plan(plan: logical.PlanNode, tables: dict[str, HiveTable],
                     session: HiveSession, optimized: bool = True,
                     observation: PlanObservation | None = None):
     """Execute a shared logical plan as MapReduce jobs.
 
-    Relational-algebra plans return a materialised :class:`HiveTable`;
+    A call into the shared driver (:func:`repro.plan.execute.execute`)
+    with the shuffle counters read around it.  Relational-algebra plans
+    return a materialised :class:`HiveTable`;
     :class:`~repro.plan.logical.Aggregate` returns ``(group_keys,
     aggregates)`` as numpy arrays sorted by key and
     :class:`~repro.plan.logical.Pivot` returns ``(matrix, row_labels,
@@ -174,43 +158,10 @@ def run_shared_plan(plan: logical.PlanNode, tables: dict[str, HiveTable],
             filled with the observed output cardinality plus the shuffle
             record/byte counters summed over the jobs this plan ran (the
             calibration counterpart of :func:`estimate_shuffle_bytes`).
-
-    With the ``REPRO_VERIFY_PLANS`` debug flag set, the optimizer rewrite
-    is checked by the static verifier (:mod:`repro.plan.verify`).
     """
-    if optimized:
-        written = plan
-        plan = optimize_shared_plan(plan, tables)
-        maybe_verify_rewrite(written, plan, HivePlanCatalog(tables))
-    if observation is not None:
-        observation.engine = "hadoop"
     jobs_before = len(session.engine.history)
     try:
-        if isinstance(plan, logical.Aggregate):
-            table = _lower(plan.child, tables, session)
-            function = _AGGREGATE_NAMES.get(plan.function, plan.function)
-            result = session.group_by(table, plan.group_by, plan.value, function)
-            keys = np.asarray(result.column_values(plan.group_by))
-            values = np.asarray(
-                result.column_values(f"{function}_{plan.value}"), dtype=np.float64
-            )
-            order = np.argsort(keys, kind="stable")
-            if observation is not None:
-                observation.output_rows = int(len(keys))
-            return keys[order], values[order]
-        if isinstance(plan, logical.Pivot):
-            table = _lower(plan.child, tables, session)
-            matrix, row_labels, column_labels = driver_pivot(
-                table, plan.row_key, plan.column_key, plan.value
-            )
-            if observation is not None:
-                observation.output_rows = int(len(row_labels))
-                observation.output_cells = int(matrix.size)
-            return matrix, row_labels, column_labels
-        table = _lower(plan, tables, session)
-        if observation is not None:
-            observation.output_rows = int(len(table))
-        return table
+        return execute(plan, HiveBackend(tables, session), optimized, observation)
     finally:
         if observation is not None:
             ran = session.engine.history[jobs_before:]
@@ -274,8 +225,8 @@ def estimate_shuffle_bytes(plan: logical.PlanNode,
     runs driver-side and shuffles nothing.  Returns ``None`` when the
     plan's cardinality cannot be estimated.
     """
-    plan = optimize_shared_plan(plan, tables)
-    catalog = HivePlanCatalog(tables)
+    catalog = _catalog(tables)
+    plan = optimize(plan, catalog, HIVE_CAPABILITIES)
     total = 0.0
 
     def stage_rows(node: logical.PlanNode) -> float | None:
@@ -333,24 +284,47 @@ def estimate_shuffle_bytes(plan: logical.PlanNode,
     return total
 
 
-def _lower(node: logical.PlanNode, tables: dict[str, HiveTable],
-           session: HiveSession) -> HiveTable:
-    """Lower a relational-algebra subtree, fusing scan stages map-side."""
-    stage = _stage(node, tables)
-    if stage is not None:
-        return _materialise_stage(stage, session)
-    if isinstance(node, logical.Project):
-        child = node.child
-        if isinstance(child, logical.Join):
-            return _join(child, tables, session, output_columns=node.columns)
-        return session.project(_lower(child, tables, session), list(node.columns))
-    if isinstance(node, logical.Filter):
-        return session.select(_lower(node.child, tables, session), node.predicate)
-    if isinstance(node, logical.Join):
-        return _join(node, tables, session)
-    raise TypeError(
-        f"cannot execute plan node {type(node).__name__} on the MapReduce stack"
-    )
+class HiveBackend(Backend):
+    """The Hive tables behind the shared driver, for one plan execution."""
+
+    engine = "hadoop"
+    capabilities = HIVE_CAPABILITIES
+
+    def __init__(self, tables: dict[str, HiveTable], session: HiveSession):
+        self.tables = tables
+        self.session = session
+        self.catalog = _catalog(tables)
+
+    def lower(self, node: logical.PlanNode) -> HiveTable:
+        """Lower a relational-algebra subtree, fusing scan stages map-side."""
+        stage = _stage(node, self.tables)
+        if stage is not None:
+            return _materialise_stage(stage, self.session)
+        if isinstance(node, logical.Project):
+            child = node.child
+            if isinstance(child, logical.Join):
+                return _join(child, self, output_columns=node.columns)
+            return self.session.project(self.lower(child), list(node.columns))
+        if isinstance(node, logical.Filter):
+            return self.session.select(self.lower(node.child), node.predicate)
+        if isinstance(node, logical.Join):
+            return _join(node, self)
+        raise TypeError(
+            f"cannot execute plan node {type(node).__name__} on the MapReduce stack"
+        )
+
+    def aggregate(self, table: HiveTable, plan: logical.Aggregate):
+        function = _AGGREGATE_NAMES.get(plan.function, plan.function)
+        result = self.session.group_by(table, plan.group_by, plan.value, function)
+        keys = np.asarray(result.column_values(plan.group_by))
+        values = np.asarray(
+            result.column_values(f"{function}_{plan.value}"), dtype=np.float64
+        )
+        order = np.argsort(keys, kind="stable")
+        return keys[order], values[order]
+
+    def pivot(self, table: HiveTable, plan: logical.Pivot):
+        return driver_pivot(table, plan.row_key, plan.column_key, plan.value)
 
 
 def _materialise_stage(stage: _ScanStage, session: HiveSession) -> HiveTable:
@@ -378,8 +352,7 @@ def _materialise_stage(stage: _ScanStage, session: HiveSession) -> HiveTable:
     )
 
 
-def _join(node: logical.Join, tables: dict[str, HiveTable],
-          session: HiveSession,
+def _join(node: logical.Join, backend: HiveBackend,
           output_columns: tuple[str, ...] | None = None) -> HiveTable:
     """One reduce-side join job with both inputs' filters fused map-side.
 
@@ -390,8 +363,9 @@ def _join(node: logical.Join, tables: dict[str, HiveTable],
     reordered to ``output_columns`` when a projection sits directly above
     the join (the final SELECT list is fused too, sparing a fourth job).
     """
-    left = _stage(node.left, tables) or _as_stage(_lower(node.left, tables, session))
-    right = _stage(node.right, tables) or _as_stage(_lower(node.right, tables, session))
+    tables, session = backend.tables, backend.session
+    left = _stage(node.left, tables) or _as_stage(backend.lower(node.left))
+    right = _stage(node.right, tables) or _as_stage(backend.lower(node.right))
 
     left_key = left.table.index_of(node.left_key)
     right_key = right.table.index_of(node.right_key)

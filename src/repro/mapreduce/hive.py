@@ -11,15 +11,13 @@ compiled to per-row-tuple callables with ``Expression.bind`` — a
 :class:`HiveTable` is itself a bindable schema (it has ``index_of``).
 Because the predicate is inspectable, :mod:`repro.mapreduce.bridge` can
 fuse it into the *map side* of the consuming join job so filtered-out
-rows are never serialised into the shuffle.  Raw dict-record callables
-are still accepted by :meth:`HiveSession.select` but deprecated.
+rows are never serialised into the shuffle.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -80,38 +78,19 @@ class HiveSession:
 
     # -- relational verbs ---------------------------------------------------------
 
-    def select(self, table: HiveTable,
-               predicate: Expression | Callable[[dict], bool],
+    def select(self, table: HiveTable, predicate: Expression,
                result_name: str | None = None) -> HiveTable:
         """Filter rows with a shared-AST expression (one MapReduce job).
 
         The expression is compiled against the table's schema with
         ``Expression.bind`` and evaluated per row tuple in the map phase.
-        A raw callable over a dict view of each row is still accepted but
-        **deprecated** — the planner can't see inside it, so none of the
-        shared optimizer's rewrites (map-side join fusion above all) can
-        reach it.
         """
         columns = table.columns
+        bound = predicate.bind(table)
 
-        if isinstance(predicate, Expression):
-            bound = predicate.bind(table)
-
-            def mapper(row):
-                if bound(row):
-                    yield (None, row)
-        else:
-            warnings.warn(
-                "HiveSession.select(table, <callable>) is deprecated; pass an "
-                "expression built with repro.plan.col instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-
-            def mapper(row):
-                record = dict(zip(columns, row, strict=True))
-                if predicate(record):
-                    yield (None, row)
+        def mapper(row):
+            if bound(row):
+                yield (None, row)
 
         def reducer(_key, values):
             for row in values:

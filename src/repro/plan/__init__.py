@@ -4,14 +4,15 @@ This package is the benchmark's common query surface: a small expression
 AST (:mod:`repro.plan.expressions`), engine-agnostic logical plan nodes
 (:mod:`repro.plan.logical`), and a rule-based optimizer
 (:mod:`repro.plan.optimizer`) — conjunction splitting, predicate pushdown,
-selectivity-ordered filters, projection pruning.
+selectivity-ordered filters, projection pruning — and the one driver every
+single-node engine bridge runs plans through (:mod:`repro.plan.execute`).
 
 The row store compiles expressions to per-tuple callables
 (``Expression.bind``); the column store evaluates them vectorised and maps
 range/equality/membership predicates straight onto its compression
 encodings' fast paths (:mod:`repro.colstore.planner`).  See ``README.md``
-in this directory for the grammar, the optimizer rules, and the migration
-notes for the deprecated callable ``where``.
+in this directory for the grammar, the optimizer rules and the executor
+contract.
 """
 
 from repro.plan.expressions import (
@@ -53,11 +54,13 @@ from repro.plan.logical import (
     approx_sum,
     explain,
 )
+from repro.plan.observe import PlanObservation
 from repro.plan.optimizer import (
     ColumnStats,
     OptimizerCapabilities,
     PlanCatalog,
     PredicateClass,
+    SchemaCatalog,
     classify,
     estimate_selectivity,
     optimize,
@@ -65,7 +68,6 @@ from repro.plan.optimizer import (
     selectivity_annotator,
 )
 from repro.plan.verify import (
-    MappingCatalog,
     PlanVerificationError,
     RewriteSoundnessError,
     maybe_verify_plan,
@@ -114,14 +116,15 @@ __all__ = [
     "OptimizerCapabilities",
     "PlanCatalog",
     "PredicateClass",
+    "SchemaCatalog",
     "classify",
     "estimate_selectivity",
     "optimize",
     "ordered_conjuncts",
     "selectivity_annotator",
+    "PlanObservation",
     "StaticTypeError",
     "literal_dtype",
-    "MappingCatalog",
     "PlanVerificationError",
     "RewriteSoundnessError",
     "maybe_verify_plan",

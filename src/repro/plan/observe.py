@@ -1,9 +1,10 @@
 """Observed-cardinality hooks for the per-engine plan executors.
 
-Every engine bridge accepts an optional :class:`PlanObservation` and fills
-it with what the run actually produced — output rows, pivot cells, and
-(for the MapReduce executor) the records and serialised bytes that crossed
-the shuffle.  The differential fuzzer records these observations next to
+Every engine bridge accepts an optional :class:`PlanObservation`; the
+shared driver (:func:`repro.plan.execute.execute`) fills it with what the
+run actually produced — engine, output rows, pivot cells — and the
+MapReduce bridge adds the records and serialised bytes that crossed the
+shuffle.  The differential fuzzer records these observations next to
 the optimizer's *predictions* (:func:`repro.plan.optimizer.estimate_output_rows`
 and :func:`repro.mapreduce.bridge.estimate_shuffle_bytes`) into the cost
 calibration report gated by ``tools/check_cost_calibration.py``.
@@ -39,13 +40,3 @@ class PlanObservation:
     output_cells: int | None = None
     shuffle_records: int | None = None
     shuffle_bytes: int | None = None
-
-    def as_dict(self) -> dict:
-        """The observation as a plain dict (for reports)."""
-        return {
-            "engine": self.engine,
-            "output_rows": self.output_rows,
-            "output_cells": self.output_cells,
-            "shuffle_records": self.shuffle_records,
-            "shuffle_bytes": self.shuffle_bytes,
-        }

@@ -142,6 +142,47 @@ class PlanCatalog:
         return None
 
 
+class SchemaCatalog(PlanCatalog):
+    """Names, dtypes and (optionally) row counts — and nothing else.
+
+    The one catalog for every source that keeps no per-column statistics:
+    the row store, the Hive tables and the R frames snapshot their schemas
+    into it once per plan execution, and the verifier and the fuzzer use it
+    engine-free over a plain ``{table: {column: dtype}}`` mapping (a
+    ``None`` dtype means "unknown").  With ``row_counts``, ``stats_of``
+    answers with the table's cardinality only — enough for the join
+    build-side rule to compare post-filter estimates, while selectivity
+    falls back to the structural (shape-based) defaults.
+
+    >>> catalog = SchemaCatalog({"genes": {"gene_id": "int64"}}, {"genes": 5})
+    >>> catalog.columns_of("genes"), catalog.dtype_of("genes", "gene_id")
+    (['gene_id'], dtype('int64'))
+    >>> catalog.row_count_of("genes"), catalog.stats_of("genes", "length")
+    (5, None)
+    """
+
+    def __init__(self, schemas, row_counts=None):
+        self.schemas = {
+            table: {name: None if dtype is None else np.dtype(dtype)
+                    for name, dtype in columns.items()}
+            for table, columns in schemas.items()
+        }
+        self.row_counts = dict(row_counts or {})
+
+    def columns_of(self, table: str) -> list[str] | None:
+        columns = self.schemas.get(table)
+        return None if columns is None else list(columns)
+
+    def stats_of(self, table: str, column: str) -> ColumnStats | None:
+        count = self.row_counts.get(table)
+        if count is None or column not in self.schemas.get(table, ()):
+            return None
+        return ColumnStats(row_count=count)
+
+    def dtype_of(self, table: str, column: str) -> np.dtype | None:
+        return self.schemas.get(table, {}).get(column)
+
+
 # --------------------------------------------------------------------------- #
 # Predicate classification
 # --------------------------------------------------------------------------- #

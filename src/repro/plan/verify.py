@@ -41,13 +41,11 @@ malformed plan per rejection class, plus a soundness trip) — the CI
 from __future__ import annotations
 
 import os
-from typing import Mapping
 
 import numpy as np
 
 from repro.plan.expressions import StaticTypeError
 from repro.plan.logical import Join, PlanNode, Scan, Schema
-from repro.plan.optimizer import PlanCatalog
 
 
 class PlanVerificationError(StaticTypeError):
@@ -81,29 +79,6 @@ def verification_enabled() -> bool:
     return os.environ.get(VERIFY_FLAG, "").strip().lower() in (
         "1", "true", "yes", "on"
     )
-
-
-class MappingCatalog(PlanCatalog):
-    """A :class:`PlanCatalog` over a plain ``{table: {column: dtype}}`` mapping.
-
-    Lets callers optimize and verify plans against a schema-only world —
-    no engine, no data — which is what ``python -m repro.fuzz.repro
-    --verify-only`` and the verifier self-check use.
-    """
-
-    def __init__(self, schemas: Mapping[str, Mapping[str, np.dtype]]):
-        self.schemas = {
-            table: {name: None if dtype is None else np.dtype(dtype)
-                    for name, dtype in columns.items()}
-            for table, columns in schemas.items()
-        }
-
-    def columns_of(self, table: str) -> list[str] | None:
-        columns = self.schemas.get(table)
-        return None if columns is None else list(columns)
-
-    def dtype_of(self, table: str, column: str) -> np.dtype | None:
-        return self.schemas.get(table, {}).get(column)
 
 
 def _scan_schema(source, table: str) -> Schema | None:
@@ -310,7 +285,7 @@ def run_self_check(verbose: bool = True) -> list[tuple[str, str]]:
 
     from repro.plan.expressions import col, lit
     from repro.plan.logical import Filter, Project
-    from repro.plan.optimizer import optimize
+    from repro.plan.optimizer import SchemaCatalog, optimize
 
     schemas = _self_check_schemas()
     rows: list[tuple[str, str]] = []
@@ -331,7 +306,7 @@ def run_self_check(verbose: bool = True) -> list[tuple[str, str]]:
 
     # A well-formed plan must verify, and the real optimizer must preserve
     # its schema ...
-    catalog = MappingCatalog(schemas)
+    catalog = SchemaCatalog(schemas)
     plan = Project(
         Filter(Scan("patients"), (col("age") < lit(40)) & (col("age") >= lit(18))),
         ("patient_id", "age"),

@@ -6,8 +6,8 @@ This package implements a small but complete single-node RDBMS in Python:
   :mod:`repro.relational.catalog`),
 * slotted-page heap storage with binary tuple serialisation
   (:mod:`repro.relational.storage`, :mod:`repro.relational.table`),
-* an expression language for predicates and projections
-  (:mod:`repro.relational.expressions`),
+* the shared expression language for predicates and projections
+  (:mod:`repro.plan.expressions`, compiled to per-row-tuple callables),
 * Volcano-style iterator operators — sequential scan, filter, projection,
   hash join, nested-loop join, sort, hash aggregation, limit
   (:mod:`repro.relational.operators`),
@@ -27,7 +27,7 @@ UDF.
 from repro.relational.schema import Column, ColumnType, Schema
 from repro.relational.table import HeapTable
 from repro.relational.catalog import Database
-from repro.relational.expressions import col, lit, and_, or_, not_
+from repro.plan.expressions import col, lit, and_, or_, not_
 from repro.relational.query import Query
 from repro.relational.udf import UdfRegistry, default_madlib_registry
 

@@ -12,11 +12,11 @@ return the same shapes as the column-store executor: ``Aggregate`` →
 ``(group_keys, aggregates)`` sorted by key, ``Pivot`` →
 ``(matrix, row_labels, column_labels)``.
 
-Before lowering, the *shared* optimizer runs against a
-:class:`RelationalPlanCatalog` (schemas plus row counts — the row store
-keeps no per-column statistics), which pushes single-side total predicates
-below joins, prunes projections through them, and annotates the join build
-side; the annotation is handed to
+Before lowering, the *shared* optimizer runs against the
+:class:`RelationalBackend`'s catalog (schemas plus row counts — the row
+store keeps no per-column statistics), which pushes single-side total
+predicates below joins, prunes projections through them, and annotates the
+join build side; the annotation is handed to
 :class:`~repro.relational.planner.JoinNode` verbatim, replacing that
 planner's row-count-only heuristic with the shared, selectivity-aware
 estimate.  The row store's own rewrite rules still run at ``to_physical``
@@ -36,9 +36,9 @@ from dataclasses import replace
 import numpy as np
 
 from repro.plan import logical
+from repro.plan.execute import Backend, execute
 from repro.plan.observe import PlanObservation
-from repro.plan.optimizer import ColumnStats, PlanCatalog, optimize, output_columns
-from repro.plan.verify import maybe_verify_rewrite
+from repro.plan.optimizer import SchemaCatalog, output_columns
 from repro.relational.catalog import Database
 from repro.relational.query import Query
 from repro.relational.schema import ColumnType
@@ -55,90 +55,77 @@ _COLUMN_DTYPES = {
 }
 
 
-class RelationalPlanCatalog(PlanCatalog):
-    """Expose a row-store :class:`Database`'s schemas to the shared optimizer.
+class RelationalBackend(Backend):
+    """The row store behind the shared driver, for one plan execution.
 
-    The row store keeps no per-column statistics, so ``stats_of`` answers
-    with the table's row count only — enough for the join build-side rule
-    to compare post-filter cardinality estimates, while selectivity falls
-    back to the structural (shape-based) defaults.
+    The catalog is a :class:`~repro.plan.optimizer.SchemaCatalog` snapshot
+    of the database: the row store keeps no per-column statistics, so the
+    optimizer sees schemas plus row counts — enough for the join
+    build-side rule, while selectivity falls back to the structural
+    (shape-based) defaults.
     """
+
+    engine = "postgres"
 
     def __init__(self, db: Database):
         self.db = db
+        tables = [db.table(name) for name in db.table_names()]
+        self.catalog = SchemaCatalog(
+            {table.name: {column.name: _COLUMN_DTYPES[column.type]
+                          for column in table.schema} for table in tables},
+            {table.name: table.row_count for table in tables},
+        )
 
-    def columns_of(self, table: str) -> list[str] | None:
-        if table not in self.db:
-            return None
-        return list(self.db.table(table).schema.names)
+    def lower(self, node: logical.PlanNode) -> Query:
+        """Lower a relational-algebra subtree onto the fluent Query builder."""
+        if isinstance(node, logical.Scan):
+            return self.db.query(node.table)
+        if isinstance(node, logical.Filter):
+            return self.lower(node.child).where(node.predicate)
+        if isinstance(node, logical.Project):
+            return self.lower(node.child).select(*node.columns)
+        if isinstance(node, logical.Join):
+            joined = self.lower(node.left).join(
+                self.lower(node.right), on=(node.left_key, node.right_key)
+            )
+            if node.build_side != "auto":
+                # Propagate the shared optimizer's statistics-informed choice
+                # into the relational JoinNode (Query wraps immutable nodes, so
+                # rebuild the top node with the annotation).
+                joined = Query(replace(joined.logical_plan(), build_side=node.build_side))
+            # The relational join keeps both key columns; project down to the
+            # shared convention (left columns, then right minus the right key).
+            # Both inputs lowered, so the catalog snapshot knows every scan.
+            return joined.select(*output_columns(node, self.catalog))
+        raise TypeError(
+            f"cannot lower plan node {type(node).__name__} onto the row store"
+        )
 
-    def stats_of(self, table: str, column: str) -> ColumnStats | None:
-        if table not in self.db:
-            return None
-        schema = self.db.table(table).schema
-        if not schema.has_column(column):
-            return None
-        return ColumnStats(row_count=self.db.table(table).row_count)
+    def relation(self, query: Query):
+        return query.run()
 
-    def dtype_of(self, table: str, column: str) -> np.dtype | None:
-        if table not in self.db:
-            return None
-        schema = self.db.table(table).schema
-        if not schema.has_column(column):
-            return None
-        return _COLUMN_DTYPES[schema.type_of(column)]
+    def aggregate(self, query: Query, plan: logical.Aggregate):
+        function = _AGGREGATE_NAMES.get(plan.function, plan.function)
+        value = "*" if plan.function == "count" else plan.value
+        result = (
+            query.group_by([plan.group_by], [(function, value, "agg")])
+            .order_by(plan.group_by)
+            .run()
+        )
+        return (np.asarray(result.column(plan.group_by)),
+                np.asarray(result.column("agg"), dtype=np.float64))
 
-
-def optimize_shared_plan(plan: logical.PlanNode, db: Database) -> logical.PlanNode:
-    """Run the shared optimizer with the database's schemas and row counts."""
-    return optimize(plan, RelationalPlanCatalog(db))
-
-
-def lower_shared_plan(plan: logical.PlanNode, db: Database) -> Query:
-    """Lower a relational-algebra shared plan onto the fluent Query builder.
-
-    Accepts Scan / Filter / Project / Join subtrees (terminals are handled
-    by :func:`run_shared_plan`).  The caller is expected to have optimized
-    the plan already; lowering itself is a pure structural translation.
-    """
-    catalog = RelationalPlanCatalog(db)
-    return _lower(plan, db, catalog)
-
-
-def _lower(node: logical.PlanNode, db: Database, catalog: RelationalPlanCatalog) -> Query:
-    if isinstance(node, logical.Scan):
-        return db.query(node.table)
-    if isinstance(node, logical.Filter):
-        return _lower(node.child, db, catalog).where(node.predicate)
-    if isinstance(node, logical.Project):
-        return _lower(node.child, db, catalog).select(*node.columns)
-    if isinstance(node, logical.Join):
-        left = _lower(node.left, db, catalog)
-        right = _lower(node.right, db, catalog)
-        joined = left.join(right, on=(node.left_key, node.right_key))
-        if node.build_side != "auto":
-            # Propagate the shared optimizer's statistics-informed choice
-            # into the relational JoinNode (Query wraps immutable nodes, so
-            # rebuild the top node with the annotation).
-            joined = Query(replace(joined.logical_plan(), build_side=node.build_side))
-        # The relational join keeps both key columns; project down to the
-        # shared convention (left columns, then right minus the right key).
-        shared_names = output_columns(node, catalog)
-        if shared_names is None:
-            shared_names = [name for name in joined.schema.names
-                            if name != f"{node.right_key}_right"]
-        return joined.select(*shared_names)
-    raise TypeError(
-        f"cannot lower plan node {type(node).__name__} onto the row store"
-    )
+    def pivot(self, query: Query, plan: logical.Pivot):
+        return query.run().pivot(plan.row_key, plan.column_key, plan.value)
 
 
 def run_shared_plan(plan: logical.PlanNode, db: Database, optimized: bool = True,
                     observation: PlanObservation | None = None):
     """Execute a shared logical plan against the row store.
 
-    Relational-algebra plans return a materialised
-    :class:`~repro.relational.query.QueryResultSet`;
+    A one-line call into the shared driver
+    (:func:`repro.plan.execute.execute`).  Relational-algebra plans return
+    a materialised :class:`~repro.relational.query.QueryResultSet`;
     :class:`~repro.plan.logical.Aggregate` returns ``(group_keys,
     aggregates)`` as numpy arrays sorted by key (the shared contract);
     :class:`~repro.plan.logical.Pivot` returns ``(matrix, row_labels,
@@ -151,51 +138,5 @@ def run_shared_plan(plan: logical.PlanNode, db: Database, optimized: bool = True
             plan exactly as written — the equivalence tests compare both).
         observation: optional :class:`~repro.plan.observe.PlanObservation`
             filled with the observed output cardinality.
-
-    With the ``REPRO_VERIFY_PLANS`` debug flag set, the optimizer rewrite
-    is checked by the static verifier (:mod:`repro.plan.verify`).
     """
-    if optimized:
-        written = plan
-        plan = optimize_shared_plan(plan, db)
-        maybe_verify_rewrite(written, plan, RelationalPlanCatalog(db))
-    if observation is not None:
-        observation.engine = "postgres"
-    if isinstance(plan, logical.Aggregate):
-        function = _AGGREGATE_NAMES.get(plan.function, plan.function)
-        value = "*" if plan.function == "count" else plan.value
-        result = (
-            lower_shared_plan(plan.child, db)
-            .group_by([plan.group_by], [(function, value, "agg")])
-            .order_by(plan.group_by)
-            .run()
-        )
-        keys = np.asarray(result.column(plan.group_by))
-        aggregates = np.asarray(result.column("agg"), dtype=np.float64)
-        if observation is not None:
-            observation.output_rows = int(len(keys))
-        return keys, aggregates
-    if isinstance(plan, logical.Pivot):
-        result = lower_shared_plan(plan.child, db).run()
-        matrix, row_labels, column_labels = result.pivot(
-            plan.row_key, plan.column_key, plan.value
-        )
-        if observation is not None:
-            observation.output_rows = int(len(row_labels))
-            observation.output_cells = int(matrix.size)
-        return matrix, row_labels, column_labels
-    result = lower_shared_plan(plan, db).run()
-    if observation is not None:
-        observation.output_rows = int(len(result))
-    return result
-
-
-def explain_shared_plan(plan: logical.PlanNode, db: Database) -> str:
-    """Render the shared-optimized plan as the row store would execute it."""
-    if isinstance(plan, (logical.Aggregate, logical.Pivot)):
-        terminal = type(plan).__name__
-        optimized = optimize_shared_plan(plan, db)
-        return f"{terminal} terminal over:\n" + lower_shared_plan(
-            optimized.child, db
-        ).explain()
-    return lower_shared_plan(optimize_shared_plan(plan, db), db).explain()
+    return execute(plan, RelationalBackend(db), optimized, observation)

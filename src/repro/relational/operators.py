@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Iterator, Sequence
 
-from repro.relational.expressions import Expression
+from repro.plan.expressions import Expression
 from repro.relational.schema import Column, ColumnType, Schema
 from repro.relational.table import HeapTable
 

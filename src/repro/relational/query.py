@@ -21,8 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.plan.expressions import Expression
 from repro.relational import planner
-from repro.relational.expressions import Expression
 from repro.relational.operators import Operator
 from repro.relational.schema import Schema
 from repro.relational.table import HeapTable

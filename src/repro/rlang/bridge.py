@@ -21,22 +21,8 @@ statistics-based filter reordering and no build-side choice — R's
 ``merge`` always hashes its right operand and the interpreter has no
 optimizer to consult.
 
->>> import numpy as np
->>> from repro.plan import Filter, Join, Pivot, Scan, col
->>> from repro.rlang.dataframe import DataFrame
->>> frames = {
-...     "patients": DataFrame({"patient_id": np.array([0, 1, 2]),
-...                            "age": np.array([30, 50, 20])}),
-...     "micro": DataFrame({"patient_id": np.array([0, 0, 1, 2]),
-...                         "gene_id": np.array([0, 1, 0, 1]),
-...                         "value": np.array([1.0, 2.0, 3.0, 4.0])}),
-... }
->>> plan = Pivot(Join(Filter(Scan("patients"), col("age") < 45),
-...                   Scan("micro"), "patient_id", "patient_id"),
-...              "patient_id", "gene_id", "value")
->>> matrix, rows, cols = run_shared_plan(plan, frames)
->>> rows.tolist(), matrix.tolist()
-([0, 2], [[1.0, 2.0], [0.0, 4.0]])
+A runnable example of this backend under the shared driver lives in
+:mod:`repro.plan.execute`.
 """
 
 from __future__ import annotations
@@ -46,15 +32,13 @@ from typing import Mapping
 import numpy as np
 
 from repro.plan import logical
+from repro.plan.execute import Backend, execute
 from repro.plan.observe import PlanObservation
 from repro.plan.optimizer import (
-    ColumnStats,
     OptimizerCapabilities,
-    PlanCatalog,
-    optimize,
+    SchemaCatalog,
     output_columns,
 )
-from repro.plan.verify import maybe_verify_rewrite
 from repro.rlang.dataframe import DataFrame
 
 #: The optimizer profile the R executor honours: splitting and pushdown
@@ -66,33 +50,55 @@ R_CAPABILITIES = OptimizerCapabilities(
 )
 
 
-class RDataFrameCatalog(PlanCatalog):
-    """Expose the data frames' schemas (and row counts) to the optimizer."""
+class RBackend(Backend):
+    """The R frames behind the shared driver, for one plan execution."""
+
+    engine = "vanilla-r"
+    capabilities = R_CAPABILITIES
 
     def __init__(self, frames: Mapping[str, DataFrame]):
-        self.frames = dict(frames)
+        self.frames = frames
+        self.catalog = SchemaCatalog(
+            {name: {column: frame[column].dtype for column in frame.names}
+             for name, frame in frames.items()},
+            {name: len(frame) for name, frame in frames.items()},
+        )
 
-    def columns_of(self, table: str) -> list[str] | None:
-        frame = self.frames.get(table)
-        return None if frame is None else frame.names
+    def lower(self, node: logical.PlanNode) -> DataFrame:
+        if isinstance(node, logical.Scan):
+            frame = self.frames.get(node.table)
+            if frame is None:
+                raise KeyError(
+                    f"no frame named {node.table!r}; have {sorted(self.frames)}"
+                )
+            return frame
+        if isinstance(node, logical.Filter):
+            return self.lower(node.child).subset(node.predicate)
+        if isinstance(node, logical.Project):
+            return self.lower(node.child).select(list(node.columns))
+        if isinstance(node, logical.Sample):
+            return self.lower(node.child).sample_rows(node.fraction, node.seed)
+        if isinstance(node, logical.Join):
+            left = self.lower(node.left)
+            right = self.lower(node.right)
+            collisions = (set(left.names) & set(right.names)) - {node.right_key}
+            if collisions:
+                raise ValueError(
+                    f"join output columns collide: {sorted(collisions)}; project "
+                    "the inputs apart first"
+                )
+            merged = left.merge(right, by=node.left_key, by_other=node.right_key)
+            # Both inputs lowered, so the catalog snapshot knows every scan.
+            return merged.select(output_columns(node, self.catalog))
+        raise TypeError(
+            f"cannot execute plan node {type(node).__name__} on the R environment"
+        )
 
-    def stats_of(self, table: str, column: str) -> ColumnStats | None:
-        frame = self.frames.get(table)
-        if frame is None or column not in frame:
-            return None
-        return ColumnStats(row_count=len(frame))
+    def aggregate(self, frame: DataFrame, plan: logical.Aggregate):
+        return _group_aggregate(frame, plan.group_by, plan.value, plan.function)
 
-    def dtype_of(self, table: str, column: str) -> np.dtype | None:
-        frame = self.frames.get(table)
-        if frame is None or column not in frame:
-            return None
-        return frame[column].dtype
-
-
-def optimize_shared_plan(plan: logical.PlanNode,
-                         frames: Mapping[str, DataFrame]) -> logical.PlanNode:
-    """Run the shared optimizer with the frames' schemas."""
-    return optimize(plan, RDataFrameCatalog(frames), R_CAPABILITIES)
+    def pivot(self, frame: DataFrame, plan: logical.Pivot):
+        return frame.pivot_matrix(plan.row_key, plan.column_key, plan.value)
 
 
 def run_shared_plan(plan: logical.PlanNode, frames: Mapping[str, DataFrame],
@@ -100,11 +106,12 @@ def run_shared_plan(plan: logical.PlanNode, frames: Mapping[str, DataFrame],
                     observation: PlanObservation | None = None):
     """Execute a shared logical plan against in-memory R data frames.
 
-    Relational-algebra plans return a :class:`DataFrame`;
-    :class:`~repro.plan.logical.Aggregate` returns ``(group_keys,
-    aggregates)`` sorted by key and :class:`~repro.plan.logical.Pivot`
-    returns ``(matrix, row_labels, column_labels)`` with sorted labels —
-    the shared executor contract.
+    A one-line call into the shared driver
+    (:func:`repro.plan.execute.execute`).  Relational-algebra plans return
+    a :class:`DataFrame`; :class:`~repro.plan.logical.Aggregate` returns
+    ``(group_keys, aggregates)`` sorted by key and
+    :class:`~repro.plan.logical.Pivot` returns ``(matrix, row_labels,
+    column_labels)`` with sorted labels — the shared executor contract.
 
     Args:
         plan: the shared logical plan tree.
@@ -113,70 +120,8 @@ def run_shared_plan(plan: logical.PlanNode, frames: Mapping[str, DataFrame],
             plan exactly as written — the equivalence tests compare both).
         observation: optional :class:`~repro.plan.observe.PlanObservation`
             filled with the observed output cardinality.
-
-    With the ``REPRO_VERIFY_PLANS`` debug flag set, the optimizer rewrite
-    is checked by the static verifier (:mod:`repro.plan.verify`).
     """
-    if optimized:
-        written = plan
-        plan = optimize_shared_plan(plan, frames)
-        maybe_verify_rewrite(written, plan, RDataFrameCatalog(frames))
-    if observation is not None:
-        observation.engine = "vanilla-r"
-    if isinstance(plan, logical.Aggregate):
-        frame = _lower(plan.child, frames)
-        keys, aggregates = _group_aggregate(
-            frame, plan.group_by, plan.value, plan.function
-        )
-        if observation is not None:
-            observation.output_rows = int(len(keys))
-        return keys, aggregates
-    if isinstance(plan, logical.Pivot):
-        frame = _lower(plan.child, frames)
-        matrix, row_labels, column_labels = frame.pivot_matrix(
-            plan.row_key, plan.column_key, plan.value
-        )
-        if observation is not None:
-            observation.output_rows = int(len(row_labels))
-            observation.output_cells = int(matrix.size)
-        return matrix, row_labels, column_labels
-    frame = _lower(plan, frames)
-    if observation is not None:
-        observation.output_rows = int(len(frame))
-    return frame
-
-
-def _lower(node: logical.PlanNode, frames: Mapping[str, DataFrame]) -> DataFrame:
-    if isinstance(node, logical.Scan):
-        frame = frames.get(node.table)
-        if frame is None:
-            raise KeyError(f"no frame named {node.table!r}; have {sorted(frames)}")
-        return frame
-    if isinstance(node, logical.Filter):
-        return _lower(node.child, frames).subset(node.predicate)
-    if isinstance(node, logical.Project):
-        return _lower(node.child, frames).select(list(node.columns))
-    if isinstance(node, logical.Sample):
-        return _lower(node.child, frames).sample_rows(node.fraction, node.seed)
-    if isinstance(node, logical.Join):
-        left = _lower(node.left, frames)
-        right = _lower(node.right, frames)
-        collisions = (set(left.names) & set(right.names)) - {node.right_key}
-        if collisions:
-            raise ValueError(
-                f"join output columns collide: {sorted(collisions)}; project "
-                "the inputs apart first"
-            )
-        merged = left.merge(right, by=node.left_key, by_other=node.right_key)
-        shared_names = output_columns(node, RDataFrameCatalog(frames))
-        if shared_names is None:
-            shared_names = left.names + [
-                name for name in right.names if name != node.right_key
-            ]
-        return merged.select(shared_names)
-    raise TypeError(
-        f"cannot execute plan node {type(node).__name__} on the R environment"
-    )
+    return execute(plan, RBackend(frames), optimized, observation)
 
 
 def _group_aggregate(frame: DataFrame, group_by: str, value: str,

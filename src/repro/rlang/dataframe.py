@@ -16,16 +16,14 @@ Row filters speak the shared expression AST: a :class:`DataFrame` is a
 column batch (name → vector), so :meth:`DataFrame.subset` evaluates an
 :class:`~repro.plan.expressions.Expression` vectorised over its columns
 with ``Expression.evaluate`` — the same tree the other engines compile to
-row callables or push into compression encodings.  Raw mask callables are
-still accepted but deprecated.  Shared logical plans are lowered onto
-these verbs by :mod:`repro.rlang.bridge`.
+row callables or push into compression encodings.  Shared logical plans
+are lowered onto these verbs by :mod:`repro.rlang.bridge`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -143,30 +141,19 @@ class DataFrame:
 
     # -- R verbs ------------------------------------------------------------------
 
-    def subset(self, predicate: Expression | Callable[["DataFrame"], np.ndarray]) -> "DataFrame":
+    def subset(self, predicate: Expression) -> "DataFrame":
         """Row filter by a shared-AST expression, evaluated vectorised.
 
         The expression's column references resolve against this frame's
         columns (the frame itself is the evaluation batch), so
         ``frame.subset(col("age") < 40)`` runs as one numpy mask — R's
-        idiomatic vectorised ``subset``.  A raw callable receiving the
-        frame and returning a boolean mask is still accepted but
-        **deprecated** (it is opaque to the shared planner).
+        idiomatic vectorised ``subset``.
 
         Raises:
             KeyError: when the expression references a missing column.
             ValueError: when the produced mask is not one boolean per row.
         """
-        if isinstance(predicate, Expression):
-            mask = np.asarray(predicate.evaluate(self), dtype=bool)
-        else:
-            warnings.warn(
-                "DataFrame.subset(<callable>) is deprecated; pass an expression "
-                "built with repro.plan.col instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            mask = np.asarray(predicate(self), dtype=bool)
+        mask = np.asarray(predicate.evaluate(self), dtype=bool)
         if mask.shape != (len(self),):
             raise ValueError("predicate must return one boolean per row")
         return DataFrame(

@@ -1,8 +1,7 @@
 # Fixture: raw-lambda-predicate fires on lambdas handed to predicate
-# methods, and spares blessed DeprecationWarning shims and expressions.
+# methods, and spares declarative expressions.
 # expect: raw-lambda-predicate
 # expect: raw-lambda-predicate
-import warnings
 
 
 def bad(query):
@@ -16,8 +15,3 @@ def also_bad(frame):
 def blessed_expression(query, col):
     return query.where(col("age") > 40)
 
-
-def blessed_shim(query):
-    # A deprecated-callable shim: warns, so lambdas inside are tolerated.
-    warnings.warn("deprecated", DeprecationWarning, stacklevel=2)
-    return query.where(lambda row: row["age"] > 40)

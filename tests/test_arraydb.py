@@ -152,15 +152,6 @@ class TestOperators:
         np.testing.assert_array_equal(coords[0], np.arange(10))
         assert stats.chunks_skipped == 2
 
-    def test_filter_legacy_callable_warns_and_matches(self, expression_array):
-        array, matrix = expression_array
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            legacy = ops.filter_attribute(array, "value", lambda v: v > 0.5)
-        expression = ops.filter_attribute(array, None, col("value") > 0.5)
-        np.testing.assert_array_equal(
-            legacy.to_dense(fill=np.nan), expression.to_dense(fill=np.nan)
-        )
-
     def test_between_restricts_coordinates(self, expression_array):
         array, matrix = expression_array
         result = ops.between(array, {"patient_id": (10, 19), "gene_id": (0, 4)})

@@ -23,6 +23,7 @@ from repro.colstore.query import (
     merge_join_positions,
 )
 from repro.colstore.udf import UdfHost
+from repro.plan import col, opaque
 
 
 class TestEncodings:
@@ -312,7 +313,7 @@ class TestColumnQuery:
         return store
 
     def test_where_narrows_selection(self, store, tiny_dataset):
-        query = store.query("genes").where("function", lambda v: v < 10)
+        query = store.query("genes").where(col("function") < 10)
         expected = int(np.sum(tiny_dataset.genes.function < 10))
         assert len(query) == expected
 
@@ -320,7 +321,7 @@ class TestColumnQuery:
         query = (
             store.query("microarray")
             .where_in("gene_id", [0, 1, 2])
-            .where("expression_value", lambda v: v > 0)
+            .where(col("expression_value") > 0)
         )
         assert np.all(np.isin(query.column("gene_id"), [0, 1, 2]))
 
@@ -336,7 +337,7 @@ class TestColumnQuery:
             )
 
     def test_where_in_chained_after_filter(self, store):
-        narrowed = store.query("microarray").where("expression_value", lambda v: v > 0)
+        narrowed = store.query("microarray").where(col("expression_value") > 0)
         chained = narrowed.where_in("gene_id", np.array([0, 1]))
         assert np.all(np.isin(chained.column("gene_id"), [0, 1]))
         assert np.all(chained.column("expression_value") > 0)
@@ -356,7 +357,7 @@ class TestColumnQuery:
             assert len(query) == 0
             assert query.selection.dtype == np.int64
         # Also after a narrowing filter, and with an empty ndarray.
-        narrowed = ColumnQuery(table).where("count", lambda v: v > 10)
+        narrowed = ColumnQuery(table).where(col("count") > 10)
         assert len(narrowed.where_in("label", np.array([], dtype=np.float64))) == 0
         # An unknown column still raises even when the key set is empty.
         with pytest.raises(KeyError):
@@ -365,7 +366,9 @@ class TestColumnQuery:
     def test_where_predicate_shape_check(self, store):
         # Filters are lazy: the shape check fires when the selection is
         # first materialised, not at .where() time.
-        query = store.query("genes").where("function", lambda v: np.array([True]))
+        query = store.query("genes").where(
+            opaque("function", lambda v: np.array([True]))
+        )
         with pytest.raises(ValueError):
             len(query)
 
@@ -385,7 +388,7 @@ class TestColumnQuery:
 
     def test_join_matches_reference(self, store, tiny_dataset):
         threshold = 10
-        genes = store.query("genes").where("function", lambda v: v < threshold)
+        genes = store.query("genes").where(col("function") < threshold)
         joined = genes.join(
             store.query("microarray"),
             "gene_id",
@@ -456,7 +459,7 @@ class TestAggregationPushdown:
     @pytest.mark.parametrize("function", ["min", "max"])
     def test_group_aggregate_min_max_on_narrowed_selection(self, encoding_name, function):
         table = self._table(encoding_name)
-        query = ColumnQuery(table).where("v", lambda v: v > 0)
+        query = ColumnQuery(table).where(col("v") > 0)
         assert 0 < len(query) < table.row_count  # genuinely narrowed
         keys, aggregates = query.group_aggregate("g", "v", function)
         expected_keys, expected = self._reference_aggregate(
@@ -468,7 +471,7 @@ class TestAggregationPushdown:
     @pytest.mark.parametrize("encoding_name", ENCODING_NAMES)
     def test_pivot_on_narrowed_selection(self, encoding_name):
         table = self._table(encoding_name)
-        query = ColumnQuery(table).where("v", lambda v: v <= 0)
+        query = ColumnQuery(table).where(col("v") <= 0)
         assert 0 < len(query) < table.row_count
         matrix, row_labels, column_labels = query.pivot("g", "c", "v")
         rows, cols, values = query.column("g"), query.column("c"), query.column("v")
@@ -539,7 +542,7 @@ class TestAggregationPushdown:
         np.testing.assert_array_equal(
             full.distinct("g"), np.unique(full.column("g"))
         )
-        narrowed = full.where("v", lambda v: v > 0)
+        narrowed = full.where(col("v") > 0)
         np.testing.assert_array_equal(
             narrowed.distinct("g"), np.unique(narrowed.column("g"))
         )
@@ -549,7 +552,7 @@ class TestAggregationPushdown:
         table = self._table(encoding_name)
         # Narrow to one group value: every other key must vanish, exactly as
         # np.unique over the gathered rows would report.
-        query = ColumnQuery(table).where("g", lambda v: v == 3)
+        query = ColumnQuery(table).where(col("g") == 3)
         keys, counts = query.group_aggregate("g", "v", "count")
         np.testing.assert_array_equal(keys, [3])
         assert counts[0] == len(query)

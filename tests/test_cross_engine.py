@@ -401,10 +401,7 @@ class TestMapReduceFilterBeforeShuffle:
         threshold = default_parameters(tiny_dataset.spec).function_threshold(
             tiny_dataset.spec
         )
-        with pytest.warns(DeprecationWarning):
-            selected = session.select(
-                tables["genes"], lambda row: row["function"] < threshold
-            )
+        selected = session.select(tables["genes"], col("function") < threshold)
         projected = session.project(selected, ["gene_id"])
         joined = session.join(projected, tables["microarray"], "gene_id", "gene_id")
         legacy_jobs = engine.jobs_run

@@ -44,6 +44,29 @@ class TestHouseholderQR:
         q, r = householder_qr(matrix)
         np.testing.assert_allclose(q @ r, matrix, atol=1e-10)
 
+    @pytest.mark.parametrize("tiny", [4e-162, np.finfo(np.float64).tiny])
+    def test_reconstructs_columns_whose_squares_underflow(self, tiny):
+        # Regression: 4e-162 squares into a subnormal, so the unscaled
+        # column norm lost its leading digits and Q @ R was 4 % off in the
+        # O(1) entry (hypothesis' falsifying example for
+        # test_qr_reconstructs_input).  At the smallest normal float the
+        # repeated column leaves a subnormal residue whose *rounded* norm
+        # made a non-unit reflector (20 % off) until the column itself was
+        # rescaled.
+        matrix = np.full((7, 3), tiny)
+        matrix[0, 2] = 1.0
+        for case in (matrix[:3, 1:], matrix):
+            q, r = householder_qr(case)
+            np.testing.assert_allclose(q @ r, case, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(q.T @ q, np.eye(case.shape[1]), atol=1e-12)
+
+    def test_subnormal_design_solves_to_finite_coefficients(self):
+        # 1 / 5e-324 is not a float64: the pivot floor treats the column as
+        # numerically zero instead of returning inf/nan coefficients.
+        design = np.full((4, 1), 5e-324)
+        beta, rank = lstsq_qr(design, np.ones(4))
+        assert rank == 0 and beta.tolist() == [0.0]
+
     def test_matches_lapack_lstsq(self, rng):
         design = rng.standard_normal((30, 5))
         target = rng.standard_normal(30)

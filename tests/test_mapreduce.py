@@ -121,12 +121,6 @@ class TestHive:
         assert {row[0] for row in selected.rows} == {0, 3}
         assert session.engine.jobs_run == before + 1
 
-    def test_select_legacy_callable_warns_and_matches(self, session, genes):
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            legacy = session.select(genes, lambda row: row["function"] < 10)
-        expression = session.select(genes, col("function") < 10)
-        assert legacy.rows == expression.rows
-
     def test_project(self, session, genes):
         projected = session.project(genes, ["function"])
         assert projected.columns == ("function",)

@@ -35,13 +35,14 @@ from repro.plan import (
     explain,
     lit,
     not_,
+    opaque,
     optimize,
     ordered_conjuncts,
     split_conjuncts,
 )
 from repro.plan.optimizer import estimate_output_rows
 from repro.relational import ColumnType, Database
-from repro.relational.bridge import RelationalPlanCatalog, run_shared_plan
+from repro.relational.bridge import RelationalBackend, run_shared_plan
 
 
 # --------------------------------------------------------------------------- #
@@ -746,7 +747,7 @@ class TestSharedPlansOnRowStore:
         np.testing.assert_array_equal(row_values, col_values)
 
     def test_relational_catalog_exposes_row_counts(self, mini_db):
-        catalog = RelationalPlanCatalog(mini_db)
+        catalog = RelationalBackend(mini_db).catalog
         assert catalog.columns_of("genes") == ["gene_id", "function"]
         assert catalog.columns_of("nope") is None
         assert catalog.stats_of("genes", "function").row_count == 4
@@ -772,7 +773,7 @@ def _chain_table():
 
 
 class TestLazyColumnQuery:
-    def test_legacy_guard_pattern_still_protects_callable(self):
+    def test_guard_pattern_still_protects_opaque_callable(self):
         # Seed behaviour: a callable written after a filter only ever saw
         # the surviving values.  The optimizer must not hoist it — here the
         # guard estimates at ~1.0 selectivity (dictionary stats), so plain
@@ -786,16 +787,8 @@ class TestLazyColumnQuery:
                 raise AssertionError("guard was bypassed")
             return 10 % values == 0
 
-        with pytest.warns(DeprecationWarning):
-            query = ColumnQuery(table).where(col("x") > 0).where("x", fragile)
+        query = ColumnQuery(table).where(col("x") > 0).where(opaque("x", fragile))
         np.testing.assert_array_equal(query.selection, [1, 2])  # x in {1, 2}
-
-    def test_where_expression_matches_callable_shim(self):
-        table = _chain_table()
-        declarative = ColumnQuery(table).where(col("category") < 20)
-        with pytest.warns(DeprecationWarning):
-            shim = ColumnQuery(table).where("category", lambda v: v < 20)
-        np.testing.assert_array_equal(declarative.selection, shim.selection)
 
     def test_selection_is_cached_and_filters_stack(self):
         table = _chain_table()
@@ -913,7 +906,7 @@ class TestUniformUnknownColumnErrors:
         query = ColumnQuery(table)
         cases = [
             lambda: query.where(col("missing") < 1),
-            lambda: query.where("missing", lambda v: v > 0),
+            lambda: query.where(opaque("missing", lambda v: v > 0)),
             lambda: query.where_in("missing", [1]),
             lambda: query.column("missing"),
             lambda: query.group_aggregate("missing", "score"),

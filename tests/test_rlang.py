@@ -7,7 +7,7 @@ import io
 import numpy as np
 import pytest
 
-from repro.plan import col
+from repro.plan import col, opaque
 from repro.rlang import (
     DataFrame,
     REnvironment,
@@ -61,15 +61,8 @@ class TestDataFrame:
         assert selected.names == ["gene_id"]
         with pytest.raises(KeyError):
             frame.subset(col("missing") < 1)
-        with pytest.warns(DeprecationWarning), pytest.raises(ValueError):
-            frame.subset(lambda f: np.array([True]))
-
-    def test_subset_legacy_callable_warns_and_matches(self, frame):
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            legacy = frame.subset(lambda f: f["function"] < 25)
-        expression = frame.subset(col("function") < 25)
-        for name in frame.names:
-            np.testing.assert_array_equal(legacy[name], expression[name])
+        with pytest.raises(ValueError):
+            frame.subset(opaque("function", lambda v: np.array([True])))
 
     def test_order_by(self, frame):
         ordered = frame.order_by("length")

@@ -30,12 +30,12 @@ from repro.plan import (
     Aggregate,
     Filter,
     Join,
-    MappingCatalog,
     Pivot,
     PlanVerificationError,
     Project,
     RewriteSoundnessError,
     Sample,
+    SchemaCatalog,
     Scan,
     and_,
     col,
@@ -128,8 +128,8 @@ class TestVerifiedSchema:
         plan = Filter(patients(), opaque("age", lambda v: v > 40))
         assert verified_schema(plan, SCHEMAS) == SCHEMAS["patients"]
 
-    def test_mapping_catalog_answers_like_a_catalog(self):
-        catalog = MappingCatalog(SCHEMAS)
+    def test_schema_catalog_answers_like_a_catalog(self):
+        catalog = SchemaCatalog(SCHEMAS)
         assert catalog.columns_of("genes") == ["gene_id", "function"]
         assert catalog.dtype_of("genes", "function") == F64
         assert catalog.columns_of("nope") is None
@@ -255,38 +255,44 @@ class TestRewriteSoundness:
 
 class TestSchemaBreakingOptimizerIsCaught:
     """The ISSUE's trip-wire, as a subprocess so the env flag and the
-    monkeypatched optimizer cannot leak into other tests."""
+    monkeypatched optimizer cannot leak into other tests.
+
+    The shared driver is the one place that optimizes and verifies, so
+    patching its ``optimize`` once must trip every bridge's entry point.
+    """
+
+    ENGINES = ("colstore", "postgres", "scidb", "hadoop", "vanilla-r")
 
     SCRIPT = textwrap.dedent("""
-        import os, sys
-        import numpy as np
-        from repro.colstore.catalog import ColumnStore
-        from repro.colstore import planner
+        import sys
+        import repro.plan.execute as driver
         from repro.plan import Filter, Project, Scan, col, lit
         from repro.plan.verify import RewriteSoundnessError
+        from test_execute import five_backends
 
-        store = ColumnStore()
-        store.create_table("t", {"a": np.arange(10), "b": np.arange(10.0)})
-        real_optimize = planner.optimize_plan
+        real_optimize = driver.optimize
 
-        def schema_breaking(plan, store=None, bindings=None):
-            # A deliberately unsound "rewrite": silently drops column b.
-            return Project(real_optimize(plan, store, bindings), ("a",))
+        def schema_breaking(plan, catalog=None, capabilities=None):
+            # A deliberately unsound "rewrite": silently drops column age.
+            return Project(real_optimize(plan, catalog, capabilities), ("patient_id",))
 
-        planner.optimize_plan = schema_breaking
-        plan = Filter(Scan("t"), col("a") < lit(5))
-        try:
-            planner.run_plan(plan, store)
-        except RewriteSoundnessError as error:
-            print("TRIPPED", error.rule)
-            sys.exit(0)
-        print("NOT TRIPPED")
-        sys.exit(1)
+        driver.optimize = schema_breaking
+        plan = Filter(Scan("patients"), col("age") < lit(45))
+        tripped = 0
+        for engine, run in five_backends().items():
+            try:
+                run(plan)
+            except RewriteSoundnessError as error:
+                print("TRIPPED", engine, error.rule)
+                tripped += 1
+            else:
+                print("NOT TRIPPED", engine)
+        sys.exit(0 if tripped == 5 else 1)
     """)
 
     def _run(self, flag: str | None) -> subprocess.CompletedProcess:
         env = dict(os.environ)
-        env["PYTHONPATH"] = str(REPO / "src")
+        env["PYTHONPATH"] = os.pathsep.join([str(REPO / "src"), str(REPO / "tests")])
         env.pop("REPRO_VERIFY_PLANS", None)
         if flag is not None:
             env["REPRO_VERIFY_PLANS"] = flag
@@ -296,12 +302,14 @@ class TestSchemaBreakingOptimizerIsCaught:
     def test_flag_on_catches_the_broken_rewrite(self):
         result = self._run("1")
         assert result.returncode == 0, result.stdout + result.stderr
-        assert "TRIPPED rewrite-schema-drift" in result.stdout
+        for engine in self.ENGINES:
+            assert f"TRIPPED {engine} rewrite-schema-drift" in result.stdout
 
     def test_flag_off_does_not_verify(self):
         result = self._run(None)
         assert result.returncode == 1, result.stdout + result.stderr
-        assert "NOT TRIPPED" in result.stdout
+        for engine in self.ENGINES:
+            assert f"NOT TRIPPED {engine}" in result.stdout
 
 
 # --------------------------------------------------------------------------- #

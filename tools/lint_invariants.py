@@ -12,8 +12,6 @@ raw-lambda-predicate      Predicates are declarative expressions
                           (``repro.plan.col``), never raw lambdas handed to
                           ``where``/``subset``/``select`` — lambdas are opaque
                           to the optimizer and to every engine's fast path.
-                          The deprecated callable shims (which issue a
-                          ``DeprecationWarning``) are the one blessed escape.
 decode-in-fast-path       The column store's encoding fast paths must not
                           silently fall back to full decompression: any
                           ``.decode()`` / ``.to_dense()`` call in a fast-path
@@ -115,17 +113,6 @@ class Violation:
 # Rule helpers
 # --------------------------------------------------------------------------- #
 
-def _warns_deprecation(node: ast.AST) -> bool:
-    """Does this function body issue a DeprecationWarning (a blessed shim)?"""
-    for inner in ast.walk(node):
-        if isinstance(inner, ast.Call):
-            names = {a.id for a in ast.walk(inner) if isinstance(a, ast.Name)}
-            names |= {a.attr for a in ast.walk(inner) if isinstance(a, ast.Attribute)}
-            if "warn" in names and "DeprecationWarning" in names:
-                return True
-    return False
-
-
 def _annotation_names(annotation: ast.AST | None) -> set[str]:
     """Every bare identifier mentioned in an annotation expression."""
     if annotation is None:
@@ -185,7 +172,6 @@ class _Checker(ast.NodeVisitor):
         self.lines = source_lines
         self.violations: list[Violation] = []
         self.is_fast_path = str(path).replace("\\", "/").endswith(FAST_PATH_SUFFIXES)
-        self._shim_depth = 0       # > 0 inside a blessed DeprecationWarning shim
         self._worker_depth = 0     # > 0 inside a per-node worker closure
         self._worker_names: set[str] = set()
 
@@ -209,13 +195,10 @@ class _Checker(ast.NodeVisitor):
     # -- function scopes -----------------------------------------------------
 
     def _visit_function(self, node) -> None:
-        is_shim = _warns_deprecation(node)
         is_worker = (node.name in WORKER_NAMES
                      or node.name in self._worker_names)
-        self._shim_depth += is_shim
         self._worker_depth += is_worker
         self.generic_visit(node)
-        self._shim_depth -= is_shim
         self._worker_depth -= is_worker
 
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
@@ -229,8 +212,7 @@ class _Checker(ast.NodeVisitor):
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
         # raw-lambda-predicate
-        if (isinstance(func, ast.Attribute) and func.attr in PREDICATE_METHODS
-                and self._shim_depth == 0):
+        if isinstance(func, ast.Attribute) and func.attr in PREDICATE_METHODS:
             for argument in [*node.args, *(k.value for k in node.keywords)]:
                 if isinstance(argument, ast.Lambda):
                     self._hit(
