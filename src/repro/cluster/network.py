@@ -36,11 +36,20 @@ class NetworkModel:
     Attributes:
         latency_seconds: per-message fixed cost.
         bandwidth_bytes_per_second: sustained point-to-point bandwidth.
+        transfers: every recorded transfer, with its label.
+        total_bytes, total_seconds: running totals over ``transfers``,
+            kept by :meth:`transfer` and zeroed by :meth:`reset`.
     """
 
     latency_seconds: float = 0.0005
     bandwidth_bytes_per_second: float = 110e6
     transfers: list[TransferRecord] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        # Every cluster phase reads the totals twice; re-summing ``transfers``
+        # there would make a phase cost O(transfers so far).
+        self.total_bytes = sum(record.n_bytes for record in self.transfers)
+        self.total_seconds = sum(record.seconds for record in self.transfers)
 
     def cost_of(self, n_bytes: int) -> float:
         """Simulated seconds to move ``n_bytes`` point to point."""
@@ -61,6 +70,8 @@ class NetworkModel:
             TransferRecord(source=source, destination=destination,
                            n_bytes=len(wire), seconds=seconds, label=label)
         )
+        self.total_bytes += len(wire)
+        self.total_seconds += seconds
         return pickle.loads(wire), seconds
 
     def broadcast(self, payload, source: int, destinations: list[int], label: str = "") -> tuple[list, float]:
@@ -91,15 +102,7 @@ class NetworkModel:
         steps = 2 * (n_nodes - 1)
         return steps * self.cost_of(max(1, n_bytes // n_nodes))
 
-    # -- accounting -------------------------------------------------------------
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(record.n_bytes for record in self.transfers)
-
-    @property
-    def total_seconds(self) -> float:
-        return sum(record.seconds for record in self.transfers)
-
     def reset(self) -> None:
         self.transfers.clear()
+        self.total_bytes = 0
+        self.total_seconds = 0.0

@@ -15,6 +15,29 @@ Engines raise :class:`UnsupportedQueryError` for queries they cannot run and
 let ``MemoryError`` (including the R environment's
 :class:`~repro.rlang.dataframe.RMemoryError`) propagate — the runner maps
 both onto the paper's "infinite result" convention.
+
+The five queries are spelled once, as the ``_run_<query>`` recipes of
+:class:`Engine`: a data-management selection feeding an analytics kernel,
+summarised by the ``*_output`` builders.  A configuration differs only in
+*where and how* each step runs, so an adapter supplies hooks, not queries:
+``_pivot`` (or the two selections built on it), ``_drug_response_for``,
+``_membership_matrix`` (or the whole Q5 ``_scores_and_membership`` step),
+optionally ``_annotate_pairs``, and the five ``_analytics_*`` kernels.
+
+**Hooks own all timing.**  A recipe never opens a phase: each hook receives
+the :class:`~repro.core.timing.PhaseTimer` and charges its own work —
+measured (``with timer.analytics()``), simulated-cluster
+(``timer.add_data_management(simulated delta)``) or modelled-coprocessor
+(``timer.add_analytics(device seconds)``) — or deliberately nothing, so the
+recipes never branch on which engine is running them.  What a recipe does
+itself (building the plan and predicate, drawing the Q5 sample, clamping
+the SVD rank, the summary) is charged to no phase.
+
+Two engines wrap ``run`` instead of supplying hooks, because they re-charge
+a whole inner run rather than execute steps of their own:
+``ColumnStoreUdfClusterEngine`` (gather, then the single-node UDF engine)
+and ``SciDBPhiClusterEngine`` (the offload model applied to the multi-node
+SciDB phases).
 """
 
 from __future__ import annotations
@@ -23,10 +46,25 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.queries import QueryOutput
+from repro.core.queries import (
+    QueryOutput,
+    bicluster_patient_predicate,
+    biclustering_output,
+    covariance_output,
+    covariance_patient_predicate,
+    gene_expression_plan,
+    patient_expression_plan,
+    regression_output,
+    statistics_output,
+    statistics_patient_ids,
+    statistics_patient_predicate,
+    svd_output,
+)
 from repro.core.spec import QUERY_NAMES, QueryParameters, validate_query_name
 from repro.core.timing import PhaseTimer
 from repro.datagen.dataset import GenBaseDataset
+from repro.linalg.covariance import top_covariant_pairs
+from repro.plan import Expression, PlanNode
 
 
 class UnsupportedQueryError(RuntimeError):
@@ -82,16 +120,138 @@ class Engine:
             raise UnsupportedQueryError(
                 f"engine {self.name!r} does not support the {query!r} query"
             )
-        method = getattr(self, f"_run_{query}", None)
-        if method is None:
-            raise UnsupportedQueryError(
-                f"engine {self.name!r} has no implementation for {query!r}"
-            )
-        return method(parameters, timer)
+        return getattr(self, f"_run_{query}")(parameters, timer)
 
-    # -- helpers shared by several adapters -------------------------------------------
+    # -- the five query recipes ------------------------------------------------------
 
-    @staticmethod
-    def _gene_scores(sample_matrix: np.ndarray) -> np.ndarray:
-        """Per-gene score used by the statistics query: mean over the sampled patients."""
-        return np.asarray(sample_matrix, dtype=np.float64).mean(axis=0)
+    def _run_regression(self, parameters: QueryParameters, timer: PhaseTimer) -> QueryOutput:
+        threshold = parameters.function_threshold(self.dataset.spec)
+        matrix, patient_labels, gene_labels = self._select_by_function(threshold, timer)
+        response = self._drug_response_for(patient_labels, timer)
+        r_squared, payload = self._analytics_regression(matrix, response, timer)
+        return regression_output(len(gene_labels), len(patient_labels), r_squared, payload)
+
+    def _run_covariance(self, parameters: QueryParameters, timer: PhaseTimer) -> QueryOutput:
+        matrix, patient_labels, gene_labels = self._select_patients(
+            covariance_patient_predicate(parameters), timer
+        )
+        gene_a, gene_b, values, payload = self._analytics_covariance(matrix, parameters, timer)
+        payload.update(self._annotate_pairs(gene_labels, gene_a, gene_b, values, timer))
+        return covariance_output(len(patient_labels), len(gene_a), values, payload)
+
+    def _run_biclustering(self, parameters: QueryParameters, timer: PhaseTimer) -> QueryOutput:
+        matrix, patient_labels, _gene_labels = self._select_patients(
+            bicluster_patient_predicate(parameters), timer
+        )
+        biclusters, payload = self._analytics_biclustering(matrix, parameters, timer)
+        return biclustering_output(len(patient_labels), biclusters, payload)
+
+    def _run_svd(self, parameters: QueryParameters, timer: PhaseTimer) -> QueryOutput:
+        threshold = parameters.function_threshold(self.dataset.spec)
+        matrix, _patient_labels, gene_labels = self._select_by_function(threshold, timer)
+        k = svd_rank(parameters.svd_k(self.dataset.spec), len(gene_labels))
+        singular_values, payload = self._analytics_svd(matrix, k, parameters, timer)
+        return svd_output(len(gene_labels), singular_values, payload)
+
+    def _run_statistics(self, parameters: QueryParameters, timer: PhaseTimer) -> QueryOutput:
+        sampled = statistics_patient_ids(self.dataset, parameters)
+        n_patients, gene_scores, membership = self._scores_and_membership(sampled, timer)
+        n_terms, significant, payload = self._analytics_statistics(
+            gene_scores, membership, parameters, timer
+        )
+        return statistics_output(n_patients, n_terms, significant, payload)
+
+    # -- data-management hooks ---------------------------------------------------------
+    #
+    # A selection returns ``(matrix, patient_labels, gene_labels)``.  The
+    # recipes only take ``len()`` of the labels; ``matrix`` is whatever the
+    # engine's own analytics hooks consume (dense array, chunked array,
+    # per-node blocks).
+
+    def _pivot(self, child_plan: PlanNode, timer: PhaseTimer):
+        """Run one long-format expression plan through the family's bridge and pivot it."""
+        raise NotImplementedError
+
+    def _select_by_function(self, threshold: int, timer: PhaseTimer):
+        """Q1/Q4 selection: every patient, genes with ``function < threshold``."""
+        return self._pivot(gene_expression_plan(threshold), timer)
+
+    def _select_patients(self, predicate: Expression, timer: PhaseTimer):
+        """Q2/Q3/Q5 selection: every gene, patients matching ``predicate``."""
+        return self._pivot(patient_expression_plan(predicate), timer)
+
+    def _drug_response_for(self, patient_labels, timer: PhaseTimer):
+        """Q1 target: drug responses aligned with ``patient_labels``."""
+        raise NotImplementedError
+
+    def _scores_and_membership(self, sampled: np.ndarray, timer: PhaseTimer):
+        """Q5 data management: ``(n_patients, per-gene scores, gene × GO membership)``."""
+        matrix, patient_labels, gene_labels = self._select_patients(
+            statistics_patient_predicate(sampled), timer
+        )
+        with timer.data_management():
+            # Per-gene score: mean expression over the sampled patients.
+            gene_scores = np.asarray(matrix, dtype=np.float64).mean(axis=0)
+            return len(patient_labels), gene_scores, self._membership_matrix(gene_labels)
+
+    def _membership_matrix(self, gene_labels) -> np.ndarray:
+        """The gene × GO-term 0/1 matrix for the given genes, in label order."""
+        raise NotImplementedError
+
+    def _annotate_pairs(self, gene_labels, gene_a, gene_b, values, timer: PhaseTimer) -> dict:
+        """Q2 join of the kept pairs back to gene metadata; returns extra payload entries."""
+        return {}
+
+    # -- analytics hooks (each returns its ``*_output`` arguments, payload last) --------
+
+    def _analytics_regression(self, matrix, response, timer: PhaseTimer):
+        """``(r_squared, payload)``."""
+        raise NotImplementedError
+
+    def _analytics_covariance(self, matrix, parameters: QueryParameters, timer: PhaseTimer):
+        """``(gene_a, gene_b, values, payload)`` — see :func:`covariance_pairs`."""
+        raise NotImplementedError
+
+    def _analytics_biclustering(self, matrix, parameters: QueryParameters, timer: PhaseTimer):
+        """``(biclusters, payload)``."""
+        raise NotImplementedError
+
+    def _analytics_svd(self, matrix, k: int, parameters: QueryParameters, timer: PhaseTimer):
+        """``(singular_values, payload)``, values largest first."""
+        raise NotImplementedError
+
+    def _analytics_statistics(self, gene_scores, membership, parameters: QueryParameters,
+                              timer: PhaseTimer):
+        """``(n_terms, significant, payload)``."""
+        raise NotImplementedError
+
+
+# -- helpers shared by the recipes and several adapters ------------------------------------
+
+
+def svd_rank(requested: int, n_genes: int) -> int:
+    """The Q4 rank: the requested ``k`` clamped to the selected genes, at least 1.
+
+    >>> svd_rank(50, 28), svd_rank(5, 28), svd_rank(50, 0)
+    (28, 5, 1)
+    """
+    return max(1, min(requested, n_genes))
+
+
+def covariance_pairs(cov: np.ndarray, parameters: QueryParameters):
+    """Q2's top-pairs pass plus payload: ``(gene_a, gene_b, values, {"covariance": cov})``."""
+    gene_a, gene_b, values = top_covariant_pairs(
+        cov, fraction=parameters.covariance_top_fraction
+    )
+    return gene_a, gene_b, values, {"covariance": cov}
+
+
+def membership_from_rows(gene_labels, ontology_rows, n_go_terms: int) -> np.ndarray:
+    """Gene × GO-term membership from ``(gene_id, go_id, ...)`` rows, one probe per row."""
+    membership = np.zeros((len(gene_labels), n_go_terms), dtype=np.int8)
+    positions = {int(label): position for position, label in enumerate(gene_labels)}
+    for row in ontology_rows:
+        position = positions.get(int(row[0]))
+        if position is not None:
+            membership[position, int(row[1])] = 1
+    return membership

@@ -22,29 +22,53 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.engines.base import Engine, EngineCapabilities
-from repro.core.queries import (
-    QueryOutput,
-    covariance_output,
-    expression_pivot_plan,
-    gene_expression_plan,
-    patient_expression_plan,
-    regression_output,
-    statistics_output,
-    statistics_patient_ids,
-    svd_output,
+from repro.core.engines.base import (
+    Engine,
+    EngineCapabilities,
+    covariance_pairs,
+    membership_from_rows,
 )
-from repro.core.spec import QueryParameters
+from repro.core.queries import dataset_tables, expression_pivot_plan
 from repro.core.timing import PhaseTimer
 from repro.datagen.dataset import GenBaseDataset
-from repro.linalg.covariance import top_covariant_pairs
 from repro.mapreduce import HiveSession, HiveTable, Mahout, MapReduceEngine
 from repro.mapreduce.bridge import run_shared_plan
-from repro.plan import col
+
+
+class MahoutAnalytics:
+    """The analytics hooks as Mahout's MapReduce-structured kernels (``self.mahout``).
+
+    Shared by the single-node and the multi-node Hadoop configuration.
+    Mahout has no biclustering: both capability sets exclude the query and
+    :meth:`Engine.run` raises ``UnsupportedQueryError`` before dispatch.
+    """
+
+    def _analytics_regression(self, matrix, response, timer: PhaseTimer):
+        with timer.analytics():
+            beta = self.mahout.linear_regression(matrix, response)
+            predictions = matrix @ beta[1:] + beta[0]
+            residual_ss = float(np.sum((response - predictions) ** 2))
+            total_ss = float(np.sum((response - response.mean()) ** 2))
+            r_squared = 1.0 - residual_ss / total_ss if total_ss > 0 else 1.0
+        return r_squared, beta
+
+    def _analytics_covariance(self, matrix, parameters, timer: PhaseTimer):
+        with timer.analytics():
+            return covariance_pairs(self.mahout.covariance(matrix), parameters)
+
+    def _analytics_svd(self, matrix, k, parameters, timer: PhaseTimer):
+        with timer.analytics():
+            singular_values = self.mahout.truncated_svd(matrix, k=k, seed=parameters.seed)
+        return singular_values, singular_values
+
+    def _analytics_statistics(self, gene_scores, membership, parameters, timer: PhaseTimer):
+        with timer.analytics():
+            p_values = self.mahout.wilcoxon_enrichment(gene_scores, membership)
+        return len(p_values), p_values < parameters.statistics_alpha, p_values
 
 
 @dataclass
-class HadoopEngine(Engine):
+class HadoopEngine(MahoutAnalytics, Engine):
     """Hive for data management, Mahout for analytics."""
 
     name: str = "hadoop"
@@ -59,136 +83,52 @@ class HadoopEngine(Engine):
         self.mr_engine = MapReduceEngine(n_splits=self.n_splits)
         self.hive = HiveSession(self.mr_engine)
         self.mahout = Mahout(self.mr_engine)
-        self.microarray = HiveTable.from_array(
-            "microarray",
-            ["gene_id", "patient_id", "expression_value"],
-            dataset.microarray_relational(),
-        )
-        self.genes = HiveTable.from_array(
-            "genes",
-            ["gene_id", "target", "position", "length", "function"],
-            dataset.genes_relational(),
-        )
-        self.patients = HiveTable.from_array(
-            "patients",
-            ["patient_id", "age", "gender", "zipcode", "disease_id", "drug_response"],
-            dataset.patients_relational(),
-        )
-        go = dataset.ontology_relational(include_zeros=False)
-        self.ontology = HiveTable.from_array("ontology", ["gene_id", "go_id", "belongs"], go)
-        self.n_go_terms = dataset.ontology.n_go_terms
-        #: The logical tables the shared plans scan.
+        #: The logical tables the shared plans scan (Hive rows hold floats).
         self.tables = {
-            "microarray": self.microarray,
-            "genes": self.genes,
-            "patients": self.patients,
-            "ontology": self.ontology,
+            name: HiveTable.from_array(
+                name, list(columns),
+                np.column_stack(list(columns.values())).astype(np.float64, copy=False),
+            )
+            for name, columns in dataset_tables(dataset).items()
         }
+        self.tables["ontology"] = HiveTable.from_array(
+            "ontology", ["gene_id", "go_id", "belongs"],
+            dataset.ontology_relational(include_zeros=False),
+        )
+        self.n_go_terms = dataset.ontology.n_go_terms
 
-    # -- shared data-management plans -----------------------------------------------------
+    # -- data-management hooks ------------------------------------------------------------
 
-    def _expression_pivot(self, child_plan):
+    def _pivot(self, child_plan, timer: PhaseTimer):
         """Run one shared ``… → Join → Pivot`` plan as MapReduce jobs.
 
         The optimizer pushes the dimension-side predicate below the join
         and prunes the columns; the bridge fuses both into the join job's
         map phase, then pivots the long output driver-side.
         """
-        return run_shared_plan(
-            expression_pivot_plan(child_plan), self.tables, self.hive
-        )
-
-    def _drug_response_for(self, patient_labels: np.ndarray) -> np.ndarray:
-        table = self.hive.project(self.patients, ["patient_id", "drug_response"])
-        lookup = {int(p): v for p, v in table.rows}
-        return np.asarray([lookup[int(label)] for label in patient_labels])
-
-    def _membership_matrix(self, gene_labels: np.ndarray) -> np.ndarray:
-        membership = np.zeros((len(gene_labels), self.n_go_terms), dtype=np.int8)
-        positions = {int(label): i for i, label in enumerate(gene_labels)}
-        for gene_id, go_id, _belongs in self.ontology.rows:
-            position = positions.get(int(gene_id))
-            if position is not None:
-                membership[position, int(go_id)] = 1
-        return membership
-
-    # -- Q1 ------------------------------------------------------------------------------------
-
-    def _run_regression(self, parameters: QueryParameters, timer: PhaseTimer) -> QueryOutput:
-        threshold = parameters.function_threshold(self.dataset.spec)
         with timer.data_management():
-            matrix, patient_labels, gene_labels = self._expression_pivot(
-                gene_expression_plan(threshold)
+            return run_shared_plan(
+                expression_pivot_plan(child_plan), self.tables, self.hive
             )
-            response = self._drug_response_for(patient_labels)
-        with timer.analytics():
-            beta = self.mahout.linear_regression(matrix, response)
-            predictions = matrix @ beta[1:] + beta[0]
-            residual_ss = float(np.sum((response - predictions) ** 2))
-            total_ss = float(np.sum((response - response.mean()) ** 2))
-            r_squared = 1.0 - residual_ss / total_ss if total_ss > 0 else 1.0
-        return regression_output(
-            len(gene_labels), matrix.shape[0], r_squared,
-            payload=beta,
-        )
 
-    # -- Q2 ------------------------------------------------------------------------------------
-
-    def _run_covariance(self, parameters: QueryParameters, timer: PhaseTimer) -> QueryOutput:
-        diseases = [int(d) for d in sorted(parameters.covariance_diseases)]
+    def _drug_response_for(self, patient_labels, timer: PhaseTimer) -> np.ndarray:
         with timer.data_management():
-            matrix, _patients, gene_labels = self._expression_pivot(
-                patient_expression_plan(col("disease_id").isin(diseases))
-            )
-        with timer.analytics():
-            cov = self.mahout.covariance(matrix)
-            gene_a, gene_b, values = top_covariant_pairs(
-                cov, fraction=parameters.covariance_top_fraction
-            )
+            table = self.hive.project(self.tables["patients"], ["patient_id", "drug_response"])
+            lookup = {int(p): v for p, v in table.rows}
+            return np.asarray([lookup[int(label)] for label in patient_labels])
+
+    def _membership_matrix(self, gene_labels) -> np.ndarray:
+        return membership_from_rows(gene_labels, self.tables["ontology"].rows, self.n_go_terms)
+
+    def _annotate_pairs(self, gene_labels, gene_a, gene_b, values, timer: PhaseTimer) -> dict:
         with timer.data_management():
             pairs_table = HiveTable(
                 "pairs",
                 ("gene_id", "covariance"),
                 [(int(gene_labels[a]), float(v)) for a, v in zip(gene_a, values, strict=True)],
             )
-            joined_meta = self.hive.join(pairs_table, self.genes, "gene_id", "gene_id") if len(pairs_table) else pairs_table
-        return covariance_output(
-            matrix.shape[0], len(gene_a), values,
-            payload={"covariance": cov, "joined_rows": len(joined_meta)},
-        )
-
-    # -- Q3 (unsupported) -------------------------------------------------------------------------
-
-    # Mahout has no biclustering; the capability set above excludes the query
-    # and the base class raises UnsupportedQueryError before dispatch.
-
-    # -- Q4 ------------------------------------------------------------------------------------
-
-    def _run_svd(self, parameters: QueryParameters, timer: PhaseTimer) -> QueryOutput:
-        threshold = parameters.function_threshold(self.dataset.spec)
-        with timer.data_management():
-            matrix, _patients, gene_labels = self._expression_pivot(
-                gene_expression_plan(threshold)
+            joined_meta = (
+                self.hive.join(pairs_table, self.tables["genes"], "gene_id", "gene_id")
+                if len(pairs_table) else pairs_table
             )
-        k = max(1, min(parameters.svd_k(self.dataset.spec), matrix.shape[1]))
-        with timer.analytics():
-            singular_values = self.mahout.truncated_svd(matrix, k=k, seed=parameters.seed)
-        return svd_output(len(gene_labels), singular_values, payload=singular_values)
-
-    # -- Q5 ------------------------------------------------------------------------------------
-
-    def _run_statistics(self, parameters: QueryParameters, timer: PhaseTimer) -> QueryOutput:
-        sampled = [int(p) for p in statistics_patient_ids(self.dataset, parameters)]
-        with timer.data_management():
-            matrix, _patients, gene_labels = self._expression_pivot(
-                patient_expression_plan(col("patient_id").isin(sampled))
-            )
-            gene_scores = self._gene_scores(matrix)
-            membership = self._membership_matrix(gene_labels)
-        with timer.analytics():
-            p_values = self.mahout.wilcoxon_enrichment(gene_scores, membership)
-        significant = p_values < parameters.statistics_alpha
-        return statistics_output(
-            matrix.shape[0], len(p_values), significant,
-            payload=p_values,
-        )
+        return {"joined_rows": len(joined_meta)}

@@ -50,26 +50,13 @@ from repro.cluster import (
     reduce_partial_sums,
 )
 from repro.cluster.bridge import run_shared_plan as run_cluster_plan
-from repro.core.engines.base import Engine, EngineCapabilities
-from repro.core.queries import (
-    QueryOutput,
-    bicluster_patient_predicate,
-    biclustering_output,
-    covariance_output,
-    covariance_patient_predicate,
-    gene_expression_plan,
-    patient_expression_plan,
-    regression_output,
-    statistics_output,
-    statistics_patient_ids,
-    statistics_patient_predicate,
-    svd_output,
-)
+from repro.core.engines.base import Engine, EngineCapabilities, covariance_pairs
+from repro.core.engines.hadoop import MahoutAnalytics
+from repro.core.queries import QueryOutput, statistics_patient_predicate
 from repro.core.spec import QueryParameters
 from repro.core.timing import PhaseTimer
 from repro.datagen.dataset import GenBaseDataset
 from repro.linalg.biclustering import cheng_church
-from repro.linalg.covariance import top_covariant_pairs
 from repro.linalg.wilcoxon import enrichment_analysis
 from repro.mapreduce import HiveSession, HiveTable, Mahout, MapReduceEngine
 from repro.mapreduce.bridge import driver_pivot, run_shared_plan
@@ -139,8 +126,8 @@ class _MultiNodeEngine(Engine):
 
     # -- phase accounting helpers -----------------------------------------------------------
 
-    def _timed_cluster_phase(self, timer_add, work) -> list:
-        """Run ``work`` (which uses the cluster) and charge its simulated time."""
+    def _timed_cluster_phase(self, timer_add, work):
+        """Run ``work`` (which uses the cluster), charge its simulated time, return its result."""
         before = self.cluster.simulated_elapsed_seconds
         outputs = work()
         timer_add(self.cluster.simulated_elapsed_seconds - before)
@@ -204,100 +191,44 @@ class _MultiNodeEngine(Engine):
         n_columns = blocks[0].shape[1] if blocks and blocks[0].ndim == 2 else 0
         return merge_gathered(outputs, n_columns)
 
-    # -- selections (replicated metadata, evaluated on the driver) ------------------------------
 
-    def _selected_gene_ids(self, parameters: QueryParameters) -> np.ndarray:
-        threshold = parameters.function_threshold(self.dataset.spec)
-        return np.flatnonzero(self.gene_function < threshold)
+def _patient_ids(partitions: list[NodePartition]) -> np.ndarray:
+    """The patient labels of a list of (possibly filtered) node partitions."""
+    return np.concatenate([partition.patient_ids for partition in partitions])
 
 
 class _DistributedAnalyticsMixin(_MultiNodeEngine):
-    """Analytics via the ScaLAPACK layer (pbdR, column store + pbdR, SciDB)."""
+    """Hooks over per-node blocks, analytics via the ScaLAPACK layer.
 
-    def _run_regression(self, parameters: QueryParameters, timer: PhaseTimer) -> QueryOutput:
-        genes = self._selected_gene_ids(parameters)
+    Used by pbdR, column store + pbdR and SciDB.  A selection's ``matrix``
+    is the list of per-node expression blocks; phases are charged with the
+    cluster's simulated elapsed time, so driver-side glue costs nothing.
+    """
+
+    def _select_by_function(self, threshold, timer: PhaseTimer):
+        genes = np.flatnonzero(self.gene_function < threshold)
 
         def dm():
             blocks = self._project_genes_local(self.partitions, genes)
             return self._maybe_redistribute(blocks)
 
         blocks = self._timed_cluster_phase(timer.add_data_management, dm)
-        responses = [partition.drug_response.reshape(-1, 1) for partition in self.partitions]
+        return blocks, _patient_ids(self.partitions), genes
 
-        def analytics():
-            scalapack = ScaLAPACK(self.cluster)
-            features = self._distributed(blocks, len(genes))
-            target = self._distributed(responses, 1)
-            return [scalapack.linear_regression(features, target)]
-
-        fit = self._timed_cluster_phase(timer.add_analytics, analytics)[0]
-        return regression_output(
-            len(genes), sum(len(p.patient_ids) for p in self.partitions), fit.r_squared,
-            payload=fit,
+    def _select_patients(self, predicate, timer: PhaseTimer):
+        filtered = self._timed_cluster_phase(
+            timer.add_data_management, lambda: self._filter_patients_plan(predicate)
         )
-
-    def _run_covariance(self, parameters: QueryParameters, timer: PhaseTimer) -> QueryOutput:
-        predicate = covariance_patient_predicate(parameters)
-
-        def dm():
-            filtered = self._filter_patients_plan(predicate)
-            blocks = [partition.expression for partition in filtered]
-            return filtered, self._maybe_redistribute(blocks)
-
-        filtered, blocks = self._timed_cluster_phase(timer.add_data_management, dm)
-
-        def analytics():
-            scalapack = ScaLAPACK(self.cluster)
-            matrix = self._distributed(blocks, self.dataset.n_genes)
-            cov = scalapack.covariance(matrix)
-            return [top_covariant_pairs(cov, fraction=parameters.covariance_top_fraction) + (cov,)]
-
-        gene_a, gene_b, values, cov = self._timed_cluster_phase(timer.add_analytics, analytics)[0]
-        n_selected = int(sum(len(p.patient_ids) for p in filtered))
-        return covariance_output(
-            n_selected, len(gene_a), values,
-            payload={"covariance": cov},
-        )
-
-    def _run_biclustering(self, parameters: QueryParameters, timer: PhaseTimer) -> QueryOutput:
-        predicate = bicluster_patient_predicate(parameters)
-
-        def dm():
-            return self._filter_patients_plan(predicate)
-
-        filtered = self._timed_cluster_phase(timer.add_data_management, dm)
         blocks = [partition.expression for partition in filtered]
-        dense = self._gather_dense(blocks, timer.add_analytics)
-        with timer.analytics():
-            result = cheng_church(
-                dense, n_biclusters=parameters.n_biclusters, seed=parameters.seed
-            )
-        return biclustering_output(dense.shape[0], result, payload=result)
+        return blocks, _patient_ids(filtered), np.arange(self.dataset.n_genes)
 
-    def _run_svd(self, parameters: QueryParameters, timer: PhaseTimer) -> QueryOutput:
-        genes = self._selected_gene_ids(parameters)
+    def _drug_response_for(self, patient_labels, timer: PhaseTimer):
+        return [partition.drug_response.reshape(-1, 1) for partition in self.partitions]
 
-        def dm():
-            blocks = self._project_genes_local(self.partitions, genes)
-            return self._maybe_redistribute(blocks)
-
-        blocks = self._timed_cluster_phase(timer.add_data_management, dm)
-        k = max(1, min(parameters.svd_k(self.dataset.spec), len(genes))) if len(genes) else 1
-
-        def analytics():
-            scalapack = ScaLAPACK(self.cluster)
-            matrix = self._distributed(blocks, len(genes))
-            return [scalapack.lanczos_svd(matrix, k=k, seed=parameters.seed)]
-
-        result = self._timed_cluster_phase(timer.add_analytics, analytics)[0]
-        return svd_output(len(genes), result.singular_values, payload=result)
-
-    def _run_statistics(self, parameters: QueryParameters, timer: PhaseTimer) -> QueryOutput:
+    def _scores_and_membership(self, sampled, timer: PhaseTimer):
         # Built once on the driver: the isin predicate caches its sorted key
         # array, so no node re-sorts the sample.
-        predicate = statistics_patient_predicate(
-            statistics_patient_ids(self.dataset, parameters)
-        )
+        predicate = statistics_patient_predicate(sampled)
 
         def dm():
             # Per-node partial sums of the sampled rows (the distributed
@@ -316,15 +247,50 @@ class _DistributedAnalyticsMixin(_MultiNodeEngine):
 
         partials = self._timed_cluster_phase(timer.add_data_management, dm)
         totals, count = reduce_partial_sums(partials)
-        gene_scores = totals / max(count, 1)
+        return count, totals / max(count, 1), self.go_membership
+
+    def _analytics_regression(self, blocks, responses, timer: PhaseTimer):
+        def analytics():
+            features = self._distributed(blocks, blocks[0].shape[1])
+            target = self._distributed(responses, 1)
+            return ScaLAPACK(self.cluster).linear_regression(features, target)
+
+        fit = self._timed_cluster_phase(timer.add_analytics, analytics)
+        return fit.r_squared, fit
+
+    def _analytics_covariance(self, blocks, parameters, timer: PhaseTimer):
+        blocks = self._timed_cluster_phase(
+            timer.add_data_management, lambda: self._maybe_redistribute(blocks)
+        )
+
+        def analytics():
+            matrix = self._distributed(blocks, self.dataset.n_genes)
+            return covariance_pairs(ScaLAPACK(self.cluster).covariance(matrix), parameters)
+
+        return self._timed_cluster_phase(timer.add_analytics, analytics)
+
+    def _analytics_biclustering(self, blocks, parameters, timer: PhaseTimer):
+        dense = self._gather_dense(blocks, timer.add_analytics)
+        with timer.analytics():
+            result = cheng_church(
+                dense, n_biclusters=parameters.n_biclusters, seed=parameters.seed
+            )
+        return result, result
+
+    def _analytics_svd(self, blocks, k, parameters, timer: PhaseTimer):
+        def analytics():
+            matrix = self._distributed(blocks, blocks[0].shape[1])
+            return ScaLAPACK(self.cluster).lanczos_svd(matrix, k=k, seed=parameters.seed)
+
+        result = self._timed_cluster_phase(timer.add_analytics, analytics)
+        return result.singular_values, result
+
+    def _analytics_statistics(self, gene_scores, membership, parameters, timer: PhaseTimer):
         with timer.analytics():
             result = enrichment_analysis(
-                gene_scores, self.go_membership, alpha=parameters.statistics_alpha
+                gene_scores, membership, alpha=parameters.statistics_alpha
             )
-        return statistics_output(
-            count, len(result.go_ids), result.significant,
-            payload=result,
-        )
+        return len(result.go_ids), result.significant, result
 
 
 @dataclass
@@ -367,35 +333,21 @@ class ColumnStoreUdfClusterEngine(_MultiNodeEngine):
         super()._load(dataset)
         self._single_node.load(dataset)
 
-    def _run_gathered(self, query: str, parameters: QueryParameters, timer: PhaseTimer) -> QueryOutput:
-        """Charge a gather of the (filtered) working set, then run single node."""
+    def run(self, query: str, parameters: QueryParameters, timer: PhaseTimer) -> QueryOutput:
+        """Charge a gather of the working set, then run the query single node."""
+        if self.dataset is None:
+            raise RuntimeError(f"engine {self.name!r} has no dataset loaded")
         blocks = [partition.expression for partition in self.partitions]
         if self.n_nodes > 1:
-            def work():
-                self.cluster.gather(blocks, destination=0, label="gather-for-udf")
-                return []
-
-            self._timed_cluster_phase(timer.add_data_management, work)
+            self._timed_cluster_phase(
+                timer.add_data_management,
+                lambda: self.cluster.gather(blocks, destination=0, label="gather-for-udf"),
+            )
         return self._single_node.run(query, parameters, timer)
-
-    def _run_regression(self, parameters, timer):
-        return self._run_gathered("regression", parameters, timer)
-
-    def _run_covariance(self, parameters, timer):
-        return self._run_gathered("covariance", parameters, timer)
-
-    def _run_biclustering(self, parameters, timer):
-        return self._run_gathered("biclustering", parameters, timer)
-
-    def _run_svd(self, parameters, timer):
-        return self._run_gathered("svd", parameters, timer)
-
-    def _run_statistics(self, parameters, timer):
-        return self._run_gathered("statistics", parameters, timer)
 
 
 @dataclass
-class HadoopClusterEngine(_MultiNodeEngine):
+class HadoopClusterEngine(MahoutAnalytics, _MultiNodeEngine):
     """Hadoop multi-node: per-node Hive jobs, driver-side Mahout analytics."""
 
     name: str = "hadoop-cluster"
@@ -431,16 +383,16 @@ class HadoopClusterEngine(_MultiNodeEngine):
         )
         self.mahout = Mahout(MapReduceEngine(n_splits=self.n_nodes))
 
-    # -- per-node Hive data management ------------------------------------------------------------
+    # -- data-management hooks ---------------------------------------------------------------------
 
-    def _hive_join_per_node(self, patient_predicate=None, gene_threshold=None) -> list[HiveTable]:
+    def _pivot(self, child_plan, timer: PhaseTimer):
         """Run the shared filter ⋈ microarray plan on every node's Hive session.
 
-        The same plan builders every single-node engine consumes
-        (:mod:`repro.core.queries`) are lowered per node by the MapReduce
-        bridge; the pushed-down predicate runs in the join job's map phase
-        against that node's partition, and the output is the shared
-        ``(patient_id, gene_id, expression_value)`` triple.
+        The same plan every single-node engine consumes is lowered per node
+        by the MapReduce bridge; the pushed-down predicate runs in the join
+        job's map phase against that node's partition.  Every node's join
+        output is then shipped to the driver and pivoted there; the pivot
+        itself is charged to no phase.
         """
         def local(node_data, _node: int) -> HiveTable:
             session, micro_table, patients_table = node_data
@@ -449,113 +401,35 @@ class HadoopClusterEngine(_MultiNodeEngine):
                 "genes": self.genes_table,
                 "patients": patients_table,
             }
-            if gene_threshold is not None:
-                plan = gene_expression_plan(gene_threshold)
-            else:
-                plan = patient_expression_plan(patient_predicate)
-            return run_shared_plan(plan, tables, session)
+            return run_shared_plan(child_plan, tables, session)
 
-        result = self.cluster.map_partitions(self.node_hive, local)
-        return list(result.outputs)
-
-    def _gather_joined(self, tables: list[HiveTable], timer: PhaseTimer,
-                       row_key: str, column_key: str) -> np.ndarray:
-        """Ship every node's join output to the driver and pivot it there."""
-        def work():
-            gathered = self.cluster.gather(
+        tables = self._timed_cluster_phase(
+            timer.add_data_management,
+            lambda: self.cluster.map_partitions(self.node_hive, local).outputs,
+        )
+        outputs = self._timed_cluster_phase(
+            timer.add_data_management,
+            lambda: self.cluster.gather(
                 [table.rows for table in tables], destination=0, label="hive-gather"
-            )
-            return gathered.outputs
-
-        outputs = self._timed_cluster_phase(timer.add_data_management, work)
+            ).outputs,
+        )
         all_rows = [row for rows in outputs for row in rows]
         if not all_rows:
             return np.empty((0, 0)), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
         table = HiveTable("gathered", tables[0].columns, all_rows)
-        return driver_pivot(table, row_key, column_key, "expression_value")
+        return driver_pivot(table, "patient_id", "gene_id", "expression_value")
 
-    # -- queries --------------------------------------------------------------------------------------
-
-    def _run_regression(self, parameters: QueryParameters, timer: PhaseTimer) -> QueryOutput:
-        threshold = parameters.function_threshold(self.dataset.spec)
-        tables = self._timed_cluster_phase(
-            timer.add_data_management,
-            lambda: self._hive_join_per_node(gene_threshold=threshold),
-        )
-        matrix, patient_labels, gene_labels = self._gather_joined(
-            tables, timer, "patient_id", "gene_id"
-        )
+    def _drug_response_for(self, patient_labels, timer: PhaseTimer) -> np.ndarray:
+        # Driver-side lookup over the partitions' metadata, charged to no phase.
         response_lookup = {
             int(pid): float(dr)
             for partition in self.partitions
             for pid, dr in zip(partition.patient_ids, partition.drug_response, strict=True)
         }
-        response = np.asarray([response_lookup[int(p)] for p in patient_labels])
-        with timer.analytics():
-            beta = self.mahout.linear_regression(matrix, response)
-            predictions = matrix @ beta[1:] + beta[0]
-            total_ss = float(np.sum((response - response.mean()) ** 2))
-            r_squared = 1.0 - float(np.sum((response - predictions) ** 2)) / total_ss if total_ss else 1.0
-        return regression_output(
-            len(gene_labels), matrix.shape[0], r_squared,
-            payload=beta,
-        )
+        return np.asarray([response_lookup[int(p)] for p in patient_labels])
 
-    def _run_covariance(self, parameters: QueryParameters, timer: PhaseTimer) -> QueryOutput:
-        tables = self._timed_cluster_phase(
-            timer.add_data_management,
-            lambda: self._hive_join_per_node(
-                patient_predicate=covariance_patient_predicate(parameters)
-            ),
-        )
-        matrix, _patients, _genes = self._gather_joined(
-            tables, timer, "patient_id", "gene_id"
-        )
-        with timer.analytics():
-            cov = self.mahout.covariance(matrix)
-            gene_a, _gene_b, values = top_covariant_pairs(
-                cov, fraction=parameters.covariance_top_fraction
-            )
-        return covariance_output(
-            matrix.shape[0], len(gene_a), values,
-            payload={"covariance": cov},
-        )
-
-    def _run_svd(self, parameters: QueryParameters, timer: PhaseTimer) -> QueryOutput:
-        threshold = parameters.function_threshold(self.dataset.spec)
-        tables = self._timed_cluster_phase(
-            timer.add_data_management,
-            lambda: self._hive_join_per_node(gene_threshold=threshold),
-        )
-        matrix, _patients, gene_labels = self._gather_joined(
-            tables, timer, "patient_id", "gene_id"
-        )
-        k = max(1, min(parameters.svd_k(self.dataset.spec), matrix.shape[1])) if matrix.size else 1
-        with timer.analytics():
-            singular_values = self.mahout.truncated_svd(matrix, k=k, seed=parameters.seed)
-        return svd_output(len(gene_labels), singular_values, payload=singular_values)
-
-    def _run_statistics(self, parameters: QueryParameters, timer: PhaseTimer) -> QueryOutput:
-        tables = self._timed_cluster_phase(
-            timer.add_data_management,
-            lambda: self._hive_join_per_node(
-                patient_predicate=statistics_patient_predicate(
-                    statistics_patient_ids(self.dataset, parameters)
-                )
-            ),
-        )
-        matrix, _patients, gene_labels = self._gather_joined(
-            tables, timer, "patient_id", "gene_id"
-        )
-        with timer.data_management():
-            gene_scores = self._gene_scores(matrix) if matrix.size else np.zeros(0)
-            membership = np.zeros((len(gene_labels), self.n_go_terms), dtype=np.int8)
-            for position, gene_id in enumerate(gene_labels):
-                membership[position] = self.go_membership[int(gene_id)]
-        with timer.analytics():
-            p_values = self.mahout.wilcoxon_enrichment(gene_scores, membership)
-        significant = p_values < parameters.statistics_alpha
-        return statistics_output(
-            matrix.shape[0], len(p_values), significant,
-            payload=p_values,
-        )
+    def _membership_matrix(self, gene_labels) -> np.ndarray:
+        membership = np.zeros((len(gene_labels), self.n_go_terms), dtype=np.int8)
+        for position, gene_id in enumerate(gene_labels):
+            membership[position] = self.go_membership[int(gene_id)]
+        return membership

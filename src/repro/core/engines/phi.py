@@ -28,27 +28,17 @@ import numpy as np
 
 from repro.accelerator import Coprocessor, OffloadRuntime
 from repro.accelerator.offload import DEFAULT_OFFLOAD_FRACTIONS
+from repro.arraydb import linalg as array_linalg
+from repro.core.engines.base import covariance_pairs
 from repro.core.engines.multinode import SciDBClusterEngine
 from repro.core.engines.scidb import SciDBEngine
-from repro.core.queries import (
-    QueryOutput,
-    biclustering_output,
-    covariance_output,
-    gene_expression_plan,
-    patient_expression_plan,
-    sampled_expression_mean_plan,
-    statistics_output,
-    statistics_patient_ids,
-    svd_output,
-)
+from repro.core.queries import QueryOutput
 from repro.core.spec import QueryParameters
 from repro.core.timing import PhaseTimer
-from repro.arraydb import linalg as array_linalg
 from repro.linalg.biclustering import cheng_church
-from repro.linalg.covariance import covariance_matrix, top_covariant_pairs
+from repro.linalg.covariance import covariance_matrix
 from repro.linalg.lanczos import lanczos_svd
 from repro.linalg.wilcoxon import enrichment_analysis
-from repro.plan import col
 
 
 @dataclass
@@ -67,87 +57,50 @@ class SciDBPhiEngine(SciDBEngine):
             uses_coprocessor=True,
         )
 
-    # -- Q2: covariance -----------------------------------------------------------------
+    # -- analytics hooks: host-side preparation is data management, the kernel is offloaded --
+    #
+    # Regression is inherited: its offload is unsupported, host time stands.
 
-    def _run_covariance(self, parameters: QueryParameters, timer: PhaseTimer) -> QueryOutput:
-        diseases = np.asarray(sorted(parameters.covariance_diseases), dtype=np.float64)
-        with timer.data_management():
-            result = self._run_expression_plan(
-                patient_expression_plan(col("disease_id").isin(diseases))
-            )
-            patients = result.label("patient_id")
-            dense = array_linalg.to_scalapack(result.array)
-        offloaded = self.runtime.run("covariance", covariance_matrix, dense)
+    def _offload(self, timer: PhaseTimer, kernel: str, function, *args, **kwargs):
+        """Run one kernel through the runtime, charging the modelled device seconds."""
+        offloaded = self.runtime.run(kernel, function, *args, **kwargs)
         timer.add_analytics(offloaded.device_total_seconds)
-        cov = offloaded.value
-        gene_a, gene_b, values = top_covariant_pairs(
-            cov, fraction=parameters.covariance_top_fraction
-        )
-        return covariance_output(
-            len(patients), len(gene_a), values,
-            payload={"covariance": cov, "offload": offloaded},
-        )
+        return offloaded
 
-    # -- Q3: biclustering ------------------------------------------------------------------
-
-    def _run_biclustering(self, parameters: QueryParameters, timer: PhaseTimer) -> QueryOutput:
+    def _analytics_covariance(self, matrix, parameters, timer: PhaseTimer):
         with timer.data_management():
-            result = self._run_expression_plan(
-                patient_expression_plan(
-                    (col("gender") == parameters.bicluster_gender)
-                    & (col("age") < parameters.bicluster_max_age)
-                )
-            )
-            patients = result.label("patient_id")
-            dense = array_linalg.to_scalapack(result.array)
-        offloaded = self.runtime.run(
-            "biclustering", cheng_church, dense,
+            dense = array_linalg.to_scalapack(matrix)
+        offloaded = self._offload(timer, "covariance", covariance_matrix, dense)
+        # The host-side top-pairs pass is charged to no phase.
+        gene_a, gene_b, values, payload = covariance_pairs(offloaded.value, parameters)
+        payload["offload"] = offloaded
+        return gene_a, gene_b, values, payload
+
+    def _analytics_biclustering(self, matrix, parameters, timer: PhaseTimer):
+        with timer.data_management():
+            dense = array_linalg.to_scalapack(matrix)
+        offloaded = self._offload(
+            timer, "biclustering", cheng_church, dense,
             n_biclusters=parameters.n_biclusters, seed=parameters.seed,
         )
-        timer.add_analytics(offloaded.device_total_seconds)
-        result = offloaded.value
-        return biclustering_output(
-            len(patients), result,
-            payload={"result": result, "offload": offloaded},
-        )
+        return offloaded.value, {"result": offloaded.value, "offload": offloaded}
 
-    # -- Q4: SVD ---------------------------------------------------------------------------
-
-    def _run_svd(self, parameters: QueryParameters, timer: PhaseTimer) -> QueryOutput:
-        threshold = parameters.function_threshold(self.dataset.spec)
+    def _analytics_svd(self, matrix, k, parameters, timer: PhaseTimer):
         with timer.data_management():
-            result = self._run_expression_plan(gene_expression_plan(threshold))
-            genes = result.label("gene_id")
-            dense = array_linalg.to_scalapack(result.array)
-        k = max(1, min(parameters.svd_k(self.dataset.spec), len(genes))) if len(genes) else 1
-        offloaded = self.runtime.run("svd", lanczos_svd, dense, k=k, seed=parameters.seed)
-        timer.add_analytics(offloaded.device_total_seconds)
+            dense = array_linalg.to_scalapack(matrix)
+        offloaded = self._offload(timer, "svd", lanczos_svd, dense, k=k, seed=parameters.seed)
         result = offloaded.value
-        return svd_output(
-            len(genes), result.singular_values,
-            payload={"result": result, "offload": offloaded},
-        )
+        return result.singular_values, {"result": result, "offload": offloaded}
 
-    # -- Q5: statistics -----------------------------------------------------------------------
-
-    def _run_statistics(self, parameters: QueryParameters, timer: PhaseTimer) -> QueryOutput:
-        sampled = statistics_patient_ids(self.dataset, parameters)
+    def _analytics_statistics(self, gene_scores, membership, parameters, timer: PhaseTimer):
         with timer.data_management():
-            _gene_labels, scores = self._run_expression_plan(
-                sampled_expression_mean_plan(sampled)
-            )
-            gene_scores = np.nan_to_num(scores)
-            membership = self.go_membership.to_dense()
-        offloaded = self.runtime.run(
-            "statistics", enrichment_analysis, gene_scores, membership,
+            gene_scores = np.nan_to_num(gene_scores)
+        offloaded = self._offload(
+            timer, "statistics", enrichment_analysis, gene_scores, membership,
             alpha=parameters.statistics_alpha,
         )
-        timer.add_analytics(offloaded.device_total_seconds)
         result = offloaded.value
-        return statistics_output(
-            len(sampled), len(result.go_ids), result.significant,
-            payload={"result": result, "offload": offloaded},
-        )
+        return len(result.go_ids), result.significant, {"result": result, "offload": offloaded}
 
 
 @dataclass

@@ -24,31 +24,54 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.engines.base import Engine, EngineCapabilities
-from repro.core.queries import (
-    QueryOutput,
-    biclustering_output,
-    covariance_output,
-    expression_pivot_plan,
-    gene_expression_plan,
-    patient_expression_plan,
-    regression_output,
-    statistics_output,
-    statistics_patient_ids,
-    svd_output,
+from repro.core.engines.base import (
+    Engine,
+    EngineCapabilities,
+    covariance_pairs,
+    membership_from_rows,
 )
-from repro.core.spec import QueryParameters
+from repro.core.queries import dataset_tables, expression_pivot_plan
 from repro.core.timing import PhaseTimer
 from repro.datagen.dataset import GenBaseDataset
-from repro.linalg.covariance import top_covariant_pairs
-from repro.plan import col
 from repro.rlang.bridge import run_shared_plan
 from repro.rlang.dataframe import DataFrame, REnvironment
 from repro.rlang import stats as r
 
 
+class RAnalytics:
+    """The five analytics hooks as calls into R's BLAS-backed statistics.
+
+    Shared by every configuration whose analytics run in the R environment
+    (vanilla R, Postgres + R, column store + R).
+    """
+
+    def _analytics_regression(self, matrix, response, timer: PhaseTimer):
+        with timer.analytics():
+            fit = r.lm(matrix, response)
+        return fit.r_squared, fit
+
+    def _analytics_covariance(self, matrix, parameters, timer: PhaseTimer):
+        with timer.analytics():
+            return covariance_pairs(r.cov(matrix), parameters)
+
+    def _analytics_biclustering(self, matrix, parameters, timer: PhaseTimer):
+        with timer.analytics():
+            result = r.biclust(matrix, n_biclusters=parameters.n_biclusters, seed=parameters.seed)
+        return result, result
+
+    def _analytics_svd(self, matrix, k, parameters, timer: PhaseTimer):
+        with timer.analytics():
+            result = r.svd(matrix, k=k, seed=parameters.seed)
+        return result.singular_values, result
+
+    def _analytics_statistics(self, gene_scores, membership, parameters, timer: PhaseTimer):
+        with timer.analytics():
+            result = r.enrichment(gene_scores, membership, alpha=parameters.statistics_alpha)
+        return len(result.go_ids), result.significant, result
+
+
 @dataclass
-class VanillaREngine(Engine):
+class VanillaREngine(RAnalytics, Engine):
     """Plain R: in-memory data frames + BLAS-backed statistics."""
 
     name: str = "vanilla-r"
@@ -62,36 +85,11 @@ class VanillaREngine(Engine):
         self.environment = REnvironment(
             max_cells=self.max_cells, max_total_bytes=self.max_total_bytes
         )
-        micro = dataset.microarray_relational()
-        self.micro_df = DataFrame(
-            {
-                "gene_id": micro[:, 0].astype(np.int64),
-                "patient_id": micro[:, 1].astype(np.int64),
-                "expression_value": micro[:, 2],
-            },
-            environment=self.environment,
-        )
-        self.genes_df = DataFrame(
-            {
-                "gene_id": dataset.genes.gene_id,
-                "target": dataset.genes.target,
-                "position": dataset.genes.position,
-                "length": dataset.genes.length,
-                "function": dataset.genes.function,
-            },
-            environment=self.environment,
-        )
-        self.patients_df = DataFrame(
-            {
-                "patient_id": dataset.patients.patient_id,
-                "age": dataset.patients.age,
-                "gender": dataset.patients.gender,
-                "zipcode": dataset.patients.zipcode,
-                "disease_id": dataset.patients.disease_id,
-                "drug_response": dataset.patients.drug_response,
-            },
-            environment=self.environment,
-        )
+        #: The logical tables the shared plans scan.
+        self.frames = {
+            name: DataFrame(columns, environment=self.environment)
+            for name, columns in dataset_tables(dataset).items()
+        }
         go = dataset.ontology_relational(include_zeros=False)
         self.go_df = DataFrame(
             {
@@ -101,53 +99,31 @@ class VanillaREngine(Engine):
             environment=self.environment,
         )
         self.n_go_terms = dataset.ontology.n_go_terms
-        #: The logical tables the shared plans scan.
-        self.frames = {
-            "microarray": self.micro_df,
-            "genes": self.genes_df,
-            "patients": self.patients_df,
-        }
 
-    # -- shared data-management plans ------------------------------------------------
+    # -- data-management hooks -------------------------------------------------------
 
-    def _expression_pivot(self, child_plan):
+    def _pivot(self, child_plan, timer: PhaseTimer):
         """Run one shared ``… → Join → Pivot`` plan on the R frames.
 
         The optimizer pushes the predicate below the merge (subset before
         merge) and prunes the joined columns; every intermediate frame and
         the pivot allocation are checked against the environment limits.
         """
-        return run_shared_plan(expression_pivot_plan(child_plan), self.frames)
-
-    # -- Q1 -----------------------------------------------------------------------------
-
-    def _run_regression(self, parameters: QueryParameters, timer: PhaseTimer) -> QueryOutput:
-        threshold = parameters.function_threshold(self.dataset.spec)
         with timer.data_management():
-            matrix, patient_labels, gene_labels = self._expression_pivot(
-                gene_expression_plan(threshold)
-            )
-            response = self.patients_df["drug_response"][patient_labels.astype(np.int64)]
-        with timer.analytics():
-            fit = r.lm(matrix, response)
-        return regression_output(
-            len(gene_labels), matrix.shape[0], fit.r_squared,
-            payload=fit,
-        )
+            return run_shared_plan(expression_pivot_plan(child_plan), self.frames)
 
-    # -- Q2 -----------------------------------------------------------------------------
-
-    def _run_covariance(self, parameters: QueryParameters, timer: PhaseTimer) -> QueryOutput:
-        diseases = np.asarray(sorted(parameters.covariance_diseases))
+    def _drug_response_for(self, patient_labels, timer: PhaseTimer):
         with timer.data_management():
-            matrix, patient_labels, gene_labels = self._expression_pivot(
-                patient_expression_plan(col("disease_id").isin(diseases))
-            )
-        with timer.analytics():
-            cov = r.cov(matrix)
-            gene_a, gene_b, values = top_covariant_pairs(
-                cov, fraction=parameters.covariance_top_fraction
-            )
+            return self.frames["patients"]["drug_response"][patient_labels.astype(np.int64)]
+
+    def _membership_matrix(self, gene_labels) -> np.ndarray:
+        # Join the scored genes with the GO table and build the per-term
+        # membership matrix (the "separate the genes based on whether
+        # they belong to the GO term" step).
+        rows = zip(self.go_df["gene_id"].tolist(), self.go_df["go_id"].tolist(), strict=True)
+        return membership_from_rows(gene_labels, rows, self.n_go_terms)
+
+    def _annotate_pairs(self, gene_labels, gene_a, gene_b, values, timer: PhaseTimer) -> dict:
         with timer.data_management():
             gene_ids_a = gene_labels[gene_a].astype(np.int64) if len(gene_a) else np.empty(0, np.int64)
             gene_ids_b = gene_labels[gene_b].astype(np.int64) if len(gene_b) else np.empty(0, np.int64)
@@ -155,63 +131,7 @@ class VanillaREngine(Engine):
                 {"gene_id": gene_ids_a, "partner": gene_ids_b, "covariance": values},
                 environment=self.environment,
             )
-            enriched_pairs = pair_df.merge(self.genes_df.select(["gene_id", "function"]), by="gene_id")
-        return covariance_output(
-            matrix.shape[0], len(gene_a), values,
-            payload={"covariance": cov, "pairs": (gene_ids_a, gene_ids_b, values),
-                     "joined_rows": len(enriched_pairs)},
-        )
-
-    # -- Q3 -----------------------------------------------------------------------------
-
-    def _run_biclustering(self, parameters: QueryParameters, timer: PhaseTimer) -> QueryOutput:
-        with timer.data_management():
-            matrix, patient_labels, _gene_labels = self._expression_pivot(
-                patient_expression_plan(
-                    (col("gender") == parameters.bicluster_gender)
-                    & (col("age") < parameters.bicluster_max_age)
-                )
+            enriched_pairs = pair_df.merge(
+                self.frames["genes"].select(["gene_id", "function"]), by="gene_id"
             )
-        with timer.analytics():
-            result = r.biclust(matrix, n_biclusters=parameters.n_biclusters, seed=parameters.seed)
-        return biclustering_output(matrix.shape[0], result, payload=result)
-
-    # -- Q4 -----------------------------------------------------------------------------
-
-    def _run_svd(self, parameters: QueryParameters, timer: PhaseTimer) -> QueryOutput:
-        threshold = parameters.function_threshold(self.dataset.spec)
-        with timer.data_management():
-            matrix, _patient_labels, gene_labels = self._expression_pivot(
-                gene_expression_plan(threshold)
-            )
-        k = min(parameters.svd_k(self.dataset.spec), matrix.shape[1]) if matrix.shape[1] else 1
-        with timer.analytics():
-            result = r.svd(matrix, k=max(1, k), seed=parameters.seed)
-        return svd_output(len(gene_labels), result.singular_values, payload=result)
-
-    # -- Q5 -----------------------------------------------------------------------------
-
-    def _run_statistics(self, parameters: QueryParameters, timer: PhaseTimer) -> QueryOutput:
-        sampled = statistics_patient_ids(self.dataset, parameters)
-        with timer.data_management():
-            matrix, _patients, gene_labels = self._expression_pivot(
-                patient_expression_plan(col("patient_id").isin(sampled))
-            )
-            gene_scores = self._gene_scores(matrix)
-            # Join the scored genes with the GO table and build the per-term
-            # membership matrix (the "separate the genes based on whether
-            # they belong to the GO term" step).
-            membership = np.zeros((len(gene_labels), self.n_go_terms), dtype=np.int8)
-            go_gene = self.go_df["gene_id"]
-            go_term = self.go_df["go_id"]
-            label_positions = {int(label): position for position, label in enumerate(gene_labels)}
-            for gene_id, go_id in zip(go_gene.tolist(), go_term.tolist(), strict=True):
-                position = label_positions.get(int(gene_id))
-                if position is not None:
-                    membership[position, int(go_id)] = 1
-        with timer.analytics():
-            result = r.enrichment(gene_scores, membership, alpha=parameters.statistics_alpha)
-        return statistics_output(
-            matrix.shape[0], len(result.go_ids), result.significant,
-            payload=result,
-        )
+        return {"pairs": (gene_ids_a, gene_ids_b, values), "joined_rows": len(enriched_pairs)}

@@ -28,27 +28,13 @@ import numpy as np
 from repro.arraydb import ChunkedArray, linalg as array_linalg
 from repro.arraydb.bridge import ArrayFrame, MatrixFrame, run_shared_plan
 from repro.arraydb.operators import FilterStats
-from repro.core.engines.base import Engine, EngineCapabilities
-from repro.core.queries import (
-    QueryOutput,
-    biclustering_output,
-    covariance_output,
-    gene_expression_plan,
-    patient_expression_plan,
-    regression_output,
-    sampled_expression_mean_plan,
-    statistics_output,
-    statistics_patient_ids,
-    svd_output,
-)
-from repro.core.spec import QueryParameters
+from repro.core.engines.base import Engine, EngineCapabilities, covariance_pairs
+from repro.core.queries import sampled_expression_mean_plan
 from repro.core.timing import PhaseTimer
 from repro.datagen.dataset import GenBaseDataset
 from repro.linalg.biclustering import cheng_church
-from repro.linalg.covariance import top_covariant_pairs
 from repro.linalg.qr import linear_regression
 from repro.linalg.wilcoxon import enrichment_analysis
-from repro.plan import col
 
 
 @dataclass
@@ -128,7 +114,7 @@ class SciDBEngine(Engine):
         #: Cumulative chunk-skip accounting across every shared-plan filter.
         self.filter_stats = FilterStats()
 
-    # -- shared-plan execution ------------------------------------------------------------
+    # -- data-management hooks --------------------------------------------------------------
 
     def _run_expression_plan(self, plan):
         """Execute one shared logical plan on the array frames.
@@ -139,84 +125,17 @@ class SciDBEngine(Engine):
         """
         return run_shared_plan(plan, self.frames, stats=self.filter_stats)
 
-    # -- Q1 ---------------------------------------------------------------------------------
-
-    def _run_regression(self, parameters: QueryParameters, timer: PhaseTimer) -> QueryOutput:
-        threshold = parameters.function_threshold(self.dataset.spec)
+    def _pivot(self, child_plan, timer: PhaseTimer):
+        """The selection *is* the matrix: a chunked subarray, no restructuring."""
         with timer.data_management():
-            result = self._run_expression_plan(gene_expression_plan(threshold))
-            genes = result.label("gene_id")
-            response = self.drug_response.to_dense()
-        with timer.analytics():
-            # Regression goes through the ScaLAPACK tier: explicit conversion
-            # from chunked to dense layout, then the LAPACK QR solver.
-            dense = array_linalg.to_scalapack(result.array)
-            fit = linear_regression(dense, response, method="lapack")
-        return regression_output(len(genes), dense.shape[0], fit.r_squared, payload=fit)
+            result = self._run_expression_plan(child_plan)
+            return result.array, result.label("patient_id"), result.label("gene_id")
 
-    # -- Q2 ---------------------------------------------------------------------------------
-
-    def _run_covariance(self, parameters: QueryParameters, timer: PhaseTimer) -> QueryOutput:
-        diseases = np.asarray(sorted(parameters.covariance_diseases), dtype=np.float64)
+    def _drug_response_for(self, patient_labels, timer: PhaseTimer) -> np.ndarray:
         with timer.data_management():
-            result = self._run_expression_plan(
-                patient_expression_plan(col("disease_id").isin(diseases))
-            )
-            patients = result.label("patient_id")
-        with timer.analytics():
-            cov = array_linalg.covariance(result.array)
-            gene_a, gene_b, values = top_covariant_pairs(
-                cov, fraction=parameters.covariance_top_fraction
-            )
-        with timer.data_management():
-            _pair_functions = (
-                self.gene_functions_dense[gene_a] if len(gene_a) else np.empty(0)
-            )
-        return covariance_output(
-            len(patients), len(gene_a), values,
-            payload={"covariance": cov},
-        )
+            return self.drug_response.to_dense()
 
-    # -- Q3 ---------------------------------------------------------------------------------
-
-    def _run_biclustering(self, parameters: QueryParameters, timer: PhaseTimer) -> QueryOutput:
-        with timer.data_management():
-            # One conjunction in one shared plan; the optimizer splits it
-            # and the chunk-wise pass evaluates both halves per chunk,
-            # skipping chunks either synopsis excludes.
-            result = self._run_expression_plan(
-                patient_expression_plan(
-                    (col("gender") == parameters.bicluster_gender)
-                    & (col("age") < parameters.bicluster_max_age)
-                )
-            )
-            patients = result.label("patient_id")
-        with timer.analytics():
-            dense = array_linalg.to_scalapack(result.array)
-            result_biclusters = cheng_church(
-                dense, n_biclusters=parameters.n_biclusters, seed=parameters.seed
-            )
-        return biclustering_output(
-            len(patients), result_biclusters,
-            payload=result_biclusters,
-        )
-
-    # -- Q4 ---------------------------------------------------------------------------------
-
-    def _run_svd(self, parameters: QueryParameters, timer: PhaseTimer) -> QueryOutput:
-        threshold = parameters.function_threshold(self.dataset.spec)
-        with timer.data_management():
-            result = self._run_expression_plan(gene_expression_plan(threshold))
-            genes = result.label("gene_id")
-        k = max(1, min(parameters.svd_k(self.dataset.spec), len(genes))) if len(genes) else 1
-        with timer.analytics():
-            svd_result = array_linalg.lanczos_svd_chunked(result.array, k=k, seed=parameters.seed)
-        return svd_output(len(genes), svd_result.singular_values, payload=svd_result)
-
-    # -- Q5 ---------------------------------------------------------------------------------
-
-    def _run_statistics(self, parameters: QueryParameters, timer: PhaseTimer) -> QueryOutput:
-        sampled = statistics_patient_ids(self.dataset, parameters)
+    def _scores_and_membership(self, sampled, timer: PhaseTimer):
         with timer.data_management():
             # The per-gene score is the shared Aggregate plan: the patient
             # membership predicate narrows the expression array to the
@@ -226,11 +145,45 @@ class SciDBEngine(Engine):
                 sampled_expression_mean_plan(sampled)
             )
             membership = self.go_membership.to_dense()
+        return len(sampled), gene_scores, membership
+
+    def _annotate_pairs(self, gene_labels, gene_a, gene_b, values, timer: PhaseTimer) -> dict:
+        with timer.data_management():
+            _pair_functions = (
+                self.gene_functions_dense[gene_a] if len(gene_a) else np.empty(0)
+            )
+        return {}
+
+    # -- analytics hooks: native over the chunks, or via the ScaLAPACK tier ------------------
+
+    def _analytics_regression(self, matrix, response, timer: PhaseTimer):
+        with timer.analytics():
+            # Regression goes through the ScaLAPACK tier: explicit conversion
+            # from chunked to dense layout, then the LAPACK QR solver.
+            dense = array_linalg.to_scalapack(matrix)
+            fit = linear_regression(dense, response, method="lapack")
+        return fit.r_squared, fit
+
+    def _analytics_covariance(self, matrix, parameters, timer: PhaseTimer):
+        with timer.analytics():
+            return covariance_pairs(array_linalg.covariance(matrix), parameters)
+
+    def _analytics_biclustering(self, matrix, parameters, timer: PhaseTimer):
+        with timer.analytics():
+            dense = array_linalg.to_scalapack(matrix)
+            result = cheng_church(
+                dense, n_biclusters=parameters.n_biclusters, seed=parameters.seed
+            )
+        return result, result
+
+    def _analytics_svd(self, matrix, k, parameters, timer: PhaseTimer):
+        with timer.analytics():
+            result = array_linalg.lanczos_svd_chunked(matrix, k=k, seed=parameters.seed)
+        return result.singular_values, result
+
+    def _analytics_statistics(self, gene_scores, membership, parameters, timer: PhaseTimer):
         with timer.analytics():
             result = enrichment_analysis(
                 np.nan_to_num(gene_scores), membership, alpha=parameters.statistics_alpha
             )
-        return statistics_output(
-            len(sampled), len(result.go_ids), result.significant,
-            payload=result,
-        )
+        return len(result.go_ids), result.significant, result

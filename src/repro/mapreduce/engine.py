@@ -73,10 +73,13 @@ class MapReduceJob:
 
 @dataclass
 class JobResult:
-    """The materialised output of one job plus its counters."""
+    """One finished job's history record: its name and counters.
+
+    The output is returned by :meth:`MapReduceEngine.run` and not retained,
+    so a long-lived engine's history stays a few integers per job.
+    """
 
     name: str
-    output: list[tuple[object, object]]
     counters: JobCounters
 
 
@@ -141,7 +144,7 @@ class MapReduceEngine:
                 output.append(pair)
                 counters.reduce_output_records += 1
 
-        self.history.append(JobResult(name=job.name, output=output, counters=counters))
+        self.history.append(JobResult(name=job.name, counters=counters))
         return output
 
     def run_chain(self, jobs: Sequence[MapReduceJob], records: Sequence) -> list[tuple[object, object]]:

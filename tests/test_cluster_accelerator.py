@@ -138,6 +138,11 @@ class TestNetworkModel:
         gathered, _ = network.gather(["a", "b"], sources=[1, 2], destination=0)
         assert gathered == ["a", "b"]
         assert len(network.transfers) == 5
+        # The running totals track the recorded transfers.
+        assert network.total_bytes == sum(record.n_bytes for record in network.transfers)
+        assert network.total_seconds == pytest.approx(
+            sum(record.seconds for record in network.transfers)
+        )
 
     def test_all_reduce_cost_scaling(self):
         network = NetworkModel()

@@ -38,7 +38,7 @@ from repro.cluster.bridge import (
     run_shared_plan as run_cluster_plan,
 )
 from repro.core import QUERY_NAMES, BenchmarkRunner
-from repro.core.engines import MULTI_NODE_ENGINES, make_engine
+from repro.core.engines import MULTI_NODE_ENGINES, SINGLE_NODE_ENGINES, make_engine
 from repro.core.queries import (
     expression_pivot_plan,
     gene_expression_plan,
@@ -57,6 +57,12 @@ from repro.rlang.dataframe import DataFrame
 #: moved onto the cluster bridge) — the byte-identity reference.
 MULTINODE_SNAPSHOT = json.loads(
     (pathlib.Path(__file__).parent / "data" / "multinode_summaries.json").read_text()
+)
+
+#: Single-node summaries (the seven Figure 1 engines + scidb-phi) taken on
+#: main before the five query recipes moved into ``Engine``.
+ENGINE_SNAPSHOT = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "engine_summaries.json").read_text()
 )
 
 #: One engine per family; columnstore-udf is the comparison base.
@@ -160,6 +166,30 @@ class TestMultiNodeByteIdentity:
                     continue
                 assert result.status is RunStatus.OK, f"{key}: {result.error}"
                 assert result.output.summary == expected, key
+
+
+class TestSingleNodeByteIdentity:
+    """Moving the recipes into ``Engine`` changed no answer: every single-node
+    summary is byte-identical to the snapshot taken on main before the move."""
+
+    @pytest.mark.parametrize("engine_name", (*SINGLE_NODE_ENGINES, "scidb-phi"))
+    @pytest.mark.parametrize("fixture_name", ["tiny_dataset", "small_dataset"])
+    def test_summaries_match_pre_recipe_snapshot(self, engine_name, fixture_name,
+                                                 request, runner):
+        dataset = request.getfixturevalue(fixture_name)
+        engine = make_engine(engine_name)
+        engine.load(dataset)
+        for query in QUERY_NAMES:
+            result = runner.run(query, engine, dataset)
+            key = f"{dataset.spec.name}/{engine_name}/{query}"
+            expected = ENGINE_SNAPSHOT[key]
+            if "__status__" in expected:
+                assert result.status.name == expected["__status__"], key
+                continue
+            assert result.status is RunStatus.OK, f"{key}: {result.error}"
+            assert json.dumps(result.output.summary, sort_keys=True) == json.dumps(
+                expected, sort_keys=True
+            ), key
 
 
 def _table(columns_per_partition):

@@ -36,6 +36,8 @@ class TestEngine:
         assert counters.shuffle_bytes > 0
         assert counters.splits == 2
         assert "map_input_records" in counters.as_dict()
+        # The history keeps name + counters only; run() returned the output.
+        assert not hasattr(engine.history[-1], "output")
 
     def test_combiner_reduces_shuffle_volume(self):
         records = ["a a a a a a a a"] * 20
