@@ -256,9 +256,8 @@ def run_shared_plan(
     With ``optimized=False`` the synopsis pruning is disabled (every
     partition is scanned) — the fragments then reproduce the seed's
     evaluate-everywhere behaviour, which the benchmarks use as baseline.
-    With the ``REPRO_VERIFY_PLANS`` debug flag set, the plan is statically
-    typechecked against the partitions' dtypes before dispatch
-    (:mod:`repro.plan.verify`).
+    The plan is statically typechecked against the partitions' dtypes
+    before dispatch (:mod:`repro.plan.verify`).
     """
     if table.partitions:
         maybe_verify_plan(plan, {

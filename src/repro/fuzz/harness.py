@@ -181,9 +181,9 @@ class FuzzHarness:
 
         Every generated plan is first statically typechecked against the
         column store's schemas, and the optimizer rewrite is checked for
-        schema preservation (:mod:`repro.plan.verify`) — unconditionally,
-        not behind ``REPRO_VERIFY_PLANS``: the fuzzer is exactly where a
-        grammar bug or unsound rewrite should be caught.
+        schema preservation (:mod:`repro.plan.verify`) before any engine
+        runs: the fuzzer is exactly where a grammar bug or unsound rewrite
+        should be caught.
 
         Cases with a mutation prelude take the delta-tier path: a
         per-case column store replays the writes, the reference runs over

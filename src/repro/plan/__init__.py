@@ -72,7 +72,6 @@ from repro.plan.verify import (
     RewriteSoundnessError,
     maybe_verify_plan,
     maybe_verify_rewrite,
-    verification_enabled,
     verified_schema,
     verify_plan,
     verify_rewrite,
@@ -129,7 +128,6 @@ __all__ = [
     "RewriteSoundnessError",
     "maybe_verify_plan",
     "maybe_verify_rewrite",
-    "verification_enabled",
     "verified_schema",
     "verify_plan",
     "verify_rewrite",

@@ -2,8 +2,9 @@
 
 Every engine family runs the same logical plans under the same contract:
 optimise with the engine's catalog and capability profile → check the
-rewrite (``REPRO_VERIFY_PLANS``) → lower the relational-algebra subtree →
-finish with the plan's terminal → report the observed cardinality.
+rewrite (:func:`~repro.plan.verify.verify_rewrite`, always) → lower the
+relational-algebra subtree → finish with the plan's terminal → report the
+observed cardinality.
 :func:`execute` owns that contract once; a bridge contributes a
 :class:`Backend` and keeps its public entry point (``run_plan`` /
 ``run_shared_plan``) as a one-line call into the driver — here the R

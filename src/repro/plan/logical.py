@@ -348,16 +348,14 @@ class Pivot(PlanNode):
                     f"input (in scope: {sorted(child)})",
                     rule="unknown-column",
                 )
-        for role, name in (("row key", self.row_key),
-                           ("column key", self.column_key),
-                           ("value", self.value)):
-            dtype = child[name]
-            if dtype is not None and dtype.kind not in _NUMERIC_KINDS:
-                raise StaticTypeError(
-                    f"pivot {role} column {name!r} has non-numeric dtype "
-                    f"{dtype} (dense pivots need numeric labels and cells)",
-                    rule="non-numeric-pivot",
-                )
+        dtype = child[self.value]
+        if dtype is not None and dtype.kind not in _NUMERIC_KINDS:
+            raise StaticTypeError(
+                f"pivot value column {self.value!r} has non-numeric dtype "
+                f"{dtype} (dense pivots need numeric cells; labels may be "
+                f"any type)",
+                rule="non-numeric-pivot",
+            )
         return {self.row_key: child[self.row_key],
                 self.column_key: child[self.column_key],
                 f"value({self.value})": child[self.value]}

@@ -29,9 +29,9 @@ engine bridge's catalog reports dtypes through ``dtype_of``).
 :func:`verify_rewrite` is the *rewrite-soundness* check: every
 ``optimize()`` application must preserve the verified schema — same column
 names, same order, same dtypes.  The differential fuzz harness runs it on
-every generated plan unconditionally; the five engine bridges run it on
-every query when the ``REPRO_VERIFY_PLANS`` debug flag is set
-(``docs/STATIC_ANALYSIS.md``).
+every generated plan, and so does every query: the shared driver behind
+the five engine bridges and the cluster bridge check each plan they run —
+there is no switch (``docs/STATIC_ANALYSIS.md`` has the measured cost).
 
 ``python -m repro.plan.verify`` runs the built-in self-check corpus (one
 malformed plan per rejection class, plus a soundness trip) — the CI
@@ -39,8 +39,6 @@ malformed plan per rejection class, plus a soundness trip) — the CI
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -68,17 +66,6 @@ class RewriteSoundnessError(PlanVerificationError):
     def __init__(self, message: str, rule: str = "rewrite-schema-drift",
                  path: str = "<plan root>"):
         super().__init__(message, rule=rule, path=path)
-
-
-#: Environment variable enabling per-query verification in the bridges.
-VERIFY_FLAG = "REPRO_VERIFY_PLANS"
-
-
-def verification_enabled() -> bool:
-    """True when the ``REPRO_VERIFY_PLANS`` debug flag is switched on."""
-    return os.environ.get(VERIFY_FLAG, "").strip().lower() in (
-        "1", "true", "yes", "on"
-    )
 
 
 def _scan_schema(source, table: str) -> Schema | None:
@@ -202,20 +189,18 @@ def verify_rewrite(original: PlanNode, optimized: PlanNode, schemas) -> Schema:
 
 
 def maybe_verify_rewrite(original: PlanNode, optimized: PlanNode, schemas) -> None:
-    """Bridge hook: run :func:`verify_rewrite` when the debug flag is on.
+    """Driver hook: :func:`verify_rewrite` on every ``optimize()`` application.
 
-    Every engine executor calls this right after ``optimize()``; it is a
-    no-op unless ``REPRO_VERIFY_PLANS`` is set, so production paths pay
-    one environment lookup.
+    The shared driver calls this right after ``optimize()``.  The check
+    always runs; the ``maybe_`` name is the stable patch point the
+    benchmark's span recorder wraps.
     """
-    if verification_enabled():
-        verify_rewrite(original, optimized, schemas)
+    verify_rewrite(original, optimized, schemas)
 
 
 def maybe_verify_plan(plan: PlanNode, schemas) -> None:
-    """Bridge hook: typecheck an incoming plan when the debug flag is on."""
-    if verification_enabled():
-        verified_schema(plan, schemas)
+    """Cluster-bridge hook: typecheck every incoming plan (always runs)."""
+    verified_schema(plan, schemas)
 
 
 # --------------------------------------------------------------------------- #
@@ -247,6 +232,7 @@ def _self_check_cases():
         ("unknown-aggregate-function",
          Aggregate(facts, "gene_id", "expression_value", "median")),
         ("non-numeric-aggregate", Aggregate(meta, "patient_id", "name", "sum")),
+        # Only the cell value must be numeric; labels may be strings.
         ("non-numeric-pivot", Pivot(meta, "patient_id", "age", "name")),
         ("unknown-column", Filter(meta, opaque("weight", lambda v: v > 0))),
         # Approximate tier: a confidence level must be strictly interior,
@@ -284,7 +270,7 @@ def run_self_check(verbose: bool = True) -> list[tuple[str, str]]:
     from dataclasses import replace
 
     from repro.plan.expressions import col, lit
-    from repro.plan.logical import Filter, Project
+    from repro.plan.logical import Filter, Pivot, Project
     from repro.plan.optimizer import SchemaCatalog, optimize
 
     schemas = _self_check_schemas()
@@ -315,6 +301,13 @@ def run_self_check(verbose: bool = True) -> list[tuple[str, str]]:
     rows.append(("optimize-preserves-schema", "ok"))
     if verbose:
         print("  optimize-preserves-schema        ok")
+
+    # ... and so must a pivot labelled by a string key: only its cells need
+    # to be numeric.
+    verified_schema(Pivot(Scan("patients"), "name", "patient_id", "age"), schemas)
+    rows.append(("string-pivot-label", "ok"))
+    if verbose:
+        print("  string-pivot-label               ok")
 
     # ... while a schema-breaking "rewrite" (dropping a projected column)
     # must trip the soundness check.

@@ -11,9 +11,9 @@ This package implements a small but complete single-node RDBMS in Python:
 * Volcano-style iterator operators — sequential scan, filter, projection,
   hash join, nested-loop join, sort, hash aggregation, limit
   (:mod:`repro.relational.operators`),
-* a logical planner with predicate pushdown and join-strategy selection
-  (:mod:`repro.relational.planner`) and a fluent query-builder facade
-  (:mod:`repro.relational.query`),
+* a fluent query-builder facade over those operators
+  (:mod:`repro.relational.query`) and the lowering of shared, already
+  optimised plans onto them (:mod:`repro.relational.bridge`),
 * a UDF registry used by the Madlib-style in-database analytics adapter
   (:mod:`repro.relational.udf`).
 

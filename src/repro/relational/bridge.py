@@ -4,23 +4,45 @@ The column store runs shared plans through
 :func:`repro.colstore.planner.run_plan`; this module is the row-store
 counterpart, so one plan object — built once per GenBase query in
 :mod:`repro.core.queries` — drives both architectures.  Lowering maps each
-shared node onto the fluent :class:`~repro.relational.query.Query` builder
-(Scan → ``db.query``, Filter → ``where``, Project → ``select``, Join →
-``join`` + a projection enforcing the shared output convention of "left
-columns, then right columns minus the right key"), and the terminals
-return the same shapes as the column-store executor: ``Aggregate`` →
-``(group_keys, aggregates)`` sorted by key, ``Pivot`` →
-``(matrix, row_labels, column_labels)``.
+shared node straight onto the Volcano operators of
+:mod:`repro.relational.operators` (Scan → ``SeqScan``, a run of stacked
+Filters → one ``Filter`` over their conjunction, Project → ``Project``,
+Join → :func:`~repro.relational.operators.hash_join` + a projection
+enforcing the shared output convention of "left columns, then right
+columns minus the right key"), and the terminals return the same shapes as
+the column-store executor: ``Aggregate`` → ``(group_keys, aggregates)``
+sorted by key, ``Pivot`` → ``(matrix, row_labels, column_labels)``.
 
-Before lowering, the *shared* optimizer runs against the
+The row store plans once: the *shared* optimizer runs against the
 :class:`RelationalBackend`'s catalog (schemas plus row counts — the row
-store keeps no per-column statistics), which pushes single-side total
-predicates below joins, prunes projections through them, and annotates the
-join build side; the annotation is handed to
-:class:`~repro.relational.planner.JoinNode` verbatim, replacing that
-planner's row-count-only heuristic with the shared, selectivity-aware
-estimate.  The row store's own rewrite rules still run at ``to_physical``
-time — they are no-ops on an already-pushed plan.
+store keeps no per-column statistics), pushes single-side total predicates
+below joins, prunes projections through them and annotates the join build
+side, and the lowering executes that tree as it stands — here the Q1/Q4
+data-management plan, its filter pushed onto the join's build input:
+
+>>> from repro.plan import Filter, Join, Project, Scan, col
+>>> from repro.plan.optimizer import optimize
+>>> from repro.relational.operators import explain
+>>> db = Database()
+>>> INT, FLOAT = ColumnType.INT, ColumnType.FLOAT
+>>> _ = db.create_table("genes", [("gene_id", INT), ("function", INT)])
+>>> _ = db.insert("genes", [(0, 5), (1, 20), (2, 3)])
+>>> _ = db.create_table("microarray", [("gene_id", INT), ("patient_id", INT),
+...                                    ("expression_value", FLOAT)])
+>>> _ = db.insert("microarray", [(0, 0, 1.5), (1, 0, 2.5), (2, 0, 3.5), (0, 1, 4.5)])
+>>> plan = Project(Filter(Join(Scan("genes"), Scan("microarray"),
+...                            "gene_id", "gene_id"), col("function") < 10),
+...                ("gene_id", "patient_id", "expression_value"))
+>>> backend = RelationalBackend(db)
+>>> print(explain(backend.lower(optimize(plan, backend.catalog))))
+Project ['gene_id', 'patient_id', 'expression_value']
+  HashJoin gene_id = gene_id
+    Project ['gene_id']
+      Filter (col('function') < lit(10))
+        SeqScan genes (3 rows)
+    SeqScan microarray (4 rows)
+>>> run_shared_plan(plan, db).rows
+[(0, 0, 1.5), (2, 0, 3.5), (0, 1, 4.5)]
 
 One deliberate difference from the column store: the relational ``Pivot``
 labels rows/columns in first-seen order (the streaming Volcano convention
@@ -31,16 +53,16 @@ both conventions are equivalent downstream.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from repro.plan import logical
 from repro.plan.execute import Backend, execute
+from repro.plan.expressions import and_
 from repro.plan.observe import PlanObservation
-from repro.plan.optimizer import SchemaCatalog, output_columns
+from repro.plan.optimizer import SchemaCatalog, estimate_output_rows, output_columns
+from repro.relational import operators as ops
 from repro.relational.catalog import Database
-from repro.relational.query import Query
+from repro.relational.query import QueryResultSet
 from repro.relational.schema import ColumnType
 
 #: Shared Aggregate function names → relational HashAggregate names.
@@ -76,47 +98,59 @@ class RelationalBackend(Backend):
             {table.name: table.row_count for table in tables},
         )
 
-    def lower(self, node: logical.PlanNode) -> Query:
-        """Lower a relational-algebra subtree onto the fluent Query builder."""
+    def lower(self, node: logical.PlanNode) -> ops.Operator:
+        """Lower a relational-algebra subtree onto the Volcano operators."""
         if isinstance(node, logical.Scan):
-            return self.db.query(node.table)
+            return ops.SeqScan(self.db.table(node.table))
         if isinstance(node, logical.Filter):
-            return self.lower(node.child).where(node.predicate)
+            # A run of stacked filters is one operator hop, innermost first.
+            predicates = [node.predicate]
+            while isinstance(node.child, logical.Filter):
+                node = node.child
+                predicates.insert(0, node.predicate)
+            return ops.Filter(self.lower(node.child), and_(*predicates))
         if isinstance(node, logical.Project):
-            return self.lower(node.child).select(*node.columns)
+            return self._project(self.lower(node.child), node.columns)
         if isinstance(node, logical.Join):
-            joined = self.lower(node.left).join(
-                self.lower(node.right), on=(node.left_key, node.right_key)
-            )
-            if node.build_side != "auto":
-                # Propagate the shared optimizer's statistics-informed choice
-                # into the relational JoinNode (Query wraps immutable nodes, so
-                # rebuild the top node with the annotation).
-                joined = Query(replace(joined.logical_plan(), build_side=node.build_side))
+            if node.build_side == "auto":
+                # Not annotated (plan lowered as written): the same estimate
+                # the optimizer's build-side rule would have compared.
+                build_left = (estimate_output_rows(node.left, self.catalog)
+                              <= estimate_output_rows(node.right, self.catalog))
+            else:
+                build_left = node.build_side == "left"
+            joined = ops.hash_join(self.lower(node.left), self.lower(node.right),
+                                   node.left_key, node.right_key, build_left)
             # The relational join keeps both key columns; project down to the
             # shared convention (left columns, then right minus the right key).
             # Both inputs lowered, so the catalog snapshot knows every scan.
-            return joined.select(*output_columns(node, self.catalog))
+            return self._project(joined, output_columns(node, self.catalog))
         raise TypeError(
             f"cannot lower plan node {type(node).__name__} onto the row store"
         )
 
-    def relation(self, query: Query):
-        return query.run()
+    @staticmethod
+    def _project(child: ops.Operator, columns) -> ops.Operator:
+        """Project unless the child already produces exactly these columns."""
+        if child.output_schema.names == tuple(columns):
+            return child
+        return ops.Project(child, columns)
 
-    def aggregate(self, query: Query, plan: logical.Aggregate):
+    def relation(self, operator: ops.Operator) -> QueryResultSet:
+        return QueryResultSet(operator.output_schema, list(operator))
+
+    def aggregate(self, operator: ops.Operator, plan: logical.Aggregate):
         function = _AGGREGATE_NAMES.get(plan.function, plan.function)
         value = "*" if plan.function == "count" else plan.value
-        result = (
-            query.group_by([plan.group_by], [(function, value, "agg")])
-            .order_by(plan.group_by)
-            .run()
-        )
+        result = self.relation(ops.Sort(
+            ops.HashAggregate(operator, [plan.group_by], [(function, value, "agg")]),
+            [plan.group_by],
+        ))
         return (np.asarray(result.column(plan.group_by)),
                 np.asarray(result.column("agg"), dtype=np.float64))
 
-    def pivot(self, query: Query, plan: logical.Pivot):
-        return query.run().pivot(plan.row_key, plan.column_key, plan.value)
+    def pivot(self, operator: ops.Operator, plan: logical.Pivot):
+        return self.relation(operator).pivot(plan.row_key, plan.column_key, plan.value)
 
 
 def run_shared_plan(plan: logical.PlanNode, db: Database, optimized: bool = True,

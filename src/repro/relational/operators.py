@@ -121,8 +121,8 @@ class Limit(Operator):
 class HashJoin(Operator):
     """Equi-join implemented as a classic build/probe hash join.
 
-    The smaller input should be the build (left) side; the planner takes
-    care of that using table row counts.
+    The smaller input should be the build side; :func:`hash_join` places
+    it there whichever side of the join it was written on.
     """
 
     def __init__(self, build: Operator, probe: Operator,
@@ -147,6 +147,38 @@ class HashJoin(Operator):
                 continue
             for build_row in matches:
                 yield build_row + row
+
+
+class Reorder(Operator):
+    """Positional column permutation (no name lookup, so collisions are safe)."""
+
+    def __init__(self, child: Operator, indices: Sequence[int], schema: Schema):
+        self.child = child
+        self.indices = list(indices)
+        self.output_schema = schema
+
+    def __iter__(self) -> Iterator[tuple]:
+        indices = self.indices
+        for row in self.child:
+            yield tuple(row[i] for i in indices)
+
+
+def hash_join(left: Operator, right: Operator, left_key: str, right_key: str,
+              build_left: bool) -> Operator:
+    """Hash join whose output is (left columns, right columns) on either build side.
+
+    Building on the right input makes :class:`HashJoin` emit the right
+    columns first; they are moved back by position, so a non-key column
+    name both inputs share cannot trade values.
+    """
+    if build_left:
+        return HashJoin(left, right, left_key, right_key)
+    n_left, n_right = len(left.output_schema), len(right.output_schema)
+    return Reorder(
+        HashJoin(right, left, right_key, left_key),
+        [*range(n_right, n_right + n_left), *range(n_right)],
+        left.output_schema.concat(right.output_schema),
+    )
 
 
 class NestedLoopJoin(Operator):
@@ -267,3 +299,29 @@ class Materialize(Operator):
         if self._cache is None:
             self._cache = list(self.child)
         return iter(self._cache)
+
+
+def explain(operator: Operator, depth: int = 0) -> str:
+    """Render an operator tree as indented text, one operator per line."""
+    if isinstance(operator, SeqScan):
+        detail = f"{operator.table.name} ({operator.table.row_count} rows)"
+    elif isinstance(operator, Filter):
+        detail = repr(operator.predicate)
+    elif isinstance(operator, Project):
+        detail = str(operator.columns)
+    elif isinstance(operator, HashJoin):
+        detail = f"{operator.build_key} = {operator.probe_key}"
+    elif isinstance(operator, HashAggregate):
+        detail = f"group_by={operator.group_by} aggs={operator.aggregates}"
+    elif isinstance(operator, Sort):
+        detail = f"{operator.keys} desc={operator.descending}"
+    elif isinstance(operator, Limit):
+        detail = str(operator.n)
+    else:
+        detail = ""
+    lines = ["  " * depth + f"{type(operator).__name__} {detail}".rstrip()]
+    # Instance attributes keep assignment order: build before probe, left
+    # before right.
+    lines += [explain(value, depth + 1) for value in vars(operator).values()
+              if isinstance(value, Operator)]
+    return "\n".join(lines)

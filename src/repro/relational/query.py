@@ -1,4 +1,4 @@
-"""Fluent query-builder facade over the logical planner.
+"""Fluent query-builder facade over the Volcano operators.
 
 This is the public query API of the row store::
 
@@ -10,9 +10,14 @@ This is the public query API of the row store::
           .rows()
     )
 
-Each call builds a logical plan node; ``rows()`` / ``run()`` optimizes the
-plan (predicate pushdown, filter merging, join build-side selection) and
-executes the resulting Volcano pipeline.
+Each verb wraps one operator from :mod:`repro.relational.operators`
+around the chain so far, and ``rows()`` / ``run()`` iterate the pipeline.
+A chain runs *as written* — like ``HiveSession``, ``DataFrame`` and the
+array operators: the only decision taken here is which join input builds
+the hash table (the smaller crude row estimate).  Rewrites across a join
+(predicate pushdown, projection pruning) belong to
+:mod:`repro.plan.optimizer` and reach the row store through
+:func:`repro.relational.bridge.run_shared_plan`.
 """
 
 from __future__ import annotations
@@ -21,35 +26,28 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.plan.expressions import Expression
-from repro.relational import planner
-from repro.relational.operators import Operator
+from repro.plan.expressions import Expression, split_conjuncts
+from repro.plan.optimizer import classify, estimate_selectivity
+from repro.relational import operators as ops
 from repro.relational.schema import Schema
 from repro.relational.table import HeapTable
 
 
-def _scanned_tables(node: planner.LogicalNode) -> list[str]:
-    """Names of the base tables a plan reads (for error messages)."""
-    if isinstance(node, planner.ScanNode):
-        return [node.table.name]
-    names: list[str] = []
-    for child in node.children():
-        names.extend(_scanned_tables(child))
-    return names
-
-
 class Query:
-    """An immutable builder wrapping a logical plan node."""
+    """An immutable builder wrapping an operator tree."""
 
-    def __init__(self, node: planner.LogicalNode):
-        self._node = node
+    def __init__(self, operator: ops.Operator, estimated_rows: int,
+                 tables: tuple[str, ...]):
+        self._operator = operator
+        self._estimated_rows = estimated_rows  # crude; picks the join build side
+        self._tables = tables  # scanned base tables, for error messages
 
     # -- construction -----------------------------------------------------------
 
     @classmethod
     def scan(cls, table: HeapTable) -> "Query":
         """Start a query from a base table."""
-        return cls(planner.ScanNode(table))
+        return cls(ops.SeqScan(table), table.row_count, (table.name,))
 
     # -- validation ----------------------------------------------------------------
 
@@ -57,17 +55,16 @@ class Query:
         """Raise KeyError naming the column and table(s) for unknown columns.
 
         Every relational verb validates eagerly, so a typo surfaces at the
-        call site instead of deep inside operator binding at execution time
-        — mirroring the column store's behaviour.
+        call site instead of deep inside operator binding — mirroring the
+        column store's behaviour.
         """
-        available = self._node.output_schema().names
+        available = self.schema.names
         known = set(available)
         for name in names:
             if name not in known:
-                tables = _scanned_tables(self._node) or ["<derived>"]
                 raise KeyError(
                     f"no column {name!r} in query over table(s) "
-                    f"{', '.join(repr(t) for t in tables)}; has {list(available)}"
+                    f"{', '.join(repr(t) for t in self._tables)}; has {list(available)}"
                 )
 
     # -- relational verbs ---------------------------------------------------------
@@ -75,19 +72,34 @@ class Query:
     def where(self, predicate: Expression) -> "Query":
         """Filter rows by a predicate expression."""
         self._check_columns(sorted(predicate.columns_referenced()))
-        return Query(planner.FilterNode(self._node, predicate))
+        # Structural estimate through the shared classifier: each conjunct
+        # contributes its shape's selectivity (equality 1/10, membership
+        # k/10, range/opaque the textbook 1/3) — the row store keeps no
+        # per-column statistics, but the predicate's *shape* is free.
+        fraction = 1.0
+        for conjunct in split_conjuncts(predicate):
+            fraction *= estimate_selectivity(classify(conjunct), None)
+        return Query(ops.Filter(self._operator, predicate),
+                     max(1, int(self._estimated_rows * fraction)), self._tables)
 
     def select(self, *columns: str) -> "Query":
         """Project to the named columns."""
         self._check_columns(columns)
-        return Query(planner.ProjectNode(self._node, tuple(columns)))
+        return Query(ops.Project(self._operator, columns), self._estimated_rows,
+                     self._tables)
 
     def join(self, other: "Query", on: tuple[str, str]) -> "Query":
         """Equi-join with another query; ``on`` is (left_key, right_key)."""
         left_key, right_key = on
         self._check_columns([left_key])
         other._check_columns([right_key])
-        return Query(planner.JoinNode(self._node, other._node, left_key, right_key))
+        joined = ops.hash_join(
+            self._operator, other._operator, left_key, right_key,
+            build_left=self._estimated_rows <= other._estimated_rows,
+        )
+        # Assume a foreign-key style join: output ~= the larger input.
+        return Query(joined, max(self._estimated_rows, other._estimated_rows),
+                     self._tables + other._tables)
 
     def group_by(self, columns: Sequence[str],
                  aggregates: Sequence[tuple[str, str, str]]) -> "Query":
@@ -96,48 +108,42 @@ class Query:
             column for _function, column, _name in aggregates if column != "*"
         ]
         self._check_columns(referenced)
-        return Query(planner.AggregateNode(self._node, tuple(columns), tuple(aggregates)))
+        return Query(ops.HashAggregate(self._operator, columns, aggregates),
+                     max(1, self._estimated_rows // 10), self._tables)
 
     def order_by(self, *keys: str, descending: bool = False) -> "Query":
         """Sort by the given key columns."""
         self._check_columns(keys)
-        return Query(planner.SortNode(self._node, tuple(keys), descending))
+        return Query(ops.Sort(self._operator, keys, descending=descending),
+                     self._estimated_rows, self._tables)
 
     def limit(self, n: int) -> "Query":
         """Keep only the first ``n`` rows."""
-        return Query(planner.LimitNode(self._node, n))
+        return Query(ops.Limit(self._operator, n), min(n, self._estimated_rows),
+                     self._tables)
 
     # -- execution -----------------------------------------------------------------
 
     @property
     def schema(self) -> Schema:
         """The output schema of the query."""
-        return self._node.output_schema()
-
-    def logical_plan(self) -> planner.LogicalNode:
-        """Return the unoptimized logical plan (for tests/EXPLAIN)."""
-        return self._node
-
-    def physical_plan(self) -> Operator:
-        """Optimize and lower to a physical operator tree."""
-        return planner.optimize(self._node).to_physical()
+        return self._operator.output_schema
 
     def explain(self) -> str:
-        """Render the optimized logical plan as text."""
-        return str(planner.explain(planner.optimize(self._node)))
+        """Render the operator tree as text."""
+        return ops.explain(self._operator)
 
     def rows(self) -> list[tuple]:
         """Execute the query and materialise all result rows."""
-        return list(self.physical_plan())
+        return list(self._operator)
 
     def run(self) -> "QueryResultSet":
         """Execute and wrap the result with its schema."""
-        physical = self.physical_plan()
-        return QueryResultSet(schema=physical.output_schema, rows=list(physical))
+        return QueryResultSet(schema=self.schema, rows=self.rows())
 
     def count(self) -> int:
         """Execute and count result rows without keeping them."""
-        return sum(1 for _ in self.physical_plan())
+        return sum(1 for _ in self._operator)
 
 
 class QueryResultSet:

@@ -19,6 +19,7 @@ cases) and the MapReduce filter-before-shuffle accounting.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import pathlib
 
@@ -40,9 +41,13 @@ from repro.cluster.bridge import (
 from repro.core import QUERY_NAMES, BenchmarkRunner
 from repro.core.engines import MULTI_NODE_ENGINES, SINGLE_NODE_ENGINES, make_engine
 from repro.core.queries import (
+    bicluster_patient_predicate,
+    covariance_patient_predicate,
     expression_pivot_plan,
     gene_expression_plan,
     patient_expression_plan,
+    statistics_patient_ids,
+    statistics_patient_predicate,
 )
 from repro.core.runner import RunStatus
 from repro.core.spec import default_parameters
@@ -50,6 +55,7 @@ from repro.fuzz.tolerances import summary_tolerance
 from repro.mapreduce import HiveSession, HiveTable, MapReduceEngine
 from repro.mapreduce.bridge import run_shared_plan as run_mr_plan
 from repro.plan import Aggregate, Filter, Scan, col
+from repro.relational.bridge import run_shared_plan as run_pg_plan
 from repro.rlang.bridge import run_shared_plan as run_r_plan
 from repro.rlang.dataframe import DataFrame
 
@@ -190,6 +196,55 @@ class TestSingleNodeByteIdentity:
             assert json.dumps(result.output.summary, sort_keys=True) == json.dumps(
                 expected, sort_keys=True
             ), key
+
+
+#: ``(row count, sha256 of repr((column names, ordered rows)))`` of the five
+#: queries' data-management plans on the row store, taken on main while the
+#: row store still planned through its private IR.  Row *order* is pinned
+#: because first-seen pivot labels depend on the join's output order.
+ROW_STORE_PLAN_ROWS = {
+    "tiny/regression": (540, "e7fc5093e65f009172bfcc1f17d9559c7cf85401c8a4087a67225826e443ea34"),
+    "tiny/covariance": (1050, "bc4ed1d4555464d01d6e251a856572c01302383b109f34d0cd43b84b546c751c"),
+    "tiny/biclustering": (450, "2fda25aa9dbb1e013b45bc094b5407fc404a76546d938e9d361db4de40193c44"),
+    "tiny/svd": (540, "e7fc5093e65f009172bfcc1f17d9559c7cf85401c8a4087a67225826e443ea34"),
+    "tiny/statistics": (600, "9451dbf7a60fd77fa3a1aec6e2f1558f0d4d6113351dcabb21f79ab2f87eb80c"),
+    "small/regression": (2800, "d8d24fba34222fde707f3345ce4633b2a52398710b4a592464ba91323669e969"),
+    "small/covariance": (3800, "727579ab23b217114afedbf82b35efe3c2002aed482daa7d644d9f050a23088a"),
+    "small/biclustering": (1600, "37b02178a59fcb2e9325723f3a650aec5f74b3bb5e93a61912002cd609c5a272"),
+    "small/svd": (2800, "d8d24fba34222fde707f3345ce4633b2a52398710b4a592464ba91323669e969"),
+    "small/statistics": (2000, "c70a240d653808f58ff8306b0903166c97ac06f3593ad6ede0fbda35a05c6ac0"),
+}
+
+
+class TestRowStorePlanRowOrder:
+    """Lowering straight onto the Volcano operators moved no row."""
+
+    @pytest.mark.parametrize("engine_name", ("postgres-madlib", "postgres-r"))
+    @pytest.mark.parametrize("fixture_name", ["tiny_dataset", "small_dataset"])
+    def test_ordered_rows_match_pre_lowering_snapshot(self, engine_name, fixture_name,
+                                                      request):
+        dataset = request.getfixturevalue(fixture_name)
+        parameters = default_parameters(dataset.spec)
+        by_function = gene_expression_plan(parameters.function_threshold(dataset.spec))
+        plans = {
+            "regression": by_function,
+            "covariance": patient_expression_plan(
+                covariance_patient_predicate(parameters)),
+            "biclustering": patient_expression_plan(
+                bicluster_patient_predicate(parameters)),
+            "svd": by_function,
+            "statistics": patient_expression_plan(statistics_patient_predicate(
+                statistics_patient_ids(dataset, parameters))),
+        }
+        engine = make_engine(engine_name)
+        engine.load(dataset)
+        for query, plan in plans.items():
+            result = run_pg_plan(plan, engine.db)
+            digest = hashlib.sha256(
+                repr((tuple(result.schema.names), result.rows)).encode()
+            ).hexdigest()
+            assert (len(result), digest) == ROW_STORE_PLAN_ROWS[
+                f"{dataset.spec.name}/{query}"], (engine_name, query)
 
 
 def _table(columns_per_partition):

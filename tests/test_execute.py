@@ -42,8 +42,8 @@ def five_backends() -> dict:
 
     One dense ``patients(patient_id, age)`` ⋈ ``microarray(patient_id,
     gene_id, value)`` world loaded into each engine family, behind each
-    bridge's public entry point.  (Also imported by the subprocess script
-    of ``test_verify.TestSchemaBreakingOptimizerIsCaught``.)
+    bridge's public entry point.  (Also imported by
+    ``test_verify.TestSchemaBreakingOptimizerIsCaught``.)
     """
     patient_ids = np.arange(N_PATIENTS)
     long_patients = np.repeat(patient_ids, N_GENES)

@@ -41,7 +41,7 @@ from repro.plan import (
     split_conjuncts,
 )
 from repro.plan.optimizer import estimate_output_rows
-from repro.relational import ColumnType, Database
+from repro.relational import ColumnType, Database, operators as row_ops
 from repro.relational.bridge import RelationalBackend, run_shared_plan
 
 
@@ -712,6 +712,43 @@ class TestSharedPlansOnRowStore:
         fast = run_shared_plan(self._plan(), mini_db, optimized=True)
         slow = run_shared_plan(self._plan(), mini_db, optimized=False)
         assert sorted(fast.rows) == sorted(slow.rows)
+
+    def test_unoptimized_lowering_is_the_plan_as_written(self, mini_db):
+        # ``optimized=False`` hands the driver's lowering the written tree:
+        # the filter stays above the join there and sits on the join's build
+        # input once the shared optimizer has run — so the equivalence test
+        # above compares two different operator trees.
+        backend = RelationalBackend(mini_db)
+        written = row_ops.explain(backend.lower(self._plan()))
+        pushed = row_ops.explain(backend.lower(optimize(self._plan(), backend.catalog)))
+        assert written.splitlines() == [
+            "Project ['patient_id', 'gene_id', 'expression_value']",
+            "  Filter (col('function') < lit(10))",
+            "    Project ['gene_id', 'function', 'patient_id', 'expression_value']",
+            "      HashJoin gene_id = gene_id",
+            "        SeqScan genes (4 rows)",
+            "        SeqScan microarray (12 rows)",
+        ]
+        # One Filter, on the build (first) input; the join's own projection
+        # is the only Project between it and the plan's (different) triple.
+        assert pushed.splitlines() == [
+            "Project ['patient_id', 'gene_id', 'expression_value']",
+            "  Project ['gene_id', 'patient_id', 'expression_value']",
+            "    HashJoin gene_id = gene_id",
+            "      Project ['gene_id']",
+            "        Filter (col('function') < lit(10))",
+            "          SeqScan genes (4 rows)",
+            "      SeqScan microarray (12 rows)",
+        ]
+
+    def test_stacked_filters_lower_to_one_operator(self, mini_db):
+        plan = Filter(Filter(Scan("genes"), col("function") < 10), col("gene_id") > 0)
+        lines = row_ops.explain(RelationalBackend(mini_db).lower(plan)).splitlines()
+        assert lines == [
+            "Filter ((col('function') < lit(10)) AND (col('gene_id') > lit(0)))",
+            "  SeqScan genes (4 rows)",
+        ]
+        assert run_shared_plan(plan, mini_db, optimized=False).rows == [(2, 3), (3, 8)]
 
     def test_forced_build_side_preserves_column_order(self, mini_db):
         base = Join(Scan("genes"), Scan("microarray"), "gene_id", "gene_id")

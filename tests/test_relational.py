@@ -27,8 +27,8 @@ from repro.relational.operators import (
     RowSource,
     SeqScan,
     Sort,
+    hash_join,
 )
-from repro.relational.planner import FilterNode, JoinNode, ScanNode, optimize
 from repro.relational.schema import Column, Schema
 from repro.relational.storage import HeapFile, Page
 from repro.relational.table import table_from_arrays
@@ -261,18 +261,7 @@ class TestOperators:
             Limit(SeqScan(people_table), -1)
 
 
-class TestPlannerAndQuery:
-    def test_predicate_pushdown_below_join(self, genbase_db):
-        query = (
-            genbase_db.query("genes")
-            .join(genbase_db.query("microarray"), on=("gene_id", "gene_id"))
-            .where(col("function") < lit(10))
-        )
-        optimized = optimize(query.logical_plan())
-        assert isinstance(optimized, JoinNode)
-        assert isinstance(optimized.left, FilterNode)
-        assert isinstance(optimized.left.child, ScanNode)
-
+class TestQuery:
     def test_pushdown_preserves_results(self, genbase_db):
         pushed = (
             genbase_db.query("genes")
@@ -307,6 +296,18 @@ class TestPlannerAndQuery:
         )
         assert "SeqScan" in text and "Filter" in text and "Project" in text
 
+    def test_chain_runs_as_written(self, genbase_db):
+        # A fluent chain is not rewritten: the filter written after the join
+        # stays above it (cross-join rewrites belong to repro.plan.optimizer).
+        lines = (
+            genbase_db.query("genes")
+            .join(genbase_db.query("microarray"), on=("gene_id", "gene_id"))
+            .where(col("function") < lit(10))
+            .explain()
+            .splitlines()
+        )
+        assert lines[0].startswith("Filter") and lines[1].startswith("  HashJoin")
+
     def test_query_count_and_order_by(self, genbase_db):
         query = genbase_db.query("genes").where(col("function") < lit(10))
         assert query.count() == len(query.rows())
@@ -334,6 +335,47 @@ class TestPlannerAndQuery:
         array = result.to_array()
         assert array.shape == (5, 2)
         assert result.column("gene_id") == [int(v) for v in array[:, 0]]
+
+
+def _colliding_db(right_column, left_rows, right_rows) -> Database:
+    """``l(id, a)`` and ``r(id, <right_column>)``: both non-key columns end up
+    named ``a`` / ``a_right`` in the join output."""
+    db = Database()
+    for name, column, rows in (("l", "a", left_rows), ("r", right_column, right_rows)):
+        db.create_table(name, [("id", ColumnType.INT), (column, ColumnType.INT)])
+        db.insert(name, rows)
+    return db
+
+
+@pytest.mark.parametrize("right_column", ["a", "a_right"])  # plain / literal *_right
+class TestJoinBuildSideKeepsColumnValues:
+    """Which input builds the hash table must never change the answer.
+
+    Regression: the swapped join used to map columns back by *name* with
+    ``_right`` suffix stripping, so a non-key column name shared by both
+    inputs made the two values trade places when the right input built.
+    """
+
+    @pytest.mark.parametrize("build_left", [True, False])
+    def test_forced_build_side(self, right_column, build_left):
+        db = _colliding_db(right_column, [(1, 10)], [(1, 7)])
+        joined = hash_join(SeqScan(db.table("l")), SeqScan(db.table("r")),
+                           "id", "id", build_left)
+        assert joined.output_schema.names == ("id", "a", "id_right", "a_right")
+        assert joined.rows() == [(1, 10, 1, 7)]
+
+    @pytest.mark.parametrize("padding", ["left", "right"])
+    def test_fluent_join_answer_is_independent_of_table_sizes(self, right_column,
+                                                               padding):
+        # The join verb builds on the smaller input; unmatched padding rows
+        # make either side the larger one without changing the answer.
+        left_rows, right_rows = [(1, 10)], [(1, 7)]
+        (left_rows if padding == "left" else right_rows).extend(
+            (k, 0) for k in range(100, 110))
+        db = _colliding_db(right_column, left_rows, right_rows)
+        result = db.query("l").join(db.query("r"), on=("id", "id")).run()
+        assert result.schema.names == ("id", "a", "id_right", "a_right")
+        assert result.rows == [(1, 10, 1, 7)]
 
 
 class TestDatabase:

@@ -5,18 +5,12 @@ Covers :mod:`repro.plan.verify` and the dtype-inference layer beneath it
 parametrised case per rejection class asserting the rule name, the node
 path, and — for the dtype-mismatch classes — that the message names both
 offending dtypes; a hypothesis property that ``optimize()`` never changes
-a verified schema over the fuzz grammar; and a subprocess proof that a
-deliberately schema-breaking optimizer rule trips the rewrite-soundness
-check when ``REPRO_VERIFY_PLANS`` is set.
+a verified schema over the fuzz grammar; and a proof that a deliberately
+schema-breaking optimizer rule trips the rewrite-soundness check through
+every bridge's entry point — the check is always on.
 """
 
 from __future__ import annotations
-
-import os
-import subprocess
-import sys
-import textwrap
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,12 +37,9 @@ from repro.plan import (
     literal_dtype,
     maybe_verify_rewrite,
     opaque,
-    verification_enabled,
     verified_schema,
     verify_rewrite,
 )
-
-REPO = Path(__file__).resolve().parent.parent
 
 I64 = np.dtype(np.int64)
 F64 = np.dtype(np.float64)
@@ -203,6 +194,13 @@ class TestRejectionClasses:
         for fragment in fragments:
             assert fragment in str(error), (fragment, str(error))
 
+    def test_pivot_labels_may_be_strings(self):
+        # Only the cell value must be numeric: a string row/column key is a
+        # label the executors handle (REJECTIONS keeps the string *value*).
+        plan = Pivot(patients(), "name", "disease_id", "age")
+        assert verified_schema(plan, SCHEMAS) == {
+            "name": U16, "disease_id": I64, "value(age)": I64}
+
     def test_every_documented_rejection_class_is_covered(self):
         assert len({case[2] for case in REJECTIONS}) == 13
 
@@ -241,34 +239,20 @@ class TestRewriteSoundness:
             verify_rewrite(plan, broken, SCHEMAS)
         assert excinfo.value.rule == "rewrite-invalid-plan"
 
-    def test_flag_gates_the_bridge_hook(self, monkeypatch):
+    def test_driver_hook_always_checks(self):
         plan = Filter(patients(), col("age") > lit(40))
         broken = Project(plan, ("patient_id",))
-        monkeypatch.delenv("REPRO_VERIFY_PLANS", raising=False)
-        assert not verification_enabled()
-        maybe_verify_rewrite(plan, broken, SCHEMAS)  # no-op while off
-        monkeypatch.setenv("REPRO_VERIFY_PLANS", "1")
-        assert verification_enabled()
         with pytest.raises(RewriteSoundnessError):
             maybe_verify_rewrite(plan, broken, SCHEMAS)
 
 
 class TestSchemaBreakingOptimizerIsCaught:
-    """The ISSUE's trip-wire, as a subprocess so the env flag and the
-    monkeypatched optimizer cannot leak into other tests.
+    """The shared driver is the one place that optimizes and verifies, so
+    patching its ``optimize`` once must trip every bridge's entry point."""
 
-    The shared driver is the one place that optimizes and verifies, so
-    patching its ``optimize`` once must trip every bridge's entry point.
-    """
-
-    ENGINES = ("colstore", "postgres", "scidb", "hadoop", "vanilla-r")
-
-    SCRIPT = textwrap.dedent("""
-        import sys
+    def test_caught_through_every_entry_point(self, monkeypatch):
         import repro.plan.execute as driver
-        from repro.plan import Filter, Project, Scan, col, lit
-        from repro.plan.verify import RewriteSoundnessError
-        from test_execute import five_backends
+        from test_execute import ENGINES, five_backends
 
         real_optimize = driver.optimize
 
@@ -276,40 +260,14 @@ class TestSchemaBreakingOptimizerIsCaught:
             # A deliberately unsound "rewrite": silently drops column age.
             return Project(real_optimize(plan, catalog, capabilities), ("patient_id",))
 
-        driver.optimize = schema_breaking
+        monkeypatch.setattr(driver, "optimize", schema_breaking)
         plan = Filter(Scan("patients"), col("age") < lit(45))
-        tripped = 0
-        for engine, run in five_backends().items():
-            try:
+        backends = five_backends()
+        assert set(backends) == set(ENGINES)
+        for engine, run in backends.items():
+            with pytest.raises(RewriteSoundnessError) as excinfo:
                 run(plan)
-            except RewriteSoundnessError as error:
-                print("TRIPPED", engine, error.rule)
-                tripped += 1
-            else:
-                print("NOT TRIPPED", engine)
-        sys.exit(0 if tripped == 5 else 1)
-    """)
-
-    def _run(self, flag: str | None) -> subprocess.CompletedProcess:
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join([str(REPO / "src"), str(REPO / "tests")])
-        env.pop("REPRO_VERIFY_PLANS", None)
-        if flag is not None:
-            env["REPRO_VERIFY_PLANS"] = flag
-        return subprocess.run([sys.executable, "-c", self.SCRIPT],
-                              capture_output=True, text=True, env=env)
-
-    def test_flag_on_catches_the_broken_rewrite(self):
-        result = self._run("1")
-        assert result.returncode == 0, result.stdout + result.stderr
-        for engine in self.ENGINES:
-            assert f"TRIPPED {engine} rewrite-schema-drift" in result.stdout
-
-    def test_flag_off_does_not_verify(self):
-        result = self._run(None)
-        assert result.returncode == 1, result.stdout + result.stderr
-        for engine in self.ENGINES:
-            assert f"NOT TRIPPED {engine}" in result.stdout
+            assert excinfo.value.rule == "rewrite-schema-drift", engine
 
 
 # --------------------------------------------------------------------------- #
