@@ -16,7 +16,7 @@ kernel timing are measured.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -149,8 +149,12 @@ class Coprocessor:
             bytes_transferred=total_bytes,
             fits_in_device_memory=fits,
         )
-        self.offloads.append(result)
+        self.record(result)
         return result
+
+    def record(self, result: OffloadResult) -> None:
+        """Keep one call's timing; its ``value`` belongs to the caller alone."""
+        self.offloads.append(replace(result, value=None))
 
     # -- accounting ---------------------------------------------------------------
 

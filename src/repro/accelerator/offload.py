@@ -72,7 +72,7 @@ class OffloadRuntime:
                 bytes_transferred=0,
                 fits_in_device_memory=True,
             )
-            self.device.offloads.append(result)
+            self.device.record(result)
             return result
         fraction = self.fractions.get(kernel_name, 0.9)
         return self.device.offload(

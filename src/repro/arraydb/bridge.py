@@ -58,6 +58,7 @@ build-side rule — a dimension join has no build side to choose).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -74,7 +75,7 @@ from repro.plan import logical
 from repro.plan.execute import Backend, execute
 from repro.plan.expressions import Expression, split_conjuncts
 from repro.plan.observe import PlanObservation
-from repro.plan.optimizer import ColumnStats, OptimizerCapabilities, PlanCatalog
+from repro.plan.optimizer import ColumnStats, OptimizerCapabilities, SchemaCatalog
 
 #: The optimizer profile the array executor can honour: pushdown moves the
 #: dimension predicates onto the metadata frames (required by the
@@ -99,9 +100,41 @@ class ArrayFrame:
     dimension: str
     columns: Mapping[str, ChunkedArray]
 
+    def __post_init__(self):
+        # The filter pass walks one chunk grid for all columns at once.
+        layouts = {}
+        for name, array in self.columns.items():
+            along = array.schema.dimensions[0]
+            layouts[name] = (along.start, along.end, along.chunk_size)
+        if len(set(layouts.values())) > 1:
+            raise ValueError(
+                f"metadata columns of frame {self.dimension!r} must share one "
+                f"(start, end, chunk_size) layout, got {layouts}"
+            )
+
     def column_names(self) -> list[str]:
         """The frame's columns: the dimension first, then the metadata."""
         return [self.dimension, *self.columns]
+
+    @cached_property
+    def plan_schema(self) -> tuple[dict, dict]:
+        """``({column: dtype}, {column: ColumnStats})`` for the shared optimizer:
+        the dimension's extent, and value bounds from the chunks' min/max synopses."""
+        along = next(iter(self.columns.values())).schema.dimensions[0]
+        schema = {self.dimension: np.int64}
+        stats = {self.dimension: ColumnStats(along.length, along.length,
+                                             float(along.start), float(along.end))}
+        for column, array in self.columns.items():
+            attribute = array.schema.attribute_names[0]
+            schema[column] = array.schema.attribute(attribute).dtype
+            bounds = [found for chunk in array.chunks()
+                      if (found := chunk.attribute_range(attribute)) is not None]
+            stats[column] = ColumnStats(
+                along.length,
+                minimum=min(low for low, _high in bounds) if bounds else None,
+                maximum=max(high for _low, high in bounds) if bounds else None,
+            )
+        return schema, stats
 
 
 @dataclass(frozen=True)
@@ -121,6 +154,18 @@ class MatrixFrame:
     def column_names(self) -> list[str]:
         """Dimension (id) columns in schema order, then the value column."""
         return [*self.array.schema.dimension_names, self.value_column]
+
+    @cached_property
+    def plan_schema(self) -> tuple[dict, dict]:
+        """``({column: dtype}, {column: ColumnStats})`` for the shared optimizer:
+        dimension extents; the cell attribute answers with cardinality only."""
+        rows = self.array.cell_count
+        dimensions = self.array.schema.dimensions
+        cell = self.array.schema.attribute(self.array.schema.attribute_names[0])
+        schema = {d.name: np.int64 for d in dimensions} | {self.value_column: cell.dtype}
+        stats = {d.name: ColumnStats(rows, d.length, float(d.start), float(d.end))
+                 for d in dimensions} | {self.value_column: ColumnStats(rows)}
+        return schema, stats
 
 
 def metadata_array(name: str, values: np.ndarray, dimension: str,
@@ -164,104 +209,19 @@ class ArrayQueryResult:
         return self.array.cell_count
 
 
-class ArrayPlanCatalog(PlanCatalog):
-    """Expose the frames' schemas and chunk synopses to the shared optimizer."""
-
-    def __init__(self, frames: Mapping[str, ArrayFrame | MatrixFrame]):
-        self.frames = dict(frames)
-
-    def columns_of(self, table: str) -> list[str] | None:
-        frame = self.frames.get(table)
-        return None if frame is None else frame.column_names()
-
-    def stats_of(self, table: str, column: str) -> ColumnStats | None:
-        frame = self.frames.get(table)
-        if frame is None:
-            return None
-        if isinstance(frame, ArrayFrame):
-            if column == frame.dimension:
-                length = _frame_length(frame)
-                start, end = _frame_bounds(frame)
-                return ColumnStats(row_count=length, distinct=length,
-                                   minimum=float(start), maximum=float(end))
-            array = frame.columns.get(column)
-            if array is None:
-                return None
-            bounds = _array_value_bounds(array)
-            return ColumnStats(
-                row_count=array.schema.dimensions[0].length,
-                minimum=None if bounds is None else bounds[0],
-                maximum=None if bounds is None else bounds[1],
-            )
-        schema = frame.array.schema
-        if column == frame.value_column:
-            return ColumnStats(row_count=frame.array.cell_count)
-        for dimension in schema.dimensions:
-            if dimension.name == column:
-                return ColumnStats(
-                    row_count=frame.array.cell_count,
-                    distinct=dimension.length,
-                    minimum=float(dimension.start),
-                    maximum=float(dimension.end),
-                )
-        return None
-
-    def dtype_of(self, table: str, column: str) -> np.dtype | None:
-        frame = self.frames.get(table)
-        if frame is None:
-            return None
-        if isinstance(frame, ArrayFrame):
-            if column == frame.dimension:
-                return np.dtype(np.int64)
-            array = frame.columns.get(column)
-            if array is None:
-                return None
-            return _attribute_dtype(array)
-        if column == frame.value_column:
-            return _attribute_dtype(frame.array)
-        if any(d.name == column for d in frame.array.schema.dimensions):
-            return np.dtype(np.int64)
-        return None
-
-    def row_count_of(self, table: str) -> int | None:
-        frame = self.frames.get(table)
-        if frame is None:
-            return None
-        if isinstance(frame, ArrayFrame):
-            return _frame_length(frame)
-        return frame.array.cell_count
-
-
-def _attribute_dtype(array: ChunkedArray) -> np.dtype:
-    """The dtype of a chunked array's single logical attribute."""
-    name = array.schema.attribute_names[0]
-    return np.dtype(array.schema.attribute(name).dtype)
-
-
-def _frame_length(frame: ArrayFrame) -> int:
-    first = next(iter(frame.columns.values()))
-    return first.schema.dimensions[0].length
+def _frames_catalog(frames: Mapping[str, ArrayFrame | MatrixFrame]) -> SchemaCatalog:
+    """The frames' schemas and statistics (computed once per frame: the
+    arrays, like their chunk synopses, are immutable in practice)."""
+    return SchemaCatalog(
+        {table: frame.plan_schema[0] for table, frame in frames.items()},
+        stats={table: frame.plan_schema[1] for table, frame in frames.items()},
+    )
 
 
 def _frame_bounds(frame: ArrayFrame) -> tuple[int, int]:
     first = next(iter(frame.columns.values()))
     dimension = first.schema.dimensions[0]
     return dimension.start, dimension.end
-
-
-def _array_value_bounds(array: ChunkedArray) -> tuple[float, float] | None:
-    """Aggregate the chunks' min/max synopses into array-level bounds."""
-    attribute = array.schema.attribute_names[0]
-    minimum = maximum = None
-    for chunk in array.chunks():
-        bounds = chunk.attribute_range(attribute)
-        if bounds is None:
-            continue
-        minimum = bounds[0] if minimum is None else min(minimum, bounds[0])
-        maximum = bounds[1] if maximum is None else max(maximum, bounds[1])
-    if minimum is None:
-        return None
-    return minimum, maximum
 
 
 # --------------------------------------------------------------------------- #
@@ -303,7 +263,7 @@ class ArrayBackend(Backend):
                  stats: FilterStats | None):
         self.frames = frames
         self.stats = stats
-        self.catalog = ArrayPlanCatalog(frames)
+        self.catalog = _frames_catalog(frames)
 
     def lower(self, node: logical.PlanNode):
         return _lower(node, self.frames, self.stats)
@@ -489,7 +449,7 @@ def _resolve_meta(selection: _MetaSelection,
     """Evaluate the stacked predicates chunk-wise; None means "all rows".
 
     Each referenced metadata column is a separate 1-D array; the arrays
-    share the dimension and (in the GenBase loaders) its chunking, so the
+    share the dimension and its chunking (:class:`ArrayFrame` checks), so the
     pass walks the chunk grid once, testing every classified
     single-column conjunct against that column chunk's min/max synopsis
     first — a chunk excluded by any conjunct is skipped whole.  The
@@ -508,21 +468,15 @@ def _resolve_meta(selection: _MetaSelection,
         referenced |= conjunct.columns_referenced()
     column_arrays = {name: frame.columns[name]
                      for name in referenced if name != frame.dimension}
-    if not _aligned_chunking(column_arrays.values()):
-        return _resolve_meta_dense(selection, conjuncts, column_arrays)
-
-    reference = (next(iter(column_arrays.values()))
-                 if column_arrays else None)
+    first = next(iter(frame.columns.values()))  # every column shares its grid
     kept: list[np.ndarray] = []
-    grid = (reference.chunk_grid() if reference is not None
-            else _coordinate_grid(frame))
-    for chunk_coords in grid:
+    for chunk_coords in first.chunk_grid():
         chunks = {name: array.chunk_at(chunk_coords)
                   for name, array in column_arrays.items()}
-        if reference is not None and any(c is None for c in chunks.values()):
+        if any(c is None for c in chunks.values()):
             continue  # an all-empty metadata chunk has no matching rows
-        origin, extent = _chunk_span(frame, reference, chunk_coords, chunks)
-        coords = np.arange(origin, origin + extent, dtype=np.int64)
+        low, high = first.schema.dimensions[0].chunk_bounds(chunk_coords[0])
+        coords = np.arange(low, high + 1, dtype=np.int64)
         skipped = False
         for conjunct in conjuncts:
             names = conjunct.columns_referenced()
@@ -559,50 +513,6 @@ def _resolve_meta(selection: _MetaSelection,
     if not kept:
         return np.empty(0, dtype=np.int64)
     return np.concatenate(kept)
-
-
-def _aligned_chunking(arrays) -> bool:
-    """True when every 1-D metadata array shares one chunk layout."""
-    layout = None
-    for array in arrays:
-        dimension = array.schema.dimensions[0]
-        key = (dimension.start, dimension.end, dimension.chunk_size)
-        if layout is None:
-            layout = key
-        elif key != layout:
-            return False
-    return True
-
-
-def _coordinate_grid(frame: ArrayFrame):
-    """Chunk grid for a dimension-only predicate (no metadata columns)."""
-    first = next(iter(frame.columns.values()))
-    return first.chunk_grid()
-
-
-def _chunk_span(frame: ArrayFrame, reference: ChunkedArray | None,
-                chunk_coords, chunks) -> tuple[int, int]:
-    """(origin, extent) of one chunk-grid cell along the dimension."""
-    if reference is not None:
-        chunk = next(iter(chunks.values()))
-        return chunk.origin[0], chunk.shape[0]
-    first = next(iter(frame.columns.values()))
-    low, high = first.schema.dimensions[0].chunk_bounds(chunk_coords[0])
-    return low, high - low + 1
-
-
-def _resolve_meta_dense(selection: _MetaSelection, conjuncts: list[Expression],
-                        column_arrays: Mapping[str, ChunkedArray]) -> np.ndarray:
-    """Fallback for mis-aligned chunking: evaluate over dense vectors."""
-    start, end = _frame_bounds(selection.frame)
-    coords = np.arange(start, end + 1, dtype=np.int64)
-    batch = {selection.frame.dimension: coords}
-    for name, array in column_arrays.items():
-        batch[name] = array.to_dense(attribute=name)
-    mask = np.ones(len(coords), dtype=bool)
-    for conjunct in conjuncts:
-        mask &= np.asarray(conjunct.evaluate(batch), dtype=bool)
-    return coords[mask]
 
 
 def _materialise(selection: _MatrixSelection,

@@ -5,35 +5,56 @@ This is the distributed counterpart of :mod:`repro.arraydb.bridge` and
 (:mod:`repro.plan` / :mod:`repro.core.queries`) is executed against data
 that is row-partitioned across the simulated nodes.
 
-The execution pipeline:
+The bridge is a :class:`~repro.plan.execute.Backend` like the five
+single-node ones, so :func:`repro.plan.execute.execute` optimises and
+rewrite-checks a cluster plan exactly as it does any other:
 
-1. **Classify** — the plan's filter predicate is split into conjuncts with
-   the shared range/equality/membership machinery
-   (:func:`repro.plan.optimizer.ordered_conjuncts`).
-2. **Prune** — each partition carries a :class:`PartitionSynopsis` (per
-   partition-column min/max plus a small distinct set — the cluster-level
-   analogue of ``Chunk.attribute_range()`` in the array engine).  A
-   conjunct whose constant range or key set cannot intersect a partition's
-   synopsis eliminates that partition *on the driver, before dispatch*;
+1. **Optimise** — the shared optimizer splits the filter into conjuncts
+   and orders them by selectivity, reading column statistics merged from
+   the per-partition synopses (:attr:`PartitionedTable.catalog`).
+2. **Prune** (in ``lower``) — each partition carries a
+   :class:`PartitionSynopsis` (per partition-column min/max plus a small
+   distinct set — the cluster-level analogue of
+   ``Chunk.attribute_range()`` in the array engine).  A predicate whose
+   constant range or key set cannot intersect a partition's synopsis
+   eliminates that partition *on the driver, before dispatch*;
    :attr:`PartitionStats.partitions_skipped` counts them, mirroring
    ``FilterStats.chunks_skipped``.
-3. **Lower** — surviving fragments are dispatched together through
+3. **Dispatch** — surviving fragments are dispatched together through
    :meth:`repro.cluster.cluster.Cluster.run_on_nodes` (concurrently on the
-   threaded executor); each node evaluates the conjuncts vectorised over
+   threaded executor); each node evaluates the predicates vectorised over
    its own partition only.
-4. **Merge** — partial results come back to the driver: aggregate plans
-   are reduced per group key (partial sums/counts), and the helpers
-   :func:`reduce_partial_sums` / :func:`merge_gathered` implement the two
-   driver-side merge shapes the GenBase engines need (partial-sum reduce
-   for the statistics query, vstack for gathered matrix blocks).
+4. **Reduce** (the terminals) — partial results come back to the driver:
+   aggregate plans are reduced per group key (partial sums/counts/extrema),
+   sketches merge, and the helpers :func:`reduce_partial_sums` /
+   :func:`merge_gathered` implement the two driver-side merge shapes the
+   GenBase engines need (partial-sum reduce for the statistics query,
+   vstack for gathered matrix blocks).
 
 Pruned partitions still yield a (trivially empty) fragment so downstream
 distributed kernels keep their one-block-per-node layout.
+
+>>> import numpy as np
+>>> from repro.cluster import Cluster
+>>> from repro.plan import Aggregate, Filter, Scan, col
+>>> table = PartitionedTable.from_partitions("patients", [
+...     {"age": np.array([20, 30]), "dose": np.array([1.0, 2.0])},
+...     {"age": np.array([50, 60]), "dose": np.array([3.0, 4.0])}])
+>>> stats = PartitionStats()
+>>> plan = Filter(Scan("patients"), col("age") < 45)
+>>> [rows.tolist() for rows in run_shared_plan(plan, table, Cluster(2), stats=stats)]
+[[0, 1], []]
+>>> stats.partitions_scanned, stats.partitions_skipped
+(1, 1)
+>>> keys, peaks = run_shared_plan(Aggregate(plan, "age", "dose", "max"), table, Cluster(2))
+>>> keys.tolist(), peaks.tolist()
+([20, 30], [1.0, 2.0])
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -47,8 +68,12 @@ from repro.plan.expressions import (
     InList,
     Literal,
 )
+from repro.colstore.compression import reduce_by_inverse
+from repro.colstore.delta import merge_group_parts
 from repro.colstore.sketches import HyperLogLog, TDigest
+from repro.plan.execute import Backend, execute
 from repro.plan.logical import (
+    AGGREGATE_FUNCTIONS,
     SKETCH_APPROX_KINDS,
     Aggregate,
     ApproxAggregate,
@@ -56,8 +81,7 @@ from repro.plan.logical import (
     PlanNode,
     Scan,
 )
-from repro.plan.optimizer import ColumnStats, ordered_conjuncts
-from repro.plan.verify import maybe_verify_plan
+from repro.plan.optimizer import ColumnStats, OptimizerCapabilities, SchemaCatalog
 
 #: Distinct sets beyond this cardinality are dropped from the synopsis —
 #: min/max still prunes, the set test just becomes unavailable (same
@@ -96,8 +120,7 @@ class PartitionSynopsis:
     n_rows: int
 
     @classmethod
-    def from_columns(cls, columns: Mapping[str, np.ndarray],
-                     distinct_limit: int = DISTINCT_SYNOPSIS_LIMIT) -> PartitionSynopsis:
+    def from_columns(cls, columns: Mapping[str, np.ndarray]) -> PartitionSynopsis:
         """Summarise one partition's columns (empty partitions carry none)."""
         synopses: dict[str, ColumnSynopsis] = {}
         n_rows = 0
@@ -107,7 +130,8 @@ class PartitionSynopsis:
             if n_rows == 0 or not np.issubdtype(array.dtype, np.number):
                 continue
             distinct = np.unique(array)
-            values = frozenset(distinct.tolist()) if len(distinct) <= distinct_limit else None
+            values = (frozenset(distinct.tolist())
+                      if len(distinct) <= DISTINCT_SYNOPSIS_LIMIT else None)
             synopses[name] = ColumnSynopsis(
                 minimum=float(distinct[0]), maximum=float(distinct[-1]), values=values
             )
@@ -176,63 +200,139 @@ class PartitionedTable:
     synopses: list[PartitionSynopsis]
 
     @classmethod
-    def from_partitions(cls, name: str, partitions: Sequence[Mapping[str, np.ndarray]],
-                        distinct_limit: int = DISTINCT_SYNOPSIS_LIMIT) -> PartitionedTable:
+    def from_partitions(cls, name: str,
+                        partitions: Sequence[Mapping[str, np.ndarray]]) -> PartitionedTable:
         return cls(
             name=name,
             partitions=list(partitions),
-            synopses=[PartitionSynopsis.from_columns(p, distinct_limit) for p in partitions],
+            synopses=[PartitionSynopsis.from_columns(p) for p in partitions],
         )
 
-    def global_stats(self, column: str) -> ColumnStats | None:
-        """Merge the per-partition synopses into whole-table column stats."""
-        spans = [s.columns[column] for s in self.synopses if column in s.columns]
-        if not spans:
-            return None
-        merged: set | None = set()
-        for span in spans:
-            if span.values is None:
-                merged = None
-                break
-            merged |= span.values
-        return ColumnStats(
-            row_count=sum(s.n_rows for s in self.synopses),
-            distinct=len(merged) if merged is not None else 0,
-            minimum=min(span.minimum for span in spans),
-            maximum=max(span.maximum for span in spans),
+    @cached_property
+    def catalog(self) -> SchemaCatalog:
+        """The partitions' dtypes plus whole-table stats merged from the synopses."""
+        columns = self.partitions[0] if self.partitions else {}
+        stats: dict[str, ColumnStats] = {}
+        for column in columns:
+            spans = [s.columns[column] for s in self.synopses if column in s.columns]
+            if not spans:
+                continue
+            exact = all(span.values is not None for span in spans)
+            stats[column] = ColumnStats(
+                row_count=sum(s.n_rows for s in self.synopses),
+                distinct=len(frozenset().union(*(span.values for span in spans))) if exact else 0,
+                minimum=min(span.minimum for span in spans),
+                maximum=max(span.maximum for span in spans),
+            )
+        return SchemaCatalog(
+            {self.name: {name: column.dtype for name, column in columns.items()}},
+            stats={self.name: stats},
         )
 
 
-def _parse_plan(
-    plan: PlanNode, table: PartitionedTable
-) -> tuple[Aggregate | ApproxAggregate | None, list[Expression]]:
-    """Unpack (Aggregate|ApproxAggregate)? → Filter* → Scan over the table.
+#: What a partition scan can honour: conjunct splitting and selectivity
+#: ordering.  There is no join to push through or to cost, a partition is
+#: already column-wise (nothing to prune), and sampled approximate kinds
+#: are rejected by the backend, never routed to a synopsis.
+CLUSTER_CAPABILITIES = OptimizerCapabilities(
+    predicate_pushdown=False, join_build_side=False,
+    projection_pruning=False, synopsis_routing=False,
+)
 
-    Only *sketch-backed* approximate kinds are admitted: their partials
-    (HLL registers, t-digest centroids) merge losslessly driver-side.
-    Sampled kinds need one global sample over the whole table — route
-    those through the column-store planner instead.
+
+class PartitionedBackend(Backend):
+    """One partitioned table on the simulated cluster, for one plan execution.
+
+    ``lower`` admits ``Filter* → Scan(table)`` and — when ``prune`` —
+    eliminates partitions from their synopses on the driver, the way the
+    array backend skips chunks; every terminal dispatches one fragment per
+    node and reduces the partials driver-side.
     """
-    aggregate = None
-    if isinstance(plan, ApproxAggregate):
+
+    engine = "cluster"
+    capabilities = CLUSTER_CAPABILITIES
+
+    def __init__(self, table: PartitionedTable, cluster, stats: PartitionStats | None,
+                 on_fragment: Callable[[int, np.ndarray], object] | None, prune: bool):
+        self.table = table
+        self.cluster = cluster
+        self.stats = stats
+        self.on_fragment = on_fragment
+        self.prune = prune
+        self.catalog = table.catalog
+
+    def lower(self, node: PlanNode) -> tuple[list[Expression], list[bool]]:
+        """``Filter* → Scan`` → (predicates innermost first, scan flag per partition)."""
+        predicates: list[Expression] = []
+        while isinstance(node, Filter):
+            predicates.insert(0, node.predicate)
+            node = node.child
+        if not isinstance(node, Scan) or node.table != self.table.name:
+            raise ValueError(
+                f"cluster bridge lowers Aggregate?/Filter*/Scan({self.table.name!r}) "
+                f"plans, got {node!r}"
+            )
+        keep = [
+            not (self.prune
+                 and any(expression_skips_partition(p, synopsis) for p in predicates))
+            for synopsis in self.table.synopses
+        ]
+        return predicates, keep
+
+    def _dispatch(self, lowered, on_rows) -> list:
+        """``on_rows(node_id, local_rows)`` on every node, outputs in node order."""
+        predicates, keep = lowered
+
+        def work(node_id: int):
+            partition = self.table.partitions[node_id]
+            if not keep[node_id]:
+                local_rows = np.empty(0, dtype=np.int64)
+            elif not predicates:
+                local_rows = np.arange(len(next(iter(partition.values()))), dtype=np.int64)
+            else:
+                mask = None
+                for predicate in predicates:
+                    verdict = np.asarray(predicate.evaluate(partition), dtype=bool)
+                    mask = verdict if mask is None else mask & verdict
+                    if not mask.any():
+                        break
+                local_rows = np.flatnonzero(mask)
+            return on_rows(node_id, local_rows), len(local_rows)
+
+        result = self.cluster.run_on_nodes([work] * len(keep))
+        if self.stats is not None:
+            self.stats.partitions_scanned += sum(keep)
+            self.stats.partitions_skipped += len(keep) - sum(keep)
+            self.stats.rows_kept += sum(kept for _output, kept in result.outputs)
+        return [output for output, _kept in result.outputs]
+
+    def relation(self, lowered):
+        """Per-node fragments: local row positions, or ``on_fragment``'s answer."""
+        return self._dispatch(lowered, self.on_fragment or (lambda _node, rows: rows))
+
+    def aggregate(self, lowered, plan: Aggregate):
+        if plan.function not in AGGREGATE_FUNCTIONS:
+            raise ValueError(f"unsupported aggregate function {plan.function!r}")
+        partitions = self.table.partitions
+        partials = self._dispatch(
+            lowered, lambda node, rows: _partial_aggregate(partitions[node], plan, rows))
+        return _reduce_aggregate(partials, plan.function)
+
+    def approx_aggregate(self, plan: ApproxAggregate):
+        """Sketch kinds only: their partials (HLL registers, t-digest
+        centroids) merge losslessly driver-side, a sampled kind needs one
+        global sample over the whole table."""
         if plan.kind not in SKETCH_APPROX_KINDS:
             raise ValueError(
                 f"cluster bridge merges sketch partials only "
                 f"({list(SKETCH_APPROX_KINDS)}); sampled kind {plan.kind!r} "
                 "needs a global sample — run it through the column-store planner"
             )
-        aggregate, plan = plan, plan.child
-    elif isinstance(plan, Aggregate):
-        aggregate, plan = plan, plan.child
-    predicates: list[Expression] = []
-    while isinstance(plan, Filter):
-        predicates.insert(0, plan.predicate)
-        plan = plan.child
-    if not isinstance(plan, Scan) or plan.table != table.name:
-        raise ValueError(
-            f"cluster bridge lowers Aggregate?/Filter*/Scan({table.name!r}) plans, got {plan!r}"
-        )
-    return aggregate, predicates
+        partitions = self.table.partitions
+        partials = self._dispatch(
+            self.lower(plan.child),
+            lambda node, rows: _partial_sketch(partitions[node], plan, rows))
+        return _reduce_sketches(partials, plan)
 
 
 def run_shared_plan(
@@ -246,6 +346,8 @@ def run_shared_plan(
 ):
     """Execute one shared logical plan over the partitioned table.
 
+    A one-line call into the shared driver
+    (:func:`repro.plan.execute.execute`).
     Filter plans return the per-node fragment results in node order: the
     local row positions satisfying the predicate, or — when
     ``on_fragment(node_id, local_rows)`` is given — whatever that consumer
@@ -253,64 +355,13 @@ def run_shared_plan(
     so its cost is charged to the node, not the driver).  Aggregate plans
     are reduced on the driver and return ``(group_keys, values)``.
 
-    With ``optimized=False`` the synopsis pruning is disabled (every
-    partition is scanned) — the fragments then reproduce the seed's
-    evaluate-everywhere behaviour, which the benchmarks use as baseline.
-    The plan is statically typechecked against the partitions' dtypes
-    before dispatch (:mod:`repro.plan.verify`).
+    With ``optimized=False`` the plan is lowered as written and the
+    synopsis pruning is disabled (every partition is scanned) — the
+    fragments then reproduce the seed's evaluate-everywhere behaviour,
+    which the benchmarks use as baseline.
     """
-    if table.partitions:
-        maybe_verify_plan(plan, {
-            table.name: {name: column.dtype
-                         for name, column in table.partitions[0].items()}
-        })
-    aggregate, predicates = _parse_plan(plan, table)
-    ordered = ordered_conjuncts(predicates, table.global_stats)
-    conjuncts = [expression for expression, _class, _selectivity in ordered]
-    keep = [
-        not (optimized and conjuncts
-             and any(expression_skips_partition(c, synopsis) for c in conjuncts))
-        for synopsis in table.synopses
-    ]
-
-    def make_work(node_id: int):
-        partition = table.partitions[node_id]
-        scan = keep[node_id]
-
-        def work(_node: int):
-            if not scan:
-                local_rows = np.empty(0, dtype=np.int64)
-            elif not conjuncts:
-                local_rows = np.arange(len(next(iter(partition.values()))), dtype=np.int64)
-            else:
-                mask = None
-                for conjunct in conjuncts:
-                    verdict = np.asarray(conjunct.evaluate(partition), dtype=bool)
-                    mask = verdict if mask is None else mask & verdict
-                    if not mask.any():
-                        break
-                local_rows = np.flatnonzero(mask)
-            if isinstance(aggregate, ApproxAggregate):
-                return _partial_sketch(partition, aggregate, local_rows), len(local_rows)
-            if aggregate is not None:
-                return _partial_aggregate(partition, aggregate, local_rows), len(local_rows)
-            if on_fragment is not None:
-                return on_fragment(_node, local_rows), len(local_rows)
-            return local_rows, len(local_rows)
-
-        return work
-
-    result = cluster.run_on_nodes([make_work(node_id) for node_id in range(len(keep))])
-    if stats is not None:
-        stats.partitions_scanned += sum(1 for flag in keep if flag)
-        stats.partitions_skipped += sum(1 for flag in keep if not flag)
-        stats.rows_kept += sum(kept for _output, kept in result.outputs)
-    outputs = [output for output, _kept in result.outputs]
-    if isinstance(aggregate, ApproxAggregate):
-        return _reduce_sketches(outputs, aggregate)
-    if aggregate is not None:
-        return _reduce_aggregate(outputs, aggregate.function)
-    return outputs
+    return execute(
+        plan, PartitionedBackend(table, cluster, stats, on_fragment, prune=optimized), optimized)
 
 
 # --------------------------------------------------------------------------- #
@@ -319,13 +370,14 @@ def run_shared_plan(
 
 def _partial_aggregate(partition: Mapping[str, np.ndarray], aggregate: Aggregate,
                        local_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One node's (group keys, partial sums, partial counts)."""
+    """One node's (group keys, partial sums — extrema for min/max —, partial counts)."""
     keys = np.asarray(partition[aggregate.group_by])[local_rows]
     values = np.asarray(partition[aggregate.value])[local_rows]
     unique, inverse = np.unique(keys, return_inverse=True)
-    sums = np.bincount(inverse, weights=values, minlength=len(unique))
+    function = aggregate.function if aggregate.function in ("min", "max") else "sum"
+    partial = reduce_by_inverse(inverse, len(unique), values, function)
     counts = np.bincount(inverse, minlength=len(unique))
-    return unique, sums, counts
+    return unique, partial, counts
 
 
 def _partial_sketch(partition: Mapping[str, np.ndarray], approx: ApproxAggregate,
@@ -365,25 +417,16 @@ def _reduce_sketches(partials: Sequence, approx: ApproxAggregate):
 def _reduce_aggregate(partials: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]],
                       function: str) -> tuple[np.ndarray, np.ndarray]:
     """Merge per-node partial aggregates into the final (keys, values)."""
-    keys = np.concatenate([unique for unique, _s, _c in partials]) if partials else np.empty(0)
-    if len(keys) == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0)
-    merged, positions = np.unique(keys, return_inverse=True)
-    sums = np.zeros(len(merged))
-    counts = np.zeros(len(merged), dtype=np.int64)
-    offset = 0
-    for unique, partial_sums, partial_counts in partials:
-        span = positions[offset:offset + len(unique)]
-        np.add.at(sums, span, partial_sums)
-        np.add.at(counts, span, partial_counts)
-        offset += len(unique)
-    if function == "sum":
-        return merged, sums
+    def merged(field: int, how: str):
+        return merge_group_parts([(part[0], part[field]) for part in partials], how, np.int64)
+
+    if function in ("min", "max"):
+        return merged(1, function)
+    keys, counts = merged(2, "count")
     if function == "count":
-        return merged, counts.astype(np.float64)
-    if function == "mean":
-        return merged, sums / np.maximum(counts, 1)
-    raise ValueError(f"unsupported aggregate function {function!r}")
+        return keys, counts
+    sums = merged(1, "sum")[1]
+    return keys, sums if function == "sum" else sums / np.maximum(counts, 1)
 
 
 def reduce_partial_sums(partials: Sequence[tuple[np.ndarray, int]]) -> tuple[np.ndarray, int]:

@@ -20,9 +20,8 @@ assemble one whole logical plan — ``Scan → Filter* → Join → Aggregate/
 Pivot`` — and execute it through :func:`repro.colstore.planner.run_plan`,
 so predicates and projections are optimized *across* the join boundary
 (GenBase's join outputs feed a pivot or an aggregate immediately, which is
-exactly the fusion opportunity).  The eager materialised-table join
-survives as :func:`materialise_join`, the primitive the plan executor
-itself uses.
+exactly the fusion opportunity).  There is no second join path:
+:func:`materialise_join` is the primitive the plan executor itself uses.
 
 Filters execute *on the compressed form* where the encoding allows it:
 dictionary and RLE columns evaluate predicates on their distinct values
@@ -52,6 +51,7 @@ in the last ulps.
 
 from __future__ import annotations
 
+import copy
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -160,29 +160,21 @@ def materialise_join(
     right: "ColumnQuery",
     left_key: str,
     right_key: str,
-    columns: Mapping[str, str] | None = None,
-    other_columns: Mapping[str, str] | None = None,
     result_name: str = "join_result",
     build: str = "auto",
     compress: bool = True,
 ) -> ColumnTable:
     """Execute an equi-join eagerly, materialising the output columns.
 
-    This is the execution primitive both join paths share: the lazy
+    This is the execution primitive behind every join: the lazy
     :class:`JoinedQuery` terminals reach it through the plan executor
     (:func:`repro.colstore.planner.run_plan`), which prunes the gathered
     columns and annotates the build side first; calling it directly
-    reproduces the pre-plan eager join.  ``compress=False`` stores the
+    reproduces the pre-plan eager join.  The output is the left input's
+    columns, then the right's minus its key.  ``compress=False`` stores the
     gathered arrays plain — the right choice for a query intermediate that
     is consumed once (re-encoding it would cost more than it saves).
     """
-    if columns is None:
-        columns = {name: name for name in left.output_columns}
-    if other_columns is None:
-        other_columns = {
-            name: name for name in right.output_columns if name != right_key
-        }
-
     left_keys = left.column(left_key)
     right_keys = right.column(right_key)
     left_positions, right_positions = merge_join_positions(
@@ -196,10 +188,11 @@ def materialise_join(
     left_rows = left.selection[left_positions]
     right_rows = right.selection[right_positions]
     arrays: dict[str, np.ndarray] = {}
-    for output_name, source in columns.items():
-        arrays[output_name] = left.table.column(source).take(left_rows)
-    for output_name, source in other_columns.items():
-        arrays[output_name] = right.table.column(source).take(right_rows)
+    for name in left.output_columns:
+        arrays[name] = left.table.column(name).take(left_rows)
+    for name in right.output_columns:
+        if name != right_key:
+            arrays[name] = right.table.column(name).take(right_rows)
     return ColumnTable.from_arrays(result_name, arrays, compress=compress)
 
 
@@ -472,9 +465,11 @@ class ColumnQuery:
         ``Scan → Filter* → Join → [Aggregate | Pivot]`` and run it through
         :func:`repro.colstore.planner.run_plan`, so the optimizer prunes
         projections and pushes predicates *across* the join boundary and
-        picks the build side from column statistics.  The pre-plan eager
-        behaviour (a materialised :class:`ColumnTable`) is one ``.collect()``
-        call away.
+        picks the build side from column statistics.  A materialised
+        :class:`ColumnTable` is one ``.collect()`` call away.  A source name
+        both inputs produce is aliased on the right's scan binding, so the
+        mappings keep each output bound to its own side on the same fused
+        path; one output name mapped on both sides is a ``ValueError``.
 
         Args:
             other: the other input query.
@@ -513,6 +508,26 @@ class ColumnQuery:
         if self._projection is not None:
             plan = Project(plan, tuple(self._projection))
         return plan, binding
+
+    def _aliased(self, aliases: Mapping[str, str]) -> "ColumnQuery":
+        """The selected rows under renamed columns — vectors shared, not copied.
+
+        Pending filters run first (they are written against the old names);
+        the result is a pre-narrowed base a join can bind a scan onto.
+        """
+        vectors = []
+        for name in self.table.column_names:
+            vector = self.table.column(name)
+            if name in aliases:
+                vector = copy.copy(vector)
+                vector.name = aliases[name]
+            vectors.append(vector)
+        return ColumnQuery(
+            ColumnTable(self.table.name, vectors),
+            None if self._full_selection else self.selection,
+            projection=self._projection and tuple(
+                aliases.get(name, name) for name in self._projection),
+        )
 
     # -- aggregation -----------------------------------------------------------------
 
@@ -618,6 +633,18 @@ class JoinedQuery:
             left.table.column(source)
         for source in other_columns.values():
             right.table.column(source)
+        if set(columns) & set(other_columns):
+            raise ValueError(
+                f"join output names {sorted(set(columns) & set(other_columns))} "
+                "are mapped on both sides"
+            )
+        # The plan layer names columns by *source*: a name both inputs
+        # produce is aliased on the right's scan binding, so each output
+        # stays bound to its own side.
+        self._aliases = {
+            name: f"{name}__right"
+            for name in (set(right.output_columns) - {right_key}) & set(left.output_columns)
+        }
         self._left = left
         self._right = right
         self._left_key = left_key
@@ -639,7 +666,8 @@ class JoinedQuery:
         if name in self._columns:
             return self._columns[name]
         if name in self._other_columns:
-            return self._other_columns[name]
+            source = self._other_columns[name]
+            return self._aliases.get(source, source)
         raise KeyError(
             f"no column {name!r} in join result {self._result_name!r}; "
             f"has {self.output_columns}"
@@ -672,43 +700,6 @@ class JoinedQuery:
 
     # -- plan assembly -----------------------------------------------------------------
 
-    def _ambiguous_sources(self) -> bool:
-        """True when the shared Join node cannot express this join's output.
-
-        The plan layer identifies columns by *source name*, and the join
-        output convention is "left columns, then right columns minus the
-        right key" — so a source name both sides produce would be gathered
-        once by name, the right side's copy silently winning.  That loses
-        the output → source ownership the ``columns``/``other_columns``
-        mappings express (``{"lx": "x"}`` vs ``{"rx": "x"}``); such joins
-        take the eager output-name-keyed path instead.  The same applies
-        when one output name is mapped on both sides.
-        """
-        right_sources = set(self._right.output_columns) - {self._right_key}
-        return bool(
-            set(self._columns.values()) & right_sources
-            or set(self._other_columns.values()) & set(self._left.output_columns)
-            or set(self._columns) & set(self._other_columns)
-        )
-
-    def _eager_query(self) -> ColumnQuery:
-        """Materialise through the eager primitive (output-name-keyed).
-
-        Fallback for :meth:`_ambiguous_sources` joins: column ownership is
-        resolved by the explicit mappings before any name can collide, at
-        the price of skipping the cross-join optimizer rewrites.  Stacked
-        filters apply on the materialised output, exactly as written.
-        """
-        table = materialise_join(
-            self._left, self._right, self._left_key, self._right_key,
-            self._columns, self._other_columns, self._result_name,
-            compress=False,
-        )
-        query = ColumnQuery(table)
-        for expression in self._filters:
-            query = query.where(expression)
-        return query
-
     def _assemble(self) -> tuple[PlanNode, dict[str, ColumnQuery]]:
         """Build the ``Scan → Filter* → Join → Filter*`` plan + scan bindings."""
         left_name = self._left.table.name
@@ -716,7 +707,8 @@ class JoinedQuery:
         if right_name == left_name:
             right_name = f"{right_name}__right"
         left_plan, left_binding = self._left._plan_fragment(left_name)
-        right_plan, right_binding = self._right._plan_fragment(right_name)
+        right = self._right._aliased(self._aliases) if self._aliases else self._right
+        right_plan, right_binding = right._plan_fragment(right_name)
         plan: PlanNode = Join(
             left_plan, right_plan, self._left_key, self._right_key, self._result_name
         )
@@ -737,14 +729,6 @@ class JoinedQuery:
         """
         from repro.colstore import planner
 
-        if self._ambiguous_sources():
-            lines = [
-                f"EagerJoin {self._left_key} = {self._right_key} "
-                "(source names collide across inputs; output-name-keyed "
-                "materialisation, no cross-join rewrites)"
-            ]
-            lines.extend(f"  Filter {expression!r}" for expression in self._filters)
-            return "\n".join(lines)
         plan, bindings = self._assemble()
         sources = tuple(self._source(output) for output in self.output_columns)
         optimized = planner.optimize_plan(Project(plan, sources), bindings=bindings)
@@ -764,12 +748,6 @@ class JoinedQuery:
         rest through the join); pass ``compress=True`` to re-encode the
         result — worthwhile only when it will be scanned repeatedly.
         """
-        if self._ambiguous_sources():
-            query = self._eager_query()
-            arrays = {output: query.column(output) for output in self.output_columns}
-            return ColumnTable.from_arrays(
-                name or self._result_name, arrays, compress=compress
-            )
         plan, bindings = self._assemble()
         sources = [self._source(output) for output in self.output_columns]
         query = self._run(Project(plan, tuple(sources)), bindings)
@@ -809,10 +787,6 @@ class JoinedQuery:
         column exactly; see the class docstring for the float-sum ordering
         caveat.
         """
-        if self._ambiguous_sources():
-            return self._eager_query().group_aggregate(
-                group_column, value_column, function
-            )
         plan, bindings = self._assemble()
         terminal = Aggregate(
             plan, self._source(group_column), self._source(value_column), function
@@ -829,8 +803,6 @@ class JoinedQuery:
         the joined rows; missing cells are 0; duplicate ``(row, column)``
         pairs resolve last-write-wins in join output order.
         """
-        if self._ambiguous_sources():
-            return self._eager_query().pivot(row_key, column_key, value)
         plan, bindings = self._assemble()
         terminal = Pivot(
             plan, self._source(row_key), self._source(column_key), self._source(value)

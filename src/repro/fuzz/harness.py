@@ -1,12 +1,14 @@
 """Execute one fuzz case on every admitted engine and compare results.
 
 The harness loads one GenBase dataset into all five engine families once
-(column store, row store, array DBMS, Hive tables, R frames), then per
+(column store, row store, array DBMS, Hive tables, R frames) and splits
+its two metadata tables three ways across a simulated cluster, then per
 case:
 
 1. runs the unoptimized numpy reference (:mod:`repro.fuzz.reference`),
-2. runs every engine the case's shape admits — the column store both
-   optimized and unoptimized, so the optimizer's rewrites are covered too,
+2. runs every engine the case's shape admits (:data:`ADMISSION`) — the
+   column store both optimized and unoptimized, so the optimizer's
+   rewrites are covered too,
 3. normalises each result into the shape-specific comparison form and
    asserts agreement under :mod:`repro.fuzz.tolerances`,
 4. returns a :class:`~repro.fuzz.calibration.CalibrationRecord` pairing
@@ -16,15 +18,19 @@ case:
 Admission matrix (why an engine sits a shape out is documented in
 ``docs/FUZZING.md``):
 
-========== ========= ======== ====== ====== =========
-shape      colstore  postgres hadoop scidb  vanilla-r
-========== ========= ======== ====== ====== =========
-meta       yes       yes      yes    yes    yes
-aggregate  yes       yes      yes    no cell predicates  yes
-pivot      yes       yes      yes    no cell predicates  yes
-sample     yes       no       no     no     no
-approx     yes       no       no     no     no
-========== ========= ======== ====== ====== =========
+========== ========= ======== ====== ====== ========= =======
+shape      colstore  postgres hadoop scidb  vanilla-r cluster
+========== ========= ======== ====== ====== ========= =======
+meta       yes       yes      yes    yes    yes       yes
+aggregate  yes       yes      yes    no cell predicates  yes  no
+pivot      yes       yes      yes    no cell predicates  yes  no
+sample     yes       no       no     no     no        no
+approx     yes       no       no     no     no        yes
+========== ========= ======== ====== ====== ========= =======
+
+The cluster runs every admitted case on the threaded *and* the sequential
+executor, which must agree exactly and account for every partition
+(``partitions_scanned + partitions_skipped == n_partitions``).
 
 Aggregate/pivot cases whose reference long-format output is *empty* are
 compared on no engine (the empties' label conventions legitimately
@@ -32,10 +38,10 @@ differ); the calibration record is still produced.
 
 Cases carrying a **mutation prelude** (appends/deletes/compaction through
 the column store's delta tier, see
-:class:`~repro.fuzz.generate.MutationOp`) run on the column store
-(optimized and unoptimized) versus the reference interpreter only — the
-other engine families load the pristine dataset once and have no write
-path.  Both sides replay the identical lowered write history
+:class:`~repro.fuzz.generate.MutationOp`) run the same checks on the
+column store (optimized and unoptimized) versus the reference interpreter
+only — the other engine families load the pristine dataset once and have
+no write path.  Both sides replay the identical lowered write history
 (:func:`~repro.fuzz.generate.lower_mutations`), the column store through
 a per-case store's snapshot machinery, the reference through
 :func:`~repro.fuzz.reference.mutated_tables`; shuffle-byte predictions
@@ -44,7 +50,7 @@ are skipped (the calibration gate ignores ``None``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -55,6 +61,8 @@ from repro.arraydb.bridge import (
     run_shared_plan as run_array_plan,
 )
 from repro.arraydb import ChunkedArray
+from repro.cluster import Cluster, PartitionedTable, PartitionStats
+from repro.cluster.bridge import run_shared_plan as run_cluster_plan
 from repro.colstore.catalog import ColumnStore
 from repro.colstore.planner import (
     ColumnStoreCatalog,
@@ -91,6 +99,26 @@ from repro.rlang.dataframe import DataFrame
 #: still exercise multi-chunk grids and synopsis skipping.
 _ARRAY_CHUNK = 32
 
+_COLSTORE = ("colstore", "colstore-unopt")
+_SINGLE_NODE = (*_COLSTORE, "postgres", "hadoop", "vanilla-r", "scidb")
+
+#: shape → the engines it admits, in report order (see the module docstring).
+ADMISSION = {
+    "meta": (*_SINGLE_NODE, "cluster"),
+    "aggregate": _SINGLE_NODE,
+    "pivot": _SINGLE_NODE,
+    "sample": _COLSTORE,
+    "approx": (*_COLSTORE, "cluster"),
+}
+
+#: engine → the id column out of its native relation (default: ``.column(key)``).
+_RELATION_IDS = {
+    "hadoop": lambda table, key: table.column_values(key),
+    "vanilla-r": lambda frame, key: frame[key],
+    "scidb": lambda coordinates, _key: coordinates,
+    "cluster": lambda fragments, _key: np.concatenate(fragments),
+}
+
 
 @dataclass
 class FuzzOutcome:
@@ -103,7 +131,7 @@ class FuzzOutcome:
 
 
 class FuzzHarness:
-    """All five engine contexts over one GenBase dataset."""
+    """All six executors' contexts over one GenBase dataset."""
 
     def __init__(self, size: str = "tiny", dataset_seed: int = 7):
         dataset = GenBaseDataset.generate(size, seed=dataset_seed)
@@ -165,6 +193,18 @@ class FuzzHarness:
                 if column != key
             })
 
+        # Cluster: each metadata table row-partitioned three ways, run on
+        # both executors.
+        self.partitioned = {
+            table: PartitionedTable.from_partitions(table, [
+                {column: values[rows] for column, values in self.tables[table].items()}
+                for rows in np.array_split(np.arange(len(self.tables[table][key])), 3)
+            ])
+            for table, key in META_KEYS.items()
+        }
+        self.clusters = [Cluster(3, executor=executor)
+                         for executor in ("threads", "sequential")]
+
     # -- case execution ---------------------------------------------------------------
 
     def check_case(self, case: FuzzCase,
@@ -185,281 +225,171 @@ class FuzzHarness:
         runs: the fuzzer is exactly where a grammar bug or unsound rewrite
         should be caught.
 
-        Cases with a mutation prelude take the delta-tier path: a
-        per-case column store replays the writes, the reference runs over
-        the equivalently-mutated tables, and only the two column-store
-        lowerings are compared (see the module admission notes).
+        Cases with a mutation prelude take the delta-tier path: a fresh
+        per-case column store replays the lowered steps through the real
+        delta API (append/delete/compact → tail, bitmap, generation bump),
+        so the plan executes over ``MergedColumn`` scans; the reference
+        runs over the identically-mutated plain tables, verification and
+        the calibration record run against the *mutated* store, and only
+        the two column-store lowerings are compared.
         """
-        if case.mutations:
-            return self._check_mutated_case(case, skew_selectivity)
-        catalog = ColumnStoreCatalog(self.store)
-        verified_schema(case.plan, catalog)
-        verify_rewrite(case.plan, optimize_plan(case.plan, self.store), catalog)
-        trace = ReferenceTrace()
-        reference = run_reference(case.plan, self.tables, trace)
-        outcome = FuzzOutcome(case, self._record(case, trace, skew_selectivity))
-        if case.shape == "meta":
-            self._check_meta(case, reference, outcome)
-        elif case.shape == "sample":
-            self._check_sample(case, reference, outcome)
-        elif trace.terminal_input_rows == 0:
-            outcome.skipped_empty = True
-        elif case.shape == "approx":
-            self._check_approx(case, reference, outcome)
-        elif case.shape == "aggregate":
-            self._check_aggregate(case, reference, outcome)
-        elif case.shape == "pivot":
-            self._check_pivot(case, reference, outcome)
-        else:
+        if case.shape not in ADMISSION:
             raise ValueError(f"unknown fuzz shape {case.shape!r}")
-        return outcome
-
-    # -- shape checks -----------------------------------------------------------------
-
-    def _check_meta(self, case: FuzzCase, reference: dict, outcome: FuzzOutcome):
-        expected = np.sort(np.asarray(reference[case.key], dtype=np.int64))
-        context = f"seed={case.seed} shape=meta table={case.table}"
-        for label, optimized in (("colstore", True), ("colstore-unopt", False)):
-            query = run_plan(case.plan, self.store, optimized=optimized)
-            ids = np.sort(np.asarray(query.column(case.key), dtype=np.int64))
-            assert_values_match(ids, expected, EXACT, f"{context} [{label}]")
-            outcome.engines_checked.append(label)
-        result = run_pg_plan(case.plan, self.db)
-        ids = np.sort(np.asarray(result.column(case.key), dtype=np.int64))
-        assert_values_match(ids, expected, EXACT, f"{context} [postgres]")
-        outcome.engines_checked.append("postgres")
-        observation = PlanObservation()
-        table = run_mr_plan(case.plan, self.hive_tables, self.hive,
-                            observation=observation)
-        ids = np.sort(np.asarray(table.column_values(case.key), dtype=np.float64)
-                      .astype(np.int64))
-        assert_values_match(ids, expected, EXACT, f"{context} [hadoop]")
-        outcome.engines_checked.append("hadoop")
-        outcome.record.observed_shuffle_bytes = observation.shuffle_bytes
-        frame = run_r_plan(case.plan, self.frames)
-        ids = np.sort(np.asarray(frame[case.key], dtype=np.int64))
-        assert_values_match(ids, expected, EXACT, f"{context} [vanilla-r]")
-        outcome.engines_checked.append("vanilla-r")
-        coordinates = run_array_plan(case.plan, self.array_frames)
-        ids = np.sort(np.asarray(coordinates, dtype=np.int64))
-        assert_values_match(ids, expected, EXACT, f"{context} [scidb]")
-        outcome.engines_checked.append("scidb")
-
-    def _check_sample(self, case: FuzzCase, reference: dict, outcome: FuzzOutcome):
-        """Sample plans: column store only — sampling semantics are per-engine."""
-        expected = np.asarray(reference[case.key], dtype=np.int64)
-        order = np.argsort(expected)
-        context = f"seed={case.seed} shape=sample table={case.table}"
-        for label, optimized in (("colstore", True), ("colstore-unopt", False)):
-            query = run_plan(case.plan, self.store, optimized=optimized)
-            ids = np.asarray(query.column(case.key), dtype=np.int64)
-            qorder = np.argsort(ids)
-            assert_values_match(ids[qorder], expected[order], EXACT,
-                                f"{context} [{label}] ids")
-            for column in reference:
-                assert_values_match(
-                    np.asarray(query.column(column))[qorder],
-                    np.asarray(reference[column])[order],
-                    EXACT, f"{context} [{label}] {column}",
-                )
-            outcome.engines_checked.append(label)
-
-    def _check_approx(self, case: FuzzCase, reference: float, outcome: FuzzOutcome):
-        """Sketch terminals: column store estimates vs the exact reference.
-
-        Both the optimized and unoptimized lowerings must return a
-        well-formed ``(estimate, ci_low, ci_high, confidence)`` whose
-        estimate agrees with the reference's *exact* answer under the
-        per-sketch tolerance — HLL within its three-sigma relative bound,
-        the t-digest's deterministic rank bracket covering the truth.
-        """
-        for label, optimized in (("colstore", True), ("colstore-unopt", False)):
-            result = run_plan(case.plan, self.store, optimized=optimized)
-            self._assert_approx_run(case, result, reference, label)
-            outcome.engines_checked.append(label)
-
-    def _assert_approx_run(self, case: FuzzCase, result, reference: float,
-                           label: str) -> None:
-        """The per-lowering approx assertions (shared with mutated cases)."""
-        plan = case.plan
-        assert isinstance(plan, logical.ApproxAggregate)
-        tolerance = sketch_tolerance(plan.kind)
-        context = (f"seed={case.seed} shape=approx table={case.table} "
-                   f"kind={plan.kind}")
-        assert result.ci_low <= result.estimate <= result.ci_high, (
-            f"{context} [{label}]: malformed interval {result}"
-        )
-        assert 0.0 < result.confidence < 1.0, (
-            f"{context} [{label}]: confidence {result.confidence}"
-        )
-        if plan.kind == "approx_quantile":
-            assert result.ci_low <= reference <= result.ci_high, (
-                f"{context} [{label}]: exact quantile {reference} outside "
-                f"rank bracket [{result.ci_low}, {result.ci_high}]"
-            )
-        else:
-            assert_values_match(
-                np.float64(result.estimate), np.float64(reference),
-                tolerance, f"{context} [{label}]",
-            )
-
-    # -- mutated cases ----------------------------------------------------------------
-
-    def _check_mutated_case(self, case: FuzzCase,
-                            skew_selectivity: bool) -> FuzzOutcome:
-        """Replay the write prelude, then compare colstore vs reference.
-
-        A fresh per-case column store replays the lowered steps through
-        the real delta API (append/delete/compact → tail, bitmap,
-        generation bump), so the plan executes over ``MergedColumn``
-        scans; the reference executes over the identically-mutated plain
-        tables.  Static verification and the calibration record run
-        against the *mutated* store, covering version-aware dtype answers
-        and live-row estimates.
-        """
-        steps = lower_mutations(case.mutations, self.tables, self.schema)
-        store = ColumnStore()
-        for name, columns in self.tables.items():
-            store.create_table(name, columns)
-        for kind, table, payload in steps:
-            if kind == "append":
-                store.append(table, payload)
-            elif kind == "delete":
-                store.delete(table, payload)
-            else:
-                store.compact(table)
-        tables = mutated_tables(self.tables, steps)
+        if case.mutations and case.shape == "sample":
+            raise ValueError("shape 'sample' does not admit a mutation prelude")
+        store, tables = self.store, self.tables
+        if case.mutations:
+            steps = lower_mutations(case.mutations, self.tables, self.schema)
+            store = ColumnStore()
+            for name, columns in self.tables.items():
+                store.create_table(name, columns)
+            for kind, table, payload in steps:
+                if kind == "append":
+                    store.append(table, payload)
+                elif kind == "delete":
+                    store.delete(table, payload)
+                else:
+                    store.compact(table)
+            tables = mutated_tables(self.tables, steps)
         catalog = ColumnStoreCatalog(store)
         verified_schema(case.plan, catalog)
         verify_rewrite(case.plan, optimize_plan(case.plan, store), catalog)
         trace = ReferenceTrace()
         reference = run_reference(case.plan, tables, trace)
-        outcome = FuzzOutcome(case, self._record(case, trace, skew_selectivity,
-                                                 store=store,
-                                                 with_shuffle=False))
-        runs = (("colstore", True), ("colstore-unopt", False))
-        if case.shape == "meta":
-            expected = np.sort(np.asarray(reference[case.key], dtype=np.int64))
-            context = (f"seed={case.seed} shape=meta table={case.table} "
-                       f"[mutated]")
-            for label, optimized in runs:
-                query = run_plan(case.plan, store, optimized=optimized)
-                ids = np.sort(np.asarray(query.column(case.key),
-                                         dtype=np.int64))
-                assert_values_match(ids, expected, EXACT,
-                                    f"{context} [{label}]")
-                outcome.engines_checked.append(label)
-            return outcome
-        if trace.terminal_input_rows == 0:
+        outcome = FuzzOutcome(case, self._record(case, trace, skew_selectivity, store))
+        if case.shape not in ("meta", "sample") and trace.terminal_input_rows == 0:
             outcome.skipped_empty = True
             return outcome
-        if case.shape == "approx":
-            for label, optimized in runs:
-                result = run_plan(case.plan, store, optimized=optimized)
-                self._assert_approx_run(case, result, reference,
-                                        f"{label} mutated")
-                outcome.engines_checked.append(label)
-            return outcome
-        if case.shape == "aggregate":
-            plan = case.plan
-            assert isinstance(plan, logical.Aggregate)
-            expected_keys = np.asarray(reference[0], dtype=np.int64)
-            expected_values = np.asarray(reference[1], dtype=np.float64)
-            tolerance = aggregate_tolerance("colstore", plan.function)
-            context = (f"seed={case.seed} shape=aggregate table={case.table} "
-                       f"fn={plan.function} [mutated]")
-            for label, optimized in runs:
-                keys, values = run_plan(case.plan, store, optimized=optimized)
-                keys = np.asarray(np.asarray(keys, dtype=np.float64),
-                                  dtype=np.int64)
-                assert_values_match(keys, expected_keys, EXACT,
-                                    f"{context} [{label}] keys")
-                assert_values_match(np.asarray(values, dtype=np.float64),
-                                    expected_values, tolerance,
-                                    f"{context} [{label}] values")
-                outcome.engines_checked.append(label)
-            return outcome
-        if case.shape == "pivot":
-            matrix, rows, cols = reference
-            context = f"seed={case.seed} shape=pivot table={case.table} [mutated]"
-            for label, optimized in runs:
-                m, r, c = _normalise_pivot(
-                    *run_plan(case.plan, store, optimized=optimized)
-                )
-                assert_values_match(r, rows, EXACT, f"{context} [{label}] rows")
-                assert_values_match(c, cols, EXACT, f"{context} [{label}] cols")
-                assert_values_match(m, matrix, EXACT,
-                                    f"{context} [{label}] matrix")
-                outcome.engines_checked.append(label)
-            return outcome
-        raise ValueError(
-            f"shape {case.shape!r} does not admit a mutation prelude"
-        )
+        engines = self._engines(case, store, outcome.record)
+        check = getattr(self, f"_check_{case.shape}")
+        for engine in ADMISSION[case.shape]:
+            if (case.mutations and engine not in _COLSTORE) or (
+                    engine == "scidb" and case.has_value_predicate):
+                continue
+            context = (f"seed={case.seed} shape={case.shape} table={case.table} "
+                       f"[{engine}{' mutated' if case.mutations else ''}]")
+            check(case, engines[engine](), reference, engine, context)
+            outcome.engines_checked.append(engine)
+        return outcome
 
-    def _check_aggregate(self, case: FuzzCase, reference, outcome: FuzzOutcome):
+    # -- engines ----------------------------------------------------------------------
+
+    def _engines(self, case: FuzzCase, store: ColumnStore,
+                 record: CalibrationRecord) -> dict:
+        """engine → ``run()`` of the case's plan behind its public entry point."""
+        plan = case.plan
+
+        def hadoop():
+            observation = PlanObservation()
+            result = run_mr_plan(plan, self.hive_tables, self.hive,
+                                 observation=observation)
+            record.observed_shuffle_bytes = observation.shuffle_bytes
+            return result
+
+        return {
+            "colstore": lambda: run_plan(plan, store),
+            "colstore-unopt": lambda: run_plan(plan, store, optimized=False),
+            "postgres": lambda: run_pg_plan(plan, self.db),
+            "hadoop": hadoop,
+            "vanilla-r": lambda: run_r_plan(plan, self.frames),
+            "scidb": lambda: run_array_plan(plan, self.array_frames),
+            "cluster": lambda: self._run_cluster(case),
+        }
+
+    def _run_cluster(self, case: FuzzCase):
+        """Both executors over the 3-way split; filter fragments answer with ids."""
+        plan = case.plan
+        if isinstance(plan, logical.Project):
+            plan = plan.child  # fragments are row positions: nothing to project
+        table = self.partitioned[case.table]
+        ids = [partition[case.key] for partition in table.partitions]
+        results = []
+        for cluster in self.clusters:
+            stats = PartitionStats()
+            results.append(run_cluster_plan(
+                plan, table, cluster, stats=stats,
+                on_fragment=lambda node, rows: ids[node][rows],
+            ))
+            assert (stats.partitions_scanned + stats.partitions_skipped
+                    == len(table.partitions)), f"seed={case.seed}: {stats}"
+        np.testing.assert_equal(results[0], results[1])
+        return results[0]
+
+    # -- shape checks (one normaliser + comparison per shape) -------------------------
+
+    def _check_meta(self, case, relation, reference, engine, context):
+        ids = _RELATION_IDS.get(engine, lambda r, key: r.column(key))(relation, case.key)
+        assert_values_match(
+            np.sort(np.asarray(ids, dtype=np.float64).astype(np.int64)),
+            np.sort(np.asarray(reference[case.key], dtype=np.int64)), EXACT, context)
+
+    def _check_sample(self, case, query, reference, engine, context):
+        """Sample plans: column store only — sampling semantics are per-engine."""
+        order = np.argsort(np.asarray(reference[case.key], dtype=np.int64))
+        qorder = np.argsort(np.asarray(query.column(case.key), dtype=np.int64))
+        for column in reference:
+            assert_values_match(
+                np.asarray(query.column(column))[qorder],
+                np.asarray(reference[column])[order],
+                EXACT, f"{context} {column}",
+            )
+
+    def _check_approx(self, case, result, reference: float, engine, context):
+        """Sketch terminals: estimates vs the reference's *exact* answer.
+
+        Every lowering must return a well-formed ``(estimate, ci_low,
+        ci_high, confidence)`` whose estimate agrees with the exact answer
+        under the per-sketch tolerance — HLL within its three-sigma
+        relative bound, the t-digest's deterministic rank bracket covering
+        the truth.
+        """
+        plan = case.plan
+        assert isinstance(plan, logical.ApproxAggregate)
+        context = f"{context} kind={plan.kind}"
+        assert result.ci_low <= result.estimate <= result.ci_high, (
+            f"{context}: malformed interval {result}"
+        )
+        assert 0.0 < result.confidence < 1.0, (
+            f"{context}: confidence {result.confidence}"
+        )
+        if plan.kind == "approx_quantile":
+            assert result.ci_low <= reference <= result.ci_high, (
+                f"{context}: exact quantile {reference} outside "
+                f"rank bracket [{result.ci_low}, {result.ci_high}]"
+            )
+        else:
+            assert_values_match(
+                np.float64(result.estimate), np.float64(reference),
+                sketch_tolerance(plan.kind), context,
+            )
+
+    def _check_aggregate(self, case, result, reference, engine, context):
         plan = case.plan
         assert isinstance(plan, logical.Aggregate)
-        expected_keys = np.asarray(reference[0], dtype=np.int64)
-        expected_values = np.asarray(reference[1], dtype=np.float64)
-        context = (f"seed={case.seed} shape=aggregate table={case.table} "
-                   f"fn={plan.function}")
-        for engine, keys, values in self._aggregate_runs(case, outcome):
-            tolerance = aggregate_tolerance(engine, plan.function)
-            keys = np.asarray(np.asarray(keys, dtype=np.float64), dtype=np.int64)
-            assert_values_match(keys, expected_keys, EXACT,
-                                f"{context} [{engine}] keys")
-            assert_values_match(np.asarray(values, dtype=np.float64),
-                                expected_values, tolerance,
-                                f"{context} [{engine}] values")
-            outcome.engines_checked.append(engine)
+        context = f"{context} fn={plan.function}"
+        keys = np.asarray(result[0], dtype=np.float64).astype(np.int64)
+        assert_values_match(keys, np.asarray(reference[0], dtype=np.int64), EXACT,
+                            f"{context} keys")
+        assert_values_match(np.asarray(result[1], dtype=np.float64),
+                            np.asarray(reference[1], dtype=np.float64),
+                            aggregate_tolerance(engine, plan.function),
+                            f"{context} values")
 
-    def _aggregate_runs(self, case: FuzzCase, outcome: FuzzOutcome):
-        yield ("colstore", *run_plan(case.plan, self.store, optimized=True))
-        yield ("colstore-unopt", *run_plan(case.plan, self.store, optimized=False))
-        yield ("postgres", *run_pg_plan(case.plan, self.db))
-        observation = PlanObservation()
-        keys, values = run_mr_plan(case.plan, self.hive_tables, self.hive,
-                                   observation=observation)
-        outcome.record.observed_shuffle_bytes = observation.shuffle_bytes
-        yield ("hadoop", keys, values)
-        yield ("vanilla-r", *run_r_plan(case.plan, self.frames))
-        if not case.has_value_predicate:
-            yield ("scidb", *run_array_plan(case.plan, self.array_frames))
-
-    def _check_pivot(self, case: FuzzCase, reference, outcome: FuzzOutcome):
-        matrix, rows, cols = reference
-        context = f"seed={case.seed} shape=pivot table={case.table}"
-        runs = [
-            ("colstore", run_plan(case.plan, self.store, optimized=True)),
-            ("colstore-unopt", run_plan(case.plan, self.store, optimized=False)),
-            ("postgres", run_pg_plan(case.plan, self.db)),
-        ]
-        observation = PlanObservation()
-        runs.append(("hadoop", run_mr_plan(case.plan, self.hive_tables, self.hive,
-                                           observation=observation)))
-        runs.append(("vanilla-r", run_r_plan(case.plan, self.frames)))
-        if not case.has_value_predicate:
-            runs.append(("scidb", run_array_plan(case.plan, self.array_frames)))
-        for engine, (m, r, c) in runs:
-            m, r, c = _normalise_pivot(m, r, c)
-            assert_values_match(r, rows, EXACT, f"{context} [{engine}] rows")
-            assert_values_match(c, cols, EXACT, f"{context} [{engine}] cols")
-            assert_values_match(m, matrix, EXACT, f"{context} [{engine}] matrix")
-            outcome.engines_checked.append(engine)
-        outcome.record.observed_shuffle_bytes = observation.shuffle_bytes
+    def _check_pivot(self, case, result, reference, engine, context):
+        for part, expected, name in zip(_normalise_pivot(*result), reference,
+                                        ("matrix", "rows", "cols"), strict=True):
+            assert_values_match(part, expected, EXACT, f"{context} {name}")
 
     # -- calibration ------------------------------------------------------------------
 
     def _record(self, case: FuzzCase, trace: ReferenceTrace,
-                skew_selectivity: bool, store: ColumnStore | None = None,
-                with_shuffle: bool = True) -> CalibrationRecord:
-        store = self.store if store is None else store
+                skew_selectivity: bool, store: ColumnStore) -> CalibrationRecord:
         catalog = ColumnStoreCatalog(store)
         predicted_plan = (_strip_filters(case.plan) if skew_selectivity
                           else case.plan)
         predicted = estimate_output_rows(predicted_plan, catalog)
         shuffle = None
-        if with_shuffle and case.shape not in ("sample", "approx"):
+        if not case.mutations and case.shape not in ("sample", "approx"):
             shuffle = estimate_shuffle_bytes(
                 predicted_plan, self.hive_tables, n_splits=self.mr_engine.n_splits
             )
@@ -502,28 +432,9 @@ def _predicate_classes(plan: logical.PlanNode) -> list[str]:
 
 def _strip_filters(node: logical.PlanNode) -> logical.PlanNode:
     """Remove every Filter — i.e. pretend all selectivities are 1.0."""
-    if isinstance(node, logical.Filter):
-        return _strip_filters(node.child)
-    if isinstance(node, logical.Project):
-        return logical.Project(_strip_filters(node.child), node.columns)
-    if isinstance(node, logical.Sample):
-        return logical.Sample(_strip_filters(node.child), node.fraction, node.seed)
-    if isinstance(node, logical.Join):
-        return logical.Join(
-            _strip_filters(node.left), _strip_filters(node.right),
-            node.left_key, node.right_key,
-        )
-    if isinstance(node, logical.Aggregate):
-        return logical.Aggregate(
-            _strip_filters(node.child), node.group_by, node.value, node.function
-        )
-    if isinstance(node, logical.Pivot):
-        return logical.Pivot(
-            _strip_filters(node.child), node.row_key, node.column_key, node.value
-        )
-    if isinstance(node, logical.ApproxAggregate):
-        return logical.ApproxAggregate(
-            _strip_filters(node.child), node.value, node.kind,
-            node.quantile, node.confidence, node.fraction, node.seed,
-        )
-    return node
+    while isinstance(node, logical.Filter):
+        node = node.child
+    return replace(node, **{
+        name: _strip_filters(child) for name, child in vars(node).items()
+        if isinstance(child, logical.PlanNode)
+    })

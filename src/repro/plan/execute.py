@@ -1,4 +1,4 @@
-"""The one shared-plan driver behind the five single-node bridges.
+"""The one shared-plan driver behind every bridge — five engines and the cluster.
 
 Every engine family runs the same logical plans under the same contract:
 optimise with the engine's catalog and capability profile → check the
@@ -31,19 +31,11 @@ frames' backend, end to end:
 >>> seen.engine, seen.output_rows, seen.output_cells
 ('vanilla-r', 2, 4)
 
-Deliberately **not** on this skeleton:
-
-* :func:`repro.cluster.bridge.run_shared_plan` never calls the optimizer,
-  admits only ``Aggregate? → Filter* → Scan`` and returns per-node
-  fragments; forcing it through :func:`execute` would make this shared
-  code branch on its caller.
-* ``JoinedQuery._eager_query`` (column store) is the only path that runs
-  on colliding source names, which the shared ``Join`` node cannot
-  express, so it stays beside the fused path.
-* The engines' own counters (``FilterStats``, ``PartitionStats``, the
-  shuffle fields of :class:`~repro.plan.observe.PlanObservation`) stay
-  with the code that counts them; the driver fills only what every
-  backend can answer — engine, output rows, pivot cells.
+Deliberately **not** on this skeleton: the engines' own counters
+(``FilterStats``, ``PartitionStats``, the shuffle fields of
+:class:`~repro.plan.observe.PlanObservation`) stay with the code that
+counts them; the driver fills only what every backend can answer —
+engine, output rows, pivot cells.
 """
 
 from __future__ import annotations
@@ -82,10 +74,10 @@ class Backend:
 
     def pivot(self, lowered, plan: Pivot):
         """``Pivot`` terminal → ``(matrix, row_labels, column_labels)``."""
-        raise NotImplementedError
+        raise TypeError(f"cannot execute plan node Pivot on the {self.engine} executor")
 
     def approx_aggregate(self, plan: ApproxAggregate):
-        """``ApproxAggregate`` terminal → ``ApproxResult`` (column store only)."""
+        """``ApproxAggregate`` terminal → ``ApproxResult`` (column store, cluster)."""
         raise TypeError(
             f"cannot execute plan node ApproxAggregate on the {self.engine} executor"
         )

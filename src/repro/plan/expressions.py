@@ -82,13 +82,17 @@ def literal_dtype(value) -> np.dtype:
 
 
 def _require_comparable(left: np.dtype | None, right: np.dtype | None,
-                        symbol: str, context: str) -> None:
-    """Reject cross-family comparisons (``str < int`` can never be meant)."""
+                        symbol: str, context: "Expression") -> None:
+    """Reject cross-family comparisons (``str < int`` can never be meant).
+
+    ``context`` is rendered only on failure: an ``isin`` over hundreds of
+    keys is verified on every query and must not pay for its own repr.
+    """
     if left is None or right is None:
         return
     if _kind_family(left) != _kind_family(right):
         raise StaticTypeError(
-            f"cannot compare {left} with {right} in {context} "
+            f"cannot compare {left} with {right} in {context!r} "
             f"(operator {symbol!r} needs both sides in one type family)",
             rule="comparison-type-mismatch",
         )
@@ -269,7 +273,7 @@ class Comparison(Expression):
     def infer_dtype(self, column_dtypes: Mapping[str, np.dtype | None]) -> np.dtype | None:
         left = self.left.infer_dtype(column_dtypes)
         right = self.right.infer_dtype(column_dtypes)
-        _require_comparable(left, right, self.symbol, repr(self))
+        _require_comparable(left, right, self.symbol, self)
         return np.dtype(bool)
 
     def __repr__(self) -> str:
@@ -432,7 +436,7 @@ class InList(Expression):
         # An empty key set carries no dtype information (np.unique([]) is
         # float64 by construction) — nothing to check against.
         if len(keys) and operand is not None:
-            _require_comparable(operand, keys.dtype, "IN", repr(self))
+            _require_comparable(operand, keys.dtype, "IN", self)
         return np.dtype(bool)
 
     def __repr__(self) -> str:

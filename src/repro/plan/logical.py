@@ -203,8 +203,8 @@ class Join(PlanNode):
         result = dict(left)
         for name, dtype in right.items():
             if name != self.right_key and name not in result:
-                # A non-key name collision keeps the left column here, the
-                # executors' ambiguous-source fallback renames at run time.
+                # A non-key name collision keeps the left column here;
+                # ``JoinedQuery`` aliases the right copy before it plans.
                 result[name] = dtype
         return result
 

@@ -143,14 +143,16 @@ class PlanCatalog:
 
 
 class SchemaCatalog(PlanCatalog):
-    """Names, dtypes and (optionally) row counts — and nothing else.
+    """Names, dtypes and — where the source has them — counts and stats.
 
-    The one catalog for every source that keeps no per-column statistics:
-    the row store, the Hive tables and the R frames snapshot their schemas
-    into it once per plan execution, and the verifier and the fuzzer use it
+    The one catalog for every source but the live column store: the row
+    store, the Hive tables and the R frames snapshot their schemas into it
+    once per plan execution, the array frames and the cluster's partitioned
+    tables add ``stats`` (``{table: {column: ColumnStats}}``) merged from
+    their chunk / partition synopses, and the verifier and the fuzzer use it
     engine-free over a plain ``{table: {column: dtype}}`` mapping (a
-    ``None`` dtype means "unknown").  With ``row_counts``, ``stats_of``
-    answers with the table's cardinality only — enough for the join
+    ``None`` dtype means "unknown").  With ``row_counts`` only, ``stats_of``
+    answers with the table's cardinality — enough for the join
     build-side rule to compare post-filter estimates, while selectivity
     falls back to the structural (shape-based) defaults.
 
@@ -159,24 +161,29 @@ class SchemaCatalog(PlanCatalog):
     (['gene_id'], dtype('int64'))
     >>> catalog.row_count_of("genes"), catalog.stats_of("genes", "length")
     (5, None)
+    >>> SchemaCatalog({"genes": {"gene_id": "int64"}}, stats={"genes": {
+    ...     "gene_id": ColumnStats(5, distinct=5)}}).stats_of("genes", "gene_id")
+    ColumnStats(row_count=5, distinct=5, minimum=None, maximum=None)
     """
 
-    def __init__(self, schemas, row_counts=None):
+    def __init__(self, schemas, row_counts=None, stats=None):
         self.schemas = {
             table: {name: None if dtype is None else np.dtype(dtype)
                     for name, dtype in columns.items()}
             for table, columns in schemas.items()
         }
         self.row_counts = dict(row_counts or {})
+        self.stats = dict(stats or {})
 
     def columns_of(self, table: str) -> list[str] | None:
         columns = self.schemas.get(table)
         return None if columns is None else list(columns)
 
     def stats_of(self, table: str, column: str) -> ColumnStats | None:
+        known = self.stats.get(table, {}).get(column)
         count = self.row_counts.get(table)
-        if count is None or column not in self.schemas.get(table, ()):
-            return None
+        if known is not None or count is None or column not in self.schemas.get(table, ()):
+            return known
         return ColumnStats(row_count=count)
 
     def dtype_of(self, table: str, column: str) -> np.dtype | None:

@@ -399,6 +399,16 @@ class TestSciDBChunkSkipping:
         np.testing.assert_array_equal(coords, expected)
         assert stats.chunks_skipped == 5  # the five all-age-70 chunks
 
+    def test_misaligned_metadata_chunking_is_rejected_by_name(self):
+        # The filter pass walks one chunk grid for every column of a frame,
+        # so a frame whose columns disagree on it cannot be built at all.
+        values = np.arange(20.0)
+        with pytest.raises(ValueError, match=r"frame 'patient_id'.*'gender': \(0, 19, 5\)"):
+            ArrayFrame("patient_id", {
+                "age": metadata_array("age", values, "patient_id", "age", 10),
+                "gender": metadata_array("gender", values, "patient_id", "gender", 5),
+            })
+
 
 class TestChunkedFilterProperties:
     """Hypothesis: shared-plan filters on chunked arrays match plain numpy."""

@@ -1,4 +1,4 @@
-"""The executor contract, once, over all five single-node backends.
+"""The executor contract, once, over all five single-node backends and the cluster.
 
 :func:`repro.plan.execute.execute` owns optimise → verify → lower →
 terminal → observe for every bridge, so the contract is tested here once
@@ -9,12 +9,20 @@ the same observed cardinality.
 
 from __future__ import annotations
 
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 
+import repro
+
 from repro.arraydb.bridge import ArrayFrame, matrix_frame, metadata_array
 from repro.arraydb.bridge import run_shared_plan as run_array_plan
+from repro.cluster import Cluster, PartitionedTable, PartitionStats
+from repro.cluster.bridge import run_shared_plan as run_cluster_plan
 from repro.colstore import ColumnStore, run_plan
+from repro.colstore.sketches import HyperLogLog, TDigest
 from repro.mapreduce import HiveSession, HiveTable
 from repro.mapreduce.bridge import run_shared_plan as run_mr_plan
 from repro.plan import (
@@ -25,8 +33,11 @@ from repro.plan import (
     PlanObservation,
     Scan,
     approx_distinct,
+    approx_quantile,
+    approx_sum,
     col,
 )
+from repro.plan.logical import AGGREGATE_FUNCTIONS
 from repro.relational import ColumnType, Database
 from repro.relational.bridge import run_shared_plan as run_pg_plan
 from repro.rlang.bridge import run_shared_plan as run_r_plan
@@ -154,6 +165,116 @@ class TestExecutorContract:
             backends[engine](plan, optimized=optimized, observation=seen)
             assert (seen.engine, seen.output_rows, seen.output_cells) == (
                 engine, rows, cells)
+
+
+@pytest.mark.parametrize("executor", ["threads", "sequential"])
+class TestClusterExecutorContract:
+    """The sixth backend: one partitioned table, fragments in node order.
+
+    The cluster admits ``Filter* → Scan`` under an optional single-table
+    ``Aggregate`` / sketch ``ApproxAggregate`` — no join, no pivot — so it
+    gets its own rows over the same ``patients`` world, split three ways.
+    """
+
+    PARTS = [np.array([0, 1]), np.array([2, 3]), np.array([4])]
+
+    def _table(self) -> PartitionedTable:
+        return PartitionedTable.from_partitions("patients", [
+            {"patient_id": rows, "age": AGES[rows],
+             "dose": MATRIX[rows, 0], "arm": rows % 2}
+            for rows in self.PARTS
+        ])
+
+    def test_filter_prunes_only_when_optimized_with_identical_fragments(self, executor):
+        plan = Filter(Scan("patients"), (col("age") > 55) & (col("patient_id") >= 0))
+        fragments = {}
+        for optimized in (True, False):
+            stats = PartitionStats()
+            fragments[optimized] = run_cluster_plan(
+                plan, self._table(), Cluster(3, executor=executor),
+                stats=stats, optimized=optimized)
+            # age > 55 holds for patient 3 only: partitions 0 and 2 are prunable.
+            assert (stats.partitions_scanned, stats.partitions_skipped, stats.rows_kept) == (
+                (1, 2, 1) if optimized else (3, 0, 1))
+        for pruned, scanned in zip(fragments[True], fragments[False], strict=True):
+            np.testing.assert_array_equal(pruned, scanned)
+        assert [fragment.tolist() for fragment in fragments[True]] == [[], [1], []]
+
+    @pytest.mark.parametrize("function", AGGREGATE_FUNCTIONS)
+    def test_aggregate_honours_every_function(self, executor, function):
+        plan = Aggregate(Filter(Scan("patients"), col("age") < 55), "arm", "dose", function)
+        young = AGES < 55
+        arms = np.arange(N_PATIENTS)[young] % 2
+        reducer = {"count": len, "sum": np.sum, "mean": np.mean,
+                   "min": np.min, "max": np.max}[function]
+        expected = [float(reducer(MATRIX[young, 0][arms == arm])) for arm in (0, 1)]
+        for optimized in (True, False):
+            keys, values = run_cluster_plan(
+                plan, self._table(), Cluster(3, executor=executor), optimized=optimized)
+            np.testing.assert_array_equal(keys, [0, 1])
+            np.testing.assert_array_equal(values, expected)
+
+    def test_unknown_aggregate_function_is_rejected_before_dispatch(self, executor):
+        stats = PartitionStats()
+        with pytest.raises(ValueError, match="unsupported aggregate function 'median'"):
+            run_cluster_plan(Aggregate(Scan("patients"), "arm", "dose", "median"),
+                             self._table(), Cluster(3, executor=executor),
+                             stats=stats, optimized=False)
+        assert stats.partitions_scanned == 0  # nothing was dispatched
+
+    def test_sketches_merge_to_the_single_pass_answer(self, executor):
+        young = Filter(Scan("patients"), col("age") < 55)
+        distinct = approx_distinct(young, "arm")
+        median = approx_quantile(young, "dose", q=0.5)
+        for optimized in (True, False):
+            cluster = Cluster(3, executor=executor)
+            assert tuple(run_cluster_plan(distinct, self._table(), cluster,
+                                          optimized=optimized)) == tuple(
+                HyperLogLog().add_array(np.arange(N_PATIENTS)[AGES < 55] % 2)
+                .result(distinct.confidence))
+            assert tuple(run_cluster_plan(median, self._table(), cluster,
+                                          optimized=optimized)) == tuple(
+                TDigest().add_array(MATRIX[AGES < 55, 0]).result(0.5, median.confidence))
+
+    def test_sampled_kinds_and_other_shapes_are_rejected_by_name(self, executor):
+        cluster = Cluster(3, executor=executor)
+        for optimized in (True, False):
+            with pytest.raises(ValueError, match="column-store planner"):
+                run_cluster_plan(approx_sum(Scan("patients"), "dose", fraction=0.5),
+                                 self._table(), cluster, optimized=optimized)
+        with pytest.raises(ValueError, match=r"Filter\*/Scan\('patients'\)"):
+            run_cluster_plan(Filter(Scan("genes"), col("age") < 9),
+                             self._table(), cluster, optimized=False)
+        with pytest.raises(TypeError, match="Pivot on the cluster executor"):
+            run_cluster_plan(Pivot(Scan("patients"), "patient_id", "arm", "dose"),
+                             self._table(), cluster)
+
+
+def test_every_bridge_entry_point_is_one_call_into_the_driver():
+    """Public ``run_plan`` / ``run_shared_plan`` bodies are one ``return execute(...)``.
+
+    A seventh bridge that grows its own optimise → verify → lower skeleton
+    fails here.  The MapReduce bridge may wrap its single return in the
+    ``try``/``finally`` that reads the shuffle counters around it.
+    """
+    package = pathlib.Path(repro.__file__).parent
+    statements = {}
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef) and node.name in ("run_plan", "run_shared_plan"):
+                (returned,) = [n for n in ast.walk(node) if isinstance(n, ast.Return)]
+                assert isinstance(returned.value, ast.Call), path
+                assert returned.value.func.id == "execute", path
+                docstring = ast.get_docstring(node) is not None
+                statements[str(path.relative_to(package))] = len(node.body) - docstring
+    assert statements == {
+        "arraydb/bridge.py": 1,
+        "cluster/bridge.py": 1,
+        "colstore/planner.py": 1,
+        "mapreduce/bridge.py": 2,  # jobs_before = …; try: return execute(…) finally: …
+        "relational/bridge.py": 1,
+        "rlang/bridge.py": 1,
+    }
 
 
 class TestApproxAggregateIsColumnStoreOnly:

@@ -619,8 +619,8 @@ class TestFusedJoinQueries:
     def test_shared_source_names_across_sides_keep_output_ownership(self):
         # Regression: the plan layer gathers join columns by *source* name,
         # so when both sides produce an "x" the right copy would win.  Such
-        # joins must fall back to the eager output-name-keyed path and keep
-        # each output bound to its own side.
+        # joins alias the right's copy on its scan binding, stay on the
+        # fused path and keep each output bound to its own side.
         left = ColumnQuery(ColumnTable.from_arrays(
             "l", {"k": np.array([1, 2, 3]), "x": np.array([10, 20, 30])}
         ))
@@ -635,11 +635,25 @@ class TestFusedJoinQueries:
         table = joined.collect("both_sides")
         np.testing.assert_array_equal(table.values("lx"), [10, 20, 30])
         np.testing.assert_array_equal(table.values("rx"), [100, 200, 300])
-        # Terminals resolve through the same fallback.
+        # Terminals resolve through the same aliases.
         keys, sums = joined.group_aggregate("k", "lx", "sum")
         np.testing.assert_array_equal(keys, [1, 2, 3])
         np.testing.assert_array_equal(sums, [10.0, 20.0, 30.0])
-        assert "EagerJoin" in joined.explain()
+        keys, sums = joined.group_aggregate("k", "rx", "sum")
+        np.testing.assert_array_equal(sums, [100.0, 200.0, 300.0])
+        assert joined.explain().splitlines()[:2] == [
+            "Project ['k', 'x', 'x__right']  [~rows=3]",
+            "  Join k = k build=left  [~rows=3]",
+        ]
+        # A filter on the right input runs before the alias hides its name.
+        narrowed = left.join(
+            right.where(col("x") > 100), "k", "k",
+            columns={"k": "k", "lx": "x"}, other_columns={"rx": "x"},
+        ).collect()
+        np.testing.assert_array_equal(narrowed.values("lx"), [20, 30])
+        np.testing.assert_array_equal(narrowed.values("rx"), [200, 300])
+        with pytest.raises(ValueError, match="mapped on both sides"):
+            left.join(right, "k", "k")
         # Mapping only the left's copy must not let the right's leak in.
         left_only = left.join(
             right, "k", "k", columns={"k": "k", "lx": "x"}, other_columns={}
