@@ -9,8 +9,7 @@ chunks or hand off to ScaLAPACK.  This package reproduces that architecture:
 * :mod:`repro.arraydb.chunk` / :mod:`repro.arraydb.array` — chunked storage
   with per-chunk empty-cell bitmaps,
 * :mod:`repro.arraydb.operators` — the AFL-style operators the GenBase
-  queries need: ``filter``, ``between`` (subarray), ``apply``, ``project``,
-  ``aggregate``, ``cross_join``, ``redimension`` and ``regrid``,
+  queries need: ``filter``, ``subarray`` and ``aggregate``,
 * :mod:`repro.arraydb.linalg` — chunk-wise linear algebra (GEMM, Gram
   matrices, matrix-vector products) used by the native analytics, plus the
   bridge that hands whole arrays to the ScaLAPACK tier,

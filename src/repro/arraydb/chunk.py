@@ -98,7 +98,7 @@ class Chunk:
         """Return global cell coordinates of the non-empty cells.
 
         Returns one array per dimension, aligned, ready for vectorised
-        redimension/cross-join bookkeeping.
+        per-coordinate aggregation.
         """
         local = np.nonzero(self.mask if self.mask is not None else np.ones(self.shape, bool))
         return tuple(axis_index + offset for axis_index, offset in zip(local, self.origin, strict=True))

@@ -5,23 +5,18 @@ objects and processes data one chunk at a time — the execution model that
 lets the array DBMS skip the table↔matrix restructuring every relational
 engine pays for in the GenBase queries.
 
-Implemented operators (names follow SciDB's AFL where one exists):
+Implemented operators (names follow SciDB's AFL where one exists) — the
+ones :mod:`repro.arraydb.bridge` lowers the shared plans onto:
 
 * :func:`filter_attribute` — keep cells satisfying a predicate on the
   attributes; the predicate is an :class:`~repro.plan.expressions.Expression`
   from the shared AST (range/equality/membership conjuncts skip whole
   chunks via the chunks' min/max synopses),
-* :func:`between` — subarray by dimension coordinate ranges,
 * :func:`subarray_by_index` — keep a given list of coordinates along one
   dimension and compact them (what a dimension-join against a filtered
   metadata array produces),
-* :func:`apply` — add a computed attribute,
-* :func:`project` — keep a subset of attributes,
 * :func:`aggregate` — whole-array or per-dimension aggregates computed
-  chunk-wise,
-* :func:`cross_join` — join two arrays on a shared dimension,
-* :func:`redimension` — build a 2-D array from coordinate/value cell lists,
-* :func:`regrid` — downsample by an integer factor per dimension.
+  chunk-wise.
 
 Shared logical plans (Scan → Filter → Join → Aggregate/Pivot) are lowered
 onto these operators by :mod:`repro.arraydb.bridge`.
@@ -30,13 +25,13 @@ onto these operators by :mod:`repro.arraydb.bridge`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.arraydb.array import ChunkedArray
 from repro.arraydb.chunk import Chunk
-from repro.arraydb.schema import Attribute, Dimension
+from repro.arraydb.schema import Dimension
 from repro.plan.expressions import (
     ColumnRef,
     Comparison,
@@ -222,42 +217,6 @@ def filter_attribute(
     return result
 
 
-def between(
-    array: ChunkedArray,
-    bounds: dict[str, tuple[int, int]],
-    result_name: str | None = None,
-) -> ChunkedArray:
-    """Subarray: keep cells inside inclusive coordinate ``bounds`` per dimension.
-
-    Dimensions not named in ``bounds`` are kept whole.  Unlike
-    :func:`subarray_by_index` the coordinate system is preserved (this is
-    SciDB's ``between``, not ``subarray``).
-    """
-    for name in bounds:
-        array.schema.dimension(name)  # validate
-    schema = array.schema.renamed(result_name or f"between({array.schema.name})")
-    result = ChunkedArray(schema)
-    for chunk in array.chunks():
-        keep = np.ones(chunk.shape, dtype=bool)
-        for axis, dimension in enumerate(array.schema.dimensions):
-            if dimension.name not in bounds:
-                continue
-            low, high = bounds[dimension.name]
-            coords = chunk.origin[axis] + np.arange(chunk.shape[axis])
-            axis_keep = (coords >= low) & (coords <= high)
-            shape = [1] * len(chunk.shape)
-            shape[axis] = len(coords)
-            keep &= axis_keep.reshape(shape)
-        if chunk.mask is not None:
-            keep &= chunk.mask
-        if not keep.any():
-            continue
-        new_chunk = chunk.copy()
-        new_chunk.mask = keep
-        result.put_chunk(new_chunk)
-    return result
-
-
 def subarray_by_index(
     array: ChunkedArray,
     dimension_name: str,
@@ -296,46 +255,6 @@ def subarray_by_index(
         attribute_name=attribute,
         chunk_sizes=[d.chunk_size for d in new_dimensions],
     )
-
-
-def apply(
-    array: ChunkedArray,
-    new_attribute: str,
-    function: Callable[[dict[str, np.ndarray]], np.ndarray],
-    result_name: str | None = None,
-) -> ChunkedArray:
-    """Add a computed attribute evaluated chunk-wise from existing attributes."""
-    attributes = list(array.schema.attributes) + [Attribute(new_attribute)]
-    schema = array.schema.with_attributes(
-        attributes, name=result_name or f"apply({array.schema.name})"
-    )
-    result = ChunkedArray(schema)
-    for chunk in array.chunks():
-        new_chunk = chunk.copy()
-        new_chunk.data[new_attribute] = np.asarray(
-            function({name: chunk.attribute(name) for name in array.schema.attribute_names}),
-            dtype=np.float64,
-        )
-        result.put_chunk(new_chunk)
-    return result
-
-
-def project(array: ChunkedArray, attributes: Sequence[str],
-            result_name: str | None = None) -> ChunkedArray:
-    """Keep only the named attributes."""
-    kept = [array.schema.attribute(name) for name in attributes]
-    schema = array.schema.with_attributes(kept, name=result_name or f"project({array.schema.name})")
-    result = ChunkedArray(schema)
-    for chunk in array.chunks():
-        result.put_chunk(
-            Chunk(
-                coordinates=chunk.coordinates,
-                origin=chunk.origin,
-                data={name: chunk.attribute(name).copy() for name in attributes},
-                mask=None if chunk.mask is None else chunk.mask.copy(),
-            )
-        )
-    return result
 
 
 def aggregate(
@@ -412,147 +331,3 @@ def aggregate(
     if function == "min":
         return np.where(counts > 0, minimums, np.nan)
     return np.where(counts > 0, maximums, np.nan)
-
-
-def cross_join(
-    left: ChunkedArray,
-    right: ChunkedArray,
-    dimension_name: str,
-    result_name: str | None = None,
-) -> ChunkedArray:
-    """Join two arrays on a shared dimension.
-
-    The right array must be 1-D over ``dimension_name`` (a metadata vector,
-    e.g. ``(function)[gene_id]``); its attributes are broadcast onto the
-    left array's cells with matching coordinates, and left cells whose
-    coordinate has no (non-empty) right cell become empty.  This covers how
-    the GenBase queries use SciDB's ``cross_join``.
-    """
-    if right.schema.ndim != 1 or right.schema.dimensions[0].name != dimension_name:
-        raise ValueError("cross_join expects the right array to be 1-D over the join dimension")
-    axis = left.schema.dimension_index(dimension_name)
-    right_dimension = right.schema.dimensions[0]
-
-    # Materialise the right side as (coordinate -> attribute values, present?).
-    right_dense = {
-        name: right.to_dense(attribute=name, fill=np.nan)
-        for name in right.schema.attribute_names
-    }
-    present = np.zeros(right_dimension.length, dtype=bool)
-    coords, _ = right.attribute_cells(right.schema.attribute_names[0])
-    present[coords[0] - right_dimension.start] = True
-
-    attributes = list(left.schema.attributes) + [
-        Attribute(name) for name in right.schema.attribute_names
-    ]
-    schema = left.schema.with_attributes(
-        attributes, name=result_name or f"cross_join({left.schema.name},{right.schema.name})"
-    )
-    result = ChunkedArray(schema)
-    for chunk in left.chunks():
-        coords_along_axis = chunk.origin[axis] + np.arange(chunk.shape[axis])
-        offsets = coords_along_axis - right_dimension.start
-        in_range = (offsets >= 0) & (offsets < right_dimension.length)
-        row_present = np.zeros(len(offsets), dtype=bool)
-        row_present[in_range] = present[offsets[in_range]]
-        shape = [1] * len(chunk.shape)
-        shape[axis] = len(offsets)
-        keep = row_present.reshape(shape) & (
-            chunk.mask if chunk.mask is not None else np.ones(chunk.shape, bool)
-        )
-        if not keep.any():
-            continue
-        new_chunk = chunk.copy()
-        new_chunk.mask = keep
-        for name, dense in right_dense.items():
-            broadcast_values = np.zeros(len(offsets))
-            broadcast_values[in_range] = np.nan_to_num(dense[offsets[in_range]])
-            new_chunk.data[name] = np.broadcast_to(
-                broadcast_values.reshape(shape), chunk.shape
-            ).copy()
-        result.put_chunk(new_chunk)
-    return result
-
-
-def redimension(
-    name: str,
-    row_coordinates: np.ndarray,
-    column_coordinates: np.ndarray,
-    values: np.ndarray,
-    dimension_names: tuple[str, str] = ("row", "column"),
-    attribute_name: str = "value",
-    chunk_sizes: tuple[int, int] | None = None,
-) -> ChunkedArray:
-    """Build a dense 2-D array from (row, column, value) cell triples.
-
-    Coordinates are compacted (renumbered densely in sorted order), which is
-    what SciDB's ``redimension`` does when loading a relational "long"
-    table into an array.
-    """
-    row_coordinates = np.asarray(row_coordinates, dtype=np.int64)
-    column_coordinates = np.asarray(column_coordinates, dtype=np.int64)
-    values = np.asarray(values, dtype=np.float64)
-    if not (len(row_coordinates) == len(column_coordinates) == len(values)):
-        raise ValueError("coordinate and value arrays must be the same length")
-    row_labels, row_positions = np.unique(row_coordinates, return_inverse=True)
-    column_labels, column_positions = np.unique(column_coordinates, return_inverse=True)
-    dense = np.zeros((len(row_labels), len(column_labels)), dtype=np.float64)
-    dense[row_positions, column_positions] = values
-    chunk_sizes = chunk_sizes or (
-        min(256, max(1, dense.shape[0])),
-        min(256, max(1, dense.shape[1])),
-    )
-    return ChunkedArray.from_dense(
-        name,
-        dense,
-        dimension_names=list(dimension_names),
-        attribute_name=attribute_name,
-        chunk_sizes=list(chunk_sizes),
-    )
-
-
-def regrid(
-    array: ChunkedArray,
-    factors: dict[str, int],
-    attribute: str | None = None,
-    function: str = "avg",
-    result_name: str | None = None,
-) -> ChunkedArray:
-    """Downsample an array by integer factors per dimension.
-
-    Cells are grouped into ``factor``-sized blocks along each named
-    dimension and aggregated (avg/sum/min/max).  Partial blocks at the array
-    edge are aggregated over the cells that exist.
-    """
-    if function not in ("avg", "sum", "min", "max"):
-        raise ValueError(f"unsupported regrid aggregate {function!r}")
-    if attribute is None:
-        attribute = array.schema.attribute_names[0]
-    dense = array.to_dense(attribute=attribute, fill=np.nan)
-    reducers = {"avg": np.nanmean, "sum": np.nansum, "min": np.nanmin, "max": np.nanmax}
-    reducer = reducers[function]
-
-    result = dense
-    for axis, dimension in enumerate(array.schema.dimensions):
-        factor = factors.get(dimension.name, 1)
-        if factor <= 1:
-            continue
-        length = result.shape[axis]
-        n_blocks = (length + factor - 1) // factor
-        blocks = []
-        for block_index in range(n_blocks):
-            selector = [slice(None)] * result.ndim
-            selector[axis] = slice(block_index * factor, min((block_index + 1) * factor, length))
-            with np.errstate(invalid="ignore"):
-                blocks.append(reducer(result[tuple(selector)], axis=axis, keepdims=True))
-        result = np.concatenate(blocks, axis=axis)
-
-    result = np.nan_to_num(result, nan=0.0)
-    name = result_name or f"regrid({array.schema.name})"
-    return ChunkedArray.from_dense(
-        name,
-        result,
-        dimension_names=list(array.schema.dimension_names),
-        attribute_name=attribute,
-        chunk_sizes=[d.chunk_size for d in array.schema.dimensions],
-    )

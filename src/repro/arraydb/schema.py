@@ -142,19 +142,7 @@ class ArraySchema:
                 f"no attribute {name!r}; array has {list(self.attribute_names)}"
             ) from None
 
-    def attribute_index(self, name: str) -> int:
-        self.attribute(name)
-        return self._attr_index[name]
-
     # -- derivation --------------------------------------------------------------
-
-    def with_attributes(self, attributes: Sequence[Attribute], name: str | None = None) -> "ArraySchema":
-        """Return a schema with the same dimensions but new attributes."""
-        return ArraySchema(name or self.name, self.dimensions, attributes)
-
-    def with_dimensions(self, dimensions: Sequence[Dimension], name: str | None = None) -> "ArraySchema":
-        """Return a schema with the same attributes but new dimensions."""
-        return ArraySchema(name or self.name, dimensions, self.attributes)
 
     def renamed(self, name: str) -> "ArraySchema":
         return ArraySchema(name, self.dimensions, self.attributes)

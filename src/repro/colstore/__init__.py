@@ -23,14 +23,19 @@ DESIGN — compressed execution
 =============================
 
 Queries operate *directly on the encoded columns* wherever the encoding
-admits a fast path; a full decode happens only when a column is genuinely
-materialised (and is then cached, the buffer-pool behaviour).  The
-per-encoding fast-path matrix:
+admits a fast path.  There is one dispatch level: a ``ColumnVector``
+delegates every operator to its ``Encoding``, which answers from the
+compressed form or inherits the generic decode-then-numpy answer.  Every
+such fallback reads ``Encoding.values()`` — the decode-once buffer, the
+only place a column is ever decoded — so the cost rule is: *once decoded,
+gather and compare on the buffer; dictionary/RLE keep answering from
+codes/runs.*  The per-encoding matrix:
 
 ===========  ==============================  ===================================
 encoding     ``take(indices)``               ``filter_mask`` / ``isin``
 ===========  ==============================  ===================================
-plain        direct fancy indexing           full-column vectorised predicate
+plain        fancy indexing on the stored    vectorised predicate on the stored
+             array (it *is* the buffer)      array — zero-copy, never decoded
 rle          ``searchsorted`` over the       predicate on the run *values* only,
              cumulative run ends             verdicts ``repeat``-expanded
 dictionary   gather codes, one dictionary    predicate on the *distinct* values;
@@ -38,9 +43,14 @@ dictionary   gather codes, one dictionary    predicate on the *distinct* values;
                                              predicates on the sorted dict)
                                              become a single code comparison,
                                              otherwise a code gather
-delta        prefix sum over the             full decode (cached)
-             ``[min, max]`` index window
+delta        prefix sum over the             vectorised predicate on the buffer
+             ``[min, max]`` index window;    (decoded by the first operator that
+             past half the column, decode    needs it, kept for the rest)
+             into the buffer instead
 ===========  ==============================  ===================================
+
+(``take`` on an already-decoded column is fancy indexing on the buffer for
+every encoding.)
 
 Consequences for the query layer:
 
@@ -53,8 +63,16 @@ Consequences for the query layer:
   codes, min/max via one ``ufunc.at`` scatter), RLE runs fold into partial
   counts/sums/extrema with ``ufunc.reduceat`` and never expand, and a
   monotone delta column recovers its grouping from a change-point scan —
-  ``np.unique`` over decoded values survives only as the plain-column
-  fallback (see ``distinct_inverse``/``group_reduce``);
+  ``np.unique`` over the buffer survives only as the plain /
+  non-monotone-delta fallback (see ``distinct_inverse``/``group_reduce``);
+* plain and delta columns trade memory for time: the buffer a delta column
+  fills stays resident (a plain column's stored array *is* its buffer);
+* statistics are a pure function of the stored form (a delta column keeps
+  its min/max from encode time), never of which columns were decoded;
+* a query sees two column classes — ``ColumnVector``, and ``MergedColumn``
+  (sealed vector + plain tail) once a table has been appended to — in one
+  table class, through one read path: every table is a ``DeltaStore`` from
+  creation, and a snapshot's table is the sealed one while the tail is empty;
 * the equi-join computes aligned position arrays with no per-row Python:
   dense integer keys take a direct-addressing (counting-sort) path, anything
   else an ``argsort`` + ``searchsorted`` sort-merge;
@@ -80,12 +98,7 @@ from repro.colstore.compression import (
     reduce_by_inverse,
 )
 from repro.colstore.table import ColumnTable
-from repro.colstore.delta import (
-    DeltaStore,
-    MergedColumn,
-    Snapshot,
-    SnapshotTable,
-)
+from repro.colstore.delta import DeltaStore, MergedColumn, Snapshot
 from repro.colstore.catalog import ColumnStore
 from repro.colstore.query import (
     ColumnQuery,
@@ -116,7 +129,6 @@ __all__ = [
     "DeltaStore",
     "MergedColumn",
     "Snapshot",
-    "SnapshotTable",
     "ColumnQuery",
     "JoinedQuery",
     "materialise_join",

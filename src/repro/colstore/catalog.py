@@ -1,4 +1,4 @@
-"""The column-store catalog."""
+"""The column-store catalog: one ``name → DeltaStore`` map."""
 
 from __future__ import annotations
 
@@ -14,20 +14,21 @@ from repro.colstore.table import ColumnTable
 class ColumnStore:
     """A single-node column-store database: a catalog of column tables.
 
-    Tables load sealed (compressed, read-optimised); the first write
-    through :meth:`append` / :meth:`delete` / :meth:`update` attaches a
-    :class:`~repro.colstore.delta.DeltaStore` — the writable tail +
-    deletion-bitmap tier — and from then on every query resolves through a
-    :class:`~repro.colstore.delta.Snapshot` of that table's current
-    version, so readers see a consistent state while writers keep writing.
-    Writes invalidate the affected synopsis-catalog entries (whose cache
-    keys also carry :meth:`store_version`, so a stale entry can never be
-    served even across re-derived catalogs).
+    Every table is one :class:`~repro.colstore.delta.DeltaStore` from the
+    moment it is created or registered — the sealed (compressed,
+    read-optimised) segment plus the writable tail + deletion-bitmap tier
+    — and every query resolves through a
+    :class:`~repro.colstore.delta.Snapshot` of the table's current version,
+    so readers see a consistent state while writers keep writing.  A table
+    that was never written has an empty tail, and its snapshot's table *is*
+    the sealed segment: there is no second read path to keep in step.
+    Creating, dropping and writing a table invalidate its synopsis-catalog
+    entries (whose cache keys also carry :meth:`store_version`, so a stale
+    entry can never be served even across re-derived catalogs).
     """
 
     def __init__(self, name: str = "genbase"):
         self.name = name
-        self._tables: dict[str, ColumnTable] = {}
         self._deltas: dict[str, DeltaStore] = {}
         self._synopses: "SynopsisCatalog | None" = None
 
@@ -52,23 +53,25 @@ class ColumnStore:
         Raises:
             ValueError: if the table already exists.
         """
-        if name in self._tables:
-            raise ValueError(f"table {name!r} already exists")
         table = ColumnTable.from_arrays(name, arrays, compress=compress)
-        self._tables[name] = table
+        self.register(table)
         return table
 
     def register(self, table: ColumnTable) -> None:
         """Register an externally built table (e.g. a materialised join)."""
-        if table.name in self._tables:
-            raise ValueError(f"table {table.name!r} already exists")
-        self._tables[table.name] = table
+        name = table.name
+        if name in self._deltas:
+            raise ValueError(f"table {name!r} already exists")
+        self._deltas[name] = DeltaStore(table, on_write=lambda: self._written(name))
+        self._written(name)
 
     def drop_table(self, name: str) -> None:
-        if name not in self._tables:
+        if name not in self._deltas:
             raise KeyError(f"no table named {name!r}")
-        del self._tables[name]
-        self._deltas.pop(name, None)
+        del self._deltas[name]
+        # A table recreated under this name restarts at version 0: without
+        # this, the dropped table's synopses would share its cache keys.
+        self._written(name)
 
     def table(self, name: str) -> ColumnTable:
         """The table's current *sealed* segment (tail and deletes not applied).
@@ -76,43 +79,32 @@ class ColumnStore:
         Written tables should be read through :meth:`query` /
         :meth:`effective_table`, which resolve the full logical content.
         """
-        delta = self._deltas.get(name)
-        if delta is not None:
-            return delta.sealed_table
-        try:
-            return self._tables[name]
-        except KeyError:
-            known = ", ".join(sorted(self._tables)) or "<none>"
-            raise KeyError(f"no table named {name!r}; known tables: {known}") from None
+        return self.writable(name).sealed_table
 
-    def effective_table(self, name: str):
-        """The table's logical view: a snapshot table once written, else sealed."""
-        delta = self._deltas.get(name)
-        if delta is None:
-            return self.table(name)
-        return delta.snapshot().table
+    def effective_table(self, name: str) -> ColumnTable:
+        """The table's logical view: sealed + tail rows (deletes not applied)."""
+        return self.snapshot(name).table
 
     def table_names(self) -> list[str]:
-        return sorted(self._tables)
+        return sorted(self._deltas)
 
     def __contains__(self, name: str) -> bool:
-        return name in self._tables
+        return name in self._deltas
 
     # -- writes -----------------------------------------------------------------------
 
     def writable(self, name: str) -> DeltaStore:
-        """The table's delta store, attached on first use.
+        """The table's delta store.
 
         The returned store carries the write API (``append`` / ``delete``
         / ``update`` / ``compact``) and hands out :class:`Snapshot`
         handles; its write hook invalidates this store's synopsis cache.
         """
-        delta = self._deltas.get(name)
-        if delta is None:
-            sealed = self.table(name)  # raises KeyError naming known tables
-            delta = DeltaStore(sealed, on_write=lambda: self._written(name))
-            self._deltas[name] = delta
-        return delta
+        try:
+            return self._deltas[name]
+        except KeyError:
+            known = ", ".join(sorted(self._deltas)) or "<none>"
+            raise KeyError(f"no table named {name!r}; known tables: {known}") from None
 
     def _written(self, name: str) -> None:
         """Write hook: drop the written table's cached synopses."""
@@ -145,38 +137,31 @@ class ColumnStore:
 
     def store_version(self, name: str) -> int:
         """The table's write-version counter (0 while never written)."""
-        delta = self._deltas.get(name)
-        return 0 if delta is None else delta.version
+        return self.writable(name).version
 
     def live_row_count(self, name: str) -> int:
         """Logical (live) rows: sealed + tail minus deletions."""
-        delta = self._deltas.get(name)
-        if delta is None:
-            return self.table(name).row_count
-        return delta.snapshot().live_rows
+        return self.snapshot(name).live_rows
 
     # -- querying ---------------------------------------------------------------------
 
     def query(self, table_name: str) -> ColumnQuery:
         """Start a vectorised query on a table.
 
-        A written table is read through a fresh :class:`Snapshot` — the
-        query sees the sealed segment, tail and deletion bitmap frozen at
-        this call, however long it stays lazy.
+        The table is read through a fresh :class:`Snapshot` — the query
+        sees the sealed segment, tail and deletion bitmap frozen at this
+        call, however long it stays lazy.
         """
-        delta = self._deltas.get(table_name)
-        if delta is None:
-            return ColumnQuery(self.table(table_name))
-        return delta.snapshot().query()
+        return self.snapshot(table_name).query()
 
     # -- stats ------------------------------------------------------------------------
 
     def total_rows(self) -> int:
-        return sum(self.live_row_count(name) for name in self._tables)
+        return sum(self.live_row_count(name) for name in self._deltas)
 
     def total_compressed_bytes(self) -> int:
         return sum(self.effective_table(name).compressed_bytes
-                   for name in self._tables)
+                   for name in self._deltas)
 
     def describe(self) -> dict[str, dict]:
         return {
@@ -187,6 +172,6 @@ class ColumnStore:
                 "encodings": table.encodings(),
             }
             for name, table in sorted(
-                (name, self.effective_table(name)) for name in self._tables
+                (name, self.effective_table(name)) for name in self._deltas
             )
         }

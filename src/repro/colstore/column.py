@@ -1,4 +1,6 @@
-"""Typed, compressed column vectors."""
+"""Typed, compressed column vectors: a name, a dtype, planner statistics and
+the write-admission rule around one :class:`~repro.colstore.compression.Encoding`,
+to which every query operator is delegated."""
 
 from __future__ import annotations
 
@@ -9,10 +11,6 @@ from repro.colstore.compression import (
     PlainEncoding,
     best_encoding,
     make_encoding,
-    predicate_mask,
-    reduce_by_inverse,
-    sorted_distinct,
-    sorted_distinct_inverse,
 )
 from repro.colstore.sketches import HyperLogLog, TDigest
 from repro.plan.optimizer import ColumnStats
@@ -21,10 +19,21 @@ from repro.plan.optimizer import ColumnStats
 class ColumnVector:
     """One named column stored in compressed form.
 
-    The column keeps only its encoded representation; ``values()`` decodes on
-    demand and caches the decoded array until the column is mutated, so
-    repeated scans of the same column pay the decode cost once (the usual
-    column-store buffer-pool behaviour).
+    The column keeps only its encoded representation and delegates every
+    operator to it: the encoding answers from its compressed form where it
+    can (dictionary codes, RLE runs) and from its decode-once buffer where
+    it cannot (plain and delta columns — see
+    :class:`~repro.colstore.compression.Encoding`).  Callers use the same
+    calls whichever encoding sits underneath:
+
+    >>> import numpy as np
+    >>> for encoding in ("dictionary", "plain"):
+    ...     column = ColumnVector("g", np.array([3, 1, 3, 2, 1, 3]), encoding=encoding)
+    ...     mask = column.filter_mask(lambda v: v >= 2)
+    ...     keys, sums = column.group_reduce(np.arange(6.0), "sum")
+    ...     print(column.encoding_name, mask.astype(int), keys, sums)
+    dictionary [1 0 1 1 0 1] [1 2 3] [5. 3. 7.]
+    plain [1 0 1 1 0 1] [1 2 3] [5. 3. 7.]
     """
 
     def __init__(self, name: str, values: np.ndarray, compress: bool = True,
@@ -44,7 +53,6 @@ class ColumnVector:
         else:
             self._encoding = PlainEncoding()
             self._encoding.encode(values)
-        self._cache: np.ndarray | None = None
         self._stats: ColumnStats | None = None
 
     def __len__(self) -> int:
@@ -64,21 +72,14 @@ class ColumnVector:
     def encoded_bytes(self) -> int:
         return self._encoding.encoded_bytes()
 
-    @property
-    def supports_distinct_pushdown(self) -> bool:
-        """True when predicates evaluate on distinct values only (dict/RLE)."""
-        return self._encoding.supports_distinct_pushdown
-
     def stats(self) -> ColumnStats:
         """Cheap column statistics for the planner's selectivity estimates.
 
-        Answered from encoding metadata where possible (dictionary
-        cardinality and endpoints, RLE run values, a monotone delta
-        column's first/last value, a plain column's stored array).
-        Statistics never *force* a decode: a column whose encoding has no
-        hint only gets min/max when its decode cache already exists,
-        otherwise the bounds stay unknown and the planner falls back to
-        the default selectivity.  Computed once and cached.
+        A pure function of the stored form — dictionary cardinality and
+        endpoints, RLE run values, the bounds a delta column keeps, a plain
+        column's stored array — so the same column plans the same way
+        whatever ran before.  Statistics never decode.  Computed once and
+        cached.
         """
         if self._stats is None:
             distinct, minimum, maximum = self._encoding.stats_hint()
@@ -87,17 +88,9 @@ class ColumnVector:
                 # dictionary's lexicographic endpoints may even parse as
                 # floats ('100' < '99') and invert the bounds.
                 minimum = maximum = None
-            minimum = self._finite_or_none(minimum)
-            maximum = self._finite_or_none(maximum)
-            if (
-                (minimum is None or maximum is None)
-                and self._cache is not None
-                and len(self)
-                and self.dtype.kind in "biuf"
-            ):
-                minimum = self._finite_or_none(self._cache.min())
-                maximum = self._finite_or_none(self._cache.max())
-            self._stats = ColumnStats(len(self), distinct, minimum, maximum)
+            self._stats = ColumnStats(len(self), distinct,
+                                      self._finite_or_none(minimum),
+                                      self._finite_or_none(maximum))
         return self._stats
 
     @staticmethod
@@ -112,28 +105,16 @@ class ColumnVector:
         return number if np.isfinite(number) else None
 
     def values(self) -> np.ndarray:
-        """Decode (and cache) the full column."""
-        if self._cache is None:
-            self._cache = self._encoding.decode()  # decode-ok: explicit full-materialisation API
-        return self._cache
+        """The full column, decoded once and kept — shared and read-only."""
+        return self._encoding.values()
 
     def take(self, indices: np.ndarray) -> np.ndarray:
         """Gather the values at ``indices`` (late materialisation step).
 
-        Uses the encoding's compressed gather when the column has not been
-        decoded yet; once the decode cache exists, plain fancy indexing on it
-        is the cheapest path.  Encodings whose gather costs O(index span)
-        (delta's prefix-sum window) decode-and-cache instead once the span
-        covers most of the column, so repeated wide gathers pay the decode
-        only once.
+        The encoding's compressed gather until the column has been decoded,
+        plain fancy indexing on the buffer afterwards; a delta column
+        decodes by itself once a gather spans most of it.
         """
-        if self._cache is not None:
-            return self._cache[np.asarray(indices)]
-        indices = np.asarray(indices)
-        if not self._encoding.cheap_random_access and indices.size:
-            low, high = int(indices.min()), int(indices.max())
-            if low < 0 or high - low + 1 >= len(self) // 2:
-                return self.values()[indices]
         return self._encoding.take(indices)
 
     def filter_mask(self, predicate) -> np.ndarray:
@@ -144,15 +125,11 @@ class ColumnVector:
         predicate therefore must not depend on the shape or order of its
         input.
         """
-        if self._encoding.supports_distinct_pushdown:
-            return self._encoding.filter_mask(predicate)
-        return predicate_mask(self.values(), predicate)
+        return self._encoding.filter_mask(predicate)
 
     def isin(self, values: np.ndarray) -> np.ndarray:
         """Full-length boolean membership mask, pushed down the encoding."""
-        if self._encoding.supports_distinct_pushdown:
-            return self._encoding.isin(values)
-        return np.isin(self.values(), values)
+        return self._encoding.isin(values)
 
     def distinct_inverse(
         self, selection: np.ndarray | None = None
@@ -160,44 +137,23 @@ class ColumnVector:
         """Sorted distinct values and per-row group codes (``np.unique`` contract).
 
         Restricted to ``selection`` when given.  Dictionary/RLE columns
-        answer from their codes/runs without decoding.  Other encodings
-        group the decoded values — a whole-column grouping decodes through
-        the column cache (so repeated aggregations pay the decode once), and
-        a monotone delta column keeps its linear change-point scan over the
-        cached values.  Key and code values match
+        answer from their codes/runs without decoding; other encodings
+        group the (gathered) decoded values, a monotone delta column by a
+        linear change-point scan.  Key and code values match
         ``np.unique(..., return_inverse=True)`` exactly, though the code
         dtype may be narrower; the arrays may alias column state — treat
         them as read-only.
         """
-        if self._encoding.supports_distinct_pushdown:
-            return self._encoding.distinct_inverse(selection)
-        if selection is not None:
-            if self._cache is not None:
-                return np.unique(self._cache[np.asarray(selection)], return_inverse=True)
-            # Narrow selections gather via the encoding without a full decode.
-            return self._encoding.distinct_inverse(selection)
-        values = self.values()  # decode once, populate the cache
-        if getattr(self._encoding, "is_monotone", False):
-            return sorted_distinct_inverse(values)
-        return np.unique(values, return_inverse=True)
+        return self._encoding.distinct_inverse(selection)
 
     def distinct_values(self, selection: np.ndarray | None = None) -> np.ndarray:
         """Sorted distinct values only — skips the inverse entirely.
 
         RLE answers from its run values, dictionary from its (compacted)
-        dictionary; same cache behaviour and read-only aliasing caveat as
+        dictionary; same read-only aliasing caveat as
         :meth:`distinct_inverse`.
         """
-        if self._encoding.supports_distinct_pushdown:
-            return self._encoding.distinct_values(selection)
-        if selection is not None:
-            if self._cache is not None:
-                return np.unique(self._cache[np.asarray(selection)])
-            return self._encoding.distinct_values(selection)
-        values = self.values()  # decode once, populate the cache
-        if getattr(self._encoding, "is_monotone", False):
-            return sorted_distinct(values)
-        return np.unique(values)
+        return self._encoding.distinct_values(selection)
 
     def group_reduce(
         self,
@@ -212,12 +168,9 @@ class ColumnVector:
         may be None.  Dictionary columns aggregate straight over their
         stored codes; RLE columns fold whole runs into partial
         counts/sums/extrema; everything else groups via
-        :meth:`distinct_inverse` (cache-aware).
+        :meth:`distinct_inverse`.
         """
-        if self._encoding.supports_distinct_pushdown:
-            return self._encoding.group_reduce(values, function, selection)
-        keys, inverse = self.distinct_inverse(selection)
-        return keys, reduce_by_inverse(inverse, len(keys), values, function)
+        return self._encoding.group_reduce(values, function, selection)
 
     def hll_sketch(self, selection: np.ndarray | None = None,
                    p: int = 12) -> HyperLogLog:
@@ -263,8 +216,3 @@ class ColumnVector:
                     f"column {self.name!r}: value too wide for dtype {self.dtype}"
                 )
         return coerced
-
-    def appended(self, values: np.ndarray) -> "ColumnVector":
-        """Return a new column with ``values`` appended (columns are immutable)."""
-        combined = np.concatenate([self.values(), np.asarray(values, dtype=self.dtype)])
-        return ColumnVector(self.name, combined)

@@ -8,16 +8,20 @@ trade-offs (cheap scans of low-cardinality columns, extra decode work on
 high-entropy float columns) emerge from the data rather than from constants.
 
 All encodings implement the small :class:`Encoding` interface:
-``encode`` → opaque state, ``decode`` → the original numpy array,
-``encoded_bytes`` → approximate storage footprint.
+``encode`` → opaque state, ``decode`` → a fresh copy of the original numpy
+array, ``encoded_bytes`` → approximate storage footprint.
 
-Beyond the round-trip interface, every encoding offers *compressed
-execution* fast paths that answer point lookups and predicates without
-materialising the full column:
+Beyond the round-trip interface, every encoding answers the operators a
+query needs.  :class:`Encoding` itself holds the one decode-once buffer
+(``values()``, the only caller of ``decode()``) and the generic
+decode-then-numpy answer for each operator; an encoding overrides an
+operator exactly where its compressed form is cheaper:
 
 * ``take(indices)`` gathers individual positions (dictionary: gather codes
   then one dictionary lookup; RLE: ``searchsorted`` over run boundaries;
-  delta: prefix-sum over the ``[min(indices), max(indices)]`` window only),
+  delta: prefix-sum over the ``[min(indices), max(indices)]`` window, or a
+  decode once that window spans half the column) — and, for every
+  encoding, plain fancy indexing once the buffer exists,
 * ``filter_mask(predicate)`` evaluates a vectorised element-wise predicate —
   for dictionary/RLE columns on the *distinct values only* — and expands the
   result through the codes/runs into a full-length boolean mask,
@@ -133,23 +137,24 @@ def _compact_distinct(
 
 
 class Encoding:
-    """Interface for column encodings.
+    """Interface for column encodings, plus every decode-then-numpy fallback.
 
-    ``supports_distinct_pushdown`` advertises whether ``filter_mask`` /
-    ``isin`` evaluate on the distinct values only (dictionary, RLE) rather
-    than falling back to a full decode.
+    An encoding answers each operator from its compressed form where it
+    can and inherits the generic answer from here where it cannot.  The
+    generic answers all read :meth:`values` — the decode-once buffer — so
+    a column pays its decode at most once however many operators fall
+    back (the usual column-store buffer-pool behaviour).
     """
 
     name: str = "base"
-    supports_distinct_pushdown: bool = False
-    # False when take() costs O(index span) rather than O(len(indices)) —
-    # callers should prefer decode-and-cache for wide gathers.
-    cheap_random_access: bool = True
+    # The decode-once buffer behind values(); each encode() resets it.
+    _buffer: np.ndarray | None = None
 
     def encode(self, values: np.ndarray) -> None:
         raise NotImplementedError
 
     def decode(self) -> np.ndarray:
+        """A fresh, writable copy of the original array (never cached)."""
         raise NotImplementedError
 
     def encoded_bytes(self) -> int:
@@ -158,29 +163,54 @@ class Encoding:
     def __len__(self) -> int:
         raise NotImplementedError
 
-    # -- compressed execution (generic fallbacks decode in full) -------------------
+    def values(self) -> np.ndarray:
+        """The decoded column, decoded once and kept — shared and read-only."""
+        if self._buffer is None:
+            buffer = self.decode()  # decode-ok: the one decode site; every fallback reads this buffer
+            buffer.setflags(write=False)
+            self._buffer = buffer
+        return self._buffer
+
+    def _rows(self, positions: np.ndarray | None) -> np.ndarray:
+        """The column's values at ``positions`` (the whole column when None)."""
+        return self.values() if positions is None else self.take(positions)
+
+    # -- compressed execution (generic fallbacks read the decode-once buffer) ---------
 
     def stats_hint(self) -> tuple[int | None, object, object]:
         """Cheap ``(distinct_count, minimum, maximum)`` facts, None when unknown.
 
         Selectivity estimation reads these through
         :meth:`repro.colstore.column.ColumnVector.stats`; encodings answer
-        from their own metadata (dictionary cardinality, run values, delta
-        endpoints) without decoding.  The base implementation knows nothing.
+        from their own metadata (dictionary cardinality, run values, the
+        bounds a delta column keeps) without decoding, so the answer never
+        depends on what ran before.  The base implementation knows nothing.
         """
         return None, None, None
 
     def take(self, indices: np.ndarray) -> np.ndarray:
-        """Gather the values at ``indices`` from the encoded form."""
-        return self.decode()[np.asarray(indices)]  # decode-ok: base-class gather fallback
+        """Gather the values at ``indices``.
+
+        Once the column has been decoded, plain fancy indexing on the
+        buffer is the cheapest gather for every encoding; until then the
+        encoding gathers from its compressed form (:meth:`_gather`).
+        """
+        indices = np.asarray(indices)
+        if self._buffer is not None:
+            return self._buffer[indices]
+        return self._gather(indices)
+
+    def _gather(self, indices: np.ndarray) -> np.ndarray:
+        """Gather from the encoded form; the fallback decodes (and keeps)."""
+        return self.values()[indices]
 
     def filter_mask(self, predicate) -> np.ndarray:
         """Full-length boolean mask for an element-wise predicate."""
-        return predicate_mask(self.decode(), predicate)  # decode-ok: opaque predicates have no fast path
+        return predicate_mask(self.values(), predicate)
 
     def isin(self, values: np.ndarray) -> np.ndarray:
         """Full-length boolean membership mask."""
-        return np.isin(self.decode(), values)  # decode-ok: base-class membership fallback
+        return np.isin(self.values(), values)
 
     def distinct_inverse(
         self, positions: np.ndarray | None = None
@@ -193,15 +223,14 @@ class Encoding:
         dictionary column hands back its stored codes).  Returned arrays may
         alias encoding state — treat them as read-only.
         """
-        values = self.decode() if positions is None else self.take(positions)  # decode-ok: generic distinct scan
-        return np.unique(values, return_inverse=True)
+        return np.unique(self._rows(positions), return_inverse=True)
 
     def distinct_values(self, positions: np.ndarray | None = None) -> np.ndarray:
         """Sorted distinct values only — no inverse materialisation.
 
         Same aliasing caveat as :meth:`distinct_inverse`.
         """
-        return self.distinct_inverse(positions)[0]
+        return np.unique(self._rows(positions))
 
     def group_reduce(
         self,
@@ -231,13 +260,16 @@ class Encoding:
         handed over once — so a sketch build touches O(distinct) values
         instead of O(rows).  The base implementation streams the raw rows.
         """
-        values = self.decode() if positions is None else self.take(positions)  # decode-ok: generic sketch scan fallback
-        return values, None
+        return self._rows(positions), None
 
 
 @dataclass
 class PlainEncoding(Encoding):
-    """No compression; the baseline every other encoding is compared against."""
+    """No compression; the baseline every other encoding is compared against.
+
+    The stored array doubles as the decode buffer, so :meth:`values` is
+    zero-copy and every operator is the generic one over the stored array.
+    """
 
     name: str = "plain"
 
@@ -246,6 +278,8 @@ class PlainEncoding(Encoding):
 
     def encode(self, values: np.ndarray) -> None:
         self._values = np.asarray(values).copy()
+        self._values.setflags(write=False)
+        self._buffer = self._values
 
     def decode(self) -> np.ndarray:
         if self._values is None:
@@ -257,29 +291,6 @@ class PlainEncoding(Encoding):
 
     def __len__(self) -> int:
         return 0 if self._values is None else len(self._values)
-
-    def take(self, indices: np.ndarray) -> np.ndarray:
-        if self._values is None:
-            return np.empty(0)[np.asarray(indices)]
-        return self._values[np.asarray(indices)]
-
-    def filter_mask(self, predicate) -> np.ndarray:
-        if self._values is None:
-            return np.empty(0, dtype=bool)
-        return predicate_mask(self._values, predicate)
-
-    def isin(self, values: np.ndarray) -> np.ndarray:
-        if self._values is None:
-            return np.empty(0, dtype=bool)
-        return np.isin(self._values, values)
-
-    def distinct_inverse(
-        self, positions: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        if self._values is None:
-            return np.unique(np.empty(0), return_inverse=True)
-        values = self._values if positions is None else self._values[np.asarray(positions)]
-        return np.unique(values, return_inverse=True)
 
     def stats_hint(self) -> tuple[int | None, object, object]:
         """Endpoints scanned from the stored array — no decode copy."""
@@ -299,7 +310,6 @@ class RunLengthEncoding(Encoding):
     """
 
     name: str = "rle"
-    supports_distinct_pushdown: bool = True
 
     def __post_init__(self):
         self._run_values: np.ndarray | None = None
@@ -312,7 +322,7 @@ class RunLengthEncoding(Encoding):
         values = np.asarray(values)
         self._dtype = values.dtype
         self._length = len(values)
-        self._run_ends = None
+        self._run_ends = self._buffer = None
         if len(values) == 0:
             self._run_values = values.copy()
             self._run_lengths = np.empty(0, dtype=np.int64)
@@ -333,9 +343,9 @@ class RunLengthEncoding(Encoding):
             self._run_ends = np.cumsum(self._run_lengths)
         return self._run_ends
 
-    def take(self, indices: np.ndarray) -> np.ndarray:
+    def _gather(self, indices: np.ndarray) -> np.ndarray:
         if self._run_values is None:
-            return np.empty(0)[np.asarray(indices)]
+            return np.empty(0)[indices]
         indices = _normalised_indices(indices, self._length)
         if indices.size and (indices.min() < 0 or indices.max() >= self._length):
             raise IndexError(
@@ -457,7 +467,6 @@ class DictionaryEncoding(Encoding):
     """
 
     name: str = "dictionary"
-    supports_distinct_pushdown: bool = True
 
     def __post_init__(self):
         self._dictionary: np.ndarray | None = None
@@ -465,6 +474,7 @@ class DictionaryEncoding(Encoding):
 
     def encode(self, values: np.ndarray) -> None:
         values = np.asarray(values)
+        self._buffer = None
         self._dictionary, codes = np.unique(values, return_inverse=True)
         # Use the narrowest integer width that can hold the codes.
         n_distinct = len(self._dictionary)
@@ -493,10 +503,10 @@ class DictionaryEncoding(Encoding):
     def cardinality(self) -> int:
         return 0 if self._dictionary is None else len(self._dictionary)
 
-    def take(self, indices: np.ndarray) -> np.ndarray:
+    def _gather(self, indices: np.ndarray) -> np.ndarray:
         if self._dictionary is None or self._codes is None:
-            return np.empty(0)[np.asarray(indices)]
-        return self._dictionary[self._codes[np.asarray(indices)]]
+            return np.empty(0)[indices]
+        return self._dictionary[self._codes[indices]]
 
     def filter_mask(self, predicate) -> np.ndarray:
         if self._dictionary is None or self._codes is None:
@@ -579,25 +589,29 @@ class DeltaEncoding(Encoding):
     """Delta encoding for monotone / slowly varying integer columns.
 
     Stores the first value and the differences, using a narrow dtype when
-    the deltas are small (positions, patient ids, gene ids).
+    the deltas are small (positions, patient ids, gene ids).  The column's
+    min/max are kept beside them as statistics metadata (like RLE's
+    run-end cache, not part of the encoded footprint).
     """
 
     name: str = "delta"
-    cheap_random_access: bool = False
 
     def __post_init__(self):
         self._first = None
         self._deltas: np.ndarray | None = None
         self._dtype = None
+        self._bounds = None
 
     def encode(self, values: np.ndarray) -> None:
         values = np.asarray(values)
         self._dtype = values.dtype
+        self._buffer = None
         if len(values) == 0:
-            self._first = None
+            self._first = self._bounds = None
             self._deltas = np.empty(0, dtype=np.int64)
             return
         self._first = values[0]
+        self._bounds = (values.min(), values.max())
         deltas = np.diff(values.astype(np.int64))
         if len(deltas) and np.abs(deltas).max() <= np.iinfo(np.int16).max:
             deltas = deltas.astype(np.int16)
@@ -623,18 +637,24 @@ class DeltaEncoding(Encoding):
             return 0
         return len(self._deltas) + 1
 
-    def take(self, indices: np.ndarray) -> np.ndarray:
-        """Gather via a prefix sum over the ``[min, max]`` index window only."""
-        indices = np.asarray(indices)
+    def _gather(self, indices: np.ndarray) -> np.ndarray:
+        """Prefix sum over the ``[min, max]`` index window only.
+
+        The window costs O(index span) rather than O(len(indices)), so once
+        the span covers half the column (or wraps through negative
+        positions) the column decodes into its buffer instead and repeated
+        wide gathers pay that only once.
+        """
         if self._first is None:
             return np.empty(0, dtype=self._dtype or np.int64)[indices]
-        length = len(self._deltas) + 1
-        indices = _normalised_indices(indices, length)
         if indices.size == 0:
             return np.empty(0, dtype=self._dtype)
+        length = len(self)
         low = int(indices.min())
         high = int(indices.max())
-        if low < 0 or high >= length:
+        if low < 0 or high - low + 1 >= length // 2:
+            return self.values()[indices]
+        if high >= length:
             raise IndexError(
                 f"index out of bounds for delta column of length {length}"
             )
@@ -652,11 +672,10 @@ class DeltaEncoding(Encoding):
         return len(self._deltas) == 0 or int(self._deltas.min()) >= 0
 
     def stats_hint(self) -> tuple[int | None, object, object]:
-        """Monotone columns expose their endpoints without decoding."""
-        if self._first is None or not self.is_monotone:
+        """The bounds kept at encode time — monotone or not, never a decode."""
+        if self._bounds is None:
             return None, None, None
-        last = np.int64(self._first) + self._deltas.sum(dtype=np.int64)
-        return None, self._first, last.astype(self._dtype)
+        return None, *self._bounds
 
     def distinct_inverse(
         self, positions: np.ndarray | None = None
@@ -666,12 +685,12 @@ class DeltaEncoding(Encoding):
         ``np.unique`` would run."""
         if positions is not None or not self.is_monotone:
             return super().distinct_inverse(positions)
-        return sorted_distinct_inverse(self.decode())  # decode-ok: change-point scan needs the materialised run
+        return sorted_distinct_inverse(self.values())
 
     def distinct_values(self, positions: np.ndarray | None = None) -> np.ndarray:
         if positions is not None or not self.is_monotone:
             return super().distinct_values(positions)
-        return sorted_distinct(self.decode())  # decode-ok: change-point scan needs the materialised run
+        return sorted_distinct(self.values())
 
 
 def _dictionary_code_bytes(cardinality: int) -> int:

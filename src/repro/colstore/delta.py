@@ -1,8 +1,10 @@
 """The writable delta tier over the sealed compressed segments.
 
 The column store is loaded once and sealed; production traffic writes.
-This module layers an update-friendly tier over each sealed table — the
-HTAP split of Polynesia and the delta-store designs of C-Store/SAP HANA:
+This module layers an update-friendly tier over each sealed table (every
+table of a :class:`~repro.colstore.catalog.ColumnStore` has one from
+creation) — the HTAP split of Polynesia and the delta-store designs of
+C-Store/SAP HANA:
 
 - **tail** — appended rows kept as plain (uncompressed) numpy arrays, in
   append order, one chunk per ``append`` call;
@@ -21,19 +23,22 @@ and never observe a half-applied write.  ``compact()`` re-runs
 and publishes it the same way; live snapshots keep answering from the
 state they captured.
 
-Scans merge the two parts per operator instead of decoding the sealed
-segment: :class:`MergedColumn` implements the
-:class:`~repro.colstore.column.ColumnVector` surface by running the
-compressed fast path on the sealed part and vectorised plain evaluation on
-the tail — concatenated filter masks, unioned distinct sets, per-part
-group-reduce partials merged by key, and mergeable HLL/t-digest sketches
-(the sketch machinery already merges across cluster partitions; a tail is
-just one more partition).
+Scans see fresh data through the *same* machinery as sealed data: a
+version's table is an ordinary :class:`~repro.colstore.table.ColumnTable`
+— the sealed one itself while the tail is empty, otherwise one whose
+columns are :class:`MergedColumn` views.  A merged column implements the
+:class:`~repro.colstore.column.ColumnVector` surface per operator instead
+of decoding the sealed segment, running the compressed fast path on the
+sealed part and vectorised plain evaluation on the tail — concatenated
+filter masks, unioned distinct sets, per-part group-reduce partials merged
+by key, and mergeable HLL/t-digest sketches (the sketch machinery already
+merges across cluster partitions; a tail is just one more partition).
 """
 
 from __future__ import annotations
 
 import threading
+from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -95,28 +100,38 @@ class MergedColumn:
     and vectorised plain evaluation on the tail, merging per operator —
     the sealed segment is never decoded just because a tail exists.
 
-    Instances are per-snapshot views; their small caches (the decoded
-    concatenation, merged stats) are idempotent, so racing readers at
-    worst compute the same value twice.
+    ``tail_chunks`` are the appended arrays in append order (at least one
+    row between them); they are concatenated the first time an operator
+    reads the tail, so a column no query touches costs no O(tail) work.
+    Instances are shared by every snapshot of one table version; their
+    small caches (the tail, the decoded concatenation, merged stats) are
+    idempotent, so racing readers at worst compute the same value twice.
     """
 
-    def __init__(self, sealed: ColumnVector, tail: np.ndarray):
+    def __init__(self, sealed: ColumnVector, tail_chunks: Sequence[np.ndarray]):
         self.name = sealed.name
         self.dtype = sealed.dtype
         self._sealed = sealed
-        self._tail = tail
+        self._tail_chunks = tail_chunks
         self._split = len(sealed)  # logical position of the first tail row
+        self._length = self._split + sum(len(chunk) for chunk in tail_chunks)
         self._cache: np.ndarray | None = None
         self._stats: ColumnStats | None = None
         self._tail_distinct: tuple[np.ndarray, np.ndarray] | None = None
 
+    @cached_property
+    def _tail(self) -> np.ndarray:
+        """The concatenated tail, built when an operator first reads it."""
+        chunks = self._tail_chunks
+        return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+
     def __len__(self) -> int:
-        return self._split + len(self._tail)
+        return self._length
 
     def __repr__(self) -> str:
         return (
             f"MergedColumn({self.name!r}, sealed={self._split}, "
-            f"tail={len(self._tail)}, encoding={self.encoding_name})"
+            f"tail={self._length - self._split}, encoding={self.encoding_name})"
         )
 
     @property
@@ -126,11 +141,6 @@ class MergedColumn:
     @property
     def encoded_bytes(self) -> int:
         return self._sealed.encoded_bytes + self._tail.nbytes
-
-    @property
-    def supports_distinct_pushdown(self) -> bool:
-        """The tail is plain; only the sealed part pushes predicates down."""
-        return False
 
     # -- statistics ----------------------------------------------------------------
 
@@ -145,7 +155,7 @@ class MergedColumn:
         if self._stats is None:
             base = self._sealed.stats()
             minimum, maximum = base.minimum, base.maximum
-            if self._tail.size and minimum is not None and maximum is not None:
+            if minimum is not None and maximum is not None and self._tail.size:
                 tail_low = float(self._tail.min())
                 tail_high = float(self._tail.max())
                 if np.isfinite(tail_low) and np.isfinite(tail_high):
@@ -161,12 +171,7 @@ class MergedColumn:
     def values(self) -> np.ndarray:
         """Decode the sealed part and concatenate the tail (cached)."""
         if self._cache is None:
-            if not self._tail.size:
-                self._cache = self._sealed.values()  # decode-ok: explicit full-materialisation API
-            else:
-                self._cache = np.concatenate(
-                    [self._sealed.values(), self._tail]  # decode-ok: explicit full-materialisation API
-                )
+            self._cache = np.concatenate([self._sealed.values(), self._tail])
         return self._cache
 
     def _split_point(self, indices: np.ndarray) -> int | None:
@@ -214,16 +219,12 @@ class MergedColumn:
 
     def filter_mask(self, predicate) -> np.ndarray:
         """Sealed pushdown mask concatenated with a plain tail mask."""
-        sealed_mask = self._sealed.filter_mask(predicate)
-        if not self._tail.size:
-            return sealed_mask
-        return np.concatenate([sealed_mask, predicate_mask(self._tail, predicate)])
+        return np.concatenate([self._sealed.filter_mask(predicate),
+                               predicate_mask(self._tail, predicate)])
 
     def isin(self, values: np.ndarray) -> np.ndarray:
-        sealed_mask = self._sealed.isin(values)
-        if not self._tail.size:
-            return sealed_mask
-        return np.concatenate([sealed_mask, np.isin(self._tail, values)])
+        return np.concatenate([self._sealed.isin(values),
+                               np.isin(self._tail, values)])
 
     # -- grouping ------------------------------------------------------------------
 
@@ -244,8 +245,6 @@ class MergedColumn:
         self, selection: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
         """Union the sealed distinct set with the tail's; remap both inverses."""
-        if not self._tail.size:
-            return self._sealed.distinct_inverse(selection)
         if selection is not None:
             return np.unique(self.take(selection), return_inverse=True)
         sealed_keys, sealed_inverse = self._sealed.distinct_inverse(None)
@@ -258,8 +257,6 @@ class MergedColumn:
         return keys, inverse
 
     def distinct_values(self, selection: np.ndarray | None = None) -> np.ndarray:
-        if not self._tail.size:
-            return self._sealed.distinct_values(selection)
         if selection is not None:
             return np.unique(self.take(selection))
         return np.union1d(self._sealed.distinct_values(None), self._tail)
@@ -275,8 +272,6 @@ class MergedColumn:
         ``mean`` merges ``sum`` and ``count`` partials and divides — a
         per-part mean cannot be combined without its weights.
         """
-        if not self._tail.size:
-            return self._sealed.group_reduce(values, function, selection)
         if function == "mean":
             keys, sums = self.group_reduce(values, "sum", selection)
             _, counts = self.group_reduce(None, "count", selection)
@@ -350,63 +345,6 @@ class MergedColumn:
         return digest
 
 
-class SnapshotTable:
-    """A :class:`~repro.colstore.table.ColumnTable` drop-in over one state.
-
-    Presents the sealed segment plus the frozen tail as one logical table
-    of ``sealed + tail`` rows; deletions are *not* applied here — they are
-    a base selection the :class:`Snapshot` supplies to its queries, so the
-    logical row-id space stays stable for delete targeting.
-    """
-
-    def __init__(self, state: "_TableState"):
-        self._state = state
-        self.name = state.sealed.name
-
-    @property
-    def column_names(self) -> list[str]:
-        return self._state.sealed.column_names
-
-    @property
-    def row_count(self) -> int:
-        return self._state.total_rows
-
-    def __len__(self) -> int:
-        return self.row_count
-
-    @property
-    def compressed_bytes(self) -> int:
-        return sum(self.column(name).encoded_bytes for name in self.column_names)
-
-    def encodings(self) -> dict[str, str]:
-        return {name: self.column(name).encoding_name for name in self.column_names}
-
-    def __repr__(self) -> str:
-        return (
-            f"SnapshotTable({self.name!r}, rows={self.row_count}, "
-            f"tail={self._state.tail_rows}, version={self._state.version})"
-        )
-
-    def column(self, name: str) -> MergedColumn:
-        return self._state.merged_column(name)
-
-    def values(self, name: str) -> np.ndarray:
-        return self.column(name).values()
-
-    def gather(self, names: Sequence[str],
-               indices: np.ndarray | None = None) -> dict[str, np.ndarray]:
-        result = {}
-        for name in names:
-            column = self.column(name)
-            result[name] = column.values() if indices is None else column.take(indices)
-        return result
-
-    def to_rows(self, names: Sequence[str] | None = None) -> list[tuple]:
-        names = list(names) if names is not None else self.column_names
-        arrays = [self.values(name) for name in names]
-        return list(zip(*[array.tolist() for array in arrays], strict=True)) if arrays else []
-
-
 class _TableState:
     """One immutable published version of a table.
 
@@ -417,7 +355,7 @@ class _TableState:
     """
 
     __slots__ = ("sealed", "generation", "version", "chunks", "tail_rows",
-                 "deleted", "deleted_count", "_tails", "_merged", "_live")
+                 "deleted", "deleted_count", "_table", "_live")
 
     def __init__(self, sealed: ColumnTable, generation: int, version: int,
                  chunks: tuple, tail_rows: int,
@@ -429,8 +367,7 @@ class _TableState:
         self.tail_rows = tail_rows
         self.deleted = deleted
         self.deleted_count = deleted_count
-        self._tails: dict[str, np.ndarray] = {}
-        self._merged: dict[str, MergedColumn] = {}
+        self._table: ColumnTable | None = None
         self._live: np.ndarray | None = None
 
     @property
@@ -441,33 +378,24 @@ class _TableState:
     def live_rows(self) -> int:
         return self.total_rows - self.deleted_count
 
-    def tail(self, name: str) -> np.ndarray:
-        """The concatenated tail for one column (lazy, cached per state)."""
-        cached = self._tails.get(name)
-        if cached is None:
-            parts = [chunk[name] for chunk in self.chunks]
-            if not parts:
-                cached = np.empty(0, dtype=self.sealed.column(name).dtype)
-            elif len(parts) == 1:
-                cached = parts[0]
-            else:
-                cached = np.concatenate(parts)
-            self._tails[name] = cached
-        return cached
+    def table(self) -> ColumnTable:
+        """This version as one logical table of ``sealed + tail`` rows (cached).
 
-    def merged_column(self, name: str) -> MergedColumn:
-        """The merged view of one column (lazy, cached per state).
-
-        States are shared by every snapshot of one version, so caching the
-        :class:`MergedColumn` here lets its idempotent decode/stats caches
-        amortise across repeated scans instead of resetting per snapshot.
+        The sealed table itself while the tail is empty — the pristine read
+        path is exactly the sealed one — otherwise a table of
+        :class:`MergedColumn` views.  States are shared by every snapshot of
+        one version, so the columns' idempotent tail/decode/stats caches
+        amortise across scans.  Deletions are *not* applied here: they are a
+        base selection the :class:`Snapshot` supplies to its queries, so
+        logical row ids stay stable for delete targeting.
         """
-        merged = self._merged.get(name)
-        if merged is None:
-            sealed = self.sealed.column(name)  # KeyError names the table
-            merged = MergedColumn(sealed, self.tail(name))
-            self._merged[name] = merged
-        return merged
+        if self._table is None:
+            sealed = self.sealed
+            self._table = sealed if not self.tail_rows else ColumnTable(sealed.name, [
+                MergedColumn(sealed.column(name), [chunk[name] for chunk in self.chunks])
+                for name in sealed.column_names
+            ])
+        return self._table
 
     def live_positions(self) -> np.ndarray | None:
         """Sorted logical positions of live rows; None when nothing is deleted."""
@@ -492,7 +420,6 @@ class Snapshot:
 
     def __init__(self, state: _TableState):
         self._state = state
-        self._table: ColumnTable | SnapshotTable | None = None
 
     @property
     def version(self) -> int:
@@ -520,16 +447,9 @@ class Snapshot:
         return self._state.live_rows
 
     @property
-    def table(self) -> ColumnTable | SnapshotTable:
-        """This version as a (possibly merged) column table.
-
-        With an empty tail the sealed :class:`ColumnTable` itself is
-        returned — the pristine read path is exactly the sealed one.
-        """
-        if self._table is None:
-            state = self._state
-            self._table = state.sealed if state.tail_rows == 0 else SnapshotTable(state)
-        return self._table
+    def table(self) -> ColumnTable:
+        """This version as a column table (:meth:`_TableState.table`)."""
+        return self._state.table()
 
     def live_selection(self) -> np.ndarray | None:
         """Live logical positions as a query base; None when none deleted."""
@@ -546,12 +466,8 @@ class Snapshot:
         query identically — the equivalence the property tests assert, and
         the content :meth:`DeltaStore.compact` reseals.
         """
-        live = self.live_selection()
-        out = {}
-        for name in self._state.sealed.column_names:
-            column = self.table.column(name)
-            out[name] = column.values() if live is None else column.take(live)  # decode-ok: explicit full-materialisation API
-        return out
+        table = self.table
+        return table.gather(table.column_names, self.live_selection())
 
     def __repr__(self) -> str:
         return (

@@ -123,7 +123,7 @@ def explain_plan(plan: logical.PlanNode, store: ColumnStore | None = None,
 class ColumnStoreBackend(Backend):
     """The column store behind the shared driver, for one plan execution.
 
-    Scans over *written* tables resolve through snapshots
+    Scans of store tables resolve through snapshots
     (:meth:`~repro.colstore.catalog.ColumnStore.query`), and the backend
     keeps a per-execution scan cache so every ``Scan`` of the same table —
     a self-join, a rewritten subtree — reads the **same** frozen version

@@ -550,9 +550,9 @@ class ColumnQuery:
         elif self._full_selection:
             # The aggregate consumes every row: materialising the column is
             # the gather, without first building (and indexing through) an
-            # arange selection vector.  The ``astype`` copy keeps the
-            # encoding's decode cache unaliased.
-            values = value_vector.values().astype(np.float64)  # decode-ok: full-table aggregate reads every value
+            # arange selection vector.  ``astype`` copies, so the
+            # encoding's shared (read-only) buffer stays unaliased.
+            values = value_vector.values().astype(np.float64)
         else:
             values = value_vector.take(self.selection).astype(np.float64)
         selection = None if self._full_selection else self.selection

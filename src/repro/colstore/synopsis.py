@@ -27,7 +27,9 @@ exclude the new rows from every approximate answer.  Cache keys therefore
 carry the table's :meth:`~repro.colstore.catalog.ColumnStore.store_version`,
 and the store's write hook calls :meth:`SynopsisCatalog.invalidate` so
 superseded entries are dropped eagerly rather than accumulating one
-selection per version.
+selection per version.  Dropping (and creating) a table invalidates too:
+a table recreated under a dropped name restarts at version 0, so the
+version alone would not tell its synopses from the dropped table's.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ class SynopsisCatalog:
         return self._store.store_version(table_name)
 
     def invalidate(self, table_name: str) -> None:
-        """Drop every cached synopsis of ``table_name`` (called on writes)."""
+        """Drop every cached synopsis of ``table_name`` (on write, create, drop)."""
         stale = [key for key in self._selections if key[1] == table_name]
         for key in stale:
             del self._selections[key]

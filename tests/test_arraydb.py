@@ -152,32 +152,12 @@ class TestOperators:
         np.testing.assert_array_equal(coords[0], np.arange(10))
         assert stats.chunks_skipped == 2
 
-    def test_between_restricts_coordinates(self, expression_array):
-        array, matrix = expression_array
-        result = ops.between(array, {"patient_id": (10, 19), "gene_id": (0, 4)})
-        assert result.cell_count == 10 * 5
-        dense = result.to_dense(fill=np.nan)
-        np.testing.assert_allclose(dense[10:20, :5], matrix[10:20, :5])
-
-    def test_between_unknown_dimension(self, expression_array):
-        array, _ = expression_array
-        with pytest.raises(KeyError):
-            ops.between(array, {"bogus": (0, 1)})
-
     def test_subarray_by_index_compacts(self, expression_array):
         array, matrix = expression_array
         chosen = [3, 7, 11, 29]
         sub = ops.subarray_by_index(array, "gene_id", chosen)
         assert sub.shape == (45, 4)
         np.testing.assert_allclose(sub.to_dense(), matrix[:, chosen])
-
-    def test_apply_and_project(self, expression_array):
-        array, matrix = expression_array
-        applied = ops.apply(array, "doubled", lambda attrs: attrs["value"] * 2)
-        assert "doubled" in applied.schema.attribute_names
-        np.testing.assert_allclose(applied.to_dense("doubled"), matrix * 2)
-        projected = ops.project(applied, ["doubled"])
-        assert projected.schema.attribute_names == ("doubled",)
 
     def test_aggregate_global_and_along(self, expression_array):
         array, matrix = expression_array
@@ -197,44 +177,6 @@ class TestOperators:
         array, matrix = expression_array
         filtered = ops.filter_attribute(array, None, col("value") > 0.5)
         assert ops.aggregate(filtered, "value", "count") == int((matrix > 0.5).sum())
-
-    def test_cross_join_broadcasts_metadata(self, expression_array, rng):
-        array, matrix = expression_array
-        functions = rng.integers(0, 20, 30).astype(float)
-        metadata = ChunkedArray.from_dense(
-            "gene_function", functions, ["gene_id"], attribute_name="function", chunk_sizes=[8]
-        )
-        joined = ops.cross_join(array, metadata, "gene_id")
-        assert set(joined.schema.attribute_names) == {"value", "function"}
-        dense_function = joined.to_dense("function")
-        np.testing.assert_allclose(dense_function, np.tile(functions, (45, 1)))
-
-    def test_cross_join_requires_1d_right(self, expression_array):
-        array, _ = expression_array
-        with pytest.raises(ValueError):
-            ops.cross_join(array, array, "gene_id")
-
-    def test_redimension_builds_matrix(self, rng):
-        rows = np.repeat(np.arange(5), 4)
-        cols = np.tile(np.arange(4), 5)
-        values = rng.random(20)
-        array = ops.redimension("m", rows, cols, values,
-                                dimension_names=("patient_id", "gene_id"))
-        assert array.shape == (5, 4)
-        np.testing.assert_allclose(array.to_dense(), values.reshape(5, 4))
-
-    def test_redimension_length_check(self):
-        with pytest.raises(ValueError):
-            ops.redimension("m", np.arange(3), np.arange(2), np.arange(3))
-
-    def test_regrid_downsamples(self, expression_array):
-        array, matrix = expression_array
-        regridded = ops.regrid(array, {"patient_id": 5, "gene_id": 3}, function="avg")
-        assert regridded.shape == (9, 10)
-        # First block's average must match.
-        assert regridded.to_dense()[0, 0] == pytest.approx(matrix[:5, :3].mean())
-        with pytest.raises(ValueError):
-            ops.regrid(array, {"patient_id": 2}, function="median")
 
 
 class TestArrayLinalg:

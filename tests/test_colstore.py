@@ -2,21 +2,28 @@
 
 from __future__ import annotations
 
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 
 from repro.colstore import (
+    AGGREGATE_FUNCTIONS,
     ColumnQuery,
     ColumnStore,
     ColumnTable,
     ColumnVector,
     DeltaEncoding,
     DictionaryEncoding,
+    MergedColumn,
     PlainEncoding,
     RunLengthEncoding,
     best_encoding,
+    reduce_by_inverse,
 )
 from repro.colstore.compression import encoding_sizes
+from repro.colstore.sketches import HyperLogLog
 from repro.colstore.query import (
     _direct_address_positions,
     _sorted_match_positions,
@@ -156,21 +163,6 @@ class TestCompressedFastPaths:
         with pytest.raises(IndexError):
             encoding.take(np.array([len(values)]))
 
-    def test_dictionary_filter_range_and_scattered(self):
-        values = np.tile(np.arange(10), 100)
-        encoding = DictionaryEncoding()
-        encoding.encode(values)
-        for predicate in (
-            lambda v: v < 4,          # prefix of the sorted dictionary
-            lambda v: v >= 7,         # suffix
-            lambda v: v % 2 == 0,     # scattered verdicts
-            lambda v: v < -1,         # nothing
-            lambda v: v < 99,         # everything
-        ):
-            np.testing.assert_array_equal(
-                encoding.filter_mask(predicate), predicate(values)
-            )
-
     def test_filter_mask_shape_check_on_distinct_values(self):
         values = np.tile(np.arange(10), 100)
         encoding = DictionaryEncoding()
@@ -178,13 +170,133 @@ class TestCompressedFastPaths:
         with pytest.raises(ValueError):
             encoding.filter_mask(lambda v: np.array([True]))
 
-    def test_vector_take_before_and_after_decode(self, rng):
-        values = np.sort(rng.integers(0, 6, 500))
-        column = ColumnVector("x", values)
-        indices = np.array([0, 250, 499])
-        np.testing.assert_array_equal(column.take(indices), values[indices])  # encoded
-        column.values()  # populate the decode cache
-        np.testing.assert_array_equal(column.take(indices), values[indices])  # cached
+
+#: Contract columns: the stored form, and values that make it interesting.
+#: The wrapping column jumps between the int64 extremes, so its deltas
+#: overflow (and wrap back on decode) as well as changing sign.
+CONTRACT_COLUMNS = {
+    "plain": ("plain", lambda rng, n: rng.integers(0, 12, n).astype(np.float64)),
+    "rle": ("rle", lambda rng, n: np.sort(rng.integers(0, 12, n))),
+    "dictionary": ("dictionary", lambda rng, n: rng.integers(0, 12, n)),
+    "delta-monotone": ("delta", lambda rng, n: np.cumsum(rng.integers(0, 2, n))),
+    "delta-wrapping": ("delta", lambda rng, n: rng.choice(
+        np.array([-2**63, -3, 0, 4, 2**63 - 1], dtype=np.int64), n)),
+}
+CONTRACT_ROWS = 400
+
+
+def _contract_column(kind: str, merged: bool):
+    """``(column, decoded concatenation)`` for one contract cell."""
+    encoding, make = CONTRACT_COLUMNS[kind]
+    full = make(np.random.default_rng(11), CONTRACT_ROWS)
+    if not merged:
+        return ColumnVector("x", full, encoding=encoding), full
+    split = CONTRACT_ROWS - CONTRACT_ROWS // 20  # a 5 % tail, in two chunks
+    sealed = ColumnVector("x", full[:split], encoding=encoding)
+    return MergedColumn(sealed, [full[split:split + 7], full[split + 7:]]), full
+
+
+def _contract_selection(shape: str) -> np.ndarray | None:
+    rng = np.random.default_rng(12)
+    if shape == "none":
+        return None
+    if shape == "sorted":
+        return np.flatnonzero(rng.random(CONTRACT_ROWS) < 0.3)
+    return rng.permutation(CONTRACT_ROWS)[:120]  # sealed and tail rows interleave
+
+
+@pytest.mark.parametrize("selection_shape", ["none", "sorted", "interleaved"])
+@pytest.mark.parametrize("merged", [False, True], ids=["sealed", "merged"])
+@pytest.mark.parametrize("kind", list(CONTRACT_COLUMNS))
+class TestColumnContract:
+    """Every operator a ``ColumnQuery`` reaches, on every column it can see.
+
+    Each answer must equal numpy over the decoded concatenation, both while
+    the column is still encoded and after ``values()`` has decoded it — the
+    one contract behind the per-encoding fast paths, the decode-once buffer
+    and the sealed/tail merge.
+    """
+
+    PREDICATES = (
+        lambda v: v < 4,          # prefix of the sorted distinct values
+        lambda v: v >= 7,         # suffix
+        lambda v: v % 2 == 0,     # scattered verdicts
+        lambda v: v < -2.0**64,   # nothing
+        lambda v: v < 2.0**64,    # everything
+    )
+
+    def _check(self, column, full, selection):
+        rows = full if selection is None else full[selection]
+        positions = np.arange(len(full)) if selection is None else selection
+        np.testing.assert_array_equal(column.take(positions), rows)
+        for predicate in self.PREDICATES:
+            np.testing.assert_array_equal(column.filter_mask(predicate), predicate(full))
+        lookup = np.concatenate([full[::37], full[:1] + 1])
+        np.testing.assert_array_equal(column.isin(lookup), np.isin(full, lookup))
+        keys, inverse = column.distinct_inverse(selection)
+        expected_keys, expected_inverse = np.unique(rows, return_inverse=True)
+        np.testing.assert_array_equal(keys, expected_keys)
+        np.testing.assert_array_equal(inverse, expected_inverse)
+        np.testing.assert_array_equal(column.distinct_values(selection), expected_keys)
+        # Integer-valued floats: every association of the sums is exact.
+        reduced = np.random.default_rng(13).integers(-50, 50, len(rows)).astype(np.float64)
+        for function in AGGREGATE_FUNCTIONS:
+            keys, aggregates = column.group_reduce(
+                None if function == "count" else reduced, function, selection)
+            np.testing.assert_array_equal(keys, expected_keys)
+            np.testing.assert_array_equal(
+                aggregates,
+                reduce_by_inverse(expected_inverse, len(expected_keys), reduced, function))
+        np.testing.assert_array_equal(column.hll_sketch(selection).registers,
+                                      HyperLogLog().add_array(rows).registers)
+        digest = column.tdigest_sketch(selection)
+        for q in (0.1, 0.5, 0.9):
+            assert digest.quantile(q) == float(
+                np.quantile(rows.astype(np.float64), q, method="inverted_cdf"))
+
+    def test_operators_match_numpy_before_and_after_decode(self, kind, merged,
+                                                           selection_shape):
+        column, full = _contract_column(kind, merged)
+        selection = _contract_selection(selection_shape)
+        self._check(column, full, selection)  # answered from the stored form
+        np.testing.assert_array_equal(column.values(), full)
+        self._check(column, full, selection)  # the decode buffer is filled
+
+
+@pytest.mark.parametrize("kind", list(CONTRACT_COLUMNS))
+class TestDecodeBuffer:
+    def test_stats_do_not_depend_on_decode_history(self, kind):
+        column, full = _contract_column(kind, merged=False)
+        before = column.stats()
+        assert (before.minimum, before.maximum) == (float(full.min()), float(full.max()))
+        decoded, _ = _contract_column(kind, merged=False)
+        decoded.values()
+        assert decoded.stats() == before
+
+    def test_values_is_shared_and_read_only(self, kind):
+        column, _ = _contract_column(kind, merged=False)
+        assert column.values() is column.values()
+        with pytest.raises(ValueError, match="read-only"):
+            column.values()[0] = 0
+        if kind == "plain":  # the stored array itself, not a second copy
+            assert np.shares_memory(column.values(), column._encoding._values)
+
+
+def test_decode_has_one_call_site_in_the_column_store():
+    """Every decode-then-numpy fallback reads ``Encoding.values()``: one
+    buffer, one place to count (or tag) a full decompression."""
+    root = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro" / "colstore"
+    sites = []
+    for path in sorted(root.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for function in ast.walk(tree):
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                sites += [
+                    f"{path.name}:{function.name}" for call in ast.walk(function)
+                    if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                    and call.func.attr == "decode"
+                ]
+    assert sites == ["compression.py:values"]
 
 
 class TestMergeJoinPositions:

@@ -43,7 +43,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.colstore import ColumnStore, ColumnTable, ColumnVector
 from repro.colstore.delta import DeltaStore, MergedColumn, merge_group_parts
 from repro.colstore.planner import run_plan
-from repro.plan import col
+from repro.plan import approx_mean, col
 from repro.plan.logical import Aggregate, ApproxAggregate, Filter, Pivot, Scan
 
 COLUMNS = ("rid", "grp", "run", "val")
@@ -247,7 +247,6 @@ class TestDeltaStoreBasics:
         column = store.effective_table("events").column("val")
         assert isinstance(column, MergedColumn)
         assert len(column) == 16
-        assert not column.supports_distinct_pushdown
         full = column.values()
         np.testing.assert_array_equal(column.take(np.array([-1, 0, 13])),
                                       full[[-1, 0, 13]])
@@ -256,6 +255,18 @@ class TestDeltaStoreBasics:
         stats = column.stats()
         assert stats.row_count == 16 and stats.distinct is None
         assert stats.minimum == full.min() and stats.maximum == full.max()
+        # Only the sealed part pushes predicates down: a dictionary column
+        # shows the predicate its distinct values, the plain tail every row.
+        groups = store.effective_table("events").column("grp")
+        seen = []
+
+        def is_a(values):
+            seen.append(len(values))
+            return values == "a"
+
+        np.testing.assert_array_equal(groups.filter_mask(is_a),
+                                      groups.values() == "a")
+        assert seen == [len(np.unique(_seed_arrays(12, seed=9)["grp"])), 4]
 
     def test_merge_group_parts_rejects_mean(self):
         part = (np.array([1]), np.array([2.0]))
@@ -384,7 +395,6 @@ class TestConcurrency:
         """
         n0, writers, readers, batches = 200, 4, 3, 15
         store = _concurrent_store(n0)
-        store.writable("events")  # attach the delta before threads race
         errors: list[str] = []
         gate = threading.Barrier(writers + readers)
         done = threading.Event()
@@ -600,6 +610,22 @@ class TestSynopsisStaleness:
         assert len(store.synopses) == 1
         (key,) = store.synopses.describe()
         assert key[-1] == store.store_version("events")
+
+    def test_recreated_table_never_answers_from_the_dropped_tables_synopsis(self):
+        """Drop + create restarts the version at 0, the dropped table's cache
+        key: its selection covers the wrong rows (or rows past the end)."""
+        plan = approx_mean(Scan("t"), "x", fraction=0.1, seed=1)
+        store = ColumnStore()
+        store.create_table("t", {"x": np.zeros(1000)})
+        assert run_plan(plan, store).estimate == 0.0
+        store.drop_table("t")
+        assert len(store.synopses) == 0
+        store.create_table("t", {"x": np.repeat([0.0, 10.0], 1000)})
+        answer = run_plan(plan, store)
+        assert answer.ci_low < 5.0 < answer.ci_high
+        store.drop_table("t")
+        store.create_table("t", {"x": np.full(50, 3.0)})  # smaller than the old sample's reach
+        assert run_plan(plan, store).estimate == 3.0
 
     def test_uniform_synopsis_cache_hits_within_a_version(self):
         store = _store_with(_sealed_four_encodings(50, seed=17))
