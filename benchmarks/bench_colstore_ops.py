@@ -7,11 +7,12 @@ the concurrent fragment dispatch) over the four encodings at a chosen
 size, timing each op twice:
 
 * **compressed** — the current fast paths (predicate pushdown onto distinct
-  values, ``searchsorted`` sort-merge join, stats-driven encoding choice),
-* **baseline** — the seed implementation each fast path replaced (full
-  decode before every predicate, an interpreted Python hash join, encoding
-  all four candidates per column), kept here verbatim so every future run
-  measures against the same yardstick.
+  values, the lookup join on the compressed key column, direct-address
+  grouping, stats-driven encoding choice),
+* **baseline** — the implementation each fast path replaced (full decode
+  before every predicate, an interpreted Python hash join, the hit-range
+  expansion join, ``np.unique``, encoding all four candidates per column),
+  kept here verbatim so every future run measures against the same yardstick.
 
 The run appends nothing and prints nothing fancy; it writes one JSON perf
 record (default ``BENCH_colstore.json`` at the repo root) so later PRs have
@@ -49,7 +50,12 @@ from repro.cluster import (
 )
 from repro.colstore.catalog import ColumnStore
 from repro.colstore.planner import run_plan
-from repro.colstore.query import ColumnQuery, merge_join_positions
+from repro.colstore.query import (
+    ColumnQuery,
+    _direct_address_positions,
+    materialise_join,
+    merge_join_positions,
+)
 from repro.colstore.table import ColumnTable
 from repro.plan import Filter, Scan, approx_sum, col
 
@@ -103,6 +109,31 @@ def baseline_hash_join_positions(
         np.asarray(probe_positions, dtype=np.int64),
         np.asarray(build_positions, dtype=np.int64),
     )
+
+
+def baseline_expansion_join(left: ColumnQuery, right: ColumnQuery, key: str) -> ColumnTable:
+    """The PR 1–18 equi-join on dense integer keys, build side left.
+
+    Both key columns are fetched through a full ``arange`` selection, every
+    probe row's hit *range* is expanded with ``repeat`` arithmetic
+    (``_direct_address_positions``, which still serves duplicate build
+    keys) although each build key is unique, and the output columns are
+    gathered through the selection vectors — what ``materialise_join`` did
+    before a PK–FK join became a semi-join on the compressed key column
+    plus one lookup.
+    """
+    build_keys = left.table.column(key).take(left.selection)
+    probe_keys = right.table.column(key).take(right.selection)
+    key_min = int(build_keys.min())
+    build_positions, probe_positions = _direct_address_positions(
+        build_keys, probe_keys, key_min, int(build_keys.max()) - key_min + 1)
+    left_rows = left.selection[build_positions]
+    right_rows = right.selection[probe_positions]
+    arrays = {name: left.table.column(name).take(left_rows)
+              for name in left.output_columns}
+    arrays.update({name: right.table.column(name).take(right_rows)
+                   for name in right.output_columns if name != key})
+    return ColumnTable.from_arrays("join_result", arrays, compress=False)
 
 
 def baseline_group_aggregate(encoding, values: np.ndarray, function: str = "mean"):
@@ -514,6 +545,61 @@ def run_sweep(size: str, rounds: int = 3, seed: int = 7) -> dict:
         _entry("join_pivot", "fused-plan", jp_patients * jp_genes, compressed,
                baseline, gated=True)
     )
+
+    # PK–FK join at GenBase's shape: a filtered dimension (~25 % of its unique
+    # keys) ⋈ the whole fact table, once per foreign-key encoding.  The probe
+    # side is unfiltered, so the membership test runs on the compressed key
+    # column (per run, per dictionary code, one table lookup over the retained
+    # delta/plain buffer) and only matching rows are ever fetched; the
+    # baseline is the hit-range expansion join every plan ran before.  Gated:
+    # this join is the data-management half of four of the five queries.
+    pk_keys = max(1, int(np.sqrt(n)))
+    pk_rows = pk_keys * (n // pk_keys)
+    dimension = ColumnTable.from_arrays("dimension", {
+        "key": np.arange(pk_keys, dtype=np.int64),
+        "function": join_rng.integers(0, 1_000, pk_keys),
+    })
+    shuffled_keys = join_rng.integers(0, pk_keys, pk_rows).astype(np.int64)
+    foreign_keys = {
+        "rle": np.repeat(np.arange(pk_keys, dtype=np.int64), pk_rows // pk_keys),
+        "delta": np.tile(np.arange(pk_keys, dtype=np.int64), pk_rows // pk_keys),
+        "dictionary": shuffled_keys,
+        "plain": shuffled_keys,
+    }
+    fact_values = join_rng.random(pk_rows)
+    for name, keys in foreign_keys.items():
+        fact = ColumnTable("fact", [ColumnVector("key", keys, encoding=name),
+                                    ColumnVector("value", fact_values)])
+
+        def lookup_join(fact=fact):
+            return materialise_join(
+                ColumnQuery(dimension).where(col("function") < function_threshold),
+                ColumnQuery(fact), "key", "key", build="left", compress=False)
+
+        def expansion_join(fact=fact):
+            return baseline_expansion_join(
+                ColumnQuery(dimension).where(col("function") < function_threshold),
+                ColumnQuery(fact), "key")
+
+        compressed = _best_of(lookup_join, rounds)
+        baseline = _best_of(expansion_join, rounds)
+        fast, slow = lookup_join(), expansion_join()
+        assert fast.column_names == slow.column_names
+        for column_name in slow.column_names:
+            np.testing.assert_array_equal(fast.values(column_name), slow.values(column_name))
+        results.append(_entry("join_pk_fk", name, pk_rows, compressed, baseline, gated=True))
+
+    # Grouping a plain integer column — what every join intermediate, a
+    # narrowed MergedColumn and the plain/delta group-aggregates fall back
+    # to: a presence table + cumsum over the bounded key span vs np.unique.
+    intermediate = ColumnVector("key", shuffled_keys, compress=False)
+    compressed = _best_of(intermediate.distinct_inverse, rounds)
+    baseline = _best_of(lambda: np.unique(shuffled_keys, return_inverse=True), rounds)
+    for fast_part, slow_part in zip(intermediate.distinct_inverse(),
+                                    np.unique(shuffled_keys, return_inverse=True),
+                                    strict=True):
+        np.testing.assert_array_equal(fast_part, slow_part)
+    results.append(_entry("distinct_inverse", "plain-int", pk_rows, compressed, baseline))
 
     # Load: stats-driven encoding choice vs encode-all-candidates.
     for name, values in columns.items():

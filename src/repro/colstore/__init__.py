@@ -62,9 +62,11 @@ Consequences for the query layer:
   column's ``(keys, codes)`` pair is consumed directly (``bincount`` over
   codes, min/max via one ``ufunc.at`` scatter), RLE runs fold into partial
   counts/sums/extrema with ``ufunc.reduceat`` and never expand, and a
-  monotone delta column recovers its grouping from a change-point scan —
-  ``np.unique`` over the buffer survives only as the plain /
-  non-monotone-delta fallback (see ``distinct_inverse``/``group_reduce``);
+  monotone delta column recovers its grouping from a change-point scan;
+  the plain / non-monotone-delta fallback (every join intermediate) groups
+  bounded-span integers by direct addressing — presence table, ``cumsum``
+  codes — and sorts with ``np.unique`` only floats, strings and sparse keys
+  (see ``distinct_inverse``/``group_reduce``);
 * plain and delta columns trade memory for time: the buffer a delta column
   fills stays resident (a plain column's stored array *is* its buffer);
 * statistics are a pure function of the stored form (a delta column keeps
@@ -74,8 +76,12 @@ Consequences for the query layer:
   table class, through one read path: every table is a ``DeltaStore`` from
   creation, and a snapshot's table is the sealed one while the tail is empty;
 * the equi-join computes aligned position arrays with no per-row Python:
-  dense integer keys take a direct-addressing (counting-sort) path, anything
-  else an ``argsort`` + ``searchsorted`` sort-merge;
+  unique dense integer build keys (every GenBase PK–FK join) make it a
+  semi-join on the probe side's *compressed* key column plus one table
+  lookup, and an unfiltered input is never gathered through an ``arange``
+  selection; duplicate dense keys expand hit ranges over a direct-address
+  (counting-sort) table, anything else takes an ``argsort`` +
+  ``searchsorted`` sort-merge;
 * ``best_encoding`` predicts every candidate's exact footprint from cheap
   column statistics (run count, cardinality, delta width — see
   ``encoding_sizes``) and builds only the winner.

@@ -25,11 +25,14 @@ operator exactly where its compressed form is cheaper:
 * ``filter_mask(predicate)`` evaluates a vectorised element-wise predicate —
   for dictionary/RLE columns on the *distinct values only* — and expands the
   result through the codes/runs into a full-length boolean mask,
-* ``isin(values)`` pushes membership tests down the same way,
+* ``isin(values)`` pushes membership tests down the same way (and, for an
+  integer delta/plain column, through one table lookup over the buffer
+  using the bounds the column keeps),
 * ``distinct_inverse(positions)`` produces the ``(keys, inverse)`` pair that
   ``np.unique(..., return_inverse=True)`` would compute — a dictionary
   column already *is* that pair, an RLE column derives it from its run
-  values, a monotone delta column from a change-point scan — and
+  values, a monotone delta column from a change-point scan, any other
+  bounded-span integer column from a presence table — and
 * ``group_reduce(values, function, positions)`` runs a grouped reduction
   (count/sum/mean/min/max) keyed by the column: dictionary aggregates with
   ``bincount`` over the stored codes, RLE folds whole runs into partial
@@ -136,6 +139,48 @@ def _compact_distinct(
     return keys[present], remap[codes]
 
 
+def _direct_address_budget(rows: int) -> int:
+    """The widest value span worth a direct-address table over ``rows`` rows.
+
+    A table over ``[min, max]`` replaces a sort or a hash probe only while
+    allocating and scanning it costs less than they would: twice the rows
+    read, above a floor under which the table is free.
+    """
+    return max(1 << 10, 2 * rows)
+
+
+def _addressable(dtype: np.dtype) -> bool:
+    """Bool and integer dtypes whose every value survives a cast to int64."""
+    return dtype.kind in "biu" and np.can_cast(dtype, np.int64)
+
+
+def _distinct(values: np.ndarray, return_inverse: bool):
+    """``np.unique(values)`` / ``np.unique(values, return_inverse=True)`` of a
+    one-dimensional array, without the sort where the values allow it.
+
+    Bool/integer input whose span ``max - min + 1`` fits
+    :func:`_direct_address_budget` is answered by direct addressing: mark a
+    presence table, read the keys off it, and turn it into codes with one
+    ``cumsum``.  Keys, codes and both dtypes are exactly ``np.unique``'s;
+    anything else (floats, strings, ``uint64``, a wide span, empty input)
+    *is* ``np.unique``.
+    """
+    if values.size and _addressable(values.dtype):
+        low = int(values.min())
+        span = int(values.max()) - low + 1
+        if span <= _direct_address_budget(values.size):
+            offsets = values.astype(np.intp, copy=False)
+            if low:
+                offsets = offsets - low
+            present = np.zeros(span, dtype=bool)
+            present[offsets] = True
+            keys = (np.flatnonzero(present) + low).astype(values.dtype)
+            if not return_inverse:
+                return keys
+            return keys, (np.cumsum(present, dtype=np.intp) - 1)[offsets]
+    return np.unique(values, return_inverse=return_inverse)
+
+
 class Encoding:
     """Interface for column encodings, plus every decode-then-numpy fallback.
 
@@ -209,8 +254,29 @@ class Encoding:
         return predicate_mask(self.values(), predicate)
 
     def isin(self, values: np.ndarray) -> np.ndarray:
-        """Full-length boolean membership mask."""
-        return np.isin(self.values(), values)
+        """Full-length boolean membership mask.
+
+        The generic answer reads the decode-once buffer.  An integer column
+        that knows its bounds (:meth:`stats_hint` — a delta column keeps
+        them, a plain one scans them once) marks the wanted values in a
+        table over ``[minimum, maximum]`` and gathers it through the
+        buffer: one pass, where ``np.isin`` would first rescan both inputs
+        for their ranges and then mask as it gathers.  Everything else is
+        ``np.isin``.
+        """
+        column = self.values()
+        wanted = np.asarray(values)
+        if _addressable(column.dtype) and _addressable(wanted.dtype):
+            _, low, high = self.stats_hint()
+            if low is not None:
+                low, high = int(low), int(high)
+                if high - low + 1 <= _direct_address_budget(column.size):
+                    wanted = wanted[(wanted >= low) & (wanted <= high)]
+                    member = np.zeros(high - low + 1, dtype=bool)
+                    member[wanted.astype(np.intp) - low] = True
+                    offsets = column.astype(np.intp, copy=False)
+                    return member[offsets - low if low else offsets]
+        return np.isin(column, wanted)
 
     def distinct_inverse(
         self, positions: np.ndarray | None = None
@@ -221,16 +287,19 @@ class Encoding:
         (whole column when ``positions`` is None).  Key and code *values*
         match ``np.unique`` exactly; the code dtype may be narrower (e.g. a
         dictionary column hands back its stored codes).  Returned arrays may
-        alias encoding state — treat them as read-only.
+        alias encoding state — treat them as read-only.  The generic answer
+        (plain and non-monotone delta columns, hence every join
+        intermediate) groups bounded-span integers by direct addressing and
+        sorts only what it must (:func:`_distinct`).
         """
-        return np.unique(self._rows(positions), return_inverse=True)
+        return _distinct(self._rows(positions), return_inverse=True)
 
     def distinct_values(self, positions: np.ndarray | None = None) -> np.ndarray:
         """Sorted distinct values only — no inverse materialisation.
 
         Same aliasing caveat as :meth:`distinct_inverse`.
         """
-        return np.unique(self._rows(positions))
+        return _distinct(self._rows(positions), return_inverse=False)
 
     def group_reduce(
         self,
@@ -275,11 +344,13 @@ class PlainEncoding(Encoding):
 
     def __post_init__(self):
         self._values: np.ndarray | None = None
+        self._bounds = None
 
     def encode(self, values: np.ndarray) -> None:
         self._values = np.asarray(values).copy()
         self._values.setflags(write=False)
         self._buffer = self._values
+        self._bounds = None
 
     def decode(self) -> np.ndarray:
         if self._values is None:
@@ -293,12 +364,14 @@ class PlainEncoding(Encoding):
         return 0 if self._values is None else len(self._values)
 
     def stats_hint(self) -> tuple[int | None, object, object]:
-        """Endpoints scanned from the stored array — no decode copy."""
+        """Endpoints scanned from the stored array, once — no decode copy."""
         if self._values is None or not len(self._values):
             return None, None, None
         if self._values.dtype.kind not in "biuf":
             return None, None, None
-        return None, self._values.min(), self._values.max()
+        if self._bounds is None:
+            self._bounds = (self._values.min(), self._values.max())
+        return None, *self._bounds
 
 
 @dataclass

@@ -44,7 +44,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from repro.colstore.column import ColumnVector
-from repro.colstore.compression import predicate_mask, reduce_by_inverse
+from repro.colstore.compression import _distinct, predicate_mask, reduce_by_inverse
 from repro.colstore.query import ColumnQuery
 from repro.colstore.sketches import HyperLogLog, TDigest
 from repro.colstore.table import ColumnTable
@@ -246,9 +246,9 @@ class MergedColumn:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Union the sealed distinct set with the tail's; remap both inverses."""
         if selection is not None:
-            return np.unique(self.take(selection), return_inverse=True)
+            return _distinct(self.take(selection), return_inverse=True)
         sealed_keys, sealed_inverse = self._sealed.distinct_inverse(None)
-        tail_keys, tail_inverse = np.unique(self._tail, return_inverse=True)
+        tail_keys, tail_inverse = _distinct(self._tail, return_inverse=True)
         keys = np.union1d(sealed_keys, tail_keys)
         inverse = np.concatenate([
             np.searchsorted(keys, sealed_keys)[np.asarray(sealed_inverse)],
@@ -258,7 +258,7 @@ class MergedColumn:
 
     def distinct_values(self, selection: np.ndarray | None = None) -> np.ndarray:
         if selection is not None:
-            return np.unique(self.take(selection))
+            return _distinct(self.take(selection), return_inverse=False)
         return np.union1d(self._sealed.distinct_values(None), self._tail)
 
     def group_reduce(
@@ -307,10 +307,10 @@ class MergedColumn:
                 # by every scan of this version — the sort that would
                 # otherwise dominate the merge overhead.
                 if self._tail_distinct is None:
-                    self._tail_distinct = np.unique(self._tail, return_inverse=True)
+                    self._tail_distinct = _distinct(self._tail, return_inverse=True)
                 tail_keys, tail_codes = self._tail_distinct
             else:
-                tail_keys, tail_codes = np.unique(tail_keys_source, return_inverse=True)
+                tail_keys, tail_codes = _distinct(tail_keys_source, return_inverse=True)
             parts.append((
                 tail_keys,
                 reduce_by_inverse(tail_codes, len(tail_keys), tail_values, function),

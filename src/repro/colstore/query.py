@@ -27,9 +27,15 @@ Filters execute *on the compressed form* where the encoding allows it:
 dictionary and RLE columns evaluate predicates on their distinct values
 only and expand the verdicts through codes/runs
 (:meth:`~repro.colstore.column.ColumnVector.filter_mask`), so predicates
-must be element-wise and stateless.  The equi-join is a vectorised
-sort-merge (``argsort`` + ``searchsorted`` position arrays) rather than an
-interpreted hash loop.
+must be element-wise and stateless.  The equi-join is vectorised position
+arithmetic, never an interpreted hash loop, and reads what the data tells
+it (:func:`_match_positions`): unique dense integer build keys — the PK–FK
+shape of every GenBase plan — make it a semi-join on the probe side's
+*compressed* key column (one verdict per RLE run or dictionary code, one
+table lookup over a delta/plain buffer) followed by a single lookup;
+duplicate keys expand hit ranges, sparse or non-integer keys sort.  An
+unfiltered query is never gathered through an ``arange`` selection: it
+reads its columns' buffers directly.
 
 Aggregation pushes down the encodings the same way.  ``group_aggregate``
 never re-derives the grouping with ``np.unique``: a dictionary-encoded
@@ -40,13 +46,14 @@ counts/sums/extrema (``ufunc.reduceat`` at run starts) without expansion; a
 monotone delta column recovers the grouping from a change-point scan.
 ``pivot`` reuses the same ``distinct_inverse`` surface for both axes
 instead of two ``np.unique`` calls, scattering values through the stored
-codes.  Narrowed selections gather the codes and compact away group keys
-with no surviving rows.  Results match aggregating the decoded, gathered
-column exactly — bit-identical keys always, and bit-identical aggregates
-for count/min/max and for any exactly-representable values — with one
-caveat: RLE run folding reassociates floating-point addition, so sum/mean
-over non-integer float values can differ from the row-order accumulation
-in the last ulps.
+codes; over a plain join intermediate that surface is a direct-address
+grouping, so the fused join → pivot never sorts.  Narrowed selections
+gather the codes and compact away group keys with no surviving rows.
+Results match aggregating the decoded, gathered column exactly —
+bit-identical keys always, and bit-identical aggregates for count/min/max
+and for any exactly-representable values — with one caveat: RLE run folding
+reassociates floating-point addition, so sum/mean over non-integer float
+values can differ from the row-order accumulation in the last ulps.
 """
 
 from __future__ import annotations
@@ -68,15 +75,18 @@ def merge_join_positions(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorised equi-join returning aligned ``(left, right)`` position arrays.
 
-    Groups the build side by key — direct addressing over the key range for
-    dense integer keys, ``argsort`` + ``searchsorted`` otherwise — then
-    expands each probe row's hit range with ``repeat`` arithmetic; no
-    Python-level loop over rows.  ``build`` picks the indexed side:
-    ``"auto"`` (the default) builds on the smaller input, ``"left"`` /
-    ``"right"`` honour an optimizer annotation chosen from column
-    statistics (:func:`repro.plan.optimizer.choose_join_build_side`).
+    Indexes the build side by key and probes it with the other side — no
+    Python-level loop over rows; :func:`_match_positions` picks how (a
+    lookup when the build keys are unique dense integers, hit-range
+    expansion over direct addressing or a sort otherwise).  ``build`` picks
+    the indexed side: ``"auto"`` (the default) builds on the smaller input,
+    ``"left"`` / ``"right"`` honour an optimizer annotation chosen from
+    column statistics (:func:`repro.plan.optimizer.choose_join_build_side`).
     Output is probe-side-major; within one probe row the matches appear in
-    build-position order.
+    build-position order.  Either side may be handed over as its key
+    *column* (a :class:`~repro.colstore.column.ColumnVector`) instead of an
+    array — an unfiltered input does — so that the probe-side membership
+    test can run on the column's compressed form.
     """
     if build not in ("auto", "left", "right"):
         raise ValueError(f"build must be 'auto', 'left' or 'right', not {build!r}")
@@ -87,23 +97,39 @@ def merge_join_positions(
     return left_positions, right_positions
 
 
-# Direct addressing allocates O(key range) scratch; cap it so sparse keys
-# fall back to the sort-merge path instead of exploding memory.
+# Direct addressing allocates and scans O(key span) scratch, so the span it
+# may cover is a multiple of the rows being joined (plus a floor below which
+# the scratch is free): sparse keys take the sort instead.
 _DIRECT_ADDRESS_SLACK = 16
-_DIRECT_ADDRESS_MIN_SPAN = 1 << 20
+_DIRECT_ADDRESS_MIN_SPAN = 1 << 10
 
 
-def _match_positions(
-    build_keys: np.ndarray, probe_keys: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Match positions ``(build, probe)``, picking the cheapest strategy."""
+def _key_array(keys) -> np.ndarray:
+    """A join side as an array: itself, or the whole of a key column."""
+    return keys if isinstance(keys, np.ndarray) else keys.values()
+
+
+def _match_positions(build_keys, probe_keys) -> tuple[np.ndarray, np.ndarray]:
+    """Match positions ``(build, probe)`` — the one place a join strategy is chosen.
+
+    * Integer keys whose build-side span fits the budget
+      ``max(_DIRECT_ADDRESS_MIN_SPAN, _DIRECT_ADDRESS_SLACK * (build + probe
+      rows))`` are directly addressed.  When the build keys then turn out
+      unique — observed while filling the table, never assumed — the join
+      is a semi-join plus one lookup (:func:`_unique_key_positions`: the
+      PK–FK shape of every GenBase plan); duplicate build keys expand hit
+      ranges (:func:`_direct_address_positions`).
+    * Anything else — float or string keys, ``uint64``, a span past the
+      budget — sorts the build side (:func:`_sorted_match_positions`).
+    """
+    build_keys = _key_array(build_keys)
     # Direct addressing does int64 arithmetic on the keys, so both sides must
     # fit int64 losslessly (uint64 would wrap and fabricate matches).
     both_integral = all(
         np.issubdtype(keys.dtype, np.integer) and np.can_cast(keys.dtype, np.int64)
         for keys in (build_keys, probe_keys)
     )
-    if both_integral and build_keys.size and probe_keys.size:
+    if both_integral and build_keys.size and len(probe_keys):
         key_min = int(build_keys.min())
         span = int(build_keys.max()) - key_min + 1
         budget = max(
@@ -111,8 +137,41 @@ def _match_positions(
             _DIRECT_ADDRESS_SLACK * (len(build_keys) + len(probe_keys)),
         )
         if span <= budget:
-            return _direct_address_positions(build_keys, probe_keys, key_min, span)
-    return _sorted_match_positions(build_keys, probe_keys)
+            lookup = np.full(span, -1, dtype=np.int64)
+            lookup[build_keys.astype(np.int64) - key_min] = np.arange(len(build_keys))
+            if np.count_nonzero(lookup >= 0) == len(build_keys):
+                return _unique_key_positions(build_keys, probe_keys, key_min, lookup)
+            return _direct_address_positions(
+                build_keys, _key_array(probe_keys), key_min, span
+            )
+    return _sorted_match_positions(build_keys, _key_array(probe_keys))
+
+
+def _unique_key_positions(
+    build_keys: np.ndarray, probe_keys, key_min: int, lookup: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unique dense build keys: every probe row matches at most one build row.
+
+    ``lookup[key - key_min]`` is the build position of ``key`` (-1 when
+    absent).  A probe *column* answers the membership test from its
+    encoding (:meth:`~repro.colstore.column.ColumnVector.isin` — per run,
+    per dictionary code, or one table lookup over the retained buffer) and
+    only the matching rows' keys are ever fetched; a probe array is range
+    checked and looked up directly.
+    """
+    if isinstance(probe_keys, np.ndarray):
+        shifted = probe_keys.astype(np.int64, copy=False) - key_min
+        # One unsigned comparison checks both ends of [0, span).
+        probe_positions = np.flatnonzero(shifted.view(np.uint64) < np.uint64(len(lookup)))
+        build_positions = lookup[shifted[probe_positions]]
+        present = build_positions >= 0
+        if not present.all():
+            probe_positions = probe_positions[present]
+            build_positions = build_positions[present]
+        return build_positions, probe_positions
+    probe_positions = np.flatnonzero(probe_keys.isin(build_keys))
+    matched = probe_keys.take(probe_positions).astype(np.int64, copy=False)
+    return lookup[matched - key_min], probe_positions
 
 
 def _expand_hit_ranges(
@@ -132,7 +191,7 @@ def _expand_hit_ranges(
 def _direct_address_positions(
     build_keys: np.ndarray, probe_keys: np.ndarray, key_min: int, span: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Dense-integer fast path: bucket the build side by key value directly."""
+    """Dense integers, duplicate build keys: bucket the build side by key value."""
     shifted_build = build_keys.astype(np.int64) - key_min
     per_key_counts = np.bincount(shifted_build, minlength=span)
     per_key_starts = np.cumsum(per_key_counts) - per_key_counts
@@ -170,23 +229,25 @@ def materialise_join(
     :class:`JoinedQuery` terminals reach it through the plan executor
     (:func:`repro.colstore.planner.run_plan`), which prunes the gathered
     columns and annotates the build side first; calling it directly
-    reproduces the pre-plan eager join.  The output is the left input's
-    columns, then the right's minus its key.  ``compress=False`` stores the
-    gathered arrays plain — the right choice for a query intermediate that
-    is consumed once (re-encoding it would cost more than it saves).
+    reproduces the pre-plan eager join.  An unfiltered input joins on its
+    key *column* — no selection vector is built for it and, on the probe
+    side, the match runs on the compressed form
+    (:func:`merge_join_positions`); a narrowed input joins on the keys
+    gathered at its selection.  The output is the left input's columns,
+    then the right's minus its key, in probe-major row order.
+    ``compress=False`` stores the gathered arrays plain — the right choice
+    for a query intermediate that is consumed once (re-encoding it would
+    cost more than it saves).
     """
-    left_keys = left.column(left_key)
-    right_keys = right.column(right_key)
     left_positions, right_positions = merge_join_positions(
-        left_keys, right_keys, build=build
+        left._join_keys(left_key), right._join_keys(right_key), build=build
     )
-
     # One gather path for both sides: compose the join positions with the
     # selection vectors and let the (possibly compressed) column gather —
     # empty position arrays then yield empty outputs whose dtype matches
     # the populated case by construction.
-    left_rows = left.selection[left_positions]
-    right_rows = right.selection[right_positions]
+    left_rows = left._base_rows(left_positions)
+    right_rows = right._base_rows(right_positions)
     arrays: dict[str, np.ndarray] = {}
     for name in left.output_columns:
         arrays[name] = left.table.column(name).take(left_rows)
@@ -407,11 +468,25 @@ class ColumnQuery:
     # -- inspection -----------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.selection)
+        return self.table.row_count if self._full_selection else len(self.selection)
+
+    def _read(self, name: str) -> np.ndarray:
+        """One column at the current selection, for reading only.
+
+        An unfiltered query hands back the column's shared read-only buffer
+        instead of building an ``arange`` selection just to gather through
+        it; callers that let the array escape go through :meth:`column`.
+        """
+        vector = self.table.column(name)
+        return vector.values() if self._full_selection else vector.take(self.selection)
 
     def column(self, name: str) -> np.ndarray:
-        """Materialise one column restricted to the current selection."""
-        return self.table.column(name).take(self.selection)
+        """Materialise one column restricted to the current selection.
+
+        Always a fresh array the caller owns (never the column's buffer).
+        """
+        values = self._read(name)
+        return values.copy() if self._full_selection else values
 
     def distinct(self, name: str) -> np.ndarray:
         """Sorted distinct values of ``name`` within the current selection.
@@ -434,8 +509,9 @@ class ColumnQuery:
     def to_matrix(self, names: Sequence[str]) -> np.ndarray:
         """Materialise the named columns side by side as a float matrix."""
         if not names:
-            return np.empty((len(self.selection), 0))
-        return np.column_stack([self.column(name).astype(np.float64) for name in names])
+            return np.empty((len(self), 0))
+        return np.column_stack(  # stacking copies: the cast need not
+            [self._read(name).astype(np.float64, copy=False) for name in names])
 
     def to_table(self, name: str, names: Sequence[str] | None = None) -> ColumnTable:
         """Materialise the current selection as a new column table.
@@ -486,6 +562,16 @@ class ColumnQuery:
         return JoinedQuery(
             self, other, left_key, right_key, columns, other_columns, result_name
         )
+
+    def _join_keys(self, name: str):
+        """This input's join keys: the key column itself when unfiltered (so a
+        probe can be pushed down its encoding), else the keys at the selection."""
+        vector = self.table.column(name)
+        return vector if self._full_selection else vector.take(self.selection)
+
+    def _base_rows(self, positions: np.ndarray) -> np.ndarray:
+        """Table rows behind ``positions`` of this query's output."""
+        return positions if self._full_selection else self.selection[positions]
 
     def _plan_fragment(self, scan_name: str) -> tuple["PlanNode", "ColumnQuery"]:
         """This query as a logical-plan fragment plus its scan binding.
@@ -575,7 +661,7 @@ class ColumnQuery:
         instead of two ``np.unique`` calls.  Duplicate ``(row, column)``
         pairs resolve last-write-wins, in selection order.
         """
-        values = self.column(value).astype(np.float64)
+        values = self._read(value).astype(np.float64, copy=False)
         selection = None if self._full_selection else self.selection
         row_labels, row_positions = self.table.column(row_key).distinct_inverse(selection)
         column_labels, column_positions = self.table.column(column_key).distinct_inverse(selection)

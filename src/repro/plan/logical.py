@@ -161,6 +161,8 @@ class Sample(PlanNode):
 class Join(PlanNode):
     """Equi-join; the output keeps the left columns plus the right columns
     minus the right key (the column store's materialised-join convention).
+    A name both inputs would contribute is rejected where the plan is typed
+    (``ambiguous-join-column``): project or rename one side first.
 
     ``build_side`` records the optimizer's build-side choice
     (:func:`repro.plan.optimizer.choose_join_build_side`): ``"left"`` or
@@ -201,11 +203,19 @@ class Join(PlanNode):
                 rule="join-key-dtype-mismatch",
             )
         result = dict(left)
-        for name, dtype in right.items():
-            if name != self.right_key and name not in result:
-                # A non-key name collision keeps the left column here;
-                # ``JoinedQuery`` aliases the right copy before it plans.
-                result[name] = dtype
+        result.update(
+            (name, dtype) for name, dtype in right.items() if name != self.right_key
+        )
+        if len(result) != len(left) + len(right) - 1:
+            # No two executors agree on which input such a name reads
+            # (``JoinedQuery`` aliases the right copy before it plans).
+            shared = sorted(set(left) & (set(right) - {self.right_key}))
+            raise StaticTypeError(
+                f"join output column(s) {shared} come from both the left input "
+                f"(columns {list(left)}) and the right input (columns "
+                f"{list(right)}); project or rename one side first",
+                rule="ambiguous-join-column",
+            )
         return result
 
 

@@ -229,6 +229,8 @@ def _self_check_cases():
          Project(Project(meta, ("patient_id",)), ("patient_id", "age"))),
         ("unknown-join-key", JoinNode(meta, facts, "patient_id", "sample_id")),
         ("join-key-dtype-mismatch", JoinNode(meta, facts, "name", "patient_id")),
+        # A self-join: "age" and "name" would each name two columns.
+        ("ambiguous-join-column", JoinNode(meta, meta, "patient_id", "patient_id")),
         ("unknown-aggregate-function",
          Aggregate(facts, "gene_id", "expression_value", "median")),
         ("non-numeric-aggregate", Aggregate(meta, "patient_id", "name", "sum")),

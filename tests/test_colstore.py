@@ -22,15 +22,20 @@ from repro.colstore import (
     best_encoding,
     reduce_by_inverse,
 )
+from repro.colstore import query as query_module
+from repro.colstore import run_plan
 from repro.colstore.compression import encoding_sizes
 from repro.colstore.sketches import HyperLogLog
 from repro.colstore.query import (
+    _DIRECT_ADDRESS_MIN_SPAN,
+    _DIRECT_ADDRESS_SLACK,
     _direct_address_positions,
     _sorted_match_positions,
+    materialise_join,
     merge_join_positions,
 )
 from repro.colstore.udf import UdfHost
-from repro.plan import col, opaque
+from repro.plan import Aggregate, Filter, Join, Pivot, Sample, Scan, col, opaque
 
 
 class TestEncodings:
@@ -358,6 +363,172 @@ class TestMergeJoinPositions:
             assert len(left_positions) == len(right_positions) == 0
 
 
+    def test_direct_address_budget_is_proportional_to_the_inputs(self, monkeypatch):
+        taken = []
+        for name in ("_unique_key_positions", "_direct_address_positions",
+                     "_sorted_match_positions"):
+            real = getattr(query_module, name)
+            monkeypatch.setattr(
+                query_module, name,
+                lambda *args, _name=name, _real=real: taken.append(_name) or _real(*args))
+
+        def strategy(build_keys, probe_keys):
+            """Which strategy ``_match_positions`` hands this join to."""
+            taken.clear()
+            merge_join_positions(np.asarray(build_keys, dtype=np.int64),
+                                 np.asarray(probe_keys, dtype=np.int64), build="left")
+            return taken
+
+        # Two rows a side never justify a million-entry table ...
+        assert strategy([0, 1_000_000], [1_000_000, 5]) == ["_sorted_match_positions"]
+        # ... the floor admits small spans whatever the row count ...
+        floor = _DIRECT_ADDRESS_MIN_SPAN
+        assert strategy([0, floor - 1], [3]) == ["_unique_key_positions"]
+        assert strategy([0, floor], [3]) == ["_sorted_match_positions"]
+        # ... and past it the span may grow with build + probe rows.
+        probe = np.zeros(2 * floor, dtype=np.int64)
+        budget = _DIRECT_ADDRESS_SLACK * (2 + len(probe))
+        assert strategy([0, budget - 1], probe) == ["_unique_key_positions"]
+        assert strategy([0, budget], probe) == ["_sorted_match_positions"]
+        # Duplicate build keys inside the budget expand hit ranges instead.
+        assert strategy([0, 0, floor - 1], [3]) == ["_direct_address_positions"]
+
+
+# --------------------------------------------------------------------------- #
+# The join contract: dimension(k, d) ⋈ fact(fk, g, v) against a nested loop
+# --------------------------------------------------------------------------- #
+
+JOIN_FACT_ROWS = 400
+
+#: Foreign-key column of the fact table: forced encoding + values.
+JOIN_FOREIGN_KEYS = {
+    "rle": ("rle", lambda rng, n: np.sort(rng.integers(0, 12, n))),
+    "dictionary": ("dictionary", lambda rng, n: rng.integers(0, 12, n)),
+    "delta-monotone": ("delta", lambda rng, n: np.cumsum(rng.integers(0, 2, n)) // 16),
+    "delta-wrapping": ("delta", lambda rng, n: np.arange(n) % 12),  # GenBase's gene_id
+    "plain": ("plain", lambda rng, n: rng.integers(0, 12, n)),
+}
+
+#: Build-side (dimension) keys, given the fact's distinct foreign keys.
+JOIN_BUILD_KEYS = {
+    "unique": lambda present: present[::-1],
+    "duplicated": lambda present: np.concatenate([present, present[::3]]),
+    "partly-absent": lambda present: np.concatenate(
+        [present[::2], [present.max() + 3, present.max() + 9]]),
+    "empty": lambda present: present[:0],
+    "negative": lambda present: np.concatenate([[present.min() - 4], present]),
+    "narrow-dtypes": lambda present: present[::-1].astype(np.int8),
+    "span-past-budget": lambda present: np.concatenate([present, [10**9]]),
+}
+
+
+def _join_world(foreign_key: str, storage: str, build_keys: str) -> ColumnStore:
+    """A store holding ``dim(k, d)`` and ``fact(fk, g, v)`` for one contract cell."""
+    rng = np.random.default_rng(21)
+    encoding, make = JOIN_FOREIGN_KEYS[foreign_key]
+    fk = np.asarray(make(rng, JOIN_FACT_ROWS), dtype=np.int64)
+    if build_keys == "negative":
+        fk = fk - 6  # matches at negative keys too
+    if build_keys == "narrow-dtypes":
+        fk = fk.astype(np.uint32)
+    # g numbers a row within its foreign key, so no (fk, g) pivot cell repeats.
+    order = np.argsort(fk, kind="stable")
+    g = np.empty(JOIN_FACT_ROWS, dtype=np.int64)
+    g[order] = np.arange(JOIN_FACT_ROWS) - np.searchsorted(fk[order], fk[order])
+    fact = {"fk": fk, "g": g,
+            "v": rng.integers(-50, 50, JOIN_FACT_ROWS).astype(np.float64)}
+    k = np.asarray(JOIN_BUILD_KEYS[build_keys](np.unique(fk)))
+    store = ColumnStore()
+    store.create_table("dim", {"k": k, "d": np.arange(len(k)) * 0.5})
+    split = JOIN_FACT_ROWS if storage == "sealed" else JOIN_FACT_ROWS - JOIN_FACT_ROWS // 20
+    store.register(ColumnTable("fact", [
+        ColumnVector("fk", fk[:split], encoding=encoding),
+        ColumnVector("g", g[:split]),
+        ColumnVector("v", fact["v"][:split]),
+    ]))
+    if storage != "sealed":  # a 5 % tail ...
+        store.append("fact", {name: values[split:] for name, values in fact.items()})
+    if storage == "merged-deleted":  # ... and deleted rows in both parts
+        store.delete("fact", [3, 50, 51, split - 1, split + 2, JOIN_FACT_ROWS - 1])
+    return store
+
+
+JOIN_PROBE_SIDES = {
+    "unfiltered": (lambda query: query, lambda scan: scan),
+    "filtered": (lambda query: query.where(col("v") >= -10),
+                 lambda scan: Filter(scan, col("v") >= -10)),
+    "sampled": (lambda query: query.sample(0.5, seed=3),
+                lambda scan: Sample(scan, 0.5, seed=3)),
+}
+
+
+def _nested_loop_join(left: dict, right: dict, left_key: str, right_key: str,
+                      build: str) -> dict:
+    """The oracle: every matching pair, probe-side-major, build positions ascending."""
+    matches = left[left_key][:, None] == right[right_key][None, :]
+    if build == "left" or (build == "auto" and len(matches) <= matches.shape[1]):
+        right_rows, left_rows = np.nonzero(matches.T)
+    else:
+        left_rows, right_rows = np.nonzero(matches)
+    joined = {name: values[left_rows] for name, values in left.items()}
+    joined.update({name: values[right_rows] for name, values in right.items()
+                   if name != right_key})
+    return joined
+
+
+@pytest.mark.parametrize("probe_side", list(JOIN_PROBE_SIDES))
+@pytest.mark.parametrize("build_keys", list(JOIN_BUILD_KEYS))
+@pytest.mark.parametrize("storage", ["sealed", "merged", "merged-deleted"])
+@pytest.mark.parametrize("foreign_key", list(JOIN_FOREIGN_KEYS))
+class TestJoinContract:
+    """One join contract over every foreign-key encoding, storage tier, build-key
+    shape, probe-side narrowing and build side the column store can meet."""
+
+    def test_materialise_join_equals_the_nested_loop(self, foreign_key, storage,
+                                                     build_keys, probe_side):
+        store = _join_world(foreign_key, storage, build_keys)
+        narrow, _ = JOIN_PROBE_SIDES[probe_side]
+        dim, fact = store.query("dim"), narrow(store.query("fact"))
+        dim_rows = dim.columns(["k", "d"])
+        fact_rows = fact.columns(["fk", "g", "v"])
+        for build in ("left", "right", "auto"):
+            for left, right, keys, rows in (
+                (dim, fact, ("k", "fk"), (dim_rows, fact_rows)),
+                (fact, dim, ("fk", "k"), (fact_rows, dim_rows)),
+            ):
+                joined = materialise_join(left, right, *keys, build=build, compress=False)
+                expected = _nested_loop_join(*rows, *keys, build)
+                assert joined.column_names == list(expected)
+                for name, values in expected.items():
+                    np.testing.assert_array_equal(joined.values(name), values)
+                    assert joined.values(name).dtype == values.dtype
+
+    def test_fused_terminals_equal_the_plan_as_written(self, foreign_key, storage,
+                                                       build_keys, probe_side):
+        store = _join_world(foreign_key, storage, build_keys)
+        narrow, narrow_plan = JOIN_PROBE_SIDES[probe_side]
+        joined = Join(Scan("dim"), narrow_plan(Scan("fact")), "k", "fk")
+        rows = _nested_loop_join(store.query("dim").columns(["k", "d"]),
+                                 narrow(store.query("fact")).columns(["fk", "g", "v"]),
+                                 "k", "fk", "left")
+        row_labels, row_codes = np.unique(rows["k"], return_inverse=True)
+        column_labels, column_codes = np.unique(rows["g"], return_inverse=True)
+        matrix = np.zeros((len(row_labels), len(column_labels)))
+        matrix[row_codes, column_codes] = rows["v"]
+        terminals = {
+            Pivot(joined, "k", "g", "v"): (matrix, row_labels, column_labels),
+            Aggregate(joined, "g", "v", "sum"): (
+                column_labels,
+                np.bincount(column_codes, weights=rows["v"], minlength=len(column_labels))),
+        }
+        for plan, expected in terminals.items():
+            for optimized in (True, False):
+                answer = run_plan(plan, store, optimized=optimized)
+                for part, wanted in zip(answer, expected, strict=True):
+                    np.testing.assert_array_equal(part, wanted)
+                    assert part.dtype == wanted.dtype
+
+
 class TestColumnVectorAndTable:
     def test_vector_cache_and_take(self, rng):
         values = rng.integers(0, 5, 1000)
@@ -497,6 +668,20 @@ class TestColumnQuery:
         assert matrix.shape == (len(query), 2)
         table = query.to_table("genes_copy", ["gene_id"])
         assert table.row_count == len(query)
+
+    def test_unfiltered_column_is_caller_owned(self, store):
+        query = store.query("microarray")
+        for name in query.table.column_names:
+            shared = query.table.column(name).values()
+            expected = shared.copy()
+            for owned in (query.column(name), query.columns([name])[name],
+                          query.to_matrix([name])):
+                assert owned.flags.writeable
+                assert not np.shares_memory(owned, shared)
+                owned[...] = 0  # scribbling on a result must not reach the store
+            np.testing.assert_array_equal(query.column(name), expected)
+        # ... and none of it built a full-table selection vector to gather through.
+        assert len(query) == query.table.row_count and query._cached is None
 
     def test_join_matches_reference(self, store, tiny_dataset):
         threshold = 10

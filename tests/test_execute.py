@@ -37,7 +37,9 @@ from repro.plan import (
     approx_sum,
     col,
 )
+from repro.plan.execute import Backend
 from repro.plan.logical import AGGREGATE_FUNCTIONS
+from repro.plan.verify import PlanVerificationError
 from repro.relational import ColumnType, Database
 from repro.relational.bridge import run_shared_plan as run_pg_plan
 from repro.rlang.bridge import run_shared_plan as run_r_plan
@@ -165,6 +167,29 @@ class TestExecutorContract:
             backends[engine](plan, optimized=optimized, observation=seen)
             assert (seen.engine, seen.output_rows, seen.output_cells) == (
                 engine, rows, cells)
+
+
+def test_a_column_both_join_inputs_produce_is_refused_before_lowering(backends, monkeypatch):
+    """``Join(Scan a, Scan b)`` whose inputs share a non-key name used to get three
+    answers — the verifier typed it from the left input, the column store returned
+    the right input's values, the row store raised on its duplicate schema.  Every
+    backend that lowers ``Join`` now refuses the plan where it is typed."""
+    def lowered(self, node):
+        raise AssertionError(f"{type(self).__name__} started lowering {node!r}")
+
+    for backend in Backend.__subclasses__():
+        monkeypatch.setattr(backend, "lower", lowered)
+    plan = Pivot(Join(Scan("microarray"), Scan("microarray"), "patient_id", "patient_id"),
+                 "patient_id", "gene_id", "value")
+    refusals = set()
+    for engine in ENGINES:
+        with pytest.raises(PlanVerificationError) as refused:
+            backends[engine](plan)
+        assert refused.value.rule == "ambiguous-join-column"
+        assert refused.value.path == "Pivot > Join"
+        refusals.add(str(refused.value))
+    (message,) = refusals  # one error, whichever engine was asked
+    assert "['gene_id', 'value']" in message and "left input" in message and "right input" in message
 
 
 @pytest.mark.parametrize("executor", ["threads", "sequential"])

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +15,8 @@ from repro.colstore.compression import (
     DictionaryEncoding,
     PlainEncoding,
     RunLengthEncoding,
+    _direct_address_budget,
+    _distinct,
     best_encoding,
     encoding_sizes,
 )
@@ -260,7 +264,55 @@ def _aggregate_reference(groups, values, function):
     return keys, result
 
 
+@st.composite
+def addressable_arrays(draw):
+    """Bool/integer arrays whose value span is pinned on either side of the
+    direct-address budget (the 1,024 floor for short input, 2 × rows past it)."""
+    dtype = np.dtype(draw(st.sampled_from(
+        ["bool", "int8", "uint8", "int16", "int64", "uint32", "uint64"])))
+    n = draw(st.one_of(st.integers(0, 40), st.integers(513, 700)))
+    if dtype.kind == "b":
+        return draw(hnp.arrays(dtype, n))
+    info = np.iinfo(dtype)
+    budget = _direct_address_budget(n)
+    span = draw(st.sampled_from([1, 2, 7, budget - 1, budget, budget + 1, 4 * budget]))
+    low = draw(st.integers(info.min, info.max))
+    high = min(info.max, low + span - 1)
+    values = draw(hnp.arrays(dtype, n, elements=st.integers(low, high)))
+    if n >= 2:  # both endpoints present: the span is exactly the one drawn
+        values[0], values[-1] = low, high
+    return values
+
+
 class TestAggregationPushdownProperties:
+    @given(addressable_arrays())
+    @settings(max_examples=200, deadline=None)
+    def test_direct_address_distinct_is_np_unique(self, values):
+        keys, codes = _distinct(values, return_inverse=True)
+        expected_keys, expected_codes = np.unique(values, return_inverse=True)
+        for got, wanted in ((keys, expected_keys), (codes, expected_codes),
+                            (_distinct(values, return_inverse=False), expected_keys)):
+            np.testing.assert_array_equal(got, wanted)
+            assert got.dtype == wanted.dtype and got.shape == wanted.shape
+
+    def test_direct_address_distinct_leaves_the_rest_to_the_sort(self):
+        narrow = np.array([5, 3, 5, 900], dtype=np.int64)
+        sorts = {
+            "float": narrow.astype(np.float64),
+            "string": narrow.astype("U4"),
+            "uint64": narrow.astype(np.uint64),
+            "wide span": np.array([0, _direct_address_budget(2)], dtype=np.int64),
+            "empty": narrow[:0],
+        }
+        with mock.patch.object(np, "unique", wraps=np.unique) as unique:
+            _distinct(narrow, return_inverse=True)
+            _distinct(narrow.astype(np.int8), return_inverse=False)
+            _distinct(narrow > 4, return_inverse=True)
+            assert unique.call_count == 0
+            for calls, (label, values) in enumerate(sorts.items(), start=1):
+                _distinct(values, return_inverse=True)
+                assert unique.call_count == calls, label
+
     @given(encodable_int_arrays, st.data())
     @settings(max_examples=60, deadline=None)
     def test_distinct_inverse_matches_unique(self, values, data):
