@@ -274,12 +274,12 @@ def make_partial_sums(blocks, n_genes: int):
 
 def simulated_plan_seconds(plan, table, blocks, n_genes: int, n_nodes: int,
                            rounds: int) -> float:
-    """Best-of simulated parallel elapsed (max per-node CPU + network).
+    """Best-of simulated parallel elapsed (max per-node compute + network).
 
-    Per-node compute is thread-CPU time on the threaded executor, so the
-    ratio between node counts is contention-free and machine-independent —
-    more nodes shrink the max-per-node term whether or not the host has
-    cores to overlap them on.
+    Nodes run one after another and each is timed alone, so the ratio
+    between node counts does not depend on the host's core count — more
+    nodes shrink the max-per-node term whether or not the host has cores
+    to overlap them on.
     """
     cluster = Cluster(n_nodes)
     partial = make_partial_sums(blocks, n_genes)
@@ -612,9 +612,7 @@ def run_sweep(size: str, rounds: int = 3, seed: int = 7) -> dict:
     # patient-id sample over id-range-partitioned nodes).  The pruned path
     # eliminates non-intersecting partitions on the driver from their
     # synopses; the baseline is the seed behaviour — evaluate the predicate
-    # on every node.  Both sides dispatch sequentially so the ratio
-    # isolates pruning (the executor's real-clock effect is measured by
-    # the ``cluster_dispatch`` entry below, and is host-core-dependent).
+    # on every node, so the ratio isolates pruning.
     n_fragments = 16
     n_genes = 32
     cluster_rows = 4 * n   # partitions big enough that the mask evaluation
@@ -628,8 +626,8 @@ def run_sweep(size: str, rounds: int = 3, seed: int = 7) -> dict:
     prune_plan = Filter(Scan("patients"), col("patient_id").isin(sample))
     prune_partial = make_partial_sums(prune_blocks, n_genes)
     prune_stats = PartitionStats()
-    pruned_cluster = Cluster(n_fragments, executor="sequential")
-    seed_cluster = Cluster(n_fragments, executor="sequential")
+    pruned_cluster = Cluster(n_fragments)
+    seed_cluster = Cluster(n_fragments)
 
     def pruned_statistics():
         return reduce_partial_sums(run_shared_plan(
@@ -677,32 +675,6 @@ def run_sweep(size: str, rounds: int = 3, seed: int = 7) -> dict:
     results.append(
         _entry("cluster_scale", "sim-1-vs-4-nodes", cluster_rows, compressed, baseline,
                gated=True)
-    )
-
-    # Concurrent dispatch, real clock: the same four fragments through the
-    # threaded executor vs the sequential fallback, compared on the actual
-    # wall time the driver waited (not the simulated model).  Not gated:
-    # the ratio is whatever the host's core count makes it — ~1.0x on a
-    # single-core runner, approaching the fragment count on idle multicore.
-    dispatch_work = [
-        (lambda node, block=block: (block * block).sum(axis=0)) for block in four_blocks
-    ]
-    threaded_cluster = Cluster(4)
-    sequential_cluster = Cluster(4, executor="sequential")
-
-    def best_wall(cluster: Cluster) -> float:
-        return min(
-            cluster.run_on_nodes(dispatch_work).wall_seconds for _ in range(rounds)
-        )
-
-    compressed = best_wall(threaded_cluster)
-    baseline = best_wall(sequential_cluster)
-    threaded_outputs = threaded_cluster.run_on_nodes(dispatch_work).outputs
-    sequential_outputs = sequential_cluster.run_on_nodes(dispatch_work).outputs
-    for fast, slow in zip(threaded_outputs, sequential_outputs, strict=True):
-        np.testing.assert_array_equal(fast, slow)
-    results.append(
-        _entry("cluster_dispatch", "threads-wall", cluster_rows, compressed, baseline)
     )
 
     # Approximate aggregate: SUM over a 1% uniform synopsis with CLT bounds

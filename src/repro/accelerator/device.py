@@ -162,10 +162,6 @@ class Coprocessor:
     def total_device_seconds(self) -> float:
         return sum(result.device_total_seconds for result in self.offloads)
 
-    @property
-    def total_host_seconds(self) -> float:
-        return sum(result.host_kernel_seconds for result in self.offloads)
-
     def reset(self) -> None:
         self.offloads.clear()
 

@@ -10,9 +10,10 @@ chunks or hand off to ScaLAPACK.  This package reproduces that architecture:
   with per-chunk empty-cell bitmaps,
 * :mod:`repro.arraydb.operators` — the AFL-style operators the GenBase
   queries need: ``filter``, ``subarray`` and ``aggregate``,
-* :mod:`repro.arraydb.linalg` — chunk-wise linear algebra (GEMM, Gram
-  matrices, matrix-vector products) used by the native analytics, plus the
-  bridge that hands whole arrays to the ScaLAPACK tier,
+* :mod:`repro.arraydb.linalg` — the native analytics (a chunked array is a
+  kernel operand of :mod:`repro.linalg`: chunk-wise matrix-vector products
+  and Gram matrices), plus the conversion that hands whole arrays to the
+  ScaLAPACK tier,
 * :mod:`repro.arraydb.bridge` — the shared-plan executor: lowers the
   engine-agnostic logical plans of :mod:`repro.plan` onto these operators
   (metadata filters run chunk-wise with min/max chunk skipping; joins

@@ -142,21 +142,84 @@ class ChunkedArray:
             dense[slices] = block
         return dense
 
-    def attribute_cells(self, attribute: str | None = None) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-        """Return (coordinates per dimension, values) for all non-empty cells."""
-        if attribute is None:
-            attribute = self.schema.attribute_names[0]
-        coordinate_lists: list[list[np.ndarray]] = [[] for _ in range(self.schema.ndim)]
-        values = []
+    # -- kernel operand (see repro.linalg.operand) --------------------------------------------
+
+    def _matrix_shape(self) -> tuple[int, int]:
+        if self.schema.ndim != 2:
+            raise ValueError("a kernel operand is a 2-D array")
+        return self.schema.shape
+
+    def _matrix_chunks(self) -> Iterator[tuple[np.ndarray, np.ndarray, slice, slice]]:
+        """Each stored chunk of a 2-D array as ``(block, mask, rows, cols)``.
+
+        The matrix values are the first attribute, empty cells read as 0,
+        and the slices are offsets from the dimensions' starts.
+        """
+        attribute = self.schema.attribute_names[0]
+        row_start, col_start = (d.start for d in self.schema.dimensions)
         for chunk in self.chunks():
-            coords = chunk.coordinates_of_cells()
-            for axis, axis_coords in enumerate(coords):
-                coordinate_lists[axis].append(axis_coords)
-            block = chunk.attribute(attribute)
-            mask = chunk.mask if chunk.mask is not None else np.ones(block.shape, bool)
-            values.append(block[mask])
-        if not values:
-            empty = tuple(np.empty(0, dtype=np.int64) for _ in range(self.schema.ndim))
-            return empty, np.empty(0)
-        coordinates = tuple(np.concatenate(axis_list) for axis_list in coordinate_lists)
-        return coordinates, np.concatenate(values)
+            block = chunk.masked_attribute(attribute, fill=0.0)
+            row_offset = chunk.origin[0] - row_start
+            col_offset = chunk.origin[1] - col_start
+            yield (block, chunk.mask, slice(row_offset, row_offset + block.shape[0]),
+                   slice(col_offset, col_offset + block.shape[1]))
+
+    def _checked_vector(self, vector: np.ndarray, expected: int) -> np.ndarray:
+        vector = np.asarray(vector, dtype=np.float64)
+        if len(vector) != expected:
+            raise ValueError(f"vector has length {len(vector)}, expected {expected}")
+        return vector
+
+    def matvec(self, vector: np.ndarray) -> np.ndarray:
+        """``A x``, one GEMV per chunk — the array is never densified."""
+        n_rows, n_cols = self._matrix_shape()
+        vector = self._checked_vector(vector, n_cols)
+        result = np.zeros(n_rows)
+        for block, _mask, rows, cols in self._matrix_chunks():
+            result[rows] += block @ vector[cols]
+        return result
+
+    def rmatvec(self, vector: np.ndarray) -> np.ndarray:
+        """``Aᵀ x``, one GEMV per chunk."""
+        n_rows, n_cols = self._matrix_shape()
+        vector = self._checked_vector(vector, n_rows)
+        result = np.zeros(n_cols)
+        for block, _mask, rows, cols in self._matrix_chunks():
+            result[cols] += block.T @ vector[rows]
+        return result
+
+    def matmat(self, dense_right: np.ndarray) -> np.ndarray:
+        """``A B``, as one chunk-wise :meth:`matvec` per column of ``B``."""
+        return np.column_stack([
+            self.matvec(dense_right[:, i]) for i in range(dense_right.shape[1])
+        ])
+
+    def gram(self, center: bool = False) -> np.ndarray:
+        """``AᵀA`` (optionally of the column-centred array), chunk-wise.
+
+        The accumulation loops over *row bands* of chunks so no full dense
+        copy of ``A`` is ever built; each band contributes ``bandᵀ band``.
+        Column means are taken over the non-empty cells.
+        """
+        n_cols = self._matrix_shape()[1]
+        column_means = np.zeros(n_cols)
+        if center:
+            counts = np.zeros(n_cols)
+            for block, mask, _rows, cols in self._matrix_chunks():
+                column_means[cols] += block.sum(axis=0)
+                counts[cols] += mask.sum(axis=0)
+            column_means = np.where(counts > 0, column_means / np.maximum(counts, 1), 0.0)
+
+        gram = np.zeros((n_cols, n_cols))
+        # Group chunks by their row-band so each band is assembled once.
+        bands: dict[int, list] = {}
+        for block, _mask, rows, cols in self._matrix_chunks():
+            bands.setdefault(rows.start, []).append((block, cols))
+        for band_blocks in bands.values():
+            band = np.zeros((band_blocks[0][0].shape[0], n_cols))
+            for block, cols in band_blocks:
+                band[:, cols] = block
+            if center:
+                band = band - column_means
+            gram += band.T @ band
+        return gram

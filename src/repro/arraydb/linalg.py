@@ -4,13 +4,15 @@ SciDB runs some analytics natively over its chunks (the paper notes its
 custom Wilcoxon and biclustering code) and delegates dense factorizations to
 ScaLAPACK.  This module provides both paths:
 
-* chunk-wise kernels (:func:`matvec`, :func:`gram_matrix`,
-  :func:`covariance`) that never materialise the whole array on one side —
-  they stream chunk blocks through numpy GEMMs and accumulate, and
-* :func:`to_scalapack` / :func:`from_scalapack`, the explicit conversion
-  between the DBMS's chunked layout and the dense layout the external
-  solver wants (the "O(N) conversion with a fairly large constant" the
-  paper's Section 6.2 discusses — the copy really happens here).
+* :func:`covariance` and :func:`lanczos_svd_chunked` hand the array itself
+  to the shared kernels of :mod:`repro.linalg` — a
+  :class:`~repro.arraydb.array.ChunkedArray` is a kernel operand whose
+  ``matvec`` / ``gram`` stream chunk blocks through numpy and accumulate,
+  never materialising the whole array on one side — and
+* :func:`to_scalapack`, the explicit conversion from the DBMS's chunked
+  layout to the dense layout the external solver wants (the "O(N)
+  conversion with a fairly large constant" the paper's Section 6.2
+  discusses — the copy really happens here).
 """
 
 from __future__ import annotations
@@ -18,154 +20,29 @@ from __future__ import annotations
 import numpy as np
 
 from repro.arraydb.array import ChunkedArray
-from repro.linalg.lanczos import LanczosResult, lanczos_eigsh
+from repro.linalg.covariance import covariance as operand_covariance
+from repro.linalg.lanczos import LanczosResult, truncated_svd
 
 
-def to_scalapack(array: ChunkedArray, attribute: str | None = None) -> np.ndarray:
+def to_scalapack(array: ChunkedArray) -> np.ndarray:
     """Convert a chunked array to the dense layout an external solver expects.
 
     This is a real reformat: every chunk is copied into its place in a new
     dense buffer.
     """
-    return array.to_dense(attribute=attribute, fill=0.0).astype(np.float64, copy=True)
+    return array.to_dense(fill=0.0).astype(np.float64, copy=True)
 
 
-def from_scalapack(name: str, matrix: np.ndarray, template: ChunkedArray) -> ChunkedArray:
-    """Convert a dense result back into a chunked array shaped like ``template``."""
-    chunk_sizes = [d.chunk_size for d in template.schema.dimensions][: matrix.ndim]
-    if len(chunk_sizes) < matrix.ndim:
-        chunk_sizes += [min(256, s) for s in matrix.shape[len(chunk_sizes):]]
-    dimension_names = list(template.schema.dimension_names)[: matrix.ndim]
-    while len(dimension_names) < matrix.ndim:
-        dimension_names.append(f"dim_{len(dimension_names)}")
-    return ChunkedArray.from_dense(
-        name,
-        matrix,
-        dimension_names=dimension_names,
-        attribute_name=template.schema.attribute_names[0],
-        chunk_sizes=chunk_sizes,
-    )
-
-
-def matvec(array: ChunkedArray, vector: np.ndarray, attribute: str | None = None,
-           transpose: bool = False) -> np.ndarray:
-    """Chunk-wise matrix–vector product for a 2-D array.
-
-    Args:
-        array: a 2-D chunked array ``A``.
-        vector: the vector ``x``.
-        attribute: which attribute holds the matrix values.
-        transpose: compute ``Aᵀ x`` instead of ``A x``.
-    """
-    if array.schema.ndim != 2:
-        raise ValueError("matvec needs a 2-D array")
-    if attribute is None:
-        attribute = array.schema.attribute_names[0]
-    n_rows, n_cols = array.schema.shape
-    row_start = array.schema.dimensions[0].start
-    col_start = array.schema.dimensions[1].start
-    vector = np.asarray(vector, dtype=np.float64)
-    expected = n_rows if transpose else n_cols
-    if len(vector) != expected:
-        raise ValueError(f"vector has length {len(vector)}, expected {expected}")
-    result = np.zeros(n_cols if transpose else n_rows)
-    for chunk in array.chunks():
-        block = chunk.masked_attribute(attribute, fill=0.0)
-        row_offset = chunk.origin[0] - row_start
-        col_offset = chunk.origin[1] - col_start
-        rows = slice(row_offset, row_offset + block.shape[0])
-        cols = slice(col_offset, col_offset + block.shape[1])
-        if transpose:
-            result[cols] += block.T @ vector[rows]
-        else:
-            result[rows] += block @ vector[cols]
-    return result
-
-
-def gram_matrix(array: ChunkedArray, attribute: str | None = None,
-                center: bool = False) -> np.ndarray:
-    """Compute ``AᵀA`` (optionally of the column-centred array) chunk-wise.
-
-    The accumulation loops over *row bands* of chunks so no full dense copy
-    of ``A`` is ever built; each band contributes ``bandᵀ band``.
-    """
-    if array.schema.ndim != 2:
-        raise ValueError("gram_matrix needs a 2-D array")
-    if attribute is None:
-        attribute = array.schema.attribute_names[0]
-    n_rows, n_cols = array.schema.shape
-    col_start = array.schema.dimensions[1].start
-
-    column_means = np.zeros(n_cols)
-    if center:
-        counts = np.zeros(n_cols)
-        for chunk in array.chunks():
-            block = chunk.masked_attribute(attribute, fill=0.0)
-            mask = chunk.mask if chunk.mask is not None else np.ones(block.shape, bool)
-            col_offset = chunk.origin[1] - col_start
-            cols = slice(col_offset, col_offset + block.shape[1])
-            column_means[cols] += block.sum(axis=0)
-            counts[cols] += mask.sum(axis=0)
-        column_means = np.where(counts > 0, column_means / np.maximum(counts, 1), 0.0)
-
-    gram = np.zeros((n_cols, n_cols))
-    # Group chunks by their row-band so each band is assembled once.
-    bands: dict[int, list] = {}
-    for chunk in array.chunks():
-        bands.setdefault(chunk.coordinates[0], []).append(chunk)
-    for band_chunks in bands.values():
-        band_rows = band_chunks[0].shape[0]
-        band = np.zeros((band_rows, n_cols))
-        for chunk in band_chunks:
-            block = chunk.masked_attribute(attribute, fill=0.0)
-            col_offset = chunk.origin[1] - col_start
-            band[:, col_offset:col_offset + block.shape[1]] = block
-        if center:
-            band = band - column_means
-        gram += band.T @ band
-    return gram
-
-
-def covariance(array: ChunkedArray, attribute: str | None = None, ddof: int = 1) -> np.ndarray:
+def covariance(array: ChunkedArray, ddof: int = 1) -> np.ndarray:
     """Column covariance of a 2-D chunked array, computed without densifying it."""
-    n_rows = array.schema.shape[0]
-    if n_rows - ddof <= 0:
-        raise ValueError("not enough rows for the requested ddof")
-    centred_gram = gram_matrix(array, attribute=attribute, center=True)
-    cov = centred_gram / (n_rows - ddof)
-    return (cov + cov.T) / 2.0
+    return operand_covariance(array, ddof)
 
 
-def lanczos_svd_chunked(array: ChunkedArray, k: int = 50, attribute: str | None = None,
-                        seed: int = 0) -> LanczosResult:
+def lanczos_svd_chunked(array: ChunkedArray, k: int = 50, seed: int = 0) -> LanczosResult:
     """Truncated SVD of a 2-D chunked array via Lanczos on chunk-wise matvecs.
 
-    The Lanczos recurrence only needs ``A (Aᵀ v)`` products, so the array is
+    The Lanczos recurrence only needs ``Aᵀ (A v)`` products, so the array is
     never converted to the external dense layout — this is SciDB's "native"
     analytics path.
     """
-    if array.schema.ndim != 2:
-        raise ValueError("lanczos_svd_chunked needs a 2-D array")
-    n_rows, n_cols = array.schema.shape
-    k = max(1, min(k, n_rows, n_cols))
-
-    def operator(vector: np.ndarray) -> np.ndarray:
-        return matvec(array, matvec(array, vector, attribute=attribute),
-                      attribute=attribute, transpose=True)
-
-    eigenvalues, right_vectors = lanczos_eigsh(operator, dimension=n_cols, k=k, seed=seed)
-    singular_values = np.sqrt(np.clip(eigenvalues, 0.0, None))
-    left_vectors = np.column_stack([
-        matvec(array, right_vectors[:, i], attribute=attribute) for i in range(k)
-    ])
-    scale = np.where(singular_values > 0, singular_values, 1.0)
-    left_vectors = left_vectors / scale
-    norms = np.linalg.norm(left_vectors, axis=0)
-    norms[norms == 0] = 1.0
-    left_vectors = left_vectors / norms
-    return LanczosResult(
-        singular_values=singular_values,
-        left_vectors=left_vectors,
-        right_vectors=right_vectors,
-        iterations=k,
-    )
+    return truncated_svd(array, k, seed)

@@ -46,15 +46,6 @@ class Dimension:
     def chunk_count(self) -> int:
         return (self.length + self.chunk_size - 1) // self.chunk_size
 
-    def chunk_of(self, coordinate: int) -> int:
-        """Return the chunk index containing ``coordinate``."""
-        if not self.start <= coordinate <= self.end:
-            raise IndexError(
-                f"coordinate {coordinate} outside dimension {self.name!r} "
-                f"[{self.start}, {self.end}]"
-            )
-        return (coordinate - self.start) // self.chunk_size
-
     def chunk_bounds(self, chunk_index: int) -> tuple[int, int]:
         """Return the inclusive coordinate bounds of chunk ``chunk_index``."""
         if not 0 <= chunk_index < self.chunk_count:

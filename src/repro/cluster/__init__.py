@@ -15,12 +15,13 @@ hardware:
   serialises* every transferred object to count bytes, then converts bytes
   to time with a configurable latency + bandwidth model,
 * :mod:`repro.cluster.cluster` — the cluster itself: executes per-partition
-  work (really, sequentially in-process, with per-partition wall-clock
-  measurement) and combines per-node compute with network time into a
+  work (really, one node after another in-process, with per-partition
+  wall-clock measurement) and combines per-node compute with network time into a
   simulated parallel elapsed time,
 * :mod:`repro.cluster.scalapack` — a ScaLAPACK/pbdR-style distributed dense
-  linear algebra layer (distributed GEMM, covariance, least squares and
-  Lanczos) over block row-partitioned matrices.
+  linear algebra layer (covariance, least squares and Lanczos) over block
+  row-partitioned matrices, themselves kernel operands of
+  :mod:`repro.linalg`.
 
 The substitution is documented in DESIGN.md: per-node computation is real
 measured work; only the interconnect is modelled.

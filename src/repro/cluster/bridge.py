@@ -21,9 +21,9 @@ rewrite-checks a cluster plan exactly as it does any other:
    :attr:`PartitionStats.partitions_skipped` counts them, mirroring
    ``FilterStats.chunks_skipped``.
 3. **Dispatch** — surviving fragments are dispatched together through
-   :meth:`repro.cluster.cluster.Cluster.run_on_nodes` (concurrently on the
-   threaded executor); each node evaluates the predicates vectorised over
-   its own partition only.
+   :meth:`repro.cluster.cluster.Cluster.run_on_nodes` (one after another,
+   each timed alone; the simulated clock takes the slowest); each node
+   evaluates the predicates vectorised over its own partition only.
 4. **Reduce** (the terminals) — partial results come back to the driver:
    aggregate plans are reduced per group key (partial sums/counts/extrema),
    sketches merge, and the helpers :func:`reduce_partial_sums` /

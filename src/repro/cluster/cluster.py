@@ -14,43 +14,26 @@ That reproduces the paper's multi-node behaviour: more nodes reduce the
 max-per-node compute term but grow the communication term, which is why no
 system shows linear speedup and some regress from one node to two.
 
-Executor choice and timing semantics
-------------------------------------
+Timing semantics
+----------------
 
-:meth:`Cluster.run_on_nodes` supports two executors:
-
-* ``"threads"`` (the default) dispatches the per-node work items to a
-  ``ThreadPoolExecutor``.  The heavy per-node work is numpy, which releases
-  the GIL, so fragments genuinely overlap and the *real* wall clock of a
-  phase approaches the slowest fragment on multi-core hosts.  Per-node
-  compute is measured with :func:`time.thread_time` (per-thread CPU
-  seconds), so scheduler interference between concurrently running
-  fragments does not inflate any node's measurement — the simulated
-  max-per-node + network model is unchanged by the executor choice.
-* ``"sequential"`` is the deterministic fallback: nodes run one after
-  another and are wall-clock timed (:func:`time.perf_counter`), exactly
-  the pre-threading behaviour.  Use it when profiling per-node work or
-  when thread-CPU clocks are unreliable (e.g. under some profilers).
-
-Caveat recorded deliberately: ``thread_time`` counts only the submitting
-thread, so per-node kernels that fan out into their *own* thread pools
-(multi-threaded BLAS) would be under-counted on the threaded path; the
-per-node work the engines submit is single-threaded numpy.
+:meth:`Cluster.run_on_nodes` runs the nodes' work items one after another
+on the calling thread and times each with the wall clock
+(:func:`time.perf_counter`).  The simulated clock takes the slowest node,
+as if they had overlapped; ``wall_seconds`` is what the driver really
+waited, the sum of all fragments.  A fragment sees only its own node's
+partition and returns its result — it never writes driver state.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
+import numpy as np
+
 from repro.cluster.network import NetworkModel
-
-#: Valid values for :attr:`Cluster.executor`.
-EXECUTORS = ("threads", "sequential")
-
 
 @dataclass
 class NodeTiming:
@@ -68,13 +51,11 @@ class ParallelRunResult:
         outputs: per-node outputs, in node order.
         elapsed_seconds: simulated parallel elapsed time of the phase
             (max per-node compute + network seconds charged during it).
-        per_node_seconds: measured compute seconds per node (thread-CPU
-            seconds on the threaded executor, wall clock sequentially).
+        per_node_seconds: measured wall-clock compute seconds per node.
         network_seconds: network seconds charged during the phase.
         wall_seconds: real (non-simulated) wall clock of the whole
-            dispatch — what the driver process actually waited.  On the
-            threaded executor this approaches the slowest fragment;
-            sequentially it is the sum of all fragments.
+            dispatch — what the driver process actually waited: the sum
+            of all fragments.
     """
 
     outputs: list
@@ -91,20 +72,14 @@ class Cluster:
     Attributes:
         n_nodes: number of nodes.
         network: the interconnect model shared by all phases.
-        executor: ``"threads"`` (concurrent fragments, per-thread CPU
-            timing) or ``"sequential"`` (the deterministic fallback) —
-            see the module docstring for the timing semantics.
     """
 
     n_nodes: int
     network: NetworkModel = field(default_factory=NetworkModel)
-    executor: str = "threads"
 
     def __post_init__(self) -> None:
         if self.n_nodes < 1:
             raise ValueError("a cluster needs at least one node")
-        if self.executor not in EXECUTORS:
-            raise ValueError(f"unknown executor {self.executor!r}; expected one of {EXECUTORS}")
         self.node_timings = [NodeTiming(node_id=i) for i in range(self.n_nodes)]
         self._simulated_elapsed = 0.0
 
@@ -127,10 +102,11 @@ class Cluster:
             )
         network_before = self.network.total_seconds
         wall_started = time.perf_counter()
-        if self.executor == "threads" and self.n_nodes > 1:
-            outputs, per_node_seconds = self._run_threaded(per_node_work)
-        else:
-            outputs, per_node_seconds = self._run_sequential(per_node_work)
+        outputs, per_node_seconds = [], []
+        for node_id, work in enumerate(per_node_work):
+            started = time.perf_counter()
+            outputs.append(work(node_id))
+            per_node_seconds.append(time.perf_counter() - started)
         wall_seconds = time.perf_counter() - wall_started
         for node_id, seconds in enumerate(per_node_seconds):
             self.node_timings[node_id].compute_seconds += seconds
@@ -144,38 +120,6 @@ class Cluster:
             network_seconds=network_seconds,
             wall_seconds=wall_seconds,
         )
-
-    @staticmethod
-    def _run_sequential(per_node_work: Sequence[Callable[[int], object]]) -> tuple[list, list[float]]:
-        outputs, per_node_seconds = [], []
-        for node_id, work in enumerate(per_node_work):
-            started = time.perf_counter()
-            outputs.append(work(node_id))
-            per_node_seconds.append(time.perf_counter() - started)
-        return outputs, per_node_seconds
-
-    def _run_threaded(self, per_node_work: Sequence[Callable[[int], object]]) -> tuple[list, list[float]]:
-        # Per-node work must not touch shared driver state: the engines'
-        # fragments are pure compute over their own partition (network
-        # transfers happen between phases, on the driver).  Timing uses the
-        # per-thread CPU clock so concurrent fragments do not inflate each
-        # other's measurement; the pool is per-call, so no idle threads
-        # outlive the phase.
-        def run_one(node_id: int, work: Callable[[int], object]) -> tuple[object, float]:
-            started = time.thread_time()
-            output = work(node_id)
-            return output, time.thread_time() - started
-
-        max_workers = min(self.n_nodes, os.cpu_count() or 1)
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            futures = [
-                pool.submit(run_one, node_id, work)
-                for node_id, work in enumerate(per_node_work)
-            ]
-            paired = [future.result() for future in futures]
-        outputs = [output for output, _seconds in paired]
-        per_node_seconds = [seconds for _output, seconds in paired]
-        return outputs, per_node_seconds
 
     def map_partitions(self, partitions: Sequence, function: Callable[[object, int], object]) -> ParallelRunResult:
         """Apply ``function(partition, node_id)`` to each node's partition."""
@@ -229,6 +173,15 @@ class Cluster:
             per_node_seconds=[0.0] * self.n_nodes,
             network_seconds=network_seconds,
         )
+
+    def all_reduce_sum(self, per_node_arrays: Sequence[np.ndarray]) -> np.ndarray:
+        """Sum one array per node, charging a ring all-reduce to the clock."""
+        total = np.zeros_like(per_node_arrays[0])
+        for array in per_node_arrays:
+            total = total + array
+        self._simulated_elapsed += self.network.all_reduce_cost(
+            per_node_arrays[0].nbytes, self.n_nodes)
+        return total
 
     # -- accounting ---------------------------------------------------------------------
 

@@ -3,15 +3,15 @@
 pbdR partitions matrices across nodes and calls ScaLAPACK, whose routines
 work on block-distributed data and communicate partial results.  The
 :class:`DistributedMatrix` here is row-block distributed across a
-:class:`~repro.cluster.cluster.Cluster`; the :class:`ScaLAPACK` facade
-implements the operations the GenBase queries need:
+:class:`~repro.cluster.cluster.Cluster` and is a kernel operand
+(:mod:`repro.linalg.operand`): ``matvec`` / ``rmatvec`` broadcast the vector
+and reduce per-node partials, ``gram`` all-reduces per-node Gram matrices.
+The :class:`ScaLAPACK` facade is what the GenBase queries call:
 
-* ``covariance`` — per-node centred Gram matrices, reduced at the driver,
+* ``covariance`` and ``lanczos_svd`` — the shared kernels of
+  :mod:`repro.linalg`, handed the distributed operand,
 * ``linear_regression`` — per-node ``XᵀX`` / ``Xᵀy`` partials, reduced, then
-  solved at the driver (the standard distributed normal-equations path),
-* ``lanczos_svd`` — Lanczos where each matrix–vector product is computed as
-  per-node partials plus an all-reduce,
-* ``gemm`` — distributed ``A @ B`` with ``B`` broadcast to all nodes.
+  solved at the driver (the standard distributed normal-equations path).
 
 Per-node work is real compute; every cross-node movement of partials goes
 through the cluster's network model and is charged to the simulated clock.
@@ -25,8 +25,9 @@ import numpy as np
 
 from repro.cluster.cluster import Cluster
 from repro.cluster.partitioner import Partitioner, RangePartitioner
+from repro.linalg.covariance import covariance
+from repro.linalg.lanczos import LanczosResult, truncated_svd
 from repro.linalg.qr import RegressionResult
-from repro.linalg.lanczos import LanczosResult
 
 
 @dataclass
@@ -71,21 +72,80 @@ class DistributedMatrix:
         return cls(cluster=cluster, partitions=parts, n_columns=matrix.shape[1])
 
     @property
-    def n_rows(self) -> int:
-        return sum(part.shape[0] for part in self.partitions)
-
-    @property
     def shape(self) -> tuple[int, int]:
-        return (self.n_rows, self.n_columns)
+        return (sum(part.shape[0] for part in self.partitions), self.n_columns)
 
-    def collect(self, destination: int = 0) -> np.ndarray:
-        """Gather all row blocks to one node and stack them (order: node 0..n)."""
-        gathered = self.cluster.gather(self.partitions, destination=destination,
-                                       label="collect-matrix")
-        blocks = [np.asarray(block) for block in gathered.outputs if np.asarray(block).size]
-        if not blocks:
-            return np.empty((0, self.n_columns))
-        return np.vstack(blocks)
+    # -- kernel operand (see repro.linalg.operand) ------------------------------------
+
+    def _broadcast(self, vector: np.ndarray) -> np.ndarray:
+        """Send a driver-side vector to every node, charging the network."""
+        vector = np.asarray(vector, dtype=np.float64)
+        if self.cluster.n_nodes > 1:
+            self.cluster.network.broadcast(
+                vector, source=0, destinations=list(range(1, self.cluster.n_nodes)),
+                label="broadcast-vector",
+            )
+        return vector
+
+    def matvec(self, vector: np.ndarray) -> np.ndarray:
+        """``A x``: broadcast ``x``, one GEMV per node, concatenate the row blocks."""
+        vector = self._broadcast(vector)
+        result = self.cluster.map_partitions(
+            self.partitions,
+            lambda part, _node: part @ vector if part.size else np.zeros(0),
+        )
+        return np.concatenate([np.asarray(block).ravel() for block in result.outputs])
+
+    def rmatvec(self, vector: np.ndarray) -> np.ndarray:
+        """``Aᵀ x``: ``x`` is split like the rows; per-node partials are all-reduced."""
+        vector = self._broadcast(vector)
+        offsets = np.cumsum([0] + [part.shape[0] for part in self.partitions])
+        paired = [
+            (part, vector[offsets[i]:offsets[i + 1]])
+            for i, part in enumerate(self.partitions)
+        ]
+        result = self.cluster.map_partitions(
+            paired,
+            lambda data, _node: (data[0].T @ data[1]
+                                 if data[0].size else np.zeros(self.n_columns)),
+        )
+        return self.cluster.all_reduce_sum([np.asarray(block) for block in result.outputs])
+
+    def matmat(self, dense_right: np.ndarray) -> np.ndarray:
+        """``A B`` as one :meth:`matvec` (one broadcast) per column of ``B``."""
+        return np.column_stack([
+            self.matvec(dense_right[:, i]) for i in range(dense_right.shape[1])
+        ])
+
+    def gram(self, center: bool = False) -> np.ndarray:
+        """``AᵀA`` (pdgemm-style): per-node Gram partials, all-reduced.
+
+        Centring costs one more pass and all-reduce for the column means.
+        """
+        n_columns = self.n_columns
+        means = self._column_means() if center else None
+
+        def partial(part, _node):
+            if not part.size:
+                return np.zeros((n_columns, n_columns))
+            if means is None:
+                return part.T @ part
+            # Two temporaries on purpose: numpy then calls GEMM, where one
+            # shared buffer would make it SYRK and round differently.
+            return (part - means).T @ (part - means)
+
+        result = self.cluster.map_partitions(self.partitions, partial)
+        return self.cluster.all_reduce_sum([np.asarray(g) for g in result.outputs])
+
+    def _column_means(self) -> np.ndarray:
+        result = self.cluster.map_partitions(
+            self.partitions,
+            lambda part, _node: (part.sum(axis=0) if part.size else np.zeros(self.n_columns),
+                                 part.shape[0]),
+        )
+        sums = self.cluster.all_reduce_sum([np.asarray(s) for s, _ in result.outputs])
+        count = sum(c for _, c in result.outputs)
+        return sums / max(count, 1)
 
 
 class ScaLAPACK:
@@ -94,47 +154,9 @@ class ScaLAPACK:
     def __init__(self, cluster: Cluster):
         self.cluster = cluster
 
-    # -- building blocks ------------------------------------------------------------
-
-    def _all_reduce_sum(self, per_node_arrays: list[np.ndarray], label: str) -> np.ndarray:
-        """Sum per-node arrays, charging a ring all-reduce to the clock."""
-        total = np.zeros_like(per_node_arrays[0])
-        for array in per_node_arrays:
-            total = total + array
-        n_bytes = per_node_arrays[0].nbytes
-        seconds = self.cluster.network.all_reduce_cost(n_bytes, self.cluster.n_nodes)
-        # Charge the simulated clock through a zero-byte marker transfer is
-        # not possible, so account it directly.
-        self.cluster._simulated_elapsed += seconds
-        return total
-
-    # -- kernels -----------------------------------------------------------------------
-
-    def column_means(self, matrix: DistributedMatrix) -> np.ndarray:
-        """Distributed column means."""
-        result = self.cluster.map_partitions(
-            matrix.partitions,
-            lambda part, _node: (part.sum(axis=0) if part.size else np.zeros(matrix.n_columns),
-                                 part.shape[0]),
-        )
-        sums = self._all_reduce_sum([np.asarray(s) for s, _ in result.outputs], "means")
-        count = sum(c for _, c in result.outputs)
-        return sums / max(count, 1)
-
     def covariance(self, matrix: DistributedMatrix, ddof: int = 1) -> np.ndarray:
         """Distributed column covariance (pdgemm-style partial Gram reduce)."""
-        n_rows = matrix.n_rows
-        if n_rows - ddof <= 0:
-            raise ValueError("not enough rows for the requested ddof")
-        means = self.column_means(matrix)
-        result = self.cluster.map_partitions(
-            matrix.partitions,
-            lambda part, _node: ((part - means).T @ (part - means)
-                                 if part.size else np.zeros((matrix.n_columns, matrix.n_columns))),
-        )
-        gram = self._all_reduce_sum([np.asarray(g) for g in result.outputs], "covariance")
-        cov = gram / (n_rows - ddof)
-        return (cov + cov.T) / 2.0
+        return covariance(matrix, ddof)
 
     def linear_regression(self, features: DistributedMatrix, target: DistributedMatrix) -> RegressionResult:
         """Distributed OLS via reduced normal equations.
@@ -155,8 +177,8 @@ class ScaLAPACK:
 
         paired = list(zip(features.partitions, target.partitions, strict=True))
         result = self.cluster.map_partitions(paired, partial)
-        xtx = self._all_reduce_sum([np.asarray(a) for a, _ in result.outputs], "xtx")
-        xty = self._all_reduce_sum([np.asarray(b) for _, b in result.outputs], "xty")
+        xtx = self.cluster.all_reduce_sum([np.asarray(a) for a, _ in result.outputs])
+        xty = self.cluster.all_reduce_sum([np.asarray(b) for _, b in result.outputs])
         beta = np.linalg.solve(xtx + 1e-12 * np.eye(n_features + 1), xty)
 
         intercept = float(beta[0])
@@ -189,81 +211,6 @@ class ScaLAPACK:
             method="scalapack",
         )
 
-    def matvec(self, matrix: DistributedMatrix, vector: np.ndarray,
-               transpose: bool = False) -> np.ndarray:
-        """Distributed ``A @ x`` or ``Aᵀ @ x``.
-
-        The vector is broadcast to all nodes; partial results are reduced.
-        """
-        vector = np.asarray(vector, dtype=np.float64)
-        if self.cluster.n_nodes > 1:
-            self.cluster.network.broadcast(
-                vector, source=0, destinations=list(range(1, self.cluster.n_nodes)),
-                label="broadcast-vector",
-            )
-        if not transpose:
-            result = self.cluster.map_partitions(
-                matrix.partitions,
-                lambda part, _node: part @ vector if part.size else np.zeros(0),
-            )
-            return np.concatenate([np.asarray(block).ravel() for block in result.outputs])
-
-        # Aᵀ x: x is partitioned like the rows; reduce per-node partials.
-        offsets = np.cumsum([0] + [part.shape[0] for part in matrix.partitions])
-        paired = [
-            (part, vector[offsets[i]:offsets[i + 1]])
-            for i, part in enumerate(matrix.partitions)
-        ]
-        result = self.cluster.map_partitions(
-            paired,
-            lambda data, _node: (data[0].T @ data[1]
-                                 if data[0].size else np.zeros(matrix.n_columns)),
-        )
-        return self._all_reduce_sum([np.asarray(block) for block in result.outputs], "matvec-T")
-
     def lanczos_svd(self, matrix: DistributedMatrix, k: int = 50, seed: int = 0) -> LanczosResult:
         """Distributed truncated SVD: Lanczos with distributed matvecs."""
-        from repro.linalg.lanczos import lanczos_eigsh
-
-        n_rows, n_cols = matrix.shape
-        k = max(1, min(k, n_rows, n_cols))
-
-        def operator(vector: np.ndarray) -> np.ndarray:
-            return self.matvec(matrix, self.matvec(matrix, vector), transpose=True)
-
-        eigenvalues, right_vectors = lanczos_eigsh(operator, dimension=n_cols, k=k, seed=seed)
-        singular_values = np.sqrt(np.clip(eigenvalues, 0.0, None))
-        left_vectors = np.column_stack([
-            self.matvec(matrix, right_vectors[:, i]) for i in range(k)
-        ])
-        scale = np.where(singular_values > 0, singular_values, 1.0)
-        left_vectors = left_vectors / scale
-        norms = np.linalg.norm(left_vectors, axis=0)
-        norms[norms == 0] = 1.0
-        left_vectors = left_vectors / norms
-        return LanczosResult(
-            singular_values=singular_values,
-            left_vectors=left_vectors,
-            right_vectors=right_vectors,
-            iterations=k,
-        )
-
-    def gemm(self, matrix: DistributedMatrix, dense_right: np.ndarray) -> DistributedMatrix:
-        """Distributed ``A @ B`` with ``B`` broadcast (pdgemm's simple case)."""
-        dense_right = np.asarray(dense_right, dtype=np.float64)
-        if dense_right.shape[0] != matrix.n_columns:
-            raise ValueError("inner dimensions do not match")
-        if self.cluster.n_nodes > 1:
-            self.cluster.network.broadcast(
-                dense_right, source=0, destinations=list(range(1, self.cluster.n_nodes)),
-                label="broadcast-gemm-rhs",
-            )
-        result = self.cluster.map_partitions(
-            matrix.partitions,
-            lambda part, _node: part @ dense_right if part.size else np.zeros((0, dense_right.shape[1])),
-        )
-        return DistributedMatrix(
-            cluster=self.cluster,
-            partitions=[np.asarray(block) for block in result.outputs],
-            n_columns=dense_right.shape[1],
-        )
+        return truncated_svd(matrix, k, seed)

@@ -802,11 +802,6 @@ class JoinedQuery:
             plan = Filter(plan, expression)
         return plan, {left_name: left_binding, right_name: right_binding}
 
-    def logical_plan(self) -> PlanNode:
-        """The unoptimized relational-algebra plan (for tests and EXPLAIN)."""
-        plan, _bindings = self._assemble()
-        return plan
-
     def explain(self) -> str:
         """Render the optimized fused plan (as ``collect`` would run it).
 

@@ -319,9 +319,6 @@ class TDigest:
         self.weights = weight_sums
         self.compressed = True
 
-    def total_weight(self) -> float:
-        return float(np.sum(self.weights))
-
     def quantile(self, q: float) -> float:
         """Weighted inverted-CDF quantile: smallest centroid with F >= q.
 

@@ -12,13 +12,14 @@ them are built here on the :mod:`repro.cluster` substrate:
   :mod:`repro.core.queries`) lowered through :mod:`repro.cluster.bridge`:
   partitions whose min/max + distinct-set synopses exclude the predicate
   are pruned on the driver before dispatch (``partition_stats`` counts
-  them), and the surviving fragments run concurrently on the cluster's
-  threaded executor; simulated elapsed time remains the slowest node plus
-  any network traffic;
+  them), and the surviving fragments run one per node, each timed alone;
+  simulated elapsed time is the slowest node plus any network traffic;
 * the analytics phase differs by configuration:
 
-  - **pbdR** and **column store + pbdR** use the ScaLAPACK layer
-    (distributed covariance / normal equations / Lanczos with all-reduces),
+  - **pbdR** and **column store + pbdR** use the ScaLAPACK layer: the
+    shared covariance / Lanczos kernels of :mod:`repro.linalg` on a
+    :class:`~repro.cluster.scalapack.DistributedMatrix` operand (every
+    product a broadcast and an all-reduce), and distributed normal equations,
   - **SciDB** uses the same distributed kernels but pays an extra
     re-chunking redistribution after its filters (the data movement the
     paper suggests explains its 1→2 node regression),

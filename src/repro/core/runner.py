@@ -230,23 +230,6 @@ class BenchmarkRunner:
                 result.error = mismatch
         return result
 
-    def run_many(
-        self,
-        queries,
-        engines,
-        dataset: GenBaseDataset,
-        parameters: QueryParameters | None = None,
-        **engine_options,
-    ) -> list[QueryResult]:
-        """Run a cross product of queries × engines on one dataset."""
-        results = []
-        for engine_name in engines:
-            for query in queries:
-                results.append(
-                    self.run(query, engine_name, dataset, parameters=parameters, **engine_options)
-                )
-        return results
-
     # -- verification --------------------------------------------------------------------
 
     @staticmethod

@@ -17,7 +17,6 @@ The format is plain CSV with a header row; floats are written with full
 from __future__ import annotations
 
 import csv
-import io
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -105,22 +104,6 @@ def read_table_csv(source) -> tuple[list[str], list[tuple]]:
                 parsed.append(value)
         rows.append(tuple(parsed))
     return list(columns), rows
-
-
-def matrix_to_csv_string(matrix: np.ndarray) -> str:
-    """Serialise a matrix to an in-memory CSV string.
-
-    Used by the "+ external R" engine adapters to model the export half of
-    the DBMS → R data transfer.
-    """
-    buffer = io.StringIO()
-    write_matrix_csv(matrix, buffer)
-    return buffer.getvalue()
-
-
-def matrix_from_csv_string(payload: str) -> np.ndarray:
-    """Parse a matrix from an in-memory CSV string (the import half)."""
-    return read_matrix_csv(io.StringIO(payload))
 
 
 def write_dataset_csv(dataset, directory) -> dict[str, Path]:

@@ -28,8 +28,7 @@ sample     yes       no       no     no     no        no
 approx     yes       no       no     no     no        yes
 ========== ========= ======== ====== ====== ========= =======
 
-The cluster runs every admitted case on the threaded *and* the sequential
-executor, which must agree exactly and account for every partition
+The cluster must account for every partition of every admitted case
 (``partitions_scanned + partitions_skipped == n_partitions``).
 
 Aggregate/pivot cases whose reference long-format output is *empty* are
@@ -193,8 +192,7 @@ class FuzzHarness:
                 if column != key
             })
 
-        # Cluster: each metadata table row-partitioned three ways, run on
-        # both executors.
+        # Cluster: each metadata table row-partitioned three ways.
         self.partitioned = {
             table: PartitionedTable.from_partitions(table, [
                 {column: values[rows] for column, values in self.tables[table].items()}
@@ -202,8 +200,7 @@ class FuzzHarness:
             ])
             for table, key in META_KEYS.items()
         }
-        self.clusters = [Cluster(3, executor=executor)
-                         for executor in ("threads", "sequential")]
+        self.cluster = Cluster(3)
 
     # -- case execution ---------------------------------------------------------------
 
@@ -297,23 +294,20 @@ class FuzzHarness:
         }
 
     def _run_cluster(self, case: FuzzCase):
-        """Both executors over the 3-way split; filter fragments answer with ids."""
+        """The 3-way split; filter fragments answer with ids."""
         plan = case.plan
         if isinstance(plan, logical.Project):
             plan = plan.child  # fragments are row positions: nothing to project
         table = self.partitioned[case.table]
         ids = [partition[case.key] for partition in table.partitions]
-        results = []
-        for cluster in self.clusters:
-            stats = PartitionStats()
-            results.append(run_cluster_plan(
-                plan, table, cluster, stats=stats,
-                on_fragment=lambda node, rows: ids[node][rows],
-            ))
-            assert (stats.partitions_scanned + stats.partitions_skipped
-                    == len(table.partitions)), f"seed={case.seed}: {stats}"
-        np.testing.assert_equal(results[0], results[1])
-        return results[0]
+        stats = PartitionStats()
+        result = run_cluster_plan(
+            plan, table, self.cluster, stats=stats,
+            on_fragment=lambda node, rows: ids[node][rows],
+        )
+        assert (stats.partitions_scanned + stats.partitions_skipped
+                == len(table.partitions)), f"seed={case.seed}: {stats}"
+        return result
 
     # -- shape checks (one normaliser + comparison per shape) -------------------------
 

@@ -4,9 +4,14 @@ Every benchmark query's analytics step is backed by a kernel in this package.
 Each kernel exists in (at least) two tiers, mirroring the performance spread
 the paper observes between systems:
 
-* **BLAS tier** (:mod:`repro.linalg.blas` and the default implementations
-  here) — vectorised numpy/LAPACK-backed code, standing in for
-  R/BLAS/ScaLAPACK/MKL.
+* **BLAS tier** (the default implementations here) — vectorised
+  numpy/LAPACK-backed code, standing in for R/BLAS/ScaLAPACK/MKL.  Q2 and
+  Q4 are each written once, over an operand (:mod:`repro.linalg.operand`):
+  :func:`repro.linalg.covariance.covariance` and
+  :func:`repro.linalg.lanczos.truncated_svd` run unchanged on a dense
+  matrix, the array DBMS's chunks or the cluster's row blocks, so the
+  engines differ in what a ``matvec`` / ``gram`` costs and who is charged
+  for it, not in the algorithm.
 * **Naive tier** (:mod:`repro.linalg.naive`) — deliberately loop-based,
   interpreter-bound implementations, standing in for Mahout-style code that
   "does not benefit from a sophisticated linear algebra package" and for
@@ -16,9 +21,9 @@ Kernels:
 
 * :func:`repro.linalg.qr.householder_qr`, :func:`repro.linalg.qr.lstsq_qr`,
   :func:`repro.linalg.qr.linear_regression` — Q1 (predictive modelling).
-* :func:`repro.linalg.covariance.covariance_matrix` — Q2.
+* :func:`repro.linalg.covariance.covariance_matrix` — Q2 (dense entry point).
 * :func:`repro.linalg.biclustering.cheng_church` — Q3.
-* :func:`repro.linalg.lanczos.lanczos_svd` — Q4.
+* :func:`repro.linalg.lanczos.lanczos_svd` — Q4 (dense entry point).
 * :func:`repro.linalg.wilcoxon.rank_sum_test`,
   :func:`repro.linalg.wilcoxon.enrichment_analysis` — Q5.
 """

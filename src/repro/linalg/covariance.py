@@ -6,45 +6,46 @@ surviving pairs back to the gene metadata (paper Section 3.2.2).  The heavy
 step is the ``genes × genes`` covariance matrix — the ``S × Sᵀ``-style
 computation the paper's Wall Street example motivates.
 
-The implementation centres the columns and uses a single GEMM, which is the
-"do it with BLAS" strategy; the deliberately slow per-pair loop lives in
-:mod:`repro.linalg.naive`.
+The kernel is written once, over an operand (:mod:`repro.linalg.operand`):
+:func:`covariance` asks it for the centred Gram matrix and does the rest.  On
+the dense operand that is one GEMM, the "do it with BLAS" strategy; the
+deliberately slow per-pair loop lives in :mod:`repro.linalg.naive`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.linalg.operand import DenseOperand
 
-def covariance_matrix(matrix: np.ndarray, ddof: int = 1) -> np.ndarray:
-    """Compute the column-by-column covariance matrix of ``matrix``.
+
+def covariance(operand, ddof: int = 1) -> np.ndarray:
+    """Column covariance of any kernel operand: centred Gram ÷ ``(n − ddof)``.
 
     Args:
-        matrix: ``(n_samples, n_features)`` array; covariance is computed
-            between *columns* (genes).
+        operand: anything with ``shape`` and ``gram(center=True)`` — see
+            :mod:`repro.linalg.operand`.
         ddof: delta degrees of freedom (1 gives the unbiased estimator).
 
     Returns:
         ``(n_features, n_features)`` symmetric covariance matrix.
 
     Raises:
-        ValueError: on empty input or when ``n_samples - ddof <= 0``.
+        ValueError: when ``n_samples - ddof <= 0`` (which covers no samples).
     """
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.ndim != 2:
-        raise ValueError("covariance_matrix expects a 2-D matrix")
-    n_samples = matrix.shape[0]
-    if n_samples == 0:
-        raise ValueError("cannot compute covariance of zero samples")
-    denominator = n_samples - ddof
-    if denominator <= 0:
+    n_samples = operand.shape[0]
+    if n_samples - ddof <= 0:
         raise ValueError(
             f"need more than {ddof} samples for ddof={ddof}, got {n_samples}"
         )
-    centered = matrix - matrix.mean(axis=0, keepdims=True)
-    cov = centered.T @ centered / denominator
+    cov = operand.gram(center=True) / (n_samples - ddof)
     # Enforce exact symmetry (GEMM rounding can leave ~1e-17 asymmetry).
     return (cov + cov.T) / 2.0
+
+
+def covariance_matrix(matrix: np.ndarray, ddof: int = 1) -> np.ndarray:
+    """Covariance between the *columns* (genes) of a dense ``(n_samples, n_features)`` matrix."""
+    return covariance(DenseOperand(matrix), ddof)
 
 
 def correlation_matrix(matrix: np.ndarray) -> np.ndarray:

@@ -7,8 +7,9 @@ find the largest eigenvalues of symmetric positive semidefinite matrices"
 their vectors.
 
 This module implements Lanczos tridiagonalisation with full
-reorthogonalisation on the symmetric operator ``AᵀA`` (or ``AAᵀ``, whichever
-is smaller), then recovers the singular triplets of ``A``.  Full
+reorthogonalisation on the symmetric operator ``AᵀA``, then recovers the
+singular triplets of ``A`` — once, in :func:`truncated_svd`, over any
+operand of :mod:`repro.linalg.operand`.  Full
 reorthogonalisation costs extra GEMV work but keeps the Ritz values accurate
 without the ghost-eigenvalue bookkeeping of selective schemes — the right
 trade-off at benchmark matrix sizes.
@@ -20,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.linalg.operand import DenseOperand
+
 
 @dataclass
 class LanczosResult:
@@ -29,13 +32,21 @@ class LanczosResult:
         singular_values: top-``k`` singular values, descending.
         left_vectors: ``(m, k)`` matrix ``U``.
         right_vectors: ``(n, k)`` matrix ``V``.
-        iterations: number of Lanczos steps actually performed.
     """
 
     singular_values: np.ndarray
     left_vectors: np.ndarray
     right_vectors: np.ndarray
-    iterations: int
+
+    @property
+    def iterations(self) -> int:
+        """The number of singular triplets computed (``k`` after clipping).
+
+        Not a Lanczos step count — :func:`lanczos_eigsh` does not report
+        one.  ``genbase_bench/layers.py`` reads this name for its
+        ``linalg.lanczos_iterations`` metric.
+        """
+        return len(self.singular_values)
 
     def reconstruct(self) -> np.ndarray:
         """Return the rank-``k`` approximation ``U diag(s) Vᵀ``."""
@@ -56,7 +67,8 @@ def lanczos_eigsh(
         operator: a callable ``v -> A @ v`` for a symmetric PSD matrix ``A``.
         dimension: the dimension of the operator's domain.
         k: number of eigenpairs wanted.
-        max_iterations: maximum Krylov dimension (default ``min(dim, 4k+20)``).
+        max_iterations: maximum Krylov dimension (default
+            ``min(dim, max(2k+20, 4k))``).
         seed: seed for the random start vector.
         tolerance: breakdown tolerance on the off-diagonal recurrence terms.
 
@@ -116,70 +128,43 @@ def lanczos_eigsh(
     return ritz_values, ritz_vectors
 
 
-def lanczos_svd(
-    matrix: np.ndarray,
-    k: int = 50,
-    max_iterations: int | None = None,
-    seed: int = 0,
-) -> LanczosResult:
-    """Compute the top-``k`` singular triplets of ``matrix`` via Lanczos.
+def truncated_svd(operand, k: int = 50, seed: int = 0) -> LanczosResult:
+    """Top-``k`` singular triplets of any kernel operand via Lanczos on ``AᵀA``.
 
-    The Lanczos recurrence runs on whichever Gram operator (``AᵀA`` or
-    ``AAᵀ``) has the smaller dimension; the other side's singular vectors are
-    recovered by one extra multiplication with ``A``.
+    The recurrence only needs ``Aᵀ(A v)`` products, so the operand decides
+    what one costs (a GEMV pair, a pass over the chunks, a broadcast and an
+    all-reduce — see :mod:`repro.linalg.operand`); the left vectors are
+    recovered with one ``matmat`` and rescaled.  This is the only caller of
+    :func:`lanczos_eigsh`.
 
     Args:
-        matrix: ``(m, n)`` dense matrix.
-        k: number of singular values/vectors to compute (clipped to
-            ``min(m, n)``).
-        max_iterations: Krylov dimension cap forwarded to
-            :func:`lanczos_eigsh`.
+        operand: anything with ``shape``, ``matvec``, ``rmatvec``, ``matmat``.
+        k: number of singular triplets (clipped to ``min(m, n)``).
         seed: start-vector seed.
     """
-    a = np.asarray(matrix, dtype=np.float64)
-    if a.ndim != 2:
-        raise ValueError("lanczos_svd expects a 2-D matrix")
-    m, n = a.shape
+    m, n = operand.shape
     if m == 0 or n == 0:
         raise ValueError("cannot compute the SVD of an empty matrix")
     k = max(1, min(k, m, n))
-
-    use_gram_of_columns = n <= m  # operate on A^T A (n x n) when it is smaller
-
-    if use_gram_of_columns:
-        def operator(v: np.ndarray) -> np.ndarray:
-            return a.T @ (a @ v)
-
-        eigenvalues, right = lanczos_eigsh(
-            operator, dimension=n, k=k, max_iterations=max_iterations, seed=seed
-        )
-        singular_values = np.sqrt(np.clip(eigenvalues, 0.0, None))
-        left = a @ right
-        scale = np.where(singular_values > 0, singular_values, 1.0)
-        left = left / scale
-    else:
-        def operator(v: np.ndarray) -> np.ndarray:
-            return a @ (a.T @ v)
-
-        eigenvalues, left = lanczos_eigsh(
-            operator, dimension=m, k=k, max_iterations=max_iterations, seed=seed
-        )
-        singular_values = np.sqrt(np.clip(eigenvalues, 0.0, None))
-        right = a.T @ left
-        scale = np.where(singular_values > 0, singular_values, 1.0)
-        right = right / scale
-
-    # Normalise the derived side's vectors to unit length.
-    left_norms = np.linalg.norm(left, axis=0)
-    left_norms[left_norms == 0] = 1.0
-    left = left / left_norms
-    right_norms = np.linalg.norm(right, axis=0)
-    right_norms[right_norms == 0] = 1.0
-    right = right / right_norms
-
-    return LanczosResult(
-        singular_values=singular_values,
-        left_vectors=left,
-        right_vectors=right,
-        iterations=int(min(k, min(m, n))),
+    eigenvalues, right = lanczos_eigsh(
+        lambda vector: operand.rmatvec(operand.matvec(vector)), dimension=n, k=k, seed=seed
     )
+    singular_values = np.sqrt(np.clip(eigenvalues, 0.0, None))
+    left = operand.matmat(right) / np.where(singular_values > 0, singular_values, 1.0)
+    # The Ritz vectors arrive normalised; the derived side is brought to unit length.
+    norms = np.linalg.norm(left, axis=0)
+    norms[norms == 0] = 1.0
+    return LanczosResult(singular_values, left / norms, right)
+
+
+def lanczos_svd(matrix: np.ndarray, k: int = 50, seed: int = 0) -> LanczosResult:
+    """Top-``k`` singular triplets of a dense ``(m, n)`` matrix.
+
+    A wide matrix runs as its transpose, so the recurrence is always on the
+    smaller Gram operator, and ``U`` / ``V`` are swapped back.
+    """
+    operand = DenseOperand(matrix)
+    if operand.shape[0] >= operand.shape[1]:
+        return truncated_svd(operand, k, seed)
+    flipped = truncated_svd(operand.T, k, seed)
+    return LanczosResult(flipped.singular_values, flipped.right_vectors, flipped.left_vectors)

@@ -147,15 +147,6 @@ class MapReduceEngine:
         self.history.append(JobResult(name=job.name, counters=counters))
         return output
 
-    def run_chain(self, jobs: Sequence[MapReduceJob], records: Sequence) -> list[tuple[object, object]]:
-        """Run jobs back to back; each job consumes the previous job's output pairs."""
-        current: Sequence = list(records)
-        output: list[tuple[object, object]] = []
-        for job in jobs:
-            output = self.run(job, current)
-            current = output
-        return output
-
     # -- helpers -------------------------------------------------------------------
 
     @staticmethod

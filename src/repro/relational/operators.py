@@ -8,7 +8,7 @@ their input, streaming operators (scan, filter, project, limit) do not.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from repro.plan.expressions import Expression
 from repro.relational.schema import Column, ColumnType, Schema
@@ -37,17 +37,6 @@ class SeqScan(Operator):
 
     def __iter__(self) -> Iterator[tuple]:
         return self.table.scan()
-
-
-class RowSource(Operator):
-    """Adapter exposing an in-memory list of rows as an operator."""
-
-    def __init__(self, rows: Iterable[tuple], schema: Schema):
-        self._rows = list(rows)
-        self.output_schema = schema
-
-    def __iter__(self) -> Iterator[tuple]:
-        return iter(self._rows)
 
 
 class Filter(Operator):
@@ -181,26 +170,6 @@ def hash_join(left: Operator, right: Operator, left_key: str, right_key: str,
     )
 
 
-class NestedLoopJoin(Operator):
-    """Join on an arbitrary predicate (used when no equi-key is available)."""
-
-    def __init__(self, left: Operator, right: Operator, predicate: Expression):
-        self.left = left
-        self.right = right
-        self.predicate = predicate
-        self.output_schema = left.output_schema.concat(right.output_schema)
-        self._bound = predicate.bind(self.output_schema)
-
-    def __iter__(self) -> Iterator[tuple]:
-        right_rows = list(self.right)
-        bound = self._bound
-        for left_row in self.left:
-            for right_row in right_rows:
-                combined = left_row + right_row
-                if bound(combined):
-                    yield combined
-
-
 class Sort(Operator):
     """Full in-memory sort on one or more key columns."""
 
@@ -285,20 +254,6 @@ class HashAggregate(Operator):
                 for position, ((_, _, finalise), _) in enumerate(specs)
             )
             yield key + finals
-
-
-class Materialize(Operator):
-    """Materialise a child operator once so it can be iterated repeatedly."""
-
-    def __init__(self, child: Operator):
-        self.child = child
-        self.output_schema = child.output_schema
-        self._cache: list[tuple] | None = None
-
-    def __iter__(self) -> Iterator[tuple]:
-        if self._cache is None:
-            self._cache = list(self.child)
-        return iter(self._cache)
 
 
 def explain(operator: Operator, depth: int = 0) -> str:

@@ -40,17 +40,6 @@ class ColumnType(enum.Enum):
         except (TypeError, ValueError) as exc:
             raise TypeError(f"cannot coerce {value!r} to {self.value}") from exc
 
-    @property
-    def struct_format(self) -> str:
-        """The ``struct`` format character used by the page serialiser."""
-        if self is ColumnType.INT:
-            return "q"
-        if self is ColumnType.FLOAT:
-            return "d"
-        if self is ColumnType.BOOL:
-            return "?"
-        return "s"  # variable length, handled specially
-
 
 @dataclass(frozen=True)
 class Column:
@@ -110,9 +99,6 @@ class Schema:
     def names(self) -> tuple[str, ...]:
         return tuple(column.name for column in self._columns)
 
-    def has_column(self, name: str) -> bool:
-        return name in self._index
-
     def index_of(self, name: str) -> int:
         """Return the position of column ``name``.
 
@@ -128,9 +114,6 @@ class Schema:
 
     def column(self, name: str) -> Column:
         return self._columns[self.index_of(name)]
-
-    def type_of(self, name: str) -> ColumnType:
-        return self.column(name).type
 
     # -- row handling ----------------------------------------------------------
 

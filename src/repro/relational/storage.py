@@ -123,20 +123,6 @@ class Page:
         parts.extend(self._payloads)
         return b"".join(parts)
 
-    @classmethod
-    def from_bytes(cls, buffer: bytes, schema: Schema,
-                   page_size: int = DEFAULT_PAGE_SIZE) -> "Page":
-        """Rebuild a page object from its serialised form."""
-        page = cls(schema, page_size=page_size)
-        (count,) = _HEADER.unpack_from(buffer, 0)
-        cursor = _HEADER.size + count * _OFFSET.size
-        for _ in range(count):
-            row, next_cursor = _unpack_row(buffer, cursor, schema)
-            page._payloads.append(buffer[cursor:next_cursor])
-            page._used += (next_cursor - cursor) + _OFFSET.size
-            cursor = next_cursor
-        return page
-
 
 class HeapFile:
     """An append-only collection of pages for one table."""
@@ -177,7 +163,3 @@ class HeapFile:
         """Full sequential scan in insertion order."""
         for page in self._pages:
             yield from page.rows()
-
-    def clear(self) -> None:
-        self._pages.clear()
-        self._row_count = 0

@@ -6,7 +6,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.relational.schema import Column, ColumnType, Schema
+from repro.relational.schema import Schema
 from repro.relational.storage import DEFAULT_PAGE_SIZE, HeapFile
 
 
@@ -73,10 +73,6 @@ class HeapTable:
             )
         return self.insert_many(map(tuple, array.tolist()))
 
-    def truncate(self) -> None:
-        """Remove all rows."""
-        self._heap.clear()
-
     # -- access ------------------------------------------------------------------
 
     def scan(self) -> Iterator[tuple]:
@@ -91,22 +87,3 @@ class HeapTable:
     def to_rows(self) -> list[tuple]:
         """Materialise the whole table as a list of tuples."""
         return list(self.scan())
-
-
-def table_from_arrays(
-    name: str,
-    columns: Sequence[tuple[str, ColumnType, np.ndarray]],
-    page_size: int = DEFAULT_PAGE_SIZE,
-) -> HeapTable:
-    """Build a heap table from parallel (name, type, values) column arrays."""
-    if not columns:
-        raise ValueError("need at least one column")
-    lengths = {len(values) for _, _, values in columns}
-    if len(lengths) != 1:
-        raise ValueError(f"column arrays have mismatched lengths: {sorted(lengths)}")
-    schema = Schema([Column(column_name, column_type) for column_name, column_type, _ in columns])
-    table = HeapTable(name, schema, page_size=page_size)
-    arrays = [values for _, _, values in columns]
-    for row in zip(*arrays, strict=True):
-        table.insert(row)
-    return table

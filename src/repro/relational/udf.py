@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.linalg import blas, naive
+from repro.linalg import naive
 from repro.linalg.covariance import covariance_matrix
 from repro.linalg.qr import linear_regression
 from repro.linalg.wilcoxon import enrichment_analysis
@@ -130,7 +130,7 @@ def default_madlib_registry() -> UdfRegistry:
     registry = UdfRegistry()
     registry.register(
         "linear_regression",
-        lambda features, target: blas.linear_regression(features, target),
+        lambda features, target: linear_regression(features, target, method="lapack"),
         tier="compiled",
         description="OLS via LAPACK QR (Madlib C++ tier)",
     )

@@ -135,10 +135,6 @@ class DataFrame:
         except KeyError:
             raise KeyError(f"no column {name!r}; data frame has {self.names}") from None
 
-    def head(self, n: int = 6) -> dict[str, list]:
-        """First ``n`` rows as a plain dict (for printing in examples)."""
-        return {name: values[:n].tolist() for name, values in self._columns.items()}
-
     # -- R verbs ------------------------------------------------------------------
 
     def subset(self, predicate: Expression) -> "DataFrame":

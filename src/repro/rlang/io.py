@@ -10,7 +10,6 @@ are real work measured by the benchmark runner.
 from __future__ import annotations
 
 import io
-from pathlib import Path
 
 import numpy as np
 
@@ -58,10 +57,3 @@ def dataframe_from_csv_string(payload: str,
                               environment: REnvironment | None = None) -> DataFrame:
     """Parse a data frame from an in-memory CSV string (the import half)."""
     return read_csv(io.StringIO(payload), environment=environment)
-
-
-def write_dataframe_file(frame: DataFrame, path) -> Path:
-    """Write a data frame to ``path`` and return the path."""
-    path = Path(path)
-    write_csv(frame, path)
-    return path

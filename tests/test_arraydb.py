@@ -10,6 +10,11 @@ from repro.arraydb.chunk import Chunk
 from repro.plan import col
 
 
+def _kept_coordinates(array: ChunkedArray) -> np.ndarray:
+    """Coordinates of the non-empty cells of a 1-D array (NaN-free values)."""
+    return np.flatnonzero(~np.isnan(array.to_dense(fill=np.nan)))
+
+
 @pytest.fixture()
 def expression_array(rng) -> tuple[ChunkedArray, np.ndarray]:
     matrix = rng.random((45, 30))
@@ -24,10 +29,7 @@ class TestSchema:
         dim = Dimension("gene_id", 0, 99, 25)
         assert dim.length == 100
         assert dim.chunk_count == 4
-        assert dim.chunk_of(26) == 1
         assert dim.chunk_bounds(3) == (75, 99)
-        with pytest.raises(IndexError):
-            dim.chunk_of(100)
         with pytest.raises(IndexError):
             dim.chunk_bounds(4)
 
@@ -77,14 +79,6 @@ class TestChunkedArray:
         assert chunk.origin == (32, 24)
         assert chunk.shape == (13, 6)  # edge chunk is smaller
 
-    def test_attribute_cells(self, expression_array):
-        array, matrix = expression_array
-        (patients, genes), values = array.attribute_cells()
-        assert len(values) == matrix.size
-        reconstructed = np.zeros_like(matrix)
-        reconstructed[patients, genes] = values
-        np.testing.assert_allclose(reconstructed, matrix)
-
     def test_from_dense_validation(self, rng):
         with pytest.raises(ValueError):
             ChunkedArray.from_dense("a", rng.random((3, 3)), ["only_one_name"])
@@ -123,8 +117,7 @@ class TestOperators:
         array = ChunkedArray.from_dense("v", values, ["i"], "v", chunk_sizes=[10])
         stats = ops.FilterStats()
         filtered = ops.filter_attribute(array, None, col("v") < 25, stats=stats)
-        coords, kept = filtered.attribute_cells("v")
-        np.testing.assert_array_equal(coords[0], np.arange(25))
+        np.testing.assert_array_equal(_kept_coordinates(filtered), np.arange(25))
         assert stats.chunks_skipped == 7
         assert stats.chunks_scanned == 3
         assert stats.cells_kept == 25
@@ -143,13 +136,11 @@ class TestOperators:
         array = ChunkedArray.from_dense("v", values, ["i"], "v", chunk_sizes=[10])
         # v <= 10 must keep the boundary cell in the second chunk (min=10).
         kept = ops.filter_attribute(array, None, col("v") <= 10)
-        coords, _ = kept.attribute_cells("v")
-        np.testing.assert_array_equal(coords[0], np.arange(11))
+        np.testing.assert_array_equal(_kept_coordinates(kept), np.arange(11))
         # v < 10 may skip that chunk entirely.
         stats = ops.FilterStats()
         strict = ops.filter_attribute(array, None, col("v") < 10, stats=stats)
-        coords, _ = strict.attribute_cells("v")
-        np.testing.assert_array_equal(coords[0], np.arange(10))
+        np.testing.assert_array_equal(_kept_coordinates(strict), np.arange(10))
         assert stats.chunks_skipped == 2
 
     def test_subarray_by_index_compacts(self, expression_array):
@@ -180,38 +171,10 @@ class TestOperators:
 
 
 class TestArrayLinalg:
-    def test_scalapack_roundtrip(self, expression_array):
+    """The chunk-wise kernels are rows of ``test_kernel_operands.py``."""
+
+    def test_to_scalapack_copies_into_the_dense_layout(self, expression_array):
         array, matrix = expression_array
         dense = linalg.to_scalapack(array)
         np.testing.assert_allclose(dense, matrix)
-        back = linalg.from_scalapack("copy", dense, array)
-        np.testing.assert_allclose(back.to_dense(), matrix)
-
-    def test_matvec_both_directions(self, expression_array, rng):
-        array, matrix = expression_array
-        x = rng.random(30)
-        y = rng.random(45)
-        np.testing.assert_allclose(linalg.matvec(array, x), matrix @ x)
-        np.testing.assert_allclose(linalg.matvec(array, y, transpose=True), matrix.T @ y)
-        with pytest.raises(ValueError):
-            linalg.matvec(array, rng.random(7))
-
-    def test_gram_and_covariance(self, expression_array):
-        array, matrix = expression_array
-        np.testing.assert_allclose(linalg.gram_matrix(array), matrix.T @ matrix, atol=1e-9)
-        np.testing.assert_allclose(
-            linalg.covariance(array), np.cov(matrix, rowvar=False), atol=1e-9
-        )
-
-    def test_covariance_ddof_check(self, rng):
-        array = ChunkedArray.from_dense("a", rng.random((1, 4)), ["i", "j"])
-        with pytest.raises(ValueError):
-            linalg.covariance(array)
-
-    def test_lanczos_chunked_matches_lapack(self, expression_array):
-        array, matrix = expression_array
-        result = linalg.lanczos_svd_chunked(array, k=5, seed=0)
-        reference = np.linalg.svd(matrix, compute_uv=False)[:5]
-        np.testing.assert_allclose(result.singular_values, reference, atol=1e-6)
-        assert result.left_vectors.shape == (45, 5)
-        assert result.right_vectors.shape == (30, 5)
+        assert dense.flags.c_contiguous and dense.flags.writeable

@@ -199,29 +199,16 @@ class TestCluster:
         with pytest.raises(ValueError):
             Cluster(0)
 
-    def test_invalid_executor(self):
-        with pytest.raises(ValueError):
-            Cluster(2, executor="mpi")
-
-    def test_threaded_and_sequential_executors_agree(self, rng):
-        partitions = [rng.random((200, 8)) for _ in range(4)]
-        threaded = Cluster(4, executor="threads")
-        sequential = Cluster(4, executor="sequential")
-        a = threaded.map_partitions(partitions, lambda part, node: part.sum(axis=0))
-        b = sequential.map_partitions(partitions, lambda part, node: part.sum(axis=0))
-        for left, right in zip(a.outputs, b.outputs, strict=True):
-            np.testing.assert_array_equal(left, right)
-        # Both record a real wall clock and per-node compute for every node.
-        assert a.wall_seconds > 0 and b.wall_seconds > 0
-        assert len(a.per_node_seconds) == len(b.per_node_seconds) == 4
-
-    def test_threaded_executor_preserves_node_order_and_timings(self, rng):
-        cluster = Cluster(3, executor="threads")
+    def test_executor_stays_a_plain_attribute_assignment(self):
+        # genbase_bench/workloads.py (frozen) sets this on every cluster engine.
+        cluster = Cluster(3)
+        cluster.executor = "sequential"
         result = cluster.run_on_nodes([
             (lambda node, i=i: (i, np.arange(i + 1).sum())) for i in range(3)
         ])
         assert [output[0] for output in result.outputs] == [0, 1, 2]
-        assert all(t.compute_seconds >= 0 for t in cluster.node_timings)
+        assert result.wall_seconds >= sum(result.per_node_seconds) > 0
+        assert all(t.compute_seconds > 0 for t in cluster.node_timings)
         assert cluster.simulated_elapsed_seconds >= result.elapsed_seconds
 
 
@@ -247,28 +234,6 @@ class TestScaLAPACK:
         )
         np.testing.assert_allclose(fit.coefficients, beta_true, atol=0.05)
         assert fit.r_squared > 0.99
-
-    def test_distributed_matvec_and_svd(self, cluster, rng):
-        matrix = rng.random((50, 20))
-        distributed = DistributedMatrix.from_dense(cluster, matrix)
-        scalapack = ScaLAPACK(cluster)
-        x = rng.random(20)
-        np.testing.assert_allclose(scalapack.matvec(distributed, x), matrix @ x, atol=1e-10)
-        y = rng.random(50)
-        np.testing.assert_allclose(
-            scalapack.matvec(distributed, y, transpose=True), matrix.T @ y, atol=1e-10
-        )
-        result = scalapack.lanczos_svd(distributed, k=4, seed=0)
-        np.testing.assert_allclose(
-            result.singular_values, np.linalg.svd(matrix, compute_uv=False)[:4], atol=1e-6
-        )
-
-    def test_distributed_gemm_and_collect(self, cluster, rng):
-        matrix = rng.random((30, 8))
-        right = rng.random((8, 3))
-        distributed = DistributedMatrix.from_dense(cluster, matrix)
-        product = ScaLAPACK(cluster).gemm(distributed, right)
-        np.testing.assert_allclose(product.collect(), matrix @ right, atol=1e-10)
 
     def test_multi_node_charges_network(self, rng):
         cluster = Cluster(4)

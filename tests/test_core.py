@@ -216,12 +216,6 @@ class TestRunner:
         assert result.status is RunStatus.ERROR
         assert "mismatch" in result.error
 
-    def test_run_many(self, tiny_dataset):
-        runner = BenchmarkRunner()
-        results = runner.run_many(["svd", "covariance"], ["scidb", "columnstore-udf"], tiny_dataset)
-        assert len(results) == 4
-        assert {r.engine for r in results} == {"scidb", "columnstore-udf"}
-
     def test_engine_instance_reuse_skips_reload(self, tiny_dataset):
         engine = make_engine("scidb")
         engine.load(tiny_dataset)

@@ -22,7 +22,6 @@ from repro.datagen import (
     write_table_csv,
 )
 from repro.datagen.sizes import PAPER_REPORTED_SIZES, resolve_size
-from repro.datagen.writer import matrix_from_csv_string, matrix_to_csv_string
 
 
 class TestSizeSpec:
@@ -231,11 +230,6 @@ class TestWriters:
         write_matrix_csv(matrix, buffer)
         buffer.seek(0)
         restored = read_matrix_csv(buffer)
-        np.testing.assert_array_equal(matrix, restored)
-
-    def test_matrix_csv_string_roundtrip(self, rng):
-        matrix = rng.standard_normal((3, 5))
-        restored = matrix_from_csv_string(matrix_to_csv_string(matrix))
         np.testing.assert_array_equal(matrix, restored)
 
     def test_matrix_csv_rejects_1d(self):

@@ -192,7 +192,6 @@ def test_a_column_both_join_inputs_produce_is_refused_before_lowering(backends, 
     assert "['gene_id', 'value']" in message and "left input" in message and "right input" in message
 
 
-@pytest.mark.parametrize("executor", ["threads", "sequential"])
 class TestClusterExecutorContract:
     """The sixth backend: one partitioned table, fragments in node order.
 
@@ -210,13 +209,13 @@ class TestClusterExecutorContract:
             for rows in self.PARTS
         ])
 
-    def test_filter_prunes_only_when_optimized_with_identical_fragments(self, executor):
+    def test_filter_prunes_only_when_optimized_with_identical_fragments(self):
         plan = Filter(Scan("patients"), (col("age") > 55) & (col("patient_id") >= 0))
         fragments = {}
         for optimized in (True, False):
             stats = PartitionStats()
             fragments[optimized] = run_cluster_plan(
-                plan, self._table(), Cluster(3, executor=executor),
+                plan, self._table(), Cluster(3),
                 stats=stats, optimized=optimized)
             # age > 55 holds for patient 3 only: partitions 0 and 2 are prunable.
             assert (stats.partitions_scanned, stats.partitions_skipped, stats.rows_kept) == (
@@ -226,7 +225,7 @@ class TestClusterExecutorContract:
         assert [fragment.tolist() for fragment in fragments[True]] == [[], [1], []]
 
     @pytest.mark.parametrize("function", AGGREGATE_FUNCTIONS)
-    def test_aggregate_honours_every_function(self, executor, function):
+    def test_aggregate_honours_every_function(self, function):
         plan = Aggregate(Filter(Scan("patients"), col("age") < 55), "arm", "dose", function)
         young = AGES < 55
         arms = np.arange(N_PATIENTS)[young] % 2
@@ -235,24 +234,24 @@ class TestClusterExecutorContract:
         expected = [float(reducer(MATRIX[young, 0][arms == arm])) for arm in (0, 1)]
         for optimized in (True, False):
             keys, values = run_cluster_plan(
-                plan, self._table(), Cluster(3, executor=executor), optimized=optimized)
+                plan, self._table(), Cluster(3), optimized=optimized)
             np.testing.assert_array_equal(keys, [0, 1])
             np.testing.assert_array_equal(values, expected)
 
-    def test_unknown_aggregate_function_is_rejected_before_dispatch(self, executor):
+    def test_unknown_aggregate_function_is_rejected_before_dispatch(self):
         stats = PartitionStats()
         with pytest.raises(ValueError, match="unsupported aggregate function 'median'"):
             run_cluster_plan(Aggregate(Scan("patients"), "arm", "dose", "median"),
-                             self._table(), Cluster(3, executor=executor),
+                             self._table(), Cluster(3),
                              stats=stats, optimized=False)
         assert stats.partitions_scanned == 0  # nothing was dispatched
 
-    def test_sketches_merge_to_the_single_pass_answer(self, executor):
+    def test_sketches_merge_to_the_single_pass_answer(self):
         young = Filter(Scan("patients"), col("age") < 55)
         distinct = approx_distinct(young, "arm")
         median = approx_quantile(young, "dose", q=0.5)
         for optimized in (True, False):
-            cluster = Cluster(3, executor=executor)
+            cluster = Cluster(3)
             assert tuple(run_cluster_plan(distinct, self._table(), cluster,
                                           optimized=optimized)) == tuple(
                 HyperLogLog().add_array(np.arange(N_PATIENTS)[AGES < 55] % 2)
@@ -261,8 +260,8 @@ class TestClusterExecutorContract:
                                           optimized=optimized)) == tuple(
                 TDigest().add_array(MATRIX[AGES < 55, 0]).result(0.5, median.confidence))
 
-    def test_sampled_kinds_and_other_shapes_are_rejected_by_name(self, executor):
-        cluster = Cluster(3, executor=executor)
+    def test_sampled_kinds_and_other_shapes_are_rejected_by_name(self):
+        cluster = Cluster(3)
         for optimized in (True, False):
             with pytest.raises(ValueError, match="column-store planner"):
                 run_cluster_plan(approx_sum(Scan("patients"), "dose", fraction=0.5),

@@ -17,8 +17,12 @@ FIXTURES = REPO / "tests" / "data" / "lint_fixtures"
 sys.path.insert(0, str(REPO / "tools"))
 from lint_invariants import (  # noqa: E402
     ALL_RULES,
+    NO_CALLER_BASELINE,
+    REPO_FIXTURE,
+    REPO_RULES,
     lint_file,
     lint_paths,
+    lint_repo,
     rule_counts,
     run_self_test,
 )
@@ -53,10 +57,21 @@ class TestRulesFireOnFixtures:
         assert run_self_test() == 0
 
     def test_every_rule_has_a_fixture(self):
-        fired: set[str] = set()
+        fired = {v.rule for v in lint_repo(FIXTURES / REPO_FIXTURE)}
+        assert fired == set(REPO_RULES)
         for fixture in FIXTURES.rglob("*.py"):
             fired.update(v.rule for v in lint_file(fixture))
         assert fired == set(ALL_RULES)
+
+    def test_whole_tree_rules_fire_on_the_miniature_repository(self):
+        hits = {(v.path.name, v.line, v.rule) for v in lint_repo(FIXTURES / REPO_FIXTURE)}
+        assert hits == {
+            ("linalg.py", 13, "single-lanczos-site"),   # a second function calls it
+            ("linalg.py", 16, "single-lanczos-site"),   # so does module level
+            ("linalg.py", 23, "no-caller"),             # recursion is not a caller
+            ("linalg.py", 32, "no-caller"),             # a method nobody calls
+            ("linalg.py", 36, "no-caller"),             # a class nobody names
+        }  # __all__, spans.py strings and examples/ all count as callers
 
 
 class TestTreeIsClean:
@@ -67,10 +82,16 @@ class TestTreeIsClean:
         assert n_files > 80
         assert violations == [], "\n".join(v.render() for v in violations)
 
+    def test_whole_tree_rules_pass_and_the_baseline_is_not_stale(self):
+        assert lint_repo() == []
+        # Shrinks only: a name that gained a caller, or is gone, must leave the list.
+        assert len(NO_CALLER_BASELINE) <= 26
+
     def test_cli_exit_zero_on_clean_tree(self):
-        result = _run_cli("src", "tools")
-        assert result.returncode == 0, result.stdout + result.stderr
-        assert "clean" in result.stdout
+        for paths in (("src", "tools"), ()):  # no path: whole-tree rules too
+            result = _run_cli(*paths)
+            assert result.returncode == 0, result.stdout + result.stderr
+            assert "clean" in result.stdout
 
 
 class TestInjectedViolationTrips:

@@ -55,7 +55,7 @@ class TestEngine:
         engine = MapReduceEngine()
         assert engine.run(word_count_job(), []) == []
 
-    def test_run_chain_feeds_outputs_forward(self):
+    def test_jobs_feed_outputs_forward(self):
         engine = MapReduceEngine(n_splits=2)
 
         def second_mapper(pair):
@@ -65,8 +65,8 @@ class TestEngine:
         def second_reducer(key, values):
             yield (key, sum(values))
 
-        chain = [word_count_job(), MapReduceJob("sum", second_mapper, second_reducer)]
-        output = dict(engine.run_chain(chain, ["a b", "a"]))
+        counts = engine.run(word_count_job(), ["a b", "a"])
+        output = dict(engine.run(MapReduceJob("sum", second_mapper, second_reducer), counts))
         assert output == {"total": 3}
         assert engine.jobs_run == 2
         assert engine.total_shuffle_bytes > 0

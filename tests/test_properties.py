@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 from unittest import mock
 
 import numpy as np
@@ -22,7 +23,7 @@ from repro.colstore.compression import (
 )
 from repro.colstore.query import ColumnQuery
 from repro.colstore.table import ColumnTable
-from repro.datagen.writer import matrix_from_csv_string, matrix_to_csv_string
+from repro.datagen.writer import read_matrix_csv, write_matrix_csv
 from repro.linalg.covariance import covariance_matrix
 from repro.linalg.qr import householder_qr, linear_regression, lstsq_qr
 from repro.linalg.lanczos import lanczos_svd
@@ -501,8 +502,10 @@ class TestStorageProperties:
     @given(matrices(min_rows=1, max_rows=10, min_cols=1, max_cols=6))
     @settings(max_examples=40, deadline=None)
     def test_matrix_csv_roundtrip_exact(self, matrix):
-        restored = matrix_from_csv_string(matrix_to_csv_string(matrix))
-        np.testing.assert_array_equal(restored, matrix)
+        buffer = io.StringIO()
+        write_matrix_csv(matrix, buffer)
+        buffer.seek(0)
+        np.testing.assert_array_equal(read_matrix_csv(buffer), matrix)
 
 
 # ---------------------------------------------------------------------------- #

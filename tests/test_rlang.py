@@ -51,8 +51,6 @@ class TestDataFrame:
         assert "gene_id" in frame
         with pytest.raises(KeyError):
             frame["missing"]
-        head = frame.head(3)
-        assert len(head["gene_id"]) == 3
 
     def test_subset_and_select(self, frame):
         subset = frame.subset(col("function") < 25)

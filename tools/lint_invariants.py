@@ -23,8 +23,9 @@ unseeded-rng              All randomness is reproducible: no legacy global
 fragment-state-mutation   Per-node worker closures (``on_fragment``
                           consumers, ``work`` closures run by
                           ``run_on_nodes``) are pure: no ``nonlocal`` /
-                          ``global`` rebinding, no ``self.attr`` mutation —
-                          the threaded executor would race.
+                          ``global`` rebinding, no ``self.attr`` mutation — a
+                          fragment sees only its own node's partition and
+                          hands its result back to the driver.
 bare-except               No bare ``except:`` — it swallows KeyboardInterrupt
                           and SystemExit.
 plan-dataclass-eq         ``Expression.__eq__`` is overloaded to *build* a
@@ -32,7 +33,20 @@ plan-dataclass-eq         ``Expression.__eq__`` is overloaded to *build* a
                           ``Expression``-typed field must declare ``eq=False``
                           or its generated ``__eq__`` silently returns a
                           truthy AST node for any operand.
+single-lanczos-site       Lanczos SVD is written once: ``lanczos_eigsh`` is
+                          called from ``truncated_svd`` in
+                          ``repro/linalg/lanczos.py`` and nowhere else under
+                          ``src/`` (the way ``.decode()`` has one call site).
+no-caller                 A public module-level function, class or method
+                          under ``src/repro`` is referenced somewhere in
+                          ``src``, ``examples``, ``benchmarks``, ``tools`` or
+                          ``genbase_bench`` outside its own definition (tests
+                          do not count; a name in ``__all__`` or in
+                          ``genbase_bench/spans.py`` does).
 ========================  =====================================================
+
+The last two read the whole tree, not one file, and run when no path is
+given.
 
 Usage::
 
@@ -60,6 +74,10 @@ DEFAULT_PATHS = ("src", "benchmarks", "tools")
 #: by default (the self-test runs the rules on them directly).
 FIXTURE_DIR = REPO_ROOT / "tests" / "data" / "lint_fixtures"
 
+#: The miniature repository under :data:`FIXTURE_DIR` the whole-tree rules
+#: are self-tested on.
+REPO_FIXTURE = "repo_tree"
+
 #: Methods that accept predicates: a raw lambda handed to any of these is
 #: invisible to the optimizer (rule ``raw-lambda-predicate``).
 PREDICATE_METHODS = frozenset({"where", "subset", "select"})
@@ -83,6 +101,47 @@ WORKER_KEYWORDS = frozenset({"on_fragment"})
 #: Nested function names conventionally dispatched to cluster nodes.
 WORKER_NAMES = frozenset({"work"})
 
+#: Where the one call to ``lanczos_eigsh`` lives (rule ``single-lanczos-site``).
+LANCZOS_SITE = ("repro/linalg/lanczos.py", "truncated_svd")
+
+#: Directories whose code counts as a caller (rule ``no-caller``).
+CALLER_DIRS = ("src", "examples", "benchmarks", "tools", "genbase_bench")
+
+#: Public names only tests used when ``no-caller`` landed, as
+#: ``<path under src/repro>::<qualified name>``.  The list may only shrink: an
+#: entry that gains a caller, or whose definition is gone, fails as stale.
+NO_CALLER_BASELINE = frozenset({
+    "accelerator/device.py::Coprocessor.total_device_seconds",
+    "arraydb/bridge.py::matrix_frame",
+    "colstore/catalog.py::ColumnStore.drop_table",
+    "colstore/query.py::ColumnQuery.to_matrix",
+    "colstore/query.py::ColumnQuery.where_in",
+    "colstore/sketches.py::ApproxResult.half_width",
+    "colstore/synopsis.py::SynopsisCatalog.stratified",
+    "core/queries.py::QueryOutput.scalar",
+    "core/timing.py::PhaseTimer.analytics_fraction",
+    "datagen/dataset.py::GenBaseDataset.validate",
+    "fuzz/strategies.py::fuzz_cases",
+    "linalg/biclustering.py::Bicluster.submatrix",
+    "linalg/biclustering.py::BiclusteringResult.membership_matrix",
+    "linalg/lanczos.py::LanczosResult.reconstruct",
+    "mapreduce/engine.py::MapReduceEngine.jobs_run",
+    "mapreduce/engine.py::MapReduceEngine.total_shuffle_bytes",
+    "mapreduce/hive.py::HiveTable.to_array",
+    "relational/catalog.py::Database.drop_table",
+    "relational/operators.py::Compute",
+    "relational/query.py::Query.limit",
+    "relational/query.py::Query.order_by",
+    "relational/query.py::QueryResultSet.to_array",
+    "relational/schema.py::Schema.from_pairs",
+    "relational/schema.py::Schema.prefixed",
+    "relational/schema.py::Schema.rename",
+    "rlang/dataframe.py::DataFrame.order_by",
+})
+
+#: Rules that read the whole tree (:func:`lint_repo`), not one file.
+REPO_RULES = ("single-lanczos-site", "no-caller")
+
 ALL_RULES = (
     "raw-lambda-predicate",
     "decode-in-fast-path",
@@ -90,6 +149,7 @@ ALL_RULES = (
     "fragment-state-mutation",
     "bare-except",
     "plan-dataclass-eq",
+    *REPO_RULES,
 )
 
 
@@ -255,8 +315,8 @@ class _Checker(ast.NodeVisitor):
             self._hit(
                 node, "fragment-state-mutation",
                 f"nonlocal {', '.join(node.names)} inside a per-node worker "
-                "— rebinding driver state from worker threads races; return "
-                "the value instead",
+                "— a fragment sees only its node's partition and must not "
+                "rebind driver state; return the value instead",
             )
 
     def visit_Global(self, node: ast.Global) -> None:
@@ -264,7 +324,7 @@ class _Checker(ast.NodeVisitor):
             self._hit(
                 node, "fragment-state-mutation",
                 f"global {', '.join(node.names)} inside a per-node worker — "
-                "mutating module state from worker threads races",
+                "a fragment must not mutate module state",
             )
 
     def _check_worker_target(self, target: ast.AST, node: ast.AST) -> None:
@@ -274,7 +334,7 @@ class _Checker(ast.NodeVisitor):
             self._hit(
                 node, "fragment-state-mutation",
                 f"assignment to self.{target.attr} inside a per-node worker "
-                "— mutating shared driver state from worker threads races",
+                "— a fragment must not mutate shared driver state",
             )
 
     def visit_Assign(self, node: ast.Assign) -> None:
@@ -351,6 +411,105 @@ def lint_paths(paths: list[Path]) -> tuple[list[Violation], int]:
     return violations, len(files)
 
 
+# --------------------------------------------------------------------------- #
+# Whole-tree rules
+# --------------------------------------------------------------------------- #
+
+def _parsed(root: Path, top: str) -> list[tuple[Path, ast.Module]]:
+    return [(path, ast.parse(path.read_text(), filename=str(path)))
+            for path in sorted((root / top).rglob("*.py"))]
+
+
+def _lanczos_sites(sources: list[tuple[Path, ast.Module]]) -> list[Violation]:
+    """Every ``lanczos_eigsh(...)`` call in ``sources`` outside :data:`LANCZOS_SITE`."""
+    suffix, site = LANCZOS_SITE
+    violations = []
+
+    def walk(path: Path, node: ast.AST, function: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                walk(path, child, function or child.name)
+                continue
+            called = child.func if isinstance(child, ast.Call) else None
+            name = getattr(called, "id", None) or getattr(called, "attr", None)
+            in_site = function == site and path.as_posix().endswith(suffix)
+            if name == "lanczos_eigsh" and not in_site:
+                violations.append(Violation(
+                    path, child.lineno, "single-lanczos-site",
+                    f"lanczos_eigsh() called from {function or 'module level'}; Lanczos "
+                    f"SVD is written once, in {site}() of {suffix} — hand it an operand",
+                ))
+            walk(path, child, function)
+
+    for path, tree in sources:
+        walk(path, tree, None)
+    return violations
+
+
+def _public_definitions(tree: ast.Module):
+    """``(qualified name, node)`` of public functions, classes and methods."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if isinstance(node, defs) and not node.name.startswith("_"):
+            yield node.name, node
+            for member in node.body if isinstance(node, ast.ClassDef) else []:
+                if isinstance(member, defs[:2]) and not member.name.startswith("_"):
+                    yield f"{node.name}.{member.name}", member
+
+
+def _callerless(root: Path, trees: dict[str, list[tuple[Path, ast.Module]]]) -> list[Violation]:
+    """Public names under ``src/repro`` nothing outside the tests refers to.
+
+    A reference is an identifier, an attribute access or a whole string
+    constant (``__all__`` entries, ``spans.py`` bindings, ``getattr``
+    dispatch) equal to the name, anywhere in :data:`CALLER_DIRS` outside the
+    definition's own lines.
+    """
+    references: dict[str, list[tuple[Path, int]]] = {}
+    for parsed in trees.values():
+        for path, tree in parsed:
+            if path.name.startswith("test_"):
+                continue
+            for node in ast.walk(tree):
+                name = (node.id if isinstance(node, ast.Name)
+                        else node.attr if isinstance(node, ast.Attribute)
+                        else node.value if isinstance(node, ast.Constant) else None)
+                if isinstance(name, str):
+                    references.setdefault(name, []).append((path, node.lineno))
+
+    package = root / "src" / "repro"
+    baseline = NO_CALLER_BASELINE if root == REPO_ROOT else frozenset()
+    violations, flagged = [], set()
+    for path, tree in trees["src"]:
+        if package not in path.parents:
+            continue
+        for qualified, node in _public_definitions(tree):
+            inside = range(node.lineno, node.end_lineno + 1)
+            if any(where != path or line not in inside
+                   for where, line in references.get(node.name, ())):
+                continue
+            key = f"{path.relative_to(package).as_posix()}::{qualified}"
+            flagged.add(key)
+            if key not in baseline:
+                violations.append(Violation(
+                    path, node.lineno, "no-caller",
+                    f"{qualified} has no caller outside tests in "
+                    f"{', '.join(CALLER_DIRS)}; delete it (and the tests of it alone)",
+                ))
+    for key in sorted(baseline - flagged):
+        violations.append(Violation(
+            Path(__file__), 0, "no-caller",
+            f"stale NO_CALLER_BASELINE entry {key}: it has a caller now, or is gone",
+        ))
+    return violations
+
+
+def lint_repo(root: Path = REPO_ROOT) -> list[Violation]:
+    """Run the whole-tree rules (:data:`REPO_RULES`) over the tree at ``root``."""
+    trees = {top: _parsed(root, top) for top in CALLER_DIRS}
+    return _lanczos_sites(trees["src"]) + _callerless(root, trees)
+
+
 def decode_pragma_count() -> int:
     """Blessed full-decode sites under ``src/`` (one: ``Encoding.values``)."""
     return sum(
@@ -391,18 +550,27 @@ def write_summary(path: Path, violations: list[Violation], n_files: int) -> None
 def run_self_test() -> int:
     """Each fixture file declares its expected hits in a header comment."""
     failures: list[str] = []
+    repo_fixture = FIXTURE_DIR / REPO_FIXTURE
     fixtures = sorted(FIXTURE_DIR.rglob("*.py"))
     if not fixtures:
         print(f"self-test: no fixtures under {FIXTURE_DIR}", file=sys.stderr)
         return 1
     covered: set[str] = set()
-    for fixture in fixtures:
-        expected = _expected_rules(fixture)
-        got = [v.rule for v in lint_file(fixture)]
+    # Files of the miniature tree state what the whole-tree rules must
+    # report at their own lines; every other fixture is linted alone.
+    in_tree = [f for f in fixtures if repo_fixture in f.parents]
+    checks = [(f.name, _expected_rules(f), lint_file(f))
+              for f in fixtures if f not in in_tree]
+    if in_tree:
+        tree_hits = lint_repo(repo_fixture)
+        checks += [(f"{REPO_FIXTURE}/{f.relative_to(repo_fixture)}", _expected_rules(f),
+                    [v for v in tree_hits if v.path == f]) for f in in_tree]
+    for name, expected, hits in checks:
+        got = [v.rule for v in hits]
         covered.update(got)
         if sorted(got) != sorted(expected):
             failures.append(
-                f"{fixture.name}: expected rules {sorted(expected)}, "
+                f"{name}: expected rules {sorted(expected)}, "
                 f"linter fired {sorted(got)}"
             )
     missing = set(ALL_RULES) - covered
@@ -430,8 +598,9 @@ def _expected_rules(fixture: Path) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("paths", nargs="*", default=list(DEFAULT_PATHS),
-                        help="files or directories to lint (default: %(default)s)")
+    parser.add_argument("paths", nargs="*",
+                        help=f"files or directories to lint (default: {' '.join(DEFAULT_PATHS)}"
+                             ", plus the whole-tree rules)")
     parser.add_argument("--self-test", action="store_true",
                         help="run every rule against its fixtures and exit")
     parser.add_argument("--summary", type=Path, default=None,
@@ -442,8 +611,10 @@ def main(argv: list[str] | None = None) -> int:
         return run_self_test()
 
     paths = [REPO_ROOT / p if not Path(p).is_absolute() else Path(p)
-             for p in options.paths]
+             for p in options.paths or DEFAULT_PATHS]
     violations, n_files = lint_paths(paths)
+    if not options.paths:
+        violations += lint_repo()
     for violation in violations:
         print(violation.render())
     if options.summary is not None:
