@@ -164,35 +164,16 @@ class ChunkedArray:
             yield (block, chunk.mask, slice(row_offset, row_offset + block.shape[0]),
                    slice(col_offset, col_offset + block.shape[1]))
 
-    def _checked_vector(self, vector: np.ndarray, expected: int) -> np.ndarray:
-        vector = np.asarray(vector, dtype=np.float64)
-        if len(vector) != expected:
-            raise ValueError(f"vector has length {len(vector)}, expected {expected}")
-        return vector
-
-    def matvec(self, vector: np.ndarray) -> np.ndarray:
-        """``A x``, one GEMV per chunk — the array is never densified."""
-        n_rows, n_cols = self._matrix_shape()
-        vector = self._checked_vector(vector, n_cols)
-        result = np.zeros(n_rows)
-        for block, _mask, rows, cols in self._matrix_chunks():
-            result[rows] += block @ vector[cols]
-        return result
-
-    def rmatvec(self, vector: np.ndarray) -> np.ndarray:
-        """``Aᵀ x``, one GEMV per chunk."""
-        n_rows, n_cols = self._matrix_shape()
-        vector = self._checked_vector(vector, n_rows)
-        result = np.zeros(n_cols)
-        for block, _mask, rows, cols in self._matrix_chunks():
-            result[cols] += block.T @ vector[rows]
-        return result
-
     def matmat(self, dense_right: np.ndarray) -> np.ndarray:
-        """``A B``, as one chunk-wise :meth:`matvec` per column of ``B``."""
-        return np.column_stack([
-            self.matvec(dense_right[:, i]) for i in range(dense_right.shape[1])
-        ])
+        """``A B`` in one pass over the stored chunks, one GEMM per chunk."""
+        n_rows, n_cols = self._matrix_shape()
+        dense_right = np.asarray(dense_right, dtype=np.float64)
+        if dense_right.ndim != 2 or dense_right.shape[0] != n_cols:
+            raise ValueError(f"right operand has shape {dense_right.shape}, expected ({n_cols}, k)")
+        result = np.zeros((n_rows, dense_right.shape[1]))
+        for block, _mask, rows, cols in self._matrix_chunks():
+            result[rows] += block @ dense_right[cols]
+        return result
 
     def gram(self, center: bool = False) -> np.ndarray:
         """``AᵀA`` (optionally of the column-centred array), chunk-wise.

@@ -7,7 +7,7 @@ ScaLAPACK.  This module provides both paths:
 * :func:`covariance` and :func:`lanczos_svd_chunked` hand the array itself
   to the shared kernels of :mod:`repro.linalg` — a
   :class:`~repro.arraydb.array.ChunkedArray` is a kernel operand whose
-  ``matvec`` / ``gram`` stream chunk blocks through numpy and accumulate,
+  ``gram`` / ``matmat`` stream chunk blocks through numpy and accumulate,
   never materialising the whole array on one side — and
 * :func:`to_scalapack`, the explicit conversion from the DBMS's chunked
   layout to the dense layout the external solver wants (the "O(N)
@@ -39,10 +39,10 @@ def covariance(array: ChunkedArray, ddof: int = 1) -> np.ndarray:
 
 
 def lanczos_svd_chunked(array: ChunkedArray, k: int = 50, seed: int = 0) -> LanczosResult:
-    """Truncated SVD of a 2-D chunked array via Lanczos on chunk-wise matvecs.
+    """Truncated SVD of a 2-D chunked array via Lanczos on its chunk-wise Gram matrix.
 
-    The Lanczos recurrence only needs ``Aᵀ (A v)`` products, so the array is
-    never converted to the external dense layout — this is SciDB's "native"
-    analytics path.
+    The Gram matrix and the left vectors each take one pass over the stored
+    chunks, so the array is never converted to the external dense layout —
+    this is SciDB's "native" analytics path.
     """
     return truncated_svd(array, k, seed)

@@ -4,8 +4,10 @@ pbdR partitions matrices across nodes and calls ScaLAPACK, whose routines
 work on block-distributed data and communicate partial results.  The
 :class:`DistributedMatrix` here is row-block distributed across a
 :class:`~repro.cluster.cluster.Cluster` and is a kernel operand
-(:mod:`repro.linalg.operand`): ``matvec`` / ``rmatvec`` broadcast the vector
-and reduce per-node partials, ``gram`` all-reduces per-node Gram matrices.
+(:mod:`repro.linalg.operand`): ``matmat`` broadcasts the right-hand side
+once and dispatches once, ``gram`` all-reduces per-node Gram matrices — so a
+``truncated_svd`` is one all-reduce and one broadcast, whatever the number of
+Lanczos steps.
 The :class:`ScaLAPACK` facade is what the GenBase queries call:
 
 * ``covariance`` and ``lanczos_svd`` — the shared kernels of
@@ -77,45 +79,17 @@ class DistributedMatrix:
 
     # -- kernel operand (see repro.linalg.operand) ------------------------------------
 
-    def _broadcast(self, vector: np.ndarray) -> np.ndarray:
-        """Send a driver-side vector to every node, charging the network."""
-        vector = np.asarray(vector, dtype=np.float64)
+    def matmat(self, dense_right: np.ndarray) -> np.ndarray:
+        """``A B``: broadcast ``B`` once, one GEMM per node, concatenate the row blocks."""
+        dense_right = np.asarray(dense_right, dtype=np.float64)
         if self.cluster.n_nodes > 1:
             self.cluster.network.broadcast(
-                vector, source=0, destinations=list(range(1, self.cluster.n_nodes)),
-                label="broadcast-vector",
+                dense_right, source=0, destinations=list(range(1, self.cluster.n_nodes)),
+                label="broadcast-operand",
             )
-        return vector
-
-    def matvec(self, vector: np.ndarray) -> np.ndarray:
-        """``A x``: broadcast ``x``, one GEMV per node, concatenate the row blocks."""
-        vector = self._broadcast(vector)
         result = self.cluster.map_partitions(
-            self.partitions,
-            lambda part, _node: part @ vector if part.size else np.zeros(0),
-        )
-        return np.concatenate([np.asarray(block).ravel() for block in result.outputs])
-
-    def rmatvec(self, vector: np.ndarray) -> np.ndarray:
-        """``Aᵀ x``: ``x`` is split like the rows; per-node partials are all-reduced."""
-        vector = self._broadcast(vector)
-        offsets = np.cumsum([0] + [part.shape[0] for part in self.partitions])
-        paired = [
-            (part, vector[offsets[i]:offsets[i + 1]])
-            for i, part in enumerate(self.partitions)
-        ]
-        result = self.cluster.map_partitions(
-            paired,
-            lambda data, _node: (data[0].T @ data[1]
-                                 if data[0].size else np.zeros(self.n_columns)),
-        )
-        return self.cluster.all_reduce_sum([np.asarray(block) for block in result.outputs])
-
-    def matmat(self, dense_right: np.ndarray) -> np.ndarray:
-        """``A B`` as one :meth:`matvec` (one broadcast) per column of ``B``."""
-        return np.column_stack([
-            self.matvec(dense_right[:, i]) for i in range(dense_right.shape[1])
-        ])
+            self.partitions, lambda part, _node: part @ dense_right)
+        return np.concatenate(result.outputs)
 
     def gram(self, center: bool = False) -> np.ndarray:
         """``AᵀA`` (pdgemm-style): per-node Gram partials, all-reduced.
@@ -212,5 +186,5 @@ class ScaLAPACK:
         )
 
     def lanczos_svd(self, matrix: DistributedMatrix, k: int = 50, seed: int = 0) -> LanczosResult:
-        """Distributed truncated SVD: Lanczos with distributed matvecs."""
+        """Distributed truncated SVD: Lanczos on the all-reduced Gram matrix."""
         return truncated_svd(matrix, k, seed)

@@ -10,8 +10,11 @@ the paper observes between systems:
   :func:`repro.linalg.covariance.covariance` and
   :func:`repro.linalg.lanczos.truncated_svd` run unchanged on a dense
   matrix, the array DBMS's chunks or the cluster's row blocks, so the
-  engines differ in what a ``matvec`` / ``gram`` costs and who is charged
-  for it, not in the algorithm.
+  engines differ in what a ``gram`` / ``matmat`` costs and who is charged
+  for it, not in the algorithm.  No kernel of this tier loops in Python
+  over genes, tie groups or columns, or re-reads its input per iteration;
+  each docstring states the kernel's domain, and a value outside it raises
+  a ``ValueError`` naming the kernel and the argument.
 * **Naive tier** (:mod:`repro.linalg.naive`) — deliberately loop-based,
   interpreter-bound implementations, standing in for Mahout-style code that
   "does not benefit from a sophisticated linear algebra package" and for

@@ -12,6 +12,12 @@ deletion, then grow it back with node addition, mask the found bicluster
 with noise and repeat.  This is the algorithm most biclustering packages
 (including the R ``biclust`` package the original GenBase scripts use)
 implement as their reference method.
+
+Supported domain: a finite float64 matrix (a non-finite cell raises
+``ValueError``); a matrix smaller than ``min_rows × min_cols`` has no
+bicluster.  Each deletion round computes the residue matrix of the current
+block once (:func:`_residues`) and reads the MSR, the row scores and the
+column scores off it.
 """
 
 from __future__ import annotations
@@ -80,20 +86,15 @@ def mean_squared_residue(block: np.ndarray) -> float:
     block = np.asarray(block, dtype=np.float64)
     if block.size == 0:
         return 0.0
-    row_means = block.mean(axis=1, keepdims=True)
-    col_means = block.mean(axis=0, keepdims=True)
-    overall = block.mean()
-    residue = block - row_means - col_means + overall
-    return float(np.mean(residue ** 2))
+    return _residues(block)[0]
 
 
-def _row_col_residues(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row and per-column mean squared residue contributions."""
+def _residues(block: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """The block's MSR and its per-row and per-column means, from one residue matrix."""
     row_means = block.mean(axis=1, keepdims=True)
     col_means = block.mean(axis=0, keepdims=True)
-    overall = block.mean()
-    residue = (block - row_means - col_means + overall) ** 2
-    return residue.mean(axis=1), residue.mean(axis=0)
+    squared = (block - row_means - col_means + block.mean()) ** 2
+    return float(squared.mean()), squared.mean(axis=1), squared.mean(axis=0)
 
 
 def _single_node_deletion(
@@ -108,10 +109,9 @@ def _single_node_deletion(
     rows = rows.copy()
     cols = cols.copy()
     while len(rows) > min_rows and len(cols) > min_cols:
-        block = matrix[np.ix_(rows, cols)]
-        if mean_squared_residue(block) <= delta:
+        msr, row_res, col_res = _residues(matrix[np.ix_(rows, cols)])
+        if msr <= delta:
             break
-        row_res, col_res = _row_col_residues(block)
         worst_row = int(np.argmax(row_res))
         worst_col = int(np.argmax(col_res))
         if row_res[worst_row] >= col_res[worst_col] and len(rows) > min_rows:
@@ -143,20 +143,17 @@ def _multiple_node_deletion(
     changed = True
     while changed and len(rows) > min_rows and len(cols) > min_cols:
         changed = False
-        block = matrix[np.ix_(rows, cols)]
-        msr = mean_squared_residue(block)
+        msr, row_res, col_res = _residues(matrix[np.ix_(rows, cols)])
         if msr <= delta:
             break
-        row_res, col_res = _row_col_residues(block)
         keep_rows = row_res <= alpha * msr
         if keep_rows.sum() >= min_rows and not keep_rows.all():
             rows = rows[keep_rows]
             changed = True
-        block = matrix[np.ix_(rows, cols)]
-        msr = mean_squared_residue(block)
-        if msr <= delta:
-            break
-        _, col_res = _row_col_residues(block)
+            # The column scores are of the block the rows just left.
+            msr, _, col_res = _residues(matrix[np.ix_(rows, cols)])
+            if msr <= delta:
+                break
         keep_cols = col_res <= alpha * msr
         if keep_cols.sum() >= min_cols and not keep_cols.all():
             cols = cols[keep_cols]
@@ -234,6 +231,8 @@ def cheng_church(
     working = np.array(matrix, dtype=np.float64, copy=True)
     if working.ndim != 2:
         raise ValueError("cheng_church expects a 2-D matrix")
+    if not np.isfinite(working).all():
+        raise ValueError("cheng_church: matrix must be finite (found NaN or infinity)")
     n_rows, n_cols = working.shape
     if n_rows < min_rows or n_cols < min_cols:
         return BiclusteringResult(biclusters=[])

@@ -74,20 +74,25 @@ def top_covariant_pairs(
     threshold, e.g. top 10%").
 
     Args:
-        cov: square covariance matrix.
+        cov: square covariance matrix of finite float64 values.
         fraction: fraction of (unordered) off-diagonal pairs to keep.
         absolute: rank by absolute covariance when True (the biological
             motivation counts strong negative covariance as interesting too).
 
     Returns:
         ``(gene_a, gene_b, value)`` arrays for the selected pairs, sorted by
-        decreasing ranking score; ``gene_a < gene_b`` for every pair.
+        decreasing ranking score; ``gene_a < gene_b`` for every pair (none
+        below two genes).  Which of several pairs tied exactly at the cut
+        survive is unspecified.  A non-square or non-finite ``cov`` (a NaN
+        would outrank every real covariance) raises ``ValueError``.
     """
     cov = np.asarray(cov, dtype=np.float64)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
         raise ValueError("top_covariant_pairs expects a square matrix")
     if not 0.0 < fraction <= 1.0:
         raise ValueError("fraction must be in (0, 1]")
+    if not np.isfinite(cov).all():
+        raise ValueError("top_covariant_pairs: cov must be finite (found NaN or infinity)")
     n = cov.shape[0]
     if n < 2:
         return (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0))
@@ -96,5 +101,7 @@ def top_covariant_pairs(
     values = cov[row_idx, col_idx]
     scores = np.abs(values) if absolute else values
     n_keep = max(1, int(np.ceil(fraction * len(values))))
-    order = np.argsort(scores)[::-1][:n_keep]
+    # Select the survivors in linear time, then sort only them.
+    kept = np.argpartition(scores, len(scores) - n_keep)[len(scores) - n_keep:]
+    order = kept[np.argsort(scores[kept])[::-1]]
     return row_idx[order], col_idx[order], values[order]

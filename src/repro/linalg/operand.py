@@ -5,10 +5,11 @@
 with
 
 * ``shape`` — ``(m, n)``,
-* ``matvec(v)`` — ``A @ v`` for a length-``n`` vector,
-* ``rmatvec(v)`` — ``Aᵀ @ v`` for a length-``m`` vector,
 * ``matmat(B)`` — ``A @ B`` for a dense ``(n, k)`` matrix,
 * ``gram(center=False)`` — ``AᵀA``, of the column-centred matrix when asked.
+
+Both are one pass over the data and neither kernel asks for more than one of
+each: the covariance is a centred Gram, the SVD iterates on the Gram matrix.
 
 Three classes do: :class:`DenseOperand` here (one BLAS call per method),
 :class:`repro.arraydb.array.ChunkedArray` (streams its chunks, never
@@ -36,12 +37,6 @@ class DenseOperand:
     def T(self) -> "DenseOperand":
         """The transposed operand (a view, no copy)."""
         return DenseOperand(self.matrix.T)
-
-    def matvec(self, vector: np.ndarray) -> np.ndarray:
-        return self.matrix @ vector
-
-    def rmatvec(self, vector: np.ndarray) -> np.ndarray:
-        return self.matrix.T @ vector
 
     def matmat(self, dense_right: np.ndarray) -> np.ndarray:
         return self.matrix @ dense_right

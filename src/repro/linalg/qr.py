@@ -13,7 +13,8 @@ The from-scratch QR is the reference implementation; engines that model a
 BLAS-backed system may pass ``method="lapack"`` to use numpy's LAPACK QR,
 which produces the same coefficients to numerical precision but runs much
 faster — exactly the gap the paper attributes to tuned linear algebra
-packages.
+packages.  An overdetermined LAPACK solve never forms ``Q``: the R factor of
+``[X | y]`` carries ``Qᵀy`` in its last column.
 """
 
 from __future__ import annotations
@@ -194,21 +195,22 @@ def lstsq_qr(
     if method not in ("householder", "lapack"):
         raise ValueError(f"unknown QR method {method!r}")
 
-    def factorize(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if method == "householder":
-            return householder_qr(matrix)
-        return np.linalg.qr(matrix, mode="reduced")
-
     m, n = design.shape
     if m >= n:
-        q, r = factorize(design)
+        if method == "householder":
+            q, r = householder_qr(design)
+            rhs = q.T @ target
+        else:
+            # The first n reflectors of [X | y] are those of X, and applying
+            # them to y is the last column: R of X and Qᵀy, with no explicit Q.
+            augmented = np.linalg.qr(np.column_stack([design, target]), mode="r")
+            r, rhs = augmented[:n, :n], augmented[:n, n]
         diag = np.abs(np.diag(r))
         rank = int(np.sum(diag > _pivot_tolerance(diag, max(design.shape))))
-        beta = _back_substitute(r, q.T @ target)
-        return beta, rank
+        return _back_substitute(r, rhs), rank
 
     # Underdetermined: minimum-norm solution via QR of the transpose.
-    q, r = factorize(design.T)
+    q, r = householder_qr(design.T) if method == "householder" else np.linalg.qr(design.T)
     diag = np.abs(np.diag(r))
     rank = int(np.sum(diag > _pivot_tolerance(diag, max(design.shape))))
     z = _forward_substitute(r.T, target)

@@ -8,6 +8,18 @@ Wilcoxon rank-sum (Mann–Whitney U) statistical test (Section 3.2.5).
 The implementation uses the normal approximation with tie correction and a
 continuity correction — the same default as R's ``wilcox.test`` for sample
 sizes beyond the exact-distribution range, which all benchmark sizes are.
+
+Every term of :func:`enrichment_analysis` tests *inside vs outside* over the
+same pooled scores, so the midranks and their tie correction are computed
+once (one ``argsort``, run boundaries by comparison — no interpreted loop over
+genes or tie groups), every term's rank sum is one product ``ranks @
+membership``, and only the scalar U → z → p formula runs per term.  Midranks
+are half-integers, so those sums are exact and the result is bit-for-bit
+what one :func:`rank_sum_test` per term returns.
+
+Supported domain: finite float64 scores, any number of ties; a non-finite
+score raises ``ValueError``.  A term holding every gene or none, and samples
+whose scores are all equal, are answered p = 1, z = 0.
 """
 
 from __future__ import annotations
@@ -70,50 +82,31 @@ class EnrichmentResult:
 def _rank_with_ties(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Return midranks of ``values`` and the sizes of each tie group."""
     order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(len(values), dtype=np.float64)
     sorted_values = values[order]
-    tie_sizes = []
-    i = 0
-    n = len(values)
-    while i < n:
-        j = i
-        while j + 1 < n and sorted_values[j + 1] == sorted_values[i]:
-            j += 1
-        # midrank for the tie group spanning positions i..j (0-based)
-        midrank = (i + j) / 2.0 + 1.0
-        ranks[order[i:j + 1]] = midrank
-        tie_sizes.append(j - i + 1)
-        i = j + 1
-    return ranks, np.asarray(tie_sizes, dtype=np.float64)
+    # A tie group starts wherever a sorted value differs from the one before it.
+    changes = np.flatnonzero(sorted_values[1:] != sorted_values[:-1]) + 1
+    starts = np.concatenate(([0], changes))
+    tie_sizes = np.diff(np.append(starts, len(values)))
+    # A group on 0-based positions i..j has midrank (i + j) / 2 + 1.
+    ranks = np.empty(len(values), dtype=np.float64)
+    ranks[order] = np.repeat(starts + (tie_sizes - 1) / 2.0 + 1.0, tie_sizes)
+    return ranks, tie_sizes.astype(np.float64)
 
 
-def rank_sum_test(first: np.ndarray, second: np.ndarray) -> WilcoxonResult:
-    """Two-sided Wilcoxon rank-sum (Mann–Whitney U) test.
+def _finite(kernel: str, argument: str, values: np.ndarray) -> np.ndarray:
+    if not np.isfinite(values).all():
+        raise ValueError(f"{kernel}: {argument} must be finite (found NaN or infinity)")
+    return values
 
-    Args:
-        first: sample of values for the group of interest (e.g. the genes in
-            a GO term, scored by expression).
-        second: sample for the complement group.
 
-    Returns:
-        A :class:`WilcoxonResult`.  With an empty sample the test is
-        undefined and a ``ValueError`` is raised.
-    """
-    first = np.asarray(first, dtype=np.float64).ravel()
-    second = np.asarray(second, dtype=np.float64).ravel()
-    n1, n2 = len(first), len(second)
-    if n1 == 0 or n2 == 0:
-        raise ValueError("both samples must be non-empty for the rank-sum test")
-
-    combined = np.concatenate([first, second])
-    ranks, tie_sizes = _rank_with_ties(combined)
-    rank_sum_first = float(ranks[:n1].sum())
-
+def _normal_approximation(
+    rank_sum_first: float, n1: int, n2: int, tie_term: float
+) -> WilcoxonResult:
+    """U, z and two-sided p from the first sample's pooled rank sum; ``tie_term`` is Σ(t³ − t)."""
     u_statistic = rank_sum_first - n1 * (n1 + 1) / 2.0
     mean_u = n1 * n2 / 2.0
 
     n = n1 + n2
-    tie_term = float(np.sum(tie_sizes ** 3 - tie_sizes))
     variance = n1 * n2 / 12.0 * ((n + 1) - tie_term / (n * (n - 1))) if n > 1 else 0.0
 
     if variance <= 0:
@@ -136,6 +129,29 @@ def rank_sum_test(first: np.ndarray, second: np.ndarray) -> WilcoxonResult:
     )
 
 
+def rank_sum_test(first: np.ndarray, second: np.ndarray) -> WilcoxonResult:
+    """Two-sided Wilcoxon rank-sum (Mann–Whitney U) test.
+
+    Args:
+        first: sample of values for the group of interest (e.g. the genes in
+            a GO term, scored by expression).
+        second: sample for the complement group.
+
+    Returns:
+        A :class:`WilcoxonResult`.  An empty sample (the test is undefined)
+        or a non-finite value raises ``ValueError``; ties are allowed.
+    """
+    first = _finite("rank_sum_test", "first", np.asarray(first, dtype=np.float64).ravel())
+    second = _finite("rank_sum_test", "second", np.asarray(second, dtype=np.float64).ravel())
+    n1, n2 = len(first), len(second)
+    if n1 == 0 or n2 == 0:
+        raise ValueError("both samples must be non-empty for the rank-sum test")
+
+    ranks, tie_sizes = _rank_with_ties(np.concatenate([first, second]))
+    tie_term = float(np.sum(tie_sizes ** 3 - tie_sizes))
+    return _normal_approximation(float(ranks[:n1].sum()), n1, n2, tie_term)
+
+
 def enrichment_analysis(
     gene_scores: np.ndarray,
     membership: np.ndarray,
@@ -153,10 +169,12 @@ def enrichment_analysis(
         alpha: significance level for the ``significant`` mask.
 
     Returns:
-        An :class:`EnrichmentResult` over all testable terms.  Terms where
-        every gene (or no gene) is a member are reported with p-value 1.0.
+        An :class:`EnrichmentResult` over all terms.  Terms where every gene
+        (or no gene) is a member are reported with p-value 1.0 and z-score 0.
+        Mismatched shapes or a non-finite score raise ``ValueError``.
     """
-    gene_scores = np.asarray(gene_scores, dtype=np.float64).ravel()
+    gene_scores = _finite(
+        "enrichment_analysis", "gene_scores", np.asarray(gene_scores, dtype=np.float64).ravel())
     membership = np.asarray(membership)
     if membership.ndim != 2:
         raise ValueError("membership must be a 2-D gene x GO-term matrix")
@@ -171,16 +189,21 @@ def enrichment_analysis(
     if len(go_ids) != n_terms:
         raise ValueError("go_ids length must match the number of membership columns")
 
+    # One pooled ranking serves every term: only the members' rank sum differs.
+    n_genes = len(gene_scores)
+    ranks, tie_sizes = _rank_with_ties(gene_scores)
+    tie_term = float(np.sum(tie_sizes ** 3 - tie_sizes))
+    members = (membership != 0).astype(np.float64)
+    member_counts = members.sum(axis=0).astype(np.intp).tolist()
+    member_rank_sums = (ranks @ members).tolist()
+
     p_values = np.ones(n_terms, dtype=np.float64)
     z_scores = np.zeros(n_terms, dtype=np.float64)
-    for term_index in range(n_terms):
-        members = membership[:, term_index] != 0
-        n_members = int(members.sum())
-        if n_members == 0 or n_members == len(gene_scores):
+    for term_index, (n_members, rank_sum) in enumerate(
+            zip(member_counts, member_rank_sums, strict=True)):
+        if n_members == 0 or n_members == n_genes:
             continue
-        inside = gene_scores[members]
-        outside = gene_scores[~members]
-        result = rank_sum_test(inside, outside)
+        result = _normal_approximation(rank_sum, n_members, n_genes - n_members, tie_term)
         p_values[term_index] = result.p_value
         z_scores[term_index] = result.z_score
 

@@ -1,17 +1,20 @@
-"""Print the Q2 / Q4 kernel pins of whatever ``repro`` is on ``PYTHONPATH``, as JSON.
+"""Print the kernel pins of whatever ``repro`` is on ``PYTHONPATH``, as JSON.
 
-Q2 covariance matrices and Q4 singular triplets on the stock ``tiny`` …
-``xlarge`` matrices, through each engine family's entry point (dense, chunked,
-distributed on 1 / 2 / 4 nodes), as SHA-256 digests, plus a canary that
-identifies the BLAS kernels in use.  ``tests/data/kernel_pins.json`` is this
-script's output on a clone of the commit *before* the kernels were written
-once over an operand::
+On the stock ``tiny`` … ``xlarge`` matrices, as SHA-256 digests: Q2 covariance
+matrices and Q4 singular triplets through each engine family's entry point
+(dense, chunked, distributed on 1 / 2 / 4 nodes), and under ``"driver"`` the
+kernels every engine runs on a dense matrix — Q2's top pairs, Q3's bicluster
+membership, Q5's p-values and z-scores (digests) and Q1's fit and Q3's MSRs
+(numbers, compared to 1e-12) — plus a canary that identifies the BLAS kernels
+in use.  ``tests/data/kernel_pins.json`` is this script's output::
 
-    OPENBLAS_NUM_THREADS=1 PYTHONPATH=<that clone>/src python tests/kernel_pins.py \\
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/kernel_pins.py \\
         > tests/data/kernel_pins.json
 
-and ``test_kernel_operands.py`` runs it on this tree.  It therefore imports
-only the six entry points both sides have.
+recorded at the commit that made Lanczos run on the Gram matrix; against a
+clone of its parent only the Q4 rows differ (CHANGES.md, PR 22), and
+``test_kernel_operands.py`` runs it on this tree.  It imports only entry
+points both sides have.
 """
 
 from __future__ import annotations
@@ -23,11 +26,19 @@ import numpy as np
 
 from repro.arraydb import ChunkedArray, linalg as array_linalg
 from repro.cluster import Cluster, DistributedMatrix, ScaLAPACK
-from repro.core.queries import covariance_patient_ids, selected_gene_ids
+from repro.core.queries import (
+    bicluster_patient_ids,
+    covariance_patient_ids,
+    selected_gene_ids,
+    statistics_patient_ids,
+)
 from repro.core.spec import default_parameters
 from repro.datagen import GenBaseDataset
-from repro.linalg.covariance import covariance_matrix
+from repro.linalg.biclustering import cheng_church
+from repro.linalg.covariance import covariance_matrix, top_covariant_pairs
 from repro.linalg.lanczos import lanczos_svd
+from repro.linalg.qr import linear_regression
+from repro.linalg.wilcoxon import enrichment_analysis
 
 PIN_SIZES = ("tiny", "small", "medium", "large", "xlarge")
 PIN_SEED = 42  # the benchmark's first seed
@@ -37,12 +48,6 @@ SCIDB_CHUNK = 128  # SciDBEngine.chunk_size
 
 def _digest(array: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(array, dtype=np.float64).tobytes()).hexdigest()
-
-
-def _unit_columns(vectors: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(vectors, axis=0)
-    norms[norms == 0] = 1.0
-    return vectors / norms
 
 
 def _entry_points(operand: str, matrix: np.ndarray):
@@ -62,9 +67,8 @@ def _entry_points(operand: str, matrix: np.ndarray):
             lambda k, seed: ScaLAPACK(cluster).lanczos_svd(distributed, k=k, seed=seed))
 
 
-def _query_matrices(size: str):
+def _query_matrices(dataset: GenBaseDataset):
     """The matrices Q2 and Q4 hand their kernels, and Q4's ``k`` and seed."""
-    dataset = GenBaseDataset.generate(size, seed=PIN_SEED)
     parameters = default_parameters(dataset.spec)
     q2 = dataset.expression_matrix[covariance_patient_ids(dataset, parameters), :]
     genes = selected_gene_ids(dataset, parameters)
@@ -83,9 +87,33 @@ def _pins_for(q2, q4, k, seed, operand: str) -> dict:
         "singular_values": _digest(result.singular_values),
         "left_vectors": _digest(result.left_vectors),
         "right_vectors": _digest(result.right_vectors),
-        # The dense copy divided the Ritz vectors lanczos_eigsh had already
-        # normalised by their norms once more; the shared kernel does not.
-        "right_vectors_renormalised": _digest(_unit_columns(result.right_vectors)),
+    }
+
+
+def _driver_pins(dataset: GenBaseDataset) -> dict:
+    """Q1, Q2's top pairs, Q3 and Q5 as ``ReferenceImplementation`` calls them."""
+    parameters = default_parameters(dataset.spec)
+    expression = dataset.expression_matrix
+    fit = linear_regression(expression[:, selected_gene_ids(dataset, parameters)],
+                            dataset.patients.drug_response, method="lapack")
+    cov = covariance_matrix(expression[covariance_patient_ids(dataset, parameters), :])
+    gene_a, gene_b, values = top_covariant_pairs(
+        cov, fraction=parameters.covariance_top_fraction)
+    biclusters = cheng_church(
+        expression[bicluster_patient_ids(dataset, parameters), :],
+        n_biclusters=parameters.n_biclusters, seed=parameters.seed).biclusters
+    enrichment = enrichment_analysis(
+        expression[statistics_patient_ids(dataset, parameters), :].mean(axis=0),
+        dataset.ontology.membership, alpha=parameters.statistics_alpha)
+    return {
+        "q1_r_squared": fit.r_squared, "q1_intercept": fit.intercept,
+        "q1_coefficient_norm": float(np.linalg.norm(fit.coefficients)),
+        "q2_pairs": [_digest(gene_a), _digest(gene_b), _digest(values)],
+        "q3_rows": [_digest(b.rows) for b in biclusters],
+        "q3_columns": [_digest(b.columns) for b in biclusters],
+        "q3_msr": [b.msr for b in biclusters],
+        "q5_p_values": _digest(enrichment.p_values),
+        "q5_z_scores": _digest(enrichment.z_scores),
     }
 
 
@@ -99,8 +127,10 @@ def _canary() -> str:
 def _all_pins() -> dict:
     pins = {}
     for size in PIN_SIZES:
-        matrices = _query_matrices(size)
+        dataset = GenBaseDataset.generate(size, seed=PIN_SEED)
+        matrices = _query_matrices(dataset)
         pins[size] = {operand: _pins_for(*matrices, operand) for operand in PIN_OPERANDS}
+        pins[size]["driver"] = _driver_pins(dataset)
     return {"canary": _canary(), **pins}
 
 

@@ -1,15 +1,16 @@
 """The kernel operand contract: one covariance, one Lanczos SVD, three operands.
 
-* ``TestParentPins`` — this tree's Q2 / Q4 kernel bytes (``kernel_pins.py``)
-  against ``tests/data/kernel_pins.json``, recorded from a clone of the commit
-  before the kernels were written once over an operand: "same bytes as the
-  three hand-written copies".  Bytes depend on the BLAS build and its thread
-  count, so the pins are computed in a child interpreter on one BLAS thread
-  and the test skips when the canary product hashes differently from the
-  recording host's.
-* ``TestOperandContract`` — the operand protocol (``shape``, ``matvec``,
-  ``rmatvec``, ``matmat``, ``gram``) and the two shared kernels against numpy,
-  the independent naive tier and scipy, parametrised over the three operands.
+* ``TestKernelPins`` — this tree's kernel bytes (``kernel_pins.py``) against
+  ``tests/data/kernel_pins.json``: Q2 covariance and Q4 triplets per operand,
+  and the driver-side kernels (Q1 fit, Q2 top pairs, Q3 membership, Q5 p and
+  z).  Everything but the Q4 rows is what a clone of the commit before the
+  kernels stopped looping in Python prints.  Bytes depend on the BLAS build
+  and its thread count, so the pins are computed in a child interpreter on
+  one BLAS thread and the test skips when the canary product hashes
+  differently from the recording host's.
+* ``TestOperandContract`` — the operand protocol (``shape``, ``matmat``,
+  ``gram``) and the two shared kernels against numpy, the independent naive
+  tier and scipy, parametrised over the three operands.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import kernel_pins
 from repro.arraydb import ChunkedArray, linalg as array_linalg
 from repro.arraydb.chunk import Chunk
 from repro.cluster import Cluster, DistributedMatrix, ScaLAPACK
@@ -47,18 +49,30 @@ def computed_pins() -> dict:
     return json.loads(child.stdout)
 
 
-@pytest.mark.parametrize("operand", list(PINNED["tiny"]))
+@pytest.mark.parametrize("entry", list(PINNED["tiny"]))
 @pytest.mark.parametrize("size", [size for size in PINNED if size != "canary"])
-class TestParentPins:
-    def test_same_bytes_as_the_three_hand_written_copies(self, computed_pins, size, operand):
+class TestKernelPins:
+    def test_same_bytes_as_recorded(self, computed_pins, size, entry):
         if computed_pins["canary"] != PINNED["canary"]:
             pytest.skip("kernel_pins.json was recorded on a different BLAS build")
-        computed, pinned = dict(computed_pins[size][operand]), dict(PINNED[size][operand])
-        renormalised = computed.pop("right_vectors_renormalised")
-        pinned.pop("right_vectors_renormalised")
-        if operand == "dense":  # equal up to that one re-normalisation, exactly
-            computed["right_vectors"] = renormalised
+        computed, pinned = dict(computed_pins[size][entry]), dict(PINNED[size][entry])
+        for name in [name for name in pinned if name.startswith(("q1_", "q3_msr"))]:  # numbers
+            np.testing.assert_allclose(computed.pop(name), pinned.pop(name), rtol=1e-12, atol=0)
         assert computed == pinned
+
+
+@pytest.mark.parametrize("size", kernel_pins.PIN_SIZES)
+def test_q4_is_as_accurate_as_lapack_on_the_stock_matrices(size):
+    """Every operand's k triplets against ``np.linalg.svd``, whatever the BLAS."""
+    _, q4, k, seed = kernel_pins._query_matrices(
+        kernel_pins.GenBaseDataset.generate(size, seed=kernel_pins.PIN_SEED))
+    u, s, vt = np.linalg.svd(q4, full_matrices=False)
+    best_rank_k = (u[:, :k] * s[:k]) @ vt[:k]
+    for operand in kernel_pins.PIN_OPERANDS:
+        result = kernel_pins._entry_points(operand, q4)[1](k, seed)
+        np.testing.assert_allclose(result.singular_values, s[:k], rtol=1e-10, err_msg=operand)
+        error = np.linalg.norm(result.reconstruct() - best_rank_k) / np.linalg.norm(q4)
+        assert error <= 1e-10, (operand, error)
 
 
 # --------------------------------------------------------------------------- #
@@ -107,12 +121,12 @@ class TestOperandContract:
     def test_products_match_numpy(self, build, matrix, rng):
         operand = build(matrix)
         assert tuple(operand.shape) == (45, 30)
-        x, y, right = rng.random(30), rng.random(45), rng.random((30, 4))
-        np.testing.assert_allclose(operand.matvec(x), matrix @ x, atol=1e-10)
-        np.testing.assert_allclose(operand.rmatvec(y), matrix.T @ y, atol=1e-10)
-        np.testing.assert_allclose(operand.matmat(right), matrix @ right, atol=1e-10)
+        for right in (rng.random((30, 4)), rng.random((30, 1)), rng.random((30, 0))):
+            product = operand.matmat(right)
+            assert product.shape == (45, right.shape[1])
+            np.testing.assert_allclose(product, matrix @ right, atol=1e-10)
         with pytest.raises(ValueError):
-            operand.matvec(rng.random(7))
+            operand.matmat(rng.random((7, 2)))
 
     def test_gram_matches_numpy(self, build, matrix):
         operand = build(matrix)
@@ -167,16 +181,44 @@ class TestOperandContract:
             result.singular_values, np.linalg.svd(matrix, compute_uv=False)[:4], atol=1e-6)
         assert result.left_vectors.shape == (12, 4) and result.right_vectors.shape == (40, 4)
 
-    def test_k_larger_than_the_rank(self, build, rng):
-        matrix = rng.standard_normal((45, 3)) @ rng.standard_normal((3, 30))
+    @pytest.mark.parametrize("scale", [1e-7, 1e-6, 1e-3, 1.0, 1e3, 1e6])
+    def test_singular_values_scale_with_the_matrix(self, build, scale):
+        # Breakdown is judged against the operator's scale, not against 1e-10.
+        matrix = np.random.default_rng(5).standard_normal((200, 40)) * scale
+        result = truncated_svd(build(matrix), k=10, seed=0)
+        assert len(result.singular_values) == 10
+        np.testing.assert_allclose(
+            result.singular_values, np.linalg.svd(matrix, compute_uv=False)[:10], rtol=1e-10)
+        np.testing.assert_allclose(
+            matrix @ result.right_vectors, result.left_vectors * result.singular_values,
+            atol=1e-9 * scale)
+
+    @pytest.mark.parametrize("shape", [(45, 30), (200, 40)])
+    def test_k_larger_than_the_rank(self, build, rng, shape):
+        matrix = rng.standard_normal((shape[0], 3)) @ rng.standard_normal((3, shape[1]))
         result = truncated_svd(build(matrix), k=6, seed=0)
         values = result.singular_values
-        assert 3 <= len(values) <= 6  # the recurrence may stop at the rank
+        assert len(values) == 6  # a breakdown restarts the recurrence, it does not shrink k
         np.testing.assert_allclose(
-            values[:3], np.linalg.svd(matrix, compute_uv=False)[:3], atol=1e-6)
-        np.testing.assert_allclose(values[3:], 0.0, atol=1e-5)
-        assert np.isfinite(result.left_vectors).all() and np.isfinite(result.right_vectors).all()
-        np.testing.assert_allclose(result.reconstruct(), matrix, atol=1e-5)
+            values[:3], np.linalg.svd(matrix, compute_uv=False)[:3], rtol=1e-10)
+        np.testing.assert_array_equal(values[3:], 0.0)
+        u, v = result.left_vectors, result.right_vectors
+        assert u.shape == (shape[0], 6) and v.shape == (shape[1], 6)
+        np.testing.assert_allclose(u.T @ u, np.eye(6), atol=1e-10)
+        np.testing.assert_allclose(v.T @ v, np.eye(6), atol=1e-10)
+        np.testing.assert_allclose(result.reconstruct(), matrix, atol=1e-10)
+
+    def test_zero_matrix_has_k_zero_triplets(self, build):
+        result = truncated_svd(build(np.zeros((20, 9))), k=4, seed=0)
+        np.testing.assert_array_equal(result.singular_values, np.zeros(4))
+        for vectors in (result.left_vectors, result.right_vectors):
+            np.testing.assert_allclose(vectors.T @ vectors, np.eye(4), atol=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_is_a_named_error(self, build, matrix, bad):
+        matrix[7, 3] = bad
+        with pytest.raises(ValueError, match=r"^truncated_svd: operand must be finite"):
+            truncated_svd(build(matrix), k=3)
 
     def test_too_few_samples_is_one_error(self, build, rng):
         message = r"need more than 1 samples for ddof=1, got 1$"
@@ -238,9 +280,8 @@ class TestOperandSpecifics:
                               mask=np.zeros(hidden.shape, dtype=bool)))
         filled = matrix.copy()
         filled[16:32, 16:24] = 0.0
-        x, y = rng.random(30), rng.random(45)
-        np.testing.assert_allclose(array.matvec(x), filled @ x, atol=1e-10)
-        np.testing.assert_allclose(array.rmatvec(y), filled.T @ y, atol=1e-10)
+        right = rng.random((30, 4))
+        np.testing.assert_allclose(array.matmat(right), filled @ right, atol=1e-10)
         np.testing.assert_allclose(array.gram(), filled.T @ filled, atol=1e-9)
         # Column means are over the non-empty cells; empty cells then read as 0.
         counts = np.full(30, 45.0)
@@ -251,11 +292,22 @@ class TestOperandSpecifics:
     def test_distributed_products_charge_the_network_per_call(self, matrix, rng):
         distributed = DistributedMatrix.from_dense(Cluster(4), matrix, scatter_from=None)
         network = distributed.cluster.network
-        distributed.matvec(rng.random(30))
-        assert len(network.transfers) == 3  # the vector, to each other node
-        distributed.matmat(rng.random((30, 5)))  # one broadcast per column
-        assert len(network.transfers) == 3 + 5 * 3
+        distributed.matmat(rng.random((30, 5)))
+        assert len(network.transfers) == 3  # all five columns at once, to each other node
         before = distributed.cluster.simulated_elapsed_seconds
         distributed.gram(center=True)  # two all-reduces, charged to the clock only
         assert distributed.cluster.simulated_elapsed_seconds > before
-        assert len(network.transfers) == 18
+        assert len(network.transfers) == 3
+
+    def test_a_distributed_svd_is_one_all_reduce_and_one_broadcast(self, matrix, monkeypatch):
+        cluster = Cluster(4)
+        distributed = DistributedMatrix.from_dense(cluster, matrix, scatter_from=None)
+        reduced = []
+        all_reduce = cluster.all_reduce_sum
+        monkeypatch.setattr(
+            cluster, "all_reduce_sum",
+            lambda arrays: reduced.append(arrays[0].shape) or all_reduce(arrays))
+        truncated_svd(distributed, k=5, seed=0)
+        assert reduced == [(30, 30)]  # the Gram matrix
+        assert len(cluster.network.transfers) == 3  # V, to each other node
+        assert {record.label for record in cluster.network.transfers} == {"broadcast-operand"}

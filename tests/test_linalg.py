@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from scipy import stats as scipy_stats
 
 from repro.linalg import (
     cheng_church,
@@ -21,6 +20,7 @@ from repro.linalg import (
 from repro.linalg import naive
 from repro.linalg.biclustering import mean_squared_residue
 from repro.linalg.lanczos import lanczos_eigsh
+from repro.linalg.wilcoxon import _rank_with_ties
 
 
 class TestHouseholderQR:
@@ -82,6 +82,32 @@ class TestHouseholderQR:
             np.testing.assert_allclose(design @ beta, target, atol=1e-8)
             reference = np.linalg.lstsq(design, target, rcond=None)[0]
             np.testing.assert_allclose(beta, reference, atol=1e-8)
+
+    @pytest.mark.parametrize("shape", [(40, 6), (7, 7), (300, 60)])
+    def test_lapack_path_matches_householder_and_lstsq(self, rng, shape):
+        # The LAPACK path reads Qᵀy off the R factor of [X | y]; the oracles
+        # form Q (householder) or do not use QR at all (lstsq's SVD).
+        design, target = rng.standard_normal(shape), rng.standard_normal(shape[0])
+        beta, rank = lstsq_qr(design, target, method="lapack")
+        reference = np.linalg.lstsq(design, target, rcond=None)[0]
+        np.testing.assert_allclose(beta, reference, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(
+            beta, lstsq_qr(design, target, method="householder")[0], rtol=1e-9, atol=1e-12)
+        assert rank == shape[1]
+
+    def test_lapack_path_on_rank_deficient_and_wide_designs(self, rng):
+        design = rng.standard_normal((30, 4))
+        design = np.column_stack([design, design[:, 0] + design[:, 1]])
+        target = rng.standard_normal(30)
+        beta, rank = lstsq_qr(design, target, method="lapack")
+        assert rank == 4 and np.isfinite(beta).all() and beta[4] == 0.0
+        np.testing.assert_allclose(
+            beta, lstsq_qr(design, target, method="householder")[0], atol=1e-8)
+        wide, response = rng.standard_normal((5, 9)), rng.standard_normal(5)
+        minimum_norm, rank = lstsq_qr(wide, response, method="lapack")
+        assert rank == 5
+        np.testing.assert_allclose(
+            minimum_norm, np.linalg.lstsq(wide, response, rcond=None)[0], atol=1e-10)
 
     def test_unknown_method_rejected(self, rng):
         with pytest.raises(ValueError, match="unknown QR method"):
@@ -175,6 +201,22 @@ class TestCovariance:
         assert len(gene_a) == int(np.ceil(0.2 * 45))
         assert np.all(gene_a < gene_b)
         assert np.all(np.diff(np.abs(values)) <= 1e-12)
+
+    @pytest.mark.parametrize("absolute", [True, False])
+    @pytest.mark.parametrize("fraction", [0.01, 0.1, 0.5, 1.0])
+    def test_top_pairs_match_a_full_sort(self, rng, fraction, absolute):
+        cov = covariance_matrix(rng.standard_normal((30, 40)))
+        gene_a, gene_b, values = top_covariant_pairs(cov, fraction=fraction, absolute=absolute)
+        rows, cols = np.triu_indices(40, k=1)
+        every = cov[rows, cols]
+        scores = np.abs(every) if absolute else every
+        keep = np.argsort(scores, kind="stable")[::-1][:max(1, int(np.ceil(fraction * 780)))]
+        assert set(zip(gene_a.tolist(), gene_b.tolist(), strict=True)) == set(
+            zip(rows[keep].tolist(), cols[keep].tolist(), strict=True))
+        np.testing.assert_array_equal(values, cov[gene_a, gene_b])
+        np.testing.assert_array_equal(values, every[keep])
+        ranked = np.abs(values) if absolute else values
+        assert np.all(np.diff(ranked) <= 0) and np.all(gene_a < gene_b)
 
     def test_top_pairs_validation(self, rng):
         cov = covariance_matrix(rng.random((10, 4)))
@@ -290,6 +332,7 @@ class TestBiclustering:
 
 class TestWilcoxon:
     def test_matches_scipy_without_ties(self, rng):
+        scipy_stats = pytest.importorskip("scipy.stats")
         first = rng.standard_normal(30)
         second = rng.standard_normal(40) + 0.5
         ours = rank_sum_test(first, second)
@@ -298,6 +341,7 @@ class TestWilcoxon:
         assert ours.p_value == pytest.approx(reference.pvalue, rel=1e-6)
 
     def test_matches_scipy_with_ties(self, rng):
+        scipy_stats = pytest.importorskip("scipy.stats")
         first = rng.integers(0, 5, size=25).astype(float)
         second = rng.integers(0, 5, size=35).astype(float)
         ours = rank_sum_test(first, second)
@@ -358,6 +402,112 @@ class TestWilcoxon:
         result = enrichment_analysis(scores, membership)
         np.testing.assert_array_equal(result.p_values, [1.0, 1.0])
         assert result.as_rows()[0][3] is False
+
+
+def _per_term_loop(scores, membership):
+    """Q5 as it was written first: one ``rank_sum_test(inside, outside)`` per term."""
+    p_values, z_scores = np.ones(membership.shape[1]), np.zeros(membership.shape[1])
+    for term in range(membership.shape[1]):
+        members = membership[:, term] != 0
+        if 0 < members.sum() < len(scores):
+            result = rank_sum_test(scores[members], scores[~members])
+            p_values[term], z_scores[term] = result.p_value, result.z_score
+    return p_values, z_scores
+
+
+ENRICHMENT_CASES = {
+    "continuous": lambda rng: (rng.standard_normal(120), rng.random((120, 9)) < 0.2),
+    "heavy-ties": lambda rng: (rng.integers(0, 4, 150).astype(float), rng.random((150, 12)) < 0.3),
+    "all-equal": lambda rng: (np.full(40, 2.5), rng.random((40, 5)) < 0.5),
+    "every-and-no-gene": lambda rng: (
+        rng.standard_normal(30),
+        np.column_stack([np.ones(30), np.zeros(30), rng.random(30) < 0.4])),
+    "weighted-membership": lambda rng: (
+        rng.integers(0, 9, 60).astype(float), rng.integers(0, 3, (60, 7)) * 5),
+    "one-gene": lambda rng: (np.array([1.5]), np.array([[1, 0]])),
+    "zero-terms": lambda rng: (rng.standard_normal(10), np.zeros((10, 0))),
+}
+
+
+@pytest.mark.parametrize("case", list(ENRICHMENT_CASES))
+class TestEnrichmentOracles:
+    """Q5 against implementations that share no code with ``enrichment_analysis``."""
+
+    def test_same_bytes_as_the_per_term_rank_sum_loop(self, rng, case):
+        scores, membership = ENRICHMENT_CASES[case](rng)
+        result = enrichment_analysis(scores, membership)
+        p_values, z_scores = _per_term_loop(scores, membership)
+        np.testing.assert_array_equal(result.p_values, p_values)
+        np.testing.assert_array_equal(result.z_scores, z_scores)
+        np.testing.assert_array_equal(result.significant, p_values < 0.05)
+        assert len(result.go_ids) == membership.shape[1]
+
+    def test_matches_the_naive_tier(self, rng, case):
+        scores, membership = ENRICHMENT_CASES[case](rng)
+        result = enrichment_analysis(scores, membership)
+        for term in range(membership.shape[1]):
+            members = membership[:, term] != 0
+            expected = (naive.wilcoxon_rank_sum(scores[members], scores[~members])
+                        if 0 < members.sum() < len(scores) else 1.0)
+            assert result.p_values[term] == pytest.approx(expected, rel=1e-12, abs=1e-300)
+
+    def test_matches_scipy(self, rng, case):
+        stats = pytest.importorskip("scipy.stats")
+        scores, membership = ENRICHMENT_CASES[case](rng)
+        ranks, tie_sizes = _rank_with_ties(scores)
+        np.testing.assert_array_equal(ranks, stats.rankdata(scores))
+        assert tie_sizes.sum() == len(scores)
+        result = enrichment_analysis(scores, membership)
+        for term in range(membership.shape[1]):
+            members = membership[:, term] != 0
+            if not 0 < members.sum() < len(scores):
+                assert (result.p_values[term], result.z_scores[term]) == (1.0, 0.0)
+            elif np.ptp(scores) == 0:  # scipy answers nan when every score ties
+                assert (result.p_values[term], result.z_scores[term]) == (1.0, 0.0)
+            else:
+                reference = stats.mannwhitneyu(
+                    scores[members], scores[~members], alternative="two-sided",
+                    use_continuity=True, method="asymptotic")
+                assert result.p_values[term] == pytest.approx(reference.pvalue, rel=1e-9)
+
+
+class TestStatedDomain:
+    """Outside the documented domain a kernel raises, naming itself and the argument."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_is_a_named_error(self, rng, bad):
+        scores = rng.standard_normal(12)
+        scores[5] = bad
+        membership = rng.integers(0, 2, (12, 3))
+        with pytest.raises(ValueError, match=r"^enrichment_analysis: gene_scores must be finite"):
+            enrichment_analysis(scores, membership)
+        with pytest.raises(ValueError, match=r"^rank_sum_test: first must be finite"):
+            rank_sum_test(scores, np.ones(4))
+        with pytest.raises(ValueError, match=r"^rank_sum_test: second must be finite"):
+            rank_sum_test(np.ones(4), scores)
+        cov = covariance_matrix(rng.standard_normal((8, 5)))
+        cov[1, 3] = cov[3, 1] = bad
+        with pytest.raises(ValueError, match=r"^top_covariant_pairs: cov must be finite"):
+            top_covariant_pairs(cov)
+        matrix = rng.standard_normal((10, 6))
+        matrix[2, 2] = bad
+        with pytest.raises(ValueError, match=r"^cheng_church: matrix must be finite"):
+            cheng_church(matrix)
+        with pytest.raises(ValueError, match=r"^truncated_svd: operand must be finite"):
+            lanczos_svd(matrix, k=2)
+        with pytest.raises(ValueError, match=r"^truncated_svd: operand must be finite"):
+            lanczos_svd(matrix.T, k=2)
+
+    def test_the_edges_of_the_domain_are_answered(self, rng):
+        ties = enrichment_analysis(np.zeros(6), np.eye(6)[:, :2])
+        np.testing.assert_array_equal(ties.p_values, [1.0, 1.0])
+        np.testing.assert_array_equal(ties.z_scores, [0.0, 0.0])
+        assert [len(part) for part in top_covariant_pairs(np.ones((1, 1)))] == [0, 0, 0]
+        rank_one = np.outer(rng.standard_normal(9), rng.standard_normal(5))
+        result = lanczos_svd(rank_one, k=8)  # k clipped to min(m, n), rank below it
+        assert len(result.singular_values) == 5
+        np.testing.assert_array_equal(result.singular_values[1:], 0.0)
+        np.testing.assert_allclose(result.reconstruct(), rank_one, atol=1e-12)
 
 
 class TestNaiveKernels:
