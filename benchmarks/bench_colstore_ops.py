@@ -797,6 +797,84 @@ def run_sweep(size: str, rounds: int = 3, seed: int = 7) -> dict:
     delta_entry["sealed_only_s"] = round(sealed_only, 6)
     results.append(delta_entry)
 
+    # What a write costs the next reader (three rows, each against the body
+    # it replaced, outputs asserted equal before timing).
+    #
+    # sample: the 5% uniform draw as a selection (partition + ties in
+    # position order) vs the full stable argsort over every score it
+    # replaced.  Gated: an argsort is ~20 exact scans at real sizes.
+    sample_seed = 3
+    sample_query = approx_store.query("measurements")
+
+    def selected_sample():
+        return sample_query.sample(0.05, sample_seed).selection
+
+    def stable_sort_sample():
+        rows = np.sort(sample_query.selection)
+        scores = np.random.default_rng(sample_seed).random(n)
+        n_keep = max(1, int(round(0.05 * len(rows))))
+        return np.sort(rows[np.argsort(scores[rows], kind="stable")[:n_keep]])
+
+    np.testing.assert_array_equal(selected_sample(), stable_sort_sample())
+    results.append(_entry("sample", "uniform-5pct", n,
+                          _best_of(selected_sample, rounds),
+                          _best_of(stable_sort_sample, rounds), gated=True))
+
+    # take: a sorted selection (the live rows after a delete) gathered from
+    # an RLE column run by run — the run ends searched in the positions,
+    # run values repeated by the counts — vs locating every position in the
+    # run ends.  The column is never decoded: ``take`` would then index the
+    # buffer.  Gated: this is the join-key gather of every written table.
+    rle_values = columns["rle"]
+    rle_column = ColumnVector("rle", rle_values, encoding="rle")
+    live = np.flatnonzero(np.random.default_rng(seed + 8).random(n) < 0.95)
+    run_starts = np.concatenate([[0], np.flatnonzero(rle_values[1:] != rle_values[:-1]) + 1])
+    run_ends = np.concatenate([run_starts[1:], [n]])
+
+    def per_run_take():
+        return rle_column.take(live)
+
+    def per_position_take():
+        return rle_values[run_starts][np.searchsorted(run_ends, live, side="right")]
+
+    np.testing.assert_array_equal(per_run_take(), per_position_take())
+    np.testing.assert_array_equal(per_run_take(), rle_values[live])
+    results.append(_entry("take", "rle-sorted", len(live),
+                          _best_of(per_run_take, rounds),
+                          _best_of(per_position_take, rounds), gated=True))
+
+    # synopsis_refresh: the first approximate read after a write.  Each
+    # round appends n/75 rows and deletes the n/75 oldest (the
+    # ``colstore_writes`` batch shape), then times the catalog advancing its
+    # 5% entry to the new snapshot — score the appended rows, evict the
+    # deleted, re-select from the pool — vs a from-scratch draw on that same
+    # snapshot, which must keep exactly the same rows.  Gated: losing the
+    # maintenance makes every write cost the next reader a full draw.
+    refresh_store = ColumnStore()
+    refresh_store.create_table("measurements", {
+        "measurement_id": np.arange(n, dtype=np.int64),
+        "reading": approx_rng.lognormal(0.0, 0.5, n),
+    })
+    written = max(1, n // 75)
+    refresh_store.synopses.uniform("measurements", 0.05, sample_seed)
+    compressed = baseline = float("inf")
+    for round_ in range(rounds):
+        refresh_store.append("measurements", {
+            "measurement_id": np.arange(written, dtype=np.int64) + n + round_ * written,
+            "reading": approx_rng.lognormal(0.0, 0.5, written),
+        })
+        refresh_store.delete_where(
+            "measurements", col("measurement_id") < (round_ + 1) * written)
+        start = time.perf_counter()
+        advanced = refresh_store.synopses.uniform("measurements", 0.05, sample_seed)
+        compressed = min(compressed, time.perf_counter() - start)
+        start = time.perf_counter()
+        drawn = refresh_store.query("measurements").sample(0.05, sample_seed).selection
+        baseline = min(baseline, time.perf_counter() - start)
+        np.testing.assert_array_equal(advanced, drawn)
+    results.append(_entry("synopsis_refresh", "append+delete", n, compressed,
+                          baseline, gated=True))
+
     return {
         "benchmark": "colstore_ops",
         "size": size,

@@ -22,9 +22,11 @@ class ColumnStore:
     so readers see a consistent state while writers keep writing.  A table
     that was never written has an empty tail, and its snapshot's table *is*
     the sealed segment: there is no second read path to keep in step.
-    Creating, dropping and writing a table invalidate its synopsis-catalog
-    entries (whose cache keys also carry :meth:`store_version`, so a stale
-    entry can never be served even across re-derived catalogs).
+    A write costs the synopsis catalog nothing when it lands: each entry is
+    stamped with the version it answers, and the next approximate query
+    advances it to its own snapshot (:mod:`repro.colstore.synopsis`).
+    Creating and dropping a table drop its entries — a table recreated under
+    a dropped name restarts its version counter.
     """
 
     def __init__(self, name: str = "genbase"):
@@ -62,16 +64,14 @@ class ColumnStore:
         name = table.name
         if name in self._deltas:
             raise ValueError(f"table {name!r} already exists")
-        self._deltas[name] = DeltaStore(table, on_write=lambda: self._written(name))
-        self._written(name)
+        self._deltas[name] = DeltaStore(table)
+        self._forget_synopses(name)
 
     def drop_table(self, name: str) -> None:
         if name not in self._deltas:
             raise KeyError(f"no table named {name!r}")
         del self._deltas[name]
-        # A table recreated under this name restarts at version 0: without
-        # this, the dropped table's synopses would share its cache keys.
-        self._written(name)
+        self._forget_synopses(name)
 
     def table(self, name: str) -> ColumnTable:
         """The table's current *sealed* segment (tail and deletes not applied).
@@ -98,7 +98,7 @@ class ColumnStore:
 
         The returned store carries the write API (``append`` / ``delete``
         / ``update`` / ``compact``) and hands out :class:`Snapshot`
-        handles; its write hook invalidates this store's synopsis cache.
+        handles.
         """
         try:
             return self._deltas[name]
@@ -106,8 +106,13 @@ class ColumnStore:
             known = ", ".join(sorted(self._deltas)) or "<none>"
             raise KeyError(f"no table named {name!r}; known tables: {known}") from None
 
-    def _written(self, name: str) -> None:
-        """Write hook: drop the written table's cached synopses."""
+    def _forget_synopses(self, name: str) -> None:
+        """Create / drop hook: synopsis entries must not outlive the table.
+
+        A table recreated under ``name`` restarts at version 0 on a new
+        sealed segment; the dropped table's entries would be keyed alike.
+        Writes need no hook — entries are advanced by their next reader.
+        """
         if self._synopses is not None:
             self._synopses.invalidate(name)
 
@@ -134,10 +139,6 @@ class ColumnStore:
     def snapshot(self, name: str) -> Snapshot:
         """A consistent point-in-time view of one table."""
         return self.writable(name).snapshot()
-
-    def store_version(self, name: str) -> int:
-        """The table's write-version counter (0 while never written)."""
-        return self.writable(name).version
 
     def live_row_count(self, name: str) -> int:
         """Logical (live) rows: sealed + tail minus deletions."""

@@ -18,10 +18,13 @@ decode-then-numpy answer for each operator; an encoding overrides an
 operator exactly where its compressed form is cheaper:
 
 * ``take(indices)`` gathers individual positions (dictionary: gather codes
-  then one dictionary lookup; RLE: ``searchsorted`` over run boundaries;
-  delta: prefix-sum over the ``[min(indices), max(indices)]`` window, or a
-  decode once that window spans half the column) — and, for every
-  encoding, plain fancy indexing once the buffer exists,
+  then one dictionary lookup; RLE: sorted positions — every selection the
+  query layer produces — are counted per run and the run values repeated,
+  one ``searchsorted`` probe per *run*, anything else probes the run
+  boundaries per position; delta: prefix-sum over the
+  ``[min(indices), max(indices)]`` window, or a decode once that window
+  spans half the column) — and, for every encoding, plain fancy indexing
+  once the buffer exists,
 * ``filter_mask(predicate)`` evaluates a vectorised element-wise predicate —
   for dictionary/RLE columns on the *distinct values only* — and expands the
   result through the codes/runs into a full-length boolean mask,
@@ -416,16 +419,44 @@ class RunLengthEncoding(Encoding):
             self._run_ends = np.cumsum(self._run_lengths)
         return self._run_ends
 
-    def _gather(self, indices: np.ndarray) -> np.ndarray:
-        if self._run_values is None:
-            return np.empty(0)[indices]
-        indices = _normalised_indices(indices, self._length)
-        if indices.size and (indices.min() < 0 or indices.max() >= self._length):
+    def _run_counts(self, positions: np.ndarray) -> np.ndarray | None:
+        """Positions per run, for non-decreasing positions; else None.
+
+        Every selection the query layer produces is sorted, so a run's
+        positions are contiguous in it: searching the run ends *in the
+        positions* (one probe per run) counts them, where locating each
+        position in the run ends costs one probe per row.  Unsorted or
+        negative positions are left to the per-position search.
+        """
+        if positions.ndim != 1 or not positions.size or positions[0] < 0:
+            return None
+        if not bool((positions[1:] >= positions[:-1]).all()):
+            return None
+        if positions[-1] >= self._length:
             raise IndexError(
                 f"index out of bounds for RLE column of length {self._length}"
             )
-        run_index = np.searchsorted(self._cumulative_run_ends(), indices, side="right")
-        return self._run_values[run_index]
+        counts = np.searchsorted(positions, self._cumulative_run_ends(), side="left")
+        counts[1:] -= counts[:-1].copy()  # positions below each run end → per run
+        return counts
+
+    def _per_position(self, per_run: np.ndarray, positions: np.ndarray) -> np.ndarray:
+        """``per_run[r]`` for the run ``r`` holding each of ``positions``."""
+        counts = self._run_counts(positions)
+        if counts is not None:
+            return np.repeat(per_run, counts)
+        positions = _normalised_indices(positions, self._length)
+        if positions.size and (positions.min() < 0 or positions.max() >= self._length):
+            raise IndexError(
+                f"index out of bounds for RLE column of length {self._length}"
+            )
+        run_index = np.searchsorted(self._cumulative_run_ends(), positions, side="right")
+        return per_run[run_index]
+
+    def _gather(self, indices: np.ndarray) -> np.ndarray:
+        if self._run_values is None:
+            return np.empty(0)[indices]
+        return self._per_position(self._run_values, indices)
 
     def filter_mask(self, predicate) -> np.ndarray:
         if self._run_values is None:
@@ -447,9 +478,8 @@ class RunLengthEncoding(Encoding):
         if positions is None:
             # Every run is non-empty, so every run value survives.
             return run_keys, np.repeat(run_codes, self._run_lengths)
-        positions = _normalised_indices(positions, self._length)
-        run_index = np.searchsorted(self._cumulative_run_ends(), positions, side="right")
-        return _compact_distinct(run_keys, run_codes[run_index])
+        return _compact_distinct(
+            run_keys, self._per_position(run_codes, np.asarray(positions)))
 
     def distinct_values(self, positions: np.ndarray | None = None) -> np.ndarray:
         """Keys-only path: unique run values, no n-length inverse expansion."""
@@ -507,14 +537,14 @@ class RunLengthEncoding(Encoding):
         """Fold whole runs: each run value appears once, weighted by its length.
 
         A narrowed selection counts surviving positions per run with one
-        ``searchsorted`` + ``bincount`` — still no row expansion.
+        run lookup (:meth:`_per_position`) + ``bincount`` — still no row
+        expansion.
         """
         if self._run_values is None:
             return np.empty(0), None
         if positions is None:
             return self._run_values, self._run_lengths
-        positions = _normalised_indices(positions, self._length)
-        run_index = np.searchsorted(self._cumulative_run_ends(), positions, side="right")
+        run_index = self._per_position(np.arange(self.run_count), np.asarray(positions))
         counts = np.bincount(run_index, minlength=self.run_count)
         present = counts > 0
         return self._run_values[present], counts[present]

@@ -12,7 +12,9 @@ C-Store/SAP HANA:
   (sealed rows first, then tail rows in append order); logical row ids are
   stable until a compaction reseals the table;
 - **version counter** — bumped by every write; readers use it to detect
-  staleness (the synopsis cache keys on it).
+  staleness (a synopsis entry is stamped with the version it answers and is
+  advanced, not served, when a snapshot's version is later —
+  :mod:`repro.colstore.synopsis`).
 
 Every piece of published state is immutable: a write builds a complete new
 :class:`_TableState` and swaps one reference under the writer lock, so a
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 import threading
 from functools import cached_property
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -61,7 +63,8 @@ def merge_group_parts(
     contract (sorted unique keys, float64 aggregates).  ``sum``/``count``
     partials add; ``min``/``max`` partials combine element-wise.  ``mean``
     is *not* mergeable from per-part means — callers must merge ``sum`` and
-    ``count`` partials and divide.
+    ``count`` partials and divide; a part's aggregates may carry a trailing
+    axis (one row per key), so both merge in one call (:func:`_partials`).
     """
     parts = [(keys, values) for keys, values in parts if len(keys)]
     if not parts:
@@ -72,7 +75,7 @@ def merge_group_parts(
     keys = parts[0][0]
     for more, _ in parts[1:]:
         keys = np.union1d(keys, more)
-    merged = np.zeros(len(keys), dtype=np.float64)
+    merged = np.zeros((len(keys),) + np.shape(parts[0][1])[1:], dtype=np.float64)
     seen = np.zeros(len(keys), dtype=bool)
     for part_keys, part_values in parts:
         at = np.searchsorted(keys, part_keys)
@@ -89,6 +92,15 @@ def merge_group_parts(
             raise ValueError(f"cannot merge partials for function {function!r}")
         seen[at] = True
     return keys, merged
+
+
+def _partials(codes: np.ndarray, n_groups: int, values: np.ndarray | None,
+              function: str) -> np.ndarray:
+    """One part's aggregates by group code; ``mean`` yields ``[sum, count]`` rows."""
+    if function != "mean":
+        return reduce_by_inverse(codes, n_groups, values, function)
+    return np.column_stack([reduce_by_inverse(codes, n_groups, values, "sum"),
+                            reduce_by_inverse(codes, n_groups, None, "count")])
 
 
 class MergedColumn:
@@ -270,12 +282,11 @@ class MergedColumn:
         """Compressed sealed partials + plain tail partials, merged by key.
 
         ``mean`` merges ``sum`` and ``count`` partials and divides — a
-        per-part mean cannot be combined without its weights.
+        per-part mean cannot be combined without its weights.  Both come
+        from the same split selection and the same per-part group codes
+        (each part's ``distinct_inverse`` is taken once), so a mean costs
+        one pass of the pipeline, not two.
         """
-        if function == "mean":
-            keys, sums = self.group_reduce(values, "sum", selection)
-            _, counts = self.group_reduce(None, "count", selection)
-            return keys, sums / counts
         if selection is None:
             sealed_selection = None
             sealed_values = None if values is None else values[:self._split]
@@ -297,9 +308,14 @@ class MergedColumn:
                 tail_values = None if values is None else values[~in_sealed]
         parts = []
         if sealed_selection is None or sealed_selection.size:
-            parts.append(
-                self._sealed.group_reduce(sealed_values, function, sealed_selection)
-            )
+            if function == "mean":
+                sealed_keys, sealed_codes = self._sealed.distinct_inverse(sealed_selection)
+                parts.append((sealed_keys, _partials(
+                    sealed_codes, len(sealed_keys), sealed_values, function)))
+            else:
+                parts.append(
+                    self._sealed.group_reduce(sealed_values, function, sealed_selection)
+                )
         if tail_keys_source.size:
             if tail_keys_source is self._tail:
                 # Full-tail grouping: the tail is immutable per state, so
@@ -313,9 +329,13 @@ class MergedColumn:
                 tail_keys, tail_codes = _distinct(tail_keys_source, return_inverse=True)
             parts.append((
                 tail_keys,
-                reduce_by_inverse(tail_codes, len(tail_keys), tail_values, function),
+                _partials(tail_codes, len(tail_keys), tail_values, function),
             ))
-        return merge_group_parts(parts, function, self.dtype)
+        if function != "mean":
+            return merge_group_parts(parts, function, self.dtype)
+        keys, totals = merge_group_parts(parts, "sum", self.dtype)
+        sums, counts = totals.reshape(len(keys), 2).T
+        return keys, sums / counts
 
     # -- sketches ------------------------------------------------------------------
 
@@ -398,8 +418,14 @@ class _TableState:
         return self._table
 
     def live_positions(self) -> np.ndarray | None:
-        """Sorted logical positions of live rows; None when nothing is deleted."""
-        if self.deleted is None:
+        """Sorted logical positions of live rows; None when nothing is deleted.
+
+        Decided by the count, not by whether a bitmap exists: a write that
+        deleted no row (``delete([])``, a pure append through ``update``)
+        still publishes one, and an explicit ``arange`` selection would cost
+        every later scan the full-selection compressed paths.
+        """
+        if not self.deleted_count:
             return None
         if self._live is None:
             mask = np.zeros(self.total_rows, dtype=bool)
@@ -430,6 +456,17 @@ class Snapshot:
         return self._state.generation
 
     @property
+    def sealed_table(self) -> ColumnTable:
+        """The sealed segment under this version: one object per generation.
+
+        Two snapshots share it exactly when they number rows the same way —
+        same table incarnation, no compaction in between — which is what the
+        synopsis catalog checks (by identity) before carrying row positions
+        from one version to another.
+        """
+        return self._state.sealed
+
+    @property
     def row_count(self) -> int:
         """Total logical rows (sealed + tail), *including* deleted rows."""
         return self._state.total_rows
@@ -454,6 +491,19 @@ class Snapshot:
     def live_selection(self) -> np.ndarray | None:
         """Live logical positions as a query base; None when none deleted."""
         return self._state.live_positions()
+
+    def deleted_at(self, positions: np.ndarray) -> np.ndarray:
+        """Whether each logical position is deleted in this version.
+
+        Within a generation a deleted row stays deleted: a bit set in one
+        version is set in every later one.
+        """
+        deleted = self._state.deleted
+        verdict = np.zeros(len(positions), dtype=bool)
+        if deleted is not None:
+            covered = positions < len(deleted)  # later appends are implicitly live
+            verdict[covered] = deleted[positions[covered]]
+        return verdict
 
     def query(self) -> ColumnQuery:
         """A query over this version's live rows (the scan entry point)."""
@@ -487,18 +537,12 @@ class DeltaStore:
     means every write in between is fully visible.
     """
 
-    def __init__(self, sealed: ColumnTable,
-                 on_write: Callable[[], None] | None = None):
+    def __init__(self, sealed: ColumnTable):
         self._lock = threading.Lock()
         self._state = _TableState(sealed, generation=0, version=0, chunks=(),
                                   tail_rows=0, deleted=None, deleted_count=0)
-        self._on_write = on_write
 
     # -- read side -----------------------------------------------------------------
-
-    @property
-    def name(self) -> str:
-        return self._state.sealed.name
 
     @property
     def version(self) -> int:
@@ -537,10 +581,6 @@ class DeltaStore:
 
     def _publish(self, state: _TableState) -> None:
         self._state = state
-
-    def _notify(self) -> None:
-        if self._on_write is not None:
-            self._on_write()
 
     @staticmethod
     def _coerced_chunk(sealed: ColumnTable, rows: Mapping[str, np.ndarray]) -> tuple[dict, int]:
@@ -583,7 +623,6 @@ class DeltaStore:
                               state.chunks + (chunk,), state.tail_rows + length,
                               state.deleted, state.deleted_count)
             self._publish(new)
-        self._notify()
         return new.version
 
     def delete(self, row_ids) -> int:
@@ -605,7 +644,6 @@ class DeltaStore:
                               state.chunks, state.tail_rows,
                               deleted, int(deleted.sum()))
             self._publish(new)
-        self._notify()
         return new.version
 
     def delete_where(self, expression) -> int:
@@ -639,7 +677,6 @@ class DeltaStore:
                               state.chunks + (chunk,), state.tail_rows + length,
                               deleted, int(deleted.sum()))
             self._publish(new)
-        self._notify()
         return new.version
 
     def compact(self) -> int:
@@ -660,7 +697,6 @@ class DeltaStore:
                               chunks=(), tail_rows=0, deleted=None,
                               deleted_count=0)
             self._publish(new)
-        self._notify()
         return new.version
 
     def should_compact(self, tail_fraction: float = 0.25) -> bool:

@@ -31,6 +31,7 @@ from typing import Mapping
 import numpy as np
 
 from repro.colstore.catalog import ColumnStore
+from repro.colstore.delta import Snapshot
 from repro.colstore.query import ColumnQuery, materialise_join
 from repro.plan import logical
 from repro.plan.execute import Backend, execute
@@ -123,11 +124,12 @@ def explain_plan(plan: logical.PlanNode, store: ColumnStore | None = None,
 class ColumnStoreBackend(Backend):
     """The column store behind the shared driver, for one plan execution.
 
-    Scans of store tables resolve through snapshots
-    (:meth:`~repro.colstore.catalog.ColumnStore.query`), and the backend
-    keeps a per-execution scan cache so every ``Scan`` of the same table —
-    a self-join, a rewritten subtree — reads the **same** frozen version
-    even while writers race the execution.
+    Store tables are read through snapshots
+    (:meth:`~repro.colstore.catalog.ColumnStore.snapshot`), and the backend
+    keeps one per table per execution, so every ``Scan`` of the same table
+    — a self-join, a rewritten subtree — and the synopsis route of a
+    sampled aggregate read the **same** frozen version even while writers
+    race the execution.
     """
 
     engine = "colstore"
@@ -137,7 +139,7 @@ class ColumnStoreBackend(Backend):
         self.store = store
         self.catalog = ColumnStoreCatalog(store, bindings)
         self.bindings = self.catalog.bindings
-        self._scans: dict[str, ColumnQuery] = {}
+        self._snapshots: dict[str, Snapshot] = {}
 
     def aggregate(self, query: ColumnQuery, plan: logical.Aggregate):
         return query.group_aggregate(plan.group_by, plan.value, plan.function)
@@ -145,23 +147,28 @@ class ColumnStoreBackend(Backend):
     def pivot(self, query: ColumnQuery, plan: logical.Pivot):
         return query.pivot(plan.row_key, plan.column_key, plan.value)
 
-    def _scan(self, table_name: str) -> ColumnQuery:
-        """One frozen base query per table per plan execution.
+    def _snapshot(self, table_name: str) -> Snapshot:
+        """The one frozen version of a store table this execution reads."""
+        snapshot = self._snapshots.get(table_name)
+        if snapshot is None:
+            snapshot = self._snapshots[table_name] = self.store.snapshot(table_name)
+        return snapshot
 
-        The first scan of a table snapshots it; later scans in the same run
-        rewrap that snapshot's table and base selection, so the whole plan
-        answers from a single version.
+    def _scan(self, table_name: str) -> ColumnQuery:
+        """A base query over a binding, or over the table's frozen snapshot.
+
+        The first read of a table snapshots it; later scans in the same run
+        wrap that snapshot's table and live selection again, so the whole
+        plan answers from a single version.
         """
         base = self.bindings.get(table_name)
-        if base is None:
-            if self.store is None:
-                raise KeyError(
-                    f"no binding named {table_name!r} and no store to scan it from"
-                )
-            base = self._scans.get(table_name)
-            if base is None:
-                base = self._scans[table_name] = self.store.query(table_name)
-        return ColumnQuery(base.table, base._base)
+        if base is not None:
+            return ColumnQuery(base.table, base._base)
+        if self.store is None:
+            raise KeyError(
+                f"no binding named {table_name!r} and no store to scan it from"
+            )
+        return self._snapshot(table_name).query()
 
     def lower(self, node: logical.PlanNode) -> ColumnQuery:
         """Lower a relational-algebra subtree onto a lazy ColumnQuery."""
@@ -189,10 +196,13 @@ class ColumnStoreBackend(Backend):
         A ``Project*(Scan)`` sample is served from the store's synopsis
         catalog — projections never change the row set, so the cached
         selection applies verbatim (the projection-pruning rule routinely
-        narrows the scan below the sample).  Repeated approximate queries
-        over the same ``(table, fraction, seed)`` then reuse one cached
-        selection; the catalog builds through ``ColumnQuery.sample`` so the
-        rows are bit-identical either way.
+        narrows the scan below the sample).  Table, selection and
+        population all come from this execution's one snapshot of the table
+        (:meth:`_snapshot`): the catalog answers *for that snapshot* — the
+        rows ``ColumnQuery.sample`` would keep on it, served from the entry,
+        advanced across the writes since, or drawn — so a write racing the
+        plan can neither hand it positions of another version nor a
+        population the sample was not drawn from.
         """
         store = self.store
         inner, projection = node, None
@@ -202,12 +212,12 @@ class ColumnStoreBackend(Backend):
             inner = inner.child
         if (isinstance(inner, logical.Scan) and store is not None
                 and inner.table in store and inner.table not in self.bindings):
-            table = store.effective_table(inner.table)
-            selection = store.synopses.uniform(inner.table, fraction, seed)
-            sampled = ColumnQuery(table, selection)
+            snapshot = self._snapshot(inner.table)
+            selection = store.synopses.uniform(inner.table, fraction, seed, snapshot)
+            sampled = ColumnQuery(snapshot.table, selection)
             if projection is not None:
                 sampled = sampled.select(*projection)
-            return sampled, store.live_row_count(inner.table)
+            return sampled, snapshot.live_rows
         base = self.lower(node)
         return base.sample(fraction, seed), len(base)
 

@@ -267,6 +267,29 @@ def _columnwise(expression: Expression, column: str):
     return lambda values: expression.evaluate({column: values})
 
 
+def sample_size(fraction: float, rows: int) -> int:
+    """Rows a ``fraction`` sample keeps out of ``rows``: at least one, unless none."""
+    return max(1, int(round(fraction * rows))) if rows else 0
+
+
+def smallest_scored(scores: np.ndarray, n_keep: int) -> np.ndarray:
+    """Ascending indices of the ``n_keep`` smallest ``(score, index)`` pairs.
+
+    The set a stable ``argsort(scores)[:n_keep]`` keeps, found by selection:
+    one ``np.partition`` for the ``n_keep``-th score, everything strictly
+    below it, then the ties *at* it in index order until the count is met.
+    """
+    if n_keep >= len(scores):
+        return np.arange(len(scores), dtype=np.int64)
+    if n_keep <= 0:
+        return np.empty(0, dtype=np.int64)
+    threshold = np.partition(scores, n_keep - 1)[n_keep - 1]
+    keep = scores < threshold
+    ties = np.flatnonzero(scores == threshold)
+    keep[ties[:n_keep - np.count_nonzero(keep)]] = True
+    return np.flatnonzero(keep)
+
+
 class ColumnQuery:
     """A lazy query over one column table.
 
@@ -411,22 +434,25 @@ class ColumnQuery:
     def sample(self, fraction: float, seed: int = 0) -> "ColumnQuery":
         """Keep a deterministic random sample of the current selection.
 
-        Each base-table row gets a score from ``default_rng(seed)``; the
-        sample keeps the ``max(1, round(fraction * n))`` selected rows with
-        the smallest scores.  The kept rows are therefore a pure function
-        of the *set* of selected rows — independent of the order the
-        selection vector lists them in or the order earlier filters were
-        applied (and re-applied by the optimizer) — so narrowing after
-        ``sample`` composes deterministically for equal seeds.  Sampling
-        remains an optimizer barrier: filters never move across it.
+        Each base-table row gets a score from ``default_rng(seed)``, indexed
+        by its position; the sample keeps the ``max(1, round(fraction * n))``
+        selected rows smallest by ``(score, row position)``
+        (:func:`smallest_scored` — a selection, not a sort).  The kept rows
+        are therefore a pure function of the *set* of selected rows —
+        independent of the order the selection vector lists them in or the
+        order earlier filters were applied (and re-applied by the optimizer)
+        — so narrowing after ``sample`` composes deterministically for equal
+        seeds, and a row's score never depends on which other rows exist:
+        the property the synopsis catalog relies on to carry a sample across
+        writes (:mod:`repro.colstore.synopsis`).  Sampling remains an
+        optimizer barrier: filters never move across it.
         """
         if not 0 < fraction <= 1:
             raise ValueError("fraction must be in (0, 1]")
         rows = np.sort(self.selection)
-        n_keep = max(1, int(round(fraction * len(rows)))) if len(rows) else 0
         scores = np.random.default_rng(seed).random(self.table.row_count)
-        kept = rows[np.argsort(scores[rows], kind="stable")[:n_keep]]
-        return ColumnQuery(self.table, np.sort(kept), projection=self._projection)
+        kept = rows[smallest_scored(scores[rows], sample_size(fraction, len(rows)))]
+        return ColumnQuery(self.table, kept, projection=self._projection)
 
     # -- projection --------------------------------------------------------------------
 

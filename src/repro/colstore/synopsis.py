@@ -1,4 +1,4 @@
-"""Reusable sample synopses: build once per table version, reuse across queries.
+"""Reusable sample synopses: build once per table, carry across writes.
 
 A synopsis is a *narrowed selection* — a sorted ``int64`` array of base-row
 positions — drawn once with an explicit seed and cached, so every
@@ -21,64 +21,196 @@ Two kinds:
 Everything is deterministic: the only randomness is ``default_rng(seed)``
 with the caller's explicit seed.
 
-**Writes and staleness.**  A cached selection is only valid for the table
-version it was drawn from — serving it after an append would silently
-exclude the new rows from every approximate answer.  Cache keys therefore
-carry the table's :meth:`~repro.colstore.catalog.ColumnStore.store_version`,
-and the store's write hook calls :meth:`SynopsisCatalog.invalidate` so
-superseded entries are dropped eagerly rather than accumulating one
-selection per version.  Dropping (and creating) a table invalidates too:
-a table recreated under a dropped name restarts at version 0, so the
-version alone would not tell its synopses from the dropped table's.
+**Writes and staleness.**  The catalog answers *for a snapshot* and keeps
+one entry per ``(kind, table, …, fraction, seed)``, stamped with the
+version it answers; an entry is never served to another version — that
+would silently exclude appended rows from every approximate answer.  A
+stale **uniform** entry is *advanced*, not retired, at a cost proportional
+to what was written.  Scores are indexed by row position and
+``default_rng(seed).random(n)`` is prefix-stable, so a write never changes
+the score of an existing row, and rows ``[a, b)`` appended since the entry
+was drawn are scored on their own by jumping the generator ``a`` draws
+ahead.  The entry holds a *candidate pool* — every live row scoring at most
+a threshold τ, :data:`POOL_SLACK` more of them than the sample needs — and
+is advanced by admitting appended rows that score ≤ τ, dropping pool rows
+the snapshot's deletion bitmap has set (within a generation a bit is only
+ever set), and re-selecting the sample from the pool.  The pool then still
+holds *every* live row scoring ≤ τ, so whenever it holds at least the
+``k`` rows the sample needs, its ``k`` smallest by (score, position) are
+the table's: the advanced selection is bit-identical to a fresh
+``ColumnQuery.sample`` on that snapshot.  The entry is redrawn from scratch
+instead when positions do not carry over — a compaction renumbered the rows
+(the snapshot sits on another sealed segment) — when the pool has fewer
+than ``k`` rows left, or when the snapshot is *older* than the entry (a
+long-held reader; its draw is answered but not kept).  **Stratified**
+entries have no caller to size a pool for and are simply redrawn when
+their version is stale, through the same bookkeeping.  Creating and
+dropping a table drop its entries: a table recreated under a dropped name
+restarts its version counter.
 """
 
 from __future__ import annotations
 
+import weakref
+from dataclasses import dataclass
+
 import numpy as np
 
-from repro.colstore.query import ColumnQuery
+from repro.colstore.delta import Snapshot
+from repro.colstore.query import sample_size, smallest_scored
+from repro.colstore.table import ColumnTable
+
+#: Rows a uniform entry's candidate pool holds beyond its sample, as a share
+#: of the sample: what deletes may eat before the entry must be redrawn.
+POOL_SLACK = 0.25
+
+
+@dataclass(frozen=True, eq=False)
+class _Entry:
+    """One cached selection and the table version it answers.
+
+    Immutable: advancing builds a new entry, so racing readers at worst
+    compute the same one twice.  ``sealed`` names the generation whose row
+    numbering the positions use — weakly, so an entry nobody asks for again
+    does not keep a compacted-away segment alive.  The pool fields are the
+    uniform kind's (positions ascending, scores aligned); ``threshold`` is τ
+    and ``scored`` how many logical rows have been scored so far.
+    """
+
+    sealed: "weakref.ref[ColumnTable]"
+    version: int
+    selection: np.ndarray
+    threshold: float = 0.0
+    scored: int = 0
+    pool_rows: np.ndarray | None = None
+    pool_scores: np.ndarray | None = None
+
+
+def _checked_fraction(fraction: float) -> float:
+    if not 0.0 < fraction <= 1.0:
+        raise ValueError(f"synopsis fraction {fraction!r} outside (0, 1]")
+    return float(fraction)
+
+
+def _draw_uniform(snapshot: Snapshot, fraction: float, seed: int) -> _Entry:
+    """A uniform entry from scratch: score every row, keep the pool and the sample."""
+    total = snapshot.row_count
+    rows = snapshot.live_selection()
+    scores = np.random.default_rng(seed).random(total)
+    if rows is None:
+        rows = np.arange(total, dtype=np.int64)
+    else:
+        scores = scores[rows]
+    n_keep = sample_size(fraction, len(rows))
+    n_pool = n_keep + int(np.ceil(POOL_SLACK * n_keep))
+    # Scores lie in [0, 1): a pool that takes every row admits every later one.
+    threshold = (1.0 if n_pool >= len(rows)
+                 else float(np.partition(scores, n_pool - 1)[n_pool - 1]))
+    pool = np.flatnonzero(scores <= threshold)
+    pool_rows, pool_scores = rows[pool], scores[pool]
+    kept = smallest_scored(pool_scores, n_keep)
+    return _Entry(weakref.ref(snapshot.sealed_table), snapshot.version, pool_rows[kept],
+                  threshold=threshold, scored=total,
+                  pool_rows=pool_rows, pool_scores=pool_scores)
+
+
+def _advance_uniform(entry: _Entry, snapshot: Snapshot, fraction: float,
+                     seed: int) -> _Entry | None:
+    """``entry`` carried to a later version of its generation; None on pool underflow."""
+    rows, scores = entry.pool_rows, entry.pool_scores
+    appended = snapshot.row_count - entry.scored
+    if appended:
+        jumped = np.random.PCG64(seed).advance(entry.scored)
+        fresh = np.random.Generator(jumped).random(appended)
+        admitted = np.flatnonzero(fresh <= entry.threshold)
+        rows = np.concatenate([rows, admitted + entry.scored])
+        scores = np.concatenate([scores, fresh[admitted]])
+    live = ~snapshot.deleted_at(rows)
+    rows, scores = rows[live], scores[live]
+    n_keep = sample_size(fraction, snapshot.live_rows)
+    if len(rows) < n_keep:
+        return None
+    return _Entry(entry.sealed, snapshot.version, rows[smallest_scored(scores, n_keep)],
+                  threshold=entry.threshold, scored=snapshot.row_count,
+                  pool_rows=rows, pool_scores=scores)
+
+
+def _draw_stratified(snapshot: Snapshot, column: str, fraction: float,
+                     seed: int) -> _Entry:
+    table = snapshot.table
+    scores = np.random.default_rng(seed).random(table.row_count)
+    base = snapshot.live_selection()
+    rows = np.arange(table.row_count, dtype=np.int64) if base is None else base
+    _, inverse = table.column(column).distinct_inverse(base)
+    inverse = np.asarray(inverse, dtype=np.int64)
+    counts = np.bincount(inverse)
+    # Order rows by (stratum, score): each stratum's cheapest rows
+    # come first within its contiguous block.
+    order = np.lexsort((scores[rows], inverse))
+    starts = np.cumsum(counts) - counts
+    rank_in_group = np.arange(len(order)) - np.repeat(starts, counts)
+    keep_per_group = np.maximum(1, np.round(fraction * counts).astype(np.int64))
+    kept = rows[order[rank_in_group < np.repeat(keep_per_group, counts)]]
+    return _Entry(weakref.ref(snapshot.sealed_table), snapshot.version,
+                  np.sort(kept).astype(np.int64))
 
 
 class SynopsisCatalog:
-    """Per-store cache of sample synopses, keyed by build parameters + version."""
+    """Per-store cache of sample synopses: one entry per build-parameter key."""
 
     def __init__(self, store):
         self._store = store
-        self._selections: dict[tuple, np.ndarray] = {}
+        self._entries: dict[tuple, _Entry] = {}
 
     def __len__(self) -> int:
-        return len(self._selections)
-
-    def _version(self, table_name: str) -> int:
-        return self._store.store_version(table_name)
+        return len(self._entries)
 
     def invalidate(self, table_name: str) -> None:
-        """Drop every cached synopsis of ``table_name`` (on write, create, drop)."""
-        stale = [key for key in self._selections if key[1] == table_name]
+        """Drop every cached synopsis of ``table_name`` (on create and drop)."""
+        stale = [key for key in self._entries if key[1] == table_name]
         for key in stale:
-            del self._selections[key]
+            del self._entries[key]
 
-    def uniform(self, table_name: str, fraction: float, seed: int = 0) -> np.ndarray:
+    def _answer(self, key: tuple, snapshot: Snapshot | None, draw,
+                advance=None) -> np.ndarray:
+        """The selection under ``key`` for ``snapshot``: served, advanced or redrawn."""
+        if snapshot is None:
+            snapshot = self._store.snapshot(key[1])
+        entry = self._entries.get(key)
+        carries = entry is not None and entry.sealed() is snapshot.sealed_table
+        if carries and entry.version == snapshot.version:
+            return entry.selection
+        fresh = None
+        if carries and advance is not None and entry.version < snapshot.version:
+            fresh = advance(entry, snapshot)
+        if fresh is None:
+            fresh = draw(snapshot)
+        # A table's versions only grow (create / drop invalidate), so an
+        # entry is replaced by newer answers only: a reader holding an old
+        # snapshot never sets the current readers back.
+        if entry is None or snapshot.version >= entry.version:
+            self._entries[key] = fresh
+        return fresh.selection
+
+    def uniform(self, table_name: str, fraction: float, seed: int = 0,
+                snapshot: Snapshot | None = None) -> np.ndarray:
         """The uniform synopsis selection for ``(table, fraction, seed)``.
 
-        Built on first request by delegating to ``ColumnQuery.sample`` on a
-        full-table query — the synopsis *is* that sample's row set — then
-        cached; later calls return the stored selection. Treat it as
-        read-only (it is shared across queries).  On a written table the
-        draw runs over a current snapshot's live rows, and the cache key's
-        version component retires the entry at the next write.
+        Answers for ``snapshot`` (the table's current one when omitted):
+        exactly the rows ``snapshot.query().sample(fraction, seed)`` keeps,
+        whether drawn now, served from the entry, or advanced from an entry
+        drawn before later writes (module docstring).  Treat the result as
+        read-only (it is shared across queries).
         """
-        key = ("uniform", table_name, float(fraction), int(seed),
-               self._version(table_name))
-        selection = self._selections.get(key)
-        if selection is None:
-            query = self._store.query(table_name).sample(fraction, seed)
-            selection = np.asarray(query.selection, dtype=np.int64)
-            self._selections[key] = selection
-        return selection
+        fraction, seed = _checked_fraction(fraction), int(seed)
+        return self._answer(
+            ("uniform", table_name, fraction, seed), snapshot,
+            lambda snap: _draw_uniform(snap, fraction, seed),
+            lambda entry, snap: _advance_uniform(entry, snap, fraction, seed),
+        )
 
     def stratified(self, table_name: str, column: str, fraction: float,
-                   seed: int = 0) -> np.ndarray:
+                   seed: int = 0, snapshot: Snapshot | None = None) -> np.ndarray:
         """A stratified-by-``column`` synopsis selection.
 
         Within each distinct value of ``column``, keeps the
@@ -86,40 +218,18 @@ class SynopsisCatalog:
         ``default_rng(seed)`` scores — the same rank-by-score rule the
         uniform sample uses, applied per stratum, so every group is
         represented at (at least) the requested rate.  On a written table
-        the strata are formed over the snapshot's live rows only.
+        the strata are formed over the snapshot's live rows only; the
+        selection is redrawn whenever the snapshot's version is not the
+        entry's.
         """
-        if not 0.0 < fraction <= 1.0:
-            raise ValueError(f"synopsis fraction {fraction!r} outside (0, 1]")
-        key = ("stratified", table_name, column, float(fraction), int(seed),
-               self._version(table_name))
-        selection = self._selections.get(key)
-        if selection is None:
-            query = self._store.query(table_name)
-            table = query.table
-            scores = np.random.default_rng(seed).random(table.row_count)
-            base = None if query._full_selection else query.selection
-            rows = np.arange(table.row_count, dtype=np.int64) if base is None else base
-            _, inverse = table.column(column).distinct_inverse(base)
-            inverse = np.asarray(inverse, dtype=np.int64)
-            counts = np.bincount(inverse)
-            # Order rows by (stratum, score): each stratum's cheapest rows
-            # come first within its contiguous block.
-            order = np.lexsort((scores[rows], inverse))
-            starts = np.cumsum(counts) - counts
-            rank_in_group = np.arange(len(order)) - np.repeat(starts, counts)
-            keep_per_group = np.maximum(
-                1, np.round(fraction * counts).astype(np.int64)
-            )
-            kept = rows[order[rank_in_group < np.repeat(keep_per_group, counts)]]
-            selection = np.sort(kept).astype(np.int64)
-            self._selections[key] = selection
-        return selection
-
-    def query(self, table_name: str, selection: np.ndarray) -> ColumnQuery:
-        """Wrap a synopsis selection as a query over its base table."""
-        return ColumnQuery(self._store.effective_table(table_name), selection)
+        fraction, seed = _checked_fraction(fraction), int(seed)
+        return self._answer(
+            ("stratified", table_name, column, fraction, seed), snapshot,
+            lambda snap: _draw_stratified(snap, column, fraction, seed),
+        )
 
     def describe(self) -> dict[tuple, int]:
         """Built synopses and their row counts (for EXPLAIN-style output)."""
-        return {key: len(sel) for key, sel in sorted(self._selections.items(),
-                                                     key=lambda kv: repr(kv[0]))}
+        return {key: len(entry.selection)
+                for key, entry in sorted(self._entries.items(),
+                                         key=lambda kv: repr(kv[0]))}

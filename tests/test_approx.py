@@ -152,6 +152,53 @@ class TestStatisticalCoverage:
         assert len(fx.store.synopses) == N_SEEDS
 
 
+def _written_fixture() -> ApproxFixture:
+    """``small`` with every sweep synopsis drawn *before* three rounds of
+    writes, so the sweeps below are answered from maintained entries."""
+    fx = ApproxFixture("small")
+    store, catalog = fx.store, fx.store.synopses
+    rng = np.random.default_rng(99)
+    n_genes = int(store.table("microarray").column("gene_id").values().max()) + 1
+    for round_ in range(3):
+        for seed in range(N_SEEDS):
+            if round_ == 0 or seed % 3 == round_:  # some entries skip versions
+                catalog.uniform("microarray", FRACTION, seed)
+        patients = np.arange(1_000 + 4 * round_, 1_004 + 4 * round_)
+        store.append("microarray", {
+            "gene_id": np.tile(np.arange(n_genes), len(patients)),
+            "patient_id": np.repeat(patients, n_genes),
+            "expression_value": rng.normal(9.0, 3.0, n_genes * len(patients)),
+        })
+        store.delete_where("microarray", col("patient_id") == lit(5 + round_))
+        live = store.snapshot("microarray").live_selection()
+        store.delete("microarray", rng.choice(live, size=len(live) // 50, replace=False))
+    assert store.snapshot("microarray").generation == 0  # entries carried, never renumbered
+    logical = store.snapshot("microarray").logical_arrays()
+    fx.values = np.asarray(logical["expression_value"], dtype=np.float64)
+    fx.exact_sum, fx.exact_mean = float(fx.values.sum()), float(fx.values.mean())
+    mask = np.asarray(logical["gene_id"]) < 25
+    fx.ht_sum, fx.ht_count = float(fx.values[mask].sum()), float(mask.sum())
+    return fx
+
+
+class TestStatisticalCoverageOnMaintainedSynopses(TestStatisticalCoverage):
+    """The same sweeps on a store whose synopses were carried through writes.
+
+    Equality with the fresh draw is what ``tests/test_delta.py`` proves; this
+    is the statistical contract checked end to end on the maintained path.
+    """
+
+    @pytest.fixture(scope="class")
+    def fx(self) -> ApproxFixture:
+        return _written_fixture()
+
+    def test_maintained_selections_are_the_fresh_draws(self, fx):
+        for seed in range(0, N_SEEDS, 7):
+            np.testing.assert_array_equal(
+                fx.store.synopses.uniform("microarray", FRACTION, seed),
+                fx.store.query("microarray").sample(FRACTION, seed).selection)
+
+
 ENCODINGS = ("plain", "rle", "dictionary", "delta")
 
 
@@ -454,7 +501,6 @@ class TestSynopsisCatalog:
         fx = ApproxFixture("tiny")
         fx.store.synopses.uniform("patients", 0.5, seed=1)
         description = fx.store.synopses.describe()
-        # The trailing key component is the table's store version (0 while
-        # never written) — the write-staleness guard.
-        assert list(description) == [("uniform", "patients", 0.5, 1, 0)]
-        assert description[("uniform", "patients", 0.5, 1, 0)] == 30
+        # One entry per (kind, table, fraction, seed): the version it
+        # answers is the entry's state, not part of its key.
+        assert description == {("uniform", "patients", 0.5, 1): 30}

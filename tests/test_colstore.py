@@ -158,6 +158,65 @@ class TestCompressedFastPaths:
         with pytest.raises(IndexError):
             encoding.take(np.array([len(values)]))
 
+    RLE_TAKE_INDICES = {
+        "sorted": np.array([0, 2, 3, 4, 9, 10, 17, 29]),
+        "sorted-with-duplicates": np.array([0, 0, 3, 3, 3, 4, 12, 12, 29, 29]),
+        "unsorted": np.array([17, 0, 29, 4, 3, 12]),
+        "negative": np.array([-30, -1, 0, -13, 5]),
+        "sorted-after-a-negative": np.array([-1, 0, 1, 2]),
+        "empty": np.empty(0, dtype=np.int64),
+        "single": np.array([11]),
+        "all-in-one-run": np.array([5, 6, 6, 8, 9]),
+        "every-row": np.arange(30),
+        "two-dimensional": np.array([[0, 4, 29], [12, 3, 3]]),
+    }
+
+    @pytest.mark.parametrize("decoded", [False, True], ids=["encoded", "decoded"])
+    @pytest.mark.parametrize("shape", list(RLE_TAKE_INDICES))
+    def test_rle_take_equals_plain_indexing(self, shape, decoded):
+        """Per-run gather (sorted), per-position search (anything else) and
+        the decode buffer all answer like ``values()[indices]``."""
+        values = np.repeat(np.array([7, 3, 8, 3, 9, 1]), [4, 1, 5, 2, 10, 8])
+        encoding = RunLengthEncoding()
+        encoding.encode(values)
+        if decoded:
+            encoding.values()
+        indices = self.RLE_TAKE_INDICES[shape]
+        taken = encoding.take(indices)
+        np.testing.assert_array_equal(taken, values[indices])
+        assert taken.shape == indices.shape and taken.dtype == values.dtype
+
+    @pytest.mark.parametrize("decoded", [False, True], ids=["encoded", "decoded"])
+    @pytest.mark.parametrize("indices", [[0, 5, 30], [30], [3, 31, 2], [-31, 0], [0, 1, 2**40]],
+                             ids=["sorted", "single", "unsorted", "negative", "far"])
+    def test_rle_take_out_of_range_raises_index_error(self, indices, decoded):
+        encoding = RunLengthEncoding()
+        encoding.encode(np.repeat(np.array([7, 3, 8]), [4, 1, 25]))
+        if decoded:
+            encoding.values()
+        with pytest.raises(IndexError):
+            encoding.take(np.array(indices))
+
+    def test_rle_narrowed_operators_agree_on_sorted_and_unsorted_positions(self):
+        """``distinct_inverse`` and the sketch stream count rows per run from
+        the same sorted-positions search the gather uses."""
+        values = np.repeat(np.array([7, 3, 8, 3, 9, 1]), [4, 1, 5, 2, 10, 8])
+        encoding = RunLengthEncoding()
+        encoding.encode(values)
+        rng = np.random.default_rng(5)
+        for positions in (np.flatnonzero(rng.random(30) < 0.4), rng.permutation(30)[:12],
+                          np.array([4, 4, 9, 9, 9])):
+            keys, inverse = encoding.distinct_inverse(positions)
+            expected_keys, expected_inverse = np.unique(values[positions], return_inverse=True)
+            np.testing.assert_array_equal(keys, expected_keys)
+            np.testing.assert_array_equal(inverse, expected_inverse)
+            run_values, weights = encoding.sketch_pairs(positions)
+            order = np.argsort(run_values, kind="stable")
+            merged_keys, starts = np.unique(run_values[order], return_index=True)
+            np.testing.assert_array_equal(merged_keys, expected_keys)
+            np.testing.assert_array_equal(np.add.reduceat(weights[order], starts),
+                                          np.bincount(expected_inverse))
+
     def test_delta_take_window(self):
         values = np.cumsum(np.arange(1, 50, dtype=np.int64))
         encoding = DeltaEncoding()
@@ -661,6 +720,67 @@ class TestColumnQuery:
         np.testing.assert_array_equal(first, second)
         with pytest.raises(ValueError):
             store.query("patients").sample(0.0)
+
+    @staticmethod
+    def _stable_sort_rule(scores, selection, fraction):
+        """The parent's ``sample`` body, written out: a full stable argsort."""
+        rows = np.sort(selection)
+        n_keep = max(1, int(round(fraction * len(rows)))) if len(rows) else 0
+        return np.sort(rows[np.argsort(scores[rows], kind="stable")[:n_keep]])
+
+    SAMPLE_FRACTIONS = (1e-4, 1e-3, 0.01, 0.05, 0.3, 0.5, 0.999, 1.0)
+
+    @pytest.mark.parametrize("shape", ["full", "unsorted", "filtered", "one-row", "empty"])
+    def test_sample_keeps_the_rows_of_the_stable_sort_rule(self, shape):
+        n = 20_000
+        table = ColumnTable.from_arrays("t", {"x": np.arange(n) % 97})
+        rng = np.random.default_rng(8)
+        query = {
+            "full": lambda: ColumnQuery(table),
+            "unsorted": lambda: ColumnQuery(table, rng.permutation(n)[:7_001]),
+            "filtered": lambda: ColumnQuery(table).where(col("x") < 40),
+            "one-row": lambda: ColumnQuery(table, np.array([4_321])),
+            "empty": lambda: ColumnQuery(table).where(col("x") < 0),
+        }[shape]()
+        for seed in (0, 3):
+            scores = np.random.default_rng(seed).random(n)
+            for fraction in self.SAMPLE_FRACTIONS:
+                kept = query.sample(fraction, seed).selection
+                np.testing.assert_array_equal(
+                    kept, self._stable_sort_rule(scores, query.selection, fraction))
+                assert kept.dtype == np.int64
+
+    def test_sample_breaks_score_ties_by_row_position(self, monkeypatch):
+        """Duplicate scores straddling the threshold: the kept rows are the
+        stable sort's, i.e. the lowest positions among the tied."""
+        n = 600
+        tied = np.random.default_rng(21).integers(0, 6, n) / 8.0  # ~100 rows per score
+
+        class Tied:
+            def random(self, size):
+                assert size == n
+                return tied
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: Tied())
+        table = ColumnTable.from_arrays("t", {"x": np.arange(n)})
+        reversed_rows = ColumnQuery(table, np.arange(n)[::-1])
+        narrowed = ColumnQuery(table, np.flatnonzero(np.arange(n) % 3 > 0))
+        for query in (ColumnQuery(table), reversed_rows, narrowed):
+            for n_keep in (1, 2, 99, 100, 101, 250, len(query) - 1, len(query)):
+                fraction = n_keep / len(query)
+                expected = self._stable_sort_rule(tied, query.selection, fraction)
+                assert len(expected) == n_keep
+                np.testing.assert_array_equal(
+                    query.sample(fraction, seed=0).selection, expected)
+
+    def test_smallest_scored_is_the_head_of_a_stable_argsort(self):
+        rng = np.random.default_rng(2)
+        for scores in (rng.random(257), rng.integers(0, 4, 257) / 4.0, np.zeros(9),
+                       np.empty(0)):
+            for n_keep in range(len(scores) + 2):
+                np.testing.assert_array_equal(
+                    query_module.smallest_scored(scores, n_keep),
+                    np.sort(np.argsort(scores, kind="stable")[:n_keep]))
 
     def test_to_matrix_and_table(self, store):
         query = store.query("genes")

@@ -40,10 +40,12 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.colstore import ColumnStore, ColumnTable, ColumnVector
+from repro.colstore import AGGREGATE_FUNCTIONS, ColumnStore, ColumnTable, ColumnVector
+from repro.colstore import reduce_by_inverse
 from repro.colstore.delta import DeltaStore, MergedColumn, merge_group_parts
 from repro.colstore.planner import run_plan
-from repro.plan import approx_mean, col
+from repro.colstore.synopsis import POOL_SLACK, SynopsisCatalog
+from repro.plan import approx_mean, approx_sum, col
 from repro.plan.logical import Aggregate, ApproxAggregate, Filter, Pivot, Scan
 
 COLUMNS = ("rid", "grp", "run", "val")
@@ -118,12 +120,12 @@ def _apply_ops(store: ColumnStore, ops) -> None:
 class TestDeltaStoreBasics:
     def test_versions_start_at_zero_and_count_every_write(self):
         store = _store_with(_sealed_four_encodings(20, seed=1))
-        assert store.store_version("events") == 0
+        assert store.snapshot("events").version == 0
         v1 = store.append("events", _seed_arrays(3, seed=2))
         v2 = store.delete("events", [0, 5])
         v3 = store.compact("events")
         assert (v1, v2, v3) == (1, 2, 3)
-        assert store.store_version("events") == 3
+        assert store.snapshot("events").version == 3
 
     def test_append_rejects_schema_mismatch(self):
         store = _store_with(_sealed_four_encodings(10, seed=1))
@@ -174,11 +176,11 @@ class TestDeltaStoreBasics:
 
     def test_update_is_one_version_and_replaces_rows(self):
         store = _store_with(_sealed_four_encodings(6, seed=1))
-        before = store.store_version("events")
+        before = store.snapshot("events").version
         store.update("events", [2], {
             "rid": [99], "grp": ["b"], "run": [1], "val": [7.0],
         })
-        assert store.store_version("events") == before + 1
+        assert store.snapshot("events").version == before + 1
         rid = store.query("events").column("rid")
         assert 2 not in rid.tolist() and 99 in rid.tolist()
         assert store.live_row_count("events") == 6
@@ -272,6 +274,65 @@ class TestDeltaStoreBasics:
         part = (np.array([1]), np.array([2.0]))
         with pytest.raises(ValueError, match="mean"):
             merge_group_parts([part, part], "mean", np.dtype(np.int64))
+
+
+    MERGED_SELECTIONS = {
+        "no selection": lambda rng: None,
+        "contiguous split": lambda rng: np.flatnonzero(rng.random(48) < 0.5),
+        "interleaved": lambda rng: rng.permutation(48)[:30],
+        "tail only": lambda rng: np.array([40, 41, 44, 47]),
+        "sealed only": lambda rng: np.array([0, 3, 4, 17, 39]),
+        "empty": lambda rng: np.empty(0, dtype=np.int64),
+    }
+
+    @pytest.mark.parametrize("key", ["grp", "run", "rid"])
+    @pytest.mark.parametrize("shape", list(MERGED_SELECTIONS))
+    @pytest.mark.parametrize("function", AGGREGATE_FUNCTIONS)
+    def test_merged_group_reduce_equals_numpy_on_the_decoded_column(
+            self, function, shape, key):
+        """Every function x selection shape against ``reduce_by_inverse`` over
+        ``values()`` — ``mean`` included, which reduces sum and count from one
+        split and one set of group codes per part."""
+        store = _store_with(_sealed_four_encodings(40, seed=31))
+        store.append("events", _seed_arrays(5, seed=32))
+        store.append("events", _seed_arrays(3, seed=33))
+        column = store.effective_table("events").column(key)
+        assert isinstance(column, MergedColumn) and len(column) == 48
+        selection = self.MERGED_SELECTIONS[shape](np.random.default_rng(34))
+        decoded = column.values() if selection is None else column.values()[selection]
+        # Non-integer floats: sums may associate differently (1e-12), the
+        # rest is exact.
+        reduced = np.random.default_rng(35).normal(size=len(decoded))
+        keys, aggregates = MergedColumn(column._sealed, column._tail_chunks).group_reduce(
+            None if function == "count" else reduced, function, selection)
+        expected_keys, inverse = np.unique(decoded, return_inverse=True)
+        expected = reduce_by_inverse(inverse, len(expected_keys), reduced, function)
+        np.testing.assert_array_equal(keys, expected_keys)
+        assert aggregates.shape == expected.shape and aggregates.dtype == np.float64
+        if function in ("count", "min", "max"):
+            np.testing.assert_array_equal(aggregates, expected)
+        else:
+            np.testing.assert_allclose(aggregates, expected, rtol=1e-12, atol=0.0)
+
+    def test_a_write_that_deletes_nothing_keeps_the_full_selection_paths(self):
+        """``delete([])`` and a pure append through ``update`` publish a bitmap
+        with nothing set; the live selection must stay None (no explicit
+        ``arange`` costing every later scan its compressed full-column paths)."""
+        store = _store_with(_sealed_four_encodings(40, seed=37))
+        twin = _store_with(_sealed_four_encodings(40, seed=37))
+        store.delete("events", [])
+        twin.append("events", _seed_arrays(4, seed=38))
+        store.update("events", [], _seed_arrays(4, seed=38))
+        snapshot = store.snapshot("events")
+        assert snapshot.deleted_count == 0 and snapshot.live_rows == 44
+        assert snapshot.live_selection() is None
+        assert snapshot.query()._full_selection
+        for plan in _plan_suite(threshold=5):
+            _assert_same_answer(plan, store, twin)
+            _assert_same_answer(plan, store, _fresh_equivalent(store))
+        store.delete("events", [2])  # a real delete still narrows
+        np.testing.assert_array_equal(store.snapshot("events").live_selection(),
+                                      np.delete(np.arange(44), 2))
 
 
 # ---------------------------------------------------------------------------- #
@@ -584,11 +645,12 @@ class TestSynopsisStaleness:
     def test_post_append_approx_answer_reflects_the_new_rows(self):
         """A synopsis drawn before an append must not answer after it.
 
-        The cache used to key on ``(kind, table, fraction, seed)`` only;
-        the cached selection then silently excluded appended rows from
-        every later approximate answer.  With the store version in the key
-        (plus eager invalidation on write), the post-append answer is
-        bit-identical to a fresh store loaded with the same logical rows.
+        The cache used to serve one selection per ``(kind, table, fraction,
+        seed)`` whatever had been written since, silently excluding
+        appended rows from every later approximate answer.  An entry is now
+        stamped with the version it answers and advanced to the reader's
+        snapshot, so the post-append answer is bit-identical to a fresh
+        store loaded with the same logical rows.
         """
         store = _store_with(_sealed_four_encodings(60, seed=13))
         plan = ApproxAggregate(Scan("events"), "val", "approx_sum",
@@ -606,13 +668,15 @@ class TestSynopsisStaleness:
                (expected.estimate, expected.ci_low, expected.ci_high)
         # 30 rows of 10k among 90 must move a 50% sample's sum estimate.
         assert after.estimate != before.estimate
-        # The write hook dropped the stale entry — one live synopsis only.
-        assert len(store.synopses) == 1
-        (key,) = store.synopses.describe()
-        assert key[-1] == store.store_version("events")
+        # One entry per (table, fraction, seed), answering the current
+        # version — advanced in place, not accumulated per version.
+        assert list(store.synopses.describe()) == [("uniform", "events", 0.5, 3)]
+        np.testing.assert_array_equal(
+            store.synopses.uniform("events", 0.5, seed=3),
+            store.query("events").sample(0.5, 3).selection)
 
     def test_recreated_table_never_answers_from_the_dropped_tables_synopsis(self):
-        """Drop + create restarts the version at 0, the dropped table's cache
+        """Drop + create restarts the version at 0 under the dropped table's
         key: its selection covers the wrong rows (or rows past the end)."""
         plan = approx_mean(Scan("t"), "x", fraction=0.1, seed=1)
         store = ColumnStore()
@@ -653,6 +717,260 @@ class TestSynopsisStaleness:
         store.delete("events", deleted)
         selection = store.synopses.stratified("events", "grp", 0.5, seed=6)
         assert not np.intersect1d(selection, deleted).size
+
+
+# ---------------------------------------------------------------------------- #
+# Synopsis maintenance: an advanced entry *is* the fresh draw
+# ---------------------------------------------------------------------------- #
+
+#: Two fractions and seeds asked of one table throughout the battery.
+SYNOPSIS_KEYS = ((0.3, 1), (0.05, 2), (1.0, 5))
+
+_SYNOPSIS_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["append", "delete", "delete_where", "update", "compact",
+                         "recreate", "silent-append", "silent-delete"]),
+        st.integers(0, 2**16)),
+    min_size=1, max_size=10,
+)
+
+
+def _never_warm_answer(plan, store):
+    """``plan`` answered by ``store`` with a catalog that has drawn nothing yet."""
+    warm, store._synopses = store._synopses, None
+    try:
+        return run_plan(plan, store)
+    finally:
+        store._synopses = warm
+
+
+def _write(store: ColumnStore, kind: str, seed: int) -> None:
+    rng = np.random.default_rng(seed)
+    if kind in ("append", "silent-append"):
+        _append_batch(store, seed)
+    elif kind in ("delete", "silent-delete"):
+        _delete_some(store, seed)
+    elif kind == "delete_where":
+        store.delete_where("events", col("val") > int(rng.integers(-40, 40)))
+    elif kind == "update":
+        total = store.snapshot("events").row_count
+        ids = rng.choice(total, size=int(rng.integers(0, min(total, 6) + 1)), replace=False)
+        store.update("events", ids, _seed_arrays(int(rng.integers(1, 6)), seed))
+    elif kind == "compact":
+        store.compact("events")
+    else:
+        store.drop_table("events")
+        store.register(_sealed_four_encodings(int(rng.integers(5, 60)), seed))
+
+
+def _assert_synopses_are_fresh_draws(store: ColumnStore) -> None:
+    """Every maintained selection equals ``ColumnQuery.sample`` on the current
+    snapshot, and the approximate answer a never-warm catalog's."""
+    for fraction, seed in SYNOPSIS_KEYS:
+        maintained = store.synopses.uniform("events", fraction, seed)
+        fresh = store.query("events").sample(fraction, seed).selection
+        np.testing.assert_array_equal(maintained, fresh)
+        assert maintained.dtype == np.int64
+        plan = approx_sum(Scan("events"), "val", fraction=fraction, seed=seed)
+        got, want = run_plan(plan, store), _never_warm_answer(plan, store)
+        np.testing.assert_array_equal(  # NaN == NaN: an emptied table
+            np.array([got.estimate, got.ci_low, got.ci_high]),
+            np.array([want.estimate, want.ci_low, want.ci_high]))
+    assert len(store.synopses) == len(SYNOPSIS_KEYS)
+
+
+class TestSynopsisMaintenance:
+    @given(n0=st.integers(1, 120), data_seed=st.integers(0, 2**16), ops=_SYNOPSIS_OPS)
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    def test_maintained_selection_is_the_fresh_draw_after_every_write(
+            self, n0, data_seed, ops):
+        """Random interleavings of every write, checked after every step —
+        except the ``silent-`` ones, which leave the entry several versions
+        behind so the next check advances it across all of them at once."""
+        store = _store_with(_sealed_four_encodings(n0, data_seed))
+        _assert_synopses_are_fresh_draws(store)
+        for kind, seed in ops:
+            _write(store, kind, seed)
+            if not kind.startswith("silent-"):
+                _assert_synopses_are_fresh_draws(store)
+        _assert_synopses_are_fresh_draws(store)
+
+    def test_entry_is_advanced_not_redrawn_within_a_generation(self, monkeypatch):
+        """After a write the catalog scores only the appended rows."""
+        store = _store_with(_sealed_four_encodings(2_000, seed=41))
+        store.synopses.uniform("events", 0.1, seed=7)
+        scored = []
+        real = np.random.Generator.random
+        monkeypatch.setattr(np.random, "Generator", type(
+            "Counting", (np.random.Generator,),
+            {"random": lambda self, size: scored.append(size) or real(self, size)}))
+        store.append("events", _seed_arrays(50, seed=42))
+        store.delete("events", np.arange(0, 300, 3))
+        store.append("events", _seed_arrays(25, seed=43))
+        advanced = store.synopses.uniform("events", 0.1, seed=7)
+        assert scored == [75]
+        monkeypatch.undo()
+        np.testing.assert_array_equal(
+            advanced, store.query("events").sample(0.1, 7).selection)
+        assert len(advanced) == round(0.1 * (2_075 - 100))
+
+    def test_pool_underflow_redraws(self):
+        """Deleting most of the sample (and its slack) leaves the pool short:
+        the entry is redrawn, and still equals the fresh draw."""
+        store = _store_with(_sealed_four_encodings(1_000, seed=44))
+        catalog = store.synopses
+        first = catalog.uniform("events", 0.2, seed=9)
+        (entry,) = catalog._entries.values()
+        assert len(first) == 200 and len(entry.pool_rows) == 200 + int(200 * POOL_SLACK)
+        store.delete("events", entry.pool_rows[:180])
+        from repro.colstore.synopsis import _advance_uniform
+        assert _advance_uniform(entry, store.snapshot("events"), 0.2, 9) is None
+        redrawn = catalog.uniform("events", 0.2, seed=9)
+        np.testing.assert_array_equal(
+            redrawn, store.query("events").sample(0.2, 9).selection)
+        assert len(redrawn) == 164 and not np.intersect1d(redrawn, entry.pool_rows[:180]).size
+        # The redrawn entry has a full pool again and advances from here.
+        store.delete("events", redrawn[:10])
+        (entry,) = catalog._entries.values()
+        assert _advance_uniform(entry, store.snapshot("events"), 0.2, 9) is not None
+        _ = catalog.uniform("events", 0.2, seed=9)
+        np.testing.assert_array_equal(
+            _, store.query("events").sample(0.2, 9).selection)
+
+    def test_reader_holding_an_older_snapshot_gets_its_own_draw(self):
+        """A snapshot older than the entry is answered for *its* version and
+        does not set the entry back for current readers."""
+        store = _store_with(_sealed_four_encodings(300, seed=45))
+        old = store.snapshot("events")
+        store.append("events", _seed_arrays(40, seed=46))
+        store.delete("events", np.arange(10, 60))
+        current = store.synopses.uniform("events", 0.25, seed=3)
+        older = store.synopses.uniform("events", 0.25, seed=3, snapshot=old)
+        np.testing.assert_array_equal(older, old.query().sample(0.25, 3).selection)
+        assert len(older) == 75 and older.max() < 300
+        assert store.synopses.uniform("events", 0.25, seed=3) is current
+        # The same across a compaction: the old generation's ids are its own.
+        store.compact("events")
+        compacted = store.synopses.uniform("events", 0.25, seed=3)
+        np.testing.assert_array_equal(
+            compacted, store.query("events").sample(0.25, 3).selection)
+        np.testing.assert_array_equal(
+            store.synopses.uniform("events", 0.25, seed=3, snapshot=old), older)
+        assert store.synopses.uniform("events", 0.25, seed=3) is compacted
+        assert len(store.synopses) == 1
+
+    def test_racing_readers_each_get_their_own_snapshots_draw(self):
+        """Readers advance one shared entry while writers (and a compactor)
+        move the table: entries are immutable and swapped whole, so whichever
+        reader stores last, every reader's rows are its own snapshot's."""
+        store = _concurrent_store(400)
+        errors: list[str] = []
+        done = threading.Event()
+
+        def write(writer_id: int) -> None:
+            rng = np.random.default_rng(writer_id)
+            for i in range(40):
+                store.append("events", _marked_batch(writer_id * 1000 + i))
+                live = store.snapshot("events").live_selection()
+                if live is not None and len(live) > 100:
+                    store.delete("events", rng.choice(live[:100], size=3, replace=False))
+                if writer_id == 0 and i % 13 == 12:
+                    store.compact("events")
+
+        def read() -> None:
+            while not errors:
+                finished = done.is_set()
+                snapshot = store.snapshot("events")
+                got = store.synopses.uniform("events", 0.2, seed=6, snapshot=snapshot)
+                if not np.array_equal(got, snapshot.query().sample(0.2, 6).selection):
+                    errors.append(f"version {snapshot.version}: not the fresh draw")
+                if finished:
+                    break
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            writers = [threading.Thread(target=write, args=(w,)) for w in range(3)]
+            readers = [threading.Thread(target=read) for _ in range(4)]
+            for thread in writers + readers:
+                thread.start()
+            for thread in writers:
+                thread.join(timeout=120)
+                assert not thread.is_alive()
+            done.set()
+            for thread in readers:
+                thread.join(timeout=120)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors, errors[:3]
+        assert len(store.synopses) == 1
+
+    def test_stratified_entry_is_redrawn_per_version_under_one_key(self):
+        store = _store_with(_sealed_four_encodings(80, seed=47))
+        first = store.synopses.stratified("events", "grp", 0.25, seed=4)
+        assert store.synopses.stratified("events", "grp", 0.25, seed=4) is first
+        old = store.snapshot("events")
+        store.append("events", {"rid": [900], "grp": ["z"], "run": [7], "val": [1.0]})
+        store.delete("events", first[:5])
+        redrawn = store.synopses.stratified("events", "grp", 0.25, seed=4)
+        np.testing.assert_array_equal(
+            redrawn, SynopsisCatalog(store).stratified("events", "grp", 0.25, seed=4))
+        assert 80 in redrawn and not np.intersect1d(redrawn, first[:5]).size
+        np.testing.assert_array_equal(
+            store.synopses.stratified("events", "grp", 0.25, seed=4, snapshot=old), first)
+        assert list(store.synopses.describe()) == [("stratified", "events", "grp", 0.25, 4)]
+
+
+class TestSynopsisRouteReadsOneSnapshot:
+    """``_sampled_base`` derives table, selection and population from the one
+    snapshot the execution froze: a write landing mid-plan is invisible."""
+
+    PLAN = approx_sum(Scan("events"), "val", fraction=0.5, seed=3)
+
+    def _answer_with_a_write_around_the_synopsis_lookup(self, write, when):
+        store = _store_with(_sealed_four_encodings(60, seed=13))
+        catalog = store.synopses
+        real, fired = catalog.uniform, []
+
+        def uniform(*args, **kwargs):
+            if when == "before" and not fired:
+                fired.append(write(store))
+            selection = real(*args, **kwargs)
+            if when == "after" and not fired:
+                fired.append(write(store))
+            return selection
+
+        catalog.uniform = uniform
+        answer = run_plan(self.PLAN, store)
+        assert len(fired) == 1
+        return answer
+
+    @pytest.mark.parametrize("when", ["before", "after"])
+    @pytest.mark.parametrize("write", [
+        lambda store: store.append("events", {
+            "rid": np.arange(60, 90), "grp": np.full(30, "c"),
+            "run": np.full(30, 9, dtype=np.int64), "val": np.full(30, 10_000.0)}),
+        lambda store: store.delete("events", np.arange(0, 60, 2)),
+        lambda store: (store.delete("events", np.arange(0, 50)),
+                       store.compact("events")),
+    ], ids=["append", "delete", "delete+compact"])
+    def test_a_write_landing_mid_plan_does_not_change_the_answer(self, write, when):
+        quiet = run_plan(self.PLAN, _store_with(_sealed_four_encodings(60, seed=13)))
+        raced = self._answer_with_a_write_around_the_synopsis_lookup(write, when)
+        assert (raced.estimate, raced.ci_low, raced.ci_high) == \
+               (quiet.estimate, quiet.ci_low, quiet.ci_high)
+
+    def test_self_join_and_sample_share_the_scans_snapshot(self):
+        """The synopsis route reuses the snapshot a ``Scan`` already froze."""
+        from repro.colstore.planner import ColumnStoreBackend
+        store = _store_with(_sealed_four_encodings(60, seed=13))
+        backend = ColumnStoreBackend(store, None)
+        scanned = backend.lower(Scan("events"))
+        store.append("events", _seed_arrays(9, seed=14))
+        sampled, population = backend._sampled_base(Scan("events"), 0.5, 3)
+        assert sampled.table is scanned.table and population == 60
+        assert sampled.selection.max() < 60
 
 
 class TestDeltaScanGateTrips:
@@ -705,3 +1023,36 @@ class TestDeltaScanGateTrips:
         assert result.returncode == 1
         assert "REGRESSION" in result.stdout
         assert "delta_scan" in result.stdout
+
+
+@pytest.mark.parametrize("op, encoding, lost", [
+    ("sample", "uniform-5pct", "sample() sorts every score again"),
+    ("take", "rle-sorted", "the RLE gather probes the run ends once per position"),
+    ("synopsis_refresh", "append+delete", "every write retires the synopsis entry"),
+])
+class TestWriteCostGateTrips:
+    """The three what-a-write-costs-the-reader rows are gated, and each gate
+    trips when its fast path is lost (the candidate then costs its baseline)."""
+
+    def _entry(self, record: dict, op: str, encoding: str) -> dict:
+        (entry,) = [e for e in record["results"]
+                    if (e["op"], e["encoding"]) == (op, encoding)]
+        return entry
+
+    def test_committed_record_gates_a_real_speedup(self, op, encoding, lost):
+        record = json.loads(TestDeltaScanGateTrips.RECORD.read_text())
+        entry = self._entry(record, op, encoding)
+        assert entry["gated"] is True
+        assert entry["speedup"] > 3.0
+
+    def test_losing_the_fast_path_trips_the_gate(self, tmp_path, op, encoding, lost):
+        record = json.loads(TestDeltaScanGateTrips.RECORD.read_text())
+        entry = self._entry(record, op, encoding)
+        entry["compressed_s"] = entry["baseline_s"]  # i.e. ``lost``
+        entry["speedup"] = 1.0
+        candidate = tmp_path / "doctored.json"
+        candidate.write_text(json.dumps(record))
+        result = TestDeltaScanGateTrips()._run_gate(candidate)
+        assert result.returncode == 1, lost
+        assert "REGRESSION" in result.stdout
+        assert op in result.stdout

@@ -18,8 +18,10 @@ decode-in-fast-path       The column store's encoding fast paths must not
                           module needs an explicit ``# decode-ok: <reason>``
                           pragma on the same line.
 unseeded-rng              All randomness is reproducible: no legacy global
-                          ``np.random.*`` calls, and ``default_rng()`` must be
-                          given a seed.
+                          ``np.random.*`` calls, and ``default_rng()`` — or a
+                          bit generator such as ``PCG64()``, which
+                          ``Generator(PCG64(seed).advance(n))`` jumps to draw
+                          ``n`` of a seeded stream — must be given a seed.
 fragment-state-mutation   Per-node worker closures (``on_fragment``
                           consumers, ``work`` closures run by
                           ``run_on_nodes``) are pure: no ``nonlocal`` /
@@ -138,6 +140,11 @@ NO_CALLER_BASELINE = frozenset({
     "relational/schema.py::Schema.rename",
     "rlang/dataframe.py::DataFrame.order_by",
 })
+
+#: ``np.random`` constructors that are reproducible exactly when handed a seed
+#: (rule ``unseeded-rng``): the generator factory and ``default_rng``'s own bit
+#: generator, which ``Generator(PCG64(seed).advance(n))`` jumps ahead.
+SEEDED_CONSTRUCTORS = frozenset({"default_rng", "PCG64"})
 
 #: Rules that read the whole tree (:func:`lint_repo`), not one file.
 REPO_RULES = ("single-lanczos-site", "no-caller")
@@ -294,18 +301,18 @@ class _Checker(ast.NodeVisitor):
                 )
         # unseeded-rng
         legacy = _is_np_random_attribute(func)
-        if legacy is not None and legacy not in {"default_rng", "Generator"}:
+        if legacy is not None and legacy not in SEEDED_CONSTRUCTORS | {"Generator"}:
             self._hit(
                 node, "unseeded-rng",
                 f"legacy global np.random.{legacy}() is unseeded state; use "
                 "np.random.default_rng(seed)",
             )
-        if ((legacy == "default_rng"
-             or (isinstance(func, ast.Name) and func.id == "default_rng"))
+        constructor = legacy or (func.id if isinstance(func, ast.Name) else None)
+        if (constructor in SEEDED_CONSTRUCTORS
                 and not node.args and not node.keywords):
             self._hit(
                 node, "unseeded-rng",
-                "default_rng() without a seed is irreproducible; pass an "
+                f"{constructor}() without a seed is irreproducible; pass an "
                 "explicit seed",
             )
         self.generic_visit(node)
