@@ -17,7 +17,7 @@ chunks or hand off to ScaLAPACK.  This package reproduces that architecture:
 * :mod:`repro.arraydb.bridge` — the shared-plan executor: lowers the
   engine-agnostic logical plans of :mod:`repro.plan` onto these operators
   (metadata filters run chunk-wise with min/max chunk skipping; joins
-  against the fact array become dimension subarrays).
+  against the fact array become one gather of the selected coordinates).
 
 Because data is already an array, the GenBase queries need no
 table-to-matrix restructuring here — the property that makes SciDB

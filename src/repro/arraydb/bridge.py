@@ -23,10 +23,13 @@ Lowering then follows the array idiom the paper describes for SciDB: a
 vectors (each classified range/equality/membership conjunct first tests
 the chunk's min/max synopsis and can skip the whole chunk, see
 :func:`repro.arraydb.operators.expression_skips_chunk`); a ``Join``
-against the matrix frame on a dimension is a dimension join —
-:func:`repro.arraydb.operators.subarray_by_index` keeps the selected
-coordinates and compacts the axis; ``Aggregate`` runs chunk-wise along a
-dimension and ``Pivot`` is :meth:`~repro.arraydb.array.ChunkedArray.to_dense`
+against the matrix frame on a dimension is a dimension join, and every
+dimension join of one subtree materialises as a single gather —
+:func:`repro.arraydb.operators.subarray` copies the selected coordinates
+of all dimensions out of the stored chunks in one pass and compacts the
+axes, never densifying the source array; ``Aggregate`` runs chunk-wise
+along a dimension and ``Pivot`` is
+:meth:`~repro.arraydb.array.ChunkedArray.to_dense` of the gathered array
 (the data is already a matrix — the restructuring every relational
 engine pays for simply does not exist here).
 
@@ -69,7 +72,7 @@ from repro.arraydb.operators import (
     aggregate,
     expression_skips_chunk,
     filter_attribute,
-    subarray_by_index,
+    subarray,
 )
 from repro.plan import logical
 from repro.plan.execute import Backend, execute
@@ -517,19 +520,23 @@ def _resolve_meta(selection: _MetaSelection,
 
 def _materialise(selection: _MatrixSelection,
                  stats: FilterStats | None) -> ArrayQueryResult:
-    """Apply the accumulated selections: subarray per dimension + cell filters."""
+    """Apply the accumulated selections: one gather over the chunks + cell filters."""
     array = selection.frame.array
     labels: dict[str, np.ndarray] = {}
-    for dimension in selection.frame.array.schema.dimensions:
+    offsets: list[np.ndarray | None] = []
+    for dimension in array.schema.dimensions:
         coords = selection.coordinates.get(dimension.name)
         if coords is None:
             labels[dimension.name] = np.arange(
                 dimension.start, dimension.end + 1, dtype=np.int64
             )
+            offsets.append(None)
         else:
             coords = np.unique(np.asarray(coords, dtype=np.int64))
             labels[dimension.name] = coords
-            array = subarray_by_index(array, dimension.name, coords)
+            offsets.append(coords - dimension.start)
+    if any(selected is not None for selected in offsets):
+        array = subarray(array, offsets)
     for predicate in selection.cell_predicates:
         array = filter_attribute(array, None, predicate, stats=stats)
     return ArrayQueryResult(array=array, labels=labels)

@@ -88,9 +88,13 @@ class Chunk:
         return cache[name]
 
     def masked_attribute(self, name: str, fill: float = 0.0) -> np.ndarray:
-        """Return the attribute with empty cells replaced by ``fill``."""
+        """Return the attribute with empty cells replaced by ``fill``.
+
+        A chunk without empty cells returns its stored block, not a copy,
+        so callers must treat the result as read-only.
+        """
         values = self.attribute(name)
-        if self.mask is None:
+        if self.mask is None or self.mask.all():
             return values
         return np.where(self.mask, values, fill)
 

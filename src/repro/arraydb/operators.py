@@ -12,9 +12,9 @@ ones :mod:`repro.arraydb.bridge` lowers the shared plans onto:
   attributes; the predicate is an :class:`~repro.plan.expressions.Expression`
   from the shared AST (range/equality/membership conjuncts skip whole
   chunks via the chunks' min/max synopses),
-* :func:`subarray_by_index` — keep a given list of coordinates along one
-  dimension and compact them (what a dimension-join against a filtered
-  metadata array produces),
+* :func:`subarray` — keep the selected coordinates along every dimension
+  and compact them, gathered in one pass over the stored chunks (what
+  dimension joins against filtered metadata arrays produce),
 * :func:`aggregate` — whole-array or per-dimension aggregates computed
   chunk-wise.
 
@@ -31,7 +31,6 @@ import numpy as np
 
 from repro.arraydb.array import ChunkedArray
 from repro.arraydb.chunk import Chunk
-from repro.arraydb.schema import Dimension
 from repro.plan.expressions import (
     ColumnRef,
     Comparison,
@@ -217,43 +216,80 @@ def filter_attribute(
     return result
 
 
-def subarray_by_index(
+def subarray(
     array: ChunkedArray,
-    dimension_name: str,
-    coordinates: Sequence[int],
-    result_name: str | None = None,
+    offsets: Sequence[np.ndarray | None],
 ) -> ChunkedArray:
-    """Keep selected coordinates along one dimension and compact the axis.
+    """Keep selected coordinates along every dimension in one pass over the chunks.
 
-    This is what "join the filtered metadata array with the expression
-    array" produces in SciDB: the surviving patient (or gene) coordinates
-    are renumbered densely from 0 and the other dimensions are untouched.
+    This is what joining filtered metadata arrays with the expression array
+    produces in SciDB: the surviving patient and gene coordinates are
+    gathered straight out of the stored chunks and renumbered densely from
+    0.  ``offsets`` holds one entry per dimension: the ascending offsets
+    from the dimension's start to keep (duplicates repeat a coordinate,
+    offsets outside the dimension are dropped), or ``None`` to keep the
+    whole axis.  Each stored chunk is visited once: a binary search finds
+    the selected offsets inside its extent, and its block (empty cells
+    read as 0) is copied into its slice of one zero-filled output, which
+    is chunked with the source's chunk sizes.
+
+    >>> from repro.arraydb.chunk import Chunk
+    >>> from repro.arraydb.schema import ArraySchema, Attribute, Dimension
+    >>> values = np.arange(12.0).reshape(4, 3)
+    >>> array = ChunkedArray(ArraySchema(
+    ...     "expression", [Dimension("patient_id", 10, 13, 2), Dimension("gene_id", 5, 7, 2)],
+    ...     [Attribute("value")]))
+    >>> for key in array.chunk_grid():
+    ...     rows, cols = (range(s.start - d.start, s.stop - d.start) for s, d in
+    ...                   zip(array.chunk_slices(key), array.schema.dimensions, strict=True))
+    ...     array.put_chunk(Chunk(key, (rows[0] + 10, cols[0] + 5),
+    ...                           {"value": values[np.ix_(rows, cols)]}))
+    >>> picked = subarray(array, [np.array([1, 3]), np.array([1, 2])])  # patients 11, 13; genes 6, 7
+    >>> picked.to_dense().tolist()
+    [[4.0, 5.0], [10.0, 11.0]]
+    >>> [(d.start, d.end) for d in picked.schema.dimensions]
+    [(0, 1), (0, 1)]
     """
-    axis = array.schema.dimension_index(dimension_name)
-    coordinates = np.asarray(sorted(set(int(c) for c in coordinates)), dtype=np.int64)
-    dense = array.to_dense()
-    dimension = array.schema.dimension(dimension_name)
-    offsets = coordinates - dimension.start
-    valid = (offsets >= 0) & (offsets < dimension.length)
-    offsets = offsets[valid]
-    taken = np.take(dense, offsets, axis=axis)
-
-    new_dimensions = []
-    for index, old in enumerate(array.schema.dimensions):
-        if index == axis:
-            new_dimensions.append(
-                Dimension(old.name, 0, max(0, taken.shape[index] - 1), old.chunk_size)
-            )
+    schema = array.schema
+    kept: list[np.ndarray | None] = []
+    for dimension, selected in zip(schema.dimensions, offsets, strict=True):
+        if selected is not None:
+            selected = np.asarray(selected, dtype=np.int64)
+            if np.any(selected[1:] < selected[:-1]):
+                raise ValueError(f"offsets along {dimension.name!r} must be ascending")
+            selected = selected[(selected >= 0) & (selected < dimension.length)]
+        kept.append(selected)
+    attribute = schema.attribute_names[0]
+    gathered = np.zeros(
+        [d.length if s is None else len(s) for d, s in zip(schema.dimensions, kept, strict=True)],
+        dtype=np.result_type(schema.attribute(attribute).dtype, float),
+    )
+    for chunk in array.chunks():
+        source, target = [], []
+        for dimension, selected, origin, extent in zip(
+                schema.dimensions, kept, chunk.origin, chunk.shape, strict=True):
+            low = origin - dimension.start
+            if selected is None:
+                source.append(None)
+                target.append(slice(low, low + extent))
+                continue
+            first, last = np.searchsorted(selected, (low, low + extent))
+            if first == last:
+                break  # no selected coordinate falls in this chunk
+            source.append(selected[first:last] - low)
+            target.append(slice(first, last))
         else:
-            new_dimensions.append(old.resized(0, max(0, taken.shape[index] - 1)))
-    name = result_name or f"subarray({array.schema.name})"
-    attribute = array.schema.attribute_names[0]
+            block = chunk.masked_attribute(attribute)
+            for axis, index in enumerate(source):
+                if index is not None:
+                    block = block.take(index, axis=axis)
+            gathered[tuple(target)] = block
     return ChunkedArray.from_dense(
-        name,
-        taken,
-        dimension_names=[d.name for d in new_dimensions],
+        f"subarray({schema.name})",
+        gathered,
+        dimension_names=schema.dimension_names,
         attribute_name=attribute,
-        chunk_sizes=[d.chunk_size for d in new_dimensions],
+        chunk_sizes=[d.chunk_size for d in schema.dimensions],
     )
 
 

@@ -54,10 +54,6 @@ class Dimension:
         high = min(low + self.chunk_size - 1, self.end)
         return low, high
 
-    def resized(self, start: int, end: int) -> "Dimension":
-        """Return a copy of this dimension with new bounds."""
-        return Dimension(self.name, start, end, self.chunk_size)
-
 
 @dataclass(frozen=True)
 class Attribute:

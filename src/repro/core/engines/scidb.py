@@ -2,10 +2,10 @@
 
 Data is stored natively as chunked arrays, so the GenBase queries need no
 table→matrix restructuring: the data-management phase is metadata filtering
-plus ``subarray`` extraction, and the analytics run either natively over the
-chunks (covariance, Lanczos SVD, Wilcoxon) or via the explicit chunked→dense
-conversion to the "ScaLAPACK" tier (regression, biclustering) — the two
-paths Section 6.2 of the paper discusses.
+plus one ``subarray`` gather of the selected coordinates, and the analytics
+run either natively over the chunks (covariance, Lanczos SVD, Wilcoxon) or
+via the explicit chunked→dense conversion to the "ScaLAPACK" tier
+(regression, biclustering) — the two paths Section 6.2 of the paper discusses.
 
 Data management executes the *shared* logical plans of
 :mod:`repro.core.queries` — the same ``Scan → Filter → Join →
@@ -15,8 +15,10 @@ engines run — through the array executor
 expressions evaluated chunk-wise over the metadata arrays; classified
 range/equality/membership conjuncts consult each chunk's min/max synopsis
 and skip whole chunks (``self.filter_stats`` accumulates the skip
-counters), and the join against the expression array is a dimension
-subarray.
+counters), and the joins against the expression array are dimension
+joins that materialise as one gather of the selected patient and gene
+coordinates straight out of the stored chunks
+(:func:`repro.arraydb.operators.subarray`).
 """
 
 from __future__ import annotations
@@ -132,8 +134,11 @@ class SciDBEngine(Engine):
             return result.array, result.label("patient_id"), result.label("gene_id")
 
     def _drug_response_for(self, patient_labels, timer: PhaseTimer) -> np.ndarray:
+        """Align drug responses with ``patient_labels`` by coordinate offset."""
         with timer.data_management():
-            return self.drug_response.to_dense()
+            start = self.drug_response.schema.dimensions[0].start
+            offsets = np.asarray(patient_labels, dtype=np.int64) - start
+            return self.drug_response.to_dense()[offsets]
 
     def _scores_and_membership(self, sampled, timer: PhaseTimer):
         with timer.data_management():

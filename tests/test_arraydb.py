@@ -6,13 +6,40 @@ import numpy as np
 import pytest
 
 from repro.arraydb import ArraySchema, Attribute, ChunkedArray, Dimension, linalg, operators as ops
+from repro.arraydb.bridge import ArrayFrame, MatrixFrame, metadata_array, run_shared_plan
 from repro.arraydb.chunk import Chunk
-from repro.plan import col
+from repro.core.engines import make_engine
+from repro.core.timing import PhaseTimer
+from repro.plan import Filter, Join, Pivot, Scan, col
 
 
 def _kept_coordinates(array: ChunkedArray) -> np.ndarray:
     """Coordinates of the non-empty cells of a 1-D array (NaN-free values)."""
     return np.flatnonzero(~np.isnan(array.to_dense(fill=np.nan)))
+
+
+def _array_at(values: np.ndarray, starts, chunk_sizes, mask: np.ndarray | None = None,
+              missing=(), names=None, attribute: str = "value") -> ChunkedArray:
+    """A chunked array over ``values`` whose dimensions begin at ``starts``.
+
+    ``mask`` marks the non-empty cells (all of them when None) and chunk-grid
+    keys in ``missing`` are not stored, as if every cell there were empty.
+    """
+    names = names or [f"d{axis}" for axis in range(values.ndim)]
+    dimensions = [Dimension(name, start, start + length - 1, size)
+                  for name, start, length, size in zip(names, starts, values.shape, chunk_sizes, strict=True)]
+    array = ChunkedArray(ArraySchema("a", dimensions, [Attribute(attribute, values.dtype)]))
+    for key in array.chunk_grid():
+        if key in missing:
+            continue
+        local = tuple(slice(s.start - d.start, s.stop - d.start)
+                      for s, d in zip(array.chunk_slices(key), dimensions, strict=True))
+        array.put_chunk(Chunk(
+            key, tuple(d.start + s.start for d, s in zip(dimensions, local, strict=True)),
+            {attribute: values[local].copy()},
+            None if mask is None else mask[local].copy(),
+        ))
+    return array
 
 
 @pytest.fixture()
@@ -89,9 +116,29 @@ class TestChunkedArray:
 
     def test_masked_attribute_fill(self):
         chunk = Chunk(coordinates=(0,), origin=(0,), data={"v": np.arange(4.0)})
+        assert chunk.masked_attribute("v") is chunk.data["v"]  # full: the stored block
         chunk.mask = np.array([True, False, True, False])
         np.testing.assert_array_equal(chunk.masked_attribute("v", fill=-1), [0, -1, 2, -1])
+        np.testing.assert_array_equal(chunk.data["v"], np.arange(4.0))
         assert chunk.cell_count == 2
+
+    def test_readers_leave_chunk_data_unchanged(self, rng):
+        # Only chunk (0, 0) is partially masked; every other stored chunk
+        # hands its block out uncopied, so a reader writing into it would show.
+        mask = np.ones((9, 7), dtype=bool)
+        mask[:4, :3] = rng.random((4, 3)) > 0.4
+        array = _array_at(rng.random((9, 7)), (0, 0), (4, 3), mask=mask, missing={(1, 1)})
+        before = {chunk.coordinates: (chunk.data["value"].tobytes(), chunk.mask.tobytes())
+                  for chunk in array.chunks()}
+        array.to_dense()
+        array.gram()
+        array.gram(center=True)
+        array.matmat(rng.random((7, 2)))
+        ops.subarray(array, [np.array([0, 4, 8]), None])
+        ops.subarray(array, [None, np.array([1, 2, 6])])
+        after = {chunk.coordinates: (chunk.data["value"].tobytes(), chunk.mask.tobytes())
+                 for chunk in array.chunks()}
+        assert after == before
 
 
 class TestOperators:
@@ -143,12 +190,19 @@ class TestOperators:
         np.testing.assert_array_equal(_kept_coordinates(strict), np.arange(10))
         assert stats.chunks_skipped == 2
 
-    def test_subarray_by_index_compacts(self, expression_array):
+    def test_subarray_compacts(self, expression_array):
         array, matrix = expression_array
         chosen = [3, 7, 11, 29]
-        sub = ops.subarray_by_index(array, "gene_id", chosen)
+        sub = ops.subarray(array, [None, np.array(chosen)])
         assert sub.shape == (45, 4)
         np.testing.assert_allclose(sub.to_dense(), matrix[:, chosen])
+
+    def test_subarray_rejects_unsorted_or_misshapen_selections(self, expression_array):
+        array, _matrix = expression_array
+        with pytest.raises(ValueError):
+            ops.subarray(array, [np.array([3, 1]), None])
+        with pytest.raises(ValueError):
+            ops.subarray(array, [None])
 
     def test_aggregate_global_and_along(self, expression_array):
         array, matrix = expression_array
@@ -178,3 +232,106 @@ class TestArrayLinalg:
         dense = linalg.to_scalapack(array)
         np.testing.assert_allclose(dense, matrix)
         assert dense.flags.c_contiguous and dense.flags.writeable
+
+
+#: How one axis of the gather battery is selected, given the axis length.
+_SELECTIONS = {
+    "whole": lambda length, rng: None,
+    "empty": lambda length, rng: np.empty(0, dtype=np.int64),
+    "single": lambda length, rng: np.array([length - 1]),
+    "duplicates": lambda length, rng: np.array([0, 0, 2, 2, 2]),
+    "out-of-range": lambda length, rng: np.array([-3, 1, length, length + 5]),
+    "random": lambda length, rng: np.sort(rng.choice(length, size=length // 2, replace=False)),
+}
+
+
+def _battery_array(ndim: int, rng) -> ChunkedArray:
+    """Non-zero starts, chunk sizes that do not divide the extents, one
+    missing chunk and a partial mask on the rest."""
+    shape, starts, chunks = ((11, 7), (10, 5), (4, 3)) if ndim == 2 else ((13,), (3,), (5,))
+    missing = {(1, 1)} if ndim == 2 else {(1,)}
+    return _array_at(rng.random(shape), starts, chunks, mask=rng.random(shape) > 0.3,
+                     missing=missing)
+
+
+class TestSubarrayGather:
+    """The dense array is the oracle: ``to_dense(fill)[np.ix_(...)]``."""
+
+    @pytest.mark.parametrize("kinds", [(kind,) for kind in _SELECTIONS]
+                             + [(row, column) for row in _SELECTIONS for column in _SELECTIONS])
+    def test_matches_dense_oracle(self, kinds, rng):
+        array = _battery_array(len(kinds), rng)
+        selections = [_SELECTIONS[kind](length, rng) for kind, length in zip(kinds, array.shape, strict=True)]
+        kept = [np.arange(length) if s is None else s[(s >= 0) & (s < length)]
+                for s, length in zip(selections, array.shape, strict=True)]
+        expected = array.to_dense(fill=0.0)[np.ix_(*kept)]
+        result = ops.subarray(array, selections)
+        assert [d.chunk_size for d in result.schema.dimensions] == \
+            [d.chunk_size for d in array.schema.dimensions]
+        assert all(d.start == 0 for d in result.schema.dimensions)
+        if expected.size == 0:
+            assert result.chunk_count == 0
+        else:
+            assert result.shape == expected.shape
+            np.testing.assert_array_equal(result.to_dense(), expected)
+
+
+def _shifted_frames(dimension_names=("patient_id", "gene_id")) -> dict:
+    """patient_id 10..13 × gene_id 5..7 holding ``arange(12)``, 2 × 2 chunks."""
+    array = _array_at(np.arange(12.0).reshape(4, 3), (10, 5), (2, 2),
+                      names=list(dimension_names), attribute="expression_value")
+    return {"microarray": MatrixFrame(array, "expression_value")}
+
+
+class TestDimensionJoinGather:
+    def test_two_dimension_selection_offsets_each_axis_from_its_start(self):
+        plan = Pivot(Filter(Filter(Scan("microarray"), col("patient_id").isin([11, 13])),
+                            col("gene_id") == 6),
+                     "patient_id", "gene_id", "expression_value")
+        dense, rows, cols = run_shared_plan(plan, _shifted_frames())
+        assert rows.tolist() == [11, 13] and cols.tolist() == [6]
+        assert dense.tolist() == [[4.0], [10.0]]
+
+    def test_dimension_joins_never_densify_the_source(self, monkeypatch, rng):
+        matrix = rng.random((40, 30))
+        frames = {
+            "microarray": MatrixFrame(
+                ChunkedArray.from_dense("expression", matrix, ["patient_id", "gene_id"],
+                                        "expression_value", chunk_sizes=[16, 8]),
+                "expression_value"),
+            "patients": ArrayFrame("patient_id", {
+                "age": metadata_array("age", rng.integers(20, 80, 40).astype(float),
+                                      "patient_id", "age", chunk_size=16)}),
+            "genes": ArrayFrame("gene_id", {
+                "function": metadata_array("function", rng.integers(0, 5, 30).astype(float),
+                                           "gene_id", "function", chunk_size=8)}),
+        }
+        source = frames["microarray"].array
+        calls = []
+        to_dense = ChunkedArray.to_dense
+
+        def counting_to_dense(self, *args, **kwargs):
+            if self is source:
+                calls.append(args)
+            return to_dense(self, *args, **kwargs)
+
+        monkeypatch.setattr(ChunkedArray, "to_dense", counting_to_dense)
+        plan = Pivot(
+            Join(Filter(Scan("genes"), col("function") < 2),
+                 Join(Filter(Scan("patients"), col("age") < 45), Scan("microarray"),
+                      "patient_id", "patient_id"),
+                 "gene_id", "gene_id"),
+            "patient_id", "gene_id", "expression_value")
+        dense, rows, cols = run_shared_plan(plan, frames)
+        assert calls == []
+        assert 0 < len(rows) < 40 and 0 < len(cols) < 30
+        np.testing.assert_array_equal(dense, matrix[np.ix_(rows, cols)])
+
+
+def test_scidb_drug_response_aligns_with_labels(tiny_dataset, rng):
+    engine = make_engine("scidb")
+    engine.load(tiny_dataset)
+    n_patients = len(tiny_dataset.patients.drug_response)
+    labels = rng.permutation(n_patients)[: n_patients // 2]
+    response = engine._drug_response_for(labels, PhaseTimer())
+    np.testing.assert_array_equal(response, tiny_dataset.patients.drug_response[labels])
