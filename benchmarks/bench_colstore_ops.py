@@ -375,7 +375,7 @@ def run_sweep(size: str, rounds: int = 3, seed: int = 7) -> dict:
         )
         results.append(_entry("filter", name, n, compressed, baseline))
 
-    # Membership tests (where_in pushdown).
+    # Membership tests (isin pushdown).
     lookups = {
         "rle": np.arange(0, 50, 5),
         "dictionary": np.arange(0, 1_000, 7),

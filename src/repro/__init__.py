@@ -15,8 +15,9 @@ Stonebraker — SIGMOD 2014).  It contains:
 * ``repro.mapreduce`` — an in-process MapReduce stack with Hive-like and
   Mahout-like layers (Hadoop analog).
 * ``repro.rlang`` — an R-like in-memory data-frame and statistics environment.
-* ``repro.cluster`` — a multi-node execution simulator with partitioners,
-  a network cost model and ScaLAPACK-style distributed linear algebra.
+* ``repro.cluster`` — a multi-node execution simulator with partition
+  pruning, a network cost model and ScaLAPACK-style distributed linear
+  algebra.
 * ``repro.accelerator`` — a Xeon-Phi-style offload coprocessor model.
 * ``repro.core`` — the benchmark itself: the five GenBase queries, engine
   adapters for every configuration the paper evaluates, and the runner /
@@ -48,7 +49,6 @@ _LAZY_EXPORTS = {
     "BenchmarkRunner": ("repro.core", "BenchmarkRunner"),
     "QueryResult": ("repro.core", "QueryResult"),
     "QUERY_NAMES": ("repro.core", "QUERY_NAMES"),
-    "list_engines": ("repro.core", "list_engines"),
     "make_engine": ("repro.core", "make_engine"),
 }
 

@@ -16,7 +16,7 @@ which this package models explicitly:
 :class:`~repro.accelerator.device.Coprocessor` executes the actual kernel on
 the host (there is no real accelerator in this reproduction) and reports a
 *modelled* device time built from the measured host kernel time and the
-transfer model — the substitution is documented in DESIGN.md.
+transfer model — the substitution is documented in ``docs/ENGINES.md``.
 """
 
 from repro.accelerator.device import Coprocessor, DeviceSpec, OffloadResult, XEON_PHI_5110P

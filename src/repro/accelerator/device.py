@@ -158,10 +158,6 @@ class Coprocessor:
 
     # -- accounting ---------------------------------------------------------------
 
-    @property
-    def total_device_seconds(self) -> float:
-        return sum(result.device_total_seconds for result in self.offloads)
-
     def reset(self) -> None:
         self.offloads.clear()
 

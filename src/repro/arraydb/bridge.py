@@ -42,10 +42,10 @@ build-side rule — a dimension join has no build side to choose).
 >>> import numpy as np
 >>> from repro.plan import Filter, Join, Pivot, Scan, col
 >>> matrix = np.arange(12.0).reshape(4, 3)
+>>> expression = ChunkedArray.from_dense("expression", matrix, ["patient_id", "gene_id"],
+...                                      "expression_value", chunk_sizes=[2, 2])
 >>> frames = {
-...     "microarray": matrix_frame("expression", matrix,
-...                                ["patient_id", "gene_id"],
-...                                "expression_value", chunk_sizes=[2, 2]),
+...     "microarray": MatrixFrame(expression, "expression_value"),
 ...     "patients": ArrayFrame("patient_id", {
 ...         "age": metadata_array("age", np.array([30.0, 50.0, 20.0, 60.0]),
 ...                               "patient_id", "age", chunk_size=2)}),
@@ -178,16 +178,6 @@ def metadata_array(name: str, values: np.ndarray, dimension: str,
         name, np.asarray(values), dimension_names=[dimension],
         attribute_name=attribute, chunk_sizes=[chunk_size],
     )
-
-
-def matrix_frame(name: str, matrix: np.ndarray, dimension_names: Sequence[str],
-                 value_column: str, chunk_sizes: Sequence[int] | None = None) -> MatrixFrame:
-    """Build a :class:`MatrixFrame` from a dense matrix."""
-    array = ChunkedArray.from_dense(
-        name, np.asarray(matrix), dimension_names=list(dimension_names),
-        attribute_name=value_column, chunk_sizes=chunk_sizes,
-    )
-    return MatrixFrame(array=array, value_column=value_column)
 
 
 @dataclass

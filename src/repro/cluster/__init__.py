@@ -9,8 +9,6 @@ two nodes than on one.
 This package provides the substrate those experiments need without real
 hardware:
 
-* :mod:`repro.cluster.partitioner` — hash, range and block-cyclic
-  partitioners that split tables/matrices across nodes,
 * :mod:`repro.cluster.network` — an interconnect model that *actually
   serialises* every transferred object to count bytes, then converts bytes
   to time with a configurable latency + bandwidth model,
@@ -23,16 +21,10 @@ hardware:
   row-partitioned matrices, themselves kernel operands of
   :mod:`repro.linalg`.
 
-The substitution is documented in DESIGN.md: per-node computation is real
-measured work; only the interconnect is modelled.
+The substitution is documented in ``docs/ENGINES.md``: per-node
+computation is real measured work; only the interconnect is modelled.
 """
 
-from repro.cluster.partitioner import (
-    BlockCyclicPartitioner,
-    HashPartitioner,
-    RangePartitioner,
-    partition_rows,
-)
 from repro.cluster.network import NetworkModel, TransferRecord
 from repro.cluster.cluster import Cluster, NodeTiming, ParallelRunResult
 from repro.cluster.scalapack import DistributedMatrix, ScaLAPACK
@@ -48,10 +40,6 @@ from repro.cluster.bridge import (
 )
 
 __all__ = [
-    "HashPartitioner",
-    "RangePartitioner",
-    "BlockCyclicPartitioner",
-    "partition_rows",
     "NetworkModel",
     "TransferRecord",
     "Cluster",

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cluster.cluster import Cluster
-from repro.cluster.partitioner import Partitioner, RangePartitioner
 from repro.linalg.covariance import covariance
 from repro.linalg.lanczos import LanczosResult, truncated_svd
 from repro.linalg.qr import RegressionResult
@@ -45,33 +44,6 @@ class DistributedMatrix:
     cluster: Cluster
     partitions: list[np.ndarray]
     n_columns: int
-
-    @classmethod
-    def from_dense(cls, cluster: Cluster, matrix: np.ndarray,
-                   partitioner: Partitioner | None = None,
-                   scatter_from: int | None = 0) -> "DistributedMatrix":
-        """Partition a dense matrix across the cluster's nodes.
-
-        Args:
-            cluster: target cluster.
-            matrix: the full matrix (lives on the driver before distribution).
-            partitioner: row partitioner; defaults to contiguous range blocks
-                (pbdR's default layout for data frames).  Use
-                :class:`BlockCyclicPartitioner` for the ScaLAPACK layout.
-            scatter_from: if not None, charge the network for scattering the
-                partitions from this node (the load step); None means the
-                data was generated in place on each node.
-        """
-        matrix = np.asarray(matrix, dtype=np.float64)
-        if matrix.ndim != 2:
-            raise ValueError("DistributedMatrix needs a 2-D matrix")
-        partitioner = partitioner or RangePartitioner(cluster.n_nodes)
-        indices = np.arange(matrix.shape[0])
-        parts = [matrix[idx] for idx in partitioner.split_indices(indices)]
-        if scatter_from is not None and cluster.n_nodes > 1:
-            result = cluster.scatter(parts, source=scatter_from, label="distribute-matrix")
-            parts = list(result.outputs)
-        return cls(cluster=cluster, partitions=parts, n_columns=matrix.shape[1])
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -135,8 +107,7 @@ class ScaLAPACK:
     def linear_regression(self, features: DistributedMatrix, target: DistributedMatrix) -> RegressionResult:
         """Distributed OLS via reduced normal equations.
 
-        ``target`` must be distributed with the same partitioner as
-        ``features`` (one column).
+        ``target`` must be row-partitioned like ``features`` (one column).
         """
         if target.n_columns != 1:
             raise ValueError("target must be a single-column distributed matrix")

@@ -56,7 +56,7 @@ Consequences for the query layer:
 
 * predicates handed to ``where``/``filter_mask`` must be element-wise and
   stateless — dictionary/RLE columns evaluate them on distinct values only;
-* ``where``/``where_in`` narrow the selection vector through these pushdowns
+* ``where`` narrows the selection vector through these pushdowns
   without materialising the filtered column;
 * ``group_aggregate``/``pivot`` push the *grouping* down too: a dictionary
   column's ``(keys, codes)`` pair is consumed directly (``bincount`` over

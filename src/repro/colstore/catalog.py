@@ -38,8 +38,8 @@ class ColumnStore:
     def synopses(self) -> "SynopsisCatalog":
         """The store's sample-synopsis catalog (built lazily, cached).
 
-        Uniform and stratified synopses built here are narrowed selections
-        shared across queries — see :mod:`repro.colstore.synopsis`.
+        Uniform synopses built here are narrowed selections shared across
+        queries — see :mod:`repro.colstore.synopsis`.
         """
         if self._synopses is None:
             from repro.colstore.synopsis import SynopsisCatalog
@@ -65,13 +65,6 @@ class ColumnStore:
         if name in self._deltas:
             raise ValueError(f"table {name!r} already exists")
         self._deltas[name] = DeltaStore(table)
-        self._forget_synopses(name)
-
-    def drop_table(self, name: str) -> None:
-        if name not in self._deltas:
-            raise KeyError(f"no table named {name!r}")
-        del self._deltas[name]
-        self._forget_synopses(name)
 
     def table(self, name: str) -> ColumnTable:
         """The table's current *sealed* segment (tail and deletes not applied).
@@ -105,16 +98,6 @@ class ColumnStore:
         except KeyError:
             known = ", ".join(sorted(self._deltas)) or "<none>"
             raise KeyError(f"no table named {name!r}; known tables: {known}") from None
-
-    def _forget_synopses(self, name: str) -> None:
-        """Create / drop hook: synopsis entries must not outlive the table.
-
-        A table recreated under ``name`` restarts at version 0 on a new
-        sealed segment; the dropped table's entries would be keyed alike.
-        Writes need no hook — entries are advanced by their next reader.
-        """
-        if self._synopses is not None:
-            self._synopses.invalidate(name)
 
     def append(self, name: str, rows: Mapping[str, np.ndarray]) -> int:
         """Append rows to a table's tail; returns the new store version."""

@@ -10,14 +10,14 @@ smallest estimated selectivity (from the encodings' own statistics) runs
 first over the full column while the rest evaluate on the already-narrowed
 selection only.  The materialised state is a *selection vector* (integer
 row positions that survive the filters) — the late-materialisation
-execution style of real column stores; ``columns()`` / ``to_matrix()``
+execution style of real column stores; ``column()`` / ``columns()``
 gather only what the caller asks for, and ``select()``/``collect()`` prune
 the materialised columns to the projected set.
 
 Joins are lazy too: :meth:`ColumnQuery.join` returns a :class:`JoinedQuery`
-builder whose terminals (``collect`` / ``group_aggregate`` / ``pivot``)
-assemble one whole logical plan — ``Scan → Filter* → Join → Aggregate/
-Pivot`` — and execute it through :func:`repro.colstore.planner.run_plan`,
+whose terminals (``group_aggregate`` / ``pivot``) assemble one whole
+logical plan — ``Scan → Filter* → Join → Aggregate/Pivot`` — and execute
+it through :func:`repro.colstore.planner.run_plan`,
 so predicates and projections are optimized *across* the join boundary
 (GenBase's join outputs feed a pivot or an aggregate immediately, which is
 exactly the fusion opportunity).  There is no second join path:
@@ -58,14 +58,13 @@ values can differ from the row-order accumulation in the last ulps.
 
 from __future__ import annotations
 
-import copy
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.colstore.compression import predicate_mask
 from repro.colstore.table import ColumnTable
-from repro.plan.expressions import ColumnRef, Expression, InList
+from repro.plan.expressions import Expression
 from repro.plan.logical import Aggregate, Filter, Join, Pivot, PlanNode, Project, Scan
 from repro.plan.optimizer import ordered_conjuncts
 
@@ -340,8 +339,6 @@ class ColumnQuery:
     def _optimized_filters(self):
         """Split, classify and selectivity-order the pending conjunction.
 
-        The single pipeline behind both execution and ``explain()``, so the
-        rendered plan always matches the executed one.
         ``ordered_conjuncts`` itself skips the statistics pass when the
         conjunction has a single conjunct.
         """
@@ -412,25 +409,6 @@ class ColumnQuery:
         self._validate_columns(expression.columns_referenced())
         return self._derive(expression)
 
-    def where_in(self, column: str, values: Sequence) -> "ColumnQuery":
-        """Keep rows whose column value is in ``values`` (lazily).
-
-        Accepts any array-like (ndarrays are used as-is, no Python-list
-        round trip); keys are deduplicated before the membership test and
-        the test itself is pushed down the column's encoding.  Equivalent
-        to ``where(col(column).isin(values))``.
-        """
-        self.table.column(column)  # raises KeyError naming column and table
-        if not isinstance(values, np.ndarray):
-            values = np.asarray(list(values))
-        if values.size == 0:
-            # An empty key set selects nothing.  Short-circuit before the
-            # float64 dtype that ``np.asarray([])`` defaults to can poison
-            # the membership comparison against string/int columns.
-            return ColumnQuery(self.table, np.empty(0, dtype=np.int64),
-                               projection=self._projection)
-        return self._derive(InList(ColumnRef(column), values))
-
     def sample(self, fraction: float, seed: int = 0) -> "ColumnQuery":
         """Keep a deterministic random sample of the current selection.
 
@@ -478,19 +456,6 @@ class ColumnQuery:
         """Materialise the query as a new column table (projected columns only)."""
         return self.to_table(name, self._projection)
 
-    def explain(self) -> str:
-        """Render the optimized filter pipeline (for tests and debugging)."""
-        lines = [f"Scan {self.table.name} ({self.table.row_count} rows)"]
-        if self._base is not None:
-            lines.append(f"  Base selection ({len(self._base)} rows)")
-        for expression, predicate, selectivity in self._optimized_filters():
-            lines.append(
-                f"  Filter {expression!r} [{predicate.kind} ~sel={selectivity:.4f}]"
-            )
-        if self._projection is not None:
-            lines.append(f"  Project {list(self._projection)}")
-        return "\n".join(lines)
-
     # -- inspection -----------------------------------------------------------------
 
     def __len__(self) -> int:
@@ -532,13 +497,6 @@ class ColumnQuery:
         """Materialise several columns restricted to the current selection."""
         return {name: self.column(name) for name in names}
 
-    def to_matrix(self, names: Sequence[str]) -> np.ndarray:
-        """Materialise the named columns side by side as a float matrix."""
-        if not names:
-            return np.empty((len(self), 0))
-        return np.column_stack(  # stacking copies: the cast need not
-            [self._read(name).astype(np.float64, copy=False) for name in names])
-
     def to_table(self, name: str, names: Sequence[str] | None = None) -> ColumnTable:
         """Materialise the current selection as a new column table.
 
@@ -550,44 +508,20 @@ class ColumnQuery:
 
     # -- joins ------------------------------------------------------------------------
 
-    def join(
-        self,
-        other: "ColumnQuery",
-        left_key: str,
-        right_key: str,
-        columns: Mapping[str, str] | None = None,
-        other_columns: Mapping[str, str] | None = None,
-        result_name: str = "join_result",
-    ) -> "JoinedQuery":
+    def join(self, other: "ColumnQuery", left_key: str, right_key: str) -> "JoinedQuery":
         """Equi-join with ``other`` — returns a lazy :class:`JoinedQuery`.
 
-        Nothing executes here: the builder's terminals
-        (:meth:`~JoinedQuery.collect`, :meth:`~JoinedQuery.group_aggregate`,
-        :meth:`~JoinedQuery.pivot`) assemble one logical plan
-        ``Scan → Filter* → Join → [Aggregate | Pivot]`` and run it through
-        :func:`repro.colstore.planner.run_plan`, so the optimizer prunes
-        projections and pushes predicates *across* the join boundary and
-        picks the build side from column statistics.  A materialised
-        :class:`ColumnTable` is one ``.collect()`` call away.  A source name
-        both inputs produce is aliased on the right's scan binding, so the
-        mappings keep each output bound to its own side on the same fused
-        path; one output name mapped on both sides is a ``ValueError``.
-
-        Args:
-            other: the other input query.
-            left_key: join key column in this query's table.
-            right_key: join key column in ``other``'s table.
-            columns: mapping of output name → this table's column name; the
-                default keeps this query's projected columns (all columns
-                when no ``select`` was applied).
-            other_columns: mapping of output name → other table's column
-                name; the default keeps the other query's projected columns
-                except its join key.
-            result_name: name for the join output (used by ``collect``).
+        Nothing executes here: the join's terminals
+        (:meth:`~JoinedQuery.group_aggregate`, :meth:`~JoinedQuery.pivot`)
+        assemble one logical plan ``Scan → Filter* → Join → [Aggregate |
+        Pivot]`` and run it through :func:`repro.colstore.planner.run_plan`,
+        so the optimizer prunes projections and pushes predicates *across*
+        the join boundary and picks the build side from column statistics.
+        The output is this query's columns, then ``other``'s minus
+        ``right_key``; a non-key column name both inputs produce is a
+        ``ValueError`` (``select`` one side first).
         """
-        return JoinedQuery(
-            self, other, left_key, right_key, columns, other_columns, result_name
-        )
+        return JoinedQuery(self, other, left_key, right_key)
 
     def _join_keys(self, name: str):
         """This input's join keys: the key column itself when unfiltered (so a
@@ -604,10 +538,9 @@ class ColumnQuery:
 
         Pending (not yet executed) filters become :class:`Filter` nodes the
         optimizer can see and move; an already-materialised selection (a
-        ``sample``, an empty ``where_in`` short-circuit, filters forced by
-        an earlier result) cannot be re-expressed declaratively, so it rides
-        along as the *binding* — a base query the executor lowers the
-        :class:`Scan` onto.
+        ``sample``, filters forced by an earlier result) cannot be
+        re-expressed declaratively, so it rides along as the *binding* — a
+        base query the executor lowers the :class:`Scan` onto.
         """
         plan: PlanNode = Scan(scan_name)
         if self._cached is not None:
@@ -620,26 +553,6 @@ class ColumnQuery:
         if self._projection is not None:
             plan = Project(plan, tuple(self._projection))
         return plan, binding
-
-    def _aliased(self, aliases: Mapping[str, str]) -> "ColumnQuery":
-        """The selected rows under renamed columns — vectors shared, not copied.
-
-        Pending filters run first (they are written against the old names);
-        the result is a pre-narrowed base a join can bind a scan onto.
-        """
-        vectors = []
-        for name in self.table.column_names:
-            vector = self.table.column(name)
-            if name in aliases:
-                vector = copy.copy(vector)
-                vector.name = aliases[name]
-            vectors.append(vector)
-        return ColumnQuery(
-            ColumnTable(self.table.name, vectors),
-            None if self._full_selection else self.selection,
-            projection=self._projection and tuple(
-                aliases.get(name, name) for name in self._projection),
-        )
 
     # -- aggregation -----------------------------------------------------------------
 
@@ -706,15 +619,14 @@ class JoinedQuery:
     pending filters become :class:`~repro.plan.logical.Filter` nodes below a
     :class:`~repro.plan.logical.Join`, topped by the terminal's
     :class:`~repro.plan.logical.Aggregate` / :class:`~repro.plan.logical.Pivot`
-    — and hands it to :func:`repro.colstore.planner.run_plan`.  The
-    optimizer therefore sees *across* the join boundary: single-side total
-    predicates written after ``join(...)`` move below it, each side decodes
-    only the join key plus the columns the terminal references, and the
-    build side comes from :class:`~repro.plan.optimizer.ColumnStats`
-    row-count/cardinality estimates.  The join output is materialised
-    *uncompressed* (it is consumed once; re-encoding it is pure overhead) —
-    the measured win over the eager materialise-then-plan path is the
-    ``join_pivot`` op in ``benchmarks/bench_colstore_ops.py``.
+    — and hands it to :func:`repro.colstore.planner.run_plan`.  Each side
+    therefore decodes only the join key plus the columns the terminal
+    references, and the build side comes from
+    :class:`~repro.plan.optimizer.ColumnStats` row-count/cardinality
+    estimates.  The join output is materialised *uncompressed* (it is
+    consumed once; re-encoding it is pure overhead) — the measured win over
+    the eager materialise-then-plan path is the ``join_pivot`` op in
+    ``benchmarks/bench_colstore_ops.py``.
 
     Join output row order is probe-side-major and therefore depends on the
     chosen build side; aggregate results are row-order independent except
@@ -722,162 +634,31 @@ class JoinedQuery:
     duplicate ``(row, column)`` pairs last-write-wins in output order.
     """
 
-    def __init__(
-        self,
-        left: ColumnQuery,
-        right: ColumnQuery,
-        left_key: str,
-        right_key: str,
-        columns: Mapping[str, str] | None = None,
-        other_columns: Mapping[str, str] | None = None,
-        result_name: str = "join_result",
-        filters: Sequence[Expression] = (),
-    ):
+    def __init__(self, left: ColumnQuery, right: ColumnQuery, left_key: str,
+                 right_key: str):
         left.table.column(left_key)   # raises KeyError naming column and table
         right.table.column(right_key)
-        if columns is None:
-            columns = {name: name for name in left.output_columns}
-        if other_columns is None:
-            other_columns = {
-                name: name for name in right.output_columns if name != right_key
-            }
-        for source in columns.values():
-            left.table.column(source)
-        for source in other_columns.values():
-            right.table.column(source)
-        if set(columns) & set(other_columns):
+        shared = (set(right.output_columns) - {right_key}) & set(left.output_columns)
+        if shared:
             raise ValueError(
-                f"join output names {sorted(set(columns) & set(other_columns))} "
-                "are mapped on both sides"
+                f"join output column(s) {sorted(shared)} come from both inputs; "
+                "select the columns of one side first"
             )
-        # The plan layer names columns by *source*: a name both inputs
-        # produce is aliased on the right's scan binding, so each output
-        # stays bound to its own side.
-        self._aliases = {
-            name: f"{name}__right"
-            for name in (set(right.output_columns) - {right_key}) & set(left.output_columns)
-        }
         self._left = left
         self._right = right
         self._left_key = left_key
         self._right_key = right_key
-        self._columns = dict(columns)
-        self._other_columns = dict(other_columns)
-        self._result_name = result_name
-        self._filters: tuple[Expression, ...] = tuple(filters)
 
-    # -- output schema -----------------------------------------------------------------
-
-    @property
-    def output_columns(self) -> list[str]:
-        """The join's output column names (left side first, then right)."""
-        return list(self._columns) + list(self._other_columns)
-
-    def _source(self, name: str) -> str:
-        """Resolve an output name to its source column (KeyError if unknown)."""
-        if name in self._columns:
-            return self._columns[name]
-        if name in self._other_columns:
-            source = self._other_columns[name]
-            return self._aliases.get(source, source)
-        raise KeyError(
-            f"no column {name!r} in join result {self._result_name!r}; "
-            f"has {self.output_columns}"
-        )
-
-    # -- composition -------------------------------------------------------------------
-
-    def where(self, expression: Expression) -> "JoinedQuery":
-        """Stack a filter over the join output (lazily).
-
-        The predicate joins the plan *above* the Join node; the optimizer
-        then pushes each total single-side conjunct below the join onto the
-        input it references, exactly as if it had been written on that
-        input.  Partial predicates (division, opaque callables) stay above
-        the join — below it they would run on rows the join eliminates.
-        """
-        if not isinstance(expression, Expression):
-            raise TypeError("JoinedQuery.where takes a declarative expression")
-        for name in sorted(expression.columns_referenced()):
-            if self._source(name) != name:
-                raise ValueError(
-                    f"cannot filter on renamed join output {name!r}; filter the "
-                    "input query before joining instead"
-                )
-        return JoinedQuery(
-            self._left, self._right, self._left_key, self._right_key,
-            self._columns, self._other_columns, self._result_name,
-            self._filters + (expression,),
-        )
-
-    # -- plan assembly -----------------------------------------------------------------
-
-    def _assemble(self) -> tuple[PlanNode, dict[str, ColumnQuery]]:
-        """Build the ``Scan → Filter* → Join → Filter*`` plan + scan bindings."""
+    def _join(self) -> tuple[Join, dict[str, ColumnQuery]]:
+        """The ``Scan → Filter* → Join`` plan and its scan bindings."""
         left_name = self._left.table.name
         right_name = self._right.table.name
         if right_name == left_name:
             right_name = f"{right_name}__right"
         left_plan, left_binding = self._left._plan_fragment(left_name)
-        right = self._right._aliased(self._aliases) if self._aliases else self._right
-        right_plan, right_binding = right._plan_fragment(right_name)
-        plan: PlanNode = Join(
-            left_plan, right_plan, self._left_key, self._right_key, self._result_name
-        )
-        for expression in self._filters:
-            plan = Filter(plan, expression)
-        return plan, {left_name: left_binding, right_name: right_binding}
-
-    def explain(self) -> str:
-        """Render the optimized fused plan (as ``collect`` would run it).
-
-        Shows the join with per-side pushed filters, through-join projection
-        pruning, selectivity annotations and the chosen build side.
-        """
-        from repro.colstore import planner
-
-        plan, bindings = self._assemble()
-        sources = tuple(self._source(output) for output in self.output_columns)
-        optimized = planner.optimize_plan(Project(plan, sources), bindings=bindings)
-        return planner.explain_plan(optimized, bindings=bindings)
-
-    # -- terminals ---------------------------------------------------------------------
-
-    def _run(self, plan: PlanNode, bindings: dict[str, ColumnQuery]):
-        from repro.colstore import planner
-
-        return planner.run_plan(plan, bindings=bindings)
-
-    def collect(self, name: str | None = None, compress: bool = False) -> ColumnTable:
-        """Materialise the join output as a :class:`ColumnTable`.
-
-        Gathers only the mapped output columns (the optimizer prunes the
-        rest through the join); pass ``compress=True`` to re-encode the
-        result — worthwhile only when it will be scanned repeatedly.
-        """
-        plan, bindings = self._assemble()
-        sources = [self._source(output) for output in self.output_columns]
-        query = self._run(Project(plan, tuple(sources)), bindings)
-        if (
-            not compress
-            and query._full_selection
-            and sources == list(self.output_columns)
-            and query.table.column_names == sources
-        ):
-            # The executor already materialised exactly the requested
-            # columns, uncompressed and unfiltered — share its vectors
-            # instead of gathering every column a second time.
-            return ColumnTable(
-                name or self._result_name,
-                [query.table.column(source) for source in sources],
-            )
-        arrays = {
-            output: query.column(self._source(output))
-            for output in self.output_columns
-        }
-        return ColumnTable.from_arrays(
-            name or self._result_name, arrays, compress=compress
-        )
+        right_plan, right_binding = self._right._plan_fragment(right_name)
+        join = Join(left_plan, right_plan, self._left_key, self._right_key)
+        return join, {left_name: left_binding, right_name: right_binding}
 
     def group_aggregate(
         self,
@@ -894,11 +675,10 @@ class JoinedQuery:
         column exactly; see the class docstring for the float-sum ordering
         caveat.
         """
-        plan, bindings = self._assemble()
-        terminal = Aggregate(
-            plan, self._source(group_column), self._source(value_column), function
-        )
-        return self._run(terminal, bindings)
+        from repro.colstore.planner import run_plan
+
+        join, bindings = self._join()
+        return run_plan(Aggregate(join, group_column, value_column, function), bindings=bindings)
 
     def pivot(
         self, row_key: str, column_key: str, value: str
@@ -910,8 +690,7 @@ class JoinedQuery:
         the joined rows; missing cells are 0; duplicate ``(row, column)``
         pairs resolve last-write-wins in join output order.
         """
-        plan, bindings = self._assemble()
-        terminal = Pivot(
-            plan, self._source(row_key), self._source(column_key), self._source(value)
-        )
-        return self._run(terminal, bindings)
+        from repro.colstore.planner import run_plan
+
+        join, bindings = self._join()
+        return run_plan(Pivot(join, row_key, column_key, value), bindings=bindings)

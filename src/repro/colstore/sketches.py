@@ -71,10 +71,6 @@ class ApproxResult:
         """Whether the interval contains ``value`` (inclusive)."""
         return self.ci_low <= value <= self.ci_high
 
-    @property
-    def half_width(self) -> float:
-        return (self.ci_high - self.ci_low) / 2.0
-
 
 def _interval(estimate: float, margin: float, confidence: float) -> ApproxResult:
     margin = abs(float(margin))

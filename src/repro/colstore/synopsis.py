@@ -6,23 +6,17 @@ approximate query over the same ``(table, fraction, seed)`` reuses the
 same rows instead of re-scoring the table (the VerdictDB "scramble"
 lifecycle: pay the sampling scan once, answer many queries from it).
 
-Two kinds:
-
-- **uniform** — exactly the rows :meth:`repro.colstore.query.ColumnQuery.sample`
-  would keep on a full-table query, which is what makes the optimizer's
-  synopsis routing (:func:`repro.plan.optimizer.route_through_synopsis`)
-  a pure caching rewrite: the sampled row set is bit-identical whether it
-  comes from the catalog or from an inline ``Sample``.
-- **stratified-by-column** — the same rank-by-score draw applied within
-  each distinct value of a stratification column, keeping
-  ``max(1, round(fraction * group_rows))`` rows per stratum so rare groups
-  survive sampling (uniform samples starve small disease cohorts).
+A synopsis is exactly the rows :meth:`repro.colstore.query.ColumnQuery.sample`
+would keep on a full-table query, which is what makes the optimizer's
+synopsis routing (:func:`repro.plan.optimizer.route_through_synopsis`) a
+pure caching rewrite: the sampled row set is bit-identical whether it comes
+from the catalog or from an inline ``Sample``.
 
 Everything is deterministic: the only randomness is ``default_rng(seed)``
 with the caller's explicit seed.
 
 **Writes and staleness.**  The catalog answers *for a snapshot* and keeps
-one entry per ``(kind, table, …, fraction, seed)``, stamped with the
+one entry per ``("uniform", table, fraction, seed)``, stamped with the
 version it answers; an entry is never served to another version — that
 would silently exclude appended rows from every approximate answer.  A
 stale **uniform** entry is *advanced*, not retired, at a cost proportional
@@ -42,11 +36,7 @@ the table's: the advanced selection is bit-identical to a fresh
 instead when positions do not carry over — a compaction renumbered the rows
 (the snapshot sits on another sealed segment) — when the pool has fewer
 than ``k`` rows left, or when the snapshot is *older* than the entry (a
-long-held reader; its draw is answered but not kept).  **Stratified**
-entries have no caller to size a pool for and are simply redrawn when
-their version is stale, through the same bookkeeping.  Creating and
-dropping a table drop its entries: a table recreated under a dropped name
-restarts its version counter.
+long-held reader; its draw is answered but not kept).
 """
 
 from __future__ import annotations
@@ -72,18 +62,18 @@ class _Entry:
     Immutable: advancing builds a new entry, so racing readers at worst
     compute the same one twice.  ``sealed`` names the generation whose row
     numbering the positions use — weakly, so an entry nobody asks for again
-    does not keep a compacted-away segment alive.  The pool fields are the
-    uniform kind's (positions ascending, scores aligned); ``threshold`` is τ
-    and ``scored`` how many logical rows have been scored so far.
+    does not keep a compacted-away segment alive.  The pool holds positions
+    ascending with their scores aligned; ``threshold`` is τ and ``scored``
+    how many logical rows have been scored so far.
     """
 
     sealed: "weakref.ref[ColumnTable]"
     version: int
     selection: np.ndarray
-    threshold: float = 0.0
-    scored: int = 0
-    pool_rows: np.ndarray | None = None
-    pool_scores: np.ndarray | None = None
+    threshold: float
+    scored: int
+    pool_rows: np.ndarray
+    pool_scores: np.ndarray
 
 
 def _checked_fraction(fraction: float) -> float:
@@ -135,26 +125,6 @@ def _advance_uniform(entry: _Entry, snapshot: Snapshot, fraction: float,
                   pool_rows=rows, pool_scores=scores)
 
 
-def _draw_stratified(snapshot: Snapshot, column: str, fraction: float,
-                     seed: int) -> _Entry:
-    table = snapshot.table
-    scores = np.random.default_rng(seed).random(table.row_count)
-    base = snapshot.live_selection()
-    rows = np.arange(table.row_count, dtype=np.int64) if base is None else base
-    _, inverse = table.column(column).distinct_inverse(base)
-    inverse = np.asarray(inverse, dtype=np.int64)
-    counts = np.bincount(inverse)
-    # Order rows by (stratum, score): each stratum's cheapest rows
-    # come first within its contiguous block.
-    order = np.lexsort((scores[rows], inverse))
-    starts = np.cumsum(counts) - counts
-    rank_in_group = np.arange(len(order)) - np.repeat(starts, counts)
-    keep_per_group = np.maximum(1, np.round(fraction * counts).astype(np.int64))
-    kept = rows[order[rank_in_group < np.repeat(keep_per_group, counts)]]
-    return _Entry(weakref.ref(snapshot.sealed_table), snapshot.version,
-                  np.sort(kept).astype(np.int64))
-
-
 class SynopsisCatalog:
     """Per-store cache of sample synopses: one entry per build-parameter key."""
 
@@ -164,33 +134,6 @@ class SynopsisCatalog:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def invalidate(self, table_name: str) -> None:
-        """Drop every cached synopsis of ``table_name`` (on create and drop)."""
-        stale = [key for key in self._entries if key[1] == table_name]
-        for key in stale:
-            del self._entries[key]
-
-    def _answer(self, key: tuple, snapshot: Snapshot | None, draw,
-                advance=None) -> np.ndarray:
-        """The selection under ``key`` for ``snapshot``: served, advanced or redrawn."""
-        if snapshot is None:
-            snapshot = self._store.snapshot(key[1])
-        entry = self._entries.get(key)
-        carries = entry is not None and entry.sealed() is snapshot.sealed_table
-        if carries and entry.version == snapshot.version:
-            return entry.selection
-        fresh = None
-        if carries and advance is not None and entry.version < snapshot.version:
-            fresh = advance(entry, snapshot)
-        if fresh is None:
-            fresh = draw(snapshot)
-        # A table's versions only grow (create / drop invalidate), so an
-        # entry is replaced by newer answers only: a reader holding an old
-        # snapshot never sets the current readers back.
-        if entry is None or snapshot.version >= entry.version:
-            self._entries[key] = fresh
-        return fresh.selection
 
     def uniform(self, table_name: str, fraction: float, seed: int = 0,
                 snapshot: Snapshot | None = None) -> np.ndarray:
@@ -203,30 +146,24 @@ class SynopsisCatalog:
         read-only (it is shared across queries).
         """
         fraction, seed = _checked_fraction(fraction), int(seed)
-        return self._answer(
-            ("uniform", table_name, fraction, seed), snapshot,
-            lambda snap: _draw_uniform(snap, fraction, seed),
-            lambda entry, snap: _advance_uniform(entry, snap, fraction, seed),
-        )
-
-    def stratified(self, table_name: str, column: str, fraction: float,
-                   seed: int = 0, snapshot: Snapshot | None = None) -> np.ndarray:
-        """A stratified-by-``column`` synopsis selection.
-
-        Within each distinct value of ``column``, keeps the
-        ``max(1, round(fraction * group_rows))`` rows with the smallest
-        ``default_rng(seed)`` scores — the same rank-by-score rule the
-        uniform sample uses, applied per stratum, so every group is
-        represented at (at least) the requested rate.  On a written table
-        the strata are formed over the snapshot's live rows only; the
-        selection is redrawn whenever the snapshot's version is not the
-        entry's.
-        """
-        fraction, seed = _checked_fraction(fraction), int(seed)
-        return self._answer(
-            ("stratified", table_name, column, fraction, seed), snapshot,
-            lambda snap: _draw_stratified(snap, column, fraction, seed),
-        )
+        if snapshot is None:
+            snapshot = self._store.snapshot(table_name)
+        key = ("uniform", table_name, fraction, seed)
+        entry = self._entries.get(key)
+        carries = entry is not None and entry.sealed() is snapshot.sealed_table
+        if carries and entry.version == snapshot.version:
+            return entry.selection
+        fresh = None
+        if carries and entry.version < snapshot.version:
+            fresh = _advance_uniform(entry, snapshot, fraction, seed)
+        if fresh is None:
+            fresh = _draw_uniform(snapshot, fraction, seed)
+        # A table's versions only grow, so an entry is replaced by newer
+        # answers only: a reader holding an old snapshot never sets the
+        # current readers back.
+        if entry is None or snapshot.version >= entry.version:
+            self._entries[key] = fresh
+        return fresh.selection
 
     def describe(self) -> dict[tuple, int]:
         """Built synopses and their row counts (for EXPLAIN-style output)."""

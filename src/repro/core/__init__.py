@@ -18,7 +18,7 @@ This package is the paper's primary contribution: the benchmark itself.
 from repro.core.spec import QUERY_NAMES, QueryParameters, default_parameters
 from repro.core.timing import PhaseTimer
 from repro.core.queries import ReferenceImplementation, QueryOutput
-from repro.core.engines import list_engines, make_engine, EngineCapabilities
+from repro.core.engines import make_engine, EngineCapabilities
 from repro.core.runner import BenchmarkRunner, QueryResult, RunStatus
 from repro.core.results import ResultTable, speedup_table
 
@@ -29,7 +29,6 @@ __all__ = [
     "PhaseTimer",
     "ReferenceImplementation",
     "QueryOutput",
-    "list_engines",
     "make_engine",
     "EngineCapabilities",
     "BenchmarkRunner",

@@ -81,22 +81,6 @@ MULTI_NODE_ENGINES = (
 )
 
 
-def list_engines(multi_node: bool | None = None) -> list[str]:
-    """List registered engine names.
-
-    Args:
-        multi_node: None for all engines, True for only multi-node ones,
-            False for only single-node ones.
-    """
-    if multi_node is None:
-        return sorted(ENGINE_FACTORIES)
-    if multi_node:
-        return [name for name in sorted(ENGINE_FACTORIES)
-                if ENGINE_FACTORIES[name]().capabilities.multi_node]
-    return [name for name in sorted(ENGINE_FACTORIES)
-            if not ENGINE_FACTORIES[name]().capabilities.multi_node]
-
-
 def make_engine(name: str, **options) -> Engine:
     """Instantiate an engine by registry name.
 
@@ -123,7 +107,6 @@ __all__ = [
     "ENGINE_FACTORIES",
     "SINGLE_NODE_ENGINES",
     "MULTI_NODE_ENGINES",
-    "list_engines",
     "make_engine",
     "VanillaREngine",
     "PostgresMadlibEngine",

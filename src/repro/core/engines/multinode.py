@@ -28,7 +28,7 @@ them are built here on the :mod:`repro.cluster` substrate:
   - **Hadoop** runs per-node Hive jobs for data management, gathers the
     joined output, and runs the driver-side Mahout analytics without
     parallelism credit (a conservative simplification recorded in
-    DESIGN.md; the paper's qualitative finding — Hadoop is slowest and
+    ``docs/ENGINES.md``; the paper's qualitative finding — Hadoop is slowest and
     scales poorly — is insensitive to it).
 
 Phase times recorded by these engines are *simulated parallel* times:

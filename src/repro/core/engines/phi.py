@@ -17,7 +17,7 @@ Two engines:
 
 Because the device time is modelled rather than measured, runs of these
 engines label their analytics seconds as modelled in the runner output; the
-substitution is documented in DESIGN.md.
+substitution is documented in ``docs/ENGINES.md``.
 """
 
 from __future__ import annotations

@@ -32,6 +32,7 @@ from repro.core.queries import EXPRESSION_TRIPLE, dataset_tables
 from repro.core.timing import PhaseTimer
 from repro.datagen.dataset import GenBaseDataset
 from repro.relational import ColumnType, Database
+from repro.relational import operators as ops
 from repro.relational.bridge import run_shared_plan
 from repro.relational.query import QueryResultSet
 from repro.relational.udf import UdfRegistry, default_madlib_registry
@@ -69,17 +70,14 @@ class _RowStoreDataManagement(Engine):
     def _drug_response_for(self, patient_labels, timer: PhaseTimer) -> np.ndarray:
         """Project the drug-response column for the given patient ids, in order."""
         with timer.data_management():
-            rows = (
-                self.db.query("patients")
-                .select("patient_id", "drug_response")
-                .run()
-            )
+            rows = ops.Project(ops.SeqScan(self.db.table("patients")),
+                               ["patient_id", "drug_response"])
             response = {int(patient): value for patient, value in rows}
             return np.asarray([response[int(label)] for label in patient_labels])
 
     def _membership_matrix(self, gene_labels) -> np.ndarray:
         return membership_from_rows(
-            gene_labels, self.db.query("ontology").rows(), self.n_go_terms
+            gene_labels, ops.SeqScan(self.db.table("ontology")).rows(), self.n_go_terms
         )
 
 
@@ -103,9 +101,8 @@ class PostgresMadlibEngine(_RowStoreDataManagement):
     def _annotate_pairs(self, gene_labels, gene_a, gene_b, values, timer: PhaseTimer) -> dict:
         with timer.data_management():
             gene_labels = np.asarray(gene_labels)
-            function_lookup = dict(
-                self.db.query("genes").select("gene_id", "function").rows()
-            )
+            function_lookup = dict(ops.Project(ops.SeqScan(self.db.table("genes")),
+                                               ["gene_id", "function"]))
             joined_rows = sum(
                 1 for a in gene_labels[gene_a] if int(a) in function_lookup
             ) if len(gene_a) else 0

@@ -36,10 +36,6 @@ class QueryOutput:
     summary: dict = field(default_factory=dict)
     payload: object | None = None
 
-    def scalar(self, key: str) -> float:
-        """Fetch one summary value (raises ``KeyError`` if absent)."""
-        return self.summary[key]
-
 
 # The five summaries, spelled once.  Summaries are compared byte-for-byte
 # across engines, so keys, key order and the int()/float() coercions live

@@ -62,7 +62,3 @@ class PhaseTimer:
     def total_seconds(self) -> float:
         return self.data_management_seconds + self.analytics_seconds
 
-    def analytics_fraction(self) -> float:
-        """Fraction of the total spent in analytics (0 when nothing ran)."""
-        total = self.total_seconds
-        return self.analytics_seconds / total if total > 0 else 0.0

@@ -29,9 +29,6 @@ from repro.datagen.genes import GeneMetadata, generate_genes
 from repro.datagen.ontology import GeneOntologyData, generate_ontology
 from repro.datagen.dataset import GenBaseDataset
 from repro.datagen.writer import (
-    write_dataset_csv,
-    read_matrix_csv,
-    write_matrix_csv,
     read_table_csv,
     write_table_csv,
 )
@@ -49,9 +46,6 @@ __all__ = [
     "GeneOntologyData",
     "generate_ontology",
     "GenBaseDataset",
-    "write_dataset_csv",
-    "read_matrix_csv",
-    "write_matrix_csv",
     "read_table_csv",
     "write_table_csv",
 ]

@@ -102,15 +102,3 @@ class GenBaseDataset:
             "microarray_mbytes": round(self.spec.microarray_bytes / 1e6, 3),
         }
 
-    def validate(self) -> None:
-        """Check cross-table consistency; raises ``ValueError`` on mismatch."""
-        if self.microarray.n_patients != self.patients.n_patients:
-            raise ValueError("microarray and patient metadata disagree on patient count")
-        if self.microarray.n_genes != self.genes.n_genes:
-            raise ValueError("microarray and gene metadata disagree on gene count")
-        if self.ontology.n_genes != self.genes.n_genes:
-            raise ValueError("ontology and gene metadata disagree on gene count")
-        if not np.all(np.isfinite(self.microarray.matrix)):
-            raise ValueError("microarray matrix contains non-finite values")
-        if np.any(self.microarray.matrix < 0):
-            raise ValueError("microarray intensities must be non-negative")

@@ -15,7 +15,7 @@ Entry points:
 - ``python -m repro.fuzz`` — seed-driven fuzz loop (the CI job).
 - ``python -m repro.fuzz.repro <seed>`` — replay one case, or a shrunken
   failure artifact, with full diagnostics.
-- :mod:`repro.fuzz.strategies` — hypothesis strategies for the property
+- ``tests/fuzz_strategies.py`` — hypothesis strategies for the property
   tests in ``tests/test_fuzz.py``.
 """
 
@@ -28,7 +28,6 @@ from repro.fuzz.tolerances import (
     Tolerance,
     aggregate_tolerance,
     assert_values_match,
-    summary_tolerance,
 )
 
 __all__ = [
@@ -43,5 +42,4 @@ __all__ = [
     "assert_values_match",
     "generate_case",
     "lower_mutations",
-    "summary_tolerance",
 ]

@@ -6,7 +6,7 @@ a tiny :class:`Chooser` interface, so the same code yields
 - seed-reproducible cases for the CLI (``RandomChooser`` wraps
   ``random.Random(seed)`` — ``python -m repro.fuzz.repro <seed>`` replays
   any case bit for bit), and
-- shrinkable cases for the property tests (:mod:`repro.fuzz.strategies`
+- shrinkable cases for the property tests (``tests/fuzz_strategies.py``
   wraps hypothesis ``draw`` calls, so failures minimise structurally).
 
 The grammar is the *portable* subset of the plan algebra — shapes every

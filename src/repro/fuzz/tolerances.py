@@ -95,17 +95,6 @@ def aggregate_tolerance(engine: str, function: str) -> Tolerance:
     return EXACT
 
 
-def summary_tolerance(engine: str, field: str) -> Tolerance:
-    """Tolerance for one query-summary field on one engine.
-
-    Only the Mahout kernel outputs on the hadoop family are ulp-tolerant;
-    the shared plans feeding those kernels are verified exact upstream.
-    """
-    if engine == "hadoop" and field in MAHOUT_FLOAT_FIELDS:
-        return ULP
-    return EXACT
-
-
 def assert_values_match(actual, expected, tolerance: Tolerance, context: str = ""):
     """Assert two scalars or arrays agree under ``tolerance``.
 

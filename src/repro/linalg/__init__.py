@@ -27,8 +27,7 @@ Kernels:
 * :func:`repro.linalg.covariance.covariance_matrix` — Q2 (dense entry point).
 * :func:`repro.linalg.biclustering.cheng_church` — Q3.
 * :func:`repro.linalg.lanczos.lanczos_svd` — Q4 (dense entry point).
-* :func:`repro.linalg.wilcoxon.rank_sum_test`,
-  :func:`repro.linalg.wilcoxon.enrichment_analysis` — Q5.
+* :func:`repro.linalg.wilcoxon.enrichment_analysis` — Q5.
 """
 
 from repro.linalg.qr import (
@@ -37,11 +36,10 @@ from repro.linalg.qr import (
     linear_regression,
     RegressionResult,
 )
-from repro.linalg.covariance import covariance_matrix, correlation_matrix, top_covariant_pairs
+from repro.linalg.covariance import covariance_matrix, top_covariant_pairs
 from repro.linalg.lanczos import lanczos_svd, lanczos_eigsh, LanczosResult
 from repro.linalg.biclustering import cheng_church, Bicluster, BiclusteringResult
 from repro.linalg.wilcoxon import (
-    rank_sum_test,
     enrichment_analysis,
     WilcoxonResult,
     EnrichmentResult,
@@ -53,7 +51,6 @@ __all__ = [
     "linear_regression",
     "RegressionResult",
     "covariance_matrix",
-    "correlation_matrix",
     "top_covariant_pairs",
     "lanczos_svd",
     "lanczos_eigsh",
@@ -61,7 +58,6 @@ __all__ = [
     "cheng_church",
     "Bicluster",
     "BiclusteringResult",
-    "rank_sum_test",
     "enrichment_analysis",
     "WilcoxonResult",
     "EnrichmentResult",

@@ -45,10 +45,6 @@ class Bicluster:
     def shape(self) -> tuple[int, int]:
         return (len(self.rows), len(self.columns))
 
-    def submatrix(self, matrix: np.ndarray) -> np.ndarray:
-        """Extract this bicluster's block from the original matrix."""
-        return matrix[np.ix_(self.rows, self.columns)]
-
 
 @dataclass
 class BiclusteringResult:
@@ -61,18 +57,6 @@ class BiclusteringResult:
 
     def __iter__(self):
         return iter(self.biclusters)
-
-    def membership_matrix(self, shape: tuple[int, int]) -> np.ndarray:
-        """Return an int matrix labelling each cell with a bicluster id (+1).
-
-        Cells not covered by any bicluster are 0; overlapping cells keep the
-        label of the earliest (largest) bicluster.
-        """
-        labels = np.zeros(shape, dtype=np.int32)
-        for index, bicluster in enumerate(reversed(self.biclusters)):
-            value = len(self.biclusters) - index
-            labels[np.ix_(bicluster.rows, bicluster.columns)] = value
-        return labels
 
 
 def mean_squared_residue(block: np.ndarray) -> float:

@@ -48,21 +48,6 @@ def covariance_matrix(matrix: np.ndarray, ddof: int = 1) -> np.ndarray:
     return covariance(DenseOperand(matrix), ddof)
 
 
-def correlation_matrix(matrix: np.ndarray) -> np.ndarray:
-    """Compute the Pearson correlation matrix between columns.
-
-    Columns with zero variance produce zero correlation with everything
-    (rather than NaN), which keeps downstream thresholding well defined.
-    """
-    cov = covariance_matrix(matrix, ddof=1)
-    std = np.sqrt(np.diag(cov))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        outer = np.outer(std, std)
-        corr = np.where(outer > 0, cov / outer, 0.0)
-    np.fill_diagonal(corr, np.where(std > 0, 1.0, 0.0))
-    return corr
-
-
 def top_covariant_pairs(
     cov: np.ndarray,
     fraction: float = 0.10,

@@ -63,10 +63,6 @@ class LanczosResult:
         """
         return len(self.singular_values)
 
-    def reconstruct(self) -> np.ndarray:
-        """Return the rank-``k`` approximation ``U diag(s) Vᵀ``."""
-        return (self.left_vectors * self.singular_values) @ self.right_vectors.T
-
 
 def lanczos_eigsh(operator, dimension: int, k: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Find the ``k`` largest eigenpairs of a symmetric PSD linear operator.

@@ -15,7 +15,7 @@ once (one ``argsort``, run boundaries by comparison — no interpreted loop over
 genes or tie groups), every term's rank sum is one product ``ranks @
 membership``, and only the scalar U → z → p formula runs per term.  Midranks
 are half-integers, so those sums are exact and the result is bit-for-bit
-what one :func:`rank_sum_test` per term returns.
+what ranking each term's members against the rest separately returns.
 
 Supported domain: finite float64 scores, any number of ties; a non-finite
 score raises ``ValueError``.  A term holding every gene or none, and samples
@@ -127,29 +127,6 @@ def _normal_approximation(
         n_first=n1,
         n_second=n2,
     )
-
-
-def rank_sum_test(first: np.ndarray, second: np.ndarray) -> WilcoxonResult:
-    """Two-sided Wilcoxon rank-sum (Mann–Whitney U) test.
-
-    Args:
-        first: sample of values for the group of interest (e.g. the genes in
-            a GO term, scored by expression).
-        second: sample for the complement group.
-
-    Returns:
-        A :class:`WilcoxonResult`.  An empty sample (the test is undefined)
-        or a non-finite value raises ``ValueError``; ties are allowed.
-    """
-    first = _finite("rank_sum_test", "first", np.asarray(first, dtype=np.float64).ravel())
-    second = _finite("rank_sum_test", "second", np.asarray(second, dtype=np.float64).ravel())
-    n1, n2 = len(first), len(second)
-    if n1 == 0 or n2 == 0:
-        raise ValueError("both samples must be non-empty for the rank-sum test")
-
-    ranks, tie_sizes = _rank_with_ties(np.concatenate([first, second]))
-    tie_term = float(np.sum(tie_sizes ** 3 - tie_sizes))
-    return _normal_approximation(float(ranks[:n1].sum()), n1, n2, tie_term)
 
 
 def enrichment_analysis(

@@ -173,18 +173,6 @@ class MapReduceEngine:
             groups.append((current_key, current_values))
         return groups
 
-    # -- stats ----------------------------------------------------------------------
-
-    @property
-    def total_shuffle_bytes(self) -> int:
-        """Serialised spill bytes across every job this engine has run."""
-        return sum(result.counters.shuffle_bytes for result in self.history)
-
-    @property
-    def jobs_run(self) -> int:
-        """Number of jobs executed (the Hadoop adapter's job-count metric)."""
-        return len(self.history)
-
 
 class _Sentinel:
     def __repr__(self) -> str:

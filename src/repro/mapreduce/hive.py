@@ -53,14 +53,6 @@ class HiveTable:
         index = self.index_of(column)
         return [row[index] for row in self.rows]
 
-    def to_array(self, columns: Sequence[str] | None = None) -> np.ndarray:
-        """Materialise (a projection of) the table as a float matrix."""
-        names = list(columns) if columns is not None else list(self.columns)
-        indices = [self.index_of(name) for name in names]
-        if not self.rows:
-            return np.empty((0, len(indices)))
-        return np.asarray([[row[i] for i in indices] for row in self.rows], dtype=np.float64)
-
     @classmethod
     def from_array(cls, name: str, columns: Sequence[str], array: np.ndarray) -> "HiveTable":
         """Build a table from a 2-D numpy array."""

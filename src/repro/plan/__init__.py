@@ -26,14 +26,11 @@ from repro.plan.expressions import (
     Not,
     Opaque,
     StaticTypeError,
-    all_columns,
     and_,
     col,
     lit,
     literal_dtype,
-    not_,
     opaque,
-    or_,
     split_conjuncts,
 )
 from repro.plan.logical import (
@@ -87,13 +84,10 @@ __all__ = [
     "Literal",
     "Not",
     "Opaque",
-    "all_columns",
     "and_",
     "col",
     "lit",
-    "not_",
     "opaque",
-    "or_",
     "split_conjuncts",
     "APPROX_AGGREGATE_KINDS",
     "Aggregate",

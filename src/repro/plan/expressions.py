@@ -20,17 +20,17 @@ One tree serves every execution style the benchmark compares:
   down into the compression encodings, and reorder filters by estimated
   selectivity (:mod:`repro.plan.optimizer`).
 
-:class:`Opaque` wraps a legacy vectorised Python callable over one named
-column.  It keeps the deprecated ``ColumnQuery.where(name, callable)``
-surface working, but the planner can neither introspect nor estimate it —
-which is exactly why the callable form is deprecated.
+:class:`Opaque` wraps a vectorised Python callable over one named column
+(:func:`opaque`), for a predicate the tree cannot express.  The planner can
+neither introspect nor estimate it, so it is an ordering barrier: no
+predicate moves across it.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -572,26 +572,8 @@ def and_(*operands: Expression) -> Expression:
     return BooleanOp(operands, conjunction=True)
 
 
-def or_(*operands: Expression) -> Expression:
-    """Disjunction of one or more predicates."""
-    if len(operands) == 1:
-        return operands[0]
-    return BooleanOp(operands, conjunction=False)
-
-
-def not_(operand: Expression) -> Not:
-    """Negate a predicate."""
-    return Not(operand)
-
-
 def opaque(column: str, fn: Callable[[np.ndarray], np.ndarray]) -> Opaque:
     """Wrap a legacy vectorised callable over one column (see :class:`Opaque`)."""
     return Opaque(column, fn)
 
 
-def all_columns(expressions: Iterable[Expression]) -> set[str]:
-    """Union of the columns referenced by several expressions."""
-    result: set[str] = set()
-    for expression in expressions:
-        result |= expression.columns_referenced()
-    return result

@@ -208,7 +208,7 @@ class Join(PlanNode):
         )
         if len(result) != len(left) + len(right) - 1:
             # No two executors agree on which input such a name reads
-            # (``JoinedQuery`` aliases the right copy before it plans).
+            # (``ColumnQuery.join`` refuses it before it plans).
             shared = sorted(set(left) & (set(right) - {self.right_key}))
             raise StaticTypeError(
                 f"join output column(s) {shared} come from both the left input "

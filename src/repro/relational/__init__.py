@@ -9,11 +9,10 @@ This package implements a small but complete single-node RDBMS in Python:
 * the shared expression language for predicates and projections
   (:mod:`repro.plan.expressions`, compiled to per-row-tuple callables),
 * Volcano-style iterator operators — sequential scan, filter, projection,
-  hash join, nested-loop join, sort, hash aggregation, limit
-  (:mod:`repro.relational.operators`),
-* a fluent query-builder facade over those operators
-  (:mod:`repro.relational.query`) and the lowering of shared, already
-  optimised plans onto them (:mod:`repro.relational.bridge`),
+  hash join, sort, hash aggregation (:mod:`repro.relational.operators`),
+* the lowering of shared, already optimised plans onto them
+  (:mod:`repro.relational.bridge`), whose results are
+  :class:`~repro.relational.query.QueryResultSet` objects,
 * a UDF registry used by the Madlib-style in-database analytics adapter
   (:mod:`repro.relational.udf`).
 
@@ -27,8 +26,7 @@ UDF.
 from repro.relational.schema import Column, ColumnType, Schema
 from repro.relational.table import HeapTable
 from repro.relational.catalog import Database
-from repro.plan.expressions import col, lit, and_, or_, not_
-from repro.relational.query import Query
+from repro.plan.expressions import col, lit, and_
 from repro.relational.udf import UdfRegistry, default_madlib_registry
 
 __all__ = [
@@ -40,9 +38,6 @@ __all__ = [
     "col",
     "lit",
     "and_",
-    "or_",
-    "not_",
-    "Query",
     "UdfRegistry",
     "default_madlib_registry",
 ]

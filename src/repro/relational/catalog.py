@@ -1,4 +1,4 @@
-"""The database catalog: named tables plus the entry point for queries."""
+"""The database catalog: named heap tables."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.relational.query import Query
 from repro.relational.schema import Column, ColumnType, Schema
 from repro.relational.table import HeapTable
 
@@ -33,12 +32,6 @@ class Database:
         self._tables[name] = table
         return table
 
-    def drop_table(self, name: str) -> None:
-        """Drop a table; missing tables raise ``KeyError``."""
-        if name not in self._tables:
-            raise KeyError(f"no table named {name!r}")
-        del self._tables[name]
-
     def table(self, name: str) -> HeapTable:
         """Look up a table by name."""
         try:
@@ -62,12 +55,6 @@ class Database:
     def load_array(self, table_name: str, array: np.ndarray) -> int:
         """Bulk load a numpy array whose columns match the table schema."""
         return self.table(table_name).load_array(array)
-
-    # -- querying ---------------------------------------------------------------------
-
-    def query(self, table_name: str) -> Query:
-        """Start a fluent query from a base table."""
-        return Query.scan(self.table(table_name))
 
     # -- stats --------------------------------------------------------------------------
 

@@ -3,7 +3,7 @@
 Every operator is an iterator over row tuples that exposes its output
 :class:`~repro.relational.schema.Schema`.  Operators compose into pipelines;
 blocking operators (hash join build side, sort, aggregation) materialise
-their input, streaming operators (scan, filter, project, limit) do not.
+their input, streaming operators (scan, filter, project) do not.
 """
 
 from __future__ import annotations
@@ -68,43 +68,6 @@ class Project(Operator):
         indices = self._indices
         for row in self.child:
             yield tuple(row[i] for i in indices)
-
-
-class Compute(Operator):
-    """Append a computed column evaluated from an expression."""
-
-    def __init__(self, child: Operator, name: str, expression: Expression,
-                 column_type: ColumnType = ColumnType.FLOAT):
-        self.child = child
-        self.expression = expression
-        self.output_schema = Schema(
-            list(child.output_schema.columns) + [Column(name, column_type)]
-        )
-        self._bound = expression.bind(child.output_schema)
-
-    def __iter__(self) -> Iterator[tuple]:
-        bound = self._bound
-        for row in self.child:
-            yield row + (bound(row),)
-
-
-class Limit(Operator):
-    """Stop after ``n`` rows."""
-
-    def __init__(self, child: Operator, n: int):
-        if n < 0:
-            raise ValueError("limit must be non-negative")
-        self.child = child
-        self.n = n
-        self.output_schema = child.output_schema
-
-    def __iter__(self) -> Iterator[tuple]:
-        count = 0
-        for row in self.child:
-            if count >= self.n:
-                return
-            yield row
-            count += 1
 
 
 class HashJoin(Operator):
@@ -270,8 +233,6 @@ def explain(operator: Operator, depth: int = 0) -> str:
         detail = f"group_by={operator.group_by} aggs={operator.aggregates}"
     elif isinstance(operator, Sort):
         detail = f"{operator.keys} desc={operator.descending}"
-    elif isinstance(operator, Limit):
-        detail = str(operator.n)
     else:
         detail = ""
     lines = ["  " * depth + f"{type(operator).__name__} {detail}".rstrip()]

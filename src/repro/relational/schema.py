@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 class ColumnType(enum.Enum):
@@ -66,13 +66,6 @@ class Schema:
             duplicates = sorted({n for n in names if names.count(n) > 1})
             raise ValueError(f"duplicate column names in schema: {duplicates}")
         self._index = {column.name: i for i, column in enumerate(self._columns)}
-
-    # -- construction helpers ------------------------------------------------
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[str, ColumnType]]) -> "Schema":
-        """Build a schema from ``(name, type)`` pairs."""
-        return cls([Column(name, column_type) for name, column_type in pairs])
 
     # -- basic protocol --------------------------------------------------------
 
@@ -137,21 +130,6 @@ class Schema:
     def project(self, names: Sequence[str]) -> "Schema":
         """Return a schema containing only ``names``, in the given order."""
         return Schema([self.column(name) for name in names])
-
-    def rename(self, mapping: dict[str, str]) -> "Schema":
-        """Return a schema with columns renamed per ``mapping``."""
-        return Schema(
-            [
-                column.renamed(mapping.get(column.name, column.name))
-                for column in self._columns
-            ]
-        )
-
-    def prefixed(self, prefix: str) -> "Schema":
-        """Return a schema with every column name prefixed (``prefix.name``)."""
-        return Schema(
-            [column.renamed(f"{prefix}.{column.name}") for column in self._columns]
-        )
 
     def concat(self, other: "Schema") -> "Schema":
         """Concatenate two schemas (used by joins).

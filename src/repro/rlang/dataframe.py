@@ -161,16 +161,6 @@ class DataFrame:
         """Column projection."""
         return DataFrame({name: self[name] for name in names}, environment=self.environment)
 
-    def order_by(self, name: str, decreasing: bool = False) -> "DataFrame":
-        """Sort rows by one column."""
-        order = np.argsort(self[name], kind="mergesort")
-        if decreasing:
-            order = order[::-1]
-        return DataFrame(
-            {column: values[order] for column, values in self._columns.items()},
-            environment=self.environment,
-        )
-
     def merge(self, other: "DataFrame", by: str, by_other: str | None = None,
               suffix: str = "_y") -> "DataFrame":
         """Inner join (R's ``merge``), implemented as a hash join.

@@ -16,7 +16,7 @@ from repro.linalg.biclustering import BiclusteringResult, cheng_church
 from repro.linalg.covariance import covariance_matrix
 from repro.linalg.lanczos import LanczosResult, lanczos_svd
 from repro.linalg.qr import RegressionResult, linear_regression
-from repro.linalg.wilcoxon import EnrichmentResult, WilcoxonResult, enrichment_analysis, rank_sum_test
+from repro.linalg.wilcoxon import EnrichmentResult, enrichment_analysis
 from repro.rlang.dataframe import DataFrame
 
 
@@ -58,11 +58,6 @@ def biclust(matrix: np.ndarray, n_biclusters: int = 3, delta: float | None = Non
             seed: int = 0) -> BiclusteringResult:
     """Cheng–Church biclustering, the R ``biclust::BCCC`` equivalent."""
     return cheng_church(matrix, n_biclusters=n_biclusters, delta=delta, seed=seed)
-
-
-def wilcox_test(first: np.ndarray, second: np.ndarray) -> WilcoxonResult:
-    """Two-sample Wilcoxon rank-sum test, R's ``wilcox.test``."""
-    return rank_sum_test(first, second)
 
 
 def enrichment(gene_scores: np.ndarray, membership: np.ndarray,

@@ -1,4 +1,4 @@
-"""Hypothesis strategies over the fuzz grammar.
+"""Hypothesis strategies over the fuzz grammar, for ``test_fuzz.py``.
 
 The grammar itself lives in :mod:`repro.fuzz.generate`; this module only
 supplies a :class:`Chooser` whose decisions are hypothesis draws, so the

@@ -50,6 +50,17 @@ def _digest(array: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(array, dtype=np.float64).tobytes()).hexdigest()
 
 
+def distributed(cluster: Cluster, matrix: np.ndarray) -> DistributedMatrix:
+    """``matrix`` in contiguous row blocks, node ``p`` of ``k`` holding rows
+    ``[p·n/k, (p+1)·n/k)`` (the layout the pins were recorded on)."""
+    matrix = np.asarray(matrix, dtype=np.float64)
+    if matrix.ndim != 2:
+        raise ValueError("DistributedMatrix needs a 2-D matrix")
+    n, k = matrix.shape[0], cluster.n_nodes
+    return DistributedMatrix(cluster, [matrix[p * n // k:(p + 1) * n // k].copy()
+                                       for p in range(k)], matrix.shape[1])
+
+
 def _entry_points(operand: str, matrix: np.ndarray):
     """``(covariance(), svd(k, seed))`` through one engine family's entry points."""
     if operand == "dense":
@@ -62,9 +73,9 @@ def _entry_points(operand: str, matrix: np.ndarray):
         return (lambda: array_linalg.covariance(array),
                 lambda k, seed: array_linalg.lanczos_svd_chunked(array, k=k, seed=seed))
     cluster = Cluster(int(operand.rsplit("-", 1)[1]))
-    distributed = DistributedMatrix.from_dense(cluster, matrix)
-    return (lambda: ScaLAPACK(cluster).covariance(distributed),
-            lambda k, seed: ScaLAPACK(cluster).lanczos_svd(distributed, k=k, seed=seed))
+    operand = distributed(cluster, matrix)
+    return (lambda: ScaLAPACK(cluster).covariance(operand),
+            lambda k, seed: ScaLAPACK(cluster).lanczos_svd(operand, k=k, seed=seed))
 
 
 def _query_matrices(dataset: GenBaseDataset):

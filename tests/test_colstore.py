@@ -659,34 +659,34 @@ class TestColumnQuery:
         expected = int(np.sum(tiny_dataset.genes.function < 10))
         assert len(query) == expected
 
-    def test_where_in_and_chaining(self, store):
+    def test_isin_and_chaining(self, store):
         query = (
             store.query("microarray")
-            .where_in("gene_id", [0, 1, 2])
+            .where(col("gene_id").isin([0, 1, 2]))
             .where(col("expression_value") > 0)
         )
         assert np.all(np.isin(query.column("gene_id"), [0, 1, 2]))
 
-    def test_where_in_accepts_ndarray_and_dedupes(self, store):
-        reference = store.query("microarray").where_in("gene_id", [0, 1, 2]).selection
+    def test_isin_accepts_ndarray_and_dedupes(self, store):
+        reference = store.query("microarray").where(col("gene_id").isin([0, 1, 2])).selection
         for keys in (
             np.array([0, 1, 2], dtype=np.int64),
             np.array([2, 0, 1, 1, 2, 0, 0]),  # duplicated, unsorted
             iter([0, 1, 2, 2]),               # any iterable still works
         ):
             np.testing.assert_array_equal(
-                store.query("microarray").where_in("gene_id", keys).selection, reference
+                store.query("microarray").where(col("gene_id").isin(keys)).selection, reference
             )
 
-    def test_where_in_chained_after_filter(self, store):
+    def test_isin_chained_after_filter(self, store):
         narrowed = store.query("microarray").where(col("expression_value") > 0)
-        chained = narrowed.where_in("gene_id", np.array([0, 1]))
+        chained = narrowed.where(col("gene_id").isin(np.array([0, 1])))
         assert np.all(np.isin(chained.column("gene_id"), [0, 1]))
         assert np.all(chained.column("expression_value") > 0)
 
-    def test_where_in_empty_values_returns_empty_selection(self, store):
-        """Regression: an empty key list used to build a float64 lookup whose
-        dtype clashed with string/int columns; it must short-circuit instead."""
+    def test_isin_empty_values_returns_empty_selection(self, store):
+        """An empty key list (a float64 array once converted) selects nothing
+        on string and int columns alike."""
         table = ColumnTable.from_arrays(
             "mixed",
             {
@@ -695,15 +695,15 @@ class TestColumnQuery:
             },
         )
         for column, empty in (("label", []), ("count", []), ("count", iter(()))):
-            query = ColumnQuery(table).where_in(column, empty)
+            query = ColumnQuery(table).where(col(column).isin(empty))
             assert len(query) == 0
             assert query.selection.dtype == np.int64
         # Also after a narrowing filter, and with an empty ndarray.
         narrowed = ColumnQuery(table).where(col("count") > 10)
-        assert len(narrowed.where_in("label", np.array([], dtype=np.float64))) == 0
+        assert len(narrowed.where(col("label").isin(np.array([], dtype=np.float64)))) == 0
         # An unknown column still raises even when the key set is empty.
         with pytest.raises(KeyError):
-            ColumnQuery(table).where_in("missing", [])
+            ColumnQuery(table).where(col("missing").isin([]))
 
     def test_where_predicate_shape_check(self, store):
         # Filters are lazy: the shape check fires when the selection is
@@ -782,10 +782,8 @@ class TestColumnQuery:
                     query_module.smallest_scored(scores, n_keep),
                     np.sort(np.argsort(scores, kind="stable")[:n_keep]))
 
-    def test_to_matrix_and_table(self, store):
+    def test_to_table(self, store):
         query = store.query("genes")
-        matrix = query.to_matrix(["gene_id", "function"])
-        assert matrix.shape == (len(query), 2)
         table = query.to_table("genes_copy", ["gene_id"])
         assert table.row_count == len(query)
 
@@ -794,8 +792,7 @@ class TestColumnQuery:
         for name in query.table.column_names:
             shared = query.table.column(name).values()
             expected = shared.copy()
-            for owned in (query.column(name), query.columns([name])[name],
-                          query.to_matrix([name])):
+            for owned in (query.column(name), query.columns([name])[name]):
                 assert owned.flags.writeable
                 assert not np.shares_memory(owned, shared)
                 owned[...] = 0  # scribbling on a result must not reach the store
@@ -806,15 +803,11 @@ class TestColumnQuery:
     def test_join_matches_reference(self, store, tiny_dataset):
         threshold = 10
         genes = store.query("genes").where(col("function") < threshold)
-        joined = genes.join(
-            store.query("microarray"),
-            "gene_id",
-            "gene_id",
-            columns={"gene_id": "gene_id"},
-            other_columns={"patient_id": "patient_id", "expression_value": "expression_value"},
-        ).collect()
+        _, counts = genes.select("gene_id").join(
+            store.query("microarray"), "gene_id", "gene_id",
+        ).group_aggregate("gene_id", "expression_value", "count")
         expected_genes = int(np.sum(tiny_dataset.genes.function < threshold))
-        assert joined.row_count == expected_genes * tiny_dataset.n_patients
+        assert counts.sum() == expected_genes * tiny_dataset.n_patients
 
     def test_pivot_matches_source(self, store, tiny_dataset):
         matrix, rows, cols = store.query("microarray").pivot(
@@ -976,7 +969,7 @@ class TestAggregationPushdown:
 
 
 class TestColumnStoreCatalog:
-    def test_create_register_drop(self, rng):
+    def test_create_and_register(self, rng):
         store = ColumnStore()
         store.create_table("t", {"x": np.arange(3)})
         with pytest.raises(ValueError):
@@ -984,10 +977,9 @@ class TestColumnStoreCatalog:
         other = ColumnTable.from_arrays("u", {"y": rng.random(4)})
         store.register(other)
         assert set(store.table_names()) == {"t", "u"}
-        store.drop_table("u")
         with pytest.raises(KeyError):
-            store.table("u")
-        assert store.total_rows() == 3
+            store.table("v")
+        assert store.total_rows() == 7
         assert store.total_compressed_bytes() > 0
         assert "t" in store.describe()
 

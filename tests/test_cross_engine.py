@@ -51,7 +51,7 @@ from repro.core.queries import (
 )
 from repro.core.runner import RunStatus
 from repro.core.spec import default_parameters
-from repro.fuzz.tolerances import summary_tolerance
+from repro.fuzz.tolerances import EXACT, MAHOUT_FLOAT_FIELDS, ULP
 from repro.mapreduce import HiveSession, HiveTable, MapReduceEngine
 from repro.mapreduce.bridge import run_shared_plan as run_mr_plan
 from repro.plan import Aggregate, Filter, Scan, col
@@ -96,10 +96,9 @@ def _all_summaries(dataset, runner):
 def _assert_summary_equal(engine: str, query: str, actual: dict, base: dict):
     assert set(actual) == set(base), f"{engine}/{query}: summary keys differ"
     for key, value in actual.items():
-        # The per-(engine, field) tolerance table is shared with the
-        # differential fuzzer: Mahout's reassociated kernels on hadoop are
-        # ulp-tolerant, everything else is exact (repro.fuzz.tolerances).
-        tolerance = summary_tolerance(engine, key)
+        # Mahout's reassociated kernels on hadoop are ulp-tolerant, everything
+        # else is exact (repro.fuzz.tolerances).
+        tolerance = ULP if engine == "hadoop" and key in MAHOUT_FLOAT_FIELDS else EXACT
         if isinstance(value, float):
             ok = tolerance.matches(value, base[key])
         else:
@@ -499,7 +498,7 @@ class TestMapReduceFilterBeforeShuffle:
         selected = session.select(tables["genes"], col("function") < threshold)
         projected = session.project(selected, ["gene_id"])
         joined = session.join(projected, tables["microarray"], "gene_id", "gene_id")
-        legacy_jobs = engine.jobs_run
+        legacy_jobs = len(engine.history)
 
         fused_engine = MapReduceEngine(n_splits=4)
         fused = run_mr_plan(
@@ -518,7 +517,7 @@ class TestMapReduceFilterBeforeShuffle:
         np.testing.assert_array_equal(rows, row_labels)
         np.testing.assert_array_equal(cols, col_labels)
         # One fused job replaces the select → project → join chain.
-        assert fused_engine.jobs_run == 1 < legacy_jobs
+        assert len(fused_engine.history) == 1 < legacy_jobs
 
     def test_filtered_rows_never_reach_the_shuffle(self, loaded):
         engine, session, tables = loaded

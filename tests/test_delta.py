@@ -44,8 +44,8 @@ from repro.colstore import AGGREGATE_FUNCTIONS, ColumnStore, ColumnTable, Column
 from repro.colstore import reduce_by_inverse
 from repro.colstore.delta import DeltaStore, MergedColumn, merge_group_parts
 from repro.colstore.planner import run_plan
-from repro.colstore.synopsis import POOL_SLACK, SynopsisCatalog
-from repro.plan import approx_mean, approx_sum, col
+from repro.colstore.synopsis import POOL_SLACK
+from repro.plan import approx_sum, col
 from repro.plan.logical import Aggregate, ApproxAggregate, Filter, Pivot, Scan
 
 COLUMNS = ("rid", "grp", "run", "val")
@@ -675,22 +675,6 @@ class TestSynopsisStaleness:
             store.synopses.uniform("events", 0.5, seed=3),
             store.query("events").sample(0.5, 3).selection)
 
-    def test_recreated_table_never_answers_from_the_dropped_tables_synopsis(self):
-        """Drop + create restarts the version at 0 under the dropped table's
-        key: its selection covers the wrong rows (or rows past the end)."""
-        plan = approx_mean(Scan("t"), "x", fraction=0.1, seed=1)
-        store = ColumnStore()
-        store.create_table("t", {"x": np.zeros(1000)})
-        assert run_plan(plan, store).estimate == 0.0
-        store.drop_table("t")
-        assert len(store.synopses) == 0
-        store.create_table("t", {"x": np.repeat([0.0, 10.0], 1000)})
-        answer = run_plan(plan, store)
-        assert answer.ci_low < 5.0 < answer.ci_high
-        store.drop_table("t")
-        store.create_table("t", {"x": np.full(50, 3.0)})  # smaller than the old sample's reach
-        assert run_plan(plan, store).estimate == 3.0
-
     def test_uniform_synopsis_cache_hits_within_a_version(self):
         store = _store_with(_sealed_four_encodings(50, seed=17))
         first = store.synopses.uniform("events", 0.4, seed=2)
@@ -701,22 +685,6 @@ class TestSynopsisStaleness:
         assert redrawn is not first
         inline = store.query("events").sample(0.4, 2).selection
         np.testing.assert_array_equal(redrawn, inline)
-
-    def test_stratified_synopsis_covers_post_append_strata(self):
-        store = _store_with(_sealed_four_encodings(40, seed=19))
-        store.append("events", {
-            "rid": [400], "grp": ["d"], "run": [8], "val": [1.0],
-        })
-        selection = store.synopses.stratified("events", "grp", 0.2, seed=4)
-        sampled_groups = store.effective_table("events").column("grp").take(selection)
-        assert "d" in sampled_groups.tolist()  # the new stratum is represented
-
-    def test_stratified_synopsis_skips_deleted_rows(self):
-        store = _store_with(_sealed_four_encodings(40, seed=23))
-        deleted = np.arange(0, 10)
-        store.delete("events", deleted)
-        selection = store.synopses.stratified("events", "grp", 0.5, seed=6)
-        assert not np.intersect1d(selection, deleted).size
 
 
 # ---------------------------------------------------------------------------- #
@@ -729,7 +697,7 @@ SYNOPSIS_KEYS = ((0.3, 1), (0.05, 2), (1.0, 5))
 _SYNOPSIS_OPS = st.lists(
     st.tuples(
         st.sampled_from(["append", "delete", "delete_where", "update", "compact",
-                         "recreate", "silent-append", "silent-delete"]),
+                         "silent-append", "silent-delete"]),
         st.integers(0, 2**16)),
     min_size=1, max_size=10,
 )
@@ -756,11 +724,8 @@ def _write(store: ColumnStore, kind: str, seed: int) -> None:
         total = store.snapshot("events").row_count
         ids = rng.choice(total, size=int(rng.integers(0, min(total, 6) + 1)), replace=False)
         store.update("events", ids, _seed_arrays(int(rng.integers(1, 6)), seed))
-    elif kind == "compact":
-        store.compact("events")
     else:
-        store.drop_table("events")
-        store.register(_sealed_four_encodings(int(rng.integers(5, 60)), seed))
+        store.compact("events")
 
 
 def _assert_synopses_are_fresh_draws(store: ColumnStore) -> None:
@@ -905,21 +870,6 @@ class TestSynopsisMaintenance:
             sys.setswitchinterval(interval)
         assert not errors, errors[:3]
         assert len(store.synopses) == 1
-
-    def test_stratified_entry_is_redrawn_per_version_under_one_key(self):
-        store = _store_with(_sealed_four_encodings(80, seed=47))
-        first = store.synopses.stratified("events", "grp", 0.25, seed=4)
-        assert store.synopses.stratified("events", "grp", 0.25, seed=4) is first
-        old = store.snapshot("events")
-        store.append("events", {"rid": [900], "grp": ["z"], "run": [7], "val": [1.0]})
-        store.delete("events", first[:5])
-        redrawn = store.synopses.stratified("events", "grp", 0.25, seed=4)
-        np.testing.assert_array_equal(
-            redrawn, SynopsisCatalog(store).stratified("events", "grp", 0.25, seed=4))
-        assert 80 in redrawn and not np.intersect1d(redrawn, first[:5]).size
-        np.testing.assert_array_equal(
-            store.synopses.stratified("events", "grp", 0.25, seed=4, snapshot=old), first)
-        assert list(store.synopses.describe()) == [("stratified", "events", "grp", 0.25, 4)]
 
 
 class TestSynopsisRouteReadsOneSnapshot:

@@ -17,7 +17,8 @@ import pytest
 
 import repro
 
-from repro.arraydb.bridge import ArrayFrame, matrix_frame, metadata_array
+from repro.arraydb.array import ChunkedArray
+from repro.arraydb.bridge import ArrayFrame, MatrixFrame, metadata_array
 from repro.arraydb.bridge import run_shared_plan as run_array_plan
 from repro.cluster import Cluster, PartitionedTable, PartitionStats
 from repro.cluster.bridge import run_shared_plan as run_cluster_plan
@@ -81,8 +82,9 @@ def five_backends() -> dict:
     array_frames = {
         "patients": ArrayFrame("patient_id", {
             "age": metadata_array("age", AGES, "patient_id", "age", chunk_size=2)}),
-        "microarray": matrix_frame("microarray", MATRIX, ["patient_id", "gene_id"],
-                                   "value", chunk_sizes=[2, 2]),
+        "microarray": MatrixFrame(ChunkedArray.from_dense(
+            "microarray", MATRIX, ["patient_id", "gene_id"], "value", chunk_sizes=[2, 2]),
+            "value"),
     }
 
     hive_tables = {

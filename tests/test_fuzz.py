@@ -34,6 +34,7 @@ from repro.fuzz.generate import (
     case_from_seed,
     lower_mutations,
 )
+from fuzz_strategies import fuzz_cases
 from repro.fuzz.harness import FuzzHarness
 from repro.fuzz.reference import mutated_tables
 from repro.fuzz.serialize import (
@@ -42,14 +43,12 @@ from repro.fuzz.serialize import (
     plan_from_json,
     plan_to_json,
 )
-from repro.fuzz.strategies import fuzz_cases
 from repro.fuzz.tolerances import (
     EXACT,
     ULP,
     aggregate_tolerance,
     assert_values_match,
     sketch_tolerance,
-    summary_tolerance,
 )
 from repro.plan import Filter, Join, Pivot, Project, Scan, col
 from repro.plan.logical import explain
@@ -285,11 +284,6 @@ class TestTolerances:
         for engine in ("colstore", "postgres", "scidb", "hadoop", "vanilla-r"):
             for function in ("sum", "mean", "avg"):
                 assert aggregate_tolerance(engine, function) is ULP
-
-    def test_mahout_fields_are_ulp_on_hadoop_only(self):
-        assert summary_tolerance("hadoop", "r_squared") is ULP
-        assert summary_tolerance("hadoop", "n_selected_genes") is EXACT
-        assert summary_tolerance("scidb", "r_squared") is EXACT
 
     def test_assert_values_match_exact_rejects_last_ulp(self):
         base = np.array([1.0, 2.0])

@@ -8,19 +8,24 @@ import pytest
 from repro.linalg import (
     cheng_church,
     covariance_matrix,
-    correlation_matrix,
     enrichment_analysis,
     householder_qr,
     lanczos_svd,
     linear_regression,
     lstsq_qr,
-    rank_sum_test,
     top_covariant_pairs,
 )
 from repro.linalg import naive
 from repro.linalg.biclustering import mean_squared_residue
 from repro.linalg.lanczos import lanczos_eigsh
-from repro.linalg.wilcoxon import _rank_with_ties
+from repro.linalg.wilcoxon import _normal_approximation, _rank_with_ties
+
+
+def _rank_sum_test(first, second):
+    """One two-sample rank-sum test, as Q5 was first written: rank the pooled samples."""
+    ranks, tie_sizes = _rank_with_ties(np.concatenate([first, second]).astype(np.float64))
+    return _normal_approximation(float(ranks[:len(first)].sum()), len(first), len(second),
+                                 float(np.sum(tie_sizes ** 3 - tie_sizes)))
 
 
 class TestHouseholderQR:
@@ -180,14 +185,6 @@ class TestCovariance:
         with pytest.raises(ValueError):
             covariance_matrix(rng.random(5))
 
-    def test_correlation_bounds_and_constant_column(self, rng):
-        matrix = rng.standard_normal((40, 5))
-        matrix[:, 2] = 7.0  # zero-variance column
-        corr = correlation_matrix(matrix)
-        assert np.all(np.abs(corr) <= 1 + 1e-12)
-        assert corr[2, 2] == 0.0
-        assert np.all(corr[2, :3:2] == 0.0)
-
     def test_naive_matches_fast(self, rng):
         matrix = rng.standard_normal((15, 6))
         np.testing.assert_allclose(
@@ -241,7 +238,8 @@ class TestLanczos:
         right = rng.standard_normal((5, 30))
         matrix = left @ right
         result = lanczos_svd(matrix, k=5, seed=0)
-        np.testing.assert_allclose(result.reconstruct(), matrix, atol=1e-6)
+        rank_k = (result.left_vectors * result.singular_values) @ result.right_vectors.T
+        np.testing.assert_allclose(rank_k, matrix, atol=1e-6)
 
     def test_orthonormal_vectors(self, rng):
         matrix = rng.standard_normal((40, 25))
@@ -314,13 +312,6 @@ class TestBiclustering:
         for bicluster in result:
             assert bicluster.shape[0] >= 2 and bicluster.shape[1] >= 2
 
-    def test_membership_matrix_labels(self, rng):
-        matrix = rng.standard_normal((20, 15))
-        result = cheng_church(matrix, n_biclusters=2, seed=0)
-        labels = result.membership_matrix(matrix.shape)
-        assert labels.shape == matrix.shape
-        assert labels.max() <= 2
-
     def test_small_matrix_returns_empty(self):
         result = cheng_church(np.ones((1, 1)), n_biclusters=2)
         assert len(result) == 0
@@ -335,7 +326,7 @@ class TestWilcoxon:
         scipy_stats = pytest.importorskip("scipy.stats")
         first = rng.standard_normal(30)
         second = rng.standard_normal(40) + 0.5
-        ours = rank_sum_test(first, second)
+        ours = _rank_sum_test(first, second)
         reference = scipy_stats.mannwhitneyu(first, second, alternative="two-sided")
         assert ours.statistic == pytest.approx(reference.statistic)
         assert ours.p_value == pytest.approx(reference.pvalue, rel=1e-6)
@@ -344,33 +335,29 @@ class TestWilcoxon:
         scipy_stats = pytest.importorskip("scipy.stats")
         first = rng.integers(0, 5, size=25).astype(float)
         second = rng.integers(0, 5, size=35).astype(float)
-        ours = rank_sum_test(first, second)
+        ours = _rank_sum_test(first, second)
         reference = scipy_stats.mannwhitneyu(
             first, second, alternative="two-sided", method="asymptotic"
         )
         assert ours.p_value == pytest.approx(reference.pvalue, rel=1e-6)
 
     def test_identical_samples_p_one(self):
-        result = rank_sum_test(np.ones(10), np.ones(12))
+        result = _rank_sum_test(np.ones(10), np.ones(12))
         assert result.p_value == 1.0
         assert result.z_score == 0.0
 
     def test_clear_shift_is_significant(self, rng):
         first = rng.standard_normal(50) + 3.0
         second = rng.standard_normal(50)
-        result = rank_sum_test(first, second)
+        result = _rank_sum_test(first, second)
         assert result.p_value < 1e-6
         assert result.z_score > 0
-
-    def test_empty_sample_raises(self):
-        with pytest.raises(ValueError):
-            rank_sum_test(np.empty(0), np.ones(5))
 
     def test_naive_matches_reference(self, rng):
         first = rng.standard_normal(20)
         second = rng.standard_normal(25) + 1.0
         assert naive.wilcoxon_rank_sum(first, second) == pytest.approx(
-            rank_sum_test(first, second).p_value, rel=1e-9
+            _rank_sum_test(first, second).p_value, rel=1e-9
         )
 
     def test_enrichment_finds_planted_term(self, rng):
@@ -405,12 +392,12 @@ class TestWilcoxon:
 
 
 def _per_term_loop(scores, membership):
-    """Q5 as it was written first: one ``rank_sum_test(inside, outside)`` per term."""
+    """Q5 as it was written first: one rank-sum test of inside vs outside per term."""
     p_values, z_scores = np.ones(membership.shape[1]), np.zeros(membership.shape[1])
     for term in range(membership.shape[1]):
         members = membership[:, term] != 0
         if 0 < members.sum() < len(scores):
-            result = rank_sum_test(scores[members], scores[~members])
+            result = _rank_sum_test(scores[members], scores[~members])
             p_values[term], z_scores[term] = result.p_value, result.z_score
     return p_values, z_scores
 
@@ -481,10 +468,6 @@ class TestStatedDomain:
         membership = rng.integers(0, 2, (12, 3))
         with pytest.raises(ValueError, match=r"^enrichment_analysis: gene_scores must be finite"):
             enrichment_analysis(scores, membership)
-        with pytest.raises(ValueError, match=r"^rank_sum_test: first must be finite"):
-            rank_sum_test(scores, np.ones(4))
-        with pytest.raises(ValueError, match=r"^rank_sum_test: second must be finite"):
-            rank_sum_test(np.ones(4), scores)
         cov = covariance_matrix(rng.standard_normal((8, 5)))
         cov[1, 3] = cov[3, 1] = bad
         with pytest.raises(ValueError, match=r"^top_covariant_pairs: cov must be finite"):
@@ -507,7 +490,8 @@ class TestStatedDomain:
         result = lanczos_svd(rank_one, k=8)  # k clipped to min(m, n), rank below it
         assert len(result.singular_values) == 5
         np.testing.assert_array_equal(result.singular_values[1:], 0.0)
-        np.testing.assert_allclose(result.reconstruct(), rank_one, atol=1e-12)
+        rank_k = (result.left_vectors * result.singular_values) @ result.right_vectors.T
+        np.testing.assert_allclose(rank_k, rank_one, atol=1e-12)
 
 
 class TestNaiveKernels:

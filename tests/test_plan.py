@@ -34,12 +34,12 @@ from repro.plan import (
     estimate_selectivity,
     explain,
     lit,
-    not_,
     opaque,
     optimize,
     ordered_conjuncts,
     split_conjuncts,
 )
+from repro.plan.logical import AGGREGATE_FUNCTIONS
 from repro.plan.optimizer import estimate_output_rows
 from repro.relational import ColumnType, Database, operators as row_ops
 from repro.relational.bridge import RelationalBackend, run_shared_plan
@@ -100,7 +100,7 @@ class TestExpressions:
     def test_not_and_or_evaluate(self):
         batch = {"x": np.array([1, 5, 9])}
         np.testing.assert_array_equal(
-            not_(col("x") < 5).evaluate(batch), [False, True, True]
+            (~(col("x") < 5)).evaluate(batch), [False, True, True]
         )
         np.testing.assert_array_equal(
             ((col("x") < 2) | (col("x") > 8)).evaluate(batch), [True, False, True]
@@ -407,7 +407,7 @@ class TestGenBasePlans:
         slow_keys, slow_values = run_plan(plan, genbase_store, optimized=False)
         reference = (
             genbase_store.query("microarray")
-            .where_in("patient_id", sampled)
+            .where(col("patient_id").isin(sampled))
             .group_aggregate("gene_id", "expression_value", "mean")
         )
         np.testing.assert_array_equal(fast_keys, slow_keys)
@@ -424,7 +424,7 @@ class TestGenBasePlans:
         keys, means = run_plan(sampled_expression_mean_plan(sampled), genbase_store)
         reference = (
             genbase_store.query("microarray")
-            .where_in("patient_id", sampled)
+            .where(col("patient_id").isin(sampled))
             .group_aggregate("gene_id", "expression_value", "mean")
         )
         np.testing.assert_array_equal(keys, reference[0])
@@ -517,8 +517,6 @@ class TestFusedJoinQueries:
             genbase_store.query("microarray"), "gene_id", "gene_id"
         )
         assert isinstance(joined, JoinedQuery)
-        assert joined.output_columns[0] == "gene_id"
-        assert "expression_value" in joined.output_columns
 
     def test_fused_pivot_matches_materialise_then_plan(self, genbase_store):
         genes = genbase_store.query("genes").where(col("function") < 10).select("gene_id")
@@ -560,30 +558,31 @@ class TestFusedJoinQueries:
         # runs (documented last-ulp reassociation caveat).
         np.testing.assert_allclose(fast_means, slow_means, rtol=1e-12)
 
-    def test_joined_where_pushes_below_the_join(self, genbase_store):
-        pre = (
-            genbase_store.query("genes")
-            .where(col("function") < 10)
-            .join(genbase_store.query("microarray"), "gene_id", "gene_id")
-            .collect("pre")
-        )
-        post_query = (
-            genbase_store.query("genes")
-            .join(genbase_store.query("microarray"), "gene_id", "gene_id")
-            .where(col("function") < 10)
-        )
-        text = post_query.explain()
-        lines = text.splitlines()
-        join_depth = next(
-            len(line) - len(line.lstrip()) for line in lines if "Join" in line
-        )
-        filter_line = next(line for line in lines if "Filter" in line)
-        assert "function" in filter_line
-        assert len(filter_line) - len(filter_line.lstrip()) > join_depth
-        post = post_query.collect("post")
-        assert post.column_names == pre.column_names
-        for name in pre.column_names:
-            np.testing.assert_array_equal(pre.values(name), post.values(name))
+    @pytest.mark.parametrize("function", AGGREGATE_FUNCTIONS)
+    def test_fused_aggregate_matches_the_row_store(self, genbase_store, tiny_dataset,
+                                                   function):
+        # One query, two front ends: the column store's JoinedQuery terminal
+        # and the same shared plan lowered onto the row store's operators.
+        genes = genbase_store.query("genes").where(col("function") < 10).select("gene_id")
+        keys, values = genes.join(
+            genbase_store.query("microarray"), "gene_id", "gene_id"
+        ).group_aggregate("gene_id", "expression_value", function)
+        db = Database("g")
+        db.create_table("genes", [("gene_id", ColumnType.INT), ("function", ColumnType.INT)])
+        db.load_array("genes", np.column_stack(
+            [tiny_dataset.genes.gene_id, tiny_dataset.genes.function]))
+        db.create_table("microarray", [("gene_id", ColumnType.INT),
+                                       ("patient_id", ColumnType.INT),
+                                       ("expression_value", ColumnType.FLOAT)])
+        db.load_array("microarray", tiny_dataset.microarray_relational())
+        plan = Aggregate(
+            Join(Project(Filter(Scan("genes"), col("function") < 10), ("gene_id",)),
+                 Scan("microarray"), "gene_id", "gene_id"),
+            "gene_id", "expression_value", function)
+        row_keys, row_values = run_shared_plan(plan, db)
+        assert len(keys) == int(np.sum(tiny_dataset.genes.function < 10))
+        np.testing.assert_array_equal(keys, row_keys)
+        np.testing.assert_allclose(values, row_values, rtol=1e-12)
 
     def test_fused_join_with_sampled_input_binding(self, genbase_store):
         # A sampled input has a materialised base selection that cannot be
@@ -591,87 +590,40 @@ class TestFusedJoinQueries:
         # binding, not get silently dropped.
         sampled = genbase_store.query("patients").sample(0.5, seed=3)
         micro = genbase_store.query("microarray")
-        fused = sampled.join(micro, "patient_id", "patient_id").collect("s")
-        eager = materialise_join(
+        fused = sampled.join(micro, "patient_id", "patient_id").pivot(
+            "patient_id", "gene_id", "expression_value")
+        eager = ColumnQuery(materialise_join(
             sampled, micro, "patient_id", "patient_id", compress=False
-        )
-        assert fused.column_names == eager.column_names
-        for name in eager.column_names:
-            np.testing.assert_array_equal(fused.values(name), eager.values(name))
+        )).pivot("patient_id", "gene_id", "expression_value")
+        assert len(fused[1]) == len(sampled)
+        for fused_part, eager_part in zip(fused, eager, strict=True):
+            np.testing.assert_array_equal(fused_part, eager_part)
 
-    def test_renamed_outputs_and_errors(self, genbase_store):
+    def test_unknown_terminal_column_raises(self, genbase_store):
         joined = genbase_store.query("genes").select("gene_id").join(
-            genbase_store.query("microarray"),
-            "gene_id",
-            "gene_id",
-            other_columns={"value": "expression_value"},
-        )
-        table = joined.collect("renamed")
-        assert table.column_names == ["gene_id", "value"]
-        keys, counts = joined.group_aggregate("gene_id", "value", "count")
-        assert len(keys) == len(np.unique(table.values("gene_id")))
-        assert counts.sum() == table.row_count
-        with pytest.raises(ValueError, match="renamed"):
-            joined.where(col("value") < 1)
-        with pytest.raises(KeyError, match=r"missing.*join_result"):
-            joined.pivot("missing", "gene_id", "value")
+            genbase_store.query("microarray"), "gene_id", "gene_id")
+        # A KeyError from the store, or the verifier's static type error first.
+        with pytest.raises((KeyError, TypeError), match="missing"):
+            joined.pivot("missing", "gene_id", "expression_value")
 
-    def test_shared_source_names_across_sides_keep_output_ownership(self):
-        # Regression: the plan layer gathers join columns by *source* name,
-        # so when both sides produce an "x" the right copy would win.  Such
-        # joins alias the right's copy on its scan binding, stay on the
-        # fused path and keep each output bound to its own side.
+    def test_a_non_key_column_on_both_sides_raises(self):
+        # The plan layer names join outputs by source column, so a name both
+        # inputs produce is ambiguous: project one side away first.
         left = ColumnQuery(ColumnTable.from_arrays(
             "l", {"k": np.array([1, 2, 3]), "x": np.array([10, 20, 30])}
         ))
         right = ColumnQuery(ColumnTable.from_arrays(
             "r", {"k": np.array([1, 2, 3]), "x": np.array([100, 200, 300])}
         ))
-        joined = left.join(
-            right, "k", "k",
-            columns={"k": "k", "lx": "x"},
-            other_columns={"rx": "x"},
-        )
-        table = joined.collect("both_sides")
-        np.testing.assert_array_equal(table.values("lx"), [10, 20, 30])
-        np.testing.assert_array_equal(table.values("rx"), [100, 200, 300])
-        # Terminals resolve through the same aliases.
-        keys, sums = joined.group_aggregate("k", "lx", "sum")
+        with pytest.raises(ValueError, match=r"\['x'\] come from both inputs"):
+            left.join(right, "k", "k")
+        keys, sums = left.join(right.select("k"), "k", "k").group_aggregate("k", "x", "sum")
         np.testing.assert_array_equal(keys, [1, 2, 3])
         np.testing.assert_array_equal(sums, [10.0, 20.0, 30.0])
-        keys, sums = joined.group_aggregate("k", "rx", "sum")
-        np.testing.assert_array_equal(sums, [100.0, 200.0, 300.0])
-        assert joined.explain().splitlines()[:2] == [
-            "Project ['k', 'x', 'x__right']  [~rows=3]",
-            "  Join k = k build=left  [~rows=3]",
-        ]
-        # A filter on the right input runs before the alias hides its name.
-        narrowed = left.join(
-            right.where(col("x") > 100), "k", "k",
-            columns={"k": "k", "lx": "x"}, other_columns={"rx": "x"},
-        ).collect()
-        np.testing.assert_array_equal(narrowed.values("lx"), [20, 30])
-        np.testing.assert_array_equal(narrowed.values("rx"), [200, 300])
-        with pytest.raises(ValueError, match="mapped on both sides"):
-            left.join(right, "k", "k")
-        # Mapping only the left's copy must not let the right's leak in.
-        left_only = left.join(
-            right, "k", "k", columns={"k": "k", "lx": "x"}, other_columns={}
-        )
-        np.testing.assert_array_equal(
-            left_only.collect().values("lx"), [10, 20, 30]
-        )
-
-    def test_join_explain_shows_pruning_and_build_side(self, genbase_store):
-        text = (
-            genbase_store.query("genes")
-            .where(col("function") < 10)
-            .select("gene_id")
-            .join(genbase_store.query("microarray"), "gene_id", "gene_id")
-            .explain()
-        )
-        assert "build=left" in text
-        assert "Project ['gene_id']" in text  # only the key crosses the join
+        # A filter on the dropped side still narrows the join.
+        _, sums = left.select("k").join(
+            right.where(col("x") > 100), "k", "k").group_aggregate("k", "x", "sum")
+        np.testing.assert_array_equal(sums, [200.0, 300.0])
 
 
 # --------------------------------------------------------------------------- #
@@ -709,18 +661,15 @@ class TestSharedPlansOnRowStore:
             ("patient_id", "gene_id", "expression_value"),
         )
 
-    def test_lowered_plan_matches_fluent_chain(self, mini_db):
+    def test_lowered_plan_matches_hand_built_operators(self, mini_db):
         shared = run_shared_plan(self._plan(), mini_db)
-        fluent = (
-            mini_db.query("genes")
-            .where(col("function") < lit(10))
-            .select("gene_id")
-            .join(mini_db.query("microarray"), on=("gene_id", "gene_id"))
-            .select("patient_id", "gene_id", "expression_value")
-            .run()
-        )
-        assert list(shared.schema.names) == list(fluent.schema.names)
-        assert shared.rows == fluent.rows
+        genes = row_ops.Project(row_ops.Filter(
+            row_ops.SeqScan(mini_db.table("genes")), col("function") < lit(10)), ["gene_id"])
+        joined = row_ops.hash_join(genes, row_ops.SeqScan(mini_db.table("microarray")),
+                                   "gene_id", "gene_id", build_left=True)
+        hand_built = row_ops.Project(joined, ["patient_id", "gene_id", "expression_value"])
+        assert shared.schema.names == hand_built.output_schema.names
+        assert shared.rows == hand_built.rows()
 
     def test_unoptimized_lowering_matches_optimized(self, mini_db):
         fast = run_shared_plan(self._plan(), mini_db, optimized=True)
@@ -853,17 +802,6 @@ class TestLazyColumnQuery:
         np.testing.assert_array_equal(query.selection, expected)
         assert query.selection is query.selection  # cached
 
-    def test_explain_orders_most_selective_first(self):
-        table = _chain_table()
-        query = (
-            ColumnQuery(table)
-            .where(col("status") < 7)           # ~7/8 of rows
-            .where(col("category") == 3)        # ~1/50 of rows
-        )
-        lines = query.explain().splitlines()
-        assert "category" in lines[1] and "equality" in lines[1]
-        assert "status" in lines[2] and "range" in lines[2]
-
     def test_select_and_collect_prune_columns(self):
         table = _chain_table()
         result = (
@@ -958,7 +896,7 @@ class TestUniformUnknownColumnErrors:
         cases = [
             lambda: query.where(col("missing") < 1),
             lambda: query.where(opaque("missing", lambda v: v > 0)),
-            lambda: query.where_in("missing", [1]),
+            lambda: query.where(col("missing").isin([1])),
             lambda: query.column("missing"),
             lambda: query.group_aggregate("missing", "score"),
             lambda: query.group_aggregate("category", "missing"),
@@ -971,24 +909,6 @@ class TestUniformUnknownColumnErrors:
                 with np.errstate(all="ignore"):
                     case()
 
-    def test_relational_errors_name_column_and_table(self):
-        db = Database("g")
-        db.create_table("people", [("id", ColumnType.INT), ("x", ColumnType.FLOAT)])
-        db.load_array("people", np.array([[1, 0.5], [2, 1.5]]))
-        query = db.query("people")
-        cases = [
-            lambda: query.where(col("missing") < 1),
-            lambda: query.select("missing"),
-            lambda: query.group_by(["missing"], [("count", "*", "n")]),
-            lambda: query.group_by(["id"], [("avg", "missing", "m")]),
-            lambda: query.order_by("missing"),
-            lambda: query.join(db.query("people"), on=("missing", "id")),
-            lambda: query.join(db.query("people"), on=("id", "missing")),
-        ]
-        for case in cases:
-            with pytest.raises(KeyError, match=r"missing.*'people'"):
-                case()
-
     def test_row_store_division_conjunct_not_pushed_below_join(self):
         # Regression: splitting a mixed conjunction must not push a partial
         # (division) conjunct below the join, where it would divide by the
@@ -999,19 +919,16 @@ class TestUniformUnknownColumnErrors:
         db.load_array("l", np.array([[1, 2, 10], [2, 0, 5]]))
         db.create_table("r", [("id", ColumnType.INT), ("tag", ColumnType.INT)])
         db.load_array("r", np.array([[1, 7]]))
-        rows = (
-            db.query("l")
-            .join(db.query("r"), on=("id", "id"))
-            .where((col("tag") == lit(7)) & (col("b") / col("a") > lit(1)))
-            .rows()
-        )
-        assert rows == [(1, 2, 10, 1, 7)]  # l.id, a, b, id_right, tag
+        plan = Filter(Join(Scan("l"), Scan("r"), "id", "id"),
+                      (col("tag") == lit(7)) & (col("b") / col("a") > lit(1)))
+        assert run_shared_plan(plan, db).rows == [(1, 2, 10, 7)]  # id, a, b, tag
 
     def test_valid_aggregates_still_pass_validation(self):
         db = Database("g")
         db.create_table("people", [("id", ColumnType.INT), ("x", ColumnType.FLOAT)])
         db.load_array("people", np.array([[1, 0.5], [2, 1.5]]))
-        rows = db.query("people").group_by([], [("count", "*", "n")]).rows()
+        rows = row_ops.HashAggregate(
+            row_ops.SeqScan(db.table("people")), [], [("count", "*", "n")]).rows()
         assert rows == [(2,)]
 
 

@@ -21,17 +21,17 @@ from repro.colstore.compression import (
     best_encoding,
     encoding_sizes,
 )
-from repro.colstore.query import ColumnQuery
+from repro.colstore.query import ColumnQuery, materialise_join
 from repro.colstore.table import ColumnTable
-from repro.datagen.writer import read_matrix_csv, write_matrix_csv
+from repro.datagen.writer import read_table_csv, write_table_csv
 from repro.linalg.covariance import covariance_matrix
 from repro.linalg.qr import householder_qr, linear_regression, lstsq_qr
 from repro.linalg.lanczos import lanczos_svd
-from repro.linalg.wilcoxon import _rank_with_ties, rank_sum_test
+from repro.linalg.wilcoxon import _rank_with_ties, enrichment_analysis
 from repro.mapreduce.engine import MapReduceEngine, MapReduceJob
 from repro.plan import col
 from repro.relational import ColumnType
-from repro.relational.schema import Schema
+from repro.relational.schema import Column, Schema
 from repro.relational.storage import HeapFile
 
 # ---------------------------------------------------------------------------- #
@@ -192,7 +192,7 @@ class TestCompressedExecutionProperties:
         for query in (
             lambda q: q.where(col("key") < threshold),
             lambda q: q.where(col("key") == threshold),  # maybe empty
-            lambda q: q.where_in("key", np.asarray([threshold, threshold, 0])),
+            lambda q: q.where(col("key").isin(np.asarray([threshold, threshold, 0]))),
         ):
             left, right = query(compressed), query(plain)
             np.testing.assert_array_equal(left.selection, right.selection)
@@ -210,7 +210,7 @@ class TestCompressedExecutionProperties:
         def join(compress):
             left = ColumnQuery(ColumnTable.from_arrays("l", left_arrays, compress=compress))
             right = ColumnQuery(ColumnTable.from_arrays("r", right_arrays, compress=compress))
-            return left.join(right, "k", "k").collect()
+            return materialise_join(left, right, "k", "k", compress=False)
 
         compressed, plain = join(True), join(False)
         assert compressed.column_names == plain.column_names
@@ -225,7 +225,7 @@ class TestCompressedExecutionProperties:
         left = ColumnQuery(ColumnTable.from_arrays("l", arrays))
         right_arrays = {"k": np.asarray([2000], dtype=np.int64), "w": np.asarray([1.5])}
         right = ColumnQuery(ColumnTable.from_arrays("r", right_arrays))
-        empty = left.join(right, "k", "k").collect()  # 2000 is outside the key domain
+        empty = materialise_join(left, right, "k", "k")  # 2000 is outside the key domain
         assert empty.row_count == 0
         assert empty.values("k").dtype == np.int64
         assert empty.values("v").dtype == np.float64
@@ -448,12 +448,15 @@ class TestKernelProperties:
     )
     @settings(max_examples=60, deadline=None)
     def test_rank_sum_symmetry_and_bounds(self, first, second):
-        forward = rank_sum_test(first, second)
-        backward = rank_sum_test(second, first)
-        assert 0.0 <= forward.p_value <= 1.0
+        # One term holding ``first``, one holding ``second``: the same test both ways.
+        membership = np.zeros((len(first) + len(second), 2))
+        membership[:len(first), 0] = membership[len(first):, 1] = 1
+        result = enrichment_analysis(np.concatenate([first, second]), membership)
+        (forward, backward), (z_forward, z_backward) = result.p_values, result.z_scores
+        assert 0.0 <= forward <= 1.0
         # Swapping the samples flips the z-score but keeps the p-value.
-        assert forward.p_value == pytest.approx(backward.p_value, abs=1e-9)
-        assert forward.z_score == pytest.approx(-backward.z_score, abs=1e-9)
+        assert forward == pytest.approx(backward, abs=1e-9)
+        assert z_forward == pytest.approx(-z_backward, abs=1e-9)
 
     @given(hnp.arrays(dtype=np.float64, shape=st.integers(1, 60), elements=finite_floats))
     @settings(max_examples=60, deadline=None)
@@ -486,9 +489,8 @@ class TestStorageProperties:
     )
     @settings(max_examples=60, deadline=None)
     def test_heap_file_roundtrip(self, rows):
-        schema = Schema.from_pairs(
-            [("id", ColumnType.INT), ("value", ColumnType.FLOAT), ("label", ColumnType.STRING)]
-        )
+        schema = Schema([Column("id", ColumnType.INT), Column("value", ColumnType.FLOAT),
+                         Column("label", ColumnType.STRING)])
         heap = HeapFile(schema, page_size=512)
         for row in rows:
             heap.insert(schema.coerce_row(row))
@@ -503,9 +505,12 @@ class TestStorageProperties:
     @settings(max_examples=40, deadline=None)
     def test_matrix_csv_roundtrip_exact(self, matrix):
         buffer = io.StringIO()
-        write_matrix_csv(matrix, buffer)
+        columns = [f"c{i}" for i in range(matrix.shape[1])]
+        write_table_csv(map(tuple, matrix), columns, buffer)
         buffer.seek(0)
-        np.testing.assert_array_equal(read_matrix_csv(buffer), matrix)
+        names, rows = read_table_csv(buffer)
+        assert names == columns
+        np.testing.assert_array_equal(np.asarray(rows), matrix)
 
 
 # ---------------------------------------------------------------------------- #

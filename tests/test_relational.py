@@ -12,25 +12,38 @@ from repro.relational import (
     col,
     lit,
     and_,
-    or_,
-    not_,
     default_madlib_registry,
 )
+from repro.plan import (
+    Aggregate,
+    Filter as PlanFilter,
+    Join,
+    Pivot,
+    Project as PlanProject,
+    Scan,
+    optimize,
+)
+from repro.plan.logical import AGGREGATE_FUNCTIONS
+from repro.relational.bridge import RelationalBackend, run_shared_plan
 from repro.relational.operators import (
-    Compute,
     Filter,
     HashAggregate,
     HashJoin,
-    Limit,
     Operator,
     Project,
     SeqScan,
     Sort,
+    explain,
     hash_join,
 )
+from repro.relational.query import QueryResultSet
 from repro.relational.schema import Column, Schema
 from repro.relational.storage import HeapFile, Page
 from repro.relational.udf import UdfRegistry
+
+
+def _schema(pairs) -> Schema:
+    return Schema([Column(name, column_type) for name, column_type in pairs])
 
 
 class RowSource(Operator):
@@ -46,7 +59,7 @@ class RowSource(Operator):
 
 @pytest.fixture()
 def people_table() -> HeapTable:
-    schema = Schema.from_pairs(
+    schema = _schema(
         [("id", ColumnType.INT), ("name", ColumnType.STRING), ("score", ColumnType.FLOAT)]
     )
     table = HeapTable("people", schema)
@@ -77,11 +90,11 @@ def genbase_db(tiny_dataset) -> Database:
 
 class TestSchema:
     def test_coerce_row(self):
-        schema = Schema.from_pairs([("a", ColumnType.INT), ("b", ColumnType.FLOAT)])
+        schema = _schema([("a", ColumnType.INT), ("b", ColumnType.FLOAT)])
         assert schema.coerce_row(("3", "4.5")) == (3, 4.5)
 
     def test_coerce_errors(self):
-        schema = Schema.from_pairs([("a", ColumnType.INT)])
+        schema = _schema([("a", ColumnType.INT)])
         with pytest.raises(ValueError):
             schema.coerce_row((1, 2))
         with pytest.raises(TypeError):
@@ -92,7 +105,7 @@ class TestSchema:
             Schema([Column("x", ColumnType.INT), Column("x", ColumnType.INT)])
 
     def test_index_and_projection(self):
-        schema = Schema.from_pairs(
+        schema = _schema(
             [("a", ColumnType.INT), ("b", ColumnType.FLOAT), ("c", ColumnType.STRING)]
         )
         assert schema.index_of("b") == 1
@@ -101,20 +114,14 @@ class TestSchema:
             schema.index_of("z")
 
     def test_concat_renames_collisions(self):
-        left = Schema.from_pairs([("id", ColumnType.INT), ("x", ColumnType.FLOAT)])
-        right = Schema.from_pairs([("id", ColumnType.INT), ("y", ColumnType.FLOAT)])
+        left = _schema([("id", ColumnType.INT), ("x", ColumnType.FLOAT)])
+        right = _schema([("id", ColumnType.INT), ("y", ColumnType.FLOAT)])
         combined = left.concat(right)
         assert combined.names == ("id", "x", "id_right", "y")
 
-    def test_rename_and_prefix(self):
-        schema = Schema.from_pairs([("a", ColumnType.INT)])
-        assert schema.rename({"a": "b"}).names == ("b",)
-        assert schema.prefixed("t").names == ("t.a",)
-
-
 class TestStorage:
     def test_page_roundtrip_with_strings_and_nulls(self):
-        schema = Schema.from_pairs(
+        schema = _schema(
             [("id", ColumnType.INT), ("name", ColumnType.STRING), ("flag", ColumnType.BOOL)]
         )
         page = Page(schema)
@@ -124,7 +131,7 @@ class TestStorage:
         assert rows == [(1, "hello", True), (2, None, False)]
 
     def test_page_overflow_starts_new_page(self):
-        schema = Schema.from_pairs([("x", ColumnType.INT)])
+        schema = _schema([("x", ColumnType.INT)])
         heap = HeapFile(schema, page_size=64)
         for i in range(50):
             heap.insert((i,))
@@ -132,7 +139,7 @@ class TestStorage:
         assert list(heap.scan()) == [(i,) for i in range(50)]
 
     def test_heap_row_count(self):
-        schema = Schema.from_pairs([("x", ColumnType.INT)])
+        schema = _schema([("x", ColumnType.INT)])
         heap = HeapFile(schema)
         heap.insert((1,))
         heap.insert((2,))
@@ -148,7 +155,7 @@ class TestHeapTable:
 
     def test_load_array_type_narrowing(self):
         table = HeapTable(
-            "t", Schema.from_pairs([("id", ColumnType.INT), ("v", ColumnType.FLOAT)]))
+            "t", _schema([("id", ColumnType.INT), ("v", ColumnType.FLOAT)]))
         table.load_array(np.array([[1.0, 0.5], [2.0, 1.5]]))
         assert table.to_rows() == [(1, 0.5), (2, 1.5)]
 
@@ -159,7 +166,7 @@ class TestHeapTable:
 
 class TestExpressions:
     def test_comparison_and_boolean(self, people_table):
-        predicate = and_(col("score") > lit(2.0), not_(col("name") == lit("dan")))
+        predicate = and_(col("score") > lit(2.0), ~(col("name") == lit("dan")))
         bound = predicate.bind(people_table.schema)
         rows = [row for row in people_table.scan() if bound(row)]
         assert [row[0] for row in rows] == [1, 3]
@@ -180,7 +187,7 @@ class TestExpressions:
         assert sum(bound(row) for row in people_table.scan()) == 2
 
     def test_columns_referenced(self):
-        predicate = and_(col("a") < lit(1), or_(col("b") > lit(2), col("c") == lit(3)))
+        predicate = and_(col("a") < lit(1), (col("b") > lit(2)) | (col("c") == lit(3)))
         assert predicate.columns_referenced() == {"a", "b", "c"}
 
     def test_unknown_column_binding_fails(self, people_table):
@@ -193,21 +200,12 @@ class TestExpressions:
 
 
 class TestOperators:
-    def test_filter_project_limit(self, people_table):
-        plan = Limit(
-            Project(Filter(SeqScan(people_table), col("score") > lit(1.5)), ["name"]),
-            2,
-        )
-        assert plan.rows() == [("ann",), ("cat",)]
-
-    def test_compute_appends_column(self, people_table):
-        plan = Compute(SeqScan(people_table), "double_score", col("score") * lit(2))
-        rows = plan.rows()
-        assert rows[0][-1] == pytest.approx(7.0)
-        assert plan.output_schema.names[-1] == "double_score"
+    def test_filter_project(self, people_table):
+        plan = Project(Filter(SeqScan(people_table), col("score") > lit(1.5)), ["name"])
+        assert plan.rows() == [("ann",), ("cat",), ("dan",)]
 
     def test_hash_join(self, people_table):
-        scores_schema = Schema.from_pairs([("person_id", ColumnType.INT), ("bonus", ColumnType.FLOAT)])
+        scores_schema = _schema([("person_id", ColumnType.INT), ("bonus", ColumnType.FLOAT)])
         bonuses = RowSource([(1, 10.0), (3, 30.0), (3, 31.0)], scores_schema)
         join = HashJoin(bonuses, SeqScan(people_table), "person_id", "id")
         rows = join.rows()
@@ -231,98 +229,193 @@ class TestOperators:
         (row,) = plan.rows()
         assert row == (4, pytest.approx(2.75), 1.0, 4.0, pytest.approx(11.0))
 
-    def test_aggregate_with_groups(self, people_table):
-        plan = HashAggregate(
-            Compute(SeqScan(people_table), "bucket", col("id") * lit(0) + lit(1)),
-            group_by=["bucket"],
-            aggregates=[("count", "id", "n")],
-        )
-        (row,) = plan.rows()
-        assert row[1] == 4
+    def test_aggregate_with_groups(self):
+        rows = RowSource([(1, 1), (1, 2), (2, 3), (1, 4)],
+                         _schema([("bucket", ColumnType.INT), ("id", ColumnType.INT)]))
+        plan = HashAggregate(rows, group_by=["bucket"], aggregates=[("count", "id", "n")])
+        assert plan.rows() == [(1, 3), (2, 1)]
 
     def test_aggregate_unknown_function(self, people_table):
         with pytest.raises(ValueError):
             HashAggregate(SeqScan(people_table), [], [("median", "score", "m")])
 
-    def test_limit_validation(self, people_table):
-        with pytest.raises(ValueError):
-            Limit(SeqScan(people_table), -1)
+    @pytest.mark.parametrize("function, expected", [
+        ("count", [(1, 3), (2, 1)]),
+        ("sum", [(1, 7.0), (2, 3.0)]),
+        ("min", [(1, 1), (2, 3)]),
+        ("max", [(1, 4), (2, 3)]),
+        ("avg", [(1, pytest.approx(7 / 3)), (2, 3.0)]),
+    ])
+    def test_grouped_aggregate_functions(self, function, expected):
+        rows = RowSource([(1, 1), (1, 2), (2, 3), (1, 4)],
+                         _schema([("bucket", ColumnType.INT), ("id", ColumnType.INT)]))
+        plan = HashAggregate(rows, group_by=["bucket"], aggregates=[(function, "id", "v")])
+        assert plan.output_schema.names == ("bucket", "v")
+        assert plan.rows() == expected
+
+    @pytest.mark.parametrize("descending, expected", [
+        (False, [(0, "a"), (1, "a"), (1, "b")]),
+        (True, [(1, "b"), (1, "a"), (0, "a")]),
+    ])
+    def test_sort_on_two_keys(self, descending, expected):
+        rows = RowSource([(1, "b"), (0, "a"), (1, "a")],
+                         _schema([("x", ColumnType.INT), ("y", ColumnType.STRING)]))
+        assert Sort(rows, ["x", "y"], descending=descending).rows() == expected
+
+    def test_hash_join_without_matches_is_empty(self, people_table):
+        bonuses = RowSource([(9, 1.0)], _schema([("person_id", ColumnType.INT),
+                                                 ("bonus", ColumnType.FLOAT)]))
+        for build_left in (True, False):
+            joined = hash_join(SeqScan(people_table), bonuses, "id", "person_id", build_left)
+            assert joined.output_schema.names == ("id", "name", "score", "person_id", "bonus")
+            assert joined.rows() == []
+
+    def test_project_unknown_column_raises(self, people_table):
+        with pytest.raises(KeyError, match="missing"):
+            Project(SeqScan(people_table), ["id", "missing"])
+
+    def test_explain_renders_every_operator(self, people_table):
+        plan = Sort(
+            HashAggregate(
+                Project(Filter(SeqScan(people_table), col("score") > lit(1.5)),
+                        ["id", "score"]),
+                ["id"], [("sum", "score", "s")]),
+            ["s"], descending=True)
+        assert explain(plan).splitlines() == [
+            "Sort ['s'] desc=True",
+            "  HashAggregate group_by=['id'] aggs=[('sum', 'score', 's')]",
+            "    Project ['id', 'score']",
+            "      Filter (col('score') > lit(1.5))",
+            "        SeqScan people (4 rows)",
+        ]
 
 
-class TestQuery:
-    def test_pushdown_preserves_results(self, genbase_db):
-        pushed = (
-            genbase_db.query("genes")
-            .join(genbase_db.query("microarray"), on=("gene_id", "gene_id"))
-            .where(col("function") < lit(10))
-            .rows()
-        )
-        manual = (
-            genbase_db.query("genes")
-            .where(col("function") < lit(10))
-            .join(genbase_db.query("microarray"), on=("gene_id", "gene_id"))
-            .rows()
-        )
-        assert sorted(pushed) == sorted(manual)
+class TestSharedPlansOnTheRowStore:
+    """The row store's one query front end: shared plans, lowered."""
+
+    def _genes_join_microarray(self, genes=None):
+        return Join(genes or Scan("genes"), Scan("microarray"), "gene_id", "gene_id")
+
+    @pytest.mark.parametrize("optimized", [True, False])
+    def test_pushdown_preserves_results(self, genbase_db, optimized):
+        predicate = col("function") < lit(10)
+        above = PlanFilter(self._genes_join_microarray(), predicate)
+        below = self._genes_join_microarray(PlanFilter(Scan("genes"), predicate))
+        pushed = run_shared_plan(above, genbase_db, optimized=optimized)
+        manual = run_shared_plan(below, genbase_db, optimized=optimized)
+        assert pushed.schema.names == manual.schema.names
+        assert sorted(pushed.rows) == sorted(manual.rows)
+        assert len(manual) > 0
 
     def test_join_build_side_swap_keeps_column_order(self, genbase_db):
-        # genes (small) joined as the right input of microarray (large):
-        # the planner builds on genes but output columns must stay in order.
-        query = genbase_db.query("microarray").join(
-            genbase_db.query("genes"), on=("gene_id", "gene_id")
-        )
-        result = query.run()
-        assert result.schema.names[:3] == ("gene_id", "patient_id", "expression_value")
-        assert len(result) == len(genbase_db.table("microarray").to_rows())
+        # genes (small) joined as the right input of microarray (large): the
+        # optimizer builds on genes, but the output keeps the written order.
+        plan = Join(Scan("microarray"), Scan("genes"), "gene_id", "gene_id")
+        backend = RelationalBackend(genbase_db)
+        assert optimize(plan, backend.catalog).build_side == "right"
+        result = run_shared_plan(plan, genbase_db)
+        assert result.schema.names == ("gene_id", "patient_id", "expression_value",
+                                       "target", "position", "length", "function")
+        assert len(result) == genbase_db.table("microarray").row_count
 
-    def test_explain_mentions_operators(self, genbase_db):
-        text = (
-            genbase_db.query("genes")
-            .where(col("function") < lit(10))
-            .select("gene_id")
-            .explain()
-        )
-        assert "SeqScan" in text and "Filter" in text and "Project" in text
+    @pytest.mark.parametrize("optimized", [True, False])
+    @pytest.mark.parametrize("padding", ["left", "right"])
+    def test_join_answer_is_independent_of_table_sizes(self, padding, optimized):
+        # The build side is the smaller input; unmatched padding rows make
+        # either side the larger one without changing the answer.
+        left_rows, right_rows = [(1, 10)], [(1, 7)]
+        (left_rows if padding == "left" else right_rows).extend(
+            (k, 0) for k in range(100, 110))
+        db = _colliding_db("a_right", left_rows, right_rows)
+        plan = Join(Scan("l"), Scan("r"), "id", "id")
+        smaller = "right" if padding == "left" else "left"
+        assert optimize(plan, RelationalBackend(db).catalog).build_side == smaller
+        result = run_shared_plan(plan, db, optimized=optimized)
+        assert result.schema.names == ("id", "a", "a_right")
+        assert result.rows == [(1, 10, 7)]
 
-    def test_chain_runs_as_written(self, genbase_db):
-        # A fluent chain is not rewritten: the filter written after the join
-        # stays above it (cross-join rewrites belong to repro.plan.optimizer).
-        lines = (
-            genbase_db.query("genes")
-            .join(genbase_db.query("microarray"), on=("gene_id", "gene_id"))
-            .where(col("function") < lit(10))
-            .explain()
-            .splitlines()
-        )
-        assert lines[0].startswith("Filter") and lines[1].startswith("  HashJoin")
+    @pytest.mark.parametrize("function", AGGREGATE_FUNCTIONS)
+    def test_aggregate_terminal_matches_the_dense_matrix(self, genbase_db,
+                                                         tiny_dataset, function):
+        keys, values = run_shared_plan(
+            Aggregate(Scan("microarray"), "gene_id", "expression_value", function),
+            genbase_db)
+        matrix = tiny_dataset.expression_matrix
+        np.testing.assert_array_equal(keys, np.arange(tiny_dataset.n_genes))
+        expected = {
+            "count": np.full(tiny_dataset.n_genes, float(tiny_dataset.n_patients)),
+            "sum": matrix.sum(axis=0),
+            "mean": matrix.mean(axis=0),
+            "min": matrix.min(axis=0),
+            "max": matrix.max(axis=0),
+        }[function]
+        np.testing.assert_allclose(values, expected, rtol=1e-12)
 
-    def test_query_count_and_order_by(self, genbase_db):
-        query = genbase_db.query("genes").where(col("function") < lit(10))
-        assert query.count() == len(query.rows())
-        ordered = genbase_db.query("genes").order_by("length", descending=True).rows()
-        lengths = [row[3] for row in ordered]
-        assert lengths == sorted(lengths, reverse=True)
+    def test_pivot_terminal_over_a_join(self, genbase_db, tiny_dataset):
+        genes = PlanProject(PlanFilter(Scan("genes"), col("function") < lit(10)), ("gene_id",))
+        matrix, patients, gene_ids = run_shared_plan(
+            Pivot(self._genes_join_microarray(genes), "patient_id", "gene_id",
+                  "expression_value"), genbase_db)
+        kept = np.flatnonzero(tiny_dataset.genes.function < 10)
+        assert sorted(gene_ids) == kept.tolist()
+        assert sorted(patients) == list(range(tiny_dataset.n_patients))
+        reference = tiny_dataset.expression_matrix[np.ix_(patients, gene_ids)]
+        np.testing.assert_allclose(matrix, reference, atol=1e-12)
 
-    def test_group_by_via_query(self, genbase_db):
-        rows = (
-            genbase_db.query("microarray")
-            .group_by(["gene_id"], [("avg", "expression_value", "avg_value")])
-            .rows()
-        )
-        assert len(rows) == genbase_db.table("genes").row_count
+    @pytest.mark.parametrize("plan", [
+        PlanFilter(Scan("genes"), col("missing") < lit(1)),
+        PlanProject(Scan("genes"), ("gene_id", "missing")),
+        Join(Scan("genes"), Scan("microarray"), "missing", "gene_id"),
+        Join(Scan("genes"), Scan("microarray"), "gene_id", "missing"),
+        Aggregate(Scan("microarray"), "missing", "expression_value", "count"),
+        Aggregate(Scan("microarray"), "gene_id", "missing", "mean"),
+        Pivot(Scan("microarray"), "patient_id", "gene_id", "missing"),
+    ], ids=["filter", "project", "join-left-key", "join-right-key",
+            "aggregate-group", "aggregate-value", "pivot-value"])
+    def test_unknown_column_raises_naming_it(self, genbase_db, plan):
+        for optimized in (True, False):
+            with pytest.raises((KeyError, TypeError), match="missing"):
+                run_shared_plan(plan, genbase_db, optimized=optimized)
 
+    def test_a_non_key_column_on_both_sides_raises(self):
+        db = _colliding_db("a", [(1, 10)], [(1, 7)])
+        plan = Join(Scan("l"), Scan("r"), "id", "id")
+        with pytest.raises(TypeError, match=r"\['a'\] come from both"):
+            run_shared_plan(plan, db)
+        # Projecting one side's copy away leaves one owner per output column.
+        narrowed = Join(Scan("l"), PlanProject(Scan("r"), ("id",)), "id", "id")
+        assert run_shared_plan(narrowed, db).rows == [(1, 10)]
+
+
+class TestQueryResultSet:
     def test_pivot_matches_source_matrix(self, genbase_db, tiny_dataset):
-        result = genbase_db.query("microarray").run()
+        result = run_shared_plan(Scan("microarray"), genbase_db)
         matrix, row_labels, col_labels = result.pivot(
             "patient_id", "gene_id", "expression_value"
         )
         np.testing.assert_allclose(matrix, tiny_dataset.expression_matrix, atol=1e-12)
 
-    def test_result_set_to_array_and_column(self, genbase_db):
-        result = genbase_db.query("genes").select("gene_id", "function").limit(5).run()
-        array = result.to_array()
-        assert array.shape == (5, 2)
-        assert result.column("gene_id") == [int(v) for v in array[:, 0]]
+    def test_column(self, genbase_db):
+        result = run_shared_plan(PlanProject(Scan("genes"), ("gene_id", "function")), genbase_db)
+        assert result.schema.names == ("gene_id", "function")
+        assert result.column("gene_id") == genbase_db.table("genes").column_values("gene_id")
+
+    def test_pivot_keeps_first_seen_order_and_fills_zeros(self):
+        result = QueryResultSet(
+            _schema([("r", ColumnType.INT), ("c", ColumnType.STRING), ("v", ColumnType.FLOAT)]),
+            [(2, "x", 1.0), (1, "y", 2.0), (2, "y", 3.0)],
+        )
+        matrix, rows, columns = result.pivot("r", "c", "v")
+        assert rows == [2, 1] and columns == ["x", "y"]
+        np.testing.assert_array_equal(matrix, [[1.0, 3.0], [0.0, 2.0]])
+
+    def test_len_iteration_and_unknown_column(self):
+        rows = [(1, 2.0), (3, 4.0)]
+        result = QueryResultSet(_schema([("a", ColumnType.INT), ("b", ColumnType.FLOAT)]), rows)
+        assert len(result) == 2 and list(result) == rows and result.rows is rows
+        assert result.column("b") == [2.0, 4.0]
+        with pytest.raises(KeyError):
+            result.column("missing")
 
 
 def _colliding_db(right_column, left_rows, right_rows) -> Database:
@@ -352,31 +445,14 @@ class TestJoinBuildSideKeepsColumnValues:
         assert joined.output_schema.names == ("id", "a", "id_right", "a_right")
         assert joined.rows() == [(1, 10, 1, 7)]
 
-    @pytest.mark.parametrize("padding", ["left", "right"])
-    def test_fluent_join_answer_is_independent_of_table_sizes(self, right_column,
-                                                               padding):
-        # The join verb builds on the smaller input; unmatched padding rows
-        # make either side the larger one without changing the answer.
-        left_rows, right_rows = [(1, 10)], [(1, 7)]
-        (left_rows if padding == "left" else right_rows).extend(
-            (k, 0) for k in range(100, 110))
-        db = _colliding_db(right_column, left_rows, right_rows)
-        result = db.query("l").join(db.query("r"), on=("id", "id")).run()
-        assert result.schema.names == ("id", "a", "id_right", "a_right")
-        assert result.rows == [(1, 10, 1, 7)]
-
 
 class TestDatabase:
-    def test_create_duplicate_and_drop(self):
+    def test_create_duplicate(self):
         db = Database()
         db.create_table("t", [("x", ColumnType.INT)])
         with pytest.raises(ValueError):
             db.create_table("t", [("x", ColumnType.INT)])
-        assert "t" in db
-        db.drop_table("t")
-        assert "t" not in db
-        with pytest.raises(KeyError):
-            db.drop_table("t")
+        assert "t" in db and "u" not in db
 
     def test_describe_and_totals(self, genbase_db, tiny_dataset):
         description = genbase_db.describe()
@@ -386,7 +462,7 @@ class TestDatabase:
 
     def test_unknown_table(self):
         with pytest.raises(KeyError, match="known tables"):
-            Database().query("missing")
+            Database().table("missing")
 
 
 class TestUdfRegistry:

@@ -43,7 +43,8 @@ no-caller                 A public module-level function, class or method
                           under ``src/repro`` is referenced somewhere in
                           ``src``, ``examples``, ``benchmarks``, ``tools`` or
                           ``genbase_bench`` outside its own definition (tests
-                          do not count; a name in ``__all__`` or in
+                          and re-exports in ``__all__`` / ``_LAZY_EXPORTS``
+                          do not count; a binding in
                           ``genbase_bench/spans.py`` does).
 ========================  =====================================================
 
@@ -109,37 +110,9 @@ LANCZOS_SITE = ("repro/linalg/lanczos.py", "truncated_svd")
 #: Directories whose code counts as a caller (rule ``no-caller``).
 CALLER_DIRS = ("src", "examples", "benchmarks", "tools", "genbase_bench")
 
-#: Public names only tests used when ``no-caller`` landed, as
-#: ``<path under src/repro>::<qualified name>``.  The list may only shrink: an
-#: entry that gains a caller, or whose definition is gone, fails as stale.
-NO_CALLER_BASELINE = frozenset({
-    "accelerator/device.py::Coprocessor.total_device_seconds",
-    "arraydb/bridge.py::matrix_frame",
-    "colstore/catalog.py::ColumnStore.drop_table",
-    "colstore/query.py::ColumnQuery.to_matrix",
-    "colstore/query.py::ColumnQuery.where_in",
-    "colstore/sketches.py::ApproxResult.half_width",
-    "colstore/synopsis.py::SynopsisCatalog.stratified",
-    "core/queries.py::QueryOutput.scalar",
-    "core/timing.py::PhaseTimer.analytics_fraction",
-    "datagen/dataset.py::GenBaseDataset.validate",
-    "fuzz/strategies.py::fuzz_cases",
-    "linalg/biclustering.py::Bicluster.submatrix",
-    "linalg/biclustering.py::BiclusteringResult.membership_matrix",
-    "linalg/lanczos.py::LanczosResult.reconstruct",
-    "mapreduce/engine.py::MapReduceEngine.jobs_run",
-    "mapreduce/engine.py::MapReduceEngine.total_shuffle_bytes",
-    "mapreduce/hive.py::HiveTable.to_array",
-    "relational/catalog.py::Database.drop_table",
-    "relational/operators.py::Compute",
-    "relational/query.py::Query.limit",
-    "relational/query.py::Query.order_by",
-    "relational/query.py::QueryResultSet.to_array",
-    "relational/schema.py::Schema.from_pairs",
-    "relational/schema.py::Schema.prefixed",
-    "relational/schema.py::Schema.rename",
-    "rlang/dataframe.py::DataFrame.order_by",
-})
+#: Re-export lists: string names in an assignment to one of these are not
+#: callers (rule ``no-caller``).
+EXPORT_LISTS = frozenset({"__all__", "_LAZY_EXPORTS"})
 
 #: ``np.random`` constructors that are reproducible exactly when handed a seed
 #: (rule ``unseeded-rng``): the generator factory and ``default_rng``'s own bit
@@ -464,20 +437,39 @@ def _public_definitions(tree: ast.Module):
                     yield f"{node.name}.{member.name}", member
 
 
+def _export_lists(tree: ast.Module) -> set[int]:
+    """``id()`` of every node inside an assignment to an :data:`EXPORT_LISTS` name."""
+    inside: set[int] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)) and node.value is not None:
+            targets = [node.target]
+        else:
+            continue
+        if any(isinstance(t, ast.Name) and t.id in EXPORT_LISTS for t in targets):
+            inside.update(id(n) for n in ast.walk(node.value))
+    return inside
+
+
 def _callerless(root: Path, trees: dict[str, list[tuple[Path, ast.Module]]]) -> list[Violation]:
     """Public names under ``src/repro`` nothing outside the tests refers to.
 
     A reference is an identifier, an attribute access or a whole string
-    constant (``__all__`` entries, ``spans.py`` bindings, ``getattr``
-    dispatch) equal to the name, anywhere in :data:`CALLER_DIRS` outside the
-    definition's own lines.
+    constant (``spans.py`` bindings, ``getattr`` dispatch) equal to the name,
+    anywhere in :data:`CALLER_DIRS` outside the definition's own lines.  A
+    re-export is not a caller: strings in ``__all__`` or ``_LAZY_EXPORTS``
+    do not count.
     """
     references: dict[str, list[tuple[Path, int]]] = {}
     for parsed in trees.values():
         for path, tree in parsed:
             if path.name.startswith("test_"):
                 continue
+            exported = _export_lists(tree)
             for node in ast.walk(tree):
+                if id(node) in exported:
+                    continue
                 name = (node.id if isinstance(node, ast.Name)
                         else node.attr if isinstance(node, ast.Attribute)
                         else node.value if isinstance(node, ast.Constant) else None)
@@ -485,29 +477,19 @@ def _callerless(root: Path, trees: dict[str, list[tuple[Path, ast.Module]]]) -> 
                     references.setdefault(name, []).append((path, node.lineno))
 
     package = root / "src" / "repro"
-    baseline = NO_CALLER_BASELINE if root == REPO_ROOT else frozenset()
-    violations, flagged = [], set()
+    violations = []
     for path, tree in trees["src"]:
         if package not in path.parents:
             continue
         for qualified, node in _public_definitions(tree):
             inside = range(node.lineno, node.end_lineno + 1)
-            if any(where != path or line not in inside
-                   for where, line in references.get(node.name, ())):
-                continue
-            key = f"{path.relative_to(package).as_posix()}::{qualified}"
-            flagged.add(key)
-            if key not in baseline:
+            if not any(where != path or line not in inside
+                       for where, line in references.get(node.name, ())):
                 violations.append(Violation(
                     path, node.lineno, "no-caller",
                     f"{qualified} has no caller outside tests in "
                     f"{', '.join(CALLER_DIRS)}; delete it (and the tests of it alone)",
                 ))
-    for key in sorted(baseline - flagged):
-        violations.append(Violation(
-            Path(__file__), 0, "no-caller",
-            f"stale NO_CALLER_BASELINE entry {key}: it has a caller now, or is gone",
-        ))
     return violations
 
 
