@@ -16,7 +16,7 @@ kernel timing are measured.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -104,7 +104,6 @@ class Coprocessor:
         kernel: Callable,
         *arrays: np.ndarray,
         offloadable_fraction: float = 0.9,
-        output_bytes: int | None = None,
         **kwargs,
     ) -> OffloadResult:
         """Run ``kernel(*arrays, **kwargs)`` and model its offloaded execution.
@@ -115,8 +114,6 @@ class Coprocessor:
                 and device-memory fit.
             offloadable_fraction: fraction of the kernel's work that is dense
                 parallel computation (Amdahl's ``f``).
-            output_bytes: bytes copied back to the host; defaults to the size
-                of the returned ndarray(s), or 0 for non-array results.
             kwargs: forwarded to the kernel.
         """
         if not 0.0 <= offloadable_fraction <= 1.0:
@@ -128,8 +125,7 @@ class Coprocessor:
         value = kernel(*arrays, **kwargs)
         host_seconds = time.perf_counter() - started
 
-        if output_bytes is None:
-            output_bytes = _result_bytes(value)
+        output_bytes = _result_bytes(value)
         total_bytes = input_bytes + output_bytes
         transfer = self.transfer_seconds(input_bytes) + self.transfer_seconds(output_bytes)
 
@@ -163,17 +159,12 @@ class Coprocessor:
 
 
 def _result_bytes(value) -> int:
-    """Best-effort byte size of a kernel's return value."""
+    """Bytes copied back to the host: every ndarray in the kernel's return
+    value, found through tuples, lists and dataclass fields."""
     if isinstance(value, np.ndarray):
         return value.nbytes
     if isinstance(value, (tuple, list)):
         return sum(_result_bytes(item) for item in value)
-    for attribute in ("singular_values", "left_vectors", "right_vectors",
-                      "coefficients", "residuals", "p_values", "z_scores"):
-        if hasattr(value, attribute):
-            return sum(
-                getattr(value, name).nbytes
-                for name in (attribute,)
-                if isinstance(getattr(value, name), np.ndarray)
-            )
+    if is_dataclass(value):
+        return sum(_result_bytes(getattr(value, f.name)) for f in fields(value))
     return 0

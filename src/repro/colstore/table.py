@@ -98,9 +98,3 @@ class ColumnTable:
             column = self.column(name)
             result[name] = column.values() if indices is None else column.take(indices)
         return result
-
-    def to_rows(self, names: Sequence[str] | None = None) -> list[tuple]:
-        """Materialise the table (or a projection) as row tuples."""
-        names = list(names) if names is not None else self.column_names
-        arrays = [self.values(name) for name in names]
-        return list(zip(*[array.tolist() for array in arrays], strict=True)) if arrays else []

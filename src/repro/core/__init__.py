@@ -10,9 +10,8 @@ This package is the paper's primary contribution: the benchmark itself.
   vanilla R, Postgres+Madlib, Postgres+R, column store+R, column store+UDFs,
   SciDB, Hadoop, the multi-node variants and SciDB+coprocessor.
 * :mod:`repro.core.runner` — the benchmark runner (timeouts, memory-failure
-  handling, result records).
-* :mod:`repro.core.results` — result tables and figure/table regeneration
-  helpers used by the ``benchmarks/`` harness.
+  handling, result records); ``examples/paper_figures.py`` prints the
+  paper's figures from its results.
 """
 
 from repro.core.spec import QUERY_NAMES, QueryParameters, default_parameters
@@ -20,7 +19,6 @@ from repro.core.timing import PhaseTimer
 from repro.core.queries import ReferenceImplementation, QueryOutput
 from repro.core.engines import make_engine, EngineCapabilities
 from repro.core.runner import BenchmarkRunner, QueryResult, RunStatus
-from repro.core.results import ResultTable, speedup_table
 
 __all__ = [
     "QUERY_NAMES",
@@ -34,6 +32,4 @@ __all__ = [
     "BenchmarkRunner",
     "QueryResult",
     "RunStatus",
-    "ResultTable",
-    "speedup_table",
 ]

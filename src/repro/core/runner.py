@@ -10,9 +10,8 @@ a completion status.  Two of the paper's conventions are implemented here:
   data sizes"; ``MemoryError`` (including the R environment's cell-limit
   error) is caught and recorded as ``MEMORY_ERROR``.
 
-Both are "infinite results" for plotting purposes; :meth:`QueryResult.plot_value`
-maps them onto a ceiling value the way the paper draws horizontal lines
-across the top of its charts.
+Both are the paper's "infinite results": a figure shows the status in
+place of a time.
 """
 
 from __future__ import annotations
@@ -39,11 +38,6 @@ class RunStatus(Enum):
     UNSUPPORTED = "unsupported"
     ERROR = "error"
 
-    @property
-    def is_infinite(self) -> bool:
-        """Whether the paper would plot this run as an 'infinite' result."""
-        return self in (RunStatus.TIMEOUT, RunStatus.MEMORY_ERROR)
-
 
 @dataclass
 class QueryResult:
@@ -63,25 +57,6 @@ class QueryResult:
     @property
     def total_seconds(self) -> float:
         return self.data_management_seconds + self.analytics_seconds
-
-    def plot_value(self, ceiling: float) -> float:
-        """Value to plot: the elapsed time, or the chart ceiling for infinite runs."""
-        if self.status.is_infinite:
-            return ceiling
-        return self.total_seconds
-
-    def as_dict(self) -> dict:
-        return {
-            "engine": self.engine,
-            "query": self.query,
-            "dataset_size": self.dataset_size,
-            "n_nodes": self.n_nodes,
-            "status": self.status.value,
-            "data_management_seconds": round(self.data_management_seconds, 6),
-            "analytics_seconds": round(self.analytics_seconds, 6),
-            "total_seconds": round(self.total_seconds, 6),
-            "error": self.error,
-        }
 
 
 class _Timeout(Exception):

@@ -366,7 +366,7 @@ class FuzzHarness:
                             f"{context} keys")
         assert_values_match(np.asarray(result[1], dtype=np.float64),
                             np.asarray(reference[1], dtype=np.float64),
-                            aggregate_tolerance(engine, plan.function),
+                            aggregate_tolerance(plan.function),
                             f"{context} values")
 
     def _check_pivot(self, case, result, reference, engine, context):

@@ -83,12 +83,12 @@ def sketch_tolerance(kind: str) -> Tolerance:
         ) from None
 
 
-def aggregate_tolerance(engine: str, function: str) -> Tolerance:
-    """Tolerance for one aggregate function's values on one engine.
+def aggregate_tolerance(function: str) -> Tolerance:
+    """Tolerance for one aggregate function's values, the same on every engine.
 
     ``sum``/``mean`` reassociate float addition on *every* engine (each
-    folds partials in its own order), so they are :data:`ULP` regardless
-    of the engine; ``count``/``min``/``max`` are :data:`EXACT` everywhere.
+    folds partials in its own order), so they are :data:`ULP`;
+    ``count``/``min``/``max`` are :data:`EXACT` everywhere.
     """
     if function in _REASSOCIATING:
         return ULP

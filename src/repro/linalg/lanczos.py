@@ -21,7 +21,7 @@ When Lanczos is the wrong tool: k = 50 of n ≈ 300 values makes the Krylov
 space (*s* = max(2k + 20, 4k) = 200) two thirds of the whole space, and a
 dense ``eigh`` of the Gram matrix (≈ 7 ms at ``xlarge``, ≈ 9 for the
 recurrence) would do.  It stays because the paper's Q4 specifies Lanczos;
-``benchmarks/bench_scaling_shape.py`` carries the ablation.
+``tests/test_linalg.py`` checks its values against LAPACK's SVD.
 
 Supported domain: a finite float64 matrix of any rank and scale (a
 non-finite entry raises ``ValueError``); ``k`` is clipped to ``min(m, n)``

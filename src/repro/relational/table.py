@@ -83,7 +83,3 @@ class HeapTable:
         """Materialise a single column (used by tests and loaders)."""
         index = self.schema.index_of(name)
         return [row[index] for row in self.scan()]
-
-    def to_rows(self) -> list[tuple]:
-        """Materialise the whole table as a list of tuples."""
-        return list(self.scan())

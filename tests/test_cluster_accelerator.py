@@ -8,6 +8,10 @@ import pytest
 from kernel_pins import distributed
 from repro.accelerator import Coprocessor, DeviceSpec, OffloadRuntime, XEON_PHI_5110P
 from repro.cluster import Cluster, NetworkModel, ScaLAPACK
+from repro.linalg.biclustering import cheng_church
+from repro.linalg.covariance import covariance_matrix
+from repro.linalg.lanczos import lanczos_svd
+from repro.linalg.wilcoxon import enrichment_analysis
 
 
 class TestNetworkModel:
@@ -180,6 +184,36 @@ class TestCoprocessor:
     def test_invalid_fraction(self, rng):
         with pytest.raises(ValueError):
             Coprocessor().offload(lambda m: m, rng.random(4), offloadable_fraction=1.5)
+
+    # Every output array of a kernel's result is copied back to the host.
+
+    def test_output_bytes_ndarray(self, rng):
+        matrix = rng.random((40, 10))
+        result = Coprocessor().offload(covariance_matrix, matrix)
+        assert result.bytes_transferred == matrix.nbytes + result.value.nbytes
+
+    def test_output_bytes_lanczos_result(self, rng):
+        matrix = rng.random((40, 10))
+        result = Coprocessor().offload(lanczos_svd, matrix, k=3)
+        svd = result.value
+        copied_back = svd.singular_values.nbytes + svd.left_vectors.nbytes + svd.right_vectors.nbytes
+        assert result.bytes_transferred == matrix.nbytes + copied_back
+
+    def test_output_bytes_enrichment_result(self, rng):
+        scores = rng.random(30)
+        membership = (rng.random((30, 5)) < 0.4).astype(np.float64)
+        result = Coprocessor().offload(enrichment_analysis, scores, membership)
+        terms = result.value
+        copied_back = (terms.go_ids.nbytes + terms.p_values.nbytes
+                       + terms.z_scores.nbytes + terms.significant.nbytes)
+        assert result.bytes_transferred == scores.nbytes + membership.nbytes + copied_back
+
+    def test_output_bytes_biclustering_result(self, rng):
+        matrix = rng.random((30, 20))
+        result = Coprocessor().offload(cheng_church, matrix, n_biclusters=2)
+        copied_back = sum(b.rows.nbytes + b.columns.nbytes for b in result.value)
+        assert copied_back > 0
+        assert result.bytes_transferred == matrix.nbytes + copied_back
 
     def test_paper_device_spec(self):
         assert XEON_PHI_5110P.memory_bytes == 8 * 1024**3

@@ -1,8 +1,11 @@
-"""Tests for the benchmark core: spec, timing, reference queries, runner, results."""
+"""Tests for the benchmark core: spec, timing, reference queries, runner, and the
+figure tables ``examples/paper_figures.py`` prints from the runner's results."""
 
 from __future__ import annotations
 
+import importlib.util
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,9 +16,7 @@ from repro.core import (
     PhaseTimer,
     QueryResult,
     ReferenceImplementation,
-    ResultTable,
     make_engine,
-    speedup_table,
 )
 from repro.core.engines import ENGINE_FACTORIES, MULTI_NODE_ENGINES, SINGLE_NODE_ENGINES
 from repro.core.engines.base import Engine, UnsupportedQueryError
@@ -25,9 +26,19 @@ from repro.core.queries import (
     selected_gene_ids,
     statistics_patient_ids,
 )
-from repro.core.results import breakdown_series, figure_series, render_speedup_table
 from repro.core.runner import RunStatus
 from repro.core.spec import default_parameters, validate_query_name
+
+PAPER_FIGURES = Path(__file__).resolve().parent.parent / "examples" / "paper_figures.py"
+
+
+@pytest.fixture(scope="module")
+def figures():
+    """``examples/paper_figures.py`` loaded as a module (it is a script, not a package)."""
+    spec = importlib.util.spec_from_file_location("paper_figures", PAPER_FIGURES)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 class TestSpec:
@@ -157,20 +168,19 @@ class TestRunner:
             result.data_management_seconds + result.analytics_seconds
         )
         assert result.output is not None
-        assert result.as_dict()["engine"] == "scidb"
+        assert result.engine == "scidb" and result.dataset_size == tiny_dataset.spec.name
 
     def test_unsupported_is_reported_not_raised(self, tiny_dataset):
         runner = BenchmarkRunner()
         result = runner.run("biclustering", "postgres-madlib", tiny_dataset)
         assert result.status is RunStatus.UNSUPPORTED
-        assert not result.status.is_infinite
+        assert result.output is None and "does not support" in result.error
 
     def test_memory_error_is_infinite(self, tiny_dataset):
         runner = BenchmarkRunner()
         result = runner.run("covariance", "vanilla-r", tiny_dataset, max_cells=100)
         assert result.status is RunStatus.MEMORY_ERROR
-        assert result.status.is_infinite
-        assert result.plot_value(ceiling=999.0) == 999.0
+        assert result.output is None and "limit 100" in result.error
 
     def test_timeout_enforced(self, tiny_dataset):
         runner = BenchmarkRunner(timeout_seconds=0.2)
@@ -223,59 +233,65 @@ class TestRunner:
 
 
 class TestResults:
+    """The figure tables: a cell per engine × query × column, split into data
+    management and analytics, with the run status in place of a time."""
+
     def _result(self, engine, query, size, dm, an, status=RunStatus.OK, n_nodes=1):
         return QueryResult(
             engine=engine, query=query, dataset_size=size, status=status,
             data_management_seconds=dm, analytics_seconds=an, n_nodes=n_nodes,
         )
 
-    def test_table_filter_and_render(self):
-        table = ResultTable()
-        table.add(self._result("scidb", "svd", "small", 1.0, 2.0))
-        table.add(self._result("hadoop", "svd", "small", 5.0, 50.0))
-        table.add(self._result("scidb", "svd", "medium", 2.0, 4.0))
-        assert len(table.filter(engine="scidb")) == 2
-        assert table.engines() == ["hadoop", "scidb"]
-        assert table.sizes() == ["small", "medium"]
-        rendered = table.render()
-        assert "scidb" in rendered and "hadoop" in rendered
+    def test_table_filter_and_render(self, figures, capsys):
+        grid = {
+            ("scidb", "svd", "small"): self._result("scidb", "svd", "small", 1.0, 2.0),
+            ("hadoop", "svd", "small"): self._result("hadoop", "svd", "small", 5.0, 50.0),
+            ("scidb", "svd", "medium"): self._result("scidb", "svd", "medium", 2.0, 4.0),
+            ("hadoop", "svd", "medium"): self._result("hadoop", "svd", "medium", 6.0, 60.0),
+        }
+        figures.print_tables("Figure 1", grid, ("scidb", "hadoop"), ("svd",), ("small", "medium"))
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == "=== Figure 1 ==="
+        header, scidb, hadoop = lines[-3:]
+        assert header.split() == ["engine", "small", "medium"]
+        assert scidb.split() == ["scidb", "1.0000+2.0000", "2.0000+4.0000"]
+        assert hadoop.split() == ["hadoop", "5.0000+50.0000", "6.0000+60.0000"]
 
-    def test_figure_series_marks_unsupported_and_infinite(self):
-        table = ResultTable()
-        table.add(self._result("scidb", "svd", "small", 1.0, 2.0))
-        table.add(self._result("hadoop", "svd", "small", 0.0, 0.0, status=RunStatus.UNSUPPORTED))
-        table.add(self._result("vanilla-r", "svd", "small", 0.0, 0.0, status=RunStatus.MEMORY_ERROR))
-        series = figure_series(table, "svd", ceiling=100.0)
-        assert series["scidb"][0][1] == pytest.approx(3.0)
-        assert series["hadoop"][0][1] is None
-        assert series["vanilla-r"][0][1] == 100.0
+    def test_figure_series_marks_unsupported_and_infinite(self, figures):
+        assert figures.cell(self._result("scidb", "svd", "small", 1.0, 2.0)) == "1.0000+2.0000"
+        unsupported = self._result("hadoop", "svd", "small", 0.0, 0.0, status=RunStatus.UNSUPPORTED)
+        memory = self._result("vanilla-r", "svd", "small", 0.0, 0.0, status=RunStatus.MEMORY_ERROR)
+        assert figures.cell(unsupported) == "unsupported"
+        assert figures.cell(memory) == "memory_error"
+        # Only a failed run fails the script; an unsupported cell is expected.
+        assert RunStatus.MEMORY_ERROR in figures.FAILED
+        assert RunStatus.UNSUPPORTED not in figures.FAILED
 
-    def test_breakdown_series(self):
-        table = ResultTable()
-        table.add(self._result("scidb", "regression", "small", 1.0, 2.0))
-        table.add(self._result("scidb", "regression", "medium", 3.0, 8.0))
-        series = breakdown_series(table, "regression")
-        assert series["scidb"]["data_management"] == [("small", 1.0), ("medium", 3.0)]
-        assert series["scidb"]["analytics"][1][1] == 8.0
+    def test_breakdown_series(self, figures):
+        small = figures.cell(self._result("scidb", "regression", "small", 1.0, 2.0))
+        medium = figures.cell(self._result("scidb", "regression", "medium", 3.0, 8.0))
+        assert [float(part) for part in small.split("+")] == [1.0, 2.0]
+        assert [float(part) for part in medium.split("+")] == [3.0, 8.0]
 
-    def test_speedup_table_and_rendering(self):
-        baseline = ResultTable()
-        accelerated = ResultTable()
+    def test_speedup_table_and_rendering(self, figures):
+        ratios = {}
         for nodes, base_time, accel_time in [(1, 10.0, 4.0), (2, 6.0, 4.0), (4, 4.0, 3.5)]:
-            baseline.add(self._result("scidb-cluster", "covariance", "large", 1.0, base_time, n_nodes=nodes))
-            accelerated.add(self._result("scidb-phi-cluster", "covariance", "large", 1.0, accel_time, n_nodes=nodes))
-        speedups = speedup_table(baseline, accelerated, queries=("covariance",))
-        assert speedups["covariance"][1] == pytest.approx(2.5)
-        assert speedups["covariance"][4] == pytest.approx(4.0 / 3.5)
-        rendered = render_speedup_table(speedups)
-        assert "covariance" in rendered and "2.50" in rendered
+            base = self._result("scidb-cluster", "covariance", "large", 1.0, base_time, n_nodes=nodes)
+            fast = self._result("scidb-phi-cluster", "covariance", "large", 1.0, accel_time,
+                                n_nodes=nodes)
+            ratios[nodes] = figures.analytics_ratio(base, fast)
+        assert ratios[1] == "2.50"
+        assert float(ratios[4]) == pytest.approx(4.0 / 3.5, abs=0.005)
+        failed = self._result("scidb-phi-cluster", "covariance", "large", 0.0, 0.0,
+                              status=RunStatus.TIMEOUT)
+        assert figures.analytics_ratio(self._result("scidb-cluster", "covariance", "large",
+                                                    1.0, 10.0), failed) == "-"
 
-    def test_figure_series_node_axis(self):
-        table = ResultTable()
-        for nodes in (1, 2, 4):
-            table.add(self._result("pbdr", "regression", "large", 1.0, 10.0 / nodes, n_nodes=nodes))
-        series = figure_series(table, "regression", x_axis="n_nodes")
-        xs = [x for x, _ in series["pbdr"]]
-        assert xs == [1, 2, 4]
-        with pytest.raises(ValueError):
-            figure_series(table, "regression", x_axis="bogus")
+    def test_figure_series_node_axis(self, figures, tiny_dataset):
+        runner = BenchmarkRunner()
+        grid = figures.run_grid(runner, ("pbdr",),
+                                {n: (tiny_dataset, {"n_nodes": n}) for n in (1, 2)})
+        assert sorted(grid) == sorted(("pbdr", query, n) for query in QUERY_NAMES for n in (1, 2))
+        for (_, query, nodes), result in grid.items():
+            assert result.query == query and result.n_nodes == nodes
+            assert result.status is RunStatus.OK

@@ -276,14 +276,12 @@ class TestTolerances:
     """One shared tolerance table for the fuzzer and the query tests."""
 
     def test_structural_results_are_exact_everywhere(self):
-        for engine in ("colstore", "postgres", "scidb", "hadoop", "vanilla-r"):
-            for function in ("count", "min", "max"):
-                assert aggregate_tolerance(engine, function) is EXACT
+        for function in ("count", "min", "max"):
+            assert aggregate_tolerance(function) is EXACT
 
     def test_reassociating_reductions_are_ulp_on_every_engine(self):
-        for engine in ("colstore", "postgres", "scidb", "hadoop", "vanilla-r"):
-            for function in ("sum", "mean", "avg"):
-                assert aggregate_tolerance(engine, function) is ULP
+        for function in ("sum", "mean", "avg"):
+            assert aggregate_tolerance(function) is ULP
 
     def test_assert_values_match_exact_rejects_last_ulp(self):
         base = np.array([1.0, 2.0])

@@ -157,7 +157,7 @@ class TestHeapTable:
         table = HeapTable(
             "t", _schema([("id", ColumnType.INT), ("v", ColumnType.FLOAT)]))
         table.load_array(np.array([[1.0, 0.5], [2.0, 1.5]]))
-        assert table.to_rows() == [(1, 0.5), (2, 1.5)]
+        assert list(table.scan()) == [(1, 0.5), (2, 1.5)]
 
     def test_load_array_shape_check(self, people_table):
         with pytest.raises(ValueError):
