@@ -152,11 +152,6 @@ class Coprocessor:
         """Keep one call's timing; its ``value`` belongs to the caller alone."""
         self.offloads.append(replace(result, value=None))
 
-    # -- accounting ---------------------------------------------------------------
-
-    def reset(self) -> None:
-        self.offloads.clear()
-
 
 def _result_bytes(value) -> int:
     """Bytes copied back to the host: every ndarray in the kernel's return

@@ -62,11 +62,11 @@ class ChunkedArray:
             if block.size == 0:
                 continue
             origin = tuple(s.start for s in slices)
-            array._chunks[chunk_coords] = Chunk(
+            array.put_chunk(Chunk(
                 coordinates=chunk_coords,
                 origin=origin,
                 data={attribute_name: np.ascontiguousarray(block)},
-            )
+            ))
         return array
 
     # -- chunk grid helpers ----------------------------------------------------------
@@ -105,10 +105,6 @@ class ChunkedArray:
     @property
     def cell_count(self) -> int:
         return sum(chunk.cell_count for chunk in self._chunks.values())
-
-    @property
-    def nbytes(self) -> int:
-        return sum(chunk.nbytes for chunk in self._chunks.values())
 
     @property
     def shape(self) -> tuple[int, ...]:

@@ -71,7 +71,6 @@ from repro.arraydb.operators import (
     FilterStats,
     aggregate,
     expression_skips_chunk,
-    filter_attribute,
     subarray,
 )
 from repro.plan import logical
@@ -234,12 +233,11 @@ class _MetaSelection:
 
 @dataclass(eq=False)
 class _MatrixSelection:
-    """A fact subtree: per-dimension coordinate selections + cell filters."""
+    """A fact subtree: per-dimension coordinate selections."""
 
     name: str
     frame: MatrixFrame
     coordinates: dict[str, np.ndarray | None] = field(default_factory=dict)
-    cell_predicates: list[Expression] = field(default_factory=list)
 
 
 class ArrayBackend(Backend):
@@ -269,12 +267,12 @@ class ArrayBackend(Backend):
                 start, end = _frame_bounds(selection.frame)
                 coordinates = np.arange(start, end + 1, dtype=np.int64)
             return coordinates
-        return _materialise(selection, self.stats)
+        return _materialise(selection)
 
     def _fact(self, selection, terminal: str) -> ArrayQueryResult:
         if not isinstance(selection, _MatrixSelection):
             raise TypeError(f"{terminal} expects a fact-array subtree")
-        return _materialise(selection, self.stats)
+        return _materialise(selection)
 
     def aggregate(self, selection, plan: logical.Aggregate):
         result = self._fact(selection, "Aggregate")
@@ -390,13 +388,21 @@ def _validate_columns(predicate: Expression, names: Sequence[str], frame: str) -
 
 
 def _filter_matrix(selection: _MatrixSelection, predicate: Expression) -> _MatrixSelection:
-    """Apply a predicate to the fact subtree: dimension or cell filter."""
+    """Apply a predicate to the fact subtree: a filter on one dimension.
+
+    A predicate on the cell value has no array counterpart here: absent
+    cells would have to read as zeros, which is not what a row store's
+    filter on the long fact table answers.
+    """
     dims = list(selection.frame.array.schema.dimension_names)
     for conjunct in split_conjuncts(predicate):
         referenced = conjunct.columns_referenced()
-        if referenced <= {selection.frame.value_column}:
-            selection.cell_predicates.append(conjunct)
-            continue
+        if selection.frame.value_column in referenced:
+            raise TypeError(
+                f"predicate {conjunct!r} filters the value column "
+                f"{selection.frame.value_column!r}; the array executor filters "
+                "fact-array cells only by dimension"
+            )
         if len(referenced) == 1 and next(iter(referenced)) in dims:
             dimension = next(iter(referenced))
             schema_dim = selection.frame.array.schema.dimension(dimension)
@@ -409,8 +415,9 @@ def _filter_matrix(selection: _MatrixSelection, predicate: Expression) -> _Matri
             )
             continue
         raise TypeError(
-            f"predicate {conjunct!r} mixes dimensions and attributes; push "
-            "it onto the metadata frame (run the shared optimizer first)"
+            f"predicate {conjunct!r} does not read exactly one dimension of "
+            f"{selection.name!r}; push it onto the metadata frame (run the "
+            "shared optimizer first)"
         )
     return selection
 
@@ -500,17 +507,14 @@ def _resolve_meta(selection: _MetaSelection,
             if not mask.any():
                 break
         if mask.any():
-            if stats is not None:
-                stats.cells_kept += int(mask.sum())
             kept.append(coords[mask])
     if not kept:
         return np.empty(0, dtype=np.int64)
     return np.concatenate(kept)
 
 
-def _materialise(selection: _MatrixSelection,
-                 stats: FilterStats | None) -> ArrayQueryResult:
-    """Apply the accumulated selections: one gather over the chunks + cell filters."""
+def _materialise(selection: _MatrixSelection) -> ArrayQueryResult:
+    """Apply the accumulated selections: one gather over the chunks."""
     array = selection.frame.array
     labels: dict[str, np.ndarray] = {}
     offsets: list[np.ndarray | None] = []
@@ -527,6 +531,4 @@ def _materialise(selection: _MatrixSelection,
             offsets.append(coords - dimension.start)
     if any(selected is not None for selected in offsets):
         array = subarray(array, offsets)
-    for predicate in selection.cell_predicates:
-        array = filter_attribute(array, None, predicate, stats=stats)
     return ArrayQueryResult(array=array, labels=labels)

@@ -47,13 +47,6 @@ class Chunk:
             return 0
         return int(self.mask.sum())
 
-    @property
-    def nbytes(self) -> int:
-        total = sum(array.nbytes for array in self.data.values())
-        if self.mask is not None:
-            total += self.mask.nbytes
-        return total
-
     def attribute(self, name: str) -> np.ndarray:
         """Return one attribute's dense block."""
         try:
@@ -66,11 +59,12 @@ class Chunk:
     def attribute_range(self, name: str) -> tuple[float, float] | None:
         """(min, max) of the attribute over the chunk's non-empty cells.
 
-        This is the chunk's synopsis metadata: the expression-aware
-        :func:`repro.arraydb.operators.filter_attribute` consults it to
-        skip whole chunks that cannot satisfy a range/equality/membership
-        predicate.  Computed on first use and cached on the chunk (the
-        chunk's data is immutable in practice — operators copy-on-write).
+        This is the chunk's synopsis metadata: the array bridge's metadata
+        scan tests it with
+        :func:`repro.arraydb.operators.expression_skips_chunk` to skip whole
+        chunks that cannot satisfy a range/equality/membership predicate.
+        Computed on first use and cached on the chunk (the chunk's data is
+        immutable in practice).
         Returns ``None`` for a chunk with no non-empty cells or a
         non-numeric attribute.
         """
@@ -106,11 +100,3 @@ class Chunk:
         """
         local = np.nonzero(self.mask if self.mask is not None else np.ones(self.shape, bool))
         return tuple(axis_index + offset for axis_index, offset in zip(local, self.origin, strict=True))
-
-    def copy(self) -> "Chunk":
-        return Chunk(
-            coordinates=self.coordinates,
-            origin=self.origin,
-            data={name: array.copy() for name, array in self.data.items()},
-            mask=None if self.mask is None else self.mask.copy(),
-        )

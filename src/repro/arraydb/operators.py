@@ -8,10 +8,10 @@ engine pays for in the GenBase queries.
 Implemented operators (names follow SciDB's AFL where one exists) — the
 ones :mod:`repro.arraydb.bridge` lowers the shared plans onto:
 
-* :func:`filter_attribute` — keep cells satisfying a predicate on the
-  attributes; the predicate is an :class:`~repro.plan.expressions.Expression`
-  from the shared AST (range/equality/membership conjuncts skip whole
-  chunks via the chunks' min/max synopses),
+* :func:`expression_skips_chunk` — the chunk-skip test: whether a
+  range/equality/membership predicate from the shared AST can match any
+  value in a chunk's min/max synopsis (the bridge's metadata scan drops
+  whole chunks on it),
 * :func:`subarray` — keep the selected coordinates along every dimension
   and compact them, gathered in one pass over the stored chunks (what
   dimension joins against filtered metadata arrays produce),
@@ -30,7 +30,6 @@ from typing import Sequence
 import numpy as np
 
 from repro.arraydb.array import ChunkedArray
-from repro.arraydb.chunk import Chunk
 from repro.plan.expressions import (
     ColumnRef,
     Comparison,
@@ -38,23 +37,22 @@ from repro.plan.expressions import (
     Expression,
     InList,
     Literal,
-    split_conjuncts,
 )
 
 
 @dataclass
 class FilterStats:
-    """Chunk-level accounting for one expression-driven filter pass.
+    """Chunk-level accounting for the metadata scans of one plan execution.
 
-    ``chunks_skipped`` counts chunks eliminated purely from their min/max
-    synopsis — no cell of those chunks was ever touched.  Callers (tests,
-    EXPLAIN-style diagnostics) pass an instance into
-    :func:`filter_attribute` or the :mod:`repro.arraydb.bridge` executor.
+    ``chunks_skipped`` counts metadata chunks eliminated purely from their
+    min/max synopsis — no cell of those chunks was ever touched — and
+    ``chunks_scanned`` the ones evaluated.  Callers (tests, the benchmark's
+    layer probes) pass an instance into the :mod:`repro.arraydb.bridge`
+    executor.
     """
 
     chunks_scanned: int = 0
     chunks_skipped: int = 0
-    cells_kept: int = 0
 
 
 _FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "<>": "<>"}
@@ -84,7 +82,7 @@ def expression_skips_chunk(expression: Expression, minimum: float, maximum: floa
     the executor drop the whole chunk without touching its cells.  The test
     is *exact* about comparison strictness (``<`` vs ``<=``) and answers
     ``False`` — never skip — for any shape it cannot reason about
-    (arithmetic, opaque callables, negation).
+    (arithmetic, negation).
 
     >>> from repro.plan import col
     >>> expression_skips_chunk(col("v") < 10, minimum=10.0, maximum=20.0)
@@ -131,89 +129,6 @@ def expression_skips_chunk(expression: Expression, minimum: float, maximum: floa
         return all(expression_skips_chunk(op, minimum, maximum)
                    for op in expression.operands)
     return False
-
-
-def _chunk_keep_mask(chunk: Chunk, conjuncts: Sequence[Expression],
-                     batch_columns: Sequence[str]) -> np.ndarray | None:
-    """Evaluate conjuncts over one chunk; None means the chunk is skipped.
-
-    Single-attribute conjuncts are first tested against the chunk's min/max
-    synopsis (:func:`expression_skips_chunk`); any conjunct that excludes
-    the whole chunk short-circuits the evaluation of the rest.
-    """
-    for conjunct in conjuncts:
-        referenced = conjunct.columns_referenced()
-        if len(referenced) == 1:
-            name = next(iter(referenced))
-            if name in chunk.data:
-                bounds = chunk.attribute_range(name)
-                if bounds is not None and expression_skips_chunk(conjunct, *bounds):
-                    return None
-    batch = {name: chunk.attribute(name) for name in batch_columns}
-    keep = chunk.mask.copy() if chunk.mask is not None else None
-    for conjunct in conjuncts:
-        verdict = np.asarray(conjunct.evaluate(batch), dtype=bool)
-        keep = verdict if keep is None else keep & verdict
-        if not keep.any():
-            return keep
-    return keep
-
-
-def filter_attribute(
-    array: ChunkedArray,
-    attribute: str | None,
-    predicate: Expression,
-    result_name: str | None = None,
-    stats: FilterStats | None = None,
-) -> ChunkedArray:
-    """Keep only cells whose attributes satisfy ``predicate``.
-
-    The array's shape is unchanged; failing cells become empty
-    (mask=False), exactly like SciDB's ``filter``.
-
-    ``predicate`` is an :class:`~repro.plan.expressions.Expression` over
-    the array's attribute names — the shared AST every engine consumes.
-    It is evaluated chunk-wise, and each conjunct that is a classified
-    range/equality/membership predicate on one attribute is first tested
-    against the chunk's min/max synopsis
-    (:meth:`~repro.arraydb.chunk.Chunk.attribute_range`): a chunk whose
-    value interval cannot intersect the predicate is dropped without
-    touching any cell.  ``stats`` (a :class:`FilterStats`) records how
-    many chunks were skipped vs scanned.
-
-    ``attribute`` is only validated (it may be None); the expression names
-    the attributes it reads.
-    """
-    schema = array.schema.renamed(result_name or f"filter({array.schema.name})")
-    result = ChunkedArray(schema)
-    names = set(array.schema.attribute_names)
-    referenced = predicate.columns_referenced()
-    missing = referenced - names
-    if missing:
-        raise KeyError(
-            f"expression references {sorted(missing)} but array "
-            f"{array.schema.name!r} has attributes {sorted(names)}"
-        )
-    if attribute is not None and attribute not in names:
-        raise KeyError(f"array {array.schema.name!r} has no attribute {attribute!r}")
-    conjuncts = split_conjuncts(predicate)
-    batch_columns = sorted(referenced)
-    for chunk in array.chunks():
-        keep = _chunk_keep_mask(chunk, conjuncts, batch_columns)
-        if keep is None:
-            if stats is not None:
-                stats.chunks_skipped += 1
-            continue
-        if stats is not None:
-            stats.chunks_scanned += 1
-        if not keep.any():
-            continue
-        if stats is not None:
-            stats.cells_kept += int(keep.sum())
-        new_chunk = chunk.copy()
-        new_chunk.mask = keep
-        result.put_chunk(new_chunk)
-    return result
 
 
 def subarray(

@@ -129,11 +129,6 @@ class ArraySchema:
                 f"no attribute {name!r}; array has {list(self.attribute_names)}"
             ) from None
 
-    # -- derivation --------------------------------------------------------------
-
-    def renamed(self, name: str) -> "ArraySchema":
-        return ArraySchema(name, self.dimensions, self.attributes)
-
     def __repr__(self) -> str:
         attrs = ", ".join(f"{a.name}:{a.dtype}" for a in self.attributes)
         dims = "; ".join(

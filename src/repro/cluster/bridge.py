@@ -25,7 +25,6 @@ rewrite-checks a cluster plan exactly as it does any other:
    each timed alone; the simulated clock takes the slowest); each node
    evaluates the predicates vectorised over its own partition only.
 4. **Reduce** (the terminals) — partial results come back to the driver:
-   aggregate plans are reduced per group key (partial sums/counts/extrema),
    sketches merge, and the helpers :func:`reduce_partial_sums` /
    :func:`merge_gathered` implement the two driver-side merge shapes the
    GenBase engines need (partial-sum reduce for the statistics query,
@@ -36,7 +35,7 @@ distributed kernels keep their one-block-per-node layout.
 
 >>> import numpy as np
 >>> from repro.cluster import Cluster
->>> from repro.plan import Aggregate, Filter, Scan, col
+>>> from repro.plan import Filter, Scan, col
 >>> table = PartitionedTable.from_partitions("patients", [
 ...     {"age": np.array([20, 30]), "dose": np.array([1.0, 2.0])},
 ...     {"age": np.array([50, 60]), "dose": np.array([3.0, 4.0])}])
@@ -46,9 +45,6 @@ distributed kernels keep their one-block-per-node layout.
 [[0, 1], []]
 >>> stats.partitions_scanned, stats.partitions_skipped
 (1, 1)
->>> keys, peaks = run_shared_plan(Aggregate(plan, "age", "dose", "max"), table, Cluster(2))
->>> keys.tolist(), peaks.tolist()
-([20, 30], [1.0, 2.0])
 """
 
 from __future__ import annotations
@@ -68,14 +64,10 @@ from repro.plan.expressions import (
     InList,
     Literal,
 )
-from repro.colstore.compression import reduce_by_inverse
-from repro.colstore.delta import merge_group_parts
 from repro.colstore.sketches import HyperLogLog, TDigest
 from repro.plan.execute import Backend, execute
 from repro.plan.logical import (
-    AGGREGATE_FUNCTIONS,
     SKETCH_APPROX_KINDS,
-    Aggregate,
     ApproxAggregate,
     Filter,
     PlanNode,
@@ -100,7 +92,6 @@ class PartitionStats:
 
     partitions_scanned: int = 0
     partitions_skipped: int = 0
-    rows_kept: int = 0
 
 
 @dataclass(frozen=True)
@@ -269,7 +260,7 @@ class PartitionedBackend(Backend):
             node = node.child
         if not isinstance(node, Scan) or node.table != self.table.name:
             raise ValueError(
-                f"cluster bridge lowers Aggregate?/Filter*/Scan({self.table.name!r}) "
+                f"cluster bridge lowers Filter*/Scan({self.table.name!r}) "
                 f"plans, got {node!r}"
             )
         keep = [
@@ -297,26 +288,17 @@ class PartitionedBackend(Backend):
                     if not mask.any():
                         break
                 local_rows = np.flatnonzero(mask)
-            return on_rows(node_id, local_rows), len(local_rows)
+            return on_rows(node_id, local_rows)
 
         result = self.cluster.run_on_nodes([work] * len(keep))
         if self.stats is not None:
             self.stats.partitions_scanned += sum(keep)
             self.stats.partitions_skipped += len(keep) - sum(keep)
-            self.stats.rows_kept += sum(kept for _output, kept in result.outputs)
-        return [output for output, _kept in result.outputs]
+        return result.outputs
 
     def relation(self, lowered):
         """Per-node fragments: local row positions, or ``on_fragment``'s answer."""
         return self._dispatch(lowered, self.on_fragment or (lambda _node, rows: rows))
-
-    def aggregate(self, lowered, plan: Aggregate):
-        if plan.function not in AGGREGATE_FUNCTIONS:
-            raise ValueError(f"unsupported aggregate function {plan.function!r}")
-        partitions = self.table.partitions
-        partials = self._dispatch(
-            lowered, lambda node, rows: _partial_aggregate(partitions[node], plan, rows))
-        return _reduce_aggregate(partials, plan.function)
 
     def approx_aggregate(self, plan: ApproxAggregate):
         """Sketch kinds only: their partials (HLL registers, t-digest
@@ -352,8 +334,9 @@ def run_shared_plan(
     local row positions satisfying the predicate, or — when
     ``on_fragment(node_id, local_rows)`` is given — whatever that consumer
     computes *on the node* from them (it runs inside the dispatched work,
-    so its cost is charged to the node, not the driver).  Aggregate plans
-    are reduced on the driver and return ``(group_keys, values)``.
+    so its cost is charged to the node, not the driver).  An
+    ``ApproxAggregate`` of a sketch kind merges its per-node sketches on
+    the driver; an exact ``Aggregate`` raises ``TypeError``.
 
     With ``optimized=False`` the plan is lowered as written and the
     synopsis pruning is disabled (every partition is scanned) — the
@@ -367,18 +350,6 @@ def run_shared_plan(
 # --------------------------------------------------------------------------- #
 # Driver-side merge / reduce
 # --------------------------------------------------------------------------- #
-
-def _partial_aggregate(partition: Mapping[str, np.ndarray], aggregate: Aggregate,
-                       local_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One node's (group keys, partial sums — extrema for min/max —, partial counts)."""
-    keys = np.asarray(partition[aggregate.group_by])[local_rows]
-    values = np.asarray(partition[aggregate.value])[local_rows]
-    unique, inverse = np.unique(keys, return_inverse=True)
-    function = aggregate.function if aggregate.function in ("min", "max") else "sum"
-    partial = reduce_by_inverse(inverse, len(unique), values, function)
-    counts = np.bincount(inverse, minlength=len(unique))
-    return unique, partial, counts
-
 
 def _partial_sketch(partition: Mapping[str, np.ndarray], approx: ApproxAggregate,
                     local_rows: np.ndarray):
@@ -412,21 +383,6 @@ def _reduce_sketches(partials: Sequence, approx: ApproxAggregate):
     for means, weights in partials:
         merged = merged.merge(TDigest(means=means, weights=weights))
     return merged.result(approx.quantile, approx.confidence)
-
-
-def _reduce_aggregate(partials: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]],
-                      function: str) -> tuple[np.ndarray, np.ndarray]:
-    """Merge per-node partial aggregates into the final (keys, values)."""
-    def merged(field: int, how: str):
-        return merge_group_parts([(part[0], part[field]) for part in partials], how, np.int64)
-
-    if function in ("min", "max"):
-        return merged(1, function)
-    keys, counts = merged(2, "count")
-    if function == "count":
-        return keys, counts
-    sums = merged(1, "sum")[1]
-    return keys, sums if function == "sum" else sums / np.maximum(counts, 1)
 
 
 def reduce_partial_sums(partials: Sequence[tuple[np.ndarray, int]]) -> tuple[np.ndarray, int]:

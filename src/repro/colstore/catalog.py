@@ -90,7 +90,7 @@ class ColumnStore:
         """The table's delta store.
 
         The returned store carries the write API (``append`` / ``delete``
-        / ``update`` / ``compact``) and hands out :class:`Snapshot`
+        / ``compact``) and hands out :class:`Snapshot`
         handles.
         """
         try:
@@ -110,10 +110,6 @@ class ColumnStore:
     def delete_where(self, name: str, expression) -> int:
         """Delete live rows matching a plan expression; returns rows deleted."""
         return self.writable(name).delete_where(expression)
-
-    def update(self, name: str, row_ids, rows: Mapping[str, np.ndarray]) -> int:
-        """Atomically replace ``row_ids`` with ``rows``; returns the new version."""
-        return self.writable(name).update(row_ids, rows)
 
     def compact(self, name: str) -> int:
         """Reseal a written table's surviving rows as a new generation."""
@@ -139,9 +135,6 @@ class ColumnStore:
         return self.snapshot(table_name).query()
 
     # -- stats ------------------------------------------------------------------------
-
-    def total_rows(self) -> int:
-        return sum(self.live_row_count(name) for name in self._deltas)
 
     def total_compressed_bytes(self) -> int:
         return sum(self.effective_table(name).compressed_bytes

@@ -421,9 +421,9 @@ class _TableState:
         """Sorted logical positions of live rows; None when nothing is deleted.
 
         Decided by the count, not by whether a bitmap exists: a write that
-        deleted no row (``delete([])``, a pure append through ``update``)
-        still publishes one, and an explicit ``arange`` selection would cost
-        every later scan the full-selection compressed paths.
+        deleted no row (``delete([])``) still publishes one, and an explicit
+        ``arange`` selection would cost every later scan the full-selection
+        compressed paths.
         """
         if not self.deleted_count:
             return None
@@ -652,32 +652,6 @@ class DeltaStore:
         if matching.size:
             self.delete(matching)
         return int(matching.size)
-
-    def update(self, row_ids, rows: Mapping[str, np.ndarray]) -> int:
-        """Delete ``row_ids`` and append replacement ``rows`` as *one* version.
-
-        Readers see either the old rows or the replacements, never the
-        gap in between.
-        """
-        ids = np.atleast_1d(np.asarray(row_ids, dtype=np.int64))
-        with self._lock:
-            state = self._state
-            total = state.total_rows
-            if ids.size and (int(ids.min()) < 0 or int(ids.max()) >= total):
-                raise IndexError(
-                    f"row id out of range [0, {total}) for table "
-                    f"{state.sealed.name!r}"
-                )
-            chunk, length = self._coerced_chunk(state.sealed, rows)
-            deleted = np.zeros(total + length, dtype=bool)
-            if state.deleted is not None:
-                deleted[:len(state.deleted)] = state.deleted
-            deleted[ids] = True
-            new = _TableState(state.sealed, state.generation, state.version + 1,
-                              state.chunks + (chunk,), state.tail_rows + length,
-                              deleted, int(deleted.sum()))
-            self._publish(new)
-        return new.version
 
     def compact(self) -> int:
         """Reseal the surviving rows as a new segment generation.

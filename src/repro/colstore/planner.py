@@ -17,11 +17,11 @@ honouring the optimizer's build-side annotation and materialising the
 once by the aggregate/pivot on top of it, so re-encoding it would cost
 more than it could ever save.
 
-Relational-algebra subtrees produce a :class:`ColumnQuery` (call
-``collect()`` for a table); :class:`~repro.plan.logical.Aggregate` returns
-``(group_keys, aggregates)`` and :class:`~repro.plan.logical.Pivot`
-returns ``(matrix, row_labels, column_labels)``, matching the eager
-``ColumnQuery`` methods bit for bit.
+Relational-algebra subtrees produce a :class:`ColumnQuery`;
+:class:`~repro.plan.logical.Aggregate` returns ``(group_keys,
+aggregates)`` and :class:`~repro.plan.logical.Pivot` returns ``(matrix,
+row_labels, column_labels)``, matching the eager ``ColumnQuery`` methods
+bit for bit.
 """
 
 from __future__ import annotations

@@ -5,14 +5,14 @@ query surface in :mod:`repro.plan`: ``where`` accepts an expression tree
 (``col("function") < 250``, ``&``/``|``/``~``, ``isin``) and only records
 it.  The accumulated conjunction is optimized when a result is first
 needed — split into conjuncts, each classified structurally
-(range/equality/membership/opaque) and reordered so the predicate with the
+(range/equality/membership) and reordered so the predicate with the
 smallest estimated selectivity (from the encodings' own statistics) runs
 first over the full column while the rest evaluate on the already-narrowed
 selection only.  The materialised state is a *selection vector* (integer
 row positions that survive the filters) — the late-materialisation
 execution style of real column stores; ``column()`` / ``columns()``
-gather only what the caller asks for, and ``select()``/``collect()`` prune
-the materialised columns to the projected set.
+gather only what the caller asks for, and ``select()`` prunes the
+columns a join or pivot above it materialises to the projected set.
 
 Joins are lazy too: :meth:`ColumnQuery.join` returns a :class:`JoinedQuery`
 whose terminals (``group_aggregate`` / ``pivot``) assemble one whole
@@ -402,9 +402,7 @@ class ColumnQuery:
 
         Conjunctions are split and reordered by estimated selectivity before
         execution; range/equality/``isin`` shapes map straight onto the
-        encodings' fast paths.  A predicate the AST cannot express goes
-        through :func:`repro.plan.opaque` — an ordering barrier the
-        optimizer neither inspects nor estimates.
+        encodings' fast paths.
         """
         self._validate_columns(expression.columns_referenced())
         return self._derive(expression)
@@ -437,8 +435,8 @@ class ColumnQuery:
     def select(self, *names: str) -> "ColumnQuery":
         """Restrict the query's output to the named columns (lazily).
 
-        Only the selected columns are ever decoded by ``collect()`` /
-        ``to_table()`` — the column-store form of projection pruning.
+        Only the selected columns are ever decoded by a join above the
+        query — the column-store form of projection pruning.
         """
         self._validate_columns(names)
         derived = ColumnQuery(self.table, self._base, self._pending, tuple(names))
@@ -451,10 +449,6 @@ class ColumnQuery:
         if self._projection is not None:
             return list(self._projection)
         return self.table.column_names
-
-    def collect(self, name: str = "result") -> ColumnTable:
-        """Materialise the query as a new column table (projected columns only)."""
-        return self.to_table(name, self._projection)
 
     # -- inspection -----------------------------------------------------------------
 
@@ -496,15 +490,6 @@ class ColumnQuery:
     def columns(self, names: Sequence[str]) -> dict[str, np.ndarray]:
         """Materialise several columns restricted to the current selection."""
         return {name: self.column(name) for name in names}
-
-    def to_table(self, name: str, names: Sequence[str] | None = None) -> ColumnTable:
-        """Materialise the current selection as a new column table.
-
-        Defaults to the projected columns (``select``), or all columns when
-        no projection was set.
-        """
-        names = list(names) if names is not None else self.output_columns
-        return ColumnTable.from_arrays(name, self.columns(names))
 
     # -- joins ------------------------------------------------------------------------
 

@@ -82,15 +82,6 @@ class ColumnTable:
         """Decode one column fully."""
         return self.column(name).values()
 
-    def arrays(self) -> dict[str, np.ndarray]:
-        """Every column decoded, in schema order (reseal/reload helper).
-
-        ``ColumnTable.from_arrays(name, table.arrays())`` round-trips the
-        table; the delta tier's ``compact()`` and the snapshot-equivalence
-        tests both rebuild stores this way.
-        """
-        return {name: self.values(name) for name in self._order}
-
     def gather(self, names: Sequence[str], indices: np.ndarray | None = None) -> dict[str, np.ndarray]:
         """Materialise the named columns, optionally restricted to ``indices``."""
         result = {}

@@ -46,23 +46,6 @@ class GeneMetadata:
             [self.gene_id, self.target, self.position, self.length, self.function]
         ).astype(np.float64)
 
-    def column(self, name: str) -> np.ndarray:
-        """Return one column by name (see ``GENE_COLUMNS``)."""
-        if name not in GENE_COLUMNS:
-            raise KeyError(f"unknown gene column {name!r}")
-        return getattr(self, name)
-
-    def rows(self):
-        """Yield relational tuples in ``GENE_COLUMNS`` order."""
-        for i in range(self.n_genes):
-            yield (
-                int(self.gene_id[i]),
-                int(self.target[i]),
-                int(self.position[i]),
-                int(self.length[i]),
-                int(self.function[i]),
-            )
-
 
 def generate_genes(spec: SizeSpec | str, seed: int = 0) -> GeneMetadata:
     """Generate gene metadata for a dataset of ``spec.n_genes`` genes.

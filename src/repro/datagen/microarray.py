@@ -83,14 +83,6 @@ class MicroarrayData:
             [gene_ids.ravel(), patient_ids.ravel(), self.matrix.ravel()]
         ).astype(np.float64)
 
-    def rows(self):
-        """Yield relational tuples ``(gene_id, patient_id, value)`` lazily."""
-        n_patients, n_genes = self.matrix.shape
-        for patient_id in range(n_patients):
-            row = self.matrix[patient_id]
-            for gene_id in range(n_genes):
-                yield (gene_id, patient_id, float(row[gene_id]))
-
 
 def _planted_modules(rng: np.random.Generator, spec: SizeSpec) -> list[np.ndarray]:
     """Pick disjoint groups of genes that will be co-regulated."""

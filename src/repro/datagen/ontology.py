@@ -72,12 +72,6 @@ class GeneOntologyData:
             [gene_idx, go_idx, np.ones(len(gene_idx))]
         ).astype(np.float64)
 
-    def rows(self, include_zeros: bool = True):
-        """Yield relational tuples ``(gene_id, go_id, belongs)``."""
-        table = self.to_relational(include_zeros=include_zeros)
-        for gene_id, go_id, belongs in table:
-            yield (int(gene_id), int(go_id), int(belongs))
-
 
 def generate_ontology(
     spec: SizeSpec | str,

@@ -61,24 +61,6 @@ class PatientMetadata:
             ]
         ).astype(np.float64)
 
-    def column(self, name: str) -> np.ndarray:
-        """Return one column by name (see ``PATIENT_COLUMNS``)."""
-        if name not in PATIENT_COLUMNS:
-            raise KeyError(f"unknown patient column {name!r}")
-        return getattr(self, name)
-
-    def rows(self):
-        """Yield relational tuples in ``PATIENT_COLUMNS`` order."""
-        for i in range(self.n_patients):
-            yield (
-                int(self.patient_id[i]),
-                int(self.age[i]),
-                int(self.gender[i]),
-                int(self.zipcode[i]),
-                int(self.disease_id[i]),
-                float(self.drug_response[i]),
-            )
-
 
 def generate_patients(
     spec: SizeSpec | str,

@@ -66,22 +66,6 @@ class SizeSpec:
         """Approximate size of the dense microarray matrix in float64 bytes."""
         return self.n_cells * 8
 
-    def scaled(self, factor: float, name: str | None = None) -> "SizeSpec":
-        """Return a new spec with both matrix dimensions scaled by ``factor``."""
-        if factor <= 0:
-            raise ValueError("scale factor must be positive")
-        return SizeSpec(
-            name=name or f"{self.name}-x{factor:g}",
-            n_genes=max(1, int(round(self.n_genes * factor))),
-            n_patients=max(1, int(round(self.n_patients * factor))),
-            n_go_terms=self.n_go_terms,
-            n_diseases=self.n_diseases,
-            n_functions=self.n_functions,
-            latent_rank=self.latent_rank,
-            n_biclusters=self.n_biclusters,
-            n_causal_genes=min(self.n_causal_genes, max(1, int(round(self.n_genes * factor)))),
-        )
-
 
 def _preset(name: str, genes: int, patients: int, **kwargs: int) -> SizeSpec:
     return SizeSpec(name=name, n_genes=genes, n_patients=patients, **kwargs)

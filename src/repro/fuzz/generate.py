@@ -20,15 +20,14 @@ engine family executes (see ``docs/FUZZING.md`` for the admission table):
   predicate, which excludes the array DBMS — its empty-group labelling
   legitimately differs).
 - **sample**: ``Sample(Filter*(Scan(meta-table)))`` — column store versus
-  reference only; the engines' documented sampling semantics differ.
+  reference only; no other engine lowers ``Sample``.
 - **approx**: ``ApproxAggregate(Filter*(Scan(meta-table)))`` with a
   sketch-backed kind (``approx_distinct`` / ``approx_quantile``) — column
   store versus the reference's *exact* answer, within the per-sketch
   relative-error bound in :mod:`repro.fuzz.tolerances`.
 
-Division and ``Opaque`` predicates stay out: division is partial (the row
-store raises on a zero divisor mid-scan) and opaque callables cannot be
-serialised into failure artifacts.
+Division stays out: it is partial (the row store raises on a zero
+divisor mid-scan).
 
 **Mutation preludes.**  Any non-``sample`` case may additionally carry a
 short sequence of :class:`MutationOp` writes — appends, deletes, a

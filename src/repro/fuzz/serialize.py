@@ -2,9 +2,9 @@
 
 Covers exactly the fuzz grammar (column-vs-literal comparisons, membership
 lists, and/or/not, and the seven plan nodes) — not arbitrary expressions:
-``Opaque`` predicates carry Python callables and are deliberately outside
-both the grammar and this format.  Used for the shrunken failing-plan
-artifacts CI uploads and the ``python -m repro.fuzz.repro`` replays.
+arithmetic is outside both the grammar and this format.  Used for the
+shrunken failing-plan artifacts CI uploads and the
+``python -m repro.fuzz.repro`` replays.
 """
 
 from __future__ import annotations

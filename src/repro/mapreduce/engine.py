@@ -41,18 +41,6 @@ class JobCounters:
     reduce_output_records: int = 0
     splits: int = 0
 
-    def as_dict(self) -> dict[str, int]:
-        """The counters as a plain dict (for reports and job history dumps)."""
-        return {
-            "map_input_records": self.map_input_records,
-            "map_output_records": self.map_output_records,
-            "combine_output_records": self.combine_output_records,
-            "shuffle_bytes": self.shuffle_bytes,
-            "reduce_input_groups": self.reduce_input_groups,
-            "reduce_output_records": self.reduce_output_records,
-            "splits": self.splits,
-        }
-
 
 @dataclass
 class MapReduceJob:

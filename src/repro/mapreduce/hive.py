@@ -208,33 +208,3 @@ class HiveSession:
             columns=(key_column, f"{aggregate}_{value_column}"),
             rows=[(key, value) for key, value in output],
         )
-
-    def sample(self, table: HiveTable, fraction: float, seed: int = 0,
-               result_name: str | None = None) -> HiveTable:
-        """Deterministic Bernoulli-style sample implemented as a map-only filter."""
-        if not 0 < fraction <= 1:
-            raise ValueError("fraction must be in (0, 1]")
-        rng = np.random.default_rng(seed)
-        keep = set(np.flatnonzero(rng.random(len(table.rows)) < fraction).tolist())
-        if not keep and table.rows:
-            keep = {0}
-        indexed_rows = list(enumerate(table.rows))
-
-        def mapper(indexed_row):
-            position, row = indexed_row
-            if position in keep:
-                yield (None, row)
-
-        def reducer(_key, values):
-            for row in values:
-                yield (None, row)
-
-        output = self.engine.run(
-            MapReduceJob(name=f"sample({table.name})", mapper=mapper, reducer=reducer),
-            indexed_rows,
-        )
-        return HiveTable(
-            name=result_name or f"sample_{table.name}",
-            columns=table.columns,
-            rows=[value for _, value in output],
-        )

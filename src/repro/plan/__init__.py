@@ -24,13 +24,11 @@ from repro.plan.expressions import (
     InList,
     Literal,
     Not,
-    Opaque,
     StaticTypeError,
     and_,
     col,
     lit,
     literal_dtype,
-    opaque,
     split_conjuncts,
 )
 from repro.plan.logical import (
@@ -83,11 +81,9 @@ __all__ = [
     "InList",
     "Literal",
     "Not",
-    "Opaque",
     "and_",
     "col",
     "lit",
-    "opaque",
     "split_conjuncts",
     "APPROX_AGGREGATE_KINDS",
     "Aggregate",

@@ -70,7 +70,7 @@ class Backend:
 
     def aggregate(self, lowered, plan: Aggregate):
         """``Aggregate`` terminal → ``(group_keys, aggregates)`` sorted by key."""
-        raise NotImplementedError
+        raise TypeError(f"cannot execute plan node Aggregate on the {self.engine} executor")
 
     def pivot(self, lowered, plan: Pivot):
         """``Pivot`` terminal → ``(matrix, row_labels, column_labels)``."""

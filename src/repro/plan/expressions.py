@@ -19,11 +19,6 @@ One tree serves every execution style the benchmark compares:
   conjunctions (:func:`split_conjuncts`), push single-column predicates
   down into the compression encodings, and reorder filters by estimated
   selectivity (:mod:`repro.plan.optimizer`).
-
-:class:`Opaque` wraps a vectorised Python callable over one named column
-(:func:`opaque`), for a predicate the tree cannot express.  The planner can
-neither introspect nor estimate it, so it is an ordering barrier: no
-predicate moves across it.
 """
 
 from __future__ import annotations
@@ -443,49 +438,6 @@ class InList(Expression):
         return f"{self.operand!r}.isin({self._sorted_values()!r})"
 
 
-class Opaque(Expression):
-    """A legacy vectorised Python callable over one named column.
-
-    The callable must be element-wise and stateless (the column store may
-    evaluate it on an encoding's *distinct* values only).  The planner
-    cannot see inside it, so it gets the default selectivity estimate and
-    blocks every rewrite smarter than "run it somewhere in the chain" —
-    prefer real expression trees.
-    """
-
-    def __init__(self, column: str, fn: Callable[[np.ndarray], np.ndarray]):
-        self.column = column
-        self.fn = fn
-
-    def bind(self, schema) -> BoundExpression:
-        index = schema.index_of(self.column)
-        fn = self.fn
-        return BoundExpression(
-            lambda row: bool(np.asarray(fn(np.asarray([row[index]])))[0]),
-            f"opaque({self.column})",
-        )
-
-    def evaluate(self, batch: Mapping[str, np.ndarray]):
-        return self.fn(batch[self.column])
-
-    def columns_referenced(self) -> set[str]:
-        return {self.column}
-
-    def infer_dtype(self, column_dtypes: Mapping[str, np.dtype | None]) -> np.dtype | None:
-        # The callable is a black box; all the verifier can check is that
-        # its input column exists.  Its contract says it returns a mask.
-        if self.column not in column_dtypes:
-            raise StaticTypeError(
-                f"unknown column {self.column!r} "
-                f"(in scope: {sorted(column_dtypes)})",
-                rule="unknown-column",
-            )
-        return np.dtype(bool)
-
-    def __repr__(self) -> str:
-        return f"opaque({self.column!r})"
-
-
 def _to_expression(value) -> Expression:
     """Wrap plain Python values as literals."""
     if isinstance(value, Expression):
@@ -497,19 +449,17 @@ def is_total(expression: Expression) -> bool:
     """True when the predicate is defined for *every* input row.
 
     Division can raise (row store) or emit inf/nan (column store) on rows a
-    join or an earlier filter would have eliminated, and an opaque callable
-    may assume a guarded domain — such predicates must not be evaluated on
-    rows they were not written to see, so the optimizers refuse to move
-    them below a join.  Everything else in the AST (comparisons, boolean
-    connectives, +/-/*, membership) is a total element-wise operation.
+    join or an earlier filter would have eliminated — such predicates must
+    not be evaluated on rows they were not written to see, so the
+    optimizers refuse to move them below a join.  Everything else in the
+    AST (comparisons, boolean connectives, +/-/*, membership) is a total
+    element-wise operation.
 
     >>> is_total(col("a") > 1)
     True
     >>> is_total(col("a") / col("b") > 1)
     False
     """
-    if isinstance(expression, Opaque):
-        return False
     if isinstance(expression, Arithmetic) and expression.symbol == "/":
         return False
     if isinstance(expression, Comparison):  # includes non-division Arithmetic
@@ -570,10 +520,4 @@ def and_(*operands: Expression) -> Expression:
     if len(operands) == 1:
         return operands[0]
     return BooleanOp(operands, conjunction=True)
-
-
-def opaque(column: str, fn: Callable[[np.ndarray], np.ndarray]) -> Opaque:
-    """Wrap a legacy vectorised callable over one column (see :class:`Opaque`)."""
-    return Opaque(column, fn)
-
 

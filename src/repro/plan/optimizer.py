@@ -21,8 +21,8 @@ Selectivity estimation reads per-column statistics through a
 :class:`PlanCatalog` (the column store derives them from its encodings:
 dictionary cardinality, run values, delta endpoints).  Predicates are
 classified structurally — range / equality / membership — which is the
-payoff of declarative expressions over opaque callables: a callable can
-only ever get the textbook default of 1/3.
+payoff of declarative expressions: a predicate of no known shape can only
+ever get the textbook default of 1/3.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from repro.plan.expressions import (
     Expression,
     InList,
     Literal,
-    Opaque,
     is_total,
     split_conjuncts,
 )
@@ -84,10 +83,9 @@ class OptimizerCapabilities:
     which applies only the enabled rules.
 
     These flags gate *cost-based* rewrites only.  The correctness
-    constraints — the :class:`~repro.plan.logical.Sample` barrier, the
-    opaque-predicate ordering barrier, and the ``is_total`` guard on
-    join pushdown — are built into the rules themselves and hold for
-    every profile.
+    constraints — the :class:`~repro.plan.logical.Sample` barrier and
+    the ``is_total`` guard on join pushdown — are built into the rules
+    themselves and hold for every profile.
 
     The default profile enables everything (the column store and the row
     store honour all five rules).
@@ -201,7 +199,7 @@ class PredicateClass:
     """Structural shape of one predicate, as far as the optimizer can see."""
 
     expression: Expression
-    kind: str                 # range | equality | inequality | membership | opaque | general
+    kind: str                 # range | equality | inequality | membership | general
     column: str | None        # set when exactly one column is referenced
     lower: float | None = None
     upper: float | None = None
@@ -223,8 +221,6 @@ def classify(expression: Expression) -> PredicateClass:
     """Classify a predicate for pushdown and selectivity estimation."""
     referenced = expression.columns_referenced()
     column = next(iter(referenced)) if len(referenced) == 1 else None
-    if isinstance(expression, Opaque):
-        return PredicateClass(expression, "opaque", expression.column)
     if isinstance(expression, InList) and isinstance(expression.operand, ColumnRef):
         return PredicateClass(expression, "membership", expression.operand.name)
     if isinstance(expression, Comparison) and type(expression) is Comparison:
@@ -246,7 +242,7 @@ def classify(expression: Expression) -> PredicateClass:
 
 def estimate_selectivity(predicate: PredicateClass, stats: ColumnStats | None) -> float:
     """Estimated fraction of rows the predicate keeps (deterministic)."""
-    if predicate.kind in ("opaque", "general"):
+    if predicate.kind == "general":
         return DEFAULT_SELECTIVITY
     if stats is None:
         if predicate.kind == "membership":
@@ -288,13 +284,8 @@ def _no_stats(_column):
 def ordered_conjuncts(expressions, stats_for):
     """Split, classify and selectivity-order a conjunction of predicates.
 
-    Opaque predicates (legacy callables) are *ordering barriers*: the
-    optimizer cannot know whether an earlier-written predicate guards the
-    callable's domain (``where(col != 0)`` before a callable that divides),
-    so nothing moves across an opaque conjunct and the opaque conjunct
-    itself stays where it was written.  Declarative predicates reorder
-    freely within each barrier-delimited segment — they are total,
-    element-wise numpy operations.
+    Declarative predicates reorder freely: they are element-wise numpy
+    operations, so their order never changes the selected rows.
 
     Args:
         expressions: iterable of predicate expressions (implicitly ANDed).
@@ -302,8 +293,8 @@ def ordered_conjuncts(expressions, stats_for):
 
     Returns:
         List of ``(expression, PredicateClass, selectivity)`` triples in
-        execution order — most selective first within each segment; ties
-        keep their written order (stable).
+        execution order — most selective first; ties keep their written
+        order (stable).
     """
     conjuncts: list[Expression] = []
     for expression in expressions:
@@ -317,16 +308,7 @@ def ordered_conjuncts(expressions, stats_for):
         estimate_selectivity(p, stats_for(p.column) if p.column else None)
         for p in classified
     ]
-    order: list[int] = []
-    segment: list[int] = []
-    for index, predicate in enumerate(classified):
-        if predicate.kind == "opaque":
-            order.extend(sorted(segment, key=lambda i: (estimates[i], i)))
-            order.append(index)  # the barrier stays in its written position
-            segment = []
-        else:
-            segment.append(index)
-    order.extend(sorted(segment, key=lambda i: (estimates[i], i)))
+    order = sorted(range(len(conjuncts)), key=lambda i: (estimates[i], i))
     return [(conjuncts[i], classified[i], estimates[i]) for i in order]
 
 
@@ -376,7 +358,7 @@ def push_filters_down(node: PlanNode, catalog: PlanCatalog) -> PlanNode:
 
     Only *total* predicates (:func:`repro.plan.expressions.is_total`) move
     below a join: there they run on rows the join eliminates, and a
-    partial operation (division, an opaque callable) may blow up on rows
+    partial operation (division) may blow up on rows
     it was never written to see.  Projection pushdown is always safe — it
     does not change the row set.
     """
@@ -512,10 +494,7 @@ def reorder_filters(node: PlanNode, catalog: PlanCatalog) -> PlanNode:
     """Sort each consecutive filter chain by estimated selectivity.
 
     Declarative conjuncts commute freely, so reordering never changes the
-    selected row set — but an :class:`~repro.plan.expressions.Opaque`
-    conjunct is an *ordering barrier* (:func:`ordered_conjuncts`): an
-    earlier-written guard may protect the callable's domain, so nothing
-    moves across it and the opaque predicate keeps its written position.
+    selected row set.
     """
     if isinstance(node, Filter):
         chain: list[Expression] = []

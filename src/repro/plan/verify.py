@@ -209,7 +209,7 @@ def maybe_verify_plan(plan: PlanNode, schemas) -> None:
 
 def _self_check_cases():
     """One deliberately malformed plan per rejection class."""
-    from repro.plan.expressions import col, lit, opaque
+    from repro.plan.expressions import col, lit
     from repro.plan.logical import (
         Aggregate, ApproxAggregate, Filter, Pivot, Project, Sample,
     )
@@ -236,7 +236,8 @@ def _self_check_cases():
         ("non-numeric-aggregate", Aggregate(meta, "patient_id", "name", "sum")),
         # Only the cell value must be numeric; labels may be strings.
         ("non-numeric-pivot", Pivot(meta, "patient_id", "age", "name")),
-        ("unknown-column", Filter(meta, opaque("weight", lambda v: v > 0))),
+        # The same rule reached through a membership test's operand.
+        ("unknown-column", Filter(meta, col("weight").isin([70, 80]))),
         # Approximate tier: a confidence level must be strictly interior,
         # and every admitted approx kind needs driver-side mergeable
         # partials (docs/APPROXIMATE.md).

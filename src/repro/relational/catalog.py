@@ -55,23 +55,3 @@ class Database:
     def load_array(self, table_name: str, array: np.ndarray) -> int:
         """Bulk load a numpy array whose columns match the table schema."""
         return self.table(table_name).load_array(array)
-
-    # -- stats --------------------------------------------------------------------------
-
-    def total_rows(self) -> int:
-        return sum(table.row_count for table in self._tables.values())
-
-    def total_bytes(self) -> int:
-        return sum(table.size_bytes for table in self._tables.values())
-
-    def describe(self) -> dict[str, dict]:
-        """Summarise every table (row count, pages, bytes)."""
-        return {
-            name: {
-                "rows": table.row_count,
-                "pages": table.page_count,
-                "bytes": table.size_bytes,
-                "columns": list(table.schema.names),
-            }
-            for name, table in sorted(self._tables.items())
-        }

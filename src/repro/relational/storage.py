@@ -90,10 +90,6 @@ class Page:
     def __len__(self) -> int:
         return len(self._payloads)
 
-    @property
-    def used_bytes(self) -> int:
-        return self._used
-
     def try_insert(self, row: Sequence) -> bool:
         """Insert a coerced row; returns False when the page is full."""
         payload = _pack_row(row, self._schema)
@@ -134,21 +130,12 @@ class HeapFile:
         self._row_count = 0
 
     @property
-    def schema(self) -> Schema:
-        return self._schema
-
-    @property
     def page_count(self) -> int:
         return len(self._pages)
 
     @property
     def row_count(self) -> int:
         return self._row_count
-
-    @property
-    def size_bytes(self) -> int:
-        """Approximate on-"disk" size of the heap."""
-        return sum(page.used_bytes for page in self._pages)
 
     def insert(self, row: Sequence) -> None:
         """Append one coerced row, starting a new page when the current is full."""

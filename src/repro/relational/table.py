@@ -38,10 +38,6 @@ class HeapTable:
     def page_count(self) -> int:
         return self._heap.page_count
 
-    @property
-    def size_bytes(self) -> int:
-        return self._heap.size_bytes
-
     def __repr__(self) -> str:
         return f"HeapTable({self.name!r}, rows={self.row_count}, pages={self.page_count})"
 

@@ -8,9 +8,10 @@ objects from :mod:`repro.core.queries` lower onto the R verbs —
 ``Filter`` becomes a vectorised :meth:`~repro.rlang.dataframe.DataFrame.subset`
 (the expression evaluates over the frame's columns as one numpy mask),
 ``Project`` becomes ``select``, ``Join`` becomes ``merge`` (R's hash
-join) re-ordered to the shared output convention, ``Sample`` becomes
-``sample_rows``, and the ``Pivot`` terminal is the long-to-wide
-``pivot_matrix`` reshape.  Every intermediate allocates through the
+join) re-ordered to the shared output convention, and the ``Pivot``
+terminal is the long-to-wide ``pivot_matrix`` reshape.  ``Sample`` is
+not lowered: the column store is the one engine that samples.  Every
+intermediate allocates through the
 :class:`~repro.rlang.dataframe.REnvironment`, so the configuration's
 memory ceiling bites exactly where it did before the migration.
 
@@ -76,8 +77,6 @@ class RBackend(Backend):
             return self.lower(node.child).subset(node.predicate)
         if isinstance(node, logical.Project):
             return self.lower(node.child).select(list(node.columns))
-        if isinstance(node, logical.Sample):
-            return self.lower(node.child).sample_rows(node.fraction, node.seed)
         if isinstance(node, logical.Join):
             left = self.lower(node.left)
             right = self.lower(node.right)

@@ -202,18 +202,6 @@ class DataFrame:
             columns[output_name] = values[right_index]
         return DataFrame(columns, environment=self.environment)
 
-    def sample_rows(self, fraction: float, seed: int = 0) -> "DataFrame":
-        """Deterministic row sample (R's ``sample`` + subsetting)."""
-        if not 0 < fraction <= 1:
-            raise ValueError("fraction must be in (0, 1]")
-        rng = np.random.default_rng(seed)
-        n_keep = max(1, int(round(fraction * len(self))))
-        positions = np.sort(rng.choice(len(self), size=n_keep, replace=False))
-        return DataFrame(
-            {name: values[positions] for name, values in self._columns.items()},
-            environment=self.environment,
-        )
-
     # -- matrix interop -----------------------------------------------------------------
 
     def as_matrix(self, names: Sequence[str] | None = None) -> np.ndarray:

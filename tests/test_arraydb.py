@@ -11,11 +11,14 @@ from repro.arraydb.chunk import Chunk
 from repro.core.engines import make_engine
 from repro.core.timing import PhaseTimer
 from repro.plan import Filter, Join, Pivot, Scan, col
+from repro.plan.verify import PlanVerificationError
 
 
-def _kept_coordinates(array: ChunkedArray) -> np.ndarray:
-    """Coordinates of the non-empty cells of a 1-D array (NaN-free values)."""
-    return np.flatnonzero(~np.isnan(array.to_dense(fill=np.nan)))
+def _metadata_filter(values: np.ndarray, chunk: int, predicate):
+    """Run ``Filter(Scan("t"), predicate)`` over one chunked metadata column ``v``."""
+    frames = {"t": ArrayFrame("i", {"v": metadata_array("v", values, "i", "v", chunk)})}
+    stats = ops.FilterStats()
+    return run_shared_plan(Filter(Scan("t"), predicate), frames, stats=stats), stats
 
 
 def _array_at(values: np.ndarray, starts, chunk_sizes, mask: np.ndarray | None = None,
@@ -79,7 +82,6 @@ class TestSchema:
             schema.dimension("k")
         with pytest.raises(KeyError):
             schema.attribute("missing")
-        assert schema.renamed("b").name == "b"
         assert "value" in repr(schema)
 
     def test_schema_validation(self):
@@ -97,7 +99,6 @@ class TestChunkedArray:
         np.testing.assert_allclose(array.to_dense(), matrix)
         assert array.chunk_count == 3 * 4  # ceil(45/16) x ceil(30/8)
         assert array.cell_count == matrix.size
-        assert array.nbytes > 0
 
     def test_chunk_shapes_and_origins(self, expression_array):
         array, _matrix = expression_array
@@ -142,52 +143,36 @@ class TestChunkedArray:
 
 
 class TestOperators:
-    def test_filter_keeps_shape_masks_cells(self, expression_array):
-        array, matrix = expression_array
-        filtered = ops.filter_attribute(array, None, col("value") > 0.5)
-        assert filtered.cell_count == int((matrix > 0.5).sum())
-        dense = filtered.to_dense(fill=0.0)
-        np.testing.assert_allclose(dense[matrix > 0.5], matrix[matrix > 0.5])
-        assert np.all(dense[matrix <= 0.5] == 0.0)
-
-    def test_filter_expression_validates_attributes(self, expression_array):
-        array, _ = expression_array
-        with pytest.raises(KeyError):
-            ops.filter_attribute(array, None, col("bogus") > 0.5)
-        with pytest.raises(KeyError):
-            ops.filter_attribute(array, "bogus", col("value") > 0.5)
-
     def test_filter_range_predicate_skips_chunks(self):
         # Sorted values: every chunk past the threshold is excluded by its
         # min/max synopsis and must be skipped without touching its cells.
-        values = np.arange(100.0)
-        array = ChunkedArray.from_dense("v", values, ["i"], "v", chunk_sizes=[10])
-        stats = ops.FilterStats()
-        filtered = ops.filter_attribute(array, None, col("v") < 25, stats=stats)
-        np.testing.assert_array_equal(_kept_coordinates(filtered), np.arange(25))
+        coords, stats = _metadata_filter(np.arange(100.0), 10, col("v") < 25)
+        np.testing.assert_array_equal(coords, np.arange(25))
         assert stats.chunks_skipped == 7
         assert stats.chunks_scanned == 3
-        assert stats.cells_kept == 25
+        assert len(coords) == 25
+
+    def test_filter_expression_validates_attributes(self):
+        with pytest.raises(PlanVerificationError, match="unknown column 'bogus'"):
+            _metadata_filter(np.arange(10.0), 5, col("bogus") > 1)
+        frames = {"t": ArrayFrame("i", {"v": metadata_array("v", np.arange(10.0), "i", "v", 5)})}
+        with pytest.raises(KeyError, match="bogus"):
+            run_shared_plan(Filter(Scan("t"), col("bogus") > 1), frames, optimized=False)
 
     def test_filter_all_chunks_skipped(self):
-        values = np.arange(50.0)
-        array = ChunkedArray.from_dense("v", values, ["i"], "v", chunk_sizes=[10])
-        stats = ops.FilterStats()
-        filtered = ops.filter_attribute(array, None, col("v") > 1e6, stats=stats)
-        assert filtered.cell_count == 0
+        coords, stats = _metadata_filter(np.arange(50.0), 10, col("v") > 1e6)
+        assert len(coords) == 0
         assert stats.chunks_skipped == 5
         assert stats.chunks_scanned == 0
 
     def test_filter_skip_is_exact_about_strictness(self):
         values = np.arange(30.0)
-        array = ChunkedArray.from_dense("v", values, ["i"], "v", chunk_sizes=[10])
         # v <= 10 must keep the boundary cell in the second chunk (min=10).
-        kept = ops.filter_attribute(array, None, col("v") <= 10)
-        np.testing.assert_array_equal(_kept_coordinates(kept), np.arange(11))
+        kept, _ = _metadata_filter(values, 10, col("v") <= 10)
+        np.testing.assert_array_equal(kept, np.arange(11))
         # v < 10 may skip that chunk entirely.
-        stats = ops.FilterStats()
-        strict = ops.filter_attribute(array, None, col("v") < 10, stats=stats)
-        np.testing.assert_array_equal(_kept_coordinates(strict), np.arange(10))
+        strict, stats = _metadata_filter(values, 10, col("v") < 10)
+        np.testing.assert_array_equal(strict, np.arange(10))
         assert stats.chunks_skipped == 2
 
     def test_subarray_compacts(self, expression_array):
@@ -219,9 +204,9 @@ class TestOperators:
             ops.aggregate(array, "value", "median")
 
     def test_aggregate_respects_mask(self, expression_array):
-        array, matrix = expression_array
-        filtered = ops.filter_attribute(array, None, col("value") > 0.5)
-        assert ops.aggregate(filtered, "value", "count") == int((matrix > 0.5).sum())
+        _, matrix = expression_array
+        masked = _array_at(matrix, (0, 0), (16, 8), mask=matrix > 0.5)
+        assert ops.aggregate(masked, "value", "count") == int((matrix > 0.5).sum())
 
 
 class TestArrayLinalg:

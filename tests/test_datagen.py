@@ -51,13 +51,6 @@ class TestSizeSpec:
         with pytest.raises(ValueError):
             SizeSpec(name="bad", n_genes=10, n_patients=10, n_causal_genes=11)
 
-    def test_scaled_preserves_positive_dimensions(self):
-        spec = SIZE_PRESETS["small"].scaled(0.5)
-        assert spec.n_genes == 50
-        assert spec.n_patients == 50
-        with pytest.raises(ValueError):
-            SIZE_PRESETS["small"].scaled(0)
-
     def test_cells_and_bytes(self):
         spec = SIZE_PRESETS["tiny"]
         assert spec.n_cells == spec.n_genes * spec.n_patients
@@ -96,12 +89,6 @@ class TestMicroarray:
         patient = int(relational[17, 1])
         assert relational[17, 2] == pytest.approx(data.matrix[patient, gene])
 
-    def test_rows_iterator_matches_matrix(self):
-        data = generate_microarray("tiny", seed=1)
-        first = next(iter(data.rows()))
-        assert first[0] == 0 and first[1] == 0
-        assert first[2] == pytest.approx(float(data.matrix[0, 0]))
-
     def test_biclusters_are_planted(self):
         data = generate_microarray("tiny", seed=2)
         assert len(data.structure.bicluster_rows) >= 1
@@ -135,16 +122,11 @@ class TestPatients:
         with pytest.raises(ValueError, match="patients"):
             generate_patients("small", micro, seed=0)
 
-    def test_relational_and_column_access(self):
+    def test_relational_shape(self):
         micro = generate_microarray("tiny", seed=0)
         patients = generate_patients("tiny", micro, seed=0)
         table = patients.to_relational()
         assert table.shape == (patients.n_patients, 6)
-        np.testing.assert_array_equal(
-            patients.column("age"), patients.age
-        )
-        with pytest.raises(KeyError):
-            patients.column("nope")
 
 
 class TestGenes:
@@ -159,12 +141,6 @@ class TestGenes:
     def test_relational_shape(self):
         genes = generate_genes("tiny", seed=0)
         assert genes.to_relational().shape == (genes.n_genes, 5)
-
-    def test_column_lookup(self):
-        genes = generate_genes("tiny", seed=0)
-        np.testing.assert_array_equal(genes.column("function"), genes.function)
-        with pytest.raises(KeyError):
-            genes.column("unknown")
 
 
 class TestOntology:

@@ -5,7 +5,7 @@ is safe to put under the analytics paths:
 
 - **Unit tests** pin the write API's contracts: version monotonicity,
   dtype admission (no silent float→int truncation, no clipped strings),
-  deletion idempotence, atomic updates, compaction generations.
+  deletion idempotence, compaction generations.
 - **Property tests (hypothesis)**: for random interleavings of
   append/delete/compact over a table holding all four encodings, and for
   every plan shape (filter / aggregate / pivot / sketch approx), a
@@ -150,6 +150,30 @@ class TestDeltaStoreBasics:
         with pytest.raises(ValueError, match="too wide"):
             store.append("events", wide)
 
+    @pytest.mark.parametrize("write, error", [
+        (lambda store: store.append("events", {"rid": [1], "grp": ["a"], "run": [0]}),
+         ValueError),
+        (lambda store: store.append("events", {**_seed_arrays(1, 2), "rid": np.array([1.5])}),
+         TypeError),
+        (lambda store: store.append("events", {**_seed_arrays(2, 2), "val": np.array([1.0])}),
+         ValueError),
+        (lambda store: store.delete_where("events", col("bogus") > 0), KeyError),
+    ], ids=["missing-column", "uncastable-dtype", "short-column", "delete-unknown-column"])
+    def test_a_rejected_write_publishes_nothing(self, write, error):
+        store = _store_with(_sealed_four_encodings(10, seed=1))
+        store.append("events", _seed_arrays(3, seed=2))
+        store.delete("events", [4])
+        delta, held = store.writable("events"), store.snapshot("events")
+
+        def observed():
+            return delta.version, delta.tail_rows, delta.deleted_count, held.row_count
+
+        before = observed()
+        with pytest.raises(error):
+            write(store)
+        assert observed() == before
+        assert store.snapshot("events").version == before[0]
+
     def test_delete_validates_range_and_is_idempotent(self):
         store = _store_with(_sealed_four_encodings(10, seed=1))
         with pytest.raises(IndexError):
@@ -172,17 +196,6 @@ class TestDeltaStoreBasics:
         # The bitmap is shorter than the logical space; the new tail rows
         # are implicitly live and deletable by their logical ids.
         store.delete("events", [5])  # first appended row
-        assert store.live_row_count("events") == 6
-
-    def test_update_is_one_version_and_replaces_rows(self):
-        store = _store_with(_sealed_four_encodings(6, seed=1))
-        before = store.snapshot("events").version
-        store.update("events", [2], {
-            "rid": [99], "grp": ["b"], "run": [1], "val": [7.0],
-        })
-        assert store.snapshot("events").version == before + 1
-        rid = store.query("events").column("rid")
-        assert 2 not in rid.tolist() and 99 in rid.tolist()
         assert store.live_row_count("events") == 6
 
     def test_delete_where_uses_plan_expressions(self):
@@ -315,14 +328,14 @@ class TestDeltaStoreBasics:
             np.testing.assert_allclose(aggregates, expected, rtol=1e-12, atol=0.0)
 
     def test_a_write_that_deletes_nothing_keeps_the_full_selection_paths(self):
-        """``delete([])`` and a pure append through ``update`` publish a bitmap
-        with nothing set; the live selection must stay None (no explicit
+        """``delete([])`` publishes a bitmap with nothing set; the live
+        selection must stay None, also after a later append (no explicit
         ``arange`` costing every later scan its compressed full-column paths)."""
         store = _store_with(_sealed_four_encodings(40, seed=37))
         twin = _store_with(_sealed_four_encodings(40, seed=37))
         store.delete("events", [])
         twin.append("events", _seed_arrays(4, seed=38))
-        store.update("events", [], _seed_arrays(4, seed=38))
+        store.append("events", _seed_arrays(4, seed=38))
         snapshot = store.snapshot("events")
         assert snapshot.deleted_count == 0 and snapshot.live_rows == 44
         assert snapshot.live_selection() is None
@@ -696,7 +709,7 @@ SYNOPSIS_KEYS = ((0.3, 1), (0.05, 2), (1.0, 5))
 
 _SYNOPSIS_OPS = st.lists(
     st.tuples(
-        st.sampled_from(["append", "delete", "delete_where", "update", "compact",
+        st.sampled_from(["append", "delete", "delete_where", "compact",
                          "silent-append", "silent-delete"]),
         st.integers(0, 2**16)),
     min_size=1, max_size=10,
@@ -720,10 +733,6 @@ def _write(store: ColumnStore, kind: str, seed: int) -> None:
         _delete_some(store, seed)
     elif kind == "delete_where":
         store.delete_where("events", col("val") > int(rng.integers(-40, 40)))
-    elif kind == "update":
-        total = store.snapshot("events").row_count
-        ids = rng.choice(total, size=int(rng.integers(0, min(total, 6) + 1)), replace=False)
-        store.update("events", ids, _seed_arrays(int(rng.integers(1, 6)), seed))
     else:
         store.compact("events")
 

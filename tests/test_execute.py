@@ -32,11 +32,14 @@ from repro.plan import (
     Join,
     Pivot,
     PlanObservation,
+    Project,
+    Sample,
     Scan,
     approx_distinct,
     approx_quantile,
     approx_sum,
     col,
+    lit,
 )
 from repro.plan.execute import Backend
 from repro.plan.logical import AGGREGATE_FUNCTIONS
@@ -49,6 +52,10 @@ from repro.rlang.dataframe import DataFrame
 N_PATIENTS, N_GENES = 5, 3
 AGES = np.array([30, 50, 20, 60, 41])
 MATRIX = np.arange(1.0, 1.0 + N_PATIENTS * N_GENES).reshape(N_PATIENTS, N_GENES)
+
+
+class FragmentFailed(RuntimeError):
+    """Raised by a test fragment on purpose."""
 
 
 def five_backends() -> dict:
@@ -197,8 +204,8 @@ def test_a_column_both_join_inputs_produce_is_refused_before_lowering(backends, 
 class TestClusterExecutorContract:
     """The sixth backend: one partitioned table, fragments in node order.
 
-    The cluster admits ``Filter* → Scan`` under an optional single-table
-    ``Aggregate`` / sketch ``ApproxAggregate`` — no join, no pivot — so it
+    The cluster admits ``Filter* → Scan`` under an optional sketch
+    ``ApproxAggregate`` — no exact aggregate, no join, no pivot — so it
     gets its own rows over the same ``patients`` world, split three ways.
     """
 
@@ -220,33 +227,70 @@ class TestClusterExecutorContract:
                 plan, self._table(), Cluster(3),
                 stats=stats, optimized=optimized)
             # age > 55 holds for patient 3 only: partitions 0 and 2 are prunable.
-            assert (stats.partitions_scanned, stats.partitions_skipped, stats.rows_kept) == (
+            kept = sum(len(fragment) for fragment in fragments[optimized])
+            assert (stats.partitions_scanned, stats.partitions_skipped, kept) == (
                 (1, 2, 1) if optimized else (3, 0, 1))
         for pruned, scanned in zip(fragments[True], fragments[False], strict=True):
             np.testing.assert_array_equal(pruned, scanned)
         assert [fragment.tolist() for fragment in fragments[True]] == [[], [1], []]
 
+    def test_a_fragment_that_raises_charges_nothing(self):
+        cluster, stats = Cluster(3), PartitionStats()
+        plan = Filter(Scan("patients"), col("age") < 55)
+        run_cluster_plan(plan, self._table(), cluster, stats=stats)  # charge the node clocks
+        cluster.gather([np.ones(4)] * 3)  # and the network
+
+        def observed():
+            return (dict(vars(stats)), cluster.simulated_elapsed_seconds,
+                    [timing.compute_seconds for timing in cluster.node_timings],
+                    cluster.network.total_bytes, cluster.network.total_seconds)
+
+        before, calls = observed(), []
+
+        def fragment(node_id, rows):
+            calls.append(node_id)
+            if node_id == 1:
+                raise FragmentFailed(f"node {node_id}")
+            return rows
+
+        with pytest.raises(FragmentFailed, match="node 1"):
+            run_cluster_plan(plan, self._table(), cluster, stats=stats, on_fragment=fragment)
+        assert calls == [0, 1]  # raised once, and the node after it never ran
+        assert observed() == before
+
     @pytest.mark.parametrize("function", AGGREGATE_FUNCTIONS)
-    def test_aggregate_honours_every_function(self, function):
+    def test_exact_aggregate_is_rejected_before_dispatch(self, function):
         plan = Aggregate(Filter(Scan("patients"), col("age") < 55), "arm", "dose", function)
-        young = AGES < 55
-        arms = np.arange(N_PATIENTS)[young] % 2
-        reducer = {"count": len, "sum": np.sum, "mean": np.mean,
-                   "min": np.min, "max": np.max}[function]
-        expected = [float(reducer(MATRIX[young, 0][arms == arm])) for arm in (0, 1)]
         for optimized in (True, False):
-            keys, values = run_cluster_plan(
-                plan, self._table(), Cluster(3), optimized=optimized)
-            np.testing.assert_array_equal(keys, [0, 1])
-            np.testing.assert_array_equal(values, expected)
+            stats = PartitionStats()
+            with pytest.raises(TypeError,
+                               match="cannot execute plan node Aggregate on the cluster"):
+                run_cluster_plan(plan, self._table(), Cluster(3),
+                                 stats=stats, optimized=optimized)
+            assert stats.partitions_scanned == stats.partitions_skipped == 0  # nothing dispatched
 
     def test_unknown_aggregate_function_is_rejected_before_dispatch(self):
+        plan = Aggregate(Scan("patients"), "arm", "dose", "median")
         stats = PartitionStats()
-        with pytest.raises(ValueError, match="unsupported aggregate function 'median'"):
-            run_cluster_plan(Aggregate(Scan("patients"), "arm", "dose", "median"),
-                             self._table(), Cluster(3),
-                             stats=stats, optimized=False)
-        assert stats.partitions_scanned == 0  # nothing was dispatched
+        with pytest.raises(PlanVerificationError, match="unknown aggregate function 'median'"):
+            run_cluster_plan(plan, self._table(), Cluster(3), stats=stats)
+        with pytest.raises(TypeError, match="cannot execute plan node Aggregate"):
+            run_cluster_plan(plan, self._table(), Cluster(3), stats=stats, optimized=False)
+        assert stats.partitions_scanned == stats.partitions_skipped == 0  # nothing dispatched
+
+    @pytest.mark.parametrize("plan", [
+        Project(Filter(Scan("patients"), col("age") < 55), ("age",)),
+        Sample(Scan("patients"), 0.5, seed=1),
+        Join(Scan("patients"), Project(Scan("patients"), ("arm",)), "arm", "arm"),
+    ], ids=["project", "sample", "join"])
+    def test_lowering_names_the_admitted_shape(self, plan):
+        for optimized in (True, False):
+            stats = PartitionStats()
+            with pytest.raises(ValueError, match=r"lowers Filter\*/Scan\('patients'\) plans, got "
+                                                 + type(plan).__name__):
+                run_cluster_plan(plan, self._table(), Cluster(3),
+                                 stats=stats, optimized=optimized)
+            assert stats.partitions_scanned == stats.partitions_skipped == 0
 
     def test_sketches_merge_to_the_single_pass_answer(self):
         young = Filter(Scan("patients"), col("age") < 55)
@@ -317,3 +361,31 @@ class TestApproxAggregateIsColumnStoreOnly:
         for optimized in (True, False):
             with pytest.raises(TypeError, match="ApproxAggregate"):
                 backends[engine](self.plan, optimized=optimized)
+
+
+class TestSampleIsColumnStoreOnly:
+    plan = Sample(Filter(Scan("patients"), col("age") < 45), 0.5, seed=3)
+
+    def test_column_store_samples_the_selection(self, backends):
+        sampled = _patient_ids("colstore", backends["colstore"](self.plan))
+        assert len(sampled) == 2 and set(sampled) <= set(np.flatnonzero(YOUNG))
+
+    @pytest.mark.parametrize("engine", ENGINES[1:])
+    def test_other_backends_reject_it_by_name(self, backends, engine):
+        for optimized in (True, False):
+            with pytest.raises(TypeError, match="Sample"):
+                backends[engine](self.plan, optimized=optimized)
+
+
+def test_a_value_predicate_on_the_array_backend_names_the_value_column(backends):
+    # On arrays an absent cell would read as 0, which a row filter on the long
+    # fact table never answers, so the array executor refuses the predicate.
+    plan = Pivot(Filter(_JOINED, col("value") > 3.0), "patient_id", "gene_id", "value")
+    for optimized in (True, False):
+        with pytest.raises(TypeError, match="value column 'value'"):
+            backends["scidb"](plan, optimized=optimized)
+    assert backends["colstore"](plan)[0].size  # the column store answers it
+    # A predicate on no column at all filters no dimension either.
+    constant = Pivot(Filter(Scan("microarray"), lit(1) < lit(2)), "patient_id", "gene_id", "value")
+    with pytest.raises(TypeError, match="exactly one dimension of 'microarray'"):
+        backends["scidb"](constant)

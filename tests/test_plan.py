@@ -22,7 +22,6 @@ from repro.plan import (
     ColumnStats,
     Filter,
     Join,
-    Opaque,
     Pivot,
     PlanCatalog,
     Project,
@@ -34,7 +33,6 @@ from repro.plan import (
     estimate_selectivity,
     explain,
     lit,
-    opaque,
     optimize,
     ordered_conjuncts,
     split_conjuncts,
@@ -93,7 +91,6 @@ class TestExpressions:
         assert classify(col("x") == 5).kind == "equality"
         assert classify(col("x") != 5).kind == "inequality"
         assert classify(col("x").isin([1, 2])).kind == "membership"
-        assert classify(Opaque("x", lambda v: v > 0)).kind == "opaque"
         assert classify((col("x") < 5) | (col("x") > 9)).kind == "general"
         assert classify(col("x") < col("y")).column is None
 
@@ -120,22 +117,14 @@ class TestSelectivityEstimates:
         member = classify(col("x").isin([1, 2, 3, 4]))
         assert estimate_selectivity(member, stats) == pytest.approx(4 / 200)
 
-    def test_opaque_gets_default(self):
-        stats = ColumnStats(row_count=10, distinct=2, minimum=0, maximum=1)
-        assert estimate_selectivity(classify(Opaque("x", lambda v: v > 0)), stats) == pytest.approx(1 / 3)
+    def test_opaque_callables_are_gone(self):
+        with pytest.raises(ImportError):
+            from repro.plan import opaque  # noqa: F401
 
-    def test_opaque_is_an_ordering_barrier(self):
-        # An earlier-written declarative guard must keep protecting a
-        # later-written legacy callable: nothing moves across an opaque.
-        stats = {"x": ColumnStats(1000, minimum=0.0, maximum=100.0)}
-        guard = col("x") < 99            # unselective — would sort last
-        callable_ = Opaque("x", lambda v: v > 0)
-        selective = col("x") == 5        # selective — would sort first
-        ordered = ordered_conjuncts(
-            [guard, callable_, selective], lambda c: stats.get(c)
-        )
-        kinds = [predicate.kind for _, predicate, _ in ordered]
-        assert kinds == ["range", "opaque", "equality"]
+    def test_general_gets_default(self):
+        stats = ColumnStats(row_count=10, distinct=2, minimum=0, maximum=1)
+        general = classify((col("x") < 0) | (col("x") > 1))
+        assert estimate_selectivity(general, stats) == pytest.approx(1 / 3)
 
     def test_string_columns_get_no_range_bounds(self):
         # Lexicographic dictionary endpoints ('100' < '99') must not leak
@@ -773,23 +762,6 @@ def _chain_table():
 
 
 class TestLazyColumnQuery:
-    def test_guard_pattern_still_protects_opaque_callable(self):
-        # Seed behaviour: a callable written after a filter only ever saw
-        # the surviving values.  The optimizer must not hoist it — here the
-        # guard estimates at ~1.0 selectivity (dictionary stats), so plain
-        # selectivity sorting *would* run the 1/3-estimate callable first.
-        table = ColumnTable(
-            "t", [ColumnVector("x", np.arange(5), encoding="dictionary")]
-        )
-
-        def fragile(values):
-            if (values == 0).any():
-                raise AssertionError("guard was bypassed")
-            return 10 % values == 0
-
-        query = ColumnQuery(table).where(col("x") > 0).where(opaque("x", fragile))
-        np.testing.assert_array_equal(query.selection, [1, 2])  # x in {1, 2}
-
     def test_selection_is_cached_and_filters_stack(self):
         table = _chain_table()
         query = ColumnQuery(table).where(
@@ -801,18 +773,6 @@ class TestLazyColumnQuery:
         expected = np.flatnonzero((values == 3) & (status < 5) & (score > 0.2))
         np.testing.assert_array_equal(query.selection, expected)
         assert query.selection is query.selection  # cached
-
-    def test_select_and_collect_prune_columns(self):
-        table = _chain_table()
-        result = (
-            ColumnQuery(table)
-            .where(col("category") == 3)
-            .select("score", "status")
-            .collect("narrow")
-        )
-        assert result.column_names == ["score", "status"]
-        with pytest.raises(KeyError, match="category"):
-            result.column("category")
 
     def test_select_unknown_column_raises(self):
         table = _chain_table()
@@ -895,7 +855,6 @@ class TestUniformUnknownColumnErrors:
         query = ColumnQuery(table)
         cases = [
             lambda: query.where(col("missing") < 1),
-            lambda: query.where(opaque("missing", lambda v: v > 0)),
             lambda: query.where(col("missing").isin([1])),
             lambda: query.column("missing"),
             lambda: query.group_aggregate("missing", "score"),

@@ -7,7 +7,7 @@ import io
 import numpy as np
 import pytest
 
-from repro.plan import col, opaque
+from repro.plan import col, lit
 from repro.rlang import (
     DataFrame,
     REnvironment,
@@ -59,7 +59,7 @@ class TestDataFrame:
         with pytest.raises(KeyError):
             frame.subset(col("missing") < 1)
         with pytest.raises(ValueError):
-            frame.subset(opaque("function", lambda v: np.array([True])))
+            frame.subset(lit(1) < lit(2))  # one boolean, not one per row
 
     def test_merge_inner_join(self, rng):
         left = DataFrame({"key": np.array([1, 2, 2, 3]), "x": np.arange(4.0)})
@@ -79,13 +79,6 @@ class TestDataFrame:
         right = DataFrame({"b": np.array([2, 3]), "v": np.array([1.0, 2.0])})
         merged = left.merge(right, by="a", by_other="b")
         assert len(merged) == 1
-
-    def test_sample_rows_deterministic(self, frame):
-        first = frame.sample_rows(0.3, seed=2)
-        second = frame.sample_rows(0.3, seed=2)
-        np.testing.assert_array_equal(first["gene_id"], second["gene_id"])
-        with pytest.raises(ValueError):
-            frame.sample_rows(1.5)
 
     def test_as_matrix_and_pivot(self, rng):
         frame = DataFrame(

@@ -36,7 +36,6 @@ from repro.plan import (
     lit,
     literal_dtype,
     maybe_verify_rewrite,
-    opaque,
     verified_schema,
     verify_rewrite,
 )
@@ -115,10 +114,6 @@ class TestVerifiedSchema:
         with pytest.raises(PlanVerificationError, match="unknown column"):
             verified_schema(Filter(Scan("t"), col("c") < lit(1)), schemas)
 
-    def test_opaque_predicate_checks_column_only(self):
-        plan = Filter(patients(), opaque("age", lambda v: v > 40))
-        assert verified_schema(plan, SCHEMAS) == SCHEMAS["patients"]
-
     def test_schema_catalog_answers_like_a_catalog(self):
         catalog = SchemaCatalog(SCHEMAS)
         assert catalog.columns_of("genes") == ["gene_id", "function"]
@@ -144,6 +139,9 @@ REJECTIONS = [
     ("unknown-column",
      Filter(patients(), col("weight") > lit(1)),
      "unknown-column", "Filter", ["weight", "age"]),  # lists in-scope names
+    ("unknown-column-in-membership",
+     Filter(patients(), col("weight").isin([70, 80])),
+     "unknown-column", "Filter", ["weight", "age"]),
     ("comparison-type-mismatch",
      Filter(patients(), col("name") < lit(40)),
      "comparison-type-mismatch", "Filter", ["<U16", "int64"]),
