@@ -7,9 +7,9 @@ chunks or hand off to ScaLAPACK.  This package reproduces that architecture:
 * :mod:`repro.arraydb.schema` — array schemas: named *dimensions* (with
   chunk sizes) plus typed *attributes*,
 * :mod:`repro.arraydb.chunk` / :mod:`repro.arraydb.array` — chunked storage
-  with per-chunk empty-cell bitmaps,
+  in dense rectangular chunks,
 * :mod:`repro.arraydb.operators` — the AFL-style operators the GenBase
-  queries need: ``filter``, ``subarray`` and ``aggregate``,
+  queries need: the chunk-skip test, ``subarray`` and ``aggregate``,
 * :mod:`repro.arraydb.linalg` — the native analytics (a chunked array is a
   kernel operand of :mod:`repro.linalg`: chunk-wise matrix-vector products
   and Gram matrices), plus the conversion that hands whole arrays to the

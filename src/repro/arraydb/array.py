@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -12,10 +13,10 @@ from repro.arraydb.schema import ArraySchema, Attribute, Dimension
 
 
 class ChunkedArray:
-    """A multi-dimensional array stored as a grid of chunks.
+    """A multi-dimensional array stored as a grid of dense chunks.
 
-    Only chunks with at least one non-empty cell are stored, so heavily
-    filtered arrays stay small (SciDB's sparse-chunk behaviour).
+    Every cell of a stored chunk holds a value.  :meth:`from_dense` stores
+    every chunk of the grid; a chunk that is not stored reads as zeros.
     """
 
     def __init__(self, schema: ArraySchema, chunks: Mapping[tuple[int, ...], Chunk] | None = None):
@@ -85,7 +86,7 @@ class ChunkedArray:
         return tuple(slices)
 
     def chunks(self) -> Iterator[Chunk]:
-        """Iterate stored (non-empty) chunks in deterministic order."""
+        """Iterate the stored chunks in deterministic order."""
         for key in sorted(self._chunks):
             yield self._chunks[key]
 
@@ -104,7 +105,8 @@ class ChunkedArray:
 
     @property
     def cell_count(self) -> int:
-        return sum(chunk.cell_count for chunk in self._chunks.values())
+        """Number of cells in the stored chunks."""
+        return sum(math.prod(chunk.shape) for chunk in self._chunks.values())
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -118,24 +120,24 @@ class ChunkedArray:
 
     # -- conversion -----------------------------------------------------------------------
 
-    def to_dense(self, attribute: str | None = None, fill: float = 0.0) -> np.ndarray:
+    def to_dense(self, attribute: str | None = None) -> np.ndarray:
         """Materialise the array (one attribute) as a dense numpy array.
 
-        Empty cells become ``fill``.  The result is indexed by *offset from
-        each dimension's start*, so it always has ``schema.shape``.
+        Cells of chunks that are not stored become 0.  The result is indexed
+        by *offset from each dimension's start*, so it always has
+        ``schema.shape``.
         """
         if attribute is None:
             attribute = self.schema.attribute_names[0]
         dtype = self.schema.attribute(attribute).dtype
-        dense = np.full(self.schema.shape, fill, dtype=np.result_type(dtype, type(fill)))
+        dense = np.zeros(self.schema.shape, dtype=np.result_type(dtype, float))
         starts = [d.start for d in self.schema.dimensions]
         for chunk in self._chunks.values():
             slices = tuple(
                 slice(origin - start, origin - start + extent)
                 for origin, start, extent in zip(chunk.origin, starts, chunk.shape, strict=True)
             )
-            block = chunk.masked_attribute(attribute, fill=fill)
-            dense[slices] = block
+            dense[slices] = chunk.attribute(attribute)
         return dense
 
     # -- kernel operand (see repro.linalg.operand) --------------------------------------------
@@ -145,19 +147,19 @@ class ChunkedArray:
             raise ValueError("a kernel operand is a 2-D array")
         return self.schema.shape
 
-    def _matrix_chunks(self) -> Iterator[tuple[np.ndarray, np.ndarray, slice, slice]]:
-        """Each stored chunk of a 2-D array as ``(block, mask, rows, cols)``.
+    def _matrix_chunks(self) -> Iterator[tuple[np.ndarray, slice, slice]]:
+        """Each stored chunk of a 2-D array as ``(block, rows, cols)``.
 
-        The matrix values are the first attribute, empty cells read as 0,
-        and the slices are offsets from the dimensions' starts.
+        The matrix values are the first attribute, and the slices are
+        offsets from the dimensions' starts.
         """
         attribute = self.schema.attribute_names[0]
         row_start, col_start = (d.start for d in self.schema.dimensions)
         for chunk in self.chunks():
-            block = chunk.masked_attribute(attribute, fill=0.0)
+            block = chunk.attribute(attribute)
             row_offset = chunk.origin[0] - row_start
             col_offset = chunk.origin[1] - col_start
-            yield (block, chunk.mask, slice(row_offset, row_offset + block.shape[0]),
+            yield (block, slice(row_offset, row_offset + block.shape[0]),
                    slice(col_offset, col_offset + block.shape[1]))
 
     def matmat(self, dense_right: np.ndarray) -> np.ndarray:
@@ -167,7 +169,7 @@ class ChunkedArray:
         if dense_right.ndim != 2 or dense_right.shape[0] != n_cols:
             raise ValueError(f"right operand has shape {dense_right.shape}, expected ({n_cols}, k)")
         result = np.zeros((n_rows, dense_right.shape[1]))
-        for block, _mask, rows, cols in self._matrix_chunks():
+        for block, rows, cols in self._matrix_chunks():
             result[rows] += block @ dense_right[cols]
         return result
 
@@ -176,21 +178,18 @@ class ChunkedArray:
 
         The accumulation loops over *row bands* of chunks so no full dense
         copy of ``A`` is ever built; each band contributes ``bandᵀ band``.
-        Column means are taken over the non-empty cells.
         """
-        n_cols = self._matrix_shape()[1]
+        n_rows, n_cols = self._matrix_shape()
         column_means = np.zeros(n_cols)
         if center:
-            counts = np.zeros(n_cols)
-            for block, mask, _rows, cols in self._matrix_chunks():
+            for block, _rows, cols in self._matrix_chunks():
                 column_means[cols] += block.sum(axis=0)
-                counts[cols] += mask.sum(axis=0)
-            column_means = np.where(counts > 0, column_means / np.maximum(counts, 1), 0.0)
+            column_means /= n_rows
 
         gram = np.zeros((n_cols, n_cols))
         # Group chunks by their row-band so each band is assembled once.
         bands: dict[int, list] = {}
-        for block, _mask, rows, cols in self._matrix_chunks():
+        for block, rows, cols in self._matrix_chunks():
             bands.setdefault(rows.start, []).append((block, cols))
         for band_blocks in bands.values():
             band = np.zeros((band_blocks[0][0].shape[0], n_cols))

@@ -197,7 +197,7 @@ class ArrayQueryResult:
         return self.labels[dimension]
 
     def __len__(self) -> int:
-        """The result's cardinality: its non-empty cells."""
+        """The result's cardinality: its cells."""
         return self.array.cell_count
 
 
@@ -473,8 +473,6 @@ def _resolve_meta(selection: _MetaSelection,
     for chunk_coords in first.chunk_grid():
         chunks = {name: array.chunk_at(chunk_coords)
                   for name, array in column_arrays.items()}
-        if any(c is None for c in chunks.values()):
-            continue  # an all-empty metadata chunk has no matching rows
         low, high = first.schema.dimensions[0].chunk_bounds(chunk_coords[0])
         coords = np.arange(low, high + 1, dtype=np.int64)
         skipped = False
@@ -500,8 +498,6 @@ def _resolve_meta(selection: _MetaSelection,
         mask = np.ones(len(coords), dtype=bool)
         for name, chunk in chunks.items():
             batch[name] = chunk.attribute(name)
-            if chunk.mask is not None:
-                mask &= chunk.mask
         for conjunct in conjuncts:
             mask &= np.asarray(conjunct.evaluate(batch), dtype=bool)
             if not mask.any():

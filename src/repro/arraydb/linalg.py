@@ -30,7 +30,7 @@ def to_scalapack(array: ChunkedArray) -> np.ndarray:
     This is a real reformat: every chunk is copied into its place in a new
     dense buffer.
     """
-    return array.to_dense(fill=0.0).astype(np.float64, copy=True)
+    return array.to_dense().astype(np.float64, copy=True)
 
 
 def covariance(array: ChunkedArray, ddof: int = 1) -> np.ndarray:

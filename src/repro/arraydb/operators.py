@@ -15,8 +15,7 @@ ones :mod:`repro.arraydb.bridge` lowers the shared plans onto:
 * :func:`subarray` — keep the selected coordinates along every dimension
   and compact them, gathered in one pass over the stored chunks (what
   dimension joins against filtered metadata arrays produce),
-* :func:`aggregate` — whole-array or per-dimension aggregates computed
-  chunk-wise.
+* :func:`aggregate` — per-dimension aggregates computed chunk-wise.
 
 Shared logical plans (Scan → Filter → Join → Aggregate/Pivot) are lowered
 onto these operators by :mod:`repro.arraydb.bridge`.
@@ -144,9 +143,9 @@ def subarray(
     from the dimension's start to keep (duplicates repeat a coordinate,
     offsets outside the dimension are dropped), or ``None`` to keep the
     whole axis.  Each stored chunk is visited once: a binary search finds
-    the selected offsets inside its extent, and its block (empty cells
-    read as 0) is copied into its slice of one zero-filled output, which
-    is chunked with the source's chunk sizes.
+    the selected offsets inside its extent, and its block is copied into
+    its slice of one zero-filled output, which is chunked with the source's
+    chunk sizes.
 
     >>> from repro.arraydb.chunk import Chunk
     >>> from repro.arraydb.schema import ArraySchema, Attribute, Dimension
@@ -194,7 +193,7 @@ def subarray(
             source.append(selected[first:last] - low)
             target.append(slice(first, last))
         else:
-            block = chunk.masked_attribute(attribute)
+            block = chunk.attribute(attribute)
             for axis, index in enumerate(source):
                 if index is not None:
                     block = block.take(index, axis=axis)
@@ -208,54 +207,22 @@ def subarray(
     )
 
 
-def aggregate(
-    array: ChunkedArray,
-    attribute: str,
-    function: str = "sum",
-    along: str | None = None,
-) -> np.ndarray | float:
-    """Aggregate an attribute, either globally or per-coordinate of one dimension.
+def aggregate(array: ChunkedArray, attribute: str, function: str, along: str) -> np.ndarray:
+    """Aggregate an attribute per coordinate of one dimension, chunk-wise.
 
     Args:
         array: input array.
         attribute: attribute to aggregate.
         function: one of sum / count / min / max / avg.
-        along: if given, aggregate *per coordinate* of this dimension
-            (collapsing all the others); otherwise aggregate everything to a
-            scalar.
+        along: the dimension whose coordinates group the cells (all the
+            others collapse).
 
     Returns:
-        A scalar (``along is None``) or a 1-D array indexed by the offset of
-        the coordinate from the dimension's start.
+        A 1-D array indexed by the offset of the coordinate from the
+        dimension's start.
     """
     if function not in ("sum", "count", "min", "max", "avg"):
         raise ValueError(f"unsupported aggregate {function!r}")
-
-    if along is None:
-        total = 0.0
-        count = 0
-        minimum = np.inf
-        maximum = -np.inf
-        for chunk in array.chunks():
-            values = chunk.attribute(attribute)
-            mask = chunk.mask if chunk.mask is not None else np.ones(values.shape, bool)
-            selected = values[mask]
-            if selected.size == 0:
-                continue
-            total += float(selected.sum())
-            count += int(selected.size)
-            minimum = min(minimum, float(selected.min()))
-            maximum = max(maximum, float(selected.max()))
-        if function == "sum":
-            return total
-        if function == "count":
-            return float(count)
-        if function == "avg":
-            return total / count if count else float("nan")
-        if function == "min":
-            return minimum if count else float("nan")
-        return maximum if count else float("nan")
-
     axis = array.schema.dimension_index(along)
     dimension = array.schema.dimension(along)
     length = dimension.length
@@ -265,9 +232,10 @@ def aggregate(
     maximums = np.full(length, -np.inf)
     for chunk in array.chunks():
         values = chunk.attribute(attribute)
-        mask = chunk.mask if chunk.mask is not None else np.ones(values.shape, bool)
-        coords = chunk.coordinates_of_cells()[axis] - dimension.start
-        selected = values[mask]
+        # Each cell's offset along ``along``, in the cells' C order.
+        coords = (np.indices(values.shape)[axis]
+                  + (chunk.origin[axis] - dimension.start)).ravel()
+        selected = values.ravel()
         np.add.at(sums, coords, selected)
         np.add.at(counts, coords, 1.0)
         np.minimum.at(minimums, coords, selected)

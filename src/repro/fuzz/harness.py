@@ -22,7 +22,7 @@ Admission matrix (why an engine sits a shape out is documented in
 shape      colstore  postgres hadoop scidb  vanilla-r cluster
 ========== ========= ======== ====== ====== ========= =======
 meta       yes       yes      yes    yes    yes       yes
-aggregate  yes       yes      yes    no cell predicates  yes  no
+aggregate  yes       no       no     no cell predicates  no   no
 pivot      yes       yes      yes    no cell predicates  yes  no
 sample     yes       no       no     no     no        no
 approx     yes       no       no     no     no        yes
@@ -104,7 +104,7 @@ _SINGLE_NODE = (*_COLSTORE, "postgres", "hadoop", "vanilla-r", "scidb")
 #: shape → the engines it admits, in report order (see the module docstring).
 ADMISSION = {
     "meta": (*_SINGLE_NODE, "cluster"),
-    "aggregate": _SINGLE_NODE,
+    "aggregate": (*_COLSTORE, "scidb"),
     "pivot": _SINGLE_NODE,
     "sample": _COLSTORE,
     "approx": (*_COLSTORE, "cluster"),
@@ -164,8 +164,7 @@ class FuzzHarness:
             )
             for name, columns in self.tables.items()
         }
-        self.mr_engine = MapReduceEngine(n_splits=4)
-        self.hive = HiveSession(self.mr_engine)
+        self.hive = HiveSession(MapReduceEngine(n_splits=4))
 
         # R environment.
         self.frames = {name: DataFrame(columns)
@@ -383,10 +382,8 @@ class FuzzHarness:
                           else case.plan)
         predicted = estimate_output_rows(predicted_plan, catalog)
         shuffle = None
-        if not case.mutations and case.shape not in ("sample", "approx"):
-            shuffle = estimate_shuffle_bytes(
-                predicted_plan, self.hive_tables, n_splits=self.mr_engine.n_splits
-            )
+        if not case.mutations and case.shape in ("meta", "pivot"):  # the shapes Hive runs
+            shuffle = estimate_shuffle_bytes(predicted_plan, self.hive_tables)
         record = CalibrationRecord(
             seed=case.seed,
             shape=case.shape,

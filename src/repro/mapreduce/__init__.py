@@ -10,8 +10,8 @@ that stack faithfully, in miniature:
   splits, map, combine, sort-based shuffle (with real serialisation of the
   intermediate key/value pairs), and reduce; every job reports counters.
 * :mod:`repro.mapreduce.hive` — a Hive-like relational layer: tables are
-  line-oriented records, and ``select`` / ``project`` / ``join`` /
-  ``group_by`` each compile to one MapReduce job (joins are reduce-side).
+  line-oriented records, and ``select`` / ``project`` / ``join`` each
+  compile to one MapReduce job (joins are reduce-side).
 * :mod:`repro.mapreduce.mahout` — a Mahout-like analytics layer: linear
   regression, covariance and a power-iteration SVD expressed as MapReduce
   jobs over the naive kernels in :mod:`repro.linalg.naive`; biclustering is

@@ -69,9 +69,6 @@ HIVE_CAPABILITIES = OptimizerCapabilities(
     filter_reordering=False, join_build_side=False
 )
 
-#: Shared Aggregate function names → Hive group-by aggregate names.
-_AGGREGATE_NAMES = {"mean": "avg"}
-
 
 def _catalog(tables: dict[str, HiveTable]) -> SchemaCatalog:
     """Snapshot the Hive tables' schemas and row counts for the optimizer.
@@ -139,11 +136,11 @@ def run_shared_plan(plan: logical.PlanNode, tables: dict[str, HiveTable],
 
     A call into the shared driver (:func:`repro.plan.execute.execute`)
     with the shuffle counters read around it.  Relational-algebra plans
-    return a materialised :class:`HiveTable`;
-    :class:`~repro.plan.logical.Aggregate` returns ``(group_keys,
-    aggregates)`` as numpy arrays sorted by key and
+    return a materialised :class:`HiveTable` and
     :class:`~repro.plan.logical.Pivot` returns ``(matrix, row_labels,
     column_labels)`` with sorted labels — the shared executor contract.
+    An exact :class:`~repro.plan.logical.Aggregate` raises ``TypeError``:
+    no GenBase query sends one to Hive.
     The pivot itself runs driver-side (as the benchmark's Hadoop
     configuration does): the long-format join output is gathered and
     scattered into the dense matrix outside MapReduce.
@@ -211,19 +208,17 @@ def _stage_pair_bytes(stage: _ScanStage, key_index: int | None,
 
 
 def estimate_shuffle_bytes(plan: logical.PlanNode,
-                           tables: dict[str, HiveTable],
-                           n_splits: int = 4) -> float | None:
+                           tables: dict[str, HiveTable]) -> float | None:
     """Predict the shuffled bytes for a shared plan's MapReduce jobs.
 
     Mirrors the lowering in :func:`run_shared_plan` job for job: a fused
     join shuffles each side's surviving rows (estimated by the shared
     :func:`~repro.plan.optimizer.estimate_output_rows`) at the measured
     per-pair pickle cost; a stand-alone scan stage shuffles its surviving
-    projected rows (zero when it is a no-op pass-through); an ``Aggregate``
-    terminal adds one group-by job whose combiner caps the shuffle at
-    ``n_splits × estimated groups`` partial pairs; a ``Pivot`` terminal
-    runs driver-side and shuffles nothing.  Returns ``None`` when the
-    plan's cardinality cannot be estimated.
+    projected rows (zero when it is a no-op pass-through); a ``Pivot``
+    terminal runs driver-side and shuffles nothing.  Returns ``None`` when
+    the plan's cardinality cannot be estimated, and for an ``Aggregate``
+    plan, which Hive does not run.
     """
     catalog = _catalog(tables)
     plan = optimize(plan, catalog, HIVE_CAPABILITIES)
@@ -261,24 +256,8 @@ def estimate_shuffle_bytes(plan: logical.PlanNode,
             return True
         return False
 
-    if isinstance(plan, (logical.Aggregate, logical.Pivot)):
-        if not add_subtree(plan.child):
-            return None
-        if isinstance(plan, logical.Aggregate):
-            rows = stage_rows(plan.child)
-            groups = stage_rows(plan)
-            if rows is None or groups is None:
-                return None
-            # The group-by mapper emits one (key, value) pair per input
-            # row, but the combiner folds each split down to one
-            # (key, (sum, count, min, max)) partial per group before the
-            # spill — so the shuffle carries at most splits × groups
-            # partials (and never more than the input rows).
-            pairs = min(rows, n_splits * groups)
-            sample = [(float(i), (float(i), 1, float(i), float(i)))
-                      for i in range(_BYTES_SAMPLE)]
-            total += pairs * _bytes_per_record(sample)
-        return total
+    if isinstance(plan, logical.Pivot):
+        plan = plan.child
     if not add_subtree(plan):
         return None
     return total
@@ -312,16 +291,6 @@ class HiveBackend(Backend):
         raise TypeError(
             f"cannot execute plan node {type(node).__name__} on the MapReduce stack"
         )
-
-    def aggregate(self, table: HiveTable, plan: logical.Aggregate):
-        function = _AGGREGATE_NAMES.get(plan.function, plan.function)
-        result = self.session.group_by(table, plan.group_by, plan.value, function)
-        keys = np.asarray(result.column_values(plan.group_by))
-        values = np.asarray(
-            result.column_values(f"{function}_{plan.value}"), dtype=np.float64
-        )
-        order = np.argsort(keys, kind="stable")
-        return keys[order], values[order]
 
     def pivot(self, table: HiveTable, plan: logical.Pivot):
         return driver_pivot(table, plan.row_key, plan.column_key, plan.value)

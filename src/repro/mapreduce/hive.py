@@ -156,55 +156,3 @@ class HiveSession:
             columns=left.columns + tuple(right_columns),
             rows=[value for _, value in output],
         )
-
-    def group_by(self, table: HiveTable, key_column: str, value_column: str,
-                 aggregate: str = "avg", result_name: str | None = None) -> HiveTable:
-        """Group-by aggregation (count/sum/avg/min/max) as one MR job."""
-        if aggregate not in ("count", "sum", "avg", "min", "max"):
-            raise ValueError(f"unsupported aggregate {aggregate!r}")
-        key_index = table.index_of(key_column)
-        value_index = table.index_of(value_column)
-
-        def mapper(row):
-            yield (row[key_index], float(row[value_index]))
-
-        def combiner(key, values):
-            # Pre-aggregate to (sum, count, min, max) partials.
-            partials = [value if isinstance(value, tuple) else (value, 1, value, value)
-                        for value in values]
-            total = sum(p[0] for p in partials)
-            count = sum(p[1] for p in partials)
-            minimum = min(p[2] for p in partials)
-            maximum = max(p[3] for p in partials)
-            yield (key, (total, count, minimum, maximum))
-
-        def reducer(key, values):
-            partials = [value if isinstance(value, tuple) else (value, 1, value, value)
-                        for value in values]
-            total = sum(p[0] for p in partials)
-            count = sum(p[1] for p in partials)
-            minimum = min(p[2] for p in partials)
-            maximum = max(p[3] for p in partials)
-            if aggregate == "count":
-                result = count
-            elif aggregate == "sum":
-                result = total
-            elif aggregate == "avg":
-                result = total / count if count else float("nan")
-            elif aggregate == "min":
-                result = minimum
-            else:
-                result = maximum
-            yield (key, result)
-
-        output = self.engine.run(
-            MapReduceJob(
-                name=f"groupby({table.name})", mapper=mapper, reducer=reducer, combiner=combiner
-            ),
-            table.rows,
-        )
-        return HiveTable(
-            name=result_name or f"groupby_{table.name}",
-            columns=(key_column, f"{aggregate}_{value_column}"),
-            rows=[(key, value) for key, value in output],
-        )

@@ -82,13 +82,15 @@ class OptimizerCapabilities:
     per-engine executor passes its capability profile to :func:`optimize`,
     which applies only the enabled rules.
 
-    These flags gate *cost-based* rewrites only.  The correctness
+    These flags gate *cost-based* rewrites only.  Splitting a conjunction
+    into stacked filters is not a flag: every executor honours a filter
+    stack, so :func:`optimize` always splits.  The correctness
     constraints — the :class:`~repro.plan.logical.Sample` barrier and
     the ``is_total`` guard on join pushdown — are built into the rules
     themselves and hold for every profile.
 
-    The default profile enables everything (the column store and the row
-    store honour all five rules).
+    The default profile enables all five flags (the column store and the
+    row store honour every rule).
 
     >>> OptimizerCapabilities().join_build_side
     True
@@ -96,7 +98,6 @@ class OptimizerCapabilities:
     True
     """
 
-    split_conjunctions: bool = True
     predicate_pushdown: bool = True
     filter_reordering: bool = True
     join_build_side: bool = True
@@ -644,8 +645,7 @@ def optimize(node: PlanNode, catalog: PlanCatalog | None = None,
         # First, so the materialised Sample is in place before pushdown
         # (Sample is a barrier: no filter may cross the new node).
         node = route_through_synopsis(node)
-    if capabilities.split_conjunctions:
-        node = split_filter_conjunctions(node)
+    node = split_filter_conjunctions(node)
     if capabilities.predicate_pushdown:
         node = push_filters_down(node, catalog)
     if capabilities.filter_reordering:

@@ -9,7 +9,7 @@ This package implements a small but complete single-node RDBMS in Python:
 * the shared expression language for predicates and projections
   (:mod:`repro.plan.expressions`, compiled to per-row-tuple callables),
 * Volcano-style iterator operators — sequential scan, filter, projection,
-  hash join, sort, hash aggregation (:mod:`repro.relational.operators`),
+  hash join (:mod:`repro.relational.operators`),
 * the lowering of shared, already optimised plans onto them
   (:mod:`repro.relational.bridge`), whose results are
   :class:`~repro.relational.query.QueryResultSet` objects,

@@ -9,9 +9,10 @@ shared node straight onto the Volcano operators of
 Filters → one ``Filter`` over their conjunction, Project → ``Project``,
 Join → :func:`~repro.relational.operators.hash_join` + a projection
 enforcing the shared output convention of "left columns, then right
-columns minus the right key"), and the terminals return the same shapes as
-the column-store executor: ``Aggregate`` → ``(group_keys, aggregates)``
-sorted by key, ``Pivot`` → ``(matrix, row_labels, column_labels)``.
+columns minus the right key"), and the ``Pivot`` terminal returns the same
+``(matrix, row_labels, column_labels)`` shape as the column-store
+executor.  There is no exact ``Aggregate`` here: no GenBase query sends
+one to the row store, so the driver refuses it with a ``TypeError``.
 
 The row store plans once: the *shared* optimizer runs against the
 :class:`RelationalBackend`'s catalog (schemas plus row counts — the row
@@ -64,9 +65,6 @@ from repro.relational import operators as ops
 from repro.relational.catalog import Database
 from repro.relational.query import QueryResultSet
 from repro.relational.schema import ColumnType
-
-#: Shared Aggregate function names → relational HashAggregate names.
-_AGGREGATE_NAMES = {"mean": "avg"}
 
 #: Row-store column types → the numpy dtypes their values materialise as.
 _COLUMN_DTYPES = {
@@ -139,16 +137,6 @@ class RelationalBackend(Backend):
     def relation(self, operator: ops.Operator) -> QueryResultSet:
         return QueryResultSet(operator.output_schema, list(operator))
 
-    def aggregate(self, operator: ops.Operator, plan: logical.Aggregate):
-        function = _AGGREGATE_NAMES.get(plan.function, plan.function)
-        value = "*" if plan.function == "count" else plan.value
-        result = self.relation(ops.Sort(
-            ops.HashAggregate(operator, [plan.group_by], [(function, value, "agg")]),
-            [plan.group_by],
-        ))
-        return (np.asarray(result.column(plan.group_by)),
-                np.asarray(result.column("agg"), dtype=np.float64))
-
     def pivot(self, operator: ops.Operator, plan: logical.Pivot):
         return self.relation(operator).pivot(plan.row_key, plan.column_key, plan.value)
 
@@ -160,10 +148,9 @@ def run_shared_plan(plan: logical.PlanNode, db: Database, optimized: bool = True
     A one-line call into the shared driver
     (:func:`repro.plan.execute.execute`).  Relational-algebra plans return
     a materialised :class:`~repro.relational.query.QueryResultSet`;
-    :class:`~repro.plan.logical.Aggregate` returns ``(group_keys,
-    aggregates)`` as numpy arrays sorted by key (the shared contract);
     :class:`~repro.plan.logical.Pivot` returns ``(matrix, row_labels,
-    column_labels)`` with labels in first-seen row order.
+    column_labels)`` with labels in first-seen row order.  An exact
+    :class:`~repro.plan.logical.Aggregate` raises ``TypeError``.
 
     Args:
         plan: the shared logical plan tree.

@@ -2,16 +2,16 @@
 
 Every operator is an iterator over row tuples that exposes its output
 :class:`~repro.relational.schema.Schema`.  Operators compose into pipelines;
-blocking operators (hash join build side, sort, aggregation) materialise
-their input, streaming operators (scan, filter, project) do not.
+the hash join materialises its build side, the streaming operators (scan,
+filter, project) materialise nothing.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from repro.plan.expressions import Expression
-from repro.relational.schema import Column, ColumnType, Schema
+from repro.relational.schema import Schema
 from repro.relational.table import HeapTable
 
 
@@ -133,92 +133,6 @@ def hash_join(left: Operator, right: Operator, left_key: str, right_key: str,
     )
 
 
-class Sort(Operator):
-    """Full in-memory sort on one or more key columns."""
-
-    def __init__(self, child: Operator, keys: Sequence[str], descending: bool = False):
-        self.child = child
-        self.keys = list(keys)
-        self.descending = descending
-        self.output_schema = child.output_schema
-        self._indices = [child.output_schema.index_of(k) for k in self.keys]
-
-    def __iter__(self) -> Iterator[tuple]:
-        indices = self._indices
-        rows = list(self.child)
-        rows.sort(key=lambda row: tuple(row[i] for i in indices), reverse=self.descending)
-        return iter(rows)
-
-
-#: Aggregate function name -> (initial value factory, step, finalise)
-_AGGREGATES: dict[str, tuple[Callable, Callable, Callable]] = {
-    "count": (lambda: 0, lambda acc, v: acc + 1, lambda acc: acc),
-    "sum": (lambda: 0.0, lambda acc, v: acc + v, lambda acc: acc),
-    "min": (lambda: None, lambda acc, v: v if acc is None or v < acc else acc, lambda acc: acc),
-    "max": (lambda: None, lambda acc, v: v if acc is None or v > acc else acc, lambda acc: acc),
-    "avg": (
-        lambda: (0.0, 0),
-        lambda acc, v: (acc[0] + v, acc[1] + 1),
-        lambda acc: acc[0] / acc[1] if acc[1] else None,
-    ),
-}
-
-
-class HashAggregate(Operator):
-    """Hash-based GROUP BY with the standard SQL aggregates.
-
-    Args:
-        child: input operator.
-        group_by: grouping column names (may be empty for a global aggregate).
-        aggregates: list of ``(function, column, output_name)`` triples where
-            ``function`` is one of count/sum/min/max/avg.
-    """
-
-    def __init__(self, child: Operator, group_by: Sequence[str],
-                 aggregates: Sequence[tuple[str, str, str]]):
-        self.child = child
-        self.group_by = list(group_by)
-        self.aggregates = list(aggregates)
-        for function, _, _ in self.aggregates:
-            if function not in _AGGREGATES:
-                raise ValueError(f"unknown aggregate function {function!r}")
-
-        input_schema = child.output_schema
-        self._group_indices = [input_schema.index_of(name) for name in self.group_by]
-        self._value_indices = [
-            input_schema.index_of(column) if function != "count" or column != "*" else 0
-            for function, column, _ in self.aggregates
-        ]
-
-        output_columns = [input_schema.column(name) for name in self.group_by]
-        for function, _column, output_name in self.aggregates:
-            if function == "count":
-                output_columns.append(Column(output_name, ColumnType.INT))
-            else:
-                output_columns.append(Column(output_name, ColumnType.FLOAT))
-        self.output_schema = Schema(output_columns)
-
-    def __iter__(self) -> Iterator[tuple]:
-        groups: dict[tuple, list] = {}
-        specs = [(_AGGREGATES[function], value_index)
-                 for (function, _, _), value_index in zip(self.aggregates, self._value_indices, strict=True)]
-        group_indices = self._group_indices
-        for row in self.child:
-            key = tuple(row[i] for i in group_indices)
-            state = groups.get(key)
-            if state is None:
-                state = [initial() for (initial, _, _), _ in specs]
-                groups[key] = state
-            for position, ((_, step, _), value_index) in enumerate(specs):
-                state[position] = step(state[position], row[value_index])
-        for key, state in groups.items():
-            finals = tuple(
-                finalise(state[position])
-                for position, ((_, _, finalise), _) in enumerate(specs)
-            )
-            yield key + finals
-
-
 def explain(operator: Operator, depth: int = 0) -> str:
     """Render an operator tree as indented text, one operator per line."""
     if isinstance(operator, SeqScan):
@@ -229,10 +143,6 @@ def explain(operator: Operator, depth: int = 0) -> str:
         detail = str(operator.columns)
     elif isinstance(operator, HashJoin):
         detail = f"{operator.build_key} = {operator.probe_key}"
-    elif isinstance(operator, HashAggregate):
-        detail = f"group_by={operator.group_by} aggs={operator.aggregates}"
-    elif isinstance(operator, Sort):
-        detail = f"{operator.keys} desc={operator.descending}"
     else:
         detail = ""
     lines = ["  " * depth + f"{type(operator).__name__} {detail}".rstrip()]

@@ -9,8 +9,9 @@ objects from :mod:`repro.core.queries` lower onto the R verbs —
 (the expression evaluates over the frame's columns as one numpy mask),
 ``Project`` becomes ``select``, ``Join`` becomes ``merge`` (R's hash
 join) re-ordered to the shared output convention, and the ``Pivot``
-terminal is the long-to-wide ``pivot_matrix`` reshape.  ``Sample`` is
-not lowered: the column store is the one engine that samples.  Every
+terminal is the long-to-wide ``pivot_matrix`` reshape.  ``Sample`` and
+an exact ``Aggregate`` are not lowered: the column store is the one
+engine that samples, and no GenBase query aggregates on R.  Every
 intermediate allocates through the
 :class:`~repro.rlang.dataframe.REnvironment`, so the configuration's
 memory ceiling bites exactly where it did before the migration.
@@ -29,8 +30,6 @@ A runnable example of this backend under the shared driver lives in
 from __future__ import annotations
 
 from typing import Mapping
-
-import numpy as np
 
 from repro.plan import logical
 from repro.plan.execute import Backend, execute
@@ -93,9 +92,6 @@ class RBackend(Backend):
             f"cannot execute plan node {type(node).__name__} on the R environment"
         )
 
-    def aggregate(self, frame: DataFrame, plan: logical.Aggregate):
-        return _group_aggregate(frame, plan.group_by, plan.value, plan.function)
-
     def pivot(self, frame: DataFrame, plan: logical.Pivot):
         return frame.pivot_matrix(plan.row_key, plan.column_key, plan.value)
 
@@ -107,10 +103,10 @@ def run_shared_plan(plan: logical.PlanNode, frames: Mapping[str, DataFrame],
 
     A one-line call into the shared driver
     (:func:`repro.plan.execute.execute`).  Relational-algebra plans return
-    a :class:`DataFrame`; :class:`~repro.plan.logical.Aggregate` returns
-    ``(group_keys, aggregates)`` sorted by key and
-    :class:`~repro.plan.logical.Pivot` returns ``(matrix, row_labels,
-    column_labels)`` with sorted labels — the shared executor contract.
+    a :class:`DataFrame` and :class:`~repro.plan.logical.Pivot` returns
+    ``(matrix, row_labels, column_labels)`` with sorted labels — the shared
+    executor contract.  An exact :class:`~repro.plan.logical.Aggregate`
+    raises ``TypeError``: no GenBase query sends one to R.
 
     Args:
         plan: the shared logical plan tree.
@@ -121,29 +117,3 @@ def run_shared_plan(plan: logical.PlanNode, frames: Mapping[str, DataFrame],
             filled with the observed output cardinality.
     """
     return execute(plan, RBackend(frames), optimized, observation)
-
-
-def _group_aggregate(frame: DataFrame, group_by: str, value: str,
-                     function: str) -> tuple[np.ndarray, np.ndarray]:
-    """Single-key GROUP BY over a frame, vectorised with numpy.
-
-    Returns sorted distinct keys and one aggregate per key, matching the
-    column store's ``group_aggregate`` contract.
-    """
-    if function not in ("count", "sum", "mean", "min", "max"):
-        raise ValueError(f"unsupported aggregate {function!r}")
-    keys = frame[group_by]
-    values = frame[value].astype(np.float64)
-    labels, inverse = np.unique(keys, return_inverse=True)
-    counts = np.bincount(inverse, minlength=len(labels))
-    if function == "count":
-        return labels, counts.astype(np.float64)
-    if function in ("sum", "mean"):
-        sums = np.bincount(inverse, weights=values, minlength=len(labels))
-        if function == "sum":
-            return labels, sums
-        return labels, sums / counts
-    out = np.full(len(labels), np.inf if function == "min" else -np.inf)
-    scatter = np.minimum.at if function == "min" else np.maximum.at
-    scatter(out, inverse, values)
-    return labels, out

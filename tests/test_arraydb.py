@@ -21,12 +21,11 @@ def _metadata_filter(values: np.ndarray, chunk: int, predicate):
     return run_shared_plan(Filter(Scan("t"), predicate), frames, stats=stats), stats
 
 
-def _array_at(values: np.ndarray, starts, chunk_sizes, mask: np.ndarray | None = None,
-              missing=(), names=None, attribute: str = "value") -> ChunkedArray:
+def _array_at(values: np.ndarray, starts, chunk_sizes, missing=(), names=None,
+              attribute: str = "value") -> ChunkedArray:
     """A chunked array over ``values`` whose dimensions begin at ``starts``.
 
-    ``mask`` marks the non-empty cells (all of them when None) and chunk-grid
-    keys in ``missing`` are not stored, as if every cell there were empty.
+    Chunk-grid keys in ``missing`` are not stored, so their cells read as 0.
     """
     names = names or [f"d{axis}" for axis in range(values.ndim)]
     dimensions = [Dimension(name, start, start + length - 1, size)
@@ -40,7 +39,6 @@ def _array_at(values: np.ndarray, starts, chunk_sizes, mask: np.ndarray | None =
         array.put_chunk(Chunk(
             key, tuple(d.start + s.start for d, s in zip(dimensions, local, strict=True)),
             {attribute: values[local].copy()},
-            None if mask is None else mask[local].copy(),
         ))
     return array
 
@@ -115,21 +113,11 @@ class TestChunkedArray:
         with pytest.raises(ValueError):
             Chunk(coordinates=(0,), origin=(0,), data={"a": np.ones(3), "b": np.ones(4)})
 
-    def test_masked_attribute_fill(self):
-        chunk = Chunk(coordinates=(0,), origin=(0,), data={"v": np.arange(4.0)})
-        assert chunk.masked_attribute("v") is chunk.data["v"]  # full: the stored block
-        chunk.mask = np.array([True, False, True, False])
-        np.testing.assert_array_equal(chunk.masked_attribute("v", fill=-1), [0, -1, 2, -1])
-        np.testing.assert_array_equal(chunk.data["v"], np.arange(4.0))
-        assert chunk.cell_count == 2
-
     def test_readers_leave_chunk_data_unchanged(self, rng):
-        # Only chunk (0, 0) is partially masked; every other stored chunk
-        # hands its block out uncopied, so a reader writing into it would show.
-        mask = np.ones((9, 7), dtype=bool)
-        mask[:4, :3] = rng.random((4, 3)) > 0.4
-        array = _array_at(rng.random((9, 7)), (0, 0), (4, 3), mask=mask, missing={(1, 1)})
-        before = {chunk.coordinates: (chunk.data["value"].tobytes(), chunk.mask.tobytes())
+        # Every stored chunk hands its block out uncopied, so a reader
+        # writing into it would show.
+        array = _array_at(rng.random((9, 7)), (0, 0), (4, 3), missing={(1, 1)})
+        before = {chunk.coordinates: chunk.data["value"].tobytes()
                   for chunk in array.chunks()}
         array.to_dense()
         array.gram()
@@ -137,7 +125,7 @@ class TestChunkedArray:
         array.matmat(rng.random((7, 2)))
         ops.subarray(array, [np.array([0, 4, 8]), None])
         ops.subarray(array, [None, np.array([1, 2, 6])])
-        after = {chunk.coordinates: (chunk.data["value"].tobytes(), chunk.mask.tobytes())
+        after = {chunk.coordinates: chunk.data["value"].tobytes()
                  for chunk in array.chunks()}
         assert after == before
 
@@ -189,24 +177,28 @@ class TestOperators:
         with pytest.raises(ValueError):
             ops.subarray(array, [None])
 
-    def test_aggregate_global_and_along(self, expression_array):
+    def test_aggregate_along_a_dimension(self, expression_array):
         array, matrix = expression_array
-        assert ops.aggregate(array, "value", "sum") == pytest.approx(matrix.sum())
-        assert ops.aggregate(array, "value", "count") == matrix.size
-        assert ops.aggregate(array, "value", "avg") == pytest.approx(matrix.mean())
-        assert ops.aggregate(array, "value", "min") == pytest.approx(matrix.min())
-        assert ops.aggregate(array, "value", "max") == pytest.approx(matrix.max())
         per_gene = ops.aggregate(array, "value", "avg", along="gene_id")
         np.testing.assert_allclose(per_gene, matrix.mean(axis=0))
         per_patient = ops.aggregate(array, "value", "max", along="patient_id")
         np.testing.assert_allclose(per_patient, matrix.max(axis=1))
         with pytest.raises(ValueError):
-            ops.aggregate(array, "value", "median")
+            ops.aggregate(array, "value", "median", along="gene_id")
 
-    def test_aggregate_respects_mask(self, expression_array):
-        _, matrix = expression_array
-        masked = _array_at(matrix, (0, 0), (16, 8), mask=matrix > 0.5)
-        assert ops.aggregate(masked, "value", "count") == int((matrix > 0.5).sum())
+    @pytest.mark.parametrize("along", ["d0", "d1"])
+    @pytest.mark.parametrize("function, reduce", [
+        ("sum", np.sum), ("count", lambda m, axis: np.full(m.shape[1 - axis], m.shape[axis])),
+        ("avg", np.mean), ("min", np.min), ("max", np.max),
+    ], ids=["sum", "count", "avg", "min", "max"])
+    def test_aggregate_matches_numpy_on_an_irregular_grid(self, rng, function, reduce, along):
+        # Non-zero starts and chunk sizes that do not divide the extents: the
+        # result is indexed by offset from the grouping dimension's start.
+        matrix = rng.random((11, 7))
+        array = _array_at(matrix, (10, 5), (4, 3))
+        collapsed = 1 if along == "d0" else 0
+        np.testing.assert_allclose(ops.aggregate(array, "value", function, along=along),
+                                   reduce(matrix, axis=collapsed), rtol=1e-12)
 
 
 class TestArrayLinalg:
@@ -217,6 +209,19 @@ class TestArrayLinalg:
         dense = linalg.to_scalapack(array)
         np.testing.assert_allclose(dense, matrix)
         assert dense.flags.c_contiguous and dense.flags.writeable
+
+    def test_a_missing_chunk_reads_as_zeros_in_every_product(self, rng):
+        matrix = rng.random((11, 7))
+        array = _array_at(matrix, (10, 5), (4, 3), missing={(1, 1)})
+        filled = matrix.copy()
+        filled[4:8, 3:6] = 0.0  # chunk (1, 1)
+        np.testing.assert_array_equal(array.to_dense(), filled)
+        right = rng.random((7, 2))
+        np.testing.assert_allclose(array.matmat(right), filled @ right, atol=1e-12)
+        np.testing.assert_allclose(array.gram(), filled.T @ filled, atol=1e-12)
+        # The column means count the missing cells, as zeros, over all rows.
+        centred = filled - filled.mean(axis=0)
+        np.testing.assert_allclose(array.gram(center=True), centred.T @ centred, atol=1e-12)
 
 
 #: How one axis of the gather battery is selected, given the axis length.
@@ -231,16 +236,15 @@ _SELECTIONS = {
 
 
 def _battery_array(ndim: int, rng) -> ChunkedArray:
-    """Non-zero starts, chunk sizes that do not divide the extents, one
-    missing chunk and a partial mask on the rest."""
+    """Non-zero starts, chunk sizes that do not divide the extents and one
+    missing chunk."""
     shape, starts, chunks = ((11, 7), (10, 5), (4, 3)) if ndim == 2 else ((13,), (3,), (5,))
     missing = {(1, 1)} if ndim == 2 else {(1,)}
-    return _array_at(rng.random(shape), starts, chunks, mask=rng.random(shape) > 0.3,
-                     missing=missing)
+    return _array_at(rng.random(shape), starts, chunks, missing=missing)
 
 
 class TestSubarrayGather:
-    """The dense array is the oracle: ``to_dense(fill)[np.ix_(...)]``."""
+    """The dense array is the oracle: ``to_dense()[np.ix_(...)]``."""
 
     @pytest.mark.parametrize("kinds", [(kind,) for kind in _SELECTIONS]
                              + [(row, column) for row in _SELECTIONS for column in _SELECTIONS])
@@ -249,7 +253,7 @@ class TestSubarrayGather:
         selections = [_SELECTIONS[kind](length, rng) for kind, length in zip(kinds, array.shape, strict=True)]
         kept = [np.arange(length) if s is None else s[(s >= 0) & (s < length)]
                 for s, length in zip(selections, array.shape, strict=True)]
-        expected = array.to_dense(fill=0.0)[np.ix_(*kept)]
+        expected = array.to_dense()[np.ix_(*kept)]
         result = ops.subarray(array, selections)
         assert [d.chunk_size for d in result.schema.dimensions] == \
             [d.chunk_size for d in array.schema.dimensions]

@@ -564,16 +564,3 @@ class TestRLangBridge:
         np.testing.assert_array_equal(
             optimized[0], tiny_dataset.expression_matrix[np.flatnonzero(mask), :]
         )
-
-    def test_group_aggregate_contract(self):
-        frames = {
-            "t": DataFrame({
-                "k": np.array([2, 1, 2, 1, 3]),
-                "v": np.array([1.0, 2.0, 3.0, 4.0, 5.0]),
-            })
-        }
-        from repro.plan import Aggregate
-
-        keys, values = run_r_plan(Aggregate(Scan("t"), "k", "v", "mean"), frames)
-        np.testing.assert_array_equal(keys, [1, 2, 3])
-        np.testing.assert_allclose(values, [3.0, 2.0, 5.0])

@@ -51,6 +51,10 @@ from repro.plan.logical import Aggregate, ApproxAggregate, Filter, Pivot, Scan
 COLUMNS = ("rid", "grp", "run", "val")
 
 
+class WriterFailed(RuntimeError):
+    """Raised by a patched write step on purpose."""
+
+
 def _seed_arrays(n: int, seed: int) -> dict[str, np.ndarray]:
     rng = np.random.default_rng(seed)
     return {
@@ -173,6 +177,66 @@ class TestDeltaStoreBasics:
             write(store)
         assert observed() == before
         assert store.snapshot("events").version == before[0]
+
+    @staticmethod
+    def _written_store():
+        """A store with a tail and a deletion, its delta store, and a reader
+        of the state, a held snapshot's included, that a failed write must
+        not move."""
+        store = _store_with(_sealed_four_encodings(10, seed=1))
+        store.append("events", _seed_arrays(3, seed=2))
+        store.delete("events", [4])
+        delta, held = store.writable("events"), store.snapshot("events")
+
+        def observed():
+            return (delta.version, delta.generation, delta.tail_rows,
+                    delta.deleted_count, held.row_count, held.version)
+
+        return store, delta, observed
+
+    @staticmethod
+    def _assert_unlocked_and_writable(store, delta, version):
+        assert not delta._lock.locked()  # released: the next writer proceeds
+        assert store.append("events", _seed_arrays(1, seed=4)) == version + 1
+
+    @pytest.mark.parametrize("write", [
+        lambda store: store.append("events", _seed_arrays(2, seed=3)),
+        lambda store: store.delete("events", [0]),
+        lambda store: store.compact("events"),
+    ], ids=["append", "delete", "compact"])
+    def test_a_writer_failing_before_its_publish_changes_nothing(self, write, monkeypatch):
+        store, delta, observed = self._written_store()
+        built = []
+
+        def failing_publish(self, state):
+            built.append(state.version)
+            raise WriterFailed("died between building and publishing")
+
+        monkeypatch.setattr(DeltaStore, "_publish", failing_publish)
+        before = observed()
+        with pytest.raises(WriterFailed):
+            write(store)
+        assert built == [before[0] + 1]  # the new state was built, once
+        assert observed() == before
+        monkeypatch.undo()
+        self._assert_unlocked_and_writable(store, delta, before[0])
+
+    def test_compaction_failing_mid_build_changes_nothing(self, monkeypatch):
+        store, delta, observed = self._written_store()
+        calls = []
+
+        def failing_from_arrays(cls, *args, **kwargs):
+            calls.append(args[0])
+            raise WriterFailed("died while resealing")
+
+        monkeypatch.setattr(ColumnTable, "from_arrays", classmethod(failing_from_arrays))
+        before = observed()
+        with pytest.raises(WriterFailed):
+            store.compact("events")
+        assert calls == ["events"]
+        assert observed() == before
+        monkeypatch.undo()
+        self._assert_unlocked_and_writable(store, delta, before[0])
 
     def test_delete_validates_range_and_is_idempotent(self):
         store = _store_with(_sealed_four_encodings(10, seed=1))

@@ -119,6 +119,8 @@ def five_backends() -> dict:
 
 
 ENGINES = ("colstore", "postgres", "scidb", "hadoop", "vanilla-r")
+#: The engines a GenBase query sends an exact ``Aggregate`` (Q5's mean).
+AGGREGATE_ENGINES = ("colstore", "scidb")
 
 
 @pytest.fixture(scope="module")
@@ -155,8 +157,11 @@ def _patient_ids(engine: str, relation) -> np.ndarray:
     return relation  # scidb: a metadata subtree answers with its coordinates
 
 
-@pytest.mark.parametrize("shape", CASES)
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize(("engine", "shape"), [
+    pytest.param(engine, shape, id=f"{engine}-{shape}")
+    for engine in ENGINES for shape in CASES
+    if shape != "aggregate" or engine in AGGREGATE_ENGINES
+])
 class TestExecutorContract:
     def test_optimizer_never_changes_the_answer(self, backends, engine, shape):
         plan, expected, _rows, _cells = CASES[shape]
@@ -361,6 +366,45 @@ class TestApproxAggregateIsColumnStoreOnly:
         for optimized in (True, False):
             with pytest.raises(TypeError, match="ApproxAggregate"):
                 backends[engine](self.plan, optimized=optimized)
+
+
+class TestExactAggregateIsColumnStoreAndArrayOnly:
+    @pytest.mark.parametrize("function", AGGREGATE_FUNCTIONS)
+    @pytest.mark.parametrize("engine", AGGREGATE_ENGINES)
+    def test_answers_match_numpy(self, backends, engine, function):
+        young = MATRIX[YOUNG]
+        expected = {
+            "count": np.full(N_GENES, float(len(young))),
+            "sum": young.sum(axis=0),
+            "mean": young.mean(axis=0),
+            "min": young.min(axis=0),
+            "max": young.max(axis=0),
+        }[function]
+        plan = Aggregate(_JOINED, "gene_id", "value", function)
+        for optimized in (True, False):
+            keys, values = backends[engine](plan, optimized=optimized)
+            np.testing.assert_array_equal(keys, np.arange(N_GENES))
+            np.testing.assert_allclose(values, expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("plan", [
+        Aggregate(_JOINED, "missing", "value", "mean"),
+        Aggregate(_JOINED, "gene_id", "missing", "mean"),
+    ], ids=["group", "value"])
+    @pytest.mark.parametrize("engine", AGGREGATE_ENGINES)
+    def test_unknown_column_raises_naming_it(self, backends, engine, plan):
+        # Optimized, the verifier refuses the plan; unoptimized, the engine's
+        # own lookup does.  Either way the error names the column.
+        for optimized in (True, False):
+            with pytest.raises((KeyError, PlanVerificationError), match="'missing'"):
+                backends[engine](plan, optimized=optimized)
+
+    @pytest.mark.parametrize("engine", sorted(set(ENGINES) - set(AGGREGATE_ENGINES)))
+    def test_other_backends_reject_it_by_name(self, backends, engine):
+        plan = CASES["aggregate"][0]
+        message = f"cannot execute plan node Aggregate on the {engine} executor"
+        for optimized in (True, False):
+            with pytest.raises(TypeError, match=f"^{message}$"):
+                backends[engine](plan, optimized=optimized)
 
 
 class TestSampleIsColumnStoreOnly:

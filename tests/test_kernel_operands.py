@@ -26,7 +26,6 @@ import pytest
 
 import kernel_pins
 from repro.arraydb import ChunkedArray, linalg as array_linalg
-from repro.arraydb.chunk import Chunk
 from repro.cluster import Cluster, DistributedMatrix, ScaLAPACK
 from repro.linalg import naive
 from repro.linalg.covariance import covariance, covariance_matrix
@@ -274,22 +273,6 @@ class TestOperandSpecifics:
             vector.gram()
         with pytest.raises(ValueError):
             kernel_pins.distributed(Cluster(2), rng.random(5))
-
-    def test_fully_masked_chunk_reads_as_zeros_and_stays_out_of_the_means(self, matrix, rng):
-        array = _chunked(matrix)
-        hidden = array.chunk_at((1, 2))  # rows 16:32, columns 16:24
-        array.put_chunk(Chunk(hidden.coordinates, hidden.origin, hidden.data,
-                              mask=np.zeros(hidden.shape, dtype=bool)))
-        filled = matrix.copy()
-        filled[16:32, 16:24] = 0.0
-        right = rng.random((30, 4))
-        np.testing.assert_allclose(array.matmat(right), filled @ right, atol=1e-10)
-        np.testing.assert_allclose(array.gram(), filled.T @ filled, atol=1e-9)
-        # Column means are over the non-empty cells; empty cells then read as 0.
-        counts = np.full(30, 45.0)
-        counts[16:24] -= 16
-        centred = filled - filled.sum(axis=0) / counts
-        np.testing.assert_allclose(array.gram(center=True), centred.T @ centred, atol=1e-9)
 
     def test_distributed_products_charge_the_network_per_call(self, matrix, rng):
         distributed = kernel_pins.distributed(Cluster(4), matrix)

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.mapreduce import HiveSession, HiveTable, Mahout, MapReduceEngine, MapReduceJob
-from repro.plan import col
+from repro.mapreduce.bridge import estimate_shuffle_bytes
+from repro.plan import Aggregate, Filter, Pivot, Scan, col
 
 
 def word_count_job() -> MapReduceJob:
@@ -132,19 +133,18 @@ class TestHive:
         assert len(joined) == 2 * 3
         assert joined.columns == ("gene_id", "gene_id_right", "patient_id", "value")
 
-    def test_group_by_aggregates(self, session, micro):
-        for aggregate, expected in [
-            ("count", 3.0),
-            ("sum", 0.0 + 1.0 + 2.0),
-            ("avg", 1.0),
-            ("min", 0.0),
-            ("max", 2.0),
-        ]:
-            result = session.group_by(micro, "gene_id", "value", aggregate)
-            lookup = dict(result.rows)
-            assert lookup[0] == pytest.approx(expected)
-        with pytest.raises(ValueError):
-            session.group_by(micro, "gene_id", "value", "median")
+    def test_shuffle_estimate_covers_the_jobs_hive_runs(self, micro):
+        # A Pivot runs driver-side over its input's job, so it estimates
+        # what that job shuffles; Hive runs no exact Aggregate, so there is
+        # no job to predict.
+        selected = Filter(Scan("micro"), col("value") > 5)
+        tables = {"micro": micro}
+        scanned = estimate_shuffle_bytes(selected, tables)
+        assert scanned > 0
+        assert estimate_shuffle_bytes(
+            Pivot(selected, "patient_id", "gene_id", "value"), tables) == scanned
+        assert estimate_shuffle_bytes(
+            Aggregate(selected, "gene_id", "value", "mean"), tables) is None
 
 
 class TestMahout:

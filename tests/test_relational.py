@@ -15,7 +15,6 @@ from repro.relational import (
     default_madlib_registry,
 )
 from repro.plan import (
-    Aggregate,
     Filter as PlanFilter,
     Join,
     Pivot,
@@ -23,16 +22,13 @@ from repro.plan import (
     Scan,
     optimize,
 )
-from repro.plan.logical import AGGREGATE_FUNCTIONS
 from repro.relational.bridge import RelationalBackend, run_shared_plan
 from repro.relational.operators import (
     Filter,
-    HashAggregate,
     HashJoin,
     Operator,
     Project,
     SeqScan,
-    Sort,
     explain,
     hash_join,
 )
@@ -211,56 +207,6 @@ class TestOperators:
         assert len(rows) == 3
         assert {row[0] for row in rows} == {1, 3}
 
-    def test_sort_ascending_descending(self, people_table):
-        ascending = Sort(SeqScan(people_table), ["score"]).rows()
-        descending = Sort(SeqScan(people_table), ["score"], descending=True).rows()
-        assert [row[0] for row in ascending] == [2, 3, 1, 4]
-        assert [row[0] for row in descending] == [4, 1, 3, 2]
-
-    def test_hash_aggregate(self, people_table):
-        plan = HashAggregate(
-            SeqScan(people_table),
-            group_by=[],
-            aggregates=[("count", "id", "n"), ("avg", "score", "avg_score"),
-                        ("min", "score", "lo"), ("max", "score", "hi"),
-                        ("sum", "score", "total")],
-        )
-        (row,) = plan.rows()
-        assert row == (4, pytest.approx(2.75), 1.0, 4.0, pytest.approx(11.0))
-
-    def test_aggregate_with_groups(self):
-        rows = RowSource([(1, 1), (1, 2), (2, 3), (1, 4)],
-                         _schema([("bucket", ColumnType.INT), ("id", ColumnType.INT)]))
-        plan = HashAggregate(rows, group_by=["bucket"], aggregates=[("count", "id", "n")])
-        assert plan.rows() == [(1, 3), (2, 1)]
-
-    def test_aggregate_unknown_function(self, people_table):
-        with pytest.raises(ValueError):
-            HashAggregate(SeqScan(people_table), [], [("median", "score", "m")])
-
-    @pytest.mark.parametrize("function, expected", [
-        ("count", [(1, 3), (2, 1)]),
-        ("sum", [(1, 7.0), (2, 3.0)]),
-        ("min", [(1, 1), (2, 3)]),
-        ("max", [(1, 4), (2, 3)]),
-        ("avg", [(1, pytest.approx(7 / 3)), (2, 3.0)]),
-    ])
-    def test_grouped_aggregate_functions(self, function, expected):
-        rows = RowSource([(1, 1), (1, 2), (2, 3), (1, 4)],
-                         _schema([("bucket", ColumnType.INT), ("id", ColumnType.INT)]))
-        plan = HashAggregate(rows, group_by=["bucket"], aggregates=[(function, "id", "v")])
-        assert plan.output_schema.names == ("bucket", "v")
-        assert plan.rows() == expected
-
-    @pytest.mark.parametrize("descending, expected", [
-        (False, [(0, "a"), (1, "a"), (1, "b")]),
-        (True, [(1, "b"), (1, "a"), (0, "a")]),
-    ])
-    def test_sort_on_two_keys(self, descending, expected):
-        rows = RowSource([(1, "b"), (0, "a"), (1, "a")],
-                         _schema([("x", ColumnType.INT), ("y", ColumnType.STRING)]))
-        assert Sort(rows, ["x", "y"], descending=descending).rows() == expected
-
     def test_hash_join_without_matches_is_empty(self, people_table):
         bonuses = RowSource([(9, 1.0)], _schema([("person_id", ColumnType.INT),
                                                  ("bonus", ColumnType.FLOAT)]))
@@ -274,18 +220,18 @@ class TestOperators:
             Project(SeqScan(people_table), ["id", "missing"])
 
     def test_explain_renders_every_operator(self, people_table):
-        plan = Sort(
-            HashAggregate(
-                Project(Filter(SeqScan(people_table), col("score") > lit(1.5)),
-                        ["id", "score"]),
-                ["id"], [("sum", "score", "s")]),
-            ["s"], descending=True)
+        bonuses = RowSource([(1, 10.0)], _schema([("person_id", ColumnType.INT),
+                                                  ("bonus", ColumnType.FLOAT)]))
+        plan = Project(
+            HashJoin(bonuses, Filter(SeqScan(people_table), col("score") > lit(1.5)),
+                     "person_id", "id"),
+            ["name", "bonus"])
         assert explain(plan).splitlines() == [
-            "Sort ['s'] desc=True",
-            "  HashAggregate group_by=['id'] aggs=[('sum', 'score', 's')]",
-            "    Project ['id', 'score']",
-            "      Filter (col('score') > lit(1.5))",
-            "        SeqScan people (4 rows)",
+            "Project ['name', 'bonus']",
+            "  HashJoin person_id = id",
+            "    RowSource",
+            "    Filter (col('score') > lit(1.5))",
+            "      SeqScan people (4 rows)",
         ]
 
 
@@ -333,23 +279,6 @@ class TestSharedPlansOnTheRowStore:
         assert result.schema.names == ("id", "a", "a_right")
         assert result.rows == [(1, 10, 7)]
 
-    @pytest.mark.parametrize("function", AGGREGATE_FUNCTIONS)
-    def test_aggregate_terminal_matches_the_dense_matrix(self, genbase_db,
-                                                         tiny_dataset, function):
-        keys, values = run_shared_plan(
-            Aggregate(Scan("microarray"), "gene_id", "expression_value", function),
-            genbase_db)
-        matrix = tiny_dataset.expression_matrix
-        np.testing.assert_array_equal(keys, np.arange(tiny_dataset.n_genes))
-        expected = {
-            "count": np.full(tiny_dataset.n_genes, float(tiny_dataset.n_patients)),
-            "sum": matrix.sum(axis=0),
-            "mean": matrix.mean(axis=0),
-            "min": matrix.min(axis=0),
-            "max": matrix.max(axis=0),
-        }[function]
-        np.testing.assert_allclose(values, expected, rtol=1e-12)
-
     def test_pivot_terminal_over_a_join(self, genbase_db, tiny_dataset):
         genes = PlanProject(PlanFilter(Scan("genes"), col("function") < lit(10)), ("gene_id",))
         matrix, patients, gene_ids = run_shared_plan(
@@ -366,11 +295,9 @@ class TestSharedPlansOnTheRowStore:
         PlanProject(Scan("genes"), ("gene_id", "missing")),
         Join(Scan("genes"), Scan("microarray"), "missing", "gene_id"),
         Join(Scan("genes"), Scan("microarray"), "gene_id", "missing"),
-        Aggregate(Scan("microarray"), "missing", "expression_value", "count"),
-        Aggregate(Scan("microarray"), "gene_id", "missing", "mean"),
         Pivot(Scan("microarray"), "patient_id", "gene_id", "missing"),
     ], ids=["filter", "project", "join-left-key", "join-right-key",
-            "aggregate-group", "aggregate-value", "pivot-value"])
+            "pivot-value"])
     def test_unknown_column_raises_naming_it(self, genbase_db, plan):
         for optimized in (True, False):
             with pytest.raises((KeyError, TypeError), match="missing"):
