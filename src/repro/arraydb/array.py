@@ -174,10 +174,16 @@ class ChunkedArray:
         return result
 
     def gram(self, center: bool = False) -> np.ndarray:
-        """``AᵀA`` (optionally of the column-centred array), chunk-wise.
+        """``AᵀA`` (optionally of the column-centred array), one SYRK per row panel.
 
-        The accumulation loops over *row bands* of chunks so no full dense
-        copy of ``A`` is ever built; each band contributes ``bandᵀ band``.
+        A panel stacks row bands of chunks (unstored ones read as zeros) until
+        it holds at least ``n_cols`` rows, so it never outweighs the Gram it
+        feeds by more than one band.
+
+        >>> matrix = np.arange(30.0).reshape(6, 5) % 7  # 3 bands of 2 rows, 2 panels
+        >>> array = ChunkedArray.from_dense("a", matrix, ["i", "j"], chunk_sizes=[2, 3])
+        >>> bool(np.array_equal(array.gram(), matrix.T @ matrix))
+        True
         """
         n_rows, n_cols = self._matrix_shape()
         column_means = np.zeros(n_cols)
@@ -186,16 +192,17 @@ class ChunkedArray:
                 column_means[cols] += block.sum(axis=0)
             column_means /= n_rows
 
-        gram = np.zeros((n_cols, n_cols))
-        # Group chunks by their row-band so each band is assembled once.
-        bands: dict[int, list] = {}
+        band_height = self.schema.dimensions[0].chunk_size
+        panel_height = band_height * math.ceil(n_cols / band_height)
+        panels: dict[int, list] = {}
         for block, rows, cols in self._matrix_chunks():
-            bands.setdefault(rows.start, []).append((block, cols))
-        for band_blocks in bands.values():
-            band = np.zeros((band_blocks[0][0].shape[0], n_cols))
-            for block, cols in band_blocks:
-                band[:, cols] = block
+            panels.setdefault(rows.start // panel_height, []).append((block, rows, cols))
+        gram = np.zeros((n_cols, n_cols))
+        for panel_start in range(0, n_rows, panel_height):
+            panel = np.zeros((min(panel_height, n_rows - panel_start), n_cols))
+            for block, rows, cols in panels.get(panel_start // panel_height, ()):
+                panel[rows.start - panel_start:rows.stop - panel_start, cols] = block
             if center:
-                band = band - column_means
-            gram += band.T @ band
+                panel -= column_means
+            gram += panel.T @ panel
         return gram

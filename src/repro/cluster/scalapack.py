@@ -67,6 +67,8 @@ class DistributedMatrix:
         """``AᵀA`` (pdgemm-style): per-node Gram partials, all-reduced.
 
         Centring costs one more pass and all-reduce for the column means.
+        The one operand whose Gram may be asymmetric: GEMM, unlike SYRK, does
+        not mirror a triangle, so the halves can round apart (Q2's at ``medium`` do).
         """
         n_columns = self.n_columns
         means = self._column_means() if center else None
@@ -101,8 +103,11 @@ class ScaLAPACK:
         self.cluster = cluster
 
     def covariance(self, matrix: DistributedMatrix, ddof: int = 1) -> np.ndarray:
-        """Distributed column covariance (pdgemm-style partial Gram reduce)."""
-        return covariance(matrix, ddof)
+        """Distributed column covariance (pdgemm-style partial Gram reduce).
+
+        Symmetrised here, because :meth:`DistributedMatrix.gram` may not be."""
+        cov = covariance(matrix, ddof)
+        return (cov + cov.T) / 2.0
 
     def linear_regression(self, features: DistributedMatrix, target: DistributedMatrix) -> RegressionResult:
         """Distributed OLS via reduced normal equations.

@@ -15,9 +15,10 @@ implement as their reference method.
 
 Supported domain: a finite float64 matrix (a non-finite cell raises
 ``ValueError``); a matrix smaller than ``min_rows × min_cols`` has no
-bicluster.  Each deletion round computes the residue matrix of the current
-block once (:func:`_residues`) and reads the MSR, the row scores and the
-column scores off it.
+bicluster.  The steps carry the current block of ``rows × cols`` and
+shrink it as rows and columns leave; each deletion round computes its
+residue matrix once, in one buffer (:func:`_residues`), and reads the MSR,
+the row scores and the column scores off it.
 """
 
 from __future__ import annotations
@@ -75,116 +76,107 @@ def mean_squared_residue(block: np.ndarray) -> float:
 
 def _residues(block: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """The block's MSR and its per-row and per-column means, from one residue matrix."""
-    row_means = block.mean(axis=1, keepdims=True)
-    col_means = block.mean(axis=0, keepdims=True)
-    squared = (block - row_means - col_means + block.mean()) ** 2
+    squared = block - block.mean(axis=1, keepdims=True)
+    squared -= block.mean(axis=0, keepdims=True)
+    squared += block.mean()
+    np.square(squared, out=squared)
     return float(squared.mean()), squared.mean(axis=1), squared.mean(axis=0)
 
 
 def _single_node_deletion(
-    matrix: np.ndarray,
+    block: np.ndarray,
     rows: np.ndarray,
     cols: np.ndarray,
     delta: float,
     min_rows: int,
     min_cols: int,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Greedily delete the worst row/column until the MSR drops below delta."""
-    rows = rows.copy()
-    cols = cols.copy()
     while len(rows) > min_rows and len(cols) > min_cols:
-        msr, row_res, col_res = _residues(matrix[np.ix_(rows, cols)])
+        msr, row_res, col_res = _residues(block)
         if msr <= delta:
             break
         worst_row = int(np.argmax(row_res))
         worst_col = int(np.argmax(col_res))
-        if row_res[worst_row] >= col_res[worst_col] and len(rows) > min_rows:
+        if row_res[worst_row] >= col_res[worst_col]:
             rows = np.delete(rows, worst_row)
-        elif len(cols) > min_cols:
-            cols = np.delete(cols, worst_col)
+            block = np.delete(block, worst_row, axis=0)
         else:
-            rows = np.delete(rows, worst_row)
-    return rows, cols
+            cols = np.delete(cols, worst_col)
+            block = np.delete(block, worst_col, axis=1)
+    return block, rows, cols
 
 
 def _multiple_node_deletion(
-    matrix: np.ndarray,
+    block: np.ndarray,
     rows: np.ndarray,
     cols: np.ndarray,
     delta: float,
     alpha: float,
     min_rows: int,
     min_cols: int,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Delete all rows/columns whose residue exceeds ``alpha * MSR`` at once.
 
     This is the speed-up phase Cheng & Church use for large matrices; it
     converges much faster than single deletion and the benchmark matrices
     are large enough for it to matter.
     """
-    rows = rows.copy()
-    cols = cols.copy()
     changed = True
     while changed and len(rows) > min_rows and len(cols) > min_cols:
         changed = False
-        msr, row_res, col_res = _residues(matrix[np.ix_(rows, cols)])
+        msr, row_res, col_res = _residues(block)
         if msr <= delta:
             break
         keep_rows = row_res <= alpha * msr
         if keep_rows.sum() >= min_rows and not keep_rows.all():
             rows = rows[keep_rows]
+            block = block[keep_rows]
             changed = True
             # The column scores are of the block the rows just left.
-            msr, _, col_res = _residues(matrix[np.ix_(rows, cols)])
+            msr, _, col_res = _residues(block)
             if msr <= delta:
                 break
         keep_cols = col_res <= alpha * msr
         if keep_cols.sum() >= min_cols and not keep_cols.all():
             cols = cols[keep_cols]
+            # compress keeps the block C-ordered (a boolean column index
+            # would not), so every mean sums in the order a gather would.
+            block = block.compress(keep_cols, axis=1)
             changed = True
-    return rows, cols
+    return block, rows, cols
 
 
 def _node_addition(
     matrix: np.ndarray,
+    block: np.ndarray,
     rows: np.ndarray,
     cols: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Add back rows/columns whose residue is below the block MSR."""
-    all_rows = np.arange(matrix.shape[0])
-    all_cols = np.arange(matrix.shape[1])
-
-    block = matrix[np.ix_(rows, cols)]
-    msr = mean_squared_residue(block)
-
     # Column addition.
-    col_candidates = np.setdiff1d(all_cols, cols, assume_unique=False)
+    col_candidates = np.setdiff1d(np.arange(matrix.shape[1]), cols)
     if len(col_candidates):
         sub = matrix[np.ix_(rows, col_candidates)]
-        row_means = matrix[np.ix_(rows, cols)].mean(axis=1, keepdims=True)
-        col_means = sub.mean(axis=0, keepdims=True)
-        overall = matrix[np.ix_(rows, cols)].mean()
-        residues = ((sub - row_means - col_means + overall) ** 2).mean(axis=0)
-        additions = col_candidates[residues <= msr]
+        residues = ((sub - block.mean(axis=1, keepdims=True) - sub.mean(axis=0, keepdims=True)
+                     + block.mean()) ** 2).mean(axis=0)
+        additions = col_candidates[residues <= mean_squared_residue(block)]
         if len(additions):
             cols = np.sort(np.concatenate([cols, additions]))
-
-    block = matrix[np.ix_(rows, cols)]
-    msr = mean_squared_residue(block)
+            block = matrix[np.ix_(rows, cols)]
 
     # Row addition.
-    row_candidates = np.setdiff1d(all_rows, rows, assume_unique=False)
+    row_candidates = np.setdiff1d(np.arange(matrix.shape[0]), rows)
     if len(row_candidates):
         sub = matrix[np.ix_(row_candidates, cols)]
-        col_means = matrix[np.ix_(rows, cols)].mean(axis=0, keepdims=True)
-        row_means = sub.mean(axis=1, keepdims=True)
-        overall = matrix[np.ix_(rows, cols)].mean()
-        residues = ((sub - row_means - col_means + overall) ** 2).mean(axis=1)
-        additions = row_candidates[residues <= msr]
+        residues = ((sub - sub.mean(axis=1, keepdims=True) - block.mean(axis=0, keepdims=True)
+                     + block.mean()) ** 2).mean(axis=1)
+        additions = row_candidates[residues <= mean_squared_residue(block)]
         if len(additions):
             rows = np.sort(np.concatenate([rows, additions]))
+            block = matrix[np.ix_(rows, cols)]
 
-    return rows, cols
+    return block, rows, cols
 
 
 def cheng_church(
@@ -236,20 +228,15 @@ def cheng_church(
 
     result = BiclusteringResult()
     for _ in range(n_biclusters):
-        rows = np.arange(n_rows)
-        cols = np.arange(n_cols)
-        rows, cols = _multiple_node_deletion(
-            working, rows, cols, delta=delta, alpha=alpha,
+        block, rows, cols = _multiple_node_deletion(
+            working, np.arange(n_rows), np.arange(n_cols), delta=delta, alpha=alpha,
             min_rows=min_rows, min_cols=min_cols,
         )
-        rows, cols = _single_node_deletion(
-            working, rows, cols, delta=delta, min_rows=min_rows, min_cols=min_cols,
+        block, rows, cols = _single_node_deletion(
+            block, rows, cols, delta=delta, min_rows=min_rows, min_cols=min_cols,
         )
-        rows, cols = _node_addition(working, rows, cols)
-        block = working[np.ix_(rows, cols)]
-        result.biclusters.append(
-            Bicluster(rows=rows.copy(), columns=cols.copy(), msr=mean_squared_residue(block))
-        )
+        block, rows, cols = _node_addition(working, block, rows, cols)
+        result.biclusters.append(Bicluster(rows=rows, columns=cols, msr=mean_squared_residue(block)))
         # Mask the discovered bicluster with uniform noise so later rounds
         # find different structure (the standard Cheng–Church masking step).
         noise = rng.uniform(value_min, value_max, size=block.shape)

@@ -7,8 +7,8 @@ step is the ``genes × genes`` covariance matrix — the ``S × Sᵀ``-style
 computation the paper's Wall Street example motivates.
 
 The kernel is written once, over an operand (:mod:`repro.linalg.operand`):
-:func:`covariance` asks it for the centred Gram matrix and does the rest.  On
-the dense operand that is one GEMM, the "do it with BLAS" strategy; the
+:func:`covariance` asks it for the centred Gram matrix and divides.  On the
+dense operand that is one SYRK, the "do it with BLAS" strategy; the
 deliberately slow per-pair loop lives in :mod:`repro.linalg.naive`.
 """
 
@@ -28,7 +28,8 @@ def covariance(operand, ddof: int = 1) -> np.ndarray:
         ddof: delta degrees of freedom (1 gives the unbiased estimator).
 
     Returns:
-        ``(n_features, n_features)`` symmetric covariance matrix.
+        ``(n_features, n_features)`` covariance matrix, as symmetric as the
+        operand's Gram (the dense and chunked ones are SYRK, so exactly).
 
     Raises:
         ValueError: when ``n_samples - ddof <= 0`` (which covers no samples).
@@ -38,9 +39,7 @@ def covariance(operand, ddof: int = 1) -> np.ndarray:
         raise ValueError(
             f"need more than {ddof} samples for ddof={ddof}, got {n_samples}"
         )
-    cov = operand.gram(center=True) / (n_samples - ddof)
-    # Enforce exact symmetry (GEMM rounding can leave ~1e-17 asymmetry).
-    return (cov + cov.T) / 2.0
+    return operand.gram(center=True) / (n_samples - ddof)
 
 
 def covariance_matrix(matrix: np.ndarray, ddof: int = 1) -> np.ndarray:

@@ -12,11 +12,11 @@ Both are one pass over the data and neither kernel asks for more than one of
 each: the covariance is a centred Gram, the SVD iterates on the Gram matrix.
 
 Three classes do: :class:`DenseOperand` here (one BLAS call per method),
-:class:`repro.arraydb.array.ChunkedArray` (streams its chunks, never
-densifies) and :class:`repro.cluster.scalapack.DistributedMatrix` (per-node
-partials plus a charged collective).  The engines differ in which operand
-they hand the kernel and in who is charged for its products — not in the
-algorithm.  The protocol is duck-typed: there is no base class to inherit.
+:class:`repro.arraydb.array.ChunkedArray` (streams its chunks, in row
+panels no taller than it is wide plus one band) and
+:class:`repro.cluster.scalapack.DistributedMatrix` (per-node partials plus a
+charged collective).  The engines differ in which operand they hand the
+kernel and in who is charged for its products — not in the algorithm.  The protocol is duck-typed: there is no base class to inherit.
 """
 
 from __future__ import annotations

@@ -11,8 +11,11 @@ in use.  ``tests/data/kernel_pins.json`` is this script's output::
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/kernel_pins.py \\
         > tests/data/kernel_pins.json
 
-recorded at the commit that made Lanczos run on the Gram matrix; against a
-clone of its parent only the Q4 rows differ (CHANGES.md, PR 22), and
+last recorded at the commit that made the array Gram run in row panels;
+against a clone of its parent only the ``"chunked"`` rows at ``large`` and
+``xlarge`` differ (covariance and the Q4 triplets: the sizes where a panel
+stacks more than one 128-row band).  The recording before it, at the commit
+that made Lanczos run on the Gram matrix, moved only the Q4 rows.
 ``test_kernel_operands.py`` runs it on this tree.  It imports only entry
 points both sides have.
 """

@@ -223,6 +223,37 @@ class TestArrayLinalg:
         centred = filled - filled.mean(axis=0)
         np.testing.assert_allclose(array.gram(center=True), centred.T @ centred, atol=1e-12)
 
+    @pytest.mark.parametrize("n_rows, n_cols, panels", [
+        (12, 5, [8, 4]),     # rows an exact multiple of the band height
+        (13, 5, [8, 5]),     # a 1-row last band, inside the last panel
+        (9, 4, [4, 4, 1]),   # n_cols = band height: each band is its own panel
+        (9, 3, [4, 4, 1]),   # n_cols < band height: each band is its own panel
+        (3, 7, [3]),         # one band, shorter than the chunk height
+    ])
+    def test_gram_adds_one_product_per_panel(self, rng, n_rows, n_cols, panels):
+        # Bands of 4 rows stack into panels of at least n_cols rows; the bytes
+        # are those of one ``panelᵀ panel`` per panel, added in order.
+        matrix = rng.standard_normal((n_rows, n_cols))
+        array = _array_at(matrix, (10, 5), (4, 3))
+        expected = np.zeros((n_cols, n_cols))
+        for panel in np.split(matrix, np.cumsum(panels)[:-1]):
+            expected += panel.T @ panel
+        np.testing.assert_array_equal(array.gram(), expected)
+        centred = matrix - matrix.mean(axis=0)
+        np.testing.assert_allclose(array.gram(center=True), centred.T @ centred, atol=1e-12)
+
+    def test_unstored_bands_read_as_zeros_inside_and_as_a_whole_panel(self, rng):
+        # 13 × 5 in 4 × 3 chunks: panels are rows 0–7 and 8–12.  Row band 1
+        # is missing inside the first panel, bands 2 and 3 make the second.
+        matrix = rng.standard_normal((13, 5))
+        missing = {(band, col) for band in (1, 2, 3) for col in (0, 1)}
+        array = _array_at(matrix, (0, 0), (4, 3), missing=missing)
+        filled = matrix.copy()
+        filled[4:] = 0.0
+        np.testing.assert_allclose(array.gram(), filled.T @ filled, atol=1e-12)
+        centred = filled - filled.mean(axis=0)
+        np.testing.assert_allclose(array.gram(center=True), centred.T @ centred, atol=1e-12)
+
 
 #: How one axis of the gather battery is selected, given the axis length.
 _SELECTIONS = {

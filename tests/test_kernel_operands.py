@@ -3,8 +3,9 @@
 * ``TestKernelPins`` — this tree's kernel bytes (``kernel_pins.py``) against
   ``tests/data/kernel_pins.json``: Q2 covariance and Q4 triplets per operand,
   and the driver-side kernels (Q1 fit, Q2 top pairs, Q3 membership, Q5 p and
-  z).  Everything but the Q4 rows is what a clone of the commit before the
-  kernels stopped looping in Python prints.  Bytes depend on the BLAS build
+  z).  Everything but the Q4 rows and the ``"chunked"`` rows at ``large``
+  and ``xlarge`` is what a clone of the commit before the kernels stopped
+  looping in Python prints.  Bytes depend on the BLAS build
   and its thread count, so the pins are computed in a child interpreter on
   one BLAS thread and the test skips when the canary product hashes
   differently from the recording host's.
@@ -236,6 +237,43 @@ class TestOperandContract:
             covariance(OPERANDS[kind](empty), ddof=1)
         with pytest.raises(ValueError, match=r"cannot compute the SVD of an empty matrix$"):
             truncated_svd(OPERANDS[kind](empty), k=2)
+
+
+class TestSymmetry:
+    """``covariance()`` does not symmetrise: the dense and chunked Grams are
+    SYRK products, which mirror one triangle, so they come out exactly
+    symmetric.  The distributed Gram is GEMM on two temporaries, whose halves
+    may round differently, so ``ScaLAPACK.covariance`` symmetrises."""
+
+    @pytest.mark.parametrize("size", kernel_pins.PIN_SIZES)
+    def test_dense_and_chunked_grams_are_exactly_symmetric(self, size):
+        q2, q4, _, _ = kernel_pins._query_matrices(
+            kernel_pins.GenBaseDataset.generate(size, seed=kernel_pins.PIN_SEED))
+        for matrix in (q2, q4):
+            chunked = ChunkedArray.from_dense(
+                "expression", matrix, ["patient_id", "gene_id"],
+                chunk_sizes=[kernel_pins.SCIDB_CHUNK, kernel_pins.SCIDB_CHUNK])
+            for operand in (DenseOperand(matrix), chunked):
+                for center in (False, True):
+                    gram = operand.gram(center=center)
+                    assert np.array_equal(gram, gram.T), (matrix.shape, operand, center)
+
+    def test_dense_gram_is_exactly_symmetric_for_any_layout(self, rng):
+        matrix = rng.standard_normal((300, 200))
+        for variant in (np.asfortranarray(matrix), matrix[::2, ::3],
+                        (matrix * 100).astype(np.int64)):
+            for center in (False, True):
+                gram = DenseOperand(variant).gram(center=center)
+                assert np.array_equal(gram, gram.T), (variant.flags, variant.dtype, center)
+
+    @pytest.mark.parametrize("size", kernel_pins.PIN_SIZES)
+    def test_covariance_is_exactly_symmetric_through_every_entry_point(self, size):
+        q2, q4, _, _ = kernel_pins._query_matrices(
+            kernel_pins.GenBaseDataset.generate(size, seed=kernel_pins.PIN_SEED))
+        for matrix in (q2, q4):
+            for operand in kernel_pins.PIN_OPERANDS:
+                cov = kernel_pins._entry_points(operand, matrix)[0]()
+                assert np.array_equal(cov, cov.T), (size, matrix.shape, operand)
 
 
 class TestOperandSpecifics:

@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.core.queries import bicluster_patient_ids
+from repro.core.spec import default_parameters
+from repro.datagen import GenBaseDataset
 from repro.linalg import (
     cheng_church,
     covariance_matrix,
@@ -319,6 +323,184 @@ class TestBiclustering:
     def test_invalid_alpha(self, rng):
         with pytest.raises(ValueError):
             cheng_church(rng.random((10, 10)), alpha=0.5)
+
+
+# --------------------------------------------------------------------------- #
+# Cheng–Church oracle: the kernel as it was before it carried its block, when
+# every deletion round re-gathered the block from the full matrix.
+# --------------------------------------------------------------------------- #
+
+def _oracle_residues(block: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    row_means = block.mean(axis=1, keepdims=True)
+    col_means = block.mean(axis=0, keepdims=True)
+    squared = (block - row_means - col_means + block.mean()) ** 2
+    return float(squared.mean()), squared.mean(axis=1), squared.mean(axis=0)
+
+
+def _oracle_msr(block: np.ndarray) -> float:
+    block = np.asarray(block, dtype=np.float64)
+    if block.size == 0:
+        return 0.0
+    return _oracle_residues(block)[0]
+
+
+def _oracle_single_node_deletion(matrix, rows, cols, delta, min_rows, min_cols):
+    rows = rows.copy()
+    cols = cols.copy()
+    while len(rows) > min_rows and len(cols) > min_cols:
+        msr, row_res, col_res = _oracle_residues(matrix[np.ix_(rows, cols)])
+        if msr <= delta:
+            break
+        worst_row = int(np.argmax(row_res))
+        worst_col = int(np.argmax(col_res))
+        if row_res[worst_row] >= col_res[worst_col] and len(rows) > min_rows:
+            rows = np.delete(rows, worst_row)
+        elif len(cols) > min_cols:
+            cols = np.delete(cols, worst_col)
+        else:
+            rows = np.delete(rows, worst_row)
+    return rows, cols
+
+
+def _oracle_multiple_node_deletion(matrix, rows, cols, delta, alpha, min_rows, min_cols):
+    rows = rows.copy()
+    cols = cols.copy()
+    changed = True
+    while changed and len(rows) > min_rows and len(cols) > min_cols:
+        changed = False
+        msr, row_res, col_res = _oracle_residues(matrix[np.ix_(rows, cols)])
+        if msr <= delta:
+            break
+        keep_rows = row_res <= alpha * msr
+        if keep_rows.sum() >= min_rows and not keep_rows.all():
+            rows = rows[keep_rows]
+            changed = True
+            # The column scores are of the block the rows just left.
+            msr, _, col_res = _oracle_residues(matrix[np.ix_(rows, cols)])
+            if msr <= delta:
+                break
+        keep_cols = col_res <= alpha * msr
+        if keep_cols.sum() >= min_cols and not keep_cols.all():
+            cols = cols[keep_cols]
+            changed = True
+    return rows, cols
+
+
+def _oracle_node_addition(matrix, rows, cols):
+    all_rows = np.arange(matrix.shape[0])
+    all_cols = np.arange(matrix.shape[1])
+
+    block = matrix[np.ix_(rows, cols)]
+    msr = _oracle_msr(block)
+
+    # Column addition.
+    col_candidates = np.setdiff1d(all_cols, cols, assume_unique=False)
+    if len(col_candidates):
+        sub = matrix[np.ix_(rows, col_candidates)]
+        row_means = matrix[np.ix_(rows, cols)].mean(axis=1, keepdims=True)
+        col_means = sub.mean(axis=0, keepdims=True)
+        overall = matrix[np.ix_(rows, cols)].mean()
+        residues = ((sub - row_means - col_means + overall) ** 2).mean(axis=0)
+        additions = col_candidates[residues <= msr]
+        if len(additions):
+            cols = np.sort(np.concatenate([cols, additions]))
+
+    block = matrix[np.ix_(rows, cols)]
+    msr = _oracle_msr(block)
+
+    # Row addition.
+    row_candidates = np.setdiff1d(all_rows, rows, assume_unique=False)
+    if len(row_candidates):
+        sub = matrix[np.ix_(row_candidates, cols)]
+        col_means = matrix[np.ix_(rows, cols)].mean(axis=0, keepdims=True)
+        row_means = sub.mean(axis=1, keepdims=True)
+        overall = matrix[np.ix_(rows, cols)].mean()
+        residues = ((sub - row_means - col_means + overall) ** 2).mean(axis=1)
+        additions = row_candidates[residues <= msr]
+        if len(additions):
+            rows = np.sort(np.concatenate([rows, additions]))
+
+    return rows, cols
+
+
+def _oracle_cheng_church(matrix, n_biclusters=3, alpha=1.2, min_rows=2, min_cols=2, seed=0):
+    """``(rows, columns, msr)`` per bicluster; the default ``delta`` only."""
+    working = np.array(matrix, dtype=np.float64, copy=True)
+    n_rows, n_cols = working.shape
+    if n_rows < min_rows or n_cols < min_cols:
+        return []
+    rng = np.random.default_rng(seed)
+    delta = 0.1 * _oracle_msr(working)
+    if delta <= 0:
+        delta = 1e-12
+    value_min = float(working.min())
+    value_max = float(working.max())
+    if value_max <= value_min:
+        value_max = value_min + 1.0
+    found = []
+    for _ in range(n_biclusters):
+        rows, cols = _oracle_multiple_node_deletion(
+            working, np.arange(n_rows), np.arange(n_cols), delta, alpha, min_rows, min_cols)
+        rows, cols = _oracle_single_node_deletion(working, rows, cols, delta, min_rows, min_cols)
+        rows, cols = _oracle_node_addition(working, rows, cols)
+        block = working[np.ix_(rows, cols)]
+        found.append((rows, cols, _oracle_msr(block)))
+        working[np.ix_(rows, cols)] = rng.uniform(value_min, value_max, size=block.shape)
+    return found
+
+
+def _assert_same_as_oracle(matrix, **options):
+    found = cheng_church(matrix, **options).biclusters
+    expected = _oracle_cheng_church(matrix, **options)
+    assert len(found) == len(expected)
+    for bicluster, (rows, cols, msr) in zip(found, expected, strict=True):
+        np.testing.assert_array_equal(bicluster.rows, rows)
+        np.testing.assert_array_equal(bicluster.columns, cols)
+        assert bicluster.msr == msr  # bit-equal, not close
+        assert bicluster.shape[0] >= options.get("min_rows", 2)
+        assert bicluster.shape[1] >= options.get("min_cols", 2)
+
+
+@st.composite
+def _bicluster_inputs(draw):
+    """A matrix and options: tall, wide or at the minimum shape, with constant
+    rows or columns and values offset by 1e6."""
+    min_rows, min_cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    shape = draw(st.sampled_from(["tall", "wide", "minimum"]))
+    if shape == "tall":
+        n_rows, n_cols = draw(st.integers(20, 70)), draw(st.integers(min_cols, 12))
+    elif shape == "wide":
+        n_rows, n_cols = draw(st.integers(min_rows, 12)), draw(st.integers(20, 90))
+    else:
+        n_rows, n_cols = min_rows + draw(st.integers(0, 1)), min_cols + draw(st.integers(0, 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    matrix = rng.standard_normal((n_rows, n_cols)) * draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    for row in draw(st.lists(st.integers(0, n_rows - 1), max_size=3)):
+        matrix[row] = matrix[row, 0]
+    for col in draw(st.lists(st.integers(0, n_cols - 1), max_size=3)):
+        matrix[:, col] = matrix[0, col]
+    matrix += draw(st.sampled_from([0.0, 1e6]))
+    options = {"n_biclusters": draw(st.integers(1, 3)), "min_rows": min_rows,
+               "min_cols": min_cols, "seed": draw(st.integers(0, 100))}
+    return matrix, options
+
+
+class TestBiclusteringOracle:
+    """``cheng_church`` gives the oracle's members and bit-equal MSRs."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_bicluster_inputs())
+    def test_same_biclusters_as_the_oracle(self, inputs):
+        matrix, options = inputs
+        _assert_same_as_oracle(matrix, **options)
+
+    @pytest.mark.parametrize("size", ["tiny", "small", "medium", "large", "xlarge"])
+    def test_same_biclusters_as_the_oracle_on_the_stock_matrices(self, size):
+        dataset = GenBaseDataset.generate(size, seed=1337)  # seed 42 is in kernel_pins.json
+        parameters = default_parameters(dataset.spec)
+        matrix = dataset.expression_matrix[bicluster_patient_ids(dataset, parameters), :]
+        _assert_same_as_oracle(matrix, n_biclusters=parameters.n_biclusters,
+                               seed=parameters.seed)
 
 
 class TestWilcoxon:
