@@ -99,6 +99,20 @@ class Coprocessor:
         """Modelled time to copy ``n_bytes`` across the host↔device bus."""
         return self.spec.transfer_latency_seconds + n_bytes / self.spec.transfer_bandwidth_bytes_per_second
 
+    def kernel_seconds(self, host_seconds: float, offloadable_fraction: float, fits: bool) -> float:
+        """Modelled device time of a kernel that took ``host_seconds`` on the host.
+
+        Amdahl: only ``offloadable_fraction`` runs ``compute_speedup`` times
+        faster; a working set that does not ``fit`` in device memory pays the
+        ``oversubscription_penalty`` on the whole.
+        """
+        accelerated = host_seconds * offloadable_fraction / self.spec.compute_speedup
+        unaccelerated = host_seconds * (1.0 - offloadable_fraction)
+        device_kernel = accelerated + unaccelerated
+        if not fits:
+            device_kernel *= self.spec.oversubscription_penalty
+        return device_kernel
+
     def offload(
         self,
         kernel: Callable,
@@ -130,11 +144,7 @@ class Coprocessor:
         transfer = self.transfer_seconds(input_bytes) + self.transfer_seconds(output_bytes)
 
         fits = total_bytes <= self.spec.memory_bytes
-        accelerated = host_seconds * offloadable_fraction / self.spec.compute_speedup
-        unaccelerated = host_seconds * (1.0 - offloadable_fraction)
-        device_kernel = accelerated + unaccelerated
-        if not fits:
-            device_kernel *= self.spec.oversubscription_penalty
+        device_kernel = self.kernel_seconds(host_seconds, offloadable_fraction, fits)
 
         result = OffloadResult(
             value=value,

@@ -10,12 +10,13 @@ This package provides the substrate those experiments need without real
 hardware:
 
 * :mod:`repro.cluster.network` — an interconnect model that *actually
-  serialises* every transferred object to count bytes, then converts bytes
-  to time with a configurable latency + bandwidth model,
+  serialises* every transferred object to count bytes, then prices each
+  collective (point to point, binomial-tree broadcast, ring all-reduce)
+  with a fixed latency + bandwidth model,
 * :mod:`repro.cluster.cluster` — the cluster itself: executes per-partition
   work (really, one node after another in-process, with per-partition
-  wall-clock measurement) and combines per-node compute with network time into a
-  simulated parallel elapsed time,
+  wall-clock measurement) and issues every collective, so one simulated
+  clock holds the slowest node of each dispatch plus every priced second,
 * :mod:`repro.cluster.scalapack` — a ScaLAPACK/pbdR-style distributed dense
   linear algebra layer (covariance, least squares and Lanczos) over block
   row-partitioned matrices, themselves kernel operands of
@@ -25,8 +26,8 @@ The substitution is documented in ``docs/ENGINES.md``: per-node
 computation is real measured work; only the interconnect is modelled.
 """
 
-from repro.cluster.network import NetworkModel, TransferRecord
-from repro.cluster.cluster import Cluster, NodeTiming, ParallelRunResult
+from repro.cluster.network import NetworkModel
+from repro.cluster.cluster import Cluster
 from repro.cluster.scalapack import DistributedMatrix, ScaLAPACK
 from repro.cluster.bridge import (
     ColumnSynopsis,
@@ -41,10 +42,7 @@ from repro.cluster.bridge import (
 
 __all__ = [
     "NetworkModel",
-    "TransferRecord",
     "Cluster",
-    "NodeTiming",
-    "ParallelRunResult",
     "DistributedMatrix",
     "ScaLAPACK",
     "ColumnSynopsis",

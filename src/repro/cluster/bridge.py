@@ -290,11 +290,11 @@ class PartitionedBackend(Backend):
                 local_rows = np.flatnonzero(mask)
             return on_rows(node_id, local_rows)
 
-        result = self.cluster.run_on_nodes([work] * len(keep))
+        outputs = self.cluster.run_on_nodes([work] * len(keep))
         if self.stats is not None:
             self.stats.partitions_scanned += sum(keep)
             self.stats.partitions_skipped += len(keep) - sum(keep)
-        return result.outputs
+        return outputs
 
     def relation(self, lowered):
         """Per-node fragments: local row positions, or ``on_fragment``'s answer."""

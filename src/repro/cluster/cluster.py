@@ -3,12 +3,12 @@
 How the simulation works (the substrate's design notes):
 
 * every node's work runs for real, in this process, and is timed per node;
-* the *simulated parallel elapsed time* of a phase is the maximum per-node
-  compute time (the nodes would have run concurrently) plus the network
-  time charged by the :class:`~repro.cluster.network.NetworkModel`;
+* the cluster is the only place that issues a collective, and the
+  :class:`~repro.cluster.network.NetworkModel` is the only thing that prices
+  one;
 * per-node data really is partitioned — a node only sees its partition — so
-  algorithms that need data from other nodes must move it through the
-  network model and pay for it.
+  algorithms that need data from other nodes must move it through a
+  collective and pay for it.
 
 That reproduces the paper's multi-node behaviour: more nodes reduce the
 max-per-node compute term but grow the communication term, which is why no
@@ -17,111 +17,66 @@ system shows linear speedup and some regress from one node to two.
 Timing semantics
 ----------------
 
-:meth:`Cluster.run_on_nodes` runs the nodes' work items one after another
-on the calling thread and times each with the wall clock
-(:func:`time.perf_counter`).  The simulated clock takes the slowest node,
-as if they had overlapped; ``wall_seconds`` is what the driver really
-waited, the sum of all fragments.  A fragment sees only its own node's
-partition and returns its result — it never writes driver state.
+The simulated clock has one charging path.  :meth:`Cluster.run_on_nodes`
+runs the nodes' work items one after another on the calling thread, times
+each with the wall clock (:func:`time.perf_counter`) and adds the slowest
+node's seconds, as if they had overlapped.  Each collective (:meth:`scatter`,
+:meth:`gather`, :meth:`broadcast`, :meth:`all_reduce_sum`) adds exactly the
+seconds the network model priced, when it is issued.  So the clock always
+equals the dispatches' slowest nodes plus ``network.total_seconds``.  A
+fragment sees only its own node's partition and returns its result — it
+never writes driver state.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.cluster.network import NetworkModel
 
-@dataclass
-class NodeTiming:
-    """Accumulated compute seconds for one simulated node."""
-
-    node_id: int
-    compute_seconds: float = 0.0
-
-
-@dataclass
-class ParallelRunResult:
-    """Result of one parallel phase.
-
-    Attributes:
-        outputs: per-node outputs, in node order.
-        elapsed_seconds: simulated parallel elapsed time of the phase
-            (max per-node compute + network seconds charged during it).
-        per_node_seconds: measured wall-clock compute seconds per node.
-        network_seconds: network seconds charged during the phase.
-        wall_seconds: real (non-simulated) wall clock of the whole
-            dispatch — what the driver process actually waited: the sum
-            of all fragments.
-    """
-
-    outputs: list
-    elapsed_seconds: float
-    per_node_seconds: list[float]
-    network_seconds: float
-    wall_seconds: float = 0.0
-
 
 @dataclass
 class Cluster:
-    """A fixed-size simulated cluster.
+    """A fixed-size simulated cluster; node 0 is the driver.
 
     Attributes:
         n_nodes: number of nodes.
-        network: the interconnect model shared by all phases.
+        network: the interconnect model every collective is priced by.
     """
 
     n_nodes: int
-    network: NetworkModel = field(default_factory=NetworkModel)
 
     def __post_init__(self) -> None:
         if self.n_nodes < 1:
             raise ValueError("a cluster needs at least one node")
-        self.node_timings = [NodeTiming(node_id=i) for i in range(self.n_nodes)]
+        self.network = NetworkModel()
         self._simulated_elapsed = 0.0
 
     # -- execution ----------------------------------------------------------------
 
-    def run_on_nodes(self, per_node_work: Sequence[Callable[[int], object]]) -> ParallelRunResult:
-        """Run one callable per node "in parallel".
+    def run_on_nodes(self, per_node_work: Sequence[Callable[[int], object]]) -> list:
+        """Run one callable per node "in parallel"; returns their outputs in node order.
 
-        Args:
-            per_node_work: one zero/one-argument callable per node; each is
-                invoked with its node id.
-
-        Returns:
-            A :class:`ParallelRunResult`; the phase's elapsed time is also
-            added to the cluster's running simulated clock.
+        Each callable is invoked with its node id.  The slowest node's
+        seconds are added to the cluster's simulated clock.
         """
         if len(per_node_work) != self.n_nodes:
             raise ValueError(
                 f"expected {self.n_nodes} work items, got {len(per_node_work)}"
             )
-        network_before = self.network.total_seconds
-        wall_started = time.perf_counter()
-        outputs, per_node_seconds = [], []
+        outputs, slowest = [], 0.0
         for node_id, work in enumerate(per_node_work):
             started = time.perf_counter()
             outputs.append(work(node_id))
-            per_node_seconds.append(time.perf_counter() - started)
-        wall_seconds = time.perf_counter() - wall_started
-        for node_id, seconds in enumerate(per_node_seconds):
-            self.node_timings[node_id].compute_seconds += seconds
-        network_seconds = self.network.total_seconds - network_before
-        phase_elapsed = (max(per_node_seconds) if per_node_seconds else 0.0) + network_seconds
-        self._simulated_elapsed += phase_elapsed
-        return ParallelRunResult(
-            outputs=outputs,
-            elapsed_seconds=phase_elapsed,
-            per_node_seconds=per_node_seconds,
-            network_seconds=network_seconds,
-            wall_seconds=wall_seconds,
-        )
+            slowest = max(slowest, time.perf_counter() - started)
+        self._simulated_elapsed += slowest
+        return outputs
 
-    def map_partitions(self, partitions: Sequence, function: Callable[[object, int], object]) -> ParallelRunResult:
+    def map_partitions(self, partitions: Sequence, function: Callable[[object, int], object]) -> list:
         """Apply ``function(partition, node_id)`` to each node's partition."""
         if len(partitions) != self.n_nodes:
             raise ValueError(
@@ -133,53 +88,38 @@ class Cluster:
         ]
         return self.run_on_nodes(work)
 
-    # -- data movement ----------------------------------------------------------------
+    # -- collectives --------------------------------------------------------------------
 
-    def scatter(self, partitions: Sequence, source: int = 0, label: str = "scatter") -> ParallelRunResult:
-        """Distribute partitions from a source node to every node.
+    def _send(self, payload):
+        copy, seconds = self.network.send(payload)
+        self._simulated_elapsed += seconds
+        return copy
 
-        The source's own partition is free; the others pay network cost.
-        """
+    def scatter(self, partitions: Sequence) -> list:
+        """Send partition ``i`` from node 0 to node ``i``; node 0 keeps its own."""
         if len(partitions) != self.n_nodes:
             raise ValueError("need one partition per node")
-        network_before = self.network.total_seconds
-        outputs = []
-        for node_id, partition in enumerate(partitions):
-            copy, _ = self.network.transfer(partition, source, node_id, label=label)
-            outputs.append(copy)
-        network_seconds = self.network.total_seconds - network_before
-        self._simulated_elapsed += network_seconds
-        return ParallelRunResult(
-            outputs=outputs,
-            elapsed_seconds=network_seconds,
-            per_node_seconds=[0.0] * self.n_nodes,
-            network_seconds=network_seconds,
-        )
+        return [partitions[0], *(self._send(partition) for partition in partitions[1:])]
 
-    def gather(self, per_node_values: Sequence, destination: int = 0, label: str = "gather") -> ParallelRunResult:
-        """Collect one value from every node at the destination node."""
+    def gather(self, per_node_values: Sequence) -> list:
+        """Collect one value from every node at node 0."""
         if len(per_node_values) != self.n_nodes:
             raise ValueError("need one value per node")
-        network_before = self.network.total_seconds
-        gathered, _ = self.network.gather(
-            list(per_node_values), sources=list(range(self.n_nodes)),
-            destination=destination, label=label,
-        )
-        network_seconds = self.network.total_seconds - network_before
-        self._simulated_elapsed += network_seconds
-        return ParallelRunResult(
-            outputs=gathered,
-            elapsed_seconds=network_seconds,
-            per_node_seconds=[0.0] * self.n_nodes,
-            network_seconds=network_seconds,
-        )
+        return [per_node_values[0], *(self._send(value) for value in per_node_values[1:])]
+
+    def broadcast(self, payload) -> None:
+        """Send ``payload`` from node 0 to every other node (a binomial tree).
+
+        The nodes compute on the caller's object; only the price is simulated.
+        """
+        self._simulated_elapsed += self.network.broadcast(payload, self.n_nodes)
 
     def all_reduce_sum(self, per_node_arrays: Sequence[np.ndarray]) -> np.ndarray:
-        """Sum one array per node, charging a ring all-reduce to the clock."""
+        """Sum one array per node over a ring all-reduce."""
         total = np.zeros_like(per_node_arrays[0])
         for array in per_node_arrays:
             total = total + array
-        self._simulated_elapsed += self.network.all_reduce_cost(
+        self._simulated_elapsed += self.network.all_reduce(
             per_node_arrays[0].nbytes, self.n_nodes)
         return total
 
@@ -191,8 +131,6 @@ class Cluster:
         return self._simulated_elapsed
 
     def reset_clock(self) -> None:
-        """Zero the simulated clock and per-node compute counters."""
+        """Zero the simulated clock and the network's counters."""
         self._simulated_elapsed = 0.0
         self.network.reset()
-        for timing in self.node_timings:
-            timing.compute_seconds = 0.0

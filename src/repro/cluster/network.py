@@ -1,108 +1,92 @@
 """The interconnect model for the simulated cluster.
 
-Every transfer between simulated nodes goes through
-:meth:`NetworkModel.transfer`, which pickles the payload (so the byte count
-is the real serialised size, not an estimate) and charges
+:class:`NetworkModel` prices every collective the
+:class:`~repro.cluster.cluster.Cluster` issues and counts what it moved.  One
+message of ``bytes`` costs
 
-    time = latency + bytes / bandwidth
+    LATENCY_SECONDS + bytes / BANDWIDTH_BYTES_PER_SECOND
 
-to the simulated clock.  Defaults approximate the gigabit-Ethernet cluster
-the paper used (latency 0.5 ms, ~110 MB/s effective bandwidth).  Broadcast
-and all-reduce helpers express their cost in terms of point-to-point
-transfers the way MPI implementations do.
+where ``bytes`` is the payload's real pickled size, not an estimate.  The
+constants approximate the gigabit-Ethernet cluster the paper used.  The
+collectives are shaped the way MPI implementations run them:
+
+* **point to point** (scatter, gather): one message per other node, in turn;
+* **broadcast**: a binomial tree — ⌈log₂ n⌉ rounds of one message, with
+  n − 1 copies on the wire;
+* **all-reduce**: a ring — 2 (n − 1) steps, each moving ⌊bytes / n⌋ per node.
+
+On four nodes, broadcasting 1,000 bytes (1,018 pickled) is two rounds of one
+message and three copies on the wire; all-reducing 4,000 bytes is six steps
+of 1,000 bytes, sent by each of the four nodes:
+
+>>> network = NetworkModel()
+>>> round(network.broadcast(b"x" * 1000, 4) * 1e6, 2)   # µs: 2 × (500 + 1018 / 110)
+1018.51
+>>> network.total_bytes
+3054
+>>> round(network.all_reduce(4000, 4) * 1e6, 2)          # µs: 6 × (500 + 1000 / 110)
+3054.55
+>>> network.total_bytes - 3054                           # 4 × 6 × 1000
+24000
+>>> network.reset()
+>>> network.total_bytes, network.total_seconds
+(0, 0.0)
 """
 
 from __future__ import annotations
 
 import pickle
-from dataclasses import dataclass, field
+
+#: Per-message fixed cost (gigabit Ethernet, ~0.5 ms).
+LATENCY_SECONDS = 0.0005
+#: Sustained point-to-point bandwidth (~110 MB/s effective).
+BANDWIDTH_BYTES_PER_SECOND = 110e6
 
 
-@dataclass
-class TransferRecord:
-    """One recorded transfer between two nodes."""
-
-    source: int
-    destination: int
-    n_bytes: int
-    seconds: float
-    label: str = ""
+def message_seconds(n_bytes: int) -> float:
+    """Simulated seconds to move one message of ``n_bytes`` point to point."""
+    return LATENCY_SECONDS + n_bytes / BANDWIDTH_BYTES_PER_SECOND
 
 
-@dataclass
 class NetworkModel:
-    """Tracks bytes moved between nodes and converts them to simulated time.
+    """Prices collectives and keeps running totals of what they moved.
 
     Attributes:
-        latency_seconds: per-message fixed cost.
-        bandwidth_bytes_per_second: sustained point-to-point bandwidth.
-        transfers: every recorded transfer, with its label.
-        total_bytes, total_seconds: running totals over ``transfers``,
-            kept by :meth:`transfer` and zeroed by :meth:`reset`.
+        total_bytes: bytes put on the wire since the last :meth:`reset`.
+        total_seconds: simulated seconds priced since the last :meth:`reset`.
     """
 
-    latency_seconds: float = 0.0005
-    bandwidth_bytes_per_second: float = 110e6
-    transfers: list[TransferRecord] = field(default_factory=list)
+    def __init__(self) -> None:
+        self.reset()
 
-    def __post_init__(self) -> None:
-        # Every cluster phase reads the totals twice; re-summing ``transfers``
-        # there would make a phase cost O(transfers so far).
-        self.total_bytes = sum(record.n_bytes for record in self.transfers)
-        self.total_seconds = sum(record.seconds for record in self.transfers)
-
-    def cost_of(self, n_bytes: int) -> float:
-        """Simulated seconds to move ``n_bytes`` point to point."""
-        return self.latency_seconds + n_bytes / self.bandwidth_bytes_per_second
-
-    def transfer(self, payload, source: int, destination: int, label: str = "") -> tuple[object, float]:
-        """Move ``payload`` from one node to another.
-
-        The payload is serialised and deserialised (a real copy, like MPI
-        send/recv of a Python object), the transfer is recorded, and the
-        deserialised object plus the simulated seconds are returned.
-        """
-        if source == destination:
-            return payload, 0.0
-        wire = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        seconds = self.cost_of(len(wire))
-        self.transfers.append(
-            TransferRecord(source=source, destination=destination,
-                           n_bytes=len(wire), seconds=seconds, label=label)
-        )
-        self.total_bytes += len(wire)
+    def _count(self, n_bytes: int, seconds: float) -> float:
+        self.total_bytes += n_bytes
         self.total_seconds += seconds
-        return pickle.loads(wire), seconds
+        return seconds
 
-    def broadcast(self, payload, source: int, destinations: list[int], label: str = "") -> tuple[list, float]:
-        """Send the same payload to several nodes; returns copies and total seconds."""
-        copies = []
-        total = 0.0
-        for destination in destinations:
-            copy, seconds = self.transfer(payload, source, destination, label=label or "broadcast")
-            copies.append(copy)
-            total += seconds
-        return copies, total
+    def send(self, payload) -> tuple[object, float]:
+        """One message: a real copy of ``payload`` (pickled, like MPI send/recv
+        of a Python object) and its simulated seconds."""
+        wire = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+        return pickle.loads(wire), self._count(len(wire), message_seconds(len(wire)))
 
-    def gather(self, payloads: list, sources: list[int], destination: int, label: str = "") -> tuple[list, float]:
-        """Collect one payload from each source node at ``destination``."""
-        gathered = []
-        total = 0.0
-        for payload, source in zip(payloads, sources, strict=True):
-            copy, seconds = self.transfer(payload, source, destination, label=label or "gather")
-            gathered.append(copy)
-            total += seconds
-        return gathered, total
-
-    def all_reduce_cost(self, n_bytes: int, n_nodes: int) -> float:
-        """Simulated seconds for a ring all-reduce of ``n_bytes`` per node."""
+    def broadcast(self, payload, n_nodes: int) -> float:
+        """Seconds for a binomial-tree broadcast of ``payload`` from one node to
+        the other ``n_nodes - 1``.  The payload is pickled once, for its size."""
         if n_nodes <= 1:
             return 0.0
-        # Ring all-reduce: 2 (n-1) steps, each moving n_bytes / n.
+        n_bytes = len(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
+        rounds = (n_nodes - 1).bit_length()  # ⌈log₂ n⌉
+        return self._count((n_nodes - 1) * n_bytes, rounds * message_seconds(n_bytes))
+
+    def all_reduce(self, n_bytes: int, n_nodes: int) -> float:
+        """Seconds for a ring all-reduce of ``n_bytes`` held on every node."""
+        if n_nodes <= 1:
+            return 0.0
         steps = 2 * (n_nodes - 1)
-        return steps * self.cost_of(max(1, n_bytes // n_nodes))
+        chunk = max(1, n_bytes // n_nodes)
+        return self._count(n_nodes * steps * chunk, steps * message_seconds(chunk))
 
     def reset(self) -> None:
-        self.transfers.clear()
         self.total_bytes = 0
         self.total_seconds = 0.0

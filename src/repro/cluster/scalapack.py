@@ -15,8 +15,9 @@ The :class:`ScaLAPACK` facade is what the GenBase queries call:
 * ``linear_regression`` — per-node ``XᵀX`` / ``Xᵀy`` partials, reduced, then
   solved at the driver (the standard distributed normal-equations path).
 
-Per-node work is real compute; every cross-node movement of partials goes
-through the cluster's network model and is charged to the simulated clock.
+Per-node work is real compute; every cross-node movement of partials is a
+cluster collective (``broadcast`` or ``all_reduce_sum``), priced by the
+network model and charged to the simulated clock of the phase that issued it.
 """
 
 from __future__ import annotations
@@ -54,14 +55,9 @@ class DistributedMatrix:
     def matmat(self, dense_right: np.ndarray) -> np.ndarray:
         """``A B``: broadcast ``B`` once, one GEMM per node, concatenate the row blocks."""
         dense_right = np.asarray(dense_right, dtype=np.float64)
-        if self.cluster.n_nodes > 1:
-            self.cluster.network.broadcast(
-                dense_right, source=0, destinations=list(range(1, self.cluster.n_nodes)),
-                label="broadcast-operand",
-            )
-        result = self.cluster.map_partitions(
-            self.partitions, lambda part, _node: part @ dense_right)
-        return np.concatenate(result.outputs)
+        self.cluster.broadcast(dense_right)
+        return np.concatenate(self.cluster.map_partitions(
+            self.partitions, lambda part, _node: part @ dense_right))
 
     def gram(self, center: bool = False) -> np.ndarray:
         """``AᵀA`` (pdgemm-style): per-node Gram partials, all-reduced.
@@ -82,17 +78,17 @@ class DistributedMatrix:
             # shared buffer would make it SYRK and round differently.
             return (part - means).T @ (part - means)
 
-        result = self.cluster.map_partitions(self.partitions, partial)
-        return self.cluster.all_reduce_sum([np.asarray(g) for g in result.outputs])
+        partials = self.cluster.map_partitions(self.partitions, partial)
+        return self.cluster.all_reduce_sum([np.asarray(g) for g in partials])
 
     def _column_means(self) -> np.ndarray:
-        result = self.cluster.map_partitions(
+        partials = self.cluster.map_partitions(
             self.partitions,
             lambda part, _node: (part.sum(axis=0) if part.size else np.zeros(self.n_columns),
                                  part.shape[0]),
         )
-        sums = self.cluster.all_reduce_sum([np.asarray(s) for s, _ in result.outputs])
-        count = sum(c for _, c in result.outputs)
+        sums = self.cluster.all_reduce_sum([np.asarray(s) for s, _ in partials])
+        count = sum(c for _, c in partials)
         return sums / max(count, 1)
 
 
@@ -126,9 +122,9 @@ class ScaLAPACK:
             return (design.T @ design, design.T @ y_part.ravel())
 
         paired = list(zip(features.partitions, target.partitions, strict=True))
-        result = self.cluster.map_partitions(paired, partial)
-        xtx = self.cluster.all_reduce_sum([np.asarray(a) for a, _ in result.outputs])
-        xty = self.cluster.all_reduce_sum([np.asarray(b) for _, b in result.outputs])
+        partials = self.cluster.map_partitions(paired, partial)
+        xtx = self.cluster.all_reduce_sum([np.asarray(a) for a, _ in partials])
+        xty = self.cluster.all_reduce_sum([np.asarray(b) for _, b in partials])
         beta = np.linalg.solve(xtx + 1e-12 * np.eye(n_features + 1), xty)
 
         intercept = float(beta[0])
@@ -144,10 +140,10 @@ class ScaLAPACK:
             return (float(np.sum(residuals ** 2)), float(np.sum(y_part)), float(np.sum(y_part ** 2)), len(residuals))
 
         stats = self.cluster.map_partitions(paired, residual_stats)
-        residual_ss = sum(s[0] for s in stats.outputs)
-        y_sum = sum(s[1] for s in stats.outputs)
-        y_sq_sum = sum(s[2] for s in stats.outputs)
-        count = sum(s[3] for s in stats.outputs)
+        residual_ss = sum(s[0] for s in stats)
+        y_sum = sum(s[1] for s in stats)
+        y_sq_sum = sum(s[2] for s in stats)
+        count = sum(s[3] for s in stats)
         total_ss = y_sq_sum - (y_sum ** 2) / count if count else 0.0
         r_squared = 1.0 - residual_ss / total_ss if total_ss > 0 else 1.0
 

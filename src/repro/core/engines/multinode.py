@@ -168,27 +168,20 @@ class _MultiNodeEngine(Engine):
         def local(partition: NodePartition, _node: int) -> np.ndarray:
             return partition.expression[:, gene_ids]
 
-        result = self.cluster.map_partitions(partitions, local)
-        return [np.asarray(block) for block in result.outputs]
+        return [np.asarray(block) for block in self.cluster.map_partitions(partitions, local)]
 
     def _maybe_redistribute(self, blocks: list[np.ndarray]) -> list[np.ndarray]:
         """Charge a re-chunking shuffle of the filtered blocks (SciDB only)."""
         if not self.redistribute_after_filter or self.n_nodes == 1:
             return blocks
-        gathered = self.cluster.gather(blocks, destination=0, label="rechunk-gather")
-        scattered = self.cluster.scatter(list(gathered.outputs), source=0, label="rechunk-scatter")
-        return [np.asarray(block) for block in scattered.outputs]
+        return [np.asarray(block) for block in self.cluster.scatter(self.cluster.gather(blocks))]
 
     def _distributed(self, blocks: list[np.ndarray], n_columns: int) -> DistributedMatrix:
         return DistributedMatrix(cluster=self.cluster, partitions=blocks, n_columns=n_columns)
 
     def _gather_dense(self, blocks: list[np.ndarray], timer_add) -> np.ndarray:
         """Gather per-node blocks to the driver, charging the network."""
-        def work():
-            gathered = self.cluster.gather(blocks, destination=0, label="gather-analytics")
-            return gathered.outputs
-
-        outputs = self._timed_cluster_phase(timer_add, work)
+        outputs = self._timed_cluster_phase(timer_add, lambda: self.cluster.gather(blocks))
         n_columns = blocks[0].shape[1] if blocks and blocks[0].ndim == 2 else 0
         return merge_gathered(outputs, n_columns)
 
@@ -342,7 +335,7 @@ class ColumnStoreUdfClusterEngine(_MultiNodeEngine):
         if self.n_nodes > 1:
             self._timed_cluster_phase(
                 timer.add_data_management,
-                lambda: self.cluster.gather(blocks, destination=0, label="gather-for-udf"),
+                lambda: self.cluster.gather(blocks),
             )
         return self._single_node.run(query, parameters, timer)
 
@@ -406,13 +399,11 @@ class HadoopClusterEngine(MahoutAnalytics, _MultiNodeEngine):
 
         tables = self._timed_cluster_phase(
             timer.add_data_management,
-            lambda: self.cluster.map_partitions(self.node_hive, local).outputs,
+            lambda: self.cluster.map_partitions(self.node_hive, local),
         )
         outputs = self._timed_cluster_phase(
             timer.add_data_management,
-            lambda: self.cluster.gather(
-                [table.rows for table in tables], destination=0, label="hive-gather"
-            ).outputs,
+            lambda: self.cluster.gather([table.rows for table in tables]),
         )
         all_rows = [row for rows in outputs for row in rows]
         if not all_rows:

@@ -107,11 +107,13 @@ class SciDBPhiEngine(SciDBEngine):
 class SciDBPhiClusterEngine(SciDBClusterEngine):
     """Multi-node SciDB with per-node analytics transformed by the offload model.
 
-    The analytics time of the underlying multi-node SciDB run is split into
-    its per-node compute and network components; the compute component is
-    scaled by the Amdahl model of the coprocessor (per-query offloadable
-    fraction) and a per-node transfer term is added for shipping that node's
-    partition of the working set over the device bus.
+    The whole analytics time of the underlying multi-node SciDB run — the
+    slowest nodes' compute *and* the network seconds charged inside it — is
+    scaled by the coprocessor's Amdahl model
+    (:meth:`~repro.accelerator.Coprocessor.kernel_seconds`, per-query
+    offloadable fraction), and one transfer of that node's share of the
+    microarray over the device bus
+    (:meth:`~repro.accelerator.Coprocessor.transfer_seconds`) is added.
     """
 
     name: str = "scidb-phi-cluster"
@@ -148,16 +150,11 @@ class SciDBPhiClusterEngine(SciDBClusterEngine):
             return output
 
         fraction = DEFAULT_OFFLOAD_FRACTIONS.get(kernel, 0.9)
-        spec = self.device.spec
-        # Per-node working set: the filtered expression block this node holds.
-        per_node_bytes = (
-            self.dataset.spec.microarray_bytes / max(self.n_nodes, 1)
-        )
-        transfer = spec.transfer_latency_seconds + per_node_bytes / spec.transfer_bandwidth_bytes_per_second
+        # Per-node working set: this node's share of the microarray.
+        per_node_bytes = self.dataset.spec.microarray_bytes / max(self.n_nodes, 1)
         compute = inner.analytics_seconds
-        device_compute = compute * (1 - fraction) + compute * fraction / spec.compute_speedup
-        if per_node_bytes > spec.memory_bytes:
-            device_compute *= spec.oversubscription_penalty
-        timer.add_analytics(transfer + device_compute)
+        device_compute = self.device.kernel_seconds(
+            compute, fraction, fits=per_node_bytes <= self.device.spec.memory_bytes)
+        timer.add_analytics(self.device.transfer_seconds(per_node_bytes) + device_compute)
         timer.note("host_analytics_seconds", compute)
         return output

@@ -44,7 +44,7 @@ def blessed_pure_worker(cluster, partitions):
         return len(partitions[node_id])
 
     results = cluster.run_on_nodes([work])
-    total = sum(results.outputs)  # driver-side accumulation is fine
+    total = sum(results)  # driver-side accumulation is fine
     return total
 
 

@@ -2,57 +2,72 @@
 
 from __future__ import annotations
 
+import itertools
+import pickle
+from dataclasses import replace
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from kernel_pins import distributed
 from repro.accelerator import Coprocessor, DeviceSpec, OffloadRuntime, XEON_PHI_5110P
+from repro.accelerator.offload import DEFAULT_OFFLOAD_FRACTIONS
 from repro.cluster import Cluster, NetworkModel, ScaLAPACK
+from repro.cluster import cluster as cluster_module
+from repro.cluster.network import LATENCY_SECONDS, message_seconds
+from repro.core.engines import make_engine
+from repro.core.engines.multinode import SciDBClusterEngine
+from repro.core.timing import PhaseTimer
 from repro.linalg.biclustering import cheng_church
 from repro.linalg.covariance import covariance_matrix
-from repro.linalg.lanczos import lanczos_svd
+from repro.linalg.lanczos import lanczos_svd, truncated_svd
 from repro.linalg.wilcoxon import enrichment_analysis
 
 
+def _pickled(payload) -> int:
+    return len(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
+
+
 class TestNetworkModel:
-    def test_transfer_counts_real_bytes(self):
+    def test_send_counts_real_bytes(self):
         network = NetworkModel()
         payload = np.ones(1000)
-        copy, seconds = network.transfer(payload, source=0, destination=1)
+        copy, seconds = network.send(payload)
         np.testing.assert_array_equal(copy, payload)
-        assert network.total_bytes >= payload.nbytes
-        assert seconds > network.latency_seconds
+        assert copy is not payload
+        assert network.total_bytes == _pickled(payload) > payload.nbytes
+        assert seconds == network.total_seconds == message_seconds(_pickled(payload))
+        assert seconds > LATENCY_SECONDS
 
-    def test_local_transfer_is_free(self):
+    def test_one_node_is_free(self):
         network = NetworkModel()
-        _copy, seconds = network.transfer(np.ones(10), source=2, destination=2)
-        assert seconds == 0.0
-        assert network.total_bytes == 0
+        assert network.broadcast(np.ones(10), 1) == 0.0
+        assert network.all_reduce(1_000_000, 1) == 0.0
+        assert (network.total_bytes, network.total_seconds) == (0, 0.0)
 
-    def test_broadcast_and_gather(self):
+    @pytest.mark.parametrize("n_nodes, rounds", [(1, 0), (2, 1), (3, 2), (4, 2), (5, 3)])
+    def test_broadcast_is_a_binomial_tree(self, n_nodes, rounds):
         network = NetworkModel()
-        copies, seconds = network.broadcast("hello", source=0, destinations=[1, 2, 3])
-        assert copies == ["hello"] * 3
-        assert seconds > 0
-        gathered, _ = network.gather(["a", "b"], sources=[1, 2], destination=0)
-        assert gathered == ["a", "b"]
-        assert len(network.transfers) == 5
-        # The running totals track the recorded transfers.
-        assert network.total_bytes == sum(record.n_bytes for record in network.transfers)
-        assert network.total_seconds == pytest.approx(
-            sum(record.seconds for record in network.transfers)
-        )
+        payload = np.arange(50.0)
+        seconds = network.broadcast(payload, n_nodes)
+        size = _pickled(payload)
+        assert seconds == network.total_seconds == rounds * message_seconds(size)
+        assert network.total_bytes == (n_nodes - 1) * size
 
-    def test_all_reduce_cost_scaling(self):
+    @pytest.mark.parametrize("n_nodes", [2, 3, 4])
+    def test_all_reduce_cost_scaling(self, n_nodes):
         network = NetworkModel()
-        assert network.all_reduce_cost(1_000_000, 1) == 0.0
-        two = network.all_reduce_cost(1_000_000, 2)
-        four = network.all_reduce_cost(1_000_000, 4)
-        assert two > 0 and four > two
+        seconds = network.all_reduce(1_000_000, n_nodes)
+        steps, chunk = 2 * (n_nodes - 1), 1_000_000 // n_nodes
+        assert seconds == network.total_seconds == steps * message_seconds(chunk)
+        assert network.total_bytes == n_nodes * steps * chunk
+        assert seconds > NetworkModel().all_reduce(1_000_000, n_nodes - 1)
 
     def test_reset(self):
         network = NetworkModel()
-        network.transfer(np.ones(10), 0, 1)
+        network.send(np.ones(10))
+        network.all_reduce(800, 2)
         network.reset()
         assert network.total_bytes == 0 and network.total_seconds == 0.0
 
@@ -61,10 +76,10 @@ class TestCluster:
     def test_map_partitions_and_clock(self, rng):
         cluster = Cluster(3)
         partitions = [rng.random((10, 2)) for _ in range(3)]
-        result = cluster.map_partitions(partitions, lambda part, node: part.sum())
-        assert len(result.outputs) == 3
-        assert result.elapsed_seconds >= max(result.per_node_seconds)
-        assert cluster.simulated_elapsed_seconds >= result.elapsed_seconds
+        outputs = cluster.map_partitions(partitions, lambda part, node: part.sum())
+        assert outputs == [part.sum() for part in partitions]
+        assert cluster.simulated_elapsed_seconds > 0
+        assert cluster.network.total_bytes == 0  # a dispatch moves nothing
 
     def test_partition_count_mismatch(self):
         cluster = Cluster(2)
@@ -73,26 +88,44 @@ class TestCluster:
         with pytest.raises(ValueError):
             cluster.run_on_nodes([lambda node: None])
 
-    def test_scatter_gather_charge_network(self):
+    @pytest.mark.parametrize("collective", ["scatter", "gather"])
+    def test_scatter_gather_charge_network(self, collective, monkeypatch):
         cluster = Cluster(3)
         blocks = [np.ones(100) * i for i in range(3)]
-        scattered = cluster.scatter(blocks, source=0)
-        assert scattered.network_seconds > 0
-        gathered = cluster.gather(scattered.outputs, destination=0)
-        np.testing.assert_allclose(gathered.outputs[2], blocks[2])
-        assert cluster.network.total_bytes > 0
+        sent, send = [], cluster.network.send
+        monkeypatch.setattr(cluster.network, "send",
+                            lambda payload: sent.append(payload) or send(payload))
+        outputs = getattr(cluster, collective)(blocks)
+        # Node 0 keeps its own; one message per other node.
+        assert len(sent) == 2 and all(p is b for p, b in zip(sent, blocks[1:], strict=True))
+        assert outputs[0] is blocks[0]
+        for output, block in zip(outputs[1:], blocks[1:], strict=True):
+            assert output is not block
+            np.testing.assert_array_equal(output, block)
+        sizes = [_pickled(block) for block in blocks[1:]]
+        assert cluster.network.total_bytes == sum(sizes)
+        assert cluster.network.total_seconds == sum(message_seconds(size) for size in sizes)
+        assert cluster.simulated_elapsed_seconds == cluster.network.total_seconds
 
     def test_single_node_has_no_network_cost(self):
         cluster = Cluster(1)
-        cluster.scatter([np.ones(10)], source=0)
+        cluster.scatter([np.ones(10)])
+        cluster.gather([np.ones(10)])
+        cluster.broadcast(np.ones(10))
+        cluster.all_reduce_sum([np.ones(10)])
         assert cluster.network.total_bytes == 0
+        assert cluster.simulated_elapsed_seconds == 0.0
 
     def test_reset_clock(self):
         cluster = Cluster(2)
-        cluster.scatter([np.ones(10), np.ones(10)], source=0)
+        cluster.scatter([np.ones(10), np.ones(10)])
+        cluster.broadcast(np.ones(10))
+        cluster.all_reduce_sum([np.ones(10), np.ones(10)])
+        cluster.run_on_nodes([lambda node: node] * 2)
         cluster.reset_clock()
         assert cluster.simulated_elapsed_seconds == 0.0
         assert cluster.network.total_bytes == 0
+        assert cluster.network.total_seconds == 0.0
 
     def test_invalid_size(self):
         with pytest.raises(ValueError):
@@ -102,13 +135,42 @@ class TestCluster:
         # genbase_bench/workloads.py (frozen) sets this on every cluster engine.
         cluster = Cluster(3)
         cluster.executor = "sequential"
-        result = cluster.run_on_nodes([
+        outputs = cluster.run_on_nodes([
             (lambda node, i=i: (i, np.arange(i + 1).sum())) for i in range(3)
         ])
-        assert [output[0] for output in result.outputs] == [0, 1, 2]
-        assert result.wall_seconds >= sum(result.per_node_seconds) > 0
-        assert all(t.compute_seconds > 0 for t in cluster.node_timings)
-        assert cluster.simulated_elapsed_seconds >= result.elapsed_seconds
+        assert [output[0] for output in outputs] == [0, 1, 2]
+        assert cluster.simulated_elapsed_seconds > 0
+
+
+class TestClockInvariant:
+    """The simulated clock is the dispatches' slowest nodes plus every second
+    the network model priced — nothing else, and nothing left out."""
+
+    TICK = 2.0 ** -10  # exact in binary, so tick sums carry no rounding
+
+    @pytest.mark.parametrize("n_nodes", [1, 2, 3, 4])
+    def test_clock_is_the_ticks_plus_the_network(self, n_nodes, rng, monkeypatch):
+        calls = itertools.count()
+        monkeypatch.setattr(cluster_module, "time", SimpleNamespace(
+            perf_counter=lambda: next(calls) * self.TICK))
+        cluster = Cluster(n_nodes)
+        dispatches, run = [], cluster.run_on_nodes
+        monkeypatch.setattr(cluster, "run_on_nodes",
+                            lambda work: dispatches.append(len(work)) or run(work))
+
+        matrix, target = rng.random((40, 8)), rng.random((40, 1))
+        scalapack = ScaLAPACK(cluster)
+        scalapack.covariance(distributed(cluster, matrix))
+        scalapack.linear_regression(distributed(cluster, matrix), distributed(cluster, target))
+        truncated_svd(distributed(cluster, matrix), k=3, seed=0)
+        blocks = distributed(cluster, matrix).partitions
+        cluster.scatter(cluster.gather(blocks))  # SciDB's re-chunking shuffle
+
+        # Every node's work takes one tick, so each dispatch's slowest node does too.
+        assert dispatches
+        assert cluster.simulated_elapsed_seconds == pytest.approx(
+            len(dispatches) * self.TICK + cluster.network.total_seconds, rel=1e-12)
+        assert (cluster.network.total_seconds > 0) == (n_nodes > 1)
 
 
 class TestScaLAPACK:
@@ -229,3 +291,37 @@ class TestCoprocessor:
         offloaded = runtime.run("covariance", lambda m: np.cov(m, rowvar=False), rng.random((50, 10)))
         assert offloaded.transfer_seconds > 0
         assert len(runtime.device.offloads) == 2
+
+
+class TestPhiClusterDeviceModel:
+    """``scidb-phi-cluster`` prices through the device model's own methods,
+    to the same seconds as the arithmetic it used to spell out itself."""
+
+    HOST_ANALYTICS = 0.0371
+
+    @pytest.mark.parametrize("memory_bytes", [XEON_PHI_5110P.memory_bytes, 1])
+    @pytest.mark.parametrize("query", ["covariance", "svd", "statistics", "biclustering"])
+    def test_seconds_are_unchanged(self, tiny_dataset, tiny_parameters, monkeypatch,
+                                   query, memory_bytes):
+        def inner_run(self, query, parameters, timer):
+            timer.add_data_management(0.002)
+            timer.add_analytics(TestPhiClusterDeviceModel.HOST_ANALYTICS)
+            return "output"
+
+        monkeypatch.setattr(SciDBClusterEngine, "run", inner_run)
+        engine = make_engine("scidb-phi-cluster", n_nodes=2)
+        engine.device = Coprocessor(spec=replace(XEON_PHI_5110P, memory_bytes=memory_bytes))
+        engine.load(tiny_dataset)
+        timer = PhaseTimer()
+        assert engine.run(query, tiny_parameters, timer) == "output"
+
+        spec, compute = engine.device.spec, self.HOST_ANALYTICS
+        fraction = DEFAULT_OFFLOAD_FRACTIONS[query]
+        per_node_bytes = tiny_dataset.spec.microarray_bytes / 2
+        transfer = spec.transfer_latency_seconds + per_node_bytes / spec.transfer_bandwidth_bytes_per_second
+        device_compute = compute * (1 - fraction) + compute * fraction / spec.compute_speedup
+        if per_node_bytes > spec.memory_bytes:
+            device_compute *= spec.oversubscription_penalty
+        assert timer.analytics_seconds == transfer + device_compute
+        assert timer.data_management_seconds == 0.002
+        assert timer.notes["host_analytics_seconds"] == compute

@@ -247,7 +247,6 @@ class TestClusterExecutorContract:
 
         def observed():
             return (dict(vars(stats)), cluster.simulated_elapsed_seconds,
-                    [timing.compute_seconds for timing in cluster.node_timings],
                     cluster.network.total_bytes, cluster.network.total_seconds)
 
         before, calls = observed(), []

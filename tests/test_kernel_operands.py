@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -312,15 +313,28 @@ class TestOperandSpecifics:
         with pytest.raises(ValueError):
             kernel_pins.distributed(Cluster(2), rng.random(5))
 
-    def test_distributed_products_charge_the_network_per_call(self, matrix, rng):
+    @staticmethod
+    def _count_broadcasts(cluster, monkeypatch) -> list:
+        payloads, broadcast = [], cluster.broadcast
+        monkeypatch.setattr(cluster, "broadcast",
+                            lambda payload: payloads.append(payload) or broadcast(payload))
+        return payloads
+
+    def test_distributed_products_charge_the_network_per_call(self, matrix, rng, monkeypatch):
         distributed = kernel_pins.distributed(Cluster(4), matrix)
         network = distributed.cluster.network
-        distributed.matmat(rng.random((30, 5)))
-        assert len(network.transfers) == 3  # all five columns at once, to each other node
-        before = distributed.cluster.simulated_elapsed_seconds
-        distributed.gram(center=True)  # two all-reduces, charged to the clock only
-        assert distributed.cluster.simulated_elapsed_seconds > before
-        assert len(network.transfers) == 3
+        broadcasts = self._count_broadcasts(distributed.cluster, monkeypatch)
+        right = rng.random((30, 5))
+        distributed.matmat(right)
+        assert len(broadcasts) == 1  # all five columns at once
+        wire = len(pickle.dumps(right, protocol=pickle.HIGHEST_PROTOCOL))
+        assert network.total_bytes == 3 * wire  # a copy to each other node
+        before = (distributed.cluster.simulated_elapsed_seconds, network.total_seconds)
+        distributed.gram(center=True)  # two all-reduces (means, Gram), no broadcast
+        assert len(broadcasts) == 1
+        assert network.total_bytes == 3 * wire + 4 * 6 * (30 * 8 // 4) + 4 * 6 * (30 * 30 * 8 // 4)
+        assert network.total_seconds > before[1]
+        assert distributed.cluster.simulated_elapsed_seconds > before[0]
 
     def test_a_distributed_svd_is_one_all_reduce_and_one_broadcast(self, matrix, monkeypatch):
         cluster = Cluster(4)
@@ -330,7 +344,9 @@ class TestOperandSpecifics:
         monkeypatch.setattr(
             cluster, "all_reduce_sum",
             lambda arrays: reduced.append(arrays[0].shape) or all_reduce(arrays))
+        broadcasts = self._count_broadcasts(cluster, monkeypatch)
         truncated_svd(distributed, k=5, seed=0)
         assert reduced == [(30, 30)]  # the Gram matrix
-        assert len(cluster.network.transfers) == 3  # V, to each other node
-        assert {record.label for record in cluster.network.transfers} == {"broadcast-operand"}
+        assert [np.shape(payload) for payload in broadcasts] == [(30, 5)]  # V
+        wire = len(pickle.dumps(broadcasts[0], protocol=pickle.HIGHEST_PROTOCOL))
+        assert cluster.network.total_bytes == 3 * wire + 4 * 6 * (30 * 30 * 8 // 4)
