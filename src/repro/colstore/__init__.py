@@ -43,10 +43,10 @@ dictionary   gather codes, one dictionary    predicate on the *distinct* values;
                                              predicates on the sorted dict)
                                              become a single code comparison,
                                              otherwise a code gather
-delta        prefix sum over the             vectorised predicate on the buffer
-             ``[min, max]`` index window;    (decoded by the first operator that
-             past half the column, decode    needs it, kept for the rest)
-             into the buffer instead
+delta        fancy indexing on the buffer    vectorised predicate on the buffer
+             (decoded by the first operator  (same buffer)
+             that needs it, kept for the
+             rest)
 ===========  ==============================  ===================================
 
 (``take`` on an already-decoded column is fancy indexing on the buffer for
@@ -60,13 +60,14 @@ Consequences for the query layer:
   without materialising the filtered column;
 * ``group_aggregate``/``pivot`` push the *grouping* down too: a dictionary
   column's ``(keys, codes)`` pair is consumed directly (``bincount`` over
-  codes, min/max via one ``ufunc.at`` scatter), RLE runs fold into partial
-  counts/sums/extrema with ``ufunc.reduceat`` and never expand, and a
-  monotone delta column recovers its grouping from a change-point scan;
-  the plain / non-monotone-delta fallback (every join intermediate) groups
-  bounded-span integers by direct addressing — presence table, ``cumsum``
-  codes — and sorts with ``np.unique`` only floats, strings and sparse keys
-  (see ``distinct_inverse``/``group_reduce``);
+  codes, min/max via one ``ufunc.at`` scatter); every other encoding (and
+  every join intermediate) groups its buffer, bounded-span integers by
+  direct addressing — presence table, ``cumsum`` codes — and only floats,
+  strings and sparse keys by ``np.unique``'s sort (see
+  ``distinct_inverse``/``group_reduce``).  Every encoding then reduces
+  with the same ``bincount``/``ufunc.at`` calls, so a sealed column's
+  grouped result is bit-identical whatever its encoding; the one float
+  reassociation left is ``MergedColumn``'s sealed+tail partial merge;
 * plain and delta columns trade memory for time: the buffer a delta column
   fills stays resident (a plain column's stored array *is* its buffer);
 * statistics are a pure function of the stored form (a delta column keeps

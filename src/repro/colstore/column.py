@@ -22,18 +22,20 @@ class ColumnVector:
     The column keeps only its encoded representation and delegates every
     operator to it: the encoding answers from its compressed form where it
     can (dictionary codes, RLE runs) and from its decode-once buffer where
-    it cannot (plain and delta columns — see
-    :class:`~repro.colstore.compression.Encoding`).  Callers use the same
-    calls whichever encoding sits underneath:
+    it cannot (see :class:`~repro.colstore.compression.Encoding`).  Callers
+    use the same calls, and get the same answer, whichever encoding sits
+    underneath:
 
     >>> import numpy as np
-    >>> for encoding in ("dictionary", "plain"):
+    >>> for encoding in ("dictionary", "plain", "rle", "delta"):
     ...     column = ColumnVector("g", np.array([3, 1, 3, 2, 1, 3]), encoding=encoding)
     ...     mask = column.filter_mask(lambda v: v >= 2)
     ...     keys, sums = column.group_reduce(np.arange(6.0), "sum")
     ...     print(column.encoding_name, mask.astype(int), keys, sums)
     dictionary [1 0 1 1 0 1] [1 2 3] [5. 3. 7.]
     plain [1 0 1 1 0 1] [1 2 3] [5. 3. 7.]
+    rle [1 0 1 1 0 1] [1 2 3] [5. 3. 7.]
+    delta [1 0 1 1 0 1] [1 2 3] [5. 3. 7.]
     """
 
     def __init__(self, name: str, values: np.ndarray, compress: bool = True,
@@ -111,9 +113,10 @@ class ColumnVector:
     def take(self, indices: np.ndarray) -> np.ndarray:
         """Gather the values at ``indices`` (late materialisation step).
 
-        The encoding's compressed gather until the column has been decoded,
-        plain fancy indexing on the buffer afterwards; a delta column
-        decodes by itself once a gather spans most of it.
+        The encoding's compressed gather (dictionary codes, RLE runs) until
+        the column has been decoded, plain fancy indexing on the buffer
+        afterwards; a delta column decodes into its buffer on its first
+        gather.
         """
         return self._encoding.take(indices)
 
@@ -136,10 +139,9 @@ class ColumnVector:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Sorted distinct values and per-row group codes (``np.unique`` contract).
 
-        Restricted to ``selection`` when given.  Dictionary/RLE columns
-        answer from their codes/runs without decoding; other encodings
-        group the (gathered) decoded values, a monotone delta column by a
-        linear change-point scan.  Key and code values match
+        Restricted to ``selection`` when given.  Dictionary columns answer
+        from their codes without decoding; every other encoding groups the
+        (gathered) decoded values.  Key and code values match
         ``np.unique(..., return_inverse=True)`` exactly, though the code
         dtype may be narrower; the arrays may alias column state — treat
         them as read-only.
@@ -149,9 +151,7 @@ class ColumnVector:
     def distinct_values(self, selection: np.ndarray | None = None) -> np.ndarray:
         """Sorted distinct values only — skips the inverse entirely.
 
-        RLE answers from its run values, dictionary from its (compacted)
-        dictionary; same read-only aliasing caveat as
-        :meth:`distinct_inverse`.
+        Same read-only aliasing caveat as :meth:`distinct_inverse`.
         """
         return self._encoding.distinct_values(selection)
 
@@ -165,10 +165,9 @@ class ColumnVector:
 
         ``values`` must be aligned with the grouped rows (the whole column,
         or ``selection`` when given); for ``count`` they are never read and
-        may be None.  Dictionary columns aggregate straight over their
-        stored codes; RLE columns fold whole runs into partial
-        counts/sums/extrema; everything else groups via
-        :meth:`distinct_inverse`.
+        may be None.  Every encoding reduces over :meth:`distinct_inverse`'s
+        group codes (a dictionary column's stored codes), so the result is
+        bit-identical whichever encoding sits underneath.
         """
         return self._encoding.group_reduce(values, function, selection)
 

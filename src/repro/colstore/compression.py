@@ -21,10 +21,8 @@ operator exactly where its compressed form is cheaper:
   then one dictionary lookup; RLE: sorted positions — every selection the
   query layer produces — are counted per run and the run values repeated,
   one ``searchsorted`` probe per *run*, anything else probes the run
-  boundaries per position; delta: prefix-sum over the
-  ``[min(indices), max(indices)]`` window, or a decode once that window
-  spans half the column) — and, for every encoding, plain fancy indexing
-  once the buffer exists,
+  boundaries per position; delta: decode once into the buffer) — and, for
+  every encoding, plain fancy indexing once the buffer exists,
 * ``filter_mask(predicate)`` evaluates a vectorised element-wise predicate —
   for dictionary/RLE columns on the *distinct values only* — and expands the
   result through the codes/runs into a full-length boolean mask,
@@ -33,13 +31,12 @@ operator exactly where its compressed form is cheaper:
   using the bounds the column keeps),
 * ``distinct_inverse(positions)`` produces the ``(keys, inverse)`` pair that
   ``np.unique(..., return_inverse=True)`` would compute — a dictionary
-  column already *is* that pair, an RLE column derives it from its run
-  values, a monotone delta column from a change-point scan, any other
-  bounded-span integer column from a presence table — and
+  column already *is* that pair, any other bounded-span integer column
+  reads it off a presence table over the buffer — and
 * ``group_reduce(values, function, positions)`` runs a grouped reduction
-  (count/sum/mean/min/max) keyed by the column: dictionary aggregates with
-  ``bincount`` over the stored codes, RLE folds whole runs into partial
-  counts/sums/extrema via ``ufunc.reduceat`` without ever expanding them.
+  (count/sum/mean/min/max) keyed by the column: :func:`reduce_by_inverse`
+  over that pair, so every encoding returns the same bits for the same
+  rows (dictionary columns hand over their stored codes unchanged).
 
 Predicates handed to ``filter_mask`` must be element-wise and stateless:
 the encoding may invoke them on the distinct values rather than the full
@@ -101,38 +98,14 @@ def reduce_by_inverse(
     raise ValueError(f"unsupported aggregate function {function!r}")
 
 
-def sorted_distinct(values: np.ndarray) -> np.ndarray:
-    """``np.unique(values)`` for already-sorted input: a change-point scan."""
-    if not values.size:
-        return np.unique(values)
-    change_points = np.flatnonzero(values[1:] != values[:-1]) + 1
-    return values[np.concatenate([[0], change_points])]
-
-
-def sorted_distinct_inverse(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique(values, return_inverse=True)`` for already-sorted input.
-
-    A change-point scan replaces the sort: O(n) instead of O(n log n), with
-    bit-identical output (distinct values of a sorted array are already in
-    ascending order).
-    """
-    if not values.size:
-        return np.unique(values, return_inverse=True)
-    change_points = np.flatnonzero(values[1:] != values[:-1]) + 1
-    starts = np.concatenate([[0], change_points])
-    ends = np.concatenate([change_points, [len(values)]])
-    inverse = np.repeat(np.arange(len(starts), dtype=np.intp), ends - starts)
-    return values[starts], inverse
-
-
 def _compact_distinct(
     keys: np.ndarray, codes: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Drop distinct entries with no surviving rows, remapping the codes.
 
-    A narrowed selection may miss some dictionary entries / run values
-    entirely; ``np.unique`` over the gathered rows would not list them, so
-    neither may the pushed-down result.
+    A narrowed selection may miss some dictionary entries entirely;
+    ``np.unique`` over the gathered rows would not list them, so neither may
+    the pushed-down result.
     """
     counts = np.bincount(codes, minlength=len(keys))
     present = counts > 0
@@ -291,9 +264,9 @@ class Encoding:
         match ``np.unique`` exactly; the code dtype may be narrower (e.g. a
         dictionary column hands back its stored codes).  Returned arrays may
         alias encoding state — treat them as read-only.  The generic answer
-        (plain and non-monotone delta columns, hence every join
-        intermediate) groups bounded-span integers by direct addressing and
-        sorts only what it must (:func:`_distinct`).
+        (every encoding but dictionary, and every join intermediate) groups
+        bounded-span integers by direct addressing and sorts only what it
+        must (:func:`_distinct`).
         """
         return _distinct(self._rows(positions), return_inverse=True)
 
@@ -469,67 +442,12 @@ class RunLengthEncoding(Encoding):
             return np.empty(0, dtype=bool)
         return np.repeat(np.isin(self._run_values, values), self._run_lengths)
 
-    def distinct_inverse(
-        self, positions: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        if self._run_values is None:
-            return np.unique(np.empty(0), return_inverse=True)
-        run_keys, run_codes = np.unique(self._run_values, return_inverse=True)
-        if positions is None:
-            # Every run is non-empty, so every run value survives.
-            return run_keys, np.repeat(run_codes, self._run_lengths)
-        return _compact_distinct(
-            run_keys, self._per_position(run_codes, np.asarray(positions)))
-
-    def distinct_values(self, positions: np.ndarray | None = None) -> np.ndarray:
-        """Keys-only path: unique run values, no n-length inverse expansion."""
-        if positions is not None or self._run_values is None:
-            return super().distinct_values(positions)
-        return np.unique(self._run_values)
-
     def stats_hint(self) -> tuple[int | None, object, object]:
         """Distinct count and extrema from the run values (never the rows)."""
         if self._run_values is None or not len(self._run_values):
             return None, None, None
         uniques = np.unique(self._run_values)
         return len(uniques), uniques[0], uniques[-1]
-
-    def group_reduce(
-        self,
-        values: np.ndarray | None,
-        function: str,
-        positions: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Fold whole runs into partial counts/sums/extrema — no expansion.
-
-        Per-run partials come from ``ufunc.reduceat`` at the run starts
-        (counts are the stored run lengths verbatim), then collapse onto the
-        distinct run values, so the work after one O(n) pass over ``values``
-        is proportional to the run count, not the row count.
-        """
-        if positions is not None or self.run_count == 0:
-            return super().group_reduce(values, function, positions)
-        if function not in AGGREGATE_FUNCTIONS:
-            raise ValueError(f"unsupported aggregate function {function!r}")
-        run_keys, run_codes = np.unique(self._run_values, return_inverse=True)
-        n_groups = len(run_keys)
-        lengths = self._run_lengths
-        if function == "count":
-            return run_keys, np.bincount(run_codes, weights=lengths, minlength=n_groups)
-        values = np.asarray(values, dtype=np.float64)
-        starts = self._cumulative_run_ends() - lengths
-        if function in ("sum", "mean"):
-            run_sums = np.add.reduceat(values, starts)
-            totals = np.bincount(run_codes, weights=run_sums, minlength=n_groups)
-            if function == "sum":
-                return run_keys, totals
-            counts = np.bincount(run_codes, weights=lengths, minlength=n_groups)
-            return run_keys, totals / np.maximum(counts, 1)
-        reducer = np.minimum if function == "min" else np.maximum
-        per_run = reducer.reduceat(values, starts)
-        result = np.full(n_groups, np.inf if function == "min" else -np.inf)
-        reducer.at(result, run_codes, per_run)
-        return run_keys, result
 
     def sketch_pairs(
         self, positions: np.ndarray | None = None
@@ -740,60 +658,11 @@ class DeltaEncoding(Encoding):
             return 0
         return len(self._deltas) + 1
 
-    def _gather(self, indices: np.ndarray) -> np.ndarray:
-        """Prefix sum over the ``[min, max]`` index window only.
-
-        The window costs O(index span) rather than O(len(indices)), so once
-        the span covers half the column (or wraps through negative
-        positions) the column decodes into its buffer instead and repeated
-        wide gathers pay that only once.
-        """
-        if self._first is None:
-            return np.empty(0, dtype=self._dtype or np.int64)[indices]
-        if indices.size == 0:
-            return np.empty(0, dtype=self._dtype)
-        length = len(self)
-        low = int(indices.min())
-        high = int(indices.max())
-        if low < 0 or high - low + 1 >= length // 2:
-            return self.values()[indices]
-        if high >= length:
-            raise IndexError(
-                f"index out of bounds for delta column of length {length}"
-            )
-        start = np.int64(self._first) + self._deltas[:low].sum(dtype=np.int64)
-        window = np.concatenate(
-            [[start], start + np.cumsum(self._deltas[low:high], dtype=np.int64)]
-        )
-        return window[indices - low].astype(self._dtype)
-
-    @property
-    def is_monotone(self) -> bool:
-        """True when every delta is ≥ 0, i.e. the column decodes sorted."""
-        if self._first is None:
-            return False
-        return len(self._deltas) == 0 or int(self._deltas.min()) >= 0
-
     def stats_hint(self) -> tuple[int | None, object, object]:
-        """The bounds kept at encode time — monotone or not, never a decode."""
+        """The bounds kept at encode time — never a decode."""
         if self._bounds is None:
             return None, None, None
         return None, *self._bounds
-
-    def distinct_inverse(
-        self, positions: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Monotone columns (all deltas ≥ 0) decode already sorted, so the
-        distinct values fall out of a change-point scan instead of the sort
-        ``np.unique`` would run."""
-        if positions is not None or not self.is_monotone:
-            return super().distinct_inverse(positions)
-        return sorted_distinct_inverse(self.values())
-
-    def distinct_values(self, positions: np.ndarray | None = None) -> np.ndarray:
-        if positions is not None or not self.is_monotone:
-            return super().distinct_values(positions)
-        return sorted_distinct(self.values())
 
 
 def _dictionary_code_bytes(cardinality: int) -> int:

@@ -32,8 +32,10 @@ columns are :class:`MergedColumn` views.  A merged column implements the
 :class:`~repro.colstore.column.ColumnVector` surface per operator instead
 of decoding the sealed segment, running the compressed fast path on the
 sealed part and vectorised plain evaluation on the tail — concatenated
-filter masks, unioned distinct sets, per-part group-reduce partials merged
-by key, and mergeable HLL/t-digest sketches (the sketch machinery already
+filter masks, per-part group-reduce partials merged by key (the column
+store's one float reassociation: a merged ``sum``/``mean`` may differ from a
+sealed column's in the last ulps), distinct sets read off the concatenated
+rows, and mergeable HLL/t-digest sketches (the sketch machinery already
 merges across cluster partitions; a tail is just one more partition).
 """
 
@@ -108,9 +110,10 @@ class MergedColumn:
 
     Implements the :class:`~repro.colstore.column.ColumnVector` query
     surface over the concatenation ``[sealed rows..., tail rows...]``.
-    Operators run the encoding's compressed fast path on the sealed part
-    and vectorised plain evaluation on the tail, merging per operator —
-    the sealed segment is never decoded just because a tail exists.
+    Filters, gathers, grouped reductions and sketches run the encoding's
+    compressed fast path on the sealed part and vectorised plain
+    evaluation on the tail, merging per operator; ``distinct_inverse`` and
+    ``distinct_values`` answer from the concatenated rows.
 
     ``tail_chunks`` are the appended arrays in append order (at least one
     row between them); they are concatenated the first time an operator
@@ -256,22 +259,12 @@ class MergedColumn:
     def distinct_inverse(
         self, selection: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Union the sealed distinct set with the tail's; remap both inverses."""
-        if selection is not None:
-            return _distinct(self.take(selection), return_inverse=True)
-        sealed_keys, sealed_inverse = self._sealed.distinct_inverse(None)
-        tail_keys, tail_inverse = _distinct(self._tail, return_inverse=True)
-        keys = np.union1d(sealed_keys, tail_keys)
-        inverse = np.concatenate([
-            np.searchsorted(keys, sealed_keys)[np.asarray(sealed_inverse)],
-            np.searchsorted(keys, tail_keys)[np.asarray(tail_inverse)],
-        ])
-        return keys, inverse
+        rows = self.values() if selection is None else self.take(selection)
+        return _distinct(rows, return_inverse=True)
 
     def distinct_values(self, selection: np.ndarray | None = None) -> np.ndarray:
-        if selection is not None:
-            return _distinct(self.take(selection), return_inverse=False)
-        return np.union1d(self._sealed.distinct_values(None), self._tail)
+        rows = self.values() if selection is None else self.take(selection)
+        return _distinct(rows, return_inverse=False)
 
     def group_reduce(
         self,

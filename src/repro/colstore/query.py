@@ -41,19 +41,18 @@ Aggregation pushes down the encodings the same way.  ``group_aggregate``
 never re-derives the grouping with ``np.unique``: a dictionary-encoded
 group column already stores the ``(keys, inverse)`` pair, so count/sum/mean
 run as ``bincount`` over the codes and min/max as one ``ufunc.at`` scatter
-of per-code partials; an RLE group column folds whole runs into partial
-counts/sums/extrema (``ufunc.reduceat`` at run starts) without expansion; a
-monotone delta column recovers the grouping from a change-point scan.
-``pivot`` reuses the same ``distinct_inverse`` surface for both axes
-instead of two ``np.unique`` calls, scattering values through the stored
-codes; over a plain join intermediate that surface is a direct-address
+of per-code partials; every other group column hands the same reduction
+the codes of a direct-address grouping of its buffer (``np.unique`` only
+for floats, strings and sparse keys).  ``pivot`` reuses the same
+``distinct_inverse`` surface for both axes instead of two ``np.unique``
+calls, scattering values through the stored codes; over a plain join intermediate that surface is a direct-address
 grouping, so the fused join → pivot never sorts.  Narrowed selections
 gather the codes and compact away group keys with no surviving rows.
-Results match aggregating the decoded, gathered column exactly —
-bit-identical keys always, and bit-identical aggregates for count/min/max
-and for any exactly-representable values — with one caveat: RLE run folding
-reassociates floating-point addition, so sum/mean over non-integer float
-values can differ from the row-order accumulation in the last ulps.
+Over a sealed table, results are bit-identical to aggregating the decoded,
+gathered column with ``np.unique`` + ``bincount``, whatever the encoding.
+The one reassociation left is a written table's
+:class:`~repro.colstore.delta.MergedColumn`, which merges sealed and tail
+partials by key, so a float sum/mean there may move in the last ulps.
 """
 
 from __future__ import annotations
@@ -477,8 +476,8 @@ class ColumnQuery:
         """Sorted distinct values of ``name`` within the current selection.
 
         Pushed down the encoding: a dictionary column answers from its
-        (compacted) dictionary, RLE from its run values — no decode, no
-        ``np.unique`` sort, no inverse materialisation.  Returns a fresh
+        (compacted) dictionary — no decode, no ``np.unique`` sort, no
+        inverse materialisation.  Returns a fresh
         array the caller may mutate.
         """
         selection = None if self._full_selection else self.selection
@@ -614,9 +613,9 @@ class JoinedQuery:
     ``benchmarks/bench_colstore_ops.py``.
 
     Join output row order is probe-side-major and therefore depends on the
-    chosen build side; aggregate results are row-order independent except
-    for the documented last-ulp caveat on float sums, and pivots resolve
-    duplicate ``(row, column)`` pairs last-write-wins in output order.
+    chosen build side.  Aggregates accumulate in that order, so a float
+    sum/mean follows it to the last ulp; pivots resolve duplicate
+    ``(row, column)`` pairs last-write-wins in output order.
     """
 
     def __init__(self, left: ColumnQuery, right: ColumnQuery, left_key: str,

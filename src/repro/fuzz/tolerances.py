@@ -12,8 +12,8 @@ The policy, from the engine matrix (``docs/ENGINES.md``):
   selection and scatter, never by float arithmetic.
 - **Order-insensitive float reductions are ulp-tolerant.** ``sum`` and
   ``mean`` over float columns reassociate addition differently per engine
-  (RLE run folding on the column store, chunk-wise loops on the array
-  DBMS), so they may differ from the reference in the last ulps —
+  (a written column-store table's sealed+tail partial merge, chunk-wise
+  loops on the array DBMS), so they may differ from the reference in the last ulps —
   :data:`ULP`, ``rel=1e-9``.  ``count``/``min``/``max`` pick or count
   elements and stay exact.
 - **Mahout's analytics kernels are ulp-tolerant on hadoop only.** The

@@ -50,22 +50,20 @@ def covariance_matrix(matrix: np.ndarray, ddof: int = 1) -> np.ndarray:
 def top_covariant_pairs(
     cov: np.ndarray,
     fraction: float = 0.10,
-    absolute: bool = True,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Select the top fraction of off-diagonal gene pairs by covariance.
+    """Select the top fraction of off-diagonal gene pairs by absolute covariance.
 
     This is the thresholding step of Query 2 ("covariance greater than a
-    threshold, e.g. top 10%").
+    threshold, e.g. top 10%"); strong negative covariance counts as
+    interesting too, so pairs rank by ``|cov|``.
 
     Args:
         cov: square covariance matrix of finite float64 values.
         fraction: fraction of (unordered) off-diagonal pairs to keep.
-        absolute: rank by absolute covariance when True (the biological
-            motivation counts strong negative covariance as interesting too).
 
     Returns:
         ``(gene_a, gene_b, value)`` arrays for the selected pairs, sorted by
-        decreasing ranking score; ``gene_a < gene_b`` for every pair (none
+        decreasing ``|value|``; ``gene_a < gene_b`` for every pair (none
         below two genes).  Which of several pairs tied exactly at the cut
         survive is unspecified.  A non-square or non-finite ``cov`` (a NaN
         would outrank every real covariance) raises ``ValueError``.
@@ -83,7 +81,7 @@ def top_covariant_pairs(
 
     row_idx, col_idx = np.triu_indices(n, k=1)
     values = cov[row_idx, col_idx]
-    scores = np.abs(values) if absolute else values
+    scores = np.abs(values)
     n_keep = max(1, int(np.ceil(fraction * len(values))))
     # Select the survivors in linear time, then sort only them.
     kept = np.argpartition(scores, len(scores) - n_keep)[len(scores) - n_keep:]

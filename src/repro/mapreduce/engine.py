@@ -74,11 +74,10 @@ class JobResult:
 class MapReduceEngine:
     """Runs MapReduce jobs over in-memory input records."""
 
-    def __init__(self, n_splits: int = 4, sort_shuffle: bool = True):
+    def __init__(self, n_splits: int = 4):
         if n_splits < 1:
             raise ValueError("need at least one split")
         self.n_splits = n_splits
-        self.sort_shuffle = sort_shuffle
         self.history: list[JobResult] = []
 
     # -- split handling -----------------------------------------------------------
@@ -120,8 +119,7 @@ class MapReduceEngine:
         merged: list[tuple[object, object]] = []
         for spill in spilled_splits:
             merged.extend(pickle.loads(spill))
-        if self.sort_shuffle:
-            merged.sort(key=lambda pair: _sort_key(pair[0]))
+        merged.sort(key=lambda pair: _sort_key(pair[0]))
         groups = self._group(merged)
         counters.reduce_input_groups = len(groups)
 

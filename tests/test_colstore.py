@@ -327,6 +327,29 @@ class TestColumnContract:
         self._check(column, full, selection)  # the decode buffer is filled
 
 
+@pytest.mark.parametrize("selection_shape", ["none", "sorted", "interleaved"])
+@pytest.mark.parametrize("function", AGGREGATE_FUNCTIONS)
+@pytest.mark.parametrize("kind", ["plain", "rle", "dictionary", "delta-monotone"])
+def test_sealed_group_reduce_is_bit_identical_over_float_values(kind, function,
+                                                                selection_shape):
+    """Every encoding groups a sealed column through the same reduction, so
+    non-integer float sums and means come out as the same bits as
+    ``reduce_by_inverse`` over ``np.unique``'s inverse.  Merged columns are
+    left to the contract's integer-valued floats: their sealed+tail partial
+    merge still reassociates float addition."""
+    column, full = _contract_column(kind, merged=False)
+    selection = _contract_selection(selection_shape)
+    rows = full if selection is None else full[selection]
+    expected_keys, expected_inverse = np.unique(rows, return_inverse=True)
+    reduced = np.random.default_rng(14).random(len(rows))
+    expected = reduce_by_inverse(expected_inverse, len(expected_keys), reduced, function)
+    for _ in ("stored form", "decode buffer"):
+        keys, aggregates = column.group_reduce(reduced, function, selection)
+        np.testing.assert_array_equal(keys, expected_keys)
+        assert aggregates.tobytes() == expected.tobytes()
+        column.values()
+
+
 @pytest.mark.parametrize("kind", list(CONTRACT_COLUMNS))
 class TestDecodeBuffer:
     def test_stats_do_not_depend_on_decode_history(self, kind):

@@ -22,10 +22,11 @@ is safe to put under the analytics paths:
   must exactly determine its row count, so any torn publish is caught as
   arithmetic, not as a race we hope to observe.
 
-Aggregate values are integer-valued floats throughout: RLE run folding
-reassociates float addition (documented last-ulp caveat), and integer
-sums are exact under any association, which is what makes the
-bit-identical comparison legitimate.
+Aggregate values are integer-valued floats throughout: a merged column
+adds its sealed and tail partials by key, which reassociates float
+addition (the column store's one such merge), and integer sums are exact
+under any association, which is what makes the bit-identical comparison
+legitimate.
 """
 
 from __future__ import annotations

@@ -203,21 +203,19 @@ class TestCovariance:
         assert np.all(gene_a < gene_b)
         assert np.all(np.diff(np.abs(values)) <= 1e-12)
 
-    @pytest.mark.parametrize("absolute", [True, False])
     @pytest.mark.parametrize("fraction", [0.01, 0.1, 0.5, 1.0])
-    def test_top_pairs_match_a_full_sort(self, rng, fraction, absolute):
+    def test_top_pairs_match_a_full_sort(self, rng, fraction):
         cov = covariance_matrix(rng.standard_normal((30, 40)))
-        gene_a, gene_b, values = top_covariant_pairs(cov, fraction=fraction, absolute=absolute)
+        gene_a, gene_b, values = top_covariant_pairs(cov, fraction=fraction)
         rows, cols = np.triu_indices(40, k=1)
         every = cov[rows, cols]
-        scores = np.abs(every) if absolute else every
+        scores = np.abs(every)
         keep = np.argsort(scores, kind="stable")[::-1][:max(1, int(np.ceil(fraction * 780)))]
         assert set(zip(gene_a.tolist(), gene_b.tolist(), strict=True)) == set(
             zip(rows[keep].tolist(), cols[keep].tolist(), strict=True))
         np.testing.assert_array_equal(values, cov[gene_a, gene_b])
         np.testing.assert_array_equal(values, every[keep])
-        ranked = np.abs(values) if absolute else values
-        assert np.all(np.diff(ranked) <= 0) and np.all(gene_a < gene_b)
+        assert np.all(np.diff(np.abs(values)) <= 0) and np.all(gene_a < gene_b)
 
     def test_top_pairs_validation(self, rng):
         cov = covariance_matrix(rng.random((10, 4)))

@@ -559,9 +559,9 @@ class TestFusedJoinQueries:
         fast_keys, fast_means = fused.group_aggregate("gene_id", "expression_value")
         slow_keys, slow_means = eager.group_aggregate("gene_id", "expression_value")
         np.testing.assert_array_equal(fast_keys, slow_keys)
-        # Float means: the eager path's re-encoded group column may fold RLE
-        # runs (documented last-ulp reassociation caveat).
-        np.testing.assert_allclose(fast_means, slow_means, rtol=1e-12)
+        # Float means too: both paths reduce the same rows in the same order,
+        # and every encoding of the re-encoded group column reduces the same way.
+        np.testing.assert_array_equal(fast_means, slow_means)
 
     @pytest.mark.parametrize("function", AGGREGATE_FUNCTIONS)
     def test_fused_aggregate_matches_the_dense_matrix(self, genbase_store, tiny_dataset,
