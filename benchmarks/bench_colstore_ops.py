@@ -57,7 +57,7 @@ from repro.colstore.query import (
     merge_join_positions,
 )
 from repro.colstore.table import ColumnTable
-from repro.plan import Filter, Scan, approx_sum, col
+from repro.plan import Filter, Scan, approx_mean, col
 
 SIZES = {"tiny": 10_000, "small": 100_000, "medium": 1_000_000}
 
@@ -677,7 +677,7 @@ def run_sweep(size: str, rounds: int = 3, seed: int = 7) -> dict:
                gated=True)
     )
 
-    # Approximate aggregate: SUM over a 1% uniform synopsis with CLT bounds
+    # Approximate aggregate: MEAN over a 1% uniform synopsis with CLT bounds
     # vs the exact answer through the same plan API (an ApproxAggregate
     # with no sampling opt-in runs the full column).  The synopsis is
     # built once before timing — its catalog-cached selection is the whole
@@ -696,9 +696,9 @@ def run_sweep(size: str, rounds: int = 3, seed: int = 7) -> dict:
     # the bench flaky; the coverage *rate* is what tests/test_approx.py
     # verifies over hundreds of seeds.
     sampling_seed = 0
-    approx_plan = approx_sum(Scan("measurements"), "reading",
-                             fraction=0.01, seed=sampling_seed)
-    exact_plan = approx_sum(Scan("measurements"), "reading")
+    approx_plan = approx_mean(Scan("measurements"), "reading",
+                              fraction=0.01, seed=sampling_seed)
+    exact_plan = approx_mean(Scan("measurements"), "reading")
     approx_store.synopses.uniform("measurements", 0.01, sampling_seed)
 
     def sampled_aggregate():
@@ -713,7 +713,7 @@ def run_sweep(size: str, rounds: int = 3, seed: int = 7) -> dict:
     exact = exact_aggregate().estimate
     assert sampled.covers(exact), (
         f"sampled 95% interval [{sampled.ci_low}, {sampled.ci_high}] "
-        f"misses the exact sum {exact} — measured error outside the "
+        f"misses the exact mean {exact} — measured error outside the "
         "promised bound"
     )
     results.append(

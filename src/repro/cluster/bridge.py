@@ -24,11 +24,12 @@ rewrite-checks a cluster plan exactly as it does any other:
    :meth:`repro.cluster.cluster.Cluster.run_on_nodes` (one after another,
    each timed alone; the simulated clock takes the slowest); each node
    evaluates the predicates vectorised over its own partition only.
-4. **Reduce** (the terminals) — partial results come back to the driver:
-   sketches merge, and the helpers :func:`reduce_partial_sums` /
-   :func:`merge_gathered` implement the two driver-side merge shapes the
-   GenBase engines need (partial-sum reduce for the statistics query,
-   vstack for gathered matrix blocks).
+4. **Reduce** — partial results come back to the driver: the helpers
+   :func:`reduce_partial_sums` / :func:`merge_gathered` implement the two
+   driver-side merge shapes the GenBase engines need (partial-sum reduce
+   for the statistics query, vstack for gathered matrix blocks).  The
+   cluster runs no terminal node: an ``Aggregate`` or ``ApproxAggregate``
+   raises the base :class:`~repro.plan.execute.Backend`'s ``TypeError``.
 
 Pruned partitions still yield a (trivially empty) fragment so downstream
 distributed kernels keep their one-block-per-node layout.
@@ -64,15 +65,8 @@ from repro.plan.expressions import (
     InList,
     Literal,
 )
-from repro.colstore.sketches import HyperLogLog, TDigest
 from repro.plan.execute import Backend, execute
-from repro.plan.logical import (
-    SKETCH_APPROX_KINDS,
-    ApproxAggregate,
-    Filter,
-    PlanNode,
-    Scan,
-)
+from repro.plan.logical import Filter, PlanNode, Scan
 from repro.plan.optimizer import ColumnStats, OptimizerCapabilities, SchemaCatalog
 
 #: Distinct sets beyond this cardinality are dropped from the synopsis —
@@ -223,8 +217,8 @@ class PartitionedTable:
 
 #: What a partition scan can honour: conjunct splitting and selectivity
 #: ordering.  There is no join to push through or to cost, a partition is
-#: already column-wise (nothing to prune), and sampled approximate kinds
-#: are rejected by the backend, never routed to a synopsis.
+#: already column-wise (nothing to prune), and an approximate aggregate is
+#: refused by the backend, never routed to a synopsis.
 CLUSTER_CAPABILITIES = OptimizerCapabilities(
     predicate_pushdown=False, join_build_side=False,
     projection_pruning=False, synopsis_routing=False,
@@ -236,8 +230,8 @@ class PartitionedBackend(Backend):
 
     ``lower`` admits ``Filter* → Scan(table)`` and — when ``prune`` —
     eliminates partitions from their synopses on the driver, the way the
-    array backend skips chunks; every terminal dispatches one fragment per
-    node and reduces the partials driver-side.
+    array backend skips chunks; ``relation`` dispatches one fragment per
+    node.
     """
 
     engine = "cluster"
@@ -270,9 +264,11 @@ class PartitionedBackend(Backend):
         ]
         return predicates, keep
 
-    def _dispatch(self, lowered, on_rows) -> list:
-        """``on_rows(node_id, local_rows)`` on every node, outputs in node order."""
+    def relation(self, lowered) -> list:
+        """Per-node fragments in node order: local row positions, or
+        ``on_fragment(node_id, local_rows)``'s answer computed on the node."""
         predicates, keep = lowered
+        on_fragment = self.on_fragment
 
         def work(node_id: int):
             partition = self.table.partitions[node_id]
@@ -288,33 +284,13 @@ class PartitionedBackend(Backend):
                     if not mask.any():
                         break
                 local_rows = np.flatnonzero(mask)
-            return on_rows(node_id, local_rows)
+            return local_rows if on_fragment is None else on_fragment(node_id, local_rows)
 
         outputs = self.cluster.run_on_nodes([work] * len(keep))
         if self.stats is not None:
             self.stats.partitions_scanned += sum(keep)
             self.stats.partitions_skipped += len(keep) - sum(keep)
         return outputs
-
-    def relation(self, lowered):
-        """Per-node fragments: local row positions, or ``on_fragment``'s answer."""
-        return self._dispatch(lowered, self.on_fragment or (lambda _node, rows: rows))
-
-    def approx_aggregate(self, plan: ApproxAggregate):
-        """Sketch kinds only: their partials (HLL registers, t-digest
-        centroids) merge losslessly driver-side, a sampled kind needs one
-        global sample over the whole table."""
-        if plan.kind not in SKETCH_APPROX_KINDS:
-            raise ValueError(
-                f"cluster bridge merges sketch partials only "
-                f"({list(SKETCH_APPROX_KINDS)}); sampled kind {plan.kind!r} "
-                "needs a global sample — run it through the column-store planner"
-            )
-        partitions = self.table.partitions
-        partials = self._dispatch(
-            self.lower(plan.child),
-            lambda node, rows: _partial_sketch(partitions[node], plan, rows))
-        return _reduce_sketches(partials, plan)
 
 
 def run_shared_plan(
@@ -334,9 +310,8 @@ def run_shared_plan(
     local row positions satisfying the predicate, or — when
     ``on_fragment(node_id, local_rows)`` is given — whatever that consumer
     computes *on the node* from them (it runs inside the dispatched work,
-    so its cost is charged to the node, not the driver).  An
-    ``ApproxAggregate`` of a sketch kind merges its per-node sketches on
-    the driver; an exact ``Aggregate`` raises ``TypeError``.
+    so its cost is charged to the node, not the driver).  An exact
+    ``Aggregate`` or an ``ApproxAggregate`` raises ``TypeError``.
 
     With ``optimized=False`` the plan is lowered as written and the
     synopsis pruning is disabled (every partition is scanned) — the
@@ -350,40 +325,6 @@ def run_shared_plan(
 # --------------------------------------------------------------------------- #
 # Driver-side merge / reduce
 # --------------------------------------------------------------------------- #
-
-def _partial_sketch(partition: Mapping[str, np.ndarray], approx: ApproxAggregate,
-                    local_rows: np.ndarray):
-    """One node's mergeable sketch state over its surviving rows.
-
-    Runs inside the dispatched ``work()`` closure, so sketch construction
-    is charged to the node; only the fixed-size state (HLL register array
-    or t-digest centroid arrays) travels back to the driver.
-    """
-    values = np.asarray(partition[approx.value])[local_rows]
-    if approx.kind == "approx_distinct":
-        return HyperLogLog().add_array(values).registers
-    digest = TDigest().add_array(values)
-    return digest.means, digest.weights
-
-
-def _reduce_sketches(partials: Sequence, approx: ApproxAggregate):
-    """Merge per-node sketch partials driver-side → :class:`ApproxResult`.
-
-    HLL merges by elementwise register maximum and the t-digest by
-    centroid pooling, so the reduced sketch is identical to one built in
-    a single pass over the concatenated partitions — regardless of node
-    count or arrival order.
-    """
-    if approx.kind == "approx_distinct":
-        merged = HyperLogLog()
-        for registers in partials:
-            merged = merged.merge(HyperLogLog(registers=registers))
-        return merged.result(approx.confidence)
-    merged = TDigest()
-    for means, weights in partials:
-        merged = merged.merge(TDigest(means=means, weights=weights))
-    return merged.result(approx.quantile, approx.confidence)
-
 
 def reduce_partial_sums(partials: Sequence[tuple[np.ndarray, int]]) -> tuple[np.ndarray, int]:
     """Reduce per-node ``(vector_sum, row_count)`` partials on the driver.

@@ -12,7 +12,6 @@ from repro.colstore.compression import (
     best_encoding,
     make_encoding,
 )
-from repro.colstore.sketches import HyperLogLog, TDigest
 from repro.plan.optimizer import ColumnStats
 
 
@@ -170,32 +169,6 @@ class ColumnVector:
         bit-identical whichever encoding sits underneath.
         """
         return self._encoding.group_reduce(values, function, selection)
-
-    def hll_sketch(self, selection: np.ndarray | None = None,
-                   p: int = 12) -> HyperLogLog:
-        """Build a HyperLogLog distinct-count sketch over this column.
-
-        Streams the encoding's :meth:`~repro.colstore.compression.Encoding.sketch_pairs`
-        — an RLE column hashes each run value once, a dictionary column each
-        dictionary key once — restricted to ``selection`` when given.  The
-        returned sketch merges with any other built at the same precision
-        (the cluster bridge reduces per-partition sketches driver-side).
-        """
-        values, _ = self._encoding.sketch_pairs(selection)
-        return HyperLogLog(p).add_array(values)
-
-    def tdigest_sketch(self, selection: np.ndarray | None = None,
-                       compression: int = 256,
-                       buffer_limit: int = 4096) -> TDigest:
-        """Build a t-digest quantile sketch over this column.
-
-        The weighted :meth:`~repro.colstore.compression.Encoding.sketch_pairs`
-        stream feeds run values weighted by run lengths (RLE) or dictionary
-        keys weighted by code counts (dictionary), so low-cardinality
-        columns build an *exact* digest without ever expanding rows.
-        """
-        values, weights = self._encoding.sketch_pairs(selection)
-        return TDigest(compression, buffer_limit).add_array(values, weights)
 
     def coerce(self, values: np.ndarray) -> np.ndarray:
         """Cast incoming values to this column's dtype, refusing lossy casts.

@@ -293,20 +293,6 @@ class Encoding:
         keys, inverse = self.distinct_inverse(positions)
         return keys, reduce_by_inverse(inverse, len(keys), values, function)
 
-    def sketch_pairs(
-        self, positions: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray | None]:
-        """``(values, weights)`` stream for sketch builders (HLL / t-digest).
-
-        The weighted stream represents the column's value *multiset*: each
-        value appears with its multiplicity summed into the weight (``None``
-        weights mean all-ones).  Run-length and dictionary encodings answer
-        from their compressed state — each run value or dictionary key is
-        handed over once — so a sketch build touches O(distinct) values
-        instead of O(rows).  The base implementation streams the raw rows.
-        """
-        return self._rows(positions), None
-
 
 @dataclass
 class PlainEncoding(Encoding):
@@ -449,24 +435,6 @@ class RunLengthEncoding(Encoding):
         uniques = np.unique(self._run_values)
         return len(uniques), uniques[0], uniques[-1]
 
-    def sketch_pairs(
-        self, positions: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray | None]:
-        """Fold whole runs: each run value appears once, weighted by its length.
-
-        A narrowed selection counts surviving positions per run with one
-        run lookup (:meth:`_per_position`) + ``bincount`` — still no row
-        expansion.
-        """
-        if self._run_values is None:
-            return np.empty(0), None
-        if positions is None:
-            return self._run_values, self._run_lengths
-        run_index = self._per_position(np.arange(self.run_count), np.asarray(positions))
-        counts = np.bincount(run_index, minlength=self.run_count)
-        present = counts > 0
-        return self._run_values[present], counts[present]
-
     def encoded_bytes(self) -> int:
         if self._run_values is None:
             return 0
@@ -520,10 +488,6 @@ class DictionaryEncoding(Encoding):
     def __len__(self) -> int:
         return 0 if self._codes is None else len(self._codes)
 
-    @property
-    def cardinality(self) -> int:
-        return 0 if self._dictionary is None else len(self._dictionary)
-
     def _gather(self, indices: np.ndarray) -> np.ndarray:
         if self._dictionary is None or self._codes is None:
             return np.empty(0)[indices]
@@ -559,23 +523,6 @@ class DictionaryEncoding(Encoding):
         if self._dictionary is None or not len(self._dictionary):
             return None, None, None
         return len(self._dictionary), self._dictionary[0], self._dictionary[-1]
-
-    def sketch_pairs(
-        self, positions: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray | None]:
-        """Hash each dictionary key once, weighted by its code count.
-
-        Whole column: one ``bincount`` over the stored codes.  Narrowed
-        selection: the same bincount over the gathered codes, dropping keys
-        no surviving row references.
-        """
-        if self._dictionary is None or self._codes is None:
-            return np.empty(0), None
-        codes = (self._codes if positions is None
-                 else self._codes[np.asarray(positions)])
-        counts = np.bincount(codes, minlength=self.cardinality)
-        present = counts > 0
-        return self._dictionary[present], counts[present]
 
     def _expand_distinct_mask(self, distinct_mask: np.ndarray) -> np.ndarray:
         """Expand a per-distinct-value verdict to a full-length row mask.

@@ -35,8 +35,7 @@ sealed part and vectorised plain evaluation on the tail — concatenated
 filter masks, per-part group-reduce partials merged by key (the column
 store's one float reassociation: a merged ``sum``/``mean`` may differ from a
 sealed column's in the last ulps), distinct sets read off the concatenated
-rows, and mergeable HLL/t-digest sketches (the sketch machinery already
-merges across cluster partitions; a tail is just one more partition).
+rows.
 """
 
 from __future__ import annotations
@@ -50,7 +49,6 @@ import numpy as np
 from repro.colstore.column import ColumnVector
 from repro.colstore.compression import _distinct, predicate_mask, reduce_by_inverse
 from repro.colstore.query import ColumnQuery
-from repro.colstore.sketches import HyperLogLog, TDigest
 from repro.colstore.table import ColumnTable
 from repro.plan.optimizer import ColumnStats
 
@@ -110,7 +108,7 @@ class MergedColumn:
 
     Implements the :class:`~repro.colstore.column.ColumnVector` query
     surface over the concatenation ``[sealed rows..., tail rows...]``.
-    Filters, gathers, grouped reductions and sketches run the encoding's
+    Filters, gathers and grouped reductions run the encoding's
     compressed fast path on the sealed part and vectorised plain
     evaluation on the tail, merging per operator; ``distinct_inverse`` and
     ``distinct_values`` answer from the concatenated rows.
@@ -243,19 +241,6 @@ class MergedColumn:
 
     # -- grouping ------------------------------------------------------------------
 
-    def _split_selection(
-        self, selection: np.ndarray | None
-    ) -> tuple[np.ndarray | None, np.ndarray]:
-        """``(sealed selection or None-for-all, gathered tail values)``."""
-        if selection is None:
-            return None, self._tail
-        selection = np.asarray(selection)
-        cut = self._split_point(selection)
-        if cut is not None:
-            return selection[:cut], self._tail[selection[cut:] - self._split]
-        in_sealed = selection < self._split
-        return selection[in_sealed], self._tail[selection[~in_sealed] - self._split]
-
     def distinct_inverse(
         self, selection: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -329,33 +314,6 @@ class MergedColumn:
         keys, totals = merge_group_parts(parts, "sum", self.dtype)
         sums, counts = totals.reshape(len(keys), 2).T
         return keys, sums / counts
-
-    # -- sketches ------------------------------------------------------------------
-
-    def hll_sketch(self, selection: np.ndarray | None = None,
-                   p: int = 12) -> HyperLogLog:
-        """Sealed compressed-stream sketch merged with a tail sketch."""
-        sealed_selection, tail_values = self._split_selection(selection)
-        sketch = HyperLogLog(p)
-        if sealed_selection is None or sealed_selection.size:
-            sketch = sketch.merge(self._sealed.hll_sketch(sealed_selection, p))
-        if tail_values.size:
-            sketch.add_array(tail_values)
-        return sketch
-
-    def tdigest_sketch(self, selection: np.ndarray | None = None,
-                       compression: int = 256,
-                       buffer_limit: int = 4096) -> TDigest:
-        sealed_selection, tail_values = self._split_selection(selection)
-        digest = TDigest(compression, buffer_limit)
-        if sealed_selection is None or sealed_selection.size:
-            digest = digest.merge(
-                self._sealed.tdigest_sketch(sealed_selection, compression,
-                                            buffer_limit)
-            )
-        if tail_values.size:
-            digest.add_array(np.asarray(tail_values, dtype=np.float64))
-        return digest
 
 
 class _TableState:

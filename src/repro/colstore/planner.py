@@ -224,28 +224,17 @@ class ColumnStoreBackend(Backend):
     def approx_aggregate(self, plan: logical.ApproxAggregate):
         """Execute an ``ApproxAggregate`` terminal → :class:`ApproxResult`.
 
-        Sketch kinds stream the child selection through the encoding-level
-        ``sketch_pairs`` builders (whole RLE runs folded, dictionary keys
-        hashed once).  Sampled kinds locate the ``Sample`` stage:
-        sample-last plans use population-known CLT bounds (with
-        finite-population correction against the pre-sample count);
-        filters *above* the sample fall back to Horvitz–Thompson bounds
-        with the realised inclusion fraction; a plan with no sample at all
-        returns the exact answer with a zero-width interval.
+        Locates the ``Sample`` stage — the inline ``fraction`` opt-in, or
+        an explicit ``Sample`` under any ``Filter``/``Project`` stages —
+        and answers the mean of the sampled (then filtered) rows with a
+        CLT interval at the realised sampling fraction.  A plan with no
+        sample at all returns the exact mean with a zero-width interval.
         """
         from repro.colstore import sketches
 
         # Surface invalid-confidence / non-mergeable-aggregate before touching
         # data; column existence and dtype are checked by the store itself.
         plan.output_schema({plan.value: np.dtype(np.float64)})
-        if plan.kind in logical.SKETCH_APPROX_KINDS:
-            query = self.lower(plan.child)
-            selection = None if query._full_selection else query.selection
-            column = query.table.column(plan.value)
-            if plan.kind == "approx_distinct":
-                return column.hll_sketch(selection).result(plan.confidence)
-            return column.tdigest_sketch(selection).result(plan.quantile, plan.confidence)
-
         fraction, seed = plan.fraction, plan.seed
         sample_child: logical.PlanNode | None = None
         above: list[logical.PlanNode] = []  # Filter/Project stages above the sample
@@ -261,33 +250,19 @@ class ColumnStoreBackend(Backend):
                 sample_child = cursor.child
 
         if sample_child is None:  # no sampling anywhere: exact, zero-width interval
-            query = self.lower(plan.child)
-            if plan.kind == "approx_count":
-                exact = float(len(query))
-            else:
-                values = query.column(plan.value).astype(np.float64)
-                exact = float(values.sum()) if plan.kind == "approx_sum" else (
-                    float(values.mean()) if len(values) else float("nan"))
+            values = self.lower(plan.child).column(plan.value).astype(np.float64)
+            exact = float(values.mean()) if len(values) else float("nan")
             return sketches.ApproxResult(exact, exact, exact, plan.confidence)
 
         sampled, population = self._sampled_base(sample_child, fraction, seed)
         realised = len(sampled) / population if population else 0.0
-        query, filtered = sampled, False
+        query = sampled
         for step in reversed(above):
             if isinstance(step, logical.Filter):
                 query = query.where(step.predicate)
-                filtered = True
             else:
                 query = query.select(*step.columns)
-        known = None if filtered else population
-        if plan.kind == "approx_count":
-            return sketches.sampled_count(len(query), realised, plan.confidence,
-                                          population=known)
-        values = query.column(plan.value)
-        if plan.kind == "approx_sum":
-            return sketches.sampled_sum(values, realised, plan.confidence,
-                                        population=known)
-        return sketches.sampled_mean(values, realised, plan.confidence)
+        return sketches.sampled_mean(query.column(plan.value), realised, plan.confidence)
 
 
 def run_plan(plan: logical.PlanNode, store: ColumnStore | None = None,

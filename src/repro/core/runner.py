@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 
-from repro.core.engines import make_engine
+from repro.core.engines import ENGINE_FACTORIES, make_engine
 from repro.core.engines.base import Engine, UnsupportedQueryError
 from repro.core.queries import QueryOutput
 from repro.core.spec import QueryParameters, default_parameters, validate_query_name
@@ -129,8 +129,10 @@ class BenchmarkRunner:
                 possibly already loaded) :class:`Engine` instance.
             dataset: the GenBase dataset to run against.
             parameters: query parameters; defaults derived from the dataset.
-            n_nodes: forwarded to multi-node engine constructors and recorded
-                in the result.
+            n_nodes: forwarded to multi-node engine constructors.  The
+                result records the engine instance's own node count (1 for
+                a single-node engine), so a passed-in instance is recorded
+                as built.
             engine_options: extra constructor arguments for the engine.
         """
         query = validate_query_name(query)
@@ -141,7 +143,10 @@ class BenchmarkRunner:
             engine_name = engine.name
         else:
             engine_name = engine
-            if n_nodes != 1:
+            # Multi-node factories default to two nodes, so even n_nodes=1
+            # is forwarded; a single-node factory is handed one only when
+            # asked for more, and refuses it.
+            if n_nodes != 1 or hasattr(ENGINE_FACTORIES.get(engine_name), "n_nodes"):
                 engine_options.setdefault("n_nodes", n_nodes)
             engine_instance = make_engine(engine_name, **engine_options)
 
@@ -150,7 +155,7 @@ class BenchmarkRunner:
             query=query,
             dataset_size=dataset.spec.name,
             status=RunStatus.OK,
-            n_nodes=engine_options.get("n_nodes", n_nodes),
+            n_nodes=getattr(engine_instance, "n_nodes", 1),
         )
 
         # Load (not timed, but still subject to memory failures / budget).

@@ -21,25 +21,27 @@ engine family executes (see ``docs/FUZZING.md`` for the admission table):
   legitimately differs).
 - **sample**: ``Sample(Filter*(Scan(meta-table)))`` — column store versus
   reference only; no other engine lowers ``Sample``.
-- **approx**: ``ApproxAggregate(Filter*(Scan(meta-table)))`` with a
-  sketch-backed kind (``approx_distinct`` / ``approx_quantile``) — column
-  store versus the reference's *exact* answer, within the per-sketch
-  relative-error bound in :mod:`repro.fuzz.tolerances`.
+- **approx**: ``approx_mean`` over ``Filter*(Scan(meta-table))`` with a
+  drawn ``fraction`` and ``seed`` — column store versus the reference's
+  mean over the same seeded ``Sample``, under the ``ULP`` tolerance in
+  :mod:`repro.fuzz.tolerances`.  An unfiltered case reaches the synopsis
+  catalog through the optimizer's synopsis routing.
 
 Division stays out: it is partial (the row store raises on a zero
 divisor mid-scan).
 
-**Mutation preludes.**  Any non-``sample`` case may additionally carry a
-short sequence of :class:`MutationOp` writes — appends, deletes, a
-compaction — applied to the case's meta table through the column store's
-delta tier *before* the plan runs.  Mutated cases compare the column
-store (optimized and unoptimized) against the reference interpreter
-only: the other engine families load the pristine dataset once and have
-no write path.  ``sample`` is excluded because the drawn row set is a
+**Mutation preludes.**  Any ``meta``, ``aggregate`` or ``pivot`` case may
+additionally carry a short sequence of :class:`MutationOp` writes —
+appends, deletes, a compaction — applied to the case's meta table through
+the column store's delta tier *before* the plan runs.  Mutated cases
+compare the column store (optimized and unoptimized) against the
+reference interpreter only: the other engine families load the pristine
+dataset once and have no write path.  ``sample`` and ``approx``
+(:data:`UNMUTATED_SHAPES`) are excluded because the drawn row set is a
 function of physical row positions, which compaction legitimately
-renumbers.  Ops are lowered to concrete arrays by
-:func:`lower_mutations`, deterministically from each op's seed, so both
-sides replay the identical write history.
+renumbers.  Ops are lowered to concrete arrays by :func:`lower_mutations`,
+deterministically from each op's seed, so both sides replay the identical
+write history.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ from repro.core.queries import EXPRESSION_TRIPLE
 from repro.fuzz.serialize import plan_from_json, plan_to_json
 from repro.plan import (
     Aggregate,
-    ApproxAggregate,
     Expression,
     Filter,
     Join,
@@ -62,11 +63,16 @@ from repro.plan import (
     Project,
     Sample,
     Scan,
+    approx_mean,
     col,
 )
 
 #: Meta table → its id (join/compare key) column.
 META_KEYS = {"patients": "patient_id", "genes": "gene_id"}
+
+#: Shapes that never carry a mutation prelude: the row set they draw is a
+#: function of physical row positions, which compaction renumbers.
+UNMUTATED_SHAPES = ("sample", "approx")
 
 #: Aggregate functions in the portable grammar.
 AGGREGATE_FUNCTIONS = ("count", "sum", "mean", "min", "max")
@@ -180,7 +186,7 @@ class MutationOp:
 class FuzzCase:
     """One generated differential test case."""
 
-    shape: str                 # meta | aggregate | pivot | sample
+    shape: str                 # meta | aggregate | pivot | sample | approx
     plan: PlanNode
     table: str                 # the meta table the case filters
     key: str                   # the id column compared for meta/sample shapes
@@ -263,7 +269,7 @@ def generate_case(chooser: Chooser, schema: FuzzSchema) -> FuzzCase:
     prelude only appends to the decision stream.
     """
     case = _generate_plan(chooser, schema)
-    if case.shape != "sample" and chooser.chance(0.35):
+    if case.shape not in UNMUTATED_SHAPES and chooser.chance(0.35):
         case.mutations = tuple(
             MutationOp(
                 kind=chooser.choice(("append", "append", "delete", "compact")),
@@ -285,13 +291,9 @@ def _generate_plan(chooser: Chooser, schema: FuzzSchema) -> FuzzCase:
     key = META_KEYS[table]
     if shape == "approx":
         node = _meta_filters(chooser, schema, table, Scan(table), max_filters=2)
-        kind = chooser.choice(("approx_distinct", "approx_quantile"))
         value = chooser.choice((key, chooser.choice(schema.pools[table]).name))
-        if kind == "approx_quantile":
-            plan = ApproxAggregate(node, value, kind,
-                                   quantile=chooser.randint(1, 19) / 20.0)
-        else:
-            plan = ApproxAggregate(node, value, kind)
+        plan = approx_mean(node, value, fraction=chooser.randint(1, 18) / 20.0,
+                           seed=chooser.randint(0, 7))
         return FuzzCase(shape, plan, table, key, has_value_predicate=False)
     if shape == "meta":
         node = _meta_filters(chooser, schema, table, Scan(table), max_filters=2)

@@ -25,7 +25,7 @@ meta       yes       yes      yes    yes    yes       yes
 aggregate  yes       no       no     no cell predicates  no   no
 pivot      yes       yes      yes    no cell predicates  yes  no
 sample     yes       no       no     no     no        no
-approx     yes       no       no     no     no        yes
+approx     yes       no       no     no     no        no
 ========== ========= ======== ====== ====== ========= =======
 
 The cluster must account for every partition of every admitted case
@@ -72,14 +72,15 @@ from repro.colstore.planner import (
 from repro.core.queries import dataset_tables
 from repro.datagen.dataset import GenBaseDataset
 from repro.fuzz.calibration import CalibrationRecord
-from repro.fuzz.generate import META_KEYS, FuzzCase, FuzzSchema, lower_mutations
-from repro.fuzz.reference import ReferenceTrace, mutated_tables, run_reference
-from repro.fuzz.tolerances import (
-    EXACT,
-    aggregate_tolerance,
-    assert_values_match,
-    sketch_tolerance,
+from repro.fuzz.generate import (
+    META_KEYS,
+    UNMUTATED_SHAPES,
+    FuzzCase,
+    FuzzSchema,
+    lower_mutations,
 )
+from repro.fuzz.reference import ReferenceTrace, mutated_tables, run_reference
+from repro.fuzz.tolerances import EXACT, ULP, aggregate_tolerance, assert_values_match
 from repro.mapreduce import HiveSession, HiveTable, MapReduceEngine
 from repro.mapreduce.bridge import (
     estimate_shuffle_bytes,
@@ -107,7 +108,7 @@ ADMISSION = {
     "aggregate": (*_COLSTORE, "scidb"),
     "pivot": _SINGLE_NODE,
     "sample": _COLSTORE,
-    "approx": (*_COLSTORE, "cluster"),
+    "approx": _COLSTORE,
 }
 
 #: engine → the id column out of its native relation (default: ``.column(key)``).
@@ -231,8 +232,8 @@ class FuzzHarness:
         """
         if case.shape not in ADMISSION:
             raise ValueError(f"unknown fuzz shape {case.shape!r}")
-        if case.mutations and case.shape == "sample":
-            raise ValueError("shape 'sample' does not admit a mutation prelude")
+        if case.mutations and case.shape in UNMUTATED_SHAPES:
+            raise ValueError(f"shape {case.shape!r} does not admit a mutation prelude")
         store, tables = self.store, self.tables
         if case.mutations:
             steps = lower_mutations(case.mutations, self.tables, self.schema)
@@ -328,33 +329,26 @@ class FuzzHarness:
             )
 
     def _check_approx(self, case, result, reference: float, engine, context):
-        """Sketch terminals: estimates vs the reference's *exact* answer.
+        """``approx_mean``: a well-formed interval around the sample's mean.
 
-        Every lowering must return a well-formed ``(estimate, ci_low,
-        ci_high, confidence)`` whose estimate agrees with the exact answer
-        under the per-sketch tolerance — HLL within its three-sigma
-        relative bound, the t-digest's deterministic rank bracket covering
-        the truth.
+        The estimate is the mean of the rows the seeded ``Sample`` keeps,
+        so it must equal the reference's mean over that same sample under
+        :data:`~repro.fuzz.tolerances.ULP` — NaN on both sides when the
+        selection is empty.
         """
-        plan = case.plan
-        assert isinstance(plan, logical.ApproxAggregate)
-        context = f"{context} kind={plan.kind}"
-        assert result.ci_low <= result.estimate <= result.ci_high, (
-            f"{context}: malformed interval {result}"
-        )
         assert 0.0 < result.confidence < 1.0, (
             f"{context}: confidence {result.confidence}"
         )
-        if plan.kind == "approx_quantile":
-            assert result.ci_low <= reference <= result.ci_high, (
-                f"{context}: exact quantile {reference} outside "
-                f"rank bracket [{result.ci_low}, {result.ci_high}]"
+        if np.isnan(reference):
+            assert np.isnan([result.estimate, result.ci_low, result.ci_high]).all(), (
+                f"{context}: empty selection answered {result}"
             )
-        else:
-            assert_values_match(
-                np.float64(result.estimate), np.float64(reference),
-                sketch_tolerance(plan.kind), context,
-            )
+            return
+        assert result.ci_low <= result.estimate <= result.ci_high, (
+            f"{context}: malformed interval {result}"
+        )
+        assert_values_match(np.float64(result.estimate), np.float64(reference),
+                            ULP, context)
 
     def _check_aggregate(self, case, result, reference, engine, context):
         plan = case.plan

@@ -119,8 +119,10 @@ def run_reference(plan: logical.PlanNode,
 
     Returns the shared executor shapes: a ``{column: array}`` dict for
     relational-algebra plans, ``(group_keys, aggregates)`` sorted by key
-    for ``Aggregate`` and ``(matrix, row_labels, column_labels)`` with
-    sorted labels for ``Pivot``.
+    for ``Aggregate``, ``(matrix, row_labels, column_labels)`` with
+    sorted labels for ``Pivot``, and for ``ApproxAggregate`` the exact
+    mean of the rows its ``Sample`` keeps — the column store's estimate,
+    which draws the same sample.
     """
     if isinstance(plan, logical.Aggregate):
         child = _evaluate(plan.child, tables)
@@ -146,11 +148,14 @@ def run_reference(plan: logical.PlanNode,
             trace.output_cells = int(matrix.size)
         return matrix, row_labels, column_labels
     if isinstance(plan, logical.ApproxAggregate):
-        child = _evaluate(plan.child, tables)
+        child = plan.child
+        if plan.fraction is not None:  # the sample the column store draws
+            child = logical.Sample(child, plan.fraction, plan.seed)
+        sampled = _evaluate(child, tables)
         if trace is not None:
-            trace.terminal_input_rows = len(child)
+            trace.terminal_input_rows = len(sampled)
             trace.output_rows = 1
-        return _exact_approx(np.asarray(child.columns[plan.value]), plan)
+        return _mean(np.asarray(sampled.columns[plan.value]))
     result = _evaluate(plan, tables)
     if trace is not None:
         trace.terminal_input_rows = len(result)
@@ -221,24 +226,9 @@ def _evaluate(node: logical.PlanNode,
     )
 
 
-def _exact_approx(values: np.ndarray, plan: logical.ApproxAggregate) -> float:
-    """The *exact* scalar an approximate aggregate estimates.
-
-    The fuzzer compares every sketch/sample estimate against this ground
-    truth under the per-sketch tolerance — not against another estimate.
-    """
-    if plan.kind == "approx_distinct":
-        return float(len(np.unique(values)))
-    if len(values) == 0:
-        return 0.0 if plan.kind in ("approx_count", "approx_sum") else float("nan")
-    doubles = values.astype(np.float64)
-    if plan.kind == "approx_quantile":
-        return float(np.quantile(doubles, plan.quantile, method="inverted_cdf"))
-    if plan.kind == "approx_count":
-        return float(len(values))
-    if plan.kind == "approx_sum":
-        return float(np.sum(doubles))
-    return float(np.mean(doubles))
+def _mean(values: np.ndarray) -> float:
+    """The mean ``approx_mean`` estimates from its sample, NaN over no rows."""
+    return float(np.mean(values.astype(np.float64))) if len(values) else float("nan")
 
 
 def _group_aggregate(keys: np.ndarray, values: np.ndarray, function: str):

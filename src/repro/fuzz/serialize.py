@@ -130,7 +130,6 @@ def plan_to_json(plan: logical.PlanNode) -> dict:
             "child": plan_to_json(plan.child),
             "value": plan.value,
             "kind": plan.kind,
-            "quantile": plan.quantile,
             "confidence": plan.confidence,
             "fraction": plan.fraction,
             "seed": plan.seed,
@@ -171,7 +170,7 @@ def plan_from_json(data: dict) -> logical.PlanNode:
     if kind == "approx":
         return logical.ApproxAggregate(
             plan_from_json(data["child"]), data["value"], data["kind"],
-            data["quantile"], data["confidence"], data["fraction"], data["seed"],
+            confidence=data["confidence"], fraction=data["fraction"], seed=data["seed"],
         )
     raise ValueError(f"unknown plan tag {kind!r}")
 

@@ -58,30 +58,6 @@ EXACT = Tolerance()
 #: Last-ulp agreement for reassociated float accumulation.
 ULP = Tolerance(rel=1e-9, label="ulp")
 
-#: Sketch estimates vs the exact reference answer, per approximate kind.
-#: ``approx_distinct``: HyperLogLog at p=12 has standard error
-#: 1.04/sqrt(4096) ≈ 1.63%; three sigma rounds up to 5% relative.
-#: ``approx_quantile``: the t-digest's rank-error bound is deterministic,
-#: so the comparison is a *bracket* — the exact quantile must lie inside
-#: the returned ``[ci_low, ci_high]`` (a point interval while the digest
-#: buffer is exact, i.e. for every dataset the fuzzer runs at).
-SKETCH_TOLERANCES = {
-    "approx_distinct": Tolerance(rel=0.05, label="hll-3sigma"),
-    "approx_quantile": Tolerance(rel=0.0, label="digest-bracket"),
-}
-
-
-def sketch_tolerance(kind: str) -> Tolerance:
-    """Tolerance for one sketch-backed approximate aggregate's estimate."""
-    try:
-        return SKETCH_TOLERANCES[kind]
-    except KeyError:
-        raise ValueError(
-            f"no sketch tolerance for kind {kind!r} "
-            f"(known: {sorted(SKETCH_TOLERANCES)})"
-        ) from None
-
-
 def aggregate_tolerance(function: str) -> Tolerance:
     """Tolerance for one aggregate function's values, the same on every engine.
 

@@ -42,11 +42,7 @@ from repro.plan.logical import (
     Project,
     Sample,
     Scan,
-    approx_count,
-    approx_distinct,
     approx_mean,
-    approx_quantile,
-    approx_sum,
     explain,
 )
 from repro.plan.observe import PlanObservation
@@ -95,11 +91,7 @@ __all__ = [
     "Project",
     "Sample",
     "Scan",
-    "approx_count",
-    "approx_distinct",
     "approx_mean",
-    "approx_quantile",
-    "approx_sum",
     "explain",
     "ColumnStats",
     "OptimizerCapabilities",

@@ -77,7 +77,7 @@ class Backend:
         raise TypeError(f"cannot execute plan node Pivot on the {self.engine} executor")
 
     def approx_aggregate(self, plan: ApproxAggregate):
-        """``ApproxAggregate`` terminal → ``ApproxResult`` (column store, cluster)."""
+        """``ApproxAggregate`` terminal → ``ApproxResult`` (column store)."""
         raise TypeError(
             f"cannot execute plan node ApproxAggregate on the {self.engine} executor"
         )

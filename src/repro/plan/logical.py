@@ -32,20 +32,10 @@ Schema = dict
 #: The aggregate functions every executor implements.
 AGGREGATE_FUNCTIONS = ("count", "sum", "mean", "min", "max")
 
-#: Approximate aggregate kinds with sketch-backed, mergeable partials —
-#: per-partition sketches combine driver-side (HLL register max, t-digest
-#: centroid merge).
-SKETCH_APPROX_KINDS = ("approx_distinct", "approx_quantile")
-
-#: Approximate aggregate kinds answered from a uniform sample with
-#: CLT-based confidence intervals; their partials are plain (sum, count)
-#: pairs, so they too merge associatively.
-SAMPLED_APPROX_KINDS = ("approx_count", "approx_sum", "approx_mean")
-
-#: Every admitted approximate aggregate kind.  Admission requires a
-#: driver-side merge for the kind's partial state; anything else is
-#: rejected by the verifier as ``non-mergeable-aggregate``.
-APPROX_AGGREGATE_KINDS = SKETCH_APPROX_KINDS + SAMPLED_APPROX_KINDS
+#: Every admitted approximate aggregate kind: the sampled mean, whose
+#: partial state is a plain (sum, count) pair.  Anything else is rejected
+#: by the verifier as ``non-mergeable-aggregate``.
+APPROX_AGGREGATE_KINDS = ("approx_mean",)
 
 
 class PlanNode:
@@ -264,24 +254,21 @@ class Aggregate(PlanNode):
 class ApproxAggregate(PlanNode):
     """Approximate scalar aggregate: ``(estimate, ci_low, ci_high, confidence)``.
 
-    ``kind`` selects the estimator: ``approx_distinct`` (HyperLogLog) and
-    ``approx_quantile`` (t-digest) sketch every input row with mergeable
-    partials; ``approx_count`` / ``approx_sum`` / ``approx_mean`` are
-    answered from a uniform sample with CLT confidence intervals.  The
-    sampled kinds read their sample from a :class:`Sample` node in the
-    subtree, or — when ``fraction`` is set — opt in to the optimizer's
-    synopsis routing (:func:`repro.plan.optimizer.route_through_synopsis`),
-    which materialises the equivalent ``Sample`` as the immediate child so
-    the executor can serve it from the shared synopsis catalog.
+    ``kind`` names the estimator; ``approx_mean`` is the only admitted one
+    (:data:`APPROX_AGGREGATE_KINDS`), answered from a uniform sample with
+    a CLT confidence interval.  It reads its sample from a :class:`Sample`
+    node in the subtree, or — when ``fraction`` is set — opts in to the
+    optimizer's synopsis routing
+    (:func:`repro.plan.optimizer.route_through_synopsis`), which
+    materialises the equivalent ``Sample`` as the immediate child so the
+    executor can serve it from the shared synopsis catalog.
 
-    ``quantile`` is only read by ``approx_quantile``; ``confidence`` is the
-    two-sided level of the returned interval.
+    ``confidence`` is the two-sided level of the returned interval.
     """
 
     child: PlanNode
     value: str
     kind: str = "approx_mean"
-    quantile: float = 0.5
     confidence: float = 0.95
     fraction: float | None = None
     seed: int = 0
@@ -305,11 +292,6 @@ class ApproxAggregate(PlanNode):
                 "two-sided interval needs a strictly interior level",
                 rule="invalid-confidence",
             )
-        if not 0.0 <= self.quantile <= 1.0:
-            raise StaticTypeError(
-                f"quantile fraction {self.quantile!r} outside [0, 1]",
-                rule="invalid-confidence",
-            )
         if self.fraction is not None and not 0.0 < self.fraction <= 1.0:
             raise StaticTypeError(
                 f"synopsis fraction {self.fraction!r} outside (0, 1]",
@@ -325,8 +307,8 @@ class ApproxAggregate(PlanNode):
         if value_dtype is not None and value_dtype.kind not in _NUMERIC_KINDS:
             raise StaticTypeError(
                 f"approximate aggregate {self.kind}({self.value}) over "
-                f"non-numeric dtype {value_dtype} (sketch hashing and CLT "
-                "bounds are defined for numeric columns only)",
+                f"non-numeric dtype {value_dtype} (CLT bounds are defined "
+                "for numeric columns only)",
                 rule="non-numeric-aggregate",
             )
         return {f"{self.kind}({self.value})": np.dtype(np.float64),
@@ -394,74 +376,19 @@ def _aggregate_dtype(function: str, value_dtype: np.dtype | None) -> np.dtype | 
 # Approximate-aggregate DSL
 # --------------------------------------------------------------------------- #
 
-def approx_distinct(child: PlanNode, column: str,
-                    confidence: float = 0.95) -> ApproxAggregate:
-    """Sketch-backed distinct count of ``column`` (HyperLogLog).
-
-    >>> print(explain(approx_distinct(Scan("microarray"), "gene_id")))
-    ApproxAggregate approx_distinct(gene_id) confidence=0.95
-      Scan microarray
-
-    The verifier rejects out-of-range confidence levels:
-
-    >>> approx_distinct(Scan("t"), "x", confidence=1.5).output_schema(
-    ...     {"x": np.dtype(np.int64)})
-    Traceback (most recent call last):
-        ...
-    repro.plan.expressions.StaticTypeError: confidence level 1.5 outside \
-(0, 1) — a two-sided interval needs a strictly interior level
-    """
-    return ApproxAggregate(child, column, "approx_distinct",
-                           confidence=confidence)
-
-
-def approx_quantile(child: PlanNode, column: str, q: float = 0.5,
-                    confidence: float = 0.95) -> ApproxAggregate:
-    """Sketch-backed quantile of ``column`` (t-digest).
-
-    >>> print(explain(approx_quantile(Scan("patients"), "age", q=0.9)))
-    ApproxAggregate approx_quantile(age) q=0.9 confidence=0.95
-      Scan patients
-    """
-    return ApproxAggregate(child, column, "approx_quantile", quantile=q,
-                           confidence=confidence)
-
-
-def approx_count(child: PlanNode, column: str, fraction: float | None = None,
-                 seed: int = 0, confidence: float = 0.95) -> ApproxAggregate:
-    """Sampled row count with a CLT confidence interval.
+def approx_mean(child: PlanNode, column: str, fraction: float | None = None,
+                seed: int = 0, confidence: float = 0.95) -> ApproxAggregate:
+    """Sampled mean with a CLT confidence interval.
 
     With ``fraction`` set, the plan opts in to synopsis routing: the
     optimizer's :func:`~repro.plan.optimizer.route_through_synopsis` (see
     its doctest) materialises the equivalent ``Sample`` as the immediate
     child, which the column store serves from the synopsis catalog.
 
-    >>> plan = approx_count(Scan("patients"), "age", fraction=0.1, seed=7)
-    >>> print(explain(plan))
-    ApproxAggregate approx_count(age) confidence=0.95 fraction=0.1 seed=7
-      Scan patients
-    """
-    return ApproxAggregate(child, column, "approx_count", confidence=confidence,
-                           fraction=fraction, seed=seed)
-
-
-def approx_sum(child: PlanNode, column: str, fraction: float | None = None,
-               seed: int = 0, confidence: float = 0.95) -> ApproxAggregate:
-    """Sampled sum with a CLT confidence interval.
-
-    >>> print(explain(approx_sum(Scan("patients"), "age", fraction=0.05)))
-    ApproxAggregate approx_sum(age) confidence=0.95 fraction=0.05 seed=0
-      Scan patients
-    """
-    return ApproxAggregate(child, column, "approx_sum", confidence=confidence,
-                           fraction=fraction, seed=seed)
-
-
-def approx_mean(child: PlanNode, column: str, fraction: float | None = None,
-                seed: int = 0, confidence: float = 0.95) -> ApproxAggregate:
-    """Sampled mean with a CLT confidence interval.
-
     >>> plan = approx_mean(Scan("patients"), "drug_response", fraction=0.02)
+    >>> print(explain(plan))
+    ApproxAggregate approx_mean(drug_response) confidence=0.95 fraction=0.02 seed=0
+      Scan patients
     >>> sorted(plan.output_schema(
     ...     {"drug_response": np.dtype(np.float64)}))
     ['approx_mean(drug_response)', 'ci_high', 'ci_low', 'confidence']
@@ -498,10 +425,7 @@ def _describe(node: PlanNode) -> str:
     if isinstance(node, Aggregate):
         return f"Aggregate {node.function}({node.value}) by {node.group_by}"
     if isinstance(node, ApproxAggregate):
-        text = f"ApproxAggregate {node.kind}({node.value})"
-        if node.kind == "approx_quantile":
-            text += f" q={node.quantile}"
-        text += f" confidence={node.confidence}"
+        text = f"ApproxAggregate {node.kind}({node.value}) confidence={node.confidence}"
         if node.fraction is not None:
             text += f" fraction={node.fraction} seed={node.seed}"
         return text

@@ -41,7 +41,6 @@ from repro.plan.expressions import (
     split_conjuncts,
 )
 from repro.plan.logical import (
-    SAMPLED_APPROX_KINDS,
     Aggregate,
     ApproxAggregate,
     Filter,
@@ -584,19 +583,14 @@ def _prune_join_input(node: PlanNode, catalog: PlanCatalog,
 def route_through_synopsis(node: PlanNode) -> PlanNode:
     """Materialise an opted-in approximate aggregate's sample as a child node.
 
-    An :class:`~repro.plan.logical.ApproxAggregate` of a sampled kind
-    (``approx_count`` / ``approx_sum`` / ``approx_mean``) whose
-    ``fraction`` is set asks for its input to be sampled.  The node's
-    semantics define that sample exactly as ``Sample(child, fraction,
-    seed)`` — score the child's selected base rows once with
+    An :class:`~repro.plan.logical.ApproxAggregate` whose ``fraction`` is
+    set asks for its input to be sampled.  The node's semantics define
+    that sample exactly as ``Sample(child, fraction, seed)`` — score the child's selected base rows once with
     ``default_rng(seed)``, keep the cheapest ``max(1, round(f·n))`` — so
     rewriting to the explicit form changes nothing about the answer while
     letting the column-store executor recognise ``Sample(Scan(t))`` and
     serve the row set from the shared synopsis catalog
     (:mod:`repro.colstore.synopsis`), built once and reused across queries.
-
-    Sketch kinds (``approx_distinct`` / ``approx_quantile``) read every
-    input row by design and are left untouched.
 
     >>> from repro.plan.logical import approx_mean, explain
     >>> plan = approx_mean(Scan("patients"), "age", fraction=0.1, seed=3)
@@ -606,8 +600,7 @@ def route_through_synopsis(node: PlanNode) -> PlanNode:
         Scan patients
     """
     node = _rebuild(node, route_through_synopsis)
-    if (isinstance(node, ApproxAggregate) and node.fraction is not None
-            and node.kind in SAMPLED_APPROX_KINDS):
+    if isinstance(node, ApproxAggregate) and node.fraction is not None:
         sampled = Sample(node.child, node.fraction, node.seed)
         return replace(node, child=sampled, fraction=None)
     return node

@@ -239,14 +239,14 @@ def _self_check_cases():
         # The same rule reached through a membership test's operand.
         ("unknown-column", Filter(meta, col("weight").isin([70, 80]))),
         # Approximate tier: a confidence level must be strictly interior,
-        # and every admitted approx kind needs driver-side mergeable
-        # partials (docs/APPROXIMATE.md).
+        # the kind must be the admitted one (docs/APPROXIMATE.md), and the
+        # mean needs a numeric column.
         ("invalid-confidence",
          ApproxAggregate(meta, "age", "approx_mean", confidence=1.5)),
         ("non-mergeable-aggregate",
          ApproxAggregate(facts, "expression_value", "approx_mode")),
         ("non-numeric-aggregate",
-         ApproxAggregate(meta, "name", "approx_distinct")),
+         ApproxAggregate(meta, "name", "approx_mean")),
     ]
 
 

@@ -1,47 +1,34 @@
 """Statistical acceptance of the approximate query tier.
 
-Four layers, matching docs/APPROXIMATE.md:
+Three layers, matching docs/APPROXIMATE.md:
 
 - **Coverage**: over 200 fixed sampling seeds, the 95% confidence
-  intervals for sampled sum/mean (sample-last, population known) and
-  Horvitz-Thompson sum/count (filters above the sample) cover the exact
-  answer at the nominal rate, within a binomial tolerance band — the
-  test is deterministic, so it either always passes or always fails.
-- **Merge invariance** (hypothesis): HyperLogLog and t-digest partition
-  sketches merge to *exactly* the single-pass sketch, in any merge
-  order, over every encoding and narrowed selections — the property the
-  cluster bridge's driver-side reduction relies on.
-- **Planner / cluster equivalence**: optimized and unoptimized lowerings
-  agree bit for bit, synopsis routing materialises a reusable ``Sample``,
-  and the cluster's merged partials equal one single-pass sketch.
+  intervals for ``approx_mean`` — sample-last, and with a filter above
+  the sample — cover the exact answer at the nominal rate, within a
+  binomial tolerance band — the test is deterministic, so it either
+  always passes or always fails.
+- **Planner equivalence**: optimized and unoptimized lowerings agree bit
+  for bit, and synopsis routing materialises a reusable ``Sample``.
 - **Gates**: the verifier's ``invalid-confidence`` /
-  ``non-mergeable-aggregate`` rejection classes carry node paths, and
-  the bench regression gate demonstrably trips when the committed
-  ``approx_aggregate`` speedup is doctored away.
+  ``non-mergeable-aggregate`` rejection classes carry node paths (a
+  serialized plan naming a retired estimator is refused, not run as a
+  mean), and the bench regression gate demonstrably trips when the
+  committed ``approx_aggregate`` speedup is doctored away.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import pathlib
 import subprocess
 import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.cluster import Cluster, PartitionedTable
-from repro.cluster.bridge import run_shared_plan as run_cluster_plan
 from repro.colstore.catalog import ColumnStore
-from repro.colstore.column import ColumnVector
-from repro.colstore.sketches import (
-    ApproxResult,
-    HyperLogLog,
-    TDigest,
-    normal_quantile,
-)
+from repro.colstore.sketches import ApproxResult, normal_quantile, sampled_mean
 from repro.core.queries import dataset_tables
 from repro.datagen.dataset import GenBaseDataset
 from repro.colstore.planner import explain_plan, optimize_plan, run_plan
@@ -51,10 +38,7 @@ from repro.plan import (
     Project,
     Sample,
     Scan,
-    approx_distinct,
     approx_mean,
-    approx_quantile,
-    approx_sum,
     col,
     lit,
 )
@@ -82,13 +66,11 @@ class ApproxFixture:
             self.store.create_table(name, columns)
         self.values = np.asarray(tables["microarray"]["expression_value"],
                                  dtype=np.float64)
-        self.exact_sum = float(self.values.sum())
         self.exact_mean = float(self.values.mean())
-        # Filter-above-sample ground truth (Horvitz-Thompson path).
+        # Filter-above-sample ground truth.
         self.predicate = col("gene_id") < lit(25)
         mask = np.asarray(tables["microarray"]["gene_id"]) < 25
-        self.ht_sum = float(self.values[mask].sum())
-        self.ht_count = float(mask.sum())
+        self.filtered_mean = float(self.values[mask].mean())
 
 
 @pytest.fixture(scope="module", params=("tiny", "small"))
@@ -107,15 +89,6 @@ class TestStatisticalCoverage:
             hits += result.covers(exact)
         return hits
 
-    def test_sampled_sum_population_known(self, fx):
-        hits = self._hits(
-            fx,
-            lambda seed: approx_sum(Scan("microarray"), "expression_value",
-                                    fraction=FRACTION, seed=seed),
-            fx.exact_sum,
-        )
-        assert MIN_HITS <= hits <= N_SEEDS
-
     def test_sampled_mean_population_known(self, fx):
         hits = self._hits(
             fx,
@@ -125,23 +98,13 @@ class TestStatisticalCoverage:
         )
         assert MIN_HITS <= hits <= N_SEEDS
 
-    def test_horvitz_thompson_sum_filter_above_sample(self, fx):
+    def test_sampled_mean_filter_above_sample(self, fx):
         hits = self._hits(
             fx,
-            lambda seed: ApproxAggregate(
+            lambda seed: approx_mean(
                 Filter(Sample(Scan("microarray"), FRACTION, seed), fx.predicate),
-                "expression_value", "approx_sum"),
-            fx.ht_sum,
-        )
-        assert MIN_HITS <= hits <= N_SEEDS
-
-    def test_horvitz_thompson_count_filter_above_sample(self, fx):
-        hits = self._hits(
-            fx,
-            lambda seed: ApproxAggregate(
-                Filter(Sample(Scan("microarray"), FRACTION, seed), fx.predicate),
-                "expression_value", "approx_count"),
-            fx.ht_count,
+                "expression_value"),
+            fx.filtered_mean,
         )
         assert MIN_HITS <= hits <= N_SEEDS
 
@@ -174,9 +137,9 @@ def _written_fixture() -> ApproxFixture:
     assert store.snapshot("microarray").generation == 0  # entries carried, never renumbered
     logical = store.snapshot("microarray").logical_arrays()
     fx.values = np.asarray(logical["expression_value"], dtype=np.float64)
-    fx.exact_sum, fx.exact_mean = float(fx.values.sum()), float(fx.values.mean())
+    fx.exact_mean = float(fx.values.mean())
     mask = np.asarray(logical["gene_id"]) < 25
-    fx.ht_sum, fx.ht_count = float(fx.values[mask].sum()), float(mask.sum())
+    fx.filtered_mean = float(fx.values[mask].mean())
     return fx
 
 
@@ -198,86 +161,16 @@ class TestStatisticalCoverageOnMaintainedSynopses(TestStatisticalCoverage):
                 fx.store.query("microarray").sample(FRACTION, seed).selection)
 
 
-ENCODINGS = ("plain", "rle", "dictionary", "delta")
-
-
-@st.composite
-def partitioned_columns(draw):
-    """A column (any encoding), a narrowed selection, and a partition of it.
-
-    Returns ``(column, positions, parts, merge_order)`` where ``parts``
-    partition ``positions`` and ``merge_order`` permutes the parts — the
-    merged sketch must equal the single-pass sketch over ``positions``
-    whatever the order.
-    """
-    n = draw(st.integers(min_value=1, max_value=120))
-    values = draw(st.lists(st.integers(min_value=-50, max_value=50),
-                           min_size=n, max_size=n))
-    encoding = draw(st.sampled_from(ENCODINGS))
-    column = ColumnVector("x", np.asarray(values, dtype=np.int64),
-                          encoding=encoding)
-    keep = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    positions = np.flatnonzero(keep)
-    if len(positions) == 0:
-        positions = np.array([0], dtype=np.int64)
-    n_parts = draw(st.integers(min_value=1, max_value=4))
-    cuts = sorted(draw(st.lists(
-        st.integers(min_value=0, max_value=len(positions)),
-        min_size=n_parts - 1, max_size=n_parts - 1)))
-    parts = np.split(positions, cuts)
-    order = draw(st.permutations(range(len(parts))))
-    return column, positions, parts, order
-
-
-class TestMergeInvariance:
-    """Partition sketches merge to the single-pass sketch, in any order."""
-
-    @settings(max_examples=40, derandomize=True, deadline=None)
-    @given(case=partitioned_columns())
-    def test_hll_merge_is_order_and_partition_invariant(self, case):
-        column, positions, parts, order = case
-        single_pass = column.hll_sketch(positions)
-        merged = HyperLogLog()
-        for index in order:
-            merged = merged.merge(column.hll_sketch(parts[index]))
-        np.testing.assert_array_equal(merged.registers, single_pass.registers)
-        assert tuple(merged.result()) == tuple(single_pass.result())
-
-    @settings(max_examples=40, derandomize=True, deadline=None)
-    @given(case=partitioned_columns())
-    def test_tdigest_merge_is_order_and_partition_invariant(self, case):
-        column, positions, parts, order = case
-        single_pass = column.tdigest_sketch(positions)
-        merged = TDigest()
-        for index in order:
-            merged = merged.merge(column.tdigest_sketch(parts[index]))
-        np.testing.assert_array_equal(merged.means, single_pass.means)
-        np.testing.assert_array_equal(merged.weights, single_pass.weights)
-        for q in (0.0, 0.25, 0.5, 0.9, 1.0):
-            assert merged.quantile(q) == single_pass.quantile(q)
-
-    @settings(max_examples=40, derandomize=True, deadline=None)
-    @given(case=partitioned_columns())
-    def test_uncompressed_digest_matches_inverted_cdf_exactly(self, case):
-        column, positions, _parts, _order = case
-        digest = column.tdigest_sketch(positions)
-        rows = column.take(positions).astype(np.float64)
-        for q in (0.1, 0.5, 0.9):
-            assert digest.quantile(q) == float(
-                np.quantile(rows, q, method="inverted_cdf"))
-
-
 class TestPlannerEquivalence:
     """Optimized and unoptimized lowerings agree; routing is pure caching."""
 
     PLANS = [
-        approx_sum(Scan("microarray"), "expression_value", fraction=0.2, seed=3),
+        approx_mean(Scan("microarray"), "expression_value", fraction=0.2, seed=3),
         approx_mean(Scan("microarray"), "expression_value", fraction=0.05),
-        approx_distinct(Scan("microarray"), "gene_id"),
-        approx_quantile(Filter(Scan("patients"), col("age") >= 40), "age", q=0.9),
+        approx_mean(Filter(Scan("patients"), col("age") >= 40), "age", fraction=0.5),
         ApproxAggregate(
             Filter(Sample(Scan("microarray"), 0.2, 5), col("gene_id") < lit(10)),
-            "expression_value", "approx_sum"),
+            "expression_value", "approx_mean"),
         ApproxAggregate(
             Sample(Project(Scan("microarray"), ("expression_value",)), 0.25, 2),
             "expression_value", "approx_mean"),
@@ -290,12 +183,12 @@ class TestPlannerEquivalence:
             assert tuple(fast) == tuple(slow), explain_plan(plan, fx.store)
 
     def test_synopsis_routing_materialises_the_sample(self, fx):
-        plan = approx_sum(Scan("microarray"), "expression_value",
-                          fraction=0.2, seed=3)
+        plan = approx_mean(Scan("microarray"), "expression_value",
+                           fraction=0.2, seed=3)
         rendered = explain_plan(optimize_plan(plan, fx.store), fx.store)
         assert "Sample" in rendered
         explicit = ApproxAggregate(
-            Sample(Scan("microarray"), 0.2, 3), "expression_value", "approx_sum")
+            Sample(Scan("microarray"), 0.2, 3), "expression_value", "approx_mean")
         assert tuple(run_plan(plan, fx.store)) == tuple(run_plan(explicit, fx.store))
 
     def test_repeated_queries_reuse_one_cached_synopsis(self):
@@ -313,59 +206,23 @@ class TestPlannerEquivalence:
         assert tuple(run_plan(wrapped, fx.store)) == tuple(first)
         assert len(fx.store.synopses) == 1
 
+    def test_plan_answers_sampled_mean_over_the_synopsis(self, fx):
+        # The estimate is the mean of the cached selection's rows and the
+        # interval is priced at the realised fraction, the population read
+        # off the same snapshot the selection was drawn from.  0.03335 of
+        # neither fixture's row count is whole, so realised and asked differ.
+        plan = approx_mean(Scan("microarray"), "expression_value",
+                           fraction=0.03335, seed=3)
+        selection = fx.store.synopses.uniform("microarray", 0.03335, 3)
+        assert len(selection) / len(fx.values) != 0.03335
+        expected = sampled_mean(fx.values[selection], len(selection) / len(fx.values))
+        assert tuple(run_plan(plan, fx.store)) == tuple(expected)
+
     def test_no_sample_means_exact_and_zero_width(self, fx):
         result = run_plan(
-            approx_sum(Scan("microarray"), "expression_value"), fx.store)
+            approx_mean(Scan("microarray"), "expression_value"), fx.store)
         assert result.estimate == result.ci_low == result.ci_high
-        assert result.estimate == pytest.approx(fx.exact_sum, rel=1e-12)
-
-    def test_sketch_kinds_stay_inside_their_error_models(self, fx):
-        distinct = run_plan(approx_distinct(Scan("microarray"), "gene_id"),
-                            fx.store)
-        true_distinct = len(np.unique(
-            fx.store.table("microarray").column("gene_id").values()))
-        assert abs(distinct.estimate - true_distinct) <= 0.05 * true_distinct
-        quantile = run_plan(
-            approx_quantile(Scan("microarray"), "expression_value", q=0.5),
-            fx.store)
-        exact_median = float(np.quantile(fx.values, 0.5, method="inverted_cdf"))
-        assert quantile.covers(exact_median)
-
-
-class TestClusterSketchMerge:
-    """Per-partition sketch partials reduce driver-side to the single pass."""
-
-    def _partitioned(self, fx, n_parts: int) -> PartitionedTable:
-        gene = fx.store.table("microarray").column("gene_id").values()
-        value = fx.values
-        bounds = np.linspace(0, len(gene), n_parts + 1).astype(np.int64)
-        return PartitionedTable.from_partitions("microarray", [
-            {"gene_id": gene[a:b], "expression_value": value[a:b]}
-            for a, b in zip(bounds[:-1], bounds[1:])
-        ])
-
-    def test_distinct_merge_equals_single_pass(self, fx):
-        plan = approx_distinct(Scan("microarray"), "gene_id")
-        table = self._partitioned(fx, 4)
-        merged = run_cluster_plan(plan, table, Cluster(4))
-        single = HyperLogLog().add_array(
-            fx.store.table("microarray").column("gene_id").values())
-        assert tuple(merged) == tuple(single.result(plan.confidence))
-
-    def test_filtered_quantile_merge_equals_single_pass(self, fx):
-        plan = approx_quantile(
-            Filter(Scan("microarray"), col("gene_id") < lit(25)),
-            "expression_value", q=0.9)
-        table = self._partitioned(fx, 3)
-        merged = run_cluster_plan(plan, table, Cluster(3))
-        gene = fx.store.table("microarray").column("gene_id").values()
-        single = TDigest().add_array(fx.values[gene < 25])
-        assert tuple(merged) == tuple(single.result(0.9, plan.confidence))
-
-    def test_sampled_kinds_are_rejected_with_guidance(self, fx):
-        plan = approx_sum(Scan("microarray"), "expression_value", fraction=0.1)
-        with pytest.raises(ValueError, match="column-store planner"):
-            run_cluster_plan(plan, self._partitioned(fx, 2), Cluster(2))
+        assert result.estimate == pytest.approx(fx.exact_mean, rel=1e-12)
 
 
 class TestVerifierRejections:
@@ -387,22 +244,21 @@ class TestVerifierRejections:
         assert error.rule == "invalid-confidence"
         assert error.path.startswith("ApproxAggregate")
 
-    def test_out_of_range_quantile_is_invalid_confidence(self):
-        error = self._rejects(approx_quantile(
-            Scan("microarray"), "expression_value", q=1.5))
-        assert error.rule == "invalid-confidence"
-
-    def test_non_mergeable_kind_names_the_contract(self):
+    # A kind this tier never had, and the four it retired: a serialized plan
+    # naming one is refused, not run as a mean.
+    @pytest.mark.parametrize("kind", ["approx_mode", "approx_distinct", "approx_quantile",
+                                      "approx_count", "approx_sum"])
+    def test_non_mergeable_kind_names_the_contract(self, kind):
         error = self._rejects(ApproxAggregate(
-            Scan("microarray"), "expression_value", "approx_mode"))
+            Scan("microarray"), "expression_value", kind))
         assert error.rule == "non-mergeable-aggregate"
-        assert "mergeable" in str(error)
+        assert "mergeable" in str(error) and repr(kind) in str(error)
         assert error.path.startswith("ApproxAggregate")
 
     def test_well_formed_plan_verifies_to_interval_schema(self):
         schema = verified_schema(
-            approx_distinct(Scan("microarray"), "gene_id"), self.SCHEMAS)
-        assert list(schema) == ["approx_distinct(gene_id)", "ci_low",
+            approx_mean(Scan("microarray"), "gene_id"), self.SCHEMAS)
+        assert list(schema) == ["approx_mean(gene_id)", "ci_low",
                                 "ci_high", "confidence"]
 
 
@@ -465,6 +321,51 @@ class TestApproxResultContract:
         with pytest.raises(ValueError):
             normal_quantile(1.0)
 
+
+
+class TestSampledMeanInterval:
+    """The one estimator's interval, pinned against its closed form."""
+
+    VALUES = np.array([2.0, 4.0, 4.0, 5.0, 7.0, 9.0])
+
+    def _width(self, result: ApproxResult) -> float:
+        return result.ci_high - result.ci_low
+
+    def test_margin_is_the_fpc_corrected_clt_half_width(self):
+        mean = float(np.mean(self.VALUES))
+        margin = (normal_quantile(0.975) * float(np.std(self.VALUES, ddof=1))
+                  / math.sqrt(len(self.VALUES)) * math.sqrt(1.0 - 0.25))
+        assert tuple(sampled_mean(self.VALUES, 0.25)) == (
+            mean, mean - margin, mean + margin, 0.95)
+
+    def test_empty_sample_is_a_nan_interval_at_the_asked_confidence(self):
+        estimate, low, high, confidence = sampled_mean(np.array([]), 0.1, 0.9)
+        assert np.isnan([estimate, low, high]).all()
+        assert confidence == 0.9
+
+    def test_single_value_has_zero_width(self):
+        assert tuple(sampled_mean(np.array([3.5]), 0.1)) == (3.5, 3.5, 3.5, 0.95)
+
+    def test_full_fraction_collapses_to_the_exact_mean(self):
+        result = sampled_mean(self.VALUES, 1.0)
+        assert result.ci_low == result.estimate == result.ci_high == np.mean(self.VALUES)
+
+    def test_higher_confidence_widens_the_interval(self):
+        widths = [self._width(sampled_mean(self.VALUES, 0.25, confidence))
+                  for confidence in (0.8, 0.95, 0.99)]
+        assert 0.0 < widths[0] < widths[1] < widths[2]
+
+    @pytest.mark.parametrize("confidence", [0.0, 1.0, -0.5, 1.5])
+    def test_confidence_outside_the_open_unit_interval_raises(self, confidence):
+        with pytest.raises(ValueError, match="confidence must be in"):
+            sampled_mean(self.VALUES, 0.25, confidence)
+
+    # Both tails and the central region of Acklam's approximation.
+    @pytest.mark.parametrize("p, z", [(0.001, -3.090232), (0.01, -2.326348),
+                                      (0.3, -0.524401)])
+    def test_normal_quantile_matches_the_table_and_is_antisymmetric(self, p, z):
+        assert normal_quantile(p) == pytest.approx(z, abs=1e-6)
+        assert normal_quantile(1.0 - p) == pytest.approx(-normal_quantile(p), rel=1e-9)
 
 class TestSynopsisCatalog:
     """Synopses build once and cache by key."""

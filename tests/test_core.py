@@ -170,6 +170,24 @@ class TestRunner:
         assert result.output is not None
         assert result.engine == "scidb" and result.dataset_size == tiny_dataset.spec.name
 
+    def test_one_node_request_builds_a_one_node_engine(self, tiny_dataset, monkeypatch):
+        """A multi-node factory defaults to two nodes: ``n_nodes=1`` must reach it."""
+        from repro.core import runner as runner_module
+        built, real = [], runner_module.make_engine
+        monkeypatch.setattr(runner_module, "make_engine",
+                            lambda name, **options: built.append(real(name, **options))
+                            or built[-1])
+        result = BenchmarkRunner().run("covariance", "pbdr", tiny_dataset, n_nodes=1)
+        assert result.status is RunStatus.OK and result.n_nodes == 1
+        (engine,) = built
+        assert engine.n_nodes == engine.cluster.n_nodes == 1
+
+    def test_an_engine_instance_is_recorded_with_its_own_node_count(self, tiny_dataset):
+        runner = BenchmarkRunner()
+        result = runner.run("covariance", make_engine("pbdr", n_nodes=4), tiny_dataset)
+        assert result.status is RunStatus.OK and result.n_nodes == 4
+        assert runner.run("covariance", make_engine("scidb"), tiny_dataset).n_nodes == 1
+
     def test_unsupported_is_reported_not_raised(self, tiny_dataset):
         runner = BenchmarkRunner()
         result = runner.run("biclustering", "postgres-madlib", tiny_dataset)

@@ -8,7 +8,7 @@ is safe to put under the analytics paths:
   deletion idempotence, compaction generations.
 - **Property tests (hypothesis)**: for random interleavings of
   append/delete/compact over a table holding all four encodings, and for
-  every plan shape (filter / aggregate / pivot / sketch approx), a
+  every plan shape (filter / aggregate / pivot / unsampled approx), a
   snapshot's answer is bit-identical to a fresh store loaded with exactly
   that snapshot's logical rows.  ``sample`` shapes are excluded by design:
   the sample is a pure function of *row positions*, and compaction
@@ -46,7 +46,7 @@ from repro.colstore import reduce_by_inverse
 from repro.colstore.delta import DeltaStore, MergedColumn, merge_group_parts
 from repro.colstore.planner import run_plan
 from repro.colstore.synopsis import POOL_SLACK
-from repro.plan import approx_sum, col
+from repro.plan import approx_mean, col
 from repro.plan.logical import Aggregate, ApproxAggregate, Filter, Pivot, Scan
 
 COLUMNS = ("rid", "grp", "run", "val")
@@ -439,8 +439,8 @@ def _plan_suite(threshold: int):
               for fn in ("sum", "count", "min", "max", "mean")]
     plans += [Aggregate(filtered, "run", "val", "sum"),
               Pivot(scan, "grp", "run", "val"),
-              ApproxAggregate(scan, "rid", "approx_distinct"),
-              ApproxAggregate(filtered, "val", "approx_quantile", quantile=0.7)]
+              approx_mean(scan, "rid"),
+              approx_mean(filtered, "val")]
     return plans
 
 
@@ -450,7 +450,7 @@ def _assert_same_answer(plan, store, fresh):
         want = run_plan(plan, fresh, optimized=optimized)
         if isinstance(plan, ApproxAggregate):
             # assert_array_equal treats NaN == NaN (an empty filtered
-            # child legitimately yields a NaN quantile on both sides).
+            # child legitimately yields a NaN mean on both sides).
             np.testing.assert_array_equal(
                 np.array([got.estimate, got.ci_low, got.ci_high], dtype=float),
                 np.array([want.estimate, want.ci_low, want.ci_high], dtype=float),
@@ -731,8 +731,7 @@ class TestSynopsisStaleness:
         store loaded with the same logical rows.
         """
         store = _store_with(_sealed_four_encodings(60, seed=13))
-        plan = ApproxAggregate(Scan("events"), "val", "approx_sum",
-                               fraction=0.5, seed=3)
+        plan = approx_mean(Scan("events"), "val", fraction=0.5, seed=3)
         before = run_plan(plan, store)
         assert len(store.synopses) == 1
         store.append("events", {
@@ -744,7 +743,7 @@ class TestSynopsisStaleness:
         expected = run_plan(plan, _fresh_equivalent(store))
         assert (after.estimate, after.ci_low, after.ci_high) == \
                (expected.estimate, expected.ci_low, expected.ci_high)
-        # 30 rows of 10k among 90 must move a 50% sample's sum estimate.
+        # 30 rows of 10k among 90 must move a 50% sample's mean estimate.
         assert after.estimate != before.estimate
         # One entry per (table, fraction, seed), answering the current
         # version — advanced in place, not accumulated per version.
@@ -810,7 +809,7 @@ def _assert_synopses_are_fresh_draws(store: ColumnStore) -> None:
         fresh = store.query("events").sample(fraction, seed).selection
         np.testing.assert_array_equal(maintained, fresh)
         assert maintained.dtype == np.int64
-        plan = approx_sum(Scan("events"), "val", fraction=fraction, seed=seed)
+        plan = approx_mean(Scan("events"), "val", fraction=fraction, seed=seed)
         got, want = run_plan(plan, store), _never_warm_answer(plan, store)
         np.testing.assert_array_equal(  # NaN == NaN: an emptied table
             np.array([got.estimate, got.ci_low, got.ci_high]),
@@ -950,7 +949,7 @@ class TestSynopsisRouteReadsOneSnapshot:
     """``_sampled_base`` derives table, selection and population from the one
     snapshot the execution froze: a write landing mid-plan is invisible."""
 
-    PLAN = approx_sum(Scan("events"), "val", fraction=0.5, seed=3)
+    PLAN = approx_mean(Scan("events"), "val", fraction=0.5, seed=3)
 
     def _answer_with_a_write_around_the_synopsis_lookup(self, write, when):
         store = _store_with(_sealed_four_encodings(60, seed=13))

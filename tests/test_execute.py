@@ -23,7 +23,6 @@ from repro.arraydb.bridge import run_shared_plan as run_array_plan
 from repro.cluster import Cluster, PartitionedTable, PartitionStats
 from repro.cluster.bridge import run_shared_plan as run_cluster_plan
 from repro.colstore import ColumnStore, run_plan
-from repro.colstore.sketches import HyperLogLog, TDigest
 from repro.mapreduce import HiveSession, HiveTable
 from repro.mapreduce.bridge import run_shared_plan as run_mr_plan
 from repro.plan import (
@@ -35,9 +34,7 @@ from repro.plan import (
     Project,
     Sample,
     Scan,
-    approx_distinct,
-    approx_quantile,
-    approx_sum,
+    approx_mean,
     col,
     lit,
 )
@@ -209,9 +206,9 @@ def test_a_column_both_join_inputs_produce_is_refused_before_lowering(backends, 
 class TestClusterExecutorContract:
     """The sixth backend: one partitioned table, fragments in node order.
 
-    The cluster admits ``Filter* → Scan`` under an optional sketch
-    ``ApproxAggregate`` — no exact aggregate, no join, no pivot — so it
-    gets its own rows over the same ``patients`` world, split three ways.
+    The cluster admits ``Filter* → Scan`` — no exact or approximate
+    aggregate, no join, no pivot — so it gets its own rows over the same
+    ``patients`` world, split three ways.
     """
 
     PARTS = [np.array([0, 1]), np.array([2, 3]), np.array([4])]
@@ -296,25 +293,13 @@ class TestClusterExecutorContract:
                                  stats=stats, optimized=optimized)
             assert stats.partitions_scanned == stats.partitions_skipped == 0
 
-    def test_sketches_merge_to_the_single_pass_answer(self):
-        young = Filter(Scan("patients"), col("age") < 55)
-        distinct = approx_distinct(young, "arm")
-        median = approx_quantile(young, "dose", q=0.5)
-        for optimized in (True, False):
-            cluster = Cluster(3)
-            assert tuple(run_cluster_plan(distinct, self._table(), cluster,
-                                          optimized=optimized)) == tuple(
-                HyperLogLog().add_array(np.arange(N_PATIENTS)[AGES < 55] % 2)
-                .result(distinct.confidence))
-            assert tuple(run_cluster_plan(median, self._table(), cluster,
-                                          optimized=optimized)) == tuple(
-                TDigest().add_array(MATRIX[AGES < 55, 0]).result(0.5, median.confidence))
-
     def test_sampled_kinds_and_other_shapes_are_rejected_by_name(self):
         cluster = Cluster(3)
         for optimized in (True, False):
-            with pytest.raises(ValueError, match="column-store planner"):
-                run_cluster_plan(approx_sum(Scan("patients"), "dose", fraction=0.5),
+            # The same refusal as an exact Aggregate's: the cluster runs no terminal.
+            with pytest.raises(TypeError, match="cannot execute plan node "
+                                                "ApproxAggregate on the cluster executor"):
+                run_cluster_plan(approx_mean(Scan("patients"), "dose", fraction=0.5),
                                  self._table(), cluster, optimized=optimized)
         with pytest.raises(ValueError, match=r"Filter\*/Scan\('patients'\)"):
             run_cluster_plan(Filter(Scan("genes"), col("age") < 9),
@@ -352,12 +337,12 @@ def test_every_bridge_entry_point_is_one_call_into_the_driver():
 
 
 class TestApproxAggregateIsColumnStoreOnly:
-    plan = approx_distinct(Scan("microarray"), "gene_id")
+    plan = approx_mean(Scan("microarray"), "value")
 
     def test_column_store_answers_and_observes_one_row(self, backends):
         seen = PlanObservation()
         result = backends["colstore"](self.plan, observation=seen)
-        assert round(result.estimate) == N_GENES
+        assert tuple(result) == (MATRIX.mean(), MATRIX.mean(), MATRIX.mean(), 0.95)
         assert (seen.engine, seen.output_rows, seen.output_cells) == ("colstore", 1, None)
 
     @pytest.mark.parametrize("engine", ENGINES[1:])

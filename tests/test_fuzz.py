@@ -14,6 +14,7 @@ Three layers:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -26,10 +27,12 @@ from hypothesis import HealthCheck, given, settings
 from repro.core.queries import dataset_tables
 from repro.datagen.dataset import GenBaseDataset
 from repro.colstore import ColumnStore
+from repro.colstore.sketches import ApproxResult
 from repro.fuzz.calibration import CalibrationRecord, q_error, write_report
 from repro.fuzz.generate import (
     FuzzCase,
     FuzzSchema,
+    UNMUTATED_SHAPES,
     MutationOp,
     case_from_seed,
     lower_mutations,
@@ -48,7 +51,6 @@ from repro.fuzz.tolerances import (
     ULP,
     aggregate_tolerance,
     assert_values_match,
-    sketch_tolerance,
 )
 from repro.plan import Filter, Join, Pivot, Project, Scan, col
 from repro.plan.logical import explain
@@ -195,7 +197,7 @@ class TestMutationPrelude:
         """Sampling is position-dependent; compaction renumbers positions."""
         for seed in range(300):
             case = case_from_seed(seed, harness.schema)
-            if case.shape == "sample":
+            if case.shape in UNMUTATED_SHAPES:
                 assert case.mutations == ()
 
     def test_lowered_steps_match_delta_store_semantics(self, harness):
@@ -310,7 +312,7 @@ class TestReferenceSampleSemantics:
 
 
 class TestApproxShapes:
-    """Sketch-backed approx plans stay inside their promised error bounds."""
+    """``approx_mean`` estimates equal the reference's mean over the same sample."""
 
     def test_approx_plans_match_exact_reference_for_many_seeds(self, harness):
         checked = 0
@@ -320,11 +322,11 @@ class TestApproxShapes:
                 continue
             outcome = harness.check_case(case)
             if not outcome.skipped_empty:
-                # The cluster holds the pristine dataset: it sits mutated cases out.
-                assert outcome.engines_checked == [
-                    "colstore", "colstore-unopt", *([] if case.mutations else ["cluster"])]
+                assert outcome.engines_checked == ["colstore", "colstore-unopt"]
                 checked += 1
         assert checked >= 10  # the grammar must actually exercise approx
+        # Unfiltered cases are answered through the synopsis catalog.
+        assert len(harness.store.synopses) >= 1
 
     def test_approx_plans_serialise(self, harness):
         for seed in range(200):
@@ -334,6 +336,36 @@ class TestApproxShapes:
             data = plan_to_json(case.plan)
             assert plan_to_json(plan_from_json(data)) == data
 
-    def test_sketch_tolerance_rejects_unknown_kind(self):
-        with pytest.raises(ValueError):
-            sketch_tolerance("approx_sum")  # sampled, not sketch-backed
+    def _first_approx_case(self, harness) -> FuzzCase:
+        return next(case for case in (case_from_seed(seed, harness.schema)
+                                      for seed in range(200))
+                    if case.shape == "approx")
+
+    @pytest.mark.parametrize("answer, reference", [
+        (ApproxResult(5.0, 4.0, 6.0, 0.95), 5.5),
+        (ApproxResult(5.0, 5.5, 6.0, 0.95), 5.0),
+        (ApproxResult(5.0, 4.0, 6.0, 0.95), float("nan")),
+        (ApproxResult(float("nan"), float("nan"), float("nan"), 0.95), 5.0),
+        (ApproxResult(5.0, 4.0, 6.0, 1.0), 5.0),
+    ], ids=["off-the-sample-mean", "outside-its-interval", "answer-on-empty",
+            "nan-on-nonempty", "confidence-out-of-range"])
+    def test_check_approx_rejects_a_wrong_answer(self, harness, answer, reference):
+        with pytest.raises(AssertionError):
+            harness._check_approx(self._first_approx_case(harness), answer,
+                                  reference, "colstore", "probe")
+
+    def test_check_approx_accepts_the_sample_mean_and_nan_on_empty(self, harness):
+        case = self._first_approx_case(harness)
+        harness._check_approx(case, ApproxResult(5.0, 4.0, 6.0, 0.95), 5.0,
+                              "colstore", "probe")
+        nan = float("nan")
+        harness._check_approx(case, ApproxResult(nan, nan, nan, 0.95), nan,
+                              "colstore", "probe")
+
+    def test_a_mutated_approx_case_is_refused(self, harness):
+        """The drawn rows depend on physical positions, which writes move."""
+        case = self._first_approx_case(harness)
+        mutated = dataclasses.replace(
+            case, mutations=(MutationOp("compact", case.table, seed=0, count=0),))
+        with pytest.raises(ValueError, match="does not admit a mutation prelude"):
+            harness.check_case(mutated)
