@@ -2,11 +2,23 @@
 
 from __future__ import annotations
 
+import dataclasses
+import math
+import pickle
+from itertools import pairwise
+from operator import itemgetter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.core import BenchmarkRunner
+from repro.core.engines import make_engine
+from repro.core.spec import QUERY_NAMES
 from repro.mapreduce import HiveSession, HiveTable, Mahout, MapReduceEngine, MapReduceJob
+from repro.mapreduce import engine as mr_engine_module
 from repro.mapreduce.bridge import estimate_shuffle_bytes
+from repro.mapreduce.engine import _sort_by_key, _sort_key
 from repro.plan import Aggregate, Filter, Pivot, Scan, col
 
 
@@ -86,6 +98,118 @@ class TestEngine:
 
         output = engine.run(MapReduceJob("sort", mapper, reducer), [3, 1, 2, 1])
         assert [key for key, _ in output] == [1, 2, 3]
+
+
+def _decorated_sort(pairs):
+    """The shuffle order by definition: every key decorated by ``_sort_key``."""
+    return sorted(pairs, key=lambda pair: _sort_key(pair[0]))
+
+
+def _undecorated(monkeypatch):
+    """Make any call to ``_sort_key`` fail, so a passing sort proves it sorted natively."""
+    def refuse(key):
+        raise AssertionError(f"decorated {key!r}")
+    monkeypatch.setattr(mr_engine_module, "_sort_key", refuse)
+
+
+_INTS = st.integers(-3, 3)
+_TEXT = st.text(alphabet="ab", max_size=2)
+_FLOATS = st.one_of(st.floats(-2, 2), st.sampled_from([-0.0, 0.0, math.inf, -math.inf, math.nan]))
+_SCALARS = st.one_of(_INTS, st.booleans(), _FLOATS, _TEXT, st.none(),
+                     _INTS.map(np.int64), _FLOATS.map(np.float64))
+_ANY_KEY = st.recursive(_SCALARS, lambda items: st.lists(items, max_size=3).map(tuple),
+                        max_leaves=6)
+#: Keys of another type that compare equal to an ``int`` or raise against one.
+_INTRUDERS = st.sampled_from([st.booleans(), _INTS.map(np.int64), _INTS.map(float), st.none()])
+
+
+def _mixed(family, intruder):
+    """``family`` keys with at least one ``intruder`` key shuffled in."""
+    return st.tuples(st.lists(family, min_size=1, max_size=15),
+                     st.lists(intruder, min_size=1, max_size=15)).flatmap(
+        lambda parts: st.permutations(parts[0] + parts[1]))
+
+
+#: Homogeneous key families (the native candidates, NaN included), the int
+#: families with one intruding type, and arbitrary mixes of every kind,
+#: nested and ragged tuples among them.
+_KEY_LISTS = st.one_of(
+    st.lists(_INTS, max_size=30),
+    st.lists(_TEXT, max_size=30),
+    st.lists(_FLOATS, max_size=30),
+    st.lists(st.none(), max_size=5),
+    st.lists(st.lists(_INTS | _TEXT, max_size=3).map(tuple), max_size=30),
+    _INTRUDERS.flatmap(lambda other: _mixed(_INTS, other)),
+    _INTRUDERS.flatmap(lambda other: _mixed(st.tuples(_INTS, _INTS), st.tuples(_INTS, other))),
+    st.lists(_ANY_KEY, max_size=30),
+)
+
+
+class TestShuffleOrder:
+    """``_sort_by_key`` against the decorated sort it replaces."""
+
+    @given(_KEY_LISTS)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_decorated_sort(self, keys):
+        pairs = [(key, index) for index, key in enumerate(keys)]
+        emitted = list(pairs)
+        got = _sort_by_key(pairs)
+        want = _decorated_sort(pairs)
+        assert len(got) == len(want)
+        assert all(a is b for a, b in zip(got, want, strict=True))
+        assert pairs == emitted  # sorted into a new list
+        # Stable: within one key, values keep their emission order.
+        for (key_a, index_a), (key_b, index_b) in pairwise(got):
+            if _sort_key(key_a) == _sort_key(key_b):
+                assert index_a < index_b
+
+    @pytest.mark.parametrize("keys", [
+        [3, 1, 2, 1],
+        ["b", "a", "ab", "a"],
+        [("xtx", 1, 2), ("xty", 0), ("xtx", 0, 0), (), ("xty",), ("xtx", 0, 0)],
+        [2.5, -0.0, 0.0, math.inf, -1.0, 0.0],
+        [None, None, None],
+    ], ids=["int", "str", "int-str-tuples", "float", "none"])
+    def test_native_families_never_decorate(self, keys, monkeypatch):
+        pairs = [(key, index) for index, key in enumerate(keys)]
+        want = _decorated_sort(pairs)
+        _undecorated(monkeypatch)
+        assert _sort_by_key(pairs) == want
+
+    @pytest.mark.parametrize("keys", [
+        [1, True], [1, 2.0], [np.int64(2), 1], [(1, (2,)), (1, (1,))], [1.0, math.nan, 0.0],
+    ], ids=["bool", "int-float", "numpy", "nested", "nan"])
+    def test_other_keys_decorate(self, keys, monkeypatch):
+        _undecorated(monkeypatch)
+        with pytest.raises(AssertionError, match="decorated"):
+            _sort_by_key([(key, index) for index, key in enumerate(keys)])
+
+    def test_native_sort_raising_partway_falls_back_on_the_emission_order(self):
+        keys = [(5,), (4,), (3,), (2, 7), (1, "a"), (0,), (1, 2), (1, "b"), (1, 1)]
+        pairs = [(key, index) for index, key in enumerate(keys)]
+        emitted = list(pairs)
+        with pytest.raises(TypeError):  # int against str, after a few comparisons
+            sorted(pairs, key=itemgetter(0))
+        assert _sort_by_key(pairs) == _decorated_sort(emitted)
+        assert pairs == emitted
+
+    def test_hadoop_queries_match_the_decorated_shuffle(self, tiny_dataset, monkeypatch):
+        """Outputs and every job's counters, with and without the native sort."""
+        def run_queries():
+            engine = make_engine("hadoop")
+            engine.load(tiny_dataset)
+            runner = BenchmarkRunner(timeout_seconds=120)
+            results = [runner.run(query, engine, tiny_dataset) for query in QUERY_NAMES]
+            outputs = [(result.status, pickle.dumps(result.output)) for result in results]
+            history = [(job.name, dataclasses.asdict(job.counters))
+                       for job in engine.mr_engine.history]
+            return outputs, history
+
+        native = run_queries()
+        monkeypatch.setattr(mr_engine_module, "_sort_by_key", _decorated_sort)
+        decorated = run_queries()
+        assert len(native[1]) > 50
+        assert native == decorated
 
 
 class TestHive:

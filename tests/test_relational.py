@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.core.engines import make_engine
 from repro.relational import (
     ColumnType,
     Database,
@@ -115,6 +119,92 @@ class TestSchema:
         combined = left.concat(right)
         assert combined.names == ("id", "x", "id_right", "y")
 
+
+# The heap row format by definition, one column at a time: the reference
+# the row store's per-schema codec must match byte for byte and row for row.
+_LENGTH = struct.Struct("<I")
+_FIXED = {
+    ColumnType.INT: struct.Struct("<q"),
+    ColumnType.FLOAT: struct.Struct("<d"),
+    ColumnType.BOOL: struct.Struct("<?"),
+}
+
+
+def _pack_row(row, schema: Schema) -> bytes:
+    parts = []
+    null_bitmap = 0
+    for index, (_column, value) in enumerate(zip(schema.columns, row, strict=True)):
+        if value is None:
+            null_bitmap |= 1 << index
+    parts.append(_LENGTH.pack(null_bitmap))
+    for column, value in zip(schema.columns, row, strict=True):
+        if value is None:
+            continue
+        if column.type is ColumnType.STRING:
+            encoded = str(value).encode("utf-8")
+            parts.append(_LENGTH.pack(len(encoded)))
+            parts.append(encoded)
+        else:
+            parts.append(_FIXED[column.type].pack(value))
+    return b"".join(parts)
+
+
+def _unpack_row(buffer: bytes, offset: int, schema: Schema) -> tuple[tuple, int]:
+    (null_bitmap,) = _LENGTH.unpack_from(buffer, offset)
+    offset += _LENGTH.size
+    values = []
+    for index, column in enumerate(schema.columns):
+        if null_bitmap & (1 << index):
+            values.append(None)
+            continue
+        if column.type is ColumnType.STRING:
+            (length,) = _LENGTH.unpack_from(buffer, offset)
+            offset += _LENGTH.size
+            values.append(buffer[offset:offset + length].decode("utf-8"))
+            offset += length
+        else:
+            codec = _FIXED[column.type]
+            (value,) = codec.unpack_from(buffer, offset)
+            offset += codec.size
+            values.append(value)
+    return tuple(values), offset
+
+
+def _oracle_rows(page: Page, schema: Schema) -> list[tuple]:
+    """Every row of ``page`` as ``_unpack_row`` decodes its byte image."""
+    buffer = page.to_bytes()
+    (count,) = _LENGTH.unpack_from(buffer, 0)
+    cursor = _LENGTH.size * (1 + count)
+    rows = []
+    for _ in range(count):
+        row, cursor = _unpack_row(buffer, cursor, schema)
+        rows.append(row)
+    assert cursor == len(buffer)
+    return rows
+
+
+def _oracle_image(rows, schema: Schema) -> bytes:
+    """A page holding ``rows``, laid out from ``_pack_row``'s payloads."""
+    payloads = [_pack_row(row, schema) for row in rows]
+    offsets, cursor = [], _LENGTH.size * (1 + len(payloads))
+    for payload in payloads:
+        offsets.append(_LENGTH.pack(cursor))
+        cursor += len(payload)
+    return b"".join([_LENGTH.pack(len(payloads)), *offsets, *payloads])
+
+
+def _assert_heap_matches_oracle(table: HeapTable) -> None:
+    pages = table._heap._pages
+    assert list(SeqScan(table)) == [row for page in pages
+                                    for row in _oracle_rows(page, table.schema)]
+    for page in pages:
+        assert page.to_bytes() == _oracle_image(list(page.rows()), table.schema)
+
+
+_NULLABLE_ROWS = [(1, "hello", True, 0.5), (2, None, False, None), (None, "", None, -0.0),
+                  (None, None, None, None), (-(2**63), "\u00e9t\u00e9", True, float("inf"))]
+
+
 class TestStorage:
     def test_page_roundtrip_with_strings_and_nulls(self):
         schema = _schema(
@@ -140,6 +230,59 @@ class TestStorage:
         heap.insert((1,))
         heap.insert((2,))
         assert heap.row_count == 2
+
+    def test_rescan_after_insert_sees_the_new_row(self):
+        schema = _schema([("id", ColumnType.INT), ("v", ColumnType.FLOAT)])
+        page = Page(schema)
+        for row in [(1, 0.5), (2, None), (3, 1.5)]:
+            assert page.try_insert(row)
+        assert list(page.rows()) == [(1, 0.5), (2, None), (3, 1.5)]
+        assert page.try_insert((4, 2.5))
+        assert list(page.rows()) == [(1, 0.5), (2, None), (3, 1.5), (4, 2.5)]
+        fresh = Page(schema)
+        for row in [(1, 0.5), (2, None), (3, 1.5), (4, 2.5)]:
+            fresh.try_insert(row)
+        assert page.to_bytes() == fresh.to_bytes()
+        assert page.to_bytes() == _oracle_image(list(fresh.rows()), schema)
+
+    @pytest.mark.parametrize("second", [ColumnType.STRING, ColumnType.INT],
+                             ids=["with-string", "fixed-width"])
+    def test_nulls_strings_and_bools_match_the_oracle(self, second):
+        schema = _schema([("a", ColumnType.INT), ("b", second),
+                          ("c", ColumnType.BOOL), ("d", ColumnType.FLOAT)])
+        table = HeapTable("t", schema, page_size=96)
+        for row in _NULLABLE_ROWS * 4:
+            if second is ColumnType.INT and isinstance(row[1], str):
+                row = (row[0], len(row[1]), *row[2:])
+            table.insert(row)
+        assert table.page_count > 1
+        _assert_heap_matches_oracle(table)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_any_schema_matches_the_oracle(self, data):
+        types = data.draw(st.lists(st.sampled_from(list(ColumnType)), min_size=1, max_size=5))
+        values = {
+            ColumnType.INT: st.integers(-(2**63), 2**63 - 1),
+            ColumnType.FLOAT: st.floats(allow_nan=False),
+            ColumnType.STRING: st.text(max_size=6),
+            ColumnType.BOOL: st.booleans(),
+        }
+        rows = data.draw(st.lists(st.tuples(*[st.none() | values[t] for t in types]),
+                                  max_size=40))
+        schema = _schema([(f"c{i}", t) for i, t in enumerate(types)])
+        table = HeapTable("t", schema, page_size=128)
+        table.insert_many(rows)
+        assert list(table.scan()) == rows
+        _assert_heap_matches_oracle(table)
+
+    def test_every_tiny_table_scans_as_the_oracle_decodes(self, tiny_dataset):
+        engine = make_engine("postgres-madlib")
+        engine.load(tiny_dataset)
+        names = engine.db.table_names()
+        assert {"microarray", "patients", "genes", "ontology"} <= set(names)
+        for name in names:
+            _assert_heap_matches_oracle(engine.db.table(name))
 
 
 class TestHeapTable:
