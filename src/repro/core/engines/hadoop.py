@@ -83,17 +83,16 @@ class HadoopEngine(MahoutAnalytics, Engine):
         self.mr_engine = MapReduceEngine(n_splits=self.n_splits)
         self.hive = HiveSession(self.mr_engine)
         self.mahout = Mahout(self.mr_engine)
-        #: The logical tables the shared plans scan (Hive rows hold floats).
+        #: The logical tables the shared plans scan, typed as
+        #: :func:`dataset_tables` types them (int64 keys, float64 values), so
+        #: a join's map-output keys are of one class, as Hadoop requires.
         self.tables = {
-            name: HiveTable.from_array(
-                name, list(columns),
-                np.column_stack(list(columns.values())).astype(np.float64, copy=False),
-            )
+            name: HiveTable.from_columns(name, columns)
             for name, columns in dataset_tables(dataset).items()
         }
-        self.tables["ontology"] = HiveTable.from_array(
-            "ontology", ["gene_id", "go_id", "belongs"],
-            dataset.ontology_relational(include_zeros=False),
+        gene_id, go_id, belongs = dataset.ontology_relational(include_zeros=False).astype(np.int64).T
+        self.tables["ontology"] = HiveTable.from_columns(
+            "ontology", {"gene_id": gene_id, "go_id": go_id, "belongs": belongs}
         )
         self.n_go_terms = dataset.ontology.n_go_terms
 

@@ -53,7 +53,7 @@ from repro.cluster import (
 from repro.cluster.bridge import run_shared_plan as run_cluster_plan
 from repro.core.engines.base import Engine, EngineCapabilities, covariance_pairs
 from repro.core.engines.hadoop import MahoutAnalytics
-from repro.core.queries import QueryOutput, statistics_patient_predicate
+from repro.core.queries import QueryOutput, dataset_tables, statistics_patient_predicate
 from repro.core.spec import QueryParameters
 from repro.core.timing import PhaseTimer
 from repro.datagen.dataset import GenBaseDataset
@@ -354,27 +354,23 @@ class HadoopClusterEngine(MahoutAnalytics, _MultiNodeEngine):
 
     def _load(self, dataset: GenBaseDataset) -> None:
         super()._load(dataset)
-        # Each node gets its own Hive session over its patients' microarray rows.
-        micro = dataset.microarray_relational()
-        patient_of_row = micro[:, 1].astype(np.int64)
-        self.node_hive: list[tuple[HiveSession, HiveTable, HiveTable]] = []
-        genes_rel = dataset.genes_relational()
-        patients_rel = dataset.patients_relational()
-        for partition in self.partitions:
-            mask = np.isin(patient_of_row, partition.patient_ids)
-            session = HiveSession(MapReduceEngine(n_splits=2))
-            micro_table = HiveTable.from_array(
-                "microarray", ["gene_id", "patient_id", "expression_value"], micro[mask]
+        # Each node gets its own Hive session over its patients' microarray
+        # and patient rows, typed as on the single-node Hadoop engine.
+        tables = dataset_tables(dataset)
+
+        def node_table(name: str, patient_ids) -> HiveTable:
+            keep = np.isin(tables[name]["patient_id"], patient_ids)
+            return HiveTable.from_columns(
+                name, {column: values[keep] for column, values in tables[name].items()}
             )
-            patients_table = HiveTable.from_array(
-                "patients",
-                ["patient_id", "age", "gender", "zipcode", "disease_id", "drug_response"],
-                patients_rel[np.isin(patients_rel[:, 0].astype(np.int64), partition.patient_ids)],
-            )
-            self.node_hive.append((session, micro_table, patients_table))
-        self.genes_table = HiveTable.from_array(
-            "genes", ["gene_id", "target", "position", "length", "function"], genes_rel
-        )
+
+        self.node_hive: list[tuple[HiveSession, HiveTable, HiveTable]] = [
+            (HiveSession(MapReduceEngine(n_splits=2)),
+             node_table("microarray", partition.patient_ids),
+             node_table("patients", partition.patient_ids))
+            for partition in self.partitions
+        ]
+        self.genes_table = HiveTable.from_columns("genes", tables["genes"])
         self.mahout = Mahout(MapReduceEngine(n_splits=self.n_nodes))
 
     # -- data-management hooks ---------------------------------------------------------------------

@@ -73,14 +73,6 @@ class GenBaseDataset:
         """Relational microarray table ``(gene_id, patient_id, value)``."""
         return self.microarray.to_relational()
 
-    def patients_relational(self) -> np.ndarray:
-        """Relational patient metadata table."""
-        return self.patients.to_relational()
-
-    def genes_relational(self) -> np.ndarray:
-        """Relational gene metadata table."""
-        return self.genes.to_relational()
-
     def ontology_relational(self, include_zeros: bool = False) -> np.ndarray:
         """Relational GO membership table.
 

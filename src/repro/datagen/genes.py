@@ -22,9 +22,6 @@ import numpy as np
 
 from repro.datagen.sizes import SizeSpec, resolve_size
 
-#: Column order of the relational form of the gene metadata table.
-GENE_COLUMNS = ("gene_id", "target", "position", "length", "function")
-
 
 @dataclass
 class GeneMetadata:
@@ -39,12 +36,6 @@ class GeneMetadata:
     @property
     def n_genes(self) -> int:
         return len(self.gene_id)
-
-    def to_relational(self) -> np.ndarray:
-        """Return an ``(n_genes, 5)`` float array in ``GENE_COLUMNS`` order."""
-        return np.column_stack(
-            [self.gene_id, self.target, self.position, self.length, self.function]
-        ).astype(np.float64)
 
 
 def generate_genes(spec: SizeSpec | str, seed: int = 0) -> GeneMetadata:

@@ -25,9 +25,6 @@ import numpy as np
 from repro.datagen.microarray import MicroarrayData
 from repro.datagen.sizes import SizeSpec, resolve_size
 
-#: Column order of the relational form of the patient metadata table.
-PATIENT_COLUMNS = ("patient_id", "age", "gender", "zipcode", "disease_id", "drug_response")
-
 
 @dataclass
 class PatientMetadata:
@@ -47,19 +44,6 @@ class PatientMetadata:
     @property
     def n_patients(self) -> int:
         return len(self.patient_id)
-
-    def to_relational(self) -> np.ndarray:
-        """Return an ``(n_patients, 6)`` float array in ``PATIENT_COLUMNS`` order."""
-        return np.column_stack(
-            [
-                self.patient_id,
-                self.age,
-                self.gender,
-                self.zipcode,
-                self.disease_id,
-                self.drug_response,
-            ]
-        ).astype(np.float64)
 
 
 def generate_patients(

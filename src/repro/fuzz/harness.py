@@ -159,10 +159,7 @@ class FuzzHarness:
 
         # MapReduce (Hive tables + one engine whose counters we snapshot).
         self.hive_tables = {
-            name: HiveTable.from_array(
-                name, list(columns),
-                np.column_stack([v for v in columns.values()]).astype(np.float64),
-            )
+            name: HiveTable.from_columns(name, columns)
             for name, columns in self.tables.items()
         }
         self.hive = HiveSession(MapReduceEngine(n_splits=4))

@@ -73,9 +73,9 @@ HIVE_CAPABILITIES = OptimizerCapabilities(
 def _catalog(tables: dict[str, HiveTable]) -> SchemaCatalog:
     """Snapshot the Hive tables' schemas and row counts for the optimizer.
 
-    Hive tables carry untyped row tuples, so dtypes are sampled from the
-    first row.  Int/float drift across rows is harmless — the verifier
-    only distinguishes dtype *families* (numeric vs string).
+    The engines load Hive tables with :meth:`HiveTable.from_columns`, which
+    keeps each column's dtype, so the first row's cells give every
+    column's dtype exactly.
     """
     return SchemaCatalog(
         {name: {column: literal_dtype(table.rows[0][index]) if table.rows else None

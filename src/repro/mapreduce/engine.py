@@ -19,18 +19,16 @@ Chaining jobs therefore re-serialises data between every stage, which is the
 structural reason the Hadoop configuration trails every other engine in the
 benchmark results.
 
-What the shuffle models is the *order* it sorts into — a total order over
-heterogeneous keys (:func:`_sort_key`: type name, then value; tuples after
-scalars), stable within a key — not the decoration that computes it.
-:func:`_sort_by_key` sorts by the keys' native order whenever that order is
-provably the same, and decorates only when it is not.
+A job has one map-output key class, as in Hadoop: the shuffle sorts by
+the keys' native order (:func:`_sort_by_key`), stable within a key, and a
+job whose keys are of more than one class, or a float NaN, fails instead
+of sorting.
 """
 
 from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass
-from itertools import chain
 from math import isnan
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence
@@ -122,7 +120,7 @@ class MapReduceEngine:
                     pairs.append(pair)
                     counters.map_output_records += 1
             if job.combiner is not None:
-                pairs = self._combine(job.combiner, pairs)
+                pairs = self._combine(job, pairs)
                 counters.combine_output_records += len(pairs)
             spill = pickle.dumps(pairs)
             counters.shuffle_bytes += len(spill)
@@ -132,7 +130,7 @@ class MapReduceEngine:
         merged: list[tuple[object, object]] = []
         for spill in spilled_splits:
             merged.extend(pickle.loads(spill))
-        groups = self._group(_sort_by_key(merged))
+        groups = self._group(_sort_by_key(merged, job.name))
         counters.reduce_input_groups = len(groups)
 
         # Reduce.
@@ -148,11 +146,11 @@ class MapReduceEngine:
     # -- helpers -------------------------------------------------------------------
 
     @staticmethod
-    def _combine(combiner: Reducer, pairs: list[tuple[object, object]]) -> list[tuple[object, object]]:
-        grouped = MapReduceEngine._group(_sort_by_key(pairs))
+    def _combine(job: MapReduceJob, pairs: list[tuple[object, object]]) -> list[tuple[object, object]]:
+        grouped = MapReduceEngine._group(_sort_by_key(pairs, job.name))
         combined: list[tuple[object, object]] = []
         for key, values in grouped:
-            combined.extend(combiner(key, values))
+            combined.extend(job.combiner(key, values))
         return combined
 
     @staticmethod
@@ -183,44 +181,33 @@ _SENTINEL = _Sentinel()
 _KEY = itemgetter(0)
 
 
-def _sort_by_key(pairs: list[tuple[object, object]]) -> list[tuple[object, object]]:
-    """``pairs`` stably sorted by :func:`_sort_key` of each key, as a new list.
+def _sort_by_key(pairs: list[tuple[object, object]], job: str) -> list[tuple[object, object]]:
+    """``pairs`` stably sorted by their keys' native order, as a new list.
 
-    The result is always ``sorted(pairs, key=lambda p: _sort_key(p[0]))``;
-    across types that puts a bool before an int, an int before a str and
-    any tuple after every scalar:
+    >>> _sort_by_key([(2, "b"), (1, "a"), (2, "c")], "demo")
+    [(1, 'a'), (2, 'b'), (2, 'c')]
 
-    >>> _sort_by_key([((0,), "t"), ("a", "s"), (2, "i"), (True, "b"), (1, "j")])
-    [(True, 'b'), (1, 'j'), (2, 'i'), ('a', 's'), ((0,), 't')]
+    All-``None`` keys are all equal, so their order is the emission order.
+    Like Hadoop, a job has one map-output key class: keys of more than one
+    class, or a native sort that raises, fail the job with a ``TypeError``
+    naming it, and a NaN ``float`` key, which has no place in the order,
+    with a ``ValueError``:
 
-    The keys' own ``<`` gives that order when every key is exactly ``int``,
-    exactly ``str``, a tuple of exactly ``int``/``str`` items, or a ``float``
-    with no NaN among them, so those sort natively.  All-``None`` keys are
-    all equal, so their order is the emission order.  A tuple sort that
-    meets an ``int`` against a ``str`` raises ``TypeError`` before it
-    finishes and falls back to the decorated sort; every other mix (bools,
-    numpy scalars, nested tuples, NaN) decorates from the start.
+    >>> _sort_by_key([(1, "a"), (1.0, "b")], "demo")
+    Traceback (most recent call last):
+    TypeError: job 'demo': map output keys of more than one class: float, int
     """
     keys = list(map(_KEY, pairs))
-    types = set(map(type, keys))
-    if types == {type(None)}:
+    classes = set(map(type, keys))
+    if len(classes) > 1:
+        names = ", ".join(sorted(cls.__name__ for cls in classes))
+        raise TypeError(f"job {job!r}: map output keys of more than one class: {names}")
+    if classes <= {type(None)}:
         return list(pairs)
-    if types == {tuple}:
-        native = set(map(type, chain.from_iterable(keys))) <= {int, str}
-    elif types == {float}:
-        native = not any(map(isnan, keys))
-    else:
-        native = types == {int} or types == {str}
-    if native:
-        try:
-            return sorted(pairs, key=_KEY)
-        except TypeError:  # an int met a str inside two tuple keys
-            pass
-    return sorted(pairs, key=lambda pair: _sort_key(pair[0]))
-
-
-def _sort_key(key: object) -> tuple:
-    """Total ordering for heterogeneous shuffle keys (type name, then value)."""
-    if isinstance(key, tuple):
-        return (1, tuple(_sort_key(part) for part in key))
-    return (0, (type(key).__name__, key))
+    (key_class,) = classes
+    if issubclass(key_class, float) and any(map(isnan, keys)):
+        raise ValueError(f"job {job!r}: a map output key is NaN")
+    try:
+        return sorted(pairs, key=_KEY)
+    except TypeError as error:
+        raise TypeError(f"job {job!r}: map output keys do not sort: {error}") from error

@@ -1,6 +1,7 @@
 """A Hive-like relational layer on top of the MapReduce engine.
 
-Tables are lists of tuples with named columns; every relational verb
+Tables are lists of tuples with named columns, each column of the type
+it was loaded with (:meth:`HiveTable.from_columns`); every relational verb
 compiles to (at least) one MapReduce job, so even a simple filter pays the
 map → spill → shuffle → reduce round trip.  That is precisely the cost
 structure the paper blames for Hive's slow data management ("Hive has only
@@ -17,7 +18,7 @@ rows are never serialised into the shuffle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -54,12 +55,15 @@ class HiveTable:
         return [row[index] for row in self.rows]
 
     @classmethod
-    def from_array(cls, name: str, columns: Sequence[str], array: np.ndarray) -> "HiveTable":
-        """Build a table from a 2-D numpy array."""
-        array = np.asarray(array)
-        if array.ndim != 2 or array.shape[1] != len(columns):
-            raise ValueError("array shape does not match the column list")
-        return cls(name=name, columns=tuple(columns), rows=list(map(tuple, array.tolist())))
+    def from_columns(cls, name: str, columns: Mapping[str, np.ndarray]) -> "HiveTable":
+        """Build a table from named 1-D arrays of equal length.
+
+        Each cell keeps its column's dtype as the matching Python scalar:
+        an ``int64`` key column gives ``int`` cells, a ``float64`` value
+        column ``float`` cells.
+        """
+        cells = (np.asarray(values).tolist() for values in columns.values())
+        return cls(name=name, columns=tuple(columns), rows=list(zip(*cells, strict=True)))
 
 
 class HiveSession:

@@ -233,11 +233,3 @@ class Mahout:
         for term, p_value in pairs:
             p_values[term] = p_value
         return p_values
-
-    # -- unsupported -----------------------------------------------------------------------------
-
-    def biclustering(self, *_args, **_kwargs):
-        """Mahout provides no biclustering algorithm."""
-        raise NotImplementedError(
-            "the Mahout analytics library provides no biclustering implementation"
-        )

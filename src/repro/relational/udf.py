@@ -10,9 +10,10 @@ effectively interpreted).  This module reproduces that split:
 * :func:`default_madlib_registry` which registers the GenBase analytics with
   the same fast/slow split Madlib has — linear regression and covariance run
   on the compiled tier (numpy/LAPACK here standing in for C++), while SVD
-  and biclustering run on the interpreted tier
+  and enrichment run on the interpreted tier
   (:mod:`repro.linalg.naive`), mirroring Madlib functions that "in effect
-  simulate matrix computations in SQL and plpython".
+  simulate matrix computations in SQL and plpython".  Madlib has no
+  biclustering, so neither does the registry.
 
 The registry stores plain callables keyed by name; UDFs receive numpy
 arrays that the adapter has already restructured from query output.
@@ -95,13 +96,6 @@ def _madlib_svd_interpreted(matrix: np.ndarray, k: int) -> np.ndarray:
     return naive.power_iteration_svd(matrix, k=k)
 
 
-def _madlib_biclustering_missing(*_args, **_kwargs):
-    """Madlib has no biclustering; raise the same way the paper treats it."""
-    raise NotImplementedError(
-        "the Madlib analytics library provides no biclustering function"
-    )
-
-
 def _madlib_enrichment_interpreted(scores: np.ndarray, membership: np.ndarray):
     """Enrichment in plpython: a per-term loop over the naive rank-sum test."""
     scores = np.asarray(scores, dtype=np.float64).ravel()
@@ -125,7 +119,7 @@ def default_madlib_registry() -> UdfRegistry:
     linear regression is one of the C++ functions ("tend to be faster than
     the corresponding functions in R"), SVD is one of the functions that
     "simulate matrix computations in SQL and plpython", and biclustering is
-    simply missing from the library.
+    missing from the library, so it has no entry here.
     """
     registry = UdfRegistry()
     registry.register(
@@ -145,12 +139,6 @@ def default_madlib_registry() -> UdfRegistry:
         _madlib_svd_interpreted,
         tier="interpreted",
         description="truncated SVD simulated in SQL/plpython (power iteration)",
-    )
-    registry.register(
-        "biclustering",
-        _madlib_biclustering_missing,
-        tier="interpreted",
-        description="not provided by Madlib (raises NotImplementedError)",
     )
     registry.register(
         "enrichment",

@@ -122,12 +122,6 @@ class TestPatients:
         with pytest.raises(ValueError, match="patients"):
             generate_patients("small", micro, seed=0)
 
-    def test_relational_shape(self):
-        micro = generate_microarray("tiny", seed=0)
-        patients = generate_patients("tiny", micro, seed=0)
-        table = patients.to_relational()
-        assert table.shape == (patients.n_patients, 6)
-
 
 class TestGenes:
     def test_fields_and_no_self_targets(self):
@@ -137,10 +131,6 @@ class TestGenes:
         assert np.all(genes.length >= 50)
         assert np.all(np.diff(genes.position) > 0)
         assert genes.function.max() < SIZE_PRESETS["small"].n_functions
-
-    def test_relational_shape(self):
-        genes = generate_genes("tiny", seed=0)
-        assert genes.to_relational().shape == (genes.n_genes, 5)
 
 
 class TestOntology:
@@ -192,8 +182,6 @@ class TestDataset:
 
     def test_relational_accessors(self, tiny_dataset):
         assert tiny_dataset.microarray_relational().shape[1] == 3
-        assert tiny_dataset.patients_relational().shape[1] == 6
-        assert tiny_dataset.genes_relational().shape[1] == 5
         assert tiny_dataset.ontology_relational().shape[1] == 3
 
 

@@ -14,9 +14,13 @@ sees a method whose name another class's called method shares.
 
     python tools/traffic.py
 
-No options; stdlib only.  Prints a markdown table to stdout and progress
-to stderr; exit status 1 if a command failed (the census is then
-incomplete), 0 otherwise, however much is unreached.
+The census is a gate: :data:`EXPECTED` lists every function that is
+unreached on purpose, one ``module qualname reason`` line each.  No
+options; stdlib only.  Prints a markdown table to stdout, then any
+difference from the list, and progress to stderr.  Exit status 1 if a
+command failed (the census is then incomplete), if an unreached function
+is not on the list, or if a listed one is no longer unreached; 0
+otherwise.
 """
 
 from __future__ import annotations
@@ -33,7 +37,29 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = REPO_ROOT / "src" / "repro"
 
+EXPECTED = REPO_ROOT / "tools" / "traffic_expected.txt"
+
 WORKLOADS = [w["name"] for w in json.loads((REPO_ROOT / "BENCHMARK.json").read_text())["workloads"]]
+
+#: The modules whose doctests the CI ``docs`` job runs, one interpreter each.
+DOCTEST_MODULES = [
+    "src/repro/plan/expressions.py",
+    "src/repro/plan/logical.py",
+    "src/repro/plan/optimizer.py",
+    "src/repro/plan/verify.py",
+    "src/repro/plan/execute.py",
+    "src/repro/core/engines/base.py",
+    "src/repro/colstore/sketches.py",
+    "src/repro/colstore/column.py",
+    "src/repro/arraydb/array.py",
+    "src/repro/arraydb/operators.py",
+    "src/repro/arraydb/bridge.py",
+    "src/repro/mapreduce/bridge.py",
+    "src/repro/mapreduce/engine.py",
+    "src/repro/relational/bridge.py",
+    "src/repro/cluster/bridge.py",
+    "src/repro/cluster/network.py",
+]
 
 #: The census: ``(label, argv after the interpreter)``; ``{tmp}`` is a scratch
 #: directory shared by the commands of one census.  ``-m`` runs a module.
@@ -47,6 +73,9 @@ COMMANDS = [
                           "--artifact-dir", "{tmp}/fuzz_artifacts"]),
     ("plan.verify", ["-m", "repro.plan.verify"]),
     ("check_cost_calibration", ["tools/check_cost_calibration.py", "--report", "{tmp}/fuzz.json"]),
+    ("bench_colstore_ops --size tiny", ["benchmarks/bench_colstore_ops.py", "--size", "tiny",
+                                        "--rounds", "1", "--output", "{tmp}/bench.json"]),
+    *[(f"doctest {path}", ["-m", "doctest", path]) for path in DOCTEST_MODULES],
 ]
 
 #: Run inside each command's interpreter: ``argv[1]`` is the record file,
@@ -166,14 +195,47 @@ def render(report: dict) -> str:
     return "\n".join(lines)
 
 
+def read_expected(path: Path) -> dict[tuple[str, str], str]:
+    """``(module, qualname)`` → reason, from a list of ``module qualname reason`` lines.
+
+    Blank lines and lines starting with ``#`` are skipped; an entry
+    without a reason is an error.
+    """
+    expected = {}
+    for number, line in enumerate(path.read_text().splitlines(), 1):
+        if not line.strip() or line.startswith("#"):
+            continue
+        fields = line.split(maxsplit=2)
+        if len(fields) < 3:
+            raise ValueError(f"{path}:{number}: want 'module qualname reason', got {line!r}")
+        module, qualname, reason = fields
+        expected[(module, qualname)] = reason
+    return expected
+
+
+def gate(commands, package: Path, cwd: Path, env: dict, expected_path: Path) -> int:
+    """Run the census, print it and its differences from the list; the exit status."""
+    expected = read_expected(expected_path)
+    entered, failed = census(commands, package, cwd, env)
+    report = unreached(package, entered)
+    print(render(report))
+    found = {(module, name) for module, missing in report.items() for name, _, _ in missing}
+    unlisted = sorted(found - expected.keys())
+    stale = sorted(expected.keys() - found)
+    for title, entries in (("unreached, not listed", unlisted),
+                           ("listed, but reached or gone", stale)):
+        if entries:
+            print(f"\n{title} in {expected_path.name}:")
+            print("\n".join(f"- {module} {name}" for module, name in entries))
+    if failed:
+        print(f"\ncensus incomplete, failed: {', '.join(failed)}")
+    return 1 if failed or unlisted or stale else 0
+
+
 def main() -> int:
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent),
            "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-    entered, failed = census(COMMANDS, PACKAGE, REPO_ROOT, env)
-    print(render(unreached(PACKAGE, entered)))
-    if failed:
-        print(f"\ncensus incomplete, failed: {', '.join(failed)}")
-    return 1 if failed else 0
+    return gate(COMMANDS, PACKAGE, REPO_ROOT, env, EXPECTED)
 
 
 if __name__ == "__main__":
