@@ -735,7 +735,8 @@ def run_sweep(size: str, rounds: int = 3, seed: int = 7) -> dict:
     # most 1.2x the pristine scan, plus a fixed noise floor covering the
     # merge's constant per-query costs (tail unique + partial merge),
     # which are microsecond-scale and would otherwise dominate the ratio
-    # at the tiny CI-smoke size.
+    # at the tiny CI-smoke size.  check_bench_regression.py holds the
+    # recorded timings to that bound; this sweep asserts only results.
     delta_rng = np.random.default_rng(seed + 7)
     tail_n = max(1, n // 20)
     sealed_arrays = {
@@ -767,7 +768,7 @@ def run_sweep(size: str, rounds: int = 3, seed: int = 7) -> dict:
     # Interleaved best-of: the three paths are timed round-robin rather
     # than phase by phase, so clock-frequency drift across the sweep can't
     # systematically favour whichever path happens to be timed last — the
-    # 1.2x bound below compares the merged and sealed timings directly.
+    # 1.2x bound compares the merged and sealed timings directly.
     merged_delta_scan(), decoded_delta_scan(), sealed_only_scan()  # warm caches
     compressed = baseline = sealed_only = float("inf")
     for _ in range(rounds):
@@ -787,11 +788,6 @@ def run_sweep(size: str, rounds: int = 3, seed: int = 7) -> dict:
     # baseline accumulates in row order — the column store's one float
     # reassociation, so the sums may differ in the last ulps.
     np.testing.assert_allclose(fast_sums, slow_sums, rtol=1e-12)
-    assert compressed <= 1.2 * sealed_only + 200e-6, (
-        f"merged scan with a 5% tail took {compressed*1e6:.0f}us vs "
-        f"{sealed_only*1e6:.0f}us sealed-only — over the 1.2x "
-        "merge-overhead bound"
-    )
     delta_entry = _entry("delta_scan", "dictionary+tail", n + tail_n,
                          compressed, baseline, gated=True)
     delta_entry["sealed_only_s"] = round(sealed_only, 6)

@@ -21,6 +21,12 @@ the recorded *baseline* and trips both prongs.  The slack is
 ``min(--slack-us, half the recorded baseline)`` per entry, so it can never
 grow large enough to swallow a regression to decode-first behaviour.
 
+An entry that records ``sealed_only_s`` (the delta scan: the same query
+over a store with a 5% written tail and over a pristine one) must also
+hold the tail-overhead bound within the candidate itself: its compressed
+timing at most ``TAIL_OVERHEAD`` times the sealed-only timing plus
+``TAIL_FLOOR_S``, the merge's constant per-query cost.
+
 The candidate must be run at the same ``--size`` as the committed record:
 speedups are strongly size-dependent (dictionary filter pushdown is ~4x at
 tiny but ~25x at small), so cross-size floors would be meaningless.  A size
@@ -41,6 +47,11 @@ import sys
 from pathlib import Path
 
 DEFAULT_REFERENCE = Path(__file__).resolve().parents[1] / "BENCH_colstore.json"
+
+#: A scan over a written tail costs at most this times the sealed-only scan ...
+TAIL_OVERHEAD = 1.2
+#: ... plus this many seconds of constant merge cost (tail unique, partial merge).
+TAIL_FLOOR_S = 200e-6
 
 
 def _entries(record: dict) -> dict[tuple[str, str], dict]:
@@ -99,6 +110,17 @@ def check(reference: dict, candidate: dict, fraction: float,
             f"floor {floor if gated else 0:7.2f}x  "
             f"{status if gated else 'not gated'}"
         )
+    for (op, encoding), entry in sorted(candidate_entries.items()):
+        if "sealed_only_s" not in entry:
+            continue
+        bound = TAIL_OVERHEAD * entry["sealed_only_s"] + TAIL_FLOOR_S
+        if entry["compressed_s"] > bound:
+            failures.append(
+                f"{op:10s} {encoding:12s} merged scan with a written tail took "
+                f"{entry['compressed_s']*1e6:.0f}us vs {entry['sealed_only_s']*1e6:.0f}us "
+                f"sealed-only, over the {TAIL_OVERHEAD}x tail-overhead bound "
+                f"({bound*1e6:.0f}us)"
+            )
     return failures
 
 

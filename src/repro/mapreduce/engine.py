@@ -21,14 +21,15 @@ benchmark results.
 
 A job has one map-output key class, as in Hadoop: the shuffle sorts by
 the keys' native order (:func:`_sort_by_key`), stable within a key, and a
-job whose keys are of more than one class, or a float NaN, fails instead
-of sorting.
+job whose keys are of more than one class, or hold a float NaN, fails
+instead of sorting.
 """
 
 from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass
+from itertools import chain
 from math import isnan
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence
@@ -190,12 +191,16 @@ def _sort_by_key(pairs: list[tuple[object, object]], job: str) -> list[tuple[obj
     All-``None`` keys are all equal, so their order is the emission order.
     Like Hadoop, a job has one map-output key class: keys of more than one
     class, or a native sort that raises, fail the job with a ``TypeError``
-    naming it, and a NaN ``float`` key, which has no place in the order,
-    with a ``ValueError``:
+    naming it, and a key that is or holds a NaN ``float``, which has no
+    place in the order, with a ``ValueError``:
 
     >>> _sort_by_key([(1, "a"), (1.0, "b")], "demo")
     Traceback (most recent call last):
     TypeError: job 'demo': map output keys of more than one class: float, int
+
+    The class rule is the top-level key's: the items of tuple keys are
+    compared, not classed, so ``(1, 1)``, ``(1, 1.0)`` and ``(1, True)`` are
+    one key, and their values one group in emission order.
     """
     keys = list(map(_KEY, pairs))
     classes = set(map(type, keys))
@@ -204,10 +209,29 @@ def _sort_by_key(pairs: list[tuple[object, object]], job: str) -> list[tuple[obj
         raise TypeError(f"job {job!r}: map output keys of more than one class: {names}")
     if classes <= {type(None)}:
         return list(pairs)
-    (key_class,) = classes
-    if issubclass(key_class, float) and any(map(isnan, keys)):
-        raise ValueError(f"job {job!r}: a map output key is NaN")
+    if _holds_nan(keys, classes):
+        raise ValueError(f"job {job!r}: a map output key is or holds NaN")
     try:
         return sorted(pairs, key=_KEY)
-    except TypeError as error:
+    except (TypeError, ValueError) as error:  # ValueError: a numpy item against a tuple
         raise TypeError(f"job {job!r}: map output keys do not sort: {error}") from error
+
+
+def _holds_nan(keys: list, classes: set[type]) -> bool:
+    """Whether one of ``keys`` (of ``classes``) is a NaN ``float`` or a tuple holding one.
+
+    Checked one class at a time, tuple items recursively, so keys and items
+    of any other class cost one ``type`` call each.
+    """
+    for cls in classes:
+        if not issubclass(cls, (float, tuple)):
+            continue
+        of_class = keys if len(classes) == 1 else [key for key in keys if type(key) is cls]
+        if issubclass(cls, float):
+            if any(map(isnan, of_class)):
+                return True
+        else:
+            items = list(chain.from_iterable(of_class))
+            if _holds_nan(items, set(map(type, items))):
+                return True
+    return False

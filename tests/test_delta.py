@@ -1003,8 +1003,8 @@ class TestDeltaScanGateTrips:
     always-decode merge it replaced and against the sealed-only scan
     (recorded as ``sealed_only_s``).  These tests pin both halves of the
     claim: the committed record actually holds the 1.2x tail-overhead
-    bound, and a candidate that regresses to always-decode behaviour
-    demonstrably fails CI.
+    bound, and a candidate that regresses to always-decode behaviour, or
+    whose tail misses that bound, demonstrably fails CI.
     """
 
     REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -1028,9 +1028,22 @@ class TestDeltaScanGateTrips:
 
     def test_committed_record_holds_the_tail_overhead_bound(self):
         entry = self._delta_entry(json.loads(self.RECORD.read_text()))
-        # The bench asserts this before recording; the committed numbers
+        # The gate holds every candidate to this; the committed numbers
         # must still show it (same bound, same noise floor).
         assert entry["compressed_s"] <= 1.2 * entry["sealed_only_s"] + 200e-6
+
+    def test_a_tail_over_the_overhead_bound_trips_the_gate(self, tmp_path):
+        record = json.loads(self.RECORD.read_text())
+        entry = self._delta_entry(record)
+        # The speedup over always-decode holds; only the tail costs too much
+        # against the pristine scan.
+        entry["compressed_s"] = 1.2 * entry["sealed_only_s"] + 201e-6
+        candidate = tmp_path / "doctored.json"
+        candidate.write_text(json.dumps(record))
+        result = self._run_gate(candidate)
+        assert result.returncode == 1
+        assert "tail-overhead bound" in result.stderr
+        assert "delta_scan" in result.stderr
 
     def test_simulated_always_decode_tail_merge_trips_the_gate(self, tmp_path):
         record = json.loads(self.RECORD.read_text())

@@ -96,8 +96,8 @@ class TestEngine:
 _INTS = st.integers(-3, 3)
 _TEXT = st.text(alphabet="ab", max_size=2)
 _FLOATS = st.one_of(st.floats(-2, 2), st.sampled_from([-0.0, 0.0, math.inf, -math.inf, math.nan]))
-_SCALARS = st.one_of(_INTS, st.booleans(), st.floats(allow_nan=False), _TEXT, st.none(),
-                     _INTS.map(np.int64), _INTS.map(np.float64))
+_SCALARS = st.one_of(_INTS, st.booleans(), _FLOATS, _TEXT, st.none(),
+                     _INTS.map(np.int64), _FLOATS.map(np.float64))
 _ANY_KEY = st.recursive(_SCALARS, lambda items: st.lists(items, max_size=3).map(tuple),
                         max_leaves=6)
 #: Keys of another class that compare equal to an ``int`` or raise against one.
@@ -112,8 +112,9 @@ def _mixed(family, intruder):
 
 
 #: Homogeneous key families (NaN among the floats), tuples whose items
-#: may not compare, the int family with one intruding class, and arbitrary
-#: mixes of every kind, nested and ragged tuples among them.
+#: may not compare, the int families with one intruding class (a tuple's
+#: second item for the pairs), and arbitrary mixes of every kind, nested
+#: and ragged tuples, NaN items among them.
 _KEY_LISTS = st.one_of(
     st.lists(_INTS, max_size=30),
     st.lists(_TEXT, max_size=30),
@@ -121,11 +122,14 @@ _KEY_LISTS = st.one_of(
     st.lists(st.none(), max_size=5),
     st.lists(st.lists(_INTS | _TEXT, max_size=3).map(tuple), max_size=30),
     _INTRUDERS.flatmap(lambda other: _mixed(_INTS, other)),
+    _INTRUDERS.flatmap(lambda other: _mixed(st.tuples(_INTS, _INTS), st.tuples(_INTS, other))),
     st.lists(_ANY_KEY, max_size=30),
 )
 
 
-def _is_nan(key) -> bool:
+def _holds_nan(key) -> bool:
+    if isinstance(key, tuple):
+        return any(map(_holds_nan, key))
     return isinstance(key, float) and math.isnan(key)
 
 
@@ -141,7 +145,7 @@ class TestShuffleOrder:
             with pytest.raises(TypeError, match="job 'shuffle-test': .* more than one class"):
                 _sort_by_key(pairs, "shuffle-test")
             return
-        if any(map(_is_nan, keys)):
+        if any(map(_holds_nan, keys)):
             with pytest.raises(ValueError, match="job 'shuffle-test': .* NaN"):
                 _sort_by_key(pairs, "shuffle-test")
             return
@@ -149,7 +153,7 @@ class TestShuffleOrder:
             got = _sort_by_key(pairs, "shuffle-test")
         except TypeError as error:
             assert "job 'shuffle-test'" in str(error)
-            with pytest.raises(TypeError):
+            with pytest.raises((TypeError, ValueError)):
                 sorted(keys)  # the keys themselves have no order
             return
         assert pairs == emitted and got is not pairs  # sorted into a new list
@@ -157,9 +161,11 @@ class TestShuffleOrder:
         if keys and keys[0] is None:
             assert got == emitted  # all keys equal: the emission order
             return
+        # Ordered and stable: equal keys, tuples whose items differ in class
+        # but compare equal among them, keep their emission order.
         for (key_a, index_a), (key_b, index_b) in pairwise(got):
             assert not key_b < key_a
-            if key_a == key_b:  # stable: values keep their emission order
+            if key_a == key_b:
                 assert index_a < index_b
 
     @pytest.mark.parametrize("keys", [
@@ -169,9 +175,20 @@ class TestShuffleOrder:
         with pytest.raises(TypeError, match="job 'mixed': .* more than one class"):
             _sort_by_key([(key, index) for index, key in enumerate(keys)], "mixed")
 
-    def test_nan_key_fails_the_job(self):
-        with pytest.raises(ValueError, match="job 'nan': a map output key is NaN"):
-            _sort_by_key([(1.0, "a"), (math.nan, "b"), (0.0, "c")], "nan")
+    @pytest.mark.parametrize("keys", [
+        [1.0, math.nan, 0.0],
+        [np.float64(1), np.float64(math.nan)],
+        [(1, 1.0), (1, math.nan), (0, 2.0)],
+        [(2, (0.5,)), (1, (math.nan,))],
+    ], ids=["float", "numpy", "tuple-item", "nested-item"])
+    def test_nan_key_fails_the_job(self, keys):
+        with pytest.raises(ValueError, match="job 'nan': a map output key is or holds NaN"):
+            _sort_by_key([(key, index) for index, key in enumerate(keys)], "nan")
+
+    def test_tuple_items_of_another_class_that_compare_equal_share_a_group(self):
+        pairs = [((1, 1), "a"), ((0, 5), "b"), ((1, True), "c"), ((1, 1.0), "d")]
+        grouped = MapReduceEngine._group(_sort_by_key(pairs, "pairs"))
+        assert grouped == [((0, 5), ["b"]), ((1, 1), ["a", "c", "d"])]
 
     def test_tuple_keys_that_do_not_compare_fail_the_job(self):
         keys = [(5,), (4,), (3,), (2, 7), (1, "a"), (0,), (1, 2), (1, "b"), (1, 1)]

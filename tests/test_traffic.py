@@ -4,7 +4,6 @@ and gates on the committed list of those kept on purpose."""
 from __future__ import annotations
 
 import os
-import re
 import sys
 import textwrap
 from pathlib import Path
@@ -15,7 +14,6 @@ REPO = Path(__file__).resolve().parent.parent
 
 sys.path.insert(0, str(REPO / "tools"))
 from traffic import (  # noqa: E402
-    DOCTEST_MODULES,
     EXPECTED,
     census,
     gate,
@@ -86,8 +84,3 @@ def test_an_entry_without_a_reason_is_refused(tmp_path):
 
 def test_the_committed_list_gives_every_entry_a_reason():
     assert len(read_expected(EXPECTED)) > 0
-
-
-def test_the_census_runs_the_doctests_ci_runs():
-    workflow = (REPO / ".github" / "workflows" / "ci.yml").read_text()
-    assert set(re.findall(r"src/repro/\S+\.py", workflow)) == set(DOCTEST_MODULES)

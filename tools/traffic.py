@@ -41,7 +41,8 @@ EXPECTED = REPO_ROOT / "tools" / "traffic_expected.txt"
 
 WORKLOADS = [w["name"] for w in json.loads((REPO_ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
-#: The modules whose doctests the CI ``docs`` job runs, one interpreter each.
+#: The modules with doctests, one interpreter each: the census runs them and
+#: the CI ``docs`` job reads this list for its doctest step.
 DOCTEST_MODULES = [
     "src/repro/plan/expressions.py",
     "src/repro/plan/logical.py",
