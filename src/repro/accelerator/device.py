@@ -80,13 +80,6 @@ class OffloadResult:
     bytes_transferred: int
     fits_in_device_memory: bool
 
-    @property
-    def speedup(self) -> float:
-        """Host kernel time divided by total device time (≥/< 1)."""
-        if self.device_total_seconds <= 0:
-            return float("inf")
-        return self.host_kernel_seconds / self.device_total_seconds
-
 
 @dataclass
 class Coprocessor:

@@ -33,6 +33,14 @@ along a dimension and ``Pivot`` is
 (the data is already a matrix — the restructuring every relational
 engine pays for simply does not exist here).
 
+A terminal-less plan answers like a relation of the other bridges, one
+``column(name)`` at a time: a metadata subtree (``Project(Filter(Scan(
+"patients"), …), columns)``, the engines' lookup shape) returns
+:class:`MetadataRows` — the selected coordinates, ascending, and every
+projected column read at them — and a dimension-filtered fact subtree
+returns its :class:`ArrayQueryResult`, whose columns are the long form
+(one row per cell, a zero cell included).
+
 The executor *requires* the optimizer's predicate pushdown: a dimension
 predicate must sit on the dimension table's side of the join before
 lowering (``run_shared_plan`` optimizes by default with
@@ -200,6 +208,32 @@ class ArrayQueryResult:
         """The result's cardinality: its cells."""
         return self.array.cell_count
 
+    def column(self, name: str) -> np.ndarray:
+        """One column of the long form, a row per cell in C order of the
+        dimensions: a dimension's coordinates, or the cell attribute (a cell
+        of an unstored chunk reads 0)."""
+        dimensions = list(self.array.schema.dimension_names)
+        if name not in dimensions:
+            return self.array.to_dense(attribute=name).ravel()
+        grid = np.meshgrid(*(self.labels[d] for d in dimensions), indexing="ij", sparse=True)
+        return np.broadcast_to(grid[dimensions.index(name)], self.array.shape).ravel()
+
+
+@dataclass
+class MetadataRows:
+    """A metadata subtree's result: ``columns`` maps each projected column to
+    its values at the selected coordinates, ascending — the dimension column
+    is the coordinates themselves."""
+
+    columns: dict[str, np.ndarray]
+
+    def column(self, name: str) -> np.ndarray:
+        return self.columns[name]
+
+    def __len__(self) -> int:
+        """The result's cardinality: the selected coordinates."""
+        return len(next(iter(self.columns.values())))
+
 
 def _frames_catalog(frames: Mapping[str, ArrayFrame | MatrixFrame]) -> SchemaCatalog:
     """The frames' schemas and statistics (computed once per frame: the
@@ -224,11 +258,13 @@ def _frame_bounds(frame: ArrayFrame) -> tuple[int, int]:
 # field-wise __eq__ would never return a bool.  Identity semantics.
 @dataclass(eq=False)
 class _MetaSelection:
-    """A metadata-frame subtree: the frame plus its stacked predicates."""
+    """A metadata-frame subtree: the frame, its stacked predicates and the
+    projected columns (None: all of them)."""
 
     name: str
     frame: ArrayFrame
     predicates: list[Expression] = field(default_factory=list)
+    columns: tuple[str, ...] | None = None
 
 
 @dataclass(eq=False)
@@ -260,13 +296,9 @@ class ArrayBackend(Backend):
         return _lower(node, self.frames, self.stats)
 
     def relation(self, selection):
-        """Metadata subtree → sorted coordinates; fact subtree → subarray."""
+        """Metadata subtree → :class:`MetadataRows`; fact subtree → subarray."""
         if isinstance(selection, _MetaSelection):
-            coordinates = _resolve_meta(selection, self.stats)
-            if coordinates is None:
-                start, end = _frame_bounds(selection.frame)
-                coordinates = np.arange(start, end + 1, dtype=np.int64)
-            return coordinates
+            return _metadata_rows(selection, self.stats)
         return _materialise(selection)
 
     def _fact(self, selection, terminal: str) -> ArrayQueryResult:
@@ -307,8 +339,9 @@ def run_shared_plan(plan: logical.PlanNode,
     A one-line call into the shared driver
     (:func:`repro.plan.execute.execute`).  Relational-algebra subtrees
     over the fact array return an :class:`ArrayQueryResult` (the compacted
-    subarray plus its coordinate labels); a metadata-only subtree returns
-    the selected coordinates as a sorted int64 array;
+    subarray plus its coordinate labels, readable in long form); a
+    metadata-only subtree returns :class:`MetadataRows` (the selected
+    coordinates, ascending, and the projected columns read there);
     :class:`~repro.plan.logical.Aggregate` returns ``(group_keys,
     aggregates)`` and :class:`~repro.plan.logical.Pivot` returns
     ``(matrix, row_labels, column_labels)`` — the shared executor
@@ -354,7 +387,9 @@ def _lower(node: logical.PlanNode,
             )
         # Projection is structural on arrays: dimensions and the cell
         # attribute are always present, metadata attributes never survive
-        # a dimension join — nothing to do.
+        # a dimension join.  Only a metadata relation reads its columns.
+        if isinstance(selection, _MetaSelection):
+            selection.columns = tuple(node.columns)
         return selection
     if isinstance(node, logical.Filter):
         selection = _lower(node.child, frames, stats)
@@ -509,6 +544,20 @@ def _resolve_meta(selection: _MetaSelection,
     return np.concatenate(kept)
 
 
+def _metadata_rows(selection: _MetaSelection, stats: FilterStats | None) -> MetadataRows:
+    """The selected coordinates and each projected column read at them."""
+    frame = selection.frame
+    start, end = _frame_bounds(frame)
+    coordinates = _resolve_meta(selection, stats)
+    if coordinates is None:
+        coordinates = np.arange(start, end + 1, dtype=np.int64)
+    return MetadataRows({
+        name: coordinates if name == frame.dimension
+        else frame.columns[name].to_dense()[coordinates - start]
+        for name in selection.columns or frame.column_names()
+    })
+
+
 def _materialise(selection: _MatrixSelection) -> ArrayQueryResult:
     """Apply the accumulated selections: one gather over the chunks."""
     array = selection.frame.array
@@ -524,7 +573,8 @@ def _materialise(selection: _MatrixSelection) -> ArrayQueryResult:
         else:
             coords = np.unique(np.asarray(coords, dtype=np.int64))
             labels[dimension.name] = coords
-            offsets.append(coords - dimension.start)
+            # Every coordinate selected: nothing to gather along this axis.
+            offsets.append(None if len(coords) == dimension.length else coords - dimension.start)
     if any(selected is not None for selected in offsets):
         array = subarray(array, offsets)
     return ArrayQueryResult(array=array, labels=labels)

@@ -139,16 +139,3 @@ class ColumnStore:
     def total_compressed_bytes(self) -> int:
         return sum(self.effective_table(name).compressed_bytes
                    for name in self._deltas)
-
-    def describe(self) -> dict[str, dict]:
-        return {
-            name: {
-                "rows": self.live_row_count(name),
-                "columns": table.column_names,
-                "compressed_bytes": table.compressed_bytes,
-                "encodings": table.encodings(),
-            }
-            for name, table in sorted(
-                (name, self.effective_table(name)) for name in self._deltas
-            )
-        }

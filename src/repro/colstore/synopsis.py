@@ -164,9 +164,3 @@ class SynopsisCatalog:
         if entry is None or snapshot.version >= entry.version:
             self._entries[key] = fresh
         return fresh.selection
-
-    def describe(self) -> dict[tuple, int]:
-        """Built synopses and their row counts (for EXPLAIN-style output)."""
-        return {key: len(entry.selection)
-                for key, entry in sorted(self._entries.items(),
-                                         key=lambda kv: repr(kv[0]))}

@@ -58,10 +58,6 @@ class ColumnTable:
     def compressed_bytes(self) -> int:
         return sum(column.encoded_bytes for column in self._columns.values())
 
-    def encodings(self) -> dict[str, str]:
-        """Report which encoding each column chose (useful for tests/docs)."""
-        return {name: self._columns[name].encoding_name for name in self._order}
-
     def __repr__(self) -> str:
         return (
             f"ColumnTable({self.name!r}, rows={self.row_count}, "

@@ -20,9 +20,18 @@ The five queries are spelled once, as the ``_run_<query>`` recipes of
 :class:`Engine`: a data-management selection feeding an analytics kernel,
 summarised by the ``*_output`` builders.  A configuration differs only in
 *where and how* each step runs, so an adapter supplies hooks, not queries:
-``_pivot`` (or the two selections built on it), ``_drug_response_for``,
-``_membership_matrix`` (or the whole Q5 ``_scores_and_membership`` step),
-optionally ``_annotate_pairs``, and the five ``_analytics_*`` kernels.
+``_pivot`` (or the two selections built on it), ``_relation``, optionally
+the whole Q5 ``_scores_and_membership`` step, and the five
+``_analytics_*`` kernels.
+
+``_relation(plan, timer)`` runs one lookup plan of
+:mod:`repro.core.queries` — ``Project(Filter(Scan(t), key ∈ ids),
+columns)`` — through the family's bridge and answers ``{column: array}``.
+The three lookups are built and aligned once, here: Q1's drug responses
+(:meth:`Engine._drug_response_for`, in label order), Q2's join of the kept
+pairs back to the gene metadata (:meth:`Engine._annotate_pairs`, payload
+``joined_rows``) and Q5's gene × GO membership
+(:meth:`Engine._membership_matrix`).
 
 **Hooks own all timing.**  A recipe never opens a phase: each hook receives
 the :class:`~repro.core.timing.PhaseTimer` and charges its own work —
@@ -52,7 +61,10 @@ from repro.core.queries import (
     biclustering_output,
     covariance_output,
     covariance_patient_predicate,
+    drug_response_plan,
+    gene_annotation_plan,
     gene_expression_plan,
+    go_membership_plan,
     patient_expression_plan,
     regression_output,
     statistics_output,
@@ -136,7 +148,7 @@ class Engine:
             covariance_patient_predicate(parameters), timer
         )
         gene_a, gene_b, values, payload = self._analytics_covariance(matrix, parameters, timer)
-        payload.update(self._annotate_pairs(gene_labels, gene_a, gene_b, values, timer))
+        payload.update(self._annotate_pairs(gene_labels, gene_a, timer))
         return covariance_output(len(patient_labels), len(gene_a), values, payload)
 
     def _run_biclustering(self, parameters: QueryParameters, timer: PhaseTimer) -> QueryOutput:
@@ -180,9 +192,18 @@ class Engine:
         """Q2/Q3/Q5 selection: every gene, patients matching ``predicate``."""
         return self._pivot(patient_expression_plan(predicate), timer)
 
-    def _drug_response_for(self, patient_labels, timer: PhaseTimer):
-        """Q1 target: drug responses aligned with ``patient_labels``."""
+    def _relation(self, plan: PlanNode, timer: PhaseTimer) -> dict[str, np.ndarray]:
+        """Run one lookup plan through the family's bridge: ``{column: array}``."""
         raise NotImplementedError
+
+    def _drug_response_for(self, patient_labels, timer: PhaseTimer) -> np.ndarray:
+        """Q1 target: drug responses aligned with ``patient_labels``.
+
+        Raises ``KeyError`` for a label with no patient row.
+        """
+        labels = np.asarray(patient_labels, dtype=np.int64)
+        rows = self._relation(drug_response_plan(labels), timer)
+        return np.asarray(rows["drug_response"])[positions_of(rows["patient_id"], labels)]
 
     def _scores_and_membership(self, sampled: np.ndarray, timer: PhaseTimer):
         """Q5 data management: ``(n_patients, per-gene scores, gene × GO membership)``."""
@@ -192,15 +213,31 @@ class Engine:
         with timer.data_management():
             # Per-gene score: mean expression over the sampled patients.
             gene_scores = np.asarray(matrix, dtype=np.float64).mean(axis=0)
-            return len(patient_labels), gene_scores, self._membership_matrix(gene_labels)
+        return len(patient_labels), gene_scores, self._membership_matrix(gene_labels, timer)
 
-    def _membership_matrix(self, gene_labels) -> np.ndarray:
-        """The gene × GO-term 0/1 matrix for the given genes, in label order."""
-        raise NotImplementedError
+    def _membership_matrix(self, gene_labels, timer: PhaseTimer) -> np.ndarray:
+        """The gene × GO-term 0/1 ``int8`` matrix for the given genes, in label order."""
+        labels = np.asarray(gene_labels, dtype=np.int64)
+        rows = self._relation(go_membership_plan(labels), timer)
+        membership = np.zeros((len(labels), self.dataset.ontology.n_go_terms), dtype=np.int8)
+        belongs = np.asarray(rows["belongs"])
+        # A zero cell (SciDB's long form has one per non-member) scatters nothing.
+        member = belongs != 0
+        gene_ids = np.asarray(rows["gene_id"])[member]
+        go_ids = np.asarray(rows["go_id"], dtype=np.int64)[member]
+        membership[positions_of(labels, gene_ids), go_ids] = belongs[member]
+        return membership
 
-    def _annotate_pairs(self, gene_labels, gene_a, gene_b, values, timer: PhaseTimer) -> dict:
-        """Q2 join of the kept pairs back to gene metadata; returns extra payload entries."""
-        return {}
+    def _annotate_pairs(self, gene_labels, gene_a, timer: PhaseTimer) -> dict:
+        """Q2 join of the kept pairs back to gene metadata: payload ``joined_rows``,
+        the kept pairs whose gene came back."""
+        labels = np.asarray(gene_labels, dtype=np.int64)
+        # Per selected gene, not per pair: Q2 keeps tens of thousands of pairs.
+        paired = np.zeros(len(labels), dtype=bool)
+        paired[gene_a] = True
+        genes = self._relation(gene_annotation_plan(labels[paired]), timer)
+        came_back = np.isin(labels, np.asarray(genes["gene_id"], dtype=np.int64))
+        return {"joined_rows": int(came_back[gene_a].sum())}
 
     # -- analytics hooks (each returns its ``*_output`` arguments, payload last) --------
 
@@ -246,12 +283,22 @@ def covariance_pairs(cov: np.ndarray, parameters: QueryParameters):
     return gene_a, gene_b, values, {"covariance": cov}
 
 
-def membership_from_rows(gene_labels, ontology_rows, n_go_terms: int) -> np.ndarray:
-    """Gene × GO-term membership from ``(gene_id, go_id, ...)`` rows, one probe per row."""
-    membership = np.zeros((len(gene_labels), n_go_terms), dtype=np.int8)
-    positions = {int(label): position for position, label in enumerate(gene_labels)}
-    for row in ontology_rows:
-        position = positions.get(int(row[0]))
-        if position is not None:
-            membership[position, int(row[1])] = 1
-    return membership
+def positions_of(keys, wanted) -> np.ndarray:
+    """The position in ``keys`` of each of ``wanted``; ``KeyError`` for one not there.
+
+    >>> positions_of([30, 10, 20], [20, 30, 20]).tolist()
+    [2, 0, 2]
+    >>> positions_of([30, 10, 20], [40])
+    Traceback (most recent call last):
+    KeyError: 40
+    """
+    keys = np.asarray(keys, dtype=np.int64)
+    wanted = np.asarray(wanted, dtype=np.int64)
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    found = np.searchsorted(ordered, wanted)
+    hit = found < len(keys)
+    hit[hit] = ordered[found[hit]] == wanted[hit]
+    if not hit.all():
+        raise KeyError(int(wanted[~hit][0]))
+    return order[found]

@@ -42,12 +42,6 @@ class _ColumnStoreDataManagement(Engine):
         self.store = ColumnStore("genbase")
         for name, columns in dataset_tables(dataset).items():
             self.store.create_table(name, columns)
-        go = dataset.ontology_relational(include_zeros=False)
-        self.store.create_table(
-            "ontology",
-            {"gene_id": go[:, 0].astype(np.int64), "go_id": go[:, 1].astype(np.int64)},
-        )
-        self.n_go_terms = dataset.ontology.n_go_terms
 
     def _pivot(self, child_plan, timer: PhaseTimer):
         """Execute one fused ``… → Join → Pivot`` plan on the store.
@@ -62,39 +56,10 @@ class _ColumnStoreDataManagement(Engine):
         with timer.data_management():
             return run_plan(expression_pivot_plan(child_plan), self.store)
 
-    def _drug_response_for(self, patient_labels, timer: PhaseTimer) -> np.ndarray:
-        """Align drug responses with ``patient_labels`` via sorted binary search."""
+    def _relation(self, plan, timer: PhaseTimer) -> dict:
         with timer.data_management():
-            patients = self.store.query("patients")
-            ids = patients.column("patient_id")
-            response = patients.column("drug_response")
-            labels = np.asarray(patient_labels, dtype=np.int64)
-            order = np.argsort(ids, kind="stable")
-            positions = np.searchsorted(ids, labels, sorter=order)
-            if positions.size:
-                in_range = positions < len(ids)
-                matched = in_range.copy()
-                matched[in_range] = ids[order[positions[in_range]]] == labels[in_range]
-                if not matched.all():
-                    raise KeyError(int(labels[~matched][0]))
-            return response[order[positions]]
-
-    def _membership_matrix(self, gene_labels) -> np.ndarray:
-        """GO-membership matrix built by a fancy-index scatter (no row loop)."""
-        labels = np.asarray(gene_labels, dtype=np.int64)
-        membership = np.zeros((len(labels), self.n_go_terms), dtype=np.int8)
-        ontology = self.store.query("ontology")
-        gene_ids = ontology.column("gene_id")
-        go_ids = ontology.column("go_id")
-        if not len(labels) or not len(gene_ids):
-            return membership
-        order = np.argsort(labels, kind="stable")
-        positions = np.searchsorted(labels, gene_ids, sorter=order)
-        in_range = positions < len(labels)
-        matched = in_range.copy()
-        matched[in_range] = labels[order[positions[in_range]]] == gene_ids[in_range]
-        membership[order[positions[matched]], go_ids[matched]] = 1
-        return membership
+            rows = run_plan(plan, self.store)
+            return {column: rows.column(column) for column in plan.columns}
 
     def _scores_and_membership(self, sampled, timer: PhaseTimer):
         with timer.data_management():
@@ -112,15 +77,7 @@ class _ColumnStoreDataManagement(Engine):
                 "gene_id", "expression_value", "mean"
             )
             patient_labels = sampled_rows.distinct("patient_id")
-            membership = self._membership_matrix(gene_labels)
-        return len(patient_labels), gene_scores, membership
-
-    def _annotate_pairs(self, gene_labels, gene_a, gene_b, values, timer: PhaseTimer) -> dict:
-        with timer.data_management():
-            functions = self.store.query("genes").column("function")
-            gene_labels = np.asarray(gene_labels, dtype=np.int64)
-            _pair_functions = functions[gene_labels[gene_a]] if len(gene_a) else np.empty(0)
-        return {}
+        return len(patient_labels), gene_scores, self._membership_matrix(gene_labels, timer)
 
 
 @dataclass

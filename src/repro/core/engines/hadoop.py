@@ -22,12 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.engines.base import (
-    Engine,
-    EngineCapabilities,
-    covariance_pairs,
-    membership_from_rows,
-)
+from repro.core.engines.base import Engine, EngineCapabilities, covariance_pairs
 from repro.core.queries import dataset_tables, expression_pivot_plan
 from repro.core.timing import PhaseTimer
 from repro.datagen.dataset import GenBaseDataset
@@ -90,11 +85,6 @@ class HadoopEngine(MahoutAnalytics, Engine):
             name: HiveTable.from_columns(name, columns)
             for name, columns in dataset_tables(dataset).items()
         }
-        gene_id, go_id, belongs = dataset.ontology_relational(include_zeros=False).astype(np.int64).T
-        self.tables["ontology"] = HiveTable.from_columns(
-            "ontology", {"gene_id": gene_id, "go_id": go_id, "belongs": belongs}
-        )
-        self.n_go_terms = dataset.ontology.n_go_terms
 
     # -- data-management hooks ------------------------------------------------------------
 
@@ -110,24 +100,7 @@ class HadoopEngine(MahoutAnalytics, Engine):
                 expression_pivot_plan(child_plan), self.tables, self.hive
             )
 
-    def _drug_response_for(self, patient_labels, timer: PhaseTimer) -> np.ndarray:
+    def _relation(self, plan, timer: PhaseTimer) -> dict:
         with timer.data_management():
-            table = self.hive.project(self.tables["patients"], ["patient_id", "drug_response"])
-            lookup = {int(p): v for p, v in table.rows}
-            return np.asarray([lookup[int(label)] for label in patient_labels])
-
-    def _membership_matrix(self, gene_labels) -> np.ndarray:
-        return membership_from_rows(gene_labels, self.tables["ontology"].rows, self.n_go_terms)
-
-    def _annotate_pairs(self, gene_labels, gene_a, gene_b, values, timer: PhaseTimer) -> dict:
-        with timer.data_management():
-            pairs_table = HiveTable(
-                "pairs",
-                ("gene_id", "covariance"),
-                [(int(gene_labels[a]), float(v)) for a, v in zip(gene_a, values, strict=True)],
-            )
-            joined_meta = (
-                self.hive.join(pairs_table, self.tables["genes"], "gene_id", "gene_id")
-                if len(pairs_table) else pairs_table
-            )
-        return {"joined_rows": len(joined_meta)}
+            rows = run_shared_plan(plan, self.tables, self.hive)
+            return {column: np.asarray(rows.column_values(column)) for column in plan.columns}

@@ -7,6 +7,11 @@ them are built here on the :mod:`repro.cluster` substrate:
 * the expression matrix and patient metadata are row-partitioned across the
   simulated nodes at load time (gene metadata and GO data are replicated,
   as every real system does for small dimension tables);
+* the three lookups — Q1's drug responses, Q2's annotation join and Q5's
+  GO membership — read the replicated ``patients``, ``genes`` and
+  ``ontology`` tables on the driver: one shared lookup plan run by
+  :func:`repro.colstore.planner.run_plan` over a driver-side column store,
+  charged to no phase;
 * the data-management phase is a shared logical plan
   (``Filter(Scan("patients"), predicate)`` with predicates built by
   :mod:`repro.core.queries`) lowered through :mod:`repro.cluster.bridge`:
@@ -51,9 +56,16 @@ from repro.cluster import (
     reduce_partial_sums,
 )
 from repro.cluster.bridge import run_shared_plan as run_cluster_plan
+from repro.colstore import ColumnStore
+from repro.colstore.planner import run_plan
 from repro.core.engines.base import Engine, EngineCapabilities, covariance_pairs
 from repro.core.engines.hadoop import MahoutAnalytics
-from repro.core.queries import QueryOutput, dataset_tables, statistics_patient_predicate
+from repro.core.queries import (
+    QueryOutput,
+    dataset_tables,
+    metadata_tables,
+    statistics_patient_predicate,
+)
 from repro.core.spec import QueryParameters
 from repro.core.timing import PhaseTimer
 from repro.datagen.dataset import GenBaseDataset
@@ -73,7 +85,6 @@ class NodePartition:
     age: np.ndarray
     gender: np.ndarray
     disease_id: np.ndarray
-    drug_response: np.ndarray
 
 
 @dataclass
@@ -101,7 +112,6 @@ class _MultiNodeEngine(Engine):
                 age=patients.age[ids],
                 gender=patients.gender[ids],
                 disease_id=patients.disease_id[ids],
-                drug_response=patients.drug_response[ids],
             )
             for ids in boundaries
         ]
@@ -122,8 +132,10 @@ class _MultiNodeEngine(Engine):
             ],
         )
         self.gene_function = dataset.genes.function
-        self.go_membership = dataset.ontology.membership
-        self.n_go_terms = dataset.ontology.n_go_terms
+        #: The replicated dimension tables, read on the driver by ``_relation``.
+        self._metadata = ColumnStore("metadata")
+        for name, columns in metadata_tables(dataset).items():
+            self._metadata.create_table(name, columns)
 
     # -- phase accounting helpers -----------------------------------------------------------
 
@@ -133,6 +145,11 @@ class _MultiNodeEngine(Engine):
         outputs = work()
         timer_add(self.cluster.simulated_elapsed_seconds - before)
         return outputs
+
+    def _relation(self, plan, timer: PhaseTimer) -> dict:
+        # Driver-side, over replicated metadata: charged to no phase.
+        rows = run_plan(plan, self._metadata)
+        return {column: rows.column(column) for column in plan.columns}
 
     # -- per-node data-management primitives ---------------------------------------------------
 
@@ -155,7 +172,6 @@ class _MultiNodeEngine(Engine):
                 age=partition.age[local_rows],
                 gender=partition.gender[local_rows],
                 disease_id=partition.disease_id[local_rows],
-                drug_response=partition.drug_response[local_rows],
             )
 
         return run_cluster_plan(
@@ -216,9 +232,6 @@ class _DistributedAnalyticsMixin(_MultiNodeEngine):
         blocks = [partition.expression for partition in filtered]
         return blocks, _patient_ids(filtered), np.arange(self.dataset.n_genes)
 
-    def _drug_response_for(self, patient_labels, timer: PhaseTimer):
-        return [partition.drug_response.reshape(-1, 1) for partition in self.partitions]
-
     def _scores_and_membership(self, sampled, timer: PhaseTimer):
         # Built once on the driver: the isin predicate caches its sorted key
         # array, so no node re-sorts the sample.
@@ -241,9 +254,15 @@ class _DistributedAnalyticsMixin(_MultiNodeEngine):
 
         partials = self._timed_cluster_phase(timer.add_data_management, dm)
         totals, count = reduce_partial_sums(partials)
-        return count, totals / max(count, 1), self.go_membership
+        membership = self._membership_matrix(np.arange(self.dataset.n_genes), timer)
+        return count, totals / max(count, 1), membership
 
-    def _analytics_regression(self, blocks, responses, timer: PhaseTimer):
+    def _analytics_regression(self, blocks, response, timer: PhaseTimer):
+        # The target in the partitions' row blocks (the features may have
+        # been re-chunked since, so not theirs).
+        heights = np.cumsum([len(partition.patient_ids) for partition in self.partitions])
+        responses = [part.reshape(-1, 1) for part in np.split(response, heights[:-1])]
+
         def analytics():
             features = self._distributed(blocks, blocks[0].shape[1])
             target = self._distributed(responses, 1)
@@ -406,18 +425,3 @@ class HadoopClusterEngine(MahoutAnalytics, _MultiNodeEngine):
             return np.empty((0, 0)), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
         table = HiveTable("gathered", tables[0].columns, all_rows)
         return driver_pivot(table, "patient_id", "gene_id", "expression_value")
-
-    def _drug_response_for(self, patient_labels, timer: PhaseTimer) -> np.ndarray:
-        # Driver-side lookup over the partitions' metadata, charged to no phase.
-        response_lookup = {
-            int(pid): float(dr)
-            for partition in self.partitions
-            for pid, dr in zip(partition.patient_ids, partition.drug_response, strict=True)
-        }
-        return np.asarray([response_lookup[int(p)] for p in patient_labels])
-
-    def _membership_matrix(self, gene_labels) -> np.ndarray:
-        membership = np.zeros((len(gene_labels), self.n_go_terms), dtype=np.int8)
-        for position, gene_id in enumerate(gene_labels):
-            membership[position] = self.go_membership[int(gene_id)]
-        return membership

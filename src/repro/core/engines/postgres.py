@@ -21,18 +21,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.engines.base import (
-    Engine,
-    EngineCapabilities,
-    covariance_pairs,
-    membership_from_rows,
-)
+from repro.core.engines.base import Engine, EngineCapabilities, covariance_pairs
 from repro.core.engines.rlang_engine import RAnalytics
 from repro.core.queries import EXPRESSION_TRIPLE, dataset_tables
 from repro.core.timing import PhaseTimer
 from repro.datagen.dataset import GenBaseDataset
 from repro.relational import ColumnType, Database
-from repro.relational import operators as ops
 from repro.relational.bridge import run_shared_plan
 from repro.relational.query import QueryResultSet
 from repro.relational.udf import UdfRegistry, default_madlib_registry
@@ -59,26 +53,11 @@ class _RowStoreDataManagement(Engine):
                 for column, values in columns.items()
             ])
             self.db.load_array(name, np.column_stack(list(columns.values())))
-        self.db.create_table(
-            "ontology",
-            [("gene_id", ColumnType.INT), ("go_id", ColumnType.INT),
-             ("belongs", ColumnType.INT)],
-        )
-        self.db.load_array("ontology", dataset.ontology_relational(include_zeros=False))
-        self.n_go_terms = dataset.ontology.n_go_terms
 
-    def _drug_response_for(self, patient_labels, timer: PhaseTimer) -> np.ndarray:
-        """Project the drug-response column for the given patient ids, in order."""
+    def _relation(self, plan, timer: PhaseTimer) -> dict:
         with timer.data_management():
-            rows = ops.Project(ops.SeqScan(self.db.table("patients")),
-                               ["patient_id", "drug_response"])
-            response = {int(patient): value for patient, value in rows}
-            return np.asarray([response[int(label)] for label in patient_labels])
-
-    def _membership_matrix(self, gene_labels) -> np.ndarray:
-        return membership_from_rows(
-            gene_labels, ops.SeqScan(self.db.table("ontology")).rows(), self.n_go_terms
-        )
+            rows = run_shared_plan(plan, self.db)
+            return {column: np.asarray(rows.column(column)) for column in plan.columns}
 
 
 @dataclass
@@ -97,16 +76,6 @@ class PostgresMadlibEngine(_RowStoreDataManagement):
     def _pivot(self, child_plan, timer: PhaseTimer):
         with timer.data_management():
             return run_shared_plan(child_plan, self.db).pivot(*EXPRESSION_TRIPLE)
-
-    def _annotate_pairs(self, gene_labels, gene_a, gene_b, values, timer: PhaseTimer) -> dict:
-        with timer.data_management():
-            gene_labels = np.asarray(gene_labels)
-            function_lookup = dict(ops.Project(ops.SeqScan(self.db.table("genes")),
-                                               ["gene_id", "function"]))
-            joined_rows = sum(
-                1 for a in gene_labels[gene_a] if int(a) in function_lookup
-            ) if len(gene_a) else 0
-        return {"joined_rows": joined_rows}
 
     def _analytics_regression(self, matrix, response, timer: PhaseTimer):
         with timer.analytics():

@@ -22,14 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from repro.core.engines.base import (
-    Engine,
-    EngineCapabilities,
-    covariance_pairs,
-    membership_from_rows,
-)
+from repro.core.engines.base import Engine, EngineCapabilities, covariance_pairs
 from repro.core.queries import dataset_tables, expression_pivot_plan
 from repro.core.timing import PhaseTimer
 from repro.datagen.dataset import GenBaseDataset
@@ -90,15 +83,6 @@ class VanillaREngine(RAnalytics, Engine):
             name: DataFrame(columns, environment=self.environment)
             for name, columns in dataset_tables(dataset).items()
         }
-        go = dataset.ontology_relational(include_zeros=False)
-        self.go_df = DataFrame(
-            {
-                "gene_id": go[:, 0].astype(np.int64),
-                "go_id": go[:, 1].astype(np.int64),
-            },
-            environment=self.environment,
-        )
-        self.n_go_terms = dataset.ontology.n_go_terms
 
     # -- data-management hooks -------------------------------------------------------
 
@@ -112,26 +96,7 @@ class VanillaREngine(RAnalytics, Engine):
         with timer.data_management():
             return run_shared_plan(expression_pivot_plan(child_plan), self.frames)
 
-    def _drug_response_for(self, patient_labels, timer: PhaseTimer):
+    def _relation(self, plan, timer: PhaseTimer) -> dict:
         with timer.data_management():
-            return self.frames["patients"]["drug_response"][patient_labels.astype(np.int64)]
-
-    def _membership_matrix(self, gene_labels) -> np.ndarray:
-        # Join the scored genes with the GO table and build the per-term
-        # membership matrix (the "separate the genes based on whether
-        # they belong to the GO term" step).
-        rows = zip(self.go_df["gene_id"].tolist(), self.go_df["go_id"].tolist(), strict=True)
-        return membership_from_rows(gene_labels, rows, self.n_go_terms)
-
-    def _annotate_pairs(self, gene_labels, gene_a, gene_b, values, timer: PhaseTimer) -> dict:
-        with timer.data_management():
-            gene_ids_a = gene_labels[gene_a].astype(np.int64) if len(gene_a) else np.empty(0, np.int64)
-            gene_ids_b = gene_labels[gene_b].astype(np.int64) if len(gene_b) else np.empty(0, np.int64)
-            pair_df = DataFrame(
-                {"gene_id": gene_ids_a, "partner": gene_ids_b, "covariance": values},
-                environment=self.environment,
-            )
-            enriched_pairs = pair_df.merge(
-                self.frames["genes"].select(["gene_id", "function"]), by="gene_id"
-            )
-        return {"pairs": (gene_ids_a, gene_ids_b, values), "joined_rows": len(enriched_pairs)}
+            rows = run_shared_plan(plan, self.frames)
+            return {column: rows[column] for column in plan.columns}

@@ -98,7 +98,6 @@ class SciDBEngine(Engine):
             attribute_name="belongs",
             chunk_sizes=[chunk, chunk],
         )
-        self.gene_functions_dense = dataset.genes.function
         #: The logical tables the shared plans scan, mapped onto the arrays.
         self.frames = {
             "microarray": MatrixFrame(self.expression, "expression_value"),
@@ -112,6 +111,7 @@ class SciDBEngine(Engine):
                     "drug_response": self.drug_response,
                 },
             ),
+            "ontology": MatrixFrame(self.go_membership, "belongs"),
         }
         #: Cumulative chunk-skip accounting across every shared-plan filter.
         self.filter_stats = FilterStats()
@@ -133,12 +133,13 @@ class SciDBEngine(Engine):
             result = self._run_expression_plan(child_plan)
             return result.array, result.label("patient_id"), result.label("gene_id")
 
-    def _drug_response_for(self, patient_labels, timer: PhaseTimer) -> np.ndarray:
-        """Align drug responses with ``patient_labels`` by coordinate offset."""
+    def _relation(self, plan, timer: PhaseTimer) -> dict:
+        """A metadata lookup reads its columns at the selected coordinates;
+        the GO lookup is a dimension-filtered subarray of the membership
+        array, read back in long form."""
         with timer.data_management():
-            start = self.drug_response.schema.dimensions[0].start
-            offsets = np.asarray(patient_labels, dtype=np.int64) - start
-            return self.drug_response.to_dense()[offsets]
+            rows = self._run_expression_plan(plan)
+            return {column: rows.column(column) for column in plan.columns}
 
     def _scores_and_membership(self, sampled, timer: PhaseTimer):
         with timer.data_management():
@@ -146,18 +147,10 @@ class SciDBEngine(Engine):
             # membership predicate narrows the expression array to the
             # sampled rows (a dimension subarray) and the mean runs
             # chunk-wise along gene_id.
-            _gene_labels, gene_scores = self._run_expression_plan(
+            gene_labels, gene_scores = self._run_expression_plan(
                 sampled_expression_mean_plan(sampled)
             )
-            membership = self.go_membership.to_dense()
-        return len(sampled), gene_scores, membership
-
-    def _annotate_pairs(self, gene_labels, gene_a, gene_b, values, timer: PhaseTimer) -> dict:
-        with timer.data_management():
-            _pair_functions = (
-                self.gene_functions_dense[gene_a] if len(gene_a) else np.empty(0)
-            )
-        return {}
+        return len(sampled), gene_scores, self._membership_matrix(gene_labels, timer)
 
     # -- analytics hooks: native over the chunks, or via the ScaLAPACK tier ------------------
 

@@ -179,14 +179,26 @@ def dataset_tables(dataset: GenBaseDataset) -> dict[str, dict[str, np.ndarray]]:
     ``expression_value`` stay ``float64``.
     """
     micro = dataset.microarray_relational()
-    patients = dataset.patients
-    genes = dataset.genes
     return {
         "microarray": {
             "gene_id": micro[:, 0].astype(np.int64),
             "patient_id": micro[:, 1].astype(np.int64),
             "expression_value": micro[:, 2].astype(np.float64),
         },
+        **metadata_tables(dataset),
+    }
+
+
+def metadata_tables(dataset: GenBaseDataset) -> dict[str, dict[str, np.ndarray]]:
+    """The :func:`dataset_tables` dimension tables: ``patients``, ``genes``, ``ontology``.
+
+    ``ontology`` is the sparse GO membership (one row per gene in a term,
+    ``belongs`` = 1), the rows the Q5 lookup selects.
+    """
+    patients = dataset.patients
+    genes = dataset.genes
+    gene_id, go_id, belongs = dataset.ontology_relational(include_zeros=False).astype(np.int64).T
+    return {
         "patients": {
             "patient_id": patients.patient_id.astype(np.int64),
             "age": patients.age.astype(np.int64),
@@ -202,6 +214,7 @@ def dataset_tables(dataset: GenBaseDataset) -> dict[str, dict[str, np.ndarray]]:
             "length": genes.length.astype(np.int64),
             "function": genes.function.astype(np.int64),
         },
+        "ontology": {"gene_id": gene_id, "go_id": go_id, "belongs": belongs},
     }
 
 
@@ -229,6 +242,26 @@ def patient_expression_plan(predicate: Expression) -> PlanNode:
         ),
         EXPRESSION_TRIPLE,
     )
+
+
+def _lookup_plan(table: str, key: str, ids, columns: tuple[str, ...]) -> PlanNode:
+    """``Project(Filter(Scan(table), key ∈ ids), columns)``: the rows of ``ids``."""
+    return Project(Filter(Scan(table), col(key).isin(np.asarray(ids, dtype=np.int64))), columns)
+
+
+def drug_response_plan(patient_ids) -> PlanNode:
+    """Q1 target lookup: the drug response of each selected patient."""
+    return _lookup_plan("patients", "patient_id", patient_ids, ("patient_id", "drug_response"))
+
+
+def gene_annotation_plan(gene_ids) -> PlanNode:
+    """Q2 annotation join: the metadata (function code) of the kept pairs' genes."""
+    return _lookup_plan("genes", "gene_id", gene_ids, ("gene_id", "function"))
+
+
+def go_membership_plan(gene_ids) -> PlanNode:
+    """Q5 membership lookup: the GO rows of the scored genes."""
+    return _lookup_plan("ontology", "gene_id", gene_ids, ("gene_id", "go_id", "belongs"))
 
 
 def expression_pivot_plan(child: PlanNode) -> Pivot:

@@ -12,8 +12,11 @@ a tiny :class:`Chooser` interface, so the same code yields
 The grammar is the *portable* subset of the plan algebra — shapes every
 engine family executes (see ``docs/FUZZING.md`` for the admission table):
 
-- **meta**: ``[Project] Filter* (Scan(meta-table))`` — compared as sorted
-  id sets on all six executors.
+- **meta**: ``[Project] Filter* (Scan(meta-table))`` — the shape of the
+  engines' three lookup steps (:mod:`repro.core.queries`).  Every column
+  is compared row for row, in key order, on the five single-node
+  executors; the cluster's fragments are row positions, so it is
+  compared as a sorted id set.
 - **aggregate** / **pivot**: the GenBase join spine
   ``terminal(Project(Filter(Join(meta, microarray)), EXPRESSION_TRIPLE))``
   with metadata predicates (and, optionally, an ``expression_value`` cell

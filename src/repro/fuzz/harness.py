@@ -111,12 +111,10 @@ ADMISSION = {
     "approx": _COLSTORE,
 }
 
-#: engine → the id column out of its native relation (default: ``.column(key)``).
-_RELATION_IDS = {
-    "hadoop": lambda table, key: table.column_values(key),
-    "vanilla-r": lambda frame, key: frame[key],
-    "scidb": lambda coordinates, _key: coordinates,
-    "cluster": lambda fragments, _key: np.concatenate(fragments),
+#: engine → one column out of its native relation (default: ``.column(name)``).
+_RELATION_COLUMN = {
+    "hadoop": lambda table, name: table.column_values(name),
+    "vanilla-r": lambda frame, name: frame[name],
 }
 
 
@@ -309,10 +307,21 @@ class FuzzHarness:
     # -- shape checks (one normaliser + comparison per shape) -------------------------
 
     def _check_meta(self, case, relation, reference, engine, context):
-        ids = _RELATION_IDS.get(engine, lambda r, key: r.column(key))(relation, case.key)
-        assert_values_match(
-            np.sort(np.asarray(ids, dtype=np.float64).astype(np.int64)),
-            np.sort(np.asarray(reference[case.key], dtype=np.int64)), EXACT, context)
+        """Every reference column row for row, in key order; the cluster's
+        fragments are row positions, so it answers with ids only."""
+        expected_ids = np.asarray(reference[case.key], dtype=np.int64)
+        if engine == "cluster":
+            assert_values_match(np.sort(np.concatenate(relation).astype(np.int64)),
+                                np.sort(expected_ids), EXACT, context)
+            return
+        expected_order = np.argsort(expected_ids)
+        read = _RELATION_COLUMN.get(engine, lambda rows, name: rows.column(name))
+        order = np.argsort(np.asarray(read(relation, case.key), dtype=np.float64).astype(np.int64))
+        for column, expected in reference.items():
+            assert_values_match(
+                np.asarray(read(relation, column), dtype=np.float64)[order],
+                np.asarray(expected, dtype=np.float64)[expected_order],
+                EXACT, f"{context} {column}")
 
     def _check_sample(self, case, query, reference, engine, context):
         """Sample plans: column store only — sampling semantics are per-engine."""

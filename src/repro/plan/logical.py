@@ -66,13 +66,6 @@ class Scan(PlanNode):
 
     table: str
 
-    def output_schema(self, *child_schemas: Schema) -> Schema:
-        raise StaticTypeError(
-            f"Scan({self.table!r}) has no intrinsic schema — resolve it "
-            "against a catalog (repro.plan.verify.verified_schema)",
-            rule="unknown-table",
-        )
-
 
 # eq=False: a dataclass-generated __eq__ would delegate to the predicate's
 # Expression.__eq__, which builds a (truthy) comparison AST node instead of

@@ -23,10 +23,6 @@ class Operator:
     def __iter__(self) -> Iterator[tuple]:
         raise NotImplementedError
 
-    def rows(self) -> list[tuple]:
-        """Materialise the operator's full output."""
-        return list(self)
-
 
 class SeqScan(Operator):
     """Sequential scan of a heap table."""

@@ -379,10 +379,12 @@ class TestSynopsisCatalog:
         inline = fx.store.query("microarray").sample(0.1, 4)
         np.testing.assert_array_equal(first, inline.selection)
 
-    def test_describe_reports_keys_and_row_counts(self):
+    def test_one_entry_per_table_fraction_and_seed(self):
         fx = ApproxFixture("tiny")
-        fx.store.synopses.uniform("patients", 0.5, seed=1)
-        description = fx.store.synopses.describe()
-        # One entry per (kind, table, fraction, seed): the version it
-        # answers is the entry's state, not part of its key.
-        assert description == {("uniform", "patients", 0.5, 1): 30}
+        selection = fx.store.synopses.uniform("patients", 0.5, seed=1)
+        assert len(selection) == 30
+        assert fx.store.synopses.uniform("patients", 0.5, seed=1) is selection
+        assert len(fx.store.synopses) == 1
+        fx.store.synopses.uniform("patients", 0.5, seed=2)
+        fx.store.synopses.uniform("patients", 0.25, seed=1)
+        assert len(fx.store.synopses) == 3

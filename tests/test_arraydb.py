@@ -8,8 +8,6 @@ import pytest
 from repro.arraydb import ArraySchema, Attribute, ChunkedArray, Dimension, linalg, operators as ops
 from repro.arraydb.bridge import ArrayFrame, MatrixFrame, metadata_array, run_shared_plan
 from repro.arraydb.chunk import Chunk
-from repro.core.engines import make_engine
-from repro.core.timing import PhaseTimer
 from repro.plan import Filter, Join, Pivot, Scan, col
 from repro.plan.verify import PlanVerificationError
 
@@ -134,11 +132,12 @@ class TestOperators:
     def test_filter_range_predicate_skips_chunks(self):
         # Sorted values: every chunk past the threshold is excluded by its
         # min/max synopsis and must be skipped without touching its cells.
-        coords, stats = _metadata_filter(np.arange(100.0), 10, col("v") < 25)
-        np.testing.assert_array_equal(coords, np.arange(25))
+        rows, stats = _metadata_filter(np.arange(100.0), 10, col("v") < 25)
+        np.testing.assert_array_equal(rows.column("i"), np.arange(25))
+        np.testing.assert_array_equal(rows.column("v"), np.arange(25.0))
         assert stats.chunks_skipped == 7
         assert stats.chunks_scanned == 3
-        assert len(coords) == 25
+        assert len(rows) == 25
 
     def test_filter_expression_validates_attributes(self):
         with pytest.raises(PlanVerificationError, match="unknown column 'bogus'"):
@@ -148,8 +147,8 @@ class TestOperators:
             run_shared_plan(Filter(Scan("t"), col("bogus") > 1), frames, optimized=False)
 
     def test_filter_all_chunks_skipped(self):
-        coords, stats = _metadata_filter(np.arange(50.0), 10, col("v") > 1e6)
-        assert len(coords) == 0
+        rows, stats = _metadata_filter(np.arange(50.0), 10, col("v") > 1e6)
+        assert len(rows) == 0
         assert stats.chunks_skipped == 5
         assert stats.chunks_scanned == 0
 
@@ -157,10 +156,10 @@ class TestOperators:
         values = np.arange(30.0)
         # v <= 10 must keep the boundary cell in the second chunk (min=10).
         kept, _ = _metadata_filter(values, 10, col("v") <= 10)
-        np.testing.assert_array_equal(kept, np.arange(11))
+        np.testing.assert_array_equal(kept.column("i"), np.arange(11))
         # v < 10 may skip that chunk entirely.
         strict, stats = _metadata_filter(values, 10, col("v") < 10)
-        np.testing.assert_array_equal(strict, np.arange(10))
+        np.testing.assert_array_equal(strict.column("i"), np.arange(10))
         assert stats.chunks_skipped == 2
 
     def test_subarray_compacts(self, expression_array):
@@ -346,12 +345,3 @@ class TestDimensionJoinGather:
         assert calls == []
         assert 0 < len(rows) < 40 and 0 < len(cols) < 30
         np.testing.assert_array_equal(dense, matrix[np.ix_(rows, cols)])
-
-
-def test_scidb_drug_response_aligns_with_labels(tiny_dataset, rng):
-    engine = make_engine("scidb")
-    engine.load(tiny_dataset)
-    n_patients = len(tiny_dataset.patients.drug_response)
-    labels = rng.permutation(n_patients)[: n_patients // 2]
-    response = engine._drug_response_for(labels, PhaseTimer())
-    np.testing.assert_array_equal(response, tiny_dataset.patients.drug_response[labels])

@@ -226,7 +226,7 @@ class TestCoprocessor:
         tiny = rng.random((5, 5))
         result = device.offload(lambda m: m.sum(), tiny)
         # Transfer latency swamps the microsecond kernel: no speedup.
-        assert result.speedup < 1.0
+        assert result.device_total_seconds > result.host_kernel_seconds
 
     def test_memory_oversubscription_penalty(self, rng):
         spec = DeviceSpec(

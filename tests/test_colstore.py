@@ -626,7 +626,7 @@ class TestColumnVectorAndTable:
         assert table.column_names == ["a", "b"]
         assert table.values("a").tolist() == list(range(5))
         assert table.compressed_bytes > 0
-        assert set(table.encodings()) == {"a", "b"}
+        assert all(table.column(name).encoding_name for name in table.column_names)
 
     def test_gather_with_indices(self, rng):
         table = ColumnTable.from_arrays("t", {"a": np.arange(10), "b": rng.random(10)})
@@ -982,7 +982,7 @@ class TestColumnStoreCatalog:
         with pytest.raises(KeyError):
             store.table("v")
         assert store.total_compressed_bytes() > 0
-        assert "t" in store.describe()
+        assert store.live_row_count("t") == 3
 
     def test_unknown_table_message(self):
         with pytest.raises(KeyError, match="known tables"):

@@ -39,7 +39,12 @@ from repro.cluster.bridge import (
     run_shared_plan as run_cluster_plan,
 )
 from repro.core import QUERY_NAMES, BenchmarkRunner
-from repro.core.engines import MULTI_NODE_ENGINES, SINGLE_NODE_ENGINES, make_engine
+from repro.core.engines import (
+    ENGINE_FACTORIES,
+    MULTI_NODE_ENGINES,
+    SINGLE_NODE_ENGINES,
+    make_engine,
+)
 from repro.core.queries import (
     bicluster_patient_predicate,
     covariance_patient_predicate,
@@ -148,23 +153,24 @@ class TestCrossEngineByteIdentity:
 
 
 class TestQ2AnnotationJoin:
-    """Q2 joins its kept pairs back to the gene metadata.
+    """Q2 joins its kept pairs back to the gene metadata, on every engine.
 
-    No summary records the join, so the engines that report its size in
-    the payload are compared here.  On Hive the join matches only when the
-    pair keys and the gene ids are of one class.
+    No summary records the join, so its size is compared here.  Gene ids
+    are 0..n−1, so when the join is right every kept pair's gene comes
+    back and ``joined_rows`` equals ``n_pairs_kept``.
     """
 
     def test_joined_rows_agree_across_engines(self, runner):
         dataset = GenBaseDataset.generate("small", seed=7)
-        joined_rows = {}
-        for name in ("hadoop", "postgres-madlib", "vanilla-r"):
+        joined = {}
+        for name in ENGINE_FACTORIES:
             engine = make_engine(name)
             engine.load(dataset)
             result = runner.run("covariance", engine, dataset)
             assert result.status is RunStatus.OK, name
-            joined_rows[name] = result.output.payload["joined_rows"]
-        assert joined_rows == dict.fromkeys(joined_rows, 495)
+            joined[name] = (result.output.payload.get("joined_rows"),
+                            result.output.summary["n_pairs_kept"])
+        assert joined == dict.fromkeys(ENGINE_FACTORIES, (495, 495))
 
 
 class TestMultiNodeByteIdentity:
@@ -385,10 +391,11 @@ class TestSciDBChunkSkipping:
         values = np.arange(100.0)
         frames = {"t": ArrayFrame("i", {"v": metadata_array("v", values, "i", "v", 10)})}
         stats = ops.FilterStats()
-        coords = run_array_plan(
+        rows = run_array_plan(
             Filter(Scan("t"), col("i").isin([3, 55])), frames, stats=stats
         )
-        np.testing.assert_array_equal(coords, [3, 55])
+        np.testing.assert_array_equal(rows.column("i"), [3, 55])
+        np.testing.assert_array_equal(rows.column("v"), [3.0, 55.0])
         assert stats.chunks_skipped == 8
 
     def test_bridge_conjunction_skips_via_either_synopsis(self):
@@ -401,12 +408,12 @@ class TestSciDBChunkSkipping:
             })
         }
         stats = ops.FilterStats()
-        coords = run_array_plan(
+        rows = run_array_plan(
             Filter(Scan("patients"), (col("gender") == 1) & (col("age") < 40)),
             frames, stats=stats,
         )
         expected = np.flatnonzero((genders == 1) & (ages < 40))
-        np.testing.assert_array_equal(coords, expected)
+        np.testing.assert_array_equal(rows.column("patient_id"), expected)
         assert stats.chunks_skipped == 5  # the five all-age-70 chunks
 
     def test_misaligned_metadata_chunking_is_rejected_by_name(self):
@@ -444,9 +451,10 @@ class TestChunkedFilterProperties:
         dense = np.asarray(values)
         column = metadata_array("v", dense, "i", "v", chunk)
         stats = ops.FilterStats()
-        coords = run_array_plan(Filter(Scan("t"), col("v") < threshold),
-                                {"t": ArrayFrame("i", {"v": column})}, stats=stats)
-        np.testing.assert_array_equal(coords, np.flatnonzero(dense < threshold))
+        rows = run_array_plan(Filter(Scan("t"), col("v") < threshold),
+                              {"t": ArrayFrame("i", {"v": column})}, stats=stats)
+        np.testing.assert_array_equal(rows.column("i"), np.flatnonzero(dense < threshold))
+        np.testing.assert_array_equal(rows.column("v"), dense[dense < threshold])
         assert stats.chunks_skipped + stats.chunks_scanned == column.chunk_count
 
     @settings(deadline=None, max_examples=40)
@@ -468,13 +476,13 @@ class TestChunkedFilterProperties:
                                          "gender", chunk),
             })
         }
-        coords = run_array_plan(
+        rows = run_array_plan(
             Filter(Scan("patients"),
                    (col("gender") == gender) & (col("age") < max_age)),
             frames,
         )
         expected = np.flatnonzero((gender_values == gender) & (age_values < max_age))
-        np.testing.assert_array_equal(coords, expected)
+        np.testing.assert_array_equal(rows.column("patient_id"), expected)
 
 
 class TestMapReduceFilterBeforeShuffle:

@@ -284,7 +284,8 @@ class TestDeltaStoreBasics:
             np.testing.assert_array_equal(store.query("events").column(name),
                                           expected[name])
         # The resealed segment is a real compressed table again.
-        assert "+tail" not in " ".join(store.table("events").encodings().values())
+        assert not any(store.table("events").column(name).encoding_name.endswith("+tail")
+                       for name in COLUMNS)
 
     def test_snapshot_is_immune_to_later_writes_and_compaction(self):
         store = _store_with(_sealed_four_encodings(25, seed=6))
@@ -317,9 +318,7 @@ class TestDeltaStoreBasics:
         assert store.table("events").row_count == 10  # sealed only
         assert store.effective_table("events").row_count == 15  # logical space
         assert store.live_row_count("events") == 14
-        described = store.describe()["events"]
-        assert described["rows"] == 14
-        assert described["encodings"]["rid"] == "delta+tail"
+        assert store.effective_table("events").column("rid").encoding_name == "delta+tail"
 
     def test_merged_column_surface(self):
         store = _store_with(_sealed_four_encodings(12, seed=9))
@@ -747,7 +746,7 @@ class TestSynopsisStaleness:
         assert after.estimate != before.estimate
         # One entry per (table, fraction, seed), answering the current
         # version — advanced in place, not accumulated per version.
-        assert list(store.synopses.describe()) == [("uniform", "events", 0.5, 3)]
+        assert len(store.synopses) == 1
         np.testing.assert_array_equal(
             store.synopses.uniform("events", 0.5, seed=3),
             store.query("events").sample(0.5, 3).selection)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import ast
 import pathlib
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from repro.core.engines import (
     make_engine,
 )
 from repro.core.runner import RunStatus
+from repro.core.timing import PhaseTimer
 
 #: (engine, query) combinations the paper itself marks as unsupported.
 EXPECTED_UNSUPPORTED = {
@@ -215,6 +217,93 @@ class TestPhaseAttribution:
                 if isinstance(node, ast.FunctionDef) and node.name in definitions:
                     definitions[node.name].append(path.name)
         assert definitions == {name: ["base.py"] for name in definitions}
+
+    def test_each_lookup_step_is_built_once(self):
+        """The three lookups are aligned once, in ``base.py``; each family
+        supplies one ``_relation``: column store, row store, Hive, R, SciDB,
+        and the multi-node driver."""
+        definitions = {name: [] for name in (
+            "_drug_response_for", "_annotate_pairs", "_membership_matrix", "_relation")}
+        for path in sorted(pathlib.Path(repro.core.engines.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.FunctionDef) and node.name in definitions:
+                    definitions[node.name].append(path.name)
+        assert definitions == {
+            "_drug_response_for": ["base.py"],
+            "_annotate_pairs": ["base.py"],
+            "_membership_matrix": ["base.py"],
+            "_relation": ["base.py", "colstore_engine.py", "hadoop.py", "multinode.py",
+                          "postgres.py", "rlang_engine.py", "scidb.py"],
+        }
+
+
+@pytest.fixture(scope="module")
+def every_engine(tiny_dataset) -> dict:
+    engines = {}
+    for name in sorted(ENGINE_FACTORIES):
+        engines[name] = make_engine(name)
+        engines[name].load(tiny_dataset)
+    return engines
+
+
+@pytest.mark.parametrize("engine_name", sorted(ENGINE_FACTORIES))
+class TestLookupSteps:
+    """Q1's drug responses and Q5's GO membership, through each engine's ``_relation``."""
+
+    def test_drug_responses_follow_the_labels(self, engine_name, every_engine,
+                                              tiny_dataset, rng):
+        engine = every_engine[engine_name]
+        responses = tiny_dataset.patients.drug_response
+        labels = rng.permutation(len(responses))[: len(responses) // 2]
+        np.testing.assert_array_equal(
+            engine._drug_response_for(labels, PhaseTimer()), responses[labels])
+        for unknown in (len(responses), -1):
+            with pytest.raises(KeyError):
+                engine._drug_response_for(np.append(labels, unknown), PhaseTimer())
+
+    def test_membership_equals_the_dataset_bit_for_bit(self, engine_name, every_engine,
+                                                       tiny_dataset, rng):
+        engine = every_engine[engine_name]
+        membership = tiny_dataset.ontology.membership
+        whole = engine._membership_matrix(np.arange(tiny_dataset.n_genes), PhaseTimer())
+        assert whole.dtype == membership.dtype == np.int8
+        np.testing.assert_array_equal(whole, membership)
+        subset = rng.permutation(tiny_dataset.n_genes)[: tiny_dataset.n_genes // 3]
+        np.testing.assert_array_equal(
+            engine._membership_matrix(subset, PhaseTimer()), membership[subset])
+
+
+def test_no_phase_block_opens_inside_another(tiny_dataset, runner, monkeypatch):
+    """``PhaseTimer`` adds a nested block's seconds twice, so no hook may
+    open a phase while another of the same timer is open."""
+    open_timers, nested = set(), []
+
+    def guarded(phase):
+        original = getattr(PhaseTimer, phase)
+
+        @contextmanager
+        def block(self):
+            if id(self) in open_timers:
+                nested.append(phase)
+            open_timers.add(id(self))
+            try:
+                with original(self):
+                    yield self
+            finally:
+                open_timers.discard(id(self))
+
+        return block
+
+    for phase in ("data_management", "analytics"):
+        monkeypatch.setattr(PhaseTimer, phase, guarded(phase))
+    for name in sorted(ENGINE_FACTORIES):
+        engine = make_engine(name)
+        engine.load(tiny_dataset)
+        for query in QUERY_NAMES:
+            nested.clear()
+            result = runner.run(query, engine, tiny_dataset)
+            assert result.status in (RunStatus.OK, RunStatus.UNSUPPORTED), f"{name}/{query}"
+            assert nested == [], f"{name}/{query}: {nested} block opened inside an open block"
 
 
 class TestCrossEngineAgreement:

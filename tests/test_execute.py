@@ -143,15 +143,11 @@ CASES = {
 
 def _patient_ids(engine: str, relation) -> np.ndarray:
     """The selected patient ids out of each backend's native relation."""
-    if engine == "colstore":
-        return relation.column("patient_id")
-    if engine == "postgres":
-        return np.asarray(relation.column("patient_id"))
     if engine == "hadoop":
         return np.asarray(relation.column_values("patient_id"))
     if engine == "vanilla-r":
         return relation["patient_id"]
-    return relation  # scidb: a metadata subtree answers with its coordinates
+    return np.asarray(relation.column("patient_id"))
 
 
 @pytest.mark.parametrize(("engine", "shape"), [

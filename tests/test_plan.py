@@ -669,7 +669,7 @@ class TestSharedPlansOnRowStore:
                                    "gene_id", "gene_id", build_left=True)
         hand_built = row_ops.Project(joined, ["patient_id", "gene_id", "expression_value"])
         assert shared.schema.names == hand_built.output_schema.names
-        assert shared.rows == hand_built.rows()
+        assert shared.rows == list(hand_built)
 
     def test_unoptimized_lowering_matches_optimized(self, mini_db):
         fast = run_shared_plan(self._plan(), mini_db, optimized=True)

@@ -341,13 +341,13 @@ class TestExpressions:
 class TestOperators:
     def test_filter_project(self, people_table):
         plan = Project(Filter(SeqScan(people_table), col("score") > lit(1.5)), ["name"])
-        assert plan.rows() == [("ann",), ("cat",), ("dan",)]
+        assert list(plan) == [("ann",), ("cat",), ("dan",)]
 
     def test_hash_join(self, people_table):
         scores_schema = _schema([("person_id", ColumnType.INT), ("bonus", ColumnType.FLOAT)])
         bonuses = RowSource([(1, 10.0), (3, 30.0), (3, 31.0)], scores_schema)
         join = HashJoin(bonuses, SeqScan(people_table), "person_id", "id")
-        rows = join.rows()
+        rows = list(join)
         assert len(rows) == 3
         assert {row[0] for row in rows} == {1, 3}
 
@@ -357,7 +357,7 @@ class TestOperators:
         for build_left in (True, False):
             joined = hash_join(SeqScan(people_table), bonuses, "id", "person_id", build_left)
             assert joined.output_schema.names == ("id", "name", "score", "person_id", "bonus")
-            assert joined.rows() == []
+            assert list(joined) == []
 
     def test_project_unknown_column_raises(self, people_table):
         with pytest.raises(KeyError, match="missing"):
@@ -513,7 +513,7 @@ class TestJoinBuildSideKeepsColumnValues:
         joined = hash_join(SeqScan(db.table("l")), SeqScan(db.table("r")),
                            "id", "id", build_left)
         assert joined.output_schema.names == ("id", "a", "id_right", "a_right")
-        assert joined.rows() == [(1, 10, 1, 7)]
+        assert list(joined) == [(1, 10, 1, 7)]
 
 
 class TestDatabase:
