@@ -8,10 +8,11 @@ available, as in Mahout.
 The data-management stages are the *shared* logical plans of
 :mod:`repro.core.queries`, lowered onto MapReduce jobs by
 :func:`repro.mapreduce.bridge.run_shared_plan`: the declarative filter is
-fused into the map phase of the join job (filter-before-shuffle), so one
-job replaces the legacy select → project → join chain and dropped rows
-never cross the serialisation boundary.  Even so, every surviving byte
-still pays the map/spill/shuffle/reduce round trip — this remains the
+fused into the map phase of the join job (filter-before-shuffle), so a
+selection is one job and dropped rows never cross the serialisation
+boundary, and each lookup step (Q1's drug response, Q2's annotation, Q5's
+GO membership) is one map-only job.  Even so, every surviving byte of a
+join still pays the map/spill/shuffle/reduce round trip — this remains the
 configuration the paper finds "good at neither data management nor
 analytics", for the same structural reasons.
 """
@@ -26,7 +27,7 @@ from repro.core.engines.base import Engine, EngineCapabilities, covariance_pairs
 from repro.core.queries import dataset_tables, expression_pivot_plan
 from repro.core.timing import PhaseTimer
 from repro.datagen.dataset import GenBaseDataset
-from repro.mapreduce import HiveSession, HiveTable, Mahout, MapReduceEngine
+from repro.mapreduce import HiveTable, Mahout, MapReduceEngine
 from repro.mapreduce.bridge import run_shared_plan
 
 
@@ -76,7 +77,6 @@ class HadoopEngine(MahoutAnalytics, Engine):
 
     def _load(self, dataset: GenBaseDataset) -> None:
         self.mr_engine = MapReduceEngine(n_splits=self.n_splits)
-        self.hive = HiveSession(self.mr_engine)
         self.mahout = Mahout(self.mr_engine)
         #: The logical tables the shared plans scan, typed as
         #: :func:`dataset_tables` types them (int64 keys, float64 values), so
@@ -97,10 +97,10 @@ class HadoopEngine(MahoutAnalytics, Engine):
         """
         with timer.data_management():
             return run_shared_plan(
-                expression_pivot_plan(child_plan), self.tables, self.hive
+                expression_pivot_plan(child_plan), self.tables, self.mr_engine
             )
 
     def _relation(self, plan, timer: PhaseTimer) -> dict:
         with timer.data_management():
-            rows = run_shared_plan(plan, self.tables, self.hive)
+            rows = run_shared_plan(plan, self.tables, self.mr_engine)
             return {column: np.asarray(rows.column_values(column)) for column in plan.columns}

@@ -71,7 +71,7 @@ from repro.core.timing import PhaseTimer
 from repro.datagen.dataset import GenBaseDataset
 from repro.linalg.biclustering import cheng_church
 from repro.linalg.wilcoxon import enrichment_analysis
-from repro.mapreduce import HiveSession, HiveTable, Mahout, MapReduceEngine
+from repro.mapreduce import HiveTable, Mahout, MapReduceEngine
 from repro.mapreduce.bridge import driver_pivot, run_shared_plan
 from repro.plan import Filter, Scan
 
@@ -373,7 +373,7 @@ class HadoopClusterEngine(MahoutAnalytics, _MultiNodeEngine):
 
     def _load(self, dataset: GenBaseDataset) -> None:
         super()._load(dataset)
-        # Each node gets its own Hive session over its patients' microarray
+        # Each node gets its own MapReduce engine over its patients' microarray
         # and patient rows, typed as on the single-node Hadoop engine.
         tables = dataset_tables(dataset)
 
@@ -383,8 +383,8 @@ class HadoopClusterEngine(MahoutAnalytics, _MultiNodeEngine):
                 name, {column: values[keep] for column, values in tables[name].items()}
             )
 
-        self.node_hive: list[tuple[HiveSession, HiveTable, HiveTable]] = [
-            (HiveSession(MapReduceEngine(n_splits=2)),
+        self.node_hive: list[tuple[MapReduceEngine, HiveTable, HiveTable]] = [
+            (MapReduceEngine(n_splits=2),
              node_table("microarray", partition.patient_ids),
              node_table("patients", partition.patient_ids))
             for partition in self.partitions
@@ -395,7 +395,7 @@ class HadoopClusterEngine(MahoutAnalytics, _MultiNodeEngine):
     # -- data-management hooks ---------------------------------------------------------------------
 
     def _pivot(self, child_plan, timer: PhaseTimer):
-        """Run the shared filter ⋈ microarray plan on every node's Hive session.
+        """Run the shared filter ⋈ microarray plan on every node's MapReduce engine.
 
         The same plan every single-node engine consumes is lowered per node
         by the MapReduce bridge; the pushed-down predicate runs in the join
@@ -404,13 +404,13 @@ class HadoopClusterEngine(MahoutAnalytics, _MultiNodeEngine):
         itself is charged to no phase.
         """
         def local(node_data, _node: int) -> HiveTable:
-            session, micro_table, patients_table = node_data
+            engine, micro_table, patients_table = node_data
             tables = {
                 "microarray": micro_table,
                 "genes": self.genes_table,
                 "patients": patients_table,
             }
-            return run_shared_plan(child_plan, tables, session)
+            return run_shared_plan(child_plan, tables, engine)
 
         tables = self._timed_cluster_phase(
             timer.add_data_management,

@@ -12,8 +12,10 @@ case:
 3. normalises each result into the shape-specific comparison form and
    asserts agreement under :mod:`repro.fuzz.tolerances`,
 4. returns a :class:`~repro.fuzz.calibration.CalibrationRecord` pairing
-   the optimizer's row estimate (and the MapReduce shuffle-byte estimate)
-   with the observed counters.
+   the optimizer's row estimate (and, for a ``pivot`` case, the MapReduce
+   shuffle-byte estimate) with the observed counters.  A ``meta`` case
+   runs on Hive as one map-only job, which shuffles nothing: it records
+   the observed 0 bytes and no prediction.
 
 Admission matrix (why an engine sits a shape out is documented in
 ``docs/FUZZING.md``):
@@ -81,7 +83,7 @@ from repro.fuzz.generate import (
 )
 from repro.fuzz.reference import ReferenceTrace, mutated_tables, run_reference
 from repro.fuzz.tolerances import EXACT, ULP, aggregate_tolerance, assert_values_match
-from repro.mapreduce import HiveSession, HiveTable, MapReduceEngine
+from repro.mapreduce import HiveTable, MapReduceEngine
 from repro.mapreduce.bridge import (
     estimate_shuffle_bytes,
     run_shared_plan as run_mr_plan,
@@ -160,7 +162,7 @@ class FuzzHarness:
             name: HiveTable.from_columns(name, columns)
             for name, columns in self.tables.items()
         }
-        self.hive = HiveSession(MapReduceEngine(n_splits=4))
+        self.mr_engine = MapReduceEngine(n_splits=4)
 
         # R environment.
         self.frames = {name: DataFrame(columns)
@@ -273,7 +275,7 @@ class FuzzHarness:
 
         def hadoop():
             observation = PlanObservation()
-            result = run_mr_plan(plan, self.hive_tables, self.hive,
+            result = run_mr_plan(plan, self.hive_tables, self.mr_engine,
                                  observation=observation)
             record.observed_shuffle_bytes = observation.shuffle_bytes
             return result
@@ -382,7 +384,7 @@ class FuzzHarness:
                           else case.plan)
         predicted = estimate_output_rows(predicted_plan, catalog)
         shuffle = None
-        if not case.mutations and case.shape in ("meta", "pivot"):  # the shapes Hive runs
+        if not case.mutations and case.shape == "pivot":  # the shape Hive shuffles
             shuffle = estimate_shuffle_bytes(predicted_plan, self.hive_tables)
         record = CalibrationRecord(
             seed=case.seed,

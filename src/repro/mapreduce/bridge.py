@@ -6,17 +6,20 @@ This is the Hadoop-family counterpart of
 built in :mod:`repro.core.queries` lower onto Hive tables and MapReduce
 jobs.
 
-The payoff of declarative predicates here is **filter-before-shuffle**.
-The legacy callable pipeline ran ``select`` → ``project`` → ``join`` as
-three MapReduce jobs, re-serialising the whole table between each; an
-expression, by contrast, is compiled to a row-tuple callable
-(``Expression.bind`` against the :class:`~repro.mapreduce.hive.HiveTable`
-schema) and fused into the **map phase of the join job itself**, together
-with the pruned projection.  Rows that fail the predicate — and columns
-the plan never reads — are dropped *before* the spill, so they cross
-neither the serialisation boundary nor the shuffle.  One job replaces
-three, and the shuffled bytes track the plan's selectivity instead of the
-base table size.
+It is the stack's only lowering, and it has two job shapes.  A
+join — under an optional projection — is one **reduce-side join job**;
+any other subtree is a Filter/Project chain, collapsed into one
+**map-only job** (or none, when it passes its input through), as Hive
+runs a ``SELECT … WHERE`` with no join.
+
+The payoff of declarative predicates is **filter-before-shuffle**.  An
+expression is compiled to a row-tuple callable (``Expression.bind``
+against the :class:`~repro.mapreduce.hive.HiveTable` schema) and fused
+into the **map phase of the join job itself**, together with the pruned
+projection and the final SELECT list.  Rows that fail the predicate — and
+columns the plan never reads — are dropped *before* the spill, so they
+cross neither the serialisation boundary nor the shuffle: the shuffled
+bytes track the plan's selectivity instead of the base table size.
 
 The optimizer runs with :data:`HIVE_CAPABILITIES`: predicate pushdown and
 projection pruning (what makes the map-side fusion possible) but no
@@ -25,9 +28,9 @@ reduce-side join treats both inputs symmetrically, matching the paper's
 "Hive has only rudimentary query optimization".
 
 >>> import numpy as np
->>> from repro.mapreduce import HiveSession, HiveTable
+>>> from repro.mapreduce import HiveTable, MapReduceEngine
 >>> from repro.plan import Filter, Join, Project, Scan, col
->>> session = HiveSession()
+>>> engine = MapReduceEngine()
 >>> tables = {
 ...     "genes": HiveTable("genes", ("gene_id", "function"),
 ...                        [(0, 9.0), (1, 42.0), (2, 7.0)]),
@@ -38,8 +41,10 @@ reduce-side join treats both inputs symmetrically, matching the paper's
 ...                            "gene_id", "gene_id"),
 ...                       col("function") < 10),
 ...                ("gene_id", "value"))
->>> run_shared_plan(plan, tables, session).rows
+>>> run_shared_plan(plan, tables, engine).rows
 [(0, 1.5), (2, 3.5)]
+>>> [job.name for job in engine.history]
+['shared_join(genes,micro)']
 """
 
 from __future__ import annotations
@@ -49,10 +54,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.mapreduce.engine import MapReduceJob
-from repro.mapreduce.hive import HiveSession, HiveTable
+from repro.mapreduce.engine import MapReduceEngine, MapReduceJob
+from repro.mapreduce.hive import HiveTable
 from repro.plan import logical
-from repro.plan.expressions import BoundExpression, literal_dtype
+from repro.plan.expressions import BoundExpression, Expression, literal_dtype
 from repro.plan.execute import Backend, execute
 from repro.plan.observe import PlanObservation
 from repro.plan.optimizer import (
@@ -86,12 +91,13 @@ def _catalog(tables: dict[str, HiveTable]) -> SchemaCatalog:
 
 
 @dataclass
-class _ScanStage:
-    """A Filter*/Project* chain over one Scan, ready for map-side fusion.
+class _Stage:
+    """A Filter*/Project* chain over one input table, ready for map-side fusion.
 
-    ``predicates`` are bound against the *base* table's schema and applied
+    ``predicates`` are bound against the *input* table's schema and applied
     to the raw row before ``columns`` (the pruned output) is projected —
-    both inside the mapper of whichever job consumes the stage.
+    both inside the mapper of whichever job consumes the stage: a join's,
+    or the stage's own map-only job.
     """
 
     table: HiveTable
@@ -105,32 +111,32 @@ class _ScanStage:
         return all(bound(row) for bound in self.predicates)
 
 
-def _stage(node: logical.PlanNode, tables: dict[str, HiveTable]) -> _ScanStage | None:
-    """Collapse a Filter/Project chain over a Scan; None if differently shaped."""
-    predicates = []
+def _chain(node: logical.PlanNode):
+    """Peel a Filter/Project chain: ``(predicates, projection, node under it)``.
+
+    ``projection`` is the outermost one (the chain's output columns), or
+    None when the chain projects nothing.
+    """
+    predicates: list[Expression] = []
     projection: tuple[str, ...] | None = None
-    while True:
+    while isinstance(node, (logical.Filter, logical.Project)):
         if isinstance(node, logical.Filter):
             predicates.append(node.predicate)
-            node = node.child
-        elif isinstance(node, logical.Project):
-            if projection is None:  # the outermost projection is the output
-                projection = node.columns
-            node = node.child
-        elif isinstance(node, logical.Scan):
-            table = tables.get(node.table)
-            if table is None:
-                raise KeyError(
-                    f"no table named {node.table!r}; have {sorted(tables)}"
-                )
-            bound = [predicate.bind(table) for predicate in predicates]
-            return _ScanStage(table, bound, projection or table.columns)
-        else:
-            return None
+        elif projection is None:
+            projection = node.columns
+        node = node.child
+    return predicates, projection, node
+
+
+def _table(tables: dict[str, HiveTable], name: str) -> HiveTable:
+    table = tables.get(name)
+    if table is None:
+        raise KeyError(f"no table named {name!r}; have {sorted(tables)}")
+    return table
 
 
 def run_shared_plan(plan: logical.PlanNode, tables: dict[str, HiveTable],
-                    session: HiveSession, optimized: bool = True,
+                    engine: MapReduceEngine, optimized: bool = True,
                     observation: PlanObservation | None = None):
     """Execute a shared logical plan as MapReduce jobs.
 
@@ -148,7 +154,7 @@ def run_shared_plan(plan: logical.PlanNode, tables: dict[str, HiveTable],
     Args:
         plan: the shared logical plan tree.
         tables: scan name → :class:`HiveTable`.
-        session: the Hive session whose engine runs (and counts) the jobs.
+        engine: the MapReduce engine that runs (and counts) the jobs.
         optimized: run the shared optimizer first (pass False to lower the
             plan exactly as written).
         observation: optional :class:`~repro.plan.observe.PlanObservation`
@@ -156,18 +162,17 @@ def run_shared_plan(plan: logical.PlanNode, tables: dict[str, HiveTable],
             record/byte counters summed over the jobs this plan ran (the
             calibration counterpart of :func:`estimate_shuffle_bytes`).
     """
-    jobs_before = len(session.engine.history)
+    jobs_before = len(engine.history)
     try:
-        return execute(plan, HiveBackend(tables, session), optimized, observation)
+        return execute(plan, HiveBackend(tables, engine), optimized, observation)
     finally:
         if observation is not None:
-            ran = session.engine.history[jobs_before:]
+            ran = [result.counters for result in engine.history[jobs_before:]]
+            # A map-only job spills nothing: its records never reach a shuffle.
             observation.shuffle_records = sum(
-                result.counters.map_output_records for result in ran
+                counters.map_output_records for counters in ran if counters.shuffle_bytes
             )
-            observation.shuffle_bytes = sum(
-                result.counters.shuffle_bytes for result in ran
-            )
+            observation.shuffle_bytes = sum(counters.shuffle_bytes for counters in ran)
 
 
 #: How many base-table rows to serialise when measuring bytes-per-record
@@ -187,79 +192,56 @@ def _bytes_per_record(pairs: list) -> float:
     return len(pickle.dumps(pairs)) / len(pairs)
 
 
-def _stage_pair_bytes(stage: _ScanStage, key_index: int | None,
-                      tag: str | None) -> float:
-    """Bytes per shuffled pair for a scan stage's mapper output.
+def _side_pair_bytes(table: HiveTable, columns: tuple[str, ...], key: str,
+                     tag: str) -> float:
+    """Bytes per shuffled pair for one join side's mapper output.
 
-    Builds the exact pair shape the mapper emits — ``(key, payload)`` with
-    the payload pruned to the stage's columns (and tagged for join sides) —
-    from the first :data:`_BYTES_SAMPLE` raw rows, *without* evaluating
+    Builds the exact pair shape the mapper emits — ``(key, (tag,
+    payload))`` with the payload pruned to the side's ``columns`` — from
+    the first :data:`_BYTES_SAMPLE` raw rows, *without* evaluating
     predicates: the estimator prices a representative record, while
     :func:`repro.plan.optimizer.estimate_output_rows` prices how many
     survive.
     """
-    indices = stage.indices()
-    pairs = []
-    for row in stage.table.rows[:_BYTES_SAMPLE]:
-        key = None if key_index is None else row[key_index]
-        payload = tuple(row[i] for i in indices)
-        pairs.append((key, (tag, payload) if tag is not None else payload))
-    return _bytes_per_record(pairs)
+    key_index = table.index_of(key)
+    indices = [table.index_of(name) for name in columns]
+    return _bytes_per_record([
+        (row[key_index], (tag, tuple(row[i] for i in indices)))
+        for row in table.rows[:_BYTES_SAMPLE]
+    ])
 
 
 def estimate_shuffle_bytes(plan: logical.PlanNode,
                            tables: dict[str, HiveTable]) -> float | None:
     """Predict the shuffled bytes for a shared plan's MapReduce jobs.
 
-    Mirrors the lowering in :func:`run_shared_plan` job for job: a fused
-    join shuffles each side's surviving rows (estimated by the shared
+    Mirrors the lowering in :func:`run_shared_plan`: only a join job
+    shuffles, each side's surviving rows (estimated by the shared
     :func:`~repro.plan.optimizer.estimate_output_rows`) at the measured
-    per-pair pickle cost; a stand-alone scan stage shuffles its surviving
-    projected rows (zero when it is a no-op pass-through); a ``Pivot``
-    terminal runs driver-side and shuffles nothing.  Returns ``None`` when
-    the plan's cardinality cannot be estimated, and for an ``Aggregate``
-    plan, which Hive does not run.
+    per-pair pickle cost.  A Filter/Project chain runs map-only and a
+    ``Pivot`` terminal driver-side, so a plan without a join shuffles
+    nothing.  Returns ``None`` when a join side is not a chain over a scan
+    or its cardinality cannot be estimated, and for an ``Aggregate`` plan,
+    which Hive does not run.
     """
     catalog = _catalog(tables)
     plan = optimize(plan, catalog, HIVE_CAPABILITIES)
-    total = 0.0
-
-    def stage_rows(node: logical.PlanNode) -> float | None:
-        return estimate_output_rows(node, catalog)
-
-    def add_subtree(node: logical.PlanNode) -> bool:
-        nonlocal total
-        stage = _stage(node, tables)
-        if stage is not None:
-            if not stage.predicates and stage.columns == stage.table.columns:
-                return True  # pass-through: no job, no shuffle
-            rows = stage_rows(node)
-            if rows is None:
-                return False
-            total += rows * _stage_pair_bytes(stage, key_index=None, tag=None)
-            return True
-        join = node
-        if isinstance(node, logical.Project) and isinstance(node.child, logical.Join):
-            join = node.child
-        if isinstance(join, logical.Join):
-            for side, key, tag in ((join.left, join.left_key, "L"),
-                                   (join.right, join.right_key, "R")):
-                side_stage = _stage(side, tables)
-                if side_stage is None:
-                    return False  # nested non-stage input: not estimable
-                rows = stage_rows(side)
-                if rows is None:
-                    return False
-                total += rows * _stage_pair_bytes(
-                    side_stage, key_index=side_stage.table.index_of(key), tag=tag
-                )
-            return True
-        return False
-
     if isinstance(plan, logical.Pivot):
         plan = plan.child
-    if not add_subtree(plan):
+    _, _, join = _chain(plan)
+    if isinstance(join, logical.Scan):
+        return 0.0
+    if not isinstance(join, logical.Join):
         return None
+    total = 0.0
+    for side, key, tag in ((join.left, join.left_key, "L"),
+                           (join.right, join.right_key, "R")):
+        _, projection, scan = _chain(side)
+        rows = estimate_output_rows(side, catalog)
+        if not isinstance(scan, logical.Scan) or rows is None:
+            return None
+        table = _table(tables, scan.table)
+        total += rows * _side_pair_bytes(table, projection or table.columns, key, tag)
     return total
 
 
@@ -269,35 +251,43 @@ class HiveBackend(Backend):
     engine = "hadoop"
     capabilities = HIVE_CAPABILITIES
 
-    def __init__(self, tables: dict[str, HiveTable], session: HiveSession):
+    def __init__(self, tables: dict[str, HiveTable], engine: MapReduceEngine):
         self.tables = tables
-        self.session = session
+        self.mr_engine = engine
         self.catalog = _catalog(tables)
 
     def lower(self, node: logical.PlanNode) -> HiveTable:
-        """Lower a relational-algebra subtree, fusing scan stages map-side."""
-        stage = _stage(node, self.tables)
-        if stage is not None:
-            return _materialise_stage(stage, self.session)
-        if isinstance(node, logical.Project):
-            child = node.child
-            if isinstance(child, logical.Join):
-                return _join(child, self, output_columns=node.columns)
-            return self.session.project(self.lower(child), list(node.columns))
-        if isinstance(node, logical.Filter):
-            return self.session.select(self.lower(node.child), node.predicate)
+        """Lower a relational-algebra subtree onto MapReduce jobs.
+
+        A join, under an optional projection, is one reduce-side job; any
+        other subtree is a Filter/Project chain, one map-only job.
+        """
+        if isinstance(node, logical.Project) and isinstance(node.child, logical.Join):
+            return _join(node.child, self, output_columns=node.columns)
         if isinstance(node, logical.Join):
             return _join(node, self)
-        raise TypeError(
-            f"cannot execute plan node {type(node).__name__} on the MapReduce stack"
-        )
+        return _materialise_stage(self._stage(node), self.mr_engine)
+
+    def _stage(self, node: logical.PlanNode) -> _Stage:
+        """Collapse a Filter/Project chain over a scan or a (lowered) join."""
+        predicates, projection, under = _chain(node)
+        if isinstance(under, logical.Scan):
+            table = _table(self.tables, under.table)
+        elif isinstance(under, logical.Join):
+            table = _join(under, self)
+        else:
+            raise TypeError(
+                f"cannot execute plan node {type(under).__name__} on the MapReduce stack"
+            )
+        bound = [predicate.bind(table) for predicate in predicates]
+        return _Stage(table, bound, projection or table.columns)
 
     def pivot(self, table: HiveTable, plan: logical.Pivot):
         return driver_pivot(table, plan.row_key, plan.column_key, plan.value)
 
 
-def _materialise_stage(stage: _ScanStage, session: HiveSession) -> HiveTable:
-    """Run a stand-alone scan stage (filter + project fused into one job)."""
+def _materialise_stage(stage: _Stage, engine: MapReduceEngine) -> HiveTable:
+    """Run a stand-alone stage as one map-only job; a pass-through runs none."""
     if not stage.predicates and stage.columns == stage.table.columns:
         return stage.table
     indices = stage.indices()
@@ -306,12 +296,8 @@ def _materialise_stage(stage: _ScanStage, session: HiveSession) -> HiveTable:
         if stage.admit(row):
             yield (None, tuple(row[i] for i in indices))
 
-    def reducer(_key, values):
-        for row in values:
-            yield (None, row)
-
-    output = session.engine.run(
-        MapReduceJob(name=f"scan({stage.table.name})", mapper=mapper, reducer=reducer),
+    output = engine.run(
+        MapReduceJob(name=f"scan({stage.table.name})", mapper=mapper),
         stage.table.rows,
     )
     return HiveTable(
@@ -330,12 +316,9 @@ def _join(node: logical.Join, backend: HiveBackend,
     never reach the spill/shuffle.  The reducer emits the shared output
     convention — left columns, then right columns minus the right key —
     reordered to ``output_columns`` when a projection sits directly above
-    the join (the final SELECT list is fused too, sparing a fourth job).
+    the join (the final SELECT list is fused too, sparing a map-only job).
     """
-    tables, session = backend.tables, backend.session
-    left = _stage(node.left, tables) or _as_stage(backend.lower(node.left))
-    right = _stage(node.right, tables) or _as_stage(backend.lower(node.right))
-
+    left, right = backend._stage(node.left), backend._stage(node.right)
     left_key = left.table.index_of(node.left_key)
     right_key = right.table.index_of(node.right_key)
     left_indices, right_indices = left.indices(), right.indices()
@@ -376,7 +359,7 @@ def _join(node: logical.Join, backend: HiveBackend,
 
     tagged = ([("L", row) for row in left.table.rows]
               + [("R", row) for row in right.table.rows])
-    output = session.engine.run(
+    output = backend.mr_engine.run(
         MapReduceJob(
             name=f"shared_join({left.table.name},{right.table.name})",
             mapper=mapper,
@@ -389,11 +372,6 @@ def _join(node: logical.Join, backend: HiveBackend,
         columns=tuple(output_columns),
         rows=[value for _, value in output],
     )
-
-
-def _as_stage(table: HiveTable) -> _ScanStage:
-    """Wrap an already-materialised table as a pass-through stage."""
-    return _ScanStage(table, [], table.columns)
 
 
 def driver_pivot(table: HiveTable, row_key: str, column_key: str,

@@ -58,8 +58,9 @@ from repro.core.queries import (
 from repro.core.runner import RunStatus
 from repro.core.spec import default_parameters
 from repro.datagen import GenBaseDataset
+from repro.fuzz.reference import run_reference
 from repro.fuzz.tolerances import EXACT, MAHOUT_FLOAT_FIELDS, ULP
-from repro.mapreduce import HiveSession, HiveTable, MapReduceEngine
+from repro.mapreduce import HiveTable, MapReduceEngine
 from repro.mapreduce.bridge import run_shared_plan as run_mr_plan
 from repro.plan import Filter, Scan, col
 from repro.relational.bridge import run_shared_plan as run_pg_plan
@@ -490,46 +491,28 @@ class TestMapReduceFilterBeforeShuffle:
 
     @pytest.fixture()
     def loaded(self, tiny_dataset):
-        engine = MapReduceEngine(n_splits=4)
-        session = HiveSession(engine)
         tables = {name: HiveTable.from_columns(name, columns)
                   for name, columns in dataset_tables(tiny_dataset).items()}
-        return engine, session, tables
+        return MapReduceEngine(n_splits=4), tables
 
-    def test_fused_plan_matches_legacy_three_job_chain(self, loaded, tiny_dataset):
-        engine, session, tables = loaded
+    def test_fused_plan_matches_reference_interpreter(self, loaded, tiny_dataset):
+        engine, tables = loaded
         threshold = default_parameters(tiny_dataset.spec).function_threshold(
             tiny_dataset.spec
         )
-        selected = session.select(tables["genes"], col("function") < threshold)
-        projected = session.project(selected, ["gene_id"])
-        joined = session.join(projected, tables["microarray"], "gene_id", "gene_id")
-        legacy_jobs = len(engine.history)
-
-        fused_engine = MapReduceEngine(n_splits=4)
-        fused = run_mr_plan(
-            expression_pivot_plan(gene_expression_plan(threshold)),
-            tables, HiveSession(fused_engine),
-        )
-        matrix, rows, cols = fused
-        legacy_rows = np.asarray(joined.column_values("patient_id"), dtype=np.int64)
-        legacy_cols = np.asarray(joined.column_values("gene_id_right"), dtype=np.int64)
-        legacy_values = np.asarray(joined.column_values("expression_value"))
-        row_labels, row_pos = np.unique(legacy_rows, return_inverse=True)
-        col_labels, col_pos = np.unique(legacy_cols, return_inverse=True)
-        legacy_matrix = np.zeros((len(row_labels), len(col_labels)))
-        legacy_matrix[row_pos, col_pos] = legacy_values
-        np.testing.assert_array_equal(matrix, legacy_matrix)
-        np.testing.assert_array_equal(rows, row_labels)
-        np.testing.assert_array_equal(cols, col_labels)
-        # One fused job replaces the select → project → join chain.
-        assert len(fused_engine.history) == 1 < legacy_jobs
+        plan = expression_pivot_plan(gene_expression_plan(threshold))
+        fused = run_mr_plan(plan, tables, engine)
+        for got, expected in zip(fused, run_reference(plan, dataset_tables(tiny_dataset)),
+                                 strict=True):
+            np.testing.assert_array_equal(got, expected)
+        # The filter and projection ride in the join job's map phase.
+        assert len(engine.history) == 1
 
     def test_filtered_rows_never_reach_the_shuffle(self, loaded):
-        engine, session, tables = loaded
+        engine, tables = loaded
         run_mr_plan(
             patient_expression_plan(col("patient_id").isin([0, 1])),
-            tables, session,
+            tables, engine,
         )
         job = engine.history[-1]
         n_micro = len(tables["microarray"])
@@ -541,12 +524,12 @@ class TestMapReduceFilterBeforeShuffle:
         assert job.counters.map_output_records == n_micro + 2
 
     def test_unoptimized_lowering_matches_optimized(self, loaded, tiny_dataset):
-        _engine, session, tables = loaded
+        engine, tables = loaded
         plan = expression_pivot_plan(
             patient_expression_plan(col("disease_id").isin([1, 2, 3]))
         )
-        optimized = run_mr_plan(plan, tables, session, optimized=True)
-        unoptimized = run_mr_plan(plan, tables, session, optimized=False)
+        optimized = run_mr_plan(plan, tables, engine, optimized=True)
+        unoptimized = run_mr_plan(plan, tables, engine, optimized=False)
         for a, b in zip(optimized, unoptimized, strict=True):
             np.testing.assert_array_equal(a, b)
 

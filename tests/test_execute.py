@@ -23,7 +23,7 @@ from repro.arraydb.bridge import run_shared_plan as run_array_plan
 from repro.cluster import Cluster, PartitionedTable, PartitionStats
 from repro.cluster.bridge import run_shared_plan as run_cluster_plan
 from repro.colstore import ColumnStore, run_plan
-from repro.mapreduce import HiveSession, HiveTable
+from repro.mapreduce import HiveTable, MapReduceEngine
 from repro.mapreduce.bridge import run_shared_plan as run_mr_plan
 from repro.plan import (
     Aggregate,
@@ -98,7 +98,7 @@ def five_backends() -> dict:
                                 list(zip(long_patients.tolist(), long_genes.tolist(),
                                          long_values.tolist(), strict=True))),
     }
-    session = HiveSession()
+    mr_engine = MapReduceEngine()
 
     r_frames = {
         "patients": DataFrame({"patient_id": patient_ids, "age": AGES}),
@@ -110,7 +110,7 @@ def five_backends() -> dict:
         "colstore": lambda plan, **kw: run_plan(plan, store, **kw),
         "postgres": lambda plan, **kw: run_pg_plan(plan, db, **kw),
         "scidb": lambda plan, **kw: run_array_plan(plan, array_frames, **kw),
-        "hadoop": lambda plan, **kw: run_mr_plan(plan, hive_tables, session, **kw),
+        "hadoop": lambda plan, **kw: run_mr_plan(plan, hive_tables, mr_engine, **kw),
         "vanilla-r": lambda plan, **kw: run_r_plan(plan, r_frames, **kw),
     }
 

@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.mapreduce import HiveSession, HiveTable, Mahout, MapReduceEngine, MapReduceJob
-from repro.mapreduce.bridge import estimate_shuffle_bytes
+from repro.core import BenchmarkRunner
+from repro.core.engines import make_engine
+from repro.mapreduce import HiveTable, Mahout, MapReduceEngine, MapReduceJob
+from repro.mapreduce.bridge import estimate_shuffle_bytes, run_shared_plan
 from repro.mapreduce.engine import _sort_by_key
-from repro.plan import Aggregate, Filter, Pivot, Scan, col
+from repro.plan import Aggregate, Filter, Join, Pivot, Project, Scan, col
 
 
 def word_count_job() -> MapReduceJob:
@@ -209,10 +211,26 @@ class TestShuffleOrder:
             (1, 2), (2, 1), (3, 1)]
 
 
+    def test_map_only_job_returns_the_map_output_in_input_order(self):
+        def mapper(record):
+            if record % 3:
+                yield (record, -record)
+
+        records = [5, 3, 7, 1, 9, 2, 4]
+        engine = MapReduceEngine(n_splits=3)
+        output = engine.run(MapReduceJob("keep", mapper), records)
+        assert output == [(5, -5), (7, -7), (1, -1), (2, -2), (4, -4)]  # unsorted
+        counters = engine.history[-1].counters
+        assert (counters.splits, counters.map_input_records,
+                counters.map_output_records) == (3, 7, 5)
+        assert counters.shuffle_bytes == counters.reduce_input_groups == 0
+        assert counters.reduce_output_records == 0
+
+
 class TestHive:
     @pytest.fixture()
-    def session(self) -> HiveSession:
-        return HiveSession(MapReduceEngine(n_splits=2))
+    def engine(self) -> MapReduceEngine:
+        return MapReduceEngine(n_splits=2)
 
     @pytest.fixture()
     def genes(self) -> HiveTable:
@@ -243,34 +261,73 @@ class TestHive:
         assert table.rows == [(2, 0.5), (1, 1.5)]
         assert [type(cell) for cell in table.rows[0]] == [int, float]
 
-    def test_select_runs_as_job(self, session, genes):
-        before = len(session.engine.history)
-        selected = session.select(genes, col("function") < 10)
-        assert {row[0] for row in selected.rows} == {0, 3}
-        assert len(session.engine.history) == before + 1
+    @pytest.fixture()
+    def tables(self, genes, micro) -> dict[str, HiveTable]:
+        return {"genes": genes, "micro": micro}
 
-    def test_project(self, session, genes):
-        projected = session.project(genes, ["function"])
+    def test_select_runs_as_one_map_only_job(self, engine, tables):
+        selected = run_shared_plan(Filter(Scan("genes"), col("function") < 10),
+                                   tables, engine)
+        assert selected.rows == [(0, 5), (3, 8)]
+        [job] = engine.history
+        assert job.counters.shuffle_bytes == job.counters.reduce_input_groups == 0
+
+    def test_project(self, engine, tables):
+        projected = run_shared_plan(Project(Scan("genes"), ("function",)), tables, engine)
         assert projected.columns == ("function",)
-        assert sorted(row[0] for row in projected.rows) == [5, 8, 15, 25, 40]
+        assert [row[0] for row in projected.rows] == [5, 15, 25, 8, 40]  # input order
 
-    def test_join_matches_expected_cardinality(self, session, genes, micro):
-        selected = session.select(genes, col("function") < 10)
-        projected = session.project(selected, ["gene_id"])
-        joined = session.join(projected, micro, "gene_id", "gene_id")
+    def test_unprojected_scan_runs_no_job(self, engine, tables, genes):
+        assert run_shared_plan(Scan("genes"), tables, engine) is genes
+        assert engine.history == []
+
+    def test_join_matches_expected_cardinality(self, engine, tables):
+        plan = Join(Project(Filter(Scan("genes"), col("function") < 10), ("gene_id",)),
+                    Scan("micro"), "gene_id", "gene_id")
+        joined = run_shared_plan(plan, tables, engine)
         assert len(joined) == 2 * 3
-        assert joined.columns == ("gene_id", "gene_id_right", "patient_id", "value")
+        # The shared join output: left columns, then right minus its key.
+        assert joined.columns == ("gene_id", "patient_id", "value")
+        [job] = engine.history
+        assert job.counters.map_output_records == 2 + 15  # filtered before the spill
 
-    def test_shuffle_estimate_covers_the_jobs_hive_runs(self, micro):
-        # A Pivot runs driver-side over its input's job, so it estimates
-        # what that job shuffles; Hive runs no exact Aggregate, so there is
-        # no job to predict.
+    def test_filter_over_a_join_runs_map_only_after_it(self, engine, tables):
+        plan = Filter(Join(Scan("genes"), Scan("micro"), "gene_id", "gene_id"),
+                      col("value") > 30)
+        joined = run_shared_plan(plan, tables, engine, optimized=False)
+        assert sorted(row[3] for row in joined.rows) == [31.0, 32.0, 40.0, 41.0, 42.0]
+        assert [job.name for job in engine.history] == [
+            "shared_join(genes,micro)", "scan(join_result)"]
+        assert engine.history[1].counters.shuffle_bytes == 0
+
+    def test_hadoop_q1_lookup_runs_one_map_only_job(self, tiny_dataset):
+        hadoop = make_engine("hadoop")
+        hadoop.load(tiny_dataset)
+        BenchmarkRunner().run("regression", hadoop, tiny_dataset)
+        hive_jobs = [job for job in hadoop.mr_engine.history
+                     if not job.name.startswith("mahout-")]
+        assert [job.name for job in hive_jobs] == [
+            "shared_join(genes,microarray)", "scan(patients)"]
+        lookup = hive_jobs[1].counters
+        assert lookup.map_output_records == tiny_dataset.spec.n_patients
+        assert lookup.shuffle_bytes == lookup.reduce_input_groups == 0
+
+    def test_shuffle_estimate_covers_the_jobs_hive_runs(self, engine, tables):
+        # Only a join shuffles: a stand-alone stage is map-only and a Pivot
+        # runs driver-side over its input's job.  Hive runs no exact
+        # Aggregate, so there is no job to predict.
         selected = Filter(Scan("micro"), col("value") > 5)
-        tables = {"micro": micro}
-        scanned = estimate_shuffle_bytes(selected, tables)
-        assert scanned > 0
+        joined = Join(Project(Filter(Scan("genes"), col("function") < 10), ("gene_id",)),
+                      Scan("micro"), "gene_id", "gene_id")
+        for plan in (selected, Project(selected, ("gene_id",)),
+                     Pivot(selected, "patient_id", "gene_id", "value")):
+            assert estimate_shuffle_bytes(plan, tables) == 0.0
+            run_shared_plan(plan, tables, engine)
+            assert engine.history[-1].counters.shuffle_bytes == 0
+        assert estimate_shuffle_bytes(joined, tables) > 0
         assert estimate_shuffle_bytes(
-            Pivot(selected, "patient_id", "gene_id", "value"), tables) == scanned
+            Pivot(joined, "patient_id", "gene_id", "value"), tables
+        ) == estimate_shuffle_bytes(joined, tables)
         assert estimate_shuffle_bytes(
             Aggregate(selected, "gene_id", "value", "mean"), tables) is None
 

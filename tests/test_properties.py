@@ -169,6 +169,24 @@ class TestCompressedExecutionProperties:
                 err_msg=f"isin mismatch for {encoding.name}",
             )
 
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_membership_mask_matches_isin(self, data):
+        # Int or float operands, NaN among the floats, against int or float
+        # key sets, empty ones included, given as a set or as an array.
+        ints = st.integers(-20, 20)
+        floats = ints.map(float) | st.floats(-20, 20) | st.just(np.nan)
+        sizes = st.integers(0, 30)
+        operand = data.draw(hnp.arrays(np.int64, sizes, elements=ints)
+                            | hnp.arrays(np.float64, sizes, elements=floats))
+        keys = data.draw(st.lists(ints) | st.lists(floats))
+        expected = np.isin(operand, np.asarray(keys))
+        if data.draw(st.booleans()):
+            keys = np.asarray(keys)
+        mask = col("v").isin(keys).evaluate({"v": operand})
+        assert mask.dtype == bool
+        np.testing.assert_array_equal(mask, expected)
+
     @given(encodable_int_arrays)
     @settings(max_examples=60, deadline=None)
     def test_predicted_sizes_match_real_encodings(self, values):
