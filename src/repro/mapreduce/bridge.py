@@ -51,13 +51,15 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass
+from operator import itemgetter
+from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.mapreduce.engine import MapReduceEngine, MapReduceJob
 from repro.mapreduce.hive import HiveTable
 from repro.plan import logical
-from repro.plan.expressions import BoundExpression, Expression, literal_dtype
+from repro.plan.expressions import Expression, and_, literal_dtype
 from repro.plan.execute import Backend, execute
 from repro.plan.observe import PlanObservation
 from repro.plan.optimizer import (
@@ -90,25 +92,42 @@ def _catalog(tables: dict[str, HiveTable]) -> SchemaCatalog:
     )
 
 
+def _projector(indices: Sequence[int]) -> Callable[[tuple], tuple]:
+    """``row -> tuple(row[i] for i in indices)`` as one C-level call.
+
+    ``itemgetter`` of one index returns the bare cell, so zero and one
+    columns read a slice, which keeps the result a tuple:
+
+    >>> _projector([2, 0, 0])(("a", "b", "c"))
+    ('c', 'a', 'a')
+    >>> _projector([1])(("a", "b", "c"))
+    ('b',)
+    >>> _projector([])(("a", "b", "c"))
+    ()
+    """
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    start = indices[0] if indices else 0
+    return itemgetter(slice(start, start + len(indices)))
+
+
 @dataclass
 class _Stage:
     """A Filter*/Project* chain over one input table, ready for map-side fusion.
 
-    ``predicates`` are bound against the *input* table's schema and applied
-    to the raw row before ``columns`` (the pruned output) is projected —
-    both inside the mapper of whichever job consumes the stage: a join's,
-    or the stage's own map-only job.
+    ``predicate`` is the chain's filters as one conjunction bound against
+    the *input* table's schema (None when the chain filters nothing).  It
+    is applied to the raw row before ``columns`` (the pruned output) is
+    projected — both inside the mapper of whichever job consumes the
+    stage: a join's, or the stage's own map-only job.
     """
 
     table: HiveTable
-    predicates: list[BoundExpression]
+    predicate: Callable[[tuple], object] | None
     columns: tuple[str, ...]
 
     def indices(self) -> list[int]:
         return [self.table.index_of(name) for name in self.columns]
-
-    def admit(self, row: tuple) -> bool:
-        return all(bound(row) for bound in self.predicates)
 
 
 def _chain(node: logical.PlanNode):
@@ -204,9 +223,9 @@ def _side_pair_bytes(table: HiveTable, columns: tuple[str, ...], key: str,
     survive.
     """
     key_index = table.index_of(key)
-    indices = [table.index_of(name) for name in columns]
+    payload = _projector([table.index_of(name) for name in columns])
     return _bytes_per_record([
-        (row[key_index], (tag, tuple(row[i] for i in indices)))
+        (row[key_index], (tag, payload(row)))
         for row in table.rows[:_BYTES_SAMPLE]
     ])
 
@@ -279,8 +298,8 @@ class HiveBackend(Backend):
             raise TypeError(
                 f"cannot execute plan node {type(under).__name__} on the MapReduce stack"
             )
-        bound = [predicate.bind(table) for predicate in predicates]
-        return _Stage(table, bound, projection or table.columns)
+        predicate = and_(*predicates).bind(table).function if predicates else None
+        return _Stage(table, predicate, projection or table.columns)
 
     def pivot(self, table: HiveTable, plan: logical.Pivot):
         return driver_pivot(table, plan.row_key, plan.column_key, plan.value)
@@ -288,13 +307,14 @@ class HiveBackend(Backend):
 
 def _materialise_stage(stage: _Stage, engine: MapReduceEngine) -> HiveTable:
     """Run a stand-alone stage as one map-only job; a pass-through runs none."""
-    if not stage.predicates and stage.columns == stage.table.columns:
+    if stage.predicate is None and stage.columns == stage.table.columns:
         return stage.table
-    indices = stage.indices()
+    predicate, project = stage.predicate, _projector(stage.indices())
 
     def mapper(row):
-        if stage.admit(row):
-            yield (None, tuple(row[i] for i in indices))
+        if predicate is None or predicate(row):
+            return ((None, project(row)),)
+        return ()
 
     output = engine.run(
         MapReduceJob(name=f"scan({stage.table.name})", mapper=mapper),
@@ -311,7 +331,7 @@ def _join(node: logical.Join, backend: HiveBackend,
           output_columns: tuple[str, ...] | None = None) -> HiveTable:
     """One reduce-side join job with both inputs' filters fused map-side.
 
-    The mapper applies each side's bound predicates to the raw row and
+    The mapper applies each side's bound predicate to the raw row and
     emits only the side's pruned columns, so dropped rows and columns
     never reach the spill/shuffle.  The reducer emits the shared output
     convention — left columns, then right columns minus the right key —
@@ -321,7 +341,6 @@ def _join(node: logical.Join, backend: HiveBackend,
     left, right = backend._stage(node.left), backend._stage(node.right)
     left_key = left.table.index_of(node.left_key)
     right_key = right.table.index_of(node.right_key)
-    left_indices, right_indices = left.indices(), right.indices()
     joined_columns = list(left.columns) + [
         name for name in right.columns if name != node.right_key
     ]
@@ -337,25 +356,26 @@ def _join(node: logical.Join, backend: HiveBackend,
         raise KeyError(
             f"no column {sorted(missing)[0]!r} in join output {joined_columns}"
         )
-    positions = [joined_columns.index(name) for name in output_columns]
-    right_kept = [i for i, name in zip(right_indices, right.columns, strict=True)
-                  if name != node.right_key]
+    select = _projector([joined_columns.index(name) for name in output_columns])
+    left_predicate, right_predicate = left.predicate, right.predicate
+    left_payload = _projector(left.indices())
+    right_payload = _projector([i for i, name in zip(right.indices(), right.columns, strict=True)
+                                if name != node.right_key])
 
     def mapper(tagged_row):
         tag, row = tagged_row
         if tag == "L":
-            if left.admit(row):
-                yield (row[left_key], (tag, tuple(row[i] for i in left_indices)))
-        elif right.admit(row):
-            yield (row[right_key], (tag, tuple(row[i] for i in right_kept)))
+            if left_predicate is None or left_predicate(row):
+                return ((row[left_key], (tag, left_payload(row))),)
+        elif right_predicate is None or right_predicate(row):
+            return ((row[right_key], (tag, right_payload(row))),)
+        return ()
 
     def reducer(_key, values):
         left_rows = [row for tag, row in values if tag == "L"]
         right_rows = [row for tag, row in values if tag == "R"]
-        for left_row in left_rows:
-            for right_row in right_rows:
-                combined = left_row + right_row
-                yield (None, tuple(combined[p] for p in positions))
+        return [(None, select(left_row + right_row))
+                for left_row in left_rows for right_row in right_rows]
 
     tagged = ([("L", row) for row in left.table.rows]
               + [("R", row) for row in right.table.rows])

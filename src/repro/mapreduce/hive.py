@@ -21,6 +21,7 @@ serialised into the shuffle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Mapping
 
 import numpy as np
@@ -51,8 +52,7 @@ class HiveTable:
             ) from None
 
     def column_values(self, column: str) -> list:
-        index = self.index_of(column)
-        return [row[index] for row in self.rows]
+        return list(map(itemgetter(self.index_of(column)), self.rows))
 
     @classmethod
     def from_columns(cls, name: str, columns: Mapping[str, np.ndarray]) -> "HiveTable":

@@ -2,18 +2,27 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import pickle
 from itertools import pairwise
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core import BenchmarkRunner
 from repro.core.engines import make_engine
+from repro.core.spec import QUERY_NAMES
+from repro.fuzz.reference import run_reference
 from repro.mapreduce import HiveTable, Mahout, MapReduceEngine, MapReduceJob
-from repro.mapreduce.bridge import estimate_shuffle_bytes, run_shared_plan
-from repro.mapreduce.engine import _sort_by_key
+from repro.mapreduce.bridge import (
+    HiveBackend,
+    _projector,
+    estimate_shuffle_bytes,
+    run_shared_plan,
+)
+from repro.mapreduce.engine import JobCounters, JobResult, _sort_by_key
 from repro.plan import Aggregate, Filter, Join, Pivot, Project, Scan, col
 
 
@@ -227,6 +236,122 @@ class TestShuffleOrder:
         assert counters.reduce_output_records == 0
 
 
+def _reference_run(self: MapReduceEngine, job: MapReduceJob, records):
+    """The per-pair loop ``MapReduceEngine.run`` used before it collected
+    each phase's output with one ``chain.from_iterable`` call: the oracle
+    for the framework loop, which must not change a pair or a counter."""
+    counters = JobCounters()
+    splits = self._make_splits(records)
+    counters.splits = len(splits)
+    output = []
+    spilled_splits = []
+    for split in splits:
+        pairs = []
+        for record in split:
+            counters.map_input_records += 1
+            for pair in job.mapper(record):
+                pairs.append(pair)
+                counters.map_output_records += 1
+        if job.reducer is None:
+            output.extend(pairs)
+            continue
+        if job.combiner is not None:
+            grouped = self._group(_sort_by_key(pairs, job.name))
+            pairs = []
+            for key, values in grouped:
+                pairs.extend(job.combiner(key, values))
+            counters.combine_output_records += len(pairs)
+        spill = pickle.dumps(pairs)
+        counters.shuffle_bytes += len(spill)
+        spilled_splits.append(spill)
+    if job.reducer is None:
+        self.history.append(JobResult(name=job.name, counters=counters))
+        return output
+    merged = []
+    for spill in spilled_splits:
+        merged.extend(pickle.loads(spill))
+    groups = self._group(_sort_by_key(merged, job.name))
+    counters.reduce_input_groups = len(groups)
+    for key, values in groups:
+        for pair in job.reducer(key, values):
+            output.append(pair)
+            counters.reduce_output_records += 1
+    self.history.append(JobResult(name=job.name, counters=counters))
+    return output
+
+
+def _history(engine: MapReduceEngine) -> list[tuple[str, dict]]:
+    return [(job.name, dataclasses.asdict(job.counters)) for job in engine.history]
+
+
+def _emit(form: str, pairs: list):
+    """``pairs`` as a mapper, combiner or reducer of ``form`` returns them."""
+    if form == "generator":
+        return (pair for pair in pairs)
+    if form == "list":
+        return list(pairs)
+    if form == "tuple":
+        return tuple(pairs)
+    return ()  # "nothing": every call drops its input
+
+
+def _forms_job(form: str, kind: str) -> MapReduceJob:
+    """A job whose functions return ``form``; records emit 0, 1 or 2 pairs."""
+    def mapper(record):
+        return _emit(form, [(record % 4, record), (record % 4, -record)][:record % 3])
+
+    def reducer(key, values):
+        return _emit(form, [(key, sum(values)), (key, len(values))])
+
+    if kind == "map-only":
+        return MapReduceJob("forms", mapper)
+    return MapReduceJob("forms", mapper, reducer, combiner=reducer)
+
+
+def _run_hadoop_queries(dataset):
+    """Every GenBase query on a fresh Hadoop engine, and its job history."""
+    hadoop = make_engine("hadoop")
+    hadoop.load(dataset)
+    runner = BenchmarkRunner()
+    results = [runner.run(query, hadoop, dataset) for query in QUERY_NAMES]
+    return results, _history(hadoop.mr_engine)
+
+
+class TestFrameworkLoop:
+    """``MapReduceEngine.run`` against the per-pair reference loop."""
+
+    def test_hadoop_queries_match_the_reference_loop(self, tiny_dataset, monkeypatch):
+        results, history = _run_hadoop_queries(tiny_dataset)
+        monkeypatch.setattr(MapReduceEngine, "run", _reference_run)
+        expected, expected_history = _run_hadoop_queries(tiny_dataset)
+        assert [r.status for r in results] == [r.status for r in expected]
+        assert [r.status.value for r in results].count("ok") == 4  # no biclustering
+        for got, want in zip(results, expected, strict=True):
+            if want.output is None:
+                assert got.output is None
+                continue
+            assert pickle.dumps(got.output.summary) == pickle.dumps(want.output.summary)
+            assert pickle.dumps(got.output.payload) == pickle.dumps(want.output.payload)
+        assert history == expected_history
+        assert {name for name, _ in history} >= {
+            "shared_join(genes,microarray)", "scan(patients)", "mahout-covariance"}
+
+    @pytest.mark.parametrize("form", ["generator", "list", "tuple", "nothing"])
+    @pytest.mark.parametrize("kind", ["map-only", "reduce"])
+    def test_any_iterable_gives_the_reference_output_and_counters(self, form, kind):
+        records = list(range(23))
+        engine, reference = MapReduceEngine(n_splits=3), MapReduceEngine(n_splits=3)
+        output = engine.run(_forms_job(form, kind), records)
+        assert output == _reference_run(reference, _forms_job(form, kind), records)
+        assert _history(engine) == _history(reference)
+        if form == "nothing":
+            assert output == []
+            return
+        generator = MapReduceEngine(n_splits=3)
+        assert generator.run(_forms_job("generator", kind), records) == output
+        assert _history(generator) == _history(engine)
+
+
 class TestHive:
     @pytest.fixture()
     def engine(self) -> MapReduceEngine:
@@ -330,6 +455,69 @@ class TestHive:
         ) == estimate_shuffle_bytes(joined, tables)
         assert estimate_shuffle_bytes(
             Aggregate(selected, "gene_id", "value", "mean"), tables) is None
+
+
+def _chain_of(table: str, predicates) -> Filter | Scan:
+    node = Scan(table)
+    for predicate in predicates:
+        node = Filter(node, predicate)
+    return node
+
+
+class TestBridgeStages:
+    """The projection helper and the stage's one bound predicate."""
+
+    @given(st.lists(st.integers(), min_size=1, max_size=6).map(tuple).flatmap(
+        lambda row: st.tuples(st.just(row),
+                              st.lists(st.integers(0, len(row) - 1), max_size=8))))
+    @example((("a", 1, 2.5, None), []))
+    @example((("a", 1, 2.5, None), [2]))
+    @example((("a", 1, 2.5, None), [3, 0, 1]))
+    @example((("a", 1, 2.5, None), [1, 1, 3, 1]))
+    @settings(max_examples=200, deadline=None)
+    def test_projector_equals_the_tuple_of_the_indexed_cells(self, row_and_indices):
+        row, indices = row_and_indices
+        projected = _projector(indices)(row)
+        assert type(projected) is tuple
+        assert projected == tuple(row[i] for i in indices)
+
+    #: Columns of the staged table and its join partner, as the fuzz
+    #: reference reads them.
+    COLUMNS = {
+        "t": {"a": np.arange(20, dtype=np.int64),
+              "b": np.linspace(0.0, 9.5, 20),
+              "c": np.arange(20, dtype=np.int64) % 7},
+        "u": {"a": np.arange(0, 20, 3, dtype=np.int64),
+              "d": np.arange(7, dtype=np.int64) * 10},
+    }
+    PREDICATES = (col("a") > 4, col("b") < 7.5, col("c").isin([0, 2, 3, 6]))
+
+    @pytest.fixture()
+    def tables(self) -> dict[str, HiveTable]:
+        return {name: HiveTable.from_columns(name, columns)
+                for name, columns in self.COLUMNS.items()}
+
+    @staticmethod
+    def _rows(result: dict) -> list[tuple]:
+        return list(zip(*(column.tolist() for column in result.values()), strict=True))
+
+    @pytest.mark.parametrize("n_predicates", [0, 1, 3])
+    def test_stage_keeps_the_rows_the_reference_keeps(self, tables, n_predicates):
+        predicates = self.PREDICATES[:n_predicates]
+        stage = Project(_chain_of("t", predicates), ("c", "a"))
+        engine = MapReduceEngine(n_splits=3)
+        assert (HiveBackend(tables, engine)._stage(stage).predicate is None) == (
+            n_predicates == 0)
+        got = run_shared_plan(stage, tables, engine, optimized=False)
+        want = self._rows(run_reference(stage, self.COLUMNS))
+        assert got.rows == want and got.columns == ("c", "a")
+        assert engine.history[-1].counters.map_output_records == len(want)
+        assert n_predicates == 0 or len(want) < len(tables["t"])
+
+        for joined in (Join(stage, Scan("u"), "a", "a"), Join(Scan("u"), stage, "a", "a")):
+            got = run_shared_plan(joined, tables, engine, optimized=False)
+            want = self._rows(run_reference(joined, self.COLUMNS))
+            assert sorted(got.rows) == sorted(want)
 
 
 class TestMahout:
