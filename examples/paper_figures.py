@@ -8,8 +8,11 @@ Runs one benchmark grid and prints it figure by figure:
   1, 2 and 4 simulated nodes on the ``small`` dataset.
 
 Figures 1–2 and 3–4 are one table per query, a row per engine and a column
-per size (or node count).  Each cell is ``data management + analytics``
-seconds, or the run's status when it did not finish, so the breakdowns of
+per size (or node count).  Each cell is the median of ``RUNS_PER_CELL``
+runs, each on a freshly built and loaded engine: its ``data management +
+analytics`` seconds, or the run's status when one run did not finish.  A
+single run lets engines within noise of each other swap places between
+invocations; the median run keeps their order.  The breakdowns of
 Figures 2 and 4, the analytics share of Section 4.3 and the export cost of
 Section 6.2 (``columnstore-r`` against ``columnstore-udf``) are read off the
 same cells.  Figure 5 puts SciDB beside SciDB + coprocessor; Table 1 is the
@@ -35,22 +38,37 @@ SIZES = ("tiny", "small")
 NODE_COUNTS = (1, 2, 4)
 MULTI_NODE_SIZE = "small"
 SEED = 42
+#: Runs per cell, each on a fresh engine; the cell shows the median run.
+RUNS_PER_CELL = 5
 TIMEOUT_SECONDS = 20.0
 #: The queries the paper offloads to the coprocessor (Figure 5, Table 1).
 OFFLOADED = ("covariance", "svd", "statistics", "biclustering")
 FAILED = (RunStatus.ERROR, RunStatus.TIMEOUT, RunStatus.MEMORY_ERROR)
 
 
-def run_grid(runner, engines, columns):
-    """Run Q1–Q5 per engine and column; ``columns`` maps a column to its
-    ``(dataset, engine options)``.  Returns ``{(engine, query, column): result}``."""
+def run_grid(runner, engines, columns, runs=RUNS_PER_CELL):
+    """Run Q1–Q5 per engine and column ``runs`` times, on a fresh engine each
+    time; ``columns`` maps a column to its ``(dataset, engine options)``.
+    Returns ``{(engine, query, column): median run}``."""
     grid = {}
     for name in engines:
         for column, (dataset, options) in columns.items():
-            engine = make_engine(name, **options)
-            for query in QUERY_NAMES:
-                grid[name, query, column] = runner.run(query, engine, dataset, **options)
+            trials = {query: [] for query in QUERY_NAMES}
+            for _ in range(runs):
+                engine = make_engine(name, **options)
+                for query in QUERY_NAMES:
+                    trials[query].append(runner.run(query, engine, dataset, **options))
+            for query, results in trials.items():
+                grid[name, query, column] = median_run(results)
     return grid
+
+
+def median_run(results):
+    """The run with the median total time, or the first one that did not finish."""
+    unfinished = [result for result in results if result.status is not RunStatus.OK]
+    if unfinished:
+        return unfinished[0]
+    return sorted(results, key=lambda result: result.total_seconds)[len(results) // 2]
 
 
 def cell(result) -> str:

@@ -4,9 +4,20 @@ Mahout expresses its linear algebra as MapReduce jobs over row vectors and
 "does not benefit from a sophisticated linear algebra package, such as BLAS
 or ScaLAPACK" (paper Section 4.1).  The kernels here follow that model:
 
-* matrices are lists of ``(row_index, row_values)`` records,
+* matrices are lists of ``(row_index, row_values)`` records, and the
+  covariance's two jobs (column means, outer products) emit row vectors as
+  their map-output values, as Mahout's ``VectorWritable`` records do: one
+  record per input row and output row, not one per matrix entry;
+* those jobs share one combiner, :func:`_vector_sum` (Mahout's
+  ``VectorSumReducer``), which sums a key's vectors column by column in
+  arrival order, so every entry adds the same floats in the same order as
+  a job emitting one scalar per entry would, and keeps its bits;
+* the normal-equation job still emits one scalar record per ``XᵀX`` and
+  ``Xᵀy`` entry;
 * each analytic is one or more MapReduce jobs whose per-record work is plain
   Python arithmetic (via :mod:`repro.linalg.naive` helpers where convenient),
+  with every engine phase — map, spill, combine, shuffle sort, group,
+  reduce — run and paid for;
 * there is no biclustering — as in Mahout — so the benchmark marks that
   query "not supported" for the Hadoop configuration.
 
@@ -39,65 +50,44 @@ class Mahout:
     # -- covariance ------------------------------------------------------------------
 
     def covariance(self, matrix: np.ndarray) -> np.ndarray:
-        """Column covariance as two MR jobs: column means, then outer products."""
+        """Column covariance as two MR jobs: column means, then outer products.
+
+        The second job emits, per input row and column ``i``, the row vector
+        of centred products ``c_i * c_j`` for ``j >= i``; the sum of key
+        ``i``'s vectors is row ``i`` of the upper triangle.
+        """
         matrix = np.asarray(matrix, dtype=np.float64)
         n_samples, n_features = matrix.shape
         if n_samples < 2:
             raise ValueError("need at least two samples")
         records = self._matrix_records(matrix)
 
-        # Job 1: column sums -> means.
+        # Job 1: column sums -> means, as one vector under one key.
         def mean_mapper(record):
-            _, row = record
-            for column, value in enumerate(row):
-                yield (column, value)
+            return ((0, record[1]),)
 
-        def mean_combiner(key, values):
-            yield (key, (sum(values_or_partials(values)), count_of(values)))
+        def mean_reducer(key, vectors):
+            return ((key, [total / n_samples for total in _column_sums(vectors)]),)
 
-        def mean_reducer(key, values):
-            partials = [value if isinstance(value, tuple) else (value, 1) for value in values]
-            total = sum(p[0] for p in partials)
-            count = sum(p[1] for p in partials)
-            yield (key, total / count)
-
-        def values_or_partials(values):
-            return [value[0] if isinstance(value, tuple) else value for value in values]
-
-        def count_of(values):
-            return sum(value[1] if isinstance(value, tuple) else 1 for value in values)
-
-        mean_pairs = self.engine.run(
-            MapReduceJob("mahout-colmeans", mean_mapper, mean_reducer, mean_combiner),
-            records,
+        ((_, means),) = self.engine.run(
+            MapReduceJob("mahout-colmeans", mean_mapper, mean_reducer, _vector_sum), records
         )
-        means = [0.0] * n_features
-        for column, mean in mean_pairs:
-            means[column] = mean
 
-        # Job 2: accumulate centred outer products per (i, j) pair.
+        # Job 2: accumulate centred outer products, one row vector per column.
         def outer_mapper(record):
-            _, row = record
-            centred = [value - means[column] for column, value in enumerate(row)]
-            for i in range(n_features):
-                c_i = centred[i]
-                for j in range(i, n_features):
-                    yield ((i, j), c_i * centred[j])
+            centred = [value - mean for value, mean in zip(record[1], means)]
+            return [(i, [c_i * c_j for c_j in centred[i:]]) for i, c_i in enumerate(centred)]
 
-        def outer_combiner(key, values):
-            yield (key, sum(values))
+        def outer_reducer(i, vectors):
+            return ((i, [total / (n_samples - 1) for total in _column_sums(vectors)]),)
 
-        def outer_reducer(key, values):
-            yield (key, sum(values) / (n_samples - 1))
-
-        pairs = self.engine.run(
-            MapReduceJob("mahout-covariance", outer_mapper, outer_reducer, outer_combiner),
-            records,
+        rows = self.engine.run(
+            MapReduceJob("mahout-covariance", outer_mapper, outer_reducer, _vector_sum), records
         )
         cov = np.zeros((n_features, n_features))
-        for (i, j), value in pairs:
-            cov[i, j] = value
-            cov[j, i] = value
+        for i, row in rows:
+            cov[i, i:] = row
+            cov[i:, i] = row
         return cov
 
     # -- linear regression ---------------------------------------------------------------
@@ -233,3 +223,18 @@ class Mahout:
         for term, p_value in pairs:
             p_values[term] = p_value
         return p_values
+
+
+def _column_sums(vectors: list[list[float]]) -> list[float]:
+    """Equal-length vectors summed column by column, each column in list order."""
+    return [sum(column) for column in zip(*vectors)]
+
+
+def _vector_sum(key, vectors):
+    """Mahout's ``VectorSumReducer``: one key's row vectors summed into one.
+
+    The combiner of both covariance jobs.  Each column is summed in the
+    order its values arrive, so a split's partial adds the same floats in
+    the same order as one scalar record per matrix entry would.
+    """
+    return ((key, _column_sums(vectors)),)

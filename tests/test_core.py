@@ -305,10 +305,30 @@ class TestResults:
         assert figures.analytics_ratio(self._result("scidb-cluster", "covariance", "large",
                                                     1.0, 10.0), failed) == "-"
 
-    def test_figure_series_node_axis(self, figures, tiny_dataset):
+    def test_cell_is_the_median_run(self, figures):
+        runs = [self._result("hadoop", "svd", "small", dm, an)
+                for dm, an in [(1.0, 9.0), (5.0, 0.5), (2.0, 2.0), (0.1, 0.2), (3.0, 3.0)]]
+        assert figures.median_run(runs) is runs[1]  # totals 10, 5.5, 4, 0.3, 6
+        assert figures.median_run(runs[:1]) is runs[0]
+        timeout = self._result("hadoop", "svd", "small", 0.0, 20.0, status=RunStatus.TIMEOUT)
+        unsupported = self._result("hadoop", "svd", "small", 0.0, 0.0,
+                                   status=RunStatus.UNSUPPORTED)
+        # One run that did not finish is the cell, so a failure is never outvoted.
+        assert figures.median_run([*runs, timeout, unsupported]) is timeout
+
+    def test_figure_series_node_axis(self, figures, tiny_dataset, monkeypatch):
+        built = []
+
+        def counting_make_engine(name, **options):
+            built.append(options)
+            return make_engine(name, **options)
+
+        monkeypatch.setattr(figures, "make_engine", counting_make_engine)
         runner = BenchmarkRunner()
         grid = figures.run_grid(runner, ("pbdr",),
-                                {n: (tiny_dataset, {"n_nodes": n}) for n in (1, 2)})
+                                {n: (tiny_dataset, {"n_nodes": n}) for n in (1, 2)}, runs=2)
+        # Every run of a column gets its own engine.
+        assert built == [{"n_nodes": 1}] * 2 + [{"n_nodes": 2}] * 2
         assert sorted(grid) == sorted(("pbdr", query, n) for query in QUERY_NAMES for n in (1, 2))
         for (_, query, nodes), result in grid.items():
             assert result.query == query and result.n_nodes == nodes

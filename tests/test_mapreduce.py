@@ -520,6 +520,114 @@ class TestBridgeStages:
             assert sorted(got.rows) == sorted(want)
 
 
+def _per_entry_covariance(engine: MapReduceEngine, matrix: np.ndarray) -> np.ndarray:
+    """``Mahout.covariance`` as it ran before its jobs emitted row vectors:
+    one scalar record per column (means) and per upper-triangle entry
+    (outer products).  The oracle for the row-vector jobs, which must keep
+    every bit."""
+    n_samples, n_features = matrix.shape
+    records = Mahout._matrix_records(matrix)
+
+    def mean_mapper(record):
+        _, row = record
+        for column, value in enumerate(row):
+            yield (column, value)
+
+    def mean_combiner(key, values):
+        yield (key, (sum(values_or_partials(values)), count_of(values)))
+
+    def mean_reducer(key, values):
+        partials = [value if isinstance(value, tuple) else (value, 1) for value in values]
+        total = sum(p[0] for p in partials)
+        count = sum(p[1] for p in partials)
+        yield (key, total / count)
+
+    def values_or_partials(values):
+        return [value[0] if isinstance(value, tuple) else value for value in values]
+
+    def count_of(values):
+        return sum(value[1] if isinstance(value, tuple) else 1 for value in values)
+
+    mean_pairs = engine.run(
+        MapReduceJob("mahout-colmeans", mean_mapper, mean_reducer, mean_combiner), records
+    )
+    means = [0.0] * n_features
+    for column, mean in mean_pairs:
+        means[column] = mean
+
+    def outer_mapper(record):
+        _, row = record
+        centred = [value - means[column] for column, value in enumerate(row)]
+        for i in range(n_features):
+            c_i = centred[i]
+            for j in range(i, n_features):
+                yield ((i, j), c_i * centred[j])
+
+    def outer_combiner(key, values):
+        yield (key, sum(values))
+
+    def outer_reducer(key, values):
+        yield (key, sum(values) / (n_samples - 1))
+
+    pairs = engine.run(
+        MapReduceJob("mahout-covariance", outer_mapper, outer_reducer, outer_combiner), records
+    )
+    cov = np.zeros((n_features, n_features))
+    for (i, j), value in pairs:
+        cov[i, j] = value
+        cov[j, i] = value
+    return cov
+
+
+def _assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()  # the signs of zeros too
+
+
+#: Finite values with repeats, so columns can be constant and sums can cancel.
+_ENTRIES = st.one_of(st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+                     st.sampled_from([0.0, 1.0, -2.5]))
+
+
+@st.composite
+def _matrices(draw):
+    """An ``(n_samples, n_features)`` matrix and a split count."""
+    n_samples = draw(st.integers(2, 12))
+    n_features = draw(st.integers(1, 9))
+    cells = draw(st.lists(_ENTRIES, min_size=n_samples * n_features,
+                          max_size=n_samples * n_features))
+    return np.array(cells, dtype=np.float64).reshape(n_samples, n_features), draw(st.integers(1, 5))
+
+
+class TestMahoutRowVectors:
+    """The covariance's jobs emit row vectors; every entry keeps the bits of
+    the per-entry jobs, and the counters count vectors."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_matrices())
+    @example((np.array([[1.0, 2.0], [3.0, 5.0]]), 1))  # n_samples == 2
+    @example((np.array([[0.5], [1.5], [-4.0]]), 2))  # one feature
+    @example((np.array([[7.0, 0.1, 1.0], [7.0, 0.2, -1.0], [7.0, 0.4, 3.0],
+                        [7.0, 0.8, 0.0]]), 3))  # a constant column
+    @example((np.arange(18.0).reshape(2, 9) / 7.0, 5))  # more features than samples
+    def test_covariance_matches_per_entry_jobs_bit_for_bit(self, case):
+        matrix, n_splits = case
+        _assert_same_bits(Mahout(MapReduceEngine(n_splits)).covariance(matrix),
+                          _per_entry_covariance(MapReduceEngine(n_splits), matrix))
+
+    @pytest.mark.parametrize("n_samples,n_features,n_splits", [(2, 1, 1), (6, 3, 2), (5, 9, 4)])
+    def test_covariance_counters_count_row_vectors(self, rng, n_samples, n_features, n_splits):
+        mahout = Mahout(MapReduceEngine(n_splits))
+        mahout.covariance(rng.random((n_samples, n_features)))
+        means, outer = (job.counters for job in mahout.engine.history)
+        assert means.map_output_records == n_samples
+        assert means.reduce_input_groups == means.reduce_output_records == 1
+        assert outer.map_input_records == n_samples
+        assert outer.map_output_records == n_samples * n_features
+        assert outer.reduce_input_groups == outer.reduce_output_records == n_features
+        assert outer.combine_output_records == outer.splits * n_features
+
+
 class TestMahout:
     @pytest.fixture()
     def mahout(self) -> Mahout:
@@ -569,6 +677,12 @@ class TestMahout:
             mahout.wilcoxon_enrichment(rng.random(5), rng.integers(0, 2, (6, 2)))
 
     def test_analytics_run_as_mapreduce_jobs(self, mahout, rng):
-        before = len(mahout.engine.history)
         mahout.covariance(rng.random((6, 3)))
-        assert len(mahout.engine.history) >= before + 2  # means + outer products
+        mahout.truncated_svd(rng.random((6, 3)), k=1, n_iterations=2)
+        mahout.linear_regression(rng.random((6, 3)), rng.random(6))
+        mahout.wilcoxon_enrichment(rng.random(6), rng.integers(0, 2, (6, 2)))
+        assert [job.name for job in mahout.engine.history] == [
+            "mahout-colmeans", "mahout-covariance",  # means, then outer products
+            "mahout-poweriter", "mahout-poweriter",
+            "mahout-normal-equations", "mahout-wilcoxon",
+        ]
