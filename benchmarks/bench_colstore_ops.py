@@ -574,7 +574,7 @@ def run_sweep(size: str, rounds: int = 3, seed: int = 7) -> dict:
         def lookup_join(fact=fact):
             return materialise_join(
                 ColumnQuery(dimension).where(col("function") < function_threshold),
-                ColumnQuery(fact), "key", "key", build="left", compress=False)
+                ColumnQuery(fact), "key", "key", compress=False)
 
         def expansion_join(fact=fact):
             return baseline_expansion_join(

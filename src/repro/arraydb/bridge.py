@@ -43,9 +43,8 @@ returns its :class:`ArrayQueryResult`, whose columns are the long form
 
 The executor *requires* the optimizer's predicate pushdown: a dimension
 predicate must sit on the dimension table's side of the join before
-lowering (``run_shared_plan`` optimizes by default with
-:data:`ARRAY_CAPABILITIES`, which enables pushdown but disables the
-build-side rule — a dimension join has no build side to choose).
+lowering (``run_shared_plan`` optimizes by default, with every rule
+enabled).
 
 >>> import numpy as np
 >>> from repro.plan import Filter, Join, Pivot, Scan, col
@@ -85,13 +84,7 @@ from repro.plan import logical
 from repro.plan.execute import Backend, execute
 from repro.plan.expressions import Expression, split_conjuncts
 from repro.plan.observe import PlanObservation
-from repro.plan.optimizer import ColumnStats, OptimizerCapabilities, SchemaCatalog
-
-#: The optimizer profile the array executor can honour: pushdown moves the
-#: dimension predicates onto the metadata frames (required by the
-#: lowering), pruning and reordering apply as usual, but a dimension join
-#: broadcasts along coordinates and has no build side to choose.
-ARRAY_CAPABILITIES = OptimizerCapabilities(join_build_side=False)
+from repro.plan.optimizer import ColumnStats, SchemaCatalog
 
 #: Shared Aggregate function names → array-operator aggregate names.
 _AGGREGATE_NAMES = {"mean": "avg"}
@@ -284,7 +277,6 @@ class ArrayBackend(Backend):
     """
 
     engine = "scidb"
-    capabilities = ARRAY_CAPABILITIES
 
     def __init__(self, frames: Mapping[str, ArrayFrame | MatrixFrame],
                  stats: FilterStats | None):

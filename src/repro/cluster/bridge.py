@@ -216,12 +216,11 @@ class PartitionedTable:
 
 
 #: What a partition scan can honour: conjunct splitting and selectivity
-#: ordering.  There is no join to push through or to cost, a partition is
+#: ordering.  There is no join to push through, a partition is
 #: already column-wise (nothing to prune), and an approximate aggregate is
 #: refused by the backend, never routed to a synopsis.
 CLUSTER_CAPABILITIES = OptimizerCapabilities(
-    predicate_pushdown=False, join_build_side=False,
-    projection_pruning=False, synopsis_routing=False,
+    predicate_pushdown=False, projection_pruning=False, synopsis_routing=False,
 )
 
 

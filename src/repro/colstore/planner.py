@@ -12,8 +12,8 @@ a base :class:`ColumnQuery` supplied by the caller (the lazy
 :class:`~repro.colstore.query.JoinedQuery` builder uses bindings so a
 sampled or pre-narrowed input can still join through the fused path).
 Joins execute through :func:`~repro.colstore.query.materialise_join`,
-honouring the optimizer's build-side annotation and materialising the
-(projection-pruned) output *uncompressed*: a join intermediate is consumed
+which indexes the left input and materialises the (projection-pruned)
+output *uncompressed*: a join intermediate is consumed
 once by the aggregate/pivot on top of it, so re-encoding it would cost
 more than it could ever save.
 
@@ -184,7 +184,7 @@ class ColumnStoreBackend(Backend):
             table = materialise_join(
                 self.lower(node.left), self.lower(node.right),
                 node.left_key, node.right_key,
-                result_name=node.result_name, build=node.build_side, compress=False,
+                result_name=node.result_name, compress=False,
             )
             return ColumnQuery(table)
         raise TypeError(f"cannot execute plan node {type(node).__name__} on the column store")

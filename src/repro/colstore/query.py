@@ -29,7 +29,7 @@ only and expand the verdicts through codes/runs
 (:meth:`~repro.colstore.column.ColumnVector.filter_mask`), so predicates
 must be element-wise and stateless.  The equi-join is vectorised position
 arithmetic, never an interpreted hash loop, and reads what the data tells
-it (:func:`_match_positions`): unique dense integer build keys — the PK–FK
+it (:func:`merge_join_positions`): unique dense integer build keys — the PK–FK
 shape of every GenBase plan — make it a semi-join on the probe side's
 *compressed* key column (one verdict per RLE run or dictionary code, one
 table lookup over a delta/plain buffer) followed by a single lookup;
@@ -68,33 +68,6 @@ from repro.plan.logical import Aggregate, Filter, Join, Pivot, PlanNode, Project
 from repro.plan.optimizer import ordered_conjuncts
 
 
-def merge_join_positions(
-    left_keys: np.ndarray, right_keys: np.ndarray, build: str = "auto"
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorised equi-join returning aligned ``(left, right)`` position arrays.
-
-    Indexes the build side by key and probes it with the other side — no
-    Python-level loop over rows; :func:`_match_positions` picks how (a
-    lookup when the build keys are unique dense integers, hit-range
-    expansion over direct addressing or a sort otherwise).  ``build`` picks
-    the indexed side: ``"auto"`` (the default) builds on the smaller input,
-    ``"left"`` / ``"right"`` honour an optimizer annotation chosen from
-    column statistics (:func:`repro.plan.optimizer.choose_join_build_side`).
-    Output is probe-side-major; within one probe row the matches appear in
-    build-position order.  Either side may be handed over as its key
-    *column* (a :class:`~repro.colstore.column.ColumnVector`) instead of an
-    array — an unfiltered input does — so that the probe-side membership
-    test can run on the column's compressed form.
-    """
-    if build not in ("auto", "left", "right"):
-        raise ValueError(f"build must be 'auto', 'left' or 'right', not {build!r}")
-    if build == "left" or (build == "auto" and len(left_keys) <= len(right_keys)):
-        left_positions, right_positions = _match_positions(left_keys, right_keys)
-    else:
-        right_positions, left_positions = _match_positions(right_keys, left_keys)
-    return left_positions, right_positions
-
-
 # Direct addressing allocates and scans O(key span) scratch, so the span it
 # may cover is a multiple of the rows being joined (plus a floor below which
 # the scratch is free): sparse keys take the sort instead.
@@ -107,20 +80,31 @@ def _key_array(keys) -> np.ndarray:
     return keys if isinstance(keys, np.ndarray) else keys.values()
 
 
-def _match_positions(build_keys, probe_keys) -> tuple[np.ndarray, np.ndarray]:
-    """Match positions ``(build, probe)`` — the one place a join strategy is chosen.
+def merge_join_positions(left_keys, right_keys) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorised equi-join returning aligned ``(left, right)`` position arrays.
 
-    * Integer keys whose build-side span fits the budget
-      ``max(_DIRECT_ADDRESS_MIN_SPAN, _DIRECT_ADDRESS_SLACK * (build + probe
-      rows))`` are directly addressed.  When the build keys then turn out
+    Indexes the left side by key and probes it with the right — no
+    Python-level loop over rows.  This is the one place a join strategy is
+    chosen:
+
+    * Integer keys whose left-side span fits the budget
+      ``max(_DIRECT_ADDRESS_MIN_SPAN, _DIRECT_ADDRESS_SLACK * (left + right
+      rows))`` are directly addressed.  When the left keys then turn out
       unique — observed while filling the table, never assumed — the join
       is a semi-join plus one lookup (:func:`_unique_key_positions`: the
-      PK–FK shape of every GenBase plan); duplicate build keys expand hit
+      PK–FK shape of every GenBase plan); duplicate left keys expand hit
       ranges (:func:`_direct_address_positions`).
     * Anything else — float or string keys, ``uint64``, a span past the
-      budget — sorts the build side (:func:`_sorted_match_positions`).
+      budget — sorts the left side (:func:`_sorted_match_positions`).
+
+    The pairs follow right position order, and within one right row the
+    matches follow left position order — the row store's hash join emits
+    the same order.  Either side may be handed over as its key *column* (a
+    :class:`~repro.colstore.column.ColumnVector`) instead of an array — an
+    unfiltered input does — so that the right side's membership test can
+    run on the column's compressed form.
     """
-    build_keys = _key_array(build_keys)
+    build_keys, probe_keys = _key_array(left_keys), right_keys
     # Direct addressing does int64 arithmetic on the keys, so both sides must
     # fit int64 losslessly (uint64 would wrap and fabricate matches).
     both_integral = all(
@@ -218,7 +202,6 @@ def materialise_join(
     left_key: str,
     right_key: str,
     result_name: str = "join_result",
-    build: str = "auto",
     compress: bool = True,
 ) -> ColumnTable:
     """Execute an equi-join eagerly, materialising the output columns.
@@ -226,19 +209,19 @@ def materialise_join(
     This is the execution primitive behind every join: the lazy
     :class:`JoinedQuery` terminals reach it through the plan executor
     (:func:`repro.colstore.planner.run_plan`), which prunes the gathered
-    columns and annotates the build side first; calling it directly
-    reproduces the pre-plan eager join.  An unfiltered input joins on its
-    key *column* — no selection vector is built for it and, on the probe
-    side, the match runs on the compressed form
-    (:func:`merge_join_positions`); a narrowed input joins on the keys
-    gathered at its selection.  The output is the left input's columns,
-    then the right's minus its key, in probe-major row order.
+    columns first; calling it directly reproduces the pre-plan eager join.
+    An unfiltered input joins on its key *column* — no selection vector is
+    built for it and, on the right (probe) side, the match runs on the
+    compressed form (:func:`merge_join_positions`); a narrowed input joins
+    on the keys gathered at its selection.  The output is the left input's
+    columns, then the right's minus its key; its rows follow the right
+    input's order, and within one right row the matches follow left order.
     ``compress=False`` stores the gathered arrays plain — the right choice
     for a query intermediate that is consumed once (re-encoding it would
     cost more than it saves).
     """
     left_positions, right_positions = merge_join_positions(
-        left._join_keys(left_key), right._join_keys(right_key), build=build
+        left._join_keys(left_key), right._join_keys(right_key)
     )
     # One gather path for both sides: compose the join positions with the
     # selection vectors and let the (possibly compressed) column gather —
@@ -500,7 +483,7 @@ class ColumnQuery:
         assemble one logical plan ``Scan → Filter* → Join → [Aggregate |
         Pivot]`` and run it through :func:`repro.colstore.planner.run_plan`,
         so the optimizer prunes projections and pushes predicates *across*
-        the join boundary and picks the build side from column statistics.
+        the join boundary.
         The output is this query's columns, then ``other``'s minus
         ``right_key``; a non-key column name both inputs produce is a
         ``ValueError`` (``select`` one side first).
@@ -605,17 +588,16 @@ class JoinedQuery:
     :class:`~repro.plan.logical.Aggregate` / :class:`~repro.plan.logical.Pivot`
     — and hands it to :func:`repro.colstore.planner.run_plan`.  Each side
     therefore decodes only the join key plus the columns the terminal
-    references, and the build side comes from
-    :class:`~repro.plan.optimizer.ColumnStats` row-count/cardinality
-    estimates.  The join output is materialised *uncompressed* (it is
+    references.  The join output is materialised *uncompressed* (it is
     consumed once; re-encoding it is pure overhead) — the measured win over
     the eager materialise-then-plan path is the ``join_pivot`` op in
     ``benchmarks/bench_colstore_ops.py``.
 
-    Join output row order is probe-side-major and therefore depends on the
-    chosen build side.  Aggregates accumulate in that order, so a float
-    sum/mean follows it to the last ulp; pivots resolve duplicate
-    ``(row, column)`` pairs last-write-wins in output order.
+    Join output rows follow the right input's order, and within one right
+    row the matches follow left order (:func:`merge_join_positions`).
+    Aggregates accumulate in that order, so a float sum/mean follows it to
+    the last ulp; pivots resolve duplicate ``(row, column)`` pairs
+    last-write-wins in output order.
     """
 
     def __init__(self, left: ColumnQuery, right: ColumnQuery, left_key: str,

@@ -48,9 +48,8 @@ class _ColumnStoreDataManagement(Engine):
 
         The whole data-management stage is a single logical plan from
         :mod:`repro.core.queries`; the optimizer pushes the dimension-side
-        predicate below the join, prunes every column the pivot does not
-        reference, and picks the join build side from the encodings'
-        statistics before :func:`repro.colstore.planner.run_plan` executes
+        predicate below the join and prunes every column the pivot does not
+        reference before :func:`repro.colstore.planner.run_plan` executes
         it compressed.
         """
         with timer.data_management():

@@ -39,10 +39,9 @@ class _RowStoreDataManagement(Engine):
 
     The selections execute the same shared logical plans the column store
     runs (:mod:`repro.core.queries` builders): the shared optimizer pushes
-    the dimension-side predicate below the join, prunes columns through it
-    and annotates the build side from table cardinalities, and
-    :mod:`repro.relational.bridge` lowers the optimized plan onto the
-    Volcano operators.
+    the dimension-side predicate below the join and prunes columns through
+    it, and :mod:`repro.relational.bridge` lowers the optimized plan onto
+    the Volcano operators.
     """
 
     def _load(self, dataset: GenBaseDataset) -> None:

@@ -161,8 +161,8 @@ def statistics_patient_predicate(sampled_patient_ids: np.ndarray) -> Expression:
 # ``repro.colstore.planner.run_plan`` (compressed, vectorised) and the row
 # store through ``repro.relational.bridge.run_shared_plan`` (Volcano
 # operators).  Each engine therefore optimizes the *same* Scan → Filter →
-# Join → terminal tree — predicate pushdown, through-join projection pruning
-# and build-side selection all happen at the shared plan layer.
+# Join → terminal tree — predicate pushdown and through-join projection
+# pruning both happen at the shared plan layer.
 
 #: The long-format output every GenBase pivot consumes.
 EXPRESSION_TRIPLE = ("patient_id", "gene_id", "expression_value")

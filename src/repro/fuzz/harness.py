@@ -399,7 +399,7 @@ class FuzzHarness:
 
 
 def _normalise_pivot(matrix, rows, cols):
-    """Reorder a pivot result to sorted labels (postgres uses first-seen)."""
+    """Put a pivot result in sorted label order (postgres uses first-seen)."""
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
     row_order = np.argsort(rows)

@@ -1,9 +1,9 @@
 """Unoptimized numpy reference executor for shared logical plans.
 
 The fuzzer's ground truth: a direct, rule-free interpretation of the plan
-tree *exactly as written* — no pushdown, no pruning, no build-side choice,
-no encoding fast paths.  Every engine (optimized or not) must agree with
-this executor under the tolerances in :mod:`repro.fuzz.tolerances`.
+tree *exactly as written* — no pushdown, no pruning, no encoding fast
+paths.  Every engine (optimized or not) must agree with this executor
+under the tolerances in :mod:`repro.fuzz.tolerances`.
 
 Relations are plain ``{column: np.ndarray}`` dicts (the
 :func:`repro.core.queries.dataset_tables` form) plus the surviving base-row

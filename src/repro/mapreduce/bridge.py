@@ -23,9 +23,8 @@ bytes track the plan's selectivity instead of the base table size.
 
 The optimizer runs with :data:`HIVE_CAPABILITIES`: predicate pushdown and
 projection pruning (what makes the map-side fusion possible) but no
-statistics-based filter reordering and no join build-side choice — the
-reduce-side join treats both inputs symmetrically, matching the paper's
-"Hive has only rudimentary query optimization".
+statistics-based filter reordering, matching the paper's "Hive has only
+rudimentary query optimization".
 
 >>> import numpy as np
 >>> from repro.mapreduce import HiveTable, MapReduceEngine
@@ -70,11 +69,9 @@ from repro.plan.optimizer import (
 )
 
 #: The optimizer profile the MapReduce executor honours: pushdown and
-#: pruning feed the map-side fusion; reordering and build-side costing are
-#: beyond Hive's "rudimentary query optimization" and stay off.
-HIVE_CAPABILITIES = OptimizerCapabilities(
-    filter_reordering=False, join_build_side=False
-)
+#: pruning feed the map-side fusion; statistics-based reordering is beyond
+#: Hive's "rudimentary query optimization" and stays off.
+HIVE_CAPABILITIES = OptimizerCapabilities(filter_reordering=False)
 
 
 def _catalog(tables: dict[str, HiveTable]) -> SchemaCatalog:

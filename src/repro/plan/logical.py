@@ -147,13 +147,10 @@ class Join(PlanNode):
     A name both inputs would contribute is rejected where the plan is typed
     (``ambiguous-join-column``): project or rename one side first.
 
-    ``build_side`` records the optimizer's build-side choice
-    (:func:`repro.plan.optimizer.choose_join_build_side`): ``"left"`` or
-    ``"right"`` means "build the hash/lookup structure on that input",
-    ``"auto"`` leaves the decision to the executor, which falls back to
-    whatever it can observe at run time (the column store compares the
-    actual materialised input lengths; the row store compares its own
-    cardinality estimates).
+    The column store and the row store index the left input and probe it
+    with the right, so their output rows follow the right input's order,
+    and within one right row the matches follow left position order.
+    GenBase's plans put the small, filtered dimension side on the left.
     """
 
     left: PlanNode
@@ -161,7 +158,6 @@ class Join(PlanNode):
     left_key: str
     right_key: str
     result_name: str = "join_result"
-    build_side: str = "auto"
 
     def children(self) -> tuple[PlanNode, ...]:
         return (self.left, self.right)
@@ -411,10 +407,7 @@ def _describe(node: PlanNode) -> str:
     if isinstance(node, Sample):
         return f"Sample fraction={node.fraction} seed={node.seed}"
     if isinstance(node, Join):
-        text = f"Join {node.left_key} = {node.right_key}"
-        if node.build_side != "auto":
-            text += f" build={node.build_side}"
-        return text
+        return f"Join {node.left_key} = {node.right_key}"
     if isinstance(node, Aggregate):
         return f"Aggregate {node.function}({node.value}) by {node.group_by}"
     if isinstance(node, ApproxAggregate):

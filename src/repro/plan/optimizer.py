@@ -10,10 +10,7 @@ Rules, applied in a fixed deterministic order by :func:`optimize`:
 3. **filter reordering** — consecutive filters are reordered so the most
    selective (by the estimates below) runs first, shrinking the row set
    the rest of the chain has to touch;
-4. **join build-side selection** — each join is annotated with the input
-   the executor should index, chosen from estimated post-filter row counts
-   (:func:`estimate_output_rows`, reading :class:`ColumnStats`);
-5. **projection pruning** — every scan is wrapped in a projection of just
+4. **projection pruning** — every scan is wrapped in a projection of just
    the columns the plan above it references — *through* joins too, so each
    join input decodes only the terminal's columns plus its join key.
 
@@ -74,10 +71,10 @@ class OptimizerCapabilities:
     """Which rewrite rules an engine's executor can honour.
 
     The five engine families run the *same* logical plans, but not every
-    executor can exploit every rewrite: the array DBMS's dimension join
-    has no build side to choose, Hive's "rudimentary query optimization"
-    neither reorders filters by statistics nor costs join sides, and R
-    evaluates a subset call exactly as the programmer wrote it.  Each
+    executor can exploit every rewrite: Hive's "rudimentary query
+    optimization" does not reorder filters by statistics, R evaluates a
+    subset call exactly as the programmer wrote it, and a cluster partition
+    scan has no join to push through and nothing to prune.  Each
     per-engine executor passes its capability profile to :func:`optimize`,
     which applies only the enabled rules.
 
@@ -88,18 +85,18 @@ class OptimizerCapabilities:
     the ``is_total`` guard on join pushdown — are built into the rules
     themselves and hold for every profile.
 
-    The default profile enables all five flags (the column store and the
-    row store honour every rule).
+    The default profile enables all four flags (the column store and the
+    row store honour every rule).  No flag chooses a join's build side:
+    both stores always index the left input.
 
-    >>> OptimizerCapabilities().join_build_side
+    >>> OptimizerCapabilities().filter_reordering
     True
-    >>> OptimizerCapabilities(join_build_side=False).predicate_pushdown
+    >>> OptimizerCapabilities(filter_reordering=False).predicate_pushdown
     True
     """
 
     predicate_pushdown: bool = True
     filter_reordering: bool = True
-    join_build_side: bool = True
     projection_pruning: bool = True
     # Materialise an opted-in ApproxAggregate's sample as an explicit
     # child Sample node (route_through_synopsis) so the executor can serve
@@ -150,8 +147,8 @@ class SchemaCatalog(PlanCatalog):
     their chunk / partition synopses, and the verifier and the fuzzer use it
     engine-free over a plain ``{table: {column: dtype}}`` mapping (a
     ``None`` dtype means "unknown").  With ``row_counts`` only, ``stats_of``
-    answers with the table's cardinality — enough for the join
-    build-side rule to compare post-filter estimates, while selectivity
+    answers with the table's cardinality — enough for
+    :func:`estimate_output_rows` to size each subtree, while selectivity
     falls back to the structural (shape-based) defaults.
 
     >>> catalog = SchemaCatalog({"genes": {"gene_id": "int64"}}, {"genes": 5})
@@ -468,28 +465,6 @@ def estimate_output_rows(node: PlanNode, catalog: PlanCatalog) -> float | None:
     return None
 
 
-def choose_join_build_side(node: PlanNode, catalog: PlanCatalog) -> PlanNode:
-    """Annotate each join with the cheaper build side, from catalog stats.
-
-    The build side is the input the executor indexes (hash table / sorted
-    position array); building on the smaller input is cheaper and — in the
-    column store — keeps the larger input as the sequentially-scanned probe
-    side.  Estimates come from :func:`estimate_output_rows`, so a filter
-    pushed onto one input shrinks that side's estimate before the choice is
-    made.  When either side's cardinality is unknown the annotation stays
-    ``"auto"`` and the executor decides at run time; a side the plan author
-    already forced is left untouched.  The rewrite never changes the join's
-    result set — only which input gets indexed.
-    """
-    node = _rebuild(node, lambda child: choose_join_build_side(child, catalog))
-    if isinstance(node, Join) and node.build_side == "auto":
-        left = estimate_output_rows(node.left, catalog)
-        right = estimate_output_rows(node.right, catalog)
-        if left is not None and right is not None:
-            return replace(node, build_side="left" if left <= right else "right")
-    return node
-
-
 def reorder_filters(node: PlanNode, catalog: PlanCatalog) -> PlanNode:
     """Sort each consecutive filter chain by estimated selectivity.
 
@@ -623,10 +598,9 @@ def optimize(node: PlanNode, catalog: PlanCatalog | None = None,
     """Apply the rewrite rules in a fixed, deterministic order.
 
     Splitting must precede pushdown (so each conjunct moves independently),
-    pushdown must precede build-side selection (a pushed filter shrinks one
-    join input's estimate), and pruning runs last over the settled shape.
-    Every rule preserves the plan's result set exactly; only execution
-    order, decoded columns and the join build side change.
+    and pruning runs last over the settled shape.  Every rule preserves the
+    plan's result set exactly; only execution order and decoded columns
+    change.
 
     ``capabilities`` restricts the rule set to what the target engine's
     executor can honour (:class:`OptimizerCapabilities`); the default
@@ -643,8 +617,6 @@ def optimize(node: PlanNode, catalog: PlanCatalog | None = None,
         node = push_filters_down(node, catalog)
     if capabilities.filter_reordering:
         node = reorder_filters(node, catalog)
-    if capabilities.join_build_side:
-        node = choose_join_build_side(node, catalog)
     if capabilities.projection_pruning:
         node = prune_projections(node, catalog)
         node = collapse_projects(node)

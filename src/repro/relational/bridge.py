@@ -7,9 +7,10 @@ counterpart, so one plan object — built once per GenBase query in
 shared node straight onto the Volcano operators of
 :mod:`repro.relational.operators` (Scan → ``SeqScan``, a run of stacked
 Filters → one ``Filter`` over their conjunction, Project → ``Project``,
-Join → :func:`~repro.relational.operators.hash_join` + a projection
-enforcing the shared output convention of "left columns, then right
-columns minus the right key"), and the ``Pivot`` terminal returns the same
+Join → :class:`~repro.relational.operators.HashJoin` built on the left
+input + a projection enforcing the shared output convention of "left
+columns, then right columns minus the right key"), and the ``Pivot``
+terminal returns the same
 ``(matrix, row_labels, column_labels)`` shape as the column-store
 executor.  There is no exact ``Aggregate`` here: no GenBase query sends
 one to the row store, so the driver refuses it with a ``TypeError``.
@@ -17,9 +18,9 @@ one to the row store, so the driver refuses it with a ``TypeError``.
 The row store plans once: the *shared* optimizer runs against the
 :class:`RelationalBackend`'s catalog (schemas plus row counts — the row
 store keeps no per-column statistics), pushes single-side total predicates
-below joins, prunes projections through them and annotates the join build
-side, and the lowering executes that tree as it stands — here the Q1/Q4
-data-management plan, its filter pushed onto the join's build input:
+below joins and prunes projections through them, and the lowering executes
+that tree as it stands — here the Q1/Q4 data-management plan, its filter
+pushed onto the join's build (left) input:
 
 >>> from repro.plan import Filter, Join, Project, Scan, col
 >>> from repro.plan.optimizer import optimize
@@ -60,7 +61,7 @@ from repro.plan import logical
 from repro.plan.execute import Backend, execute
 from repro.plan.expressions import and_
 from repro.plan.observe import PlanObservation
-from repro.plan.optimizer import SchemaCatalog, estimate_output_rows, output_columns
+from repro.plan.optimizer import SchemaCatalog, output_columns
 from repro.relational import operators as ops
 from repro.relational.catalog import Database
 from repro.relational.query import QueryResultSet
@@ -80,8 +81,8 @@ class RelationalBackend(Backend):
 
     The catalog is a :class:`~repro.plan.optimizer.SchemaCatalog` snapshot
     of the database: the row store keeps no per-column statistics, so the
-    optimizer sees schemas plus row counts — enough for the join
-    build-side rule, while selectivity falls back to the structural
+    optimizer sees schemas plus row counts — enough to estimate each
+    subtree's cardinality, while selectivity falls back to the structural
     (shape-based) defaults.
     """
 
@@ -110,15 +111,8 @@ class RelationalBackend(Backend):
         if isinstance(node, logical.Project):
             return self._project(self.lower(node.child), node.columns)
         if isinstance(node, logical.Join):
-            if node.build_side == "auto":
-                # Not annotated (plan lowered as written): the same estimate
-                # the optimizer's build-side rule would have compared.
-                build_left = (estimate_output_rows(node.left, self.catalog)
-                              <= estimate_output_rows(node.right, self.catalog))
-            else:
-                build_left = node.build_side == "left"
-            joined = ops.hash_join(self.lower(node.left), self.lower(node.right),
-                                   node.left_key, node.right_key, build_left)
+            joined = ops.HashJoin(self.lower(node.left), self.lower(node.right),
+                                  node.left_key, node.right_key)
             # The relational join keeps both key columns; project down to the
             # shared convention (left columns, then right minus the right key).
             # Both inputs lowered, so the catalog snapshot knows every scan.

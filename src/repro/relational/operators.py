@@ -69,8 +69,10 @@ class Project(Operator):
 class HashJoin(Operator):
     """Equi-join implemented as a classic build/probe hash join.
 
-    The smaller input should be the build side; :func:`hash_join` places
-    it there whichever side of the join it was written on.
+    The shared plan's left input is the build side and its right input the
+    probe, so the output columns are (left, right) and the rows follow the
+    right input's order; within one right row the matches follow left
+    order.
     """
 
     def __init__(self, build: Operator, probe: Operator,
@@ -95,38 +97,6 @@ class HashJoin(Operator):
                 continue
             for build_row in matches:
                 yield build_row + row
-
-
-class Reorder(Operator):
-    """Positional column permutation (no name lookup, so collisions are safe)."""
-
-    def __init__(self, child: Operator, indices: Sequence[int], schema: Schema):
-        self.child = child
-        self.indices = list(indices)
-        self.output_schema = schema
-
-    def __iter__(self) -> Iterator[tuple]:
-        indices = self.indices
-        for row in self.child:
-            yield tuple(row[i] for i in indices)
-
-
-def hash_join(left: Operator, right: Operator, left_key: str, right_key: str,
-              build_left: bool) -> Operator:
-    """Hash join whose output is (left columns, right columns) on either build side.
-
-    Building on the right input makes :class:`HashJoin` emit the right
-    columns first; they are moved back by position, so a non-key column
-    name both inputs share cannot trade values.
-    """
-    if build_left:
-        return HashJoin(left, right, left_key, right_key)
-    n_left, n_right = len(left.output_schema), len(right.output_schema)
-    return Reorder(
-        HashJoin(right, left, right_key, left_key),
-        [*range(n_right, n_right + n_left), *range(n_right)],
-        left.output_schema.concat(right.output_schema),
-    )
 
 
 def explain(operator: Operator, depth: int = 0) -> str:

@@ -19,9 +19,8 @@ memory ceiling bites exactly where it did before the migration.
 The optimizer runs with :data:`R_CAPABILITIES`: conjunctions split into
 stacked subsets and predicates push below the merge (the idiomatic
 "subset before merge" every R programmer writes), but there is no
-statistics-based filter reordering and no build-side choice — R's
-``merge`` always hashes its right operand and the interpreter has no
-optimizer to consult.
+statistics-based filter reordering — the interpreter has no optimizer to
+consult.
 
 A runnable example of this backend under the shared driver lives in
 :mod:`repro.plan.execute`.
@@ -43,11 +42,8 @@ from repro.rlang.dataframe import DataFrame
 
 #: The optimizer profile the R executor honours: splitting and pushdown
 #: (subset-before-merge) plus pruning, but no statistics-driven filter
-#: reordering and no join build-side choice (R's merge hashes the right
-#: operand unconditionally).
-R_CAPABILITIES = OptimizerCapabilities(
-    filter_reordering=False, join_build_side=False
-)
+#: reordering.
+R_CAPABILITIES = OptimizerCapabilities(filter_reordering=False)
 
 
 class RBackend(Backend):

@@ -442,10 +442,10 @@ class TestMergeJoinPositions:
                 lambda *args, _name=name, _real=real: taken.append(_name) or _real(*args))
 
         def strategy(build_keys, probe_keys):
-            """Which strategy ``_match_positions`` hands this join to."""
+            """Which strategy ``merge_join_positions`` hands this join to."""
             taken.clear()
             merge_join_positions(np.asarray(build_keys, dtype=np.int64),
-                                 np.asarray(probe_keys, dtype=np.int64), build="left")
+                                 np.asarray(probe_keys, dtype=np.int64))
             return taken
 
         # Two rows a side never justify a million-entry table ...
@@ -531,14 +531,10 @@ JOIN_PROBE_SIDES = {
 }
 
 
-def _nested_loop_join(left: dict, right: dict, left_key: str, right_key: str,
-                      build: str) -> dict:
-    """The oracle: every matching pair, probe-side-major, build positions ascending."""
+def _nested_loop_join(left: dict, right: dict, left_key: str, right_key: str) -> dict:
+    """The oracle: every matching pair, right-major, left positions ascending."""
     matches = left[left_key][:, None] == right[right_key][None, :]
-    if build == "left" or (build == "auto" and len(matches) <= matches.shape[1]):
-        right_rows, left_rows = np.nonzero(matches.T)
-    else:
-        left_rows, right_rows = np.nonzero(matches)
+    right_rows, left_rows = np.nonzero(matches.T)
     joined = {name: values[left_rows] for name, values in left.items()}
     joined.update({name: values[right_rows] for name, values in right.items()
                    if name != right_key})
@@ -551,7 +547,8 @@ def _nested_loop_join(left: dict, right: dict, left_key: str, right_key: str,
 @pytest.mark.parametrize("foreign_key", list(JOIN_FOREIGN_KEYS))
 class TestJoinContract:
     """One join contract over every foreign-key encoding, storage tier, build-key
-    shape, probe-side narrowing and build side the column store can meet."""
+    shape and probe-side narrowing the column store can meet, with the
+    dimension on either side of the join."""
 
     def test_materialise_join_equals_the_nested_loop(self, foreign_key, storage,
                                                      build_keys, probe_side):
@@ -560,17 +557,16 @@ class TestJoinContract:
         dim, fact = store.query("dim"), narrow(store.query("fact"))
         dim_rows = dim.columns(["k", "d"])
         fact_rows = fact.columns(["fk", "g", "v"])
-        for build in ("left", "right", "auto"):
-            for left, right, keys, rows in (
-                (dim, fact, ("k", "fk"), (dim_rows, fact_rows)),
-                (fact, dim, ("fk", "k"), (fact_rows, dim_rows)),
-            ):
-                joined = materialise_join(left, right, *keys, build=build, compress=False)
-                expected = _nested_loop_join(*rows, *keys, build)
-                assert joined.column_names == list(expected)
-                for name, values in expected.items():
-                    np.testing.assert_array_equal(joined.values(name), values)
-                    assert joined.values(name).dtype == values.dtype
+        for left, right, keys, rows in (
+            (dim, fact, ("k", "fk"), (dim_rows, fact_rows)),
+            (fact, dim, ("fk", "k"), (fact_rows, dim_rows)),
+        ):
+            joined = materialise_join(left, right, *keys, compress=False)
+            expected = _nested_loop_join(*rows, *keys)
+            assert joined.column_names == list(expected)
+            for name, values in expected.items():
+                np.testing.assert_array_equal(joined.values(name), values)
+                assert joined.values(name).dtype == values.dtype
 
     def test_fused_terminals_equal_the_plan_as_written(self, foreign_key, storage,
                                                        build_keys, probe_side):
@@ -579,7 +575,7 @@ class TestJoinContract:
         joined = Join(Scan("dim"), narrow_plan(Scan("fact")), "k", "fk")
         rows = _nested_loop_join(store.query("dim").columns(["k", "d"]),
                                  narrow(store.query("fact")).columns(["fk", "g", "v"]),
-                                 "k", "fk", "left")
+                                 "k", "fk")
         row_labels, row_codes = np.unique(rows["k"], return_inverse=True)
         column_labels, column_codes = np.unique(rows["g"], return_inverse=True)
         matrix = np.zeros((len(row_labels), len(column_labels)))

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -308,11 +306,11 @@ class TestGenBasePlans:
 
     def test_q1_regression_plan_snapshot(self, genbase_store):
         # Pushdown onto the genes side, projection pruned *through* the
-        # join (only the key crosses), build side chosen from statistics.
+        # join (only the key crosses).
         optimized = optimize_plan(_gene_filter_pivot_plan(10), genbase_store)
         assert explain(optimized) == (
             "Pivot rows=patient_id cols=gene_id value=expression_value\n"
-            "  Join gene_id = gene_id build=left\n"
+            "  Join gene_id = gene_id\n"
             "    Project ['gene_id']\n"
             "      Filter (col('function') < lit(10))\n"
             "        Project ['gene_id', 'function']\n"
@@ -325,7 +323,7 @@ class TestGenBasePlans:
         optimized = optimize_plan(plan, genbase_store)
         assert explain(optimized) == (
             "Pivot rows=patient_id cols=gene_id value=expression_value\n"
-            "  Join patient_id = patient_id build=left\n"
+            "  Join patient_id = patient_id\n"
             "    Project ['patient_id']\n"
             "      Filter col('disease_id').isin([1, 3])\n"
             "        Project ['patient_id', 'disease_id']\n"
@@ -442,43 +440,23 @@ class TestGenBasePlans:
 
 
 # --------------------------------------------------------------------------- #
-# Join build-side selection (rule + estimates)
+# Join cardinality estimates (read by the cost annotator and calibration gate)
 # --------------------------------------------------------------------------- #
 
-class TestJoinBuildSideRule:
-    def _catalog(self, left_rows, right_rows):
-        return _DictCatalog(
-            {"l": ["id", "x"], "r": ["id", "y"]},
-            {
-                ("l", "id"): ColumnStats(left_rows),
-                ("l", "x"): ColumnStats(left_rows),
-                ("r", "id"): ColumnStats(right_rows),
-                ("r", "y"): ColumnStats(right_rows),
-            },
-        )
-
-    def test_smaller_side_builds(self):
-        catalog = self._catalog(10_000, 100)
-        assert optimize(Join(Scan("l"), Scan("r"), "id", "id"), catalog).build_side == "right"
-        assert optimize(Join(Scan("r"), Scan("l"), "id", "id"), catalog).build_side == "left"
-
+class TestJoinEstimates:
     def test_pushed_filter_shrinks_the_estimate(self):
         # Equal base cardinalities; the equality filter (estimated 1/10)
-        # pushed onto the left input makes it the cheaper build side.
-        catalog = self._catalog(1000, 1000)
+        # pushed onto the left input shrinks that input's estimate.
+        catalog = _DictCatalog(
+            {"l": ["id", "x"], "r": ["id", "y"]},
+            {(table, column): ColumnStats(1000)
+             for table, column in (("l", "id"), ("l", "x"), ("r", "id"), ("r", "y"))},
+        )
         plan = Filter(Join(Scan("l"), Scan("r"), "id", "id"), col("x") == 5)
         optimized = optimize(plan, catalog)
         assert isinstance(optimized, Join)  # the filter moved below the join
-        assert optimized.build_side == "left"
-
-    def test_unknown_cardinality_stays_auto(self):
-        catalog = _DictCatalog({"l": ["id"], "r": ["id"]})
-        assert optimize(Join(Scan("l"), Scan("r"), "id", "id"), catalog).build_side == "auto"
-
-    def test_forced_side_is_left_alone(self):
-        catalog = self._catalog(10_000, 100)
-        plan = Join(Scan("l"), Scan("r"), "id", "id", build_side="left")
-        assert optimize(plan, catalog).build_side == "left"
+        assert estimate_output_rows(optimized.left, catalog) == pytest.approx(100)
+        assert estimate_output_rows(optimized.right, catalog) == pytest.approx(1000)
 
     def test_estimate_output_rows_shapes(self):
         catalog = _DictCatalog(
@@ -496,20 +474,6 @@ class TestJoinBuildSideRule:
         assert estimate_output_rows(
             Filter(Scan("l"), col("id") == 3), catalog
         ) == pytest.approx(100 / 100)
-
-    def test_build_side_overrides_runtime_length_comparison(self):
-        # merge_join_positions honours a forced build side; the match set is
-        # the same either way, only the output (probe-major) order changes.
-        from repro.colstore.query import merge_join_positions
-
-        left = np.array([1, 2, 2, 3], dtype=np.int64)
-        right = np.array([2, 2, 3, 5, 1], dtype=np.int64)
-        for build in ("auto", "left", "right"):
-            left_pos, right_pos = merge_join_positions(left, right, build=build)
-            pairs = sorted(zip(left_pos.tolist(), right_pos.tolist(), strict=True))
-            assert pairs == [(0, 4), (1, 0), (1, 1), (2, 0), (2, 1), (3, 2)]
-        with pytest.raises(ValueError):
-            merge_join_positions(left, right, build="sideways")
 
 
 # --------------------------------------------------------------------------- #
@@ -665,8 +629,8 @@ class TestSharedPlansOnRowStore:
         shared = run_shared_plan(self._plan(), mini_db)
         genes = row_ops.Project(row_ops.Filter(
             row_ops.SeqScan(mini_db.table("genes")), col("function") < lit(10)), ["gene_id"])
-        joined = row_ops.hash_join(genes, row_ops.SeqScan(mini_db.table("microarray")),
-                                   "gene_id", "gene_id", build_left=True)
+        joined = row_ops.HashJoin(genes, row_ops.SeqScan(mini_db.table("microarray")),
+                                  "gene_id", "gene_id")
         hand_built = row_ops.Project(joined, ["patient_id", "gene_id", "expression_value"])
         assert shared.schema.names == hand_built.output_schema.names
         assert shared.rows == list(hand_built)
@@ -713,21 +677,6 @@ class TestSharedPlansOnRowStore:
         ]
         assert run_shared_plan(plan, mini_db, optimized=False).rows == [(2, 3), (3, 8)]
 
-    def test_forced_build_side_preserves_column_order(self, mini_db):
-        base = Join(Scan("genes"), Scan("microarray"), "gene_id", "gene_id")
-        rows_by_side = {}
-        for side in ("left", "right"):
-            plan = Project(
-                Filter(replace(base, build_side=side), col("function") < 10),
-                ("patient_id", "gene_id", "expression_value"),
-            )
-            result = run_shared_plan(plan, mini_db, optimized=False)
-            assert list(result.schema.names) == [
-                "patient_id", "gene_id", "expression_value"
-            ]
-            rows_by_side[side] = sorted(result.rows)
-        assert rows_by_side["left"] == rows_by_side["right"]
-
     def test_relational_catalog_exposes_row_counts(self, mini_db):
         catalog = RelationalBackend(mini_db).catalog
         assert catalog.columns_of("genes") == ["gene_id", "function"]
@@ -735,6 +684,99 @@ class TestSharedPlansOnRowStore:
         assert catalog.stats_of("genes", "function").row_count == 4
         assert catalog.stats_of("genes", "nope") is None
         assert catalog.row_count_of("microarray") == 12
+
+
+# --------------------------------------------------------------------------- #
+# One join row order on both stores
+# --------------------------------------------------------------------------- #
+
+#: Keeps 125 of the tiny microarray's 3,000 values, which the range estimate
+#: over [min, max] puts at 3 rows.
+_LOW_EXPRESSION = 0.015495768510246507
+#: Two appended patient rows repeat ids already in the table, with ages no
+#: other row has, so a join row shows which patients row matched.
+_REPEATED_PATIENTS = ((5, 1005), (4, 1004))
+
+
+@pytest.fixture(scope="module")
+def repeated_patients(tiny_dataset):
+    """``patients(patient_id, age)`` with two repeated ids at the end, and the
+    microarray, as a column store and as a row store."""
+    ids, ages = zip(*_REPEATED_PATIENTS, strict=True)
+    micro = tiny_dataset.microarray_relational()
+    tables = {
+        "patients": {
+            "patient_id": np.append(tiny_dataset.patients.patient_id, ids).astype(np.int64),
+            "age": np.append(tiny_dataset.patients.age, ages).astype(np.int64),
+        },
+        "microarray": {"patient_id": micro[:, 1].astype(np.int64),
+                       "gene_id": micro[:, 0].astype(np.int64),
+                       "expression_value": micro[:, 2]},
+    }
+    store, db = ColumnStore("order"), Database("order")
+    for name, columns in tables.items():
+        store.create_table(name, columns)
+        db.create_table(name, [(column, ColumnType.FLOAT if values.dtype.kind == "f"
+                                else ColumnType.INT) for column, values in columns.items()])
+        db.load_array(name, np.column_stack(list(columns.values())))
+    return tables, store, db
+
+
+class TestJoinRowOrder:
+    """Both stores index a join's left input: rows follow the right input's
+    order, and within one right row the matches follow left position order.
+
+    The plan is shaped like the fuzzer's seed 83: a value filter on the
+    microarray, pushed below the join, makes the estimate call the right
+    input smaller than the left although it holds more rows.
+    """
+
+    COLUMNS = ("patient_id", "age", "gene_id", "expression_value")
+    PLAN = Project(
+        Filter(Join(Scan("patients"), Scan("microarray"), "patient_id", "patient_id"),
+               col("expression_value") < _LOW_EXPRESSION),
+        COLUMNS,
+    )
+
+    @staticmethod
+    def _expected(tables):
+        patients, micro = tables["patients"], tables["microarray"]
+        return [
+            (patient, age, gene, value)
+            for patient, gene, value in zip(
+                *(micro[name].tolist() for name in ("patient_id", "gene_id", "expression_value")),
+                strict=True)
+            if value < _LOW_EXPRESSION
+            for key, age in zip(patients["patient_id"].tolist(), patients["age"].tolist(),
+                                strict=True)
+            if key == patient
+        ]
+
+    def test_the_estimate_calls_the_larger_right_input_smaller(self, repeated_patients):
+        tables, store, _ = repeated_patients
+        catalog = ColumnStoreCatalog(store)
+        join = optimize(self.PLAN, catalog).child
+        assert isinstance(join, Join)
+        assert (estimate_output_rows(join.right, catalog)
+                < estimate_output_rows(join.left, catalog))
+        kept = int((tables["microarray"]["expression_value"] < _LOW_EXPRESSION).sum())
+        assert kept > len(tables["patients"]["patient_id"])
+        # The repeated ids join, so left position order is visible in the answer.
+        ages = {row[1] for row in self._expected(tables)}
+        assert ages >= {age for _, age in _REPEATED_PATIENTS}
+
+    @pytest.mark.parametrize("optimized", [True, False], ids=["optimized", "as-written"])
+    @pytest.mark.parametrize("executor", ["colstore", "rowstore"])
+    def test_rows_follow_the_right_input_then_left_positions(
+            self, repeated_patients, executor, optimized):
+        tables, store, db = repeated_patients
+        if executor == "colstore":
+            result = run_plan(self.PLAN, store, optimized=optimized)
+            rows = list(zip(*(result.column(name).tolist() for name in self.COLUMNS),
+                            strict=True))
+        else:
+            rows = run_shared_plan(self.PLAN, db, optimized=optimized).rows
+        assert rows == self._expected(tables)
 
 
 # --------------------------------------------------------------------------- #

@@ -25,9 +25,8 @@ from repro.plan import (
     Pivot,
     Project as PlanProject,
     Scan,
-    optimize,
 )
-from repro.relational.bridge import RelationalBackend, run_shared_plan
+from repro.relational.bridge import run_shared_plan
 from repro.relational.operators import (
     Filter,
     HashJoin,
@@ -35,7 +34,6 @@ from repro.relational.operators import (
     Project,
     SeqScan,
     explain,
-    hash_join,
 )
 from repro.relational.query import QueryResultSet
 from repro.relational.schema import Column, Schema
@@ -354,10 +352,9 @@ class TestOperators:
     def test_hash_join_without_matches_is_empty(self, people_table):
         bonuses = RowSource([(9, 1.0)], _schema([("person_id", ColumnType.INT),
                                                  ("bonus", ColumnType.FLOAT)]))
-        for build_left in (True, False):
-            joined = hash_join(SeqScan(people_table), bonuses, "id", "person_id", build_left)
-            assert joined.output_schema.names == ("id", "name", "score", "person_id", "bonus")
-            assert list(joined) == []
+        joined = HashJoin(SeqScan(people_table), bonuses, "id", "person_id")
+        assert joined.output_schema.names == ("id", "name", "score", "person_id", "bonus")
+        assert list(joined) == []
 
     def test_project_unknown_column_raises(self, people_table):
         with pytest.raises(KeyError, match="missing"):
@@ -396,12 +393,10 @@ class TestSharedPlansOnTheRowStore:
         assert sorted(pushed.rows) == sorted(manual.rows)
         assert len(manual) > 0
 
-    def test_join_build_side_swap_keeps_column_order(self, genbase_db):
+    def test_a_large_left_input_keeps_the_written_column_order(self, genbase_db):
         # genes (small) joined as the right input of microarray (large): the
-        # optimizer builds on genes, but the output keeps the written order.
+        # join still builds on the left, and the output keeps the written order.
         plan = Join(Scan("microarray"), Scan("genes"), "gene_id", "gene_id")
-        backend = RelationalBackend(genbase_db)
-        assert optimize(plan, backend.catalog).build_side == "right"
         result = run_shared_plan(plan, genbase_db)
         assert result.schema.names == ("gene_id", "patient_id", "expression_value",
                                        "target", "position", "length", "function")
@@ -410,15 +405,13 @@ class TestSharedPlansOnTheRowStore:
     @pytest.mark.parametrize("optimized", [True, False])
     @pytest.mark.parametrize("padding", ["left", "right"])
     def test_join_answer_is_independent_of_table_sizes(self, padding, optimized):
-        # The build side is the smaller input; unmatched padding rows make
-        # either side the larger one without changing the answer.
+        # Unmatched padding rows make either side the larger one without
+        # changing the answer.
         left_rows, right_rows = [(1, 10)], [(1, 7)]
         (left_rows if padding == "left" else right_rows).extend(
             (k, 0) for k in range(100, 110))
         db = _colliding_db("a_right", left_rows, right_rows)
         plan = Join(Scan("l"), Scan("r"), "id", "id")
-        smaller = "right" if padding == "left" else "left"
-        assert optimize(plan, RelationalBackend(db).catalog).build_side == smaller
         result = run_shared_plan(plan, db, optimized=optimized)
         assert result.schema.names == ("id", "a", "a_right")
         assert result.rows == [(1, 10, 7)]
@@ -499,21 +492,12 @@ def _colliding_db(right_column, left_rows, right_rows) -> Database:
 
 
 @pytest.mark.parametrize("right_column", ["a", "a_right"])  # plain / literal *_right
-class TestJoinBuildSideKeepsColumnValues:
-    """Which input builds the hash table must never change the answer.
-
-    Regression: the swapped join used to map columns back by *name* with
-    ``_right`` suffix stripping, so a non-key column name shared by both
-    inputs made the two values trade places when the right input built.
-    """
-
-    @pytest.mark.parametrize("build_left", [True, False])
-    def test_forced_build_side(self, right_column, build_left):
-        db = _colliding_db(right_column, [(1, 10)], [(1, 7)])
-        joined = hash_join(SeqScan(db.table("l")), SeqScan(db.table("r")),
-                           "id", "id", build_left)
-        assert joined.output_schema.names == ("id", "a", "id_right", "a_right")
-        assert list(joined) == [(1, 10, 1, 7)]
+def test_hash_join_keeps_the_values_of_a_shared_column_name(right_column):
+    """A non-key column name both inputs share keeps each input's values."""
+    db = _colliding_db(right_column, [(1, 10)], [(1, 7)])
+    joined = HashJoin(SeqScan(db.table("l")), SeqScan(db.table("r")), "id", "id")
+    assert joined.output_schema.names == ("id", "a", "id_right", "a_right")
+    assert list(joined) == [(1, 10, 1, 7)]
 
 
 class TestDatabase:
