@@ -679,7 +679,7 @@ def run_sweep(size: str, rounds: int = 3, seed: int = 7) -> dict:
 
     # Approximate aggregate: MEAN over a 1% uniform synopsis with CLT bounds
     # vs the exact answer through the same plan API (an ApproxAggregate
-    # with no sampling opt-in runs the full column).  The synopsis is
+    # with no Sample below it runs the full column).  The synopsis is
     # built once before timing — its catalog-cached selection is the whole
     # point of the reuse-across-queries lifecycle — so the timed fast path
     # is gather-over-sample plus closed-form interval arithmetic.  Gated:

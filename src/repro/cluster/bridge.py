@@ -218,9 +218,9 @@ class PartitionedTable:
 #: What a partition scan can honour: conjunct splitting and selectivity
 #: ordering.  There is no join to push through, a partition is
 #: already column-wise (nothing to prune), and an approximate aggregate is
-#: refused by the backend, never routed to a synopsis.
+#: refused by the backend.
 CLUSTER_CAPABILITIES = OptimizerCapabilities(
-    predicate_pushdown=False, projection_pruning=False, synopsis_routing=False,
+    predicate_pushdown=False, projection_pruning=False,
 )
 
 

@@ -144,12 +144,8 @@ class MergedColumn:
     def __repr__(self) -> str:
         return (
             f"MergedColumn({self.name!r}, sealed={self._split}, "
-            f"tail={self._length - self._split}, encoding={self.encoding_name})"
+            f"tail={self._length - self._split}, encoding={self._sealed.encoding_name}+tail)"
         )
-
-    @property
-    def encoding_name(self) -> str:
-        return f"{self._sealed.encoding_name}+tail"
 
     @property
     def encoded_bytes(self) -> int:

@@ -127,7 +127,7 @@ class ColumnStoreBackend(Backend):
     Store tables are read through snapshots
     (:meth:`~repro.colstore.catalog.ColumnStore.snapshot`), and the backend
     keeps one per table per execution, so every ``Scan`` of the same table
-    — a self-join, a rewritten subtree — and the synopsis route of a
+    — a self-join, a rewritten subtree — and the synopsis lookup of a
     sampled aggregate read the **same** frozen version even while writers
     race the execution.
     """
@@ -224,8 +224,7 @@ class ColumnStoreBackend(Backend):
     def approx_aggregate(self, plan: logical.ApproxAggregate):
         """Execute an ``ApproxAggregate`` terminal → :class:`ApproxResult`.
 
-        Locates the ``Sample`` stage — the inline ``fraction`` opt-in, or
-        an explicit ``Sample`` under any ``Filter``/``Project`` stages —
+        Locates the ``Sample`` under any ``Filter``/``Project`` stages
         and answers the mean of the sampled (then filtered) rows with a
         CLT interval at the realised sampling fraction.  A plan with no
         sample at all returns the exact mean with a zero-width interval.
@@ -235,26 +234,18 @@ class ColumnStoreBackend(Backend):
         # Surface invalid-confidence / non-mergeable-aggregate before touching
         # data; column existence and dtype are checked by the store itself.
         plan.output_schema({plan.value: np.dtype(np.float64)})
-        fraction, seed = plan.fraction, plan.seed
-        sample_child: logical.PlanNode | None = None
         above: list[logical.PlanNode] = []  # Filter/Project stages above the sample
-        if fraction is not None:
-            sample_child = plan.child  # inline opt-in ≡ Sample as immediate child
-        else:
-            cursor = plan.child
-            while isinstance(cursor, (logical.Filter, logical.Project)):
-                above.append(cursor)
-                cursor = cursor.child
-            if isinstance(cursor, logical.Sample):
-                fraction, seed = cursor.fraction, cursor.seed
-                sample_child = cursor.child
+        cursor = plan.child
+        while isinstance(cursor, (logical.Filter, logical.Project)):
+            above.append(cursor)
+            cursor = cursor.child
 
-        if sample_child is None:  # no sampling anywhere: exact, zero-width interval
+        if not isinstance(cursor, logical.Sample):  # no sample: exact, zero-width interval
             values = self.lower(plan.child).column(plan.value).astype(np.float64)
             exact = float(values.mean()) if len(values) else float("nan")
             return sketches.ApproxResult(exact, exact, exact, plan.confidence)
 
-        sampled, population = self._sampled_base(sample_child, fraction, seed)
+        sampled, population = self._sampled_base(cursor.child, cursor.fraction, cursor.seed)
         realised = len(sampled) / population if population else 0.0
         query = sampled
         for step in reversed(above):

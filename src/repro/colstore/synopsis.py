@@ -7,10 +7,10 @@ same rows instead of re-scoring the table (the VerdictDB "scramble"
 lifecycle: pay the sampling scan once, answer many queries from it).
 
 A synopsis is exactly the rows :meth:`repro.colstore.query.ColumnQuery.sample`
-would keep on a full-table query, which is what makes the optimizer's
-synopsis routing (:func:`repro.plan.optimizer.route_through_synopsis`) a
-pure caching rewrite: the sampled row set is bit-identical whether it comes
-from the catalog or from an inline ``Sample``.
+would keep on a full-table query, which is what lets the column-store
+executor serve a plan's ``Sample`` over ``Project*(Scan)`` from the catalog
+as pure caching: the sampled row set is bit-identical whether it comes
+from the catalog or from sampling the scan.
 
 Everything is deterministic: the only randomness is ``default_rng(seed)``
 with the caller's explicit seed.

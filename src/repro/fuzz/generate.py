@@ -27,8 +27,9 @@ engine family executes (see ``docs/FUZZING.md`` for the admission table):
 - **approx**: ``approx_mean`` over ``Filter*(Scan(meta-table))`` with a
   drawn ``fraction`` and ``seed`` — column store versus the reference's
   mean over the same seeded ``Sample``, under the ``ULP`` tolerance in
-  :mod:`repro.fuzz.tolerances`.  An unfiltered case reaches the synopsis
-  catalog through the optimizer's synopsis routing.
+  :mod:`repro.fuzz.tolerances`.  ``approx_mean`` builds that ``Sample``,
+  and an unfiltered case's ``Sample(Scan)`` is served from the synopsis
+  catalog.
 
 Division stays out: it is partial (the row store raises on a zero
 divisor mid-scan).

@@ -148,10 +148,7 @@ def run_reference(plan: logical.PlanNode,
             trace.output_cells = int(matrix.size)
         return matrix, row_labels, column_labels
     if isinstance(plan, logical.ApproxAggregate):
-        child = plan.child
-        if plan.fraction is not None:  # the sample the column store draws
-            child = logical.Sample(child, plan.fraction, plan.seed)
-        sampled = _evaluate(child, tables)
+        sampled = _evaluate(plan.child, tables)
         if trace is not None:
             trace.terminal_input_rows = len(sampled)
             trace.output_rows = 1

@@ -131,8 +131,6 @@ def plan_to_json(plan: logical.PlanNode) -> dict:
             "value": plan.value,
             "kind": plan.kind,
             "confidence": plan.confidence,
-            "fraction": plan.fraction,
-            "seed": plan.seed,
         }
     raise TypeError(f"cannot serialise plan node {type(plan).__name__}")
 
@@ -169,8 +167,7 @@ def plan_from_json(data: dict) -> logical.PlanNode:
         )
     if kind == "approx":
         return logical.ApproxAggregate(
-            plan_from_json(data["child"]), data["value"], data["kind"],
-            confidence=data["confidence"], fraction=data["fraction"], seed=data["seed"],
+            plan_from_json(data["child"]), data["value"], data["kind"], data["confidence"]
         )
     raise ValueError(f"unknown plan tag {kind!r}")
 

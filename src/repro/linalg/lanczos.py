@@ -178,5 +178,5 @@ def lanczos_svd(matrix: np.ndarray, k: int = 50, seed: int = 0) -> LanczosResult
     operand = DenseOperand(matrix)
     if operand.shape[0] >= operand.shape[1]:
         return truncated_svd(operand, k, seed)
-    flipped = truncated_svd(operand.T, k, seed)
+    flipped = truncated_svd(DenseOperand(operand.matrix.T), k, seed)
     return LanczosResult(flipped.singular_values, flipped.right_vectors, flipped.left_vectors)

@@ -33,11 +33,6 @@ class DenseOperand:
             raise ValueError("a kernel operand is a 2-D matrix")
         self.shape = self.matrix.shape
 
-    @property
-    def T(self) -> "DenseOperand":
-        """The transposed operand (a view, no copy)."""
-        return DenseOperand(self.matrix.T)
-
     def matmat(self, dense_right: np.ndarray) -> np.ndarray:
         return self.matrix @ dense_right
 

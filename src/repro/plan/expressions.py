@@ -147,12 +147,6 @@ class Expression:
     def __add__(self, other):
         return Arithmetic(self, _to_expression(other), operator.add, "+")
 
-    def __sub__(self, other):
-        return Arithmetic(self, _to_expression(other), operator.sub, "-")
-
-    def __mul__(self, other):
-        return Arithmetic(self, _to_expression(other), operator.mul, "*")
-
     def __truediv__(self, other):
         return Arithmetic(self, _to_expression(other), operator.truediv, "/")
 
@@ -463,7 +457,7 @@ def is_total(expression: Expression) -> bool:
     join or an earlier filter would have eliminated — such predicates must
     not be evaluated on rows they were not written to see, so the
     optimizers refuse to move them below a join.  Everything else in the
-    AST (comparisons, boolean connectives, +/-/*, membership) is a total
+    AST (comparisons, boolean connectives, +, membership) is a total
     element-wise operation.
 
     >>> is_total(col("a") > 1)

@@ -246,11 +246,8 @@ class ApproxAggregate(PlanNode):
     ``kind`` names the estimator; ``approx_mean`` is the only admitted one
     (:data:`APPROX_AGGREGATE_KINDS`), answered from a uniform sample with
     a CLT confidence interval.  It reads its sample from a :class:`Sample`
-    node in the subtree, or — when ``fraction`` is set — opts in to the
-    optimizer's synopsis routing
-    (:func:`repro.plan.optimizer.route_through_synopsis`), which
-    materialises the equivalent ``Sample`` as the immediate child so the
-    executor can serve it from the shared synopsis catalog.
+    node under any ``Filter``/``Project`` stages; without one the answer
+    is exact, with a zero-width interval.
 
     ``confidence`` is the two-sided level of the returned interval.
     """
@@ -259,8 +256,6 @@ class ApproxAggregate(PlanNode):
     value: str
     kind: str = "approx_mean"
     confidence: float = 0.95
-    fraction: float | None = None
-    seed: int = 0
 
     def children(self) -> tuple[PlanNode, ...]:
         return (self.child,)
@@ -280,11 +275,6 @@ class ApproxAggregate(PlanNode):
                 f"confidence level {self.confidence!r} outside (0, 1) — a "
                 "two-sided interval needs a strictly interior level",
                 rule="invalid-confidence",
-            )
-        if self.fraction is not None and not 0.0 < self.fraction <= 1.0:
-            raise StaticTypeError(
-                f"synopsis fraction {self.fraction!r} outside (0, 1]",
-                rule="invalid-sample-fraction",
             )
         if self.value not in child:
             raise StaticTypeError(
@@ -369,21 +359,28 @@ def approx_mean(child: PlanNode, column: str, fraction: float | None = None,
                 seed: int = 0, confidence: float = 0.95) -> ApproxAggregate:
     """Sampled mean with a CLT confidence interval.
 
-    With ``fraction`` set, the plan opts in to synopsis routing: the
-    optimizer's :func:`~repro.plan.optimizer.route_through_synopsis` (see
-    its doctest) materialises the equivalent ``Sample`` as the immediate
-    child, which the column store serves from the synopsis catalog.
+    With ``fraction`` set, the mean is taken over ``Sample(child, fraction,
+    seed)``, which the column store serves from its synopsis catalog when
+    the child is a ``Project*(Scan)``.  An empty sample has no mean, so the
+    fraction must lie in ``(0, 1]``.
 
     >>> plan = approx_mean(Scan("patients"), "drug_response", fraction=0.02)
     >>> print(explain(plan))
-    ApproxAggregate approx_mean(drug_response) confidence=0.95 fraction=0.02 seed=0
-      Scan patients
+    ApproxAggregate approx_mean(drug_response) confidence=0.95
+      Sample fraction=0.02 seed=0
+        Scan patients
     >>> sorted(plan.output_schema(
     ...     {"drug_response": np.dtype(np.float64)}))
     ['approx_mean(drug_response)', 'ci_high', 'ci_low', 'confidence']
     """
-    return ApproxAggregate(child, column, "approx_mean", confidence=confidence,
-                           fraction=fraction, seed=seed)
+    if fraction is not None:
+        if not 0.0 < fraction <= 1.0:
+            raise StaticTypeError(
+                f"approx_mean sample fraction {fraction!r} outside (0, 1]",
+                rule="invalid-sample-fraction",
+            )
+        child = Sample(child, fraction, seed)
+    return ApproxAggregate(child, column, "approx_mean", confidence)
 
 
 def explain(node: PlanNode, annotate=None) -> str:
@@ -411,10 +408,7 @@ def _describe(node: PlanNode) -> str:
     if isinstance(node, Aggregate):
         return f"Aggregate {node.function}({node.value}) by {node.group_by}"
     if isinstance(node, ApproxAggregate):
-        text = f"ApproxAggregate {node.kind}({node.value}) confidence={node.confidence}"
-        if node.fraction is not None:
-            text += f" fraction={node.fraction} seed={node.seed}"
-        return text
+        return f"ApproxAggregate {node.kind}({node.value}) confidence={node.confidence}"
     if isinstance(node, Pivot):
         return f"Pivot rows={node.row_key} cols={node.column_key} value={node.value}"
     return type(node).__name__

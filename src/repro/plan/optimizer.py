@@ -12,7 +12,9 @@ Rules, applied in a fixed deterministic order by :func:`optimize`:
    the rest of the chain has to touch;
 4. **projection pruning** — every scan is wrapped in a projection of just
    the columns the plan above it references — *through* joins too, so each
-   join input decodes only the terminal's columns plus its join key.
+   join input decodes only the terminal's columns plus its join key.  A
+   projection is emitted once: never on top of another projection, and
+   not at all where its input already outputs those columns.
 
 Selectivity estimation reads per-column statistics through a
 :class:`PlanCatalog` (the column store derives them from its encodings:
@@ -85,7 +87,7 @@ class OptimizerCapabilities:
     the ``is_total`` guard on join pushdown — are built into the rules
     themselves and hold for every profile.
 
-    The default profile enables all four flags (the column store and the
+    The default profile enables all three flags (the column store and the
     row store honour every rule).  No flag chooses a join's build side:
     both stores always index the left input.
 
@@ -98,11 +100,6 @@ class OptimizerCapabilities:
     predicate_pushdown: bool = True
     filter_reordering: bool = True
     projection_pruning: bool = True
-    # Materialise an opted-in ApproxAggregate's sample as an explicit
-    # child Sample node (route_through_synopsis) so the executor can serve
-    # it from the shared synopsis catalog.  Engines without a synopsis
-    # catalog disable this and sample inline.
-    synopsis_routing: bool = True
 
 
 class PlanCatalog:
@@ -509,9 +506,8 @@ def prune_projections(node: PlanNode, catalog: PlanCatalog,
         needed = {node.row_key, node.column_key, node.value}
         return replace(node, child=prune_projections(node.child, catalog, needed))
     if isinstance(node, Project):
-        return replace(
-            node, child=prune_projections(node.child, catalog, set(node.columns))
-        )
+        child = prune_projections(node.child, catalog, set(node.columns))
+        return _project(child, node.columns, catalog)
     if isinstance(node, Filter):
         needed = None if required is None else required | node.predicate.columns_referenced()
         return replace(node, child=prune_projections(node.child, catalog, needed))
@@ -532,8 +528,8 @@ def prune_projections(node: PlanNode, catalog: PlanCatalog,
     if isinstance(node, Scan) and required is not None:
         names = catalog.columns_of(node.table)
         if names is not None and required < set(names):
-            kept = tuple(name for name in names if name in required)
-            return Project(node, kept)
+            return _project(node, tuple(name for name in names if name in required),
+                            catalog)
     return node
 
 
@@ -551,46 +547,25 @@ def _prune_join_input(node: PlanNode, catalog: PlanCatalog,
         return pruned
     names = output_columns(pruned, catalog)
     if names is not None and set(names) > required:
-        return Project(pruned, tuple(name for name in names if name in required))
+        return _project(pruned, tuple(name for name in names if name in required),
+                        catalog)
     return pruned
 
 
-def route_through_synopsis(node: PlanNode) -> PlanNode:
-    """Materialise an opted-in approximate aggregate's sample as a child node.
+def _project(child: PlanNode, columns: tuple[str, ...],
+             catalog: PlanCatalog) -> PlanNode:
+    """``Project(child, columns)``, built only where it changes the output.
 
-    An :class:`~repro.plan.logical.ApproxAggregate` whose ``fraction`` is
-    set asks for its input to be sampled.  The node's semantics define
-    that sample exactly as ``Sample(child, fraction, seed)`` — score the child's selected base rows once with
-    ``default_rng(seed)``, keep the cheapest ``max(1, round(f·n))`` — so
-    rewriting to the explicit form changes nothing about the answer while
-    letting the column-store executor recognise ``Sample(Scan(t))`` and
-    serve the row set from the shared synopsis catalog
-    (:mod:`repro.colstore.synopsis`), built once and reused across queries.
-
-    >>> from repro.plan.logical import approx_mean, explain
-    >>> plan = approx_mean(Scan("patients"), "age", fraction=0.1, seed=3)
-    >>> print(explain(route_through_synopsis(plan)))
-    ApproxAggregate approx_mean(age) confidence=0.95
-      Sample fraction=0.1 seed=3
-        Scan patients
+    A child that already outputs exactly ``columns``, in that order, is
+    returned unchanged, and a projection of a projection projects the
+    inner one's input: projecting twice equals projecting once to the
+    outer set.
     """
-    node = _rebuild(node, route_through_synopsis)
-    if isinstance(node, ApproxAggregate) and node.fraction is not None:
-        sampled = Sample(node.child, node.fraction, node.seed)
-        return replace(node, child=sampled, fraction=None)
-    return node
-
-
-def collapse_projects(node: PlanNode) -> PlanNode:
-    """Merge ``Project(Project(x, inner), outer)`` into one projection.
-
-    Safe because the outer projection can only reference columns the inner
-    one kept — projecting twice equals projecting once to the outer set.
-    """
-    node = _rebuild(node, collapse_projects)
-    if isinstance(node, Project) and isinstance(node.child, Project):
-        return Project(node.child.child, node.columns)
-    return node
+    if output_columns(child, catalog) == list(columns):
+        return child
+    if isinstance(child, Project):
+        child = child.child
+    return Project(child, columns)
 
 
 def optimize(node: PlanNode, catalog: PlanCatalog | None = None,
@@ -608,10 +583,6 @@ def optimize(node: PlanNode, catalog: PlanCatalog | None = None,
     """
     catalog = catalog or PlanCatalog()
     capabilities = capabilities or OptimizerCapabilities()
-    if capabilities.synopsis_routing:
-        # First, so the materialised Sample is in place before pushdown
-        # (Sample is a barrier: no filter may cross the new node).
-        node = route_through_synopsis(node)
     node = split_filter_conjunctions(node)
     if capabilities.predicate_pushdown:
         node = push_filters_down(node, catalog)
@@ -619,7 +590,6 @@ def optimize(node: PlanNode, catalog: PlanCatalog | None = None,
         node = reorder_filters(node, catalog)
     if capabilities.projection_pruning:
         node = prune_projections(node, catalog)
-        node = collapse_projects(node)
     return node
 
 

@@ -7,8 +7,9 @@ Three layers, matching docs/APPROXIMATE.md:
   the sample — cover the exact answer at the nominal rate, within a
   binomial tolerance band — the test is deterministic, so it either
   always passes or always fails.
-- **Planner equivalence**: optimized and unoptimized lowerings agree bit
-  for bit, and synopsis routing materialises a reusable ``Sample``.
+- **Planner equivalence**: ``approx_mean`` builds its ``Sample`` node,
+  and optimized and unoptimized lowerings agree bit for bit — on a written,
+  uncompacted table too.
 - **Gates**: the verifier's ``invalid-confidence`` /
   ``non-mergeable-aggregate`` rejection classes carry node paths (a
   serialized plan naming a retired estimator is refused, not run as a
@@ -31,15 +32,17 @@ from repro.colstore.catalog import ColumnStore
 from repro.colstore.sketches import ApproxResult, normal_quantile, sampled_mean
 from repro.core.queries import dataset_tables
 from repro.datagen.dataset import GenBaseDataset
-from repro.colstore.planner import explain_plan, optimize_plan, run_plan
+from repro.colstore.planner import explain_plan, run_plan
 from repro.plan import (
     ApproxAggregate,
     Filter,
     Project,
     Sample,
     Scan,
+    StaticTypeError,
     approx_mean,
     col,
+    explain,
     lit,
 )
 from repro.plan.verify import PlanVerificationError, verified_schema
@@ -71,6 +74,11 @@ class ApproxFixture:
         self.predicate = col("gene_id") < lit(25)
         mask = np.asarray(tables["microarray"]["gene_id"]) < 25
         self.filtered_mean = float(self.values[mask].mean())
+        # A written, uncompacted copy of the patients: appended to, then deleted from.
+        patients = tables["patients"]
+        self.store.create_table("written", patients)
+        self.store.append("written", {name: values[:20] for name, values in patients.items()})
+        self.store.delete_where("written", col("age") < lit(30))
 
 
 @pytest.fixture(scope="module", params=("tiny", "small"))
@@ -162,8 +170,9 @@ class TestStatisticalCoverageOnMaintainedSynopses(TestStatisticalCoverage):
 
 
 class TestPlannerEquivalence:
-    """Optimized and unoptimized lowerings agree; routing is pure caching."""
+    """Optimized and unoptimized lowerings agree; the synopsis is pure caching."""
 
+    WRITTEN = approx_mean(Scan("written"), "drug_response", fraction=0.3, seed=4)
     PLANS = [
         approx_mean(Scan("microarray"), "expression_value", fraction=0.2, seed=3),
         approx_mean(Scan("microarray"), "expression_value", fraction=0.05),
@@ -174,6 +183,7 @@ class TestPlannerEquivalence:
         ApproxAggregate(
             Sample(Project(Scan("microarray"), ("expression_value",)), 0.25, 2),
             "expression_value", "approx_mean"),
+        WRITTEN,
     ]
 
     def test_optimized_matches_unoptimized_bit_for_bit(self, fx):
@@ -182,14 +192,32 @@ class TestPlannerEquivalence:
             slow = run_plan(plan, fx.store, optimized=False)
             assert tuple(fast) == tuple(slow), explain_plan(plan, fx.store)
 
-    def test_synopsis_routing_materialises_the_sample(self, fx):
-        plan = approx_mean(Scan("microarray"), "expression_value",
-                           fraction=0.2, seed=3)
-        rendered = explain_plan(optimize_plan(plan, fx.store), fx.store)
-        assert "Sample" in rendered
-        explicit = ApproxAggregate(
+    def test_approx_mean_builds_the_sample_node(self):
+        plan = approx_mean(Scan("microarray"), "expression_value", fraction=0.2, seed=3)
+        assert plan == ApproxAggregate(
             Sample(Scan("microarray"), 0.2, 3), "expression_value", "approx_mean")
-        assert tuple(run_plan(plan, fx.store)) == tuple(run_plan(explicit, fx.store))
+        assert explain(plan).splitlines() == [
+            "ApproxAggregate approx_mean(expression_value) confidence=0.95",
+            "  Sample fraction=0.2 seed=3",
+            "    Scan microarray",
+        ]
+
+    @pytest.mark.parametrize("fraction", [0.0, -0.1, 1.5])
+    def test_approx_mean_refuses_a_fraction_outside_the_unit_interval(self, fraction):
+        # An empty sample has no mean, so 0 is refused although Sample admits it.
+        with pytest.raises(StaticTypeError) as excinfo:
+            approx_mean(Scan("microarray"), "expression_value", fraction=fraction)
+        assert excinfo.value.rule == "invalid-sample-fraction"
+
+    def test_written_table_answers_the_snapshot_sample(self, fx):
+        snapshot = fx.store.snapshot("written")
+        assert snapshot.tail_rows and snapshot.deleted_count  # written, not compacted
+        sampled = snapshot.query().sample(0.3, 4)
+        expected = sampled_mean(sampled.column("drug_response"),
+                                len(sampled) / snapshot.live_rows)
+        for optimized in (True, False):
+            result = run_plan(self.WRITTEN, fx.store, optimized=optimized)
+            assert tuple(result) == tuple(expected)
 
     def test_repeated_queries_reuse_one_cached_synopsis(self):
         fx = ApproxFixture("tiny")

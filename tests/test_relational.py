@@ -314,7 +314,7 @@ class TestExpressions:
         assert [row[0] for row in people_table.scan() if bound(row)] == [2, 4]
 
     def test_arithmetic(self, people_table):
-        expression = col("score") * lit(2.0) + lit(1.0)
+        expression = col("score") / lit(0.5) + lit(1.0)
         bound = expression.bind(people_table.schema)
         first = next(iter(people_table.scan()))
         assert bound(first) == pytest.approx(8.0)
