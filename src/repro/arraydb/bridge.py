@@ -84,7 +84,7 @@ from repro.plan import logical
 from repro.plan.execute import Backend, execute
 from repro.plan.expressions import Expression, split_conjuncts
 from repro.plan.observe import PlanObservation
-from repro.plan.optimizer import ColumnStats, SchemaCatalog
+from repro.plan.optimizer import SchemaCatalog
 
 #: Shared Aggregate function names → array-operator aggregate names.
 _AGGREGATE_NAMES = {"mean": "avg"}
@@ -120,24 +120,13 @@ class ArrayFrame:
         return [self.dimension, *self.columns]
 
     @cached_property
-    def plan_schema(self) -> tuple[dict, dict]:
-        """``({column: dtype}, {column: ColumnStats})`` for the shared optimizer:
-        the dimension's extent, and value bounds from the chunks' min/max synopses."""
-        along = next(iter(self.columns.values())).schema.dimensions[0]
+    def plan_schema(self) -> dict:
+        """``{column: dtype}`` for the shared optimizer: the dimension, then
+        each metadata column's attribute dtype."""
         schema = {self.dimension: np.int64}
-        stats = {self.dimension: ColumnStats(along.length, along.length,
-                                             float(along.start), float(along.end))}
         for column, array in self.columns.items():
-            attribute = array.schema.attribute_names[0]
-            schema[column] = array.schema.attribute(attribute).dtype
-            bounds = [found for chunk in array.chunks()
-                      if (found := chunk.attribute_range(attribute)) is not None]
-            stats[column] = ColumnStats(
-                along.length,
-                minimum=min(low for low, _high in bounds) if bounds else None,
-                maximum=max(high for _low, high in bounds) if bounds else None,
-            )
-        return schema, stats
+            schema[column] = array.schema.attribute(array.schema.attribute_names[0]).dtype
+        return schema
 
 
 @dataclass(frozen=True)
@@ -159,16 +148,12 @@ class MatrixFrame:
         return [*self.array.schema.dimension_names, self.value_column]
 
     @cached_property
-    def plan_schema(self) -> tuple[dict, dict]:
-        """``({column: dtype}, {column: ColumnStats})`` for the shared optimizer:
-        dimension extents; the cell attribute answers with cardinality only."""
-        rows = self.array.cell_count
-        dimensions = self.array.schema.dimensions
+    def plan_schema(self) -> dict:
+        """``{column: dtype}`` for the shared optimizer: the dimension (id)
+        columns, then the cell attribute's dtype."""
         cell = self.array.schema.attribute(self.array.schema.attribute_names[0])
-        schema = {d.name: np.int64 for d in dimensions} | {self.value_column: cell.dtype}
-        stats = {d.name: ColumnStats(rows, d.length, float(d.start), float(d.end))
-                 for d in dimensions} | {self.value_column: ColumnStats(rows)}
-        return schema, stats
+        return ({name: np.int64 for name in self.array.schema.dimension_names}
+                | {self.value_column: cell.dtype})
 
 
 def metadata_array(name: str, values: np.ndarray, dimension: str,
@@ -229,12 +214,9 @@ class MetadataRows:
 
 
 def _frames_catalog(frames: Mapping[str, ArrayFrame | MatrixFrame]) -> SchemaCatalog:
-    """The frames' schemas and statistics (computed once per frame: the
-    arrays, like their chunk synopses, are immutable in practice)."""
-    return SchemaCatalog(
-        {table: frame.plan_schema[0] for table, frame in frames.items()},
-        stats={table: frame.plan_schema[1] for table, frame in frames.items()},
-    )
+    """The frames' schemas (computed once per frame: the arrays are
+    immutable in practice)."""
+    return SchemaCatalog({table: frame.plan_schema for table, frame in frames.items()})
 
 
 def _frame_bounds(frame: ArrayFrame) -> tuple[int, int]:

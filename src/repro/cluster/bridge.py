@@ -9,9 +9,9 @@ The bridge is a :class:`~repro.plan.execute.Backend` like the five
 single-node ones, so :func:`repro.plan.execute.execute` optimises and
 rewrite-checks a cluster plan exactly as it does any other:
 
-1. **Optimise** — the shared optimizer splits the filter into conjuncts
-   and orders them by selectivity, reading column statistics merged from
-   the per-partition synopses (:attr:`PartitionedTable.catalog`).
+1. **Optimise** — the shared optimizer splits the filter into conjuncts,
+   which every node then evaluates in written order, against the
+   partitions' dtypes (:attr:`PartitionedTable.catalog`).
 2. **Prune** (in ``lower``) — each partition carries a
    :class:`PartitionSynopsis` (per partition-column min/max plus a small
    distinct set — the cluster-level analogue of
@@ -67,7 +67,7 @@ from repro.plan.expressions import (
 )
 from repro.plan.execute import Backend, execute
 from repro.plan.logical import Filter, PlanNode, Scan
-from repro.plan.optimizer import ColumnStats, OptimizerCapabilities, SchemaCatalog
+from repro.plan.optimizer import OptimizerCapabilities, SchemaCatalog
 
 #: Distinct sets beyond this cardinality are dropped from the synopsis —
 #: min/max still prunes, the set test just becomes unavailable (same
@@ -195,30 +195,15 @@ class PartitionedTable:
 
     @cached_property
     def catalog(self) -> SchemaCatalog:
-        """The partitions' dtypes plus whole-table stats merged from the synopses."""
+        """The partitions' dtypes."""
         columns = self.partitions[0] if self.partitions else {}
-        stats: dict[str, ColumnStats] = {}
-        for column in columns:
-            spans = [s.columns[column] for s in self.synopses if column in s.columns]
-            if not spans:
-                continue
-            exact = all(span.values is not None for span in spans)
-            stats[column] = ColumnStats(
-                row_count=sum(s.n_rows for s in self.synopses),
-                distinct=len(frozenset().union(*(span.values for span in spans))) if exact else 0,
-                minimum=min(span.minimum for span in spans),
-                maximum=max(span.maximum for span in spans),
-            )
         return SchemaCatalog(
-            {self.name: {name: column.dtype for name, column in columns.items()}},
-            stats={self.name: stats},
-        )
+            {self.name: {name: column.dtype for name, column in columns.items()}})
 
 
-#: What a partition scan can honour: conjunct splitting and selectivity
-#: ordering.  There is no join to push through, a partition is
-#: already column-wise (nothing to prune), and an approximate aggregate is
-#: refused by the backend.
+#: What a partition scan can honour: conjunct splitting only.  There is no
+#: join to push through, a partition is already column-wise (nothing to
+#: prune), and an approximate aggregate is refused by the backend.
 CLUSTER_CAPABILITIES = OptimizerCapabilities(
     predicate_pushdown=False, projection_pruning=False,
 )

@@ -70,8 +70,6 @@ Consequences for the query layer:
   reassociation left is ``MergedColumn``'s sealed+tail partial merge;
 * plain and delta columns trade memory for time: the buffer a delta column
   fills stays resident (a plain column's stored array *is* its buffer);
-* statistics are a pure function of the stored form (a delta column keeps
-  its min/max from encode time), never of which columns were decoded;
 * a query sees two column classes — ``ColumnVector``, and ``MergedColumn``
   (sealed vector + plain tail) once a table has been appended to — in one
   table class, through one read path: every table is a ``DeltaStore`` from
@@ -115,7 +113,6 @@ from repro.colstore.query import (
 )
 from repro.colstore.planner import (
     ColumnStoreCatalog,
-    explain_plan,
     optimize_plan,
     run_plan,
 )
@@ -141,7 +138,6 @@ __all__ = [
     "materialise_join",
     "merge_join_positions",
     "ColumnStoreCatalog",
-    "explain_plan",
     "optimize_plan",
     "run_plan",
 ]

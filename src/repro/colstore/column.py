@@ -1,4 +1,4 @@
-"""Typed, compressed column vectors: a name, a dtype, planner statistics and
+"""Typed, compressed column vectors: a name, a dtype and
 the write-admission rule around one :class:`~repro.colstore.compression.Encoding`,
 to which every query operator is delegated."""
 
@@ -12,7 +12,6 @@ from repro.colstore.compression import (
     best_encoding,
     make_encoding,
 )
-from repro.plan.optimizer import ColumnStats
 
 
 class ColumnVector:
@@ -54,7 +53,6 @@ class ColumnVector:
         else:
             self._encoding = PlainEncoding()
             self._encoding.encode(values)
-        self._stats: ColumnStats | None = None
 
     def __len__(self) -> int:
         return len(self._encoding)
@@ -72,38 +70,6 @@ class ColumnVector:
     @property
     def encoded_bytes(self) -> int:
         return self._encoding.encoded_bytes()
-
-    def stats(self) -> ColumnStats:
-        """Cheap column statistics for the planner's selectivity estimates.
-
-        A pure function of the stored form — dictionary cardinality and
-        endpoints, RLE run values, the bounds a delta column keeps, a plain
-        column's stored array — so the same column plans the same way
-        whatever ran before.  Statistics never decode.  Computed once and
-        cached.
-        """
-        if self._stats is None:
-            distinct, minimum, maximum = self._encoding.stats_hint()
-            if self.dtype.kind not in "biuf":
-                # Non-numeric columns have no usable range: a string
-                # dictionary's lexicographic endpoints may even parse as
-                # floats ('100' < '99') and invert the bounds.
-                minimum = maximum = None
-            self._stats = ColumnStats(len(self), distinct,
-                                      self._finite_or_none(minimum),
-                                      self._finite_or_none(maximum))
-        return self._stats
-
-    @staticmethod
-    def _finite_or_none(value) -> float | None:
-        """Coerce a statistics bound to a finite float (None otherwise)."""
-        if value is None:
-            return None
-        try:
-            number = float(value)
-        except (TypeError, ValueError):
-            return None
-        return number if np.isfinite(number) else None
 
     def values(self) -> np.ndarray:
         """The full column, decoded once and kept — shared and read-only."""

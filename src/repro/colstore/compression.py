@@ -198,16 +198,14 @@ class Encoding:
 
     # -- compressed execution (generic fallbacks read the decode-once buffer) ---------
 
-    def stats_hint(self) -> tuple[int | None, object, object]:
-        """Cheap ``(distinct_count, minimum, maximum)`` facts, None when unknown.
+    def bounds(self) -> tuple[object, object] | None:
+        """``(minimum, maximum)`` without a decode, None when unknown.
 
-        Selectivity estimation reads these through
-        :meth:`repro.colstore.column.ColumnVector.stats`; encodings answer
-        from their own metadata (dictionary cardinality, run values, the
-        bounds a delta column keeps) without decoding, so the answer never
-        depends on what ran before.  The base implementation knows nothing.
+        Read by :meth:`isin`.  A delta column keeps its bounds from encode
+        time and a plain one scans its stored array once; the base
+        implementation knows nothing.
         """
-        return None, None, None
+        return None
 
     def take(self, indices: np.ndarray) -> np.ndarray:
         """Gather the values at ``indices``.
@@ -233,7 +231,7 @@ class Encoding:
         """Full-length boolean membership mask.
 
         The generic answer reads the decode-once buffer.  An integer column
-        that knows its bounds (:meth:`stats_hint` — a delta column keeps
+        that knows its bounds (:meth:`bounds` — a delta column keeps
         them, a plain one scans them once) marks the wanted values in a
         table over ``[minimum, maximum]`` and gathers it through the
         buffer: one pass, where ``np.isin`` would first rescan both inputs
@@ -243,9 +241,9 @@ class Encoding:
         column = self.values()
         wanted = np.asarray(values)
         if _addressable(column.dtype) and _addressable(wanted.dtype):
-            _, low, high = self.stats_hint()
-            if low is not None:
-                low, high = int(low), int(high)
+            bounds = self.bounds()
+            if bounds is not None:
+                low, high = int(bounds[0]), int(bounds[1])
                 if high - low + 1 <= _direct_address_budget(column.size):
                     wanted = wanted[(wanted >= low) & (wanted <= high)]
                     member = np.zeros(high - low + 1, dtype=bool)
@@ -325,15 +323,13 @@ class PlainEncoding(Encoding):
     def __len__(self) -> int:
         return 0 if self._values is None else len(self._values)
 
-    def stats_hint(self) -> tuple[int | None, object, object]:
+    def bounds(self) -> tuple[object, object] | None:
         """Endpoints scanned from the stored array, once — no decode copy."""
         if self._values is None or not len(self._values):
-            return None, None, None
-        if self._values.dtype.kind not in "biuf":
-            return None, None, None
+            return None
         if self._bounds is None:
             self._bounds = (self._values.min(), self._values.max())
-        return None, *self._bounds
+        return self._bounds
 
 
 @dataclass
@@ -428,13 +424,6 @@ class RunLengthEncoding(Encoding):
             return np.empty(0, dtype=bool)
         return np.repeat(np.isin(self._run_values, values), self._run_lengths)
 
-    def stats_hint(self) -> tuple[int | None, object, object]:
-        """Distinct count and extrema from the run values (never the rows)."""
-        if self._run_values is None or not len(self._run_values):
-            return None, None, None
-        uniques = np.unique(self._run_values)
-        return len(uniques), uniques[0], uniques[-1]
-
     def encoded_bytes(self) -> int:
         if self._run_values is None:
             return 0
@@ -518,12 +507,6 @@ class DictionaryEncoding(Encoding):
             return self._dictionary, self._codes
         return _compact_distinct(self._dictionary, self._codes[np.asarray(positions)])
 
-    def stats_hint(self) -> tuple[int | None, object, object]:
-        """The sorted dictionary *is* the statistics: cardinality + endpoints."""
-        if self._dictionary is None or not len(self._dictionary):
-            return None, None, None
-        return len(self._dictionary), self._dictionary[0], self._dictionary[-1]
-
     def _expand_distinct_mask(self, distinct_mask: np.ndarray) -> np.ndarray:
         """Expand a per-distinct-value verdict to a full-length row mask.
 
@@ -605,11 +588,9 @@ class DeltaEncoding(Encoding):
             return 0
         return len(self._deltas) + 1
 
-    def stats_hint(self) -> tuple[int | None, object, object]:
+    def bounds(self) -> tuple[object, object] | None:
         """The bounds kept at encode time — never a decode."""
-        if self._bounds is None:
-            return None, None, None
-        return None, *self._bounds
+        return self._bounds
 
 
 def _dictionary_code_bytes(cardinality: int) -> int:

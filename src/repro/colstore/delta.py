@@ -50,7 +50,6 @@ from repro.colstore.column import ColumnVector
 from repro.colstore.compression import _distinct, predicate_mask, reduce_by_inverse
 from repro.colstore.query import ColumnQuery
 from repro.colstore.table import ColumnTable
-from repro.plan.optimizer import ColumnStats
 
 
 def merge_group_parts(
@@ -117,7 +116,7 @@ class MergedColumn:
     row between them); they are concatenated the first time an operator
     reads the tail, so a column no query touches costs no O(tail) work.
     Instances are shared by every snapshot of one table version; their
-    small caches (the tail, the decoded concatenation, merged stats) are
+    small caches (the tail, the decoded concatenation) are
     idempotent, so racing readers at worst compute the same value twice.
     """
 
@@ -129,7 +128,6 @@ class MergedColumn:
         self._split = len(sealed)  # logical position of the first tail row
         self._length = self._split + sum(len(chunk) for chunk in tail_chunks)
         self._cache: np.ndarray | None = None
-        self._stats: ColumnStats | None = None
         self._tail_distinct: tuple[np.ndarray, np.ndarray] | None = None
 
     @cached_property
@@ -150,30 +148,6 @@ class MergedColumn:
     @property
     def encoded_bytes(self) -> int:
         return self._sealed.encoded_bytes + self._tail.nbytes
-
-    # -- statistics ----------------------------------------------------------------
-
-    def stats(self) -> ColumnStats:
-        """Sealed stats widened by the tail's min/max (cached).
-
-        Bounds are reported only when the sealed part knows its own —
-        a tail-only bound would *narrow* the range and mislead the
-        planner's selectivity estimates.  The distinct count is dropped:
-        the tail may add unseen values.
-        """
-        if self._stats is None:
-            base = self._sealed.stats()
-            minimum, maximum = base.minimum, base.maximum
-            if minimum is not None and maximum is not None and self._tail.size:
-                tail_low = float(self._tail.min())
-                tail_high = float(self._tail.max())
-                if np.isfinite(tail_low) and np.isfinite(tail_high):
-                    minimum = min(minimum, tail_low)
-                    maximum = max(maximum, tail_high)
-                else:
-                    minimum = maximum = None
-            self._stats = ColumnStats(len(self), None, minimum, maximum)
-        return self._stats
 
     # -- materialisation -----------------------------------------------------------
 
@@ -351,7 +325,7 @@ class _TableState:
         The sealed table itself while the tail is empty — the pristine read
         path is exactly the sealed one — otherwise a table of
         :class:`MergedColumn` views.  States are shared by every snapshot of
-        one version, so the columns' idempotent tail/decode/stats caches
+        one version, so the columns' idempotent tail/decode caches
         amortise across scans.  Deletions are *not* applied here: they are a
         base selection the :class:`Snapshot` supplies to its queries, so
         logical row ids stay stable for delete targeting.

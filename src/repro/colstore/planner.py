@@ -1,8 +1,8 @@
 """Execute shared logical plans (:mod:`repro.plan`) on the column store.
 
 This is the glue between the engine-agnostic plan layer and the compressed
-column tables: a :class:`ColumnStoreCatalog` exposes table schemas and the
-encodings' statistics to the optimizer, and :func:`run_plan` lowers an
+column tables: a :class:`ColumnStoreCatalog` exposes table schemas to the
+optimizer, and :func:`run_plan` lowers an
 (optimized) plan onto :class:`~repro.colstore.query.ColumnQuery` — whose
 lazy filter pipeline maps range/equality/membership predicates straight
 onto the dictionary/RLE/delta fast paths.
@@ -35,22 +35,15 @@ from repro.colstore.delta import Snapshot
 from repro.colstore.query import ColumnQuery, materialise_join
 from repro.plan import logical
 from repro.plan.execute import Backend, execute
-from repro.plan.logical import explain
 from repro.plan.observe import PlanObservation
-from repro.plan.optimizer import (
-    ColumnStats,
-    PlanCatalog,
-    cost_annotator,
-    optimize,
-)
+from repro.plan.optimizer import PlanCatalog, optimize
 
 
 class ColumnStoreCatalog(PlanCatalog):
-    """Expose a :class:`ColumnStore`'s schemas and encoding stats to the optimizer.
+    """Expose a :class:`ColumnStore`'s schemas to the optimizer.
 
     ``bindings`` maps scan names to base :class:`ColumnQuery` objects; a
-    bound scan answers schema and statistics questions from its table, and
-    its row-count estimate reflects the binding's pre-narrowed selection.
+    bound scan answers schema questions from its table.
     """
 
     def __init__(self, store: ColumnStore | None = None,
@@ -63,24 +56,15 @@ class ColumnStoreCatalog(PlanCatalog):
         if binding is not None:
             return binding.table
         if self.store is not None and name in self.store:
-            # The *effective* table: a written table answers schema, dtype
-            # and statistics questions from its current snapshot (sealed
-            # stats widened by the tail), not the stale sealed segment.
+            # The *effective* table: a written table answers schema and
+            # dtype questions from its current snapshot, not the stale
+            # sealed segment.
             return self.store.effective_table(name)
         return None
 
     def columns_of(self, table: str) -> list[str] | None:
         found = self._table_for(table)
         return None if found is None else found.column_names
-
-    def stats_of(self, table: str, column: str) -> ColumnStats | None:
-        found = self._table_for(table)
-        if found is None:
-            return None
-        try:
-            return found.column(column).stats()
-        except KeyError:
-            return None
 
     def dtype_of(self, table: str, column: str):
         found = self._table_for(table)
@@ -91,34 +75,11 @@ class ColumnStoreCatalog(PlanCatalog):
         except KeyError:
             return None
 
-    def row_count_of(self, table: str) -> int | None:
-        binding = self.bindings.get(table)
-        if binding is not None:
-            if binding._base is not None:
-                return len(binding._base)
-            return binding.table.row_count
-        if self.store is not None and table in self.store:
-            # Live rows: a written table's deleted rows never reach any
-            # operator, so they must not inflate cardinality estimates.
-            return self.store.live_row_count(table)
-        return None
-
 
 def optimize_plan(plan: logical.PlanNode, store: ColumnStore | None = None,
                   bindings: Mapping[str, ColumnQuery] | None = None) -> logical.PlanNode:
-    """Optimize a plan with the store's (and bindings') schemas and statistics."""
+    """Optimize a plan with the store's (and bindings') schemas."""
     return optimize(plan, ColumnStoreCatalog(store, bindings))
-
-
-def explain_plan(plan: logical.PlanNode, store: ColumnStore | None = None,
-                 bindings: Mapping[str, ColumnQuery] | None = None) -> str:
-    """Render a plan; with a store or bindings, every node carries its
-    estimated output rows and filters their structural class + selectivity
-    (:func:`repro.plan.optimizer.cost_annotator`)."""
-    if store is None and bindings is None:
-        return explain(plan)
-    catalog = ColumnStoreCatalog(store, bindings)
-    return explain(plan, cost_annotator(plan, catalog))
 
 
 class ColumnStoreBackend(Backend):
@@ -280,7 +241,6 @@ def run_plan(plan: logical.PlanNode, store: ColumnStore | None = None,
             compare both paths).
         bindings: scan name → base :class:`ColumnQuery` overrides.
         observation: optional :class:`~repro.plan.observe.PlanObservation`
-            filled with the observed output cardinality (the calibration
-            counterpart of the optimizer's row estimates).
+            filled with the observed output cardinality.
     """
     return execute(plan, ColumnStoreBackend(store, bindings), optimized, observation)

@@ -3,12 +3,11 @@
 A :class:`ColumnQuery` is a *lazy builder* over the shared declarative
 query surface in :mod:`repro.plan`: ``where`` accepts an expression tree
 (``col("function") < 250``, ``&``/``|``/``~``, ``isin``) and only records
-it.  The accumulated conjunction is optimized when a result is first
-needed — split into conjuncts, each classified structurally
-(range/equality/membership) and reordered so the predicate with the
-smallest estimated selectivity (from the encodings' own statistics) runs
-first over the full column while the rest evaluate on the already-narrowed
-selection only.  The materialised state is a *selection vector* (integer
+it.  The accumulated conjunction runs when a result is first needed —
+split into conjuncts, each classified structurally
+(range/equality/membership), in written order: the first runs over the
+full column while the rest evaluate on the already-narrowed selection
+only.  The materialised state is a *selection vector* (integer
 row positions that survive the filters) — the late-materialisation
 execution style of real column stores; ``column()`` / ``columns()``
 gather only what the caller asks for, and ``select()`` prunes the
@@ -63,9 +62,9 @@ import numpy as np
 
 from repro.colstore.compression import predicate_mask
 from repro.colstore.table import ColumnTable
-from repro.plan.expressions import Expression
+from repro.plan.expressions import Expression, split_conjuncts
 from repro.plan.logical import Aggregate, Filter, Join, Pivot, PlanNode, Project, Scan
-from repro.plan.optimizer import ordered_conjuncts
+from repro.plan.optimizer import classify
 
 
 # Direct addressing allocates and scans O(key span) scratch, so the span it
@@ -276,7 +275,7 @@ class ColumnQuery:
 
     Filters accumulate as declarative predicate expressions; the selection
     vector is computed (and cached) the first time a result is needed, via
-    the selectivity-ordered execution described in the module docstring.
+    the written-order execution described in the module docstring.
     """
 
     def __init__(self, table: ColumnTable, selection: np.ndarray | None = None,
@@ -318,20 +317,11 @@ class ColumnQuery:
 
     # -- filter execution ------------------------------------------------------------
 
-    def _optimized_filters(self):
-        """Split, classify and selectivity-order the pending conjunction.
-
-        ``ordered_conjuncts`` itself skips the statistics pass when the
-        conjunction has a single conjunct.
-        """
-        return ordered_conjuncts(
-            self._pending, lambda column: self.table.column(column).stats()
-        )
-
     def _execute_filters(self) -> np.ndarray:
         selection = self._base
-        for expression, predicate, _ in self._optimized_filters():
-            selection = self._apply_filter(selection, expression, predicate)
+        for pending in self._pending:
+            for conjunct in split_conjuncts(pending):
+                selection = self._apply_filter(selection, conjunct, classify(conjunct))
         if selection is None:
             selection = np.arange(self.table.row_count, dtype=np.int64)
         return selection
@@ -382,9 +372,8 @@ class ColumnQuery:
             query.where(col("function") < 250)
             query.where((col("gender") == 1) & (col("age") < 40))
 
-        Conjunctions are split and reordered by estimated selectivity before
-        execution; range/equality/``isin`` shapes map straight onto the
-        encodings' fast paths.
+        Conjunctions are split and run in written order; range/equality/
+        ``isin`` shapes map straight onto the encodings' fast paths.
         """
         self._validate_columns(expression.columns_referenced())
         return self._derive(expression)

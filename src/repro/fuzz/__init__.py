@@ -5,10 +5,8 @@ logical plans over the GenBase schemas, execute each plan on all five
 engine families *and* an unoptimized numpy reference, and assert the
 results agree — byte-identical where the engine matrix guarantees it,
 last-ulp-tolerant where :mod:`repro.fuzz.tolerances` documents a float
-reassociation.  Every run also records the optimizer's cardinality
-predictions (and the MapReduce bridge's shuffle-byte predictions) next to
-the observed counters, feeding the cost-calibration gate in
-``tools/check_cost_calibration.py``.
+reassociation.  Every run writes a report of the cases it ran: seed,
+shape, observed output rows and the plain EXPLAIN of each plan.
 
 Entry points:
 

@@ -1,7 +1,8 @@
 """The fuzz loop CLI: ``python -m repro.fuzz``.
 
 Runs seed-driven cases through the full differential harness, writes the
-cost-calibration report, and on the first failure dumps a replayable
+fuzz report (the run's ``meta`` and one record per case: seed, shape,
+observed rows, plain EXPLAIN), and on the first failure dumps a replayable
 failure artifact (the serialised plan plus the failing seed) and exits
 non-zero with the one-line repro command CI surfaces in the job log.
 """
@@ -15,7 +16,6 @@ import sys
 import time
 import traceback
 
-from repro.fuzz.calibration import write_report
 from repro.fuzz.generate import case_from_seed
 from repro.fuzz.harness import FuzzHarness
 
@@ -33,13 +33,10 @@ def main(argv: list[str] | None = None) -> int:
                         help="GenBase dataset size preset (default tiny)")
     parser.add_argument("--dataset-seed", type=int, default=7,
                         help="dataset generation seed (default 7)")
-    parser.add_argument("--report", default="fuzz_calibration.json",
-                        help="calibration report output path")
+    parser.add_argument("--report", default="fuzz_report.json",
+                        help="fuzz report output path")
     parser.add_argument("--artifact-dir", default="fuzz_artifacts",
                         help="where failing plans are dumped")
-    parser.add_argument("--skew-selectivity", action="store_true",
-                        help="record predictions with all selectivities "
-                             "forced to 1.0 (for gate trip-wire tests)")
     args = parser.parse_args(argv)
 
     started = time.monotonic()
@@ -52,7 +49,7 @@ def main(argv: list[str] | None = None) -> int:
         case = case_from_seed(seed, harness.schema)
         mutated += int(bool(case.mutations))
         try:
-            outcome = harness.check_case(case, skew_selectivity=args.skew_selectivity)
+            outcome = harness.check_case(case)
         except Exception:
             artifact_dir = pathlib.Path(args.artifact_dir)
             artifact_dir.mkdir(parents=True, exist_ok=True)
@@ -72,28 +69,23 @@ def main(argv: list[str] | None = None) -> int:
         records.append(outcome.record)
         checked += len(outcome.engines_checked)
         skipped_empty += int(outcome.skipped_empty)
-    report = write_report(args.report, records, meta={
+    meta = {
         "plans": args.plans,
         "start_seed": args.start_seed,
         "size": args.size,
         "dataset_seed": args.dataset_seed,
-        "skew_selectivity": args.skew_selectivity,
         "engine_checks": checked,
         "skipped_empty": skipped_empty,
         "mutated_cases": mutated,
         "elapsed_seconds": round(time.monotonic() - started, 2),
-    })
+    }
+    report = pathlib.Path(args.report)
+    report.parent.mkdir(parents=True, exist_ok=True)
+    report.write_text(json.dumps({"meta": meta, "records": records}, indent=2) + "\n")
     print(f"{args.plans} plans fuzzed, {checked} engine checks, "
           f"{mutated} with write preludes, "
           f"{skipped_empty} empty aggregate/pivot cases skipped, "
           f"report: {args.report}")
-    for kind, stats in report["summary"].get("rows", {}).items():
-        print(f"  rows[{kind:>10}] n={stats['count']:<4} "
-              f"median_q={stats['median_q']:.2f} p90_q={stats['p90_q']:.2f}")
-    shuffle = report["summary"].get("shuffle_bytes")
-    if shuffle:
-        print(f"  shuffle_bytes  n={shuffle['count']:<4} "
-              f"median_q={shuffle['median_q']:.2f} p90_q={shuffle['p90_q']:.2f}")
     return 0
 
 

@@ -131,8 +131,8 @@ class FuzzSchema:
     """Per-table literal pools derived from the actual dataset.
 
     Drawing literals from *observed* values keeps single predicates
-    satisfiable (selectivity neither pinned at 0 nor 1), which is what
-    makes the calibration records informative.
+    satisfiable (selectivity neither pinned at 0 nor 1), so the engines
+    compare non-trivial row sets.
     """
 
     tables: dict[str, dict[str, np.ndarray]]

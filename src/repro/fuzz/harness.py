@@ -11,11 +11,8 @@ case:
    rewrites are covered too,
 3. normalises each result into the shape-specific comparison form and
    asserts agreement under :mod:`repro.fuzz.tolerances`,
-4. returns a :class:`~repro.fuzz.calibration.CalibrationRecord` pairing
-   the optimizer's row estimate (and, for a ``pivot`` case, the MapReduce
-   shuffle-byte estimate) with the observed counters.  A ``meta`` case
-   runs on Hive as one map-only job, which shuffles nothing: it records
-   the observed 0 bytes and no prediction.
+4. returns the case's report record: its seed, shape, the reference's
+   observed output rows and the plain EXPLAIN of the written plan.
 
 Admission matrix (why an engine sits a shape out is documented in
 ``docs/FUZZING.md``):
@@ -35,7 +32,7 @@ The cluster must account for every partition of every admitted case
 
 Aggregate/pivot cases whose reference long-format output is *empty* are
 compared on no engine (the empties' label conventions legitimately
-differ); the calibration record is still produced.
+differ); the report record is still produced.
 
 Cases carrying a **mutation prelude** (appends/deletes/compaction through
 the column store's delta tier, see
@@ -45,13 +42,12 @@ only — the other engine families load the pristine dataset once and have
 no write path.  Both sides replay the identical lowered write history
 (:func:`~repro.fuzz.generate.lower_mutations`), the column store through
 a per-case store's snapshot machinery, the reference through
-:func:`~repro.fuzz.reference.mutated_tables`; shuffle-byte predictions
-are skipped (the calibration gate ignores ``None``).
+:func:`~repro.fuzz.reference.mutated_tables`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -65,15 +61,9 @@ from repro.arraydb import ChunkedArray
 from repro.cluster import Cluster, PartitionedTable, PartitionStats
 from repro.cluster.bridge import run_shared_plan as run_cluster_plan
 from repro.colstore.catalog import ColumnStore
-from repro.colstore.planner import (
-    ColumnStoreCatalog,
-    explain_plan,
-    optimize_plan,
-    run_plan,
-)
+from repro.colstore.planner import ColumnStoreCatalog, optimize_plan, run_plan
 from repro.core.queries import dataset_tables
 from repro.datagen.dataset import GenBaseDataset
-from repro.fuzz.calibration import CalibrationRecord
 from repro.fuzz.generate import (
     META_KEYS,
     UNMUTATED_SHAPES,
@@ -84,13 +74,8 @@ from repro.fuzz.generate import (
 from repro.fuzz.reference import ReferenceTrace, mutated_tables, run_reference
 from repro.fuzz.tolerances import EXACT, ULP, aggregate_tolerance, assert_values_match
 from repro.mapreduce import HiveTable, MapReduceEngine
-from repro.mapreduce.bridge import (
-    estimate_shuffle_bytes,
-    run_shared_plan as run_mr_plan,
-)
+from repro.mapreduce.bridge import run_shared_plan as run_mr_plan
 from repro.plan import logical
-from repro.plan.observe import PlanObservation
-from repro.plan.optimizer import classify, estimate_output_rows, split_conjuncts
 from repro.plan.verify import verified_schema, verify_rewrite
 from repro.relational.bridge import run_shared_plan as run_pg_plan
 from repro.relational.catalog import ColumnType, Database
@@ -125,7 +110,7 @@ class FuzzOutcome:
     """What one case execution produced (for reports and diagnostics)."""
 
     case: FuzzCase
-    record: CalibrationRecord
+    record: dict  # the report record: seed, shape, observed_rows, explain
     engines_checked: list[str] = field(default_factory=list)
     skipped_empty: bool = False
 
@@ -157,7 +142,7 @@ class FuzzHarness:
                 name, np.column_stack([v for v in columns.values()]).astype(np.float64)
             )
 
-        # MapReduce (Hive tables + one engine whose counters we snapshot).
+        # MapReduce (Hive tables + one engine).
         self.hive_tables = {
             name: HiveTable.from_columns(name, columns)
             for name, columns in self.tables.items()
@@ -201,17 +186,8 @@ class FuzzHarness:
 
     # -- case execution ---------------------------------------------------------------
 
-    def check_case(self, case: FuzzCase,
-                   skew_selectivity: bool = False) -> FuzzOutcome:
+    def check_case(self, case: FuzzCase) -> FuzzOutcome:
         """Run one case everywhere it is admitted; assert equivalence.
-
-        Args:
-            case: the generated plan plus its admission tags.
-            skew_selectivity: compute the calibration *predictions* from
-                the plan with every filter stripped — i.e. force every
-                selectivity to 1.0.  Comparisons still run normally; this
-                exists so the calibration gate's trip-wire can be tested
-                against deliberately miscalibrated records.
 
         Every generated plan is first statically typechecked against the
         column store's schemas, and the optimizer rewrite is checked for
@@ -223,9 +199,9 @@ class FuzzHarness:
         per-case column store replays the lowered steps through the real
         delta API (append/delete/compact → tail, bitmap, generation bump),
         so the plan executes over ``MergedColumn`` scans; the reference
-        runs over the identically-mutated plain tables, verification and
-        the calibration record run against the *mutated* store, and only
-        the two column-store lowerings are compared.
+        runs over the identically-mutated plain tables, verification runs
+        against the *mutated* store, and only the two column-store
+        lowerings are compared.
         """
         if case.shape not in ADMISSION:
             raise ValueError(f"unknown fuzz shape {case.shape!r}")
@@ -250,11 +226,13 @@ class FuzzHarness:
         verify_rewrite(case.plan, optimize_plan(case.plan, store), catalog)
         trace = ReferenceTrace()
         reference = run_reference(case.plan, tables, trace)
-        outcome = FuzzOutcome(case, self._record(case, trace, skew_selectivity, store))
+        outcome = FuzzOutcome(case, {"seed": case.seed, "shape": case.shape,
+                                     "observed_rows": trace.output_rows,
+                                     "explain": logical.explain(case.plan)})
         if case.shape not in ("meta", "sample") and trace.terminal_input_rows == 0:
             outcome.skipped_empty = True
             return outcome
-        engines = self._engines(case, store, outcome.record)
+        engines = self._engines(case, store)
         check = getattr(self, f"_check_{case.shape}")
         for engine in ADMISSION[case.shape]:
             if (case.mutations and engine not in _COLSTORE) or (
@@ -268,23 +246,14 @@ class FuzzHarness:
 
     # -- engines ----------------------------------------------------------------------
 
-    def _engines(self, case: FuzzCase, store: ColumnStore,
-                 record: CalibrationRecord) -> dict:
+    def _engines(self, case: FuzzCase, store: ColumnStore) -> dict:
         """engine → ``run()`` of the case's plan behind its public entry point."""
         plan = case.plan
-
-        def hadoop():
-            observation = PlanObservation()
-            result = run_mr_plan(plan, self.hive_tables, self.mr_engine,
-                                 observation=observation)
-            record.observed_shuffle_bytes = observation.shuffle_bytes
-            return result
-
         return {
             "colstore": lambda: run_plan(plan, store),
             "colstore-unopt": lambda: run_plan(plan, store, optimized=False),
             "postgres": lambda: run_pg_plan(plan, self.db),
-            "hadoop": hadoop,
+            "hadoop": lambda: run_mr_plan(plan, self.hive_tables, self.mr_engine),
             "vanilla-r": lambda: run_r_plan(plan, self.frames),
             "scidb": lambda: run_array_plan(plan, self.array_frames),
             "cluster": lambda: self._run_cluster(case),
@@ -375,28 +344,6 @@ class FuzzHarness:
                                         ("matrix", "rows", "cols"), strict=True):
             assert_values_match(part, expected, EXACT, f"{context} {name}")
 
-    # -- calibration ------------------------------------------------------------------
-
-    def _record(self, case: FuzzCase, trace: ReferenceTrace,
-                skew_selectivity: bool, store: ColumnStore) -> CalibrationRecord:
-        catalog = ColumnStoreCatalog(store)
-        predicted_plan = (_strip_filters(case.plan) if skew_selectivity
-                          else case.plan)
-        predicted = estimate_output_rows(predicted_plan, catalog)
-        shuffle = None
-        if not case.mutations and case.shape == "pivot":  # the shape Hive shuffles
-            shuffle = estimate_shuffle_bytes(predicted_plan, self.hive_tables)
-        record = CalibrationRecord(
-            seed=case.seed,
-            shape=case.shape,
-            classes=_predicate_classes(case.plan),
-            predicted_rows=None if predicted is None else float(predicted),
-            observed_rows=trace.output_rows,
-            predicted_shuffle_bytes=shuffle,
-            explain=explain_plan(case.plan, store),
-        )
-        return record
-
 
 def _normalise_pivot(matrix, rows, cols):
     """Put a pivot result in sorted label order (postgres uses first-seen)."""
@@ -406,28 +353,3 @@ def _normalise_pivot(matrix, rows, cols):
     col_order = np.argsort(cols)
     return (np.asarray(matrix, dtype=np.float64)[np.ix_(row_order, col_order)],
             rows[row_order], cols[col_order])
-
-
-def _predicate_classes(plan: logical.PlanNode) -> list[str]:
-    """The structural classes of every filter conjunct in the plan."""
-    kinds: list[str] = []
-
-    def walk(node: logical.PlanNode):
-        if isinstance(node, logical.Filter):
-            for conjunct in split_conjuncts(node.predicate):
-                kinds.append(classify(conjunct).kind)
-        for child in node.children():
-            walk(child)
-
-    walk(plan)
-    return kinds
-
-
-def _strip_filters(node: logical.PlanNode) -> logical.PlanNode:
-    """Remove every Filter — i.e. pretend all selectivities are 1.0."""
-    while isinstance(node, logical.Filter):
-        node = node.child
-    return replace(node, **{
-        name: _strip_filters(child) for name, child in vars(node).items()
-        if isinstance(child, logical.PlanNode)
-    })

@@ -12,8 +12,9 @@ store's documented semantics: score every *base* row once with
 ``default_rng(seed)``, keep the ``max(1, round(fraction·n))`` selected rows
 with the smallest scores (see :meth:`repro.colstore.query.ColumnQuery.sample`).
 
-A :class:`ReferenceTrace` records the observed cardinalities the cost
-calibration compares against the optimizer's predictions.
+A :class:`ReferenceTrace` records the observed cardinalities: the fuzz
+report's ``observed_rows``, and the empty-input test that skips a case's
+comparisons.
 
 For mutated cases (a :class:`~repro.fuzz.generate.MutationOp` prelude),
 :func:`mutated_tables` replays the lowered write steps over the plain

@@ -2,8 +2,7 @@
 
 Accepts either a case seed (the integer printed by the fuzz loop on
 failure) or a failure-artifact JSON path (the file CI uploads), rebuilds
-the exact plan, prints its tree and annotated EXPLAIN, and re-runs the
-differential check.
+the exact plan, prints its EXPLAIN, and re-runs the differential check.
 
 ``--verify-only`` stops after the static plan verifier: the plan is
 typechecked against the dataset's schemas (:mod:`repro.plan.verify`) and
@@ -19,7 +18,6 @@ import json
 import pathlib
 import sys
 
-from repro.colstore.planner import explain_plan
 from repro.core.queries import dataset_tables
 from repro.datagen.dataset import GenBaseDataset
 from repro.fuzz.generate import FuzzCase, FuzzSchema, case_from_seed
@@ -88,19 +86,10 @@ def main(argv: list[str] | None = None) -> int:
     from repro.fuzz.harness import FuzzHarness  # deferred: loads all engines
 
     harness = FuzzHarness(size=size, dataset_seed=dataset_seed)
-    print("annotated (column-store estimates):")
-    print(explain_plan(case.plan, harness.store))
     outcome = harness.check_case(case)
     print(f"\nPASS — engines checked: {', '.join(outcome.engines_checked) or 'none'}"
           f"{' (empty aggregate/pivot input: comparisons skipped)' if outcome.skipped_empty else ''}")
-    record = outcome.record
-    print(f"calibration: predicted_rows={record.predicted_rows} "
-          f"observed_rows={record.observed_rows} "
-          f"q={record.rows_q_error() and round(record.rows_q_error(), 2)}")
-    if record.predicted_shuffle_bytes is not None:
-        print(f"             predicted_shuffle_bytes="
-              f"{round(record.predicted_shuffle_bytes)} "
-              f"observed_shuffle_bytes={record.observed_shuffle_bytes}")
+    print(f"observed_rows={outcome.record['observed_rows']}")
     return 0
 
 

@@ -21,10 +21,10 @@ columns the plan never reads — are dropped *before* the spill, so they
 cross neither the serialisation boundary nor the shuffle: the shuffled
 bytes track the plan's selectivity instead of the base table size.
 
-The optimizer runs with :data:`HIVE_CAPABILITIES`: predicate pushdown and
-projection pruning (what makes the map-side fusion possible) but no
-statistics-based filter reordering, matching the paper's "Hive has only
-rudimentary query optimization".
+The optimizer runs with the default profile: predicate pushdown and
+projection pruning make the map-side fusion possible, and conjuncts run in
+written order, matching the paper's "Hive has only rudimentary query
+optimization".
 
 >>> import numpy as np
 >>> from repro.mapreduce import HiveTable, MapReduceEngine
@@ -48,7 +48,6 @@ rudimentary query optimization".
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Sequence
@@ -61,21 +60,11 @@ from repro.plan import logical
 from repro.plan.expressions import Expression, and_, literal_dtype
 from repro.plan.execute import Backend, execute
 from repro.plan.observe import PlanObservation
-from repro.plan.optimizer import (
-    OptimizerCapabilities,
-    SchemaCatalog,
-    estimate_output_rows,
-    optimize,
-)
-
-#: The optimizer profile the MapReduce executor honours: pushdown and
-#: pruning feed the map-side fusion; statistics-based reordering is beyond
-#: Hive's "rudimentary query optimization" and stays off.
-HIVE_CAPABILITIES = OptimizerCapabilities(filter_reordering=False)
+from repro.plan.optimizer import SchemaCatalog
 
 
 def _catalog(tables: dict[str, HiveTable]) -> SchemaCatalog:
-    """Snapshot the Hive tables' schemas and row counts for the optimizer.
+    """Snapshot the Hive tables' schemas for the optimizer.
 
     The engines load Hive tables with :meth:`HiveTable.from_columns`, which
     keeps each column's dtype, so the first row's cells give every
@@ -84,9 +73,7 @@ def _catalog(tables: dict[str, HiveTable]) -> SchemaCatalog:
     return SchemaCatalog(
         {name: {column: literal_dtype(table.rows[0][index]) if table.rows else None
                 for index, column in enumerate(table.columns)}
-         for name, table in tables.items()},
-        {name: len(table) for name, table in tables.items()},
-    )
+         for name, table in tables.items()})
 
 
 def _projector(indices: Sequence[int]) -> Callable[[tuple], tuple]:
@@ -156,8 +143,8 @@ def run_shared_plan(plan: logical.PlanNode, tables: dict[str, HiveTable],
                     observation: PlanObservation | None = None):
     """Execute a shared logical plan as MapReduce jobs.
 
-    A call into the shared driver (:func:`repro.plan.execute.execute`)
-    with the shuffle counters read around it.  Relational-algebra plans
+    A call into the shared driver (:func:`repro.plan.execute.execute`);
+    the engine's job history counts the shuffle.  Relational-algebra plans
     return a materialised :class:`HiveTable` and
     :class:`~repro.plan.logical.Pivot` returns ``(matrix, row_labels,
     column_labels)`` with sorted labels — the shared executor contract.
@@ -174,98 +161,15 @@ def run_shared_plan(plan: logical.PlanNode, tables: dict[str, HiveTable],
         optimized: run the shared optimizer first (pass False to lower the
             plan exactly as written).
         observation: optional :class:`~repro.plan.observe.PlanObservation`
-            filled with the observed output cardinality plus the shuffle
-            record/byte counters summed over the jobs this plan ran (the
-            calibration counterpart of :func:`estimate_shuffle_bytes`).
+            filled with the observed output cardinality.
     """
-    jobs_before = len(engine.history)
-    try:
-        return execute(plan, HiveBackend(tables, engine), optimized, observation)
-    finally:
-        if observation is not None:
-            ran = [result.counters for result in engine.history[jobs_before:]]
-            # A map-only job spills nothing: its records never reach a shuffle.
-            observation.shuffle_records = sum(
-                counters.map_output_records for counters in ran if counters.shuffle_bytes
-            )
-            observation.shuffle_bytes = sum(counters.shuffle_bytes for counters in ran)
-
-
-#: How many base-table rows to serialise when measuring bytes-per-record
-#: for the shuffle-byte estimate.
-_BYTES_SAMPLE = 32
-
-
-def _bytes_per_record(pairs: list) -> float:
-    """Measured serialised size of one shuffled pair, amortising framing.
-
-    The engine spills each partition with ``pickle.dumps(list_of_pairs)``,
-    so the honest per-record figure divides a *batch* pickle by its length
-    rather than pickling records one at a time.
-    """
-    if not pairs:
-        return 0.0
-    return len(pickle.dumps(pairs)) / len(pairs)
-
-
-def _side_pair_bytes(table: HiveTable, columns: tuple[str, ...], key: str,
-                     tag: str) -> float:
-    """Bytes per shuffled pair for one join side's mapper output.
-
-    Builds the exact pair shape the mapper emits — ``(key, (tag,
-    payload))`` with the payload pruned to the side's ``columns`` — from
-    the first :data:`_BYTES_SAMPLE` raw rows, *without* evaluating
-    predicates: the estimator prices a representative record, while
-    :func:`repro.plan.optimizer.estimate_output_rows` prices how many
-    survive.
-    """
-    key_index = table.index_of(key)
-    payload = _projector([table.index_of(name) for name in columns])
-    return _bytes_per_record([
-        (row[key_index], (tag, payload(row)))
-        for row in table.rows[:_BYTES_SAMPLE]
-    ])
-
-
-def estimate_shuffle_bytes(plan: logical.PlanNode,
-                           tables: dict[str, HiveTable]) -> float | None:
-    """Predict the shuffled bytes for a shared plan's MapReduce jobs.
-
-    Mirrors the lowering in :func:`run_shared_plan`: only a join job
-    shuffles, each side's surviving rows (estimated by the shared
-    :func:`~repro.plan.optimizer.estimate_output_rows`) at the measured
-    per-pair pickle cost.  A Filter/Project chain runs map-only and a
-    ``Pivot`` terminal driver-side, so a plan without a join shuffles
-    nothing.  Returns ``None`` when a join side is not a chain over a scan
-    or its cardinality cannot be estimated, and for an ``Aggregate`` plan,
-    which Hive does not run.
-    """
-    catalog = _catalog(tables)
-    plan = optimize(plan, catalog, HIVE_CAPABILITIES)
-    if isinstance(plan, logical.Pivot):
-        plan = plan.child
-    _, _, join = _chain(plan)
-    if isinstance(join, logical.Scan):
-        return 0.0
-    if not isinstance(join, logical.Join):
-        return None
-    total = 0.0
-    for side, key, tag in ((join.left, join.left_key, "L"),
-                           (join.right, join.right_key, "R")):
-        _, projection, scan = _chain(side)
-        rows = estimate_output_rows(side, catalog)
-        if not isinstance(scan, logical.Scan) or rows is None:
-            return None
-        table = _table(tables, scan.table)
-        total += rows * _side_pair_bytes(table, projection or table.columns, key, tag)
-    return total
+    return execute(plan, HiveBackend(tables, engine), optimized, observation)
 
 
 class HiveBackend(Backend):
     """The Hive tables behind the shared driver, for one plan execution."""
 
     engine = "hadoop"
-    capabilities = HIVE_CAPABILITIES
 
     def __init__(self, tables: dict[str, HiveTable], engine: MapReduceEngine):
         self.tables = tables

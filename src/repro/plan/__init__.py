@@ -4,7 +4,7 @@ This package is the benchmark's common query surface: a small expression
 AST (:mod:`repro.plan.expressions`), engine-agnostic logical plan nodes
 (:mod:`repro.plan.logical`), and a rule-based optimizer
 (:mod:`repro.plan.optimizer`) — conjunction splitting, predicate pushdown,
-selectivity-ordered filters, projection pruning — and the one driver every
+projection pruning — and the one driver every
 single-node engine bridge runs plans through (:mod:`repro.plan.execute`).
 
 The row store compiles expressions to per-tuple callables
@@ -47,16 +47,12 @@ from repro.plan.logical import (
 )
 from repro.plan.observe import PlanObservation
 from repro.plan.optimizer import (
-    ColumnStats,
     OptimizerCapabilities,
     PlanCatalog,
     PredicateClass,
     SchemaCatalog,
     classify,
-    estimate_selectivity,
     optimize,
-    ordered_conjuncts,
-    selectivity_annotator,
 )
 from repro.plan.verify import (
     PlanVerificationError,
@@ -93,16 +89,12 @@ __all__ = [
     "Scan",
     "approx_mean",
     "explain",
-    "ColumnStats",
     "OptimizerCapabilities",
     "PlanCatalog",
     "PredicateClass",
     "SchemaCatalog",
     "classify",
-    "estimate_selectivity",
     "optimize",
-    "ordered_conjuncts",
-    "selectivity_annotator",
     "PlanObservation",
     "StaticTypeError",
     "literal_dtype",

@@ -32,10 +32,9 @@ frames' backend, end to end:
 ('vanilla-r', 2, 4)
 
 Deliberately **not** on this skeleton: the engines' own counters
-(``FilterStats``, ``PartitionStats``, the shuffle fields of
-:class:`~repro.plan.observe.PlanObservation`) stay with the code that
-counts them; the driver fills only what every backend can answer —
-engine, output rows, pivot cells.
+(``FilterStats``, ``PartitionStats``, the MapReduce ``JobCounters``) stay
+with the code that counts them; the driver fills only what every backend
+can answer — engine, output rows, pivot cells.
 """
 
 from __future__ import annotations
@@ -94,7 +93,7 @@ def execute(plan: PlanNode, backend: Backend, optimized: bool = True,
             plan exactly as written — the equivalence tests compare both).
         observation: optional :class:`~repro.plan.observe.PlanObservation`
             filled with the engine label and the observed output
-            cardinality (the counterpart of the optimizer's row estimates).
+            cardinality.
 
     Returns ``(group_keys, aggregates)`` for an ``Aggregate`` terminal,
     ``(matrix, row_labels, column_labels)`` for a ``Pivot``, an

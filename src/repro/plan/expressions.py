@@ -16,9 +16,9 @@ One tree serves every execution style the benchmark compares:
 * the **column store** evaluates the same tree vectorised over numpy column
   batches with :meth:`Expression.evaluate`, and — because the tree is
   inspectable, unlike a Python callable — the planner can split
-  conjunctions (:func:`split_conjuncts`), push single-column predicates
-  down into the compression encodings, and reorder filters by estimated
-  selectivity (:mod:`repro.plan.optimizer`).
+  conjunctions (:func:`split_conjuncts`), push predicates below joins
+  (:mod:`repro.plan.optimizer`) and map single-column predicates onto the
+  compression encodings' fast paths.
 """
 
 from __future__ import annotations

@@ -7,9 +7,8 @@ can be lowered onto any of the benchmark's engines; the column-store
 executor lives in :mod:`repro.colstore.planner`.
 
 Plans are optimized by the rule set in :mod:`repro.plan.optimizer`
-(conjunction splitting, predicate pushdown, selectivity-ordered filters,
-projection pruning) and rendered for tests and EXPLAIN output by
-:func:`explain`.
+(conjunction splitting, predicate pushdown, projection pruning) and
+rendered for tests and EXPLAIN output by :func:`explain`.
 """
 
 from __future__ import annotations
@@ -132,9 +131,9 @@ class Sample(PlanNode):
 
     def output_schema(self, *child_schemas: Schema) -> Schema:
         (child,) = child_schemas
-        if not 0.0 <= self.fraction <= 1.0:
+        if not 0.0 < self.fraction <= 1.0:
             raise StaticTypeError(
-                f"sample fraction {self.fraction!r} outside [0, 1]",
+                f"sample fraction {self.fraction!r} outside (0, 1]",
                 rule="invalid-sample-fraction",
             )
         return dict(child)
@@ -383,14 +382,10 @@ def approx_mean(child: PlanNode, column: str, fraction: float | None = None,
     return ApproxAggregate(child, column, "approx_mean", confidence)
 
 
-def explain(node: PlanNode, annotate=None) -> str:
-    """Render a plan tree as indented text.
-
-    ``annotate`` may be a callable ``(node) -> str`` appending extra detail
-    (the optimizer uses it to show estimated filter selectivities).
-    """
+def explain(node: PlanNode) -> str:
+    """Render a plan tree as indented text."""
     lines: list[str] = []
-    _explain_into(node, 0, lines, annotate)
+    _explain_into(node, 0, lines)
     return "\n".join(lines)
 
 
@@ -414,12 +409,7 @@ def _describe(node: PlanNode) -> str:
     return type(node).__name__
 
 
-def _explain_into(node: PlanNode, depth: int, lines: list[str], annotate) -> None:
-    text = "  " * depth + _describe(node)
-    if annotate is not None:
-        extra = annotate(node)
-        if extra:
-            text += f"  [{extra}]"
-    lines.append(text)
+def _explain_into(node: PlanNode, depth: int, lines: list[str]) -> None:
+    lines.append("  " * depth + _describe(node))
     for child in node.children():
-        _explain_into(child, depth + 1, lines, annotate)
+        _explain_into(child, depth + 1, lines)

@@ -3,25 +3,20 @@
 Rules, applied in a fixed deterministic order by :func:`optimize`:
 
 1. **conjunction splitting** — ``Filter(a & b & c)`` becomes three stacked
-   filters, so each conjunct can move and be estimated independently;
+   filters, first-written innermost, so each conjunct can move on its own
+   and every backend runs them in written order;
 2. **predicate pushdown** — filters move below projections and joins when
    they reference only one side's columns (never across a :class:`Sample`,
    which is a barrier: its output depends on the exact row set it sees);
-3. **filter reordering** — consecutive filters are reordered so the most
-   selective (by the estimates below) runs first, shrinking the row set
-   the rest of the chain has to touch;
-4. **projection pruning** — every scan is wrapped in a projection of just
+3. **projection pruning** — every scan is wrapped in a projection of just
    the columns the plan above it references — *through* joins too, so each
    join input decodes only the terminal's columns plus its join key.  A
    projection is emitted once: never on top of another projection, and
    not at all where its input already outputs those columns.
 
-Selectivity estimation reads per-column statistics through a
-:class:`PlanCatalog` (the column store derives them from its encodings:
-dictionary cardinality, run values, delta endpoints).  Predicates are
-classified structurally — range / equality / membership — which is the
-payoff of declarative expressions: a predicate of no known shape can only
-ever get the textbook default of 1/3.
+Predicates are classified structurally — range / equality / membership —
+which is the payoff of declarative expressions: the column store maps each
+class straight onto its encodings' fast paths.
 """
 
 from __future__ import annotations
@@ -51,68 +46,45 @@ from repro.plan.logical import (
     Scan,
 )
 
-#: Textbook default selectivity for a predicate nothing is known about.
-DEFAULT_SELECTIVITY = 1.0 / 3.0
-
-#: Fallback equality selectivity when the column's cardinality is unknown.
-EQUALITY_SELECTIVITY = 0.1
-
-
-@dataclass(frozen=True)
-class ColumnStats:
-    """Cheap per-column statistics used for selectivity estimation."""
-
-    row_count: int
-    distinct: int | None = None
-    minimum: float | None = None
-    maximum: float | None = None
-
-
 @dataclass(frozen=True)
 class OptimizerCapabilities:
     """Which rewrite rules an engine's executor can honour.
 
     The five engine families run the *same* logical plans, but not every
-    executor can exploit every rewrite: Hive's "rudimentary query
-    optimization" does not reorder filters by statistics, R evaluates a
-    subset call exactly as the programmer wrote it, and a cluster partition
-    scan has no join to push through and nothing to prune.  Each
-    per-engine executor passes its capability profile to :func:`optimize`,
-    which applies only the enabled rules.
+    executor can exploit every rewrite: a cluster partition scan has no
+    join to push through and nothing to prune.  Each per-engine executor
+    passes its capability profile to :func:`optimize`, which applies only
+    the enabled rules.
 
-    These flags gate *cost-based* rewrites only.  Splitting a conjunction
-    into stacked filters is not a flag: every executor honours a filter
-    stack, so :func:`optimize` always splits.  The correctness
-    constraints — the :class:`~repro.plan.logical.Sample` barrier and
-    the ``is_total`` guard on join pushdown — are built into the rules
-    themselves and hold for every profile.
+    Splitting a conjunction into stacked filters is not a flag: every
+    executor honours a filter stack, so :func:`optimize` always splits.
+    The correctness constraints — the :class:`~repro.plan.logical.Sample`
+    barrier and the ``is_total`` guard on join pushdown — are built into
+    the rules themselves and hold for every profile.
 
-    The default profile enables all three flags (the column store and the
-    row store honour every rule).  No flag chooses a join's build side:
-    both stores always index the left input.
+    The default profile enables both flags (every backend but the cluster
+    honours every rule).  No flag chooses a join's build side or the order
+    of conjuncts: both stores always index the left input, and every
+    backend runs conjuncts in written order.
 
-    >>> OptimizerCapabilities().filter_reordering
+    >>> OptimizerCapabilities().predicate_pushdown
     True
-    >>> OptimizerCapabilities(filter_reordering=False).predicate_pushdown
+    >>> OptimizerCapabilities(projection_pruning=False).predicate_pushdown
     True
     """
 
     predicate_pushdown: bool = True
-    filter_reordering: bool = True
     projection_pruning: bool = True
 
 
 class PlanCatalog:
     """What the optimizer may ask an engine about its tables.
 
-    All hooks may return None ("unknown"); every rule degrades gracefully
-    to the statistics-free behaviour.
+    Both hooks may return None ("unknown"); every rule degrades gracefully
+    to leaving the plan as written.
     """
 
     def columns_of(self, table: str) -> list[str] | None:
-        return None
-
-    def stats_of(self, table: str, column: str) -> ColumnStats | None:
         return None
 
     def dtype_of(self, table: str, column: str) -> np.dtype | None:
@@ -124,59 +96,33 @@ class PlanCatalog:
         """
         return None
 
-    def row_count_of(self, table: str) -> int | None:
-        """Base-table cardinality; the default derives it from column stats."""
-        names = self.columns_of(table)
-        for name in names or ():
-            stats = self.stats_of(table, name)
-            if stats is not None:
-                return stats.row_count
-        return None
-
 
 class SchemaCatalog(PlanCatalog):
-    """Names, dtypes and — where the source has them — counts and stats.
+    """Column names and dtypes over a plain ``{table: {column: dtype}}`` mapping.
 
     The one catalog for every source but the live column store: the row
-    store, the Hive tables and the R frames snapshot their schemas into it
-    once per plan execution, the array frames and the cluster's partitioned
-    tables add ``stats`` (``{table: {column: ColumnStats}}``) merged from
-    their chunk / partition synopses, and the verifier and the fuzzer use it
-    engine-free over a plain ``{table: {column: dtype}}`` mapping (a
-    ``None`` dtype means "unknown").  With ``row_counts`` only, ``stats_of``
-    answers with the table's cardinality — enough for
-    :func:`estimate_output_rows` to size each subtree, while selectivity
-    falls back to the structural (shape-based) defaults.
+    store, the Hive tables, the R frames, the array frames and the
+    cluster's partitioned tables snapshot their schemas into it once per
+    plan execution, and the verifier and the fuzzer use it engine-free (a
+    ``None`` dtype means "unknown").
 
-    >>> catalog = SchemaCatalog({"genes": {"gene_id": "int64"}}, {"genes": 5})
+    >>> catalog = SchemaCatalog({"genes": {"gene_id": "int64"}})
     >>> catalog.columns_of("genes"), catalog.dtype_of("genes", "gene_id")
     (['gene_id'], dtype('int64'))
-    >>> catalog.row_count_of("genes"), catalog.stats_of("genes", "length")
-    (5, None)
-    >>> SchemaCatalog({"genes": {"gene_id": "int64"}}, stats={"genes": {
-    ...     "gene_id": ColumnStats(5, distinct=5)}}).stats_of("genes", "gene_id")
-    ColumnStats(row_count=5, distinct=5, minimum=None, maximum=None)
+    >>> catalog.columns_of("patients"), catalog.dtype_of("genes", "length")
+    (None, None)
     """
 
-    def __init__(self, schemas, row_counts=None, stats=None):
+    def __init__(self, schemas):
         self.schemas = {
             table: {name: None if dtype is None else np.dtype(dtype)
                     for name, dtype in columns.items()}
             for table, columns in schemas.items()
         }
-        self.row_counts = dict(row_counts or {})
-        self.stats = dict(stats or {})
 
     def columns_of(self, table: str) -> list[str] | None:
         columns = self.schemas.get(table)
         return None if columns is None else list(columns)
-
-    def stats_of(self, table: str, column: str) -> ColumnStats | None:
-        known = self.stats.get(table, {}).get(column)
-        count = self.row_counts.get(table)
-        if known is not None or count is None or column not in self.schemas.get(table, ()):
-            return known
-        return ColumnStats(row_count=count)
 
     def dtype_of(self, table: str, column: str) -> np.dtype | None:
         return self.schemas.get(table, {}).get(column)
@@ -195,115 +141,30 @@ class PredicateClass:
     expression: Expression
     kind: str                 # range | equality | inequality | membership | general
     column: str | None        # set when exactly one column is referenced
-    lower: float | None = None
-    upper: float | None = None
 
 
-def _numeric(value) -> float | None:
-    if isinstance(value, (bool, np.bool_)):
-        return float(value)
-    if isinstance(value, (int, float, np.integer, np.floating)):
-        return float(value)
-    return None
-
-
-_RANGE_SYMBOLS = {"<": "upper", "<=": "upper", ">": "lower", ">=": "lower"}
-_FLIPPED = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
+_RANGE_SYMBOLS = frozenset({"<", "<=", ">", ">="})
 
 
 def classify(expression: Expression) -> PredicateClass:
-    """Classify a predicate for pushdown and selectivity estimation."""
+    """Classify a predicate for pushdown and the encodings' fast paths."""
     referenced = expression.columns_referenced()
     column = next(iter(referenced)) if len(referenced) == 1 else None
     if isinstance(expression, InList) and isinstance(expression.operand, ColumnRef):
         return PredicateClass(expression, "membership", expression.operand.name)
     if isinstance(expression, Comparison) and type(expression) is Comparison:
-        symbol, constant = None, None
-        if isinstance(expression.left, ColumnRef) and isinstance(expression.right, Literal):
-            symbol, constant = expression.symbol, _numeric(expression.right.value)
-        elif isinstance(expression.left, Literal) and isinstance(expression.right, ColumnRef):
-            constant = _numeric(expression.left.value)
-            symbol = _FLIPPED.get(expression.symbol, expression.symbol)
-        if symbol == "=":
-            return PredicateClass(expression, "equality", column)
-        if symbol == "<>":
-            return PredicateClass(expression, "inequality", column)
-        if symbol in _RANGE_SYMBOLS and constant is not None:
-            bound = {_RANGE_SYMBOLS[symbol]: constant}
-            return PredicateClass(expression, "range", column, **bound)
+        left, right = expression.left, expression.right
+        if isinstance(left, Literal) and isinstance(right, ColumnRef):
+            left, right = right, left
+        if isinstance(left, ColumnRef) and isinstance(right, Literal):
+            if expression.symbol == "=":
+                return PredicateClass(expression, "equality", column)
+            if expression.symbol == "<>":
+                return PredicateClass(expression, "inequality", column)
+            if expression.symbol in _RANGE_SYMBOLS and isinstance(
+                    right.value, (bool, int, float, np.bool_, np.integer, np.floating)):
+                return PredicateClass(expression, "range", column)
     return PredicateClass(expression, "general", column)
-
-
-def estimate_selectivity(predicate: PredicateClass, stats: ColumnStats | None) -> float:
-    """Estimated fraction of rows the predicate keeps (deterministic)."""
-    if predicate.kind == "general":
-        return DEFAULT_SELECTIVITY
-    if stats is None:
-        if predicate.kind == "membership":
-            keys = predicate.expression.key_array()
-            return min(1.0, EQUALITY_SELECTIVITY * max(1, len(keys)))
-        if predicate.kind == "equality":
-            return EQUALITY_SELECTIVITY
-        if predicate.kind == "inequality":
-            return 1.0 - EQUALITY_SELECTIVITY
-        return DEFAULT_SELECTIVITY
-    if predicate.kind == "equality":
-        return 1.0 / stats.distinct if stats.distinct else EQUALITY_SELECTIVITY
-    if predicate.kind == "inequality":
-        return 1.0 - (1.0 / stats.distinct if stats.distinct else EQUALITY_SELECTIVITY)
-    if predicate.kind == "membership":
-        keys = predicate.expression.key_array()
-        domain = stats.distinct or stats.row_count
-        if not domain:
-            return 1.0
-        return min(1.0, len(keys) / domain)
-    # Range: interpolate over the known [min, max] span.
-    if stats.minimum is None or stats.maximum is None:
-        return DEFAULT_SELECTIVITY
-    span = stats.maximum - stats.minimum
-    if span <= 0:
-        # Constant column: the predicate keeps all rows or none; without
-        # evaluating it, assume it was written to keep some.
-        return 1.0
-    lower = stats.minimum if predicate.lower is None else predicate.lower
-    upper = stats.maximum if predicate.upper is None else predicate.upper
-    return float(np.clip((upper - lower) / span, 0.0, 1.0))
-
-
-def _no_stats(_column):
-    """Stats resolver that knows nothing (single-conjunct short-circuit)."""
-    return None
-
-
-def ordered_conjuncts(expressions, stats_for):
-    """Split, classify and selectivity-order a conjunction of predicates.
-
-    Declarative predicates reorder freely: they are element-wise numpy
-    operations, so their order never changes the selected rows.
-
-    Args:
-        expressions: iterable of predicate expressions (implicitly ANDed).
-        stats_for: callable ``column -> ColumnStats | None``.
-
-    Returns:
-        List of ``(expression, PredicateClass, selectivity)`` triples in
-        execution order — most selective first; ties keep their written
-        order (stable).
-    """
-    conjuncts: list[Expression] = []
-    for expression in expressions:
-        conjuncts.extend(split_conjuncts(expression))
-    if len(conjuncts) <= 1:
-        # Ordering a single conjunct is moot: skip the statistics lookups
-        # but keep the classification (it picks the encoding fast path).
-        stats_for = _no_stats
-    classified = [classify(conjunct) for conjunct in conjuncts]
-    estimates = [
-        estimate_selectivity(p, stats_for(p.column) if p.column else None)
-        for p in classified
-    ]
-    order = sorted(range(len(conjuncts)), key=lambda i: (estimates[i], i))
-    return [(conjuncts[i], classified[i], estimates[i]) for i in order]
 
 
 # --------------------------------------------------------------------------- #
@@ -315,16 +176,15 @@ def split_filter_conjunctions(node: PlanNode) -> PlanNode:
 
     AND is commutative and associative over total element-wise predicates,
     so the stacked form selects exactly the same rows; the split is what
-    lets each conjunct move (pushdown) and be estimated independently.
-    Innermost = first-written, preserving written order until
-    :func:`reorder_filters` decides otherwise.
+    lets each conjunct move (pushdown) on its own.  Innermost =
+    first-written, so every backend runs the conjuncts in written order.
     """
     node = _rebuild(node, split_filter_conjunctions)
     if isinstance(node, Filter):
         conjuncts = split_conjuncts(node.predicate)
         if len(conjuncts) > 1:
             child = node.child
-            for conjunct in reversed(conjuncts):
+            for conjunct in conjuncts:
                 child = Filter(child, conjunct)
             return child
     return node
@@ -353,8 +213,10 @@ def push_filters_down(node: PlanNode, catalog: PlanCatalog) -> PlanNode:
     Only *total* predicates (:func:`repro.plan.expressions.is_total`) move
     below a join: there they run on rows the join eliminates, and a
     partial operation (division) may blow up on rows
-    it was never written to see.  Projection pushdown is always safe — it
-    does not change the row set.
+    it was never written to see.  For the same reason only a total
+    predicate moves past a filter that stays above a join, and only when
+    that lets it move further down.  Projection pushdown is always safe —
+    it does not change the row set.
     """
     node = _rebuild(node, lambda child: push_filters_down(child, catalog))
     if not isinstance(node, Filter):
@@ -379,110 +241,11 @@ def push_filters_down(node: PlanNode, catalog: PlanCatalog) -> PlanNode:
                 child,
                 right=push_filters_down(Filter(child.right, node.predicate), catalog),
             )
+    if isinstance(child, Filter) and is_total(node.predicate):
+        passed = push_filters_down(Filter(child.child, node.predicate), catalog)
+        if not (isinstance(passed, Filter) and passed.child is child.child):
+            return Filter(passed, child.predicate)
     return node
-
-
-def _base_stats_for(node: PlanNode, catalog: PlanCatalog):
-    """Resolve ``column -> ColumnStats`` against the scans under ``node``."""
-    def stats_for(column: str):
-        return _find_column_stats(node, column, catalog)
-    return stats_for
-
-
-def _find_column_stats(node: PlanNode, column: str, catalog: PlanCatalog):
-    if isinstance(node, Scan):
-        names = catalog.columns_of(node.table)
-        if names is not None and column in names:
-            return catalog.stats_of(node.table, column)
-        return None
-    if isinstance(node, Join) and column == node.right_key:
-        # The join output drops the right key; the surviving copy is the left's.
-        return _find_column_stats(node.left, column, catalog)
-    for child in node.children():
-        found = _find_column_stats(child, column, catalog)
-        if found is not None:
-            return found
-    return None
-
-
-def estimate_output_rows(node: PlanNode, catalog: PlanCatalog) -> float | None:
-    """Estimated row count a subtree produces (None when unknown).
-
-    Scans read base cardinality from the catalog; filters multiply by the
-    estimated selectivity of each conjunct; samples multiply by their
-    fraction; joins use the textbook foreign-key model
-    ``|L| * |R| / max(d(L.key), d(R.key))`` when both key cardinalities are
-    known and fall back to ``max(|L|, |R|)`` otherwise; aggregates and
-    pivots answer with the group key's distinct count.  Purely an estimate
-    — never evaluates any predicate or touches row data.
-    """
-    if isinstance(node, Scan):
-        count = catalog.row_count_of(node.table)
-        return None if count is None else float(count)
-    if isinstance(node, Filter):
-        base = estimate_output_rows(node.child, catalog)
-        if base is None:
-            return None
-        stats_for = _base_stats_for(node.child, catalog)
-        for conjunct in split_conjuncts(node.predicate):
-            predicate = classify(conjunct)
-            stats = stats_for(predicate.column) if predicate.column else None
-            base *= estimate_selectivity(predicate, stats)
-        return base
-    if isinstance(node, Sample):
-        base = estimate_output_rows(node.child, catalog)
-        return None if base is None else base * node.fraction
-    if isinstance(node, Project):
-        return estimate_output_rows(node.child, catalog)
-    if isinstance(node, Join):
-        left = estimate_output_rows(node.left, catalog)
-        right = estimate_output_rows(node.right, catalog)
-        if left is None or right is None:
-            return None
-        left_stats = _find_column_stats(node.left, node.left_key, catalog)
-        right_stats = _find_column_stats(node.right, node.right_key, catalog)
-        domains = [
-            stats.distinct
-            for stats in (left_stats, right_stats)
-            if stats is not None and stats.distinct
-        ]
-        if domains:
-            return left * right / max(domains)
-        return max(left, right)
-    if isinstance(node, (Aggregate, Pivot)):
-        key = node.group_by if isinstance(node, Aggregate) else node.row_key
-        stats = _find_column_stats(node.child, key, catalog)
-        if stats is not None and stats.distinct:
-            return float(stats.distinct)
-        base = estimate_output_rows(node.child, catalog)
-        return None if base is None else max(1.0, base / 10.0)
-    if isinstance(node, ApproxAggregate):
-        # One (estimate, ci_low, ci_high, confidence) row, always.
-        return 1.0
-    return None
-
-
-def reorder_filters(node: PlanNode, catalog: PlanCatalog) -> PlanNode:
-    """Sort each consecutive filter chain by estimated selectivity.
-
-    Declarative conjuncts commute freely, so reordering never changes the
-    selected row set.
-    """
-    if isinstance(node, Filter):
-        chain: list[Expression] = []
-        base = node
-        while isinstance(base, Filter):
-            chain.append(base.predicate)
-            base = base.child
-        base = _rebuild(base, lambda child: reorder_filters(child, catalog))
-        # ``chain`` is top-down but execution is bottom-up, so estimate in
-        # execution order (reversed) and wrap the most selective predicate
-        # first — innermost, i.e. executed first.
-        ordered = ordered_conjuncts(reversed(chain), _base_stats_for(base, catalog))
-        for expression, _, _ in ordered:
-            base = Filter(base, expression)
-        return base
-    return _rebuild(node, lambda child: reorder_filters(child, catalog))
 
 
 def prune_projections(node: PlanNode, catalog: PlanCatalog,
@@ -586,49 +349,9 @@ def optimize(node: PlanNode, catalog: PlanCatalog | None = None,
     node = split_filter_conjunctions(node)
     if capabilities.predicate_pushdown:
         node = push_filters_down(node, catalog)
-    if capabilities.filter_reordering:
-        node = reorder_filters(node, catalog)
     if capabilities.projection_pruning:
         node = prune_projections(node, catalog)
     return node
-
-
-def selectivity_annotator(plan: PlanNode, catalog: PlanCatalog):
-    """Build an ``explain`` annotator showing per-filter selectivity estimates."""
-    def annotate(node: PlanNode) -> str:
-        if isinstance(node, Filter):
-            predicate = classify(node.predicate)
-            stats_for = _base_stats_for(node.child, catalog)
-            stats = stats_for(predicate.column) if predicate.column else None
-            estimate = estimate_selectivity(predicate, stats)
-            return f"{predicate.kind} ~sel={estimate:.4f}"
-        return ""
-    return annotate
-
-
-def cost_annotator(plan: PlanNode, catalog: PlanCatalog):
-    """Build an ``explain`` annotator showing per-node output-row estimates.
-
-    Every node is annotated with ``~rows=N`` from
-    :func:`estimate_output_rows` (filters additionally keep the structural
-    class and selectivity the :func:`selectivity_annotator` shows), so an
-    EXPLAIN rendered with this annotator records the full cardinality
-    prediction chain the cost-calibration gate compares against observed
-    row counts.
-    """
-    selectivity = selectivity_annotator(plan, catalog)
-
-    def annotate(node: PlanNode) -> str:
-        parts = []
-        estimate = estimate_output_rows(node, catalog)
-        if estimate is not None:
-            parts.append(f"~rows={estimate:.0f}")
-        extra = selectivity(node)
-        if extra:
-            parts.append(extra)
-        return " ".join(parts)
-
-    return annotate
 
 
 def _rebuild(node: PlanNode, visit) -> PlanNode:

@@ -80,10 +80,7 @@ class RelationalBackend(Backend):
     """The row store behind the shared driver, for one plan execution.
 
     The catalog is a :class:`~repro.plan.optimizer.SchemaCatalog` snapshot
-    of the database: the row store keeps no per-column statistics, so the
-    optimizer sees schemas plus row counts — enough to estimate each
-    subtree's cardinality, while selectivity falls back to the structural
-    (shape-based) defaults.
+    of the database's schemas.
     """
 
     engine = "postgres"
@@ -93,9 +90,7 @@ class RelationalBackend(Backend):
         tables = [db.table(name) for name in db.table_names()]
         self.catalog = SchemaCatalog(
             {table.name: {column.name: _COLUMN_DTYPES[column.type]
-                          for column in table.schema} for table in tables},
-            {table.name: table.row_count for table in tables},
-        )
+                          for column in table.schema} for table in tables})
 
     def lower(self, node: logical.PlanNode) -> ops.Operator:
         """Lower a relational-algebra subtree onto the Volcano operators."""

@@ -16,11 +16,9 @@ intermediate allocates through the
 :class:`~repro.rlang.dataframe.REnvironment`, so the configuration's
 memory ceiling bites exactly where it did before the migration.
 
-The optimizer runs with :data:`R_CAPABILITIES`: conjunctions split into
-stacked subsets and predicates push below the merge (the idiomatic
-"subset before merge" every R programmer writes), but there is no
-statistics-based filter reordering — the interpreter has no optimizer to
-consult.
+The optimizer runs with the default profile: conjunctions split into
+stacked subsets, in written order, and predicates push below the merge
+(the idiomatic "subset before merge" every R programmer writes).
 
 A runnable example of this backend under the shared driver lives in
 :mod:`repro.plan.execute`.
@@ -33,32 +31,19 @@ from typing import Mapping
 from repro.plan import logical
 from repro.plan.execute import Backend, execute
 from repro.plan.observe import PlanObservation
-from repro.plan.optimizer import (
-    OptimizerCapabilities,
-    SchemaCatalog,
-    output_columns,
-)
+from repro.plan.optimizer import SchemaCatalog, output_columns
 from repro.rlang.dataframe import DataFrame
-
-#: The optimizer profile the R executor honours: splitting and pushdown
-#: (subset-before-merge) plus pruning, but no statistics-driven filter
-#: reordering.
-R_CAPABILITIES = OptimizerCapabilities(filter_reordering=False)
-
 
 class RBackend(Backend):
     """The R frames behind the shared driver, for one plan execution."""
 
     engine = "vanilla-r"
-    capabilities = R_CAPABILITIES
 
     def __init__(self, frames: Mapping[str, DataFrame]):
         self.frames = frames
         self.catalog = SchemaCatalog(
             {name: {column: frame[column].dtype for column in frame.names}
-             for name, frame in frames.items()},
-            {name: len(frame) for name, frame in frames.items()},
-        )
+             for name, frame in frames.items()})
 
     def lower(self, node: logical.PlanNode) -> DataFrame:
         if isinstance(node, logical.Scan):

@@ -32,7 +32,7 @@ from repro.colstore.catalog import ColumnStore
 from repro.colstore.sketches import ApproxResult, normal_quantile, sampled_mean
 from repro.core.queries import dataset_tables
 from repro.datagen.dataset import GenBaseDataset
-from repro.colstore.planner import explain_plan, run_plan
+from repro.colstore.planner import run_plan
 from repro.plan import (
     ApproxAggregate,
     Filter,
@@ -190,7 +190,7 @@ class TestPlannerEquivalence:
         for plan in self.PLANS:
             fast = run_plan(plan, fx.store, optimized=True)
             slow = run_plan(plan, fx.store, optimized=False)
-            assert tuple(fast) == tuple(slow), explain_plan(plan, fx.store)
+            assert tuple(fast) == tuple(slow), explain(plan)
 
     def test_approx_mean_builds_the_sample_node(self):
         plan = approx_mean(Scan("microarray"), "expression_value", fraction=0.2, seed=3)

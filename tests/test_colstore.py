@@ -51,7 +51,6 @@ class TestEncodings:
         encoding = DictionaryEncoding()
         encoding.encode(values)
         np.testing.assert_array_equal(encoding.decode(), values)
-        assert encoding.stats_hint()[0] == 10  # distinct count off the dictionary
         assert encoding.encoded_bytes() < values.nbytes / 4
 
     def test_delta_roundtrip_monotone(self):
@@ -339,14 +338,6 @@ def test_sealed_group_reduce_is_bit_identical_over_float_values(kind, function,
 
 @pytest.mark.parametrize("kind", list(CONTRACT_COLUMNS))
 class TestDecodeBuffer:
-    def test_stats_do_not_depend_on_decode_history(self, kind):
-        column, full = _contract_column(kind, merged=False)
-        before = column.stats()
-        assert (before.minimum, before.maximum) == (float(full.min()), float(full.max()))
-        decoded, _ = _contract_column(kind, merged=False)
-        decoded.values()
-        assert decoded.stats() == before
-
     def test_values_is_shared_and_read_only(self, kind):
         column, _ = _contract_column(kind, merged=False)
         assert column.values() is column.values()

@@ -309,8 +309,7 @@ def test_every_bridge_entry_point_is_one_call_into_the_driver():
     """Public ``run_plan`` / ``run_shared_plan`` bodies are one ``return execute(...)``.
 
     A seventh bridge that grows its own optimise → verify → lower skeleton
-    fails here.  The MapReduce bridge may wrap its single return in the
-    ``try``/``finally`` that reads the shuffle counters around it.
+    fails here.
     """
     package = pathlib.Path(repro.__file__).parent
     statements = {}
@@ -326,7 +325,7 @@ def test_every_bridge_entry_point_is_one_call_into_the_driver():
         "arraydb/bridge.py": 1,
         "cluster/bridge.py": 1,
         "colstore/planner.py": 1,
-        "mapreduce/bridge.py": 2,  # jobs_before = …; try: return execute(…) finally: …
+        "mapreduce/bridge.py": 1,
         "relational/bridge.py": 1,
         "rlang/bridge.py": 1,
     }

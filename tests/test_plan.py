@@ -8,16 +8,17 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.colstore import ColumnStore, ColumnTable, ColumnQuery, ColumnVector
+from repro.arraydb.bridge import ArrayBackend
+from repro.cluster.bridge import PartitionedBackend
 from repro.colstore.planner import (
-    ColumnStoreCatalog,
-    explain_plan,
+    ColumnStoreBackend,
     optimize_plan,
     run_plan,
 )
 from repro.colstore.query import JoinedQuery, materialise_join
+from repro.mapreduce.bridge import HiveBackend
 from repro.plan import (
     Aggregate,
-    ColumnStats,
     Filter,
     Join,
     Pivot,
@@ -28,17 +29,15 @@ from repro.plan import (
     and_,
     classify,
     col,
-    estimate_selectivity,
     explain,
     lit,
     optimize,
-    ordered_conjuncts,
     split_conjuncts,
 )
 from repro.plan.logical import AGGREGATE_FUNCTIONS
-from repro.plan.optimizer import estimate_output_rows
 from repro.relational import ColumnType, Database, operators as row_ops
 from repro.relational.bridge import RelationalBackend, run_shared_plan
+from repro.rlang.bridge import RBackend
 
 
 # --------------------------------------------------------------------------- #
@@ -92,6 +91,10 @@ class TestExpressions:
         assert classify((col("x") < 5) | (col("x") > 9)).kind == "general"
         assert classify(col("x") < col("y")).column is None
 
+    def test_opaque_callables_are_gone(self):
+        with pytest.raises(ImportError):
+            from repro.plan import opaque  # noqa: F401
+
     def test_not_and_or_evaluate(self):
         batch = {"x": np.array([1, 5, 9])}
         np.testing.assert_array_equal(
@@ -102,67 +105,16 @@ class TestExpressions:
         )
 
 
-class TestSelectivityEstimates:
-    def test_range_uses_min_max(self):
-        stats = ColumnStats(row_count=100, distinct=50, minimum=0.0, maximum=100.0)
-        assert estimate_selectivity(classify(col("x") < 25), stats) == pytest.approx(0.25)
-        assert estimate_selectivity(classify(col("x") >= 75), stats) == pytest.approx(0.25)
-        assert estimate_selectivity(classify(col("x") < 1000), stats) == 1.0
-
-    def test_equality_and_membership_use_distinct(self):
-        stats = ColumnStats(row_count=1000, distinct=200, minimum=0, maximum=199)
-        assert estimate_selectivity(classify(col("x") == 5), stats) == pytest.approx(1 / 200)
-        member = classify(col("x").isin([1, 2, 3, 4]))
-        assert estimate_selectivity(member, stats) == pytest.approx(4 / 200)
-
-    def test_opaque_callables_are_gone(self):
-        with pytest.raises(ImportError):
-            from repro.plan import opaque  # noqa: F401
-
-    def test_general_gets_default(self):
-        stats = ColumnStats(row_count=10, distinct=2, minimum=0, maximum=1)
-        general = classify((col("x") < 0) | (col("x") > 1))
-        assert estimate_selectivity(general, stats) == pytest.approx(1 / 3)
-
-    def test_string_columns_get_no_range_bounds(self):
-        # Lexicographic dictionary endpoints ('100' < '99') must not leak
-        # into numeric range estimates.
-        column = ColumnVector(
-            "z", np.array(["100", "99", "99"]), encoding="dictionary"
-        )
-        stats = column.stats()
-        assert stats.minimum is None and stats.maximum is None
-        assert stats.distinct == 2
-
-    def test_ordered_conjuncts_most_selective_first_and_stable(self):
-        stats = {
-            "a": ColumnStats(1000, distinct=1000),
-            "b": ColumnStats(1000, minimum=0.0, maximum=100.0),
-        }
-        conjunction = (col("b") < 90) & (col("a") == 7) & (col("b") < 95)
-        ordered = ordered_conjuncts([conjunction], lambda c: stats.get(c))
-        kinds = [predicate.kind for _, predicate, _ in ordered]
-        assert kinds == ["equality", "range", "range"]
-        # The two range predicates keep their written order (stable ties? no —
-        # 0.90 < 0.95, so written order coincides with selectivity order).
-        estimates = [estimate for _, _, estimate in ordered]
-        assert estimates == sorted(estimates)
-
-
 # --------------------------------------------------------------------------- #
 # Optimizer rules on logical plans
 # --------------------------------------------------------------------------- #
 
 class _DictCatalog(PlanCatalog):
-    def __init__(self, columns, stats=None):
+    def __init__(self, columns):
         self._columns = columns
-        self._stats = stats or {}
 
     def columns_of(self, table):
         return self._columns.get(table)
-
-    def stats_of(self, table, column):
-        return self._stats.get((table, column))
 
 
 class TestPlanRules:
@@ -217,20 +169,19 @@ class TestPlanRules:
         assert isinstance(optimized, Filter)
         assert isinstance(optimized.child, Sample)
 
-    def test_filters_reorder_by_selectivity(self):
-        catalog = _DictCatalog(
-            {"t": ["a", "b"]},
-            {
-                ("t", "a"): ColumnStats(1000, distinct=500),
-                ("t", "b"): ColumnStats(1000, minimum=0.0, maximum=100.0),
-            },
-        )
-        plan = Filter(Filter(Scan("t"), col("b") < 90), col("a") == 1)
-        optimized = optimize(plan, catalog)
-        # Innermost (executed first) must be the 1/500 equality, not the 90%
-        # range filter the plan listed first.
-        assert repr(optimized.predicate) == "(col('b') < lit(90))"
-        assert repr(optimized.child.predicate) == "(col('a') = lit(1))"
+    @pytest.mark.parametrize("backend", [
+        ColumnStoreBackend, RelationalBackend, ArrayBackend, HiveBackend, RBackend,
+        PartitionedBackend,
+    ], ids=lambda backend: backend.engine)
+    def test_conjuncts_run_in_written_order(self, backend):
+        # Every backend runs a filter chain innermost first, so the
+        # first-written conjunct must end up innermost, whatever the profile.
+        first, second = col("a") < 90, col("b") == 1
+        optimized = optimize(Filter(Scan("t"), first & second),
+                             _DictCatalog({"t": ["a", "b"]}), backend.capabilities)
+        assert repr(optimized.child.predicate) == repr(first)
+        assert repr(optimized.predicate) == repr(second)
+        assert isinstance(optimized.child.child, Scan)
 
     def test_projection_pruning_skips_full_width_scans(self):
         catalog = _DictCatalog({"t": ["a", "b"]})
@@ -342,15 +293,9 @@ class TestGenBasePlans:
         assert "Join patient_id = patient_id" in text
         assert text.count("Filter") == 2
         assert "Project ['patient_id', 'age', 'gender']" in text
-        # The filters sit in selectivity order: innermost (deepest) first.
+        # The filters sit in written order: the first-written one deepest.
         lines = [line.strip() for line in text.splitlines() if "Filter" in line]
-        catalog = ColumnStoreCatalog(genbase_store)
-        stats = {c: catalog.stats_of("patients", c) for c in ("age", "gender")}
-        ordered = ordered_conjuncts(
-            [(col("age") < 40) & (col("gender") == 1)], lambda c: stats.get(c)
-        )
-        # ordered[0] is most selective = executed first = deepest line.
-        assert lines[-1] == f"Filter {ordered[0][0]!r}"
+        assert lines == ["Filter (col('gender') = lit(1))", "Filter (col('age') < lit(40))"]
 
     def test_q4_svd_plan_snapshot(self, genbase_store):
         # Same DM shape as Q1 with the SVD threshold; rules must still fire.
@@ -432,49 +377,6 @@ class TestGenBasePlans:
         )
         np.testing.assert_array_equal(keys, reference[0])
         np.testing.assert_array_equal(means, reference[1])
-
-    def test_explain_plan_annotates_selectivities(self, genbase_store):
-        optimized = optimize_plan(_gene_filter_pivot_plan(10), genbase_store)
-        text = explain_plan(optimized, genbase_store)
-        assert "~sel=" in text and "range" in text
-
-
-# --------------------------------------------------------------------------- #
-# Join cardinality estimates (read by the cost annotator and calibration gate)
-# --------------------------------------------------------------------------- #
-
-class TestJoinEstimates:
-    def test_pushed_filter_shrinks_the_estimate(self):
-        # Equal base cardinalities; the equality filter (estimated 1/10)
-        # pushed onto the left input shrinks that input's estimate.
-        catalog = _DictCatalog(
-            {"l": ["id", "x"], "r": ["id", "y"]},
-            {(table, column): ColumnStats(1000)
-             for table, column in (("l", "id"), ("l", "x"), ("r", "id"), ("r", "y"))},
-        )
-        plan = Filter(Join(Scan("l"), Scan("r"), "id", "id"), col("x") == 5)
-        optimized = optimize(plan, catalog)
-        assert isinstance(optimized, Join)  # the filter moved below the join
-        assert estimate_output_rows(optimized.left, catalog) == pytest.approx(100)
-        assert estimate_output_rows(optimized.right, catalog) == pytest.approx(1000)
-
-    def test_estimate_output_rows_shapes(self):
-        catalog = _DictCatalog(
-            {"l": ["id"], "r": ["id"]},
-            {
-                ("l", "id"): ColumnStats(100, distinct=100),
-                ("r", "id"): ColumnStats(5000, distinct=100),
-            },
-        )
-        join = Join(Scan("l"), Scan("r"), "id", "id")
-        # Foreign-key model: |L| * |R| / max(d(L.key), d(R.key)).
-        assert estimate_output_rows(join, catalog) == pytest.approx(5000)
-        assert estimate_output_rows(Sample(Scan("r"), 0.1), catalog) == pytest.approx(500)
-        assert estimate_output_rows(Scan("missing"), catalog) is None
-        assert estimate_output_rows(
-            Filter(Scan("l"), col("id") == 3), catalog
-        ) == pytest.approx(100 / 100)
-
 
 # --------------------------------------------------------------------------- #
 # Fused join → aggregate/pivot through the lazy JoinedQuery builder
@@ -677,21 +579,20 @@ class TestSharedPlansOnRowStore:
         ]
         assert run_shared_plan(plan, mini_db, optimized=False).rows == [(2, 3), (3, 8)]
 
-    def test_relational_catalog_exposes_row_counts(self, mini_db):
+    def test_relational_catalog_exposes_schemas(self, mini_db):
         catalog = RelationalBackend(mini_db).catalog
         assert catalog.columns_of("genes") == ["gene_id", "function"]
         assert catalog.columns_of("nope") is None
-        assert catalog.stats_of("genes", "function").row_count == 4
-        assert catalog.stats_of("genes", "nope") is None
-        assert catalog.row_count_of("microarray") == 12
+        assert catalog.dtype_of("genes", "function") == np.dtype(np.int64)
+        assert catalog.dtype_of("genes", "nope") is None
 
 
 # --------------------------------------------------------------------------- #
 # One join row order on both stores
 # --------------------------------------------------------------------------- #
 
-#: Keeps 125 of the tiny microarray's 3,000 values, which the range estimate
-#: over [min, max] puts at 3 rows.
+#: Keeps 125 of the tiny microarray's 3,000 values: more rows than the
+#: patients table holds.
 _LOW_EXPRESSION = 0.015495768510246507
 #: Two appended patient rows repeat ids already in the table, with ages no
 #: other row has, so a join row shows which patients row matched.
@@ -727,8 +628,8 @@ class TestJoinRowOrder:
     order, and within one right row the matches follow left position order.
 
     The plan is shaped like the fuzzer's seed 83: a value filter on the
-    microarray, pushed below the join, makes the estimate call the right
-    input smaller than the left although it holds more rows.
+    microarray, pushed below the join, still leaves the right input more
+    rows than the left.
     """
 
     COLUMNS = ("patient_id", "age", "gene_id", "expression_value")
@@ -752,20 +653,6 @@ class TestJoinRowOrder:
             if key == patient
         ]
 
-    def test_the_estimate_calls_the_larger_right_input_smaller(self, repeated_patients):
-        tables, store, _ = repeated_patients
-        catalog = ColumnStoreCatalog(store)
-        # The join already outputs COLUMNS, so no projection is left above it.
-        join = optimize(self.PLAN, catalog)
-        assert isinstance(join, Join)
-        assert (estimate_output_rows(join.right, catalog)
-                < estimate_output_rows(join.left, catalog))
-        kept = int((tables["microarray"]["expression_value"] < _LOW_EXPRESSION).sum())
-        assert kept > len(tables["patients"]["patient_id"])
-        # The repeated ids join, so left position order is visible in the answer.
-        ages = {row[1] for row in self._expected(tables)}
-        assert ages >= {age for _, age in _REPEATED_PATIENTS}
-
     @pytest.mark.parametrize("optimized", [True, False], ids=["optimized", "as-written"])
     @pytest.mark.parametrize("executor", ["colstore", "rowstore"])
     def test_rows_follow_the_right_input_then_left_positions(
@@ -777,7 +664,10 @@ class TestJoinRowOrder:
                             strict=True))
         else:
             rows = run_shared_plan(self.PLAN, db, optimized=optimized).rows
-        assert rows == self._expected(tables)
+        expected = self._expected(tables)
+        # The repeated ids join, so left position order is visible in the answer.
+        assert {row[1] for row in expected} >= {age for _, age in _REPEATED_PATIENTS}
+        assert rows == expected
 
 
 # --------------------------------------------------------------------------- #
@@ -974,7 +864,7 @@ class TestOptimizedExecutionProperties:
             if keys.size:
                 predicates.append(col("g").isin(keys))
                 expected &= np.isin(column, keys)
-            # Lazy, selectivity-ordered execution of the whole conjunction...
+            # Lazy, narrowed execution of the whole conjunction...
             query = ColumnQuery(table)
             for predicate in predicates:
                 query = query.where(predicate)

@@ -157,6 +157,9 @@ REJECTIONS = [
     ("invalid-sample-fraction",
      Sample(patients(), 1.5),
      "invalid-sample-fraction", "Sample", ["1.5"]),
+    ("zero-sample-fraction",
+     Sample(patients(), 0.0),
+     "invalid-sample-fraction", "Sample", ["0.0", "(0, 1]"]),
     ("projection-of-missing-column",
      Project(Project(patients(), ("patient_id",)), ("patient_id", "age")),
      "projection-of-missing-column", "Project", ["age", "patient_id"]),

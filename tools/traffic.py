@@ -73,7 +73,6 @@ COMMANDS = [
     ("fuzz --plans 150", ["-m", "repro.fuzz", "--plans", "150", "--report", "{tmp}/fuzz.json",
                           "--artifact-dir", "{tmp}/fuzz_artifacts"]),
     ("plan.verify", ["-m", "repro.plan.verify"]),
-    ("check_cost_calibration", ["tools/check_cost_calibration.py", "--report", "{tmp}/fuzz.json"]),
     ("bench_colstore_ops --size tiny", ["benchmarks/bench_colstore_ops.py", "--size", "tiny",
                                         "--rounds", "1", "--output", "{tmp}/bench.json"]),
     *[(f"doctest {path}", ["-m", "doctest", path]) for path in DOCTEST_MODULES],
