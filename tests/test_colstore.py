@@ -338,6 +338,20 @@ def test_sealed_group_reduce_is_bit_identical_over_float_values(kind, function,
 
 @pytest.mark.parametrize("kind", list(CONTRACT_COLUMNS))
 class TestDecodeBuffer:
+    def test_bounds_do_not_depend_on_decode_history(self, kind):
+        # ``isin`` sizes its direct-address table from ``bounds()``, so a
+        # decoded and a still-encoded column must report the same endpoints.
+        column, full = _contract_column(kind, merged=False)
+        before = column._encoding.bounds()
+        if before is not None:
+            assert before == (full.min(), full.max())
+        decoded, _ = _contract_column(kind, merged=False)
+        decoded.values()
+        assert decoded._encoding.bounds() == before
+        wanted = np.array([full.min(), full.max(), full.max() - 1])
+        np.testing.assert_array_equal(column.isin(wanted), np.isin(full, wanted))
+        np.testing.assert_array_equal(decoded.isin(wanted), np.isin(full, wanted))
+
     def test_values_is_shared_and_read_only(self, kind):
         column, _ = _contract_column(kind, merged=False)
         assert column.values() is column.values()

@@ -140,6 +140,28 @@ def test_optimized_plans_match_the_golden_text(name, tiny_seed7):
     assert actual == expected, f"optimized plans moved; review, then re-record:\n{diff}"
 
 
+def _scanned_tables(node) -> set[str]:
+    if isinstance(node, Scan):
+        return {node.table}
+    return set().union(*(_scanned_tables(child) for child in node.children()))
+
+
+@pytest.mark.parametrize("name", BACKENDS)
+def test_catalog_types_every_column_its_plans_scan(name, tiny_seed7):
+    # The catalog answers names and dtypes only; verification and pushdown
+    # read both, so every table a backend's plans scan must be fully typed.
+    catalog = _backend(name, tiny_seed7).catalog
+    tables = set().union(*(_scanned_tables(plan)
+                           for plan in _plans(name, tiny_seed7).values()))
+    assert tables
+    for table in sorted(tables):
+        columns = catalog.columns_of(table)
+        assert columns, table
+        assert all(isinstance(catalog.dtype_of(table, column), np.dtype)
+                   for column in columns), table
+        assert catalog.dtype_of(table, "no_such_column") is None
+
+
 if __name__ == "__main__":
     dataset = GenBaseDataset.generate("tiny", seed=7)
     PLANS_DIR.mkdir(parents=True, exist_ok=True)

@@ -162,6 +162,34 @@ class TestPlanRules:
         assert "Join" in lines[1]
         assert any("(col('w') < lit(5))" in line and line.startswith("    ") for line in lines)
 
+    @pytest.mark.parametrize("partial_first", [True, False],
+                             ids=["partial-first", "total-first"])
+    def test_total_conjunct_pushes_below_the_join_in_either_order(self, partial_first):
+        # Whichever conjunct is written first, the total one reaches the
+        # right input and the division stays above the join.
+        catalog = _DictCatalog({"l": ["id", "a", "b"], "r": ["id", "w"]})
+        partial, total = col("b") / col("a") > 1, col("w") < 5
+        conjunction = partial & total if partial_first else total & partial
+        optimized = optimize(
+            Filter(Join(Scan("l"), Scan("r"), "id", "id"), conjunction), catalog)
+        assert isinstance(optimized, Filter)
+        assert repr(optimized.predicate) == repr(partial)
+        join = optimized.child
+        assert isinstance(join, Join) and isinstance(join.left, Scan)
+        assert isinstance(join.right, Filter) and isinstance(join.right.child, Scan)
+        assert repr(join.right.predicate) == repr(total)
+
+    def test_pushed_filter_moves_onto_the_left_input(self):
+        catalog = _DictCatalog({"l": ["id", "x"], "r": ["id", "y"]})
+        join = Join(Scan("l"), Scan("r"), "id", "id")
+        optimized = optimize(Filter(join, col("x") == 5), catalog)
+        assert isinstance(optimized, Join)  # the filter moved below the join
+        assert isinstance(optimized.left, Filter) and isinstance(optimized.left.child, Scan)
+        assert isinstance(optimized.right, Scan)
+        # A conjunct over both inputs has nowhere to go.
+        spanning = optimize(Filter(join, col("x") < col("y")), catalog)
+        assert isinstance(spanning, Filter) and isinstance(spanning.child, Join)
+
     def test_sample_is_a_pushdown_barrier(self):
         catalog = _DictCatalog({"t": ["a", "b"]})
         plan = Filter(Sample(Scan("t"), 0.5, seed=1), col("a") < 3)
