@@ -458,11 +458,10 @@ def run_sweep(size: str, rounds: int = 3, seed: int = 7) -> dict:
     results.append(_entry("pivot", "mixed", n_patients * n_genes, compressed, baseline))
 
     # Filter chain: a 3-predicate conjunction through the lazy plan API
-    # (conjuncts run in written order: the first range predicate over the
-    # full column, the rest on the narrowed selection only) vs the eager
-    # chain that computes three full-column masks in the order written.
-    # Written worst-first, the two ~90% filters narrow little, so gathering
-    # their survivors costs more than the eager chain's full masks.
+    # (conjuncts run in written order: full-column masks on the compressed
+    # form ANDed together while most rows survive, so no intermediate
+    # selection vector is built) vs the eager chain that computes three
+    # full-column masks and gathers each one through the selection so far.
     chain_rng = np.random.default_rng(seed + 2)
     chain_table = ColumnTable(
         "chain",

@@ -5,9 +5,10 @@ query surface in :mod:`repro.plan`: ``where`` accepts an expression tree
 (``col("function") < 250``, ``&``/``|``/``~``, ``isin``) and only records
 it.  The accumulated conjunction runs when a result is first needed —
 split into conjuncts, each classified structurally
-(range/equality/membership), in written order: the first runs over the
-full column while the rest evaluate on the already-narrowed selection
-only.  The materialised state is a *selection vector* (integer
+(range/equality/membership), in written order: while most rows survive,
+each conjunct is a full-column mask on the compressed form ANDed into the
+last, and once few do, the rest evaluate on the gathered survivors only.
+The materialised state is a *selection vector* (integer
 row positions that survive the filters) — the late-materialisation
 execution style of real column stores; ``column()`` / ``columns()``
 gather only what the caller asks for, and ``select()`` prunes the
@@ -62,7 +63,7 @@ import numpy as np
 
 from repro.colstore.compression import predicate_mask
 from repro.colstore.table import ColumnTable
-from repro.plan.expressions import Expression, split_conjuncts
+from repro.plan.expressions import Expression, is_total, split_conjuncts
 from repro.plan.logical import Aggregate, Filter, Join, Pivot, PlanNode, Project, Scan
 from repro.plan.optimizer import classify
 
@@ -72,6 +73,10 @@ from repro.plan.optimizer import classify
 # the scratch is free): sparse keys take the sort instead.
 _DIRECT_ADDRESS_SLACK = 16
 _DIRECT_ADDRESS_MIN_SPAN = 1 << 10
+
+# A filter chain gathers its survivors once fewer than one row in this many
+# is left; until then a full-column mask (a code comparison) is cheaper.
+_GATHER_BELOW = 16
 
 
 def _key_array(keys) -> np.ndarray:
@@ -318,51 +323,74 @@ class ColumnQuery:
     # -- filter execution ------------------------------------------------------------
 
     def _execute_filters(self) -> np.ndarray:
-        selection = self._base
+        """Run the pending conjuncts in written order.
+
+        While the survivors are still a large share of the table, each
+        conjunct runs as the encoding's full-column mask ANDed into the
+        running mask: a code comparison over the whole column costs less
+        than gathering most of it.  Once fewer than one row in
+        ``_GATHER_BELOW`` survives, or a conjunct is partial (a division
+        must not see the rows earlier conjuncts removed), the rest evaluate
+        on the gathered survivors only.
+        """
+        selection, mask = self._base, None
         for pending in self._pending:
             for conjunct in split_conjuncts(pending):
-                selection = self._apply_filter(selection, conjunct, classify(conjunct))
+                predicate = classify(conjunct)
+                if mask is not None and (
+                    not is_total(conjunct)
+                    or np.count_nonzero(mask) * _GATHER_BELOW < mask.size
+                ):
+                    selection, mask = np.flatnonzero(mask).astype(np.int64), None
+                if selection is None:
+                    verdicts = self._full_mask(conjunct, predicate)
+                    mask = verdicts if mask is None else mask & verdicts
+                else:
+                    selection = self._narrow(selection, conjunct, predicate)
+        if mask is not None:
+            return np.flatnonzero(mask).astype(np.int64)
         if selection is None:
-            selection = np.arange(self.table.row_count, dtype=np.int64)
+            return np.arange(self.table.row_count, dtype=np.int64)
         return selection
 
-    def _apply_filter(self, selection, expression, predicate) -> np.ndarray:
-        """Narrow ``selection`` (None = all rows) by one classified predicate.
-
-        The first filter evaluates over the full column through the
-        encoding's pushdown (``isin`` / distinct-value ``filter_mask``);
-        later filters evaluate on the gathered, already-narrowed values
-        only, so an unselective predicate never touches the full column
-        once a selective one has run.
-        """
+    def _full_mask(self, expression, predicate) -> np.ndarray:
+        """One classified predicate over the whole table, through the
+        encoding's pushdown (``isin`` / distinct-value ``filter_mask``)."""
         if predicate.column is not None:
             vector = self.table.column(predicate.column)
             if predicate.kind == "membership":
-                keys = expression.key_array()
-                if selection is None:
-                    return np.flatnonzero(vector.isin(keys)).astype(np.int64)
-                return selection[np.isin(vector.take(selection), keys)]
-            fn = _columnwise(expression, predicate.column)
-            if selection is None:
-                return np.flatnonzero(vector.filter_mask(fn)).astype(np.int64)
-            return selection[predicate_mask(vector.take(selection), fn)]
-        # Multi-column (or column-free) predicate: vectorised batch evaluation.
+                return vector.isin(expression.key_array())
+            return vector.filter_mask(_columnwise(expression, predicate.column))
         names = sorted(expression.columns_referenced())
-        batch = {
-            name: (
-                self.table.column(name).values()
-                if selection is None
-                else self.table.column(name).take(selection)
-            )
-            for name in names
-        }
-        length = self.table.row_count if selection is None else len(selection)
+        return self._batch_mask(
+            expression, {name: self.table.column(name).values() for name in names},
+            self.table.row_count,
+        )
+
+    def _narrow(self, selection, expression, predicate) -> np.ndarray:
+        """Narrow ``selection`` by one classified predicate evaluated on the
+        gathered survivors only."""
+        if predicate.column is not None:
+            values = self.table.column(predicate.column).take(selection)
+            if predicate.kind == "membership":
+                return selection[np.isin(values, expression.key_array())]
+            fn = _columnwise(expression, predicate.column)
+            return selection[predicate_mask(values, fn)]
+        names = sorted(expression.columns_referenced())
+        return selection[self._batch_mask(
+            expression, {name: self.table.column(name).take(selection) for name in names},
+            len(selection),
+        )]
+
+    @staticmethod
+    def _batch_mask(expression, batch, length) -> np.ndarray:
+        """A multi-column (or column-free) predicate, evaluated vectorised."""
         mask = np.asarray(expression.evaluate(batch), dtype=bool)
         if mask.ndim == 0:
             mask = np.full(length, bool(mask))
         if mask.shape != (length,):
             raise ValueError("predicate must return one boolean per input row")
-        return np.flatnonzero(mask).astype(np.int64) if selection is None else selection[mask]
+        return mask
 
     # -- filtering -----------------------------------------------------------------
 

@@ -243,7 +243,7 @@ def push_filters_down(node: PlanNode, catalog: PlanCatalog) -> PlanNode:
             )
     if isinstance(child, Filter) and is_total(node.predicate):
         passed = push_filters_down(Filter(child.child, node.predicate), catalog)
-        if not (isinstance(passed, Filter) and passed.child is child.child):
+        if not (isinstance(passed, Filter) and passed.predicate is node.predicate):
             return Filter(passed, child.predicate)
     return node
 

@@ -201,15 +201,33 @@ class TestPlanRules:
         ColumnStoreBackend, RelationalBackend, ArrayBackend, HiveBackend, RBackend,
         PartitionedBackend,
     ], ids=lambda backend: backend.engine)
-    def test_conjuncts_run_in_written_order(self, backend):
+    @pytest.mark.parametrize("shape", ["two-over-scan", "three-over-scan",
+                                       "two-over-sample", "two-spanning-over-join"])
+    def test_conjuncts_run_in_written_order(self, backend, shape):
         # Every backend runs a filter chain innermost first, so the
-        # first-written conjunct must end up innermost, whatever the profile.
-        first, second = col("a") < 90, col("b") == 1
-        optimized = optimize(Filter(Scan("t"), first & second),
-                             _DictCatalog({"t": ["a", "b"]}), backend.capabilities)
-        assert repr(optimized.child.predicate) == repr(first)
-        assert repr(optimized.predicate) == repr(second)
-        assert isinstance(optimized.child.child, Scan)
+        # first-written conjunct must end up innermost, whatever the profile
+        # and whatever the chain sits on.
+        catalog = _DictCatalog({"t": ["a", "b", "c"], "l": ["id", "x"],
+                                "r": ["id", "y"]})
+        below, conjuncts = {
+            "two-over-scan": (Scan("t"), [col("a") < 90, col("b") == 1]),
+            "three-over-scan": (Scan("t"), [col("a") < 90, col("b") == 1,
+                                            col("c") > 2]),
+            "two-over-sample": (Sample(Scan("t"), 0.5, seed=1),
+                                [col("a") < 90, col("b") == 1]),
+            "two-spanning-over-join": (Join(Scan("l"), Scan("r"), "id", "id"),
+                                       [col("x") < col("y"), col("x") != col("y")]),
+        }[shape]
+        conjunction = conjuncts[0]
+        for conjunct in conjuncts[1:]:
+            conjunction = conjunction & conjunct
+        node = optimize(Filter(below, conjunction), catalog, backend.capabilities)
+        chain = []
+        while isinstance(node, Filter):
+            chain.append(repr(node.predicate))
+            node = node.child
+        assert chain[::-1] == [repr(conjunct) for conjunct in conjuncts]
+        assert type(node) is type(below)
 
     def test_projection_pruning_skips_full_width_scans(self):
         catalog = _DictCatalog({"t": ["a", "b"]})
@@ -750,6 +768,49 @@ class TestLazyColumnQuery:
         np.testing.assert_array_equal(
             query.selection, np.flatnonzero(category / 100 < score)
         )
+
+    def test_chain_masks_while_most_rows_survive_then_gathers(self, monkeypatch):
+        # Written order, no estimate: the unselective first conjunct and the
+        # needle run as full-column masks; the one row in a hundred left
+        # after them is gathered for the last conjunct.
+        rows = np.arange(1600)
+        table = ColumnTable("t", [
+            ColumnVector("wide", rows % 10, encoding="dictionary"),
+            ColumnVector("needle", rows % 100, encoding="dictionary"),
+            ColumnVector("last", rows % 7, encoding="dictionary"),
+        ])
+        calls = []
+        for method in ("filter_mask", "take"):
+            original = getattr(ColumnVector, method)
+
+            def spy(self, argument, _original=original, _method=method):
+                calls.append((_method, self.name))
+                return _original(self, argument)
+
+            monkeypatch.setattr(ColumnVector, method, spy)
+        query = ColumnQuery(table).where(
+            (col("wide") < 9) & (col("needle") == 3) & (col("last") < 6)
+        )
+        expected = np.flatnonzero((rows % 10 < 9) & (rows % 100 == 3) & (rows % 7 < 6))
+        np.testing.assert_array_equal(query.selection, expected)
+        assert calls == [("filter_mask", "wide"), ("filter_mask", "needle"),
+                         ("take", "last")]
+
+    def test_partial_conjunct_never_sees_removed_rows(self):
+        # Most rows survive the guard, but the division still runs only on
+        # them: over the full column it would divide by zero.
+        rows = np.arange(400)
+        divisor = np.where(rows % 2 == 0, 0, rows)
+        table = ColumnTable("t", [
+            ColumnVector("a", divisor, encoding="plain"),
+            ColumnVector("b", rows * 3, encoding="plain"),
+        ])
+        query = ColumnQuery(table).where(
+            (col("a") != 0) & (col("b") / col("a") > 2)
+        )
+        with np.errstate(divide="raise", invalid="raise"):
+            selection = query.selection
+        np.testing.assert_array_equal(selection, np.flatnonzero(divisor != 0))
 
 
 class TestSampleComposition:
