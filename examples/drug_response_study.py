@@ -34,7 +34,7 @@ def main() -> None:
 
     runner = BenchmarkRunner()
     result = runner.run("regression", "postgres-madlib", dataset, parameters=parameters)
-    fit = result.output.payload
+    fit = result.output.answer
 
     print(f"\nEngine: postgres-madlib  status={result.status.value}")
     print(f"  data management: {result.data_management_seconds:.3f}s")
@@ -59,8 +59,9 @@ def main() -> None:
         print("No planted causal gene passed the function filter for this seed; "
               "the model explains drug response through genes correlated with them "
               f"(R^2 stays at {fit.r_squared:.2f}).")
+    profile = dataset.expression_matrix[0, selected]
     print(f"Drug response for a new patient profile: "
-          f"{fit.predict(dataset.expression_matrix[:1, selected])[0]:.3f}")
+          f"{profile @ fit.coefficients + fit.intercept:.3f}")
 
 
 if __name__ == "__main__":

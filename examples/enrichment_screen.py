@@ -2,8 +2,8 @@
 
 Runs the statistics (Wilcoxon enrichment) query on the vanilla-R engine and
 on the array DBMS, checks that both recover the GO terms the generator
-planted as enriched, and prints the per-term p-values — the output a
-biologist would actually read.
+planted as enriched, and prints the per-term p-values and verdicts of the
+query's answer — the output a biologist would actually read.
 
 Run with::
 
@@ -12,7 +12,10 @@ Run with::
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core import BenchmarkRunner
+from repro.core.spec import default_parameters
 from repro.datagen import GenBaseDataset
 
 
@@ -21,22 +24,21 @@ def main() -> None:
     planted = set(int(term) for term in dataset.ontology.enriched_terms)
     print(f"Generator planted {len(planted)} enriched GO terms: {sorted(planted)}")
 
+    alpha = default_parameters(dataset.spec).statistics_alpha
     runner = BenchmarkRunner()
     for engine in ("vanilla-r", "scidb"):
         result = runner.run("statistics", engine, dataset)
-        enrichment = result.output.payload
-        if isinstance(enrichment, dict):
-            enrichment = enrichment.get("result")
-        significant = set(int(term) for term in enrichment.significant_terms())
+        answer = result.output.answer
+        significant = set(answer.go_ids[answer.significant].tolist())
         recovered = planted & significant
         print(f"\n{engine}: {result.output.summary['n_significant']} significant terms "
-              f"(alpha={enrichment.alpha}), "
+              f"(alpha={alpha}), "
               f"{len(recovered)}/{len(planted)} planted terms recovered "
               f"in {result.total_seconds:.3f}s")
-        rows = sorted(enrichment.as_rows(), key=lambda row: row[1])[:5]
-        print("  top terms (go_id, p-value, z-score):")
-        for go_id, p_value, z_score, _significant in rows:
-            print(f"    GO:{go_id:04d}  p={p_value:.2e}  z={z_score:+.2f}")
+        print("  top terms (go_id, p-value, verdict):")
+        for term in np.argsort(answer.p_values, kind="stable")[:5]:
+            verdict = "significant" if answer.significant[term] else "not significant"
+            print(f"    GO:{answer.go_ids[term]:04d}  p={answer.p_values[term]:.2e}  {verdict}")
 
 
 if __name__ == "__main__":

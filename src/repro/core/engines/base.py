@@ -18,7 +18,9 @@ both onto the paper's "infinite result" convention.
 
 The five queries are spelled once, as the ``_run_<query>`` recipes of
 :class:`Engine`: a data-management selection feeding an analytics kernel,
-summarised by the ``*_output`` builders.  A configuration differs only in
+whose result the recipe turns into the query's answer class
+(:mod:`repro.core.queries`), mapping matrix positions to gene and patient
+ids through the selection's labels.  A configuration differs only in
 *where and how* each step runs, so an adapter supplies hooks, not queries:
 ``_pivot`` (or the two selections built on it), ``_relation``, optionally
 the whole Q5 ``_scores_and_membership`` step, and the five
@@ -29,8 +31,8 @@ the whole Q5 ``_scores_and_membership`` step, and the five
 columns)`` — through the family's bridge and answers ``{column: array}``.
 The three lookups are built and aligned once, here: Q1's drug responses
 (:meth:`Engine._drug_response_for`, in label order), Q2's join of the kept
-pairs back to the gene metadata (:meth:`Engine._annotate_pairs`, payload
-``joined_rows``) and Q5's gene × GO membership
+pairs back to the gene metadata (:meth:`Engine._annotate_pairs`, the
+answer's ``joined_rows``) and Q5's gene × GO membership
 (:meth:`Engine._membership_matrix`).
 
 **Hooks own all timing.**  A recipe never opens a phase: each hook receives
@@ -40,7 +42,7 @@ measured (``with timer.analytics()``), simulated-cluster
 (``timer.add_analytics(device seconds)``) — or deliberately nothing, so the
 recipes never branch on which engine is running them.  What a recipe does
 itself (building the plan and predicate, drawing the Q5 sample, clamping
-the SVD rank, the summary) is charged to no phase.
+the SVD rank, the answer) is charged to no phase.
 
 Two engines wrap ``run`` instead of supplying hooks, because they re-charge
 a whole inner run rather than execute steps of their own:
@@ -56,21 +58,21 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.queries import (
+    BiclusteringAnswer,
+    CovarianceAnswer,
     QueryOutput,
+    RegressionAnswer,
+    StatisticsAnswer,
+    SvdAnswer,
     bicluster_patient_predicate,
-    biclustering_output,
-    covariance_output,
     covariance_patient_predicate,
     drug_response_plan,
     gene_annotation_plan,
     gene_expression_plan,
     go_membership_plan,
     patient_expression_plan,
-    regression_output,
-    statistics_output,
     statistics_patient_ids,
     statistics_patient_predicate,
-    svd_output,
 )
 from repro.core.spec import QUERY_NAMES, QueryParameters, validate_query_name
 from repro.core.timing import PhaseTimer
@@ -140,43 +142,54 @@ class Engine:
         threshold = parameters.function_threshold(self.dataset.spec)
         matrix, patient_labels, gene_labels = self._select_by_function(threshold, timer)
         response = self._drug_response_for(patient_labels, timer)
-        r_squared, payload = self._analytics_regression(matrix, response, timer)
-        return regression_output(len(gene_labels), len(patient_labels), r_squared, payload)
+        (coefficients, intercept, r_squared), payload = self._analytics_regression(
+            matrix, response, timer)
+        return QueryOutput("regression", RegressionAnswer(
+            len(patient_labels), coefficients, intercept, r_squared), payload)
 
     def _run_covariance(self, parameters: QueryParameters, timer: PhaseTimer) -> QueryOutput:
         matrix, patient_labels, gene_labels = self._select_patients(
             covariance_patient_predicate(parameters), timer
         )
-        gene_a, gene_b, values, payload = self._analytics_covariance(matrix, parameters, timer)
-        payload.update(self._annotate_pairs(gene_labels, gene_a, timer))
-        return covariance_output(len(patient_labels), len(gene_a), values, payload)
+        (gene_a, gene_b, values), payload = self._analytics_covariance(matrix, parameters, timer)
+        joined_rows = self._annotate_pairs(gene_labels, gene_a, timer)
+        genes = np.asarray(gene_labels, dtype=np.int64)
+        return QueryOutput("covariance", CovarianceAnswer(
+            len(patient_labels), genes[gene_a], genes[gene_b], values, joined_rows), payload)
 
     def _run_biclustering(self, parameters: QueryParameters, timer: PhaseTimer) -> QueryOutput:
-        matrix, patient_labels, _gene_labels = self._select_patients(
+        matrix, patient_labels, gene_labels = self._select_patients(
             bicluster_patient_predicate(parameters), timer
         )
         biclusters, payload = self._analytics_biclustering(matrix, parameters, timer)
-        return biclustering_output(len(patient_labels), biclusters, payload)
+        patients = np.asarray(patient_labels, dtype=np.int64)
+        genes = np.asarray(gene_labels, dtype=np.int64)
+        return QueryOutput("biclustering", BiclusteringAnswer(len(patient_labels), tuple(
+            (patients[bicluster.rows], genes[bicluster.columns]) for bicluster in biclusters
+        )), payload)
 
     def _run_svd(self, parameters: QueryParameters, timer: PhaseTimer) -> QueryOutput:
         threshold = parameters.function_threshold(self.dataset.spec)
         matrix, _patient_labels, gene_labels = self._select_by_function(threshold, timer)
         k = svd_rank(parameters.svd_k(self.dataset.spec), len(gene_labels))
         singular_values, payload = self._analytics_svd(matrix, k, parameters, timer)
-        return svd_output(len(gene_labels), singular_values, payload)
+        return QueryOutput("svd", SvdAnswer(len(gene_labels), singular_values), payload)
 
     def _run_statistics(self, parameters: QueryParameters, timer: PhaseTimer) -> QueryOutput:
         sampled = statistics_patient_ids(self.dataset, parameters)
         n_patients, gene_scores, membership = self._scores_and_membership(sampled, timer)
-        n_terms, significant, payload = self._analytics_statistics(
+        (p_values, significant), payload = self._analytics_statistics(
             gene_scores, membership, parameters, timer
         )
-        return statistics_output(n_patients, n_terms, significant, payload)
+        # Column j of the membership matrix is GO term j.
+        return QueryOutput("statistics", StatisticsAnswer(
+            n_patients, np.arange(membership.shape[1]), p_values, significant), payload)
 
     # -- data-management hooks ---------------------------------------------------------
     #
-    # A selection returns ``(matrix, patient_labels, gene_labels)``.  The
-    # recipes only take ``len()`` of the labels; ``matrix`` is whatever the
+    # A selection returns ``(matrix, patient_labels, gene_labels)``: the
+    # labels are the ids of the matrix's rows and columns, through which
+    # the recipes map kernel positions to ids; ``matrix`` is whatever the
     # engine's own analytics hooks consume (dense array, chunked array,
     # per-node blocks).
 
@@ -228,29 +241,32 @@ class Engine:
         membership[positions_of(labels, gene_ids), go_ids] = belongs[member]
         return membership
 
-    def _annotate_pairs(self, gene_labels, gene_a, timer: PhaseTimer) -> dict:
-        """Q2 join of the kept pairs back to gene metadata: payload ``joined_rows``,
-        the kept pairs whose gene came back."""
+    def _annotate_pairs(self, gene_labels, gene_a, timer: PhaseTimer) -> int:
+        """Q2 join of the kept pairs back to gene metadata: the number of kept
+        pairs whose gene came back (the answer's ``joined_rows``)."""
         labels = np.asarray(gene_labels, dtype=np.int64)
         # Per selected gene, not per pair: Q2 keeps tens of thousands of pairs.
         paired = np.zeros(len(labels), dtype=bool)
         paired[gene_a] = True
         genes = self._relation(gene_annotation_plan(labels[paired]), timer)
         came_back = np.isin(labels, np.asarray(genes["gene_id"], dtype=np.int64))
-        return {"joined_rows": int(came_back[gene_a].sum())}
+        return int(came_back[gene_a].sum())
 
-    # -- analytics hooks (each returns its ``*_output`` arguments, payload last) --------
+    # -- analytics hooks: each returns ``(what the kernel computed, payload)`` ----------
+    #
+    # Positions index the hook's ``matrix``; the recipe maps them to ids.
 
     def _analytics_regression(self, matrix, response, timer: PhaseTimer):
-        """``(r_squared, payload)``."""
+        """``((coefficients, intercept, r_squared), payload)``, no intercept in
+        ``coefficients``."""
         raise NotImplementedError
 
     def _analytics_covariance(self, matrix, parameters: QueryParameters, timer: PhaseTimer):
-        """``(gene_a, gene_b, values, payload)`` — see :func:`covariance_pairs`."""
+        """``((gene_a, gene_b, values), payload)`` — see :func:`covariance_pairs`."""
         raise NotImplementedError
 
     def _analytics_biclustering(self, matrix, parameters: QueryParameters, timer: PhaseTimer):
-        """``(biclusters, payload)``."""
+        """``(biclusters, payload)``: each bicluster has ``rows`` and ``columns`` positions."""
         raise NotImplementedError
 
     def _analytics_svd(self, matrix, k: int, parameters: QueryParameters, timer: PhaseTimer):
@@ -259,7 +275,7 @@ class Engine:
 
     def _analytics_statistics(self, gene_scores, membership, parameters: QueryParameters,
                               timer: PhaseTimer):
-        """``(n_terms, significant, payload)``."""
+        """``((p_values, significant), payload)``, one of each per membership column."""
         raise NotImplementedError
 
 
@@ -276,11 +292,8 @@ def svd_rank(requested: int, n_genes: int) -> int:
 
 
 def covariance_pairs(cov: np.ndarray, parameters: QueryParameters):
-    """Q2's top-pairs pass plus payload: ``(gene_a, gene_b, values, {"covariance": cov})``."""
-    gene_a, gene_b, values = top_covariant_pairs(
-        cov, fraction=parameters.covariance_top_fraction
-    )
-    return gene_a, gene_b, values, {"covariance": cov}
+    """Q2's top-pairs pass: ``(gene_a, gene_b, values)``, largest |value| first."""
+    return top_covariant_pairs(cov, fraction=parameters.covariance_top_fraction)
 
 
 def positions_of(keys, wanted) -> np.ndarray:

@@ -149,11 +149,11 @@ class ColumnStoreUdfEngine(_ColumnStoreDataManagement):
     def _analytics_regression(self, matrix, response, timer: PhaseTimer):
         with timer.analytics():
             fit = self.udf_host.call("linear_regression", matrix, response)
-        return fit.r_squared, fit
+        return (fit.coefficients, fit.intercept, fit.r_squared), fit
 
     def _analytics_covariance(self, matrix, parameters, timer: PhaseTimer):
         with timer.analytics():
-            return covariance_pairs(self.udf_host.call("covariance", matrix), parameters)
+            return covariance_pairs(self.udf_host.call("covariance", matrix), parameters), None
 
     def _analytics_biclustering(self, matrix, parameters, timer: PhaseTimer):
         with timer.analytics():
@@ -170,4 +170,4 @@ class ColumnStoreUdfEngine(_ColumnStoreDataManagement):
     def _analytics_statistics(self, gene_scores, membership, parameters, timer: PhaseTimer):
         with timer.analytics():
             result = self.udf_host.call("enrichment", gene_scores, membership)
-        return len(result.go_ids), result.significant, result
+        return (result.p_values, result.significant), result

@@ -42,25 +42,26 @@ class MahoutAnalytics:
     def _analytics_regression(self, matrix, response, timer: PhaseTimer):
         with timer.analytics():
             beta = self.mahout.linear_regression(matrix, response)
-            predictions = matrix @ beta[1:] + beta[0]
+            intercept, coefficients = beta[0], beta[1:]
+            predictions = matrix @ coefficients + intercept
             residual_ss = float(np.sum((response - predictions) ** 2))
             total_ss = float(np.sum((response - response.mean()) ** 2))
             r_squared = 1.0 - residual_ss / total_ss if total_ss > 0 else 1.0
-        return r_squared, beta
+        return (coefficients, intercept, r_squared), None
 
     def _analytics_covariance(self, matrix, parameters, timer: PhaseTimer):
         with timer.analytics():
-            return covariance_pairs(self.mahout.covariance(matrix), parameters)
+            return covariance_pairs(self.mahout.covariance(matrix), parameters), None
 
     def _analytics_svd(self, matrix, k, parameters, timer: PhaseTimer):
         with timer.analytics():
             singular_values = self.mahout.truncated_svd(matrix, k=k, seed=parameters.seed)
-        return singular_values, singular_values
+        return singular_values, None
 
     def _analytics_statistics(self, gene_scores, membership, parameters, timer: PhaseTimer):
         with timer.analytics():
             p_values = self.mahout.wilcoxon_enrichment(gene_scores, membership)
-        return len(p_values), p_values < parameters.statistics_alpha, p_values
+        return (p_values, p_values < parameters.statistics_alpha), None
 
 
 @dataclass

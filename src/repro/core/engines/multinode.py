@@ -269,7 +269,7 @@ class _DistributedAnalyticsMixin(_MultiNodeEngine):
             return ScaLAPACK(self.cluster).linear_regression(features, target)
 
         fit = self._timed_cluster_phase(timer.add_analytics, analytics)
-        return fit.r_squared, fit
+        return (fit.coefficients, fit.intercept, fit.r_squared), fit
 
     def _analytics_covariance(self, blocks, parameters, timer: PhaseTimer):
         blocks = self._timed_cluster_phase(
@@ -280,7 +280,7 @@ class _DistributedAnalyticsMixin(_MultiNodeEngine):
             matrix = self._distributed(blocks, self.dataset.n_genes)
             return covariance_pairs(ScaLAPACK(self.cluster).covariance(matrix), parameters)
 
-        return self._timed_cluster_phase(timer.add_analytics, analytics)
+        return self._timed_cluster_phase(timer.add_analytics, analytics), None
 
     def _analytics_biclustering(self, blocks, parameters, timer: PhaseTimer):
         dense = self._gather_dense(blocks, timer.add_analytics)
@@ -303,7 +303,7 @@ class _DistributedAnalyticsMixin(_MultiNodeEngine):
             result = enrichment_analysis(
                 gene_scores, membership, alpha=parameters.statistics_alpha
             )
-        return len(result.go_ids), result.significant, result
+        return (result.p_values, result.significant), result
 
 
 @dataclass

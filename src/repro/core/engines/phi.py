@@ -62,45 +62,43 @@ class SciDBPhiEngine(SciDBEngine):
     # Regression is inherited: its offload is unsupported, host time stands.
 
     def _offload(self, timer: PhaseTimer, kernel: str, function, *args, **kwargs):
-        """Run one kernel through the runtime, charging the modelled device seconds."""
+        """Run one kernel through the runtime, charging the modelled device seconds.
+
+        Returns the kernel's result and the payload ``{"result", "offload"}``.
+        """
         offloaded = self.runtime.run(kernel, function, *args, **kwargs)
         timer.add_analytics(offloaded.device_total_seconds)
-        return offloaded
+        return offloaded.value, {"result": offloaded.value, "offload": offloaded}
 
     def _analytics_covariance(self, matrix, parameters, timer: PhaseTimer):
         with timer.data_management():
             dense = array_linalg.to_scalapack(matrix)
-        offloaded = self._offload(timer, "covariance", covariance_matrix, dense)
+        cov, payload = self._offload(timer, "covariance", covariance_matrix, dense)
         # The host-side top-pairs pass is charged to no phase.
-        gene_a, gene_b, values, payload = covariance_pairs(offloaded.value, parameters)
-        payload["offload"] = offloaded
-        return gene_a, gene_b, values, payload
+        return covariance_pairs(cov, parameters), payload
 
     def _analytics_biclustering(self, matrix, parameters, timer: PhaseTimer):
         with timer.data_management():
             dense = array_linalg.to_scalapack(matrix)
-        offloaded = self._offload(
+        return self._offload(
             timer, "biclustering", cheng_church, dense,
             n_biclusters=parameters.n_biclusters, seed=parameters.seed,
         )
-        return offloaded.value, {"result": offloaded.value, "offload": offloaded}
 
     def _analytics_svd(self, matrix, k, parameters, timer: PhaseTimer):
         with timer.data_management():
             dense = array_linalg.to_scalapack(matrix)
-        offloaded = self._offload(timer, "svd", lanczos_svd, dense, k=k, seed=parameters.seed)
-        result = offloaded.value
-        return result.singular_values, {"result": result, "offload": offloaded}
+        result, payload = self._offload(timer, "svd", lanczos_svd, dense, k=k, seed=parameters.seed)
+        return result.singular_values, payload
 
     def _analytics_statistics(self, gene_scores, membership, parameters, timer: PhaseTimer):
         with timer.data_management():
             gene_scores = np.nan_to_num(gene_scores)
-        offloaded = self._offload(
+        result, payload = self._offload(
             timer, "statistics", enrichment_analysis, gene_scores, membership,
             alpha=parameters.statistics_alpha,
         )
-        result = offloaded.value
-        return len(result.go_ids), result.significant, {"result": result, "offload": offloaded}
+        return (result.p_values, result.significant), payload
 
 
 @dataclass

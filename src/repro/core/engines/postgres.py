@@ -79,21 +79,21 @@ class PostgresMadlibEngine(_RowStoreDataManagement):
     def _analytics_regression(self, matrix, response, timer: PhaseTimer):
         with timer.analytics():
             fit = self.registry.call("linear_regression", matrix, response)
-        return fit.r_squared, fit
+        return (fit.coefficients, fit.intercept, fit.r_squared), fit
 
     def _analytics_covariance(self, matrix, parameters, timer: PhaseTimer):
         with timer.analytics():
-            return covariance_pairs(self.registry.call("covariance", matrix), parameters)
+            return covariance_pairs(self.registry.call("covariance", matrix), parameters), None
 
     def _analytics_svd(self, matrix, k, parameters, timer: PhaseTimer):
         with timer.analytics():
             singular_values = self.registry.call("svd", matrix, k)
-        return singular_values, singular_values
+        return singular_values, None
 
     def _analytics_statistics(self, gene_scores, membership, parameters, timer: PhaseTimer):
         with timer.analytics():
             p_values = self.registry.call("enrichment", gene_scores, membership)
-        return len(p_values), np.asarray(p_values) < parameters.statistics_alpha, p_values
+        return (p_values, p_values < parameters.statistics_alpha), None
 
 
 @dataclass

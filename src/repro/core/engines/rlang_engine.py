@@ -41,11 +41,11 @@ class RAnalytics:
     def _analytics_regression(self, matrix, response, timer: PhaseTimer):
         with timer.analytics():
             fit = r.lm(matrix, response)
-        return fit.r_squared, fit
+        return (fit.coefficients, fit.intercept, fit.r_squared), fit
 
     def _analytics_covariance(self, matrix, parameters, timer: PhaseTimer):
         with timer.analytics():
-            return covariance_pairs(r.cov(matrix), parameters)
+            return covariance_pairs(r.cov(matrix), parameters), None
 
     def _analytics_biclustering(self, matrix, parameters, timer: PhaseTimer):
         with timer.analytics():
@@ -60,7 +60,7 @@ class RAnalytics:
     def _analytics_statistics(self, gene_scores, membership, parameters, timer: PhaseTimer):
         with timer.analytics():
             result = r.enrichment(gene_scores, membership, alpha=parameters.statistics_alpha)
-        return len(result.go_ids), result.significant, result
+        return (result.p_values, result.significant), result
 
 
 @dataclass

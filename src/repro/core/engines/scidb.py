@@ -160,11 +160,11 @@ class SciDBEngine(Engine):
             # from chunked to dense layout, then the LAPACK QR solver.
             dense = array_linalg.to_scalapack(matrix)
             fit = linear_regression(dense, response, method="lapack")
-        return fit.r_squared, fit
+        return (fit.coefficients, fit.intercept, fit.r_squared), fit
 
     def _analytics_covariance(self, matrix, parameters, timer: PhaseTimer):
         with timer.analytics():
-            return covariance_pairs(array_linalg.covariance(matrix), parameters)
+            return covariance_pairs(array_linalg.covariance(matrix), parameters), None
 
     def _analytics_biclustering(self, matrix, parameters, timer: PhaseTimer):
         with timer.analytics():
@@ -184,4 +184,4 @@ class SciDBEngine(Engine):
             result = enrichment_analysis(
                 np.nan_to_num(gene_scores), membership, alpha=parameters.statistics_alpha
             )
-        return len(result.go_ids), result.significant, result
+        return (result.p_values, result.significant), result

@@ -23,68 +23,121 @@ from repro.linalg.wilcoxon import enrichment_analysis
 from repro.plan import Aggregate, Expression, Filter, Join, Pivot, PlanNode, Project, Scan, col
 
 
+# --------------------------------------------------------------------------- #
+# The five answers
+# --------------------------------------------------------------------------- #
+#
+# One frozen answer class per query.  Every engine and the reference
+# return one, with ids (not matrix positions) wherever the answer names a
+# gene or a patient, so two engines' answers compare field by field under
+# ``repro.fuzz.tolerances``.  Each ``summary()`` is the scalar digest the
+# runner checks and the snapshots pin: keys, key order and the
+# int()/float() coercions live here and nowhere else.
+
+
+@dataclass(frozen=True)
+class RegressionAnswer:
+    """Q1: drug response fitted on the selected genes' expression."""
+
+    n_patients: int
+    #: One weight per selected gene, in gene-label order; no intercept.
+    coefficients: np.ndarray
+    intercept: float
+    r_squared: float
+
+    def summary(self) -> dict:
+        return {
+            "n_selected_genes": int(len(self.coefficients)),
+            "n_patients": int(self.n_patients),
+            "r_squared": float(self.r_squared),
+        }
+
+
+@dataclass(frozen=True)
+class CovarianceAnswer:
+    """Q2: the kept gene pairs, as gene ids, in the kernel's order (largest |value| first)."""
+
+    n_selected_patients: int
+    gene_a: np.ndarray
+    gene_b: np.ndarray
+    values: np.ndarray
+    #: Kept pairs whose gene came back from the join to the gene metadata.
+    joined_rows: int
+
+    def summary(self) -> dict:
+        return {
+            "n_selected_patients": int(self.n_selected_patients),
+            "n_pairs_kept": int(len(self.values)),
+            "max_covariance": float(self.values[0]) if len(self.values) else 0.0,
+        }
+
+
+@dataclass(frozen=True)
+class BiclusteringAnswer:
+    """Q3: each bicluster as ``(patient ids, gene ids)``, in discovery order."""
+
+    n_selected_patients: int
+    biclusters: tuple[tuple[np.ndarray, np.ndarray], ...]
+
+    def summary(self) -> dict:
+        return {
+            "n_selected_patients": int(self.n_selected_patients),
+            "n_biclusters": int(len(self.biclusters)),
+            "largest_bicluster_cells": int(max(
+                (len(patients) * len(genes) for patients, genes in self.biclusters), default=0)),
+        }
+
+
+@dataclass(frozen=True)
+class SvdAnswer:
+    """Q4: the top singular values, largest first."""
+
+    n_selected_genes: int
+    singular_values: np.ndarray
+
+    def summary(self) -> dict:
+        return {
+            "n_selected_genes": int(self.n_selected_genes),
+            "k": int(len(self.singular_values)),
+            "top_singular_value": (float(self.singular_values[0])
+                                   if len(self.singular_values) else 0.0),
+        }
+
+
+@dataclass(frozen=True)
+class StatisticsAnswer:
+    """Q5: one enrichment p-value and verdict per GO term."""
+
+    n_sampled_patients: int
+    go_ids: np.ndarray
+    p_values: np.ndarray
+    significant: np.ndarray
+
+    def summary(self) -> dict:
+        return {
+            "n_sampled_patients": int(self.n_sampled_patients),
+            "n_terms": int(len(self.go_ids)),
+            "n_significant": int(self.significant.sum()),
+        }
+
+
 @dataclass
 class QueryOutput:
-    """The engine-independent summary of one query's answer.
+    """One query's answer, its summary and a side ``payload``.
 
-    Engines fill the fields relevant to their query; the ``summary`` dict
-    carries a few scalar facts used for cross-engine comparison and the
-    ``payload`` keeps the full result object for callers that want it.
+    ``summary`` is ``answer.summary()``, computed once here.  ``payload``
+    is read by no comparison: the kernel's own result object where the
+    kernel returns one (``None`` otherwise), and on the coprocessor
+    engine ``{"result": kernel result, "offload": OffloadResult}``.
     """
 
     query: str
-    summary: dict = field(default_factory=dict)
+    answer: RegressionAnswer | CovarianceAnswer | BiclusteringAnswer | SvdAnswer | StatisticsAnswer
     payload: object | None = None
+    summary: dict = field(init=False)
 
-
-# The five summaries, spelled once.  Summaries are compared byte-for-byte
-# across engines, so keys, key order and the int()/float() coercions live
-# here and nowhere else; ``payload`` stays whatever the engine wants to keep.
-
-def regression_output(n_selected_genes, n_patients, r_squared, payload) -> QueryOutput:
-    """Q1 summary: selected genes, patients in the fit, R²."""
-    return QueryOutput("regression", {
-        "n_selected_genes": int(n_selected_genes),
-        "n_patients": int(n_patients),
-        "r_squared": float(r_squared),
-    }, payload)
-
-
-def covariance_output(n_selected_patients, n_pairs_kept, pair_values, payload) -> QueryOutput:
-    """Q2 summary; ``pair_values`` are the kept covariances, largest first."""
-    return QueryOutput("covariance", {
-        "n_selected_patients": int(n_selected_patients),
-        "n_pairs_kept": int(n_pairs_kept),
-        "max_covariance": float(pair_values[0]) if len(pair_values) else 0.0,
-    }, payload)
-
-
-def biclustering_output(n_selected_patients, biclusters, payload) -> QueryOutput:
-    """Q3 summary; ``biclusters`` is the sized sequence of found biclusters."""
-    shapes = [bicluster.shape for bicluster in biclusters]
-    return QueryOutput("biclustering", {
-        "n_selected_patients": int(n_selected_patients),
-        "n_biclusters": int(len(biclusters)),
-        "largest_bicluster_cells": int(max((rows * cols for rows, cols in shapes), default=0)),
-    }, payload)
-
-
-def svd_output(n_selected_genes, singular_values, payload) -> QueryOutput:
-    """Q4 summary; ``singular_values`` are sorted largest first."""
-    return QueryOutput("svd", {
-        "n_selected_genes": int(n_selected_genes),
-        "k": int(len(singular_values)),
-        "top_singular_value": float(singular_values[0]) if len(singular_values) else 0.0,
-    }, payload)
-
-
-def statistics_output(n_sampled_patients, n_terms, significant, payload) -> QueryOutput:
-    """Q5 summary; ``significant`` is the per-term boolean verdict array."""
-    return QueryOutput("statistics", {
-        "n_sampled_patients": int(n_sampled_patients),
-        "n_terms": int(n_terms),
-        "n_significant": int(significant.sum()),
-    }, payload)
+    def __post_init__(self) -> None:
+        self.summary = self.answer.summary()
 
 
 # --------------------------------------------------------------------------- #
@@ -308,31 +361,24 @@ class ReferenceImplementation:
         features = self.dataset.expression_matrix[:, genes]
         target = self.dataset.patients.drug_response
         result = linear_regression(features, target, method="lapack")
-        return regression_output(
-            len(genes), features.shape[0], result.r_squared,
-            payload=result,
-        )
+        return QueryOutput("regression", RegressionAnswer(
+            features.shape[0], result.coefficients, result.intercept, result.r_squared,
+        ), result)
 
     # -- Q2: covariance -----------------------------------------------------------------
 
     def covariance(self) -> QueryOutput:
         patients = covariance_patient_ids(self.dataset, self.parameters)
         matrix = self.dataset.expression_matrix[patients, :]
-        cov = covariance_matrix(matrix)
         gene_a, gene_b, values = top_covariant_pairs(
-            cov, fraction=self.parameters.covariance_top_fraction
+            covariance_matrix(matrix), fraction=self.parameters.covariance_top_fraction
         )
-        # Join the surviving pairs back to the gene metadata (function codes).
-        functions = self.dataset.genes.function
-        pair_functions = np.column_stack([functions[gene_a], functions[gene_b]]) if len(gene_a) else np.empty((0, 2))
-        return covariance_output(
-            len(patients), len(gene_a), values,
-            payload={
-                "covariance": cov,
-                "pairs": (gene_a, gene_b, values),
-                "pair_functions": pair_functions,
-            },
-        )
+        # Matrix columns are gene ids 0..n−1; the join back to the gene
+        # metadata keeps the pairs whose first gene has a row there.
+        joined_rows = np.isin(gene_a, self.dataset.genes.gene_id).sum()
+        return QueryOutput("covariance", CovarianceAnswer(
+            len(patients), gene_a, gene_b, values, int(joined_rows),
+        ))
 
     # -- Q3: biclustering ------------------------------------------------------------------
 
@@ -344,7 +390,9 @@ class ReferenceImplementation:
             n_biclusters=self.parameters.n_biclusters,
             seed=self.parameters.seed,
         )
-        return biclustering_output(len(patients), result, payload=result)
+        return QueryOutput("biclustering", BiclusteringAnswer(len(patients), tuple(
+            (patients[bicluster.rows], bicluster.columns) for bicluster in result
+        )), result)
 
     # -- Q4: SVD --------------------------------------------------------------------------------
 
@@ -353,7 +401,7 @@ class ReferenceImplementation:
         matrix = self.dataset.expression_matrix[:, genes]
         k = min(self.parameters.svd_k(self.dataset.spec), len(genes)) if len(genes) else 1
         result = lanczos_svd(matrix, k=max(1, k), seed=self.parameters.seed)
-        return svd_output(len(genes), result.singular_values, payload=result)
+        return QueryOutput("svd", SvdAnswer(len(genes), result.singular_values), result)
 
     # -- Q5: statistics (enrichment) ---------------------------------------------------------------
 
@@ -366,7 +414,6 @@ class ReferenceImplementation:
             self.dataset.ontology.membership,
             alpha=self.parameters.statistics_alpha,
         )
-        return statistics_output(
-            len(patients), len(result.go_ids), result.significant,
-            payload=result,
-        )
+        return QueryOutput("statistics", StatisticsAnswer(
+            len(patients), result.go_ids, result.p_values, result.significant,
+        ), result)

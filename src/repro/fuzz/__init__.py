@@ -21,7 +21,6 @@ from repro.fuzz.generate import FuzzCase, MutationOp, generate_case, lower_mutat
 from repro.fuzz.harness import FuzzHarness
 from repro.fuzz.tolerances import (
     EXACT,
-    MAHOUT_FLOAT_FIELDS,
     ULP,
     Tolerance,
     aggregate_tolerance,
@@ -30,7 +29,6 @@ from repro.fuzz.tolerances import (
 
 __all__ = [
     "EXACT",
-    "MAHOUT_FLOAT_FIELDS",
     "ULP",
     "FuzzCase",
     "FuzzHarness",

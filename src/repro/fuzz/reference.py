@@ -43,8 +43,6 @@ class ReferenceTrace:
     #: Rows of the final result (groups for Aggregate, row labels for
     #: Pivot, rows otherwise).
     output_rows: int | None = None
-    #: Cells of the final pivot matrix, when the terminal is a Pivot.
-    output_cells: int | None = None
 
 
 @dataclass
@@ -146,7 +144,6 @@ def run_reference(plan: logical.PlanNode,
         )
         if trace is not None:
             trace.output_rows = int(len(row_labels))
-            trace.output_cells = int(matrix.size)
         return matrix, row_labels, column_labels
     if isinstance(plan, logical.ApproxAggregate):
         sampled = _evaluate(plan.child, tables)

@@ -1,38 +1,38 @@
 """The one tolerance table every cross-engine comparison consults.
 
-Two consumers share this module — ``tests/test_cross_engine.py`` (the five
-GenBase queries' summary fields) and the differential fuzzer (arbitrary
-aggregate plans) — so a documented last-ulp divergence is pinned in exactly
-one place instead of being re-derived per test file.
+Two consumers share this module — ``tests/test_cross_engine.py`` (every
+field of the five GenBase queries' answers, on all fourteen engines) and
+the differential fuzzer (arbitrary aggregate plans) — so a documented
+last-ulp divergence is pinned in exactly one place instead of being
+re-derived per test file.
 
 The policy, from the engine matrix (``docs/ENGINES.md``):
 
 - **Structure is always exact.** Row sets, group keys, labels and pivot
   matrices must match bit for bit on every engine: they are produced by
-  selection and scatter, never by float arithmetic.
+  selection and scatter, never by float arithmetic.  In the answers that
+  means every count, Q2's kept pair set and ``joined_rows``, Q3's
+  bicluster row and column sets and all of Q5 (GO ids, p-values and
+  verdicts).
 - **Order-insensitive float reductions are ulp-tolerant.** ``sum`` and
   ``mean`` over float columns reassociate addition differently per engine
   (a written column-store table's sealed+tail partial merge, chunk-wise
   loops on the array DBMS), so they may differ from the reference in the last ulps —
   :data:`ULP`, ``rel=1e-9``.  ``count``/``min``/``max`` pick or count
   elements and stay exact.
-- **Mahout's analytics kernels are ulp-tolerant on hadoop only.** The
-  naive MapReduce summation in the Mahout-tier kernels diverges from the
-  LAPACK/BLAS tier in :data:`MAHOUT_FLOAT_FIELDS`; every other summary
-  field is exact on every engine.
+- **Kernel floats are tolerant where the kernel tier differs.** An answer
+  field named in :data:`ANSWER_TOLERANCES` may differ from
+  ``ReferenceImplementation``'s on the engines its entry names: Mahout's
+  MapReduce kernels and the distributed ScaLAPACK tier sum in their own
+  order and solve Q1 by normal equations, and Q4's bound covers every
+  engine.  Every other answer field is exact on every engine.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-
-#: Summary fields produced by Mahout's naive MapReduce analytics kernels —
-#: the only query-summary fields allowed to differ (by ulps) from the
-#: LAPACK/BLAS tier, and only on the hadoop family.
-MAHOUT_FLOAT_FIELDS = frozenset({"max_covariance", "top_singular_value", "r_squared"})
 
 #: Aggregate functions whose result is a reassociated float reduction.
 _REASSOCIATING = frozenset({"sum", "mean", "avg"})
@@ -45,18 +45,49 @@ class Tolerance:
     rel: float = 0.0
     label: str = "exact"
 
-    def matches(self, actual: float, expected: float) -> bool:
-        """True when ``actual`` agrees with ``expected`` under this tolerance."""
-        if self.rel == 0.0:
-            return bool(actual == expected)
-        return math.isclose(actual, expected, rel_tol=self.rel, abs_tol=0.0)
-
 
 #: Bit-for-bit equality — the default for everything structural.
 EXACT = Tolerance()
 
 #: Last-ulp agreement for reassociated float accumulation.
 ULP = Tolerance(rel=1e-9, label="ulp")
+
+#: Mahout's MapReduce kernels (naive summation order, Q1 by normal equations).
+MAHOUT_ENGINES = frozenset({"hadoop", "hadoop-cluster"})
+
+#: The distributed ScaLAPACK tier (all-reduced partial products, Q1 by
+#: normal equations).
+SCALAPACK_ENGINES = frozenset({"pbdr", "columnstore-pbdr", "scidb-cluster", "scidb-phi-cluster"})
+
+#: ``(query, answer field) → ((engines, tolerance), ...)`` against
+#: ``ReferenceImplementation``; ``None`` names every engine, and a field or
+#: engine not listed is :data:`EXACT`.  Each bound but Q4's sits one to two
+#: orders above the worst element-wise relative error measured on the test
+#: fixtures and their neighbours (``tiny`` seeds 7 and 11 on 1, 2 and 4
+#: nodes; ``small`` seed 7 on 1, 2 and 4 nodes; ``small`` seed 11 on 2),
+#: quoted per entry.  Engines outside an entry measured 0.
+ANSWER_TOLERANCES = {
+    ("regression", "coefficients"): (
+        (MAHOUT_ENGINES, Tolerance(rel=1e-10, label="mahout")),           # ≤ 1.5e-12
+        (SCALAPACK_ENGINES, Tolerance(rel=1e-9, label="scalapack")),       # ≤ 2.8e-11
+    ),
+    ("regression", "intercept"): (
+        (MAHOUT_ENGINES | SCALAPACK_ENGINES, Tolerance(rel=1e-10, label="normal equations")),
+    ),                                                                     # ≤ 1.3e-12
+    ("regression", "r_squared"): (
+        (MAHOUT_ENGINES | SCALAPACK_ENGINES, Tolerance(rel=1e-14, label="normal equations")),
+    ),                                                                     # ≤ 1.4e-16
+    ("covariance", "values"): (
+        (MAHOUT_ENGINES | SCALAPACK_ENGINES, Tolerance(rel=1e-14, label="reassociated")),
+    ),                                                                     # ≤ 6.8e-16
+    # One bound for every engine.  The Lanczos engines measure ≤ 2.1e-14.
+    # The power-iteration tiers (hadoop, hadoop-cluster, postgres-madlib)
+    # measure 7.7e-12 at ``tiny`` seed 7 but 4.5e-9 at seed 11, 1.1e-5 at
+    # ``small`` seed 7 and 2.0e-2 at seed 11: ROADMAP item 2, not widened
+    # for.
+    ("svd", "singular_values"): ((None, Tolerance(rel=1e-10, label="lanczos")),),
+}
+
 
 def aggregate_tolerance(function: str) -> Tolerance:
     """Tolerance for one aggregate function's values, the same on every engine.

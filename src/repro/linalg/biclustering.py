@@ -42,19 +42,12 @@ class Bicluster:
     columns: np.ndarray
     msr: float
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (len(self.rows), len(self.columns))
-
 
 @dataclass
 class BiclusteringResult:
     """All biclusters found in one run."""
 
     biclusters: list[Bicluster] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.biclusters)
 
     def __iter__(self):
         return iter(self.biclusters)

@@ -44,11 +44,6 @@ class RegressionResult:
     rank: int
     method: str
 
-    def predict(self, features: np.ndarray) -> np.ndarray:
-        """Apply the fitted model to a new feature matrix."""
-        features = np.asarray(features, dtype=np.float64)
-        return features @ self.coefficients + self.intercept
-
 
 #: Column norms inside this range keep every sum of squares the reflector
 #: needs within the float64 normal range; outside it squares go subnormal

@@ -67,17 +67,6 @@ class EnrichmentResult:
     significant: np.ndarray
     alpha: float
 
-    def significant_terms(self) -> np.ndarray:
-        """Return the GO ids deemed significant."""
-        return self.go_ids[self.significant]
-
-    def as_rows(self) -> list[tuple[int, float, float, bool]]:
-        """Return ``(go_id, p_value, z_score, significant)`` tuples."""
-        return [
-            (int(g), float(p), float(z), bool(s))
-            for g, p, z, s in zip(self.go_ids, self.p_values, self.z_scores, self.significant, strict=True)
-        ]
-
 
 def _rank_with_ties(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Return midranks of ``values`` and the sizes of each tie group."""

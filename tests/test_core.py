@@ -112,8 +112,7 @@ class TestReferenceImplementation:
         for query in QUERY_NAMES:
             output = reference.run(query)
             assert output.query == query
-            assert output.summary
-            assert output.payload is not None
+            assert output.summary == output.answer.summary()
 
     def test_regression_finds_signal(self, tiny_dataset):
         output = ReferenceImplementation(tiny_dataset).run("regression")
@@ -122,13 +121,14 @@ class TestReferenceImplementation:
 
     def test_statistics_recovers_planted_terms(self, small_dataset):
         output = ReferenceImplementation(small_dataset).run("statistics")
-        significant = set(output.payload.significant_terms().tolist())
+        answer = output.answer
+        significant = set(answer.go_ids[answer.significant].tolist())
         planted = set(small_dataset.ontology.enriched_terms.tolist())
         assert planted <= significant
 
     def test_svd_spectrum_descends(self, tiny_dataset):
         output = ReferenceImplementation(tiny_dataset).run("svd")
-        values = output.payload.singular_values
+        values = output.answer.singular_values
         assert np.all(np.diff(values) <= 1e-9)
 
 
@@ -230,11 +230,9 @@ class TestRunner:
                 return None
 
             def _run_svd(self, parameters, timer):
-                from repro.core.queries import QueryOutput
+                from repro.core.queries import QueryOutput, SvdAnswer
 
-                return QueryOutput(query="svd", summary={
-                    "n_selected_genes": 1, "k": 1, "top_singular_value": 0.0,
-                })
+                return QueryOutput("svd", SvdAnswer(n_selected_genes=1, singular_values=np.zeros(1)))
 
         runner = BenchmarkRunner(verify=True)
         result = runner.run("svd", WrongEngine(), tiny_dataset)

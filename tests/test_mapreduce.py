@@ -330,7 +330,7 @@ class TestFrameworkLoop:
                 assert got.output is None
                 continue
             assert pickle.dumps(got.output.summary) == pickle.dumps(want.output.summary)
-            assert pickle.dumps(got.output.payload) == pickle.dumps(want.output.payload)
+            assert pickle.dumps(got.output.answer) == pickle.dumps(want.output.answer)
         assert history == expected_history
         assert {name for name, _ in history} >= {
             "shared_join(genes,microarray)", "scan(patients)", "mahout-covariance"}

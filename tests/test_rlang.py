@@ -174,7 +174,7 @@ class TestStats:
     def test_biclust(self, rng):
         matrix = rng.random((20, 15))
         result = biclust(matrix, n_biclusters=2)
-        assert len(result) == 2
+        assert len(result.biclusters) == 2
 
     def test_enrichment_wrapper(self, rng):
         scores = rng.random(50)
