@@ -152,8 +152,8 @@ class Engine:
             covariance_patient_predicate(parameters), timer
         )
         (gene_a, gene_b, values), payload = self._analytics_covariance(matrix, parameters, timer)
-        joined_rows = self._annotate_pairs(gene_labels, gene_a, timer)
         genes = np.asarray(gene_labels, dtype=np.int64)
+        joined_rows = self._annotate_pairs(genes, gene_a, timer)
         return QueryOutput("covariance", CovarianceAnswer(
             len(patient_labels), genes[gene_a], genes[gene_b], values, joined_rows), payload)
 
@@ -241,15 +241,15 @@ class Engine:
         membership[positions_of(labels, gene_ids), go_ids] = belongs[member]
         return membership
 
-    def _annotate_pairs(self, gene_labels, gene_a, timer: PhaseTimer) -> int:
+    def _annotate_pairs(self, genes: np.ndarray, gene_a, timer: PhaseTimer) -> int:
         """Q2 join of the kept pairs back to gene metadata: the number of kept
-        pairs whose gene came back (the answer's ``joined_rows``)."""
-        labels = np.asarray(gene_labels, dtype=np.int64)
+        pairs whose gene came back (the answer's ``joined_rows``).  ``genes``
+        holds the selected genes' int64 ids, ``gene_a`` positions into it."""
         # Per selected gene, not per pair: Q2 keeps tens of thousands of pairs.
-        paired = np.zeros(len(labels), dtype=bool)
+        paired = np.zeros(len(genes), dtype=bool)
         paired[gene_a] = True
-        genes = self._relation(gene_annotation_plan(labels[paired]), timer)
-        came_back = np.isin(labels, np.asarray(genes["gene_id"], dtype=np.int64))
+        rows = self._relation(gene_annotation_plan(genes[paired]), timer)
+        came_back = np.isin(genes, np.asarray(rows["gene_id"], dtype=np.int64))
         return int(came_back[gene_a].sum())
 
     # -- analytics hooks: each returns ``(what the kernel computed, payload)`` ----------

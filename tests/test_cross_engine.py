@@ -51,9 +51,6 @@ from repro.core.engines import (
 from repro.core.queries import (
     BiclusteringAnswer,
     CovarianceAnswer,
-    RegressionAnswer,
-    StatisticsAnswer,
-    SvdAnswer,
     bicluster_patient_predicate,
     covariance_patient_predicate,
     dataset_tables,
@@ -110,7 +107,7 @@ def runs(runner):
     return run
 
 
-class TestCrossEngineByteIdentity:
+class TestAdaptersUseSharedExpressions:
     """The adapters' filters are shared-AST expressions, not callables."""
 
     def test_migrated_adapters_leave_no_raw_callable_filters(self):
@@ -181,15 +178,6 @@ class TestSingleNodeByteIdentity:
             ), key
 
 
-#: Each query's answer class.
-ANSWER_TYPES = {
-    "regression": RegressionAnswer,
-    "covariance": CovarianceAnswer,
-    "biclustering": BiclusteringAnswer,
-    "svd": SvdAnswer,
-    "statistics": StatisticsAnswer,
-}
-
 #: ROADMAP item 2: the power-iteration SVD tiers miss the Lanczos spectrum
 #: at ``small`` (worst relative error 2.7e-3 on Hadoop and 2.0e-2 on Madlib
 #: at seed 11).  Strict, so the fix must remove it.
@@ -217,14 +205,6 @@ def _answer_cells():
                       and name in ("hadoop", "hadoop-cluster", "postgres-madlib"))
             yield pytest.param(fixture, name, n_nodes, query, marks=[_ITEM_2] if item_2 else [],
                                id=f"{fixture[:-8]}-{name}-{n_nodes or 1}-{query}")
-
-
-def _answer_tolerance(engine: str, query: str, field: str):
-    """The first ``ANSWER_TOLERANCES`` entry of ``field`` naming ``engine``, else exact."""
-    for engines, tolerance in ANSWER_TOLERANCES.get((query, field), ()):
-        if engines is None or engine in engines:
-            return tolerance
-    return EXACT
 
 
 def _comparable(answer) -> dict:
@@ -274,13 +254,14 @@ class TestAnswersMatchReference:
         dataset = request.getfixturevalue(fixture_name)
         result = runs(dataset, engine_name, n_nodes)[query]
         assert result.status is RunStatus.OK, result.error
-        answer = result.output.answer
-        assert isinstance(answer, ANSWER_TYPES[query])
+        answer, reference = result.output.answer, reference_answers(dataset)[query]
+        assert type(answer) is type(reference)
         got = _comparable(answer)
-        expected = _comparable(reference_answers(dataset)[query])
+        expected = _comparable(reference)
         assert got.keys() == expected.keys()
         for name, value in expected.items():
-            assert_values_match(got[name], value, _answer_tolerance(engine_name, query, name),
+            tolerance = ANSWER_TOLERANCES.get((query, name, engine_name), EXACT)
+            assert_values_match(got[name], value, tolerance,
                                 f"{engine_name}/{n_nodes}/{query}/{name}")
 
 

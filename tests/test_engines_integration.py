@@ -1,8 +1,9 @@
 """Integration tests: every engine configuration × every query it supports.
 
-These are the benchmark's end-to-end correctness tests: each engine's answer
-is validated against the engine-independent reference implementation on the
-shared tiny dataset.
+Each engine's answer is compared field by field with the engine-independent
+reference implementation in ``tests/test_cross_engine.py``'s
+``TestAnswersMatchReference``; this file checks what runs around the answers
+(statuses, capabilities, the recipes' shared hooks, timing phases).
 """
 
 from __future__ import annotations
