@@ -63,7 +63,12 @@ from repro.core.queries import (
 from repro.core.runner import RunStatus
 from repro.core.spec import default_parameters
 from repro.fuzz.reference import run_reference
-from repro.fuzz.tolerances import ANSWER_TOLERANCES, EXACT, assert_values_match
+from repro.fuzz.tolerances import (
+    ANSWER_TOLERANCES,
+    EXACT,
+    POWER_ITERATION_ENGINES,
+    assert_values_match,
+)
 from repro.mapreduce import HiveTable, MapReduceEngine
 from repro.mapreduce.bridge import run_shared_plan as run_mr_plan
 from repro.plan import Filter, Scan, col
@@ -202,7 +207,7 @@ def _answer_cells():
             if query not in supported:
                 continue
             item_2 = (fixture == "small_dataset" and query == "svd"
-                      and name in ("hadoop", "hadoop-cluster", "postgres-madlib"))
+                      and name in POWER_ITERATION_ENGINES)
             yield pytest.param(fixture, name, n_nodes, query, marks=[_ITEM_2] if item_2 else [],
                                id=f"{fixture[:-8]}-{name}-{n_nodes or 1}-{query}")
 

@@ -16,33 +16,19 @@ import numpy as np
 import pytest
 
 import repro.core.engines
-from repro.core import QUERY_NAMES, BenchmarkRunner, ReferenceImplementation
+from repro.core import QUERY_NAMES, BenchmarkRunner
 from repro.core.engines import (
     ENGINE_FACTORIES,
-    MULTI_NODE_ENGINES,
     SINGLE_NODE_ENGINES,
     make_engine,
 )
 from repro.core.runner import RunStatus
 from repro.core.timing import PhaseTimer
 
-#: (engine, query) combinations the paper itself marks as unsupported.
-EXPECTED_UNSUPPORTED = {
-    ("postgres-madlib", "biclustering"),
-    ("hadoop", "biclustering"),
-    ("hadoop-cluster", "biclustering"),
-}
-
 
 @pytest.fixture(scope="module")
 def runner() -> BenchmarkRunner:
     return BenchmarkRunner(timeout_seconds=120, verify=False)
-
-
-@pytest.fixture(scope="module")
-def reference(tiny_dataset):
-    implementation = ReferenceImplementation(tiny_dataset)
-    return {query: implementation.run(query) for query in QUERY_NAMES}
 
 
 @pytest.fixture(scope="module")
@@ -73,23 +59,6 @@ class TestSingleNodeEngines:
 
 
 class TestMultiNodeEngines:
-    @pytest.mark.parametrize("engine_name", MULTI_NODE_ENGINES)
-    def test_all_queries_run_on_two_nodes(self, engine_name, runner, reference, tiny_dataset):
-        for query in QUERY_NAMES:
-            result = runner.run(query, engine_name, tiny_dataset, n_nodes=2)
-            if (engine_name, query) in EXPECTED_UNSUPPORTED:
-                assert result.status is RunStatus.UNSUPPORTED
-                continue
-            assert result.status is RunStatus.OK, f"{engine_name}/{query}: {result.error}"
-            if query == "regression":
-                assert result.output.summary["r_squared"] == pytest.approx(
-                    reference["regression"].summary["r_squared"], abs=0.05
-                )
-            if query == "svd":
-                assert result.output.summary["top_singular_value"] == pytest.approx(
-                    reference["svd"].summary["top_singular_value"], rel=1e-3
-                )
-
     def test_multi_node_charges_network_time(self, tiny_dataset):
         runner = BenchmarkRunner()
         single = runner.run("covariance", "scidb-cluster", tiny_dataset, n_nodes=1)
