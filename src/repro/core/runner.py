@@ -23,7 +23,7 @@ from enum import Enum
 
 from repro.core.engines import ENGINE_FACTORIES, make_engine
 from repro.core.engines.base import Engine, UnsupportedQueryError
-from repro.core.queries import QueryOutput
+from repro.core.queries import QueryOutput, ReferenceImplementation
 from repro.core.spec import QueryParameters, default_parameters, validate_query_name
 from repro.core.timing import PhaseTimer
 from repro.datagen.dataset import GenBaseDataset
@@ -105,12 +105,19 @@ class BenchmarkRunner:
             used two hours, the scaled default here is 120 seconds).
         load_timeout_seconds: budget for the (untimed) data-load step.
         verify: when True, cross-check each engine answer against the
-            reference implementation and record mismatches as errors.
+            reference implementation and record mismatches as errors.  The
+            reference is computed once per (dataset, parameters, query) for
+            the runner's lifetime: every later run of that query on that
+            dataset object is compared with the same answer.
     """
 
     timeout_seconds: float | None = 120.0
     load_timeout_seconds: float | None = 300.0
     verify: bool = False
+    #: ``(id(dataset), parameters, query) → (dataset, reference answer)``.
+    #: The entry holds its dataset so the id cannot be reused while it lives;
+    #: it holds the answer only, never the reference's kernel ``payload``.
+    _references: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def run(
         self,
@@ -212,13 +219,25 @@ class BenchmarkRunner:
 
     # -- verification --------------------------------------------------------------------
 
-    @staticmethod
-    def _verify(result: QueryResult, dataset: GenBaseDataset,
+    def reference_answer(self, query: str, dataset: GenBaseDataset,
+                         parameters: QueryParameters | None = None):
+        """``ReferenceImplementation``'s answer to ``query``, computed on the first request.
+
+        The memo tells datasets apart by identity, as :meth:`run` does to
+        skip a reload, and parameters by equality.
+        """
+        query = validate_query_name(query)
+        parameters = parameters or default_parameters(dataset.spec)
+        key = (id(dataset), parameters, query)
+        if key not in self._references:
+            answer = ReferenceImplementation(dataset, parameters).run(query).answer
+            self._references[key] = (dataset, answer)
+        return self._references[key][1]
+
+    def _verify(self, result: QueryResult, dataset: GenBaseDataset,
                 parameters: QueryParameters) -> str:
         """Cross-check a successful run against the reference implementation."""
-        from repro.core.queries import ReferenceImplementation
-
-        reference = ReferenceImplementation(dataset, parameters).run(result.query)
+        reference = self.reference_answer(result.query, dataset, parameters).summary()
         engine_summary = result.output.summary if result.output else {}
         checks = {
             "regression": [("n_selected_genes", 0), ("n_patients", 0), ("r_squared", 0.05)],
@@ -228,7 +247,7 @@ class BenchmarkRunner:
             "statistics": [("n_sampled_patients", 0), ("n_terms", 0)],
         }
         for key, tolerance in checks.get(result.query, []):
-            expected = reference.summary.get(key)
+            expected = reference.get(key)
             actual = engine_summary.get(key)
             if expected is None or actual is None:
                 return f"missing summary field {key!r}"

@@ -3,6 +3,7 @@ figure tables ``examples/paper_figures.py`` prints from the runner's results."""
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
 import time
 from pathlib import Path
@@ -21,6 +22,12 @@ from repro.core import (
 from repro.core.engines import ENGINE_FACTORIES, MULTI_NODE_ENGINES, SINGLE_NODE_ENGINES
 from repro.core.engines.base import Engine, UnsupportedQueryError
 from repro.core.queries import (
+    BiclusteringAnswer,
+    CovarianceAnswer,
+    QueryOutput,
+    RegressionAnswer,
+    StatisticsAnswer,
+    SvdAnswer,
     bicluster_patient_ids,
     covariance_patient_ids,
     selected_gene_ids,
@@ -28,6 +35,9 @@ from repro.core.queries import (
 )
 from repro.core.runner import RunStatus
 from repro.core.spec import default_parameters, validate_query_name
+from repro.datagen import GenBaseDataset
+
+ANSWER_TYPES = (RegressionAnswer, CovarianceAnswer, BiclusteringAnswer, SvdAnswer, StatisticsAnswer)
 
 PAPER_FIGURES = Path(__file__).resolve().parent.parent / "examples" / "paper_figures.py"
 
@@ -159,6 +169,18 @@ class TestEngineRegistry:
             engine.run("biclustering", tiny_parameters, PhaseTimer())
 
 
+class _WrongSvdEngine(Engine):
+    """Answers Q4 with one zero singular value of one gene."""
+
+    name = "wrong"
+
+    def _load(self, dataset):
+        return None
+
+    def _run_svd(self, parameters, timer):
+        return QueryOutput("svd", SvdAnswer(n_selected_genes=1, singular_values=np.zeros(1)))
+
+
 class TestRunner:
     def test_successful_run_records_phases(self, tiny_dataset):
         runner = BenchmarkRunner(timeout_seconds=60)
@@ -223,21 +245,64 @@ class TestRunner:
         assert result.status is RunStatus.OK
 
     def test_verification_catches_wrong_answers(self, tiny_dataset, tiny_parameters):
-        class WrongEngine(Engine):
-            name = "wrong"
-
-            def _load(self, dataset):
-                return None
-
-            def _run_svd(self, parameters, timer):
-                from repro.core.queries import QueryOutput, SvdAnswer
-
-                return QueryOutput("svd", SvdAnswer(n_selected_genes=1, singular_values=np.zeros(1)))
-
         runner = BenchmarkRunner(verify=True)
-        result = runner.run("svd", WrongEngine(), tiny_dataset)
+        result = runner.run("svd", _WrongSvdEngine(), tiny_dataset)
         assert result.status is RunStatus.ERROR
         assert "mismatch" in result.error
+
+    @staticmethod
+    def _count_reference_runs(monkeypatch) -> list[str]:
+        """Patch ``ReferenceImplementation.run`` to log each query it answers."""
+        calls = []
+        run = ReferenceImplementation.run
+
+        def counting(self, query):
+            calls.append(query)
+            return run(self, query)
+
+        monkeypatch.setattr(ReferenceImplementation, "run", counting)
+        return calls
+
+    def test_verification_runs_the_reference_once_per_query(self, tiny_dataset, monkeypatch):
+        calls = self._count_reference_runs(monkeypatch)
+        runner = BenchmarkRunner(verify=True)
+        for engine in ("columnstore-udf", "scidb", "vanilla-r"):
+            for query in QUERY_NAMES:
+                result = runner.run(query, engine, tiny_dataset)
+                assert result.status is RunStatus.OK, f"{engine}/{query}: {result.error}"
+        assert sorted(calls) == sorted(QUERY_NAMES)
+
+    def test_verification_reference_is_per_dataset_object_and_parameters(
+            self, tiny_dataset, tiny_parameters, monkeypatch):
+        calls = self._count_reference_runs(monkeypatch)
+        runner = BenchmarkRunner(verify=True)
+        twin = GenBaseDataset.generate(tiny_dataset.spec.name, seed=7)
+        assert twin is not tiny_dataset and twin.spec == tiny_dataset.spec
+        for dataset in (tiny_dataset, twin, tiny_dataset):
+            assert runner.run("svd", "scidb", dataset).status is RunStatus.OK
+        assert len(calls) == 2
+        equal = dataclasses.replace(tiny_parameters)
+        assert runner.run("svd", "scidb", tiny_dataset, equal).status is RunStatus.OK
+        assert len(calls) == 2
+        changed = dataclasses.replace(tiny_parameters, gene_function_fraction=0.5)
+        assert runner.run("svd", "scidb", tiny_dataset, changed).status is RunStatus.OK
+        assert len(calls) == 3
+
+    def test_wrong_engine_after_a_correct_one_still_errors(self, tiny_dataset):
+        runner = BenchmarkRunner(verify=True)
+        assert runner.run("svd", "columnstore-udf", tiny_dataset).status is RunStatus.OK
+        result = runner.run("svd", _WrongSvdEngine(), tiny_dataset)
+        assert result.status is RunStatus.ERROR
+        assert "mismatch" in result.error
+
+    def test_verification_memo_holds_answers_not_payloads(self, tiny_dataset):
+        runner = BenchmarkRunner(verify=True)
+        for query in QUERY_NAMES:
+            assert runner.run(query, "columnstore-udf", tiny_dataset).status is RunStatus.OK
+        assert len(runner._references) == len(QUERY_NAMES)
+        for dataset, answer in runner._references.values():
+            assert dataset is tiny_dataset
+            assert type(answer) in ANSWER_TYPES  # not the QueryOutput that carries a payload
 
     def test_engine_instance_reuse_skips_reload(self, tiny_dataset):
         engine = make_engine("scidb")

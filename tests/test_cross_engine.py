@@ -41,7 +41,7 @@ from repro.cluster.bridge import (
     expression_skips_partition,
     run_shared_plan as run_cluster_plan,
 )
-from repro.core import QUERY_NAMES, BenchmarkRunner, ReferenceImplementation
+from repro.core import QUERY_NAMES, BenchmarkRunner
 from repro.core.engines import (
     ENGINE_FACTORIES,
     MULTI_NODE_ENGINES,
@@ -91,6 +91,7 @@ ENGINE_SNAPSHOT = json.loads(
 
 @pytest.fixture(scope="module")
 def runner() -> BenchmarkRunner:
+    """The module's runner; its memo computes each dataset's reference answers once."""
     return BenchmarkRunner(timeout_seconds=300, verify=False)
 
 
@@ -102,7 +103,7 @@ def runs(runner):
     cache = {}
 
     def run(dataset, engine_name: str, n_nodes: int | None = None) -> dict:
-        key = (dataset.spec.name, engine_name, n_nodes)
+        key = (id(dataset), engine_name, n_nodes)  # fixture datasets live for the session
         if key not in cache:
             engine = make_engine(engine_name, **({} if n_nodes is None else {"n_nodes": n_nodes}))
             engine.load(dataset)
@@ -228,21 +229,6 @@ def _comparable(answer) -> dict:
     return fields
 
 
-@pytest.fixture(scope="module")
-def reference_answers():
-    """``reference_answers(dataset) → {query: answer}``, computed once per dataset."""
-    cache = {}
-
-    def answers(dataset) -> dict:
-        if dataset.spec.name not in cache:
-            reference = ReferenceImplementation(dataset)
-            cache[dataset.spec.name] = {query: reference.run(query).answer
-                                        for query in QUERY_NAMES}
-        return cache[dataset.spec.name]
-
-    return answers
-
-
 class TestAnswersMatchReference:
     """Every field of every engine's answer matches the reference's, exact
     unless :data:`repro.fuzz.tolerances.ANSWER_TOLERANCES` names it.
@@ -255,11 +241,11 @@ class TestAnswersMatchReference:
 
     @pytest.mark.parametrize("fixture_name, engine_name, n_nodes, query", _answer_cells())
     def test_every_field_matches_reference(self, fixture_name, engine_name, n_nodes, query,
-                                           request, runs, reference_answers):
+                                           request, runs, runner):
         dataset = request.getfixturevalue(fixture_name)
         result = runs(dataset, engine_name, n_nodes)[query]
         assert result.status is RunStatus.OK, result.error
-        answer, reference = result.output.answer, reference_answers(dataset)[query]
+        answer, reference = result.output.answer, runner.reference_answer(query, dataset)
         assert type(answer) is type(reference)
         got = _comparable(answer)
         expected = _comparable(reference)

@@ -20,7 +20,7 @@ from repro.linalg import (
     top_covariant_pairs,
 )
 from repro.linalg import naive
-from repro.linalg.biclustering import mean_squared_residue
+from repro.linalg.biclustering import _residues, mean_squared_residue
 from repro.linalg.lanczos import lanczos_eigsh
 from repro.linalg.wilcoxon import _normal_approximation, _rank_with_ties
 
@@ -481,6 +481,45 @@ def _bicluster_inputs(draw):
     options = {"n_biclusters": draw(st.integers(1, 3)), "min_rows": min_rows,
                "min_cols": min_cols, "seed": draw(st.integers(0, 100))}
     return matrix, options
+
+
+def _mean_formula_residues(block: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """``_residues`` written with ``np.mean``, before its means became ``add.reduce ÷ count``."""
+    squared = block - block.mean(axis=1, keepdims=True)
+    squared -= block.mean(axis=0, keepdims=True)
+    squared += block.mean()
+    np.square(squared, out=squared)
+    return float(squared.mean()), squared.mean(axis=1), squared.mean(axis=0)
+
+
+@st.composite
+def _residue_blocks(draw):
+    """A 1×n, n×1 or general block with |values| from 1e-150 to 1e150, laid out
+    contiguously, strided, transposed (Fortran order) or as a column slice."""
+    shape = draw(st.sampled_from(["row", "column", "block"]))
+    n = draw(st.integers(1, 60))
+    n_rows, n_cols = {"row": (1, n), "column": (n, 1),
+                      "block": (draw(st.integers(1, 30)), draw(st.integers(1, 30)))}[shape]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.floats(-150, 150))
+    layout = draw(st.sampled_from(["contiguous", "strided", "transposed", "sliced"]))
+    if layout == "strided":
+        return rng.standard_normal((2 * n_rows, 3 * n_cols))[::2, ::3] * scale
+    if layout == "transposed":
+        return (rng.standard_normal((n_cols, n_rows)) * scale).T
+    if layout == "sliced":
+        return (rng.standard_normal((n_rows, n_cols + 5)) * scale)[:, 2:2 + n_cols]
+    return rng.standard_normal((n_rows, n_cols)) * scale
+
+
+@settings(max_examples=200, deadline=None)
+@given(_residue_blocks())
+def test_residues_are_the_mean_formula_bit_for_bit(block):
+    msr, row_scores, col_scores = _residues(block)
+    expected_msr, expected_rows, expected_cols = _mean_formula_residues(block)
+    assert np.float64(msr).tobytes() == np.float64(expected_msr).tobytes()
+    assert row_scores.tobytes() == expected_rows.tobytes()
+    assert col_scores.tobytes() == expected_cols.tobytes()
 
 
 class TestBiclusteringOracle:
