@@ -22,11 +22,7 @@ from repro.core import (
 from repro.core.engines import ENGINE_FACTORIES, MULTI_NODE_ENGINES, SINGLE_NODE_ENGINES
 from repro.core.engines.base import Engine, UnsupportedQueryError
 from repro.core.queries import (
-    BiclusteringAnswer,
-    CovarianceAnswer,
     QueryOutput,
-    RegressionAnswer,
-    StatisticsAnswer,
     SvdAnswer,
     bicluster_patient_ids,
     covariance_patient_ids,
@@ -36,8 +32,6 @@ from repro.core.queries import (
 from repro.core.runner import RunStatus
 from repro.core.spec import default_parameters, validate_query_name
 from repro.datagen import GenBaseDataset
-
-ANSWER_TYPES = (RegressionAnswer, CovarianceAnswer, BiclusteringAnswer, SvdAnswer, StatisticsAnswer)
 
 PAPER_FIGURES = Path(__file__).resolve().parent.parent / "examples" / "paper_figures.py"
 
@@ -295,14 +289,17 @@ class TestRunner:
         assert result.status is RunStatus.ERROR
         assert "mismatch" in result.error
 
-    def test_verification_memo_holds_answers_not_payloads(self, tiny_dataset):
+    def test_verification_memo_holds_summaries_only(self, tiny_dataset):
         runner = BenchmarkRunner(verify=True)
         for query in QUERY_NAMES:
             assert runner.run(query, "columnstore-udf", tiny_dataset).status is RunStatus.OK
+        reference = ReferenceImplementation(tiny_dataset)
         assert len(runner._references) == len(QUERY_NAMES)
-        for dataset, answer in runner._references.values():
+        for (_, _, query), (dataset, summary) in runner._references.items():
             assert dataset is tiny_dataset
-            assert type(answer) in ANSWER_TYPES  # not the QueryOutput that carries a payload
+            assert summary == reference.run(query).summary
+            # Plain scalars: no answer arrays and no kernel payload stay alive.
+            assert all(type(value) in (int, float) for value in summary.values())
 
     def test_engine_instance_reuse_skips_reload(self, tiny_dataset):
         engine = make_engine("scidb")

@@ -41,7 +41,7 @@ from repro.cluster.bridge import (
     expression_skips_partition,
     run_shared_plan as run_cluster_plan,
 )
-from repro.core import QUERY_NAMES, BenchmarkRunner
+from repro.core import QUERY_NAMES, BenchmarkRunner, ReferenceImplementation
 from repro.core.engines import (
     ENGINE_FACTORIES,
     MULTI_NODE_ENGINES,
@@ -91,7 +91,6 @@ ENGINE_SNAPSHOT = json.loads(
 
 @pytest.fixture(scope="module")
 def runner() -> BenchmarkRunner:
-    """The module's runner; its memo computes each dataset's reference answers once."""
     return BenchmarkRunner(timeout_seconds=300, verify=False)
 
 
@@ -229,6 +228,21 @@ def _comparable(answer) -> dict:
     return fields
 
 
+@pytest.fixture(scope="module")
+def reference_answers():
+    """``reference_answers(dataset) → {query: answer}``, computed once per dataset object."""
+    cache = {}  # id(dataset) → (dataset, answers): holding the dataset keeps its id unique
+
+    def answers(dataset) -> dict:
+        if id(dataset) not in cache:
+            reference = ReferenceImplementation(dataset)
+            cache[id(dataset)] = (dataset, {query: reference.run(query).answer
+                                            for query in QUERY_NAMES})
+        return cache[id(dataset)][1]
+
+    return answers
+
+
 class TestAnswersMatchReference:
     """Every field of every engine's answer matches the reference's, exact
     unless :data:`repro.fuzz.tolerances.ANSWER_TOLERANCES` names it.
@@ -241,11 +255,11 @@ class TestAnswersMatchReference:
 
     @pytest.mark.parametrize("fixture_name, engine_name, n_nodes, query", _answer_cells())
     def test_every_field_matches_reference(self, fixture_name, engine_name, n_nodes, query,
-                                           request, runs, runner):
+                                           request, runs, reference_answers):
         dataset = request.getfixturevalue(fixture_name)
         result = runs(dataset, engine_name, n_nodes)[query]
         assert result.status is RunStatus.OK, result.error
-        answer, reference = result.output.answer, runner.reference_answer(query, dataset)
+        answer, reference = result.output.answer, reference_answers(dataset)[query]
         assert type(answer) is type(reference)
         got = _comparable(answer)
         expected = _comparable(reference)
