@@ -18,10 +18,10 @@ Supported domain: a finite float64 matrix (a non-finite cell raises
 bicluster.  The steps carry the current block of ``rows × cols`` and
 shrink it as rows and columns leave; each deletion round computes its
 residue matrix once, in one buffer (:func:`_residues`), and reads the MSR,
-the row scores and the column scores off it.  Every mean is written
-``np.add.reduce(x, axis) / count``: that is ``np.mean``'s own float64
-arithmetic, so the bits are the same, without the Python wrapper that costs
-more than the sum itself on blocks this small.
+the row scores and the column scores off it.  Every mean is
+``np.add.reduce(x, axis) / count`` (:func:`_mean`): that is ``np.mean``'s
+own float64 arithmetic, so the bits are the same, without the Python
+wrapper that costs more than the sum itself on blocks this small.
 """
 
 from __future__ import annotations
@@ -70,15 +70,18 @@ def mean_squared_residue(block: np.ndarray) -> float:
     return _residues(block)[0]
 
 
+def _mean(x: np.ndarray, axis: int | None = None, keepdims: bool = False):
+    """``x.mean(axis, keepdims=keepdims)`` for float64 ``x``, bit for bit."""
+    return np.add.reduce(x, axis, keepdims=keepdims) / (x.size if axis is None else x.shape[axis])
+
+
 def _residues(block: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """The block's MSR and its per-row and per-column means, from one residue matrix."""
-    n_rows, n_cols = block.shape
-    squared = block - np.add.reduce(block, 1, keepdims=True) / n_cols
-    squared -= np.add.reduce(block, 0, keepdims=True) / n_rows
-    squared += np.add.reduce(block, None) / block.size
+    squared = block - _mean(block, 1, keepdims=True)
+    squared -= _mean(block, 0, keepdims=True)
+    squared += _mean(block)
     np.square(squared, out=squared)
-    return (float(np.add.reduce(squared, None) / squared.size),
-            np.add.reduce(squared, 1) / n_cols, np.add.reduce(squared, 0) / n_rows)
+    return float(_mean(squared)), _mean(squared, 1), _mean(squared, 0)
 
 
 def _single_node_deletion(
@@ -163,9 +166,8 @@ def _node_addition(
     col_candidates = _complement(cols, matrix.shape[1])
     if len(col_candidates):
         sub = matrix[rows[:, None], col_candidates]
-        residues = np.add.reduce((sub - np.add.reduce(block, 1, keepdims=True) / len(cols)
-                                  - np.add.reduce(sub, 0, keepdims=True) / len(rows)
-                                  + np.add.reduce(block, None) / block.size) ** 2, 0) / len(rows)
+        residues = _mean((sub - _mean(block, 1, keepdims=True) - _mean(sub, 0, keepdims=True)
+                          + _mean(block)) ** 2, 0)
         additions = col_candidates[residues <= mean_squared_residue(block)]
         if len(additions):
             cols = np.sort(np.concatenate([cols, additions]))
@@ -175,9 +177,8 @@ def _node_addition(
     row_candidates = _complement(rows, matrix.shape[0])
     if len(row_candidates):
         sub = matrix[row_candidates[:, None], cols]
-        residues = np.add.reduce((sub - np.add.reduce(sub, 1, keepdims=True) / len(cols)
-                                  - np.add.reduce(block, 0, keepdims=True) / len(rows)
-                                  + np.add.reduce(block, None) / block.size) ** 2, 1) / len(cols)
+        residues = _mean((sub - _mean(sub, 1, keepdims=True) - _mean(block, 0, keepdims=True)
+                          + _mean(block)) ** 2, 1)
         additions = row_candidates[residues <= mean_squared_residue(block)]
         if len(additions):
             rows = np.sort(np.concatenate([rows, additions]))
