@@ -484,7 +484,7 @@ def _bicluster_inputs(draw):
 
 
 def _mean_formula_residues(block: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """``_residues`` written with ``np.mean``, before its means became ``add.reduce ÷ count``."""
+    """``_residues``'s formula with ``np.mean``, which ``_mean`` must equal bit for bit."""
     squared = block - block.mean(axis=1, keepdims=True)
     squared -= block.mean(axis=0, keepdims=True)
     squared += block.mean()
